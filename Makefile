@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build check fmt vet lint lint-note lint-audit lint-urikey test race cover bench bench-diff bench-diff-short profile fuzz fuzz-smoke chaos chaos-short recovery-smoke load load-short load-baseline experiments experiments-paper examples clean
+.PHONY: all build check fmt vet lint lint-note lint-audit lint-urikey test bench-harness race cover bench bench-diff bench-diff-short profile fuzz fuzz-smoke chaos chaos-short recovery-smoke load load-short load-baseline experiments experiments-paper examples clean
 
 all: build check
 
@@ -88,6 +88,16 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# bench-harness vets, builds and tests the repo benchmark (bench/, a
+# module of its own that `./...` above never reaches) against this
+# checkout's internal/ packages, so a rename there cannot break the
+# benchmark unnoticed. It does not run the benchmark; BENCHMARK.json's
+# command does.
+bench-harness:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench build ./...
+	$(GO) -C bench test ./...
 
 race:
 	$(GO) test -race ./...

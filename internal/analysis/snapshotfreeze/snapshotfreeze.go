@@ -1,7 +1,8 @@
 // Package snapshotfreeze enforces the publication side of the epoch
 // contract that snapshotpin enforces on the retention side: once a
 // *model.Community (or an engine.Snapshot, or a compiled
-// profmat.Matrix) has been handed to Engine.Swap / SwapDelta or a
+// profmat.Matrix, or the community's compiled model.Adjacency and its
+// CSR relations) has been handed to Engine.Swap / SwapDelta or a
 // checkpoint encoder, it is frozen — every reader may hold it lock-free
 // precisely because nothing writes it anymore. A field store, map
 // write, or slice-element write through a frozen value outside the
@@ -62,7 +63,7 @@ var (
 func init() {
 	lintutil.RegisterAuditFlag(&Analyzer.Flags)
 	Analyzer.Flags.StringVar(&frozen, "types",
-		"swrec/internal/model.Community,swrec/internal/model.Agent,swrec/internal/model.Product,swrec/internal/engine.Snapshot,swrec/internal/profmat.Matrix,swrec/internal/profmat.Row",
+		"swrec/internal/model.Community,swrec/internal/model.Agent,swrec/internal/model.Product,swrec/internal/model.Adjacency,swrec/internal/model.CSR,swrec/internal/engine.Snapshot,swrec/internal/profmat.Matrix,swrec/internal/profmat.Row",
 		"comma-separated pkgpath.TypeName list of frozen-after-publication types")
 	Analyzer.Flags.StringVar(&allow, "allow",
 		"swrec/internal/model,swrec/internal/engine,swrec/internal/ingest,swrec/internal/checkpoint,swrec/internal/profmat,swrec/internal/foaf,swrec/internal/corpus,swrec/internal/datagen,swrec/internal/attack",

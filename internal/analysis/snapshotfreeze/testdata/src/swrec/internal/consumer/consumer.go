@@ -27,6 +27,12 @@ func Scribble(m *profmat.Matrix, i int) {
 	m.Rows[i].Norm = 0 // want `write through frozen swrec/internal/profmat\.Row`
 }
 
+// Reweigh edits a compiled adjacency's trust arena in place — the walks
+// of every concurrent request read it.
+func Reweigh(adj *model.Adjacency, k int) {
+	adj.Trust().Val[k] = 0 // want `write through frozen swrec/internal/model\.CSR`
+}
+
 // Fresh builds its own community: the whole function is the
 // pre-publication phase and must stay silent.
 func Fresh(id model.AgentID, p model.ProductID) *model.Community {

@@ -57,3 +57,19 @@ func (c *Community) Clone() *Community {
 	}
 	return out
 }
+
+// CSR mirrors the compiled adjacency's relation arenas.
+type CSR struct {
+	Off []int32
+	Idx []int32
+	Val []float64
+}
+
+// Adjacency mirrors the compiled adjacency: model compiles it, everyone
+// else only reads it.
+type Adjacency struct {
+	trust CSR
+}
+
+// Trust returns the compiled trust relation.
+func (a *Adjacency) Trust() *CSR { return &a.trust }

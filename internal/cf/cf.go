@@ -289,14 +289,23 @@ func (f *Filter) matrix(ctx context.Context) *profmat.Matrix {
 // the same undefined-similarity result the empty map vector does.
 var emptyRow = &profmat.Row{}
 
-// rowOf returns the compiled row for id — one community resolution to
-// the agent's ordinal, then a positional matrix lookup — or an empty row
-// for agents the matrix does not know.
+// rowAt returns the compiled row of the agent with the given ordinal —
+// a positional matrix lookup — or an empty row for ordinals the matrix
+// does not know.
+//
+//swrec:hotpath
+func rowAt(mat *profmat.Matrix, ord int32) *profmat.Row {
+	if r := mat.Row(ord); r != nil {
+		return r
+	}
+	return emptyRow
+}
+
+// rowOf returns the compiled row for id: one community resolution to the
+// agent's ordinal, then rowAt.
 func (f *Filter) rowOf(mat *profmat.Matrix, id model.AgentID) *profmat.Row {
 	if a := f.comm.Agent(id); a != nil {
-		if r := mat.Row(a.Ord()); r != nil {
-			return r
-		}
+		return rowAt(mat, a.Ord())
 	}
 	return emptyRow
 }
@@ -364,67 +373,66 @@ type SimResult struct {
 
 // Similarities computes the similarity of active against every peer in
 // one scan, writing into out (which must be at least len(peers) long).
+// Agents are addressed by community ordinal, so the scan hashes no URI.
 // On the compiled path the scan is embarrassingly parallel over immutable
 // rows and fans out across a bounded worker pool when enough peers and
 // CPUs make it worthwhile; the fallback path runs sequentially under the
 // profile cache lock. Checks ctx at chunk boundaries; on cancellation out
 // is partial and ctx.Err() is returned.
-func (f *Filter) Similarities(ctx context.Context, active model.AgentID, peers []model.AgentID, out []SimResult) error {
+func (f *Filter) Similarities(ctx context.Context, active int32, peers []int32, out []SimResult) error {
 	mat := f.matrix(ctx)
 	if mat == nil {
+		sym := f.comm.Symbols()
+		act, _ := sym.AgentID(active)
 		for i, p := range peers {
 			if i&15 == 0 {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			s, ok := f.Similarity(active, p)
+			id, _ := sym.AgentID(p)
+			s, ok := f.Similarity(act, id)
 			out[i] = SimResult{Sim: s, OK: ok}
 		}
 		return ctx.Err()
 	}
-	ar := f.rowOf(mat, active)
 	sc := f.getScratch()
-	sc.Load(ar)
+	sc.Load(rowAt(mat, active))
 	defer f.scratch.Put(sc)
 	workers := batchWorkers(len(peers))
 	if workers <= 1 {
-		for i, p := range peers {
-			if i&63 == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			s, ok := f.similarityScratch(sc, f.rowOf(mat, p))
-			out[i] = SimResult{Sim: s, OK: ok}
-		}
-		return ctx.Err()
+		return f.scan(ctx, sc, mat, peers, out)
 	}
 	// The loaded scratch is read-only across workers after Load.
 	var wg sync.WaitGroup
 	chunk := (len(peers) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(peers) {
-			hi = len(peers)
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < len(peers); lo += chunk {
+		hi := min(lo+chunk, len(peers))
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if (i-lo)&63 == 0 && ctx.Err() != nil {
-					return
-				}
-				s, ok := f.similarityScratch(sc, f.rowOf(mat, peers[i]))
-				out[i] = SimResult{Sim: s, OK: ok}
-			}
+			_ = f.scan(ctx, sc, mat, peers[lo:hi], out[lo:hi]) // the caller reports ctx.Err() once for all chunks
 		}(lo, hi)
 	}
 	wg.Wait()
+	return ctx.Err()
+}
+
+// scan fills out[i] with the similarity of the scratch's loaded row to
+// the compiled row of peers[i], stopping at the next 64-peer boundary
+// once ctx is done.
+//
+//swrec:hotpath
+func (f *Filter) scan(ctx context.Context, sc *profmat.Scratch, mat *profmat.Matrix, peers []int32, out []SimResult) error {
+	for i, p := range peers {
+		if i&63 == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		s, ok := f.similarityScratch(sc, rowAt(mat, p))
+		out[i] = SimResult{Sim: s, OK: ok}
+	}
 	return ctx.Err()
 }
 

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"swrec/internal/cf"
 	"swrec/internal/model"
@@ -186,10 +187,16 @@ var ErrUnknownAgent = errors.New("core: unknown active agent")
 // PeerRank is one peer after rank synthesization: its trust rank,
 // similarity, and merged overall rank weight.
 type PeerRank struct {
-	Agent  model.AgentID
-	Trust  float64 // normalized trust rank in [0,1]
-	Sim    float64 // raw similarity in [-1,1]; 0 if undefined
-	SimOK  bool    // whether similarity was defined
+	Agent model.AgentID
+	Trust float64 // normalized trust rank in [0,1]
+	Sim   float64 // raw similarity in [-1,1]; 0 if undefined
+	SimOK bool    // whether similarity was defined
+	// ord is the peer's community ordinal + 1, carried over from the trust
+	// rank so the vote addresses the peer's ratings without hashing its
+	// URI; 0 (the zero value) means resolve by Agent. It shares SimOK's
+	// word, and ordinals are stable across a community's epochs, so cached
+	// and carried rankings stay valid.
+	ord    int32
 	Weight float64 // merged rank weight in [0,1]
 }
 
@@ -207,6 +214,11 @@ type Recommender struct {
 	opt    Options
 	filter *cf.Filter
 	gen    *profile.Generator // content-boost affinity; nil without taxonomy
+	// adj is the community's compiled adjacency — the trust CSR stage 1
+	// walks and the ratings CSR stage 4 votes over — shared, like filter,
+	// with every WithOptions variant. Each relation compiles on the first
+	// cold request that needs it.
+	adj *model.Adjacency
 }
 
 // New creates a recommender. Taxonomy-based CF representations and
@@ -219,7 +231,7 @@ func New(comm *model.Community, opt Options) (*Recommender, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Recommender{comm: comm, opt: opt, filter: f}
+	r := &Recommender{comm: comm, opt: opt, filter: f, adj: comm.Adjacency()}
 	if comm.Taxonomy() != nil {
 		r.gen = profile.New(comm.Taxonomy())
 	} else if opt.ContentBoost > 0 {
@@ -229,9 +241,10 @@ func New(comm *model.Community, opt Options) (*Recommender, error) {
 }
 
 // WithOptions derives a recommender over the same community with
-// different pipeline options. When the CF configuration is unchanged the
-// derived recommender shares this one's similarity filter — and therefore
-// its interest-profile cache — so serving layers can honor per-request
+// different pipeline options. The compiled adjacency is always shared;
+// when the CF configuration is unchanged the derived recommender also
+// shares this one's similarity filter — and therefore its
+// interest-profile cache — so serving layers can honor per-request
 // overrides of the trust metric, α, or content mode without recomputing
 // profiles from scratch.
 func (r *Recommender) WithOptions(opt Options) (*Recommender, error) {
@@ -242,9 +255,14 @@ func (r *Recommender) WithOptions(opt Options) (*Recommender, error) {
 		if opt.ContentBoost > 0 && r.gen == nil {
 			return nil, fmt.Errorf("core: content boost requires a taxonomy")
 		}
-		return &Recommender{comm: r.comm, opt: opt, filter: r.filter, gen: r.gen}, nil
+		return &Recommender{comm: r.comm, opt: opt, filter: r.filter, gen: r.gen, adj: r.adj}, nil
 	}
-	return New(r.comm, opt)
+	nr, err := New(r.comm, opt)
+	if err != nil {
+		return nil, err
+	}
+	nr.adj = r.adj
+	return nr, nil
 }
 
 // Community returns the underlying community view.
@@ -262,6 +280,12 @@ func (r *Recommender) Neighborhood(active model.AgentID) (*trust.Neighborhood, e
 // checks ctx at every iteration boundary; the cheaper metrics check it
 // once on entry. Returns ctx.Err() when cancelled.
 func (r *Recommender) NeighborhoodCtx(ctx context.Context, active model.AgentID) (*trust.Neighborhood, error) {
+	return r.neighborhood(ctx, active, nil)
+}
+
+// neighborhood is NeighborhoodCtx building the ranks in buf's array when
+// the metric can (see trust.AppleseedCompiled).
+func (r *Recommender) neighborhood(ctx context.Context, active model.AgentID, buf []trust.Rank) (*trust.Neighborhood, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -274,12 +298,11 @@ func (r *Recommender) NeighborhoodCtx(ctx context.Context, active model.AgentID)
 		}
 		return nb, nil
 	}
-	net := trust.FromCommunity(r.comm)
 	switch r.opt.Metric {
 	case Advogato:
-		return trust.Advogato(net, active, r.opt.Advogato)
+		return trust.Advogato(trust.FromCommunity(r.comm), active, r.opt.Advogato)
 	case PathTrust:
-		return trust.PathTrust(net, active, r.opt.PathTrust)
+		return trust.PathTrust(trust.FromCommunity(r.comm), active, r.opt.PathTrust)
 	case NoTrust:
 		nb := &trust.Neighborhood{Source: active}
 		for _, id := range r.comm.Agents() {
@@ -289,7 +312,12 @@ func (r *Recommender) NeighborhoodCtx(ctx context.Context, active model.AgentID)
 		}
 		return nb, nil
 	default:
-		return trust.AppleseedCtx(ctx, net, active, r.opt.Appleseed)
+		if a := r.comm.Agent(active); a != nil {
+			return trust.AppleseedCompiled(ctx, r.adj, a.Ord(), r.opt.Appleseed, buf)
+		}
+		// An unknown source has no compiled row; the generic walk yields
+		// the canonical empty neighborhood.
+		return trust.AppleseedCtx(ctx, trust.FromCommunity(r.comm), active, r.opt.Appleseed)
 	}
 }
 
@@ -308,12 +336,24 @@ func (r *Recommender) RankedPeersCtx(ctx context.Context, active model.AgentID) 
 	if !r.comm.HasAgent(active) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownAgent, active)
 	}
-	nb, err := r.NeighborhoodCtx(ctx, active)
+	// The neighborhood lives only until it is synthesized — PeerRanks copy
+	// what they keep — so its rank array, a quarter of a cold request's
+	// allocation, is recycled whichever metric built it.
+	buf, _ := ranksPool.Get().(*[]trust.Rank)
+	if buf == nil {
+		buf = new([]trust.Rank)
+	}
+	defer ranksPool.Put(buf)
+	nb, err := r.neighborhood(ctx, active, *buf)
 	if err != nil {
 		return nil, err
 	}
+	*buf = nb.Ranks[:0]
 	return r.SynthesizeCtx(ctx, active, nb)
 }
+
+// ranksPool recycles stage-1 rank arrays between RankedPeersCtx calls.
+var ranksPool sync.Pool
 
 // SynthesizeCtx runs stages 2-3 — similarity filtering and rank
 // synthesization — over an externally supplied trust neighborhood,
@@ -346,25 +386,25 @@ func (r *Recommender) SynthesizeCtx(ctx context.Context, active model.AgentID, n
 		if tn < r.opt.TrustThreshold {
 			continue
 		}
-		peers = append(peers, PeerRank{Agent: rk.Agent, Trust: tn})
+		p := PeerRank{Agent: rk.Agent, Trust: tn}
+		if ord, ok := rk.Ord(); ok {
+			p.ord = ord + 1
+		} else if a := r.comm.Agent(rk.Agent); a != nil {
+			p.ord = a.Ord() + 1
+		}
+		peers = append(peers, p)
 	}
 	// Stage 2 as one batched scan: the filter computes every peer
-	// similarity over the compiled profile matrix (merge-joins over
-	// sorted postings), fanning out across workers when the peer set and
-	// CPU count warrant it.
+	// similarity over the compiled profile matrix, addressed by ordinal,
+	// fanning out across workers when the peer set and CPU count warrant
+	// it. The ordinal and result buffers are pooled.
 	if len(peers) > 0 {
-		ids := make([]model.AgentID, len(peers))
-		for i := range peers {
-			ids[i] = peers[i].Agent
+		act := int32(-1)
+		if a := r.comm.Agent(active); a != nil {
+			act = a.Ord()
 		}
-		sims := make([]cf.SimResult, len(peers))
-		if err := r.filter.Similarities(ctx, active, ids, sims); err != nil {
+		if err := r.similarities(ctx, act, peers); err != nil {
 			return nil, err
-		}
-		for i := range peers {
-			if sims[i].OK {
-				peers[i].Sim, peers[i].SimOK = sims[i].Sim, true
-			}
 		}
 	}
 
@@ -400,6 +440,41 @@ func (r *Recommender) SynthesizeCtx(ctx context.Context, active model.AgentID, n
 		peers = peers[:r.opt.MaxNeighbors]
 	}
 	return peers, nil
+}
+
+// synthScratch holds the stage-2 buffers of one SynthesizeCtx call: the
+// peers' ordinals going into the similarity scan and the results coming
+// out of it.
+type synthScratch struct {
+	ords []int32
+	sims []cf.SimResult
+}
+
+var synthPool sync.Pool
+
+// similarities runs the stage-2 scan of active against peers on pooled
+// buffers and writes each defined similarity into its peer. A peer
+// without an ordinal (an agent the community does not know) scans as an
+// empty profile.
+func (r *Recommender) similarities(ctx context.Context, active int32, peers []PeerRank) error {
+	sc, ok := synthPool.Get().(*synthScratch)
+	if !ok || len(sc.ords) < len(peers) {
+		sc = &synthScratch{ords: make([]int32, len(peers)), sims: make([]cf.SimResult, len(peers))}
+	}
+	defer synthPool.Put(sc)
+	ords, sims := sc.ords[:len(peers)], sc.sims[:len(peers)]
+	for i := range peers {
+		ords[i] = peers[i].ord - 1
+	}
+	if err := r.filter.Similarities(ctx, active, ords, sims); err != nil {
+		return err
+	}
+	for i := range peers {
+		if sims[i].OK {
+			peers[i].Sim, peers[i].SimOK = sims[i].Sim, true
+		}
+	}
+	return nil
 }
 
 // Recommend runs the full pipeline and returns the top-n recommendations
@@ -441,100 +516,49 @@ func (r *Recommender) RecommendFromCtx(ctx context.Context, active model.AgentID
 		touched = r.touchedTopics(act)
 	}
 
-	// Vote accumulators live in one slab indexed through a flat
-	// per-product vote table — the community assigns every product a
-	// dense ordinal, so the vote loop does no hashing at all: votes[ord]
-	// holds 0 (unseen), -1 (rated by the active agent), or the
-	// accumulator index + 1. Peers vote through the community's memoized
-	// positive-rating lists, which carry resolved product pointers.
-	type acc struct {
-		prod       *model.Product
-		score      float64
-		supporters int
-	}
-	votes := make([]int32, r.comm.NumProducts())
-	// Size for the realistic candidate pool — roughly half the catalog
-	// shows up as a positively-rated novel product across a large peer
-	// set — so the slab doesn't re-grow mid-vote.
-	accs := make([]acc, 0, r.comm.NumProducts()/2+16)
+	// The vote runs on pooled scratch: a flat per-product table — votes[ord]
+	// holds 0 (unseen), -1 (rated by the active agent), or the accumulator
+	// index + 1 — over one accumulator slab. Peers vote through the
+	// compiled ratings CSR, so the scan hashes nothing and chases no
+	// per-agent slice.
+	vs := getVoteScratch(r.adj.NumProducts())
+	defer vs.release()
 	// Sentinel entries for the active agent's own history. Products the
 	// active agent rated but the catalog does not know need no sentinel —
 	// peers' votes resolve through the same catalog, so they can never
 	// become candidates.
 	for _, rs := range act.RatedProducts() {
 		if p := r.comm.Product(rs.Product); p != nil {
-			votes[p.Ord()] = -1
+			vs.votes[p.Ord()] = -1
+			vs.rated = append(vs.rated, p.Ord())
 		}
 	}
-	for i, p := range peers {
-		if i&15 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if p.Weight <= 0 {
-			continue
-		}
-		peer := r.comm.Agent(p.Agent)
-		if peer == nil {
-			continue
-		}
-		for _, pr := range r.comm.PositiveRatings(peer) {
-			prod := pr.Product
-			o := prod.Ord()
-			ai := votes[o]
-			if ai < 0 {
-				continue // active already rated it (sentinel)
-			}
-			if touched != nil && !r.isNovelProduct(prod, touched) {
-				continue
-			}
-			if ai == 0 {
-				accs = append(accs, acc{prod: prod})
-				ai = int32(len(accs))
-				votes[o] = ai
-			}
-			accs[ai-1].score += p.Weight * pr.Value
-			accs[ai-1].supporters++
-		}
+	if err := r.vote(ctx, vs, r.adj.Ratings(), peers, touched); err != nil {
+		return nil, err
 	}
+	cands := vs.accs[:vs.n]
 
 	// Content boost: scale each candidate's vote score by its affinity
 	// to the active agent's own taxonomy profile (hybrid filtering, §5).
-	var activeProfile sparse.Vector
 	if r.opt.ContentBoost > 0 {
-		var err error
-		if activeProfile, err = r.gen.ProfileCtx(ctx, act, r.comm); err != nil {
+		activeProfile, err := r.gen.ProfileCtx(ctx, act, r.comm)
+		if err != nil {
 			return nil, err
+		}
+		for i := range cands {
+			cands[i].score *= 1 + r.opt.ContentBoost*r.contentMatch(activeProfile, r.adj.Product(cands[i].prod))
 		}
 	}
 
-	out := make([]Recommendation, 0, len(accs))
-	for i := range accs {
-		a := &accs[i]
-		score := a.score
-		if r.opt.ContentBoost > 0 {
-			score *= 1 + r.opt.ContentBoost*r.contentMatch(activeProfile, a.prod)
-		}
-		out = append(out, Recommendation{Product: a.prod.ID, Score: score, Supporters: a.supporters})
+	// The answer is allocated at its exact size: it outlives the request
+	// in the engine's result cache, and must not pin a candidate-sized
+	// array behind a ten-item slice.
+	k := len(cands)
+	if n > 0 && n < k {
+		k = n
 	}
-	slices.SortFunc(out, func(a, b Recommendation) int {
-		switch {
-		case a.Score > b.Score:
-			return -1
-		case a.Score < b.Score:
-			return 1
-		case a.Product < b.Product:
-			return -1
-		case a.Product > b.Product:
-			return 1
-		default:
-			return 0
-		}
-	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
+	out := make([]Recommendation, k)
+	selectTop(r.adj, cands, out)
 	return out, nil
 }
 

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"swrec/internal/cf"
 	"swrec/internal/core"
 	"swrec/internal/datagen"
 )
@@ -39,6 +41,48 @@ func BenchmarkServePerRequestNew(b *testing.B) {
 					b.Fatal(err)
 				}
 				if _, err := rec.Recommend(id, 10); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkServeEngineCold measures an uncached request on a compiled
+// snapshot — Appleseed walk, similarity scan, rank synthesis and vote
+// from scratch, the cost of every first read after a publish — at the
+// small bench scale and at the paper's (§4.1: datagen.PaperScale, 9,100
+// agents, the serving options of the repo benchmark's cold-read
+// workload). One-entry caches keep every request cold: consecutive
+// requests ask for different agents.
+func BenchmarkServeEngineCold(b *testing.B) {
+	small := *benchCommunity(b, 400)
+	paperOpt := core.Options{
+		Alpha: 0.5, AlphaSet: true,
+		CF: cf.Options{Measure: cf.Cosine, Representation: cf.Taxonomy},
+	}
+	for _, bc := range []struct {
+		cfg datagen.Config
+		opt core.Options
+	}{{small, testOptions()}, {datagen.PaperScale(), paperOpt}} {
+		b.Run(fmt.Sprintf("agents=%d", bc.cfg.Agents), func(b *testing.B) {
+			comm, _ := datagen.Generate(bc.cfg)
+			e, err := New(comm, bc.opt, Config{PeerCacheSize: 1, ResultCacheSize: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			snap := e.Snapshot()
+			ids := comm.Agents()
+			ctx := context.Background()
+			// The snapshot's first cold request compiles its adjacency:
+			// set-up, not the steady state this measures.
+			if _, err := snap.RecommendCtx(ctx, ids[len(ids)-1], 10, Overrides{}); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := snap.RecommendCtx(ctx, ids[i%len(ids)], 10, Overrides{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -262,9 +262,13 @@ func (c *Community) TrustRefs(a *Agent) []TrustRef {
 type Community struct {
 	agents   map[AgentID]*Agent
 	agentIDs []AgentID // insertion order, for deterministic iteration
-	products map[ProductID]*Product
-	prodIDs  []ProductID
-	tax      *taxonomy.Taxonomy
+	// agentRecs[ord] is the record of the agent with that ordinal — the
+	// dense table Symbols.AgentAt and the compiled adjacency index.
+	agentRecs []*Agent
+	products  map[ProductID]*Product
+	prodIDs   []ProductID
+	prodRecs  []*Product // prodRecs[ord], as agentRecs
+	tax       *taxonomy.Taxonomy
 }
 
 // NewCommunity creates an empty community over the given taxonomy. The
@@ -296,6 +300,7 @@ func (c *Community) AddAgent(id AgentID) *Agent {
 	a.ord = int32(len(c.agentIDs))
 	c.agents[id] = a
 	c.agentIDs = append(c.agentIDs, id)
+	c.agentRecs = append(c.agentRecs, a)
 	return a
 }
 
@@ -322,6 +327,7 @@ func (c *Community) AddProduct(p Product) *Product {
 	cp.ord = int32(len(c.prodIDs))
 	c.products[p.ID] = &cp
 	c.prodIDs = append(c.prodIDs, p.ID)
+	c.prodRecs = append(c.prodRecs, &cp)
 	return &cp
 }
 
@@ -415,13 +421,15 @@ func (c *Community) DeleteRating(agent AgentID, product ProductID) {
 // snapshot that is concurrently being served.
 func (c *Community) Clone() *Community {
 	out := &Community{
-		agents:   make(map[AgentID]*Agent, len(c.agents)),
-		agentIDs: append([]AgentID(nil), c.agentIDs...),
-		products: make(map[ProductID]*Product, len(c.products)),
-		prodIDs:  append([]ProductID(nil), c.prodIDs...),
-		tax:      c.tax,
+		agents:    make(map[AgentID]*Agent, len(c.agents)),
+		agentIDs:  append([]AgentID(nil), c.agentIDs...),
+		agentRecs: make([]*Agent, len(c.agentRecs)),
+		products:  make(map[ProductID]*Product, len(c.products)),
+		prodIDs:   append([]ProductID(nil), c.prodIDs...),
+		prodRecs:  make([]*Product, len(c.prodRecs)),
+		tax:       c.tax,
 	}
-	for id, a := range c.agents {
+	for ord, a := range c.agentRecs {
 		cp := &Agent{
 			ID:      a.ID,
 			Name:    a.Name,
@@ -435,12 +443,14 @@ func (c *Community) Clone() *Community {
 		for p, v := range a.Ratings {
 			cp.Ratings[p] = v
 		}
-		out.agents[id] = cp
+		out.agents[a.ID] = cp
+		out.agentRecs[ord] = cp
 	}
-	for id, p := range c.products {
+	for ord, p := range c.prodRecs {
 		cp := *p
 		cp.Topics = append([]taxonomy.Topic(nil), p.Topics...)
-		out.products[id] = &cp
+		out.products[p.ID] = &cp
+		out.prodRecs[ord] = &cp
 	}
 	return out
 }

@@ -4,9 +4,9 @@ package model
 // between URI-string identifiers (AgentID, ProductID) and the dense
 // int32 ordinals the hot paths compute with. It is a view over the
 // community — the forward direction reads the agent/product registries,
-// the reverse direction indexes the insertion-order slices, which by
-// construction ARE the ordinal order (AddAgent/AddProduct assign
-// ord = len(slice) and records are never deleted).
+// the reverse direction indexes the insertion-order ID and record
+// slices, which by construction ARE the ordinal order (AddAgent/
+// AddProduct assign ord = len(slice) and records are never deleted).
 //
 // Ordinal stability rules (what makes ordinal-keyed state carry across
 // epochs):
@@ -59,10 +59,10 @@ func (s Symbols) AgentID(ord int32) (AgentID, bool) {
 // AgentAt returns the agent record with the given ordinal, or nil
 // outside the ordinal space.
 func (s Symbols) AgentAt(ord int32) *Agent {
-	if ord < 0 || int(ord) >= len(s.c.agentIDs) {
+	if ord < 0 || int(ord) >= len(s.c.agentRecs) {
 		return nil
 	}
-	return s.c.agents[s.c.agentIDs[ord]]
+	return s.c.agentRecs[ord]
 }
 
 // ProductOrd resolves a product ID to its dense ordinal; ok is false for
@@ -87,8 +87,8 @@ func (s Symbols) ProductID(ord int32) (ProductID, bool) {
 // ProductAt returns the product record with the given ordinal, or nil
 // outside the ordinal space.
 func (s Symbols) ProductAt(ord int32) *Product {
-	if ord < 0 || int(ord) >= len(s.c.prodIDs) {
+	if ord < 0 || int(ord) >= len(s.c.prodRecs) {
 		return nil
 	}
-	return s.c.products[s.c.prodIDs[ord]]
+	return s.c.prodRecs[ord]
 }

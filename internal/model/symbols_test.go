@@ -174,3 +174,61 @@ func TestSymbolsFreshOrdinalsForJoins(t *testing.T) {
 		t.Fatal("re-adding a product moved its ordinal")
 	}
 }
+
+// TestSymbolsRecordTables: AgentAt/ProductAt index dense record tables,
+// so they must return the very record the registry holds — pointer
+// identity, not just an equal ID — for every agent and product, on a
+// clone lineage that saw churn, joiners, a catalog refresh and a Merge.
+func TestSymbolsRecordTables(t *testing.T) {
+	check := func(t *testing.T, c *Community) {
+		t.Helper()
+		sym := c.Symbols()
+		for _, id := range c.Agents() {
+			a := c.Agent(id)
+			if got := sym.AgentAt(a.Ord()); got != a {
+				t.Fatalf("AgentAt(%d) = %p, registry holds %p for %s", a.Ord(), got, a, id)
+			}
+		}
+		for _, id := range c.Products() {
+			p := c.Product(id)
+			if got := sym.ProductAt(p.Ord()); got != p {
+				t.Fatalf("ProductAt(%d) = %p, registry holds %p for %s", p.Ord(), got, p, id)
+			}
+		}
+	}
+	base := symCommunity(t, 1, 80, 40)
+	check(t, base)
+
+	clone := base.Clone()
+	check(t, clone)
+	if clone.Symbols().AgentAt(0) == base.Symbols().AgentAt(0) {
+		t.Fatal("Clone shares agent records with its source")
+	}
+	// Churn, joiners (direct and as a trust endpoint), catalog refresh.
+	if err := clone.SetTrust("urn:a:0", "urn:a:1", 0.9); err != nil {
+		t.Fatal(err)
+	}
+	clone.DeleteTrust("urn:a:0", "urn:a:1")
+	if err := clone.SetTrust("urn:a:joined", "urn:a:peer-joined", 0.8); err != nil {
+		t.Fatal(err)
+	}
+	clone.AddProduct(Product{ID: "urn:p:new"})
+	clone.AddProduct(Product{ID: "urn:p:0", Title: "second edition"})
+	if err := clone.SetRating("urn:a:joined", "urn:p:new", 0.6); err != nil {
+		t.Fatal(err)
+	}
+	check(t, clone)
+	check(t, clone.Clone())
+
+	// Merge registers agents, trust endpoints and bare products.
+	other := NewCommunity(nil)
+	other.AddProduct(Product{ID: "urn:p:merged"})
+	if err := other.SetTrust("urn:a:merged", "urn:a:3", 0.4); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.SetRating("urn:a:merged", "urn:p:merged", 0.9); err != nil {
+		t.Fatal(err)
+	}
+	clone.Merge(other)
+	check(t, clone)
+}

@@ -372,10 +372,12 @@ func Pearson(a, b *Row) (sim float64, ok bool) {
 // O(1) lookups in place of the merge-join's two-cursor walk. The
 // products and their summation order are identical to the merge-join
 // kernels (ascending common-dimension order), so the results are
-// bit-for-bit the same. Occupancy is generation-stamped, making a
-// re-Load O(nnz). Load is not safe for concurrent use, but any number
-// of goroutines may call CosineTo/PearsonTo concurrently after a Load —
-// they only read.
+// bit-for-bit the same. The image is zero outside the loaded row — Load
+// first takes the previous row back out — so the cosine dot needs no
+// occupancy test; Pearson, which counts co-present dimensions, reads the
+// generation stamps. A re-Load is O(nnz of both rows). Load is not safe
+// for concurrent use, but any number of goroutines may call
+// CosineTo/PearsonTo concurrently after a Load — they only read.
 type Scratch struct {
 	vals  []float64
 	stamp []int32
@@ -401,6 +403,11 @@ func (s *Scratch) Load(r *Row) {
 		clear(s.stamp)
 		s.gen = 1
 	}
+	if s.row != nil {
+		for _, key := range s.row.Keys {
+			s.vals[key] = 0
+		}
+	}
 	for k, key := range r.Keys {
 		s.vals[key] = r.Vals[k]
 		s.stamp[key] = s.gen
@@ -408,7 +415,10 @@ func (s *Scratch) Load(r *Row) {
 	s.row = r
 }
 
-// CosineTo returns Cosine(loaded, b).
+// CosineTo returns Cosine(loaded, b). The dot runs over every posting of
+// b without testing occupancy: a dimension the loaded row lacks holds
+// zero and adds ±0, which leaves the running sum's bits unchanged, so the
+// result equals the merge-join over the common dimensions exactly.
 //
 //swrec:hotpath
 func (s *Scratch) CosineTo(b *Row) (sim float64, ok bool) {
@@ -416,12 +426,11 @@ func (s *Scratch) CosineTo(b *Row) (sim float64, ok bool) {
 	if a.Norm == 0 || b.Norm == 0 {
 		return 0, false
 	}
-	g := s.gen
+	vals := s.vals
+	bv := b.Vals[:len(b.Keys)]
 	var dot float64
 	for k, key := range b.Keys {
-		if s.stamp[key] == g {
-			dot += s.vals[key] * b.Vals[k]
-		}
+		dot += vals[key] * bv[k]
 	}
 	return clamp(dot / (a.Norm * b.Norm)), true
 }

@@ -118,6 +118,40 @@ func TestScratchMatchesMergeJoinExactly(t *testing.T) {
 	}
 }
 
+// TestScratchReloadLeavesNoStaleValues: CosineTo reads the dense image
+// without an occupancy test, so a re-Load must take the previous row back
+// out. The peer shares dimensions only with the row loaded first; any
+// value left behind would show up as a non-zero dot.
+func TestScratchReloadLeavesNoStaleValues(t *testing.T) {
+	row := func(kv ...float64) *Row {
+		v := sparse.New(len(kv) / 2)
+		for i := 0; i < len(kv); i += 2 {
+			v[int32(kv[i])] = kv[i+1]
+		}
+		r := FromVector(v)
+		return &r
+	}
+	cosine := func(a, b *Row) float64 {
+		s, ok := Cosine(a, b)
+		if !ok {
+			t.Fatal("fixture: cosine undefined")
+		}
+		return s
+	}
+	first, second := row(1, 2, 5, 3, 40, -6), row(5, 1, 9, 4)
+	peer := row(1, 7, 40, 2, 63, -2)
+	if cosine(first, peer) == 0 || cosine(second, peer) != 0 {
+		t.Fatal("fixture: the peer must overlap the first row only")
+	}
+	sc := NewScratch(64)
+	for _, r := range []*Row{first, second, first} {
+		sc.Load(r)
+		if got, ok := sc.CosineTo(peer); !ok || got != cosine(r, peer) {
+			t.Fatalf("CosineTo after re-Load = (%v,%v), merge-join %v", got, ok, cosine(r, peer))
+		}
+	}
+}
+
 func benchCommunity(t testing.TB) *model.Community {
 	t.Helper()
 	cfg := datagen.SmallScale()

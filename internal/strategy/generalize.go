@@ -35,7 +35,10 @@ func GeneralizedPeers(ctx context.Context, f *cf.Filter, active model.AgentID, b
 		}
 		pp := gen.Generalize(f.ProfileOf(p.Agent), depth)
 		sim, ok := f.Compare(ap, pp)
-		np := core.PeerRank{Agent: p.Agent, Trust: p.Trust}
+		// A copy keeps the peer's identity (URI and carried ordinal) and
+		// trust; similarity and weight are recomputed.
+		np := p
+		np.Sim, np.SimOK = 0, false
 		if ok {
 			np.Sim, np.SimOK = sim, true
 		}

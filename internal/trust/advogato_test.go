@@ -213,7 +213,7 @@ func TestPathTrustValidation(t *testing.T) {
 func TestNeighborhoodHelpers(t *testing.T) {
 	nb := &Neighborhood{
 		Source: "a",
-		Ranks:  []Rank{{"b", 3}, {"c", 2}, {"d", 1}},
+		Ranks:  []Rank{{Agent: "b", Trust: 3}, {Agent: "c", Trust: 2}, {Agent: "d", Trust: 1}},
 	}
 	if got := nb.Top(2); len(got) != 2 || got[0].Agent != "b" {
 		t.Fatalf("Top(2) = %+v", got)

@@ -150,12 +150,12 @@ func AppleseedCtx(ctx context.Context, net Network, source model.AgentID, opt Ap
 		return nil, err
 	}
 
-	// Community-backed networks expose resolved, densely-interned edges:
-	// take the hash-free walk. Unknown sources fall through to the
-	// generic path, which yields the canonical empty neighborhood.
-	if rn, ok := net.(refNetwork); ok {
-		if src := rn.AgentRef(source); src != nil {
-			return appleseedRefs(ctx, rn, src, opt)
+	// Community-backed networks carry a compiled adjacency: take the
+	// ordinal walk. Unknown sources fall through to the generic path,
+	// which yields the canonical empty neighborhood.
+	if cn, ok := net.(communityNet); ok {
+		if src := cn.c.Agent(source); src != nil {
+			return appleseedCompiled(ctx, cn.adj, src.Ord(), opt, nil)
 		}
 	}
 
@@ -342,185 +342,6 @@ func AppleseedCtx(ctx context.Context, net Network, source model.AgentID, opt Ap
 			continue
 		}
 		nb.Ranks = append(nb.Ranks, Rank{Agent: nodes[i].id, Trust: nodes[i].rank})
-	}
-	sortRanks(nb.Ranks)
-	return nb, nil
-}
-
-// appleseedRefNode is the per-node state of the refs-based walk: the
-// same fields as appleseedNode with the agent resolved to its record.
-type appleseedRefNode struct {
-	ref       *model.Agent
-	in        float64
-	inNew     float64
-	rank      float64
-	succ      []appleseedEdge
-	succTotal float64
-	fetched   bool
-}
-
-// appleseedRefs is AppleseedCtx over a refNetwork: identical update
-// rule, iteration order, and convergence test, but node discovery and
-// edge traversal index a flat ordinal table instead of hashing string
-// agent IDs — on community-sized neighborhoods this removes thousands
-// of map operations per computation. opt must already be defaulted and
-// validated.
-func appleseedRefs(ctx context.Context, net refNetwork, src *model.Agent, opt AppleseedOptions) (*Neighborhood, error) {
-	hint := net.NumAgents() + 1
-	if opt.MaxNodes > 0 && hint > opt.MaxNodes+1 {
-		hint = opt.MaxNodes + 1
-	}
-	// idx[ord] is the node index + 1 of the agent with that ordinal
-	// (0 = undiscovered) — the community interns agents densely, so the
-	// table covers every reachable agent.
-	idx := make([]int32, net.NumAgents())
-	nodes := make([]appleseedRefNode, 1, hint)
-	nodes[0] = appleseedRefNode{ref: src, in: opt.Injection}
-	idx[src.Ord()] = 1
-
-	discover := func(ref *model.Agent) (int, bool) {
-		if i := idx[ref.Ord()]; i != 0 {
-			return int(i) - 1, true
-		}
-		if opt.MaxNodes > 0 && len(nodes) >= opt.MaxNodes+1 {
-			return 0, false
-		}
-		i := len(nodes)
-		idx[ref.Ord()] = int32(i) + 1
-		nodes = append(nodes, appleseedRefNode{ref: ref})
-		return i, true
-	}
-
-	type negEdge struct {
-		from int
-		to   *model.Agent
-		w    float64 // |t_x(y)|
-	}
-	var negEdges []negEdge
-	explored := 0
-	linearWeights := opt.NormExponent == 1
-	fetch := func(xi int) {
-		if nodes[xi].fetched {
-			return
-		}
-		nodes[xi].fetched = true
-		explored++
-		refs := net.PeerRefs(nodes[xi].ref)
-		succ := make([]appleseedEdge, 0, len(refs)+1)
-		var total float64
-		if xi != 0 && !opt.NoBackprop {
-			succ = append(succ, appleseedEdge{to: 0, w: 1})
-			total = 1
-		}
-		self := nodes[xi].ref
-		for _, pr := range refs {
-			if pr.Peer == self {
-				continue
-			}
-			if pr.Value <= 0 {
-				if pr.Value < 0 && opt.DistrustPenalty > 0 {
-					negEdges = append(negEdges, negEdge{from: xi, to: pr.Peer, w: -pr.Value})
-				}
-				continue
-			}
-			yi, ok := discover(pr.Peer) // may grow the slab; index access only below
-			if !ok || yi == xi {
-				continue
-			}
-			w := pr.Value
-			if !linearWeights {
-				w = math.Pow(pr.Value, opt.NormExponent)
-			}
-			succ = append(succ, appleseedEdge{to: yi, w: w})
-			total += w
-		}
-		nodes[xi].succ = succ
-		nodes[xi].succTotal = total
-	}
-
-	d := opt.SpreadingFactor
-	iterations := 0
-	for ; iterations < opt.MaxIterations; iterations++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		maxDelta := 0.0
-		live := len(nodes)
-		for xi := 0; xi < live; xi++ {
-			if nodes[xi].in == 0 {
-				continue
-			}
-			fetch(xi) // may grow the slab: re-take the pointer after
-			x := &nodes[xi]
-			energy := x.in
-			x.in = 0
-			if xi != 0 { // the source hoards no rank
-				x.rank += (1 - d) * energy
-				if delta := (1 - d) * energy; delta > maxDelta {
-					maxDelta = delta
-				}
-			}
-			if x.succTotal == 0 {
-				continue
-			}
-			m := d * energy / x.succTotal
-			for _, e := range x.succ {
-				nodes[e.to].inNew += m * e.w
-			}
-		}
-		for i := range nodes {
-			nodes[i].in += nodes[i].inNew
-			nodes[i].inNew = 0
-		}
-		if maxDelta < opt.Threshold && iterations > 0 {
-			break
-		}
-	}
-
-	if opt.DistrustPenalty > 0 && len(negEdges) > 0 {
-		maxRank := 0.0
-		for i := 1; i < len(nodes); i++ {
-			if nodes[i].rank > maxRank {
-				maxRank = nodes[i].rank
-			}
-		}
-		for _, e := range negEdges {
-			ni := idx[e.to.Ord()]
-			if ni <= 1 {
-				continue // never positively reached, or the source itself
-			}
-			yi := int(ni) - 1
-			normRank := 1.0 // the source's word counts fully
-			if e.from != 0 {
-				if maxRank == 0 {
-					continue
-				}
-				normRank = nodes[e.from].rank / maxRank
-			}
-			factor := 1 - opt.DistrustPenalty*normRank*e.w
-			if factor < 0 {
-				factor = 0
-			}
-			nodes[yi].rank *= factor
-		}
-	}
-
-	var distrusted map[*model.Agent]bool
-	if opt.RespectDistrust {
-		distrusted = make(map[*model.Agent]bool)
-		for _, pr := range net.PeerRefs(src) {
-			if pr.Value < 0 {
-				distrusted[pr.Peer] = true
-			}
-		}
-	}
-	nb := &Neighborhood{Source: src.ID, Iterations: iterations, Explored: explored}
-	nb.Ranks = make([]Rank, 0, len(nodes)-1)
-	for i := 1; i < len(nodes); i++ {
-		if nodes[i].rank <= 0 || distrusted[nodes[i].ref] {
-			continue
-		}
-		nb.Ranks = append(nb.Ranks, Rank{Agent: nodes[i].ref.ID, Trust: nodes[i].rank})
 	}
 	sortRanks(nb.Ranks)
 	return nb, nil

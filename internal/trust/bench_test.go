@@ -8,10 +8,10 @@ import (
 	"swrec/internal/model"
 )
 
-// plainNet hides the community's refNetwork fast path so a benchmark (or
-// differential test) exercises the generic walk the way a partially
-// crawled, non-community view would. It keeps the size hint — both paths
-// deserve fair pre-sizing.
+// plainNet hides the community adapter's compiled adjacency so a
+// benchmark (or differential test) exercises the generic URI walk the way
+// a partially crawled, non-community view would. It keeps the size hint —
+// both paths deserve fair pre-sizing.
 type plainNet struct{ c *model.Community }
 
 func (n plainNet) Peers(a model.AgentID) []model.TrustStatement {
@@ -24,24 +24,35 @@ func (n plainNet) Peers(a model.AgentID) []model.TrustStatement {
 
 func (n plainNet) NumAgents() int { return n.c.NumAgents() }
 
+// benchTrustCommunity generates the small bench shape at the given size,
+// or — at 9,100 agents — the paper's own community (§4.1,
+// datagen.PaperScale).
 func benchTrustCommunity(b *testing.B, agents int) *model.Community {
 	b.Helper()
-	cfg := datagen.SmallScale()
-	cfg.Agents = agents
-	cfg.Products = agents * 2
+	cfg := datagen.PaperScale()
+	if agents != cfg.Agents {
+		cfg = datagen.SmallScale()
+		cfg.Agents = agents
+		cfg.Products = agents * 2
+	}
 	comm, _ := datagen.Generate(cfg)
 	return comm
 }
 
-// BenchmarkAppleseedRefs measures one full Appleseed computation over the
-// community adapter's resolved-reference fast path: node discovery and
-// edge traversal index a flat ordinal table.
-func BenchmarkAppleseedRefs(b *testing.B) {
-	for _, agents := range []int{100, 400} {
+// BenchmarkAppleseed measures one full Appleseed computation over the
+// community adapter — the compiled walk: edges from the trust CSR, state
+// in pooled node-indexed arrays, the result its only allocations.
+func BenchmarkAppleseed(b *testing.B) {
+	for _, agents := range []int{100, 400, 9100} {
 		b.Run(fmt.Sprintf("agents=%d", agents), func(b *testing.B) {
 			comm := benchTrustCommunity(b, agents)
 			net := FromCommunity(comm)
 			src := comm.Agents()[0]
+			// The first walk compiles the adapter's trust CSR: set-up, not
+			// the steady state this measures.
+			if _, err := Appleseed(net, src, AppleseedOptions{}); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -54,11 +65,10 @@ func BenchmarkAppleseedRefs(b *testing.B) {
 }
 
 // BenchmarkAppleseedGeneric measures the same computation over a Network
-// that exposes no resolved references — the path every non-community
-// trust view takes, and the one the interned-ID refactor moves from
-// string-keyed maps to a dense interner.
+// that exposes nothing but Peers — the URI walk every non-community trust
+// view takes, and the oracle the compiled walk is pinned to.
 func BenchmarkAppleseedGeneric(b *testing.B) {
-	for _, agents := range []int{100, 400} {
+	for _, agents := range []int{100, 400, 9100} {
 		b.Run(fmt.Sprintf("agents=%d", agents), func(b *testing.B) {
 			comm := benchTrustCommunity(b, agents)
 			net := plainNet{comm}

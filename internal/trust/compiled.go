@@ -1,0 +1,336 @@
+package trust
+
+import (
+	"context"
+	"math"
+	"sync"
+
+	"swrec/internal/model"
+)
+
+// AppleseedCompiled is AppleseedCtx over a community's compiled
+// adjacency, the source given by ordinal: the walk core.Recommender runs
+// for every uncached request. The update rule, discovery order, per-node
+// edge order (backward edge first) and float summation order are those of
+// the generic walk in AppleseedCtx, so the ranks are bit-identical to it;
+// what differs is the machinery — edges come from the trust CSR, state
+// lives in pooled node-indexed arrays, and the only allocations are the
+// result. source must lie in [0, adj.NumAgents()). The ranks are built in
+// buf's array when it is large enough — a caller that drops the
+// neighborhood after use (core's stages 1-3) recycles it; pass nil
+// otherwise.
+func AppleseedCompiled(ctx context.Context, adj *model.Adjacency, source int32, opt AppleseedOptions, buf []Rank) (*Neighborhood, error) {
+	opt = opt.withDefaults()
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
+	return appleseedCompiled(ctx, adj, source, opt, buf)
+}
+
+// appleseedCompiled is AppleseedCompiled after option defaulting and
+// validation.
+func appleseedCompiled(ctx context.Context, adj *model.Adjacency, source int32, opt AppleseedOptions, buf []Rank) (*Neighborhood, error) {
+	t := adj.Trust()
+	w := getWalk(adj.NumAgents(), len(t.Idx))
+	defer w.release()
+
+	iterations, err := w.spread(ctx, t, source, opt)
+	if err != nil {
+		return nil, err
+	}
+	if opt.DistrustPenalty > 0 {
+		w.penalize(t, opt.DistrustPenalty)
+	}
+	if opt.RespectDistrust {
+		// Peers the source explicitly distrusts leave the result: a zero
+		// rank is what the collection pass drops.
+		idx, val := t.Row(source)
+		for k, y := range idx {
+			if i := w.node[y]; val[k] < 0 && i > 0 {
+				w.rank[i-1] = 0
+			}
+		}
+	}
+
+	n := 0
+	for _, r := range w.rank[1:w.nodes] {
+		if r > 0 {
+			n++
+		}
+	}
+	nb := &Neighborhood{Source: adj.Agent(source).ID, Iterations: iterations, Explored: w.nFetched}
+	nb.Ranks = buf[:0]
+	if cap(buf) < n {
+		nb.Ranks = make([]Rank, 0, n)
+	}
+	for i, r := range w.rank[1:w.nodes] {
+		if r > 0 {
+			x := w.ord[i+1]
+			nb.Ranks = append(nb.Ranks, Rank{Agent: adj.Agent(x).ID, Trust: r, ord: x + 1})
+		}
+	}
+	sortRanks(nb.Ranks)
+	return nb, nil
+}
+
+// walk is the pooled state of one compiled Appleseed computation. Agents
+// become nodes in discovery order — node 0 is the source — and the
+// per-node arrays are indexed by node, so a pass streams through them;
+// node maps an agent ordinal to its node and is the only per-agent table.
+// Everything a computation reads before writing is zero between
+// computations (release re-zeroes exactly the discovered entries), so a
+// pooled walk starts in O(1) whatever the community size.
+type walk struct {
+	node []int32 // by agent ordinal: node index + 1; 0 = not discovered
+	ord  []int32 // by node: the agent's ordinal
+	// By node: energy received this pass, energy accumulating for the
+	// next, trust rank so far, the normalization total over the node's
+	// out-edges (fixed when it is fetched), and this pass's energy per
+	// unit of edge weight.
+	in, inNew, rank, total, share []float64
+	fetched                       []bool // by node: out-edges expanded
+	nodes                         int    // discovered so far
+	// fetchSeq lists the nodes in the order they were fetched — first
+	// spread energy — which is the order graded distrust is applied in.
+	fetchSeq []int32
+	nFetched int
+	// The out-edges of the fetched nodes, flattened in node order with
+	// each node's virtual backward edge first: source node, target node
+	// and weight Val^NormExponent. Edges MaxNodes refused are left out.
+	// One pass over the arena spreads a whole pass's energy in exactly
+	// the order the generic walk's nested loops do.
+	src, dst []int32
+	weight   []float64
+	edges    int
+	last     int32 // highest node in the arena; -1 when empty
+	stale    bool  // a node below last was fetched: rebuild before use
+}
+
+var walkPool sync.Pool
+
+// getWalk returns a zeroed walk covering agents agent ordinals and edges
+// CSR edges.
+func getWalk(agents, edges int) *walk {
+	arena := edges + agents // every node may add a backward edge
+	if w, ok := walkPool.Get().(*walk); ok && len(w.node) >= agents && len(w.src) >= arena {
+		return w
+	}
+	return &walk{
+		node:     make([]int32, agents),
+		ord:      make([]int32, agents),
+		in:       make([]float64, agents),
+		inNew:    make([]float64, agents),
+		rank:     make([]float64, agents),
+		total:    make([]float64, agents),
+		share:    make([]float64, agents),
+		fetched:  make([]bool, agents),
+		fetchSeq: make([]int32, agents),
+		src:      make([]int32, arena),
+		dst:      make([]int32, arena),
+		weight:   make([]float64, arena),
+	}
+}
+
+// release re-zeroes the entries the computation touched and returns the
+// walk to the pool.
+func (w *walk) release() {
+	for _, x := range w.ord[:w.nodes] {
+		w.node[x] = 0
+	}
+	clear(w.in[:w.nodes])
+	clear(w.inNew[:w.nodes])
+	clear(w.rank[:w.nodes])
+	clear(w.fetched[:w.nodes])
+	w.nodes, w.nFetched, w.edges, w.stale = 0, 0, 0, false
+	walkPool.Put(w)
+}
+
+// spread runs the spreading-activation passes from src until no rank
+// moves by Threshold or more, and returns the pass count. opt must be
+// defaulted and validated.
+//
+// A pass is the generic walk's node loop split in two. First every live
+// node, in node order, banks its rank and fixes its share — the energy it
+// hands on per unit of edge weight, d·in/total — fetching itself on first
+// use. Then one sweep over the edge arena delivers share·weight along
+// every edge. A node's incoming sums therefore accumulate in the same
+// (source node, edge) order as before; a node with nothing to spread has
+// share 0 and adds +0, which leaves a non-negative sum's bits unchanged.
+//
+//swrec:hotpath
+func (w *walk) spread(ctx context.Context, t *model.CSR, src int32, opt AppleseedOptions) (int, error) {
+	// Element writes in fetch do not move the slice headers; locals keep
+	// them in registers across the passes.
+	rank, total, share, fetched := w.rank, w.total, w.share, w.fetched
+	in, inNew := w.in, w.inNew
+	w.ord[0] = src
+	w.node[src] = 1
+	w.nodes = 1
+	w.last = -1
+	in[0] = opt.Injection
+
+	d := opt.SpreadingFactor
+	iterations := 0
+	for ; iterations < opt.MaxIterations; iterations++ {
+		if err := ctx.Err(); err != nil {
+			return iterations, err
+		}
+		maxDelta := 0.0
+		// Snapshot length: nodes discovered during this pass only start
+		// receiving energy now and are processed next pass.
+		live := w.nodes
+		for i := 0; i < live; i++ {
+			energy := in[i]
+			if energy == 0 {
+				share[i] = 0
+				continue
+			}
+			if !fetched[i] {
+				w.fetch(t, int32(i), opt)
+			}
+			in[i] = 0
+			if i != 0 { // the source hoards no rank
+				rank[i] += (1 - d) * energy
+				if delta := (1 - d) * energy; delta > maxDelta {
+					maxDelta = delta
+				}
+			}
+			if total[i] == 0 {
+				// Dead end without backprop: energy dissipates, exactly
+				// like rank sinks in spreading activation models.
+				share[i] = 0
+				continue
+			}
+			share[i] = d * energy / total[i]
+		}
+		if w.stale {
+			w.rebuild(t, opt)
+		}
+		from, to, weight := w.src[:w.edges], w.dst[:w.edges], w.weight[:w.edges]
+		for e, i := range from {
+			inNew[to[e]] += share[i] * weight[e]
+		}
+		// Every live node's in is zero again and inNew holds next pass's
+		// energy: in += inNew, inNew = 0 is a swap.
+		in, inNew = inNew, in
+		if maxDelta < opt.Threshold && iterations > 0 {
+			break
+		}
+	}
+	w.in, w.inNew = in, inNew
+	return iterations, nil
+}
+
+// fetch expands node i the first time it spreads energy: its positively
+// trusted peers are discovered (within MaxNodes), its normalization total
+// — backward edge first, then the statements in row order — is fixed, and
+// its edges join the arena.
+func (w *walk) fetch(t *model.CSR, i int32, opt AppleseedOptions) {
+	w.fetched[i] = true
+	w.fetchSeq[w.nFetched] = i
+	w.nFetched++
+	// Nodes are fetched in node order unless one was discovered a pass
+	// before any energy reached it (an underflow to zero); the arena is
+	// then put back in node order before its next use.
+	inOrder := i > w.last && !w.stale
+	if inOrder {
+		w.last = i
+	} else {
+		w.stale = true
+	}
+	var total float64
+	if i != 0 && !opt.NoBackprop {
+		total = 1
+		if inOrder {
+			w.push(i, 0, 1)
+		}
+	}
+	x := w.ord[i]
+	for k := t.Off[x]; k < t.Off[x+1] && t.Val[k] > 0; k++ { // positives are a prefix of the row
+		y := t.Idx[k]
+		if w.node[y] == 0 {
+			if opt.MaxNodes > 0 && w.nodes >= opt.MaxNodes+1 {
+				continue
+			}
+			w.ord[w.nodes] = y
+			w.nodes++
+			w.node[y] = int32(w.nodes)
+		}
+		wt := edgeWeight(t.Val[k], opt)
+		total += wt
+		if inOrder {
+			w.push(i, w.node[y]-1, wt)
+		}
+	}
+	w.total[i] = total
+}
+
+// edgeWeight is a positive statement's share weight, Val^NormExponent.
+func edgeWeight(v float64, opt AppleseedOptions) float64 {
+	if opt.NormExponent != 1 {
+		return math.Pow(v, opt.NormExponent)
+	}
+	return v
+}
+
+// push appends one edge to the arena.
+func (w *walk) push(from, to int32, weight float64) {
+	w.src[w.edges], w.dst[w.edges], w.weight[w.edges] = from, to, weight
+	w.edges++
+}
+
+// rebuild lays the arena out again in node order after an out-of-order
+// fetch. An edge belongs to it iff its target was discovered: MaxNodes
+// refuses a target for good, so what fetch left out stays undiscovered.
+func (w *walk) rebuild(t *model.CSR, opt AppleseedOptions) {
+	w.edges, w.stale = 0, false
+	for i := int32(0); int(i) < w.nodes; i++ {
+		if !w.fetched[i] {
+			continue
+		}
+		w.last = i
+		if i != 0 && !opt.NoBackprop {
+			w.push(i, 0, 1)
+		}
+		x := w.ord[i]
+		for k := t.Off[x]; k < t.Off[x+1] && t.Val[k] > 0; k++ {
+			if j := w.node[t.Idx[k]]; j != 0 {
+				w.push(i, j-1, edgeWeight(t.Val[k], opt))
+			}
+		}
+	}
+}
+
+// penalize applies graded distrust after convergence: every negative
+// statement x → y among explored agents demotes y's rank by
+// 1 - γ · normRank(x) · |t_x(y)|, in the order the distrusters were
+// fetched (a distruster demoted earlier weighs in with its demoted rank).
+func (w *walk) penalize(t *model.CSR, gamma float64) {
+	maxRank := 0.0
+	for _, r := range w.rank[1:w.nodes] {
+		if r > maxRank {
+			maxRank = r
+		}
+	}
+	for _, i := range w.fetchSeq[:w.nFetched] {
+		idx, val := t.Row(w.ord[i])
+		for k, y := range idx {
+			j := w.node[y] - 1
+			if val[k] >= 0 || j <= 0 {
+				continue // not distrust, never positively reached, or the source itself
+			}
+			normRank := 1.0 // the source's word counts fully
+			if i != 0 {
+				if maxRank == 0 {
+					continue
+				}
+				normRank = w.rank[i] / maxRank
+			}
+			factor := 1 - gamma*normRank*-val[k]
+			if factor < 0 {
+				factor = 0
+			}
+			w.rank[j] *= factor
+		}
+	}
+}

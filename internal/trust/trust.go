@@ -42,10 +42,13 @@ type Network interface {
 // communityNet adapts a materialized community to the Network interface.
 type communityNet struct { //nolint:snapshotpin -- request-scoped adapter: built, walked by one Appleseed run, and dropped
 	c *model.Community
+	// adj is the community's compiled adjacency, which the Appleseed walk
+	// runs on; its trust CSR compiles on the first walk.
+	adj *model.Adjacency
 }
 
 // FromCommunity exposes a community's trust edges as a Network.
-func FromCommunity(c *model.Community) Network { return communityNet{c} }
+func FromCommunity(c *model.Community) Network { return communityNet{c: c, adj: c.Adjacency()} }
 
 func (n communityNet) Peers(a model.AgentID) []model.TrustStatement {
 	ag := n.c.Agent(a)
@@ -59,25 +62,9 @@ func (n communityNet) Peers(a model.AgentID) []model.TrustStatement {
 // their frontier structures (see sizeHinter).
 func (n communityNet) NumAgents() int { return n.c.NumAgents() }
 
-// AgentRef resolves an agent ID to its community record (nil if unknown).
-func (n communityNet) AgentRef(a model.AgentID) *model.Agent { return n.c.Agent(a) }
-
-// PeerRefs returns a's trust statements with resolved, densely-interned
-// targets — the allocation- and hash-free edge list of refNetwork.
-func (n communityNet) PeerRefs(a *model.Agent) []model.TrustRef { return n.c.TrustRefs(a) }
-
 // sizeHinter is the optional Network capability of bounded graphs: the
 // number of agents a full exploration could possibly discover.
 type sizeHinter interface {
-	NumAgents() int
-}
-
-// refNetwork is the optional Network fast path community adapters offer:
-// trust edges resolved to densely-interned agent records, so graph walks
-// index flat tables by Agent.Ord instead of hashing string IDs per edge.
-type refNetwork interface {
-	AgentRef(model.AgentID) *model.Agent
-	PeerRefs(*model.Agent) []model.TrustRef
 	NumAgents() int
 }
 
@@ -87,7 +74,15 @@ type refNetwork interface {
 type Rank struct {
 	Agent model.AgentID
 	Trust float64
+	// ord is the peer's community ordinal + 1 when the metric that ranked
+	// it walked a compiled adjacency, so later stages address the peer
+	// without hashing its URI; 0 (the zero value) means resolve by Agent.
+	ord int32
 }
+
+// Ord returns the peer's community ordinal; ok is false when the rank
+// was built without one and the peer must be resolved by its Agent URI.
+func (r Rank) Ord() (ord int32, ok bool) { return r.ord - 1, r.ord > 0 }
 
 // Neighborhood is the ranked result of a local group trust computation for
 // one source agent, sorted by descending trust (ties broken by agent ID).

@@ -29,19 +29,26 @@ func WidenOneHop(net Network, nb *Neighborhood, decay float64) *Neighborhood {
 	if decay <= 0 || decay > 1 {
 		decay = 0.5
 	}
-	if rn, ok := net.(refNetwork); ok {
-		if src := rn.AgentRef(nb.Source); src != nil {
-			return widenRefs(rn, nb, src, decay)
+	if cn, ok := net.(communityNet); ok {
+		if src := cn.c.Agent(nb.Source); src != nil {
+			return widenRefs(cn, nb, src, decay)
 		}
 	}
 	return widenGeneric(net, nb, decay)
 }
 
-// widenRefs is the refNetwork fast path: in/added are dense ordinal
+// widenRefs is the community fast path: in/added are dense ordinal
 // tables, the touched list keeps the collection pass proportional to the
-// widened frontier rather than the community size.
-func widenRefs(net refNetwork, nb *Neighborhood, src *model.Agent, decay float64) *Neighborhood {
-	n := net.NumAgents()
+// widened frontier rather than the community size. Members ranked by a
+// compiled walk carry their ordinal and resolve without a URI lookup.
+func widenRefs(net communityNet, nb *Neighborhood, src *model.Agent, decay float64) *Neighborhood {
+	n := net.c.NumAgents()
+	member := func(r Rank) *model.Agent {
+		if ord, ok := r.Ord(); ok {
+			return net.adj.Agent(ord)
+		}
+		return net.c.Agent(r.Agent)
+	}
 	in := make([]bool, n)
 	added := make([]float64, n)
 	var touched []*model.Agent
@@ -49,7 +56,7 @@ func widenRefs(net refNetwork, nb *Neighborhood, src *model.Agent, decay float64
 	in[src.Ord()] = true
 	maxRank := 0.0
 	for _, r := range nb.Ranks {
-		if a := net.AgentRef(r.Agent); a != nil {
+		if a := member(r); a != nil {
 			in[a.Ord()] = true
 		}
 		if r.Trust > maxRank {
@@ -63,7 +70,7 @@ func widenRefs(net refNetwork, nb *Neighborhood, src *model.Agent, decay float64
 	explored := 0
 	contribute := func(from *model.Agent, rank float64) {
 		explored++
-		for _, pr := range net.PeerRefs(from) {
+		for _, pr := range net.c.TrustRefs(from) {
 			if pr.Value <= 0 {
 				continue
 			}
@@ -81,7 +88,7 @@ func widenRefs(net refNetwork, nb *Neighborhood, src *model.Agent, decay float64
 	}
 	contribute(src, maxRank)
 	for _, r := range nb.Ranks {
-		if a := net.AgentRef(r.Agent); a != nil {
+		if a := member(r); a != nil {
 			contribute(a, r.Trust)
 		}
 	}
@@ -94,7 +101,7 @@ func widenRefs(net refNetwork, nb *Neighborhood, src *model.Agent, decay float64
 	out.Ranks = make([]Rank, len(nb.Ranks), len(nb.Ranks)+len(touched))
 	copy(out.Ranks, nb.Ranks)
 	for _, ref := range touched {
-		out.Ranks = append(out.Ranks, Rank{Agent: ref.ID, Trust: added[ref.Ord()]})
+		out.Ranks = append(out.Ranks, Rank{Agent: ref.ID, Trust: added[ref.Ord()], ord: ref.Ord() + 1})
 	}
 	sortRanks(out.Ranks)
 	return out
