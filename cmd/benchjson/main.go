@@ -67,6 +67,9 @@ type result struct {
 	MBPerS     float64 `json:"mb_per_s,omitempty"`
 	BytesPerOp int64   `json:"bytes_per_op,omitempty"`
 	AllocsOp   int64   `json:"allocs_per_op,omitempty"`
+	// Extra holds the benchmark's own b.ReportMetric values by unit
+	// (BenchmarkPublish's clone_us and swap_us): recorded, not gated.
+	Extra map[string]float64 `json:"extra,omitempty"`
 
 	// AllocsMeasured distinguishes "0 allocs/op" from "run without
 	// -benchmem" for the current run; baselines carry the distinction in
@@ -400,6 +403,11 @@ func parseBench(line, pkg string) (result, bool) {
 		case "allocs/op":
 			r.AllocsOp = int64(v)
 			r.AllocsMeasured = true
+		default:
+			if r.Extra == nil {
+				r.Extra = make(map[string]float64)
+			}
+			r.Extra[fields[i+1]] = v
 		}
 	}
 	return r, seen

@@ -239,4 +239,9 @@ func TestParseBenchAllocsMeasured(t *testing.T) {
 	if !ok || r.AllocsMeasured {
 		t.Fatalf("without -benchmem: %+v ok=%v", r, ok)
 	}
+	// b.ReportMetric units ride along between ns/op and the memstats.
+	r, ok = parseBench("BenchmarkPublish/agents=2000-2  20  1697633 ns/op  63.80 clone_us  1350 swap_us  1169423 B/op  3993 allocs/op", "p")
+	if !ok || r.NsPerOp != 1697633 || r.AllocsOp != 3993 || r.Extra["clone_us"] != 63.8 || r.Extra["swap_us"] != 1350 {
+		t.Fatalf("with custom metrics: %+v ok=%v", r, ok)
+	}
 }

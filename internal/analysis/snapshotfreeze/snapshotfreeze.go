@@ -16,10 +16,19 @@
 // (model/engine/ingest/checkpoint/...), any write whose left-hand chain
 // passes through a frozen type is reported, unless the chain provably
 // roots in a locally built value (assigned in the same function from a
-// composite literal, a New*/Clone/Copy constructor, or an accessor on
-// such a value) — local construction is the pre-publication phase by
+// composite literal, a New*/Copy constructor, or an accessor on such a
+// value) — local construction is the pre-publication phase by
 // definition. Mutating method calls (SetTrust, AddAgent, Merge, ...) on
 // frozen receivers are treated as writes.
+//
+// A Clone() result is in between: the clone is a new generation that
+// shares every record with the published one until it writes to it, and
+// only its own setters know how to take a record over first. So mutator
+// calls on the clone itself are legal, and so are writes through a
+// record its AddAgent/AddProduct returned (those hand out the clone's
+// own copy) — but a direct map or field write through a record merely
+// read from it (clone.Agent(id).Ratings[p] = v) lands in the published
+// snapshot and is reported.
 //
 // Legitimate exceptions — the mutate-and-restore holdout trick in the
 // experiment harnesses is the canonical one — document themselves with
@@ -81,7 +90,7 @@ func run(pass *analysis.Pass) (any, error) {
 	c := &checker{
 		pass:  pass,
 		sup:   lintutil.New(pass, "snapshotfreeze"),
-		built: make(map[*ast.FuncDecl]map[types.Object]bool),
+		built: make(map[*ast.FuncDecl]map[types.Object]origin),
 	}
 
 	nodeFilter := []ast.Node{
@@ -111,10 +120,20 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
+// origin classifies how a function came by a local variable.
+type origin uint8
+
+const (
+	// built: the function constructed the value; nothing else sees it yet.
+	built origin = iota + 1
+	// cloned: a Clone() result, writable only through its own setters.
+	cloned
+)
+
 type checker struct {
 	pass  *analysis.Pass
 	sup   *lintutil.Suppressions
-	built map[*ast.FuncDecl]map[types.Object]bool
+	built map[*ast.FuncDecl]map[types.Object]origin
 }
 
 // write reports lhs when its selector/index chain passes through a
@@ -155,6 +174,10 @@ func (c *checker) mutatorCall(call *ast.CallExpr, stack []ast.Node) {
 		return
 	}
 	if c.locallyBuilt(rootIdent(sel.X), stack) {
+		return
+	}
+	// A setter invoked on the clone itself copies before it writes.
+	if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && c.originOf(id, stack) == cloned {
 		return
 	}
 	c.sup.Report(call.Pos(), sel.Sel.Name+" mutates frozen "+name+" after publication: readers hold the swapped snapshot lock-free, so this races with every concurrent read — build a fresh value and Swap it in, or justify with //nolint:snapshotfreeze -- reason")
@@ -256,16 +279,19 @@ func rootIdent(e ast.Expr) *ast.Ident {
 // into a value the statement just constructed is builder-style by
 // construction.
 func (c *checker) locallyBuilt(root *ast.Ident, stack []ast.Node) bool {
-	if root == nil {
-		return true
-	}
-	obj := c.pass.TypesInfo.ObjectOf(root)
+	return root == nil || c.originOf(root, stack) == built
+}
+
+// originOf returns how the enclosing function came by id, or 0 when it
+// did not construct it (a parameter, a field, a read from elsewhere).
+func (c *checker) originOf(id *ast.Ident, stack []ast.Node) origin {
+	obj := c.pass.TypesInfo.ObjectOf(id)
 	if obj == nil {
-		return false
+		return 0
 	}
 	fd := enclosingFunc(stack)
 	if fd == nil {
-		return false
+		return 0
 	}
 	return c.builtSet(fd)[obj]
 }
@@ -279,17 +305,18 @@ func enclosingFunc(stack []ast.Node) *ast.FuncDecl {
 	return nil
 }
 
-// builtSet computes (and caches) the function's locally built
-// variables: idents assigned from a composite literal, a &composite
-// literal, a constructor-shaped call (New*, Clone, Copy), a call whose
-// receiver is itself locally built, or an alias of a built ident. One
-// forward pass in source order resolves the def-before-use chains that
-// occur in practice.
-func (c *checker) builtSet(fd *ast.FuncDecl) map[types.Object]bool {
+// builtSet computes (and caches) the origin of the function's local
+// variables: built for idents assigned from a composite literal, a
+// &composite literal, a constructor-shaped call (New*, Copy), a call
+// whose receiver is itself locally built, or an owned record handed out
+// by a clone; cloned for idents assigned from a Clone() call; either for
+// an alias of such an ident. One forward pass in source order resolves
+// the def-before-use chains that occur in practice.
+func (c *checker) builtSet(fd *ast.FuncDecl) map[types.Object]origin {
 	if s, ok := c.built[fd]; ok {
 		return s
 	}
-	s := make(map[types.Object]bool)
+	s := make(map[types.Object]origin)
 	c.built[fd] = s
 	if fd.Body == nil {
 		return s
@@ -310,9 +337,9 @@ func (c *checker) builtSet(fd *ast.FuncDecl) map[types.Object]bool {
 			if len(as.Lhs) == len(as.Rhs) {
 				rhs = as.Rhs[i]
 			}
-			if c.buildsValue(rhs, s) {
+			if o := c.buildsValue(rhs, s); o != 0 {
 				if obj := c.pass.TypesInfo.ObjectOf(id); obj != nil {
-					s[obj] = true
+					s[obj] = o
 				}
 			}
 		}
@@ -321,44 +348,56 @@ func (c *checker) builtSet(fd *ast.FuncDecl) map[types.Object]bool {
 	return s
 }
 
-func (c *checker) buildsValue(e ast.Expr, built map[types.Object]bool) bool {
+func (c *checker) buildsValue(e ast.Expr, origins map[types.Object]origin) origin {
 	switch x := ast.Unparen(e).(type) {
 	case *ast.CompositeLit:
-		return true
+		return built
 	case *ast.UnaryExpr:
-		_, lit := ast.Unparen(x.X).(*ast.CompositeLit)
-		return lit
+		if _, lit := ast.Unparen(x.X).(*ast.CompositeLit); lit {
+			return built
+		}
 	case *ast.Ident:
-		obj := c.pass.TypesInfo.ObjectOf(x)
-		return obj != nil && built[obj]
+		if obj := c.pass.TypesInfo.ObjectOf(x); obj != nil {
+			return origins[obj]
+		}
 	case *ast.CallExpr:
 		name := calleeName(x)
 		if constructorName(name) {
-			return true
+			return built
+		}
+		if name == "Clone" {
+			return cloned
 		}
 		// An accessor on a value this function built returns
-		// pre-publication interior state.
+		// pre-publication interior state; on a clone only the records its
+		// AddAgent/AddProduct hand out are its own.
 		if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok {
 			if root := rootIdent(sel.X); root != nil {
-				obj := c.pass.TypesInfo.ObjectOf(root)
-				return obj != nil && built[obj]
+				if obj := c.pass.TypesInfo.ObjectOf(root); obj != nil {
+					if o := origins[obj]; o == built || (o == cloned && ownedRecord(name)) {
+						return built
+					}
+				}
 			}
 		}
 	}
-	return false
+	return 0
 }
 
 // constructorName matches the naming conventions that signal "returns
-// a value the caller now owns": New*/new*, Generate*/generate*, Clone,
-// Copy.
+// a value the caller now owns": New*/new*, Generate*/generate*, Copy.
 func constructorName(name string) bool {
 	for _, p := range []string{"New", "new", "Generate", "generate"} {
 		if strings.HasPrefix(name, p) {
 			return true
 		}
 	}
-	return name == "Clone" || name == "Copy"
+	return name == "Copy"
 }
+
+// ownedRecord names the Community methods that return a record the
+// receiving generation owns (it copied a shared one first).
+func ownedRecord(name string) bool { return name == "AddAgent" || name == "AddProduct" }
 
 func calleeName(call *ast.CallExpr) string {
 	switch f := ast.Unparen(call.Fun).(type) {

@@ -43,7 +43,7 @@ func Fresh(id model.AgentID, p model.ProductID) *model.Community {
 	a.MarkDirty()
 	lit := &model.Agent{ID: id, Ratings: map[model.ProductID]float64{}}
 	lit.Ratings[p] = 1
-	c.AddAgent(lit)
+	c.AddAgent(id).Norm = lit.Ratings[p]
 	return c
 }
 
@@ -60,10 +60,31 @@ func FreshTuple(id model.AgentID) {
 	c.SetTrust(id, id, 1)
 }
 
-// CloneAndEdit takes the sanctioned route: copy, then mutate the copy.
-func CloneAndEdit(snap *engine.Snapshot, id model.AgentID) *model.Community {
+// CloneAndEdit takes the sanctioned route: derive the next generation,
+// then write it through its own setters — they copy a shared record
+// before its first write — or through a record AddAgent handed out.
+func CloneAndEdit(snap *engine.Snapshot, id model.AgentID, p model.ProductID) *model.Community {
 	c := snap.Comm.Clone()
 	c.SetTrust(id, id, 0.5)
+	own := c.AddAgent(id)
+	own.Ratings[p] = 1
+	own.MarkDirty()
+	alias := c
+	alias.SetTrust(id, id, 0.25)
+	return c
+}
+
+// CloneAndPoke writes through records merely read from a clone: the
+// clone shares them with the published snapshot, so each of these lands
+// in the epoch concurrent readers hold.
+func CloneAndPoke(snap *engine.Snapshot, id model.AgentID, p model.ProductID) *model.Community {
+	c := snap.Comm.Clone()
+	c.Agent(id).Ratings[p] = 1 // want `write through frozen swrec/internal/model\.Agent`
+	a := c.Agent(id)
+	a.Ratings[p] = 2     // want `write through frozen swrec/internal/model\.Agent`
+	a.Norm = 0           // want `write through frozen swrec/internal/model\.Agent`
+	a.MarkDirty()        // want `MarkDirty mutates frozen swrec/internal/model\.Agent`
+	delete(a.Ratings, p) // want `delete mutates frozen swrec/internal/model\.Agent`
 	return c
 }
 

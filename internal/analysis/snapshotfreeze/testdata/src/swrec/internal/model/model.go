@@ -40,15 +40,17 @@ func (c *Community) Agent(id AgentID) *Agent {
 	return a
 }
 
-// AddAgent inserts a prebuilt agent.
-func (c *Community) AddAgent(a *Agent) { c.agents[a.ID] = a }
+// AddAgent registers id if needed and returns its record, owned by this
+// generation.
+func (c *Community) AddAgent(id AgentID) *Agent { return c.Agent(id) }
 
 // SetTrust sets a trust edge.
 func (c *Community) SetTrust(from, to AgentID, w float64) {
 	c.Agent(from).Trust[to] = w
 }
 
-// Clone deep-copies the community.
+// Clone derives the next generation: in the real model it shares every
+// record with c until one of its setters writes to it.
 func (c *Community) Clone() *Community {
 	out := NewCommunity()
 	for id, a := range c.agents {

@@ -200,6 +200,11 @@ type PeerRank struct {
 	Weight float64 // merged rank weight in [0,1]
 }
 
+// Ord returns the peer's community ordinal; ok is false for a ranking
+// that names its peers by ID only (restored from a checkpoint, or of an
+// agent the community does not know).
+func (p PeerRank) Ord() (ord int32, ok bool) { return p.ord - 1, p.ord > 0 }
+
 // Recommendation is one recommended product with its vote score and the
 // number of neighborhood peers that supported it.
 type Recommendation struct {
@@ -267,6 +272,10 @@ func (r *Recommender) WithOptions(opt Options) (*Recommender, error) {
 
 // Community returns the underlying community view.
 func (r *Recommender) Community() *model.Community { return r.comm }
+
+// Adjacency returns the community's compiled adjacency, shared by every
+// WithOptions variant.
+func (r *Recommender) Adjacency() *model.Adjacency { return r.adj }
 
 // Filter returns the similarity filter (useful for evaluation harnesses).
 func (r *Recommender) Filter() *cf.Filter { return r.filter }

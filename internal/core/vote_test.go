@@ -68,17 +68,20 @@ func naiveVote(r *Recommender, active model.AgentID, peers []PeerRank, boost flo
 		if p.Weight <= 0 {
 			continue
 		}
-		for _, pr := range r.comm.PositiveRatings(r.comm.Agent(p.Agent)) {
-			if _, rated := act.Ratings[pr.Product.ID]; rated {
+		for _, rs := range r.comm.Agent(p.Agent).RatedProducts() {
+			if rs.Value <= 0 {
+				break // positives form a prefix
+			}
+			if _, rated := act.Ratings[rs.Product]; rated || r.comm.Product(rs.Product) == nil {
 				continue
 			}
-			a := acc[pr.Product.ID]
+			a := acc[rs.Product]
 			if a == nil {
 				a = &tally{}
-				acc[pr.Product.ID] = a
-				order = append(order, pr.Product.ID)
+				acc[rs.Product] = a
+				order = append(order, rs.Product)
 			}
-			a.score += p.Weight * pr.Value
+			a.score += p.Weight * rs.Value
 			a.supporters++
 		}
 	}

@@ -557,7 +557,7 @@ func InjectThinTrust(comm *model.Community, donor model.AgentID) (model.AgentID,
 	// One shared rating keeps the agent's profile defined so only the
 	// neighborhood — not the similarity measure — is starved.
 	for _, pr := range comm.PositiveRatings(d) {
-		if err := comm.SetRating(id, pr.Product.ID, pr.Value); err != nil {
+		if err := comm.SetRating(id, comm.Products()[pr.Ord], pr.Value); err != nil {
 			panic(err)
 		}
 		break

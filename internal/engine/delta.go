@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"swrec/internal/model"
 )
 
@@ -70,33 +72,41 @@ func (d *Delta) Empty() bool {
 // the union of the old and new trust graphs — an edge present in either
 // generation can have carried the influence.
 //
-// The returned vector is indexed by agent ordinal and covers both
-// generations (ordinals are shared across the lineage); nil means no
+// The superseded snapshot's compiled trust CSR is all of that union the
+// search needs: the two graphs differ only in the out-rows of the sources
+// themselves (an agent whose statements changed is a source by the Delta
+// contract), and a reverse step along a source's out-edge arrives at the
+// source, which is dirty from the start. The CSR is transposed by one
+// counting sort into flat arrays.
+//
+// The returned vector is indexed by agent ordinal and covers n ordinals —
+// the new generation's space, which extends the old one; nil means no
 // sources, i.e. nothing is trust-dirty.
-func trustDirtySet(oldC, newC *model.Community, sources map[int32]bool) []bool {
+func trustDirtySet(prev *model.Adjacency, n int, sources map[int32]bool) []bool {
 	if len(sources) == 0 {
 		return nil
 	}
-	n := 0
-	if newC != nil {
-		n = newC.NumAgents()
+	old := prev.Trust()
+	n = max(n, prev.NumAgents())
+
+	// rev[revOff[t]:revOff[t+1]] lists the agents stating trust in t.
+	revOff := make([]int32, n+1)
+	for _, t := range old.Idx {
+		revOff[t+1]++
 	}
-	if oldC != nil && oldC.NumAgents() > n {
-		n = oldC.NumAgents()
+	for t := 0; t < n; t++ {
+		revOff[t+1] += revOff[t]
 	}
-	rev := make([][]int32, n)
-	for _, c := range []*model.Community{oldC, newC} {
-		if c == nil {
-			continue
+	rev := make([]int32, len(old.Idx))
+	next := slices.Clone(revOff[:n])
+	for u := int32(0); int(u) < prev.NumAgents(); u++ {
+		targets, _ := old.Row(u)
+		for _, t := range targets {
+			rev[next[t]] = u
+			next[t]++
 		}
-		sym := c.Symbols()
-		for ord := int32(0); int(ord) < sym.NumAgents(); ord++ {
-			a := sym.AgentAt(ord)
-			for _, tr := range c.TrustRefs(a) {
-				rev[tr.Peer.Ord()] = append(rev[tr.Peer.Ord()], ord)
-			}
-		}
 	}
+
 	dirty := make([]bool, n)
 	queue := make([]int32, 0, len(sources))
 	for s := range sources {
@@ -108,7 +118,7 @@ func trustDirtySet(oldC, newC *model.Community, sources map[int32]bool) []bool {
 	for len(queue) > 0 {
 		x := queue[0]
 		queue = queue[1:]
-		for _, p := range rev[x] {
+		for _, p := range rev[revOff[x]:revOff[x+1]] {
 			if !dirty[p] {
 				dirty[p] = true
 				queue = append(queue, p)

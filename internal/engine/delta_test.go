@@ -1,9 +1,9 @@
 package engine
 
 import (
-	"testing"
-
 	"fmt"
+	"math/rand"
+	"testing"
 
 	"swrec/internal/core"
 	"swrec/internal/model"
@@ -42,54 +42,6 @@ func sameRecs(t *testing.T, id model.AgentID, got, want []core.Recommendation) {
 		if rc.Supporters != w.Supporters || rc.Score-w.Score > 1e-9 || w.Score-rc.Score > 1e-9 {
 			t.Fatalf("agent %s product %s: %+v != %+v", id, rc.Product, rc, w)
 		}
-	}
-}
-
-// TestSwapDeltaMatchesFromScratchRebuild is the delta-carry correctness
-// gate: after a delta-aware swap, every agent's recommendations —
-// carried-from-cache and recomputed alike — must equal a from-scratch
-// core.New pipeline over the published community.
-func TestSwapDeltaMatchesFromScratchRebuild(t *testing.T) {
-	comm := testCommunity(t, 40, 60)
-	opt := testOptions()
-	e, err := New(comm, opt, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmAll(t, e.Snapshot(), 8)
-
-	ids := comm.Agents()
-	pids := comm.Products()
-	clone := comm.Clone()
-	rater, truster, trustee := ids[3], ids[7], ids[11]
-	if err := clone.SetRating(rater, pids[0], 0.9); err != nil {
-		t.Fatal(err)
-	}
-	if err := clone.SetTrust(truster, trustee, 0.8); err != nil {
-		t.Fatal(err)
-	}
-	d := NewDelta()
-	d.RatingsChanged[clone.Agent(rater).Ord()] = true
-	d.TrustChanged[clone.Agent(truster).Ord()] = true
-
-	snap2, err := e.SwapDelta(clone, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := core.New(clone, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range clone.Agents() {
-		got, err := snap2.Recommend(id, 8, Overrides{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := rec.Recommend(id, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRecs(t, id, got, want)
 	}
 }
 
@@ -237,7 +189,7 @@ func TestTrustDirtySet(t *testing.T) {
 		}
 	}
 	ord := func(id model.AgentID) int32 { return c.Agent(id).Ord() }
-	dirty := trustDirtySet(c, c, map[int32]bool{ord("c"): true})
+	dirty := trustDirtySet(c.Adjacency(), c.NumAgents(), map[int32]bool{ord("c"): true})
 	for _, id := range []model.AgentID{"a", "b", "c", "e"} {
 		if !dirty[ord(id)] {
 			t.Fatalf("agent %s can reach the mutated source but is not dirty", id)
@@ -247,7 +199,7 @@ func TestTrustDirtySet(t *testing.T) {
 		t.Fatal("isolated agent marked dirty")
 	}
 	// A source with no inbound paths dirties only itself.
-	dirty = trustDirtySet(c, c, map[int32]bool{ord("a"): true})
+	dirty = trustDirtySet(c.Adjacency(), c.NumAgents(), map[int32]bool{ord("a"): true})
 	for _, id := range []model.AgentID{"b", "c", "d", "e"} {
 		if dirty[ord(id)] {
 			t.Fatalf("agent %s dirtied by a source-only mutation", id)
@@ -255,5 +207,118 @@ func TestTrustDirtySet(t *testing.T) {
 	}
 	if !dirty[ord("a")] {
 		t.Fatal("mutated source not marked dirty")
+	}
+}
+
+// unionDirtySet is the dirty-set rule written the obvious way — a
+// reverse BFS over the union of both generations' statement maps, each
+// target resolved by ID — kept as the oracle for the CSR transpose.
+func unionDirtySet(oldC, newC *model.Community, sources map[int32]bool) []bool {
+	if len(sources) == 0 {
+		return nil
+	}
+	n := max(oldC.NumAgents(), newC.NumAgents())
+	rev := make([][]int32, n)
+	for _, c := range []*model.Community{oldC, newC} {
+		for _, id := range c.Agents() {
+			a := c.Agent(id)
+			for _, st := range a.TrustedPeers() {
+				if p := c.Agent(st.Dst); p != nil {
+					rev[p.Ord()] = append(rev[p.Ord()], a.Ord())
+				}
+			}
+		}
+	}
+	dirty := make([]bool, n)
+	var queue []int32
+	for s := range sources {
+		dirty[s] = true
+		queue = append(queue, s)
+	}
+	for len(queue) > 0 {
+		x := queue[0]
+		queue = queue[1:]
+		for _, p := range rev[x] {
+			if !dirty[p] {
+				dirty[p] = true
+				queue = append(queue, p)
+			}
+		}
+	}
+	return dirty
+}
+
+// TestTrustDirtySetMatchesUnionBFS: on random sparse graphs — several
+// weakly connected pieces, so the answer is neither empty nor everything
+// — with random trust upserts and retractions applied to a clone,
+// including statements by and about agents that join in the new
+// generation, the dirty set computed from the old generation's CSR
+// alone equals the union-of-both-generations BFS element for element
+// (a new edge leaves a source, and a source is dirty already).
+func TestTrustDirtySetMatchesUnionBFS(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 20 + rng.Intn(60)
+		name := func(i int) model.AgentID { return model.AgentID(fmt.Sprintf("urn:a:%d", i)) }
+		oldC := model.NewCommunity(nil)
+		for i := 0; i < n; i++ {
+			oldC.AddAgent(name(i))
+		}
+		for k := n + rng.Intn(n); k > 0; k-- {
+			// Edges stay within blocks of ten: disjoint pieces.
+			src := rng.Intn(n)
+			dst := src/10*10 + rng.Intn(10)
+			if dst < n && dst != src {
+				if err := oldC.SetTrust(name(src), name(dst), rng.Float64()*2-1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		oldAdj := oldC.Adjacency()
+		oldAdj.Trust() // compiled before the clone is written, as a served snapshot's is
+
+		newC := oldC.Clone()
+		sources := make(map[int32]bool)
+		mark := func(id model.AgentID) { sources[newC.Agent(id).Ord()] = true }
+		joiners := rng.Intn(4)
+		for k := 1 + rng.Intn(6); k > 0; k-- {
+			src := name(rng.Intn(n + joiners))
+			switch rng.Intn(3) {
+			case 0: // retract an existing statement, if the agent has one
+				if a := newC.Agent(src); a != nil && len(a.TrustedPeers()) > 0 {
+					newC.DeleteTrust(src, a.TrustedPeers()[0].Dst)
+					mark(src)
+				}
+			default: // upsert, possibly across pieces and to or from a joiner
+				dst := name(rng.Intn(n + joiners))
+				if dst != src {
+					if err := newC.SetTrust(src, dst, rng.Float64()); err != nil {
+						t.Fatal(err)
+					}
+					mark(src)
+				}
+			}
+		}
+		if rng.Intn(2) == 0 && n > 0 {
+			mark(name(rng.Intn(n))) // a conservative mark: nothing changed
+		}
+
+		got := trustDirtySet(oldAdj, newC.NumAgents(), sources)
+		want := unionDirtySet(oldC, newC, sources)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: dirty set covers %d ordinals, want %d", seed, len(got), len(want))
+		}
+		nDirty := 0
+		for ord := range want {
+			if got[ord] != want[ord] {
+				t.Fatalf("seed %d: agent %d dirty=%v, union BFS says %v (sources %v)", seed, ord, got[ord], want[ord], sources)
+			}
+			if want[ord] {
+				nDirty++
+			}
+		}
+		if len(sources) > 0 && nDirty == len(want) {
+			t.Logf("seed %d: every agent dirty", seed)
+		}
 	}
 }

@@ -280,7 +280,7 @@ func newSnapshotDelta(epoch uint64, comm *model.Community, opt core.Options, cfg
 		return s, nil
 	}
 
-	trustDirty := trustDirtySet(prev.comm, comm, d.TrustChanged)
+	trustDirty := trustDirtySet(prev.rec.Adjacency(), comm.NumAgents(), d.TrustChanged)
 	dirtyTrust := func(ord int32) bool {
 		return trustDirty != nil && int(ord) < len(trustDirty) && trustDirty[ord]
 	}
@@ -294,17 +294,20 @@ func newSnapshotDelta(epoch uint64, comm *model.Community, opt core.Options, cfg
 	stats.Add("dirty_agents", int64(nTrustDirty+len(d.RatingsChanged)))
 
 	// Eq. 3 profiles: invalidated only by the agent's own ratings.
+	var nProfiles, nResults int64
 	for _, e := range prev.profiles.entries() {
 		if !d.RatingsChanged[e.key] {
 			s.profiles.add(e.key, e.val)
-			stats.Add("carried_profiles", 1)
+			nProfiles++
 		}
 	}
 	// Neighborhoods: the active agent must be clean of trust influence
 	// and rating changes, and every ranked peer's profile (its ratings)
-	// must be untouched — those are the similarity weights. Ranked peers
-	// are stored by ID (the serving answer); resolving them against the
-	// new community is a swap-time cost, not a request-path one.
+	// must be untouched — those are the similarity weights. A ranking
+	// carries its peers' ordinals (stable across the lineage); one
+	// restored from a checkpoint names them by ID only and resolves
+	// against the new community — a swap-time cost, not a request-path
+	// one.
 	sym := comm.Symbols()
 	carried := make(map[peerKey]bool)
 	for _, e := range prev.peers.entries() {
@@ -313,7 +316,11 @@ func newSnapshotDelta(epoch uint64, comm *model.Community, opt core.Options, cfg
 		}
 		ok := true
 		for _, pr := range e.val {
-			if ord, known := sym.AgentOrd(pr.Agent); !known || d.RatingsChanged[ord] {
+			ord, known := pr.Ord()
+			if !known {
+				ord, known = sym.AgentOrd(pr.Agent)
+			}
+			if !known || d.RatingsChanged[ord] {
 				ok = false
 				break
 			}
@@ -323,7 +330,6 @@ func newSnapshotDelta(epoch uint64, comm *model.Community, opt core.Options, cfg
 		}
 		s.peers.add(e.key, e.val)
 		carried[e.key] = true
-		stats.Add("carried_peers", 1)
 	}
 	// Results: the stage-4 vote reads the neighborhood plus the ranked
 	// peers' positive ratings, the active agent's rated set, and (for
@@ -333,9 +339,12 @@ func newSnapshotDelta(epoch uint64, comm *model.Community, opt core.Options, cfg
 	for _, e := range prev.results.entries() {
 		if carried[peerKey{agent: e.key.agent, pipe: e.key.pipe}] {
 			s.results.add(e.key, e.val)
-			stats.Add("carried_results", 1)
+			nResults++
 		}
 	}
+	stats.Add("carried_profiles", nProfiles)
+	stats.Add("carried_peers", int64(len(carried)))
+	stats.Add("carried_results", nResults)
 	// Catalog-derived artifacts survive any mutation batch that added no
 	// products (the ingest path never mutates existing entries).
 	if !d.ProductsChanged {

@@ -94,7 +94,7 @@ func (s *Snapshot) widenedPeers(ctx context.Context, a *model.Agent, ov Override
 		for i, p := range base {
 			nb.Ranks[i] = trust.Rank{Agent: p.Agent, Trust: p.Trust}
 		}
-		wide := trust.WidenOneHop(trust.FromCommunity(s.comm), nb, decay)
+		wide := trust.WidenOneHop(trust.FromAdjacency(rec.Adjacency()), nb, decay)
 		peers, err := rec.SynthesizeCtx(fctx, a.ID, wide)
 		if err != nil {
 			return nil, err

@@ -8,7 +8,9 @@ import (
 // lruCache is a fixed-capacity, mutex-guarded LRU map. The engine keeps
 // one per snapshot and per cached artifact kind (taxonomy profiles,
 // synthesized neighborhoods, topic subtrees), so eviction pressure in one
-// kind never displaces another.
+// kind never displaces another. The map grows with its contents: four
+// are built on every publish, most of them to hold far less than their
+// capacity.
 type lruCache[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int
@@ -28,7 +30,7 @@ func newLRU[K comparable, V any](capacity int) *lruCache[K, V] {
 	return &lruCache[K, V]{
 		cap:   capacity,
 		order: list.New(),
-		items: make(map[K]*list.Element, capacity),
+		items: make(map[K]*list.Element),
 	}
 }
 

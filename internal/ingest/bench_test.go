@@ -2,12 +2,115 @@ package ingest
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
+	"swrec/internal/cf"
+	"swrec/internal/core"
+	"swrec/internal/datagen"
 	"swrec/internal/engine"
+	"swrec/internal/model"
 	"swrec/internal/wal"
 )
+
+// BenchmarkPublish measures one publish the way the worker performs it —
+// Clone, 32 × Apply, deltaOf, SwapDelta — on the paper-shaped corpus,
+// with the repo benchmark's churn write mix (70 % rating upserts, 30 %
+// trust upserts) and 64 cold reads between publishes, outside the timer,
+// so every swap supersedes a snapshot that has served: its adjacency is
+// compiled, its memos are built and its caches hold entries to carry. It
+// is the write path's per-layer benchmark; clone_us and swap_us split
+// the total. A publish must cost what the batch touched: agents=2000 is
+// the churn workload's warmed engine, agents=9100 the paper's community
+// (unwarmed — the warmed paper-scale engine does not fit this box), and
+// the two should differ by far less than their 4.5× in size.
+func BenchmarkPublish(b *testing.B) {
+	for _, bc := range []struct {
+		agents int
+		warm   bool
+	}{{2000, true}, {9100, false}} {
+		b.Run(fmt.Sprintf("agents=%d", bc.agents), func(b *testing.B) {
+			cfg := datagen.PaperScale()
+			cfg.Agents = bc.agents
+			base, _ := datagen.Generate(cfg)
+			eng, err := engine.New(base, core.Options{
+				Alpha: 0.5, AlphaSet: true,
+				CF: cf.Options{Measure: cf.Cosine, Representation: cf.Taxonomy},
+			}, engine.Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ids, pids := base.Agents(), base.Products()
+			if bc.warm {
+				eng.Warmup(0)
+			} else if _, err := eng.Snapshot().Recommend(ids[0], 10, engine.Overrides{}); err != nil {
+				// One read compiles the first snapshot's adjacency, as the
+				// reads after each publish do for every later one.
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			muts := make([]wal.Mutation, 32)
+			readers := make([]model.AgentID, 64)
+			var cloning, swapping time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for k := range muts {
+					src, dst := rng.Intn(len(ids)), rng.Intn(len(ids))
+					if dst == src { // no self-trust: take the next agent
+						dst = (dst + 1) % len(ids)
+					}
+					m := wal.Mutation{Op: wal.OpUpsertTrust, Agent: ids[src], Peer: ids[dst], Value: float64(200+rng.Intn(801)) / 1000}
+					if rng.Intn(10) < 7 {
+						m.Op, m.Peer, m.Product = wal.OpUpsertRating, "", pids[rng.Intn(len(pids))]
+					}
+					muts[k] = m
+					readers[k], readers[32+k] = m.Agent, ids[rng.Intn(len(ids))]
+				}
+				b.StartTimer()
+
+				t0 := time.Now()
+				clone := base.Clone()
+				t1 := time.Now()
+				for _, m := range muts {
+					if err := Apply(clone, m); err != nil {
+						b.Fatal(err)
+					}
+				}
+				d := deltaOf(base, clone, muts)
+				t2 := time.Now()
+				snap, err := eng.SwapDelta(clone, d)
+				swapping += time.Since(t2)
+				cloning += t1.Sub(t0)
+
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+				base = clone
+				for k, id := range readers {
+					if _, err := snap.Recommend(id, 10, engine.Overrides{}); err != nil {
+						b.Fatal(err)
+					}
+					// Keep the warmed profile cache full — the written agents
+					// just lost their entries — so every swap carries the same
+					// load whatever b.N is.
+					if bc.warm && k < len(muts) {
+						if _, err := snap.Profile(id); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(cloning.Microseconds())/float64(b.N), "clone_us")
+			b.ReportMetric(float64(swapping.Microseconds())/float64(b.N), "swap_us")
+		})
+	}
+}
 
 // BenchmarkRecommendWhileIngesting is the read-path-isolation acceptance
 // benchmark: a warm-cache Recommend against a pinned snapshot must stay

@@ -247,8 +247,8 @@ func openFrom(eng *engine.Engine, dir string, cfg Config, seq *uint64) (*Pipelin
 	return p, nil
 }
 
-// replay folds WAL records with seq >= from into a clone of the base
-// community and publishes it as one recovery epoch.
+// replay publishes the WAL records with seq >= from as one recovery
+// epoch.
 func (p *Pipeline) replay(from uint64) error {
 	var muts []wal.Mutation
 	var last uint64
@@ -263,23 +263,38 @@ func (p *Pipeline) replay(from uint64) error {
 	if len(muts) == 0 {
 		return nil
 	}
+	if _, err := p.publish(muts, last); err != nil {
+		return fmt.Errorf("ingest: replay swap: %w", err)
+	}
+	p.replayed = len(muts)
+	stats.Add("replay_records", int64(len(muts)))
+	return nil
+}
+
+// publish is the one place a generation is derived, written and handed
+// to the engine: clone the base community (the clone shares every record
+// with the serving snapshot), fold muts into it through Apply — whose
+// setters copy a record before its first write, so the published base is
+// never written — and swap it in under a fresh epoch with the batch's
+// delta. applied is the last WAL sequence muts covers. On error nothing
+// is published and the base is unchanged.
+func (p *Pipeline) publish(muts []wal.Mutation, applied uint64) (*engine.Snapshot, error) {
 	clone := p.base.Clone()
 	for _, m := range muts {
 		if err := Apply(clone, m); err != nil {
 			stats.Add("apply_errors", 1)
 		}
 	}
-	d := deltaOf(p.base, clone, muts)
-	snap, err := p.eng.SwapDelta(clone, d)
+	snap, err := p.eng.SwapDelta(clone, deltaOf(p.base, clone, muts))
 	if err != nil {
-		return fmt.Errorf("ingest: replay swap: %w", err)
+		return nil, err
 	}
 	p.base = clone
+	p.obsMu.Lock()
 	p.epoch = snap.Epoch()
-	p.applied = last
-	p.replayed = len(muts)
-	stats.Add("replay_records", int64(len(muts)))
-	return nil
+	p.applied = applied
+	p.obsMu.Unlock()
+	return snap, nil
 }
 
 // Replayed reports how many WAL records Open replayed.
@@ -457,21 +472,14 @@ drained:
 	}
 }
 
-// snapshot clones the base community, applies the pending delta, and
-// publishes the clone under a fresh epoch. The serving hot path never
-// sees the mutable clone.
+// snapshot publishes the pending delta under a fresh epoch. The serving
+// hot path never sees the mutable clone.
 func (p *Pipeline) snapshot() error {
 	if len(p.delta) == 0 {
 		return nil
 	}
-	clone := p.base.Clone()
-	for _, m := range p.delta {
-		if err := Apply(clone, m); err != nil {
-			stats.Add("apply_errors", 1)
-		}
-	}
-	d := deltaOf(p.base, clone, p.delta)
-	snap, err := p.eng.SwapDelta(clone, d)
+	applied := p.w.NextSeq() - 1
+	snap, err := p.publish(p.delta, applied)
 	if err != nil {
 		// The delta stays pending; a later snapshot retries. This only
 		// happens when a mutation made the community incompatible with
@@ -479,15 +487,9 @@ func (p *Pipeline) snapshot() error {
 		stats.Add("swap_errors", 1)
 		return fmt.Errorf("ingest: swap: %w", err)
 	}
-	applied := p.w.NextSeq() - 1
-	p.base = clone
 	stats.Add("applied", int64(len(p.delta)))
 	stats.Add("snapshot_builds", 1)
 	p.delta = p.delta[:0]
-	p.obsMu.Lock()
-	p.epoch = snap.Epoch()
-	p.applied = applied
-	p.obsMu.Unlock()
 	p.maybeCompiledCheckpoint(snap, applied)
 	return nil
 }

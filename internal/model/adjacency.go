@@ -43,6 +43,9 @@ type Adjacency struct {
 // nothing; the trust and ratings relations compile on first use.
 func (c *Community) Adjacency() *Adjacency { return &Adjacency{c: c} }
 
+// Community returns the community view the adjacency describes.
+func (a *Adjacency) Community() *Community { return a.c }
+
 // NumAgents returns the size of the agent ordinal space.
 func (a *Adjacency) NumAgents() int { return len(a.c.agentRecs) }
 
@@ -74,8 +77,8 @@ func (a *Adjacency) Trust() *CSR {
 		m.Val = make([]float64, 0, n)
 		for i, ag := range recs {
 			for _, st := range ag.TrustedPeers() {
-				if p := a.c.agents[st.Dst]; p != nil && p != ag {
-					m.Idx = append(m.Idx, p.ord)
+				if ord, ok := a.c.agentIdx.ord[st.Dst]; ok && ord != ag.ord {
+					m.Idx = append(m.Idx, ord)
 					m.Val = append(m.Val, st.Value)
 				}
 			}
@@ -101,7 +104,7 @@ func (a *Adjacency) Ratings() *CSR {
 		m.Val = make([]float64, 0, n)
 		for i, ag := range recs {
 			for _, pr := range a.c.PositiveRatings(ag) {
-				m.Idx = append(m.Idx, pr.Product.ord)
+				m.Idx = append(m.Idx, pr.Ord)
 				m.Val = append(m.Val, pr.Value)
 			}
 			m.Off[i+1] = int32(len(m.Idx))

@@ -59,7 +59,7 @@ func TestAdjacencyMatchesStatementViews(t *testing.T) {
 			t.Fatalf("%s: ratings row has %d entries, PositiveRatings %d", id, len(prods), len(pos))
 		}
 		for k, pr := range pos {
-			if adj.Product(prods[k]) != pr.Product || vals[k] != pr.Value {
+			if prods[k] != pr.Ord || vals[k] != pr.Value {
 				t.Fatalf("%s: ratings row entry %d does not match %+v", id, k, pr)
 			}
 		}

@@ -22,6 +22,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync/atomic"
 
@@ -80,6 +81,8 @@ type Product struct {
 	// deleted). Flat request-scoped accumulators index by it instead of
 	// hashing product IDs.
 	ord int32
+	// gen is the generation that may write this record (see Community).
+	gen *generation
 }
 
 // Ord returns the product's dense per-community ordinal (see ord).
@@ -87,55 +90,62 @@ func (p *Product) Ord() int32 { return p.ord }
 
 // Agent is the materialized state of one agent: its partial trust function
 // t_i (map absence = ⊥) and its partial rating function r_i.
+//
+// A record may be shared by several generations of a community (see
+// Community.Clone), so a record obtained from Community.Agent is
+// read-only: write through the Community setters, or through the record
+// AddAgent returns, which the community owns.
 type Agent struct {
 	ID      AgentID
 	Name    string // optional display name (foaf:name)
 	Trust   map[AgentID]float64
 	Ratings map[ProductID]float64
-	// peersMemo and ratingsMemo cache the sorted statement views
-	// (TrustedPeers, RatedProducts), which the trust metrics and profile
-	// generation walk once per agent per request. Atomic so concurrent
-	// readers of an immutable snapshot may race on first build: every
-	// build produces the identical sorted slice, so last-store-wins is
-	// benign. Mutators going through the Community setters invalidate;
-	// code that writes the maps directly must call MarkDirty.
+	// peersMemo, ratingsMemo and posMemo cache the sorted statement views
+	// (TrustedPeers, RatedProducts, PositiveRatings), which the trust
+	// metrics and profile generation walk once per agent per request.
+	// Atomic so concurrent readers of an immutable snapshot may race on
+	// first build: every build produces the identical sorted slice, so
+	// last-store-wins is benign. Mutators going through the Community
+	// setters invalidate; code that writes the maps directly must call
+	// MarkDirty.
+	//
+	// The memo rule: every generation sharing the record reads these, so a
+	// memo must be a pure function of the record itself and of catalog
+	// facts that never change within a lineage (a product's ID↔ordinal
+	// binding). That is why positives name their product by ordinal and
+	// no memo holds a *Agent or *Product: those belong to one generation.
 	peersMemo   atomic.Pointer[[]TrustStatement]
 	ratingsMemo atomic.Pointer[[]RatingStatement]
 	posMemo     atomic.Pointer[[]PositiveRating]
-	refsMemo    atomic.Pointer[[]TrustRef]
 	// ord is the agent's dense per-community ordinal in [0, NumAgents),
 	// assigned at materialization (agents are never deleted). Graph
 	// walks index flat tables by it instead of hashing agent IDs.
 	ord int32
+	// gen is the generation that may write this record (see Community).
+	gen *generation
 }
 
 // Ord returns the agent's dense per-community ordinal (see ord).
 func (a *Agent) Ord() int32 { return a.ord }
 
-// TrustRef is one trust statement with its target resolved to the
-// community's agent record — the unit trust-graph walks traverse without
-// paying a string-keyed lookup per edge.
-type TrustRef struct {
-	Peer  *Agent
-	Value float64
-}
-
-// PositiveRating is one positively rated, catalog-resolved product of an
-// agent — the unit of profile generation (§3.3), with the product
-// pre-resolved so the hot path pays no catalog lookup.
+// PositiveRating is one positively rated, cataloged product of an agent
+// — the unit of profile generation (§3.3) — named by product ordinal, so
+// the hot path pays no catalog hash and the memoized list is valid in
+// every generation sharing the agent's record (resolve the record with
+// Symbols.ProductAt against the generation being read).
 type PositiveRating struct {
-	Product *Product
-	Value   float64
+	Ord   int32 // product ordinal
+	Value float64
 }
 
 // MarkDirty drops the agent's cached derived views. The Community
 // setters call it automatically; callers mutating Trust or Ratings maps
-// directly (evaluation harnesses) must call it themselves afterwards.
+// directly (evaluation harnesses, on a record their community owns) must
+// call it themselves afterwards.
 func (a *Agent) MarkDirty() {
 	a.peersMemo.Store(nil)
 	a.ratingsMemo.Store(nil)
 	a.posMemo.Store(nil)
-	a.refsMemo.Store(nil)
 }
 
 // newAgent allocates an empty agent record.
@@ -208,13 +218,11 @@ func (a *Agent) RatedProducts() []RatingStatement {
 	return out
 }
 
-// PositiveRatings returns agent a's positive ratings with their catalog
-// entries resolved, in RatedProducts order (descending value, ties by
-// product ID). Ratings referencing products missing from this catalog
-// are skipped. The slice is memoized on the agent until its ratings
-// change and must not be modified; the product pointers stay valid
-// across catalog metadata refreshes because AddProduct updates records
-// in place.
+// PositiveRatings returns agent a's positive ratings of cataloged
+// products, in RatedProducts order (descending value, ties by product
+// ID), each naming its product by ordinal. Ratings referencing products
+// missing from the catalog are skipped. The slice is memoized on the
+// agent until its ratings change and must not be modified.
 func (c *Community) PositiveRatings(a *Agent) []PositiveRating {
 	if m := a.posMemo.Load(); m != nil {
 		return *m
@@ -224,48 +232,62 @@ func (c *Community) PositiveRatings(a *Agent) []PositiveRating {
 		if rs.Value <= 0 {
 			break // positives form a prefix
 		}
-		if p := c.products[rs.Product]; p != nil {
-			out = append(out, PositiveRating{Product: p, Value: rs.Value})
+		if ord, ok := c.prodIdx.ord[rs.Product]; ok {
+			out = append(out, PositiveRating{Ord: ord, Value: rs.Value})
 		}
 	}
 	a.posMemo.Store(&out)
 	return out
 }
 
-// TrustRefs returns agent a's trust statements with the targets resolved
-// to this community's agent records, in TrustedPeers order (descending
-// value, ties by ID). Targets are always materialized — SetTrust and
-// Merge register both endpoints — so every statement resolves; a target
-// missing anyway (direct map mutation bypassing the invariant) is
-// skipped. Memoized on the agent until its trust function changes; the
-// slice must not be modified.
-func (c *Community) TrustRefs(a *Agent) []TrustRef {
-	if m := a.refsMemo.Load(); m != nil {
-		return *m
+// generation is a community's ownership stamp: a record whose gen equals
+// its community's may be written in place; any other is shared with
+// another generation and is copied before its first write. Non-zero size
+// so every allocation is a distinct pointer.
+type generation struct{ _ byte }
+
+// ordIndex is an ID→ordinal map several generations may share. Ordinals
+// are append-only, so a generation that only rewrites existing records
+// never touches it; one that appends an agent or product inserts in
+// place when it owns the index and copies it first otherwise.
+type ordIndex[K comparable] struct {
+	owner *generation
+	ord   map[K]int32
+}
+
+// writable returns the index g may insert into: ix itself when g owns
+// it, a copy stamped with g otherwise.
+func (ix *ordIndex[K]) writable(g *generation) *ordIndex[K] {
+	if ix.owner == g {
+		return ix
 	}
-	out := make([]TrustRef, 0, len(a.Trust))
-	for _, st := range a.TrustedPeers() {
-		if p := c.agents[st.Dst]; p != nil {
-			out = append(out, TrustRef{Peer: p, Value: st.Value})
-		}
-	}
-	a.refsMemo.Store(&out)
-	return out
+	return &ordIndex[K]{owner: g, ord: maps.Clone(ix.ord)}
 }
 
 // Community is a local, materialized view of the distributed model: the
 // agents known so far, the global product catalog, and the shared taxonomy.
 // It is the substrate all recommendation computation operates on.
 //
+// A Community is one generation of a lineage: Clone derives the next one,
+// which shares every agent and product record with its source until it
+// writes to it. Each record carries the stamp of the generation that
+// owns it; every mutator first takes ownership of the record it is about
+// to write (copying a shared one into this generation's record table),
+// so a write is never visible through any other generation.
+//
 // A Community is not safe for concurrent mutation. Reads may proceed
-// concurrently once loading is finished.
+// concurrently once loading is finished — including reads of a
+// generation whose clones are being written.
 type Community struct {
-	agents   map[AgentID]*Agent
+	gen atomic.Pointer[generation]
+
+	agentIdx *ordIndex[AgentID]
 	agentIDs []AgentID // insertion order, for deterministic iteration
-	// agentRecs[ord] is the record of the agent with that ordinal — the
-	// dense table Symbols.AgentAt and the compiled adjacency index.
+	// agentRecs[ord] is this generation's record of the agent with that
+	// ordinal — the dense table Symbols.AgentAt and the compiled
+	// adjacency index, and the one place a record is looked up.
 	agentRecs []*Agent
-	products  map[ProductID]*Product
+	prodIdx   *ordIndex[ProductID]
 	prodIDs   []ProductID
 	prodRecs  []*Product // prodRecs[ord], as agentRecs
 	tax       *taxonomy.Taxonomy
@@ -275,64 +297,122 @@ type Community struct {
 // taxonomy may be nil for pure trust-network use; profile generation
 // requires one.
 func NewCommunity(tax *taxonomy.Taxonomy) *Community {
-	return &Community{
-		agents:   make(map[AgentID]*Agent),
-		products: make(map[ProductID]*Product),
+	g := new(generation)
+	c := &Community{
+		agentIdx: &ordIndex[AgentID]{owner: g, ord: make(map[AgentID]int32)},
+		prodIdx:  &ordIndex[ProductID]{owner: g, ord: make(map[ProductID]int32)},
 		tax:      tax,
 	}
+	c.gen.Store(g)
+	return c
 }
 
 // Taxonomy returns the community's shared taxonomy C (may be nil).
 func (c *Community) Taxonomy() *taxonomy.Taxonomy { return c.tax }
 
 // NumAgents returns |A| as materialized locally.
-func (c *Community) NumAgents() int { return len(c.agents) }
+func (c *Community) NumAgents() int { return len(c.agentRecs) }
 
 // NumProducts returns |B|.
-func (c *Community) NumProducts() int { return len(c.products) }
+func (c *Community) NumProducts() int { return len(c.prodRecs) }
 
-// AddAgent registers an agent if not yet present and returns its record.
-func (c *Community) AddAgent(id AgentID) *Agent {
-	if a, ok := c.agents[id]; ok {
-		return a
+// ensureAgent returns id's ordinal, registering an empty record first if
+// the agent is not yet materialized.
+func (c *Community) ensureAgent(id AgentID) int32 {
+	if ord, ok := c.agentIdx.ord[id]; ok {
+		return ord
 	}
+	g := c.gen.Load()
 	a := newAgent(id)
-	a.ord = int32(len(c.agentIDs))
-	c.agents[id] = a
+	a.ord = int32(len(c.agentRecs))
+	a.gen = g
+	c.agentIdx = c.agentIdx.writable(g)
+	c.agentIdx.ord[id] = a.ord
 	c.agentIDs = append(c.agentIDs, id)
 	c.agentRecs = append(c.agentRecs, a)
-	return a
+	return a.ord
 }
 
-// Agent returns the record of id, or nil if unknown.
-func (c *Community) Agent(id AgentID) *Agent { return c.agents[id] }
+// ownAgent returns the record with the given ordinal after making it
+// this generation's own: a record shared with another generation is
+// copied — both statement maps, and the memoized views, which the caller
+// invalidates for the relation it goes on to write — and the copy takes
+// its place in the record table.
+func (c *Community) ownAgent(ord int32) *Agent {
+	a := c.agentRecs[ord]
+	g := c.gen.Load()
+	if a.gen == g {
+		return a
+	}
+	cp := &Agent{
+		ID:      a.ID,
+		Name:    a.Name,
+		Trust:   maps.Clone(a.Trust),
+		Ratings: maps.Clone(a.Ratings),
+		ord:     ord,
+		gen:     g,
+	}
+	cp.peersMemo.Store(a.peersMemo.Load())
+	cp.ratingsMemo.Store(a.ratingsMemo.Load())
+	cp.posMemo.Store(a.posMemo.Load())
+	c.agentRecs[ord] = cp
+	return cp
+}
+
+// AddAgent registers an agent if not yet present and returns its record,
+// owned by this generation: the caller may write it (its Name, or its
+// maps followed by MarkDirty).
+func (c *Community) AddAgent(id AgentID) *Agent { return c.ownAgent(c.ensureAgent(id)) }
+
+// Agent returns the record of id, or nil if unknown. The record may be
+// shared with other generations and must not be written.
+func (c *Community) Agent(id AgentID) *Agent {
+	if ord, ok := c.agentIdx.ord[id]; ok {
+		return c.agentRecs[ord]
+	}
+	return nil
+}
 
 // HasAgent reports whether id has been materialized.
-func (c *Community) HasAgent(id AgentID) bool { _, ok := c.agents[id]; return ok }
+func (c *Community) HasAgent(id AgentID) bool { _, ok := c.agentIdx.ord[id]; return ok }
 
 // Agents returns all agent IDs in insertion order. The slice must not be
 // modified.
 func (c *Community) Agents() []AgentID { return c.agentIDs }
 
 // AddProduct registers a catalog entry. Re-adding an existing ID replaces
-// its metadata (catalogs get refreshed by crawls).
+// its metadata (catalogs get refreshed by crawls) and keeps its ordinal:
+// in place when this generation owns the record, in a fresh record
+// otherwise, so older generations keep the entry they were built on.
 func (c *Community) AddProduct(p Product) *Product {
-	if old, ok := c.products[p.ID]; ok {
-		ord := old.ord
-		*old = p
-		old.ord = ord // the dense ordinal survives metadata refreshes
-		return old
+	g := c.gen.Load()
+	if ord, ok := c.prodIdx.ord[p.ID]; ok {
+		rec := c.prodRecs[ord]
+		if rec.gen != g {
+			rec = new(Product)
+			c.prodRecs[ord] = rec
+		}
+		*rec = p
+		rec.ord, rec.gen = ord, g
+		return rec
 	}
 	cp := p
-	cp.ord = int32(len(c.prodIDs))
-	c.products[p.ID] = &cp
+	cp.ord, cp.gen = int32(len(c.prodRecs)), g
+	c.prodIdx = c.prodIdx.writable(g)
+	c.prodIdx.ord[p.ID] = cp.ord
 	c.prodIDs = append(c.prodIDs, p.ID)
 	c.prodRecs = append(c.prodRecs, &cp)
 	return &cp
 }
 
-// Product returns the catalog entry for id, or nil if unknown.
-func (c *Community) Product(id ProductID) *Product { return c.products[id] }
+// Product returns the catalog entry for id, or nil if unknown. The record
+// may be shared with other generations and must not be written.
+func (c *Community) Product(id ProductID) *Product {
+	if ord, ok := c.prodIdx.ord[id]; ok {
+		return c.prodRecs[ord]
+	}
+	return nil
+}
 
 // Products returns all product IDs in insertion order. The slice must not
 // be modified.
@@ -348,17 +428,16 @@ func (c *Community) SetTrust(src, dst AgentID, v float64) error {
 	if v < MinValue || v > MaxValue {
 		return fmt.Errorf("%w: trust(%s,%s) = %v", ErrValueRange, src, dst, v)
 	}
-	c.AddAgent(dst)
+	c.ensureAgent(dst)
 	a := c.AddAgent(src)
 	a.Trust[dst] = v
 	a.peersMemo.Store(nil)
-	a.refsMemo.Store(nil)
 	return nil
 }
 
 // Trust returns t_src(dst); ok is false when the value is ⊥ (absent).
 func (c *Community) Trust(src, dst AgentID) (v float64, ok bool) {
-	a := c.agents[src]
+	a := c.Agent(src)
 	if a == nil {
 		return 0, false
 	}
@@ -372,7 +451,7 @@ func (c *Community) SetRating(agent AgentID, product ProductID, v float64) error
 	if v < MinValue || v > MaxValue {
 		return fmt.Errorf("%w: rating(%s,%s) = %v", ErrValueRange, agent, product, v)
 	}
-	if _, ok := c.products[product]; !ok {
+	if _, ok := c.prodIdx.ord[product]; !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownProduct, product)
 	}
 	a := c.AddAgent(agent)
@@ -384,7 +463,7 @@ func (c *Community) SetRating(agent AgentID, product ProductID, v float64) error
 
 // Rating returns r_agent(product); ok is false when the value is ⊥.
 func (c *Community) Rating(agent AgentID, product ProductID) (v float64, ok bool) {
-	a := c.agents[agent]
+	a := c.Agent(agent)
 	if a == nil {
 		return 0, false
 	}
@@ -396,62 +475,60 @@ func (c *Community) Rating(agent AgentID, product ProductID) (v float64, ok bool
 // statement is a no-op: retraction messages on the Semantic Web may
 // arrive for statements never materialized locally.
 func (c *Community) DeleteTrust(src, dst AgentID) {
-	if a := c.agents[src]; a != nil {
+	ord, ok := c.agentIdx.ord[src]
+	if !ok {
+		return
+	}
+	if _, stated := c.agentRecs[ord].Trust[dst]; stated {
+		a := c.ownAgent(ord)
 		delete(a.Trust, dst)
 		a.peersMemo.Store(nil)
-		a.refsMemo.Store(nil)
 	}
 }
 
 // DeleteRating retracts r_agent(product), restoring ⊥. Retracting an
 // absent rating is a no-op.
 func (c *Community) DeleteRating(agent AgentID, product ProductID) {
-	if a := c.agents[agent]; a != nil {
+	ord, ok := c.agentIdx.ord[agent]
+	if !ok {
+		return
+	}
+	if _, rated := c.agentRecs[ord].Ratings[product]; rated {
+		a := c.ownAgent(ord)
 		delete(a.Ratings, product)
 		a.ratingsMemo.Store(nil)
 		a.posMemo.Store(nil)
 	}
 }
 
-// Clone returns a deep copy of the community: agents, trust and rating
-// functions, and the catalog are copied; the taxonomy (immutable once
-// built) is shared. Insertion order is preserved, so a clone is
-// byte-equivalent to the original under deterministic serialization.
+// Clone returns the next generation of the community: an independent
+// view — writes to either side are never visible through the other, and
+// any number of clones of one source may coexist — that costs O(1) per
+// record to derive. The clone shares every agent and product record, the
+// ID→ordinal indexes and the taxonomy with its source, and gets its own
+// copy of the two ordinal-indexed record tables only; a record is copied
+// when a generation first writes to it, an index when a generation first
+// appends to it. Insertion order and ordinals are preserved, so a clone
+// is byte-equivalent to the original under deterministic serialization.
 // Clone is how the ingestion path derives a mutable working copy from a
-// snapshot that is concurrently being served.
+// snapshot that is concurrently being served, at a cost proportional to
+// the batch it goes on to apply.
+//
+// The source gives up ownership as well (it takes a fresh stamp), so it
+// too copies before its next write; concurrent readers of the source are
+// unaffected, and concurrent Clone calls on one source are safe.
 func (c *Community) Clone() *Community {
 	out := &Community{
-		agents:    make(map[AgentID]*Agent, len(c.agents)),
-		agentIDs:  append([]AgentID(nil), c.agentIDs...),
-		agentRecs: make([]*Agent, len(c.agentRecs)),
-		products:  make(map[ProductID]*Product, len(c.products)),
-		prodIDs:   append([]ProductID(nil), c.prodIDs...),
-		prodRecs:  make([]*Product, len(c.prodRecs)),
+		agentIdx:  c.agentIdx,
+		agentIDs:  slices.Clip(c.agentIDs), // an append must not land in the shared array
+		agentRecs: slices.Clone(c.agentRecs),
+		prodIdx:   c.prodIdx,
+		prodIDs:   slices.Clip(c.prodIDs),
+		prodRecs:  slices.Clone(c.prodRecs),
 		tax:       c.tax,
 	}
-	for ord, a := range c.agentRecs {
-		cp := &Agent{
-			ID:      a.ID,
-			Name:    a.Name,
-			Trust:   make(map[AgentID]float64, len(a.Trust)),
-			Ratings: make(map[ProductID]float64, len(a.Ratings)),
-			ord:     a.ord,
-		}
-		for peer, v := range a.Trust {
-			cp.Trust[peer] = v
-		}
-		for p, v := range a.Ratings {
-			cp.Ratings[p] = v
-		}
-		out.agents[a.ID] = cp
-		out.agentRecs[ord] = cp
-	}
-	for ord, p := range c.prodRecs {
-		cp := *p
-		cp.Topics = append([]taxonomy.Topic(nil), p.Topics...)
-		out.products[p.ID] = &cp
-		out.prodRecs[ord] = &cp
-	}
+	out.gen.Store(new(generation))
+	c.gen.Store(new(generation))
 	return out
 }
 
@@ -460,8 +537,8 @@ func (c *Community) Clone() *Community {
 // order of TrustedPeers).
 func (c *Community) TrustEdges() []TrustStatement {
 	var out []TrustStatement
-	for _, id := range c.agentIDs {
-		out = append(out, c.agents[id].TrustedPeers()...)
+	for _, a := range c.agentRecs {
+		out = append(out, a.TrustedPeers()...)
 	}
 	return out
 }
@@ -480,8 +557,8 @@ type Stats struct {
 
 // ComputeStats scans the community and returns aggregate statistics.
 func (c *Community) ComputeStats() Stats {
-	s := Stats{Agents: len(c.agents), Products: len(c.products)}
-	for _, a := range c.agents {
+	s := Stats{Agents: len(c.agentRecs), Products: len(c.prodRecs)}
+	for _, a := range c.agentRecs {
 		s.TrustEdges += len(a.Trust)
 		s.Ratings += len(a.Ratings)
 		for _, v := range a.Trust {
@@ -503,8 +580,8 @@ func (c *Community) ComputeStats() Stats {
 // It returns the first violation found, or nil. Crawled and imported
 // views are checked before recommendation computation trusts them.
 func (c *Community) Validate() error {
-	for _, id := range c.agentIDs {
-		a := c.agents[id]
+	for _, a := range c.agentRecs {
+		id := a.ID
 		for peer, v := range a.Trust {
 			if peer == id {
 				return fmt.Errorf("%w: %s", ErrSelfTrust, id)
@@ -517,17 +594,17 @@ func (c *Community) Validate() error {
 			if v < MinValue || v > MaxValue {
 				return fmt.Errorf("%w: rating(%s,%s) = %v", ErrValueRange, id, p, v)
 			}
-			if _, ok := c.products[p]; !ok {
+			if _, ok := c.prodIdx.ord[p]; !ok {
 				return fmt.Errorf("%w: rating of %s by %s", ErrUnknownProduct, p, id)
 			}
 		}
 	}
 	if c.tax != nil {
 		limit := taxonomy.Topic(c.tax.Len())
-		for _, pid := range c.prodIDs {
-			for _, d := range c.products[pid].Topics {
+		for _, p := range c.prodRecs {
+			for _, d := range p.Topics {
 				if d < 0 || d >= limit {
-					return fmt.Errorf("model: product %s references topic %d outside the taxonomy", pid, d)
+					return fmt.Errorf("model: product %s references topic %d outside the taxonomy", p.ID, d)
 				}
 			}
 		}
@@ -540,21 +617,20 @@ func (c *Community) Validate() error {
 // union of catalogs. Taxonomies are not merged; c keeps its own. Merge is
 // how a crawler incrementally extends its materialized view.
 func (c *Community) Merge(other *Community) {
-	for _, pid := range other.prodIDs {
-		c.AddProduct(*other.products[pid])
+	for _, p := range other.prodRecs {
+		c.AddProduct(*p)
 	}
-	for _, id := range other.agentIDs {
-		src := other.agents[id]
-		dst := c.AddAgent(id)
+	for _, src := range other.agentRecs {
+		dst := c.AddAgent(src.ID)
 		if src.Name != "" {
 			dst.Name = src.Name
 		}
 		for peer, v := range src.Trust {
-			c.AddAgent(peer)
+			c.ensureAgent(peer)
 			dst.Trust[peer] = v
 		}
 		for p, v := range src.Ratings {
-			if _, ok := c.products[p]; !ok {
+			if _, ok := c.prodIdx.ord[p]; !ok {
 				// Statement about a product the catalog does not know yet;
 				// register a bare entry so the rating is not lost.
 				c.AddProduct(Product{ID: p})

@@ -2,6 +2,7 @@ package model
 
 import (
 	"errors"
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -342,9 +343,14 @@ func TestDeleteTrustAndRating(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeepAndOrderPreserving(t *testing.T) {
+// TestCloneIsIsolatedAndOrderPreserving: a clone starts out equal to its
+// source, in the same order, and no write to either — through any
+// mutator, on an agent or a product — shows through the other. (Records
+// are shared until written, so isolation is what is asserted, not
+// pointer inequality.)
+func TestCloneIsIsolatedAndOrderPreserving(t *testing.T) {
 	c := randomCommunity(7, 12, 8)
-	c.Agent(c.Agents()[0]).Name = "Alice"
+	c.AddAgent(c.Agents()[0]).Name = "Alice"
 
 	cp := c.Clone()
 	if cp.Taxonomy() != c.Taxonomy() {
@@ -358,36 +364,47 @@ func TestCloneIsDeepAndOrderPreserving(t *testing.T) {
 			t.Fatal("agent insertion order not preserved")
 		}
 		orig, cl := c.Agent(id), cp.Agent(id)
-		if orig == cl {
-			t.Fatal("agent record shared between clone and original")
-		}
-		if cl.Name != orig.Name || len(cl.Trust) != len(orig.Trust) || len(cl.Ratings) != len(orig.Ratings) {
-			t.Fatalf("agent %s not copied faithfully", id)
+		if cl.Name != orig.Name || !maps.Equal(cl.Trust, orig.Trust) || !maps.Equal(cl.Ratings, orig.Ratings) {
+			t.Fatalf("agent %s differs in the clone", id)
 		}
 	}
 	for i, pid := range c.Products() {
 		if cp.Products()[i] != pid {
 			t.Fatal("product insertion order not preserved")
 		}
-		if c.Product(pid) == cp.Product(pid) {
-			t.Fatal("product record shared between clone and original")
-		}
 	}
 
-	// Mutating the clone must not leak into the original.
-	a0, a1 := c.Agents()[0], c.Agents()[1]
-	before, _ := c.Trust(a0, a1)
+	// Mutating the clone must not leak into the original: every mutator,
+	// on records the two still share.
+	a0, a1, a2 := c.Agents()[0], c.Agents()[1], c.Agents()[2]
+	p0 := c.Products()[0]
+	want := deepCopy(c)
 	must(t, cp.SetTrust(a0, a1, -0.25))
-	cp.AddAgent("http://x/new")
-	if after, _ := c.Trust(a0, a1); after != before {
-		t.Fatal("clone mutation leaked into original trust function")
+	for _, st := range c.Agent(a1).TrustedPeers() {
+		cp.DeleteTrust(a1, st.Dst)
 	}
-	if c.HasAgent("http://x/new") {
-		t.Fatal("clone mutation leaked into original agent set")
+	must(t, cp.SetRating(a2, p0, 0.125))
+	for _, rs := range c.Agent(a0).RatedProducts() {
+		cp.DeleteRating(a0, rs.Product)
+	}
+	cp.AddAgent(a1).Name = "Bob"
+	cp.AddAgent("http://x/new")
+	cp.AddProduct(Product{ID: p0, Title: "second edition"})
+	cp.AddProduct(Product{ID: "urn:p:new"})
+	sameView(t, "original after the clone was written", c, want, []AgentID{"http://x/new"}, []ProductID{"urn:p:new"})
+	if v, _ := cp.Trust(a0, a1); v != -0.25 || cp.Agent(a1).Name != "Bob" || cp.Product(p0).Title != "second edition" {
+		t.Fatal("clone lost its own writes")
 	}
 	if err := cp.Validate(); err != nil {
 		t.Fatal(err)
 	}
+
+	// And the other way round: the original stays writable.
+	wantClone := deepCopy(cp)
+	must(t, c.SetTrust(a0, a2, 0.5))
+	must(t, c.SetRating(a1, p0, -1))
+	c.AddAgent("http://x/late")
+	sameView(t, "clone after the original was written", cp, wantClone, []AgentID{"http://x/late"}, nil)
 }
 
 func itoa(i int) string {

@@ -3,10 +3,11 @@ package model
 // Symbols is a community's symbol table: the bidirectional mapping
 // between URI-string identifiers (AgentID, ProductID) and the dense
 // int32 ordinals the hot paths compute with. It is a view over the
-// community — the forward direction reads the agent/product registries,
-// the reverse direction indexes the insertion-order ID and record
-// slices, which by construction ARE the ordinal order (AddAgent/
-// AddProduct assign ord = len(slice) and records are never deleted).
+// community — the forward direction reads the ID→ordinal indexes (shared
+// along a clone lineage until a generation appends), the reverse
+// direction indexes the insertion-order ID and record slices, which by
+// construction ARE the ordinal order (AddAgent/AddProduct assign ord =
+// len(slice) and records are never deleted).
 //
 // Ordinal stability rules (what makes ordinal-keyed state carry across
 // epochs):
@@ -32,19 +33,16 @@ type Symbols struct {
 func (c *Community) Symbols() Symbols { return Symbols{c} }
 
 // NumAgents returns the size of the agent ordinal space.
-func (s Symbols) NumAgents() int { return len(s.c.agentIDs) }
+func (s Symbols) NumAgents() int { return len(s.c.agentRecs) }
 
 // NumProducts returns the size of the product ordinal space.
-func (s Symbols) NumProducts() int { return len(s.c.prodIDs) }
+func (s Symbols) NumProducts() int { return len(s.c.prodRecs) }
 
 // AgentOrd resolves an agent URI to its dense ordinal; ok is false for
 // agents the community has not materialized.
 func (s Symbols) AgentOrd(id AgentID) (int32, bool) {
-	a := s.c.agents[id]
-	if a == nil {
-		return 0, false
-	}
-	return a.ord, true
+	ord, ok := s.c.agentIdx.ord[id]
+	return ord, ok
 }
 
 // AgentID resolves an ordinal back to its URI; ok is false outside
@@ -68,11 +66,8 @@ func (s Symbols) AgentAt(ord int32) *Agent {
 // ProductOrd resolves a product ID to its dense ordinal; ok is false for
 // uncataloged products.
 func (s Symbols) ProductOrd(id ProductID) (int32, bool) {
-	p := s.c.products[id]
-	if p == nil {
-		return 0, false
-	}
-	return p.ord, true
+	ord, ok := s.c.prodIdx.ord[id]
+	return ord, ok
 }
 
 // ProductID resolves an ordinal back to its product ID; ok is false

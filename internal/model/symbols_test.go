@@ -178,7 +178,9 @@ func TestSymbolsFreshOrdinalsForJoins(t *testing.T) {
 // TestSymbolsRecordTables: AgentAt/ProductAt index dense record tables,
 // so they must return the very record the registry holds — pointer
 // identity, not just an equal ID — for every agent and product, on a
-// clone lineage that saw churn, joiners, a catalog refresh and a Merge.
+// clone lineage that saw churn, joiners, a catalog refresh and a Merge;
+// and a generation's tables are its own: what it writes, appends or
+// refreshes never appears in its source's.
 func TestSymbolsRecordTables(t *testing.T) {
 	check := func(t *testing.T, c *Community) {
 		t.Helper()
@@ -201,9 +203,9 @@ func TestSymbolsRecordTables(t *testing.T) {
 
 	clone := base.Clone()
 	check(t, clone)
-	if clone.Symbols().AgentAt(0) == base.Symbols().AgentAt(0) {
-		t.Fatal("Clone shares agent records with its source")
-	}
+	baseAgents, baseProducts := base.NumAgents(), base.NumProducts()
+	baseTrust := len(base.Symbols().AgentAt(0).Trust)
+	baseTitle := base.Product("urn:p:0").Title
 	// Churn, joiners (direct and as a trust endpoint), catalog refresh.
 	if err := clone.SetTrust("urn:a:0", "urn:a:1", 0.9); err != nil {
 		t.Fatal(err)
@@ -219,6 +221,20 @@ func TestSymbolsRecordTables(t *testing.T) {
 	}
 	check(t, clone)
 	check(t, clone.Clone())
+	check(t, base)
+	bsym := base.Symbols()
+	if bsym.NumAgents() != baseAgents || bsym.NumProducts() != baseProducts {
+		t.Fatalf("the clone's joiners grew its source's ordinal space to %d/%d", bsym.NumAgents(), bsym.NumProducts())
+	}
+	if _, ok := bsym.AgentOrd("urn:a:joined"); ok || base.Product("urn:p:new") != nil {
+		t.Fatal("the clone's joiners resolve in its source's symbol table")
+	}
+	if len(bsym.AgentAt(0).Trust) != baseTrust || base.Product("urn:p:0").Title != baseTitle {
+		t.Fatal("the clone's writes reached its source's records")
+	}
+	if bsym.AgentAt(0) == clone.Symbols().AgentAt(0) {
+		t.Fatal("the clone wrote an agent it still shares with its source")
+	}
 
 	// Merge registers agents, trust endpoints and bare products.
 	other := NewCommunity(nil)

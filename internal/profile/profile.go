@@ -298,10 +298,12 @@ type Streamer struct {
 func (g *Generator) NewStreamer() *Streamer { return &Streamer{g: g} }
 
 // positiveCatalog is the fast path a catalog may offer: *model.Community
-// memoizes the positive, catalog-resolved rating list per agent, so
-// collect skips one string-keyed map lookup per rating.
+// memoizes each agent's positive, cataloged ratings by product ordinal,
+// so collect indexes the record table instead of hashing a product ID
+// per rating.
 type positiveCatalog interface {
 	PositiveRatings(*model.Agent) []model.PositiveRating
+	Symbols() model.Symbols
 }
 
 // collect gathers agent a's contributing products into the reused
@@ -316,15 +318,17 @@ func (s *Streamer) collect(ctx context.Context, a *model.Agent, cat Catalog) (fl
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
+		sym := pc.Symbols()
 		for _, pr := range pc.PositiveRatings(a) {
-			if len(pr.Product.Topics) == 0 {
+			topics := sym.ProductAt(pr.Ord).Topics
+			if len(topics) == 0 {
 				continue
 			}
 			w := 1.0
 			if g.WeightByRating {
 				w = pr.Value
 			}
-			s.contribs = append(s.contribs, contrib{topics: pr.Product.Topics, weight: w})
+			s.contribs = append(s.contribs, contrib{topics: topics, weight: w})
 			totalWeight += w
 		}
 		return totalWeight, nil

@@ -19,25 +19,22 @@ import (
 func PopularityRank(comm *model.Community) []core.Recommendation {
 	scores := make([]float64, comm.NumProducts())
 	supp := make([]int, comm.NumProducts())
-	prods := make([]*model.Product, comm.NumProducts())
 	for _, id := range comm.Agents() {
 		a := comm.Agent(id)
 		if a == nil {
 			continue
 		}
 		for _, pr := range comm.PositiveRatings(a) {
-			o := pr.Product.Ord()
-			prods[o] = pr.Product
-			scores[o] += pr.Value
-			supp[o]++
+			scores[pr.Ord] += pr.Value
+			supp[pr.Ord]++
 		}
 	}
-	out := make([]core.Recommendation, 0, len(prods))
-	for o, p := range prods {
-		if p == nil {
+	out := make([]core.Recommendation, 0, len(supp))
+	for o, pid := range comm.Products() {
+		if supp[o] == 0 {
 			continue
 		}
-		out = append(out, core.Recommendation{Product: p.ID, Score: scores[o], Supporters: supp[o]})
+		out = append(out, core.Recommendation{Product: pid, Score: scores[o], Supporters: supp[o]})
 	}
 	slices.SortFunc(out, func(a, b core.Recommendation) int {
 		switch {
@@ -101,8 +98,9 @@ func touchedTopics(comm *model.Community, a *model.Agent) map[taxonomy.Topic]boo
 		return nil
 	}
 	touched := make(map[taxonomy.Topic]bool)
+	sym := comm.Symbols()
 	for _, pr := range comm.PositiveRatings(a) {
-		for _, d := range pr.Product.Topics {
+		for _, d := range sym.ProductAt(pr.Ord).Topics {
 			touched[d] = true
 			for _, anc := range tax.Ancestors(d) {
 				touched[anc] = true

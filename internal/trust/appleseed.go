@@ -154,7 +154,7 @@ func AppleseedCtx(ctx context.Context, net Network, source model.AgentID, opt Ap
 	// ordinal walk. Unknown sources fall through to the generic path,
 	// which yields the canonical empty neighborhood.
 	if cn, ok := net.(communityNet); ok {
-		if src := cn.c.Agent(source); src != nil {
+		if src := cn.adj.Community().Agent(source); src != nil {
 			return appleseedCompiled(ctx, cn.adj, src.Ord(), opt, nil)
 		}
 	}

@@ -40,18 +40,23 @@ type Network interface {
 }
 
 // communityNet adapts a materialized community to the Network interface.
-type communityNet struct { //nolint:snapshotpin -- request-scoped adapter: built, walked by one Appleseed run, and dropped
-	c *model.Community
+type communityNet struct {
 	// adj is the community's compiled adjacency, which the Appleseed walk
-	// runs on; its trust CSR compiles on the first walk.
+	// and one-hop widening run on; its trust CSR compiles on first use.
 	adj *model.Adjacency
 }
 
-// FromCommunity exposes a community's trust edges as a Network.
-func FromCommunity(c *model.Community) Network { return communityNet{c: c, adj: c.Adjacency()} }
+// FromCommunity exposes a community's trust edges as a Network over a
+// fresh compiled adjacency.
+func FromCommunity(c *model.Community) Network { return FromAdjacency(c.Adjacency()) }
+
+// FromAdjacency is FromCommunity over an adjacency the caller already
+// holds — a serving snapshot's — so its compiled trust CSR is reused
+// instead of compiled again.
+func FromAdjacency(adj *model.Adjacency) Network { return communityNet{adj: adj} }
 
 func (n communityNet) Peers(a model.AgentID) []model.TrustStatement {
-	ag := n.c.Agent(a)
+	ag := n.adj.Community().Agent(a)
 	if ag == nil {
 		return nil
 	}
@@ -60,7 +65,7 @@ func (n communityNet) Peers(a model.AgentID) []model.TrustStatement {
 
 // NumAgents bounds the explorable node count, letting metrics pre-size
 // their frontier structures (see sizeHinter).
-func (n communityNet) NumAgents() int { return n.c.NumAgents() }
+func (n communityNet) NumAgents() int { return n.adj.NumAgents() }
 
 // sizeHinter is the optional Network capability of bounded graphs: the
 // number of agents a full exploration could possibly discover.

@@ -21,17 +21,18 @@ import (
 // ranks untouched; negative statements never widen (distrust must not
 // recruit). The input neighborhood is not modified.
 //
-// Community-backed networks take an ordinal-indexed walk: membership and
-// contributions live in flat tables indexed by Agent.Ord, so no edge
-// visit hashes a URI. Generic networks fall back to interning discovered
-// agents to dense indices once each.
+// Community-backed networks take an ordinal-indexed walk over the
+// compiled trust CSR: membership and contributions live in flat tables
+// indexed by agent ordinal, so no edge visit hashes a URI. Generic
+// networks fall back to interning discovered agents to dense indices
+// once each.
 func WidenOneHop(net Network, nb *Neighborhood, decay float64) *Neighborhood {
 	if decay <= 0 || decay > 1 {
 		decay = 0.5
 	}
 	if cn, ok := net.(communityNet); ok {
-		if src := cn.c.Agent(nb.Source); src != nil {
-			return widenRefs(cn, nb, src, decay)
+		if src := cn.adj.Community().Agent(nb.Source); src != nil {
+			return widenRefs(cn, nb, src.Ord(), decay)
 		}
 	}
 	return widenGeneric(net, nb, decay)
@@ -39,25 +40,28 @@ func WidenOneHop(net Network, nb *Neighborhood, decay float64) *Neighborhood {
 
 // widenRefs is the community fast path: in/added are dense ordinal
 // tables, the touched list keeps the collection pass proportional to the
-// widened frontier rather than the community size. Members ranked by a
-// compiled walk carry their ordinal and resolve without a URI lookup.
-func widenRefs(net communityNet, nb *Neighborhood, src *model.Agent, decay float64) *Neighborhood {
-	n := net.c.NumAgents()
-	member := func(r Rank) *model.Agent {
+// widened frontier rather than the community size. Each contributor's
+// statements are its row of the trust CSR — TrustedPeers order with the
+// targets already resolved. Members ranked by a compiled walk carry
+// their ordinal and resolve without a URI lookup.
+func widenRefs(net communityNet, nb *Neighborhood, src int32, decay float64) *Neighborhood {
+	n := net.adj.NumAgents()
+	sym := net.adj.Community().Symbols()
+	member := func(r Rank) (int32, bool) {
 		if ord, ok := r.Ord(); ok {
-			return net.adj.Agent(ord)
+			return ord, true
 		}
-		return net.c.Agent(r.Agent)
+		return sym.AgentOrd(r.Agent)
 	}
 	in := make([]bool, n)
 	added := make([]float64, n)
-	var touched []*model.Agent
+	var touched []int32
 
-	in[src.Ord()] = true
+	in[src] = true
 	maxRank := 0.0
 	for _, r := range nb.Ranks {
-		if a := member(r); a != nil {
-			in[a.Ord()] = true
+		if ord, ok := member(r); ok {
+			in[ord] = true
 		}
 		if r.Trust > maxRank {
 			maxRank = r.Trust
@@ -67,20 +71,21 @@ func widenRefs(net communityNet, nb *Neighborhood, src *model.Agent, decay float
 		maxRank = 1
 	}
 
+	csr := net.adj.Trust()
 	explored := 0
-	contribute := func(from *model.Agent, rank float64) {
+	contribute := func(from int32, rank float64) {
 		explored++
-		for _, pr := range net.c.TrustRefs(from) {
-			if pr.Value <= 0 {
-				continue
+		peers, vals := csr.Row(from)
+		for k, ord := range peers {
+			if vals[k] <= 0 {
+				break // positive statements form a prefix of every row
 			}
-			ord := pr.Peer.Ord()
 			if in[ord] {
 				continue
 			}
-			if r := decay * rank * pr.Value; r > added[ord] {
+			if r := decay * rank * vals[k]; r > added[ord] {
 				if added[ord] == 0 {
-					touched = append(touched, pr.Peer)
+					touched = append(touched, ord)
 				}
 				added[ord] = r
 			}
@@ -88,8 +93,8 @@ func widenRefs(net communityNet, nb *Neighborhood, src *model.Agent, decay float
 	}
 	contribute(src, maxRank)
 	for _, r := range nb.Ranks {
-		if a := member(r); a != nil {
-			contribute(a, r.Trust)
+		if ord, ok := member(r); ok {
+			contribute(ord, r.Trust)
 		}
 	}
 
@@ -100,8 +105,8 @@ func widenRefs(net communityNet, nb *Neighborhood, src *model.Agent, decay float
 	}
 	out.Ranks = make([]Rank, len(nb.Ranks), len(nb.Ranks)+len(touched))
 	copy(out.Ranks, nb.Ranks)
-	for _, ref := range touched {
-		out.Ranks = append(out.Ranks, Rank{Agent: ref.ID, Trust: added[ref.Ord()], ord: ref.Ord() + 1})
+	for _, ord := range touched {
+		out.Ranks = append(out.Ranks, Rank{Agent: net.adj.Agent(ord).ID, Trust: added[ord], ord: ord + 1})
 	}
 	sortRanks(out.Ranks)
 	return out
