@@ -113,7 +113,7 @@ cover:
 # package past go test's ten-minute limit — and starve whichever
 # package's benchmarks run beside it.
 BENCH_SUITE = { $(GO) test -run=^$$ -bench=. -skip='BenchmarkPublish$$' -benchmem \
-		./internal/engine/ ./internal/wal/ ./internal/ingest/ ./internal/checkpoint/ ./internal/trust/ && \
+		./internal/engine/ ./internal/api/ ./internal/wal/ ./internal/ingest/ ./internal/checkpoint/ ./internal/trust/ && \
 	$(GO) test -run=^$$ -bench='BenchmarkPublish$$' -benchmem -benchtime=50x ./internal/ingest/ ; }
 bench:
 	$(BENCH_SUITE) | $(GO) run ./cmd/benchjson -out BENCH_engine.json
@@ -125,14 +125,19 @@ bench-diff:
 	$(BENCH_SUITE) | $(GO) run ./cmd/benchjson -diff BENCH_engine.json
 
 # bench-diff-short is the quick form run as part of check: the cold-path
-# serving benchmark and the publish benchmark, few iterations, and a
-# deliberately loose 100% threshold — at -benchtime=100x single-run noise
-# reaches ~1.8x, while losing the compiled-substrate speedup shows as ~7x
-# and a publish that copies the community again (O(N), not O(batch)) as
-# ~10x at 2,000 agents and ~25x at 9,100, so the gate catches those
-# classes of regression without flaking on scheduler jitter.
+# serving benchmark, the publish benchmark and the warm GET, few
+# iterations, and a deliberately loose 100% threshold — at
+# -benchtime=100x single-run noise reaches ~1.8x, while losing the
+# compiled-substrate speedup shows as ~7x, a publish that copies the
+# community again (O(N), not O(batch)) as ~10x at 2,000 agents and ~25x
+# at 9,100, and a warm GET that goes back to routing and re-encoding
+# instead of replaying the snapshot's stored body as ~50x (and as
+# allocations where the baseline has none, which fail at any ratio), so
+# the gate catches those classes of regression without flaking on
+# scheduler jitter.
 bench-diff-short:
 	{ $(GO) test -run=^$$ -bench='BenchmarkServePerRequestNew$$' -benchmem -benchtime=100x ./internal/engine/ && \
+	  $(GO) test -run=^$$ -bench='BenchmarkServeHTTPWarm/hit$$' -benchmem -benchtime=200000x ./internal/api/ && \
 	  $(GO) test -run=^$$ -bench='BenchmarkPublish$$' -benchmem -benchtime=20x ./internal/ingest/ ; } \
 		| $(GO) run ./cmd/benchjson -diff BENCH_engine.json -threshold 1.0
 

@@ -4,7 +4,10 @@
 // hands a corrupt or hostile record the power to demand gigabytes
 // before the first payload byte is read. The durability PRs made this a
 // contract — every decoded count flows through dec.count() or an
-// explicit limit comparison before it sizes an allocation.
+// explicit limit comparison before it sizes an allocation. The HTTP
+// layer (api) is under the same rule: a query parameter is a length
+// field anyone can send, and `make([]T, 0, n)` from ?n= panicked the
+// profile handler on n=2^62 before the package was in scope.
 //
 // This is the go/ast + go/types approximation of the SSA formulation
 // ("every make size dominated by a bounds check"): inside the decode
@@ -12,8 +15,9 @@
 // every variable the size expression depends on is either
 //
 //   - assigned from a validator call (a function or method named in
-//     -boundedmake.validators, dec.count by default), from len/cap, or
-//     from a constant expression;
+//     -boundedmake.validators, dec.count by default), from len/cap, from
+//     a builtin min with at least one bounded operand, or from a
+//     constant expression;
 //   - mentioned in a comparison inside an if statement that precedes
 //     the make in source order (the dominance approximation); or
 //   - an accumulator whose every addend satisfies these rules
@@ -59,7 +63,7 @@ var (
 func init() {
 	lintutil.RegisterAuditFlag(&Analyzer.Flags)
 	Analyzer.Flags.StringVar(&pkgs, "pkgs",
-		"swrec/internal/checkpoint,swrec/internal/wal,swrec/internal/store",
+		"swrec/internal/checkpoint,swrec/internal/wal,swrec/internal/store,swrec/internal/api",
 		"comma-separated import-path prefixes whose decode paths are checked")
 	Analyzer.Flags.StringVar(&validators, "validators", "count",
 		"comma-separated function/method names whose return value counts as a validated size")
@@ -85,7 +89,7 @@ func run(pass *analysis.Pass) (any, error) {
 			return false
 		}
 		call := n.(*ast.CallExpr)
-		if !isMake(pass, call) || len(call.Args) < 2 {
+		if !isBuiltinCall(pass, call, "make") || len(call.Args) < 2 {
 			return true
 		}
 		fd := enclosingFunc(stack)
@@ -152,6 +156,14 @@ func (c *checker) unsafeIdent(size ast.Expr, depth int) string {
 		name := calleeName(x)
 		if name == "len" || name == "cap" || nameIn(name, validators) {
 			return ""
+		}
+		if isBuiltinCall(c.pass, x, "min") {
+			// min is as bounded as its most bounded operand.
+			for _, arg := range x.Args {
+				if c.unsafeIdent(arg, depth) == "" {
+					return ""
+				}
+			}
 		}
 		return "unvalidated " + name + "() result"
 	case *ast.IndexExpr:
@@ -300,6 +312,12 @@ func (c *checker) safeExpr(e ast.Expr, depth int) bool {
 			return true // bounded by data already in memory
 		case nameIn(name, validators):
 			return true
+		case isBuiltinCall(c.pass, x, "min"):
+			for _, arg := range x.Args {
+				if c.safeExpr(arg, depth) {
+					return true
+				}
+			}
 		}
 	case *ast.SelectorExpr:
 		// A field read (h.keyLen) is unvalidated data flow unless a
@@ -310,9 +328,11 @@ func (c *checker) safeExpr(e ast.Expr, depth int) bool {
 	return false
 }
 
-func isMake(pass *analysis.Pass, call *ast.CallExpr) bool {
+// isBuiltinCall reports whether call invokes the named builtin (not a
+// shadowing declaration).
+func isBuiltinCall(pass *analysis.Pass, call *ast.CallExpr, name string) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "make" {
+	if !ok || id.Name != name {
 		return false
 	}
 	_, builtin := pass.TypesInfo.Uses[id].(*types.Builtin)

@@ -20,3 +20,11 @@ func TestDecodePath(t *testing.T) {
 func TestOutOfScope(t *testing.T) {
 	analyzertest.Run(t, boundedmake.Analyzer, "swrec/internal/other")
 }
+
+// TestQueryParameters covers the HTTP layer: a parsed query parameter
+// sizing a make is reported; one clamped by builtin min against data
+// already in memory, directly or through a variable, is silent; the min
+// of two parameters is still a parameter.
+func TestQueryParameters(t *testing.T) {
+	analyzertest.Run(t, boundedmake.Analyzer, "swrec/internal/api")
+}

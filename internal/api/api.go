@@ -2,9 +2,10 @@
 // deployment surface a §4-style installation offers its own user
 // interface once the crawler has materialized a community. The server is
 // a thin handler layer over internal/engine: every request pins one
-// immutable snapshot, so responses are consistent even while a
-// background crawler publishes updated views via Engine.Swap. Read
-// endpoints:
+// immutable snapshot, once, in ServeHTTP, so responses are consistent
+// even while a background crawler publishes updated views via
+// Engine.Swap. One function, route, maps a path to its endpoint class
+// and handler. Read endpoints:
 //
 //	GET /v1/healthz                        serving status: epoch, counts, uptime
 //	GET /v1/metrics                        expvar (engine cache + request counters)
@@ -59,6 +60,30 @@
 // top-level degraded/degradedSource/degradedEpoch fields are deprecated
 // in favor of the strategy block and are emitted only when the server
 // runs with Config.CompatDegraded (swrecd -compat-degraded).
+//
+// # Response cache
+//
+// Within one epoch the community is fixed, so a read's response is a
+// function of (snapshot, URL). The pinned snapshot keeps the encoded
+// bodies (engine.Snapshot.Body/StoreBody: LRU, ~8 MiB per snapshot,
+// entries over 64 KiB refused), keyed by URL.Path/RawPath/RawQuery as
+// they arrived. ServeHTTP probes it for every GET and HEAD before
+// routing; a hit writes the stored bytes and books the same swrec_api
+// and swrec_http counters, a miss runs the handler against the same
+// pinned snapshot and stores what it wrote. The bytes come from the one
+// JSON encoder either way, so a hit is byte-identical to the miss that
+// stored it. There is no invalidation: bodies embed their epoch, are
+// never carried across a swap and never reach a checkpoint.
+//
+// Stored: 200 responses of stats, strategies, the agent directory, agent
+// detail, neighbors, profile, recommendations, products and topics. Not
+// stored: any other status; /v1/healthz and /v1/metrics (uptime,
+// counters); and a ladder answer the clock took part in — marked
+// degraded, or with a deadline outcome anywhere in its attempt trace. A
+// consequence for observability: the swrec_strategy and per-stage
+// swrec_engine counters now count handler runs, i.e. body misses, while
+// swrec_api and swrec_http keep counting every request
+// (swrec_engine.body_hit/body_miss/body_bytes tell the two apart).
 package api
 
 import (
@@ -70,7 +95,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"time"
 
 	"encoding/json"
@@ -84,86 +108,6 @@ import (
 	"swrec/internal/taxonomy"
 	"swrec/internal/wal"
 )
-
-// apiStats aggregates request counters across all servers in the
-// process, published as "swrec_api" (requests, request_ns, status_NNN).
-var apiStats = expvar.NewMap("swrec_api")
-
-// httpStats breaks the request counters down per endpoint class,
-// published as "swrec_http". Keys are <endpoint>_requests,
-// <endpoint>_errors (status ≥ 500), and one disjoint latency bucket
-// <endpoint>_le_1ms | _le_10ms | _le_100ms | _le_1s | _gt_1s per
-// request (le_10ms counts service times in (1ms, 10ms], not a
-// cumulative histogram). The endpoint classes match the load harness's
-// endpoint names, so a BENCH_load.json report can be cross-checked
-// against /v1/metrics counts.
-var httpStats = expvar.NewMap("swrec_http")
-
-// endpointClass maps one request onto its swrec_http counter family.
-// It mirrors the mux plus handleAgentSubtree's suffix routing (the ID
-// segment of /v1/agents/{id} is an escaped URI, so the subtree action
-// is the suffix of the escaped path).
-func endpointClass(method, escapedPath string) string {
-	switch escapedPath {
-	case "/v1/healthz":
-		return "healthz"
-	case "/v1/metrics":
-		return "metrics"
-	case "/v1/stats":
-		return "stats"
-	case "/v1/strategies":
-		return "strategies"
-	case "/v1/agents":
-		if method == http.MethodPost {
-			return "write_join"
-		}
-		return "agents"
-	}
-	switch {
-	case strings.HasPrefix(escapedPath, "/v1/agents/"):
-		rest := strings.TrimPrefix(escapedPath, "/v1/agents/")
-		switch {
-		case strings.HasSuffix(rest, "/recommendations"):
-			return "recommendations"
-		case strings.HasSuffix(rest, "/neighbors"):
-			return "neighbors"
-		case strings.HasSuffix(rest, "/profile"):
-			return "profile"
-		case strings.HasSuffix(rest, "/trust"):
-			if method == http.MethodDelete {
-				return "delete_trust"
-			}
-			return "write_trust"
-		case strings.HasSuffix(rest, "/ratings"):
-			if method == http.MethodDelete {
-				return "delete_rating"
-			}
-			return "write_rating"
-		}
-		return "agent"
-	case strings.HasPrefix(escapedPath, "/v1/products/"):
-		return "product"
-	case strings.HasPrefix(escapedPath, "/v1/topics/"):
-		return "topic"
-	}
-	return "other"
-}
-
-// latencyBucket picks the one swrec_http bucket suffix d falls in.
-func latencyBucket(d time.Duration) string {
-	switch {
-	case d <= time.Millisecond:
-		return "le_1ms"
-	case d <= 10*time.Millisecond:
-		return "le_10ms"
-	case d <= 100*time.Millisecond:
-		return "le_100ms"
-	case d <= time.Second:
-		return "le_1s"
-	default:
-		return "gt_1s"
-	}
-}
 
 // Writer is the slice of the ingest pipeline the API needs: durable
 // acknowledgement of one validated mutation. *ingest.Pipeline satisfies
@@ -200,7 +144,6 @@ type Server struct {
 	eng    *engine.Engine
 	writer Writer // nil = read-only surface
 	cfg    Config
-	mux    *http.ServeMux
 }
 
 // New creates a read-only API server over an already validated engine.
@@ -213,57 +156,109 @@ func NewWritable(eng *engine.Engine, w Writer) *Server { return NewWithConfig(en
 // NewWithConfig creates the API server with explicit resilience
 // configuration.
 func NewWithConfig(eng *engine.Engine, w Writer, cfg Config) *Server {
-	s := &Server{eng: eng, writer: w, cfg: cfg, mux: http.NewServeMux()}
-	s.mux.HandleFunc("/v1/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/v1/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/v1/stats", s.handleStats)
-	s.mux.HandleFunc("/v1/strategies", s.handleStrategies)
-	s.mux.HandleFunc("/v1/agents", s.handleAgents)
-	s.mux.HandleFunc("/v1/agents/", s.handleAgentSubtree)
-	s.mux.HandleFunc("/v1/products/", s.handleProduct)
-	s.mux.HandleFunc("/v1/topics/", s.handleTopic)
-	return s
+	return &Server{eng: eng, writer: w, cfg: cfg}
 }
 
-// statusRecorder captures the status code for request accounting.
-type statusRecorder struct {
+// call is one request on its way through a handler: the client's
+// ResponseWriter, wrapped to record the status and — while keep holds —
+// to keep the encoded 200 body for the snapshot's response cache; the
+// request; the still-escaped variable path segment route cut out; and
+// the query, parsed once.
+type call struct {
 	http.ResponseWriter
+	r      *http.Request
+	arg    string
+	query  url.Values // nil until param parses it
 	status int
+	keep   bool
+	body   []byte
 }
 
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
+func (c *call) WriteHeader(code int) {
+	c.status = code
+	c.ResponseWriter.WriteHeader(code)
 }
 
-// ServeHTTP implements http.Handler, instrumenting every request.
+func (c *call) Write(p []byte) (int, error) {
+	if c.keep {
+		if c.status == http.StatusOK && len(c.body)+len(p) <= engine.MaxBodyEntry {
+			c.body = append(c.body, p...)
+		} else {
+			c.noStore()
+		}
+	}
+	return c.ResponseWriter.Write(p)
+}
+
+// noStore marks the response as one that must not be replayed: it
+// depends on the clock (uptime, counters, a missed deadline, what
+// happened to be cached when the budget ran out) and not only on the
+// snapshot and the URL. Handlers call it before they write.
+func (c *call) noStore() { c.keep, c.body = false, nil }
+
+// param returns the first value of a query parameter, "" when absent.
+func (c *call) param(name string) string {
+	if c.query == nil {
+		c.query = c.r.URL.Query()
+	}
+	return c.query.Get(name)
+}
+
+// ServeHTTP implements http.Handler. It pins the engine's snapshot once;
+// everything the request reads, and the response cache it is answered
+// from or stored into, belongs to that snapshot, so a concurrent Swap
+// never mixes epochs within one request.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-	switch r.Method {
-	case http.MethodGet, http.MethodHead:
-		s.mux.ServeHTTP(rec, r)
-	case http.MethodPost, http.MethodDelete:
-		if s.writer == nil {
-			writeError(rec, http.StatusMethodNotAllowed, "method_not_allowed", "read-only API")
-		} else {
-			s.mux.ServeHTTP(rec, r)
-		}
+	snap := s.eng.Snapshot()
+	read := r.Method == http.MethodGet || r.Method == http.MethodHead
+	write := r.Method == http.MethodPost || r.Method == http.MethodDelete
+	if read && serveStored(w, r.URL, snap, start) {
+		return
+	}
+	escaped := r.URL.EscapedPath()
+	ep, h, arg := route(r.Method, escaped)
+	if to := movedTo(escaped); to != "" {
+		h, arg = (*Server).handleMoved, to
+	}
+	c := &call{ResponseWriter: w, r: r, arg: arg, status: http.StatusOK, keep: read}
+	switch {
+	case read, write && s.writer != nil:
+		h(s, c, snap)
+	case write:
+		writeError(c, http.StatusMethodNotAllowed, "method_not_allowed", "read-only API")
 	default:
-		writeError(rec, http.StatusMethodNotAllowed, "method_not_allowed",
+		writeError(c, http.StatusMethodNotAllowed, "method_not_allowed",
 			fmt.Sprintf("method %s not supported", r.Method))
 	}
-	elapsed := time.Since(start)
-	apiStats.Add("requests", 1)
-	apiStats.Add("request_ns", elapsed.Nanoseconds())
-	apiStats.Add(fmt.Sprintf("status_%d", rec.status), 1)
-
-	ep := endpointClass(r.Method, r.URL.EscapedPath())
-	httpStats.Add(ep+"_requests", 1)
-	if rec.status >= 500 {
-		httpStats.Add(ep+"_errors", 1)
+	if c.body != nil { // Write keeps only what followed a 200
+		snap.StoreBody(r.URL.Path, r.URL.RawPath, r.URL.RawQuery, uint8(ep), c.body)
 	}
-	httpStats.Add(ep+"_"+latencyBucket(elapsed), 1)
+	account(ep, c.status, statusKey(c.status), time.Since(start))
+}
+
+const jsonContentType = "application/json"
+
+// serveStored answers a read from the pinned snapshot's response cache:
+// the bytes a handler encoded for this URL earlier in the epoch, and the
+// same accounting. It reports false, having written nothing, when the
+// snapshot holds no such response.
+//
+//swrec:hotpath
+func serveStored(w http.ResponseWriter, u *url.URL, snap *engine.Snapshot, start time.Time) bool {
+	body, tag, ok := snap.Body(u.Path, u.RawPath, u.RawQuery)
+	if !ok {
+		return false
+	}
+	// Header.Set allocates its one-element value slice; a writer that
+	// already says JSON (a reused one) is left alone.
+	h := w.Header()
+	if ct := h["Content-Type"]; len(ct) != 1 || ct[0] != jsonContentType {
+		h.Set("Content-Type", jsonContentType)
+	}
+	_, _ = w.Write(body) // a failed write is the client's loss, as on the encoder path
+	account(endpoint(tag), http.StatusOK, statusOKKey, time.Since(start))
+	return true
 }
 
 // requestCtx derives the context bounding one read request: the
@@ -285,20 +280,36 @@ func deadlineHit(err error) bool {
 // requireRead rejects write methods on read-only endpoints. With a
 // writer configured the global gate admits POST/DELETE, so each read
 // handler applies this guard.
-func requireRead(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method == http.MethodGet || r.Method == http.MethodHead {
+func requireRead(c *call) bool {
+	if c.r.Method == http.MethodGet || c.r.Method == http.MethodHead {
 		return true
 	}
-	writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-		fmt.Sprintf("%s does not accept %s", r.URL.Path, r.Method))
+	methodNotAllowed(c)
 	return false
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !requireRead(w, r) {
+func methodNotAllowed(c *call) {
+	writeError(c, http.StatusMethodNotAllowed, "method_not_allowed",
+		fmt.Sprintf("%s does not accept %s", c.r.URL.Path, c.r.Method))
+}
+
+// handleNotFound answers paths outside the routing table the way
+// http.ServeMux did.
+func (s *Server) handleNotFound(c *call, _ *engine.Snapshot) { http.NotFound(c, c.r) }
+
+// handleMoved redirects to the path movedTo chose, spelled the way
+// http.ServeMux spelled it.
+func (s *Server) handleMoved(c *call, _ *engine.Snapshot) {
+	to := url.URL{Path: c.arg, RawQuery: c.r.URL.RawQuery}
+	http.Redirect(c, c.r, to.String(), http.StatusMovedPermanently)
+}
+
+func (s *Server) handleMetrics(c *call, _ *engine.Snapshot) {
+	if !requireRead(c) {
 		return
 	}
-	expvar.Handler().ServeHTTP(w, r)
+	c.noStore()
+	expvar.Handler().ServeHTTP(c, c.r)
 }
 
 // errorBody is the uniform error envelope.
@@ -333,14 +344,14 @@ type page struct {
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", jsonContentType)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", jsonContentType)
 	w.WriteHeader(status)
 	var body errorBody
 	body.Error.Code, body.Error.Message = code, msg
@@ -350,15 +361,39 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 // writeList emits the items envelope without a pagination window. All
 // provenance-carrying responses route through here (res non-nil), so the
 // strategy block — and its deprecated top-level mirror under compat —
-// is attached in exactly one place.
-func (s *Server) writeList(w http.ResponseWriter, items any, total int, res *strategy.Result) {
+// is attached in exactly one place, and so is the decision whether a
+// ladder answer may be replayed from the response cache.
+func (s *Server) writeList(c *call, items any, total int, res *strategy.Result) {
 	p := page{Items: items, Total: total, Strategy: res}
+	if res != nil && !repeatable(res) {
+		c.noStore()
+	}
 	if res != nil && res.Degraded && s.cfg.CompatDegraded {
 		p.Degraded = true
 		p.DegradedSource = res.Source
 		p.DegradedEpoch = res.Epoch
 	}
-	writeJSON(w, p)
+	writeJSON(c, p)
+}
+
+// repeatable reports whether a ladder answer is a function of the
+// snapshot and the request alone, so that the same request would walk the
+// ladder to the same answer for as long as the snapshot serves. It is not
+// once the clock took part: the degraded-cache rung answered (from
+// whatever other requests had left in the caches), or some rung ran out
+// of request or compute budget — which also covers the 200 with no items
+// that an exhausted ladder returns when only a flight's own budget, not
+// the request's, expired.
+func repeatable(res *strategy.Result) bool {
+	if res.Degraded {
+		return false
+	}
+	for _, a := range res.Attempts {
+		if a.Outcome == strategy.OutcomeDeadline {
+			return false
+		}
+	}
+	return true
 }
 
 // writePage emits the items envelope with its pagination window.
@@ -368,8 +403,8 @@ func writePage(w http.ResponseWriter, items any, total, offset, limit int) {
 
 // intParam parses a non-negative integer query parameter. A malformed or
 // negative value is a validation error, not a silent default.
-func intParam(r *http.Request, name string, def int) (int, error) {
-	v := r.URL.Query().Get(name)
+func intParam(c *call, name string, def int) (int, error) {
+	v := c.param(name)
 	if v == "" {
 		return def, nil
 	}
@@ -382,11 +417,11 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 
 // pageParams reads the offset/limit pagination window. limit = 0 means
 // "no cap" and pages to the end.
-func pageParams(r *http.Request, defLimit int) (offset, limit int, err error) {
-	if offset, err = intParam(r, "offset", 0); err != nil {
+func pageParams(c *call, defLimit int) (offset, limit int, err error) {
+	if offset, err = intParam(c, "offset", 0); err != nil {
 		return 0, 0, err
 	}
-	if limit, err = intParam(r, "limit", defLimit); err != nil {
+	if limit, err = intParam(c, "limit", defLimit); err != nil {
 		return 0, 0, err
 	}
 	return offset, limit, nil
@@ -407,10 +442,9 @@ func window(n, offset, limit int) (lo, hi int) {
 
 // overrides parses the per-request pipeline override parameters shared
 // by the neighbors and recommendations endpoints.
-func parseOverrides(r *http.Request) (engine.Overrides, error) {
+func parseOverrides(c *call) (engine.Overrides, error) {
 	var ov engine.Overrides
-	q := r.URL.Query()
-	if v := q.Get("metric"); v != "" {
+	if v := c.param("metric"); v != "" {
 		var m core.Metric
 		switch v {
 		case "appleseed":
@@ -426,14 +460,14 @@ func parseOverrides(r *http.Request) (engine.Overrides, error) {
 		}
 		ov.Metric = &m
 	}
-	if v := q.Get("alpha"); v != "" {
+	if v := c.param("alpha"); v != "" {
 		a, err := strconv.ParseFloat(v, 64)
 		if err != nil || a < 0 || a > 1 {
 			return ov, fmt.Errorf("alpha must be in [0,1], got %q", v)
 		}
 		ov.Alpha = &a
 	}
-	if v := q.Get("measure"); v != "" {
+	if v := c.param("measure"); v != "" {
 		var m cf.Measure
 		switch v {
 		case "pearson":
@@ -445,7 +479,7 @@ func parseOverrides(r *http.Request) (engine.Overrides, error) {
 		}
 		ov.Measure = &m
 	}
-	switch v := q.Get("novel"); v {
+	switch v := c.param("novel"); v {
 	case "", "0":
 	case "1":
 		c := core.NovelCategories
@@ -456,13 +490,13 @@ func parseOverrides(r *http.Request) (engine.Overrides, error) {
 	return ov, nil
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !requireRead(w, r) {
+func (s *Server) handleHealthz(c *call, snap *engine.Snapshot) {
+	if !requireRead(c) {
 		return
 	}
-	snap := s.eng.Snapshot()
+	c.noStore()
 	comm := snap.Community()
-	writeJSON(w, map[string]any{
+	writeJSON(c, map[string]any{
 		"status":        "ok",
 		"epoch":         snap.Epoch(),
 		"agents":        comm.NumAgents(),
@@ -471,11 +505,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if !requireRead(w, r) {
+func (s *Server) handleStats(c *call, snap *engine.Snapshot) {
+	if !requireRead(c) {
 		return
 	}
-	snap := s.eng.Snapshot()
 	comm := snap.Community()
 	type stats struct {
 		Epoch     uint64          `json:"epoch"`
@@ -487,19 +520,19 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ts := tax.ComputeStats()
 		out.Taxonomy = &ts
 	}
-	writeJSON(w, out)
+	writeJSON(c, out)
 }
 
 // handleStrategies lists the configured strategy ladder in rung order:
 // each entry carries the procedure name, its declarative precondition,
 // and whether the rung is enabled. Clients use the names here to build
 // `strategy=` selector overrides.
-func (s *Server) handleStrategies(w http.ResponseWriter, r *http.Request) {
-	if !requireRead(w, r) {
+func (s *Server) handleStrategies(c *call, _ *engine.Snapshot) {
+	if !requireRead(c) {
 		return
 	}
 	rungs := s.eng.Ladder().Rungs()
-	s.writeList(w, rungs, len(rungs), nil)
+	s.writeList(c, rungs, len(rungs), nil)
 }
 
 // agentSummary is the list view of one agent.
@@ -516,109 +549,90 @@ func summarize(comm *model.Community, id model.AgentID) agentSummary {
 		TrustOut: len(a.Trust), Ratings: len(a.Ratings)}
 }
 
-func (s *Server) handleAgents(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodPost {
-		s.serveUpsertAgent(w, r)
+func (s *Server) handleAgents(c *call, snap *engine.Snapshot) {
+	if !requireRead(c) {
 		return
 	}
-	if !requireRead(w, r) {
-		return
-	}
-	offset, limit, err := pageParams(r, 25)
+	offset, limit, err := pageParams(c, 25)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument", err.Error())
+		writeError(c, http.StatusBadRequest, "invalid_argument", err.Error())
 		return
 	}
-	snap := s.eng.Snapshot()
 	ids := snap.AgentsByTrustOut()
 	lo, hi := window(len(ids), offset, limit)
-	items := make([]agentSummary, 0, hi-lo)
-	for _, id := range ids[lo:hi] {
+	shown := ids[lo:hi]
+	items := make([]agentSummary, 0, len(shown))
+	for _, id := range shown {
 		items = append(items, summarize(snap.Community(), id))
 	}
-	writePage(w, items, len(ids), offset, limit)
+	writePage(c, items, len(ids), offset, limit)
 }
 
-// handleAgentSubtree routes
-// /v1/agents/{uri}[/neighbors|/profile|/recommendations|/trust|/ratings].
-func (s *Server) handleAgentSubtree(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.EscapedPath(), "/v1/agents/")
-	var action string
-	for _, suffix := range []string{"/neighbors", "/profile", "/recommendations", "/trust", "/ratings"} {
-		if strings.HasSuffix(rest, suffix) {
-			action = suffix[1:]
-			rest = strings.TrimSuffix(rest, suffix)
-			break
-		}
-	}
-	uri, err := url.PathUnescape(rest)
+// agentOf resolves the {uri} segment of /v1/agents/{uri}[/action]
+// against the snapshot, answering 400 or 404 itself.
+func agentOf(c *call, snap *engine.Snapshot) (*model.Agent, bool) {
+	uri, err := url.PathUnescape(c.arg)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument", "malformed agent URI")
-		return
+		writeError(c, http.StatusBadRequest, "invalid_argument", "malformed agent URI")
+		return nil, false
 	}
-	snap := s.eng.Snapshot()
-	id := model.AgentID(uri)
-	a := snap.Community().Agent(id)
+	a := snap.Community().Agent(model.AgentID(uri))
 	if a == nil {
-		writeError(w, http.StatusNotFound, "not_found", fmt.Sprintf("unknown agent %s", uri))
+		writeError(c, http.StatusNotFound, "not_found", fmt.Sprintf("unknown agent %s", uri))
+		return nil, false
+	}
+	return a, true
+}
+
+// handleAgent serves GET /v1/agents/{uri}: one agent's statements.
+func (s *Server) handleAgent(c *call, snap *engine.Snapshot) {
+	a, ok := agentOf(c, snap)
+	if !ok || !requireRead(c) {
 		return
 	}
-	switch action {
-	case "trust", "ratings":
-		s.serveWrite(w, r, snap, id, action)
-		return
+	type agentDetail struct {
+		agentSummary
+		Trust   []model.TrustStatement  `json:"trust"`
+		Ratings []model.RatingStatement `json:"ratingStatements"`
 	}
-	if !requireRead(w, r) {
-		return
-	}
-	switch action {
-	case "neighbors":
-		s.serveNeighbors(w, r, snap, id)
-	case "profile":
-		s.serveProfile(w, r, snap, id)
-	case "recommendations":
-		s.serveRecommendations(w, r, snap, id)
-	default:
-		type agentDetail struct {
-			agentSummary
-			Trust   []model.TrustStatement  `json:"trust"`
-			Ratings []model.RatingStatement `json:"ratingStatements"`
-		}
-		writeJSON(w, agentDetail{
-			agentSummary: summarize(snap.Community(), id),
-			Trust:        a.TrustedPeers(),
-			Ratings:      a.RatedProducts(),
-		})
-	}
+	writeJSON(c, agentDetail{
+		agentSummary: summarize(snap.Community(), a.ID),
+		Trust:        a.TrustedPeers(),
+		Ratings:      a.RatedProducts(),
+	})
 }
 
 // parseSelector validates the strategy= per-request ladder override
 // against the engine's configured ladder.
-func (s *Server) parseSelector(r *http.Request) (strategy.Selector, error) {
-	return strategy.ParseSelector(r.URL.Query().Get("strategy"), s.eng.Ladder())
+func (s *Server) parseSelector(c *call) (strategy.Selector, error) {
+	return strategy.ParseSelector(c.param("strategy"), s.eng.Ladder())
 }
 
-func (s *Server) serveNeighbors(w http.ResponseWriter, r *http.Request, snap *engine.Snapshot, id model.AgentID) {
-	ov, err := parseOverrides(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument", err.Error())
+func (s *Server) handleNeighbors(c *call, snap *engine.Snapshot) {
+	a, ok := agentOf(c, snap)
+	if !ok || !requireRead(c) {
 		return
 	}
-	sel, err := s.parseSelector(r)
+	ov, err := parseOverrides(c)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument", err.Error())
+		writeError(c, http.StatusBadRequest, "invalid_argument", err.Error())
 		return
 	}
-	n, err := intParam(r, "n", 25)
+	sel, err := s.parseSelector(c)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument", err.Error())
+		writeError(c, http.StatusBadRequest, "invalid_argument", err.Error())
 		return
 	}
-	ctx, cancel := s.requestCtx(r)
+	n, err := intParam(c, "n", 25)
+	if err != nil {
+		writeError(c, http.StatusBadRequest, "invalid_argument", err.Error())
+		return
+	}
+	ctx, cancel := s.requestCtx(c.r)
 	defer cancel()
-	peers, res, err := s.eng.RankedPeersLadder(ctx, snap, id, ov, sel)
+	peers, res, err := s.eng.RankedPeersLadder(ctx, snap, a.ID, ov, sel)
 	if err != nil {
-		writeEngineError(w, err)
+		writeEngineError(c, err)
 		return
 	}
 	total := len(peers)
@@ -628,20 +642,24 @@ func (s *Server) serveNeighbors(w http.ResponseWriter, r *http.Request, snap *en
 	if peers == nil {
 		peers = []core.PeerRank{}
 	}
-	s.writeList(w, peers, total, res)
+	s.writeList(c, peers, total, res)
 }
 
-func (s *Server) serveProfile(w http.ResponseWriter, r *http.Request, snap *engine.Snapshot, id model.AgentID) {
-	n, err := intParam(r, "n", 15)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument", err.Error())
+func (s *Server) handleProfile(c *call, snap *engine.Snapshot) {
+	a, ok := agentOf(c, snap)
+	if !ok || !requireRead(c) {
 		return
 	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	prof, err := snap.ProfileCtx(ctx, id)
+	n, err := intParam(c, "n", 15)
 	if err != nil {
-		writeEngineError(w, err)
+		writeError(c, http.StatusBadRequest, "invalid_argument", err.Error())
+		return
+	}
+	ctx, cancel := s.requestCtx(c.r)
+	defer cancel()
+	prof, err := snap.ProfileCtx(ctx, a.ID)
+	if err != nil {
+		writeEngineError(c, err)
 		return
 	}
 	tax := snap.Community().Taxonomy()
@@ -649,32 +667,41 @@ func (s *Server) serveProfile(w http.ResponseWriter, r *http.Request, snap *engi
 		Topic string  `json:"topic"`
 		Score float64 `json:"score"`
 	}
-	items := make([]topicScore, 0, n)
-	for _, e := range prof.TopK(n) {
+	// n is the client's to choose; the profile bounds what it can ask for.
+	top := prof.TopK(n)
+	items := make([]topicScore, 0, len(top))
+	for _, e := range top {
 		items = append(items, topicScore{
 			Topic: tax.QualifiedName(taxonomy.Topic(e.Key)),
 			Score: e.Value,
 		})
 	}
-	s.writeList(w, items, len(prof), nil)
+	s.writeList(c, items, len(prof), nil)
 }
 
-func (s *Server) serveRecommendations(w http.ResponseWriter, r *http.Request, snap *engine.Snapshot, id model.AgentID) {
-	ov, err := parseOverrides(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument", err.Error())
+func (s *Server) handleRecommendations(c *call, snap *engine.Snapshot) {
+	a, ok := agentOf(c, snap)
+	if !ok || !requireRead(c) {
 		return
 	}
-	n, err := intParam(r, "n", 10)
+	ov, err := parseOverrides(c)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument", err.Error())
+		writeError(c, http.StatusBadRequest, "invalid_argument", err.Error())
 		return
 	}
+	n, err := intParam(c, "n", 10)
+	if err != nil {
+		writeError(c, http.StatusBadRequest, "invalid_argument", err.Error())
+		return
+	}
+	// No answer is longer than the catalog. Clamping here keeps n*5 below
+	// from overflowing and n inside the engine's int32 result-cache key.
+	n = min(n, snap.Community().NumProducts())
 	theta := 0.0
-	if v := r.URL.Query().Get("theta"); v != "" {
+	if v := c.param("theta"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil || f < 0 || f > 1 {
-			writeError(w, http.StatusBadRequest, "invalid_argument", "theta must be in [0,1]")
+			writeError(c, http.StatusBadRequest, "invalid_argument", "theta must be in [0,1]")
 			return
 		}
 		theta = f
@@ -684,22 +711,22 @@ func (s *Server) serveRecommendations(w http.ResponseWriter, r *http.Request, sn
 	if theta > 0 && n > 0 {
 		fetchN = n * 5
 	}
-	sel, err := s.parseSelector(r)
+	sel, err := s.parseSelector(c)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument", err.Error())
+		writeError(c, http.StatusBadRequest, "invalid_argument", err.Error())
 		return
 	}
-	ctx, cancel := s.requestCtx(r)
+	ctx, cancel := s.requestCtx(c.r)
 	defer cancel()
-	recs, res, err := s.eng.RecommendLadder(ctx, snap, id, fetchN, ov, sel)
+	recs, res, err := s.eng.RecommendLadder(ctx, snap, a.ID, fetchN, ov, sel)
 	if err != nil {
-		writeEngineError(w, err)
+		writeEngineError(c, err)
 		return
 	}
 	if theta > 0 {
 		rec, err := snap.RecommenderFor(ov)
 		if err != nil {
-			writeEngineError(w, err)
+			writeEngineError(c, err)
 			return
 		}
 		recs = rec.Diversify(recs, n, theta)
@@ -716,23 +743,21 @@ func (s *Server) serveRecommendations(w http.ResponseWriter, r *http.Request, sn
 		}
 		items = append(items, ro)
 	}
-	s.writeList(w, items, len(items), res)
+	s.writeList(c, items, len(items), res)
 }
 
-func (s *Server) handleProduct(w http.ResponseWriter, r *http.Request) {
-	if !requireRead(w, r) {
+func (s *Server) handleProduct(c *call, snap *engine.Snapshot) {
+	if !requireRead(c) {
 		return
 	}
-	rest := strings.TrimPrefix(r.URL.EscapedPath(), "/v1/products/")
-	idRaw, err := url.PathUnescape(rest)
+	idRaw, err := url.PathUnescape(c.arg)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument", "malformed product ID")
+		writeError(c, http.StatusBadRequest, "invalid_argument", "malformed product ID")
 		return
 	}
-	snap := s.eng.Snapshot()
 	p := snap.Community().Product(model.ProductID(idRaw))
 	if p == nil {
-		writeError(w, http.StatusNotFound, "not_found", fmt.Sprintf("unknown product %s", idRaw))
+		writeError(c, http.StatusNotFound, "not_found", fmt.Sprintf("unknown product %s", idRaw))
 		return
 	}
 	type productOut struct {
@@ -747,42 +772,41 @@ func (s *Server) handleProduct(w http.ResponseWriter, r *http.Request) {
 			out.Topics = append(out.Topics, tax.QualifiedName(d))
 		}
 	}
-	writeJSON(w, out)
+	writeJSON(c, out)
 }
 
 // handleTopic browses a taxonomy branch: products whose descriptors fall
 // into the topic (by qualified path, root name included) or below it,
 // served from the snapshot's per-branch cache and paged with
 // offset/limit.
-func (s *Server) handleTopic(w http.ResponseWriter, r *http.Request) {
-	if !requireRead(w, r) {
+func (s *Server) handleTopic(c *call, snap *engine.Snapshot) {
+	if !requireRead(c) {
 		return
 	}
-	snap := s.eng.Snapshot()
 	tax := snap.Community().Taxonomy()
 	if tax == nil {
-		writeError(w, http.StatusConflict, "no_taxonomy", "community has no taxonomy")
+		writeError(c, http.StatusConflict, "no_taxonomy", "community has no taxonomy")
 		return
 	}
-	rest := strings.TrimPrefix(r.URL.EscapedPath(), "/v1/topics/")
-	path, err := url.PathUnescape(rest)
+	path, err := url.PathUnescape(c.arg)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument", "malformed topic path")
+		writeError(c, http.StatusBadRequest, "invalid_argument", "malformed topic path")
 		return
 	}
-	offset, limit, err := pageParams(r, 50)
+	offset, limit, err := pageParams(c, 50)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument", err.Error())
+		writeError(c, http.StatusBadRequest, "invalid_argument", err.Error())
 		return
 	}
 	d, ok := tax.Lookup(path)
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", fmt.Sprintf("unknown topic %s", path))
+		writeError(c, http.StatusNotFound, "not_found", fmt.Sprintf("unknown topic %s", path))
 		return
 	}
 	pids := snap.Subtree(d)
 	total := len(pids)
 	lo, hi := window(total, offset, limit)
+	shown := pids[lo:hi]
 	type entry struct {
 		ID    model.ProductID `json:"id"`
 		Title string          `json:"title,omitempty"`
@@ -795,15 +819,15 @@ func (s *Server) handleTopic(w http.ResponseWriter, r *http.Request) {
 		Limit  int     `json:"limit"`
 	}
 	out := topicPage{Topic: tax.QualifiedName(d), Total: total, Offset: offset, Limit: limit,
-		Items: make([]entry, 0, hi-lo)}
-	for _, pid := range pids[lo:hi] {
+		Items: make([]entry, 0, len(shown))}
+	for _, pid := range shown {
 		e := entry{ID: pid}
 		if p := snap.Community().Product(pid); p != nil {
 			e.Title = p.Title
 		}
 		out.Items = append(out.Items, e)
 	}
-	writeJSON(w, out)
+	writeJSON(c, out)
 }
 
 // maxWriteBody bounds write request bodies; mutations are tiny.
@@ -816,11 +840,11 @@ type accepted struct {
 }
 
 // decodeBody strictly parses a small JSON request body into dst.
-func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxWriteBody))
+func decodeBody(c *call, dst any) bool {
+	dec := json.NewDecoder(io.LimitReader(c.r.Body, maxWriteBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument",
+		writeError(c, http.StatusBadRequest, "invalid_argument",
 			fmt.Sprintf("malformed request body: %v", err))
 		return false
 	}
@@ -840,62 +864,77 @@ func (s *Server) submit(w http.ResponseWriter, snap *engine.Snapshot, m wal.Muta
 		s.writeSubmitError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", jsonContentType)
 	w.WriteHeader(http.StatusAccepted)
 	_ = json.NewEncoder(w).Encode(accepted{Status: "accepted", Seq: seq})
 }
 
-// serveWrite handles POST/DELETE /v1/agents/{uri}/{trust|ratings}.
-func (s *Server) serveWrite(w http.ResponseWriter, r *http.Request, snap *engine.Snapshot, id model.AgentID, action string) {
-	switch {
-	case r.Method == http.MethodPost && action == "trust":
+// handleTrust serves POST and DELETE /v1/agents/{uri}/trust.
+func (s *Server) handleTrust(c *call, snap *engine.Snapshot) {
+	a, ok := agentOf(c, snap)
+	if !ok {
+		return
+	}
+	switch c.r.Method {
+	case http.MethodPost:
 		var body struct {
 			Peer  model.AgentID `json:"peer"`
 			Value float64       `json:"value"`
 		}
-		if !decodeBody(w, r, &body) {
+		if !decodeBody(c, &body) {
 			return
 		}
-		s.submit(w, snap, wal.Mutation{Op: wal.OpUpsertTrust, Agent: id, Peer: body.Peer, Value: body.Value})
-	case r.Method == http.MethodDelete && action == "trust":
-		peer := r.URL.Query().Get("peer")
+		s.submit(c, snap, wal.Mutation{Op: wal.OpUpsertTrust, Agent: a.ID, Peer: body.Peer, Value: body.Value})
+	case http.MethodDelete:
+		peer := c.param("peer")
 		if peer == "" {
-			writeError(w, http.StatusBadRequest, "invalid_argument", "peer query parameter required")
+			writeError(c, http.StatusBadRequest, "invalid_argument", "peer query parameter required")
 			return
 		}
-		s.submit(w, snap, wal.Mutation{Op: wal.OpDeleteTrust, Agent: id, Peer: model.AgentID(peer)})
-	case r.Method == http.MethodPost && action == "ratings":
+		s.submit(c, snap, wal.Mutation{Op: wal.OpDeleteTrust, Agent: a.ID, Peer: model.AgentID(peer)})
+	default:
+		methodNotAllowed(c)
+	}
+}
+
+// handleRatings serves POST and DELETE /v1/agents/{uri}/ratings.
+func (s *Server) handleRatings(c *call, snap *engine.Snapshot) {
+	a, ok := agentOf(c, snap)
+	if !ok {
+		return
+	}
+	switch c.r.Method {
+	case http.MethodPost:
 		var body struct {
 			Product model.ProductID `json:"product"`
 			Value   float64         `json:"value"`
 		}
-		if !decodeBody(w, r, &body) {
+		if !decodeBody(c, &body) {
 			return
 		}
-		s.submit(w, snap, wal.Mutation{Op: wal.OpUpsertRating, Agent: id, Product: body.Product, Value: body.Value})
-	case r.Method == http.MethodDelete && action == "ratings":
-		product := r.URL.Query().Get("product")
+		s.submit(c, snap, wal.Mutation{Op: wal.OpUpsertRating, Agent: a.ID, Product: body.Product, Value: body.Value})
+	case http.MethodDelete:
+		product := c.param("product")
 		if product == "" {
-			writeError(w, http.StatusBadRequest, "invalid_argument", "product query parameter required")
+			writeError(c, http.StatusBadRequest, "invalid_argument", "product query parameter required")
 			return
 		}
-		s.submit(w, snap, wal.Mutation{Op: wal.OpDeleteRating, Agent: id, Product: model.ProductID(product)})
+		s.submit(c, snap, wal.Mutation{Op: wal.OpDeleteRating, Agent: a.ID, Product: model.ProductID(product)})
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-			fmt.Sprintf("%s does not accept %s", r.URL.Path, r.Method))
+		methodNotAllowed(c)
 	}
 }
 
-// serveUpsertAgent handles POST /v1/agents.
-func (s *Server) serveUpsertAgent(w http.ResponseWriter, r *http.Request) {
+// handleUpsertAgent serves POST /v1/agents.
+func (s *Server) handleUpsertAgent(c *call, snap *engine.Snapshot) {
 	var body struct {
 		ID   model.AgentID `json:"id"`
 		Name string        `json:"name"`
 	}
-	if !decodeBody(w, r, &body) {
+	if !decodeBody(c, &body) {
 		return
 	}
-	s.submit(w, s.eng.Snapshot(), wal.Mutation{Op: wal.OpUpsertAgent, Agent: body.ID, Name: body.Name})
+	s.submit(c, snap, wal.Mutation{Op: wal.OpUpsertAgent, Agent: body.ID, Name: body.Name})
 }
 
 // retryAfter derives the Retry-After hint from the writer's queue

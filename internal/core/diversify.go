@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"swrec/internal/model"
+	"swrec/internal/profmat"
 	"swrec/internal/sparse"
 )
 
@@ -94,9 +95,13 @@ func (r *Recommender) Diversify(recs []Recommendation, n int, theta float64) []R
 		theta = 1
 	}
 
-	vecs := make([]sparse.Vector, len(recs))
+	// Compiled rows, not the map-backed vectors: their cosine sums in key
+	// order, so equal candidates tie exactly and the same call returns the
+	// same list every time (a map-ordered sum wobbles in the last bit and
+	// flipped near-ties from one request to the next).
+	vecs := make([]profmat.Row, len(recs))
 	for i, rec := range recs {
-		vecs[i] = r.productVector(rec.Product)
+		vecs[i] = profmat.FromVector(r.productVector(rec.Product))
 	}
 
 	out := make([]Recommendation, 0, n)
@@ -113,7 +118,7 @@ func (r *Recommender) Diversify(recs []Recommendation, n int, theta float64) []R
 	for len(out) < n && len(remaining) > 0 {
 		last := chosen[len(chosen)-1]
 		for _, c := range remaining {
-			if s, ok := sparse.Cosine(vecs[c], vecs[last]); ok && s > 0 {
+			if s, ok := profmat.Cosine(&vecs[c], &vecs[last]); ok && s > 0 {
 				simToChosen[c] += s
 			}
 		}

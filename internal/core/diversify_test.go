@@ -158,3 +158,33 @@ func TestDiversifyBounds(t *testing.T) {
 		t.Fatalf("θ clamp broke length: %d", len(got))
 	}
 }
+
+// TestDiversifyIsDeterministic: the same candidates give the same list
+// on every call. A served θ answer is a function of the snapshot and the
+// request, which the API's response cache relies on; with map-ordered
+// similarity sums near-ties between same-branch products used to flip.
+func TestDiversifyIsDeterministic(t *testing.T) {
+	cfg := datagen.SmallScale()
+	cfg.Agents, cfg.Products = 60, 80
+	comm, _ := datagen.Generate(cfg)
+	r, err := New(comm, Options{CF: cf.Options{Measure: cf.Cosine, Representation: cf.Taxonomy}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := r.Recommend(comm.Agents()[0], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) < 30 {
+		t.Fatalf("only %d candidates; the test needs a list long enough to hold ties", len(recs))
+	}
+	want := r.Diversify(recs, 0, 0.4)
+	for i := 0; i < 50; i++ {
+		got := r.Diversify(recs, 0, 0.4)
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("call %d: position %d is %s, was %s", i, j, got[j].Product, want[j].Product)
+			}
+		}
+	}
+}

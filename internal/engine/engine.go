@@ -21,11 +21,16 @@
 //     once;
 //   - the catalog's TopicIndex and per-branch subtree listings are built
 //     once and reused;
+//   - the API layer's encoded response bodies live in a byte-budgeted
+//     per-snapshot cache (Body/StoreBody), so a repeated GET within one
+//     epoch is a lookup — nothing carries them across a swap and nothing
+//     invalidates them: they die with the snapshot they describe;
 //   - Warmup precomputes hot state for every agent with a worker pool,
 //     so a freshly loaded corpus serves warm from the first request.
 //
 // Cache effectiveness is observable via expvar under "swrec_engine"
-// (profile_hit/miss, peers_hit/miss, flight_shared, swaps, warmed_agents).
+// (profile_hit/miss, peers_hit/miss, body_hit/miss/bytes, flight_shared,
+// swaps, warmed_agents).
 package engine
 
 import (
@@ -206,9 +211,13 @@ type Snapshot struct {
 	// resolved once at the public entry point, everything below indexes
 	// and hashes fixed-size values.
 	profiles *lruCache[int32, sparse.Vector]
-	peers    *lruCache[peerKey, []core.PeerRank]
+	peers    *lruCache[peerKey, *neighborhood]
 	subtrees *lruCache[taxonomy.Topic, []model.ProductID]
 	results  *lruCache[recKey, []core.Recommendation]
+
+	// bodies holds encoded API responses by request URL, weighed in
+	// bytes. It is never carried by a delta swap and never checkpointed.
+	bodies *lruCache[bodyKey, storedBody]
 
 	ixOnce sync.Once
 	ix     atomic.Pointer[index.TopicIndex]
@@ -248,9 +257,10 @@ func newSnapshotDelta(epoch uint64, comm *model.Community, opt core.Options, cfg
 		rec:      rec,
 		budget:   cfg.ComputeBudget,
 		profiles: newLRU[int32, sparse.Vector](cfg.ProfileCacheSize),
-		peers:    newLRU[peerKey, []core.PeerRank](cfg.PeerCacheSize),
+		peers:    newLRU[peerKey, *neighborhood](cfg.PeerCacheSize),
 		subtrees: newLRU[taxonomy.Topic, []model.ProductID](cfg.SubtreeCacheSize),
 		results:  newLRU[recKey, []core.Recommendation](cfg.ResultCacheSize),
+		bodies:   newLRU[bodyKey, storedBody](bodyBudget),
 		variants: make(map[variantKey]*core.Recommender),
 	}
 	if tax := comm.Taxonomy(); tax != nil {
@@ -315,7 +325,7 @@ func newSnapshotDelta(epoch uint64, comm *model.Community, opt core.Options, cfg
 			continue
 		}
 		ok := true
-		for _, pr := range e.val {
+		for _, pr := range e.val.ranks {
 			ord, known := pr.Ord()
 			if !known {
 				ord, known = sym.AgentOrd(pr.Agent)
@@ -405,6 +415,31 @@ func (s *Snapshot) RecommenderFor(ov Overrides) (*core.Recommender, error) {
 	return rec, nil
 }
 
+// neighborhood is a cached stage 1-3 ranking together with the two
+// strategy-ladder signals that are functions of the whole ranking. They
+// are summed by the first ladder walk that asks for them — not on every
+// walk, and not when a restore, a carry or a lower rung installs a ranking
+// no walk may ever read. Entries are shared by pointer across a delta
+// swap, sums included.
+type neighborhood struct {
+	ranks  []core.PeerRank
+	once   sync.Once
+	energy float64 // Σ Trust, in rank order
+	topSim float64 // max Sim over the peers with SimOK; 0 when none
+}
+
+func (nb *neighborhood) signals() (energy, topSim float64) {
+	nb.once.Do(func() {
+		for _, p := range nb.ranks {
+			nb.energy += p.Trust
+			if p.SimOK && p.Sim > nb.topSim {
+				nb.topSim = p.Sim
+			}
+		}
+	})
+	return nb.energy, nb.topSim
+}
+
 // peerKey identifies a cached neighborhood: the active agent's ordinal
 // and the stages-1-3 configuration. Structured so the delta-swap carry
 // can reason about each component without parsing, and fixed-size so
@@ -479,16 +514,20 @@ func (s *Snapshot) RankedPeersCtx(ctx context.Context, active model.AgentID, ov 
 	if a == nil {
 		return nil, unknownAgent(active)
 	}
-	return s.rankedPeersRef(ctx, a, ov)
+	nb, err := s.neighborhoodRef(ctx, a, ov)
+	if err != nil {
+		return nil, err
+	}
+	return nb.ranks, nil
 }
 
-// rankedPeersRef is RankedPeersCtx after the one URI resolution: every
+// neighborhoodRef is RankedPeersCtx after the one URI resolution: every
 // cache and flight key below is built from the agent's ordinal.
-func (s *Snapshot) rankedPeersRef(ctx context.Context, a *model.Agent, ov Overrides) ([]core.PeerRank, error) {
+func (s *Snapshot) neighborhoodRef(ctx context.Context, a *model.Agent, ov Overrides) (*neighborhood, error) {
 	key := peersKey(a.Ord(), ov)
-	if peers, ok := s.peers.get(key); ok {
+	if nb, ok := s.peers.get(key); ok {
 		stats.Add("peers_hit", 1)
-		return peers, nil
+		return nb, nil
 	}
 	stats.Add("peers_miss", 1)
 	v, err, shared := s.flights.doCtx(ctx, key.flight(), s.flightCtx, func(fctx context.Context) (any, error) {
@@ -500,8 +539,9 @@ func (s *Snapshot) rankedPeersRef(ctx context.Context, a *model.Agent, ov Overri
 		if err != nil {
 			return nil, err
 		}
-		s.peers.add(key, peers)
-		return peers, nil
+		nb := &neighborhood{ranks: peers}
+		s.peers.add(key, nb)
+		return nb, nil
 	})
 	if shared {
 		stats.Add("flight_shared", 1)
@@ -509,7 +549,7 @@ func (s *Snapshot) rankedPeersRef(ctx context.Context, a *model.Agent, ov Overri
 	if err != nil {
 		return nil, err
 	}
-	return v.([]core.PeerRank), nil
+	return v.(*neighborhood), nil
 }
 
 // CachedPeers peeks the neighborhood cache without computing anything —
@@ -521,7 +561,11 @@ func (s *Snapshot) CachedPeers(active model.AgentID, ov Overrides) ([]core.PeerR
 	if a == nil {
 		return nil, false
 	}
-	return s.peers.get(peersKey(a.Ord(), ov))
+	nb, ok := s.peers.get(peersKey(a.Ord(), ov))
+	if !ok {
+		return nil, false
+	}
+	return nb.ranks, true
 }
 
 // Recommend runs the full pipeline for the active agent: cached
@@ -554,7 +598,7 @@ func (s *Snapshot) recommendRef(ctx context.Context, a *model.Agent, n int, ov O
 	}
 	stats.Add("results_miss", 1)
 	v, err, shared := s.flights.doCtx(ctx, key.flight(), s.flightCtx, func(fctx context.Context) (any, error) {
-		peers, err := s.rankedPeersRef(fctx, a, ov)
+		nb, err := s.neighborhoodRef(fctx, a, ov)
 		if err != nil {
 			return nil, err
 		}
@@ -562,7 +606,7 @@ func (s *Snapshot) recommendRef(ctx context.Context, a *model.Agent, n int, ov O
 		if err != nil {
 			return nil, err
 		}
-		recs, err := rec.RecommendFromCtx(fctx, a.ID, peers, n)
+		recs, err := rec.RecommendFromCtx(fctx, a.ID, nb.ranks, n)
 		if err != nil {
 			return nil, err
 		}

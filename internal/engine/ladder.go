@@ -54,7 +54,7 @@ func (e *Engine) ladderSignals(ctx context.Context, snap *Snapshot, a *model.Age
 		return sig, nil, err
 	}
 	sig.Taxonomy = rec.Filter().Generator() != nil
-	peers, err := snap.rankedPeersRef(ctx, a, ov)
+	nb, err := snap.neighborhoodRef(ctx, a, ov)
 	if err != nil {
 		if ladderDeadline(err) {
 			sig.Deadline = true
@@ -62,14 +62,9 @@ func (e *Engine) ladderSignals(ctx context.Context, snap *Snapshot, a *model.Age
 		}
 		return sig, nil, err
 	}
-	sig.Peers = len(peers)
-	for _, p := range peers {
-		sig.Energy += p.Trust
-		if p.SimOK && p.Sim > sig.TopSim {
-			sig.TopSim = p.Sim
-		}
-	}
-	return sig, peers, nil
+	sig.Peers = len(nb.ranks)
+	sig.Energy, sig.TopSim = nb.signals()
+	return sig, nb.ranks, nil
 }
 
 // widenedPeers returns the trust-hop-widened, re-synthesized peer
@@ -79,9 +74,9 @@ func (e *Engine) ladderSignals(ctx context.Context, snap *Snapshot, a *model.Age
 // agent's direct positive trust statements.
 func (s *Snapshot) widenedPeers(ctx context.Context, a *model.Agent, ov Overrides, base []core.PeerRank, decay float64) ([]core.PeerRank, error) {
 	key := peerKey{agent: a.Ord(), pipe: ov.pipelineKey().withRung(rungWiden)}
-	if peers, ok := s.peers.get(key); ok {
+	if nb, ok := s.peers.get(key); ok {
 		stats.Add("peers_hit", 1)
-		return peers, nil
+		return nb.ranks, nil
 	}
 	stats.Add("peers_miss", 1)
 	v, err, shared := s.flights.doCtx(ctx, key.flight(), s.flightCtx, func(fctx context.Context) (any, error) {
@@ -99,7 +94,7 @@ func (s *Snapshot) widenedPeers(ctx context.Context, a *model.Agent, ov Override
 		if err != nil {
 			return nil, err
 		}
-		s.peers.add(key, peers)
+		s.peers.add(key, &neighborhood{ranks: peers})
 		return peers, nil
 	})
 	if shared {
@@ -117,9 +112,9 @@ func (s *Snapshot) widenedPeers(ctx context.Context, a *model.Agent, ov Override
 // profile space.
 func (s *Snapshot) generalizedPeers(ctx context.Context, a *model.Agent, ov Overrides, base []core.PeerRank, depth int) ([]core.PeerRank, error) {
 	key := peerKey{agent: a.Ord(), pipe: ov.pipelineKey().withRung(rungGen)}
-	if peers, ok := s.peers.get(key); ok {
+	if nb, ok := s.peers.get(key); ok {
 		stats.Add("peers_hit", 1)
-		return peers, nil
+		return nb.ranks, nil
 	}
 	stats.Add("peers_miss", 1)
 	v, err, shared := s.flights.doCtx(ctx, key.flight(), s.flightCtx, func(fctx context.Context) (any, error) {
@@ -132,7 +127,7 @@ func (s *Snapshot) generalizedPeers(ctx context.Context, a *model.Agent, ov Over
 		if err != nil {
 			return nil, err
 		}
-		s.peers.add(key, peers)
+		s.peers.add(key, &neighborhood{ranks: peers})
 		return peers, nil
 	})
 	if shared {

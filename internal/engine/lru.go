@@ -7,20 +7,24 @@ import (
 
 // lruCache is a fixed-capacity, mutex-guarded LRU map. The engine keeps
 // one per snapshot and per cached artifact kind (taxonomy profiles,
-// synthesized neighborhoods, topic subtrees), so eviction pressure in one
-// kind never displaces another. The map grows with its contents: four
-// are built on every publish, most of them to hold far less than their
-// capacity.
+// synthesized neighborhoods, topic subtrees, encoded response bodies), so
+// eviction pressure in one kind never displaces another. Capacity is in
+// units of entry weight: the per-agent caches weigh every entry 1 (add),
+// the body cache weighs an entry by its bytes (addWeighted). The map
+// grows with its contents: five are built on every publish, most of them
+// to hold far less than their capacity.
 type lruCache[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int
+	used  int        // total weight of the live entries
 	order *list.List // front = most recent; values are *lruEntry[K, V]
 	items map[K]*list.Element
 }
 
 type lruEntry[K comparable, V any] struct {
-	key K
-	val V
+	key    K
+	val    V
+	weight int
 }
 
 func newLRU[K comparable, V any](capacity int) *lruCache[K, V] {
@@ -48,21 +52,30 @@ func (c *lruCache[K, V]) get(k K) (V, bool) {
 	return zero, false
 }
 
-// add inserts or refreshes a value, evicting the least recently used
-// entry when over capacity.
-func (c *lruCache[K, V]) add(k K, v V) {
+// add inserts or refreshes a value of weight 1, evicting the least
+// recently used entry when over capacity.
+func (c *lruCache[K, V]) add(k K, v V) { c.addWeighted(k, v, 1) }
+
+// addWeighted inserts or refreshes a value of the given weight, evicting
+// least recently used entries until the total weight fits the capacity
+// again. A value heavier than the whole capacity is not kept.
+func (c *lruCache[K, V]) addWeighted(k K, v V, weight int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {
-		el.Value.(*lruEntry[K, V]).val = v
+		e := el.Value.(*lruEntry[K, V])
+		c.used += weight - e.weight
+		e.val, e.weight = v, weight
 		c.order.MoveToFront(el)
-		return
+	} else {
+		c.items[k] = c.order.PushFront(&lruEntry[K, V]{key: k, val: v, weight: weight})
+		c.used += weight
 	}
-	c.items[k] = c.order.PushFront(&lruEntry[K, V]{key: k, val: v})
-	if c.order.Len() > c.cap {
+	for c.used > c.cap {
 		el := c.order.Back()
-		c.order.Remove(el)
-		delete(c.items, el.Value.(*lruEntry[K, V]).key)
+		e := c.order.Remove(el).(*lruEntry[K, V])
+		delete(c.items, e.key)
+		c.used -= e.weight
 	}
 }
 

@@ -137,7 +137,7 @@ func (s *Snapshot) ExportPeers() []PeersEntry {
 		if !ok {
 			continue // cannot happen: cache keys come from this community
 		}
-		out = append(out, PeersEntry{Agent: id, Pipe: e.key.pipe.String(), Peers: e.val})
+		out = append(out, PeersEntry{Agent: id, Pipe: e.key.pipe.String(), Peers: e.val.ranks})
 	}
 	return out
 }
@@ -216,9 +216,10 @@ func newSnapshotRestored(epoch uint64, r Restore, opt core.Options, cfg Config) 
 		rec:      rec,
 		budget:   cfg.ComputeBudget,
 		profiles: newLRU[int32, sparse.Vector](cfg.ProfileCacheSize),
-		peers:    newLRU[peerKey, []core.PeerRank](cfg.PeerCacheSize),
+		peers:    newLRU[peerKey, *neighborhood](cfg.PeerCacheSize),
 		subtrees: newLRU[taxonomy.Topic, []model.ProductID](cfg.SubtreeCacheSize),
 		results:  newLRU[recKey, []core.Recommendation](cfg.ResultCacheSize),
+		bodies:   newLRU[bodyKey, storedBody](bodyBudget),
 		variants: make(map[variantKey]*core.Recommender),
 	}
 	if tax := r.Community.Taxonomy(); tax != nil {
@@ -256,7 +257,7 @@ func newSnapshotRestored(epoch uint64, r Restore, opt core.Options, cfg Config) 
 		if !ok {
 			continue
 		}
-		s.peers.add(peerKey{agent: ord, pipe: pipe}, e.Peers)
+		s.peers.add(peerKey{agent: ord, pipe: pipe}, &neighborhood{ranks: e.Peers})
 	}
 	return s, nil
 }
