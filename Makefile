@@ -12,12 +12,13 @@ all: build check
 # analyzers (lint runs before race so an invariant regression fails
 # fast, without waiting out the race-detector suite), the full test
 # suite under the race detector (the serving engine is exercised
-# concurrently), a short fuzz smoke of the RDF parsers, the short-mode
-# chaos suite, the checkpoint recovery smoke, a short benchmark-
-# regression probe of the serving hot path, and the short production-
-# load scenario with its adversarial trust attacks (see README "Load &
-# attack harness").
-check: fmt vet lint race fuzz-smoke chaos-short recovery-smoke bench-diff-short load-short
+# concurrently), the benchmark module's vet/build/test against this
+# checkout's internal/ packages, a short fuzz smoke of the RDF parsers
+# and the two binary decoders, the short-mode chaos suite, the checkpoint
+# recovery smoke, a short benchmark-regression probe of the serving hot
+# path, and the short production-load scenario with its adversarial
+# trust attacks (see README "Load & attack harness").
+check: fmt vet lint race bench-harness fuzz-smoke chaos-short recovery-smoke bench-diff-short load-short
 
 # bin/swrecvet is rebuilt only when an analyzer source changes, so a
 # repeated `make lint` goes straight to the (vet-cached) analysis.
@@ -197,16 +198,24 @@ chaos-short:
 # build a corpus through the real ingest pipeline, write compiled
 # checkpoints, corrupt the newest one, and require the recovery ladder
 # to land on the previous retained checkpoint (rung 2) with the WAL
-# tail replayed — a fall-through to corpus recompute (rung 4) fails.
+# tail replayed — a fall-through to corpus recompute (rung 3) fails.
 recovery-smoke:
 	$(GO) test -run 'TestRecoverySmoke|TestRestoredMatchesFromScratch' ./internal/checkpoint/
 
-# Short fuzz pass over the RDF parsers (see internal/rdf/fuzz_test.go).
+# Short fuzz pass over the RDF parsers (see internal/rdf/fuzz_test.go)
+# and the two binary decoders a restart trusts: the checkpoint file and
+# the WAL segment (internal/{checkpoint,wal}/fuzz_test.go). Their inputs
+# are kilobytes, and go test would by default spend up to a minute
+# shrinking each one that reaches new code — the whole budget — so the
+# minimizer is held to a second.
+FUZZ_BINARY = -fuzzminimizetime 1s
 fuzz:
 	$(GO) test -fuzz FuzzParseNTriples -fuzztime 30s ./internal/rdf/
 	$(GO) test -fuzz FuzzParseTurtle -fuzztime 30s ./internal/rdf/
 	$(GO) test -fuzz FuzzParseRDFXML -fuzztime 30s ./internal/rdf/
 	$(GO) test -fuzz FuzzParseDocument -fuzztime 30s ./internal/rdf/
+	$(GO) test -fuzz FuzzDecode -fuzztime 30s $(FUZZ_BINARY) ./internal/checkpoint/
+	$(GO) test -fuzz FuzzScanSegment -fuzztime 30s $(FUZZ_BINARY) ./internal/wal/
 
 # fuzz-smoke is the 5-second-per-target variant run as part of check.
 fuzz-smoke:
@@ -214,6 +223,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz FuzzParseTurtle -fuzztime 5s ./internal/rdf/
 	$(GO) test -run=^$$ -fuzz FuzzParseRDFXML -fuzztime 5s ./internal/rdf/
 	$(GO) test -run=^$$ -fuzz FuzzParseDocument -fuzztime 5s ./internal/rdf/
+	$(GO) test -run=^$$ -fuzz FuzzDecode -fuzztime 5s $(FUZZ_BINARY) ./internal/checkpoint/
+	$(GO) test -run=^$$ -fuzz FuzzScanSegment -fuzztime 5s $(FUZZ_BINARY) ./internal/wal/
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -15,21 +15,24 @@
 //	       [-request-budget 50ms] [-compute-budget 2s]
 //	       [-strategy-min-peers 3] [-strategy-min-overlap 0.1]
 //	       [-strategy-hop-decay 0.5] [-strategy-ancestor-depth 2]
-//	       [-strategy-disable rung,...] [-compat-degraded]
+//	       [-strategy-disable rung,...]
 //
 // With -wal the server opens the durable write path (internal/ingest):
 // POST/DELETE endpoints on /v1/agents accept first-party mutations,
 // acknowledged once appended to the write-ahead log under DIR and made
 // visible through epoch snapshot swaps. On restart the server walks the
 // recovery ladder (internal/checkpoint): newest compiled checkpoint,
-// older retained checkpoint, corpus snapshot + full WAL replay, and
-// finally -in/-scale corpus recompute — then replays only the WAL
-// records the recovered state does not cover. While running, a compiled
-// checkpoint is written in the background every -checkpoint-every
-// published snapshots (and at shutdown), retaining -checkpoint-retain
-// files, so the next restart restores the compiled engine state — CSR
-// profile rows, topic index, warm caches — in O(file size) without
-// recomputing Appleseed or Eq. 3 (see README "Checkpoints & recovery").
+// older retained checkpoint, and finally -in/-scale corpus recompute —
+// then replays only the WAL records the recovered state does not cover.
+// If no checkpoint is usable and the WAL has been truncated, it refuses
+// to start rather than serve a state that is missing acknowledged
+// writes. While running, a compiled checkpoint is written in the
+// background every -checkpoint-every published snapshots (and at
+// shutdown), retaining -checkpoint-retain files and truncating the WAL
+// to the oldest of them, so the next restart restores the compiled
+// engine state — CSR profile rows, topic index, warm caches — in O(file
+// size) without recomputing Appleseed or Eq. 3 (see README "Checkpoints
+// & recovery").
 //
 // -trust-threshold and -max-neighbors wire the §3.3 neighborhood gates:
 // peers below the normalized trust-rank threshold (in [0,1)) are
@@ -54,9 +57,7 @@
 // neighborhoods — are answered by walking the strategy ladder
 // (internal/strategy); every list response reports the chosen rung and
 // attempt trace in its strategy block. The -strategy-* flags shape the
-// ladder thresholds, -strategy-disable turns rungs off, and
-// -compat-degraded re-emits the deprecated degraded/degradedSource/
-// degradedEpoch fields alongside the strategy block for old clients.
+// ladder thresholds and -strategy-disable turns rungs off.
 //
 // The server logs one line per request (method, path, status, duration),
 // applies read/write timeouts, and shuts down gracefully on SIGINT or
@@ -112,7 +113,6 @@ func main() {
 	stratHopDecay := flag.Float64("strategy-hop-decay", 0, "rank attenuation for trust-hop widening (0 = default 0.5)")
 	stratAncestorDepth := flag.Int("strategy-ancestor-depth", 0, "taxonomy depth profiles generalize to in ancestor backoff (0 = default 2)")
 	stratDisable := flag.String("strategy-disable", "", "comma-separated strategy rungs to disable (see GET /v1/strategies)")
-	compatDegraded := flag.Bool("compat-degraded", false, "re-emit deprecated degraded/degradedSource/degradedEpoch fields alongside the strategy block")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "swrecd: ", log.LstdFlags)
@@ -132,7 +132,7 @@ func main() {
 	}
 
 	// loadCorpus materializes the -in / -scale community — the direct
-	// source without -wal, and the recovery ladder's rung-4 source of
+	// source without -wal, and the recovery ladder's rung-3 source of
 	// last resort with it.
 	loadCorpus := func() (*model.Community, error) {
 		if *inDir != "" {
@@ -188,8 +188,8 @@ func main() {
 	engCfg := engine.Config{ComputeBudget: *computeBudget, Strategy: stratCfg}
 
 	// Build the engine: with -wal, walk the recovery ladder (compiled
-	// checkpoint → older checkpoint → corpus snapshot + WAL replay →
-	// corpus recompute); without, load the corpus directly.
+	// checkpoint → older checkpoint → corpus recompute + whole-WAL
+	// replay); without, load the corpus directly.
 	var eng *engine.Engine
 	var recoverSeq uint64
 	warmNeeded := *warm
@@ -208,7 +208,7 @@ func main() {
 			res.Source, res.Rung, res.Epoch, res.Seq, res.Load.Round(time.Millisecond))
 		eng = res.Engine
 		recoverSeq = res.Seq
-		if res.Rung <= 2 {
+		if res.Rung <= 2 && res.Source != "checkpoint-recompiled" {
 			// The checkpoint restored the warm caches; a warmup pass would
 			// only recompute what the restart was meant to avoid.
 			warmNeeded = false
@@ -242,7 +242,7 @@ func main() {
 	// The ingest pipeline replays unapplied WAL records at Open and is
 	// the engine's only swapper; the API submits mutations through it.
 	var pipe *ingest.Pipeline
-	apiCfg := api.Config{ReadBudget: *requestBudget, CompatDegraded: *compatDegraded}
+	apiCfg := api.Config{ReadBudget: *requestBudget}
 	handler := api.NewWithConfig(eng, nil, apiCfg)
 	if *walDir != "" {
 		icfg := ingest.Config{CheckpointEvery: *ckptEvery, CheckpointRetain: *ckptRetain}
@@ -297,10 +297,8 @@ func main() {
 			_ = srv.Close()
 		}
 		if pipe != nil {
-			// Checkpoint so the next start replays nothing, then drain.
-			if err := pipe.Checkpoint(); err != nil {
-				logger.Printf("checkpoint: %v", err)
-			}
+			// Close drains and, unless -checkpoint-every is 0, writes the
+			// final checkpoint, so the next start replays nothing.
 			if err := pipe.Close(); err != nil {
 				logger.Printf("ingest close: %v", err)
 			}

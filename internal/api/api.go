@@ -56,10 +56,8 @@
 // the full rung attempt trace, and the answering epoch. The strategy=
 // parameter pins one rung (strategy=popularity) or excludes rungs
 // (strategy=-popularity,-degraded-cache), validated like the other
-// overrides; GET /v1/strategies lists the configured ladder. The PR 3
-// top-level degraded/degradedSource/degradedEpoch fields are deprecated
-// in favor of the strategy block and are emitted only when the server
-// runs with Config.CompatDegraded (swrecd -compat-degraded).
+// overrides; GET /v1/strategies lists the configured ladder. A degraded
+// answer is marked in the block (strategy.degraded, .source, .epoch).
 //
 // # Response cache
 //
@@ -132,11 +130,6 @@ type Config struct {
 	// else 504 deadline_exceeded. 0 means only the client's context
 	// bounds the request.
 	ReadBudget time.Duration
-	// CompatDegraded re-emits the deprecated top-level degraded /
-	// degradedSource / degradedEpoch envelope fields alongside the
-	// strategy block for one release, for clients that have not migrated
-	// to strategy.degraded yet.
-	CompatDegraded bool
 }
 
 // Server is the HTTP handler layer over one serving engine.
@@ -327,20 +320,12 @@ type errorBody struct {
 // the rung attempt trace, and the answering epoch — including the
 // degraded marker when the bottom rung served from a previous-epoch
 // cache.
-//
-// Deprecated: the top-level Degraded / DegradedSource / DegradedEpoch
-// fields duplicate strategy.degraded / strategy.source / strategy.epoch
-// and are emitted only under Config.CompatDegraded; they will be removed
-// next release.
 type page struct {
-	Items          any              `json:"items"`
-	Total          int              `json:"total"`
-	Offset         *int             `json:"offset,omitempty"`
-	Limit          *int             `json:"limit,omitempty"`
-	Strategy       *strategy.Result `json:"strategy,omitempty"`
-	Degraded       bool             `json:"degraded,omitempty"`
-	DegradedSource string           `json:"degradedSource,omitempty"`
-	DegradedEpoch  uint64           `json:"degradedEpoch,omitempty"`
+	Items    any              `json:"items"`
+	Total    int              `json:"total"`
+	Offset   *int             `json:"offset,omitempty"`
+	Limit    *int             `json:"limit,omitempty"`
+	Strategy *strategy.Result `json:"strategy,omitempty"`
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {
@@ -360,20 +345,14 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 
 // writeList emits the items envelope without a pagination window. All
 // provenance-carrying responses route through here (res non-nil), so the
-// strategy block — and its deprecated top-level mirror under compat —
-// is attached in exactly one place, and so is the decision whether a
-// ladder answer may be replayed from the response cache.
+// strategy block is attached in exactly one place, and so is the
+// decision whether a ladder answer may be replayed from the response
+// cache.
 func (s *Server) writeList(c *call, items any, total int, res *strategy.Result) {
-	p := page{Items: items, Total: total, Strategy: res}
 	if res != nil && !repeatable(res) {
 		c.noStore()
 	}
-	if res != nil && res.Degraded && s.cfg.CompatDegraded {
-		p.Degraded = true
-		p.DegradedSource = res.Source
-		p.DegradedEpoch = res.Epoch
-	}
-	writeJSON(c, p)
+	writeJSON(c, page{Items: items, Total: total, Strategy: res})
 }
 
 // repeatable reports whether a ladder answer is a function of the

@@ -220,8 +220,8 @@ func TestDeadlineAnswersAreNeverStored(t *testing.T) {
 	delay.Store(int64(150 * time.Millisecond))
 	for _, target := range []string{recs, peers} {
 		var out degradedPage
-		if code := get(t, s, target, &out); code != http.StatusOK || !out.Degraded {
-			t.Fatalf("%s: status %d degraded %v, want a degraded 200", target, code, out.Degraded)
+		if code := get(t, s, target, &out); code != http.StatusOK || out.Strategy == nil || !out.Strategy.Degraded {
+			t.Fatalf("%s: status %d strategy %+v, want a degraded 200", target, code, out.Strategy)
 		}
 		if stored(t, eng, target) {
 			t.Fatalf("%s: a degraded answer was stored", target)
@@ -240,7 +240,7 @@ func TestDeadlineAnswersAreNeverStored(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var out degradedPage
-		if code := get(t, s, recs, &out); code == http.StatusOK && !out.Degraded &&
+		if code := get(t, s, recs, &out); code == http.StatusOK && !out.Strategy.Degraded &&
 			out.Strategy.Procedure == strategy.FullSynthesis && out.Strategy.Epoch == eng.Epoch() {
 			break
 		}

@@ -37,19 +37,15 @@ func newSlowServer(t *testing.T, delay *atomic.Int64, budget time.Duration) (*Se
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewWithConfig(eng, nil, Config{ReadBudget: budget, CompatDegraded: true}), comm, eng
+	return NewWithConfig(eng, nil, Config{ReadBudget: budget}), comm, eng
 }
 
-// degradedPage decodes the list envelope including the legacy degraded
-// markers (the slow server runs with CompatDegraded) and the strategy
-// provenance block that supersedes them.
+// degradedPage decodes the list envelope with the strategy provenance
+// block, which carries the degraded marker, its source and its epoch.
 type degradedPage struct {
-	Items          []json.RawMessage `json:"items"`
-	Total          int               `json:"total"`
-	Degraded       bool              `json:"degraded"`
-	DegradedSource string            `json:"degradedSource"`
-	DegradedEpoch  uint64            `json:"degradedEpoch"`
-	Strategy       *strategy.Result  `json:"strategy"`
+	Items    []json.RawMessage `json:"items"`
+	Total    int               `json:"total"`
+	Strategy *strategy.Result  `json:"strategy"`
 }
 
 // TestColdCacheDeadline504 is the acceptance test for deadline
@@ -109,27 +105,21 @@ func TestDegradedAnswerAfterSwap(t *testing.T) {
 	if code := get(t, s, agentPath(agent, "/recommendations"), &out); code != http.StatusOK {
 		t.Fatalf("status = %d, want 200 degraded", code)
 	}
-	if !out.Degraded || out.DegradedSource != "prev-result-cache" || out.DegradedEpoch != oldEpoch {
-		t.Fatalf("degraded envelope = %+v, want prev-result-cache at epoch %d", out, oldEpoch)
-	}
 	if len(out.Items) == 0 {
 		t.Fatal("degraded answer is empty")
 	}
-	if out.Strategy == nil || out.Strategy.Procedure != strategy.DegradedCache ||
+	if out.Strategy == nil || !out.Strategy.Degraded || out.Strategy.Procedure != strategy.DegradedCache ||
 		out.Strategy.Source != "prev-result-cache" || out.Strategy.Epoch != oldEpoch {
-		t.Fatalf("strategy block = %+v, want degraded-cache from prev-result-cache", out.Strategy)
+		t.Fatalf("strategy block = %+v, want degraded-cache from prev-result-cache at epoch %d", out.Strategy, oldEpoch)
 	}
 
 	out = degradedPage{}
 	if code := get(t, s, agentPath(agent, "/neighbors"), &out); code != http.StatusOK {
 		t.Fatalf("neighbors status = %d, want 200 degraded", code)
 	}
-	if !out.Degraded || out.DegradedSource != "prev-peers-cache" || out.DegradedEpoch != oldEpoch {
-		t.Fatalf("neighbors degraded envelope = %+v", out)
-	}
-	if out.Strategy == nil || out.Strategy.Procedure != strategy.DegradedCache ||
-		out.Strategy.Source != "prev-peers-cache" {
-		t.Fatalf("neighbors strategy block = %+v", out.Strategy)
+	if out.Strategy == nil || !out.Strategy.Degraded || out.Strategy.Procedure != strategy.DegradedCache ||
+		out.Strategy.Source != "prev-peers-cache" || out.Strategy.Epoch != oldEpoch {
+		t.Fatalf("neighbors strategy block = %+v, want degraded-cache from prev-peers-cache at epoch %d", out.Strategy, oldEpoch)
 	}
 }
 

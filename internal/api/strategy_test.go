@@ -158,30 +158,3 @@ func TestStrategyOverride(t *testing.T) {
 		}
 	}
 }
-
-// TestStrategyCompatFlag keeps the legacy degraded fields for configured
-// deployments — but only on actually degraded answers.
-func TestStrategyCompatFlag(t *testing.T) {
-	comm := testCommunity(t, 30, 40)
-	eng, err := engine.New(comm, core.Options{
-		CF: cf.Options{Measure: cf.Cosine, Representation: cf.Taxonomy},
-	}, engine.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewWithConfig(eng, nil, Config{CompatDegraded: true})
-	agent := comm.Agents()[0]
-	raw := doRaw(t, s, agentPath(agent, "/recommendations"))
-	var fields map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &fields); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := fields["strategy"]; !ok {
-		t.Fatal("compat server dropped the strategy block")
-	}
-	// A healthy (non-degraded) answer carries no legacy fields even under
-	// the compat flag.
-	if _, ok := fields["degraded"]; ok {
-		t.Fatal("healthy answer emitted degraded fields")
-	}
-}

@@ -302,6 +302,16 @@ func Encode(img *Image) []byte {
 // representation variant), Decode fails with ErrOptions. The returned
 // image's Options field is the accepted variant.
 func Decode(data []byte, opt core.Options) (*Image, error) {
+	return decode(data, opt, false)
+}
+
+// decode is Decode; with statementsOnly it ignores the stored option
+// signature and stops after the statement sections (taxonomy, agents,
+// products, trust, ratings), which mean the same under any options. The
+// image then carries no compiled rows, index or caches, so Restore
+// compiles it cold under opt — how Recover keeps an installation's
+// statements when its options change.
+func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) {
 	secs, err := deframe(data)
 	if err != nil {
 		return nil, err
@@ -338,7 +348,7 @@ func Decode(data []byte, opt core.Options) (*Image, error) {
 		// representation, so that is the variant to match.
 		opt.CF.Representation = cf.Product
 	}
-	if sig != optSig(opt) {
+	if sig != optSig(opt) && !statementsOnly {
 		return nil, fmt.Errorf("%w: file has %q, want %q", ErrOptions, sig, optSig(opt))
 	}
 	img.Options = opt
@@ -495,6 +505,10 @@ func Decode(data []byte, opt core.Options) (*Image, error) {
 		if dr.err != nil {
 			return nil, dr.err
 		}
+	}
+	if statementsOnly {
+		img.HasIndex = false
+		return img, nil
 	}
 
 	// PROFMAT: rebuild the rows over two shared arenas, preserving the
@@ -758,11 +772,15 @@ func WriteImage(dir string, img *Image, wrap func(*os.File) File) (path string, 
 // Load reads and fully validates the checkpoint at path. See Decode for
 // the option-signature contract.
 func Load(path string, opt core.Options) (*Image, error) {
+	return load(path, opt, false)
+}
+
+func load(path string, opt core.Options, statementsOnly bool) (*Image, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: read %s: %w", path, err)
 	}
-	return Decode(data, opt)
+	return decode(data, opt, statementsOnly)
 }
 
 // Prune keeps the newest keep checkpoint files in dir and removes the

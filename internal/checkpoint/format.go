@@ -18,8 +18,11 @@
 // atomically (unique temp + fsync + rename) and named ckpt-<seq>.swc by
 // the WAL sequence number they cover; Load rejects unknown versions and
 // option-signature mismatches, and the recovery ladder (Recover) falls
-// back through retained checkpoints, the corpus snapshot, and a full
-// recompute.
+// back through retained checkpoints to a full recompute from the source
+// corpus — keeping only the statement sections of a file whose options
+// no longer match. These files are the installation's only durable snapshot:
+// internal/ingest writes them and truncates the WAL to the oldest one
+// retained.
 package checkpoint
 
 import (
@@ -36,7 +39,9 @@ const (
 	fileMagic = "SWRECKP1"
 	// fileVersion is the format version this build reads and writes.
 	// Decoders reject any other version — a version bump is a declared
-	// incompatibility, not a best-effort parse.
+	// incompatibility, not a best-effort parse. Once the WAL is truncated
+	// these files are the only copy of the early records, so a build that
+	// bumps it must still read the previous version's statement sections.
 	fileVersion = 1
 	// footerMagic marks the start of the whole-file checksum footer.
 	footerMagic = 0x43465753 // "SWFC"
@@ -78,8 +83,8 @@ var (
 	ErrVersion = errors.New("checkpoint: unsupported format version")
 	// ErrOptions is returned when a checkpoint was written under a
 	// different engine option signature: its compiled rows and caches
-	// would be silently wrong for the requested pipeline, so it is
-	// unusable, not recoverable.
+	// would be silently wrong for the requested pipeline. Its statement
+	// sections are not; Recover keeps those and recompiles.
 	ErrOptions = errors.New("checkpoint: option signature mismatch")
 )
 

@@ -1,0 +1,71 @@
+package checkpoint
+
+// Fuzz target for the checkpoint decoder. A checkpoint file is read back
+// after a crash, from a disk that may have torn or rotted it, and its
+// counts size the decoder's allocations — boundedmake checks those
+// bounds statically; this checks them by running. Run with
+//
+//	go test -fuzz FuzzDecode ./internal/checkpoint
+//
+// In normal test runs only the seed corpus executes.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"testing"
+)
+
+// reseal recomputes every section CRC and the footer over whatever a
+// mutation left, so the mutated payloads get past the checksums and
+// reach the section decoders, where the bounds checks are. It follows the
+// section lengths as far as they stay inside the file.
+func reseal(data []byte) []byte {
+	if len(data) < headerLen+footerLen {
+		return data
+	}
+	out := bytes.Clone(data)
+	body := out[headerLen : len(out)-footerLen]
+	for len(body) >= sectionHdr {
+		plen := binary.LittleEndian.Uint64(body[4:])
+		body = body[sectionHdr:]
+		if plen > uint64(len(body)) || uint64(len(body))-plen < 4 {
+			break
+		}
+		binary.LittleEndian.PutUint32(body[plen:], crc32.ChecksumIEEE(body[:plen]))
+		body = body[plen+4:]
+	}
+	binary.LittleEndian.PutUint32(out[len(out)-footerLen:], footerMagic)
+	refoot(out)
+	return out
+}
+
+func FuzzDecode(f *testing.F) {
+	data := Encode(testImage(f, 7))
+	f.Add(data)
+	f.Add([]byte{})
+	for _, cut := range []int{1, headerLen - 1, headerLen, headerLen + sectionHdr, len(data) / 2, len(data) - footerLen, len(data) - 1} {
+		f.Add(data[:cut])
+	}
+	step := len(data)/37 + 1
+	for off := 0; off < len(data); off += step {
+		flipped := bytes.Clone(data)
+		flipped[off] ^= 0x41
+		f.Add(flipped)
+	}
+	opt := testOptions()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, reseal(data)} {
+			img, err := Decode(in, opt)
+			switch {
+			case err == nil:
+				if img == nil || img.Community == nil {
+					t.Fatal("Decode returned neither an image nor an error")
+				}
+			case !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) && !errors.Is(err, ErrOptions):
+				t.Fatalf("Decode failed outside the package's sentinel errors: %v", err)
+			}
+		}
+	})
+}

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"errors"
 	"expvar"
 	"fmt"
 	"path/filepath"
@@ -9,17 +10,10 @@ import (
 
 	"swrec/internal/cf"
 	"swrec/internal/core"
-	"swrec/internal/corpus"
 	"swrec/internal/engine"
 	"swrec/internal/model"
 	"swrec/internal/wal"
 )
-
-// WALSnapshotDir is the corpus snapshot directory inside a WAL
-// directory — the rung-3 recovery source, maintained by internal/ingest
-// (which references this constant rather than the reverse, keeping the
-// import direction checkpoint ← ingest).
-const WALSnapshotDir = "snapshot"
 
 // DirName is the compiled-checkpoint directory inside a WAL directory.
 const DirName = "checkpoints"
@@ -48,17 +42,17 @@ func init() {
 // RecoverConfig parameterizes one walk down the recovery ladder.
 type RecoverConfig struct {
 	// WALDir is the durable state root: WAL segments at the top level,
-	// the corpus snapshot in WALSnapshotDir, compiled checkpoints in
-	// DirName.
+	// compiled checkpoints in DirName.
 	WALDir string
 	// Options is the pipeline configuration the engine will serve with.
-	// Checkpoints written under a different signature are unusable and
-	// skipped (rungs 3-4 adapt the representation themselves for
-	// taxonomy-less communities, mirroring cmd/swrecd).
+	// A checkpoint written under a different signature gives up its
+	// compiled state and is recompiled from its statements (rung 3 adapts
+	// the representation itself for a taxonomy-less community, mirroring
+	// cmd/swrecd).
 	Options core.Options
 	// Engine sizes the recovered engine's caches.
 	Engine engine.Config
-	// Corpus loads the original corpus — the rung-4 source of last
+	// Corpus loads the original corpus — the rung-3 source of last
 	// resort. Required.
 	Corpus func() (*model.Community, error)
 	// Logf, when non-nil, receives one line per ladder decision.
@@ -72,15 +66,18 @@ type Result struct {
 	// tail (ingest.OpenFrom).
 	Engine *engine.Engine
 	// Source names the rung that served: "checkpoint" (1),
-	// "checkpoint-prev" (2), "wal-snapshot" (3), or "corpus" (4).
+	// "checkpoint-prev" (2), or "corpus" (3) — or, on rung 1 or 2,
+	// "checkpoint-recompiled" when the file was written under other
+	// options and only its statements were kept: the state is as current
+	// as that rung's, but the engine starts cold.
 	Source string
-	// Rung is the ladder position, 1 (best) through 4 (cold rebuild).
+	// Rung is the ladder position, 1 (best) through 3 (cold rebuild).
 	Rung int
 	// Epoch and Seq are the recovered state's epoch and the last WAL
 	// sequence it already covers.
 	Epoch uint64
 	Seq   uint64
-	// Path is the file the state was loaded from (empty for rung 4).
+	// Path is the file the state was loaded from (empty for rung 3).
 	Path string
 	// Load is the wall-clock time of the whole ladder walk.
 	Load time.Duration
@@ -89,10 +86,17 @@ type Result struct {
 }
 
 // Recover walks the ladder: (1) the newest compiled checkpoint, (2) any
-// older retained checkpoint, (3) the corpus snapshot the WAL marker
-// points at, (4) a from-scratch corpus rebuild. Every rejection is
-// logged and recorded; only a rung-4 failure is an error. Corruption in
-// any file on the way down is detected (checksums), never served.
+// older retained checkpoint, (3) a from-scratch rebuild of the original
+// corpus. Every rejection is logged and recorded. Corruption in any file
+// on the way down is detected (checksums), never served, and a rung is
+// taken only when the retained WAL still holds every record after it. A
+// checkpoint compiled under other options stays on its rung: only its
+// statements are read and the engine compiles them cold. When no
+// checkpoint is readable (all corrupt, missing, uncovered, or of a
+// format version this build does not speak) and the WAL no longer starts
+// at sequence 1, nothing can rebuild the acknowledged state, and Recover
+// fails naming each file's reason and the gap instead of serving a
+// community that is missing writes.
 func Recover(cfg RecoverConfig) (*Result, error) {
 	start := time.Now()
 	logf := cfg.Logf
@@ -116,16 +120,27 @@ func Recover(cfg RecoverConfig) (*Result, error) {
 		skip("wal coverage probe", err)
 		hasWAL = false
 	}
+	// covered reports whether a source at seq can be brought up to date:
+	// the WAL tail (seq+1 ...) must still be retained, or replay would
+	// silently skip acked writes. An absent WAL has no records to lose.
+	covered := func(seq uint64) bool { return !hasWAL || oldest <= seq+1 }
 	for i, info := range infos {
-		// Coverage: the WAL tail (Seq+1 ...) must still be retained, or
-		// replay would silently skip acked writes. An absent WAL has no
-		// records to lose.
-		if hasWAL && oldest > info.Seq+1 {
+		if !covered(info.Seq) {
 			recoveryStats.Add("rejected_checkpoints", 1)
 			skip(info.Path, fmt.Errorf("wal starts at seq %d, after checkpoint seq %d", oldest, info.Seq))
 			continue
 		}
 		img, err := Load(info.Path, cfg.Options)
+		recompiled := errors.Is(err, ErrOptions)
+		if recompiled {
+			// Compiled under other options: its rows and caches are wrong
+			// for this engine, its statements are not. Keep those and let
+			// Restore compile them cold, so an installation whose WAL has
+			// been truncated can still change its options.
+			res.Fallbacks = append(res.Fallbacks, fmt.Sprintf("%s: %v (statements kept, recompiled)", info.Path, err))
+			logf("recovery: %s: %v; keeping its statements and recompiling", info.Path, err)
+			img, err = load(info.Path, cfg.Options, true)
+		}
 		if err != nil {
 			recoveryStats.Add("rejected_checkpoints", 1)
 			skip(info.Path, err)
@@ -141,27 +156,21 @@ func Recover(cfg RecoverConfig) (*Result, error) {
 		if i > 0 {
 			rung, source = 2, "checkpoint-prev"
 		}
+		if recompiled {
+			source = "checkpoint-recompiled"
+		}
 		return finish(res, eng, rung, source, img.Epoch, img.Seq, info.Path, start)
 	}
 
-	// Rung 3: the corpus snapshot the WAL marker points at; the caller's
-	// ingest.OpenFrom replays everything after it. Compiled state is
-	// rebuilt from scratch — correct, just cold.
-	comm, cp, ok, err := loadWALSnapshot(cfg.WALDir)
-	switch {
-	case err != nil:
-		skip("wal snapshot", err)
-	case ok:
-		eng, err := engine.NewRestored(engine.Restore{Epoch: cp.Epoch, Community: comm}, adaptOptions(cfg.Options, comm), cfg.Engine)
-		if err != nil {
-			skip("wal snapshot", err)
-			break
-		}
-		return finish(res, eng, 3, "wal-snapshot", cp.Epoch, cp.Seq, filepath.Join(cfg.WALDir, WALSnapshotDir), start)
+	// Rung 3: rebuild from the original corpus, which covers sequence 0,
+	// and replay the whole WAL — which must therefore still be whole.
+	// Files an older build left in the directory (snapshot/, CHECKPOINT)
+	// are not read.
+	if !covered(0) {
+		return nil, fmt.Errorf("checkpoint: recovery exhausted: no usable checkpoint in %s (rejected: %q) and the WAL starts at seq %d, so records 1-%d cannot be replayed onto the corpus",
+			Dir(cfg.WALDir), res.Fallbacks, oldest, oldest-1)
 	}
-
-	// Rung 4: rebuild from the original corpus and replay the whole WAL.
-	comm, err = cfg.Corpus()
+	comm, err := cfg.Corpus()
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: recovery exhausted, corpus rebuild failed: %w", err)
 	}
@@ -169,21 +178,7 @@ func Recover(cfg RecoverConfig) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: recovery exhausted, corpus rebuild failed: %w", err)
 	}
-	return finish(res, eng, 4, "corpus", eng.Epoch(), 0, "", start)
-}
-
-// loadWALSnapshot is rung 3's loader: the marker plus the corpus export
-// it certifies (the same pair internal/ingest maintains).
-func loadWALSnapshot(walDir string) (*model.Community, wal.Checkpoint, bool, error) {
-	cp, ok, err := wal.LoadCheckpoint(walDir)
-	if err != nil || !ok {
-		return nil, cp, false, err
-	}
-	comm, err := corpus.Import(filepath.Join(walDir, WALSnapshotDir))
-	if err != nil {
-		return nil, cp, false, fmt.Errorf("load snapshot at seq %d: %w", cp.Seq, err)
-	}
-	return comm, cp, true, nil
+	return finish(res, eng, 3, "corpus", eng.Epoch(), 0, "", start)
 }
 
 // adaptOptions mirrors cmd/swrecd's boot-time adjustment: a community

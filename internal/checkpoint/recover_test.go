@@ -32,6 +32,17 @@ func rIngest() ingest.Config {
 	return ingest.Config{SnapshotEvery: 1 << 30, SnapshotInterval: time.Hour}
 }
 
+// ckptIngest is rIngest with a checkpoint per published snapshot.
+// segmentBytes, when positive, shrinks the WAL segments to a few records
+// each, so that checkpointing truncates the log.
+func ckptIngest(segmentBytes int64) ingest.Config {
+	cfg := rIngest()
+	cfg.CheckpointEvery = 1
+	cfg.CheckpointRetain = 4
+	cfg.WAL.SegmentBytes = segmentBytes
+	return cfg
+}
+
 // rCommunity mirrors the chaos suite's trust web: a chain with cross
 // edges and ratings over a two-book Fig1 catalog.
 func rCommunity(t testing.TB, n int) *model.Community {
@@ -132,12 +143,11 @@ func rRecs(t testing.TB, snap *engine.Snapshot) string {
 	return b.String()
 }
 
-// buildDurableState drives a real pipeline over dir: three epochs of
-// churn with a compiled checkpoint per published snapshot, optionally a
-// corpus snapshot (rung 3's source) midway, and warm caches before the
-// final checkpoint at Close. Returns the base corpus and every acked
-// mutation.
-func buildDurableState(t *testing.T, dir string, corpusSnapshot bool) (*model.Community, []wal.Mutation) {
+// buildDurableState drives a real pipeline over dir under cfg: three
+// epochs of churn, then warm caches before Close (and its final
+// checkpoint, when cfg writes them). Returns the base corpus and every
+// acked mutation.
+func buildDurableState(t *testing.T, dir string, cfg ingest.Config) (*model.Community, []wal.Mutation) {
 	t.Helper()
 	const rounds, perRound = 3, 10
 	base := rCommunity(t, 12)
@@ -145,9 +155,6 @@ func buildDurableState(t *testing.T, dir string, corpusSnapshot bool) (*model.Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := rIngest()
-	cfg.CheckpointEvery = 1
-	cfg.CheckpointRetain = 4
 	pipe, err := ingest.Open(eng, dir, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -161,11 +168,6 @@ func buildDurableState(t *testing.T, dir string, corpusSnapshot bool) (*model.Co
 		}
 		if err := pipe.Flush(); err != nil {
 			t.Fatal(err)
-		}
-		if corpusSnapshot && r == 1 {
-			if err := pipe.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 	snap := eng.Snapshot()
@@ -181,10 +183,10 @@ func buildDurableState(t *testing.T, dir string, corpusSnapshot bool) (*model.Co
 }
 
 // cleanEngine applies every acked mutation over a pristine base with no
-// faults and no restarts — the one correct final state.
-func cleanEngine(t *testing.T, base *model.Community, muts []wal.Mutation) *engine.Engine {
+// faults and no restarts — the one correct final state under opt.
+func cleanEngine(t *testing.T, base *model.Community, muts []wal.Mutation, opt core.Options) *engine.Engine {
 	t.Helper()
-	eng, err := engine.New(base.Clone(), rOptions(), rConfig())
+	eng, err := engine.New(base.Clone(), opt, rConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +221,7 @@ func recoverCfg(t *testing.T, dir string, base *model.Community) checkpoint.Reco
 
 // finishRecovery opens ingest at the recovered sequence (replaying the
 // unapplied WAL tail) and asserts the final state is fingerprint-equal
-// to the clean rebuild.
+// to the clean rebuild under the options the recovered engine serves with.
 func finishRecovery(t *testing.T, dir string, res *checkpoint.Result, base *model.Community, all []wal.Mutation) {
 	t.Helper()
 	pipe, err := ingest.OpenFrom(res.Engine, dir, rIngest(), res.Seq)
@@ -230,7 +232,7 @@ func finishRecovery(t *testing.T, dir string, res *checkpoint.Result, base *mode
 	if got, want := pipe.Replayed(), len(all)-int(res.Seq); got != want {
 		t.Fatalf("replayed %d WAL records after seq %d, want %d", got, res.Seq, want)
 	}
-	clean := cleanEngine(t, base, all)
+	clean := cleanEngine(t, base, all, res.Engine.Snapshot().Options())
 	if got, want := rDigest(res.Engine.Snapshot().Community()), rDigest(clean.Snapshot().Community()); got != want {
 		t.Fatalf("recovered state diverged from clean rebuild:\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
@@ -245,7 +247,7 @@ func finishRecovery(t *testing.T, dir string, res *checkpoint.Result, base *mode
 // equal to a from-scratch build.
 func TestRestoredMatchesFromScratch(t *testing.T) {
 	dir := t.TempDir()
-	base, all := buildDurableState(t, dir, false)
+	base, all := buildDurableState(t, dir, ckptIngest(0))
 
 	res, err := checkpoint.Recover(recoverCfg(t, dir, base))
 	if err != nil {
@@ -286,7 +288,7 @@ func TestRestoredMatchesFromScratch(t *testing.T) {
 // replay the WAL tail to the exact clean state.
 func TestRecoverySmoke(t *testing.T) {
 	dir := t.TempDir()
-	base, all := buildDurableState(t, dir, false)
+	base, all := buildDurableState(t, dir, ckptIngest(0))
 
 	infos, err := checkpoint.List(checkpoint.Dir(dir))
 	if err != nil {
@@ -322,12 +324,31 @@ func TestRecoverySmoke(t *testing.T) {
 }
 
 // TestRecoveryLadderFaults drives the remaining fault classes through
-// the full ladder: every corruption shape must degrade to a lower rung
-// and still end fingerprint-equal after WAL tail replay.
+// the full ladder: a rung is taken only when the retained WAL covers
+// everything after it, it then ends fingerprint-equal after replay, and
+// the one state nothing can rebuild — no usable checkpoint over a
+// truncated WAL — is an error, never a served snapshot.
 func TestRecoveryLadderFaults(t *testing.T) {
-	t.Run("all checkpoints corrupted falls to wal-snapshot", func(t *testing.T) {
+	// wantGapError asserts Recover refuses dir, naming the first WAL
+	// sequence still retained.
+	wantGapError := func(t *testing.T, dir string, base *model.Community) {
+		t.Helper()
+		oldest, ok, err := wal.OldestSeq(dir)
+		if err != nil || !ok || oldest <= 1 {
+			t.Fatalf("fixture WAL was not truncated: oldest seq %d ok=%v err=%v", oldest, ok, err)
+		}
+		res, err := checkpoint.Recover(recoverCfg(t, dir, base))
+		if err == nil {
+			t.Fatalf("recovery served rung %d (%s) at seq %d over a WAL that starts at seq %d", res.Rung, res.Source, res.Seq, oldest)
+		}
+		if want := fmt.Sprintf("seq %d", oldest); !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name the first retained WAL record (%s)", err, want)
+		}
+	}
+
+	t.Run("all checkpoints corrupted over a truncated WAL is an error", func(t *testing.T) {
 		dir := t.TempDir()
-		base, all := buildDurableState(t, dir, true)
+		base, _ := buildDurableState(t, dir, ckptIngest(256))
 		infos, err := checkpoint.List(checkpoint.Dir(dir))
 		if err != nil || len(infos) == 0 {
 			t.Fatalf("fixture checkpoints: %v, %d files", err, len(infos))
@@ -342,53 +363,78 @@ func TestRecoveryLadderFaults(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, err := checkpoint.Recover(recoverCfg(t, dir, base))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Rung != 3 || res.Source != "wal-snapshot" {
-			t.Fatalf("landed on rung %d (%s), want rung 3 (wal-snapshot); fallbacks: %v", res.Rung, res.Source, res.Fallbacks)
-		}
-		finishRecovery(t, dir, res, base, all)
+		wantGapError(t, dir, base)
 	})
 
-	t.Run("missing checkpoint dir falls to wal-snapshot", func(t *testing.T) {
+	// What an older build's directory looks like to this one: a truncated
+	// WAL, no compiled checkpoints, and the corpus snapshot and marker
+	// that build would have restarted from. They are neither read nor
+	// removed.
+	t.Run("missing checkpoint dir over a truncated WAL is an error", func(t *testing.T) {
 		dir := t.TempDir()
-		base, all := buildDurableState(t, dir, true)
+		base, _ := buildDurableState(t, dir, ckptIngest(256))
 		if err := os.RemoveAll(checkpoint.Dir(dir)); err != nil {
 			t.Fatal(err)
 		}
-		res, err := checkpoint.Recover(recoverCfg(t, dir, base))
+		stale := []string{filepath.Join(dir, "snapshot", "agents.nt"), filepath.Join(dir, "CHECKPOINT")}
+		for _, path := range stale {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte("epoch=3 seq=20\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wantGapError(t, dir, base)
+		for _, path := range stale {
+			if _, err := os.Stat(path); err != nil {
+				t.Fatalf("recovery touched a file it does not own: %v", err)
+			}
+		}
+	})
+
+	// The checkpoints are the only copy of records 1..N-1, and they were
+	// compiled under rOptions: restarting with another signature must keep
+	// their statements and recompile, not refuse to start for good.
+	t.Run("changed options over a truncated WAL recompile the checkpoint", func(t *testing.T) {
+		dir := t.TempDir()
+		base, all := buildDurableState(t, dir, ckptIngest(256))
+		if oldest, ok, err := wal.OldestSeq(dir); err != nil || !ok || oldest <= 1 {
+			t.Fatalf("fixture WAL was not truncated: oldest seq %d ok=%v err=%v", oldest, ok, err)
+		}
+		cfg := recoverCfg(t, dir, base)
+		cfg.Options.MaxNeighbors = 2
+		res, err := checkpoint.Recover(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Rung != 3 || res.Source != "wal-snapshot" {
-			t.Fatalf("landed on rung %d (%s), want rung 3 (wal-snapshot); fallbacks: %v", res.Rung, res.Source, res.Fallbacks)
+		if res.Rung != 1 || res.Source != "checkpoint-recompiled" || res.Seq != uint64(len(all)) {
+			t.Fatalf("landed on rung %d (%s) seq %d, want rung 1 (checkpoint-recompiled) seq %d; fallbacks: %v",
+				res.Rung, res.Source, res.Seq, len(all), res.Fallbacks)
+		}
+		if got := res.Engine.Snapshot().Options().MaxNeighbors; got != 2 {
+			t.Fatalf("recovered engine serves MaxNeighbors=%d, want the restart's 2", got)
+		}
+		if rRecs(t, res.Engine.Snapshot()) == rRecs(t, cleanEngine(t, base, all, rOptions()).Snapshot()) {
+			t.Fatal("fixture cannot tell the two option sets apart")
 		}
 		finishRecovery(t, dir, res, base, all)
 	})
 
 	t.Run("nothing durable but the WAL falls to corpus", func(t *testing.T) {
 		dir := t.TempDir()
-		base, all := buildDurableState(t, dir, false)
-		if err := os.RemoveAll(checkpoint.Dir(dir)); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.RemoveAll(filepath.Join(dir, checkpoint.WALSnapshotDir)); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Remove(filepath.Join(dir, "CHECKPOINT")); err != nil && !os.IsNotExist(err) {
-			t.Fatal(err)
-		}
+		cfg := rIngest()
+		cfg.WAL.SegmentBytes = 256 // same many-segment log, never checkpointed, so never truncated
+		base, all := buildDurableState(t, dir, cfg)
 		res, err := checkpoint.Recover(recoverCfg(t, dir, base))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Rung != 4 || res.Source != "corpus" {
-			t.Fatalf("landed on rung %d (%s), want rung 4 (corpus); fallbacks: %v", res.Rung, res.Source, res.Fallbacks)
+		if res.Rung != 3 || res.Source != "corpus" {
+			t.Fatalf("landed on rung %d (%s), want rung 3 (corpus); fallbacks: %v", res.Rung, res.Source, res.Fallbacks)
 		}
 		if res.Seq != 0 {
-			t.Fatalf("rung 4 recovered seq %d, want 0 (full WAL replay)", res.Seq)
+			t.Fatalf("rung 3 recovered seq %d, want 0 (full WAL replay)", res.Seq)
 		}
 		finishRecovery(t, dir, res, base, all)
 	})

@@ -21,31 +21,27 @@
 //     applies the delta to the clone, and publishes it via Engine.Swap
 //     under a fresh epoch.
 //
-// Durability across restarts: Checkpoint exports the applied community
-// as a corpus snapshot inside the WAL directory, records the
-// epoch↔sequence mapping (wal.Checkpoint), and truncates WAL segments
-// made redundant. On the next Open, the pipeline replays only the WAL
-// records above the checkpoint onto the engine's community — exactly the
-// acknowledged-but-unapplied suffix. Replay in sequence order is
-// idempotent (upserts are last-writer-wins, retractions are absorbing),
-// so the crash windows inside Checkpoint itself are harmless.
-//
-// Beyond the corpus snapshot, the pipeline can maintain *compiled*
-// checkpoints (internal/checkpoint): every CheckpointEvery published
-// snapshots — and once at shutdown — the current serving snapshot is
-// captured and written to <dir>/checkpoints by a background writer, off
-// the worker's append/apply path, retaining the newest CheckpointRetain
-// files. A restart then restores the compiled engine state in O(file
-// size) via checkpoint.Recover + OpenFrom instead of recomputing it
-// (see DESIGN.md §11). WAL truncation keeps every record any retained
-// checkpoint still needs for tail replay.
+// Durability across restarts: the compiled checkpoint
+// (internal/checkpoint) is the one durable snapshot, and its file name
+// the one epoch↔sequence record. Every CheckpointEvery published
+// snapshots and once at Close, the serving snapshot is captured and
+// handed to one writer goroutine (the write stays off the worker's
+// append/apply path), which writes
+// <dir>/checkpoints/ckpt-<seq>.swc, prunes to the newest
+// CheckpointRetain files, then truncates the WAL segments no retained
+// checkpoint needs for tail replay — in that order, so a crash at any
+// point leaves every retained checkpoint with its tail still in the log.
+// A restart restores the newest usable checkpoint with
+// checkpoint.Recover and replays only the records above it with OpenFrom
+// (see DESIGN.md §11). Replay in sequence order is idempotent (upserts
+// are last-writer-wins, retractions are absorbing).
 //
 // The pipeline must be the engine's only swapper while it runs.
 //
 // Observability: expvar map "swrec_ingest" (appended, applied,
 // snapshot_builds, replay_records, queue_depth, overloaded,
-// apply_errors, checkpoints, compiled_checkpoints,
-// compiled_checkpoint_errors, compiled_checkpoint_skipped).
+// apply_errors, compiled_checkpoints, compiled_checkpoint_errors,
+// compiled_checkpoint_skipped).
 package ingest
 
 import (
@@ -53,12 +49,10 @@ import (
 	"expvar"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
 	"swrec/internal/checkpoint"
-	"swrec/internal/corpus"
 	"swrec/internal/engine"
 	"swrec/internal/isbn"
 	"swrec/internal/model"
@@ -78,11 +72,6 @@ var (
 	ErrInvalid = errors.New("ingest: invalid mutation")
 )
 
-// snapshotDir is the corpus snapshot directory inside the WAL directory.
-// The name is owned by internal/checkpoint, whose recovery ladder reads
-// the same directory as its rung-3 source.
-const snapshotDir = checkpoint.WALSnapshotDir
-
 // Config tunes the pipeline. Zero values select defaults.
 type Config struct {
 	// QueueSize bounds concurrently pending submissions (default 1024);
@@ -98,11 +87,12 @@ type Config struct {
 	SnapshotInterval time.Duration
 	// CheckpointEvery, when positive, writes a compiled checkpoint
 	// (internal/checkpoint) every that many published snapshots, plus one
-	// at Close. 0 disables compiled checkpoints (the default for library
-	// users; cmd/swrecd enables them).
+	// at Close. 0 writes none and never truncates the WAL (the default
+	// for library users; cmd/swrecd sets it).
 	CheckpointEvery int
 	// CheckpointRetain bounds the compiled checkpoint files kept on disk
 	// (default 2: the newest plus one fallback for the recovery ladder).
+	// The WAL is truncated to the oldest of them.
 	CheckpointRetain int
 	// CheckpointWrap, when non-nil, interposes on compiled-checkpoint
 	// file handles — the fault-injection seam (internal/faultinject).
@@ -151,15 +141,15 @@ type Pipeline struct {
 
 	queue chan submission
 	flush chan chan error
-	chkpt chan chan error
 	quit  chan struct{} // closed by Close: drain, flush, exit
 	abort chan struct{} // closed by Abort: exit without applying
 	done  chan struct{}
 
-	// ckptJobs carries captured images to the background compiled-
-	// checkpoint writer; cap 1 with non-blocking enqueue, so a slow disk
-	// drops checkpoints (counted) instead of stalling the worker. Closed
-	// by run() on exit; ckptDone closes when the writer has drained.
+	// ckptJobs carries captured images to the checkpoint writer, the one
+	// goroutine that writes, prunes and truncates. Cap 1: the periodic
+	// enqueue never blocks, so a slow disk drops checkpoints (counted)
+	// instead of stalling the worker; Close waits its turn. Closed by
+	// run() on exit; ckptDone closes when the writer has drained.
 	ckptJobs chan *checkpoint.Image
 	ckptDone chan struct{}
 	// snapsSinceCkpt counts published snapshots toward CheckpointEvery
@@ -187,26 +177,30 @@ type Pipeline struct {
 	replayed int    // records replayed at Open
 }
 
-// Open opens (creating if necessary) the WAL in dir, replays every
-// record above the directory's checkpoint onto the engine's current
-// community — publishing one recovery snapshot if anything was replayed
-// — and starts the pipeline. The engine must be serving the community
-// state the checkpoint describes (use LoadBase; with no checkpoint, the
-// original corpus and an un-truncated WAL).
+// Open is OpenFrom at sequence 0: the engine must be serving the source
+// corpus, and the whole WAL is replayed onto it. A directory that has
+// been checkpointed no longer holds the whole WAL and fails here; start
+// it through checkpoint.Recover and OpenFrom.
 func Open(eng *engine.Engine, dir string, cfg Config) (*Pipeline, error) {
-	return openFrom(eng, dir, cfg, nil)
+	return OpenFrom(eng, dir, cfg, 0)
 }
 
-// OpenFrom is Open for an engine restored from a compiled checkpoint
-// (checkpoint.Recover): instead of the directory's corpus-snapshot
-// marker, replay starts right after seq — the last WAL sequence the
-// restored state already covers.
+// OpenFrom opens (creating if necessary) the WAL in dir, replays every
+// record after seq — the last WAL sequence the engine's community
+// already covers, as checkpoint.Recover reports it — publishing one
+// recovery snapshot if anything was replayed, and starts the pipeline. A
+// log truncated past seq+1 cannot bring that community up to date and is
+// an error, not a shorter replay.
 func OpenFrom(eng *engine.Engine, dir string, cfg Config, seq uint64) (*Pipeline, error) {
-	return openFrom(eng, dir, cfg, &seq)
-}
-
-func openFrom(eng *engine.Engine, dir string, cfg Config, seq *uint64) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
+	oldest, ok, err := wal.OldestSeq(dir)
+	if err != nil {
+		return nil, err
+	}
+	if ok && oldest > seq+1 {
+		return nil, fmt.Errorf("ingest: WAL in %s starts at seq %d but the engine covers only seq %d: records %d-%d were truncated after a checkpoint (start from checkpoint.Recover)",
+			dir, oldest, seq, seq+1, oldest-1)
+	}
 	w, err := wal.Open(dir, cfg.WAL)
 	if err != nil {
 		return nil, err
@@ -218,7 +212,6 @@ func openFrom(eng *engine.Engine, dir string, cfg Config, seq *uint64) (*Pipelin
 		cfg:      cfg,
 		queue:    make(chan submission, cfg.QueueSize),
 		flush:    make(chan chan error),
-		chkpt:    make(chan chan error),
 		quit:     make(chan struct{}),
 		abort:    make(chan struct{}),
 		done:     make(chan struct{}),
@@ -228,17 +221,8 @@ func openFrom(eng *engine.Engine, dir string, cfg Config, seq *uint64) (*Pipelin
 	snap := eng.Snapshot()
 	p.base = snap.Community()
 	p.epoch = snap.Epoch()
-
-	if seq == nil {
-		cp, _, err := wal.LoadCheckpoint(dir)
-		if err != nil {
-			w.Close()
-			return nil, err
-		}
-		seq = &cp.Seq
-	}
-	p.applied = *seq
-	if err := p.replay(*seq + 1); err != nil {
+	p.applied = seq
+	if err := p.replay(seq + 1); err != nil {
 		w.Close()
 		return nil, err
 	}
@@ -348,28 +332,19 @@ func (p *Pipeline) QueueStats() (depth, capacity int) {
 
 // Flush forces application of every acknowledged mutation: it blocks
 // until the pending delta has been published via Engine.Swap.
-func (p *Pipeline) Flush() error { return p.request(p.flush) }
-
-// Checkpoint flushes, exports the applied community as a corpus snapshot
-// inside the WAL directory, durably records the epoch↔sequence mapping,
-// and truncates WAL segments the checkpoint made redundant. After a
-// crash, restart cost is proportional to writes since the last
-// Checkpoint, not since process start.
-func (p *Pipeline) Checkpoint() error { return p.request(p.chkpt) }
-
-func (p *Pipeline) request(ch chan chan error) error {
+func (p *Pipeline) Flush() error {
 	res := make(chan error, 1)
 	select {
-	case ch <- res:
+	case p.flush <- res:
 		return <-res
 	case <-p.done:
 		return ErrClosed
 	}
 }
 
-// Close drains the queue, appends and applies everything pending, and
-// releases the WAL. It does not checkpoint; call Checkpoint first for a
-// truncated restart.
+// Close drains the queue, appends and applies everything pending, writes
+// a final checkpoint when CheckpointEvery is set — so the next start
+// replays nothing — and releases the WAL.
 func (p *Pipeline) Close() error {
 	return p.shutdown(p.quit)
 }
@@ -396,7 +371,7 @@ func (p *Pipeline) shutdown(signal chan struct{}) error {
 }
 
 // run is the single worker goroutine: group-commit appends, snapshot
-// triggers, flush/checkpoint requests.
+// triggers, flush requests.
 func (p *Pipeline) run() {
 	defer close(p.done)
 	tick := p.cfg.SnapshotInterval / 2
@@ -414,8 +389,13 @@ func (p *Pipeline) run() {
 		case <-p.quit:
 			p.drainAppending()
 			p.snapshot()
+			if p.cfg.CheckpointEvery > 0 {
+				// Unlike the periodic one, the final checkpoint waits for
+				// the writer's slot; stopCkptWriter waits for the write.
+				_, seq := p.Applied()
+				p.ckptJobs <- checkpoint.Capture(p.eng.Snapshot(), seq)
+			}
 			p.stopCkptWriter()
-			p.finalCompiled()
 			return
 		case sub := <-p.queue:
 			if p.gate != nil {
@@ -431,8 +411,6 @@ func (p *Pipeline) run() {
 			}
 		case res := <-p.flush:
 			res <- p.snapshot()
-		case res := <-p.chkpt:
-			res <- p.checkpoint()
 		}
 	}
 }
@@ -490,42 +468,40 @@ func (p *Pipeline) snapshot() error {
 	stats.Add("applied", int64(len(p.delta)))
 	stats.Add("snapshot_builds", 1)
 	p.delta = p.delta[:0]
-	p.maybeCompiledCheckpoint(snap, applied)
+	if p.cfg.CheckpointEvery > 0 {
+		p.snapsSinceCkpt++
+		if p.snapsSinceCkpt >= p.cfg.CheckpointEvery {
+			p.snapsSinceCkpt = 0
+			// The capture reads only immutable snapshot state. With the
+			// writer busy the checkpoint is skipped — a later, newer one
+			// supersedes it anyway.
+			select {
+			case p.ckptJobs <- checkpoint.Capture(snap, applied):
+			default:
+				stats.Add("compiled_checkpoint_skipped", 1)
+			}
+		}
+	}
 	return nil
 }
 
-// maybeCompiledCheckpoint hands the freshly published snapshot to the
-// background compiled-checkpoint writer every CheckpointEvery publishes.
-// The capture reads only immutable snapshot state, and the enqueue never
-// blocks: with the writer busy the checkpoint is skipped (counted) — a
-// later, newer one supersedes it anyway.
-func (p *Pipeline) maybeCompiledCheckpoint(snap *engine.Snapshot, seq uint64) {
-	if p.cfg.CheckpointEvery <= 0 {
-		return
-	}
-	p.snapsSinceCkpt++
-	if p.snapsSinceCkpt < p.cfg.CheckpointEvery {
-		return
-	}
-	p.snapsSinceCkpt = 0
-	select {
-	case p.ckptJobs <- checkpoint.Capture(snap, seq):
-	default:
-		stats.Add("compiled_checkpoint_skipped", 1)
-	}
-}
-
-// ckptWriter is the background compiled-checkpoint goroutine: it drains
-// captured images off the worker's hot path, writing and pruning without
-// ever touching worker-owned state. It exits when run() closes ckptJobs.
+// ckptWriter is the checkpoint goroutine: it takes captured images off
+// the worker's hot path and persists them one at a time, never touching
+// worker-owned state. It exits when run() closes ckptJobs.
 func (p *Pipeline) ckptWriter() {
 	defer close(p.ckptDone)
 	for img := range p.ckptJobs {
-		p.writeCompiled(img)
+		// A failure is counted, not fatal: the WAL still holds every
+		// record a surviving checkpoint needs.
+		if err := p.persist(img); err != nil {
+			stats.Add("compiled_checkpoint_errors", 1)
+		} else {
+			stats.Add("compiled_checkpoints", 1)
+		}
 	}
 }
 
-// stopCkptWriter ends the background writer and waits for any in-flight
+// stopCkptWriter ends the checkpoint writer and waits for any in-flight
 // write to finish — called by run() on either exit path, before the WAL
 // is closed under it.
 func (p *Pipeline) stopCkptWriter() {
@@ -533,94 +509,30 @@ func (p *Pipeline) stopCkptWriter() {
 	<-p.ckptDone
 }
 
-// finalCompiled writes one last compiled checkpoint synchronously at
-// Close (the writer is already stopped), so a clean shutdown always
-// leaves a checkpoint at the exact final sequence.
-func (p *Pipeline) finalCompiled() {
-	if p.cfg.CheckpointEvery <= 0 {
-		return
-	}
-	p.obsMu.Lock()
-	seq := p.applied
-	p.obsMu.Unlock()
-	p.writeCompiled(checkpoint.Capture(p.eng.Snapshot(), seq))
-}
-
-// writeCompiled persists one captured image into <dir>/checkpoints and
-// prunes to the retention bound. Failures are counted, not fatal: the
-// recovery ladder has lower rungs, and the next interval retries.
-func (p *Pipeline) writeCompiled(img *checkpoint.Image) {
+// persist is the one durable-snapshot routine, run only by ckptWriter:
+// write the image into <dir>/checkpoints, prune to the retention bound,
+// then truncate the WAL to the oldest checkpoint still retained — every
+// retained file keeps its tail (Seq+1 ...), so the recovery ladder can
+// fall back to any of them. A failure is not fatal: nothing was
+// truncated that a surviving checkpoint needs, and the next interval
+// retries.
+func (p *Pipeline) persist(img *checkpoint.Image) error {
 	dir := checkpoint.Dir(p.dir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		stats.Add("compiled_checkpoint_errors", 1)
-		return
-	}
-	if _, err := checkpoint.WriteImage(dir, img, p.cfg.CheckpointWrap); err != nil {
-		stats.Add("compiled_checkpoint_errors", 1)
-		return
-	}
-	if err := checkpoint.Prune(dir, p.cfg.CheckpointRetain); err != nil {
-		stats.Add("compiled_checkpoint_errors", 1)
-		return
-	}
-	stats.Add("compiled_checkpoints", 1)
-}
-
-// checkpoint makes the applied state durable: flush, export the corpus
-// snapshot atomically (export to temp, rename into place), record the
-// epoch↔sequence mapping, truncate redundant WAL segments. Replay
-// idempotency makes every crash window here safe: the marker is written
-// only after the snapshot it describes is in place, and a stale marker
-// merely replays more records than strictly needed.
-func (p *Pipeline) checkpoint() error {
-	if err := p.snapshot(); err != nil {
-		return err
-	}
-	final := filepath.Join(p.dir, snapshotDir)
-	tmp := final + ".tmp"
-	old := final + ".old"
-	for _, d := range []string{tmp, old} {
-		if err := os.RemoveAll(d); err != nil {
-			return fmt.Errorf("ingest: checkpoint: %w", err)
-		}
-	}
-	if err := corpus.Export(p.base, tmp); err != nil {
-		return fmt.Errorf("ingest: checkpoint export: %w", err)
-	}
-	if _, err := os.Stat(final); err == nil {
-		if err := os.Rename(final, old); err != nil {
-			return fmt.Errorf("ingest: checkpoint: %w", err)
-		}
-	}
-	if err := os.Rename(tmp, final); err != nil {
 		return fmt.Errorf("ingest: checkpoint: %w", err)
 	}
-	_ = os.RemoveAll(old)
-	p.obsMu.Lock()
-	cp := wal.Checkpoint{Epoch: p.epoch, Seq: p.applied}
-	p.obsMu.Unlock()
-	if err := wal.SaveCheckpoint(p.dir, cp); err != nil {
+	if _, err := checkpoint.WriteImage(dir, img, p.cfg.CheckpointWrap); err != nil {
 		return err
 	}
-	// Truncate only what no recovery source still needs: the corpus
-	// marker covers cp.Seq, but a retained compiled checkpoint at an
-	// older sequence still needs its tail (Seq+1 ...) for replay, so the
-	// floor is the minimum over all of them. (A checkpoint mid-write can
-	// slip past the listing; the recovery ladder's WAL-coverage probe
-	// rejects it rather than silently skipping records.)
-	floor := cp.Seq
-	if infos, err := checkpoint.List(checkpoint.Dir(p.dir)); err == nil {
-		for _, info := range infos {
-			if info.Seq < floor {
-				floor = info.Seq
-			}
-		}
-	}
-	if _, err := p.w.TruncateBefore(floor + 1); err != nil {
+	if err := checkpoint.Prune(dir, p.cfg.CheckpointRetain); err != nil {
 		return err
 	}
-	stats.Add("checkpoints", 1)
-	return nil
+	infos, err := checkpoint.List(dir)
+	if err != nil || len(infos) == 0 { // empty only if the files were removed under us: keep the whole log
+		return err
+	}
+	_, err = p.w.TruncateBefore(infos[len(infos)-1].Seq + 1)
+	return err
 }
 
 // drainRejecting empties the queue on Abort, failing every waiter.
@@ -694,21 +606,6 @@ func deltaOf(base, clone *model.Community, muts []wal.Mutation) *engine.Delta {
 		}
 	}
 	return d
-}
-
-// LoadBase loads the community a WAL directory's checkpoint describes.
-// ok is false when dir holds no checkpoint (first start: serve the
-// original corpus and let Open replay the whole WAL).
-func LoadBase(dir string) (comm *model.Community, cp wal.Checkpoint, ok bool, err error) {
-	cp, ok, err = wal.LoadCheckpoint(dir)
-	if err != nil || !ok {
-		return nil, cp, false, err
-	}
-	comm, err = corpus.Import(filepath.Join(dir, snapshotDir))
-	if err != nil {
-		return nil, cp, false, fmt.Errorf("ingest: load checkpoint snapshot: %w", err)
-	}
-	return comm, cp, true, nil
 }
 
 // Validate statically checks a mutation: known op, non-empty

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"swrec/internal/cf"
+	"swrec/internal/checkpoint"
 	"swrec/internal/core"
 	"swrec/internal/datagen"
 	"swrec/internal/engine"
@@ -27,15 +28,28 @@ func testCommunity(t testing.TB, agents, products int) *model.Community {
 	return comm
 }
 
+func testOptions() core.Options {
+	return core.Options{CF: cf.Options{Measure: cf.Cosine, Representation: cf.Taxonomy}}
+}
+
 func testEngine(t testing.TB, comm *model.Community) *engine.Engine {
 	t.Helper()
-	eng, err := engine.New(comm, core.Options{
-		CF: cf.Options{Measure: cf.Cosine, Representation: cf.Taxonomy},
-	}, engine.Config{})
+	eng, err := engine.New(comm, testOptions(), engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return eng
+}
+
+// testRecover walks the recovery ladder over dir the way a restart of a
+// testEngine server would; corpus is the last rung's source.
+func testRecover(t *testing.T, dir string, corpus func() (*model.Community, error)) *checkpoint.Result {
+	t.Helper()
+	res, err := checkpoint.Recover(checkpoint.RecoverConfig{WALDir: dir, Options: testOptions(), Corpus: corpus, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // lazyConfig disables every automatic snapshot trigger so tests control
@@ -108,7 +122,8 @@ func digest(c *model.Community) string {
 func TestSubmitDurableAndAppliedOnFlush(t *testing.T) {
 	comm := testCommunity(t, 20, 30)
 	eng := testEngine(t, comm)
-	p, err := Open(eng, t.TempDir(), lazyConfig())
+	dir := t.TempDir()
+	p, err := Open(eng, dir, lazyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +165,13 @@ func TestSubmitDurableAndAppliedOnFlush(t *testing.T) {
 	}
 	if eng.Epoch() != epochBefore+1 {
 		t.Fatal("empty flush published a gratuitous epoch")
+	}
+	// CheckpointEvery is 0: no checkpoint is written, not even by Close.
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if infos, err := checkpoint.List(checkpoint.Dir(dir)); err != nil || len(infos) != 0 {
+		t.Fatalf("checkpoints with CheckpointEvery 0: %v, err %v", infos, err)
 	}
 }
 
@@ -362,6 +384,9 @@ func TestCloseAppliesPending(t *testing.T) {
 	if v, ok := eng.Snapshot().Community().Trust(src, dst); !ok || v != -0.5 {
 		t.Fatal("Close did not apply the pending delta")
 	}
+	if infos, err := checkpoint.List(checkpoint.Dir(dir)); err != nil || len(infos) != 0 {
+		t.Fatalf("Close wrote checkpoints with CheckpointEvery 0: %v, err %v", infos, err)
+	}
 }
 
 // TestCrashRecoveryReplayMatchesCleanRun is the acceptance criterion:
@@ -418,9 +443,6 @@ func TestCrashRecoveryReplayMatchesCleanRun(t *testing.T) {
 
 	// Restart from the original base corpus (no checkpoint was written,
 	// so the WAL holds all 40 records).
-	if _, _, ok, err := LoadBase(dir); err != nil || ok {
-		t.Fatalf("LoadBase without checkpoint = ok=%v err=%v", ok, err)
-	}
 	eng2 := testEngine(t, gen())
 	p2, err := Open(eng2, dir, lazyConfig())
 	if err != nil {
@@ -436,95 +458,129 @@ func TestCrashRecoveryReplayMatchesCleanRun(t *testing.T) {
 }
 
 // TestCheckpointTruncatesAndRestartsFromSnapshot covers the durable
-// checkpoint: after Checkpoint, the WAL is truncated, LoadBase restores
-// the exported community, and only post-checkpoint records replay.
+// checkpoint on a running pipeline: with a checkpoint per publish the WAL
+// stays bounded however many rounds run, every retained checkpoint keeps
+// the tail it would need to be recovered from, and a crash after any
+// round recovers — checkpoint.Recover, then OpenFrom replaying only the
+// records above the checkpoint — to the state a clean run of the same
+// mutations produces.
 func TestCheckpointTruncatesAndRestartsFromSnapshot(t *testing.T) {
+	const rounds, applied, tail = 8, 10, 5
 	cfg := datagen.SmallScale()
 	cfg.Agents, cfg.Products = 25, 30
 	gen := func() *model.Community { c, _ := datagen.Generate(cfg); return c }
-	muts := testMutations(gen(), 60)
+	muts := testMutations(gen(), rounds*(applied+tail))
+
+	// The clean run: the same mutations, no checkpoints, no crashes.
+	cleanEng := testEngine(t, gen())
+	clean, err := Open(cleanEng, t.TempDir(), lazyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clean.Close()
 
 	dir := t.TempDir()
-	eng1 := testEngine(t, gen())
 	wcfg := lazyConfig()
-	wcfg.WAL.SegmentBytes = 256 // force rotation so truncation has segments to remove
-	p1, err := Open(eng1, dir, wcfg)
+	wcfg.CheckpointEvery = 1
+	wcfg.CheckpointRetain = 2
+	wcfg.WAL.SegmentBytes = 256 // a few records per segment, so truncation has segments to remove
+	p, err := Open(testEngine(t, gen()), dir, wcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range muts[:40] {
-		if _, err := p1.Submit(m); err != nil {
-			t.Fatal(err)
+	submit := func(p *Pipeline, ms []wal.Mutation) {
+		t.Helper()
+		for _, m := range ms {
+			if _, err := p.Submit(m); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	segsBefore := p1.w.Stats().Segments
-	if err := p1.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if segs := p1.w.Stats().Segments; segs >= segsBefore {
-		t.Fatalf("checkpoint did not truncate: %d -> %d segments", segsBefore, segs)
-	}
-	cpEpoch, cpSeq := p1.Applied()
-	if cpSeq != 40 {
-		t.Fatalf("checkpoint seq = %d, want 40", cpSeq)
-	}
-	// More writes after the checkpoint, acknowledged but never applied.
-	for _, m := range muts[40:] {
-		if _, err := p1.Submit(m); err != nil {
+	var segs []int
+	for r := 0; r < rounds; r++ {
+		round := muts[r*(applied+tail) : (r+1)*(applied+tail)]
+		ckptSeq := uint64(r*(applied+tail) + applied)
+		// One publish, so one checkpoint; then writes that are acknowledged
+		// but never applied; then kill -9. Abort waits for the checkpoint
+		// writer, so the directory is settled when it returns.
+		submit(p, round[:applied])
+		if err := p.Flush(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := p1.Abort(); err != nil {
-		t.Fatal(err)
-	}
+		submit(p, round[applied:])
+		if err := p.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		segs = append(segs, p.w.Stats().Segments)
 
-	// Restart: base comes from the checkpoint snapshot, replay covers
-	// only the 20 unapplied records.
-	base2, cp, ok, err := LoadBase(dir)
-	if err != nil || !ok {
-		t.Fatalf("LoadBase = ok=%v err=%v", ok, err)
-	}
-	if cp.Seq != 40 || cp.Epoch != cpEpoch {
-		t.Fatalf("checkpoint = %+v, want epoch %d seq 40", cp, cpEpoch)
-	}
-	eng2 := testEngine(t, base2)
-	p2, err := Open(eng2, dir, lazyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
-	if got := p2.Replayed(); got != 20 {
-		t.Fatalf("replayed %d records, want 20", got)
-	}
+		infos, err := checkpoint.List(checkpoint.Dir(dir))
+		if err != nil || len(infos) == 0 || len(infos) > wcfg.CheckpointRetain {
+			t.Fatalf("round %d: %d checkpoints retained (err %v), want 1..%d", r, len(infos), err, wcfg.CheckpointRetain)
+		}
+		oldest, ok, err := wal.OldestSeq(dir)
+		if err != nil || !ok {
+			t.Fatalf("round %d: OldestSeq ok=%v err=%v", r, ok, err)
+		}
+		if last := infos[len(infos)-1]; oldest > last.Seq+1 {
+			t.Fatalf("round %d: WAL starts at seq %d, but retained checkpoint %d needs its tail from %d", r, oldest, last.Seq, last.Seq+1)
+		}
 
-	// The recovered state must match a clean run of all 60 mutations.
-	cleanEng := testEngine(t, gen())
-	cleanPipe, err := Open(cleanEng, t.TempDir(), lazyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range muts {
-		if _, err := cleanPipe.Submit(m); err != nil {
+		res := testRecover(t, dir, func() (*model.Community, error) { return gen(), nil })
+		if res.Rung != 1 || res.Seq != ckptSeq {
+			t.Fatalf("round %d: recovered on rung %d (%s) at seq %d, want rung 1 at %d; fallbacks: %v",
+				r, res.Rung, res.Source, res.Seq, ckptSeq, res.Fallbacks)
+		}
+		if p, err = OpenFrom(res.Engine, dir, wcfg, res.Seq); err != nil {
 			t.Fatal(err)
 		}
+		if got := p.Replayed(); got != tail {
+			t.Fatalf("round %d: replayed %d records, want the %d above the checkpoint", r, got, tail)
+		}
+		submit(clean, round)
+		if err := clean.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := digest(res.Engine.Snapshot().Community()), digest(cleanEng.Snapshot().Community()); got != want {
+			t.Fatalf("round %d: checkpoint+replay state differs from clean run:\n--- want ---\n%s\n--- got ---\n%s", r, want, got)
+		}
 	}
-	if err := cleanPipe.Close(); err != nil {
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := digest(cleanEng.Snapshot().Community())
-	if got := digest(eng2.Snapshot().Community()); got != want {
-		t.Fatalf("checkpoint+replay state differs from clean run:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	// A truncated log cannot bring the source corpus up to date: Open must
+	// say so rather than replay the tail onto it.
+	if oldest, _, _ := wal.OldestSeq(dir); oldest <= 1 {
+		t.Fatalf("WAL still starts at seq %d after %d checkpointed rounds", oldest, rounds)
+	}
+	if p, err := Open(testEngine(t, gen()), dir, wcfg); err == nil {
+		p.Abort()
+		t.Fatalf("Open at seq 0 replayed %d records over a truncated WAL, want an error naming the gap", p.Replayed())
+	} else if !strings.Contains(err.Error(), "starts at seq") {
+		t.Fatalf("Open error %q does not name the gap", err)
+	}
+	// From the second round on, two checkpoints are retained and the log
+	// holds what the older one needs: about a round and a half of records,
+	// whatever the round number.
+	for r := 2; r < rounds; r++ {
+		if segs[r] > segs[1]+2 {
+			t.Fatalf("WAL grew with the number of rounds: segments after each round %v", segs)
+		}
 	}
 }
 
 // TestConcurrentSubmitWithReaders exercises the full read/write mix
-// under -race: writers stream mutations (forcing frequent swaps) while
-// readers pin snapshots and recommend.
+// under -race: writers stream mutations (forcing frequent swaps, each
+// second one a periodic checkpoint that prunes and truncates the log
+// being appended to) while readers pin snapshots and recommend and a
+// caller forces extra publishes with Flush. Close then leaves a
+// checkpoint that covers every acknowledged write.
 func TestConcurrentSubmitWithReaders(t *testing.T) {
 	comm := testCommunity(t, 25, 30)
 	eng := testEngine(t, comm)
-	cfg := Config{SnapshotEvery: 8, SnapshotInterval: 10 * time.Millisecond, QueueSize: 256}
-	p, err := Open(eng, t.TempDir(), cfg)
+	cfg := Config{SnapshotEvery: 8, SnapshotInterval: 10 * time.Millisecond, QueueSize: 256, CheckpointEvery: 2}
+	cfg.WAL.SegmentBytes = 512
+	dir := t.TempDir()
+	p, err := Open(eng, dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,6 +613,16 @@ func TestConcurrentSubmitWithReaders(t *testing.T) {
 			}
 		}(r)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 5; i++ {
+			if err := p.Flush(); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
 	wg.Wait()
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -564,6 +630,15 @@ func TestConcurrentSubmitWithReaders(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+
+	acked := p.w.Stats().NextSeq - 1
+	res := testRecover(t, dir, func() (*model.Community, error) { return nil, errors.New("fell through to the corpus") })
+	if res.Rung != 1 || res.Seq != acked {
+		t.Fatalf("recovered on rung %d at seq %d, want rung 1 at the last acked seq %d; fallbacks: %v", res.Rung, res.Seq, acked, res.Fallbacks)
+	}
+	if got, want := digest(res.Engine.Snapshot().Community()), digest(eng.Snapshot().Community()); got != want {
+		t.Fatalf("checkpoint written at Close differs from the state served at Close:\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 }
 

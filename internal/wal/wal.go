@@ -21,10 +21,10 @@
 // Layout:
 //
 //	<dir>/wal-<firstseq>.log   segment files, rotated at SegmentBytes
-//	<dir>/CHECKPOINT           epoch↔sequence mapping of the last durable
-//	                           checkpoint (written atomically via rename)
 //
-// TruncateBefore removes whole segments made redundant by a checkpoint.
+// TruncateBefore removes whole segments made redundant by a checkpoint
+// (internal/checkpoint keeps those, and with them the epoch↔sequence
+// record, in <dir>/checkpoints).
 package wal
 
 import (
@@ -627,25 +627,36 @@ func replaySegment(seg segment, from uint64, last bool, fn func(uint64, Mutation
 // TruncateBefore removes whole segments whose records all have seq < seq
 // — the space reclamation after a checkpoint has made those records
 // redundant. The active segment is never removed. Returns the number of
-// segments deleted.
+// segments deleted. It may run alongside Append: the segments leave the
+// log's list under the lock, the unlinks and the directory fsync happen
+// outside it, so a truncation never stalls a group commit. A segment
+// whose unlink fails is no longer listed but still on disk; the next
+// Open lists it again and a later truncation retries.
 func (w *WAL) TruncateBefore(seq uint64) (int, error) {
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.closed {
+		w.mu.Unlock()
 		return 0, ErrClosed
 	}
-	removed := 0
-	for len(w.segments) > 1 && w.segments[1].firstSeq <= seq {
-		if err := os.Remove(w.segments[0].path); err != nil {
-			return removed, fmt.Errorf("wal: remove segment: %w", err)
-		}
-		w.segments = w.segments[1:]
-		removed++
+	n := 0
+	for n+1 < len(w.segments) && w.segments[n+1].firstSeq <= seq {
+		n++
 	}
-	if removed > 0 {
+	drop := w.segments[:n:n]
+	w.segments = w.segments[n:]
+	w.mu.Unlock()
+
+	// Oldest first, stopping at the first failure, so what stays on disk
+	// is always a contiguous log.
+	for i, seg := range drop {
+		if err := os.Remove(seg.path); err != nil {
+			return i, fmt.Errorf("wal: remove segment: %w", err)
+		}
+	}
+	if n > 0 {
 		syncDir(w.dir)
 	}
-	return removed, nil
+	return n, nil
 }
 
 // Stats describes the WAL's physical state.
@@ -684,56 +695,4 @@ func (w *WAL) Close() error {
 		return fmt.Errorf("wal: close sync: %w", errors.Join(err, w.active.Close()))
 	}
 	return w.active.Close()
-}
-
-// checkpointFile is the name of the epoch↔sequence checkpoint marker.
-const checkpointFile = "CHECKPOINT"
-
-// Checkpoint is the durable epoch↔sequence mapping: every record with
-// seq <= Seq is reflected in the durable community snapshot that was
-// published as Epoch. Replay after a crash starts at Seq+1.
-type Checkpoint struct {
-	Epoch uint64
-	Seq   uint64
-}
-
-// SaveCheckpoint atomically writes the checkpoint marker into dir
-// (write-to-temp, fsync, rename).
-func SaveCheckpoint(dir string, c Checkpoint) error {
-	tmp := filepath.Join(dir, checkpointFile+".tmp")
-	body := fmt.Sprintf("epoch=%d seq=%d\n", c.Epoch, c.Seq)
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: checkpoint: %w", err)
-	}
-	if _, err := f.WriteString(body); err != nil {
-		return fmt.Errorf("wal: checkpoint write: %w", errors.Join(err, f.Close()))
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("wal: checkpoint sync: %w", errors.Join(err, f.Close()))
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: checkpoint close: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, checkpointFile)); err != nil {
-		return fmt.Errorf("wal: checkpoint rename: %w", err)
-	}
-	syncDir(dir)
-	return nil
-}
-
-// LoadCheckpoint reads the checkpoint marker from dir; ok is false when
-// none has been written yet.
-func LoadCheckpoint(dir string) (c Checkpoint, ok bool, err error) {
-	data, err := os.ReadFile(filepath.Join(dir, checkpointFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return Checkpoint{}, false, nil
-	}
-	if err != nil {
-		return Checkpoint{}, false, fmt.Errorf("wal: read checkpoint: %w", err)
-	}
-	if _, err := fmt.Sscanf(string(data), "epoch=%d seq=%d", &c.Epoch, &c.Seq); err != nil {
-		return Checkpoint{}, false, fmt.Errorf("%w: malformed checkpoint %q", ErrCorrupt, strings.TrimSpace(string(data)))
-	}
-	return c, true, nil
 }

@@ -303,36 +303,6 @@ func TestReplayAbortPropagates(t *testing.T) {
 	}
 }
 
-func TestCheckpointRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	if _, ok, err := LoadCheckpoint(dir); err != nil || ok {
-		t.Fatalf("LoadCheckpoint on empty dir = ok=%v err=%v", ok, err)
-	}
-	want := Checkpoint{Epoch: 7, Seq: 1234}
-	if err := SaveCheckpoint(dir, want); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := LoadCheckpoint(dir)
-	if err != nil || !ok || got != want {
-		t.Fatalf("LoadCheckpoint = %+v ok=%v err=%v, want %+v", got, ok, err, want)
-	}
-	// Overwrite atomically.
-	want2 := Checkpoint{Epoch: 8, Seq: 2000}
-	if err := SaveCheckpoint(dir, want2); err != nil {
-		t.Fatal(err)
-	}
-	if got, _, _ := LoadCheckpoint(dir); got != want2 {
-		t.Fatalf("checkpoint not overwritten: %+v", got)
-	}
-	// Corrupt marker is an error, not silently ignored.
-	if err := os.WriteFile(filepath.Join(dir, checkpointFile), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadCheckpoint(dir); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("garbage checkpoint = %v, want ErrCorrupt", err)
-	}
-}
-
 func TestMutationEncodingProperty(t *testing.T) {
 	// Every op round-trips through encode/decode including empty and
 	// unicode fields and negative values.
