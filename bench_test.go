@@ -391,18 +391,17 @@ func BenchmarkDatagenSmall(b *testing.B) {
 
 func BenchmarkE10StereotypeLearn(b *testing.B) {
 	comm := benchCommunity()
-	f, err := cf.New(comm, cf.Options{Representation: cf.Taxonomy})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Warm the profile cache once; learning cost is what we measure.
+	// Build the profiles once; learning cost is what we measure.
+	build := stereotype.Profiles(comm)
+	built := make(map[model.AgentID]sparse.Vector)
 	for _, id := range comm.Agents() {
-		f.ProfileOf(id)
+		built[id] = build(id)
 	}
+	profiles := func(id model.AgentID) sparse.Vector { return built[id] }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stereotype.Learn(comm.Agents(), f.ProfileOf, stereotype.Options{K: 6}); err != nil {
+		if _, err := stereotype.Learn(comm.Agents(), profiles, stereotype.Options{K: 6}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -410,15 +409,12 @@ func BenchmarkE10StereotypeLearn(b *testing.B) {
 
 func BenchmarkE10StereotypeClassify(b *testing.B) {
 	comm := benchCommunity()
-	f, err := cf.New(comm, cf.Options{Representation: cf.Taxonomy})
+	profiles := stereotype.Profiles(comm)
+	m, err := stereotype.Learn(comm.Agents(), profiles, stereotype.Options{K: 6})
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := stereotype.Learn(comm.Agents(), f.ProfileOf, stereotype.Options{K: 6})
-	if err != nil {
-		b.Fatal(err)
-	}
-	v := f.ProfileOf(benchActive())
+	v := profiles(benchActive())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

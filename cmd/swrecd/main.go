@@ -100,7 +100,7 @@ func main() {
 	alpha := flag.Float64("alpha", 0.5, "rank synthesization blend")
 	trustThreshold := flag.Float64("trust-threshold", 0, "drop peers whose normalized trust rank falls below this, in [0,1) (0 = keep all)")
 	maxNeighbors := flag.Int("max-neighbors", 0, "cap on peers proceeding to rank synthesis and voting (0 = unlimited)")
-	warm := flag.Bool("warm", true, "precompute all agent profiles and neighborhoods at startup")
+	warm := flag.Bool("warm", true, "precompute every agent's neighborhood at startup")
 	warmupWorkers := flag.Int("warmup-workers", 0, "warmup worker pool size (0 = GOMAXPROCS)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
 	walDir := flag.String("wal", "", "write-ahead log directory; enables the durable write endpoints")

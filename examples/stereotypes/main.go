@@ -40,11 +40,7 @@ func main() {
 
 	// Behavior modelling: classify an agent by its profile alone.
 	probe := comm.Agents()[17]
-	rec, err := swrec.NewRecommender(comm, swrec.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	k, sim, ok := m.Classify(rec.Filter().ProfileOf(probe))
+	k, sim, ok := m.Classify(swrec.StereotypeProfiles(comm)(probe))
 	if ok {
 		fmt.Printf("\nagent %s classifies into stereotype %d (similarity %.3f);\n", probe, k, sim)
 		fmt.Printf("ground-truth cluster: %d\n", meta.AgentCluster[probe])

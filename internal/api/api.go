@@ -649,13 +649,13 @@ func (s *Server) handleProfile(c *call, snap *engine.Snapshot) {
 	// n is the client's to choose; the profile bounds what it can ask for.
 	top := prof.TopK(n)
 	items := make([]topicScore, 0, len(top))
-	for _, e := range top {
+	for _, i := range top {
 		items = append(items, topicScore{
-			Topic: tax.QualifiedName(taxonomy.Topic(e.Key)),
-			Score: e.Value,
+			Topic: tax.QualifiedName(taxonomy.Topic(prof.Keys[i])),
+			Score: prof.Vals[i],
 		})
 	}
-	s.writeList(c, items, len(prof), nil)
+	s.writeList(c, items, prof.NNZ(), nil)
 }
 
 func (s *Server) handleRecommendations(c *call, snap *engine.Snapshot) {

@@ -25,7 +25,6 @@ import (
 	"swrec/internal/model"
 	"swrec/internal/profile"
 	"swrec/internal/profmat"
-	"swrec/internal/sparse"
 )
 
 // Measure selects the similarity coefficient.
@@ -88,23 +87,31 @@ type Options struct {
 	WeightByRating bool
 }
 
-// Filter computes and caches interest profiles and pairwise similarities
-// over one community. It is safe for concurrent use after construction.
+// Filter computes pairwise similarities over one community's compiled
+// interest profiles. Every representation compiles to a profmat.Matrix —
+// rows over the taxonomy's topics, or over product ordinals — and the
+// compiled row is the only stored form of an agent's profile. It is safe
+// for concurrent use after construction.
 type Filter struct {
-	comm *model.Community //nolint:snapshotpin -- owned by the core.Recommender built for one snapshot; never outlives its epoch
-	opt  Options
-	gen  *profile.Generator
+	opt Options
+	*compiled
+}
+
+// compiled is the state a filter shares with its WithMeasure views:
+// everything but the coefficient applied to a pair of rows.
+type compiled struct {
+	comm *model.Community   //nolint:snapshotpin -- owned by the core.Recommender built for one snapshot; never outlives its epoch
+	gen  *profile.Generator // nil for the Product representation
 
 	mu sync.Mutex
-	// profiles caches built profile vectors keyed by agent ordinal —
-	// resolved once at the public entry, never re-hashed as a string.
-	profiles map[int32]sparse.Vector
 	// mat is the compiled CSR profile matrix (internal/profmat), built
-	// once per filter for taxonomy-space representations and consulted by
-	// every similarity before the map-based fallback. Guarded by mu; nil
-	// until the first Compile/Similarity. The Product representation
-	// never compiles (its dimension space grows with interning).
+	// once per filter. Guarded by mu; nil until the first
+	// Compile/Similarity.
 	mat *profmat.Matrix
+	// coarse holds mat folded onto its super-topics, by fold depth, each
+	// built by the first AncestorSimilarities call at that depth. Guarded
+	// by mu; never carried across epochs.
+	coarse map[int]*profmat.Matrix
 	// scratch pools *profmat.Scratch instances for batch scans: the
 	// active row is scattered into a dense image once, then every peer
 	// costs a single pass over its own postings.
@@ -114,11 +121,7 @@ type Filter struct {
 // New creates a filter over the community. Taxonomy-based representations
 // require the community to carry a taxonomy.
 func New(comm *model.Community, opt Options) (*Filter, error) {
-	f := &Filter{
-		comm:     comm,
-		opt:      opt,
-		profiles: make(map[int32]sparse.Vector),
-	}
+	f := &Filter{opt: opt, compiled: &compiled{comm: comm}}
 	if opt.Representation != Product {
 		if comm.Taxonomy() == nil {
 			return nil, fmt.Errorf("cf: representation %v requires a taxonomy", opt.Representation)
@@ -139,76 +142,29 @@ func New(comm *model.Community, opt Options) (*Filter, error) {
 // Options returns the filter's configuration.
 func (f *Filter) Options() Options { return f.opt }
 
+// WithMeasure returns a view of f that applies measure m: the same
+// compiled matrix, super-topic matrices and scratch pool, so a
+// per-request measure override compiles and pins nothing.
+func (f *Filter) WithMeasure(m Measure) *Filter {
+	if m == f.opt.Measure {
+		return f
+	}
+	v := *f
+	v.opt.Measure = m
+	return &v
+}
+
 // Generator returns the profile generator backing taxonomy-space
-// representations, or nil for the Product representation. The strategy
-// ladder's taxonomy-ancestor rung uses it to generalize cached profiles
-// without rebuilding them.
+// representations, or nil for the Product representation.
 func (f *Filter) Generator() *profile.Generator { return f.gen }
 
-// Compare applies the filter's configured measure to two caller-supplied
-// profile vectors — the map-vector analogue of similarityRows for vectors
-// the filter does not cache, such as the generalized (super-topic)
-// profiles of the strategy ladder's taxonomy-ancestor rung. ok is false
-// when the measure is undefined for the pair.
-func (f *Filter) Compare(a, b sparse.Vector) (float64, bool) {
-	switch f.opt.Measure {
-	case Cosine:
-		return sparse.Cosine(a, b)
-	default:
-		return sparse.Pearson(a, b)
+// dims returns the size of the dimension space the rows are keyed in:
+// the taxonomy's topics, or the catalog's product ordinals.
+func (f *Filter) dims() int {
+	if f.gen != nil {
+		return f.gen.Taxonomy().Len()
 	}
-}
-
-// productOrd maps a rated product to its catalog ordinal — the dense
-// dimension of the Product representation. Every rated product is
-// cataloged (SetRating enforces it, Merge registers bare products), so
-// the record is always present and the ordinal is stable for the life of
-// the community lineage.
-func (f *Filter) productOrd(p model.ProductID) int32 {
-	return f.comm.Product(p).Ord()
-}
-
-// ProfileOf returns (building and caching on first use) the profile vector
-// of agent id under the filter's representation. Unknown agents yield an
-// empty vector, uncached.
-func (f *Filter) ProfileOf(id model.AgentID) sparse.Vector {
-	a := f.comm.Agent(id)
-	if a == nil {
-		return sparse.New(0)
-	}
-	return f.profileOf(a)
-}
-
-// profileOf is ProfileOf after the one string resolution: the cache is
-// keyed by the agent's ordinal.
-func (f *Filter) profileOf(a *model.Agent) sparse.Vector {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ord := a.Ord()
-	if v, ok := f.profiles[ord]; ok {
-		return v
-	}
-	var v sparse.Vector
-	if f.opt.Representation == Product {
-		v = profile.ProductVector(a, f.productOrd)
-	} else {
-		v = f.gen.Profile(a, f.comm)
-	}
-	f.profiles[ord] = v
-	return v
-}
-
-// Invalidate drops the cached profile of id (call after its ratings
-// change). The compiled matrix, if any, is dropped wholesale and rebuilt
-// on next use — mutating communities in place is the exception (eval
-// harnesses); serving snapshots are immutable and use CompileDelta.
-func (f *Filter) Invalidate(id model.AgentID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if a := f.comm.Agent(id); a != nil {
-		delete(f.profiles, a.Ord())
-	}
-	f.mat = nil
+	return f.comm.NumProducts()
 }
 
 // batchWorkers sizes the batch-similarity fan-out: roughly one worker
@@ -222,16 +178,9 @@ func batchWorkers(n int) int {
 	return w
 }
 
-// Compilable reports whether the filter's representation admits a
-// compiled profile matrix: taxonomy-space representations do, the
-// Product representation (whose dimension space grows with product
-// interning) does not.
-func (f *Filter) Compilable() bool { return f.opt.Representation != Product }
-
 // Compile builds the compiled profile matrix for every agent of the
 // community, after which similarities run as zero-allocation merge-joins.
-// Idempotent; concurrent callers serialize on the filter lock. No-op for
-// the Product representation.
+// Idempotent; concurrent callers serialize on the filter lock.
 func (f *Filter) Compile(ctx context.Context) error {
 	return f.CompileDelta(ctx, nil, nil)
 }
@@ -241,52 +190,67 @@ func (f *Filter) Compile(ctx context.Context) error {
 // (internal/engine). A nil prev or dirty compiles from scratch. On ctx
 // expiry the filter is left uncompiled and the next call retries.
 func (f *Filter) CompileDelta(ctx context.Context, prev *profmat.Matrix, dirty func(int32) bool) error {
-	if !f.Compilable() {
-		return nil
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.mat != nil {
-		return nil
-	}
-	mat, err := profmat.BuildDelta(ctx, f.comm, f.gen, f.gen.Taxonomy().Len(), 0, prev, dirty)
-	if err != nil {
-		return err
-	}
-	f.mat = mat
-	return nil
+	_, err := f.compileLocked(ctx, prev, dirty)
+	return err
 }
 
-// Matrix returns the compiled profile matrix, or nil before Compile (and
-// always for the Product representation). The matrix is immutable; the
-// engine's delta swap feeds it back through CompileDelta.
+// compileLocked returns the compiled matrix, building it (as CompileDelta
+// describes) when the filter has none yet. The caller holds f.mu.
+func (f *Filter) compileLocked(ctx context.Context, prev *profmat.Matrix, dirty func(int32) bool) (*profmat.Matrix, error) {
+	if f.mat == nil {
+		mat, err := profmat.BuildDelta(ctx, f.comm, f.gen, f.dims(), 0, prev, dirty)
+		if err != nil {
+			return nil, err
+		}
+		f.mat = mat
+	}
+	return f.mat, nil
+}
+
+// Matrix returns the compiled profile matrix, or nil before the first
+// Compile/Similarity. The matrix is immutable; the engine's delta swap
+// feeds it back through CompileDelta.
 func (f *Filter) Matrix() *profmat.Matrix {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.mat
 }
 
-// matrix returns the compiled matrix, building it on first use for
-// compilable representations. Returns nil when the representation cannot
-// compile or the build was cancelled.
-func (f *Filter) matrix(ctx context.Context) *profmat.Matrix {
-	if !f.Compilable() {
-		return nil
+// matrix returns the compiled matrix, building it on first use.
+func (f *Filter) matrix(ctx context.Context) (*profmat.Matrix, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.compileLocked(ctx, nil, nil)
+}
+
+// coarseMatrix returns the compiled matrix folded onto super-topics at
+// the given depth (profile.Generator.AncestorsAt), building it on first
+// use.
+func (f *Filter) coarseMatrix(ctx context.Context, depth int) (*profmat.Matrix, error) {
+	if f.gen == nil {
+		return nil, fmt.Errorf("cf: representation %v has no taxonomy to fold along", f.opt.Representation)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.mat == nil {
-		mat, err := profmat.BuildDelta(ctx, f.comm, f.gen, f.gen.Taxonomy().Len(), 0, nil, nil)
-		if err != nil {
-			return nil
-		}
-		f.mat = mat
+	if c, ok := f.coarse[depth]; ok {
+		return c, nil
 	}
-	return f.mat
+	mat, err := f.compileLocked(ctx, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	if f.coarse == nil {
+		f.coarse = make(map[int]*profmat.Matrix)
+	}
+	c := profmat.Fold(mat, f.gen.AncestorsAt(depth))
+	f.coarse[depth] = c
+	return c, nil
 }
 
-// emptyRow stands in for unknown agents on the compiled path, yielding
-// the same undefined-similarity result the empty map vector does.
+// emptyRow stands in for unknown agents, yielding the undefined
+// similarity an empty profile does.
 var emptyRow = &profmat.Row{}
 
 // rowAt returns the compiled row of the agent with the given ordinal —
@@ -310,20 +274,10 @@ func (f *Filter) rowOf(mat *profmat.Matrix, id model.AgentID) *profmat.Row {
 	return emptyRow
 }
 
-// similarityRows computes the configured measure over two compiled rows.
-func (f *Filter) similarityRows(a, b *profmat.Row) (float64, bool) {
-	switch f.opt.Measure {
-	case Cosine:
-		return profmat.Cosine(a, b)
-	default:
-		return profmat.Pearson(a, b)
-	}
-}
-
-// getScratch returns a pooled dense scratch covering the taxonomy
-// dimension space; return it with f.scratch.Put when done.
+// getScratch returns a pooled dense scratch covering the dimension
+// space; return it with f.scratch.Put when done.
 func (f *Filter) getScratch() *profmat.Scratch {
-	dims := f.gen.Taxonomy().Len()
+	dims := f.dims()
 	if sc, ok := f.scratch.Get().(*profmat.Scratch); ok && sc.Dims() >= dims {
 		return sc
 	}
@@ -344,24 +298,25 @@ func (f *Filter) similarityScratch(sc *profmat.Scratch, b *profmat.Row) (float64
 // Similarity returns the similarity of a and b under the configured
 // measure; ok is false when the measure is undefined for the pair (the
 // profile-overlap failure the taxonomy representation is designed to
-// avoid). Compilable representations serve from the compiled matrix
-// (building it on first use); Product falls back to the map vectors.
+// avoid). Served from the compiled matrix, building it on first use.
 func (f *Filter) Similarity(a, b model.AgentID) (float64, bool) {
 	return f.SimilarityCtx(context.Background(), a, b)
 }
 
 // SimilarityCtx is Similarity with cancellation of the one-time compile
-// step (the per-pair kernel itself is microseconds).
+// step (the per-pair kernel itself is microseconds); a cancelled compile
+// reports the pair undefined.
 func (f *Filter) SimilarityCtx(ctx context.Context, a, b model.AgentID) (float64, bool) {
-	if mat := f.matrix(ctx); mat != nil {
-		return f.similarityRows(f.rowOf(mat, a), f.rowOf(mat, b))
+	mat, err := f.matrix(ctx)
+	if err != nil {
+		return 0, false
 	}
-	va, vb := f.ProfileOf(a), f.ProfileOf(b)
+	ra, rb := f.rowOf(mat, a), f.rowOf(mat, b)
 	switch f.opt.Measure {
 	case Cosine:
-		return sparse.Cosine(va, vb)
+		return profmat.Cosine(ra, rb)
 	default:
-		return sparse.Pearson(va, vb)
+		return profmat.Pearson(ra, rb)
 	}
 }
 
@@ -374,28 +329,33 @@ type SimResult struct {
 // Similarities computes the similarity of active against every peer in
 // one scan, writing into out (which must be at least len(peers) long).
 // Agents are addressed by community ordinal, so the scan hashes no URI.
-// On the compiled path the scan is embarrassingly parallel over immutable
-// rows and fans out across a bounded worker pool when enough peers and
-// CPUs make it worthwhile; the fallback path runs sequentially under the
-// profile cache lock. Checks ctx at chunk boundaries; on cancellation out
-// is partial and ctx.Err() is returned.
+// It is embarrassingly parallel over immutable rows and fans out across a
+// bounded worker pool when enough peers and CPUs make it worthwhile.
+// Checks ctx at chunk boundaries; on cancellation out is partial and
+// ctx.Err() is returned.
 func (f *Filter) Similarities(ctx context.Context, active int32, peers []int32, out []SimResult) error {
-	mat := f.matrix(ctx)
-	if mat == nil {
-		sym := f.comm.Symbols()
-		act, _ := sym.AgentID(active)
-		for i, p := range peers {
-			if i&15 == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			id, _ := sym.AgentID(p)
-			s, ok := f.Similarity(act, id)
-			out[i] = SimResult{Sim: s, OK: ok}
-		}
-		return ctx.Err()
+	mat, err := f.matrix(ctx)
+	if err != nil {
+		return err
 	}
+	return f.scanAll(ctx, mat, active, peers, out)
+}
+
+// AncestorSimilarities is Similarities at super-topic resolution: the
+// same scan over the matrix folded to the given taxonomy depth. It is an
+// error for the Product representation, which has no taxonomy to fold
+// along (Generator() == nil).
+func (f *Filter) AncestorSimilarities(ctx context.Context, depth int, active int32, peers []int32, out []SimResult) error {
+	mat, err := f.coarseMatrix(ctx, depth)
+	if err != nil {
+		return err
+	}
+	return f.scanAll(ctx, mat, active, peers, out)
+}
+
+// scanAll loads active's row of mat into a pooled scratch and scans the
+// peers against it, inline or fanned out over batchWorkers chunks.
+func (f *Filter) scanAll(ctx context.Context, mat *profmat.Matrix, active int32, peers []int32, out []SimResult) error {
 	sc := f.getScratch()
 	sc.Load(rowAt(mat, active))
 	defer f.scratch.Put(sc)

@@ -1,10 +1,13 @@
 package cf
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"swrec/internal/datagen"
 	"swrec/internal/model"
+	"swrec/internal/sparse"
 	"swrec/internal/taxonomy"
 )
 
@@ -134,45 +137,51 @@ func TestFlatCategoryLosesCrossTopicSignal(t *testing.T) {
 	}
 }
 
-func TestCachingAndInvalidate(t *testing.T) {
-	c := twinCommunity(t)
-	f, err := New(c, Options{Measure: Cosine, Representation: Taxonomy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1 := f.ProfileOf("alice")
-	p2 := f.ProfileOf("alice")
-	if &p1 == nil || len(p1) != len(p2) {
-		t.Fatal("cache broke profile")
-	}
-	before, _ := f.Similarity("alice", "dave")
-	// alice starts liking calculus; without invalidation the cache hides
-	// it.
-	if err := c.SetRating("alice", "b-calc", 1); err != nil {
-		t.Fatal(err)
-	}
-	stale, _ := f.Similarity("alice", "dave")
-	if stale != before {
-		t.Fatal("expected stale cached profile before Invalidate")
-	}
-	f.Invalidate("alice")
-	after, _ := f.Similarity("alice", "dave")
-	if after <= before {
-		t.Fatalf("similarity after shared rating = %v, want > %v", after, before)
-	}
-}
-
 func TestUnknownAgentEmptyProfile(t *testing.T) {
 	c := twinCommunity(t)
 	f, err := New(c, Options{Representation: Taxonomy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f.ProfileOf("ghost"); len(got) != 0 {
-		t.Fatalf("unknown agent profile = %v, want empty", got)
-	}
 	if _, ok := f.Similarity("ghost", "alice"); ok {
 		t.Fatal("similarity with ghost must be undefined")
+	}
+	if got := f.Matrix().Len(); got != c.NumAgents() {
+		t.Fatalf("matrix has %d rows for %d agents", got, c.NumAgents())
+	}
+}
+
+// TestWithMeasureSharesCompiledState: a measure view computes the other
+// coefficient over the very same matrix, whichever of the two compiled it.
+func TestWithMeasureSharesCompiledState(t *testing.T) {
+	c := twinCommunity(t)
+	f, err := New(c, Options{Measure: Cosine, Representation: Taxonomy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.WithMeasure(Cosine) != f {
+		t.Fatal("the filter's own measure must not make a new view")
+	}
+	v := f.WithMeasure(Pearson)
+	if got := v.Options(); got.Measure != Pearson || got.Representation != Taxonomy {
+		t.Fatalf("view options = %+v", got)
+	}
+	pearson, ok := v.Similarity("alice", "carol") // compiles through the view
+	if !ok {
+		t.Fatal("alice/carol Pearson undefined")
+	}
+	if f.Matrix() == nil || f.Matrix() != v.Matrix() {
+		t.Fatal("the view compiled a matrix of its own")
+	}
+	own, err := New(c, Options{Measure: Pearson, Representation: Taxonomy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := own.Similarity("alice", "carol"); pearson != want {
+		t.Fatalf("view Pearson %v, a Pearson filter says %v", pearson, want)
+	}
+	if cosine, _ := f.Similarity("alice", "carol"); cosine == pearson {
+		t.Fatalf("the view changed the original's measure: both say %v", cosine)
 	}
 }
 
@@ -214,12 +223,11 @@ func TestOptionPassThrough(t *testing.T) {
 	if got := f.Options(); got.ProfileScore != 42 || !got.WeightByRating {
 		t.Fatalf("Options = %+v", got)
 	}
-	// The profile honors the custom score constant.
-	p := f.ProfileOf("alice")
-	sum := 0.0
-	for _, v := range p {
-		sum += v
+	// The compiled profile honors the custom score constant.
+	if err := f.Compile(context.Background()); err != nil {
+		t.Fatal(err)
 	}
+	sum := f.Matrix().Row(c.Agent("alice").Ord()).Sum
 	if sum < 41.99 || sum > 42.01 {
 		t.Fatalf("profile total = %v, want 42", sum)
 	}
@@ -243,5 +251,74 @@ func TestProductRepresentationSimilarity(t *testing.T) {
 	}
 	if math.Abs(s) > 1 || math.Abs(s2) > 1 {
 		t.Fatal("similarity out of bounds")
+	}
+}
+
+// TestProductRowsMatchSparseOracle: over a generated community the
+// compiled product-rating rows give the similarities the map-backed
+// vectors over Agent.Ratings give (test-local oracle: sparse.Pearson /
+// sparse.Cosine, which sum in map order — hence the 1e-12), for every
+// pair, with the same defined/undefined verdicts, negative ratings
+// included.
+func TestProductRowsMatchSparseOracle(t *testing.T) {
+	cfg := datagen.SmallScale()
+	cfg.Agents = 60
+	cfg.Products = 40
+	comm, _ := datagen.Generate(cfg)
+	ids := comm.Agents()
+	negatives := 0
+	// The generator rates on a positive scale; dislike every third of the
+	// first agents' products so negative values are compared too.
+	for _, id := range ids[:20] {
+		for i, rs := range comm.Agent(id).RatedProducts() {
+			if i%3 == 0 {
+				if err := comm.SetRating(id, rs.Product, -rs.Value); err != nil {
+					t.Fatal(err)
+				}
+				negatives++
+			}
+		}
+	}
+	if negatives == 0 {
+		t.Fatal("no negative rating in the sample")
+	}
+	oracle := func(id model.AgentID) sparse.Vector {
+		v := sparse.New(0)
+		for p, x := range comm.Agent(id).Ratings {
+			v[comm.Product(p).Ord()] = x
+		}
+		return v
+	}
+	for _, m := range []Measure{Pearson, Cosine} {
+		f, err := New(comm, Options{Measure: m, Representation: Product})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defined := 0
+		for i, a := range ids {
+			va := oracle(a)
+			for _, b := range ids[i+1:] {
+				var want float64
+				var wantOK bool
+				if m == Cosine {
+					want, wantOK = sparse.Cosine(va, oracle(b))
+				} else {
+					want, wantOK = sparse.Pearson(va, oracle(b))
+				}
+				got, ok := f.Similarity(a, b)
+				if ok != wantOK || math.Abs(got-want) > 1e-12 {
+					t.Fatalf("[%v] %s/%s = %v,%v, oracle %v,%v", m, a, b, got, ok, want, wantOK)
+				}
+				if ok {
+					defined++
+				}
+			}
+		}
+		if defined == 0 {
+			t.Fatalf("[%v] no pair with a defined similarity", m)
+		}
+		if mat := f.Matrix(); mat == nil || mat.Len() != len(ids) {
+			t.Fatalf("[%v] product representation did not compile", m)
+		}
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"swrec/internal/index"
 	"swrec/internal/model"
 	"swrec/internal/profmat"
-	"swrec/internal/sparse"
 	"swrec/internal/taxonomy"
 )
 
@@ -39,18 +38,16 @@ type Image struct {
 	//nolint:snapshotpin -- an Image is a transient encode/decode carrier scoped to one Capture/Encode or Load/Restore call, not cached serving state; it never outlives the epoch it describes
 	Community *model.Community
 	// Rows holds the compiled CSR profile rows, parallel to
-	// Community.Agents(); nil when the representation is not compilable.
+	// Community.Agents(); nil when the image carries statements only.
 	Rows []profmat.Row
 	// Topics/Postings are the topic index in canonical export order; nil
 	// Topics means the index was not captured.
 	Topics   []taxonomy.Topic
 	Postings [][]model.ProductID
 	HasIndex bool
-	// Peers and Profiles are the warm cache contents in LRU order
-	// (least recently used first, so replaying them through the caches
-	// reproduces recency).
-	Peers    []engine.PeersEntry
-	Profiles []engine.ProfileEntry
+	// Peers is the warm neighborhood cache in LRU order (least recently
+	// used first, so replaying it through the cache reproduces recency).
+	Peers []engine.PeersEntry
 }
 
 // optSig fingerprints the option fields that shape compiled state.
@@ -77,7 +74,6 @@ func Capture(snap *engine.Snapshot, seq uint64) *Image {
 		Options:   snap.Options(),
 		Community: snap.Community(),
 		Peers:     snap.ExportPeers(),
-		Profiles:  snap.ExportProfiles(),
 	}
 	comm := img.Community
 	if mat := snap.Recommender().Filter().Matrix(); mat != nil {
@@ -111,7 +107,7 @@ func Encode(img *Image) []byte {
 	out = append(out, fileMagic...)
 	var hdr enc
 	hdr.u32(fileVersion)
-	sections := 7 // meta, agents, products, trust, ratings, peers, profiles
+	sections := 6 // meta, agents, products, trust, ratings, peers
 	if tax != nil {
 		sections++
 	}
@@ -274,20 +270,6 @@ func Encode(img *Image) []byte {
 		}
 	}
 	out = frame(out, secPeers, ew.b)
-
-	// PROFILES: warm Eq. 3 profiles in LRU order, entries sorted by key.
-	var ef enc
-	ef.uv(uint64(len(img.Profiles)))
-	for _, entry := range img.Profiles {
-		ef.uv(agentOrd(entry.Agent))
-		es := entry.Profile.Entries()
-		ef.uv(uint64(len(es)))
-		for _, kv := range es {
-			ef.uv(uint64(kv.Key))
-			ef.f64(kv.Value)
-		}
-	}
-	out = frame(out, secProfiles, ef.b)
 
 	// Footer: whole-file checksum.
 	var foot enc
@@ -644,29 +626,6 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 		return nil, dw.err
 	}
 
-	// PROFILES.
-	df, err := need(secProfiles, "profiles")
-	if err != nil {
-		return nil, err
-	}
-	nf := df.count(df.uv(), 2, "profile entry")
-	img.Profiles = make([]engine.ProfileEntry, 0, nf)
-	for i := 0; i < nf && df.err == nil; i++ {
-		agent, ok := agentAt(df)
-		np := df.count(df.uv(), 9, "profile dimension")
-		if !ok || df.err != nil {
-			break
-		}
-		prof := sparse.New(np)
-		for j := 0; j < np; j++ {
-			k := int32(df.uv())
-			prof[k] = df.f64()
-		}
-		img.Profiles = append(img.Profiles, engine.ProfileEntry{Agent: agent, Profile: prof})
-	}
-	if df.err != nil {
-		return nil, df.err
-	}
 	return img, nil
 }
 
@@ -678,7 +637,6 @@ func (img *Image) Restore(cfg engine.Config) (*engine.Engine, error) {
 		Epoch:     img.Epoch,
 		Community: img.Community,
 		Peers:     img.Peers,
-		Profiles:  img.Profiles,
 	}
 	if img.Rows != nil {
 		// Image rows are in agent-ordinal order, which is exactly the

@@ -230,6 +230,82 @@ func refoot(data []byte) {
 	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-footerLen]))
 }
 
+// withRetiredProfiles returns the v1 file an earlier build would have
+// written for img: data plus the PROFILES section that build appended
+// after PEERS (id 10: per agent its ordinal, entry count and key/value
+// pairs — the same numbers as the profile-matrix rows), framed with the
+// package's own frame and counted in the header.
+func withRetiredProfiles(data []byte, img *Image) []byte {
+	var ef enc
+	ef.uv(uint64(len(img.Rows)))
+	for ord, row := range img.Rows {
+		ef.uv(uint64(ord))
+		ef.uv(uint64(row.NNZ()))
+		for i, k := range row.Keys {
+			ef.uv(uint64(k))
+			ef.f64(row.Vals[i])
+		}
+	}
+	out := frame(bytes.Clone(data[:len(data)-footerLen]), secProfilesRetired, ef.b)
+	nsec := binary.LittleEndian.Uint32(out[len(fileMagic)+4:])
+	binary.LittleEndian.PutUint32(out[len(fileMagic)+4:], nsec+1)
+	out = append(out, data[len(data)-footerLen:]...)
+	refoot(out)
+	return out
+}
+
+// TestRetiredProfilesSectionStillLoads: a v1 file written before the
+// PROFILES section was retired decodes and restores, serves exactly what
+// the same image without the section serves, and re-encodes to the file
+// this build writes.
+func TestRetiredProfilesSectionStillLoads(t *testing.T) {
+	img := testImage(t, 9)
+	data := Encode(img)
+	old := withRetiredProfiles(data, img)
+	if len(old) <= len(data) {
+		t.Fatal("the fixture carries no extra section")
+	}
+	secs, err := deframe(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(secs[secProfilesRetired]) == 0 {
+		t.Fatal("the fixture's profiles section is empty")
+	}
+
+	restore := func(file []byte) *engine.Engine {
+		t.Helper()
+		got, err := Decode(file, testOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again := Encode(got); !bytes.Equal(again, data) {
+			t.Fatalf("re-encode is %d bytes, this build's file is %d", len(again), len(data))
+		}
+		eng, err := got.Restore(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	with, without := restore(old), restore(data)
+	if got, want := recsDigest(t, with.Snapshot()), recsDigest(t, without.Snapshot()); got != want {
+		t.Fatalf("the retired section changed what is served:\n--- without ---\n%s\n--- with ---\n%s", want, got)
+	}
+	if with.Epoch() != without.Epoch() {
+		t.Fatalf("epoch %d vs %d", with.Epoch(), without.Epoch())
+	}
+
+	// Retired does not mean unchecked: the section's frame still has to
+	// hold.
+	torn := bytes.Clone(old)
+	torn[len(torn)-footerLen-5] ^= 0x01 // last payload byte of the last section
+	refoot(torn)
+	if _, err := Decode(torn, testOptions()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("corrupt retired section: got %v, want ErrCorrupt", err)
+	}
+}
+
 // TestSectionChecksum corrupts a section payload but repairs the footer:
 // the per-section CRC32 frame alone must reject the file.
 func TestSectionChecksum(t *testing.T) {

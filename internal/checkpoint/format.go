@@ -1,7 +1,7 @@
 // Package checkpoint persists one compiled serving snapshot — the
 // community's statement state, the CSR profile-matrix arenas
-// (internal/profmat), the topic index, the warm neighborhood/profile
-// caches, and the epoch↔WAL-sequence mapping — in a flat binary file, so
+// (internal/profmat), the topic index, the warm neighborhood cache, and
+// the epoch↔WAL-sequence mapping — in a flat binary file, so
 // a swrecd restart loads the serving state in O(file size) instead of
 // recomputing Appleseed and Eq. 3 for the whole community.
 //
@@ -49,7 +49,11 @@ const (
 
 // Section identifiers. The writer emits sections in ascending id order;
 // the reader indexes them by id, so unknown ids from a newer same-version
-// writer would be detected as such rather than misparsed.
+// writer would be detected as such rather than misparsed. Id 10 is
+// retired, not reusable: it framed the warm Eq. 3 profile cache
+// (PROFILES) until every reader moved to the rows of secProfmat. A v1
+// file that still carries it loads — the decoder checks its frame and
+// CRC like any section's and never asks for its payload.
 const (
 	secMeta = iota + 1
 	secTaxonomy
@@ -60,7 +64,7 @@ const (
 	secProfmat
 	secTopicIndex
 	secPeers
-	secProfiles
+	secProfilesRetired
 )
 
 const (

@@ -42,8 +42,10 @@ func reseal(data []byte) []byte {
 }
 
 func FuzzDecode(f *testing.F) {
-	data := Encode(testImage(f, 7))
+	img := testImage(f, 7)
+	data := Encode(img)
 	f.Add(data)
+	f.Add(withRetiredProfiles(data, img)) // a v1 file from before PROFILES was retired
 	f.Add([]byte{})
 	for _, cut := range []int{1, headerLen - 1, headerLen, headerLen + sectionHdr, len(data) / 2, len(data) - footerLen, len(data) - 1} {
 		f.Add(data[:cut])

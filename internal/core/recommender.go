@@ -247,20 +247,23 @@ func New(comm *model.Community, opt Options) (*Recommender, error) {
 
 // WithOptions derives a recommender over the same community with
 // different pipeline options. The compiled adjacency is always shared;
-// when the CF configuration is unchanged the derived recommender also
-// shares this one's similarity filter — and therefore its
-// interest-profile cache — so serving layers can honor per-request
-// overrides of the trust metric, α, or content mode without recomputing
-// profiles from scratch.
+// unless the CF configuration changes what a profile row holds
+// (representation, score constant, rating weighting) the derived
+// recommender also shares this one's similarity filter — a different
+// measure is a view over the same compiled matrix — so serving layers
+// can honor per-request overrides of the trust metric, α, similarity
+// measure or content mode without compiling anything.
 func (r *Recommender) WithOptions(opt Options) (*Recommender, error) {
-	if opt.CF == r.opt.CF {
+	shared := r.opt.CF
+	shared.Measure = opt.CF.Measure
+	if opt.CF == shared {
 		if err := opt.validate(); err != nil {
 			return nil, err
 		}
 		if opt.ContentBoost > 0 && r.gen == nil {
 			return nil, fmt.Errorf("core: content boost requires a taxonomy")
 		}
-		return &Recommender{comm: r.comm, opt: opt, filter: r.filter, gen: r.gen, adj: r.adj}, nil
+		return &Recommender{comm: r.comm, opt: opt, filter: r.filter.WithMeasure(opt.CF.Measure), gen: r.gen, adj: r.adj}, nil
 	}
 	nr, err := New(r.comm, opt)
 	if err != nil {
@@ -412,7 +415,10 @@ func (r *Recommender) SynthesizeCtx(ctx context.Context, active model.AgentID, n
 		if a := r.comm.Agent(active); a != nil {
 			act = a.Ord()
 		}
-		if err := r.similarities(ctx, act, peers); err != nil {
+		err := r.similarities(peers, func(ords []int32, sims []cf.SimResult) error {
+			return r.filter.Similarities(ctx, act, ords, sims)
+		})
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -461,11 +467,11 @@ type synthScratch struct {
 
 var synthPool sync.Pool
 
-// similarities runs the stage-2 scan of active against peers on pooled
-// buffers and writes each defined similarity into its peer. A peer
-// without an ordinal (an agent the community does not know) scans as an
-// empty profile.
-func (r *Recommender) similarities(ctx context.Context, active int32, peers []PeerRank) error {
+// similarities runs a stage-2 scan against peers on pooled buffers —
+// scan receives the peers' ordinals and fills one result each — and
+// writes every result into its peer. A peer without an ordinal (an agent
+// the community does not know) scans as an empty profile.
+func (r *Recommender) similarities(peers []PeerRank, scan func(ords []int32, sims []cf.SimResult) error) error {
 	sc, ok := synthPool.Get().(*synthScratch)
 	if !ok || len(sc.ords) < len(peers) {
 		sc = &synthScratch{ords: make([]int32, len(peers)), sims: make([]cf.SimResult, len(peers))}
@@ -475,15 +481,37 @@ func (r *Recommender) similarities(ctx context.Context, active int32, peers []Pe
 	for i := range peers {
 		ords[i] = peers[i].ord - 1
 	}
-	if err := r.filter.Similarities(ctx, active, ords, sims); err != nil {
+	if err := scan(ords, sims); err != nil {
 		return err
 	}
 	for i := range peers {
-		if sims[i].OK {
-			peers[i].Sim, peers[i].SimOK = sims[i].Sim, true
-		}
+		peers[i].Sim, peers[i].SimOK = sims[i].Sim, sims[i].OK
 	}
 	return nil
+}
+
+// AncestorSimilarities re-runs stage 2 at super-topic resolution: every
+// peer's Sim/SimOK is overwritten with its similarity to active over
+// profiles folded to the given taxonomy depth (cf.Filter's coarse
+// matrix), the same scan stage 2 runs over the full-resolution rows.
+// Peers named by ID only (a ranking restored from a checkpoint) are
+// resolved to their ordinals first.
+func (r *Recommender) AncestorSimilarities(ctx context.Context, active model.AgentID, peers []PeerRank, depth int) error {
+	ordOf := func(id model.AgentID) int32 {
+		if a := r.comm.Agent(id); a != nil {
+			return a.Ord()
+		}
+		return -1
+	}
+	for i := range peers {
+		if peers[i].ord == 0 {
+			peers[i].ord = ordOf(peers[i].Agent) + 1
+		}
+	}
+	act := ordOf(active)
+	return r.similarities(peers, func(ords []int32, sims []cf.SimResult) error {
+		return r.filter.AncestorSimilarities(ctx, depth, act, ords, sims)
+	})
 }
 
 // Recommend runs the full pipeline and returns the top-n recommendations

@@ -83,7 +83,6 @@ func TestLadderSignalsMatchRankingWalk(t *testing.T) {
 		Community: snap.Community(),
 		Matrix:    snap.Recommender().Filter().Matrix(),
 		Peers:     snap.ExportPeers(),
-		Profiles:  snap.ExportProfiles(),
 	}, testOptions(), Config{})
 	if err != nil {
 		t.Fatal(err)

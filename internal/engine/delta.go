@@ -14,10 +14,10 @@ import (
 //
 // The fingerprint rule, per cached artifact:
 //
-//   - a compiled profile row / cached Eq. 3 profile depends on the
-//     agent's own ratings (the taxonomy and product topics are immutable
-//     under ingest — rating an uncataloged product registers a bare,
-//     topic-less entry that contributes nothing to any profile);
+//   - a compiled profile row depends on the agent's own ratings (the
+//     taxonomy, product topics and product ordinals are immutable under
+//     ingest — rating an uncataloged product registers a bare, topic-less
+//     entry that contributes nothing to any taxonomy profile);
 //   - a cached trust neighborhood depends on the trust statements of
 //     every agent its exploration can reach (any forward trust path from
 //     the active agent), plus the profiles of the active agent and every

@@ -14,8 +14,12 @@
 // Within a snapshot the engine amortizes the expensive per-agent state
 // across requests:
 //
-//   - taxonomy interest profiles (Eq. 3) and synthesized trust
-//     neighborhoods (§3.2-3.4) live in per-snapshot LRU caches;
+//   - every agent's interest profile (Eq. 3) is one row of the snapshot's
+//     compiled profile matrix (cf.Filter, internal/profmat) — the only
+//     stored copy: similarities, the taxonomy-ancestor rung and the
+//     /profile endpoint all read it;
+//   - synthesized trust neighborhoods (§3.2-3.4) and complete
+//     recommendation lists live in per-snapshot LRU caches;
 //   - concurrent identical computations collapse through a singleflight
 //     layer, so a thundering herd on one agent computes its neighborhood
 //     once;
@@ -29,8 +33,10 @@
 //     so a freshly loaded corpus serves warm from the first request.
 //
 // Cache effectiveness is observable via expvar under "swrec_engine"
-// (profile_hit/miss, peers_hit/miss, body_hit/miss/bytes, flight_shared,
-// swaps, warmed_agents).
+// (peers_hit/miss, results_hit/miss, body_hit/miss/bytes, flight_shared,
+// swaps, warmed_agents; profile_hit counts profile rows served from the
+// matrix, profile_miss the on-demand Eq. 3 builds of an engine whose
+// filter compares product vectors).
 package engine
 
 import (
@@ -49,7 +55,6 @@ import (
 	"swrec/internal/model"
 	"swrec/internal/profile"
 	"swrec/internal/profmat"
-	"swrec/internal/sparse"
 	"swrec/internal/strategy"
 	"swrec/internal/taxonomy"
 )
@@ -64,8 +69,6 @@ var ErrNoTaxonomy = fmt.Errorf("engine: community has no taxonomy")
 // Config sizes the per-snapshot caches. Zero values select defaults
 // generous enough to hold the paper-scale corpus (§4.1: 9,100 agents).
 type Config struct {
-	// ProfileCacheSize bounds cached Eq. 3 interest profiles (default 16384).
-	ProfileCacheSize int
 	// PeerCacheSize bounds cached synthesized neighborhoods (default 16384).
 	PeerCacheSize int
 	// SubtreeCacheSize bounds cached topic-branch product listings
@@ -76,9 +79,9 @@ type Config struct {
 	// stage-4 vote is a pure function of that key (default 8192).
 	ResultCacheSize int
 	// ComputeBudget bounds each cold-path flight (neighborhood synthesis,
-	// profile generation, full recommendation) independently of the
-	// triggering request's deadline: a request that detaches leaves the
-	// computation running to warm the cache, but never longer than this.
+	// full recommendation) independently of the triggering request's
+	// deadline: a request that detaches leaves the computation running to
+	// warm the cache, but never longer than this.
 	// 0 means unbounded (the pre-deadline behavior).
 	ComputeBudget time.Duration
 	// DegradeBudget bounds the stage-4 vote a degraded-answer probe is
@@ -90,9 +93,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.ProfileCacheSize <= 0 {
-		c.ProfileCacheSize = 16384
-	}
 	if c.PeerCacheSize <= 0 {
 		c.PeerCacheSize = 16384
 	}
@@ -142,12 +142,6 @@ type contKey struct {
 	mode core.ContentMode
 }
 
-// variantKey identifies the full recommender configuration.
-type variantKey struct {
-	pipe    pipeKey
-	content contKey
-}
-
 // pipelineKey builds the stages-1-3 cache-key component.
 func (ov Overrides) pipelineKey() pipeKey {
 	var k pipeKey
@@ -169,11 +163,6 @@ func (ov Overrides) contentKey() contKey {
 		return contKey{set: true, mode: *ov.Content}
 	}
 	return contKey{}
-}
-
-// variantKey builds the full recommender-configuration key.
-func (ov Overrides) variantKey() variantKey {
-	return variantKey{pipe: ov.pipelineKey(), content: ov.contentKey()}
 }
 
 // apply merges the overrides into a copy of the base options.
@@ -203,14 +192,9 @@ type Snapshot struct {
 	rec    *core.Recommender
 	budget time.Duration // per-flight compute bound; 0 = none
 
-	// gen builds Eq. 3 profiles for the /profile endpoint and warmup;
-	// nil when the community carries no taxonomy.
-	gen *profile.Generator
-
 	// The per-agent caches are keyed by community ordinal: the URI is
 	// resolved once at the public entry point, everything below indexes
 	// and hashes fixed-size values.
-	profiles *lruCache[int32, sparse.Vector]
 	peers    *lruCache[peerKey, *neighborhood]
 	subtrees *lruCache[taxonomy.Topic, []model.ProductID]
 	results  *lruCache[recKey, []core.Recommendation]
@@ -228,9 +212,6 @@ type Snapshot struct {
 	popOnce sync.Once
 	popRank atomic.Pointer[[]core.Recommendation]
 
-	variantMu sync.Mutex
-	variants  map[variantKey]*core.Recommender
-
 	flights flightGroup
 }
 
@@ -242,9 +223,9 @@ func newSnapshot(epoch uint64, comm *model.Community, opt core.Options, cfg Conf
 // newSnapshotDelta builds a snapshot over comm and, when prev and d are
 // both non-nil, carries over every artifact of the previous epoch whose
 // dependency fingerprint (see Delta) the applied mutations left
-// untouched: compiled profile rows, cached Eq. 3 profiles, synthesized
-// neighborhoods, complete recommendation lists, the topic index with its
-// subtree listings, and the trust-out agent ordering.
+// untouched: compiled profile rows, synthesized neighborhoods, complete
+// recommendation lists, the topic index with its subtree listings, and
+// the trust-out agent ordering.
 func newSnapshotDelta(epoch uint64, comm *model.Community, opt core.Options, cfg Config, prev *Snapshot, d *Delta) (*Snapshot, error) {
 	rec, err := core.New(comm, opt)
 	if err != nil {
@@ -256,39 +237,31 @@ func newSnapshotDelta(epoch uint64, comm *model.Community, opt core.Options, cfg
 		opt:      opt,
 		rec:      rec,
 		budget:   cfg.ComputeBudget,
-		profiles: newLRU[int32, sparse.Vector](cfg.ProfileCacheSize),
 		peers:    newLRU[peerKey, *neighborhood](cfg.PeerCacheSize),
 		subtrees: newLRU[taxonomy.Topic, []model.ProductID](cfg.SubtreeCacheSize),
 		results:  newLRU[recKey, []core.Recommendation](cfg.ResultCacheSize),
 		bodies:   newLRU[bodyKey, storedBody](bodyBudget),
-		variants: make(map[variantKey]*core.Recommender),
-	}
-	if tax := comm.Taxonomy(); tax != nil {
-		s.gen = profile.New(tax)
 	}
 
 	delta := prev != nil && d != nil
 	// Compile the similarity substrate eagerly — the first request should
 	// find warm rows, not pay the build. On a delta swap only the dirty
 	// agents' rows are recompiled; the rest alias the previous arenas.
-	if f := rec.Filter(); f.Compilable() {
-		var prevMat *profmat.Matrix
-		var dirtyRow func(int32) bool
-		if delta {
-			prevMat = prev.rec.Filter().Matrix()
-			dirtyRow = func(ord int32) bool { return d.RatingsChanged[ord] }
-		}
-		//nolint:ctxflow -- snapshot construction runs at New/Swap time, not on a request path; there is no caller deadline to thread
-		if err := f.CompileDelta(context.Background(), prevMat, dirtyRow); err != nil {
-			return nil, err
-		}
-		if mat := f.Matrix(); mat != nil && delta {
-			stats.Add("carried_rows", int64(mat.Len()-mat.Built()))
-		}
+	var prevMat *profmat.Matrix
+	var dirtyRow func(int32) bool
+	if delta {
+		prevMat = prev.rec.Filter().Matrix()
+		dirtyRow = func(ord int32) bool { return d.RatingsChanged[ord] }
+	}
+	//nolint:ctxflow -- snapshot construction runs at New/Swap time, not on a request path; there is no caller deadline to thread
+	if err := rec.Filter().CompileDelta(context.Background(), prevMat, dirtyRow); err != nil {
+		return nil, err
 	}
 	if !delta {
 		return s, nil
 	}
+	mat := rec.Filter().Matrix()
+	stats.Add("carried_rows", int64(mat.Len()-mat.Built()))
 
 	trustDirty := trustDirtySet(prev.rec.Adjacency(), comm.NumAgents(), d.TrustChanged)
 	dirtyTrust := func(ord int32) bool {
@@ -303,14 +276,7 @@ func newSnapshotDelta(epoch uint64, comm *model.Community, opt core.Options, cfg
 	stats.Add("swap_delta", 1)
 	stats.Add("dirty_agents", int64(nTrustDirty+len(d.RatingsChanged)))
 
-	// Eq. 3 profiles: invalidated only by the agent's own ratings.
-	var nProfiles, nResults int64
-	for _, e := range prev.profiles.entries() {
-		if !d.RatingsChanged[e.key] {
-			s.profiles.add(e.key, e.val)
-			nProfiles++
-		}
-	}
+	var nResults int64
 	// Neighborhoods: the active agent must be clean of trust influence
 	// and rating changes, and every ranked peer's profile (its ratings)
 	// must be untouched — those are the similarity weights. A ranking
@@ -352,7 +318,6 @@ func newSnapshotDelta(epoch uint64, comm *model.Community, opt core.Options, cfg
 			nResults++
 		}
 	}
-	stats.Add("carried_profiles", nProfiles)
 	stats.Add("carried_peers", int64(len(carried)))
 	stats.Add("carried_results", nResults)
 	// Catalog-derived artifacts survive any mutation batch that added no
@@ -394,25 +359,15 @@ func (s *Snapshot) Community() *model.Community { return s.comm }
 func (s *Snapshot) Recommender() *core.Recommender { return s.rec }
 
 // RecommenderFor returns a recommender honoring the given per-request
-// overrides. Variants are memoized per snapshot and share the default
-// recommender's similarity filter (and its profile cache) whenever the
-// CF configuration is unchanged.
+// overrides. Every variant a request can name shares the default
+// recommender's adjacency and compiled profile matrix (a measure override
+// is a view over it), so deriving one costs two small allocations and
+// nothing is memoized.
 func (s *Snapshot) RecommenderFor(ov Overrides) (*core.Recommender, error) {
-	key := ov.variantKey()
-	if key == (variantKey{}) {
+	if ov == (Overrides{}) {
 		return s.rec, nil
 	}
-	s.variantMu.Lock()
-	defer s.variantMu.Unlock()
-	if rec, ok := s.variants[key]; ok {
-		return rec, nil
-	}
-	rec, err := s.rec.WithOptions(ov.apply(s.opt))
-	if err != nil {
-		return nil, err
-	}
-	s.variants[key] = rec
-	return rec, nil
+	return s.rec.WithOptions(ov.apply(s.opt))
 }
 
 // neighborhood is a cached stage 1-3 ranking together with the two
@@ -633,43 +588,48 @@ func (s *Snapshot) CachedRecommend(active model.AgentID, n int, ov Overrides) ([
 	return s.results.get(resultKey(a.Ord(), n, ov))
 }
 
-// Profile returns the agent's Eq. 3 taxonomy profile from the cache,
-// computing and caching it on first touch.
-func (s *Snapshot) Profile(active model.AgentID) (sparse.Vector, error) {
+// Profile returns the agent's interest profile: its row of the compiled
+// matrix the snapshot's filter compares, shared and read-only.
+func (s *Snapshot) Profile(active model.AgentID) (*profmat.Row, error) {
 	return s.ProfileCtx(context.Background(), active)
 }
 
-// ProfileCtx is Profile with a request deadline; see RankedPeersCtx for
-// the detach semantics.
-func (s *Snapshot) ProfileCtx(ctx context.Context, active model.AgentID) (sparse.Vector, error) {
-	if s.gen == nil {
+// ProfileCtx is Profile with a request deadline. Only an engine whose
+// filter compares product-rating vectors has no taxonomy-space row to
+// return: it builds the agent's default Eq. 3 profile on demand, under
+// ctx, and keeps nothing.
+func (s *Snapshot) ProfileCtx(ctx context.Context, active model.AgentID) (*profmat.Row, error) {
+	tax := s.comm.Taxonomy()
+	if tax == nil {
 		return nil, ErrNoTaxonomy
 	}
 	a := s.comm.Agent(active)
 	if a == nil {
 		return nil, unknownAgent(active)
 	}
-	ord := a.Ord()
-	if prof, ok := s.profiles.get(ord); ok {
-		stats.Add("profile_hit", 1)
-		return prof, nil
+	if row := s.profileRow(a.Ord()); row != nil {
+		return row, nil
 	}
 	stats.Add("profile_miss", 1)
-	v, err, shared := s.flights.doCtx(ctx, flightKey{kind: flightProfile, agent: ord}, s.flightCtx, func(fctx context.Context) (any, error) {
-		prof, err := s.gen.ProfileCtx(fctx, a, s.comm)
-		if err != nil {
-			return nil, err
-		}
-		s.profiles.add(ord, prof)
-		return prof, nil
-	})
-	if shared {
-		stats.Add("flight_shared", 1)
-	}
+	prof, err := profile.New(tax).ProfileCtx(ctx, a, s.comm)
 	if err != nil {
 		return nil, err
 	}
-	return v.(sparse.Vector), nil
+	row := profmat.FromVector(prof)
+	return &row, nil
+}
+
+// profileRow returns the matrix row of the agent with the given ordinal
+// when the rows are taxonomy profiles, nil when they are product vectors.
+//
+//swrec:hotpath
+func (s *Snapshot) profileRow(ord int32) *profmat.Row {
+	f := s.rec.Filter()
+	if f.Generator() == nil {
+		return nil
+	}
+	stats.Add("profile_hit", 1)
+	return f.Matrix().Row(ord)
 }
 
 // TopicIndex returns the snapshot's catalog index, building it on first
@@ -785,10 +745,10 @@ func (e *Engine) Swap(comm *model.Community) (*Snapshot, error) {
 // SwapDelta is Swap informed by what actually changed: the write path
 // summarizes its applied mutation batch in d, and the new snapshot starts
 // with every still-valid artifact of the previous epoch — compiled
-// profile rows, cached profiles, neighborhoods and results whose
-// dependency fingerprints the batch left untouched — instead of cold
-// caches. A nil d degrades to a full cold swap. Correctness does not
-// depend on d being minimal, only on it covering every change.
+// profile rows, neighborhoods and results whose dependency fingerprints
+// the batch left untouched — instead of cold caches. A nil d degrades to
+// a full cold swap. Correctness does not depend on d being minimal, only
+// on it covering every change.
 func (e *Engine) SwapDelta(comm *model.Community, d *Delta) (*Snapshot, error) {
 	e.swapMu.Lock()
 	defer e.swapMu.Unlock()
@@ -888,11 +848,12 @@ type WarmupResult struct {
 	Duration time.Duration // wall-clock time of the pass
 }
 
-// Warmup precomputes every agent's neighborhood and taxonomy profile on
-// the current snapshot with a pool of workers (default GOMAXPROCS when
-// workers <= 0), so a freshly loaded corpus serves its first requests
-// from warm caches. Errors on individual agents are skipped: warming is
-// best-effort and the serving path recomputes on demand.
+// Warmup precomputes every agent's neighborhood on the current snapshot
+// with a pool of workers (default GOMAXPROCS when workers <= 0), so a
+// freshly loaded corpus serves its first requests from warm caches
+// (profiles need no warming: the matrix is compiled with the snapshot).
+// Errors on individual agents are skipped: warming is best-effort and
+// the serving path recomputes on demand.
 func (e *Engine) Warmup(workers int) WarmupResult {
 	return e.WarmupCtx(context.Background(), workers)
 }
@@ -917,9 +878,6 @@ func (e *Engine) WarmupCtx(ctx context.Context, workers int) WarmupResult {
 			defer wg.Done()
 			for id := range jobs {
 				_, _ = snap.RankedPeersCtx(ctx, id, Overrides{})
-				if snap.gen != nil {
-					_, _ = snap.ProfileCtx(ctx, id)
-				}
 			}
 		}()
 	}

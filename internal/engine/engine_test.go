@@ -13,6 +13,8 @@ import (
 	"swrec/internal/core"
 	"swrec/internal/datagen"
 	"swrec/internal/model"
+	"swrec/internal/profile"
+	"swrec/internal/profmat"
 )
 
 func testCommunity(t testing.TB, agents, products int) *model.Community {
@@ -211,9 +213,6 @@ func TestWarmupPrecomputesAllAgents(t *testing.T) {
 	if got := snap.peers.len(); got != comm.NumAgents() {
 		t.Fatalf("peer cache holds %d entries, want %d", got, comm.NumAgents())
 	}
-	if got := snap.profiles.len(); got != comm.NumAgents() {
-		t.Fatalf("profile cache holds %d entries, want %d", got, comm.NumAgents())
-	}
 	hits := counter("peers_hit")
 	for _, id := range comm.Agents() {
 		if _, err := snap.RankedPeers(id, Overrides{}); err != nil {
@@ -245,19 +244,6 @@ func TestRecommenderForSharesFilterAcrossCompatibleVariants(t *testing.T) {
 	if blended.Filter() != base.Filter() {
 		t.Fatal("alpha override rebuilt the similarity filter")
 	}
-	again, _ := snap.RecommenderFor(Overrides{Alpha: &alpha})
-	if again != blended {
-		t.Fatal("variant not memoized")
-	}
-
-	pearson := cf.Pearson
-	other, err := snap.RecommenderFor(Overrides{Measure: &pearson})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other.Filter() == base.Filter() {
-		t.Fatal("measure override must build its own filter")
-	}
 
 	bad := 7.0
 	if _, err := snap.RecommenderFor(Overrides{Alpha: &bad}); err == nil {
@@ -265,30 +251,95 @@ func TestRecommenderForSharesFilterAcrossCompatibleVariants(t *testing.T) {
 	}
 }
 
-func TestProfileCachedAndGuarded(t *testing.T) {
+// TestMeasureVariantSharesMatrix: a measure override is a view over the
+// snapshot's one compiled matrix — whatever α rides along, nothing is
+// compiled or pinned per variant.
+func TestMeasureVariantSharesMatrix(t *testing.T) {
+	comm := testCommunity(t, 25, 40)
+	e, err := New(comm, testOptions(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := e.Snapshot()
+	mat := snap.Recommender().Filter().Matrix()
+	if mat == nil {
+		t.Fatal("the default filter is not compiled")
+	}
+	pearson := cf.Pearson
+	if snap.Options().CF.Measure == pearson {
+		t.Fatal("the test needs a non-default measure")
+	}
+	id := comm.Agents()[0]
+	for _, alpha := range []float64{0.2, 0.5, 0.8} {
+		rec, err := snap.RecommenderFor(Overrides{Measure: &pearson, Alpha: &alpha})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Filter().Options().Measure; got != pearson {
+			t.Fatalf("alpha %v: variant measures with %v", alpha, got)
+		}
+		if _, err := snap.RankedPeers(id, Overrides{Measure: &pearson, Alpha: &alpha}); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Filter().Matrix() != mat {
+			t.Fatalf("alpha %v: the measure override compiled its own matrix", alpha)
+		}
+	}
+}
+
+// TestProfileIsTheFilterRow: the snapshot's profile of an agent is the
+// row its filter compares — equal, entry for entry, to the Eq. 3
+// reference — served without building anything; an engine comparing
+// product vectors builds the default Eq. 3 profile on demand instead.
+func TestProfileIsTheFilterRow(t *testing.T) {
 	comm := testCommunity(t, 20, 30)
 	e, err := New(comm, testOptions(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := e.Snapshot()
+	gen := profile.New(comm.Taxonomy())
+	sameAsReference := func(row *profmat.Row, id model.AgentID) {
+		t.Helper()
+		want := gen.Profile(comm.Agent(id), comm).Entries()
+		if row.NNZ() != len(want) || row.NNZ() == 0 {
+			t.Fatalf("%s: %d entries, reference has %d", id, row.NNZ(), len(want))
+		}
+		for i, e := range want {
+			if row.Keys[i] != e.Key || row.Vals[i] != e.Value {
+				t.Fatalf("%s: entry %d = (%d, %v), reference (%d, %v)", id, i, row.Keys[i], row.Vals[i], e.Key, e.Value)
+			}
+		}
+	}
 	id := comm.Agents()[0]
+	hits, misses := counter("profile_hit"), counter("profile_miss")
 	p1, err := snap.Profile(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p1) == 0 {
-		t.Fatal("empty profile for a rated agent")
+	sameAsReference(p1, id)
+	if p1 != snap.Recommender().Filter().Matrix().Row(comm.Agent(id).Ord()) {
+		t.Fatal("the profile is a copy, not the filter's row")
 	}
-	misses := counter("profile_miss")
-	if _, err := snap.Profile(id); err != nil {
-		t.Fatal(err)
-	}
-	if counter("profile_miss") != misses {
-		t.Fatal("second profile lookup recomputed")
+	if counter("profile_hit") != hits+1 || counter("profile_miss") != misses {
+		t.Fatal("a matrix row must count one profile_hit and no profile_miss")
 	}
 	if _, err := snap.Profile("http://nope/x"); !errors.Is(err, core.ErrUnknownAgent) {
 		t.Fatalf("unknown agent error = %v", err)
+	}
+
+	byProduct, err := New(comm, core.Options{CF: cf.Options{Representation: cf.Product}}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, misses = counter("profile_hit"), counter("profile_miss")
+	p2, err := byProduct.Snapshot().Profile(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAsReference(p2, id)
+	if counter("profile_hit") != hits || counter("profile_miss") != misses+1 {
+		t.Fatal("an on-demand build must count one profile_miss and no profile_hit")
 	}
 
 	bare := model.NewCommunity(nil)

@@ -123,7 +123,7 @@ func (s *Snapshot) generalizedPeers(ctx context.Context, a *model.Agent, ov Over
 			return nil, err
 		}
 		alpha := ov.apply(s.opt).BlendAlpha()
-		peers, err := strategy.GeneralizedPeers(fctx, rec.Filter(), a.ID, base, alpha, depth)
+		peers, err := strategy.GeneralizedPeers(fctx, rec, a.ID, base, alpha, depth)
 		if err != nil {
 			return nil, err
 		}

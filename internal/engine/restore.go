@@ -10,9 +10,7 @@ import (
 	"swrec/internal/core"
 	"swrec/internal/index"
 	"swrec/internal/model"
-	"swrec/internal/profile"
 	"swrec/internal/profmat"
-	"swrec/internal/sparse"
 	"swrec/internal/strategy"
 	"swrec/internal/taxonomy"
 )
@@ -28,12 +26,6 @@ type PeersEntry struct {
 	Agent model.AgentID
 	Pipe  string // the stages-1-3 override key; "" for the default pipeline
 	Peers []core.PeerRank
-}
-
-// ProfileEntry is one exported Eq. 3 profile-cache entry.
-type ProfileEntry struct {
-	Agent   model.AgentID
-	Profile sparse.Vector
 }
 
 // Wire spellings of the ladder rungs (see rungWiden/rungGen): kept
@@ -142,33 +134,17 @@ func (s *Snapshot) ExportPeers() []PeersEntry {
 	return out
 }
 
-// ExportProfiles snapshots the warm Eq. 3 profile cache in
-// least-to-most recently used order. Values are shared, not copied.
-func (s *Snapshot) ExportProfiles() []ProfileEntry {
-	sym := s.comm.Symbols()
-	es := s.profiles.entries()
-	out := make([]ProfileEntry, 0, len(es))
-	for _, e := range es {
-		id, ok := sym.AgentID(e.key)
-		if !ok {
-			continue
-		}
-		out = append(out, ProfileEntry{Agent: id, Profile: e.val})
-	}
-	return out
-}
-
 // Restore is the state NewRestored installs without recomputation: a
 // checkpointed epoch's community plus its compiled artifacts and warm
-// caches. Matrix and Index may be nil (they rebuild lazily); Peers and
-// Profiles seed the caches in the order given.
+// caches. Matrix may be nil (every row compiles afresh) and so may Index
+// (it rebuilds lazily); Peers seeds the neighborhood cache in the order
+// given.
 type Restore struct {
 	Epoch     uint64
 	Community *model.Community
 	Matrix    *profmat.Matrix
 	Index     *index.TopicIndex
 	Peers     []PeersEntry
-	Profiles  []ProfileEntry
 }
 
 // NewRestored builds an engine whose first snapshot is reconstructed
@@ -215,25 +191,19 @@ func newSnapshotRestored(epoch uint64, r Restore, opt core.Options, cfg Config) 
 		opt:      opt,
 		rec:      rec,
 		budget:   cfg.ComputeBudget,
-		profiles: newLRU[int32, sparse.Vector](cfg.ProfileCacheSize),
 		peers:    newLRU[peerKey, *neighborhood](cfg.PeerCacheSize),
 		subtrees: newLRU[taxonomy.Topic, []model.ProductID](cfg.SubtreeCacheSize),
 		results:  newLRU[recKey, []core.Recommendation](cfg.ResultCacheSize),
 		bodies:   newLRU[bodyKey, storedBody](bodyBudget),
-		variants: make(map[variantKey]*core.Recommender),
 	}
-	if tax := r.Community.Taxonomy(); tax != nil {
-		s.gen = profile.New(tax)
+	clean := func(int32) bool { return false }
+	//nolint:ctxflow -- restore runs at process start, not on a request path; there is no caller deadline to thread
+	if err := rec.Filter().CompileDelta(context.Background(), r.Matrix, clean); err != nil {
+		return nil, err
 	}
-	if f := rec.Filter(); f.Compilable() {
-		clean := func(int32) bool { return false }
-		//nolint:ctxflow -- restore runs at process start, not on a request path; there is no caller deadline to thread
-		if err := f.CompileDelta(context.Background(), r.Matrix, clean); err != nil {
-			return nil, err
-		}
-		if mat := f.Matrix(); mat != nil && r.Matrix != nil {
-			stats.Add("restored_rows", int64(mat.Len()-mat.Built()))
-		}
+	if r.Matrix != nil {
+		mat := rec.Filter().Matrix()
+		stats.Add("restored_rows", int64(mat.Len()-mat.Built()))
 	}
 	if r.Index != nil {
 		s.ix.Store(r.Index)
@@ -243,11 +213,6 @@ func newSnapshotRestored(epoch uint64, r Restore, opt core.Options, cfg Config) 
 	// or pipe spellings no release ever wrote, are dropped: a cold miss is
 	// always safe, a mis-keyed hit never is.
 	sym := r.Community.Symbols()
-	for _, e := range r.Profiles {
-		if ord, ok := sym.AgentOrd(e.Agent); ok {
-			s.profiles.add(ord, e.Profile)
-		}
-	}
 	for _, e := range r.Peers {
 		ord, ok := sym.AgentOrd(e.Agent)
 		if !ok {

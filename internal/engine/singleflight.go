@@ -14,7 +14,7 @@ import (
 // engine's last fmt.Sprintf on the serving path.
 type flightKey struct {
 	kind    byte
-	agent   int32 // agent ordinal (peers, recs, profile)
+	agent   int32 // agent ordinal (peers, recs)
 	n       int32 // answer size (recs)
 	pipe    pipeKey
 	content contKey
@@ -25,7 +25,6 @@ type flightKey struct {
 const (
 	flightPeers      = 'p'
 	flightRecs       = 'r'
-	flightProfile    = 'f'
 	flightSubtree    = 's'
 	flightPopularity = 'o'
 )

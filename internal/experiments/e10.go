@@ -43,10 +43,7 @@ func E10(w io.Writer, p Params) (E10Result, error) {
 	cfg := p.Config()
 	cfg.ClusterFidelity = 0.9
 	comm, meta := datagen.Generate(cfg)
-	f, err := cf.New(comm, cf.Options{Measure: cf.Cosine, Representation: cf.Taxonomy})
-	if err != nil {
-		return E10Result{}, err
-	}
+	profiles := stereotype.Profiles(comm)
 
 	var res E10Result
 	res.ChanceLevel = 1.0 / float64(cfg.Clusters)
@@ -55,7 +52,7 @@ func E10(w io.Writer, p Params) (E10Result, error) {
 		if k < 1 {
 			continue
 		}
-		m, err := stereotype.Learn(comm.Agents(), f.ProfileOf, stereotype.Options{K: k, Seed: cfg.Seed})
+		m, err := stereotype.Learn(comm.Agents(), profiles, stereotype.Options{K: k, Seed: cfg.Seed})
 		if err != nil {
 			return res, err
 		}
@@ -72,7 +69,7 @@ func E10(w io.Writer, p Params) (E10Result, error) {
 		cfg.Clusters, f3(res.ChanceLevel))
 
 	// Acceleration: leave-one-out with stereotype-restricted candidates.
-	m, err := stereotype.Learn(comm.Agents(), f.ProfileOf, stereotype.Options{K: cfg.Clusters, Seed: cfg.Seed})
+	m, err := stereotype.Learn(comm.Agents(), profiles, stereotype.Options{K: cfg.Clusters, Seed: cfg.Seed})
 	if err != nil {
 		return res, err
 	}

@@ -91,17 +91,9 @@ func BenchmarkPublish(b *testing.B) {
 					b.Fatal(err)
 				}
 				base = clone
-				for k, id := range readers {
+				for _, id := range readers {
 					if _, err := snap.Recommend(id, 10, engine.Overrides{}); err != nil {
 						b.Fatal(err)
-					}
-					// Keep the warmed profile cache full — the written agents
-					// just lost their entries — so every swap carries the same
-					// load whatever b.N is.
-					if bc.warm && k < len(muts) {
-						if _, err := snap.Profile(id); err != nil {
-							b.Fatal(err)
-						}
 					}
 				}
 				b.StartTimer()

@@ -463,47 +463,30 @@ func (s *Streamer) ProfileDense(ctx context.Context, a *model.Agent, cat Catalog
 	return nil
 }
 
-// Generalize folds a taxonomy profile upward into super-topics: every
-// topic deeper than maxDepth moves its whole score onto its primary-path
-// ancestor at maxDepth (the root has depth 0). This is the dual of the
-// Eq. 3 downward propagation: where Eq. 3 spreads a descriptor's score
-// toward ⊤ to make fine-grained profiles comparable, generalization
-// abandons the fine grain entirely and compares agents at super-topic
-// resolution — the strategy ladder's backoff for profile pairs whose
-// deep topics are disjoint (§2's "low profile overlap" pathology).
-// Entries are accumulated in ascending dimension order so the folded
-// vector is bit-identical across runs. maxDepth < 1 is treated as 1
-// (folding everything onto ⊤ would make all profiles identical). The
-// input vector is not modified.
-func (g *Generator) Generalize(v sparse.Vector, maxDepth int) sparse.Vector {
+// AncestorsAt returns, for every topic, the dimension its score folds
+// onto when profiles are compared at super-topic resolution: the topic
+// itself down to depth maxDepth (the root has depth 0), its primary-path
+// ancestor at maxDepth below that. This is the dual of the Eq. 3 downward
+// propagation: where Eq. 3 spreads a descriptor's score toward ⊤ to make
+// fine-grained profiles comparable, the fold abandons the fine grain and
+// compares agents at super-topic resolution — the strategy ladder's
+// backoff for profile pairs whose deep topics are disjoint (§2's "low
+// profile overlap" pathology). maxDepth < 1 is treated as 1 (folding
+// everything onto ⊤ would make all profiles identical). The slice is
+// indexed by topic and is the remap profmat.Fold takes.
+func (g *Generator) AncestorsAt(maxDepth int) []int32 {
 	g.ensureTables()
 	if maxDepth < 1 {
 		maxDepth = 1
 	}
-	out := sparse.New(len(v))
-	for _, e := range v.Entries() {
-		d := taxonomy.Topic(e.Key)
-		if int(d) < 0 || int(d) >= len(g.divisors) {
-			continue // dimension outside this taxonomy
-		}
-		path := g.pathOf(d)
+	out := make([]int32, len(g.divisors))
+	for d := range out {
+		path := g.pathOf(taxonomy.Topic(d))
 		if len(path)-1 <= maxDepth {
-			out.Add(e.Key, e.Value)
-			continue
+			out[d] = int32(d)
+		} else {
+			out[d] = int32(path[maxDepth])
 		}
-		out.Add(int32(path[maxDepth]), e.Value)
-	}
-	return out
-}
-
-// ProductVector returns the agent's plain product-rating vector over the
-// dimensions assigned by intern — the representation whose "low profile
-// overlap" (§2) taxonomy profiles fix. All ratings appear, including
-// negative ones, as common collaborative filtering uses the full history.
-func ProductVector(a *model.Agent, intern func(model.ProductID) int32) sparse.Vector {
-	out := sparse.New(len(a.Ratings))
-	for p, v := range a.Ratings {
-		out[intern(p)] = v
 	}
 	return out
 }

@@ -238,30 +238,6 @@ func TestUniformModeStillOverlapsButDifferently(t *testing.T) {
 	}
 }
 
-func TestProductVector(t *testing.T) {
-	c := model.NewCommunity(nil)
-	c.AddProduct(model.Product{ID: "p1"})
-	c.AddProduct(model.Product{ID: "p2"})
-	must(t, c.SetRating("a", "p1", 0.5))
-	must(t, c.SetRating("a", "p2", -0.5))
-	dims := map[model.ProductID]int32{}
-	intern := func(p model.ProductID) int32 {
-		if d, ok := dims[p]; ok {
-			return d
-		}
-		d := int32(len(dims))
-		dims[p] = d
-		return d
-	}
-	v := ProductVector(c.Agent("a"), intern)
-	if len(v) != 2 {
-		t.Fatalf("product vector = %v, want 2 entries (negatives included)", v)
-	}
-	if v[dims["p2"]] != -0.5 {
-		t.Fatal("negative rating lost")
-	}
-}
-
 // randomSetup builds a random taxonomy, catalog, and rating history.
 func randomSetup(seed int64) (*model.Community, *model.Agent) {
 	rng := rand.New(rand.NewSource(seed))

@@ -1,12 +1,15 @@
-// Package profmat compiles a community's taxonomy interest profiles
-// (internal/profile, Eq. 3) into a per-snapshot CSR matrix: one row per
-// agent, sorted int32 topic dimensions beside float64 scores in shared
-// backing arenas, with the row norm, entry sum and nnz precomputed. The
-// map-based sparse.Vector representation is ideal for incremental
-// accumulation but pays a hash lookup per touched dimension and a heap
-// allocation per profile; the compiled form costs one dense-scratch pass
-// per agent at snapshot build time and makes every later similarity a
-// zero-allocation merge-join over two sorted postings lists.
+// Package profmat compiles a community's interest profiles — Eq. 3
+// taxonomy profiles (internal/profile), or plain product-rating vectors —
+// into a per-snapshot CSR matrix: one row per agent, sorted int32
+// dimensions beside float64 scores in shared backing arenas, with the row
+// norm, entry sum and nnz precomputed. A row is the only stored form of
+// an agent's profile: every similarity, the super-topic matrix (Fold) and
+// the /profile endpoint read it. The map-based sparse.Vector is the
+// accumulator profile.Generator.Profile builds — the Eq. 3 reference the
+// tests compare rows against — and pays a hash lookup per touched
+// dimension and a heap allocation per profile; the compiled form costs
+// one dense-scratch pass per agent at snapshot build time and makes every
+// later similarity a zero-allocation pass over sorted postings.
 //
 // Rows are immutable once built. Delta rebuilds (BuildDelta) carry the
 // unchanged rows of the previous matrix by value — the carried slices
@@ -16,10 +19,12 @@
 package profmat
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 
 	"swrec/internal/model"
@@ -46,6 +51,26 @@ func (r *Row) Mean() float64 {
 		return 0
 	}
 	return r.Sum / float64(len(r.Keys))
+}
+
+// TopK returns the positions (indices into Keys/Vals) of the k largest
+// entries by value, descending, ties by ascending key — the order of
+// sparse.Vector.TopK. k <= 0 or k >= NNZ returns every position.
+func (r *Row) TopK(k int) []int32 {
+	pos := make([]int32, len(r.Keys))
+	for i := range pos {
+		pos[i] = int32(i)
+	}
+	slices.SortFunc(pos, func(a, b int32) int {
+		if c := cmp.Compare(r.Vals[b], r.Vals[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b) // keys ascend with position
+	})
+	if k > 0 && k < len(pos) {
+		pos = pos[:k]
+	}
+	return pos
 }
 
 // Matrix is the compiled profile matrix of one snapshot. It is immutable
@@ -89,17 +114,69 @@ type Source interface {
 	Product(model.ProductID) *model.Product
 }
 
-// builder is per-worker scratch: a dense score accumulator over the
-// dimension space with a word-packed occupancy bitmap, so clearing
-// between agents is O(dims/64) words and the gather pass enumerates the
-// touched dimensions in ascending order straight off the bitmap — no
-// per-agent sort, no full accumulator scan.
-type builder struct {
-	st   *profile.Streamer
+// gatherer is a dense score accumulator over the dimension space with a
+// word-packed occupancy bitmap, so clearing between rows is O(dims/64)
+// words and the gather pass enumerates the touched dimensions in
+// ascending order straight off the bitmap — no per-row sort, no full
+// accumulator scan. Gathered rows append to two arenas.
+type gatherer struct {
 	acc  []float64 // dense score accumulator, gated by bm
 	bm   []uint64  // occupancy bitmap, one bit per dimension
-	keys []int32   // arena this worker appends compiled keys into
+	keys []int32   // arena the gathered keys append to
 	vals []float64
+}
+
+func newGatherer(dims, capHint int) gatherer {
+	return gatherer{
+		acc:  make([]float64, dims),
+		bm:   make([]uint64, (dims+63)/64),
+		keys: make([]int32, 0, capHint),
+		vals: make([]float64, 0, capHint),
+	}
+}
+
+// add accumulates v into dimension d: the first touch since the last
+// clear stores, later ones sum in call order.
+func (g *gatherer) add(d int32, v float64) {
+	if w, m := d>>6, uint64(1)<<(uint(d)&63); g.bm[w]&m == 0 {
+		g.bm[w] |= m
+		g.acc[d] = v
+	} else {
+		g.acc[d] += v
+	}
+}
+
+// gather appends the touched dimensions and their totals to the arenas
+// in ascending dimension order and returns them as a row, with the
+// aggregates summed in that same order.
+func (g *gatherer) gather() Row {
+	start := len(g.keys)
+	var norm2, sum float64
+	for wi, w := range g.bm {
+		base := int32(wi << 6)
+		for w != 0 {
+			d := base + int32(bits.TrailingZeros64(w))
+			w &= w - 1
+			v := g.acc[d]
+			g.keys = append(g.keys, d)
+			g.vals = append(g.vals, v)
+			norm2 += v * v
+			sum += v
+		}
+	}
+	return Row{
+		Keys: g.keys[start:len(g.keys):len(g.keys)],
+		Vals: g.vals[start:len(g.vals):len(g.vals)],
+		Norm: math.Sqrt(norm2),
+		Sum:  sum,
+	}
+}
+
+// builder is per-worker compile scratch: a gatherer plus, for taxonomy
+// profiles, the Eq. 3 streamer that fills it.
+type builder struct {
+	gatherer
+	st *profile.Streamer // nil compiles plain product-rating rows
 }
 
 // rowCapHint sizes a worker's arenas up front: the expected nnz per row
@@ -109,51 +186,44 @@ type builder struct {
 const rowCapHint = 48
 
 func newBuilder(gen *profile.Generator, dims, nrows int) *builder {
-	return &builder{
-		st:   gen.NewStreamer(),
-		acc:  make([]float64, dims),
-		bm:   make([]uint64, (dims+63)/64),
-		keys: make([]int32, 0, nrows*rowCapHint),
-		vals: make([]float64, 0, nrows*rowCapHint),
+	b := &builder{gatherer: newGatherer(dims, nrows*rowCapHint)}
+	if gen != nil {
+		b.st = gen.NewStreamer()
 	}
+	return b
 }
 
 // compile builds agent a's row into the worker arenas and returns it.
-// The accumulation order is exactly the Streamer's increment stream —
-// the same order profile.ProfileCtx feeds its map — so the per-dimension
-// totals are bit-identical to the map-based profile.
-func (b *builder) compile(ctx context.Context, a *model.Agent, cat profile.Catalog) (Row, error) {
+// For taxonomy profiles the accumulation order is exactly the Streamer's
+// increment stream — the same order profile.ProfileCtx feeds its map — so
+// the per-dimension totals are bit-identical to the map-based profile. A
+// product-rating row holds every rating of a, negative ones included, at
+// the rated product's catalog ordinal (every rated product is cataloged:
+// SetRating enforces it, Merge registers bare products).
+func (b *builder) compile(ctx context.Context, a *model.Agent, src Source) (Row, error) {
 	clear(b.bm)
-	if err := b.st.ProfileDense(ctx, a, cat, b.acc, b.bm); err != nil {
-		return Row{}, err
-	}
-	start := len(b.keys)
-	var norm2, sum float64
-	for wi, w := range b.bm {
-		base := int32(wi << 6)
-		for w != 0 {
-			d := base + int32(bits.TrailingZeros64(w))
-			w &= w - 1
-			v := b.acc[d]
-			b.keys = append(b.keys, d)
-			b.vals = append(b.vals, v)
-			norm2 += v * v
-			sum += v
+	if b.st != nil {
+		if err := b.st.ProfileDense(ctx, a, src, b.acc, b.bm); err != nil {
+			return Row{}, err
+		}
+	} else {
+		if err := ctx.Err(); err != nil {
+			return Row{}, err
+		}
+		for p, v := range a.Ratings {
+			b.add(src.Product(p).Ord(), v)
 		}
 	}
-	return Row{
-		Keys: b.keys[start:len(b.keys):len(b.keys)],
-		Vals: b.vals[start:len(b.vals):len(b.vals)],
-		Norm: math.Sqrt(norm2),
-		Sum:  sum,
-	}, nil
+	return b.gather(), nil
 }
 
-// Build compiles every agent of src into a fresh matrix. dims is the
-// dimension-space size (taxonomy length for taxonomy/flat-category
-// profiles). workers bounds the compile parallelism; values below 1 mean
-// GOMAXPROCS. The build is cancellable: on ctx expiry the partial matrix
-// is discarded and ctx.Err() returned.
+// Build compiles every agent of src into a fresh matrix: Eq. 3 profiles
+// under gen, or — with a nil gen — plain product-rating rows keyed by
+// product ordinal (classic CF [6], the representation that suffers §2's
+// "low profile overlap"). dims is the dimension-space size: the taxonomy
+// length, or src's product count. workers bounds the compile parallelism;
+// values below 1 mean GOMAXPROCS. The build is cancellable: on ctx expiry
+// the partial matrix is discarded and ctx.Err() returned.
 func Build(ctx context.Context, src Source, gen *profile.Generator, dims, workers int) (*Matrix, error) {
 	return BuildDelta(ctx, src, gen, dims, workers, nil, nil)
 }
@@ -238,8 +308,44 @@ func BuildDelta(ctx context.Context, src Source, gen *profile.Generator, dims, w
 	return m, nil
 }
 
-// FromVector compiles a single sparse vector into a standalone row —
-// the bridge the differential tests and map-based fallbacks use.
+// Fold returns mat at a coarser resolution: every row keeps its position,
+// each key k becomes remap[k], and the values that land on one key are
+// summed in ascending order of the keys they came from, so the folded
+// matrix is bit-identical across runs. A key outside remap is dropped.
+// With remap = profile.Generator.AncestorsAt(depth) this is the
+// super-topic matrix the strategy ladder's taxonomy-ancestor rung scans.
+func Fold(mat *Matrix, remap []int32) *Matrix {
+	dims := 0
+	for _, t := range remap {
+		dims = max(dims, int(t)+1)
+	}
+	g := newGatherer(dims, 0)
+	out := &Matrix{rows: make([]Row, len(mat.rows)), built: len(mat.rows)}
+	for i := range mat.rows {
+		clear(g.bm)
+		r := &mat.rows[i]
+		for k, key := range r.Keys {
+			if key >= 0 && int(key) < len(remap) {
+				g.add(remap[key], r.Vals[k])
+			}
+		}
+		out.rows[i] = g.gather()
+	}
+	// A row gathered before an arena grew aliases the outgrown array;
+	// re-slice every row off the final arenas so only those stay live.
+	off := 0
+	for i := range out.rows {
+		end := off + len(out.rows[i].Keys)
+		out.rows[i].Keys = g.keys[off:end:end]
+		out.rows[i].Vals = g.vals[off:end:end]
+		off = end
+	}
+	return out
+}
+
+// FromVector compiles a single sparse vector into a standalone row — the
+// bridge from map-built vectors (core's per-product descriptor vectors,
+// the differential tests' oracles) to the compiled kernels.
 func FromVector(v sparse.Vector) Row {
 	es := v.Entries()
 	r := Row{

@@ -271,3 +271,110 @@ func TestBuildDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestTopKMatchesSparse: a row's TopK is sparse.Vector.TopK — value
+// descending, ties by ascending key — for every k, over vectors whose
+// quantized values tie often.
+func TestTopKMatchesSparse(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 60; trial++ {
+		v := randVector(rng, rng.Intn(50))
+		row := FromVector(v)
+		for _, k := range []int{-1, 0, 1, 2, len(v) - 1, len(v), len(v) + 1, 1 << 40} {
+			want := v.TopK(k)
+			got := row.TopK(k)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d k=%d: %d positions, sparse has %d", trial, k, len(got), len(want))
+			}
+			for i, pos := range got {
+				if row.Keys[pos] != want[i].Key || row.Vals[pos] != want[i].Value {
+					t.Fatalf("trial %d k=%d rank %d: (%d, %v), sparse has %+v", trial, k, i, row.Keys[pos], row.Vals[pos], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestFoldMatchesPerRowOracle folds a whole compiled matrix through a
+// generator's ancestor array and compares every row with a map folded
+// entry by entry in ascending key order: same keys, bit-equal values and
+// aggregates — which also shows no row was left on an outgrown arena.
+func TestFoldMatchesPerRowOracle(t *testing.T) {
+	comm := benchCommunity(t)
+	gen := profile.New(comm.Taxonomy())
+	mat, err := Build(context.Background(), comm, gen, comm.Taxonomy().Len(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, depth := range []int{1, 2} {
+		remap := gen.AncestorsAt(depth)
+		coarse := Fold(mat, remap)
+		if coarse.Len() != mat.Len() {
+			t.Fatalf("depth %d: %d rows folded to %d", depth, mat.Len(), coarse.Len())
+		}
+		shrunk := false
+		for i := 0; i < mat.Len(); i++ {
+			src, got := mat.Row(int32(i)), coarse.Row(int32(i))
+			want := sparse.New(0)
+			for k, key := range src.Keys {
+				want.Add(remap[key], src.Vals[k])
+			}
+			es := want.Entries()
+			if got.NNZ() != len(es) {
+				t.Fatalf("depth %d row %d: %d entries, oracle %d", depth, i, got.NNZ(), len(es))
+			}
+			var norm2, sum float64
+			for j, e := range es {
+				if got.Keys[j] != e.Key || got.Vals[j] != e.Value {
+					t.Fatalf("depth %d row %d entry %d: (%d, %v), oracle %+v", depth, i, j, got.Keys[j], got.Vals[j], e)
+				}
+				norm2 += e.Value * e.Value
+				sum += e.Value
+			}
+			if got.Norm != math.Sqrt(norm2) || got.Sum != sum {
+				t.Fatalf("depth %d row %d: aggregates (%v, %v), oracle (%v, %v)", depth, i, got.Norm, got.Sum, math.Sqrt(norm2), sum)
+			}
+			shrunk = shrunk || got.NNZ() < src.NNZ()
+		}
+		if !shrunk {
+			t.Fatalf("depth %d: no row lost a dimension to the fold", depth)
+		}
+	}
+}
+
+// TestProductRowsCarryAcrossDelta: product-rating rows (nil generator)
+// compile every rating at its product's ordinal and carry across a delta
+// build like taxonomy rows do.
+func TestProductRowsCarryAcrossDelta(t *testing.T) {
+	comm := benchCommunity(t)
+	ctx := context.Background()
+	full, err := Build(ctx, comm, nil, comm.NumProducts(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range comm.Agents() {
+		a, row := comm.Agent(id), full.Row(int32(i))
+		if row.NNZ() != len(a.Ratings) {
+			t.Fatalf("%s: %d entries for %d ratings", id, row.NNZ(), len(a.Ratings))
+		}
+		for k, key := range row.Keys {
+			p, _ := comm.Symbols().ProductID(key)
+			if v, ok := a.Ratings[p]; !ok || v != row.Vals[k] {
+				t.Fatalf("%s: dimension %d holds %v, rating of %s is %v (%v)", id, key, row.Vals[k], p, v, ok)
+			}
+		}
+	}
+	delta, err := BuildDelta(ctx, comm, nil, comm.NumProducts(), 1, full, func(ord int32) bool { return ord == 3 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta.Built() != 1 {
+		t.Fatalf("delta build compiled %d rows, want 1", delta.Built())
+	}
+	for i := 0; i < full.Len(); i++ {
+		a, b := full.Row(int32(i)), delta.Row(int32(i))
+		if a.NNZ() != b.NNZ() || a.Norm != b.Norm || a.Sum != b.Sum {
+			t.Fatalf("row %d differs between full and delta build", i)
+		}
+	}
+}

@@ -26,6 +26,7 @@ import (
 	"sort"
 
 	"swrec/internal/model"
+	"swrec/internal/profile"
 	"swrec/internal/sparse"
 )
 
@@ -70,9 +71,27 @@ type Model struct {
 	Cohesion float64
 }
 
-// ProfileFunc resolves an agent's interest profile (typically
-// cf.Filter.ProfileOf or profile.Generator.Profile).
+// ProfileFunc resolves an agent's interest profile (typically Profiles).
 type ProfileFunc func(model.AgentID) sparse.Vector
+
+// Profiles resolves agents of comm to their Eq. 3 taxonomy profiles
+// (profile.Generator.Profile under the default settings), built on every
+// call. Unknown agents, and every agent of a community without a
+// taxonomy, have empty profiles.
+func Profiles(comm *model.Community) ProfileFunc {
+	tax := comm.Taxonomy()
+	if tax == nil {
+		return func(model.AgentID) sparse.Vector { return nil }
+	}
+	gen := profile.New(tax)
+	return func(id model.AgentID) sparse.Vector {
+		a := comm.Agent(id)
+		if a == nil {
+			return nil
+		}
+		return gen.Profile(a, comm)
+	}
+}
 
 // Learn clusters the agents' profiles into opt.K stereotypes. Agents
 // with empty profiles are skipped (they carry no behavior to model).

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"swrec/internal/cf"
 	"swrec/internal/datagen"
 	"swrec/internal/model"
 	"swrec/internal/sparse"
@@ -161,11 +160,7 @@ func TestOnGeneratedCommunity(t *testing.T) {
 	cfg := datagen.SmallScale()
 	cfg.ClusterFidelity = 0.95
 	comm, meta := datagen.Generate(cfg)
-	f, err := cf.New(comm, cf.Options{Representation: cf.Taxonomy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Learn(comm.Agents(), f.ProfileOf, Options{K: cfg.Clusters, Seed: 4})
+	m, err := Learn(comm.Agents(), Profiles(comm), Options{K: cfg.Clusters, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@
 //     distributed trust-aware widening; trust.WidenOneHop).
 //  3. taxonomy-ancestor  — re-rank peers over profiles generalized up
 //     super-topics, the dual of Eq. 3 downward propagation, when profile
-//     overlap is below threshold (profile.Generalize).
+//     overlap is below threshold (profmat.Fold).
 //  4. popularity         — community-wide popularity vote, preferring
 //     products from categories the agent left untouched (§3.4's
 //     content-driven incentive).

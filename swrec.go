@@ -266,14 +266,14 @@ type (
 	StereotypeOptions = stereotype.Options
 )
 
+// StereotypeProfiles resolves agents of c to the Eq. 3 taxonomy profiles
+// LearnStereotypes clusters — the vectors StereotypeModel.Classify takes.
+func StereotypeProfiles(c *Community) stereotype.ProfileFunc { return stereotype.Profiles(c) }
+
 // LearnStereotypes clusters the community's taxonomy profiles into
 // opt.K stereotypes (spherical k-means, deterministic given opt.Seed).
 func LearnStereotypes(c *Community, opt StereotypeOptions) (*StereotypeModel, error) {
-	f, err := cf.New(c, cf.Options{Representation: cf.Taxonomy})
-	if err != nil {
-		return nil, err
-	}
-	return stereotype.Learn(c.Agents(), f.ProfileOf, opt)
+	return stereotype.Learn(c.Agents(), stereotype.Profiles(c), opt)
 }
 
 // TopicIndex answers browse-by-branch queries over the catalog (the
