@@ -1,5 +1,5 @@
 // Command experiments regenerates the experiment tables of DESIGN.md's
-// index (E1–E9), each validating one quantitative claim of the paper.
+// index (E1–E12), each validating one quantitative claim of the paper.
 //
 // Usage:
 //
@@ -54,6 +54,7 @@ func main() {
 		{"E9", "decentralized publish-crawl-recommend pipeline", wrap(experiments.E9)},
 		{"E10", "automated stereotype generation (§6 extension)", wrap(experiments.E10)},
 		{"E11", "topic diversification (taxonomy-program extension)", wrap(experiments.E11)},
+		{"E12", "neighborhood bounds sweep: range x neighbors x trust floor", wrap(experiments.E12)},
 	}
 
 	selected := map[string]bool{}

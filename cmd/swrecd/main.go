@@ -9,7 +9,7 @@
 //
 //	swrecd [-addr 127.0.0.1:8080] [-in DIR | -scale small|paper -seed N]
 //	       [-metric appleseed|advogato|pathtrust|none] [-alpha 0.5]
-//	       [-trust-threshold 0] [-max-neighbors 0]
+//	       [-trust-threshold 0.01] [-max-neighbors 150]
 //	       [-warm] [-shutdown-timeout 10s] [-wal DIR]
 //	       [-checkpoint-every 64] [-checkpoint-retain 2]
 //	       [-request-budget 50ms] [-compute-budget 2s]
@@ -34,10 +34,13 @@
 // size) without recomputing Appleseed or Eq. 3 (see README "Checkpoints
 // & recovery").
 //
-// -trust-threshold and -max-neighbors wire the §3.3 neighborhood gates:
-// peers below the normalized trust-rank threshold (in [0,1)) are
-// dropped, and at most max-neighbors peers (0 = unlimited) proceed to
-// rank synthesis and voting.
+// -trust-threshold and -max-neighbors set the §3.3 neighborhood bounds:
+// peers whose trust rank, relative to the neighborhood's best, falls
+// below the threshold (in (0,1)) are not neighbors, and the max-neighbors
+// (at least 1) peers of highest synthesized rank vote. Both default to
+// the pipeline's own defaults; the bound is part of the algorithm, so
+// neither can be switched off — an installation that wants everyone in
+// range states a bound the size of its community.
 //
 // Endpoints (see internal/api for the response envelope):
 //
@@ -98,8 +101,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "generation seed")
 	metric := flag.String("metric", "appleseed", "trust metric: appleseed | advogato | pathtrust | none")
 	alpha := flag.Float64("alpha", 0.5, "rank synthesization blend")
-	trustThreshold := flag.Float64("trust-threshold", 0, "drop peers whose normalized trust rank falls below this, in [0,1) (0 = keep all)")
-	maxNeighbors := flag.Int("max-neighbors", 0, "cap on peers proceeding to rank synthesis and voting (0 = unlimited)")
+	trustThreshold := flag.Float64("trust-threshold", core.DefaultTrustThreshold, "trust floor: peers whose trust rank relative to the neighborhood's best falls below this are not neighbors, in (0,1)")
+	maxNeighbors := flag.Int("max-neighbors", core.DefaultMaxNeighbors, "M: the peers of highest synthesized rank that vote, at least 1")
 	warm := flag.Bool("warm", true, "precompute every agent's neighborhood at startup")
 	warmupWorkers := flag.Int("warmup-workers", 0, "warmup worker pool size (0 = GOMAXPROCS)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
@@ -118,11 +121,11 @@ func main() {
 	logger := log.New(os.Stderr, "swrecd: ", log.LstdFlags)
 
 	// Boot-time flag validation: fail loud before any state is touched.
-	if *trustThreshold < 0 || *trustThreshold >= 1 {
-		fatal(fmt.Errorf("-trust-threshold must be in [0,1), got %v", *trustThreshold))
+	if *trustThreshold <= 0 || *trustThreshold >= 1 {
+		fatal(fmt.Errorf("-trust-threshold must be in (0,1), got %v", *trustThreshold))
 	}
-	if *maxNeighbors < 0 {
-		fatal(fmt.Errorf("-max-neighbors must be >= 0, got %d", *maxNeighbors))
+	if *maxNeighbors < 1 {
+		fatal(fmt.Errorf("-max-neighbors must be >= 1, got %d", *maxNeighbors))
 	}
 	if *ckptEvery < 0 {
 		fatal(fmt.Errorf("-checkpoint-every must be >= 0, got %d", *ckptEvery))

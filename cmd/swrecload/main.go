@@ -197,10 +197,10 @@ func printSummary(rep *loadgen.Report, verbose bool) {
 		if len(ar.Violations) > 0 {
 			status = "ESCAPED"
 		}
-		fmt.Printf("attack %-16s %s: energy %.4f; trust-gated rank perturbation %d, pushed rate %.3f; default blend %d / %.3f (%d samples)\n",
+		fmt.Printf("attack %-16s %s: energy %.4f; default-blend rank perturbation %d, pushed rate %.3f; trust-gated %d / %.3f (%d samples)\n",
 			ar.Kind, status, ar.EnergyShare,
-			ar.TrustGated.MaxRankPerturbation, ar.TrustGated.PushedRate,
-			ar.MaxRankPerturbation, ar.PushedRate, ar.Samples)
+			ar.MaxRankPerturbation, ar.PushedRate,
+			ar.TrustGated.MaxRankPerturbation, ar.TrustGated.PushedRate, ar.Samples)
 		for _, v := range ar.Violations {
 			fmt.Println("  violation:", v)
 		}

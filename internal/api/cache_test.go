@@ -19,6 +19,7 @@ import (
 	"swrec/internal/engine"
 	"swrec/internal/model"
 	"swrec/internal/strategy"
+	"swrec/internal/trust"
 )
 
 // serve performs one request and returns the recorder.
@@ -409,12 +410,17 @@ func TestConcurrentReadsAcrossSwaps(t *testing.T) {
 	}
 }
 
-// TestOversizedBodyServedNotStored: an unbounded listing is answered in
-// full every time and never takes cache budget.
+// TestOversizedBodyServedNotStored: a listing over the entry limit is
+// answered in full every time and never takes cache budget. Under the
+// default M = 150 no /neighbors body comes near the limit, so the engine
+// states bounds wide enough for a 700-peer listing.
 func TestOversizedBodyServedNotStored(t *testing.T) {
 	comm := testCommunity(t, 700, 80)
 	eng, err := engine.New(comm, core.Options{
-		CF: cf.Options{Measure: cf.Cosine, Representation: cf.Taxonomy},
+		Appleseed:      trust.AppleseedOptions{MaxNodes: 700},
+		MaxNeighbors:   700,
+		TrustThreshold: 1e-300,
+		CF:             cf.Options{Measure: cf.Cosine, Representation: cf.Taxonomy},
 	}, engine.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -47,11 +47,10 @@ const (
 // Spec configures one injected attack plus the confinement bounds the
 // harness asserts afterwards. The zero value of a bound disables that
 // assertion. The bounds state the paper's claim about trust-gated
-// neighborhoods, so the harness asserts them against the measurement
-// taken under pure trust weighting (alpha=1); the serving default's
-// similarity blend is measured alongside and drift-tracked but not
-// bounded here — cloned profiles legitimately score similarity weight
-// under that mode.
+// neighborhoods, and the harness asserts them against the measurement
+// taken under the serving default — the similarity blend over the
+// bounded, floor-gated neighborhood; the pure trust weighting (alpha=1)
+// is measured alongside and drift-tracked.
 type Spec struct {
 	Kind  Kind `json:"kind"`
 	Count int  `json:"count"` // attacker identities (≥1)

@@ -50,12 +50,17 @@ type Image struct {
 	Peers []engine.PeersEntry
 }
 
-// optSig fingerprints the option fields that shape compiled state.
+// optSig fingerprints the option fields that shape compiled state, as
+// the pipeline resolves them: it signs the defaulted options, so two
+// configurations share warm state exactly when they run the same
+// pipeline — an image written when a zero neighborhood bound meant
+// "everyone" does not pass for one written under today's defaults.
 // Options.Candidates is a func and deliberately excluded: a custom
 // candidate hook cannot be serialized, and engines using one should not
 // share checkpoints with engines that do not — so its presence is part
 // of the signature.
 func optSig(o core.Options) string {
+	o = o.WithDefaults()
 	return fmt.Sprintf("metric=%d as=%+v adv=%+v pt=%+v cf=%d/%d/%g/%t tt=%g mn=%d cand=%t a=%g/%t merge=%d content=%d boost=%g",
 		o.Metric, o.Appleseed, o.Advogato, o.PathTrust,
 		o.CF.Measure, o.CF.Representation, o.CF.ProfileScore, o.CF.WeightByRating,

@@ -204,6 +204,66 @@ func TestDecodeOptionsMismatch(t *testing.T) {
 	}
 }
 
+// TestWholeRangeImageIsStaleUnderDefaults is the regression test for the
+// checkpoint a build older than the bounded defaults left behind: its
+// options were all zeros, which then meant "everyone in range" — the
+// pipeline spelled here with explicit whole-range bounds — and its warm
+// peers hold those unbounded rankings. Under today's zero options the
+// signature must differ, so the file takes the ErrOptions path: the
+// statements are kept, the peers section is dropped, and the recompiled
+// engine serves what a clean engine under the defaults serves.
+func TestWholeRangeImageIsStaleUnderDefaults(t *testing.T) {
+	comm := testCommunity(t, 40)
+	whole := testOptions()
+	whole.Appleseed.MaxNodes, whole.MaxNeighbors, whole.TrustThreshold = comm.NumAgents(), comm.NumAgents(), 1e-300
+	old, err := engine.New(comm, whole, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.Warmup(1)
+	img := Capture(old.Snapshot(), 9)
+	if len(img.Peers) == 0 {
+		t.Fatal("fixture: no warm peers captured")
+	}
+	data := Encode(img)
+
+	if _, err := Decode(data, testOptions()); !errors.Is(err, ErrOptions) {
+		t.Fatalf("whole-range image decoded under the defaults: %v, want ErrOptions", err)
+	}
+	kept, err := decode(data, testOptions(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kept.Peers) != 0 {
+		t.Fatalf("statements-only decode kept %d warm peers entries", len(kept.Peers))
+	}
+	if kept.Seq != img.Seq || kept.Community.NumAgents() != comm.NumAgents() {
+		t.Fatalf("statements lost: seq %d agents %d, want %d/%d", kept.Seq, kept.Community.NumAgents(), img.Seq, comm.NumAgents())
+	}
+	restored, err := kept.Restore(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := engine.New(comm, testOptions(), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := recsDigest(t, restored.Snapshot()), recsDigest(t, clean.Snapshot()); got != want {
+		t.Fatal("recompiled engine does not serve what a clean engine under the defaults serves")
+	}
+	// The fixture must tell the two pipelines apart, or serving the stale
+	// peers would have gone unnoticed.
+	bounded, unbounded := 0, 0
+	for _, id := range comm.Agents() {
+		a, _ := clean.Snapshot().RankedPeers(id, engine.Overrides{})
+		b, _ := old.Snapshot().RankedPeers(id, engine.Overrides{})
+		bounded, unbounded = bounded+len(a), unbounded+len(b)
+	}
+	if bounded >= unbounded {
+		t.Fatalf("fixture: defaults rank %d peers, whole range %d — the bounds never bind", bounded, unbounded)
+	}
+}
+
 // TestDecodeCorruptionSweep flips one byte at a spread of offsets and
 // truncates at a spread of lengths; every variant must fail cleanly —
 // corruption is always an error, never a silently wrong snapshot.

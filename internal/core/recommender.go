@@ -7,17 +7,20 @@
 // materialized community view:
 //
 //  1. Trust neighborhood. A local group trust metric (Appleseed by
-//     default) ranks the peers within a_i's trust computation range. This
-//     step provides security (only opinions from trustworthy peers count)
-//     and scalability (it pre-filters the candidate set, §2).
+//     default) ranks the peers within a_i's trust computation range — a
+//     bounded range: Appleseed explores at most R agents — and keeps
+//     those whose rank reaches a floor relative to the best. This step
+//     provides security (only opinions from trustworthy peers count) and
+//     scalability (it pre-filters the candidate set, §2).
 //  2. Similarity-based filtering. Collaborative filtering runs "over all
 //     peers whose trustworthiness lies above some given threshold",
 //     ranking them by taxonomy-profile similarity.
 //  3. Rank synthesization. Trust rank and similarity rank merge into one
-//     rank weight per peer. The paper leaves the merge open ("we have not
-//     attacked latter issue yet"); we implement the natural convex blend
-//     w(a_j) = α·trustNorm(a_j) + (1-α)·simNorm(a_j), with α sweepable in
-//     experiment E7, plus the pure strategies as baselines.
+//     rank weight per peer, and the M peers of highest weight form the
+//     neighborhood (§3.3's "M closest"). The paper leaves the merge open
+//     ("we have not attacked latter issue yet"); we implement the natural
+//     convex blend w(a_j) = α·trustNorm(a_j) + (1-α)·simNorm(a_j), with α
+//     sweepable in experiment E7, plus the pure strategies as baselines.
 //  4. Recommendation. "Every a_j votes for all its appreciated products
 //     b_k ∈ r_j with its own rank weight", so products mentioned
 //     positively in several high-weight histories rise to the top. The
@@ -115,20 +118,30 @@ const (
 	NovelCategories
 )
 
+// The neighborhood bounds a zero Options field resolves to, chosen with
+// trust.DefaultMaxNodes by the E12 sweep (EXPERIMENTS.md).
+const (
+	DefaultMaxNeighbors   = 150
+	DefaultTrustThreshold = 0.0001
+)
+
 // Options configure a Recommender. The zero value gives the paper's
-// default pipeline: Appleseed + taxonomy-Pearson CF + α = 0.5 blend.
+// default pipeline: Appleseed over a bounded range + taxonomy-Pearson CF
+// + α = 0.5 blend over the M closest peers.
 type Options struct {
 	Metric    Metric
 	Appleseed trust.AppleseedOptions
 	Advogato  trust.AdvogatoOptions
 	PathTrust trust.PathTrustOptions
 	CF        cf.Options
-	// TrustThreshold drops peers whose normalized trust rank (relative to
-	// the neighborhood's best) falls below it — "peers whose
-	// trustworthiness lies above some given threshold" (§3.3). In [0,1).
+	// TrustThreshold is the floor of stage 1: a peer whose trust rank,
+	// relative to the neighborhood's best, falls below it is not a
+	// neighbor — "peers whose trustworthiness lies above some given
+	// threshold" (§3.3). In (0,1); default DefaultTrustThreshold.
 	TrustThreshold float64
-	// MaxNeighbors caps the peers that proceed to stages 2-4 (0 = all in
-	// range).
+	// MaxNeighbors is M, the number of peers rank synthesization keeps:
+	// the highest-weighted M vote in stage 4. At least 1; default
+	// DefaultMaxNeighbors.
 	MaxNeighbors int
 	// Candidates, when non-nil, replaces stage 1 entirely: the returned
 	// peers (each accorded trust rank 1) form the neighborhood. Custom
@@ -168,12 +181,31 @@ func (o Options) alpha() float64 {
 // taxonomy-ancestor rung) use exactly the α the pipeline would.
 func (o Options) BlendAlpha() float64 { return o.alpha() }
 
+// WithDefaults returns the options the pipeline actually runs: zero
+// neighborhood bounds and zero Appleseed parameters replaced by their
+// defaults. New applies it; a checkpoint signs it, so an image is only
+// restored under options that mean the same.
+func (o Options) WithDefaults() Options {
+	if o.TrustThreshold == 0 {
+		o.TrustThreshold = DefaultTrustThreshold
+	}
+	if o.MaxNeighbors == 0 {
+		o.MaxNeighbors = DefaultMaxNeighbors
+	}
+	o.Appleseed = o.Appleseed.WithDefaults()
+	return o
+}
+
+// validate checks defaulted options.
 func (o Options) validate() error {
 	if a := o.alpha(); a < 0 || a > 1 {
 		return fmt.Errorf("core: alpha must be in [0,1], got %v", a)
 	}
-	if o.TrustThreshold < 0 || o.TrustThreshold >= 1 {
-		return fmt.Errorf("core: trust threshold must be in [0,1), got %v", o.TrustThreshold)
+	if o.TrustThreshold <= 0 || o.TrustThreshold >= 1 {
+		return fmt.Errorf("core: trust threshold must be in (0,1), got %v", o.TrustThreshold)
+	}
+	if o.MaxNeighbors < 1 {
+		return fmt.Errorf("core: max neighbors must be positive, got %d", o.MaxNeighbors)
 	}
 	if o.ContentBoost < 0 {
 		return fmt.Errorf("core: content boost must be >= 0, got %v", o.ContentBoost)
@@ -229,6 +261,7 @@ type Recommender struct {
 // New creates a recommender. Taxonomy-based CF representations and
 // ContentBoost require the community to carry a taxonomy.
 func New(comm *model.Community, opt Options) (*Recommender, error) {
+	opt = opt.WithDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
@@ -254,6 +287,7 @@ func New(comm *model.Community, opt Options) (*Recommender, error) {
 // can honor per-request overrides of the trust metric, α, similarity
 // measure or content mode without compiling anything.
 func (r *Recommender) WithOptions(opt Options) (*Recommender, error) {
+	opt = opt.WithDefaults()
 	shared := r.opt.CF
 	shared.Measure = opt.CF.Measure
 	if opt.CF == shared {
@@ -296,8 +330,28 @@ func (r *Recommender) NeighborhoodCtx(ctx context.Context, active model.AgentID)
 }
 
 // neighborhood is NeighborhoodCtx building the ranks in buf's array when
-// the metric can (see trust.AppleseedCompiled).
+// the metric can (see trust.AppleseedCompiled). The trust floor is part
+// of stage 1: of the peers the metric ranked, those whose rank relative
+// to the best falls below TrustThreshold are cut here — the ranks come
+// sorted, so the cut is a suffix — and later stages (and the ladder's
+// hop widening, whose joiners rank below any member by construction)
+// take the neighborhood as given.
 func (r *Recommender) neighborhood(ctx context.Context, active model.AgentID, buf []trust.Rank) (*trust.Neighborhood, error) {
+	nb, err := r.rankTrust(ctx, active, buf)
+	if err != nil || len(nb.Ranks) == 0 {
+		return nb, err
+	}
+	best, n := nb.Ranks[0].Trust, len(nb.Ranks)
+	for n > 0 && nb.Ranks[n-1].Trust/best < r.opt.TrustThreshold {
+		n--
+	}
+	nb.Ranks = nb.Ranks[:n]
+	return nb, nil
+}
+
+// rankTrust runs the configured trust metric (or candidate pre-filter)
+// and returns its ranking, sorted by descending trust.
+func (r *Recommender) rankTrust(ctx context.Context, active model.AgentID, buf []trust.Rank) (*trust.Neighborhood, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -369,10 +423,12 @@ var ranksPool sync.Pool
 
 // SynthesizeCtx runs stages 2-3 — similarity filtering and rank
 // synthesization — over an externally supplied trust neighborhood,
-// exactly as RankedPeersCtx does over the stage-1 result. Serving layers
-// that transform the neighborhood before synthesis (the strategy
-// ladder's trust-hop widening) use this to keep the downstream pipeline
-// identical. Returns ctx.Err() when cancelled.
+// exactly as RankedPeersCtx does over the stage-1 result, and returns the
+// MaxNeighbors peers of highest weight in an array of exactly that
+// length (the ranking outlives the request in the engine's cache).
+// Serving layers that transform the neighborhood before synthesis (the
+// strategy ladder's trust-hop widening) use this to keep the downstream
+// pipeline identical. Returns ctx.Err() when cancelled.
 func (r *Recommender) SynthesizeCtx(ctx context.Context, active model.AgentID, nb *trust.Neighborhood) ([]PeerRank, error) {
 	if nb == nil || len(nb.Ranks) == 0 {
 		return nil, nil
@@ -383,46 +439,37 @@ func (r *Recommender) SynthesizeCtx(ctx context.Context, active model.AgentID, n
 			maxTrust = rk.Trust
 		}
 	}
-	alpha := r.opt.alpha()
-	peers := make([]PeerRank, 0, len(nb.Ranks))
+	sc := getSynthScratch(len(nb.Ranks))
+	defer synthPool.Put(sc)
+	peers := sc.peers[:len(nb.Ranks)]
 	for i, rk := range nb.Ranks {
-		if i&15 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		tn := 0.0
+		p := PeerRank{Agent: rk.Agent}
 		if maxTrust > 0 {
-			tn = rk.Trust / maxTrust
+			p.Trust = rk.Trust / maxTrust
 		}
-		if tn < r.opt.TrustThreshold {
-			continue
-		}
-		p := PeerRank{Agent: rk.Agent, Trust: tn}
 		if ord, ok := rk.Ord(); ok {
 			p.ord = ord + 1
 		} else if a := r.comm.Agent(rk.Agent); a != nil {
 			p.ord = a.Ord() + 1
 		}
-		peers = append(peers, p)
+		peers[i] = p
 	}
 	// Stage 2 as one batched scan: the filter computes every peer
 	// similarity over the compiled profile matrix, addressed by ordinal,
 	// fanning out across workers when the peer set and CPU count warrant
-	// it. The ordinal and result buffers are pooled.
-	if len(peers) > 0 {
-		act := int32(-1)
-		if a := r.comm.Agent(active); a != nil {
-			act = a.Ord()
-		}
-		err := r.similarities(peers, func(ords []int32, sims []cf.SimResult) error {
-			return r.filter.Similarities(ctx, act, ords, sims)
-		})
-		if err != nil {
-			return nil, err
-		}
+	// it, and checks ctx as it goes.
+	act := int32(-1)
+	if a := r.comm.Agent(active); a != nil {
+		act = a.Ord()
+	}
+	err := sc.similarities(peers, func(ords []int32, sims []cf.SimResult) error {
+		return r.filter.Similarities(ctx, act, ords, sims)
+	})
+	if err != nil {
+		return nil, err
 	}
 
+	alpha := r.opt.alpha()
 	switch r.opt.Merge {
 	case BordaCount:
 		bordaMerge(peers, alpha)
@@ -451,32 +498,37 @@ func (r *Recommender) SynthesizeCtx(ctx context.Context, active model.AgentID, n
 			return 0
 		}
 	})
-	if r.opt.MaxNeighbors > 0 && len(peers) > r.opt.MaxNeighbors {
-		peers = peers[:r.opt.MaxNeighbors]
-	}
-	return peers, nil
+	kept := make([]PeerRank, min(len(peers), r.opt.MaxNeighbors))
+	copy(kept, peers)
+	return kept, nil
 }
 
-// synthScratch holds the stage-2 buffers of one SynthesizeCtx call: the
-// peers' ordinals going into the similarity scan and the results coming
-// out of it.
+// synthScratch holds the buffers of one stage 2-3 run: the candidate
+// peers before the M highest-weighted are copied out, their ordinals
+// going into the similarity scan and the results coming out of it.
 type synthScratch struct {
-	ords []int32
-	sims []cf.SimResult
+	peers []PeerRank
+	ords  []int32
+	sims  []cf.SimResult
 }
 
 var synthPool sync.Pool
 
-// similarities runs a stage-2 scan against peers on pooled buffers —
-// scan receives the peers' ordinals and fills one result each — and
-// writes every result into its peer. A peer without an ordinal (an agent
-// the community does not know) scans as an empty profile.
-func (r *Recommender) similarities(peers []PeerRank, scan func(ords []int32, sims []cf.SimResult) error) error {
+// getSynthScratch returns pooled buffers for n peers; the caller puts
+// them back.
+func getSynthScratch(n int) *synthScratch {
 	sc, ok := synthPool.Get().(*synthScratch)
-	if !ok || len(sc.ords) < len(peers) {
-		sc = &synthScratch{ords: make([]int32, len(peers)), sims: make([]cf.SimResult, len(peers))}
+	if !ok || len(sc.ords) < n {
+		sc = &synthScratch{peers: make([]PeerRank, n), ords: make([]int32, n), sims: make([]cf.SimResult, n)}
 	}
-	defer synthPool.Put(sc)
+	return sc
+}
+
+// similarities runs a stage-2 scan against peers — scan receives the
+// peers' ordinals and fills one result each — and writes every result
+// into its peer. A peer without an ordinal (an agent the community does
+// not know) scans as an empty profile.
+func (sc *synthScratch) similarities(peers []PeerRank, scan func(ords []int32, sims []cf.SimResult) error) error {
 	ords, sims := sc.ords[:len(peers)], sc.sims[:len(peers)]
 	for i := range peers {
 		ords[i] = peers[i].ord - 1
@@ -509,7 +561,9 @@ func (r *Recommender) AncestorSimilarities(ctx context.Context, active model.Age
 		}
 	}
 	act := ordOf(active)
-	return r.similarities(peers, func(ords []int32, sims []cf.SimResult) error {
+	sc := getSynthScratch(len(peers))
+	defer synthPool.Put(sc)
+	return sc.similarities(peers, func(ords []int32, sims []cf.SimResult) error {
 		return r.filter.AncestorSimilarities(ctx, depth, act, ords, sims)
 	})
 }

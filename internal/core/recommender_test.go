@@ -7,6 +7,7 @@ import (
 	"swrec/internal/cf"
 	"swrec/internal/model"
 	"swrec/internal/taxonomy"
+	"swrec/internal/trust"
 )
 
 // scenario builds a small book community:
@@ -325,6 +326,22 @@ func TestOptionValidation(t *testing.T) {
 	}
 	if _, err := New(c, Options{TrustThreshold: 1}); err == nil {
 		t.Fatal("threshold 1 accepted")
+	}
+	if _, err := New(c, Options{TrustThreshold: -0.1}); err == nil {
+		t.Fatal("negative threshold accepted")
+	}
+	if _, err := New(c, Options{MaxNeighbors: -1}); err == nil {
+		t.Fatal("negative neighbor bound accepted")
+	}
+	// Zero bounds are not "no bound": they resolve to the defaults, in the
+	// recommender and in what a checkpoint signs alike.
+	eff := Options{}.WithDefaults()
+	if eff.MaxNeighbors != DefaultMaxNeighbors || eff.TrustThreshold != DefaultTrustThreshold ||
+		eff.Appleseed.MaxNodes != trust.DefaultMaxNodes {
+		t.Fatalf("zero options resolve to M=%d floor=%v R=%d", eff.MaxNeighbors, eff.TrustThreshold, eff.Appleseed.MaxNodes)
+	}
+	if again := eff.WithDefaults(); again.MaxNeighbors != eff.MaxNeighbors || again.TrustThreshold != eff.TrustThreshold || again.Appleseed != eff.Appleseed {
+		t.Fatal("WithDefaults is not idempotent")
 	}
 	bare := model.NewCommunity(nil)
 	if _, err := New(bare, defaultOpts()); err == nil {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"swrec/internal/core"
 )
 
 // servingFingerprint hashes the complete serving output of a snapshot on
@@ -38,24 +40,51 @@ func servingFingerprint(t testing.TB, snap *Snapshot) string {
 }
 
 // preInternFingerprint is the serving fingerprint of the seeded corpus
-// (datagen.SmallScale, 120 agents / 240 products, default test options)
-// computed by the string-keyed implementation immediately before the
-// interned-ID refactor. The differential test below pins the interned
-// data model to byte-identical serving output.
+// (datagen.SmallScale, 120 agents / 240 products, test options with the
+// whole community in range) computed by the string-keyed implementation
+// immediately before the interned-ID refactor, when a zero bound still
+// meant "everyone". The differential test below pins the interned data
+// model — and every later change to the walk, the scan and the rank
+// synthesis — to byte-identical serving output under those bounds.
 const preInternFingerprint = "3976785e17235065ef071ec31b2d94984bc9785eb234cc41e81d13212a57f178"
+
+// boundedFingerprint is the same corpus served under the default
+// neighborhood bounds (R = 400, M = 150, floor 0.0001), recorded by the PR
+// that made them the zero value's meaning. At 120 agents only the floor
+// binds.
+const boundedFingerprint = "7d78c3800e01eeea91fe0e541e2a50d714d5159a46021133d72b9c557c0ccb95"
+
+// wholeRange states bounds that never bind on a community of n agents:
+// the expansion range and M cover everyone and the floor sits below any
+// rank a walk can produce. It is what "unbounded" is spelled as now that
+// the zero value means the defaults.
+func wholeRange(opt core.Options, n int) core.Options {
+	opt.Appleseed.MaxNodes = n
+	opt.MaxNeighbors = n
+	opt.TrustThreshold = 1e-300
+	return opt
+}
 
 // TestInternedFingerprintMatchesPreRefactor is the interning refactor's
 // differential gate: rekeying every hot-path structure on dense int32
 // ordinals must not move a single score bit. The corpus, options, and
-// answer sizes match the constant's recording run exactly.
+// answer sizes match the constants' recording runs exactly.
 func TestInternedFingerprintMatchesPreRefactor(t *testing.T) {
 	comm := testCommunity(t, 120, 240)
-	e, err := New(comm, testOptions(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := servingFingerprint(t, e.Snapshot())
-	if got != preInternFingerprint {
-		t.Fatalf("serving fingerprint drifted from the pre-refactor recording:\n got %s\nwant %s", got, preInternFingerprint)
+	for _, tc := range []struct {
+		name string
+		opt  core.Options
+		want string
+	}{
+		{"whole range", wholeRange(testOptions(), comm.NumAgents()), preInternFingerprint},
+		{"default bounds", testOptions(), boundedFingerprint},
+	} {
+		e, err := New(comm, tc.opt, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := servingFingerprint(t, e.Snapshot()); got != tc.want {
+			t.Errorf("%s: serving fingerprint drifted from the recording:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
 	}
 }

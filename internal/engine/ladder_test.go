@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"expvar"
+	"fmt"
 	"testing"
 
 	"swrec/internal/core"
@@ -144,8 +145,18 @@ func TestLadderRunsAreStable(t *testing.T) {
 
 // TestLadderWideningAddsPeers hand-builds a two-hop trust chain and bounds
 // Appleseed's range so the stage-1 neighborhood is provably truncated:
-// widening must recruit the second hop that the metric could not reach.
+// widening must recruit the second hop that the metric could not reach —
+// also under a trust floor above anything a joiner can rank (joiners
+// enter at decay · rank · t ≤ 0.5 of the best member): the floor gates
+// the metric's own ranks in stage 1, never the peers widening recruits,
+// or the rung would be a no-op exactly when the neighborhood is thin.
 func TestLadderWideningAddsPeers(t *testing.T) {
+	for _, floor := range []float64{core.DefaultTrustThreshold, 0.9} {
+		t.Run(fmt.Sprintf("floor=%g", floor), func(t *testing.T) { ladderWideningAddsPeers(t, floor) })
+	}
+}
+
+func ladderWideningAddsPeers(t *testing.T, floor float64) {
 	comm := testCommunity(t, 10, 30)
 	src := model.AgentID("http://fixture.example/people/chain-src")
 	mid := model.AgentID("http://fixture.example/people/chain-mid")
@@ -172,6 +183,7 @@ func TestLadderWideningAddsPeers(t *testing.T) {
 
 	opt := testOptions()
 	opt.Appleseed = trust.AppleseedOptions{MaxNodes: 1} // discovery stops at mid
+	opt.TrustThreshold = floor
 	e, err := New(comm, opt, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -190,6 +202,11 @@ func TestLadderWideningAddsPeers(t *testing.T) {
 	}
 	if !got[mid] || !got[far1] || !got[far2] {
 		t.Fatalf("widened peers = %v, want mid+far1+far2", got)
+	}
+	for _, p := range peers {
+		if p.Agent != mid && p.Trust >= 0.9 {
+			t.Fatalf("fixture: joiner %s ranks %v, not under the 0.9 floor", p.Agent, p.Trust)
+		}
 	}
 }
 

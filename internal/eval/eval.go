@@ -101,6 +101,20 @@ type LOOResult struct {
 // out mutates rating histories between trials.
 type RecommenderFactory func(comm *model.Community) (*core.Recommender, error)
 
+// VariantsFactory builds, for each trial, one recommender per pipeline
+// variant under comparison (core.Recommender.WithOptions shares the
+// trial's compiled state among them). It must return the same number of
+// recommenders every call.
+type VariantsFactory func(comm *model.Community) ([]*core.Recommender, error)
+
+// single adapts a one-recommender factory.
+func single(factory RecommenderFactory) VariantsFactory {
+	return func(comm *model.Community) ([]*core.Recommender, error) {
+		rec, err := factory(comm)
+		return []*core.Recommender{rec}, err
+	}
+}
+
 // ErrNoTrials is returned when no agent qualifies for leave-one-out.
 var ErrNoTrials = errors.New("eval: no agent has enough positive ratings for leave-one-out")
 
@@ -109,13 +123,25 @@ var ErrNoTrials = errors.New("eval: no agent has enough positive ratings for lea
 // recommender runs, and a hit is scored when the withheld product appears
 // in the top N. The community is restored after every trial.
 func LeaveOneOut(comm *model.Community, factory RecommenderFactory, topN, maxTrials int, rng *rand.Rand) (LOOResult, error) {
-	var res LOOResult
+	res, err := LeaveOneOutEach(comm, single(factory), topN, maxTrials, rng)
+	if len(res) == 0 {
+		return LOOResult{}, err
+	}
+	return res[0], err
+}
+
+// LeaveOneOutEach is LeaveOneOut over several pipeline variants at once:
+// every variant answers the same trials, so their results differ by the
+// pipeline alone, and a trial's community state is compiled once.
+func LeaveOneOutEach(comm *model.Community, factory VariantsFactory, topN, maxTrials int, rng *rand.Rand) ([]LOOResult, error) {
+	var results []LOOResult
+	var rankSums []int
 	agents := append([]model.AgentID(nil), comm.Agents()...)
 	rng.Shuffle(len(agents), func(i, j int) { agents[i], agents[j] = agents[j], agents[i] })
 
-	var rankSum int
+	trials := 0
 	for _, id := range agents {
-		if maxTrials > 0 && res.Trials >= maxTrials {
+		if maxTrials > 0 && trials >= maxTrials {
 			break
 		}
 		a := comm.Agent(id)
@@ -133,40 +159,53 @@ func LeaveOneOut(comm *model.Community, factory RecommenderFactory, topN, maxTri
 		heldVal := a.Ratings[held]
 		delete(a.Ratings, held)
 		a.MarkDirty()
-
-		rec, err := factory(comm)
-		if err != nil {
+		restore := func() {
 			a.Ratings[held] = heldVal
 			a.MarkDirty()
-			return res, fmt.Errorf("eval: factory: %w", err)
 		}
-		recs, err := rec.Recommend(id, topN)
-		a.Ratings[held] = heldVal // restore before error handling
-		a.MarkDirty()
+
+		recs, err := factory(comm)
 		if err != nil {
-			return res, fmt.Errorf("eval: recommend for %s: %w", id, err)
+			restore()
+			return results, fmt.Errorf("eval: factory: %w", err)
 		}
-		res.Trials++
-		if len(recs) == 0 {
-			res.Empty++
-			continue
+		if results == nil {
+			results, rankSums = make([]LOOResult, len(recs)), make([]int, len(recs))
 		}
-		for rank, r := range recs {
-			if r.Product == held {
-				res.Hits++
-				rankSum += rank + 1
-				break
+		for v, rec := range recs {
+			list, err := rec.Recommend(id, topN)
+			if err != nil {
+				restore()
+				return results, fmt.Errorf("eval: recommend for %s: %w", id, err)
+			}
+			res := &results[v]
+			res.Trials++
+			if len(list) == 0 {
+				res.Empty++
+				continue
+			}
+			for rank, r := range list {
+				if r.Product == held {
+					res.Hits++
+					rankSums[v] += rank + 1
+					break
+				}
 			}
 		}
+		restore()
+		trials++
 	}
-	if res.Trials == 0 {
-		return res, ErrNoTrials
+	if trials == 0 {
+		return results, ErrNoTrials
 	}
-	res.HitRate = float64(res.Hits) / float64(res.Trials)
-	if res.Hits > 0 {
-		res.MeanRank = float64(rankSum) / float64(res.Hits)
+	for v := range results {
+		res := &results[v]
+		res.HitRate = float64(res.Hits) / float64(res.Trials)
+		if res.Hits > 0 {
+			res.MeanRank = float64(rankSums[v]) / float64(res.Hits)
+		}
 	}
-	return res, nil
+	return results, nil
 }
 
 // AttackExposure describes how far an injected product penetrated a
@@ -290,6 +329,16 @@ type PRPoint struct {
 // liked products, at least one) and checking how many return in the
 // top-N. Ns must be ascending.
 func PrecisionRecall(comm *model.Community, factory RecommenderFactory, ns []int, maxTrials int, rng *rand.Rand) ([]PRPoint, error) {
+	res, err := PrecisionRecallEach(comm, single(factory), ns, maxTrials, rng)
+	if len(res) == 0 {
+		return nil, err
+	}
+	return res[0], err
+}
+
+// PrecisionRecallEach is PrecisionRecall over several pipeline variants
+// answering the same trials; see LeaveOneOutEach.
+func PrecisionRecallEach(comm *model.Community, factory VariantsFactory, ns []int, maxTrials int, rng *rand.Rand) ([][]PRPoint, error) {
 	if len(ns) == 0 {
 		return nil, errors.New("eval: no list lengths given")
 	}
@@ -297,8 +346,8 @@ func PrecisionRecall(comm *model.Community, factory RecommenderFactory, ns []int
 	agents := append([]model.AgentID(nil), comm.Agents()...)
 	rng.Shuffle(len(agents), func(i, j int) { agents[i], agents[j] = agents[j], agents[i] })
 
-	hits := make([]float64, len(ns)) // Σ per-trial hit counts at each N
-	recalls := make([]float64, len(ns))
+	// Per variant and list length: Σ per-trial precision and recall.
+	var hits, recalls [][]float64
 	trials := 0
 	for _, id := range agents {
 		if maxTrials > 0 && trials >= maxTrials {
@@ -330,44 +379,52 @@ func PrecisionRecall(comm *model.Community, factory RecommenderFactory, ns []int
 			a.MarkDirty()
 		}
 
-		rec, err := factory(comm)
+		recs, err := factory(comm)
 		if err != nil {
 			restore()
 			return nil, fmt.Errorf("eval: factory: %w", err)
 		}
-		recs, err := rec.Recommend(id, maxN)
-		restore()
-		if err != nil {
-			return nil, fmt.Errorf("eval: recommend for %s: %w", id, err)
-		}
-		trials++
-		heldSet := make(map[model.ProductID]bool, len(held))
-		for _, p := range held {
-			heldSet[p] = true
-		}
-		for ni, n := range ns {
-			h := 0
-			for i := 0; i < n && i < len(recs); i++ {
-				if heldSet[recs[i].Product] {
-					h++
-				}
+		if hits == nil {
+			hits, recalls = make([][]float64, len(recs)), make([][]float64, len(recs))
+			for v := range recs {
+				hits[v], recalls[v] = make([]float64, len(ns)), make([]float64, len(ns))
 			}
-			hits[ni] += float64(h) / float64(n)
-			recalls[ni] += float64(h) / float64(len(held))
 		}
+		for v, rec := range recs {
+			list, err := rec.Recommend(id, maxN)
+			if err != nil {
+				restore()
+				return nil, fmt.Errorf("eval: recommend for %s: %w", id, err)
+			}
+			for ni, n := range ns {
+				h := 0
+				for i := 0; i < n && i < len(list); i++ {
+					if _, ok := saved[list[i].Product]; ok {
+						h++
+					}
+				}
+				hits[v][ni] += float64(h) / float64(n)
+				recalls[v][ni] += float64(h) / float64(len(held))
+			}
+		}
+		restore()
+		trials++
 	}
 	if trials == 0 {
 		return nil, ErrNoTrials
 	}
-	out := make([]PRPoint, len(ns))
-	for i, n := range ns {
-		p := hits[i] / float64(trials)
-		r := recalls[i] / float64(trials)
-		f1 := 0.0
-		if p+r > 0 {
-			f1 = 2 * p * r / (p + r)
+	out := make([][]PRPoint, len(hits))
+	for v := range hits {
+		out[v] = make([]PRPoint, len(ns))
+		for i, n := range ns {
+			p := hits[v][i] / float64(trials)
+			r := recalls[v][i] / float64(trials)
+			f1 := 0.0
+			if p+r > 0 {
+				f1 = 2 * p * r / (p + r)
+			}
+			out[v][i] = PRPoint{N: n, Precision: p, Recall: r, F1: f1}
 		}
-		out[i] = PRPoint{N: n, Precision: p, Recall: r, F1: f1}
 	}
 	return out, nil
 }

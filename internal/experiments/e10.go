@@ -80,10 +80,12 @@ func E10(w io.Writer, p Params) (E10Result, error) {
 	taxCF := cf.Options{Measure: cf.Cosine, Representation: cf.Taxonomy}
 
 	fullFactory := func(c *model.Community) (*core.Recommender, error) {
-		return core.New(c, core.Options{Metric: core.NoTrust, AlphaSet: true, CF: taxCF})
+		return core.New(c, wholeRange(core.Options{Metric: core.NoTrust, AlphaSet: true, CF: taxCF}, c.NumAgents()))
 	}
+	// Both arms keep every candidate they examine (M = N), so the
+	// candidates/query column is what votes.
 	stereoFactory := func(c *model.Community) (*core.Recommender, error) {
-		return core.New(c, core.Options{
+		return core.New(c, wholeRange(core.Options{
 			AlphaSet: true,
 			CF:       taxCF,
 			Candidates: func(active model.AgentID) []model.AgentID {
@@ -93,7 +95,7 @@ func E10(w io.Writer, p Params) (E10Result, error) {
 				}
 				return m.Members(k)
 			},
-		})
+		}, c.NumAgents()))
 	}
 	full, err := eval.LeaveOneOut(comm, fullFactory, 20, trials, rand.New(rand.NewSource(cfg.Seed+31)))
 	if err != nil {

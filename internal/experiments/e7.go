@@ -21,11 +21,13 @@ type E7Row struct {
 }
 
 // E7Result is the strategy comparison plus the α sweep and the
-// precision/recall curve of the default hybrid.
+// precision/recall curve of the default hybrid, beside the curve of the
+// same hybrid with the whole community in range.
 type E7Result struct {
 	Strategies []E7Row
 	AlphaSweep []E7Row // strategy column holds the α value
 	PR         []eval.PRPoint
+	PRWhole    []eval.PRPoint
 	// RandomBaseline is the analytic expected hit rate of random top-N
 	// picks, for reference.
 	RandomBaseline float64
@@ -59,16 +61,22 @@ func E7(w io.Writer, p Params) (E7Result, error) {
 		return E7Row{Strategy: label, Trials: r.Trials, HitRate: r.HitRate, MeanRank: r.MeanRank}, nil
 	}
 	taxCF := cf.Options{Measure: cf.Cosine, Representation: cf.Taxonomy}
+	// The hybrid rows run the serving defaults (bounded range, floor, M);
+	// the whole-range row beside the first is the same pipeline with the
+	// bounds stated wide enough never to bind, and the no-trust rows keep
+	// every agent they scan.
+	n := comm.NumAgents()
 
 	strategies := []struct {
 		label string
 		opt   core.Options
 	}{
 		{"hybrid a=0.5 (appleseed+cf)", core.Options{CF: taxCF}},
+		{"hybrid a=0.5, whole range", wholeRange(core.Options{CF: taxCF}, n)},
 		{"pure trust a=1", core.Options{Alpha: 1, CF: taxCF}},
-		{"pure CF (no trust filter)", core.Options{Metric: core.NoTrust, AlphaSet: true, CF: taxCF}},
-		{"product-vector CF", core.Options{Metric: core.NoTrust, AlphaSet: true,
-			CF: cf.Options{Measure: cf.Pearson, Representation: cf.Product}}},
+		{"pure CF (no trust filter)", wholeRange(core.Options{Metric: core.NoTrust, AlphaSet: true, CF: taxCF}, n)},
+		{"product-vector CF", wholeRange(core.Options{Metric: core.NoTrust, AlphaSet: true,
+			CF: cf.Options{Measure: cf.Pearson, Representation: cf.Product}}, n)},
 		{"hybrid + content boost b=1", core.Options{CF: taxCF, ContentBoost: 1}},
 		{"hybrid, borda merge", core.Options{CF: taxCF, Merge: core.BordaCount}},
 	}
@@ -97,20 +105,27 @@ func E7(w io.Writer, p Params) (E7Result, error) {
 	}
 	t2.flush()
 
-	// Precision/recall curve of the default hybrid (multi-item holdout).
-	fmt.Fprintln(w, "\nprecision/recall at N (hybrid, half of liked items withheld):")
-	prFactory := func(c *model.Community) (*core.Recommender, error) {
-		return core.New(c, core.Options{CF: taxCF})
+	// Precision/recall curve of the default hybrid (multi-item holdout),
+	// beside the whole-range hybrid's over the same trials.
+	fmt.Fprintln(w, "\nprecision/recall at N (hybrid, half of liked items withheld; whole range beside the defaults):")
+	prFactory := func(c *model.Community) ([]*core.Recommender, error) {
+		def, err := core.New(c, core.Options{CF: taxCF})
+		if err != nil {
+			return nil, err
+		}
+		whole, err := def.WithOptions(wholeRange(core.Options{CF: taxCF}, n))
+		return []*core.Recommender{def, whole}, err
 	}
-	pts, err := eval.PrecisionRecall(comm, prFactory, []int{5, 10, 20, 50},
+	pts, err := eval.PrecisionRecallEach(comm, prFactory, []int{5, 10, 20, 50},
 		trials, rand.New(rand.NewSource(cfg.Seed+202)))
 	if err != nil {
 		return res, err
 	}
-	res.PR = pts
-	t3 := newTable(w, "N", "precision", "recall", "F1")
-	for _, pt := range pts {
-		t3.row(pt.N, pct(pt.Precision), pct(pt.Recall), f3(pt.F1))
+	res.PR, res.PRWhole = pts[0], pts[1]
+	t3 := newTable(w, "N", "precision", "recall", "F1", "whole-range precision", "recall", "F1")
+	for i, pt := range res.PR {
+		wh := res.PRWhole[i]
+		t3.row(pt.N, pct(pt.Precision), pct(pt.Recall), f3(pt.F1), pct(wh.Precision), pct(wh.Recall), f3(wh.F1))
 	}
 	t3.flush()
 	fmt.Fprintln(w, "expected shape: every strategy beats random; the hybrid is at least as")

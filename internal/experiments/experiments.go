@@ -15,7 +15,9 @@ import (
 	"fmt"
 	"io"
 	"text/tabwriter"
+	"time"
 
+	"swrec/internal/core"
 	"swrec/internal/datagen"
 )
 
@@ -47,6 +49,27 @@ func (p Params) Config() datagen.Config {
 		cfg.Seed = p.Seed
 	}
 	return cfg
+}
+
+// wholeRange returns opt with neighborhood bounds that never bind on a
+// community of n agents: the expansion range and M cover everyone, and
+// the trust floor sits below any rank a metric produces. The arms that
+// measure an unfiltered pipeline (E6's full scan, E7's whole-range and
+// no-trust rows, E10, E12's reference row) state it explicitly — a zero
+// bound means the serving defaults.
+func wholeRange(opt core.Options, n int) core.Options {
+	opt.Appleseed.MaxNodes = n
+	opt.MaxNeighbors = n
+	opt.TrustThreshold = 1e-300
+	return opt
+}
+
+// elapsedMs runs f and returns its wall-clock duration in milliseconds —
+// the latency columns of E6 and E12.
+func elapsedMs(f func() error) (float64, error) {
+	start := time.Now() //nolint:detrand -- wall-clock latency IS the §4 measurement; it annotates the report and never feeds back into seeded state
+	err := f()
+	return float64(time.Since(start).Microseconds()) / 1000, err //nolint:detrand -- wall-clock latency IS the §4 measurement
 }
 
 // table wraps a tabwriter for aligned experiment output.

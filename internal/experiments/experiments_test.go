@@ -4,6 +4,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"swrec/internal/loadgen"
 )
 
 func small() Params { return Params{Seed: 1, Scale: "small"} }
@@ -264,6 +266,51 @@ func TestE11DiversificationTradeoff(t *testing.T) {
 	// Accuracy should not collapse even at extreme θ.
 	if last.HitRate < first.HitRate/2 {
 		t.Fatalf("accuracy collapsed: %v -> %v", first.HitRate, last.HitRate)
+	}
+}
+
+// TestE12DefaultsMeetTheirGates holds the serving defaults to what the
+// sweep chose them for: the default point is on the grid, admits no E4
+// sybil, confines the load harness's Sybil ring within the short
+// preset's bounds where the whole-range row does not, and keeps the
+// whole-range row's hit rate to within the trials' noise.
+func TestE12DefaultsMeetTheirGates(t *testing.T) {
+	res, err := E12(io.Discard, small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var whole, def *E12Row
+	for i := range res.Rows {
+		r := &res.Rows[i]
+		switch {
+		case r.Whole:
+			whole = r
+		case r.Default && def != nil:
+			t.Fatal("two default rows")
+		case r.Default:
+			def = r
+		}
+		if len(r.ColdMs) != len(res.Sizes) || len(r.PR) != 2 {
+			t.Fatalf("row %+v is incomplete", *r)
+		}
+	}
+	if whole == nil || def == nil {
+		t.Fatalf("missing reference or default row: %+v", res.Rows)
+	}
+	bound := loadgen.Short().Attacks[0]
+	if def.PushedRate > bound.MaxPushedRate || def.RankPerturbation > bound.MaxRankPerturbation {
+		t.Fatalf("defaults: pushed rate %.3f (bound %.3f), rank perturbation %d (bound %d)",
+			def.PushedRate, bound.MaxPushedRate, def.RankPerturbation, bound.MaxRankPerturbation)
+	}
+	if whole.PushedRate <= bound.MaxPushedRate {
+		t.Fatalf("whole range already confines the ring (%.3f): the column measures nothing", whole.PushedRate)
+	}
+	if def.Sybils != 0 || def.Exposed != 0 {
+		t.Fatalf("defaults admit %d sybils, %d exposures", def.Sybils, def.Exposed)
+	}
+	// 60 trials: one hit is 1.7 points.
+	if def.HitRate < whole.HitRate-0.05 {
+		t.Fatalf("defaults hit rate %v, whole range %v", def.HitRate, whole.HitRate)
 	}
 }
 

@@ -209,6 +209,39 @@ func TestHistQuantiles(t *testing.T) {
 	}
 }
 
+// TestShortPresetConfinedUnderDefaultBlend is the security gate on the
+// configuration that ships: the short preset's Sybil ring must stay
+// within its Spec bounds under the serving default — the similarity
+// blend over the bounded, floor-gated neighborhood — not only with
+// weighting pinned to pure trust. Before the trust floor the ring
+// reached 54 % of honest top-Ks under the blend (bound: 10 %).
+func TestShortPresetConfinedUnderDefaultBlend(t *testing.T) {
+	sc := Short()
+	p, err := BuildInProc(context.Background(), sc, "", ingest.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	attacks, err := p.MeasureAttacks(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(attacks) != len(sc.Attacks) {
+		t.Fatalf("measured %d attacks, want %d", len(attacks), len(sc.Attacks))
+	}
+	for _, ar := range attacks {
+		if len(ar.Violations) > 0 {
+			t.Errorf("%s escaped under the default blend: %v", ar.Kind, ar.Violations)
+		}
+		if ar.PushedRate > ar.Spec.MaxPushedRate || ar.MaxRankPerturbation > ar.Spec.MaxRankPerturbation {
+			t.Errorf("%s: blend pushed rate %.3f (bound %.3f), rank perturbation %d (bound %d) — a breach the violations list missed",
+				ar.Kind, ar.PushedRate, ar.Spec.MaxPushedRate, ar.MaxRankPerturbation, ar.Spec.MaxRankPerturbation)
+		}
+		t.Logf("%s: blend pushed %.3f perturbation %d; trust-gated pushed %.3f perturbation %d",
+			ar.Kind, ar.PushedRate, ar.MaxRankPerturbation, ar.TrustGated.PushedRate, ar.TrustGated.MaxRankPerturbation)
+	}
+}
+
 // TestRunSmoke is the end-to-end harness test: build the attacked
 // community in-process, measure confinement, run the full mixed
 // workload, and check the report's invariants.

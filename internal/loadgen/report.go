@@ -41,12 +41,13 @@ type EndpointReport struct {
 
 // AttackReport pairs one attack's confinement numbers with its bounds.
 // The embedded Confinement is measured under the serving default
-// (similarity-blended weighting) and is reported and drift-tracked; the
-// paper's confinement claim is about trust-gated neighborhoods, so the
-// Spec bounds are asserted against TrustGated (weighting pinned to
-// alpha=1 via the API override). The gap between the two is itself a
-// finding: cloned profiles buy similarity weight the trust metric
-// denies them (see DESIGN.md §10).
+// (similarity-blended weighting over the bounded neighborhood) and is
+// what the Spec bounds are asserted against; TrustGated (weighting
+// pinned to alpha=1 via the API override) is reported and drift-tracked
+// beside it. The two used to differ by an order of magnitude — cloned
+// profiles bought similarity weight the trust metric denied them — until
+// the trust floor kept zero-rank peers out of the similarity stage (see
+// DESIGN.md §10, EXPERIMENTS.md E12).
 type AttackReport struct {
 	attack.Confinement
 	TrustGated attack.Confinement `json:"trustGated"`

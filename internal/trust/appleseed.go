@@ -24,11 +24,13 @@ type AppleseedOptions struct {
 	// node's accumulated rank changed by more than Tc in one pass.
 	// Default 0.05.
 	Threshold float64
-	// MaxNodes bounds the expansion range: once this many distinct peers
+	// MaxNodes is the expansion range R: once this many distinct peers
 	// have been discovered, no further nodes are added (edges to
 	// undiscovered agents are dropped, energy re-normalizes over the
-	// remaining ones). 0 means unbounded. This is the "predefined range"
-	// that keeps neighborhood detection scalable (§3.2).
+	// remaining ones). This is the "predefined range" that keeps
+	// neighborhood detection scalable (§3.2) — part of the metric, not a
+	// switch: a caller that wants the whole community in range states a
+	// bound at least its size. Default DefaultMaxNodes.
 	MaxNodes int
 	// MaxIterations is a safety stop. Default 200.
 	MaxIterations int
@@ -59,8 +61,15 @@ type AppleseedOptions struct {
 	DistrustPenalty float64
 }
 
-// withDefaults fills zero fields with the standard parameters.
-func (o AppleseedOptions) withDefaults() AppleseedOptions {
+// DefaultMaxNodes is the expansion range an Appleseed walk explores when
+// AppleseedOptions.MaxNodes is left zero, chosen by the E12 sweep
+// (EXPERIMENTS.md).
+const DefaultMaxNodes = 400
+
+// WithDefaults fills zero fields with the standard parameters. The
+// compiled walk and the generic walk both run on its result, and a
+// checkpoint signs it, so what a zero field means is decided here only.
+func (o AppleseedOptions) WithDefaults() AppleseedOptions {
 	if o.Injection == 0 {
 		o.Injection = 200
 	}
@@ -69,6 +78,9 @@ func (o AppleseedOptions) withDefaults() AppleseedOptions {
 	}
 	if o.Threshold == 0 {
 		o.Threshold = 0.05
+	}
+	if o.MaxNodes == 0 {
+		o.MaxNodes = DefaultMaxNodes
 	}
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 200
@@ -89,6 +101,9 @@ func (o AppleseedOptions) validate() error {
 	}
 	if o.Threshold <= 0 {
 		return fmt.Errorf("trust: threshold must be positive, got %v", o.Threshold)
+	}
+	if o.MaxNodes < 1 {
+		return fmt.Errorf("trust: max nodes must be positive, got %d", o.MaxNodes)
 	}
 	if o.NormExponent <= 0 {
 		return fmt.Errorf("trust: norm exponent must be positive, got %v", o.NormExponent)
@@ -145,7 +160,7 @@ func Appleseed(net Network, source model.AgentID, opt AppleseedOptions) (*Neighb
 // spreading-activation run within one pass rather than after
 // MaxIterations. Returns ctx.Err() when cancelled.
 func AppleseedCtx(ctx context.Context, net Network, source model.AgentID, opt AppleseedOptions) (*Neighborhood, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
@@ -169,7 +184,7 @@ func AppleseedCtx(ctx context.Context, net Network, source model.AgentID, opt Ap
 			hint = n
 		}
 	}
-	if opt.MaxNodes > 0 && hint > opt.MaxNodes+1 {
+	if opt.MaxNodes < hint {
 		hint = opt.MaxNodes + 1
 	}
 	// sym interns agent URIs in discovery order, so an agent's interned
@@ -189,7 +204,7 @@ func AppleseedCtx(ctx context.Context, net Network, source model.AgentID, opt Ap
 		if i, ok := sym.Lookup(string(id)); ok {
 			return i, true
 		}
-		if opt.MaxNodes > 0 && len(nodes) >= opt.MaxNodes+1 {
+		if len(nodes) > opt.MaxNodes {
 			return 0, false
 		}
 		i := sym.Intern(string(id))

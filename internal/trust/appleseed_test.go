@@ -317,6 +317,7 @@ func TestAppleseedOptionValidation(t *testing.T) {
 		{SpreadingFactor: 1.5},
 		{Threshold: -0.1},
 		{NormExponent: -2},
+		{MaxNodes: -1},
 	}
 	for i, o := range bad {
 		if _, err := Appleseed(net, "a", o); err == nil {

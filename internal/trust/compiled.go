@@ -20,7 +20,7 @@ import (
 // neighborhood after use (core's stages 1-3) recycles it; pass nil
 // otherwise.
 func AppleseedCompiled(ctx context.Context, adj *model.Adjacency, source int32, opt AppleseedOptions, buf []Rank) (*Neighborhood, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
@@ -31,7 +31,12 @@ func AppleseedCompiled(ctx context.Context, adj *model.Adjacency, source int32, 
 // validation.
 func appleseedCompiled(ctx context.Context, adj *model.Adjacency, source int32, opt AppleseedOptions, buf []Rank) (*Neighborhood, error) {
 	t := adj.Trust()
-	w := getWalk(adj.NumAgents(), len(t.Idx))
+	// The source plus at most MaxNodes discovered peers ever become nodes.
+	nodes := adj.NumAgents()
+	if opt.MaxNodes < nodes {
+		nodes = opt.MaxNodes + 1
+	}
+	w := getWalk(adj.NumAgents(), nodes)
 	defer w.release()
 
 	iterations, err := w.spread(ctx, t, source, opt)
@@ -75,11 +80,13 @@ func appleseedCompiled(ctx context.Context, adj *model.Adjacency, source int32, 
 
 // walk is the pooled state of one compiled Appleseed computation. Agents
 // become nodes in discovery order — node 0 is the source — and the
-// per-node arrays are indexed by node, so a pass streams through them;
-// node maps an agent ordinal to its node and is the only per-agent table.
-// Everything a computation reads before writing is zero between
-// computations (release re-zeroes exactly the discovered entries), so a
-// pooled walk starts in O(1) whatever the community size.
+// per-node arrays are indexed by node, so a pass streams through them.
+// They are sized by the expansion range, and the edge arena by what the
+// walk discovered; node, which maps an agent ordinal to its node, is the
+// only table sized by the community. Everything a computation reads
+// before writing is zero between computations (release re-zeroes exactly
+// the discovered entries), so a pooled walk starts in O(1) whatever the
+// community size.
 type walk struct {
 	node []int32 // by agent ordinal: node index + 1; 0 = not discovered
 	ord  []int32 // by node: the agent's ordinal
@@ -94,40 +101,40 @@ type walk struct {
 	// spread energy — which is the order graded distrust is applied in.
 	fetchSeq []int32
 	nFetched int
-	// The out-edges of the fetched nodes, flattened in node order with
-	// each node's virtual backward edge first: source node, target node
-	// and weight Val^NormExponent. Edges MaxNodes refused are left out.
-	// One pass over the arena spreads a whole pass's energy in exactly
-	// the order the generic walk's nested loops do.
-	src, dst []int32
-	weight   []float64
-	edges    int
-	last     int32 // highest node in the arena; -1 when empty
-	stale    bool  // a node below last was fetched: rebuild before use
+	// arena holds the out-edges of the fetched nodes, flattened in node
+	// order with each node's virtual backward edge first. Edges MaxNodes
+	// refused are left out. One sweep over it spreads a whole pass's
+	// energy in exactly the order the generic walk's nested loops do.
+	arena []walkEdge
+	last  int32 // highest node in the arena; -1 when empty
+	stale bool  // a node below last was fetched: rebuild before use
+}
+
+// walkEdge is one arena edge: source node, target node and weight
+// Val^NormExponent.
+type walkEdge struct {
+	src, dst int32
+	weight   float64
 }
 
 var walkPool sync.Pool
 
-// getWalk returns a zeroed walk covering agents agent ordinals and edges
-// CSR edges.
-func getWalk(agents, edges int) *walk {
-	arena := edges + agents // every node may add a backward edge
-	if w, ok := walkPool.Get().(*walk); ok && len(w.node) >= agents && len(w.src) >= arena {
+// getWalk returns a zeroed walk covering agents agent ordinals and up to
+// nodes discovered nodes.
+func getWalk(agents, nodes int) *walk {
+	if w, ok := walkPool.Get().(*walk); ok && len(w.node) >= agents && len(w.ord) >= nodes {
 		return w
 	}
 	return &walk{
 		node:     make([]int32, agents),
-		ord:      make([]int32, agents),
-		in:       make([]float64, agents),
-		inNew:    make([]float64, agents),
-		rank:     make([]float64, agents),
-		total:    make([]float64, agents),
-		share:    make([]float64, agents),
-		fetched:  make([]bool, agents),
-		fetchSeq: make([]int32, agents),
-		src:      make([]int32, arena),
-		dst:      make([]int32, arena),
-		weight:   make([]float64, arena),
+		ord:      make([]int32, nodes),
+		in:       make([]float64, nodes),
+		inNew:    make([]float64, nodes),
+		rank:     make([]float64, nodes),
+		total:    make([]float64, nodes),
+		share:    make([]float64, nodes),
+		fetched:  make([]bool, nodes),
+		fetchSeq: make([]int32, nodes),
 	}
 }
 
@@ -141,7 +148,7 @@ func (w *walk) release() {
 	clear(w.inNew[:w.nodes])
 	clear(w.rank[:w.nodes])
 	clear(w.fetched[:w.nodes])
-	w.nodes, w.nFetched, w.edges, w.stale = 0, 0, 0, false
+	w.nodes, w.nFetched, w.arena, w.stale = 0, 0, w.arena[:0], false
 	walkPool.Put(w)
 }
 
@@ -149,76 +156,85 @@ func (w *walk) release() {
 // moves by Threshold or more, and returns the pass count. opt must be
 // defaulted and validated.
 //
-// A pass is the generic walk's node loop split in two. First every live
-// node, in node order, banks its rank and fixes its share — the energy it
-// hands on per unit of edge weight, d·in/total — fetching itself on first
-// use. Then one sweep over the edge arena delivers share·weight along
-// every edge. A node's incoming sums therefore accumulate in the same
-// (source node, edge) order as before; a node with nothing to spread has
-// share 0 and adds +0, which leaves a non-negative sum's bits unchanged.
-//
-//swrec:hotpath
+// A pass is the generic walk's node loop split in three. First every live
+// node about to spread energy for the first time is fetched, in node
+// order — the only step that discovers nodes or grows the arena. Then
+// every live node, in node order, banks its rank and fixes its share, and
+// one sweep over the edge arena delivers the energy (see pass). A fetch
+// reads nothing the banking writes, so hoisting the fetches out of the
+// node loop changes no discovery order and no sum.
 func (w *walk) spread(ctx context.Context, t *model.CSR, src int32, opt AppleseedOptions) (int, error) {
-	// Element writes in fetch do not move the slice headers; locals keep
-	// them in registers across the passes.
-	rank, total, share, fetched := w.rank, w.total, w.share, w.fetched
-	in, inNew := w.in, w.inNew
 	w.ord[0] = src
 	w.node[src] = 1
 	w.nodes = 1
 	w.last = -1
-	in[0] = opt.Injection
+	w.in[0] = opt.Injection
 
-	d := opt.SpreadingFactor
 	iterations := 0
 	for ; iterations < opt.MaxIterations; iterations++ {
 		if err := ctx.Err(); err != nil {
 			return iterations, err
 		}
-		maxDelta := 0.0
 		// Snapshot length: nodes discovered during this pass only start
 		// receiving energy now and are processed next pass.
 		live := w.nodes
 		for i := 0; i < live; i++ {
-			energy := in[i]
-			if energy == 0 {
-				share[i] = 0
-				continue
-			}
-			if !fetched[i] {
+			if w.in[i] != 0 && !w.fetched[i] {
 				w.fetch(t, int32(i), opt)
 			}
-			in[i] = 0
-			if i != 0 { // the source hoards no rank
-				rank[i] += (1 - d) * energy
-				if delta := (1 - d) * energy; delta > maxDelta {
-					maxDelta = delta
-				}
-			}
-			if total[i] == 0 {
-				// Dead end without backprop: energy dissipates, exactly
-				// like rank sinks in spreading activation models.
-				share[i] = 0
-				continue
-			}
-			share[i] = d * energy / total[i]
 		}
 		if w.stale {
 			w.rebuild(t, opt)
 		}
-		from, to, weight := w.src[:w.edges], w.dst[:w.edges], w.weight[:w.edges]
-		for e, i := range from {
-			inNew[to[e]] += share[i] * weight[e]
-		}
-		// Every live node's in is zero again and inNew holds next pass's
-		// energy: in += inNew, inNew = 0 is a swap.
-		in, inNew = inNew, in
-		if maxDelta < opt.Threshold && iterations > 0 {
+		if maxDelta := w.pass(live, opt.SpreadingFactor); maxDelta < opt.Threshold && iterations > 0 {
 			break
 		}
 	}
-	w.in, w.inNew = in, inNew
 	return iterations, nil
+}
+
+// pass banks and spreads one pass's energy over the first live nodes and
+// returns the largest rank gain. Every live node, in node order, banks
+// its rank and fixes its share — the energy it hands on per unit of edge
+// weight, d·in/total. Then one sweep over the edge arena delivers
+// share·weight along every edge. A node's incoming sums therefore
+// accumulate in the same (source node, edge) order as the generic walk's;
+// a node with nothing to spread has share 0 and adds +0, which leaves a
+// non-negative sum's bits unchanged.
+//
+//swrec:hotpath
+func (w *walk) pass(live int, d float64) float64 {
+	rank, total, share := w.rank, w.total, w.share
+	in, inNew := w.in, w.inNew
+	maxDelta := 0.0
+	for i := 0; i < live; i++ {
+		energy := in[i]
+		if energy == 0 {
+			share[i] = 0
+			continue
+		}
+		in[i] = 0
+		if i != 0 { // the source hoards no rank
+			rank[i] += (1 - d) * energy
+			if delta := (1 - d) * energy; delta > maxDelta {
+				maxDelta = delta
+			}
+		}
+		if total[i] == 0 {
+			// Dead end without backprop: energy dissipates, exactly
+			// like rank sinks in spreading activation models.
+			share[i] = 0
+			continue
+		}
+		share[i] = d * energy / total[i]
+	}
+	for _, e := range w.arena {
+		inNew[e.dst] += share[e.src] * e.weight
+	}
+	// Every live node's in is zero again and inNew holds next pass's
+	// energy: in += inNew, inNew = 0 is a swap.
+	w.in, w.inNew = inNew, in
+	return maxDelta
 }
 
 // fetch expands node i the first time it spreads energy: its positively
@@ -242,14 +258,14 @@ func (w *walk) fetch(t *model.CSR, i int32, opt AppleseedOptions) {
 	if i != 0 && !opt.NoBackprop {
 		total = 1
 		if inOrder {
-			w.push(i, 0, 1)
+			w.arena = append(w.arena, walkEdge{i, 0, 1})
 		}
 	}
 	x := w.ord[i]
 	for k := t.Off[x]; k < t.Off[x+1] && t.Val[k] > 0; k++ { // positives are a prefix of the row
 		y := t.Idx[k]
 		if w.node[y] == 0 {
-			if opt.MaxNodes > 0 && w.nodes >= opt.MaxNodes+1 {
+			if w.nodes > opt.MaxNodes {
 				continue
 			}
 			w.ord[w.nodes] = y
@@ -259,7 +275,7 @@ func (w *walk) fetch(t *model.CSR, i int32, opt AppleseedOptions) {
 		wt := edgeWeight(t.Val[k], opt)
 		total += wt
 		if inOrder {
-			w.push(i, w.node[y]-1, wt)
+			w.arena = append(w.arena, walkEdge{i, w.node[y] - 1, wt})
 		}
 	}
 	w.total[i] = total
@@ -273,29 +289,23 @@ func edgeWeight(v float64, opt AppleseedOptions) float64 {
 	return v
 }
 
-// push appends one edge to the arena.
-func (w *walk) push(from, to int32, weight float64) {
-	w.src[w.edges], w.dst[w.edges], w.weight[w.edges] = from, to, weight
-	w.edges++
-}
-
 // rebuild lays the arena out again in node order after an out-of-order
 // fetch. An edge belongs to it iff its target was discovered: MaxNodes
 // refuses a target for good, so what fetch left out stays undiscovered.
 func (w *walk) rebuild(t *model.CSR, opt AppleseedOptions) {
-	w.edges, w.stale = 0, false
+	w.arena, w.stale = w.arena[:0], false
 	for i := int32(0); int(i) < w.nodes; i++ {
 		if !w.fetched[i] {
 			continue
 		}
 		w.last = i
 		if i != 0 && !opt.NoBackprop {
-			w.push(i, 0, 1)
+			w.arena = append(w.arena, walkEdge{i, 0, 1})
 		}
 		x := w.ord[i]
 		for k := t.Off[x]; k < t.Off[x+1] && t.Val[k] > 0; k++ {
 			if j := w.node[t.Idx[k]]; j != 0 {
-				w.push(i, j-1, edgeWeight(t.Val[k], opt))
+				w.arena = append(w.arena, walkEdge{i, j - 1, edgeWeight(t.Val[k], opt)})
 			}
 		}
 	}

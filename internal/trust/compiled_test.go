@@ -11,12 +11,15 @@ import (
 )
 
 // walkVariants are the option sets the compiled walk must serve itself —
-// none of them may fall back to another implementation.
+// none of them may fall back to another implementation. "default" is the
+// bounded range the zero value resolves to (it binds at 1,500 agents);
+// "wholerange" states a range no community reaches.
 var walkVariants = []struct {
 	name string
 	opt  AppleseedOptions
 }{
 	{"default", AppleseedOptions{}},
+	{"wholerange", AppleseedOptions{MaxNodes: 1 << 30}},
 	{"maxnodes37", AppleseedOptions{MaxNodes: 37}},
 	{"maxnodes200", AppleseedOptions{MaxNodes: 200}},
 	{"nobackprop", AppleseedOptions{NoBackprop: true}},
@@ -181,8 +184,8 @@ func TestCompiledWalkOutOfOrderFetch(t *testing.T) {
 	opt := AppleseedOptions{Injection: 1e-300, Threshold: 1e-320, MaxIterations: 25}
 
 	adj := c.Adjacency()
-	w := getWalk(adj.NumAgents(), len(adj.Trust().Idx))
-	if _, err := w.spread(context.Background(), adj.Trust(), src.Ord(), opt.withDefaults()); err != nil {
+	w := getWalk(adj.NumAgents(), adj.NumAgents())
+	if _, err := w.spread(context.Background(), adj.Trust(), src.Ord(), opt.WithDefaults()); err != nil {
 		t.Fatal(err)
 	}
 	inOrder := slices.IsSorted(w.fetchSeq[:w.nFetched])

@@ -7,8 +7,9 @@
 //   - Trust networks (§3.2): agents publish partial trust functions in
 //     machine-readable homepages; the Appleseed local group trust metric
 //     (spreading activation) computes a subjective, continuous-valued
-//     trust neighborhood per agent, providing both manipulation
-//     resistance and scalable candidate pre-filtering. Levien's Advogato
+//     trust neighborhood per agent over a bounded expansion range,
+//     providing both manipulation resistance and scalable candidate
+//     pre-filtering. Levien's Advogato
 //     (boolean, max-flow) and a scalar path metric are built in as
 //     baselines.
 //   - Taxonomy-driven interest profiles (§3.3): product ratings are
@@ -19,8 +20,12 @@
 //     rated product.
 //
 // Rank synthesization (§3.4) merges trust and similarity ranks into one
-// rank weight per peer, and peers vote for their appreciated products
-// with that weight.
+// rank weight per peer, and the M peers of highest weight vote for their
+// appreciated products with that weight. The bounds are part of the
+// algorithm: zero AppleseedOptions.MaxNodes, Options.MaxNeighbors and
+// Options.TrustThreshold resolve to the defaults EXPERIMENTS.md E12
+// chose, and a caller that wants the whole community in range says so
+// with bounds at least its size.
 //
 // # Quick start
 //
@@ -154,7 +159,8 @@ const (
 type Recommender = core.Recommender
 
 // NewRecommender builds the full pipeline; the zero Options give the
-// paper's default configuration (Appleseed + taxonomy-Pearson + α=0.5).
+// paper's default configuration (Appleseed over a bounded range +
+// taxonomy-Pearson + α=0.5 over the M closest peers).
 func NewRecommender(c *Community, opt Options) (*Recommender, error) {
 	return core.New(c, opt)
 }
