@@ -13,8 +13,9 @@ all: build check
 # fast, without waiting out the race-detector suite), the full test
 # suite under the race detector (the serving engine is exercised
 # concurrently), the benchmark module's vet/build/test against this
-# checkout's internal/ packages, a short fuzz smoke of the RDF parsers
-# and the two binary decoders, the short-mode chaos suite, the checkpoint
+# checkout's internal/ packages, a short fuzz smoke of the RDF parsers,
+# the two binary decoders and the API's JSON encoders, the short-mode
+# chaos suite, the checkpoint
 # recovery smoke, a short benchmark-regression probe of the serving hot
 # path, and the short production-load scenario with its adversarial
 # trust attacks (see README "Load & attack harness").
@@ -125,20 +126,22 @@ bench:
 bench-diff:
 	$(BENCH_SUITE) | $(GO) run ./cmd/benchjson -diff BENCH_engine.json
 
-# bench-diff-short is the quick form run as part of check: the cold-path
-# serving benchmark, the publish benchmark and the warm GET, few
-# iterations, and a deliberately loose 100% threshold — at
-# -benchtime=100x single-run noise reaches ~1.8x, while losing the
-# compiled-substrate speedup shows as ~7x, a publish that copies the
-# community again (O(N), not O(batch)) as ~10x at 2,000 agents and ~25x
-# at 9,100, and a warm GET that goes back to routing and re-encoding
-# instead of replaying the snapshot's stored body as ~50x (and as
-# allocations where the baseline has none, which fail at any ratio), so
-# the gate catches those classes of regression without flaking on
-# scheduler jitter.
+# bench-diff-short is the quick form run as part of check: the cold
+# request at paper scale, the publish benchmark and the warm GET — stored
+# hit and encoded miss — few iterations, and a deliberately loose 100%
+# threshold — at -benchtime=100x single-run noise reaches ~1.8x, while
+# losing the bounded neighbourhood shows as ~15x on the cold request, a
+# publish that copies the community again (O(N), not O(batch)) as ~10x at
+# 2,000 agents and ~25x at 9,100, a warm GET that goes back to routing and
+# re-encoding instead of replaying the snapshot's stored body as ~50x (and
+# as allocations where the baseline has none, which fail at any ratio),
+# and a miss that goes back to reflecting over its answer as 3x the
+# allocations of the mix and of each of the five shapes, so the gate
+# catches those classes of regression without flaking on scheduler jitter.
 bench-diff-short:
-	{ $(GO) test -run=^$$ -bench='BenchmarkServePerRequestNew$$' -benchmem -benchtime=100x ./internal/engine/ && \
+	{ $(GO) test -run=^$$ -bench='BenchmarkServeEngineCold/agents=9100$$' -benchmem -benchtime=100x ./internal/engine/ && \
 	  $(GO) test -run=^$$ -bench='BenchmarkServeHTTPWarm/hit$$' -benchmem -benchtime=200000x ./internal/api/ && \
+	  $(GO) test -run=^$$ -bench='BenchmarkServeHTTPWarm/miss$$' -benchmem -benchtime=20000x ./internal/api/ && \
 	  $(GO) test -run=^$$ -bench='BenchmarkPublish$$' -benchmem -benchtime=20x ./internal/ingest/ ; } \
 		| $(GO) run ./cmd/benchjson -diff BENCH_engine.json -threshold 1.0
 
@@ -177,7 +180,7 @@ load-baseline:
 # entry point for performance work (see README "Performance").
 profile:
 	@mkdir -p bin
-	$(GO) test -run=^$$ -bench='BenchmarkServePerRequestNew$$' -benchtime=200x \
+	$(GO) test -run=^$$ -bench='BenchmarkServeEngineCold/agents=9100$$' -benchtime=2000x \
 		-cpuprofile bin/cpu.prof -memprofile bin/mem.prof -o bin/engine.test ./internal/engine/
 	$(GO) tool pprof -top -nodecount=10 bin/engine.test bin/cpu.prof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space bin/engine.test bin/mem.prof
@@ -202,9 +205,11 @@ chaos-short:
 recovery-smoke:
 	$(GO) test -run 'TestRecoverySmoke|TestRestoredMatchesFromScratch' ./internal/checkpoint/
 
-# Short fuzz pass over the RDF parsers (see internal/rdf/fuzz_test.go)
-# and the two binary decoders a restart trusts: the checkpoint file and
-# the WAL segment (internal/{checkpoint,wal}/fuzz_test.go). Their inputs
+# Short fuzz pass over the RDF parsers (see internal/rdf/fuzz_test.go),
+# the two binary decoders a restart trusts: the checkpoint file and
+# the WAL segment (internal/{checkpoint,wal}/fuzz_test.go), and the API's
+# string and float encoders against encoding/json
+# (internal/api/encode_test.go). Their inputs
 # are kilobytes, and go test would by default spend up to a minute
 # shrinking each one that reaches new code — the whole budget — so the
 # minimizer is held to a second.
@@ -216,6 +221,8 @@ fuzz:
 	$(GO) test -fuzz FuzzParseDocument -fuzztime 30s ./internal/rdf/
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s $(FUZZ_BINARY) ./internal/checkpoint/
 	$(GO) test -fuzz FuzzScanSegment -fuzztime 30s $(FUZZ_BINARY) ./internal/wal/
+	$(GO) test -fuzz FuzzAppendString -fuzztime 30s ./internal/api/
+	$(GO) test -fuzz FuzzAppendFloat -fuzztime 30s ./internal/api/
 
 # fuzz-smoke is the 5-second-per-target variant run as part of check.
 fuzz-smoke:
@@ -225,6 +232,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz FuzzParseDocument -fuzztime 5s ./internal/rdf/
 	$(GO) test -run=^$$ -fuzz FuzzDecode -fuzztime 5s $(FUZZ_BINARY) ./internal/checkpoint/
 	$(GO) test -run=^$$ -fuzz FuzzScanSegment -fuzztime 5s $(FUZZ_BINARY) ./internal/wal/
+	$(GO) test -run=^$$ -fuzz FuzzAppendString -fuzztime 5s ./internal/api/
+	$(GO) test -run=^$$ -fuzz FuzzAppendFloat -fuzztime 5s ./internal/api/
 
 experiments:
 	$(GO) run ./cmd/experiments

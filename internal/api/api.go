@@ -68,8 +68,8 @@
 // they arrived. ServeHTTP probes it for every GET and HEAD before
 // routing; a hit writes the stored bytes and books the same swrec_api
 // and swrec_http counters, a miss runs the handler against the same
-// pinned snapshot and stores what it wrote. The bytes come from the one
-// JSON encoder either way, so a hit is byte-identical to the miss that
+// pinned snapshot and stores what it wrote. The bytes are the ones the
+// handler encoded either way, so a hit is byte-identical to the miss that
 // stored it. There is no invalidation: bodies embed their epoch, are
 // never carried across a swap and never reach a checkpoint.
 //
@@ -82,6 +82,18 @@
 // swrec_engine counters now count handler runs, i.e. body misses, while
 // swrec_api and swrec_http keep counting every request
 // (swrec_engine.body_hit/body_miss/body_bytes tell the two apart).
+//
+// # Encoding
+//
+// Every 200 is what encoding/json's Encoder writes with a two-space
+// indent. The five shapes the serving mix asks for — recommendations,
+// neighbors, profile, agent detail, product — are written by the
+// append-style encoders of encode.go into a pooled buffer
+// (writeEncoded); everything else (stats, strategies, healthz, the agent
+// directory, topics, errors, write acknowledgements) goes through
+// encoding/json (writeJSON, writeError). No shape has both: encoding/json
+// is the hand-written encoders' test oracle, byte for byte, not their
+// fallback.
 package api
 
 import (
@@ -93,6 +105,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"encoding/json"
@@ -102,6 +115,7 @@ import (
 	"swrec/internal/engine"
 	"swrec/internal/ingest"
 	"swrec/internal/model"
+	"swrec/internal/profmat"
 	"swrec/internal/strategy"
 	"swrec/internal/taxonomy"
 	"swrec/internal/wal"
@@ -155,13 +169,11 @@ func NewWithConfig(eng *engine.Engine, w Writer, cfg Config) *Server {
 // call is one request on its way through a handler: the client's
 // ResponseWriter, wrapped to record the status and — while keep holds —
 // to keep the encoded 200 body for the snapshot's response cache; the
-// request; the still-escaped variable path segment route cut out; and
-// the query, parsed once.
+// request; and the still-escaped variable path segment route cut out.
 type call struct {
 	http.ResponseWriter
 	r      *http.Request
 	arg    string
-	query  url.Values // nil until param parses it
 	status int
 	keep   bool
 	body   []byte
@@ -189,12 +201,27 @@ func (c *call) Write(p []byte) (int, error) {
 // snapshot and the URL. Handlers call it before they write.
 func (c *call) noStore() { c.keep, c.body = false, nil }
 
-// param returns the first value of a query parameter, "" when absent.
+// param returns the first value of a query parameter, "" when absent:
+// url.Values.Get over url.ParseQuery — pairs holding a semicolon or a
+// malformed escape are skipped, as there — without building the map. A
+// request reads three or four parameters out of a query of as many.
 func (c *call) param(name string) string {
-	if c.query == nil {
-		c.query = c.r.URL.Query()
+	query := c.r.URL.RawQuery
+	for query != "" {
+		var pair string
+		pair, query, _ = strings.Cut(query, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		key, value, _ := strings.Cut(pair, "=")
+		if key, err := url.QueryUnescape(key); err != nil || key != name {
+			continue
+		}
+		if value, err := url.QueryUnescape(value); err == nil {
+			return value
+		}
 	}
-	return c.query.Get(name)
+	return ""
 }
 
 // ServeHTTP implements http.Handler. It pins the engine's snapshot once;
@@ -243,15 +270,21 @@ func serveStored(w http.ResponseWriter, u *url.URL, snap *engine.Snapshot, start
 	if !ok {
 		return false
 	}
-	// Header.Set allocates its one-element value slice; a writer that
-	// already says JSON (a reused one) is left alone.
-	h := w.Header()
-	if ct := h["Content-Type"]; len(ct) != 1 || ct[0] != jsonContentType {
-		h.Set("Content-Type", jsonContentType)
-	}
+	setJSONContentType(w.Header())
 	_, _ = w.Write(body) // a failed write is the client's loss, as on the encoder path
 	account(endpoint(tag), http.StatusOK, statusOKKey, time.Since(start))
 	return true
+}
+
+// setJSONContentType declares a JSON body. Header.Set allocates its
+// one-element value slice; a writer that already says JSON (a reused one)
+// is left alone.
+//
+//swrec:hotpath
+func setJSONContentType(h http.Header) {
+	if ct := h["Content-Type"]; len(ct) != 1 || ct[0] != jsonContentType {
+		h.Set("Content-Type", jsonContentType)
+	}
 }
 
 // requestCtx derives the context bounding one read request: the
@@ -328,11 +361,29 @@ type page struct {
 	Strategy *strategy.Result `json:"strategy,omitempty"`
 }
 
+// writeJSON is the reflective encoder: the entry point for every 200
+// shape outside the serving mix (stats, strategies, healthz, the agent
+// directory, topics). The five shapes of the mix go through writeEncoded.
 func writeJSON(w http.ResponseWriter, v interface{}) {
 	w.Header().Set("Content-Type", jsonContentType)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// writeEncoded sends the body encode — one of encode.go's append-style
+// encoders, bound to its answer — appends to a pooled buffer. encode
+// reporting false (the answer held a float encoding/json has no number
+// for) sends nothing, which is what json.Encoder did with such a value.
+func (c *call) writeEncoded(encode func(b []byte) ([]byte, bool)) {
+	setJSONContentType(c.Header())
+	buf := encodeBufs.Get().(*[]byte)
+	b, ok := encode((*buf)[:0])
+	if ok {
+		_, _ = c.Write(b)
+	}
+	*buf = b
+	encodeBufs.Put(buf)
 }
 
 func writeError(w http.ResponseWriter, status int, code, msg string) {
@@ -343,16 +394,12 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	_ = json.NewEncoder(w).Encode(body)
 }
 
-// writeList emits the items envelope without a pagination window. All
-// provenance-carrying responses route through here (res non-nil), so the
-// strategy block is attached in exactly one place, and so is the
-// decision whether a ladder answer may be replayed from the response
-// cache.
-func (s *Server) writeList(c *call, items any, total int, res *strategy.Result) {
-	if res != nil && !repeatable(res) {
+// answeredBy is where a ladder answer's provenance decides whether the
+// response may be replayed from the response cache.
+func (c *call) answeredBy(res *strategy.Result) {
+	if !repeatable(res) {
 		c.noStore()
 	}
-	writeJSON(c, page{Items: items, Total: total, Strategy: res})
 }
 
 // repeatable reports whether a ladder answer is a function of the
@@ -511,7 +558,7 @@ func (s *Server) handleStrategies(c *call, _ *engine.Snapshot) {
 		return
 	}
 	rungs := s.eng.Ladder().Rungs()
-	s.writeList(c, rungs, len(rungs), nil)
+	writeJSON(c, page{Items: rungs, Total: len(rungs)})
 }
 
 // agentSummary is the list view of one agent.
@@ -569,16 +616,7 @@ func (s *Server) handleAgent(c *call, snap *engine.Snapshot) {
 	if !ok || !requireRead(c) {
 		return
 	}
-	type agentDetail struct {
-		agentSummary
-		Trust   []model.TrustStatement  `json:"trust"`
-		Ratings []model.RatingStatement `json:"ratingStatements"`
-	}
-	writeJSON(c, agentDetail{
-		agentSummary: summarize(snap.Community(), a.ID),
-		Trust:        a.TrustedPeers(),
-		Ratings:      a.RatedProducts(),
-	})
+	c.writeEncoded(func(b []byte) ([]byte, bool) { return appendAgent(b, a) })
 }
 
 // parseSelector validates the strategy= per-request ladder override
@@ -588,90 +626,110 @@ func (s *Server) parseSelector(c *call) (strategy.Selector, error) {
 }
 
 func (s *Server) handleNeighbors(c *call, snap *engine.Snapshot) {
+	peers, total, res, ok := s.neighbors(c, snap)
+	if !ok {
+		return
+	}
+	c.writeEncoded(func(b []byte) ([]byte, bool) { return appendNeighbors(b, peers, total, res) })
+}
+
+// neighbors answers /neighbors up to the encoding: the shown prefix of
+// the ladder's ranking, its full length, and the provenance. ok false
+// means the error response is already written.
+func (s *Server) neighbors(c *call, snap *engine.Snapshot) (peers []core.PeerRank, total int, res *strategy.Result, ok bool) {
 	a, ok := agentOf(c, snap)
 	if !ok || !requireRead(c) {
-		return
+		return nil, 0, nil, false
 	}
 	ov, err := parseOverrides(c)
 	if err != nil {
 		writeError(c, http.StatusBadRequest, "invalid_argument", err.Error())
-		return
+		return nil, 0, nil, false
 	}
 	sel, err := s.parseSelector(c)
 	if err != nil {
 		writeError(c, http.StatusBadRequest, "invalid_argument", err.Error())
-		return
+		return nil, 0, nil, false
 	}
 	n, err := intParam(c, "n", 25)
 	if err != nil {
 		writeError(c, http.StatusBadRequest, "invalid_argument", err.Error())
-		return
+		return nil, 0, nil, false
 	}
 	ctx, cancel := s.requestCtx(c.r)
 	defer cancel()
-	peers, res, err := s.eng.RankedPeersLadder(ctx, snap, a.ID, ov, sel)
+	peers, res, err = s.eng.RankedPeersLadder(ctx, snap, a.ID, ov, sel)
 	if err != nil {
 		writeEngineError(c, err)
-		return
+		return nil, 0, nil, false
 	}
-	total := len(peers)
+	c.answeredBy(res)
+	total = len(peers)
 	if n > 0 && len(peers) > n {
 		peers = peers[:n]
 	}
-	if peers == nil {
-		peers = []core.PeerRank{}
-	}
-	s.writeList(c, peers, total, res)
+	return peers, total, res, true
 }
 
 func (s *Server) handleProfile(c *call, snap *engine.Snapshot) {
+	prof, top, ok := s.profile(c, snap)
+	if !ok {
+		return
+	}
+	c.writeEncoded(func(b []byte) ([]byte, bool) {
+		return appendProfile(b, prof, top, snap.Community().Taxonomy())
+	})
+}
+
+// profile answers /profile up to the encoding: the agent's compiled
+// profile row and the positions of its n heaviest topics.
+func (s *Server) profile(c *call, snap *engine.Snapshot) (prof *profmat.Row, top []int32, ok bool) {
 	a, ok := agentOf(c, snap)
 	if !ok || !requireRead(c) {
-		return
+		return nil, nil, false
 	}
 	n, err := intParam(c, "n", 15)
 	if err != nil {
 		writeError(c, http.StatusBadRequest, "invalid_argument", err.Error())
-		return
+		return nil, nil, false
 	}
 	ctx, cancel := s.requestCtx(c.r)
 	defer cancel()
-	prof, err := snap.ProfileCtx(ctx, a.ID)
+	prof, err = snap.ProfileCtx(ctx, a.ID)
 	if err != nil {
 		writeEngineError(c, err)
-		return
-	}
-	tax := snap.Community().Taxonomy()
-	type topicScore struct {
-		Topic string  `json:"topic"`
-		Score float64 `json:"score"`
+		return nil, nil, false
 	}
 	// n is the client's to choose; the profile bounds what it can ask for.
-	top := prof.TopK(n)
-	items := make([]topicScore, 0, len(top))
-	for _, i := range top {
-		items = append(items, topicScore{
-			Topic: tax.QualifiedName(taxonomy.Topic(prof.Keys[i])),
-			Score: prof.Vals[i],
-		})
-	}
-	s.writeList(c, items, prof.NNZ(), nil)
+	return prof, prof.TopK(n), true
 }
 
 func (s *Server) handleRecommendations(c *call, snap *engine.Snapshot) {
+	recs, res, ok := s.recommendations(c, snap)
+	if !ok {
+		return
+	}
+	c.writeEncoded(func(b []byte) ([]byte, bool) {
+		return appendRecommendations(b, recs, snap.Community(), res)
+	})
+}
+
+// recommendations answers /recommendations up to the encoding: the
+// ladder's (optionally diversified) list and its provenance.
+func (s *Server) recommendations(c *call, snap *engine.Snapshot) (recs []core.Recommendation, res *strategy.Result, ok bool) {
 	a, ok := agentOf(c, snap)
 	if !ok || !requireRead(c) {
-		return
+		return nil, nil, false
 	}
 	ov, err := parseOverrides(c)
 	if err != nil {
 		writeError(c, http.StatusBadRequest, "invalid_argument", err.Error())
-		return
+		return nil, nil, false
 	}
 	n, err := intParam(c, "n", 10)
 	if err != nil {
 		writeError(c, http.StatusBadRequest, "invalid_argument", err.Error())
-		return
+		return nil, nil, false
 	}
 	// No answer is longer than the catalog. Clamping here keeps n*5 below
 	// from overflowing and n inside the engine's int32 result-cache key.
@@ -681,7 +739,7 @@ func (s *Server) handleRecommendations(c *call, snap *engine.Snapshot) {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil || f < 0 || f > 1 {
 			writeError(c, http.StatusBadRequest, "invalid_argument", "theta must be in [0,1]")
-			return
+			return nil, nil, false
 		}
 		theta = f
 	}
@@ -693,36 +751,25 @@ func (s *Server) handleRecommendations(c *call, snap *engine.Snapshot) {
 	sel, err := s.parseSelector(c)
 	if err != nil {
 		writeError(c, http.StatusBadRequest, "invalid_argument", err.Error())
-		return
+		return nil, nil, false
 	}
 	ctx, cancel := s.requestCtx(c.r)
 	defer cancel()
-	recs, res, err := s.eng.RecommendLadder(ctx, snap, a.ID, fetchN, ov, sel)
+	recs, res, err = s.eng.RecommendLadder(ctx, snap, a.ID, fetchN, ov, sel)
 	if err != nil {
 		writeEngineError(c, err)
-		return
+		return nil, nil, false
 	}
 	if theta > 0 {
 		rec, err := snap.RecommenderFor(ov)
 		if err != nil {
 			writeEngineError(c, err)
-			return
+			return nil, nil, false
 		}
 		recs = rec.Diversify(recs, n, theta)
 	}
-	type recOut struct {
-		core.Recommendation
-		Title string `json:"title,omitempty"`
-	}
-	items := make([]recOut, 0, len(recs))
-	for _, rc := range recs {
-		ro := recOut{Recommendation: rc}
-		if p := snap.Community().Product(rc.Product); p != nil {
-			ro.Title = p.Title
-		}
-		items = append(items, ro)
-	}
-	s.writeList(c, items, len(items), res)
+	c.answeredBy(res)
+	return recs, res, true
 }
 
 func (s *Server) handleProduct(c *call, snap *engine.Snapshot) {
@@ -739,19 +786,9 @@ func (s *Server) handleProduct(c *call, snap *engine.Snapshot) {
 		writeError(c, http.StatusNotFound, "not_found", fmt.Sprintf("unknown product %s", idRaw))
 		return
 	}
-	type productOut struct {
-		ID     model.ProductID `json:"id"`
-		Title  string          `json:"title,omitempty"`
-		ISBN   string          `json:"isbn,omitempty"`
-		Topics []string        `json:"topics,omitempty"`
-	}
-	out := productOut{ID: p.ID, Title: p.Title, ISBN: p.ISBN}
-	if tax := snap.Community().Taxonomy(); tax != nil {
-		for _, d := range p.Topics {
-			out.Topics = append(out.Topics, tax.QualifiedName(d))
-		}
-	}
-	writeJSON(c, out)
+	c.writeEncoded(func(b []byte) ([]byte, bool) {
+		return appendProduct(b, p, snap.Community().Taxonomy()), true
+	})
 }
 
 // handleTopic browses a taxonomy branch: products whose descriptors fall

@@ -559,3 +559,21 @@ func TestConcurrentClientsDuringSwap(t *testing.T) {
 	}
 	_ = comm
 }
+
+// TestParamMatchesParseQuery: call.param reads the raw query without
+// building url.Values, and must answer what url.Values.Get answered —
+// including for the pairs url.ParseQuery drops.
+func TestParamMatchesParseQuery(t *testing.T) {
+	for _, raw := range []string{
+		"", "n=5", "n=5&n=6", "a=1&n=5&metric=none", "n", "n=", "=5", "&&n=5&", "n=5;metric=none", "x;y=1&n=7",
+		"n=%35", "%6e=5", "n=%zz&n=6", "%zz=1&n=6", "n=a+b", "a+b=c&n=1", "n=5=6", "metric=none&alpha=0.2&measure=pearson&strategy=-popularity&fresh=1.2",
+	} {
+		c := &call{r: &http.Request{URL: &url.URL{RawQuery: raw}}}
+		want, _ := url.ParseQuery(raw)
+		for _, name := range []string{"n", "metric", "a b", "", "x", "y", "strategy", "absent"} {
+			if got := c.param(name); got != want.Get(name) {
+				t.Errorf("query %q: param(%q) = %q, url.Values.Get = %q", raw, name, got, want.Get(name))
+			}
+		}
+	}
+}

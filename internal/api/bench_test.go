@@ -27,7 +27,11 @@ import (
 //     warm GET that goes back to routing and re-encoding is ~50× slower.
 //   - miss: every request carries a never-seen, ignored query parameter,
 //     so every iteration routes, runs its handler over warm engine caches,
-//     encodes, and stores the body.
+//     encodes, and stores the body. `make check` gates its allocations.
+//   - miss/recommendations … miss/product: the same over one endpoint's
+//     share of the draws, so a change to one encoder shows as its own
+//     line (-bench 'ServeHTTPWarm/miss/profile'; 'ServeHTTPWarm/miss'
+//     runs the mix and all five).
 func BenchmarkServeHTTPWarm(b *testing.B) {
 	cfg := datagen.PaperScale()
 	cfg.Agents = 2000
@@ -50,20 +54,23 @@ func BenchmarkServeHTTPWarm(b *testing.B) {
 	agentRank := datagen.NewZipf(1117, 1.1, len(agents))
 	productRank := datagen.NewZipf(1118, 1.1, len(products))
 	targets := make([]string, draws)
+	byShape := make(map[string][]string)
 	for i := range targets {
 		agent := "/v1/agents/" + url.PathEscape(string(agents[agentRank.Pick(uint64(i))]))
+		shape := "product"
 		switch u := datagen.Uniform01(1119, uint64(i)); {
 		case u < 0.60:
-			targets[i] = agent + "/recommendations?n=10"
+			shape, targets[i] = "recommendations", agent+"/recommendations?n=10"
 		case u < 0.75:
-			targets[i] = agent + "/neighbors?n=25"
+			shape, targets[i] = "neighbors", agent+"/neighbors?n=25"
 		case u < 0.85:
-			targets[i] = agent + "/profile?n=15"
+			shape, targets[i] = "profile", agent+"/profile?n=15"
 		case u < 0.92:
-			targets[i] = agent
+			shape, targets[i] = "agent", agent
 		default:
 			targets[i] = "/v1/products/" + url.PathEscape(string(products[productRank.Pick(uint64(i))]))
 		}
+		byShape[shape] = append(byShape[shape], targets[i])
 	}
 	w := &reusedWriter{hdr: make(http.Header)}
 	misses := func() int64 { return counter("swrec_engine", "body_miss") }
@@ -87,26 +94,32 @@ func BenchmarkServeHTTPWarm(b *testing.B) {
 	})
 
 	round := 0 // the framework calls the function once per b.N it tries
-	b.Run("miss", func(b *testing.B) {
-		round++
-		reqs := make([]*http.Request, b.N)
-		for i := range reqs {
-			target := targets[i%draws]
-			sep := "?"
-			if strings.Contains(target, "?") {
-				sep = "&"
+	miss := func(targets []string) func(b *testing.B) {
+		return func(b *testing.B) {
+			round++
+			reqs := make([]*http.Request, b.N)
+			for i := range reqs {
+				target := targets[i%len(targets)]
+				sep := "?"
+				if strings.Contains(target, "?") {
+					sep = "&"
+				}
+				reqs[i] = httptest.NewRequest(http.MethodGet, fmt.Sprintf("%s%sfresh=%d.%d", target, sep, round, i), nil)
 			}
-			reqs[i] = httptest.NewRequest(http.MethodGet, fmt.Sprintf("%s%sfresh=%d.%d", target, sep, round, i), nil)
+			before := misses()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, req := range reqs {
+				s.ServeHTTP(w, req)
+			}
+			b.StopTimer()
+			if n := misses() - before; n != int64(b.N) {
+				b.Fatalf("%d of %d requests ran a handler", n, b.N)
+			}
 		}
-		before := misses()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for _, req := range reqs {
-			s.ServeHTTP(w, req)
-		}
-		b.StopTimer()
-		if n := misses() - before; n != int64(b.N) {
-			b.Fatalf("%d of %d requests ran a handler", n, b.N)
-		}
-	})
+	}
+	b.Run("miss", miss(targets))
+	for _, shape := range []string{"recommendations", "neighbors", "profile", "agent", "product"} {
+		b.Run("miss/"+shape, miss(byShape[shape]))
+	}
 }

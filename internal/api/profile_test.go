@@ -20,10 +20,6 @@ import (
 // top n of the Eq. 3 reference profile (profile.Generator.Profile, the
 // map-built vector) in value-then-key order, and its size.
 func wantProfileBody(comm *model.Community, a *model.Agent, n int) []byte {
-	type topicScore struct {
-		Topic string  `json:"topic"`
-		Score float64 `json:"score"`
-	}
 	prof := profile.New(comm.Taxonomy()).Profile(a, comm)
 	items := []topicScore{}
 	for _, e := range prof.TopK(n) {

@@ -18,7 +18,6 @@ package cf
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -165,17 +164,6 @@ func (f *Filter) dims() int {
 		return f.gen.Taxonomy().Len()
 	}
 	return f.comm.NumProducts()
-}
-
-// batchWorkers sizes the batch-similarity fan-out: roughly one worker
-// per 128 peers, bounded by GOMAXPROCS. Batches too small to amortize
-// goroutine startup run inline.
-func batchWorkers(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if m := (n + 127) / 128; w > m {
-		w = m
-	}
-	return w
 }
 
 // Compile builds the compiled profile matrix for every agent of the
@@ -329,10 +317,8 @@ type SimResult struct {
 // Similarities computes the similarity of active against every peer in
 // one scan, writing into out (which must be at least len(peers) long).
 // Agents are addressed by community ordinal, so the scan hashes no URI.
-// It is embarrassingly parallel over immutable rows and fans out across a
-// bounded worker pool when enough peers and CPUs make it worthwhile.
-// Checks ctx at chunk boundaries; on cancellation out is partial and
-// ctx.Err() is returned.
+// Checks ctx every 64 peers; on cancellation out is partial and ctx.Err()
+// is returned.
 func (f *Filter) Similarities(ctx context.Context, active int32, peers []int32, out []SimResult) error {
 	mat, err := f.matrix(ctx)
 	if err != nil {
@@ -354,28 +340,16 @@ func (f *Filter) AncestorSimilarities(ctx context.Context, depth int, active int
 }
 
 // scanAll loads active's row of mat into a pooled scratch and scans the
-// peers against it, inline or fanned out over batchWorkers chunks.
+// peers against it on the calling goroutine. A serving scan is at most
+// R + 1 = 401 rows: a second worker would read the dense scratch lines
+// the loading core has just dirtied, and measured slower than not having
+// one. A caller with a list long enough to want two cores splits it —
+// each call takes its own scratch.
 func (f *Filter) scanAll(ctx context.Context, mat *profmat.Matrix, active int32, peers []int32, out []SimResult) error {
 	sc := f.getScratch()
-	sc.Load(rowAt(mat, active))
 	defer f.scratch.Put(sc)
-	workers := batchWorkers(len(peers))
-	if workers <= 1 {
-		return f.scan(ctx, sc, mat, peers, out)
-	}
-	// The loaded scratch is read-only across workers after Load.
-	var wg sync.WaitGroup
-	chunk := (len(peers) + workers - 1) / workers
-	for lo := 0; lo < len(peers); lo += chunk {
-		hi := min(lo+chunk, len(peers))
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			_ = f.scan(ctx, sc, mat, peers[lo:hi], out[lo:hi]) // the caller reports ctx.Err() once for all chunks
-		}(lo, hi)
-	}
-	wg.Wait()
-	return ctx.Err()
+	sc.Load(rowAt(mat, active))
+	return f.scan(ctx, sc, mat, peers, out)
 }
 
 // scan fills out[i] with the similarity of the scratch's loaded row to

@@ -456,8 +456,7 @@ func (r *Recommender) SynthesizeCtx(ctx context.Context, active model.AgentID, n
 	}
 	// Stage 2 as one batched scan: the filter computes every peer
 	// similarity over the compiled profile matrix, addressed by ordinal,
-	// fanning out across workers when the peer set and CPU count warrant
-	// it, and checks ctx as it goes.
+	// and checks ctx as it goes.
 	act := int32(-1)
 	if a := r.comm.Agent(active); a != nil {
 		act = a.Ord()

@@ -11,11 +11,9 @@ import (
 	"swrec/internal/strategy"
 )
 
-// The acceptance benchmark for the serving engine: a warm-cache
-// recommendation request must beat the legacy serving path — which ran
-// core.New per request, recomputing every taxonomy profile and the trust
-// neighborhood from scratch — by at least an order of magnitude, and
-// must stop scaling with community size after first touch.
+// The serving engine's benchmarks: an uncached request on a compiled
+// snapshot (ServeEngineCold) and a cached one (ServeEngineWarm), which
+// must not scale with community size after first touch.
 //
 //	go test -bench=Serve -benchmem ./internal/engine/
 func benchCommunity(b *testing.B, agents int) *datagen.Config {
@@ -24,29 +22,6 @@ func benchCommunity(b *testing.B, agents int) *datagen.Config {
 	cfg.Agents = agents
 	cfg.Products = agents * 2
 	return &cfg
-}
-
-// BenchmarkServePerRequestNew measures the legacy path: a fresh pipeline
-// per request, as internal/api did before the engine existed.
-func BenchmarkServePerRequestNew(b *testing.B) {
-	for _, agents := range []int{100, 200, 400} {
-		b.Run(fmt.Sprintf("agents=%d", agents), func(b *testing.B) {
-			comm, _ := datagen.Generate(*benchCommunity(b, agents))
-			opt := testOptions()
-			id := comm.Agents()[0]
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rec, err := core.New(comm, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := rec.Recommend(id, 10); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkServeEngineCold measures an uncached request on a compiled

@@ -24,7 +24,6 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"slices"
 	"sync"
 
 	"swrec/internal/model"
@@ -55,22 +54,60 @@ func (r *Row) Mean() float64 {
 
 // TopK returns the positions (indices into Keys/Vals) of the k largest
 // entries by value, descending, ties by ascending key — the order of
-// sparse.Vector.TopK. k <= 0 or k >= NNZ returns every position.
+// sparse.Vector.TopK. k <= 0 or k >= NNZ returns every position. It
+// selects rather than sorts: one pass over the row keeps the k best seen
+// in a heap with the last-ranked of them on top, so the cost is
+// O(NNZ log k) and the only allocation is the k positions returned.
 func (r *Row) TopK(k int) []int32 {
-	pos := make([]int32, len(r.Keys))
-	for i := range pos {
-		pos[i] = int32(i)
+	n := len(r.Keys)
+	if k <= 0 || k > n {
+		k = n
 	}
-	slices.SortFunc(pos, func(a, b int32) int {
-		if c := cmp.Compare(r.Vals[b], r.Vals[a]); c != 0 {
-			return c
+	// ahead reports whether position a ranks before position b.
+	ahead := func(a, b int32) bool {
+		if c := cmp.Compare(r.Vals[a], r.Vals[b]); c != 0 {
+			return c > 0
 		}
-		return cmp.Compare(a, b) // keys ascend with position
-	})
-	if k > 0 && k < len(pos) {
-		pos = pos[:k]
+		return a < b // keys ascend with position
 	}
-	return pos
+	top := make([]int32, k)
+	for i := range top {
+		top[i] = int32(i)
+	}
+	// sink restores the heap below i: no entry ranks ahead of a child.
+	sink := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(top) {
+				return
+			}
+			if c+1 < len(top) && ahead(top[c], top[c+1]) {
+				c++
+			}
+			if !ahead(top[i], top[c]) {
+				return
+			}
+			top[i], top[c] = top[c], top[i]
+			i = c
+		}
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		sink(i)
+	}
+	for i := k; i < n; i++ {
+		if ahead(int32(i), top[0]) {
+			top[0] = int32(i)
+			sink(0)
+		}
+	}
+	// Unload the heap from the back: each step moves the last-ranked of
+	// what is left behind everything still in it.
+	for end := k - 1; end > 0; end-- {
+		top[0], top[end] = top[end], top[0]
+		top = top[:end]
+		sink(0)
+	}
+	return top[:k]
 }
 
 // Matrix is the compiled profile matrix of one snapshot. It is immutable

@@ -278,9 +278,9 @@ func TestBuildDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestTopKMatchesSparse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
-		v := randVector(rng, rng.Intn(50))
+		v := randVector(rng, rng.Intn(50)+trial*4)
 		row := FromVector(v)
-		for _, k := range []int{-1, 0, 1, 2, len(v) - 1, len(v), len(v) + 1, 1 << 40} {
+		for _, k := range []int{-1, 0, 1, 2, 15, len(v) / 2, len(v) - 1, len(v), len(v) + 1, 1 << 40} {
 			want := v.TopK(k)
 			got := row.TopK(k)
 			if len(got) != len(want) {
@@ -291,6 +291,10 @@ func TestTopKMatchesSparse(t *testing.T) {
 					t.Fatalf("trial %d k=%d rank %d: (%d, %v), sparse has %+v", trial, k, i, row.Keys[pos], row.Vals[pos], want[i])
 				}
 			}
+		}
+		// It selects: the positions returned are all it allocates.
+		if allocs := testing.AllocsPerRun(10, func() { row.TopK(15) }); allocs > 1 {
+			t.Fatalf("trial %d: TopK(15) over %d entries allocates %v times", trial, len(v), allocs)
 		}
 	}
 }

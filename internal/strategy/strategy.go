@@ -502,6 +502,18 @@ func (l *Ladder) attempt(ctx context.Context, res *Result, _ Signals, r Rung, re
 // counters: <procedure>_attempt, <procedure>_success, exhausted.
 var stats = expvar.NewMap("swrec_strategy")
 
-func recordAttempt(p Procedure) { stats.Add(string(p)+"_attempt", 1) }
-func recordSuccess(p Procedure) { stats.Add(string(p)+"_success", 1) }
+// attemptKeys and successKeys hold every rung's two counter names, so a
+// walk concatenates none.
+var attemptKeys, successKeys = counterKeys("_attempt"), counterKeys("_success")
+
+func counterKeys(suffix string) map[Procedure]string {
+	keys := make(map[Procedure]string, len(Procedures))
+	for _, p := range Procedures {
+		keys[p] = string(p) + suffix
+	}
+	return keys
+}
+
+func recordAttempt(p Procedure) { stats.Add(attemptKeys[p], 1) }
+func recordSuccess(p Procedure) { stats.Add(successKeys[p], 1) }
 func recordExhausted()          { stats.Add("exhausted", 1) }

@@ -19,6 +19,7 @@ package taxonomy
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -97,6 +98,33 @@ func (t *Taxonomy) QualifiedName(d Topic) string {
 		parts[i] = t.nodes[p].name
 	}
 	return strings.Join(parts, "/")
+}
+
+// AppendQualifiedName appends QualifiedName(d) to buf without building
+// the path or the string — what a response encoder wants per topic: one
+// walk up the primary parents sizes the name, a second fills it in from
+// its last segment back. An invalid handle appends nothing.
+func (t *Taxonomy) AppendQualifiedName(buf []byte, d Topic) []byte {
+	if !t.valid(d) {
+		return buf
+	}
+	n := -1 // one "/" fewer than segments
+	for cur := d; cur != None; cur = t.Parent(cur) {
+		n += len(t.nodes[cur].name) + 1
+	}
+	start := len(buf)
+	buf = slices.Grow(buf, n)[:start+n]
+	end := len(buf)
+	for cur := d; cur != None; cur = t.Parent(cur) {
+		name := t.nodes[cur].name
+		end -= len(name)
+		copy(buf[end:], name)
+		if end > start {
+			end--
+			buf[end] = '/'
+		}
+	}
+	return buf
 }
 
 // valid reports whether d is a live handle.

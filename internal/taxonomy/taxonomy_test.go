@@ -363,6 +363,23 @@ func TestLookupRoundTripRandom(t *testing.T) {
 	}
 }
 
+// Property: AppendQualifiedName appends QualifiedName after whatever the
+// buffer held, and nothing for a handle that is not live.
+func TestAppendQualifiedNameMatchesQualifiedName(t *testing.T) {
+	tax := buildRandom(7, 120)
+	for _, d := range tax.Topics() {
+		want := "x:" + tax.QualifiedName(d)
+		if got := string(tax.AppendQualifiedName([]byte("x:"), d)); got != want {
+			t.Fatalf("topic %d: %q, want %q", d, got, want)
+		}
+	}
+	for _, d := range []Topic{None, Topic(tax.Len())} {
+		if got := tax.AppendQualifiedName([]byte("x:"), d); string(got) != "x:" {
+			t.Fatalf("invalid topic %d appended %q", d, got)
+		}
+	}
+}
+
 // Property: LCA is commutative and lies on both primary paths.
 func TestLCAPropertyRandom(t *testing.T) {
 	f := func(seed int64) bool {

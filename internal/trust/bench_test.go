@@ -98,18 +98,24 @@ func BenchmarkPathTrust(b *testing.B) {
 	}
 }
 
-// BenchmarkWidenOneHop measures the ladder's rung-2 horizon widening.
+// BenchmarkWidenOneHop measures the ladder's rung-2 horizon widening of
+// a default (R = 400) neighbourhood; what it costs must not depend on the
+// size of the community around it.
 func BenchmarkWidenOneHop(b *testing.B) {
-	comm := benchTrustCommunity(b, 400)
-	net := FromCommunity(comm)
-	src := comm.Agents()[0]
-	nb, err := Appleseed(net, src, AppleseedOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		WidenOneHop(net, nb, 0.5)
+	for _, agents := range []int{400, 9100} {
+		b.Run(fmt.Sprintf("agents=%d", agents), func(b *testing.B) {
+			comm := benchTrustCommunity(b, agents)
+			net := FromCommunity(comm)
+			src := comm.Agents()[0]
+			nb, err := Appleseed(net, src, AppleseedOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				WidenOneHop(net, nb, 0.5)
+			}
+		})
 	}
 }

@@ -1,6 +1,8 @@
 package trust
 
 import (
+	"sync"
+
 	"swrec/internal/graph"
 	"swrec/internal/model"
 )
@@ -22,8 +24,9 @@ import (
 // recruit). The input neighborhood is not modified.
 //
 // Community-backed networks take an ordinal-indexed walk over the
-// compiled trust CSR: membership and contributions live in flat tables
-// indexed by agent ordinal, so no edge visit hashes a URI. Generic
+// compiled trust CSR: membership and contributions are looked up by agent
+// ordinal in a pooled table, so no edge visit hashes a URI and no call
+// allocates by community size. Generic
 // networks fall back to interning discovered agents to dense indices
 // once each.
 func WidenOneHop(net Network, nb *Neighborhood, decay float64) *Neighborhood {
@@ -38,14 +41,36 @@ func WidenOneHop(net Network, nb *Neighborhood, decay float64) *Neighborhood {
 	return widenGeneric(net, nb, decay)
 }
 
-// widenRefs is the community fast path: in/added are dense ordinal
-// tables, the touched list keeps the collection pass proportional to the
-// widened frontier rather than the community size. Each contributor's
-// statements are its row of the trust CSR — TrustedPeers order with the
-// targets already resolved. Members ranked by a compiled walk carry
-// their ordinal and resolve without a URI lookup.
+// widening is the pooled state of one widenRefs call. slot, which maps
+// an agent ordinal to what the call knows of it, is the only table sized
+// by the community; it is zero between calls (release re-zeroes exactly
+// the entries the call marked), so a pooled widening starts in O(1)
+// whatever the community size — as the compiled Appleseed walk does.
+type widening struct {
+	slot   []int32   // by agent ordinal: 0 unseen, inRange, or k > 0 for joined[k-1]
+	joined []int32   // the peers one hop past the range, in discovery order
+	rank   []float64 // by joiner: its strongest contribution so far
+}
+
+// inRange marks the source and the current members in widening.slot.
+const inRange = -1
+
+var wideningPool sync.Pool
+
+func getWidening(agents int) *widening {
+	if w, ok := wideningPool.Get().(*widening); ok && len(w.slot) >= agents {
+		return w
+	}
+	return &widening{slot: make([]int32, agents)}
+}
+
+// widenRefs is the community fast path: membership and contributions are
+// looked up by agent ordinal in a pooled table, and everything else is
+// proportional to the widened frontier rather than the community size.
+// Each contributor's statements are its row of the trust CSR —
+// TrustedPeers order with the targets already resolved. Members ranked by
+// a compiled walk carry their ordinal and resolve without a URI lookup.
 func widenRefs(net communityNet, nb *Neighborhood, src int32, decay float64) *Neighborhood {
-	n := net.adj.NumAgents()
 	sym := net.adj.Community().Symbols()
 	member := func(r Rank) (int32, bool) {
 		if ord, ok := r.Ord(); ok {
@@ -53,15 +78,12 @@ func widenRefs(net communityNet, nb *Neighborhood, src int32, decay float64) *Ne
 		}
 		return sym.AgentOrd(r.Agent)
 	}
-	in := make([]bool, n)
-	added := make([]float64, n)
-	var touched []int32
-
-	in[src] = true
+	w := getWidening(net.adj.NumAgents())
+	w.slot[src] = inRange
 	maxRank := 0.0
 	for _, r := range nb.Ranks {
 		if ord, ok := member(r); ok {
-			in[ord] = true
+			w.slot[ord] = inRange
 		}
 		if r.Trust > maxRank {
 			maxRank = r.Trust
@@ -80,14 +102,14 @@ func widenRefs(net communityNet, nb *Neighborhood, src int32, decay float64) *Ne
 			if vals[k] <= 0 {
 				break // positive statements form a prefix of every row
 			}
-			if in[ord] {
-				continue
-			}
-			if r := decay * rank * vals[k]; r > added[ord] {
-				if added[ord] == 0 {
-					touched = append(touched, ord)
-				}
-				added[ord] = r
+			r := decay * rank * vals[k]
+			switch at := w.slot[ord]; {
+			case at == inRange:
+			case at > 0:
+				w.rank[at-1] = max(w.rank[at-1], r)
+			case r > 0:
+				w.joined, w.rank = append(w.joined, ord), append(w.rank, r)
+				w.slot[ord] = int32(len(w.joined))
 			}
 		}
 	}
@@ -103,12 +125,22 @@ func widenRefs(net communityNet, nb *Neighborhood, src int32, decay float64) *Ne
 		Iterations: nb.Iterations,
 		Explored:   nb.Explored + explored,
 	}
-	out.Ranks = make([]Rank, len(nb.Ranks), len(nb.Ranks)+len(touched))
+	out.Ranks = make([]Rank, len(nb.Ranks), len(nb.Ranks)+len(w.joined))
 	copy(out.Ranks, nb.Ranks)
-	for _, ord := range touched {
-		out.Ranks = append(out.Ranks, Rank{Agent: net.adj.Agent(ord).ID, Trust: added[ord], ord: ord + 1})
+	for k, ord := range w.joined {
+		out.Ranks = append(out.Ranks, Rank{Agent: net.adj.Agent(ord).ID, Trust: w.rank[k], ord: ord + 1})
+		w.slot[ord] = 0
 	}
 	sortRanks(out.Ranks)
+
+	w.slot[src] = 0
+	for _, r := range nb.Ranks {
+		if ord, ok := member(r); ok {
+			w.slot[ord] = 0
+		}
+	}
+	w.joined, w.rank = w.joined[:0], w.rank[:0]
+	wideningPool.Put(w)
 	return out
 }
 

@@ -3,6 +3,7 @@ package trust
 import (
 	"testing"
 
+	"swrec/internal/datagen"
 	"swrec/internal/model"
 )
 
@@ -91,5 +92,33 @@ func TestWidenOneHopDeterministicOrder(t *testing.T) {
 	// Equal trust sorts by agent ID.
 	if first.Ranks[0].Agent != "p1" || first.Ranks[1].Agent != "p2" || first.Ranks[2].Agent != "p3" {
 		t.Fatalf("tie order = %+v", first.Ranks)
+	}
+}
+
+// TestWidenCommunityPathMatchesGeneric pins the ordinal fast path to the
+// generic one over every agent of a generated community, one call after
+// the other — so each call but the first runs on the pooled table the
+// previous one handed back, which must have been left zero.
+func TestWidenCommunityPathMatchesGeneric(t *testing.T) {
+	cfg := datagen.SmallScale()
+	cfg.Agents, cfg.Products = 150, 60
+	comm, _ := datagen.Generate(cfg)
+	fast, generic := FromCommunity(comm), plainNet{comm}
+	for _, opt := range []AppleseedOptions{{}, {MaxNodes: 5}} {
+		for _, src := range comm.Agents() {
+			nb, err := Appleseed(fast, src, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := WidenOneHop(fast, nb, 0.5), WidenOneHop(generic, nb, 0.5)
+			if got.Explored != want.Explored || len(got.Ranks) != len(want.Ranks) {
+				t.Fatalf("%s: explored %d, %d ranks; generic %d, %d", src, got.Explored, len(got.Ranks), want.Explored, len(want.Ranks))
+			}
+			for i, r := range got.Ranks {
+				if r.Agent != want.Ranks[i].Agent || r.Trust != want.Ranks[i].Trust {
+					t.Fatalf("%s rank %d: %s %v, generic %s %v", src, i, r.Agent, r.Trust, want.Ranks[i].Agent, want.Ranks[i].Trust)
+				}
+			}
+		}
 	}
 }
