@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build check fmt vet lint lint-note lint-audit lint-urikey test bench-harness race cover bench bench-diff bench-diff-short profile fuzz fuzz-smoke chaos chaos-short recovery-smoke load load-short load-baseline experiments experiments-paper examples clean
+.PHONY: all build check fmt vet lint lint-note lint-audit test bench-harness race cover bench bench-diff bench-diff-short profile fuzz fuzz-smoke chaos chaos-short recovery-smoke load load-short load-baseline experiments experiments-paper examples clean
 
 all: build check
 
@@ -54,7 +54,6 @@ lint-note:
 	@echo '  and its same-package callees.'
 	@echo 'narrow a lint run with PKG:   make lint PKG=./internal/engine/...'
 	@echo 'audit stale suppressions:     make lint-audit'
-	@echo 'assert zero URI-keyed maps:   make lint-urikey'
 
 # lint-audit re-runs the suite in audit mode and condemns every
 # justified suppression whose analyzer is gone or whose diagnostic no
@@ -62,21 +61,6 @@ lint-note:
 # suppressions exist.
 lint-audit: bin/swrecvet
 	$(GO) run ./cmd/lintaudit -vettool bin/swrecvet
-
-# lint-urikey asserts the interned data model holds: zero URI-string-
-# keyed maps in the hot packages. The urikey analyzer is enforced in
-# `make lint`; this target is the focused emptiness check CI runs (and
-# the historical name of the baseline-regeneration target, kept so the
-# burn-down workflow's muscle memory still works).
-lint-urikey: bin/swrecvet
-	@out=$$($(GO) vet -vettool=$(abspath bin/swrecvet) ./... 2>&1 \
-		| grep 'map keyed by URI string' | sed 's|^$(CURDIR)/||' | sort); \
-	if [ -n "$$out" ]; then \
-		echo "$$out"; \
-		echo 'lint-urikey: URI-string-keyed maps in hot packages (want none)'; \
-		exit 1; \
-	fi; \
-	echo 'lint-urikey: no URI-string-keyed maps in hot packages'
 
 build:
 	$(GO) build ./...
@@ -127,22 +111,26 @@ bench-diff:
 	$(BENCH_SUITE) | $(GO) run ./cmd/benchjson -diff BENCH_engine.json
 
 # bench-diff-short is the quick form run as part of check: the cold
-# request at paper scale, the publish benchmark and the warm GET — stored
-# hit and encoded miss — few iterations, and a deliberately loose 100%
-# threshold — at -benchtime=100x single-run noise reaches ~1.8x, while
+# request at paper scale, the publish benchmark, the warm GET — stored
+# hit and encoded miss — and Advogato at paper scale, few iterations, and
+# a deliberately loose 100% threshold — at -benchtime=100x single-run
+# noise reaches ~1.8x, while
 # losing the bounded neighbourhood shows as ~15x on the cold request, a
 # publish that copies the community again (O(N), not O(batch)) as ~10x at
 # 2,000 agents and ~25x at 9,100, a warm GET that goes back to routing and
 # re-encoding instead of replaying the snapshot's stored body as ~50x (and
 # as allocations where the baseline has none, which fail at any ratio),
 # and a miss that goes back to reflecting over its answer as 3x the
-# allocations of the mix and of each of the five shapes, so the gate
-# catches those classes of regression without flaking on scheduler jitter.
+# allocations of the mix and of each of the five shapes, and an Advogato
+# that goes back to building a flow network per call as ~15x and 40,000
+# allocations where the baseline has 2, so the gate catches those classes
+# of regression without flaking on scheduler jitter.
 bench-diff-short:
 	{ $(GO) test -run=^$$ -bench='BenchmarkServeEngineCold/agents=9100$$' -benchmem -benchtime=100x ./internal/engine/ && \
 	  $(GO) test -run=^$$ -bench='BenchmarkServeHTTPWarm/hit$$' -benchmem -benchtime=200000x ./internal/api/ && \
 	  $(GO) test -run=^$$ -bench='BenchmarkServeHTTPWarm/miss$$' -benchmem -benchtime=20000x ./internal/api/ && \
-	  $(GO) test -run=^$$ -bench='BenchmarkPublish$$' -benchmem -benchtime=20x ./internal/ingest/ ; } \
+	  $(GO) test -run=^$$ -bench='BenchmarkPublish$$' -benchmem -benchtime=20x ./internal/ingest/ && \
+	  $(GO) test -run=^$$ -bench='BenchmarkAdvogato/agents=9100$$' -benchmem -benchtime=200x ./internal/trust/ ; } \
 		| $(GO) run ./cmd/benchjson -diff BENCH_engine.json -threshold 1.0
 
 # load-short runs the deterministic short load scenario (300 agents,

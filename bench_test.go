@@ -97,11 +97,10 @@ func BenchmarkE2TrustSimilarityCorrelation(b *testing.B) {
 
 func BenchmarkE3Appleseed(b *testing.B) {
 	comm := benchCommunity()
-	net := trust.FromCommunity(comm)
-	src := benchActive()
+	adj, src := comm.Adjacency(), comm.Agent(benchActive()).Ord()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := trust.Appleseed(net, src, trust.AppleseedOptions{MaxNodes: 200}); err != nil {
+		if _, err := trust.Appleseed(context.Background(), adj, src, trust.AppleseedOptions{MaxNodes: 200}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -109,11 +108,10 @@ func BenchmarkE3Appleseed(b *testing.B) {
 
 func BenchmarkE3Advogato(b *testing.B) {
 	comm := benchCommunity()
-	net := trust.FromCommunity(comm)
-	src := benchActive()
+	adj, src := comm.Adjacency(), comm.Agent(benchActive()).Ord()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := trust.Advogato(net, src, trust.AdvogatoOptions{}); err != nil {
+		if _, err := trust.Advogato(adj, src, trust.AdvogatoOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -121,11 +119,10 @@ func BenchmarkE3Advogato(b *testing.B) {
 
 func BenchmarkE3PathTrust(b *testing.B) {
 	comm := benchCommunity()
-	net := trust.FromCommunity(comm)
-	src := benchActive()
+	adj, src := comm.Adjacency(), comm.Agent(benchActive()).Ord()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := trust.PathTrust(net, src, trust.PathTrustOptions{}); err != nil {
+		if _, err := trust.PathTrust(adj, src, trust.PathTrustOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -300,13 +297,12 @@ func BenchmarkAblationPropagationFlat(b *testing.B)    { benchPropagationMode(b,
 
 func benchAppleseedBackprop(b *testing.B, noBackprop bool) {
 	comm := benchCommunity()
-	net := trust.FromCommunity(comm)
-	src := benchActive()
+	adj, src := comm.Adjacency(), comm.Agent(benchActive()).Ord()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := trust.Appleseed(net, src, trust.AppleseedOptions{
+		if _, err := trust.Appleseed(context.Background(), adj, src, trust.AppleseedOptions{
 			MaxNodes: 200, NoBackprop: noBackprop,
-		}); err != nil {
+		}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -447,13 +443,12 @@ func BenchmarkE11Diversify(b *testing.B) {
 
 func benchDistrustPenalty(b *testing.B, gamma float64) {
 	comm := benchCommunity()
-	net := trust.FromCommunity(comm)
-	src := benchActive()
+	adj, src := comm.Adjacency(), comm.Agent(benchActive()).Ord()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := trust.Appleseed(net, src, trust.AppleseedOptions{
+		if _, err := trust.Appleseed(context.Background(), adj, src, trust.AppleseedOptions{
 			MaxNodes: 200, DistrustPenalty: gamma,
-		}); err != nil {
+		}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,8 +13,6 @@
 //	       [-warm] [-shutdown-timeout 10s] [-wal DIR]
 //	       [-checkpoint-every 64] [-checkpoint-retain 2]
 //	       [-request-budget 50ms] [-compute-budget 2s]
-//	       [-strategy-min-peers 3] [-strategy-min-overlap 0.1]
-//	       [-strategy-hop-decay 0.5] [-strategy-ancestor-depth 2]
 //	       [-strategy-disable rung,...]
 //
 // With -wal the server opens the durable write path (internal/ingest):
@@ -59,8 +57,8 @@
 // Hard queries — cold-start agents, disjoint profiles, thin trust
 // neighborhoods — are answered by walking the strategy ladder
 // (internal/strategy); every list response reports the chosen rung and
-// attempt trace in its strategy block. The -strategy-* flags shape the
-// ladder thresholds and -strategy-disable turns rungs off.
+// attempt trace in its strategy block; -strategy-disable turns rungs off
+// (the ladder's thresholds are strategy.Config's defaults).
 //
 // The server logs one line per request (method, path, status, duration),
 // applies read/write timeouts, and shuts down gracefully on SIGINT or
@@ -111,10 +109,6 @@ func main() {
 	ckptRetain := flag.Int("checkpoint-retain", 2, "compiled checkpoint files retained for the recovery ladder (min 1)")
 	requestBudget := flag.Duration("request-budget", 0, "per-request deadline for read endpoints; misses serve a degraded cached answer or 504 (0 = unbounded)")
 	computeBudget := flag.Duration("compute-budget", 0, "cap on a detached cold-path computation after its request gave up (0 = unbounded)")
-	stratMinPeers := flag.Int("strategy-min-peers", 0, "peer count below which the neighborhood counts as thin (0 = default 3)")
-	stratMinOverlap := flag.Float64("strategy-min-overlap", 0, "top-similarity threshold below which taxonomy-ancestor backoff engages (0 = default 0.1)")
-	stratHopDecay := flag.Float64("strategy-hop-decay", 0, "rank attenuation for trust-hop widening (0 = default 0.5)")
-	stratAncestorDepth := flag.Int("strategy-ancestor-depth", 0, "taxonomy depth profiles generalize to in ancestor backoff (0 = default 2)")
 	stratDisable := flag.String("strategy-disable", "", "comma-separated strategy rungs to disable (see GET /v1/strategies)")
 	flag.Parse()
 
@@ -177,12 +171,7 @@ func main() {
 		fatal(fmt.Errorf("unknown metric %q", *metric))
 	}
 
-	stratCfg := strategy.Config{
-		MinPeers:      *stratMinPeers,
-		MinOverlap:    *stratMinOverlap,
-		HopDecay:      *stratHopDecay,
-		AncestorDepth: *stratAncestorDepth,
-	}
+	var stratCfg strategy.Config
 	if *stratDisable != "" {
 		for _, name := range strings.Split(*stratDisable, ",") {
 			stratCfg.Disable = append(stratCfg.Disable, strategy.Procedure(strings.TrimSpace(name)))

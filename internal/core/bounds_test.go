@@ -55,7 +55,7 @@ func checkBounds(t *testing.T, comm *model.Community, opt Options) {
 			if nb.Explored > eff.Appleseed.MaxNodes+1 || len(nb.Ranks) > eff.Appleseed.MaxNodes {
 				t.Fatalf("%s: walk explored %d agents and ranked %d, R = %d", id, nb.Explored, len(nb.Ranks), eff.Appleseed.MaxNodes)
 			}
-			raw, err := trust.AppleseedCompiled(context.Background(), r.Adjacency(), comm.Agent(id).Ord(), eff.Appleseed, nil)
+			raw, err := trust.Appleseed(context.Background(), r.Adjacency(), comm.Agent(id).Ord(), eff.Appleseed, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

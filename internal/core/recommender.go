@@ -330,7 +330,7 @@ func (r *Recommender) NeighborhoodCtx(ctx context.Context, active model.AgentID)
 }
 
 // neighborhood is NeighborhoodCtx building the ranks in buf's array when
-// the metric can (see trust.AppleseedCompiled). The trust floor is part
+// the metric can (see trust.Appleseed). The trust floor is part
 // of stage 1: of the peers the metric ranked, those whose rank relative
 // to the best falls below TrustThreshold are cut here — the ranks come
 // sorted, so the cut is a suffix — and later stages (and the ladder's
@@ -364,12 +364,7 @@ func (r *Recommender) rankTrust(ctx context.Context, active model.AgentID, buf [
 		}
 		return nb, nil
 	}
-	switch r.opt.Metric {
-	case Advogato:
-		return trust.Advogato(trust.FromCommunity(r.comm), active, r.opt.Advogato)
-	case PathTrust:
-		return trust.PathTrust(trust.FromCommunity(r.comm), active, r.opt.PathTrust)
-	case NoTrust:
+	if r.opt.Metric == NoTrust {
 		nb := &trust.Neighborhood{Source: active}
 		for _, id := range r.comm.Agents() {
 			if id != active {
@@ -377,13 +372,19 @@ func (r *Recommender) rankTrust(ctx context.Context, active model.AgentID, buf [
 			}
 		}
 		return nb, nil
+	}
+	a := r.comm.Agent(active)
+	if a == nil {
+		// An agent the community does not know has no row to walk from.
+		return &trust.Neighborhood{Source: active}, nil
+	}
+	switch r.opt.Metric {
+	case Advogato:
+		return trust.Advogato(r.adj, a.Ord(), r.opt.Advogato)
+	case PathTrust:
+		return trust.PathTrust(r.adj, a.Ord(), r.opt.PathTrust)
 	default:
-		if a := r.comm.Agent(active); a != nil {
-			return trust.AppleseedCompiled(ctx, r.adj, a.Ord(), r.opt.Appleseed, buf)
-		}
-		// An unknown source has no compiled row; the generic walk yields
-		// the canonical empty neighborhood.
-		return trust.AppleseedCtx(ctx, trust.FromCommunity(r.comm), active, r.opt.Appleseed)
+		return trust.Appleseed(ctx, r.adj, a.Ord(), r.opt.Appleseed, buf)
 	}
 }
 

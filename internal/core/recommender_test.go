@@ -316,6 +316,24 @@ func TestUnknownActiveAgent(t *testing.T) {
 	}
 }
 
+// An agent the community does not know has no ordinal for a trust metric
+// to walk from: stage 1 answers with the empty neighborhood itself.
+func TestUnknownSourceNeighborhoodIsEmpty(t *testing.T) {
+	c := scenario(t)
+	for _, m := range []Metric{Appleseed, Advogato, PathTrust} {
+		opt := defaultOpts()
+		opt.Metric = m
+		r, err := New(c, opt)
+		if err != nil {
+			t.Fatalf("[%v] %v", m, err)
+		}
+		nb, err := r.Neighborhood("ghost")
+		if err != nil || nb.Source != "ghost" || len(nb.Ranks) != 0 {
+			t.Fatalf("[%v] neighborhood of an unknown agent = %+v, %v; want empty", m, nb, err)
+		}
+	}
+}
+
 func TestOptionValidation(t *testing.T) {
 	c := scenario(t)
 	if _, err := New(c, Options{Alpha: 2}); err == nil {

@@ -191,7 +191,7 @@ func TestDegradedRecommendProbesCurrentCaches(t *testing.T) {
 	active := comm.Agents()[0]
 
 	// Nothing warm: no degraded answer exists.
-	if _, _, _, ok := e.DegradedRecommend(active, 5, Overrides{}); ok {
+	if _, _, _, ok := e.degradedRecommend(active, 5, Overrides{}); ok {
 		t.Fatal("degraded answer from fully cold caches")
 	}
 
@@ -199,7 +199,7 @@ func TestDegradedRecommendProbesCurrentCaches(t *testing.T) {
 	if _, err := e.Snapshot().RankedPeers(active, Overrides{}); err != nil {
 		t.Fatal(err)
 	}
-	recs, source, epoch, ok := e.DegradedRecommend(active, 5, Overrides{})
+	recs, source, epoch, ok := e.degradedRecommend(active, 5, Overrides{})
 	if !ok || source != "peers-vote" || epoch != e.Epoch() {
 		t.Fatalf("ok=%v source=%q epoch=%d, want peers-vote at current epoch", ok, source, epoch)
 	}
@@ -212,7 +212,7 @@ func TestDegradedRecommendProbesCurrentCaches(t *testing.T) {
 	}
 
 	// With the result cache warm the probe prefers it.
-	_, source, _, ok = e.DegradedRecommend(active, 5, Overrides{})
+	_, source, _, ok = e.degradedRecommend(active, 5, Overrides{})
 	if !ok || source != "result-cache" {
 		t.Fatalf("ok=%v source=%q, want result-cache", ok, source)
 	}
@@ -234,7 +234,7 @@ func TestDegradedRecommendFallsBackToPreviousEpoch(t *testing.T) {
 	if _, err := e.Swap(testCommunity(t, 20, 30)); err != nil {
 		t.Fatal(err)
 	}
-	recs, source, epoch, ok := e.DegradedRecommend(active, 5, Overrides{})
+	recs, source, epoch, ok := e.degradedRecommend(active, 5, Overrides{})
 	if !ok || source != "prev-result-cache" || epoch != oldEpoch {
 		t.Fatalf("ok=%v source=%q epoch=%d, want prev-result-cache at epoch %d", ok, source, epoch, oldEpoch)
 	}
@@ -243,7 +243,7 @@ func TestDegradedRecommendFallsBackToPreviousEpoch(t *testing.T) {
 	}
 
 	// Peers fallback too.
-	peers, source, epoch, ok := e.DegradedPeers(active, Overrides{})
+	peers, source, epoch, ok := e.degradedPeers(active, Overrides{})
 	if !ok || source != "prev-peers-cache" || epoch != oldEpoch {
 		t.Fatalf("peers: ok=%v source=%q epoch=%d", ok, source, epoch)
 	}

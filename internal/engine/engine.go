@@ -768,11 +768,11 @@ func (e *Engine) SwapDelta(comm *model.Community, d *Delta) (*Snapshot, error) {
 // never scheduled on it.
 func (e *Engine) Previous() *Snapshot { return e.prev.Load() }
 
-// DegradedPeers attempts a cheap partial answer for a neighborhood
+// degradedPeers attempts a cheap partial answer for a neighborhood
 // request whose full computation missed its deadline: the current
 // snapshot's cache first, then the previous epoch's. Pure cache lookups —
 // no computation is started. epoch reports which snapshot answered.
-func (e *Engine) DegradedPeers(active model.AgentID, ov Overrides) (peers []core.PeerRank, source string, epoch uint64, ok bool) {
+func (e *Engine) degradedPeers(active model.AgentID, ov Overrides) (peers []core.PeerRank, source string, epoch uint64, ok bool) {
 	if s := e.Snapshot(); s != nil {
 		if peers, ok := s.CachedPeers(active, ov); ok {
 			stats.Add("degraded_served", 1)
@@ -789,7 +789,7 @@ func (e *Engine) DegradedPeers(active model.AgentID, ov Overrides) (peers []core
 	return nil, "", 0, false
 }
 
-// DegradedRecommend attempts a cheap partial answer for a recommendation
+// degradedRecommend attempts a cheap partial answer for a recommendation
 // request whose full computation missed its deadline, probing in order of
 // decreasing fidelity:
 //
@@ -804,7 +804,7 @@ func (e *Engine) DegradedPeers(active model.AgentID, ov Overrides) (peers []core
 // what earlier requests already paid for. epoch reports which snapshot
 // answered; a stale epoch (< current) means the answer predates the last
 // swap.
-func (e *Engine) DegradedRecommend(active model.AgentID, n int, ov Overrides) (recs []core.Recommendation, source string, epoch uint64, ok bool) {
+func (e *Engine) degradedRecommend(active model.AgentID, n int, ov Overrides) (recs []core.Recommendation, source string, epoch uint64, ok bool) {
 	probe := func(s *Snapshot, prefix string) ([]core.Recommendation, string, bool) {
 		if s == nil {
 			return nil, "", false

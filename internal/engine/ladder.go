@@ -89,7 +89,7 @@ func (s *Snapshot) widenedPeers(ctx context.Context, a *model.Agent, ov Override
 		for i, p := range base {
 			nb.Ranks[i] = trust.Rank{Agent: p.Agent, Trust: p.Trust}
 		}
-		wide := trust.WidenOneHop(trust.FromAdjacency(rec.Adjacency()), nb, decay)
+		wide := trust.WidenOneHop(rec.Adjacency(), nb, decay)
 		peers, err := rec.SynthesizeCtx(fctx, a.ID, wide)
 		if err != nil {
 			return nil, err
@@ -244,7 +244,7 @@ func (e *Engine) RecommendLadder(ctx context.Context, snap *Snapshot, active mod
 			out = recs
 			return len(recs) > 0, nil
 		case strategy.DegradedCache:
-			recs, source, epoch, ok := e.DegradedRecommend(active, n, ov)
+			recs, source, epoch, ok := e.degradedRecommend(active, n, ov)
 			if !ok {
 				return false, nil
 			}
@@ -337,7 +337,7 @@ func (e *Engine) RankedPeersLadder(ctx context.Context, snap *Snapshot, active m
 		case strategy.Popularity:
 			return false, strategy.ErrNotApplicable
 		case strategy.DegradedCache:
-			peers, source, epoch, ok := e.DegradedPeers(active, ov)
+			peers, source, epoch, ok := e.degradedPeers(active, ov)
 			if !ok {
 				return false, nil
 			}

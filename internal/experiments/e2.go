@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -50,13 +51,13 @@ func E2(w io.Writer, p Params) (E2Result, error) {
 
 		// Appleseed-neighborhood similarity: for sampled sources, the
 		// mean similarity over the top-20 neighborhood members.
-		net := trust.FromCommunity(comm)
+		adj := comm.Adjacency()
 		agents := comm.Agents()
 		var nbSum float64
 		var nbN int
 		for i := 0; i < 25 && i < len(agents); i++ {
 			src := agents[rng.Intn(len(agents))]
-			nb, err := trust.Appleseed(net, src, trust.AppleseedOptions{MaxNodes: 200})
+			nb, err := trust.Appleseed(context.Background(), adj, comm.Agent(src).Ord(), trust.AppleseedOptions{MaxNodes: 200}, nil)
 			if err != nil {
 				return res, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -35,7 +36,7 @@ func E3(w io.Writer, p Params) (E3Result, error) {
 	section(w, "E3", "Appleseed convergence and parameter sweep ([12], §3.2)")
 	cfg := p.Config()
 	comm, _ := datagen.Generate(cfg)
-	net := trust.FromCommunity(comm)
+	adj, ctx := comm.Adjacency(), context.Background()
 
 	// Choose the best-connected agent as source so the sweep exercises a
 	// real neighborhood.
@@ -48,18 +49,19 @@ func E3(w io.Writer, p Params) (E3Result, error) {
 		}
 	}
 	fmt.Fprintf(w, "source agent: %s (out-degree %d), injection 200\n", src, best)
+	srcOrd := comm.Agent(src).Ord()
 
 	res := E3Result{Converged: true}
 	const maxIter = 400
 	t := newTable(w, "d", "Tc", "iterations", "neighbors", "rank mass", "explored")
 	for _, d := range []float64{0.65, 0.85} {
 		for _, tc := range []float64{1.0, 0.1, 0.01, 0.001} {
-			nb, err := trust.Appleseed(net, src, trust.AppleseedOptions{
+			nb, err := trust.Appleseed(ctx, adj, srcOrd, trust.AppleseedOptions{
 				SpreadingFactor: d,
 				Threshold:       tc,
 				MaxIterations:   maxIter,
 				MaxNodes:        800,
-			})
+			}, nil)
 			if err != nil {
 				return res, err
 			}
@@ -90,11 +92,11 @@ func E3(w io.Writer, p Params) (E3Result, error) {
 	fmt.Fprintln(w, "\nrank mass vs iteration (d=0.85):")
 	t2 := newTable(w, "iterations", "rank mass")
 	for _, iters := range []int{1, 2, 4, 8, 16, 32, 64} {
-		nb, err := trust.Appleseed(net, src, trust.AppleseedOptions{
+		nb, err := trust.Appleseed(ctx, adj, srcOrd, trust.AppleseedOptions{
 			Threshold:     1e-12, // effectively never converge early
 			MaxIterations: iters,
 			MaxNodes:      800,
-		})
+		}, nil)
 		if err != nil {
 			return res, err
 		}

@@ -28,8 +28,8 @@ func (m *CSR) Row(ord int32) ([]int32, []float64) {
 // Adjacency is safe for concurrent readers. It describes the community
 // as of that compile: like every derived view it is only valid while the
 // community is not mutated — serving snapshots never are; harnesses that
-// mutate in place derive a fresh Adjacency (via a fresh core.Recommender
-// or trust.FromCommunity) afterwards.
+// mutate in place derive a fresh Adjacency (c.Adjacency(), or a fresh
+// core.Recommender) afterwards.
 type Adjacency struct {
 	c *Community
 

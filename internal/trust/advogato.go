@@ -2,8 +2,8 @@ package trust
 
 import (
 	"fmt"
+	"sync"
 
-	"swrec/internal/graph"
 	"swrec/internal/model"
 )
 
@@ -18,9 +18,10 @@ type AdvogatoOptions struct {
 	// 1 (they can only certify themselves). The default, {200, 50, 12,
 	// 4, 2, 1}, follows Advogato's published decreasing-capacity scheme.
 	CapacityProfile []int
-	// MinWeight is the smallest trust value that counts as a
-	// certification edge; Advogato's input is boolean, so continuous
-	// statements are thresholded. Default 0 (any positive statement).
+	// MinWeight in [0, 1) is the trust value a statement must exceed to
+	// count as a certification edge; Advogato's input is boolean, so
+	// continuous statements are thresholded. Default 0 (any positive
+	// statement). It cannot be negative: distrust never certifies (§3.1).
 	MinWeight float64
 }
 
@@ -37,97 +38,112 @@ func (o AdvogatoOptions) validate() error {
 			return fmt.Errorf("trust: capacity profile entry %d must be >= 1, got %d", i, c)
 		}
 	}
+	if o.MinWeight < 0 || o.MinWeight >= 1 {
+		return fmt.Errorf("trust: min weight must be in [0,1), got %v", o.MinWeight)
+	}
 	return nil
 }
 
 // infiniteCap stands in for unbounded arc capacity in the flow network.
 const infiniteCap = 1 << 30
 
-// Advogato computes the boolean trust neighborhood of source: the set of
-// peers accepted by the max-flow certification. Every accepted peer gets
-// rank 1 — Advogato "can only make boolean decisions with respect to
-// trustworthiness" (§3.2).
+// certification is the pooled state of one Advogato computation.
+type certification struct {
+	nodeTable
+	dist []int32 // by node: BFS distance from the source
+	flow flowNet
+}
+
+var certificationPool sync.Pool
+
+// Advogato computes the boolean trust neighborhood of the agent with
+// ordinal source: the set of peers accepted by the max-flow
+// certification. Every accepted peer gets rank 1 — Advogato "can only
+// make boolean decisions with respect to trustworthiness" (§3.2).
 //
 // Construction (the node-splitting transform of [11]):
 //
-//   - BFS from the source over positive trust edges, bounded by the
-//     capacity profile length, assigns each discovered agent a capacity
-//     cap(x) by distance;
+//   - BFS from the source over certification edges — the statements above
+//     MinWeight, a prefix of each trust-CSR row — bounded by the capacity
+//     profile length, assigns each discovered agent a capacity cap(x) by
+//     distance;
 //   - each agent x becomes x⁻ → x⁺ with capacity cap(x)-1, plus a
 //     unit-capacity edge x⁻ → supersink;
 //   - each certification x → y becomes x⁺ → y⁻ with infinite capacity;
 //   - a peer is accepted iff the max flow from source⁻ to the supersink
 //     saturates its unit edge.
-func Advogato(net Network, source model.AgentID, opt AdvogatoOptions) (*Neighborhood, error) {
+//
+// Max-flow does not make the accepted set unique; the arcs go in in a
+// fixed order (all splits by node, then the certifications by certifier
+// and row position) and the solver tries them in that order, so it is
+// deterministic. source must lie in [0, adj.NumAgents()).
+func Advogato(adj *model.Adjacency, source int32, opt AdvogatoOptions) (*Neighborhood, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	horizon := len(opt.CapacityProfile)
+	profile := opt.CapacityProfile
+	t := adj.Trust()
+	c, _ := certificationPool.Get().(*certification)
+	if c == nil || len(c.at) < adj.NumAgents() {
+		c = &certification{nodeTable: nodeTable{at: make([]int32, adj.NumAgents())}}
+	}
 
-	// Level-bounded BFS, fetching trust statements as we go.
-	var in graph.Interner
-	src := in.Intern(string(source))
-	dist := []int{0}
-	type edge struct{ from, to int }
-	var certEdges []edge
-	queue := []int{src}
+	// Level-bounded BFS. Nodes are numbered as they are discovered, which
+	// is the order a queue would serve them in, so the node sequence is
+	// the queue; agents past the profile are not expanded, and they are a
+	// suffix of it.
+	c.node(source)
+	c.dist = append(c.dist[:0], 0)
 	explored := 0
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		if dist[x] >= horizon {
-			continue // beyond the profile: do not expand further
-		}
-		explored++
-		for _, st := range net.Peers(model.AgentID(in.Name(x))) {
-			if st.Value <= opt.MinWeight || string(st.Dst) == in.Name(x) {
-				continue
+	for ; explored < len(c.ord) && int(c.dist[explored]) < len(profile); explored++ {
+		idx, val := t.Row(c.ord[explored])
+		for k, y := range idx {
+			if val[k] <= opt.MinWeight {
+				break // the certifications are a prefix of the row
 			}
-			before := in.Len()
-			y := in.Intern(string(st.Dst))
-			if in.Len() > before {
-				dist = append(dist, dist[x]+1)
-				queue = append(queue, y)
+			if _, fresh := c.node(y); fresh {
+				c.dist = append(c.dist, c.dist[explored]+1)
 			}
-			certEdges = append(certEdges, edge{from: x, to: y})
 		}
 	}
 
-	// Build the node-split flow network. Agent i maps to in-node 2i and
-	// out-node 2i+1; the supersink sits past all split nodes.
-	n := in.Len()
+	// Build the node-split flow network. Node i maps to in-node 2i and
+	// out-node 2i+1; the supersink sits past all split nodes. Node i's
+	// unit edge to the sink is arc 2i+1.
+	n := len(c.ord)
 	sink := 2 * n
-	fn := graph.NewFlowNetwork(2*n + 1)
-	unitArc := make([]int, n) // arc index of each agent's x⁻→sink edge
-	arcs := 0
-	addArc := func(from, to, c int) int {
-		fn.AddArc(from, to, c)
-		arcs++
-		return arcs - 1
-	}
-	capOf := func(i int) int {
-		if dist[i] < len(opt.CapacityProfile) {
-			return opt.CapacityProfile[dist[i]]
+	c.flow.reset(sink + 1)
+	for i, d := range c.dist {
+		capacity := 1
+		if int(d) < len(profile) {
+			capacity = profile[d]
 		}
-		return 1
+		c.flow.addArc(2*i, 2*i+1, capacity-1)
+		c.flow.addArc(2*i, sink, 1)
 	}
-	for i := 0; i < n; i++ {
-		addArc(2*i, 2*i+1, capOf(i)-1)
-		unitArc[i] = addArc(2*i, sink, 1)
+	for x := 0; x < explored; x++ {
+		idx, val := t.Row(c.ord[x])
+		for k, y := range idx {
+			if val[k] <= opt.MinWeight {
+				break
+			}
+			c.flow.addArc(2*x+1, 2*int(c.at[y]-1), infiniteCap)
+		}
 	}
-	for _, e := range certEdges {
-		addArc(2*e.from+1, 2*e.to, infiniteCap)
-	}
+	// Every unit of flow saturates one agent's unit edge, the source's
+	// own among them.
+	accepted := c.flow.maxFlow(0, sink) - 1
 
-	fn.MaxFlow(2*src, sink)
-
-	nb := &Neighborhood{Source: source, Iterations: horizon, Explored: explored}
+	nb := &Neighborhood{Source: adj.Agent(source).ID, Iterations: len(profile), Explored: explored}
+	nb.Ranks = make([]Rank, 0, accepted)
 	for i := 1; i < n; i++ { // skip the source itself
-		if fn.Flow(unitArc[i]) > 0 {
-			nb.Ranks = append(nb.Ranks, Rank{Agent: model.AgentID(in.Name(i)), Trust: 1})
+		if x := c.ord[i]; c.flow.flow(2*i+1) > 0 {
+			nb.Ranks = append(nb.Ranks, Rank{Agent: adj.Agent(x).ID, Trust: 1, ord: x + 1})
 		}
 	}
 	sortRanks(nb.Ranks)
+	c.reset()
+	certificationPool.Put(c)
 	return nb, nil
 }

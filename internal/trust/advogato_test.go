@@ -1,17 +1,13 @@
 package trust
 
-import (
-	"testing"
-
-	"swrec/internal/model"
-)
+import "testing"
 
 func TestAdvogatoAcceptsDirectPeers(t *testing.T) {
 	net := build(t, [][3]interface{}{
 		{"a", "b", 1.0},
 		{"a", "c", 0.8},
 	})
-	nb, err := Advogato(net, "a", AdvogatoOptions{})
+	nb, err := advogatoFrom(net, "a", AdvogatoOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +31,7 @@ func TestAdvogatoCapacityLimitsAcceptance(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		edges = append(edges, [3]interface{}{"a", "p" + itoa(i), 1.0})
 	}
-	nb, err := Advogato(build(t, edges), "a", AdvogatoOptions{CapacityProfile: []int{3, 1}})
+	nb, err := advogatoFrom(build(t, edges), "a", AdvogatoOptions{CapacityProfile: []int{3, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +47,7 @@ func TestAdvogatoHorizonBound(t *testing.T) {
 		{"b", "c", 1.0},
 		{"c", "d", 1.0},
 	})
-	nb, err := Advogato(net, "a", AdvogatoOptions{CapacityProfile: []int{8, 4}})
+	nb, err := advogatoFrom(net, "a", AdvogatoOptions{CapacityProfile: []int{8, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,16 +60,23 @@ func TestAdvogatoHorizonBound(t *testing.T) {
 }
 
 func TestAdvogatoDistrustIgnored(t *testing.T) {
-	net := build(t, [][3]interface{}{
-		{"a", "b", -1.0},
-		{"b", "c", 1.0},
-	})
-	nb, err := Advogato(net, "a", AdvogatoOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nb.Ranks) != 0 {
-		t.Fatalf("distrust must not certify: %+v", nb.Ranks)
+	// Mild distrust (-0.3) sits above a threshold of -0.5: a negative
+	// MinWeight would turn it into a certification edge, so it is refused.
+	for _, distrust := range []float64{-1.0, -0.3} {
+		net := build(t, [][3]interface{}{
+			{"a", "b", distrust},
+			{"b", "c", 1.0},
+		})
+		nb, err := advogatoFrom(net, "a", AdvogatoOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(nb.Ranks) != 0 {
+			t.Fatalf("distrust %v must not certify: %+v", distrust, nb.Ranks)
+		}
+		if nb, err := advogatoFrom(net, "a", AdvogatoOptions{MinWeight: -0.5}); err == nil {
+			t.Fatalf("distrust %v under a negative threshold: accepted %+v, want an error", distrust, nb.Ranks)
+		}
 	}
 }
 
@@ -85,7 +88,7 @@ func TestAdvogatoSybilResistance(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		edges = append(edges, [3]interface{}{"m", "sybil" + itoa(i), 1.0})
 	}
-	nb, err := Advogato(build(t, edges), "a", AdvogatoOptions{CapacityProfile: []int{100, 3, 1}})
+	nb, err := advogatoFrom(build(t, edges), "a", AdvogatoOptions{CapacityProfile: []int{100, 3, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +111,7 @@ func TestAdvogatoMinWeightThreshold(t *testing.T) {
 		{"a", "strong", 0.9},
 		{"a", "weak", 0.2},
 	})
-	nb, err := Advogato(net, "a", AdvogatoOptions{MinWeight: 0.5})
+	nb, err := advogatoFrom(net, "a", AdvogatoOptions{MinWeight: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,20 +121,25 @@ func TestAdvogatoMinWeightThreshold(t *testing.T) {
 }
 
 func TestAdvogatoValidation(t *testing.T) {
-	net := FromCommunity(model.NewCommunity(nil))
-	if _, err := Advogato(net, "a", AdvogatoOptions{CapacityProfile: []int{0}}); err == nil {
-		t.Fatal("zero capacity accepted")
+	net := lone("a")
+	for _, bad := range []AdvogatoOptions{
+		{CapacityProfile: []int{0}},
+		{MinWeight: -0.5}, // distrust would certify
+		{MinWeight: 1},    // nothing could
+	} {
+		if _, err := advogatoFrom(net, "a", bad); err == nil {
+			t.Errorf("options accepted: %+v", bad)
+		}
 	}
 }
 
 func TestAdvogatoEmptySource(t *testing.T) {
-	net := FromCommunity(model.NewCommunity(nil))
-	nb, err := Advogato(net, "ghost", AdvogatoOptions{})
+	nb, err := advogatoFrom(lone("ghost"), "ghost", AdvogatoOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(nb.Ranks) != 0 {
-		t.Fatal("unknown source must yield empty neighborhood")
+		t.Fatal("a source without statements must yield an empty neighborhood")
 	}
 }
 
@@ -141,7 +149,7 @@ func TestPathTrustBestChain(t *testing.T) {
 		{"b", "c", 0.5},
 		{"a", "c", 0.3},
 	})
-	nb, err := PathTrust(net, "a", PathTrustOptions{})
+	nb, err := pathTrustFrom(net, "a", PathTrustOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +169,7 @@ func TestPathTrustChainBeatsWeakDirect(t *testing.T) {
 		{"b", "c", 0.9},
 		{"a", "c", 0.1},
 	})
-	nb, err := PathTrust(net, "a", PathTrustOptions{})
+	nb, err := pathTrustFrom(net, "a", PathTrustOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +185,7 @@ func TestPathTrustHorizon(t *testing.T) {
 		{"b", "c", 1.0},
 		{"c", "d", 1.0},
 	})
-	nb, err := PathTrust(net, "a", PathTrustOptions{Horizon: 2})
+	nb, err := pathTrustFrom(net, "a", PathTrustOptions{Horizon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +199,7 @@ func TestPathTrustMinTrustPrunes(t *testing.T) {
 		{"a", "b", 0.1},
 		{"b", "c", 0.1},
 	})
-	nb, err := PathTrust(net, "a", PathTrustOptions{MinTrust: 0.05})
+	nb, err := pathTrustFrom(net, "a", PathTrustOptions{MinTrust: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +209,11 @@ func TestPathTrustMinTrustPrunes(t *testing.T) {
 }
 
 func TestPathTrustValidation(t *testing.T) {
-	net := FromCommunity(model.NewCommunity(nil))
-	if _, err := PathTrust(net, "a", PathTrustOptions{Horizon: -1}); err == nil {
+	net := lone("a")
+	if _, err := pathTrustFrom(net, "a", PathTrustOptions{Horizon: -1}); err == nil {
 		t.Fatal("negative horizon accepted")
 	}
-	if _, err := PathTrust(net, "a", PathTrustOptions{MinTrust: 2}); err == nil {
+	if _, err := pathTrustFrom(net, "a", PathTrustOptions{MinTrust: 2}); err == nil {
 		t.Fatal("MinTrust >= 1 accepted")
 	}
 }

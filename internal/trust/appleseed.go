@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
-	"swrec/internal/graph"
 	"swrec/internal/model"
 )
 
@@ -66,9 +66,9 @@ type AppleseedOptions struct {
 // (EXPERIMENTS.md).
 const DefaultMaxNodes = 400
 
-// WithDefaults fills zero fields with the standard parameters. The
-// compiled walk and the generic walk both run on its result, and a
-// checkpoint signs it, so what a zero field means is decided here only.
+// WithDefaults fills zero fields with the standard parameters. The walk
+// runs on its result and a checkpoint signs it, so what a zero field
+// means is decided here only.
 func (o AppleseedOptions) WithDefaults() AppleseedOptions {
 	if o.Injection == 0 {
 		o.Injection = 200
@@ -114,29 +114,8 @@ func (o AppleseedOptions) validate() error {
 	return nil
 }
 
-// appleseedNode is the mutable per-node state of one computation. Nodes
-// live in one contiguous slab indexed by discovery order — pointer-free,
-// so a 400-node computation costs a handful of slab growths instead of
-// one allocation per node.
-type appleseedNode struct {
-	id    model.AgentID
-	in    float64 // energy received this pass
-	inNew float64 // energy accumulating for next pass
-	rank  float64 // trust rank accumulated so far
-	// succ holds the node's out-edges, built once at fetch time: the
-	// virtual backward edge (if any) first, then the positive statements
-	// as (target index, weight^q), with the normalization total.
-	succ      []appleseedEdge
-	succTotal float64
-	fetched   bool // trust statements already pulled from the Network
-}
-
-type appleseedEdge struct {
-	to int
-	w  float64 // weight raised to NormExponent
-}
-
-// Appleseed computes the trust neighborhood of source over net using the
+// Appleseed computes the trust neighborhood of the agent with ordinal
+// source over a community's compiled adjacency, using the
 // spreading-activation model of [12]:
 //
 //	in_{new}(y) += d · in(x) · w(x,y)^q / Σ_z w(x,z)^q
@@ -145,219 +124,348 @@ type appleseedEdge struct {
 // with a virtual edge (y → source, weight 1) added for every node upon
 // discovery (backward propagation), iterated until every node's rank moves
 // by less than Threshold. The source itself accumulates no rank and never
-// appears in the result.
+// appears in the result. ctx is checked at every pass boundary, so a
+// caller's deadline interrupts a long run within one pass; Appleseed then
+// returns ctx.Err().
 //
 // Only positive trust statements propagate energy: distrust must not make
 // its target's *successors* trustworthy. With RespectDistrust set, peers
 // directly distrusted by the source are additionally removed from the
 // result.
-func Appleseed(net Network, source model.AgentID, opt AppleseedOptions) (*Neighborhood, error) {
-	return AppleseedCtx(context.Background(), net, source, opt)
-}
-
-// AppleseedCtx is Appleseed with cancellation: the iteration loop checks
-// ctx at every pass boundary, so a caller's deadline interrupts a long
-// spreading-activation run within one pass rather than after
-// MaxIterations. Returns ctx.Err() when cancelled.
-func AppleseedCtx(ctx context.Context, net Network, source model.AgentID, opt AppleseedOptions) (*Neighborhood, error) {
+//
+// It is the walk core.Recommender runs for every uncached request. Edges
+// come from the trust CSR, state lives in pooled node-indexed arrays, and
+// the only allocations are the result; discovery order, per-node edge
+// order (backward edge first) and float summation order are those of the
+// URI-keyed reference walk the tests keep (oracle_test.go), so the ranks
+// are bit-identical to it. source must lie in [0, adj.NumAgents()). The
+// ranks are built in buf's array when it is large enough — a caller that
+// drops the neighborhood after use (core's stages 1-3) recycles it; pass
+// nil otherwise.
+func Appleseed(ctx context.Context, adj *model.Adjacency, source int32, opt AppleseedOptions, buf []Rank) (*Neighborhood, error) {
 	opt = opt.WithDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
+	return appleseed(ctx, adj, source, opt, buf)
+}
 
-	// Community-backed networks carry a compiled adjacency: take the
-	// ordinal walk. Unknown sources fall through to the generic path,
-	// which yields the canonical empty neighborhood.
-	if cn, ok := net.(communityNet); ok {
-		if src := cn.adj.Community().Agent(source); src != nil {
-			return appleseedCompiled(ctx, cn.adj, src.Ord(), opt, nil)
-		}
+// appleseed is Appleseed after option defaulting and validation. It is a
+// function of its own on measurement: folded into Appleseed, the same
+// walk — not an instruction of it changed — ran a frame shallower and
+// cold-read lost a reproducible 10 % in spread's fetch-check loop.
+func appleseed(ctx context.Context, adj *model.Adjacency, source int32, opt AppleseedOptions, buf []Rank) (*Neighborhood, error) {
+	t := adj.Trust()
+	// The source plus at most MaxNodes discovered peers ever become nodes.
+	nodes := adj.NumAgents()
+	if opt.MaxNodes < nodes {
+		nodes = opt.MaxNodes + 1
 	}
+	w := getWalk(adj.NumAgents(), nodes)
+	defer w.release()
 
-	// Pre-size the node slab and interner to the graph bound when the
-	// network exposes one (community adapters do), capped by the
-	// expansion range — growth reallocations dominate the metric's
-	// allocation profile otherwise.
-	hint := 256
-	if sh, ok := net.(sizeHinter); ok {
-		if n := sh.NumAgents() + 1; n > 0 {
-			hint = n
-		}
+	iterations, err := w.spread(ctx, t, source, opt)
+	if err != nil {
+		return nil, err
 	}
-	if opt.MaxNodes < hint {
-		hint = opt.MaxNodes + 1
+	if opt.DistrustPenalty > 0 {
+		w.penalize(t, opt.DistrustPenalty)
 	}
-	// sym interns agent URIs in discovery order, so an agent's interned
-	// ordinal IS its node index — the only string-keyed structure of the
-	// whole walk, touched once per discovery, never on the hot update loop.
-	var sym graph.Interner
-	sym.Reserve(hint)
-	sym.Intern(string(source))
-	nodes := make([]appleseedNode, 1, hint)
-	nodes[0] = appleseedNode{id: source, in: opt.Injection}
-
-	// discover returns the index for id, registering it the first time;
-	// ok==false when MaxNodes forbids new nodes. Out-edges (including the
-	// virtual backward edge) are attached lazily at fetch time — only
-	// nodes that actually receive energy pay for an edge list.
-	discover := func(id model.AgentID) (int, bool) {
-		if i, ok := sym.Lookup(string(id)); ok {
-			return i, true
-		}
-		if len(nodes) > opt.MaxNodes {
-			return 0, false
-		}
-		i := sym.Intern(string(id))
-		nodes = append(nodes, appleseedNode{id: id})
-		return i, true
-	}
-
-	// fetch pulls x's trust statements from the network once and attaches
-	// its out-edges in one pre-sized slice: the backward edge first (as
-	// discover used to order it), then the positive statements. Negative
-	// statements never propagate energy; they are recorded for the
-	// optional post-convergence penalty.
-	type negEdge struct {
-		from int
-		to   model.AgentID
-		w    float64 // |t_x(y)|
-	}
-	var negEdges []negEdge
-	explored := 0
-	linearWeights := opt.NormExponent == 1
-	fetch := func(xi int) {
-		if nodes[xi].fetched {
-			return
-		}
-		nodes[xi].fetched = true
-		explored++
-		stmts := net.Peers(nodes[xi].id)
-		succ := make([]appleseedEdge, 0, len(stmts)+1)
-		var total float64
-		if xi != 0 && !opt.NoBackprop {
-			succ = append(succ, appleseedEdge{to: 0, w: 1})
-			total = 1
-		}
-		self := nodes[xi].id
-		for _, st := range stmts {
-			if st.Dst == self {
-				continue
-			}
-			if st.Value <= 0 {
-				if st.Value < 0 && opt.DistrustPenalty > 0 {
-					negEdges = append(negEdges, negEdge{from: xi, to: st.Dst, w: -st.Value})
-				}
-				continue
-			}
-			yi, ok := discover(st.Dst) // may grow the slab; index access only below
-			if !ok || yi == xi {
-				continue
-			}
-			w := st.Value
-			if !linearWeights {
-				w = math.Pow(st.Value, opt.NormExponent)
-			}
-			succ = append(succ, appleseedEdge{to: yi, w: w})
-			total += w
-		}
-		nodes[xi].succ = succ
-		nodes[xi].succTotal = total
-	}
-
-	d := opt.SpreadingFactor
-	iterations := 0
-	for ; iterations < opt.MaxIterations; iterations++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		maxDelta := 0.0
-		// Snapshot length: nodes discovered during this pass only start
-		// receiving energy now and are processed next pass.
-		live := len(nodes)
-		for xi := 0; xi < live; xi++ {
-			if nodes[xi].in == 0 {
-				continue
-			}
-			fetch(xi) // may grow the slab: re-take the pointer after
-			x := &nodes[xi]
-			energy := x.in
-			x.in = 0
-			if xi != 0 { // the source hoards no rank
-				x.rank += (1 - d) * energy
-				if delta := (1 - d) * energy; delta > maxDelta {
-					maxDelta = delta
-				}
-			}
-			if x.succTotal == 0 {
-				// Dead end without backprop: energy dissipates, exactly
-				// like rank sinks in spreading activation models.
-				continue
-			}
-			m := d * energy / x.succTotal
-			for _, e := range x.succ {
-				nodes[e.to].inNew += m * e.w
-			}
-		}
-		for i := range nodes {
-			nodes[i].in += nodes[i].inNew
-			nodes[i].inNew = 0
-		}
-		if maxDelta < opt.Threshold && iterations > 0 {
-			break
-		}
-	}
-
-	// Graded distrust: demote each distrusted peer proportionally to the
-	// distruster's own standing.
-	if opt.DistrustPenalty > 0 && len(negEdges) > 0 {
-		maxRank := 0.0
-		for i := 1; i < len(nodes); i++ {
-			if nodes[i].rank > maxRank {
-				maxRank = nodes[i].rank
-			}
-		}
-		for _, e := range negEdges {
-			yi, ok := sym.Lookup(string(e.to))
-			if !ok || yi == 0 {
-				continue // never positively reached, or the source itself
-			}
-			normRank := 1.0 // the source's word counts fully
-			if e.from != 0 {
-				if maxRank == 0 {
-					continue
-				}
-				normRank = nodes[e.from].rank / maxRank
-			}
-			factor := 1 - opt.DistrustPenalty*normRank*e.w
-			if factor < 0 {
-				factor = 0
-			}
-			nodes[yi].rank *= factor
-		}
-	}
-
-	// Collect ranks; optionally drop peers the source explicitly
-	// distrusts — a dense node-indexed flag vector, since every peer that
-	// could appear in the result has an interned node index.
-	var distrusted []bool
 	if opt.RespectDistrust {
-		distrusted = make([]bool, len(nodes))
-		for _, st := range net.Peers(source) {
-			if st.Value < 0 {
-				if i, ok := sym.Lookup(string(st.Dst)); ok {
-					distrusted[i] = true
-				}
+		// Peers the source explicitly distrusts leave the result: a zero
+		// rank is what the collection pass drops.
+		idx, val := t.Row(source)
+		for k, y := range idx {
+			if i := w.node[y]; val[k] < 0 && i > 0 {
+				w.rank[i-1] = 0
 			}
 		}
 	}
-	nb := &Neighborhood{Source: source, Iterations: iterations, Explored: explored}
-	nb.Ranks = make([]Rank, 0, len(nodes)-1)
-	for i := 1; i < len(nodes); i++ {
-		if nodes[i].rank <= 0 || (distrusted != nil && distrusted[i]) {
-			continue
+
+	n := 0
+	for _, r := range w.rank[1:w.nodes] {
+		if r > 0 {
+			n++
 		}
-		nb.Ranks = append(nb.Ranks, Rank{Agent: nodes[i].id, Trust: nodes[i].rank})
+	}
+	nb := &Neighborhood{Source: adj.Agent(source).ID, Iterations: iterations, Explored: w.nFetched}
+	nb.Ranks = buf[:0]
+	if cap(buf) < n {
+		nb.Ranks = make([]Rank, 0, n)
+	}
+	for i, r := range w.rank[1:w.nodes] {
+		if r > 0 {
+			x := w.ord[i+1]
+			nb.Ranks = append(nb.Ranks, Rank{Agent: adj.Agent(x).ID, Trust: r, ord: x + 1})
+		}
 	}
 	sortRanks(nb.Ranks)
 	return nb, nil
+}
+
+// walk is the pooled state of one Appleseed computation. Agents
+// become nodes in discovery order — node 0 is the source — and the
+// per-node arrays are indexed by node, so a pass streams through them.
+// They are sized by the expansion range, and the edge arena by what the
+// walk discovered; node, which maps an agent ordinal to its node, is the
+// only table sized by the community. Everything a computation reads
+// before writing is zero between computations (release re-zeroes exactly
+// the discovered entries), so a pooled walk starts in O(1) whatever the
+// community size.
+type walk struct {
+	node []int32 // by agent ordinal: node index + 1; 0 = not discovered
+	ord  []int32 // by node: the agent's ordinal
+	// By node: energy received this pass, energy accumulating for the
+	// next, trust rank so far, the normalization total over the node's
+	// out-edges (fixed when it is fetched), and this pass's energy per
+	// unit of edge weight.
+	in, inNew, rank, total, share []float64
+	fetched                       []bool // by node: out-edges expanded
+	nodes                         int    // discovered so far
+	// fetchSeq lists the nodes in the order they were fetched — first
+	// spread energy — which is the order graded distrust is applied in.
+	fetchSeq []int32
+	nFetched int
+	// arena holds the out-edges of the fetched nodes, flattened in node
+	// order with each node's virtual backward edge first. Edges MaxNodes
+	// refused are left out. One sweep over it spreads a whole pass's
+	// energy in exactly the order the reference walk's nested loops do.
+	arena []walkEdge
+	last  int32 // highest node in the arena; -1 when empty
+	stale bool  // a node below last was fetched: rebuild before use
+}
+
+// walkEdge is one arena edge: source node, target node and weight
+// Val^NormExponent.
+type walkEdge struct {
+	src, dst int32
+	weight   float64
+}
+
+var walkPool sync.Pool
+
+// getWalk returns a zeroed walk covering agents agent ordinals and up to
+// nodes discovered nodes.
+func getWalk(agents, nodes int) *walk {
+	if w, ok := walkPool.Get().(*walk); ok && len(w.node) >= agents && len(w.ord) >= nodes {
+		return w
+	}
+	return &walk{
+		node:     make([]int32, agents),
+		ord:      make([]int32, nodes),
+		in:       make([]float64, nodes),
+		inNew:    make([]float64, nodes),
+		rank:     make([]float64, nodes),
+		total:    make([]float64, nodes),
+		share:    make([]float64, nodes),
+		fetched:  make([]bool, nodes),
+		fetchSeq: make([]int32, nodes),
+	}
+}
+
+// release re-zeroes the entries the computation touched and returns the
+// walk to the pool.
+func (w *walk) release() {
+	for _, x := range w.ord[:w.nodes] {
+		w.node[x] = 0
+	}
+	clear(w.in[:w.nodes])
+	clear(w.inNew[:w.nodes])
+	clear(w.rank[:w.nodes])
+	clear(w.fetched[:w.nodes])
+	w.nodes, w.nFetched, w.arena, w.stale = 0, 0, w.arena[:0], false
+	walkPool.Put(w)
+}
+
+// spread runs the spreading-activation passes from src until no rank
+// moves by Threshold or more, and returns the pass count. opt must be
+// defaulted and validated.
+//
+// A pass is the reference walk's node loop split in three. First every live
+// node about to spread energy for the first time is fetched, in node
+// order — the only step that discovers nodes or grows the arena. Then
+// every live node, in node order, banks its rank and fixes its share, and
+// one sweep over the edge arena delivers the energy (see pass). A fetch
+// reads nothing the banking writes, so hoisting the fetches out of the
+// node loop changes no discovery order and no sum.
+func (w *walk) spread(ctx context.Context, t *model.CSR, src int32, opt AppleseedOptions) (int, error) {
+	w.ord[0] = src
+	w.node[src] = 1
+	w.nodes = 1
+	w.last = -1
+	w.in[0] = opt.Injection
+
+	iterations := 0
+	for ; iterations < opt.MaxIterations; iterations++ {
+		if err := ctx.Err(); err != nil {
+			return iterations, err
+		}
+		// Snapshot length: nodes discovered during this pass only start
+		// receiving energy now and are processed next pass.
+		live := w.nodes
+		for i := 0; i < live; i++ {
+			if w.in[i] != 0 && !w.fetched[i] {
+				w.fetch(t, int32(i), opt)
+			}
+		}
+		if w.stale {
+			w.rebuild(t, opt)
+		}
+		if maxDelta := w.pass(live, opt.SpreadingFactor); maxDelta < opt.Threshold && iterations > 0 {
+			break
+		}
+	}
+	return iterations, nil
+}
+
+// pass banks and spreads one pass's energy over the first live nodes and
+// returns the largest rank gain. Every live node, in node order, banks
+// its rank and fixes its share — the energy it hands on per unit of edge
+// weight, d·in/total. Then one sweep over the edge arena delivers
+// share·weight along every edge. A node's incoming sums therefore
+// accumulate in the same (source node, edge) order as the reference walk's;
+// a node with nothing to spread has share 0 and adds +0, which leaves a
+// non-negative sum's bits unchanged.
+//
+//swrec:hotpath
+func (w *walk) pass(live int, d float64) float64 {
+	rank, total, share := w.rank, w.total, w.share
+	in, inNew := w.in, w.inNew
+	maxDelta := 0.0
+	for i := 0; i < live; i++ {
+		energy := in[i]
+		if energy == 0 {
+			share[i] = 0
+			continue
+		}
+		in[i] = 0
+		if i != 0 { // the source hoards no rank
+			rank[i] += (1 - d) * energy
+			if delta := (1 - d) * energy; delta > maxDelta {
+				maxDelta = delta
+			}
+		}
+		if total[i] == 0 {
+			// Dead end without backprop: energy dissipates, exactly
+			// like rank sinks in spreading activation models.
+			share[i] = 0
+			continue
+		}
+		share[i] = d * energy / total[i]
+	}
+	for _, e := range w.arena {
+		inNew[e.dst] += share[e.src] * e.weight
+	}
+	// Every live node's in is zero again and inNew holds next pass's
+	// energy: in += inNew, inNew = 0 is a swap.
+	w.in, w.inNew = inNew, in
+	return maxDelta
+}
+
+// fetch expands node i the first time it spreads energy: its positively
+// trusted peers are discovered (within MaxNodes), its normalization total
+// — backward edge first, then the statements in row order — is fixed, and
+// its edges join the arena.
+func (w *walk) fetch(t *model.CSR, i int32, opt AppleseedOptions) {
+	w.fetched[i] = true
+	w.fetchSeq[w.nFetched] = i
+	w.nFetched++
+	// Nodes are fetched in node order unless one was discovered a pass
+	// before any energy reached it (an underflow to zero); the arena is
+	// then put back in node order before its next use.
+	inOrder := i > w.last && !w.stale
+	if inOrder {
+		w.last = i
+	} else {
+		w.stale = true
+	}
+	var total float64
+	if i != 0 && !opt.NoBackprop {
+		total = 1
+		if inOrder {
+			w.arena = append(w.arena, walkEdge{i, 0, 1})
+		}
+	}
+	x := w.ord[i]
+	for k := t.Off[x]; k < t.Off[x+1] && t.Val[k] > 0; k++ { // positives are a prefix of the row
+		y := t.Idx[k]
+		if w.node[y] == 0 {
+			if w.nodes > opt.MaxNodes {
+				continue
+			}
+			w.ord[w.nodes] = y
+			w.nodes++
+			w.node[y] = int32(w.nodes)
+		}
+		wt := edgeWeight(t.Val[k], opt)
+		total += wt
+		if inOrder {
+			w.arena = append(w.arena, walkEdge{i, w.node[y] - 1, wt})
+		}
+	}
+	w.total[i] = total
+}
+
+// edgeWeight is a positive statement's share weight, Val^NormExponent.
+func edgeWeight(v float64, opt AppleseedOptions) float64 {
+	if opt.NormExponent != 1 {
+		return math.Pow(v, opt.NormExponent)
+	}
+	return v
+}
+
+// rebuild lays the arena out again in node order after an out-of-order
+// fetch. An edge belongs to it iff its target was discovered: MaxNodes
+// refuses a target for good, so what fetch left out stays undiscovered.
+func (w *walk) rebuild(t *model.CSR, opt AppleseedOptions) {
+	w.arena, w.stale = w.arena[:0], false
+	for i := int32(0); int(i) < w.nodes; i++ {
+		if !w.fetched[i] {
+			continue
+		}
+		w.last = i
+		if i != 0 && !opt.NoBackprop {
+			w.arena = append(w.arena, walkEdge{i, 0, 1})
+		}
+		x := w.ord[i]
+		for k := t.Off[x]; k < t.Off[x+1] && t.Val[k] > 0; k++ {
+			if j := w.node[t.Idx[k]]; j != 0 {
+				w.arena = append(w.arena, walkEdge{i, j - 1, edgeWeight(t.Val[k], opt)})
+			}
+		}
+	}
+}
+
+// penalize applies graded distrust after convergence: every negative
+// statement x → y among explored agents demotes y's rank by
+// 1 - γ · normRank(x) · |t_x(y)|, in the order the distrusters were
+// fetched (a distruster demoted earlier weighs in with its demoted rank).
+func (w *walk) penalize(t *model.CSR, gamma float64) {
+	maxRank := 0.0
+	for _, r := range w.rank[1:w.nodes] {
+		if r > maxRank {
+			maxRank = r
+		}
+	}
+	for _, i := range w.fetchSeq[:w.nFetched] {
+		idx, val := t.Row(w.ord[i])
+		for k, y := range idx {
+			j := w.node[y] - 1
+			if val[k] >= 0 || j <= 0 {
+				continue // not distrust, never positively reached, or the source itself
+			}
+			normRank := 1.0 // the source's word counts fully
+			if i != 0 {
+				if maxRank == 0 {
+					continue
+				}
+				normRank = w.rank[i] / maxRank
+			}
+			factor := 1 - gamma*normRank*-val[k]
+			if factor < 0 {
+				factor = 0
+			}
+			w.rank[j] *= factor
+		}
+	}
 }

@@ -8,8 +8,15 @@ import (
 	"swrec/internal/model"
 )
 
-// build constructs a community from (src, dst, value) triples.
-func build(t *testing.T, edges [][3]interface{}) Network {
+// lone compiles a community of one agent without statements.
+func lone(id model.AgentID) *model.Adjacency {
+	c := model.NewCommunity(nil)
+	c.AddAgent(id)
+	return c.Adjacency()
+}
+
+// build compiles a community from (src, dst, value) triples.
+func build(t *testing.T, edges [][3]interface{}) *model.Adjacency {
 	t.Helper()
 	c := model.NewCommunity(nil)
 	for _, e := range edges {
@@ -17,7 +24,7 @@ func build(t *testing.T, edges [][3]interface{}) Network {
 			t.Fatal(err)
 		}
 	}
-	return FromCommunity(c)
+	return c.Adjacency()
 }
 
 func TestAppleseedChain(t *testing.T) {
@@ -25,7 +32,7 @@ func TestAppleseedChain(t *testing.T) {
 		{"a", "b", 1.0},
 		{"b", "c", 1.0},
 	})
-	nb, err := Appleseed(net, "a", AppleseedOptions{})
+	nb, err := appleseedFrom(net, "a", AppleseedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +57,7 @@ func TestAppleseedWeightProportional(t *testing.T) {
 		{"a", "strong", 1.0},
 		{"a", "weak", 0.25},
 	})
-	nb, err := Appleseed(net, "a", AppleseedOptions{})
+	nb, err := appleseedFrom(net, "a", AppleseedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +78,11 @@ func TestAppleseedNonlinearNormalizationSharpens(t *testing.T) {
 		{"a", "strong", 1.0},
 		{"a", "weak", 0.5},
 	}
-	lin, err := Appleseed(build(t, edges), "a", AppleseedOptions{NormExponent: 1})
+	lin, err := appleseedFrom(build(t, edges), "a", AppleseedOptions{NormExponent: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sq, err := Appleseed(build(t, edges), "a", AppleseedOptions{NormExponent: 2})
+	sq, err := appleseedFrom(build(t, edges), "a", AppleseedOptions{NormExponent: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +106,7 @@ func TestAppleseedMultiplePathsRankHigher(t *testing.T) {
 		{"c", "d", 1.0},
 		{"b", "e", 1.0},
 	})
-	nb, err := Appleseed(net, "a", AppleseedOptions{})
+	nb, err := appleseedFrom(net, "a", AppleseedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +124,7 @@ func TestAppleseedDistrustDoesNotPropagate(t *testing.T) {
 		{"b", "c", 1.0},
 		{"a", "d", 0.5},
 	})
-	nb, err := Appleseed(net, "a", AppleseedOptions{})
+	nb, err := appleseedFrom(net, "a", AppleseedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,14 +143,14 @@ func TestAppleseedRespectDistrust(t *testing.T) {
 		{"b", "c", 1.0},
 		{"a", "c", -0.5},
 	}
-	without, err := Appleseed(build(t, edges), "a", AppleseedOptions{})
+	without, err := appleseedFrom(build(t, edges), "a", AppleseedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !without.Contains("c") {
 		t.Fatal("without RespectDistrust, c should be ranked via b")
 	}
-	with, err := Appleseed(build(t, edges), "a", AppleseedOptions{RespectDistrust: true})
+	with, err := appleseedFrom(build(t, edges), "a", AppleseedOptions{RespectDistrust: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +168,7 @@ func TestAppleseedDistrustPenalty(t *testing.T) {
 		{"b", "d", 1.0},
 		{"a", "c", -1.0},
 	}
-	base, err := Appleseed(build(t, edges), "a", AppleseedOptions{})
+	base, err := appleseedFrom(build(t, edges), "a", AppleseedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +178,7 @@ func TestAppleseedDistrustPenalty(t *testing.T) {
 		t.Fatalf("symmetric peers should tie without penalty: %v vs %v", rc0, rd0)
 	}
 
-	half, err := Appleseed(build(t, edges), "a", AppleseedOptions{DistrustPenalty: 0.5})
+	half, err := appleseedFrom(build(t, edges), "a", AppleseedOptions{DistrustPenalty: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +187,7 @@ func TestAppleseedDistrustPenalty(t *testing.T) {
 		t.Fatalf("γ=0.5 should halve the rank, got factor %v", math)
 	}
 
-	full, err := Appleseed(build(t, edges), "a", AppleseedOptions{DistrustPenalty: 1})
+	full, err := appleseedFrom(build(t, edges), "a", AppleseedOptions{DistrustPenalty: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +213,11 @@ func TestAppleseedDistrustPenaltyWeighedByDistruster(t *testing.T) {
 	byWeak := append(append([][3]interface{}{}, common...),
 		[3]interface{}{"e", "w", -1.0})
 
-	strong, err := Appleseed(build(t, byStrong), "a", AppleseedOptions{DistrustPenalty: 1})
+	strong, err := appleseedFrom(build(t, byStrong), "a", AppleseedOptions{DistrustPenalty: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	weak, err := Appleseed(build(t, byWeak), "a", AppleseedOptions{DistrustPenalty: 1})
+	weak, err := appleseedFrom(build(t, byWeak), "a", AppleseedOptions{DistrustPenalty: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +230,10 @@ func TestAppleseedDistrustPenaltyWeighedByDistruster(t *testing.T) {
 
 func TestAppleseedDistrustPenaltyValidation(t *testing.T) {
 	net := build(t, [][3]interface{}{{"a", "b", 1.0}})
-	if _, err := Appleseed(net, "a", AppleseedOptions{DistrustPenalty: 1.5}); err == nil {
+	if _, err := appleseedFrom(net, "a", AppleseedOptions{DistrustPenalty: 1.5}); err == nil {
 		t.Fatal("penalty > 1 accepted")
 	}
-	if _, err := Appleseed(net, "a", AppleseedOptions{DistrustPenalty: -0.1}); err == nil {
+	if _, err := appleseedFrom(net, "a", AppleseedOptions{DistrustPenalty: -0.1}); err == nil {
 		t.Fatal("negative penalty accepted")
 	}
 }
@@ -238,7 +245,7 @@ func TestAppleseedMaxNodesBoundsExploration(t *testing.T) {
 		edges = append(edges, [3]interface{}{"a", "s" + itoa(i), 1.0})
 	}
 	net := build(t, edges)
-	nb, err := Appleseed(net, "a", AppleseedOptions{MaxNodes: 10})
+	nb, err := appleseedFrom(net, "a", AppleseedOptions{MaxNodes: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +259,11 @@ func TestAppleseedDeterministic(t *testing.T) {
 		{"a", "b", 0.9}, {"a", "c", 0.7}, {"b", "d", 0.8},
 		{"c", "d", 0.6}, {"d", "e", 1.0}, {"e", "a", 0.5},
 	}
-	n1, err := Appleseed(build(t, edges), "a", AppleseedOptions{})
+	n1, err := appleseedFrom(build(t, edges), "a", AppleseedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, err := Appleseed(build(t, edges), "a", AppleseedOptions{})
+	n2, err := appleseedFrom(build(t, edges), "a", AppleseedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,11 +285,11 @@ func TestAppleseedBackpropKeepsEnergyInNetwork(t *testing.T) {
 		{"a", "c", 1.0},
 		{"c", "d", 1.0},
 	}
-	withBP, err := Appleseed(build(t, edges), "a", AppleseedOptions{})
+	withBP, err := appleseedFrom(build(t, edges), "a", AppleseedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noBP, err := Appleseed(build(t, edges), "a", AppleseedOptions{NoBackprop: true})
+	noBP, err := appleseedFrom(build(t, edges), "a", AppleseedOptions{NoBackprop: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,19 +306,20 @@ func TestAppleseedBackpropKeepsEnergyInNetwork(t *testing.T) {
 	}
 }
 
+// A source without statements ranks nobody. (A source the community does
+// not know has no ordinal; core answers it with the empty neighborhood.)
 func TestAppleseedEmptyAndUnknownSource(t *testing.T) {
-	net := FromCommunity(model.NewCommunity(nil))
-	nb, err := Appleseed(net, "ghost", AppleseedOptions{})
+	nb, err := appleseedFrom(lone("ghost"), "ghost", AppleseedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(nb.Ranks) != 0 {
-		t.Fatalf("unknown source must yield empty neighborhood, got %+v", nb.Ranks)
+		t.Fatalf("a source without statements must yield an empty neighborhood, got %+v", nb.Ranks)
 	}
 }
 
 func TestAppleseedOptionValidation(t *testing.T) {
-	net := FromCommunity(model.NewCommunity(nil))
+	net := lone("a")
 	bad := []AppleseedOptions{
 		{Injection: -1},
 		{SpreadingFactor: 1.5},
@@ -320,7 +328,7 @@ func TestAppleseedOptionValidation(t *testing.T) {
 		{MaxNodes: -1},
 	}
 	for i, o := range bad {
-		if _, err := Appleseed(net, "a", o); err == nil {
+		if _, err := appleseedFrom(net, "a", o); err == nil {
 			t.Errorf("options %d accepted: %+v", i, o)
 		}
 	}
@@ -336,6 +344,7 @@ func TestAppleseedEnergyConservationProperty(t *testing.T) {
 		ids := make([]model.AgentID, n)
 		for i := range ids {
 			ids[i] = model.AgentID("a" + itoa(i))
+			c.AddAgent(ids[i]) // the draw below may leave an agent without statements
 		}
 		for i := 0; i < 3*n; i++ {
 			s, d := rng.Intn(n), rng.Intn(n)
@@ -345,7 +354,7 @@ func TestAppleseedEnergyConservationProperty(t *testing.T) {
 			_ = c.SetTrust(ids[s], ids[d], rng.Float64())
 		}
 		const inj = 200.0
-		nb, err := Appleseed(FromCommunity(c), ids[0], AppleseedOptions{Injection: inj})
+		nb, err := appleseedFrom(FromCommunity(c), ids[0], AppleseedOptions{Injection: inj})
 		if err != nil {
 			return false
 		}
@@ -370,11 +379,11 @@ func TestAppleseedThresholdMonotone(t *testing.T) {
 	edges := [][3]interface{}{
 		{"a", "b", 1.0}, {"b", "c", 0.8}, {"c", "d", 0.6}, {"a", "d", 0.3},
 	}
-	coarse, err := Appleseed(build(t, edges), "a", AppleseedOptions{Threshold: 1.0})
+	coarse, err := appleseedFrom(build(t, edges), "a", AppleseedOptions{Threshold: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, err := Appleseed(build(t, edges), "a", AppleseedOptions{Threshold: 0.001})
+	fine, err := appleseedFrom(build(t, edges), "a", AppleseedOptions{Threshold: 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}

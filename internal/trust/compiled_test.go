@@ -4,65 +4,134 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"swrec/internal/datagen"
 	"swrec/internal/model"
 )
 
-// walkVariants are the option sets the compiled walk must serve itself —
-// none of them may fall back to another implementation. "default" is the
-// bounded range the zero value resolves to (it binds at 1,500 agents);
-// "wholerange" states a range no community reaches.
-var walkVariants = []struct {
-	name string
-	opt  AppleseedOptions
-}{
-	{"default", AppleseedOptions{}},
-	{"wholerange", AppleseedOptions{MaxNodes: 1 << 30}},
-	{"maxnodes37", AppleseedOptions{MaxNodes: 37}},
-	{"maxnodes200", AppleseedOptions{MaxNodes: 200}},
-	{"nobackprop", AppleseedOptions{NoBackprop: true}},
-	{"spreading0.6", AppleseedOptions{SpreadingFactor: 0.6}},
-	{"normexp2", AppleseedOptions{NormExponent: 2}},
-	{"penalty0.5", AppleseedOptions{DistrustPenalty: 0.5}},
-	{"respectdistrust", AppleseedOptions{RespectDistrust: true}},
-	{"everything", AppleseedOptions{MaxNodes: 200, NormExponent: 2, DistrustPenalty: 0.5, RespectDistrust: true, Threshold: 0.01}},
+// ordOf resolves a fixture agent to its ordinal.
+func ordOf(adj *model.Adjacency, id model.AgentID) int32 {
+	a := adj.Community().Agent(id)
+	if a == nil {
+		panic("fixture: no agent " + string(id))
+	}
+	return a.Ord()
 }
 
-// sameNeighborhood requires the compiled walk's answer to equal the
-// generic URI walk's bit for bit: same peers in the same order, ranks
-// equal under ==, same pass and fetch counts.
+// appleseedFrom, advogatoFrom and pathTrustFrom run a metric from a
+// source named by URI, for fixtures written in agent names.
+func appleseedFrom(adj *model.Adjacency, src model.AgentID, opt AppleseedOptions) (*Neighborhood, error) {
+	return Appleseed(context.Background(), adj, ordOf(adj, src), opt, nil)
+}
+
+func advogatoFrom(adj *model.Adjacency, src model.AgentID, opt AdvogatoOptions) (*Neighborhood, error) {
+	return Advogato(adj, ordOf(adj, src), opt)
+}
+
+func pathTrustFrom(adj *model.Adjacency, src model.AgentID, opt PathTrustOptions) (*Neighborhood, error) {
+	return PathTrust(adj, ordOf(adj, src), opt)
+}
+
+// variant is one option set of one metric: the production walk over the
+// adjacency beside the oracle walk over the same community by URI.
+type variant struct {
+	name   string
+	walk   func(adj *model.Adjacency, src int32) (*Neighborhood, error)
+	oracle func(net Network, src model.AgentID) (*Neighborhood, error)
+}
+
+func appleseedVariant(name string, opt AppleseedOptions) variant {
+	return variant{name,
+		func(adj *model.Adjacency, src int32) (*Neighborhood, error) {
+			return Appleseed(context.Background(), adj, src, opt, nil)
+		},
+		func(net Network, src model.AgentID) (*Neighborhood, error) {
+			return oracleAppleseed(context.Background(), net, src, opt)
+		}}
+}
+
+func advogatoVariant(name string, opt AdvogatoOptions) variant {
+	return variant{name,
+		func(adj *model.Adjacency, src int32) (*Neighborhood, error) { return Advogato(adj, src, opt) },
+		func(net Network, src model.AgentID) (*Neighborhood, error) { return oracleAdvogato(net, src, opt) }}
+}
+
+func pathTrustVariant(name string, opt PathTrustOptions) variant {
+	return variant{name,
+		func(adj *model.Adjacency, src int32) (*Neighborhood, error) { return PathTrust(adj, src, opt) },
+		func(net Network, src model.AgentID) (*Neighborhood, error) { return oraclePathTrust(net, src, opt) }}
+}
+
+// walkVariants are the option sets the Appleseed walk must serve.
+// "default" is the bounded range the zero value resolves to (it binds at
+// 1,500 agents); "wholerange" states a range no community reaches.
+var walkVariants = []variant{
+	appleseedVariant("default", AppleseedOptions{}),
+	appleseedVariant("wholerange", AppleseedOptions{MaxNodes: 1 << 30}),
+	appleseedVariant("maxnodes37", AppleseedOptions{MaxNodes: 37}),
+	appleseedVariant("maxnodes200", AppleseedOptions{MaxNodes: 200}),
+	appleseedVariant("nobackprop", AppleseedOptions{NoBackprop: true}),
+	appleseedVariant("spreading0.6", AppleseedOptions{SpreadingFactor: 0.6}),
+	appleseedVariant("normexp2", AppleseedOptions{NormExponent: 2}),
+	appleseedVariant("penalty0.5", AppleseedOptions{DistrustPenalty: 0.5}),
+	appleseedVariant("respectdistrust", AppleseedOptions{RespectDistrust: true}),
+	appleseedVariant("everything", AppleseedOptions{MaxNodes: 200, NormExponent: 2, DistrustPenalty: 0.5, RespectDistrust: true, Threshold: 0.01}),
+}
+
+// advogatoVariants: a profile that binds within two hops, the published
+// one, and a certification threshold on each.
+var advogatoVariants = []variant{
+	advogatoVariant("default", AdvogatoOptions{}),
+	advogatoVariant("profile3-2-1", AdvogatoOptions{CapacityProfile: []int{3, 2, 1}}),
+	advogatoVariant("profile200", AdvogatoOptions{CapacityProfile: []int{200, 50, 12, 4, 2, 1}}),
+	advogatoVariant("minweight0.5", AdvogatoOptions{MinWeight: 0.5}),
+	advogatoVariant("profile3-2-1/minweight0.5", AdvogatoOptions{CapacityProfile: []int{3, 2, 1}, MinWeight: 0.5}),
+}
+
+var pathTrustVariants = func() (vs []variant) {
+	for _, h := range []int{1, 4, 8} {
+		for _, m := range []float64{0, 0.01, 0.3} {
+			vs = append(vs, pathTrustVariant(fmt.Sprintf("horizon%d/mintrust%v", h, m), PathTrustOptions{Horizon: h, MinTrust: m}))
+		}
+	}
+	return vs
+}()
+
+// sameNeighborhood requires a production walk's answer to equal the
+// oracle's bit for bit: same peers in the same order, ranks equal under
+// ==, same pass and fetch counts.
 func sameNeighborhood(t *testing.T, label string, got, want *Neighborhood) {
 	t.Helper()
 	if got.Source != want.Source || got.Iterations != want.Iterations || got.Explored != want.Explored {
-		t.Fatalf("%s: source/iterations/explored %s/%d/%d, generic walk %s/%d/%d", label,
+		t.Fatalf("%s: source/iterations/explored %s/%d/%d, oracle %s/%d/%d", label,
 			got.Source, got.Iterations, got.Explored, want.Source, want.Iterations, want.Explored)
 	}
 	if len(got.Ranks) != len(want.Ranks) {
-		t.Fatalf("%s: %d ranks, generic walk %d", label, len(got.Ranks), len(want.Ranks))
+		t.Fatalf("%s: %d ranks, oracle %d", label, len(got.Ranks), len(want.Ranks))
 	}
 	for i := range want.Ranks {
 		if got.Ranks[i].Agent != want.Ranks[i].Agent || got.Ranks[i].Trust != want.Ranks[i].Trust {
-			t.Fatalf("%s: rank %d is %s %v, generic walk %s %v", label, i,
+			t.Fatalf("%s: rank %d is %s %v, oracle %s %v", label, i,
 				got.Ranks[i].Agent, got.Ranks[i].Trust, want.Ranks[i].Agent, want.Ranks[i].Trust)
 		}
 	}
 }
 
 // diffCommunity checks every variant from the given sources on c. The
-// runs share the pooled walk state back to back, so a variant that left
-// anything behind would corrupt the next one.
-func diffCommunity(t *testing.T, c *model.Community, sources []model.AgentID) {
+// runs share the metric's pooled state back to back, so a variant that
+// left anything behind would corrupt the next one.
+func diffCommunity(t *testing.T, c *model.Community, sources []model.AgentID, variants []variant) {
 	t.Helper()
-	compiled, generic := FromCommunity(c), plainNet{c}
-	for _, v := range walkVariants {
+	adj, oracle := c.Adjacency(), plainNet{c}
+	for _, v := range variants {
 		for _, src := range sources {
-			got, err := Appleseed(compiled, src, v.opt)
+			got, err := v.walk(adj, ordOf(adj, src))
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := Appleseed(generic, src, v.opt)
+			want, err := v.oracle(oracle, src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,22 +145,28 @@ func diffCommunity(t *testing.T, c *model.Community, sources []model.AgentID) {
 	}
 }
 
-// TestCompiledWalkMatchesGenericWalk is the compiled walk's differential
-// gate at community scale: 1,500 agents of the paper-shaped generator,
-// which includes distrust statements.
-func TestCompiledWalkMatchesGenericWalk(t *testing.T) {
+// diffScale checks the variants at community scale: 1,500 agents of the
+// paper-shaped generator, which includes distrust statements.
+func diffScale(t *testing.T, variants []variant) {
+	t.Helper()
+	c := paperShaped1500()
+	ids := c.Agents()
+	diffCommunity(t, c, []model.AgentID{ids[0], ids[1], ids[417], ids[1499]}, variants)
+}
+
+var paperShaped1500 = sync.OnceValue(func() *model.Community {
 	cfg := datagen.PaperScale()
 	cfg.Agents = 1500
 	c, _ := datagen.Generate(cfg)
-	ids := c.Agents()
-	diffCommunity(t, c, []model.AgentID{ids[0], ids[1], ids[417], ids[1499]})
-}
+	return c
+})
 
-// TestCompiledWalkMatchesGenericWalkOnFixtures covers the shapes the
-// generator does not produce: explicit edges back to the source, dead
-// ends, a distruster that is itself distrusted, zero-valued statements,
-// and an unknown source.
-func TestCompiledWalkMatchesGenericWalkOnFixtures(t *testing.T) {
+// diffFixtures checks the variants on the shapes the generator does not
+// produce: explicit edges back to the source, dead ends, a distruster
+// that is itself distrusted, zero-valued statements, and a source with no
+// statements. (An unknown source has no ordinal; core answers it.)
+func diffFixtures(t *testing.T, variants []variant) {
+	t.Helper()
 	c := model.NewCommunity(nil)
 	for _, e := range []struct {
 		src, dst model.AgentID
@@ -107,29 +182,114 @@ func TestCompiledWalkMatchesGenericWalkOnFixtures(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	diffCommunity(t, c, []model.AgentID{"a", "b", "e", "z", "nobody"})
+	diffCommunity(t, c, []model.AgentID{"a", "b", "e", "z"}, variants)
+}
+
+// TestCompiledWalkMatchesGenericWalk is the Appleseed walk's differential
+// gate at community scale.
+func TestCompiledWalkMatchesGenericWalk(t *testing.T) { diffScale(t, walkVariants) }
+
+func TestCompiledWalkMatchesGenericWalkOnFixtures(t *testing.T) { diffFixtures(t, walkVariants) }
+
+// TestAdvogatoMatchesGenericWalk pins the accepted set — which max-flow
+// does not make unique — to the oracle's, peer for peer.
+func TestAdvogatoMatchesGenericWalk(t *testing.T) {
+	diffScale(t, advogatoVariants)
+	diffFixtures(t, advogatoVariants)
+}
+
+func TestPathTrustMatchesGenericWalk(t *testing.T) {
+	diffScale(t, pathTrustVariants)
+	diffFixtures(t, pathTrustVariants)
+}
+
+// TestWalkAllocations holds each metric to its ceiling once its pool is
+// warm: the result and its ranks, plus slack for a pool refill.
+func TestWalkAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	c := paperShaped1500()
+	adj, ids := c.Adjacency(), c.Agents()
+	for _, m := range []struct {
+		variant
+		ceiling float64
+	}{
+		{walkVariants[0], 2},
+		{advogatoVariants[0], 4},
+		{pathTrustVariants[4], 4}, // horizon 4, min trust 0.01: the defaults
+	} {
+		next := 0
+		run := func() {
+			if _, err := m.walk(adj, ordOf(adj, ids[next%len(ids)])); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		for i := 0; i < 50; i++ {
+			run() // grow the pooled arrays to what these sources need
+		}
+		next = 0
+		if got := testing.AllocsPerRun(50, run); got > m.ceiling {
+			t.Errorf("%s: %v allocations per call, ceiling %v", m.name, got, m.ceiling)
+		}
+	}
 }
 
 // TestCompiledWalkLeavesPooledStateClean cancels a walk halfway and
-// requires the next one, on the same pooled state, to be unaffected.
+// requires the next one, on the same pooled state, to be unaffected; and
+// requires what Advogato and PathTrust hand back to their pools to be
+// zero wherever the next computation reads before it writes.
 func TestCompiledWalkLeavesPooledStateClean(t *testing.T) {
 	cfg := datagen.PaperScale()
 	cfg.Agents = 600
 	c, _ := datagen.Generate(cfg)
-	net, src := FromCommunity(c), c.Agents()[0]
-	want, err := Appleseed(plainNet{c}, src, AppleseedOptions{})
+	adj, src := c.Adjacency(), c.Agents()[0]
+	want, err := oracleAppleseed(context.Background(), plainNet{c}, src, AppleseedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := &cancelAfter{Context: context.Background(), calls: 3}
-	if _, err := AppleseedCtx(ctx, net, c.Agents()[5], AppleseedOptions{}); err != context.Canceled {
+	if _, err := Appleseed(ctx, adj, ordOf(adj, c.Agents()[5]), AppleseedOptions{}, nil); err != context.Canceled {
 		t.Fatalf("cancelled walk returned %v", err)
 	}
-	got, err := Appleseed(net, src, AppleseedOptions{})
+	got, err := appleseedFrom(adj, src, AppleseedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameNeighborhood(t, "after a cancelled walk", got, want)
+
+	clean := func(name string, tab *nodeTable) {
+		t.Helper()
+		if len(tab.ord) != 0 || slices.IndexFunc(tab.at, func(n int32) bool { return n != 0 }) >= 0 {
+			t.Fatalf("%s: pooled node table holds %d nodes and a marked agent", name, len(tab.ord))
+		}
+	}
+	// A pool may drop what it is handed (it does at random under the race
+	// detector), so ask until the state of a finished computation comes back.
+	for tries, seen := 0, 0; seen < 2; tries++ {
+		if tries == 20 {
+			t.Fatal("the pools never returned a used state")
+		}
+		seen = 0
+		if _, err := advogatoFrom(adj, src, AdvogatoOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if s, ok := certificationPool.Get().(*certification); ok {
+			clean("Advogato", &s.nodeTable)
+			seen++
+		}
+		if _, err := pathTrustFrom(adj, src, PathTrustOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if s, ok := chainSearchPool.Get().(*chainSearch); ok {
+			clean("PathTrust", &s.nodeTable)
+			if len(s.heap) != 0 {
+				t.Fatalf("PathTrust: pooled heap holds %d chains", len(s.heap))
+			}
+			seen++
+		}
+	}
 }
 
 // cancelAfter reports context.Canceled from the calls-th Err call on.
@@ -151,7 +311,7 @@ func (c *cancelAfter) Err() error {
 // trip to it (the product underflows to zero), so nodes discovered later
 // spread first. The edge arena must be put back in node order, or the
 // sums reaching the late nodes' targets would accumulate in another order
-// than the generic walk's and round differently.
+// than the oracle's and round differently.
 func TestCompiledWalkOutOfOrderFetch(t *testing.T) {
 	cfg := datagen.PaperScale()
 	cfg.Agents = 600
@@ -194,11 +354,11 @@ func TestCompiledWalkOutOfOrderFetch(t *testing.T) {
 		t.Fatal("fixture: every node was fetched in node order — nothing to rebuild")
 	}
 
-	got, err := Appleseed(FromCommunity(c), src.ID, opt)
+	got, err := appleseedFrom(adj, src.ID, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Appleseed(plainNet{c}, src.ID, opt)
+	want, err := oracleAppleseed(context.Background(), plainNet{c}, src.ID, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,9 @@
 package trust
 
 import (
-	"container/heap"
 	"fmt"
+	"sync"
 
-	"swrec/internal/graph"
 	"swrec/internal/model"
 )
 
@@ -38,110 +37,133 @@ func (o PathTrustOptions) validate() error {
 	return nil
 }
 
-// ptItem is one frontier entry of the best-path search. The agent is
-// carried both as ID (for the Network fetch) and as its discovery-order
-// node index (for the dense best/done tables).
+// ptItem is one frontier entry of the best-path search: a discovered
+// agent's node, the strength of the chain that reached it and its length.
 type ptItem struct {
-	agent    model.AgentID
-	node     int32
-	strength float64
-	hops     int32
+	node, hops int32
+	strength   float64
 }
 
-// ptHeap is a max-heap on path strength, so peers are finalized in
-// best-first order (Dijkstra over the (max, ×) semiring).
+// ptHeap is a binary max-heap on path strength, so peers are finalized in
+// best-first order (Dijkstra over the (max, ×) semiring). push and pop
+// sift exactly as container/heap does: with a horizon, which of two
+// equally strong chains reaches a peer first decides how far it is
+// expanded, so the order among ties is part of the metric.
 type ptHeap []ptItem
 
-func (h ptHeap) Len() int            { return len(h) }
-func (h ptHeap) Less(i, j int) bool  { return h[i].strength > h[j].strength }
-func (h ptHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *ptHeap) Push(x interface{}) { *h = append(*h, x.(ptItem)) }
-func (h *ptHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func (h *ptHeap) push(it ptItem) {
+	s := append(*h, it)
+	*h = s
+	for j := len(s) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || s[j].strength <= s[i].strength {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
 }
 
-// PathTrust scores every peer reachable from source within the horizon by
-// the strength of the best multiplicative chain of positive trust values,
-// in the tradition of scalar metrics for open networks (Beth, Borcherding
-// & Klein [10]). It is the experiments' stand-in for classic scalar trust
-// metrics: unlike Appleseed it evaluates each peer independently of how
-// many distinct paths support it.
+func (h *ptHeap) pop() ptItem {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j+1 < n && s[j+1].strength > s[j].strength {
+			j++
+		}
+		if s[j].strength <= s[i].strength {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
+}
+
+// chainSearch is the pooled state of one PathTrust computation.
+type chainSearch struct {
+	nodeTable
+	// best, by node, is the strongest chain found so far; 0 is a node
+	// numbered a moment ago and not yet reached (strengths are positive).
+	best []float64
+	done []bool // by node: finalized
+	heap ptHeap
+}
+
+var chainSearchPool sync.Pool
+
+// PathTrust scores every peer reachable from the agent with ordinal
+// source within the horizon by the strength of the best multiplicative
+// chain of positive trust values, in the tradition of scalar metrics for
+// open networks (Beth, Borcherding & Klein [10]). It is the experiments'
+// stand-in for classic scalar trust metrics: unlike Appleseed it evaluates
+// each peer independently of how many distinct paths support it.
 //
-// Discovered agents are interned to dense node indices once; the
-// relaxation loop's best/done state is flat slices indexed by node, so a
-// peer reached over many paths hashes its URI once, not once per path.
-func PathTrust(net Network, source model.AgentID, opt PathTrustOptions) (*Neighborhood, error) {
+// It relaxes over trust-CSR rows, whose positive statements are a prefix
+// in descending order, with best/done by node and a typed heap; the
+// result is its only allocation. source must lie in [0, adj.NumAgents()).
+func PathTrust(adj *model.Adjacency, source int32, opt PathTrustOptions) (*Neighborhood, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-
-	var sym graph.Interner
-	if sh, ok := net.(sizeHinter); ok {
-		sym.Reserve(sh.NumAgents())
-	}
-	sym.Intern(string(source))
-	// best[node] is the strongest chain found so far; 0 doubles as "not
-	// reached", which is unambiguous because only positive trust values
-	// multiply into a strength.
-	best := []float64{1}
-	done := []bool{false}
-	node := func(id model.AgentID) int32 {
-		i := sym.Intern(string(id))
-		if i == len(best) {
-			best = append(best, 0)
-			done = append(done, false)
-		}
-		return int32(i)
+	t := adj.Trust()
+	s, _ := chainSearchPool.Get().(*chainSearch)
+	if s == nil || len(s.at) < adj.NumAgents() {
+		s = &chainSearch{nodeTable: nodeTable{at: make([]int32, adj.NumAgents())}}
 	}
 
-	h := &ptHeap{{agent: source, node: 0, strength: 1, hops: 0}}
+	s.node(source)
+	s.best = append(s.best[:0], 1)
+	s.done = append(s.done[:0], false)
+	s.heap.push(ptItem{strength: 1})
 	explored := 0
 	maxHops := int32(0)
-
-	for h.Len() > 0 {
-		it := heap.Pop(h).(ptItem)
-		if done[it.node] || it.strength < best[it.node] {
+	for len(s.heap) > 0 {
+		it := s.heap.pop()
+		if s.done[it.node] || it.strength < s.best[it.node] {
 			continue
 		}
-		done[it.node] = true
-		if it.hops > maxHops {
-			maxHops = it.hops
-		}
+		s.done[it.node] = true
+		maxHops = max(maxHops, it.hops)
 		if int(it.hops) >= opt.Horizon {
 			continue
 		}
 		explored++
-		for _, st := range net.Peers(it.agent) {
-			if st.Value <= 0 {
+		idx, val := t.Row(s.ord[it.node])
+		for k, y := range idx {
+			st := it.strength * val[k]
+			if val[k] <= 0 || st < opt.MinTrust {
+				break // the row descends: every later chain is weaker still
+			}
+			ni, fresh := s.node(y)
+			if fresh {
+				s.best, s.done = append(s.best, 0), append(s.done, false)
+			}
+			if s.done[ni] {
 				continue
 			}
-			s := it.strength * st.Value
-			if s < opt.MinTrust {
-				continue
-			}
-			ni := node(st.Dst)
-			if done[ni] {
-				continue
-			}
-			if prev := best[ni]; prev == 0 || s > prev {
-				best[ni] = s
-				heap.Push(h, ptItem{agent: st.Dst, node: ni, strength: s, hops: it.hops + 1})
+			if st > s.best[ni] {
+				s.best[ni] = st
+				s.heap.push(ptItem{node: ni, hops: it.hops + 1, strength: st})
 			}
 		}
 	}
 
-	nb := &Neighborhood{Source: source, Iterations: int(maxHops), Explored: explored}
-	for i := 1; i < len(best); i++ {
-		if best[i] == 0 {
-			continue // interned but pruned below MinTrust
-		}
-		nb.Ranks = append(nb.Ranks, Rank{Agent: model.AgentID(sym.Name(i)), Trust: best[i]})
+	// Every numbered peer was reached by a chain of at least MinTrust > 0.
+	nb := &Neighborhood{Source: adj.Agent(source).ID, Iterations: int(maxHops), Explored: explored}
+	nb.Ranks = make([]Rank, 0, len(s.ord)-1)
+	for i, x := range s.ord[1:] {
+		nb.Ranks = append(nb.Ranks, Rank{Agent: adj.Agent(x).ID, Trust: s.best[i+1], ord: x + 1})
 	}
 	sortRanks(nb.Ranks)
+	s.reset()
+	chainSearchPool.Put(s)
 	return nb, nil
 }

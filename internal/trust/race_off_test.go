@@ -1,0 +1,5 @@
+//go:build !race
+
+package trust
+
+const raceEnabled = false

@@ -19,9 +19,15 @@
 //     strongest multiplicative trust chain from the source, standing in
 //     for classic scalar metrics (Beth et al. [10]) in the experiments.
 //
-// All metrics consume a Network, an abstraction over "whose trust
-// statements can I fetch" that both a fully materialized model.Community
-// and a partially crawled view satisfy.
+// All metrics walk one substrate: a community's compiled adjacency
+// (model.Adjacency), whose trust CSR lists every agent's statements in
+// TrustedPeers order by ordinal. They take the source as an ordinal and
+// return ranks that carry their peer's ordinal, so later stages never
+// resolve a URI. The "partial trust graph" of §3.2 is what the walks'
+// own bounds (Appleseed's MaxNodes, Advogato's capacity profile,
+// PathTrust's horizon) leave explored; a partially crawled view is served
+// the same way — the crawler materializes what it fetched as a community,
+// and the metrics run on that.
 package trust
 
 import (
@@ -30,48 +36,11 @@ import (
 	"swrec/internal/model"
 )
 
-// Network exposes the partial trust graph a metric may explore. Statements
-// carry values in [-1, +1]; negative values are explicit distrust, which
-// the metrics must not confuse with absence of trust (§3.1, Marsh [8]).
-type Network interface {
-	// Peers returns the trust statements issued by a. The result may be
-	// empty for unknown or silent agents.
-	Peers(a model.AgentID) []model.TrustStatement
-}
-
-// communityNet adapts a materialized community to the Network interface.
-type communityNet struct {
-	// adj is the community's compiled adjacency, which the Appleseed walk
-	// and one-hop widening run on; its trust CSR compiles on first use.
-	adj *model.Adjacency
-}
-
-// FromCommunity exposes a community's trust edges as a Network over a
-// fresh compiled adjacency.
-func FromCommunity(c *model.Community) Network { return FromAdjacency(c.Adjacency()) }
-
-// FromAdjacency is FromCommunity over an adjacency the caller already
-// holds — a serving snapshot's — so its compiled trust CSR is reused
-// instead of compiled again.
-func FromAdjacency(adj *model.Adjacency) Network { return communityNet{adj: adj} }
-
-func (n communityNet) Peers(a model.AgentID) []model.TrustStatement {
-	ag := n.adj.Community().Agent(a)
-	if ag == nil {
-		return nil
-	}
-	return ag.TrustedPeers()
-}
-
-// NumAgents bounds the explorable node count, letting metrics pre-size
-// their frontier structures (see sizeHinter).
-func (n communityNet) NumAgents() int { return n.adj.NumAgents() }
-
-// sizeHinter is the optional Network capability of bounded graphs: the
-// number of agents a full exploration could possibly discover.
-type sizeHinter interface {
-	NumAgents() int
-}
+// FromCommunity returns a fresh compiled adjacency of c, the substrate
+// every metric and WidenOneHop walk; its trust CSR compiles on first use.
+// A caller that already holds an adjacency (a serving snapshot's) passes
+// that instead.
+func FromCommunity(c *model.Community) *model.Adjacency { return c.Adjacency() }
 
 // Rank is one entry of a computed trust neighborhood: the peer and its
 // continuous trust rank (metric-specific scale; only the ordering and
@@ -79,9 +48,9 @@ type sizeHinter interface {
 type Rank struct {
 	Agent model.AgentID
 	Trust float64
-	// ord is the peer's community ordinal + 1 when the metric that ranked
-	// it walked a compiled adjacency, so later stages address the peer
-	// without hashing its URI; 0 (the zero value) means resolve by Agent.
+	// ord is the peer's community ordinal + 1 when a metric ranked it, so
+	// later stages address the peer without hashing its URI; 0 (the zero
+	// value, of a rank built by hand) means resolve by Agent.
 	ord int32
 }
 
@@ -100,6 +69,34 @@ type Neighborhood struct {
 	// Explored is the number of distinct agents whose trust statements
 	// were fetched — the metric's network cost.
 	Explored int
+}
+
+// nodeTable numbers the agents a walk discovers: nodes are dense indices
+// in discovery order. at, which maps an agent ordinal to its node, is the
+// only table sized by the community; it is zero between computations
+// (reset re-zeroes exactly the discovered entries), so a pooled table
+// starts in O(1) whatever the community size — as the Appleseed walk's
+// does.
+type nodeTable struct {
+	at  []int32 // by agent ordinal: node index + 1; 0 = not discovered
+	ord []int32 // by node: the agent's ordinal
+}
+
+// node returns agent x's node, numbering it on first sight.
+func (t *nodeTable) node(x int32) (n int32, fresh bool) {
+	if n := t.at[x]; n != 0 {
+		return n - 1, false
+	}
+	t.ord = append(t.ord, x)
+	t.at[x] = int32(len(t.ord))
+	return int32(len(t.ord)) - 1, true
+}
+
+func (t *nodeTable) reset() {
+	for _, x := range t.ord {
+		t.at[x] = 0
+	}
+	t.ord = t.ord[:0]
 }
 
 // sortRanks orders ranks by descending trust, then ID, in place.

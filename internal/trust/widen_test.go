@@ -7,17 +7,12 @@ import (
 	"swrec/internal/model"
 )
 
-// mapNet is a literal trust graph for widening tests.
-type mapNet map[model.AgentID][]model.TrustStatement
-
-func (m mapNet) Peers(a model.AgentID) []model.TrustStatement { return m[a] }
-
 func TestWidenOneHopRecruitsFrontier(t *testing.T) {
-	net := mapNet{
-		"src": {{Src: "src", Dst: "a", Value: 1}},
-		"a":   {{Src: "a", Dst: "b", Value: 0.8}, {Src: "a", Dst: "bad", Value: -0.9}},
-		"b":   {{Src: "b", Dst: "c", Value: 1}},
-	}
+	net := build(t, [][3]interface{}{
+		{"src", "a", 1.0},
+		{"a", "b", 0.8}, {"a", "bad", -0.9},
+		{"b", "c", 1.0},
+	})
 	nb := &Neighborhood{Source: "src", Ranks: []Rank{{Agent: "a", Trust: 0.6}}, Explored: 2}
 	wide := WidenOneHop(net, nb, 0.5)
 
@@ -49,7 +44,7 @@ func TestWidenOneHopRecruitsFrontier(t *testing.T) {
 func TestWidenOneHopSourceContributesAtMaxRank(t *testing.T) {
 	// The source's own statements widen too, at the neighborhood's max
 	// rank — and with an empty neighborhood, at rank 1.
-	net := mapNet{"src": {{Src: "src", Dst: "d", Value: 0.9}}}
+	net := build(t, [][3]interface{}{{"src", "d", 0.9}})
 	empty := &Neighborhood{Source: "src"}
 	wide := WidenOneHop(net, empty, 0.5)
 	if len(wide.Ranks) != 1 || wide.Ranks[0].Agent != "d" || wide.Ranks[0].Trust != 0.5*0.9 {
@@ -58,10 +53,11 @@ func TestWidenOneHopSourceContributesAtMaxRank(t *testing.T) {
 }
 
 func TestWidenOneHopKeepsStrongestContribution(t *testing.T) {
-	net := mapNet{
-		"a": {{Src: "a", Dst: "x", Value: 1}},
-		"b": {{Src: "b", Dst: "x", Value: 1}},
-	}
+	// The source is no agent of this community: it contributes nothing.
+	net := build(t, [][3]interface{}{
+		{"a", "x", 1.0},
+		{"b", "x", 1.0},
+	})
 	nb := &Neighborhood{Source: "src", Ranks: []Rank{{Agent: "a", Trust: 0.9}, {Agent: "b", Trust: 0.2}}}
 	wide := WidenOneHop(net, nb, 0.5)
 	for _, r := range wide.Ranks {
@@ -72,13 +68,11 @@ func TestWidenOneHopKeepsStrongestContribution(t *testing.T) {
 }
 
 func TestWidenOneHopDeterministicOrder(t *testing.T) {
-	net := mapNet{
-		"src": {
-			{Src: "src", Dst: "p1", Value: 0.7},
-			{Src: "src", Dst: "p2", Value: 0.7},
-			{Src: "src", Dst: "p3", Value: 0.7},
-		},
-	}
+	net := build(t, [][3]interface{}{
+		{"src", "p1", 0.7},
+		{"src", "p2", 0.7},
+		{"src", "p3", 0.7},
+	})
 	nb := &Neighborhood{Source: "src"}
 	first := WidenOneHop(net, nb, 0.5)
 	for i := 0; i < 10; i++ {
@@ -95,22 +89,22 @@ func TestWidenOneHopDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestWidenCommunityPathMatchesGeneric pins the ordinal fast path to the
-// generic one over every agent of a generated community, one call after
-// the other — so each call but the first runs on the pooled table the
-// previous one handed back, which must have been left zero.
+// TestWidenCommunityPathMatchesGeneric pins the ordinal walk to the
+// URI-generic oracle over every agent of a generated community, one call
+// after the other — so each call but the first runs on the pooled table
+// the previous one handed back, which must have been left zero.
 func TestWidenCommunityPathMatchesGeneric(t *testing.T) {
 	cfg := datagen.SmallScale()
 	cfg.Agents, cfg.Products = 150, 60
 	comm, _ := datagen.Generate(cfg)
-	fast, generic := FromCommunity(comm), plainNet{comm}
+	adj, oracle := comm.Adjacency(), plainNet{comm}
 	for _, opt := range []AppleseedOptions{{}, {MaxNodes: 5}} {
 		for _, src := range comm.Agents() {
-			nb, err := Appleseed(fast, src, opt)
+			nb, err := appleseedFrom(adj, src, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, want := WidenOneHop(fast, nb, 0.5), WidenOneHop(generic, nb, 0.5)
+			got, want := WidenOneHop(adj, nb, 0.5), widenGeneric(oracle, nb, 0.5)
 			if got.Explored != want.Explored || len(got.Ranks) != len(want.Ranks) {
 				t.Fatalf("%s: explored %d, %d ranks; generic %d, %d", src, got.Explored, len(got.Ranks), want.Explored, len(want.Ranks))
 			}
