@@ -112,7 +112,8 @@ bench-diff:
 
 # bench-diff-short is the quick form run as part of check: the cold
 # request at paper scale, the publish benchmark, the warm GET — stored
-# hit and encoded miss — and Advogato at paper scale, few iterations, and
+# hit and encoded miss — Advogato at paper scale and the checkpoint load
+# at the benchmark's community size, few iterations, and
 # a deliberately loose 100% threshold — at -benchtime=100x single-run
 # noise reaches ~1.8x, while
 # losing the bounded neighbourhood shows as ~15x on the cold request, a
@@ -123,14 +124,17 @@ bench-diff:
 # and a miss that goes back to reflecting over its answer as 3x the
 # allocations of the mix and of each of the five shapes, and an Advogato
 # that goes back to building a flow network per call as ~15x and 40,000
-# allocations where the baseline has 2, so the gate catches those classes
+# allocations where the baseline has 2, and a checkpoint load that goes
+# back to replaying taxonomy.Add per topic and a setter per statement as
+# ~1.5x the time and ~3x the allocations, so the gate catches those classes
 # of regression without flaking on scheduler jitter.
 bench-diff-short:
 	{ $(GO) test -run=^$$ -bench='BenchmarkServeEngineCold/agents=9100$$' -benchmem -benchtime=100x ./internal/engine/ && \
 	  $(GO) test -run=^$$ -bench='BenchmarkServeHTTPWarm/hit$$' -benchmem -benchtime=200000x ./internal/api/ && \
 	  $(GO) test -run=^$$ -bench='BenchmarkServeHTTPWarm/miss$$' -benchmem -benchtime=20000x ./internal/api/ && \
 	  $(GO) test -run=^$$ -bench='BenchmarkPublish$$' -benchmem -benchtime=20x ./internal/ingest/ && \
-	  $(GO) test -run=^$$ -bench='BenchmarkAdvogato/agents=9100$$' -benchmem -benchtime=200x ./internal/trust/ ; } \
+	  $(GO) test -run=^$$ -bench='BenchmarkAdvogato/agents=9100$$' -benchmem -benchtime=200x ./internal/trust/ && \
+	  $(GO) test -run=^$$ -bench='BenchmarkCheckpointLoad/agents=2000$$' -benchmem -benchtime=20x ./internal/checkpoint/ ; } \
 		| $(GO) run ./cmd/benchjson -diff BENCH_engine.json -threshold 1.0
 
 # load-short runs the deterministic short load scenario (300 agents,

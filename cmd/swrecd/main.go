@@ -183,10 +183,10 @@ func main() {
 	// checkpoint → older checkpoint → corpus recompute + whole-WAL
 	// replay); without, load the corpus directly.
 	var eng *engine.Engine
-	var recoverSeq uint64
-	warmNeeded := *warm
+	var recovered *checkpoint.Result
 	if *walDir != "" {
-		res, err := checkpoint.Recover(checkpoint.RecoverConfig{
+		var err error
+		recovered, err = checkpoint.Recover(checkpoint.RecoverConfig{
 			WALDir:  *walDir,
 			Options: opt,
 			Engine:  engCfg,
@@ -196,16 +196,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		logger.Printf("recovery: source=%s rung=%d epoch=%d seq=%d load=%v",
-			res.Source, res.Rung, res.Epoch, res.Seq, res.Load.Round(time.Millisecond))
-		eng = res.Engine
-		recoverSeq = res.Seq
-		if res.Rung <= 2 && res.Source != "checkpoint-recompiled" {
-			// The checkpoint restored the warm caches; a warmup pass would
-			// only recompute what the restart was meant to avoid.
-			warmNeeded = false
-			logger.Printf("serving warm from checkpoint %s", res.Path)
-		}
+		eng = recovered.Engine
 	} else {
 		comm, err := loadCorpus()
 		if err != nil {
@@ -219,37 +210,45 @@ func main() {
 			fatal(err)
 		}
 	}
-	comm := eng.Snapshot().Community()
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-
-	if warmNeeded {
-		// Bounded by the shutdown context: a signal during warmup stops
-		// the pass instead of grinding through the remaining corpus.
-		res := eng.WarmupCtx(ctx, *warmupWorkers)
-		logger.Printf("warmed %d agents in %v", res.Agents, res.Duration.Round(time.Millisecond))
-	}
 
 	// The ingest pipeline replays unapplied WAL records at Open and is
 	// the engine's only swapper; the API submits mutations through it.
 	var pipe *ingest.Pipeline
 	apiCfg := api.Config{ReadBudget: *requestBudget}
 	handler := api.NewWithConfig(eng, nil, apiCfg)
-	if *walDir != "" {
+	if recovered != nil {
 		icfg := ingest.Config{CheckpointEvery: *ckptEvery, CheckpointRetain: *ckptRetain}
 		var err error
-		pipe, err = ingest.OpenFrom(eng, *walDir, icfg, recoverSeq)
+		pipe, err = ingest.OpenFrom(eng, *walDir, icfg, recovered.Seq)
 		if err != nil {
 			fatal(err)
 		}
-		if n := pipe.Replayed(); n > 0 {
-			epoch, seq := pipe.Applied()
-			logger.Printf("replayed %d WAL records (now epoch %d, seq %d)", n, epoch, seq)
-		}
 		handler = api.NewWithConfig(eng, pipe, apiCfg)
-		logger.Printf("write endpoints enabled, WAL at %s", *walDir)
 	}
+
+	// Warm last, whatever the boot path: the replay above publishes a new
+	// snapshot, and neighborhoods computed before it would go with the old
+	// one. What a checkpoint restored and the replay did not evict is a
+	// cache hit here, so after a clean shutdown the pass computes nothing.
+	// Bounded by the shutdown context: a signal during warmup stops the
+	// pass instead of grinding through the remaining corpus.
+	var warmed engine.WarmupResult
+	if *warm {
+		warmed = eng.WarmupCtx(ctx, *warmupWorkers)
+	}
+	if recovered != nil {
+		epoch, seq := pipe.Applied()
+		logger.Printf("recovery: source=%s rung=%d load=%v replayed=%d epoch=%d seq=%d warmed=%d in %v",
+			recovered.Source, recovered.Rung, recovered.Load.Round(time.Millisecond), pipe.Replayed(),
+			epoch, seq, warmed.Agents, warmed.Duration.Round(time.Millisecond))
+		logger.Printf("write endpoints enabled, WAL at %s", *walDir)
+	} else if *warm {
+		logger.Printf("warmed %d agents in %v", warmed.Agents, warmed.Duration.Round(time.Millisecond))
+	}
+	comm := eng.Snapshot().Community()
 
 	srv := &http.Server{
 		Handler:           logRequests(logger, handler),

@@ -488,7 +488,7 @@ func parseOverrides(c *call) (engine.Overrides, error) {
 	}
 	if v := c.param("alpha"); v != "" {
 		a, err := strconv.ParseFloat(v, 64)
-		if err != nil || a < 0 || a > 1 {
+		if err != nil || !(a >= 0 && a <= 1) { // ParseFloat accepts "NaN", which fails every comparison
 			return ov, fmt.Errorf("alpha must be in [0,1], got %q", v)
 		}
 		ov.Alpha = &a
@@ -737,7 +737,7 @@ func (s *Server) recommendations(c *call, snap *engine.Snapshot) (recs []core.Re
 	theta := 0.0
 	if v := c.param("theta"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 || f > 1 {
+		if err != nil || !(f >= 0 && f <= 1) { // as alpha: NaN is not in range
 			writeError(c, http.StatusBadRequest, "invalid_argument", "theta must be in [0,1]")
 			return nil, nil, false
 		}

@@ -331,6 +331,40 @@ func TestRecommendationOverrides(t *testing.T) {
 	}
 }
 
+// TestNonFiniteOverridesRejected: strconv.ParseFloat accepts "NaN" and
+// "Inf", and NaN is false under every comparison, so a range check
+// written as two rejections lets it through — to an empty 200, and, as a
+// never-equal cache key, to a dead entry in the neighborhood and result
+// caches per request. Both parameters answer 400 on both endpoints and
+// the engine is never asked.
+func TestNonFiniteOverridesRejected(t *testing.T) {
+	s, comm, _ := newTestServer(t)
+	base := "/v1/agents/" + url.PathEscape(string(comm.Agents()[0]))
+	asked := func() int64 {
+		return counter("swrec_engine", "peers_miss") + counter("swrec_engine", "peers_hit") +
+			counter("swrec_engine", "results_miss") + counter("swrec_engine", "results_hit")
+	}
+	before := asked()
+	for _, q := range []string{
+		"/recommendations?alpha=NaN", "/recommendations?theta=NaN", "/recommendations?alpha=nan&theta=0.4",
+		"/recommendations?alpha=Inf", "/recommendations?theta=-Inf",
+		"/neighbors?alpha=NaN", "/neighbors?alpha=+Inf",
+	} {
+		for i := 0; i < 3; i++ {
+			if code := getError(t, s, base+q, http.StatusBadRequest); code != "invalid_argument" {
+				t.Fatalf("%s error code = %s", q, code)
+			}
+		}
+	}
+	if got := asked() - before; got != 0 {
+		t.Fatalf("rejected requests probed the engine's caches %d times; each NaN key would have been a new entry", got)
+	}
+	// /neighbors takes no theta: it is ignored there, not parsed.
+	if rec := serve(s, http.MethodGet, base+"/neighbors?theta=NaN"); rec.Code != http.StatusOK {
+		t.Fatalf("/neighbors?theta=NaN status = %d", rec.Code)
+	}
+}
+
 func TestNovelFlag(t *testing.T) {
 	s, comm, _ := newTestServer(t)
 	esc := url.PathEscape(string(comm.Agents()[0]))

@@ -145,9 +145,9 @@ func Encode(img *Image) []byte {
 	meta.uv(uint64(len(products)))
 	out = frame(out, secMeta, meta.b)
 
-	// TAXONOMY: nodes in topic order; Add assigns parents before
-	// children, so a rebuild replays Add per node (primary parent) and
-	// AddEdge per extra parent.
+	// TAXONOMY: nodes in topic order, parents before children, so a
+	// rebuild is one taxonomy.Build over the primary parents and an AddEdge
+	// per extra parent.
 	if tax != nil {
 		var e enc
 		e.str(tax.Name(taxonomy.Root))
@@ -340,34 +340,34 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 	}
 	img.Options = opt
 
-	// TAXONOMY.
+	// TAXONOMY: one bulk build over the primary parents — which checks
+	// what a per-node Add would (parent before child, well-formed name,
+	// qualified names unique) — then the extra parents edge by edge.
 	var tax *taxonomy.Taxonomy
 	if hasTax {
 		d, err := need(secTaxonomy, "taxonomy")
 		if err != nil {
 			return nil, err
 		}
-		tax = taxonomy.New(d.str())
-		n := d.count(d.uv(), 2, "taxonomy node")
+		root := d.str()
+		n := d.count(d.uv(), 3, "taxonomy node") // a name length, a parent and an edge count each
+		names := make([]string, n)
+		parents := make([]taxonomy.Topic, n)
 		type edge struct{ parent, child taxonomy.Topic }
 		var extra []edge
 		for i := 0; i < n && d.err == nil; i++ {
-			name := d.str()
-			primary := taxonomy.Topic(d.uv())
+			names[i] = d.str()
+			parents[i] = taxonomy.Topic(d.ord(n+1, "topic"))
 			nextra := d.count(d.uv(), 1, "taxonomy edge")
-			got, err := tax.Add(primary, name)
-			if d.err == nil && err != nil {
-				return nil, fmt.Errorf("%w: taxonomy rebuild: %v", ErrCorrupt, err)
-			}
-			if d.err == nil && int(got) != i+1 {
-				return nil, fmt.Errorf("%w: taxonomy node order", ErrCorrupt)
-			}
 			for j := 0; j < nextra; j++ {
-				extra = append(extra, edge{parent: taxonomy.Topic(d.uv()), child: got})
+				extra = append(extra, edge{parent: taxonomy.Topic(d.ord(n+1, "topic")), child: taxonomy.Topic(i + 1)})
 			}
 		}
 		if d.err != nil {
 			return nil, d.err
+		}
+		if tax, err = taxonomy.Build(root, names, parents); err != nil {
+			return nil, fmt.Errorf("%w: taxonomy rebuild: %v", ErrCorrupt, err)
 		}
 		for _, e := range extra {
 			if err := tax.AddEdge(e.parent, e.child); err != nil {
@@ -375,123 +375,92 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 			}
 		}
 	}
-	comm := model.NewCommunity(tax)
-	img.Community = comm
 
-	// AGENTS.
+	// AGENTS and PRODUCTS: the section order is the ordinal order, on the
+	// wire and in the community, so every later section's ordinals index
+	// the community directly. Both counts are bounded by their sections
+	// before they size anything.
 	da, err := need(secAgents, "agents")
 	if err != nil {
 		return nil, err
 	}
-	nAgents := da.count(rawAgents, 2, "agent") // two length-prefixed strings each
-	if da.err != nil {
-		return nil, da.err
-	}
-	ids := make([]model.AgentID, nAgents)
-	for i := 0; i < nAgents && da.err == nil; i++ {
-		id := model.AgentID(da.str())
-		name := da.str()
-		if da.err != nil {
-			break
-		}
-		ids[i] = id
-		comm.AddAgent(id).Name = name
-	}
-	if da.err != nil {
-		return nil, da.err
-	}
-
-	// PRODUCTS.
 	dp, err := need(secProducts, "products")
 	if err != nil {
 		return nil, err
 	}
+	nAgents := da.count(rawAgents, 2, "agent")       // two length-prefixed strings each
 	nProducts := dp.count(rawProducts, 4, "product") // three strings plus a descriptor count each
+	if da.err != nil {
+		return nil, da.err
+	}
 	if dp.err != nil {
 		return nil, dp.err
 	}
-	pids := make([]model.ProductID, nProducts)
-	for i := 0; i < nProducts && dp.err == nil; i++ {
+	comm := model.NewCommunitySized(tax, nAgents, nProducts)
+	img.Community = comm
+	for i := 0; i < nAgents; i++ {
+		id := model.AgentID(da.str())
+		name := da.str()
+		if da.err != nil {
+			return nil, da.err
+		}
+		comm.AddAgent(id).Name = name
+	}
+	if comm.NumAgents() != nAgents {
+		return nil, fmt.Errorf("%w: %d distinct agents for a count of %d", ErrCorrupt, comm.NumAgents(), nAgents)
+	}
+	for i := 0; i < nProducts; i++ {
 		p := model.Product{
 			ID:    model.ProductID(dp.str()),
 			Title: dp.str(),
 			ISBN:  dp.str(),
 		}
-		nt := dp.count(dp.uv(), 1, "descriptor")
-		if nt > 0 {
+		if nt := dp.count(dp.uv(), 1, "descriptor"); nt > 0 {
 			p.Topics = make([]taxonomy.Topic, nt)
-			for j := 0; j < nt; j++ {
+			for j := range p.Topics {
 				p.Topics[j] = taxonomy.Topic(dp.uv())
 			}
 		}
 		if dp.err != nil {
-			break
+			return nil, dp.err
 		}
-		pids[i] = p.ID
 		comm.AddProduct(p)
 	}
-	if dp.err != nil {
-		return nil, dp.err
-	}
-	agentAt := func(d *dec) (model.AgentID, bool) {
-		i := d.uv()
-		if d.err != nil || i >= uint64(len(ids)) {
-			d.fail("agent ordinal")
-			return "", false
-		}
-		return ids[i], true
-	}
-	prodAt := func(d *dec) (model.ProductID, bool) {
-		i := d.uv()
-		if d.err != nil || i >= uint64(len(pids)) {
-			d.fail("product ordinal")
-			return "", false
-		}
-		return pids[i], true
+	if comm.NumProducts() != nProducts {
+		return nil, fmt.Errorf("%w: %d distinct products for a count of %d", ErrCorrupt, comm.NumProducts(), nProducts)
 	}
 
-	// TRUST.
-	dt, err := need(secTrust, "trust")
-	if err != nil {
+	// TRUST and RATINGS: one row per agent, handed to the community whole.
+	// The rows were written in TrustedPeers / RatedProducts order, which
+	// the loader verifies and then keeps as the sorted views.
+	var ords []int32
+	var vals []float64
+	rows := func(id uint32, what string, limit int, load func(int32, []int32, []float64) error) error {
+		d, err := need(id, what)
+		if err != nil {
+			return err
+		}
+		for a := 0; a < nAgents; a++ {
+			n := d.count(d.uv(), 9, what) // a varint ordinal and an f64 each
+			ords, vals = ords[:0], vals[:0]
+			for j := 0; j < n; j++ {
+				ords = append(ords, d.ord(limit, what))
+				vals = append(vals, d.f64())
+			}
+			if d.err != nil {
+				return d.err
+			}
+			if err := load(int32(a), ords, vals); err != nil {
+				return fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
+			}
+		}
+		return nil
+	}
+	if err := rows(secTrust, "trust", nAgents, comm.LoadTrust); err != nil {
 		return nil, err
 	}
-	for _, id := range ids {
-		n := dt.count(dt.uv(), 9, "trust edge")
-		for j := 0; j < n; j++ {
-			dst, ok := agentAt(dt)
-			v := dt.f64()
-			if !ok || dt.err != nil {
-				break
-			}
-			if err := comm.SetTrust(id, dst, v); err != nil {
-				return nil, fmt.Errorf("%w: trust rebuild: %v", ErrCorrupt, err)
-			}
-		}
-		if dt.err != nil {
-			return nil, dt.err
-		}
-	}
-
-	// RATINGS.
-	dr, err := need(secRatings, "ratings")
-	if err != nil {
+	if err := rows(secRatings, "ratings", nProducts, comm.LoadRatings); err != nil {
 		return nil, err
-	}
-	for _, id := range ids {
-		n := dr.count(dr.uv(), 9, "rating")
-		for j := 0; j < n; j++ {
-			pid, ok := prodAt(dr)
-			v := dr.f64()
-			if !ok || dr.err != nil {
-				break
-			}
-			if err := comm.SetRating(id, pid, v); err != nil {
-				return nil, fmt.Errorf("%w: rating rebuild: %v", ErrCorrupt, err)
-			}
-		}
-		if dr.err != nil {
-			return nil, dr.err
-		}
 	}
 	if statementsOnly {
 		img.HasIndex = false
@@ -506,8 +475,8 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 			return nil, err
 		}
 		n := dm.count(dm.uv(), 4, "profmat row")
-		if n != len(ids) {
-			return nil, fmt.Errorf("%w: %d profmat rows for %d agents", ErrCorrupt, n, len(ids))
+		if n != nAgents {
+			return nil, fmt.Errorf("%w: %d profmat rows for %d agents", ErrCorrupt, n, nAgents)
 		}
 		lens := make([]int, n)
 		total := 0
@@ -556,18 +525,19 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 			return nil, err
 		}
 		n := di.count(di.uv(), 2, "topic posting")
+		pids := comm.Products()
 		img.Topics = make([]taxonomy.Topic, n)
 		img.Postings = make([][]model.ProductID, n)
 		for i := 0; i < n && di.err == nil; i++ {
 			img.Topics[i] = taxonomy.Topic(di.uv())
 			np := di.count(di.uv(), 1, "posting")
-			post := make([]model.ProductID, 0, np)
-			for j := 0; j < np; j++ {
-				pid, ok := prodAt(di)
-				if !ok {
+			post := make([]model.ProductID, np)
+			for j := range post {
+				ord := di.ord(len(pids), "product ordinal")
+				if di.err != nil {
 					break
 				}
-				post = append(post, pid)
+				post[j] = pids[ord]
 			}
 			img.Postings[i] = post
 		}
@@ -597,15 +567,18 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 		return nil, dw.err
 	}
 	dw.off = start
+	ids := comm.Agents()
 	arena := make([]core.PeerRank, totalRanks)
 	used := 0
 	img.Peers = make([]engine.PeersEntry, 0, nw)
 	for i := 0; i < nw && dw.err == nil; i++ {
-		agent, ok := agentAt(dw)
-		pipe := dw.str()
+		agent := dw.ord(nAgents, "agent ordinal")
+		// Not dw.str: that would copy this whole section, the file's
+		// largest, for keys that are nearly all empty.
+		pipe := string(dw.bytes(dw.count(dw.uv(), 1, "peers pipe"), "peers pipe"))
 		np := int(dw.uv())
 		block := dw.bytes(np*peerRankSize, "peer ranks")
-		if !ok || dw.err != nil {
+		if dw.err != nil {
 			break
 		}
 		peers := arena[used : used+np : used+np]
@@ -613,7 +586,7 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 		for j := range peers {
 			b := block[j*peerRankSize:]
 			ord := binary.LittleEndian.Uint32(b)
-			if uint64(ord) >= uint64(len(ids)) {
+			if uint64(ord) >= uint64(nAgents) {
 				dw.fail("agent ordinal")
 				break
 			}
@@ -625,7 +598,7 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 				Weight: math.Float64frombits(binary.LittleEndian.Uint64(b[21:])),
 			}
 		}
-		img.Peers = append(img.Peers, engine.PeersEntry{Agent: agent, Pipe: pipe, Peers: peers})
+		img.Peers = append(img.Peers, engine.PeersEntry{Agent: ids[agent], Pipe: pipe, Peers: peers})
 	}
 	if dw.err != nil {
 		return nil, dw.err

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -280,6 +281,60 @@ func TestDecodeCorruptionSweep(t *testing.T) {
 	for _, cut := range []int{0, 1, headerLen - 1, headerLen, headerLen + sectionHdr, len(data) / 2, len(data) - footerLen, len(data) - 1} {
 		if _, err := Decode(data[:cut], testOptions()); err == nil {
 			t.Fatalf("truncation to %d/%d decoded cleanly", cut, len(data))
+		}
+	}
+}
+
+// TestDecodeRejectsStatementsTheSettersReject: the checksums vouch for the
+// bytes, not for the writer. A file whose statements no setter would have
+// taken — a NaN or out-of-range value, trust in oneself — is corrupt, for
+// the full decode and the statements-only one alike.
+func TestDecodeRejectsStatementsTheSettersReject(t *testing.T) {
+	for what, spoil := range map[string]func(a *model.Agent){
+		"NaN trust":           func(a *model.Agent) { a.Trust["http://ckpt.example/people/a5"] = math.NaN() },
+		"trust out of range":  func(a *model.Agent) { a.Trust["http://ckpt.example/people/a5"] = 1.5 },
+		"self trust":          func(a *model.Agent) { a.Trust[a.ID] = 0.5 },
+		"NaN rating":          func(a *model.Agent) { a.Ratings["urn:isbn:9780553380958"] = math.NaN() },
+		"rating out of range": func(a *model.Agent) { a.Ratings["urn:isbn:9780553380958"] = -7 },
+	} {
+		comm := testCommunity(t, 12)
+		a := comm.AddAgent("http://ckpt.example/people/a2")
+		spoil(a) // behind the setters' backs, as a faulty writer would
+		a.MarkDirty()
+		data := Encode(&Image{Epoch: 1, Seq: 3, Options: testOptions(), Community: comm})
+		for _, statementsOnly := range []bool{false, true} {
+			if _, err := decode(data, testOptions(), statementsOnly); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s (statements only: %v): got %v, want ErrCorrupt", what, statementsOnly, err)
+			}
+		}
+	}
+}
+
+// TestDecodeRejectsDuplicateIDs: two agents, or two products, under one
+// ID would share a record and shift every later ordinal; such a file is
+// corrupt, not merged.
+func TestDecodeRejectsDuplicateIDs(t *testing.T) {
+	data := Encode(&Image{Epoch: 1, Seq: 3, Options: testOptions(), Community: testCommunity(t, 12)})
+	for _, swap := range [][2]string{
+		{"http://ckpt.example/people/a7", "http://ckpt.example/people/a6"},
+		{"urn:isbn:9780521386326", "urn:isbn:9780553380958"},
+	} {
+		mut := bytes.Clone(data)
+		at := bytes.Index(mut, []byte(swap[0]))
+		if at < 0 || len(swap[0]) != len(swap[1]) {
+			t.Fatalf("fixture: %q not in the file", swap[0])
+		}
+		copy(mut[at:], swap[1])
+		// Redo every section's CRC, then the footer's.
+		for off := headerLen; off < len(mut)-footerLen; {
+			plen := int(binary.LittleEndian.Uint64(mut[off+4:]))
+			payload := mut[off+sectionHdr : off+sectionHdr+plen]
+			binary.LittleEndian.PutUint32(mut[off+sectionHdr+plen:], crc32.ChecksumIEEE(payload))
+			off += sectionHdr + plen + 4
+		}
+		refoot(mut)
+		if _, err := Decode(mut, testOptions()); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "distinct") {
+			t.Fatalf("%s twice: got %v, want ErrCorrupt naming the distinct count", swap[1], err)
 		}
 	}
 }

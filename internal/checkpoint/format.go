@@ -3,7 +3,10 @@
 // (internal/profmat), the topic index, the warm neighborhood cache, and
 // the epoch↔WAL-sequence mapping — in a flat binary file, so
 // a swrecd restart loads the serving state in O(file size) instead of
-// recomputing Appleseed and Eq. 3 for the whole community.
+// recomputing Appleseed and Eq. 3 for the whole community. The restored
+// neighborhoods serve a restart with no WAL tail (a clean shutdown leaves
+// none); a tail's replay publishes, and that evicts whichever of them
+// the replayed records' dirty closure covers.
 //
 // File format (all integers little-endian; varints where noted):
 //
@@ -49,11 +52,23 @@ const (
 
 // Section identifiers. The writer emits sections in ascending id order;
 // the reader indexes them by id, so unknown ids from a newer same-version
-// writer would be detected as such rather than misparsed. Id 10 is
-// retired, not reusable: it framed the warm Eq. 3 profile cache
-// (PROFILES) until every reader moved to the rows of secProfmat. A v1
-// file that still carries it loads — the decoder checks its frame and
-// CRC like any section's and never asks for its payload.
+// writer would be detected as such rather than misparsed.
+//
+//	 1 META        epoch, seq, option signature, shape flags, counts
+//	 2 TAXONOMY    per topic: name, primary parent, extra parents
+//	 3 AGENTS      per agent: URI, name — the order is the agent ordinal
+//	 4 PRODUCTS    per product: ID, title, ISBN, descriptors — likewise
+//	 5 TRUST       per agent: (target ordinal, value) in TrustedPeers order
+//	 6 RATINGS     per agent: (product ordinal, value) in RatedProducts order
+//	 7 PROFMAT     the profile matrix: row lengths, key arena, value arena, norm/sum
+//	 8 TOPICINDEX  per populated topic: product ordinals
+//	 9 PEERS       per cached neighborhood: agent ordinal, pipe key, fixed-width ranks
+//	10 retired     PROFILES, the warm Eq. 3 profile cache
+//
+// Id 10 is retired, not reusable: no reader asks for it any more (profiles
+// are the rows of section 7). A v1 file that still carries it loads — the
+// decoder checks its frame and CRC like any section's and never reads its
+// payload.
 const (
 	secMeta = iota + 1
 	secTaxonomy
@@ -125,6 +140,7 @@ func (e *enc) str(s string) {
 // (plus its GC write barrier) is measurable at that rate.
 type dec struct {
 	b   []byte
+	s   string // b as a string, made at the first str; every string read is a substring of it
 	off int
 	err error
 }
@@ -185,6 +201,19 @@ func (d *dec) f64() float64 {
 	return math.Float64frombits(d.u64())
 }
 
+// ord reads a varint ordinal into a table of limit entries; one outside
+// the table is corruption.
+func (d *dec) ord(limit int, what string) int32 {
+	v := d.uv()
+	if d.err == nil && v >= uint64(limit) {
+		d.err = fmt.Errorf("%w: %s %d outside [0,%d)", ErrCorrupt, what, v, limit)
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int32(v)
+}
+
 // bytes returns the next n payload bytes without copying — the bulk
 // path for fixed-width arenas, where per-element error checks would
 // dominate decode time.
@@ -223,7 +252,13 @@ func (d *dec) str() string {
 		d.fail("string")
 		return ""
 	}
-	s := string(d.b[d.off : d.off+int(n)])
+	if d.s == "" {
+		// One copy per section instead of one per string: the sections
+		// that hold strings hold little else, so a substring pins hardly
+		// more than itself.
+		d.s = string(d.b)
+	}
+	s := d.s[d.off : d.off+int(n)]
 	d.off += int(n)
 	return s
 }

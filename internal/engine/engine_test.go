@@ -222,6 +222,22 @@ func TestWarmupPrecomputesAllAgents(t *testing.T) {
 	if got := counter("peers_hit") - hits; got != int64(comm.NumAgents()) {
 		t.Fatalf("post-warmup lookups hit %d times, want %d", got, comm.NumAgents())
 	}
+
+	// swrecd warms last on every boot path; over a cache a checkpoint
+	// restored and no replay evicted, that pass computes nothing.
+	restored, err := NewRestored(Restore{
+		Epoch:     snap.Epoch(),
+		Community: comm,
+		Matrix:    snap.Recommender().Filter().Matrix(),
+		Peers:     snap.ExportPeers(),
+	}, testOptions(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := counter("peers_miss")
+	if res := restored.Warmup(4); res.Agents != comm.NumAgents() || counter("peers_miss") != misses {
+		t.Fatalf("warm-up over a restored cache: %d agents, %d neighborhoods recomputed", res.Agents, counter("peers_miss")-misses)
+	}
 }
 
 func TestRecommenderForSharesFilterAcrossCompatibleVariants(t *testing.T) {

@@ -190,7 +190,7 @@ func reified(g *rdf.Graph, node rdf.Term, targetPred string) (target string, val
 	if perr != nil {
 		return "", 0, fmt.Errorf("%w: bad decimal %q", ErrMalformed, values[0].Value)
 	}
-	if v < model.MinValue || v > model.MaxValue {
+	if !model.InRange(v) { // ParseFloat takes "NaN" for a number
 		return "", 0, fmt.Errorf("%w: value %v outside [-1,+1]", ErrMalformed, v)
 	}
 	return targets[0].Value, v, nil

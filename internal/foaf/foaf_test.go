@@ -119,6 +119,18 @@ _:r0 <` + SWTValue + `> "7"^^<` + rdf.XSDDecimal + `> .
 		t.Fatalf("got %v, want ErrMalformed", err)
 	}
 
+	// NaN parses as a float and fails every comparison; a homepage that
+	// states it is malformed, not a statement.
+	for _, lit := range []string{"NaN", "nan", "+Inf"} {
+		g, err := rdf.ParseString(strings.Replace(doc3, `"7"`, `"`+lit+`"`, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Unmarshal(g); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("value %q: got %v, want ErrMalformed", lit, err)
+		}
+	}
+
 	// Non-numeric value.
 	doc4 := strings.Replace(doc3, `"7"`, `"high"`, 1)
 	g4, err := rdf.ParseString(doc4)

@@ -623,14 +623,14 @@ func Validate(m wal.Mutation) error {
 		if m.Peer == m.Agent {
 			return fmt.Errorf("%w: %v", ErrInvalid, model.ErrSelfTrust)
 		}
-		if m.Op == wal.OpUpsertTrust && (m.Value < model.MinValue || m.Value > model.MaxValue) {
+		if m.Op == wal.OpUpsertTrust && !model.InRange(m.Value) {
 			return fmt.Errorf("%w: trust value %v outside [-1,+1]", ErrInvalid, m.Value)
 		}
 	case wal.OpUpsertRating, wal.OpDeleteRating:
 		if m.Product == "" {
 			return fmt.Errorf("%w: empty product ID", ErrInvalid)
 		}
-		if m.Op == wal.OpUpsertRating && (m.Value < model.MinValue || m.Value > model.MaxValue) {
+		if m.Op == wal.OpUpsertRating && !model.InRange(m.Value) {
 			return fmt.Errorf("%w: rating value %v outside [-1,+1]", ErrInvalid, m.Value)
 		}
 	case wal.OpUpsertAgent:

@@ -2,7 +2,9 @@ package ingest
 
 import (
 	"errors"
+	"expvar"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -310,6 +312,8 @@ func TestValidation(t *testing.T) {
 		{Op: wal.OpUpsertTrust, Agent: "a", Peer: "b", Value: 1.5},
 		{Op: wal.OpUpsertRating, Agent: "a", Product: "", Value: 0.5},
 		{Op: wal.OpUpsertRating, Agent: "a", Product: "p", Value: -2},
+		{Op: wal.OpUpsertTrust, Agent: "a", Peer: "b", Value: math.NaN()},
+		{Op: wal.OpUpsertRating, Agent: "a", Product: "p", Value: math.NaN()},
 		{Op: wal.OpDeleteTrust, Agent: "a", Peer: "a"},
 		{Op: 0, Agent: "a"},
 		{Op: 99, Agent: "a"},
@@ -340,6 +344,67 @@ func TestValidation(t *testing.T) {
 	}
 	if err := ValidateIn(view, wal.Mutation{Op: wal.OpUpsertRating, Agent: "a", Product: "http://x/unknown", Value: 0.5}); !errors.Is(err, ErrInvalid) {
 		t.Fatal("uncataloged non-ISBN product accepted")
+	}
+}
+
+// TestReplayRejectsNaN: a log that holds a NaN statement — written by a
+// build whose gate let NaN through, or by anything else with access to
+// the directory — replays every record, counts the two it cannot apply,
+// and publishes a community without them: one NaN trust value would
+// otherwise reach every Appleseed walk that crosses its edge.
+func TestReplayRejectsNaN(t *testing.T) {
+	comm := testCommunity(t, 10, 10)
+	ids, pids := comm.Agents(), comm.Products()
+	dir := t.TempDir()
+	w, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := w.Append([]wal.Mutation{
+		{Op: wal.OpUpsertTrust, Agent: ids[0], Peer: ids[5], Value: math.NaN()},
+		{Op: wal.OpUpsertRating, Agent: ids[0], Product: pids[9], Value: math.NaN()},
+		{Op: wal.OpUpsertTrust, Agent: ids[0], Peer: ids[6], Value: 0.25},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, hadTrust := comm.Trust(ids[0], ids[5])
+	_, hadRating := comm.Rating(ids[0], pids[9])
+
+	eng := testEngine(t, comm)
+	applyErrors := func() int64 {
+		n, _ := stats.Get("apply_errors").(*expvar.Int) // absent until the first one
+		if n == nil {
+			return 0
+		}
+		return n.Value()
+	}
+	rejected := applyErrors()
+	p, err := Open(eng, dir, lazyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if p.Replayed() != 3 {
+		t.Fatalf("replayed %d records, want 3", p.Replayed())
+	}
+	if got := applyErrors() - rejected; got != 2 {
+		t.Fatalf("replay rejected %d records, want the 2 NaN ones", got)
+	}
+	got := eng.Snapshot().Community()
+	if v, ok := got.Trust(ids[0], ids[6]); !ok || v != 0.25 {
+		t.Fatalf("the valid record was not applied: %v, %v", v, ok)
+	}
+	if v, ok := got.Trust(ids[0], ids[5]); ok != hadTrust || math.IsNaN(v) {
+		t.Fatalf("NaN trust applied: %v, %v", v, ok)
+	}
+	if v, ok := got.Rating(ids[0], pids[9]); ok != hadRating || math.IsNaN(v) {
+		t.Fatalf("NaN rating applied: %v, %v", v, ok)
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -44,6 +44,11 @@ const (
 	MaxValue = +1.0
 )
 
+// InRange reports whether v is a statable trust or rating value. Written
+// as a conjunction so that NaN — which fails every comparison, and so
+// passes "v < Min || v > Max" — is outside the range.
+func InRange(v float64) bool { return v >= MinValue && v <= MaxValue }
+
 var (
 	// ErrValueRange is returned when a trust or rating value lies outside
 	// [-1, +1].
@@ -169,22 +174,26 @@ func (a *Agent) TrustedPeers() []TrustStatement {
 	for dst, v := range a.Trust {
 		out = append(out, TrustStatement{Src: a.ID, Dst: dst, Value: v})
 	}
-	slices.SortFunc(out, func(x, y TrustStatement) int {
-		switch {
-		case x.Value > y.Value:
-			return -1
-		case x.Value < y.Value:
-			return 1
-		case x.Dst < y.Dst:
-			return -1
-		case x.Dst > y.Dst:
-			return 1
-		default:
-			return 0
-		}
-	})
+	slices.SortFunc(out, compareTrust)
 	a.peersMemo.Store(&out)
 	return out
+}
+
+// compareTrust is the TrustedPeers order: descending value, ties by
+// target ID.
+func compareTrust(x, y TrustStatement) int {
+	switch {
+	case x.Value > y.Value:
+		return -1
+	case x.Value < y.Value:
+		return 1
+	case x.Dst < y.Dst:
+		return -1
+	case x.Dst > y.Dst:
+		return 1
+	default:
+		return 0
+	}
 }
 
 // RatedProducts returns the agent's ratings sorted by descending value
@@ -200,22 +209,26 @@ func (a *Agent) RatedProducts() []RatingStatement {
 	for p, v := range a.Ratings {
 		out = append(out, RatingStatement{Agent: a.ID, Product: p, Value: v})
 	}
-	slices.SortFunc(out, func(x, y RatingStatement) int {
-		switch {
-		case x.Value > y.Value:
-			return -1
-		case x.Value < y.Value:
-			return 1
-		case x.Product < y.Product:
-			return -1
-		case x.Product > y.Product:
-			return 1
-		default:
-			return 0
-		}
-	})
+	slices.SortFunc(out, compareRating)
 	a.ratingsMemo.Store(&out)
 	return out
+}
+
+// compareRating is the RatedProducts order: descending value, ties by
+// product ID.
+func compareRating(x, y RatingStatement) int {
+	switch {
+	case x.Value > y.Value:
+		return -1
+	case x.Value < y.Value:
+		return 1
+	case x.Product < y.Product:
+		return -1
+	case x.Product > y.Product:
+		return 1
+	default:
+		return 0
+	}
 }
 
 // PositiveRatings returns agent a's positive ratings of cataloged
@@ -296,12 +309,21 @@ type Community struct {
 // NewCommunity creates an empty community over the given taxonomy. The
 // taxonomy may be nil for pure trust-network use; profile generation
 // requires one.
-func NewCommunity(tax *taxonomy.Taxonomy) *Community {
+func NewCommunity(tax *taxonomy.Taxonomy) *Community { return NewCommunitySized(tax, 0, 0) }
+
+// NewCommunitySized is NewCommunity with the ID indexes and record tables
+// sized for the given numbers of agents and products, for a loader that
+// knows them up front: nothing rehashes or regrows while it fills them.
+func NewCommunitySized(tax *taxonomy.Taxonomy, agents, products int) *Community {
 	g := new(generation)
 	c := &Community{
-		agentIdx: &ordIndex[AgentID]{owner: g, ord: make(map[AgentID]int32)},
-		prodIdx:  &ordIndex[ProductID]{owner: g, ord: make(map[ProductID]int32)},
-		tax:      tax,
+		agentIdx:  &ordIndex[AgentID]{owner: g, ord: make(map[AgentID]int32, agents)},
+		agentIDs:  make([]AgentID, 0, agents),
+		agentRecs: make([]*Agent, 0, agents),
+		prodIdx:   &ordIndex[ProductID]{owner: g, ord: make(map[ProductID]int32, products)},
+		prodIDs:   make([]ProductID, 0, products),
+		prodRecs:  make([]*Product, 0, products),
+		tax:       tax,
 	}
 	c.gen.Store(g)
 	return c
@@ -425,7 +447,7 @@ func (c *Community) SetTrust(src, dst AgentID, v float64) error {
 	if src == dst {
 		return fmt.Errorf("%w: %s", ErrSelfTrust, src)
 	}
-	if v < MinValue || v > MaxValue {
+	if !InRange(v) {
 		return fmt.Errorf("%w: trust(%s,%s) = %v", ErrValueRange, src, dst, v)
 	}
 	c.ensureAgent(dst)
@@ -448,7 +470,7 @@ func (c *Community) Trust(src, dst AgentID) (v float64, ok bool) {
 // SetRating records r_agent(product) = v. The product must already be in
 // the catalog: ratings refer to globally known identifiers (§3.1).
 func (c *Community) SetRating(agent AgentID, product ProductID, v float64) error {
-	if v < MinValue || v > MaxValue {
+	if !InRange(v) {
 		return fmt.Errorf("%w: rating(%s,%s) = %v", ErrValueRange, agent, product, v)
 	}
 	if _, ok := c.prodIdx.ord[product]; !ok {
@@ -586,12 +608,12 @@ func (c *Community) Validate() error {
 			if peer == id {
 				return fmt.Errorf("%w: %s", ErrSelfTrust, id)
 			}
-			if v < MinValue || v > MaxValue {
+			if !InRange(v) {
 				return fmt.Errorf("%w: trust(%s,%s) = %v", ErrValueRange, id, peer, v)
 			}
 		}
 		for p, v := range a.Ratings {
-			if v < MinValue || v > MaxValue {
+			if !InRange(v) {
 				return fmt.Errorf("%w: rating(%s,%s) = %v", ErrValueRange, id, p, v)
 			}
 			if _, ok := c.prodIdx.ord[p]; !ok {

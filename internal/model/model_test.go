@@ -3,6 +3,7 @@ package model
 import (
 	"errors"
 	"maps"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -32,6 +33,10 @@ func TestSetTrustValidation(t *testing.T) {
 	}
 	if err := c.SetTrust("a", "b", -1.5); !errors.Is(err, ErrValueRange) {
 		t.Fatalf("out of range: got %v, want ErrValueRange", err)
+	}
+	// NaN is false under every comparison; it is not a value in [-1,+1].
+	if err := c.SetTrust("a", "b", math.NaN()); !errors.Is(err, ErrValueRange) {
+		t.Fatalf("NaN: got %v, want ErrValueRange", err)
 	}
 	if err := c.SetTrust("a", "b", 0.7); err != nil {
 		t.Fatal(err)
@@ -74,8 +79,10 @@ func TestSetRatingRequiresCatalogEntry(t *testing.T) {
 		t.Fatalf("got %v, want ErrUnknownProduct", err)
 	}
 	c.AddProduct(Product{ID: "urn:isbn:1", Title: "Snow Crash"})
-	if err := c.SetRating("a", "urn:isbn:1", 2); !errors.Is(err, ErrValueRange) {
-		t.Fatalf("got %v, want ErrValueRange", err)
+	for _, v := range []float64{2, math.NaN()} {
+		if err := c.SetRating("a", "urn:isbn:1", v); !errors.Is(err, ErrValueRange) {
+			t.Fatalf("rating %v: got %v, want ErrValueRange", v, err)
+		}
 	}
 	if err := c.SetRating("a", "urn:isbn:1", 0.9); err != nil {
 		t.Fatal(err)
@@ -223,6 +230,10 @@ func TestValidate(t *testing.T) {
 	if err := c.Validate(); !errors.Is(err, ErrValueRange) {
 		t.Fatalf("trust range: %v", err)
 	}
+	c.Agent("a").Trust["b"] = math.NaN()
+	if err := c.Validate(); !errors.Is(err, ErrValueRange) {
+		t.Fatalf("NaN trust: %v", err)
+	}
 	c.Agent("a").Trust["b"] = 0.5
 
 	c.Agent("a").Ratings["ghost"] = 0.5
@@ -234,6 +245,10 @@ func TestValidate(t *testing.T) {
 	c.Agent("a").Ratings["p1"] = -9
 	if err := c.Validate(); !errors.Is(err, ErrValueRange) {
 		t.Fatalf("rating range: %v", err)
+	}
+	c.Agent("a").Ratings["p1"] = math.NaN()
+	if err := c.Validate(); !errors.Is(err, ErrValueRange) {
+		t.Fatalf("NaN rating: %v", err)
 	}
 	c.Agent("a").Ratings["p1"] = 1
 

@@ -303,8 +303,10 @@ func (w *walk) spread(ctx context.Context, t *model.CSR, src int32, opt Applesee
 		// Snapshot length: nodes discovered during this pass only start
 		// receiving energy now and are processed next pass.
 		live := w.nodes
+		// The byte test must go first: with the float test leading, this
+		// loop's speed depends on where the linker places spread.
 		for i := 0; i < live; i++ {
-			if w.in[i] != 0 && !w.fetched[i] {
+			if !w.fetched[i] && w.in[i] != 0 {
 				w.fetch(t, int32(i), opt)
 			}
 		}
