@@ -127,7 +127,12 @@ bench-diff:
 # allocations where the baseline has 2, and a checkpoint load that goes
 # back to replaying taxonomy.Add per topic and a setter per statement as
 # ~1.5x the time and ~3x the allocations, so the gate catches those classes
-# of regression without flaking on scheduler jitter.
+# of regression without flaking on scheduler jitter. The kill -9 restart
+# (BenchmarkRecover) is gated on its bytes as well, pinned to two procs
+# so they are reproducible: a recovery that goes back to deriving Eq. 3
+# tables per topic or to decoding every warm neighborhood up front
+# allocates 1.23x or 1.41x the bytes (gate: 1.15x) but stays well under
+# twice the time.
 bench-diff-short:
 	{ $(GO) test -run=^$$ -bench='BenchmarkServeEngineCold/agents=9100$$' -benchmem -benchtime=100x ./internal/engine/ && \
 	  $(GO) test -run=^$$ -bench='BenchmarkServeHTTPWarm/hit$$' -benchmem -benchtime=200000x ./internal/api/ && \
@@ -136,6 +141,8 @@ bench-diff-short:
 	  $(GO) test -run=^$$ -bench='BenchmarkAdvogato/agents=9100$$' -benchmem -benchtime=200x ./internal/trust/ && \
 	  $(GO) test -run=^$$ -bench='BenchmarkCheckpointLoad/agents=2000$$' -benchmem -benchtime=20x ./internal/checkpoint/ ; } \
 		| $(GO) run ./cmd/benchjson -diff BENCH_engine.json -threshold 1.0
+	$(GO) test -run=^$$ -bench='BenchmarkRecover/agents=2000$$' -benchmem -benchtime=20x -cpu=2 ./internal/checkpoint/ \
+		| $(GO) run ./cmd/benchjson -diff BENCH_engine.json -threshold 1.0 -bytes 0.15
 
 # load-short runs the deterministic short load scenario (300 agents,
 # 4000 mixed events, one Sybil ring) against an in-process server:

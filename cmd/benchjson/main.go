@@ -18,7 +18,10 @@
 // (the short form in `make check`) stay usable. Two asymmetries guard
 // the alloc comparison: a run without -benchmem never scores 0 allocs
 // as an improvement over a measured baseline, and allocations appearing
-// where the baseline had none always fail regardless of ratio.
+// where the baseline had none always fail regardless of ratio. B/op is
+// reported but gated only with -bytes, its own allowed growth: bytes are
+// near-deterministic for a fixed -cpu, so a tight bound on them catches
+// a regression whose time is lost in noise.
 //
 // With -in FILE the input is read from FILE instead of stdin. When the
 // file is a load report (swrecload writes `"kind": "load"`), -diff
@@ -98,6 +101,7 @@ func main() {
 	out := flag.String("out", "", "write the JSON report here (default stdout only)")
 	diff := flag.String("diff", "", "compare against this baseline JSON instead of writing; exit 1 on regression")
 	threshold := flag.Float64("threshold", 0.20, "with -diff: allowed fractional growth for ns/op, allocs/op, and load *_ms metrics")
+	bytesTol := flag.Float64("bytes", 0, "with -diff on bench output: allowed fractional growth for B/op (0: not gated)")
 	absTol := flag.Float64("abs", 0.05, "with -diff on a load report: allowed absolute increase for non-latency metrics")
 	msFloor := flag.Float64("ms", 2.0, "with -diff on a load report: *_ms keys only fail when they also grew by this many milliseconds")
 	in := flag.String("in", "", "read input from FILE instead of stdin (a BENCH_load.json report switches -diff to metric mode)")
@@ -130,7 +134,7 @@ func main() {
 	}
 
 	if *diff != "" {
-		if !diffAgainst(rep, *diff, *threshold, os.Stdout) {
+		if !diffAgainst(rep, *diff, *threshold, *bytesTol, os.Stdout) {
 			os.Exit(1)
 		}
 		return
@@ -274,11 +278,12 @@ func sortedMetricKeys(m map[string]float64) []string {
 }
 
 // diffAgainst compares the run's results to the baseline file and
-// reports per-benchmark ns/op and allocs/op ratios. Returns false when
-// any benchmark present in both regressed beyond 1+threshold. New and
-// missing benchmarks are informational only: the gate must stay usable
-// for partial runs.
-func diffAgainst(rep report, baselinePath string, threshold float64, w io.Writer) bool {
+// reports per-benchmark ns/op, allocs/op and B/op ratios. Returns false
+// when any benchmark present in both regressed beyond 1+threshold in
+// ns/op or allocs/op, or — with bytesTol > 0 — beyond 1+bytesTol in B/op
+// against a baseline that measured it. New and missing benchmarks are
+// informational only: the gate must stay usable for partial runs.
+func diffAgainst(rep report, baselinePath string, threshold, bytesTol float64, w io.Writer) bool {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson: baseline:", err)
@@ -332,8 +337,13 @@ func diffAgainst(rep report, baselinePath string, threshold float64, w io.Writer
 				ok = false
 			}
 		}
-		fmt.Fprintf(w, "  %-5s %-52s ns/op %.0f -> %.0f (%.2fx)  %s\n",
-			verdict, r.Name, b.NsPerOp, r.NsPerOp, nsRatio, allocs)
+		bytesRatio := ratio(float64(r.BytesPerOp), float64(b.BytesPerOp))
+		if bytesTol > 0 && b.BytesPerOp > 0 && r.AllocsMeasured && bytesRatio > 1+bytesTol {
+			verdict = "REGRESSION"
+			ok = false
+		}
+		fmt.Fprintf(w, "  %-5s %-52s ns/op %.0f -> %.0f (%.2fx)  %s  B/op %.2fx\n",
+			verdict, r.Name, b.NsPerOp, r.NsPerOp, nsRatio, allocs, bytesRatio)
 	}
 	for _, b := range base.Benchmarks {
 		if !seen[b.Package+"\x00"+b.Name] {
@@ -345,7 +355,7 @@ func diffAgainst(rep report, baselinePath string, threshold float64, w io.Writer
 		return false
 	}
 	if !ok {
-		fmt.Fprintf(os.Stderr, "benchjson: regression beyond %+.0f%% against %s\n", threshold*100, baselinePath)
+		fmt.Fprintf(os.Stderr, "benchjson: regression beyond %+.0f%% (B/op: %+.0f%%, 0 = ungated) against %s\n", threshold*100, bytesTol*100, baselinePath)
 	}
 	return ok
 }

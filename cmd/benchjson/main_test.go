@@ -201,14 +201,14 @@ func TestDiffBenchUnmeasuredAllocsNotGated(t *testing.T) {
 		{Package: "p", Name: "BenchmarkZeroAlloc", Iterations: 100, NsPerOp: 500},
 	}}
 	var out strings.Builder
-	if !diffAgainst(rep, base, 0.20, &out) {
+	if !diffAgainst(rep, base, 0.20, 0, &out) {
 		t.Errorf("alloc-less run failed the gate:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "not measured") {
 		t.Errorf("unmeasured allocs not called out:\n%s", out.String())
 	}
 	rep.Benchmarks[0].NsPerOp = 5000 // ns regression still caught
-	if diffAgainst(rep, base, 0.20, io.Discard) {
+	if diffAgainst(rep, base, 0.20, 0, io.Discard) {
 		t.Error("5x ns/op regression passed because allocs were unmeasured")
 	}
 }
@@ -222,11 +222,32 @@ func TestDiffBenchZeroAllocBaselineBroken(t *testing.T) {
 		{Package: "p", Name: "BenchmarkZeroAlloc", Iterations: 100, NsPerOp: 500, AllocsOp: 1, AllocsMeasured: true},
 	}}
 	var out strings.Builder
-	if diffAgainst(rep, base, 0.20, &out) {
+	if diffAgainst(rep, base, 0.20, 0, &out) {
 		t.Errorf("broken zero-alloc baseline passed the gate:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "zero-alloc baseline broken") {
 		t.Errorf("zero-alloc break not called out:\n%s", out.String())
+	}
+}
+
+func TestDiffBenchBytesGatedOnlyWhenAsked(t *testing.T) {
+	base := writeBaseline(t, `{"benchmarks": [
+    {"package": "p", "name": "BenchmarkRestart", "iterations": 20, "ns_per_op": 1000, "bytes_per_op": 1000, "allocs_per_op": 8}
+  ]}`)
+	// 1.3x the bytes at unchanged time and allocations: the shape of a
+	// restart that went back to deriving what it never reads.
+	rep := report{Benchmarks: []result{
+		{Package: "p", Name: "BenchmarkRestart", Iterations: 20, NsPerOp: 1000, BytesPerOp: 1300, AllocsOp: 8, AllocsMeasured: true},
+	}}
+	if !diffAgainst(rep, base, 0.20, 0, io.Discard) {
+		t.Error("B/op gated without -bytes")
+	}
+	if diffAgainst(rep, base, 1.0, 0.20, io.Discard) {
+		t.Error("1.3x B/op passed -bytes 0.20")
+	}
+	rep.Benchmarks[0].BytesPerOp = 1100
+	if !diffAgainst(rep, base, 1.0, 0.20, io.Discard) {
+		t.Error("1.1x B/op failed -bytes 0.20")
 	}
 }
 

@@ -113,14 +113,16 @@ type compiled struct {
 	coarse map[int]*profmat.Matrix
 	// scratch pools *profmat.Scratch instances for batch scans: the
 	// active row is scattered into a dense image once, then every peer
-	// costs a single pass over its own postings.
-	scratch sync.Pool
+	// costs a single pass over its own postings. Held by pointer: the
+	// runtime's pool registry keeps a used pool for up to two GC cycles,
+	// and an embedded one would keep this struct — and mat — with it.
+	scratch *sync.Pool
 }
 
 // New creates a filter over the community. Taxonomy-based representations
 // require the community to carry a taxonomy.
 func New(comm *model.Community, opt Options) (*Filter, error) {
-	f := &Filter{opt: opt, compiled: &compiled{comm: comm}}
+	f := &Filter{opt: opt, compiled: &compiled{comm: comm, scratch: new(sync.Pool)}}
 	if opt.Representation != Product {
 		if comm.Taxonomy() == nil {
 			return nil, fmt.Errorf("cf: representation %v requires a taxonomy", opt.Representation)
@@ -263,13 +265,20 @@ func (f *Filter) rowOf(mat *profmat.Matrix, id model.AgentID) *profmat.Row {
 }
 
 // getScratch returns a pooled dense scratch covering the dimension
-// space; return it with f.scratch.Put when done.
+// space; return it with putScratch when done.
 func (f *Filter) getScratch() *profmat.Scratch {
 	dims := f.dims()
 	if sc, ok := f.scratch.Get().(*profmat.Scratch); ok && sc.Dims() >= dims {
 		return sc
 	}
 	return profmat.NewScratch(dims)
+}
+
+// putScratch returns sc to the pool holding nothing of the matrix it
+// scanned, so a dropped filter's matrix is garbage at the next GC.
+func (f *Filter) putScratch(sc *profmat.Scratch) {
+	sc.Unload()
+	f.scratch.Put(sc)
 }
 
 // similarityScratch computes the configured measure of the scratch's
@@ -347,7 +356,7 @@ func (f *Filter) AncestorSimilarities(ctx context.Context, depth int, active int
 // each call takes its own scratch.
 func (f *Filter) scanAll(ctx context.Context, mat *profmat.Matrix, active int32, peers []int32, out []SimResult) error {
 	sc := f.getScratch()
-	defer f.scratch.Put(sc)
+	defer f.putScratch(sc)
 	sc.Load(rowAt(mat, active))
 	return f.scan(ctx, sc, mat, peers, out)
 }

@@ -3,10 +3,13 @@ package cf
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"swrec/internal/datagen"
 	"swrec/internal/model"
+	"swrec/internal/profmat"
 	"swrec/internal/sparse"
 	"swrec/internal/taxonomy"
 )
@@ -319,6 +322,47 @@ func TestProductRowsMatchSparseOracle(t *testing.T) {
 		}
 		if mat := f.Matrix(); mat == nil || mat.Len() != len(ids) {
 			t.Fatalf("[%v] product representation did not compile", m)
+		}
+	}
+}
+
+// TestDroppedFilterFreesItsMatrix: once a filter that has scanned is
+// dropped, one GC cycle collects its compiled matrix and the matrix's row
+// array. Neither the runtime's registry of used pools nor a pooled
+// scratch may keep them: a recovering process throws away a matrix per
+// restart, and one still pinned at the next GC is heap the live-heap
+// reading counts. Each object is watched on its own filter: a finalizer
+// on the matrix would itself keep the row array for one more cycle.
+func TestDroppedFilterFreesItsMatrix(t *testing.T) {
+	comm := twinCommunity(t)
+	for what, watch := range map[string]func(*profmat.Matrix, chan<- struct{}){
+		"matrix": func(m *profmat.Matrix, done chan<- struct{}) {
+			runtime.SetFinalizer(m, func(*profmat.Matrix) { close(done) })
+		},
+		"row array": func(m *profmat.Matrix, done chan<- struct{}) {
+			runtime.SetFinalizer(m.Row(0), func(*profmat.Row) { close(done) })
+		},
+	} {
+		collected := make(chan struct{})
+		func() {
+			f, err := New(comm, Options{Measure: Cosine})
+			if err != nil {
+				t.Fatal(err)
+			}
+			peers := []int32{0, 1, 2, 3}
+			out := make([]SimResult, len(peers))
+			// Active ordinal 1, so a scratch that kept its row would point
+			// into the middle of the row array.
+			if err := f.Similarities(context.Background(), 1, peers, out); err != nil {
+				t.Fatal(err)
+			}
+			watch(f.Matrix(), collected)
+		}()
+		runtime.GC()
+		select {
+		case <-collected:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("one GC after the filter was dropped, its %s is still live", what)
 		}
 	}
 }

@@ -47,6 +47,7 @@ type Image struct {
 	HasIndex bool
 	// Peers is the warm neighborhood cache in LRU order (least recently
 	// used first, so replaying it through the cache reproduces recency).
+	// A decoded image's entries decode their ranks when Ranks is called.
 	Peers []engine.PeersEntry
 }
 
@@ -253,16 +254,18 @@ func Encode(img *Image) []byte {
 	}
 
 	// PEERS: warm neighborhoods in LRU order. Ranks are fixed-width
-	// records (peerRankSize bytes) so the decoder can size one arena for
-	// the whole cache and fill it with bulk reads — the neighborhoods are
+	// records (peerRankSize bytes), so the decoder validates an entry's
+	// ordinals in one stride and decodes its ranks straight from the file
+	// bytes when the neighborhood is first read — the neighborhoods are
 	// by far the largest variable-size payload in the file.
 	var ew enc
 	ew.uv(uint64(len(img.Peers)))
 	for _, entry := range img.Peers {
+		ranks := entry.Ranks()
 		ew.uv(agentOrd(entry.Agent))
 		ew.str(entry.Pipe)
-		ew.uv(uint64(len(entry.Peers)))
-		for _, pr := range entry.Peers {
+		ew.uv(uint64(len(ranks)))
+		for _, pr := range ranks {
 			ew.u32(uint32(agentOrd(pr.Agent)))
 			ew.f64(pr.Trust)
 			ew.f64(pr.Sim)
@@ -546,65 +549,62 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 		}
 	}
 
-	// PEERS: a sizing pre-pass walks the entry headers (ranks are fixed-
-	// width, so each body is skippable in O(1)), then one arena holds
-	// every rank and each entry subslices it.
+	// PEERS: every entry's frame and rank ordinals are checked here, so
+	// a corrupt file fails Load; the ranks themselves stay in the file
+	// bytes until the restored neighborhood is first read (peerRanks).
 	dw, err := need(secPeers, "peers")
 	if err != nil {
 		return nil, err
 	}
 	nw := dw.count(dw.uv(), 3, "peers entry")
-	start := dw.off
-	totalRanks := 0
-	for i := 0; i < nw && dw.err == nil; i++ {
-		dw.uv() // agent ordinal
-		dw.skipStr("peers pipe")
-		np := dw.count(dw.uv(), peerRankSize, "peer rank")
-		dw.skip(np*peerRankSize, "peer ranks")
-		totalRanks += np
-	}
-	if dw.err != nil {
-		return nil, dw.err
-	}
-	dw.off = start
 	ids := comm.Agents()
-	arena := make([]core.PeerRank, totalRanks)
-	used := 0
 	img.Peers = make([]engine.PeersEntry, 0, nw)
 	for i := 0; i < nw && dw.err == nil; i++ {
 		agent := dw.ord(nAgents, "agent ordinal")
 		// Not dw.str: that would copy this whole section, the file's
 		// largest, for keys that are nearly all empty.
 		pipe := string(dw.bytes(dw.count(dw.uv(), 1, "peers pipe"), "peers pipe"))
-		np := int(dw.uv())
-		block := dw.bytes(np*peerRankSize, "peer ranks")
+		block := dw.bytes(peerRankSize*dw.count(dw.uv(), peerRankSize, "peer rank"), "peer ranks")
+		for j := 0; j < len(block) && dw.err == nil; j += peerRankSize {
+			if uint64(binary.LittleEndian.Uint32(block[j:])) >= uint64(nAgents) {
+				dw.fail("agent ordinal")
+			}
+		}
 		if dw.err != nil {
 			break
 		}
-		peers := arena[used : used+np : used+np]
-		used += np
-		for j := range peers {
-			b := block[j*peerRankSize:]
-			ord := binary.LittleEndian.Uint32(b)
-			if uint64(ord) >= uint64(nAgents) {
-				dw.fail("agent ordinal")
-				break
-			}
-			peers[j] = core.PeerRank{
-				Agent:  ids[ord],
-				Trust:  math.Float64frombits(binary.LittleEndian.Uint64(b[4:])),
-				Sim:    math.Float64frombits(binary.LittleEndian.Uint64(b[12:])),
-				SimOK:  b[20] == 1,
-				Weight: math.Float64frombits(binary.LittleEndian.Uint64(b[21:])),
-			}
-		}
-		img.Peers = append(img.Peers, engine.PeersEntry{Agent: ids[agent], Pipe: pipe, Peers: peers})
+		img.Peers = append(img.Peers, engine.PeersEntry{Agent: ids[agent], Pipe: pipe, Ranks: peerRanks{block, ids}.decode})
 	}
 	if dw.err != nil {
 		return nil, dw.err
 	}
 
 	return img, nil
+}
+
+// peerRanks is one PEERS entry's ranks, still in the file: block holds
+// its fixed-width records, whose agent ordinals decode already checked
+// against ids.
+type peerRanks struct {
+	block []byte
+	ids   []model.AgentID
+}
+
+// decode materializes the ranks. Called on a restored neighborhood's
+// first read, and by Encode.
+func (p peerRanks) decode() []core.PeerRank {
+	peers := make([]core.PeerRank, len(p.block)/peerRankSize)
+	for j := range peers {
+		b := p.block[j*peerRankSize:]
+		peers[j] = core.PeerRank{
+			Agent:  p.ids[binary.LittleEndian.Uint32(b)],
+			Trust:  math.Float64frombits(binary.LittleEndian.Uint64(b[4:])),
+			Sim:    math.Float64frombits(binary.LittleEndian.Uint64(b[12:])),
+			SimOK:  b[20] == 1,
+			Weight: math.Float64frombits(binary.LittleEndian.Uint64(b[21:])),
+		}
+	}
+	return peers
 }
 
 // Restore builds a serving engine from the image: the compiled rows,

@@ -534,3 +534,81 @@ func TestWriteImageFaults(t *testing.T) {
 		})
 	}
 }
+
+// TestPeersOrdinalOutOfRangeIsCorruptAtLoad: the ranks of a PEERS entry
+// decode on first touch, but their agent ordinals are checked at Load —
+// a file naming an agent it does not hold fails there, not mid-request.
+func TestPeersOrdinalOutOfRangeIsCorruptAtLoad(t *testing.T) {
+	img := testImage(t, 4)
+	data := Encode(img)
+	secs, err := deframe(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The payload aliases data: writing through it spoils the file.
+	payload := secs[secPeers]
+	d := &dec{b: payload}
+	spoiled := false
+	for n := d.uv(); n > 0 && !spoiled && d.err == nil; n-- {
+		d.uv()            // agent ordinal
+		d.skipStr("pipe") // pipe key
+		np := int(d.uv())
+		if np > 1 {
+			// The last rank, so a decoder that stopped early would miss it.
+			binary.LittleEndian.PutUint32(payload[d.off+(np-1)*peerRankSize:], uint32(img.Community.NumAgents()))
+			spoiled = true
+		}
+		d.skip(np*peerRankSize, "ranks")
+	}
+	if !spoiled || d.err != nil {
+		t.Fatalf("fixture: no peers entry with two ranks (%v)", d.err)
+	}
+	if _, err := Decode(reseal(data), testOptions()); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "agent ordinal") {
+		t.Fatalf("out-of-range rank ordinal: got %v, want ErrCorrupt at Load", err)
+	}
+}
+
+// TestRestoreDecodesPeersOnFirstTouch: a restored engine holds its warm
+// neighborhoods undecoded — restoring decodes none, and a checkpoint of
+// the untouched engine is the file it came from, byte for byte — and a
+// read decodes the entry it reads, once.
+func TestRestoreDecodesPeersOnFirstTouch(t *testing.T) {
+	data := Encode(testImage(t, 6))
+	restore := func() (*engine.Engine, map[model.AgentID]int) {
+		t.Helper()
+		img, err := Decode(data, testOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodes := map[model.AgentID]int{}
+		for i := range img.Peers {
+			e := img.Peers[i]
+			img.Peers[i].Ranks = func() []core.PeerRank { decodes[e.Agent]++; return e.Ranks() }
+		}
+		eng, err := img.Restore(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(decodes) != 0 {
+			t.Fatalf("restore decoded %d entries, want none", len(decodes))
+		}
+		return eng, decodes
+	}
+
+	eng, _ := restore()
+	if again := Encode(Capture(eng.Snapshot(), 6)); !bytes.Equal(again, data) {
+		t.Fatalf("checkpoint of the untouched restored engine is %d bytes, differs from its %d-byte file", len(again), len(data))
+	}
+
+	eng, decodes := restore()
+	snap := eng.Snapshot()
+	id := snap.Community().Agents()[2]
+	for i := 0; i < 3; i++ {
+		if _, err := snap.Recommend(id, 5, engine.Overrides{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(decodes) != 1 || decodes[id] != 1 {
+		t.Fatalf("three reads of %s decoded %v, want its entry once", id, decodes)
+	}
+}

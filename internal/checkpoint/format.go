@@ -8,6 +8,14 @@
 // none); a tail's replay publishes, and that evicts whichever of them
 // the replayed records' dirty closure covers.
 //
+// Restored neighborhoods materialize on first touch. Load checks every
+// PEERS entry's frame and rank ordinals, but leaves the ranks in the file
+// buffer: each entry reaches the engine as a decoder over its own bytes,
+// run when the neighborhood is first read, so entries a publish evicts
+// unread are never decoded. The price is that an entry not yet read pins
+// the whole file buffer (pointer-free, so the GC does not scan it) until
+// its snapshot is dropped.
+//
 // File format (all integers little-endian; varints where noted):
 //
 //	header:   "SWRECKP1" | u32 version | u32 section count

@@ -65,6 +65,12 @@ func FuzzDecode(f *testing.F) {
 				if img == nil || img.Community == nil {
 					t.Fatal("Decode returned neither an image nor an error")
 				}
+				// A restored neighborhood decodes its ranks on first
+				// touch; touch them all, so the deferred decode is
+				// fuzzed with the rest.
+				for _, e := range img.Peers {
+					e.Ranks()
+				}
 			case !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) && !errors.Is(err, ErrOptions):
 				t.Fatalf("Decode failed outside the package's sentinel errors: %v", err)
 			}

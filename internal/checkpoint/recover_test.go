@@ -3,6 +3,9 @@ package checkpoint_test
 import (
 	"expvar"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
@@ -10,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"swrec/internal/api"
 	"swrec/internal/cf"
 	"swrec/internal/checkpoint"
 	"swrec/internal/core"
@@ -438,4 +442,87 @@ func TestRecoveryLadderFaults(t *testing.T) {
 		}
 		finishRecovery(t, dir, res, base, all)
 	})
+}
+
+// TestZeroTailRestartServesWarmOverHTTP: a clean shutdown leaves no WAL
+// tail, so the restart publishes nothing and its restored neighborhoods
+// answer /neighbors and /recommendations — decoded on that first read,
+// none recomputed (no peers_miss) — with the bytes an engine compiled
+// from scratch over the same statements serves.
+func TestZeroTailRestartServesWarmOverHTTP(t *testing.T) {
+	dir := t.TempDir()
+	base := rCommunity(t, 12)
+	eng, err := engine.New(base.Clone(), rOptions(), rConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := ingest.Open(eng, dir, ckptIngest(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	muts := rMutations(base, 10)
+	for _, m := range muts {
+		if _, err := pipe.Submit(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pipe.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var urls []string
+	for _, id := range eng.Snapshot().Community().Agents() {
+		at := "/v1/agents/" + url.PathEscape(string(id))
+		urls = append(urls, at+"/neighbors?n=0", at+"/recommendations?n=5")
+	}
+	get := func(srv http.Handler) []string {
+		t.Helper()
+		bodies := make([]string, len(urls))
+		for i, u := range urls {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, u, nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("GET %s: %d %s", u, rec.Code, rec.Body)
+			}
+			bodies[i] = rec.Body.String()
+		}
+		return bodies
+	}
+	get(api.New(eng)) // warm every neighborhood the ladder reads
+	if err := pipe.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := checkpoint.Recover(recoverCfg(t, dir, base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := ingest.OpenFrom(res.Engine, dir, rIngest(), res.Seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if res.Rung != 1 || reopened.Replayed() != 0 {
+		t.Fatalf("rung %d, %d records replayed; want rung 1 and no tail", res.Rung, reopened.Replayed())
+	}
+	misses := peersMisses()
+	warm := get(api.New(res.Engine))
+	if n := peersMisses() - misses; n != 0 {
+		t.Fatalf("the restart recomputed %d neighborhoods, want none", n)
+	}
+
+	clean := cleanEngine(t, base, muts, rOptions()).Snapshot().Community()
+	scratch, err := engine.NewRestored(engine.Restore{Epoch: res.Engine.Epoch(), Community: clean}, rOptions(), rConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range get(api.New(scratch)) {
+		if warm[i] != want {
+			t.Fatalf("GET %s after restart:\n%s\nfrom scratch:\n%s", urls[i], warm[i], want)
+		}
+	}
+}
+
+func peersMisses() int64 {
+	v, _ := expvar.Get("swrec_engine").(*expvar.Map).Get("peers_miss").(*expvar.Int)
+	return v.Value()
 }

@@ -291,7 +291,7 @@ func newSnapshotDelta(epoch uint64, comm *model.Community, opt core.Options, cfg
 			continue
 		}
 		ok := true
-		for _, pr := range e.val.ranks {
+		for _, pr := range e.val.ranks() {
 			ord, known := pr.Ord()
 			if !known {
 				ord, known = sym.AgentOrd(pr.Agent)
@@ -376,16 +376,31 @@ func (s *Snapshot) RecommenderFor(ov Overrides) (*core.Recommender, error) {
 // walk, and not when a restore, a carry or a lower rung installs a ranking
 // no walk may ever read. Entries are shared by pointer across a delta
 // swap, sums included.
+//
+// A ranking restored from a checkpoint arrives undecoded: decode fills
+// list from load, the file's bytes, the first time anything reads it, so
+// an entry a publish drops unread is never decoded at all.
 type neighborhood struct {
-	ranks  []core.PeerRank
-	once   sync.Once
-	energy float64 // Σ Trust, in rank order
-	topSim float64 // max Sim over the peers with SimOK; 0 when none
+	list    []core.PeerRank        // read through ranks
+	load    func() []core.PeerRank // a restored entry's decoder until decode runs it
+	decode  func()                 // set on a restored entry; run once by ranks
+	decoded sync.Once
+	once    sync.Once
+	energy  float64 // Σ Trust, in rank order
+	topSim  float64 // max Sim over the peers with SimOK; 0 when none
+}
+
+// ranks returns the ranking, decoding a restored one on first call.
+func (nb *neighborhood) ranks() []core.PeerRank {
+	if nb.decode != nil {
+		nb.decoded.Do(nb.decode)
+	}
+	return nb.list
 }
 
 func (nb *neighborhood) signals() (energy, topSim float64) {
 	nb.once.Do(func() {
-		for _, p := range nb.ranks {
+		for _, p := range nb.ranks() {
 			nb.energy += p.Trust
 			if p.SimOK && p.Sim > nb.topSim {
 				nb.topSim = p.Sim
@@ -473,7 +488,7 @@ func (s *Snapshot) RankedPeersCtx(ctx context.Context, active model.AgentID, ov 
 	if err != nil {
 		return nil, err
 	}
-	return nb.ranks, nil
+	return nb.ranks(), nil
 }
 
 // neighborhoodRef is RankedPeersCtx after the one URI resolution: every
@@ -494,7 +509,7 @@ func (s *Snapshot) neighborhoodRef(ctx context.Context, a *model.Agent, ov Overr
 		if err != nil {
 			return nil, err
 		}
-		nb := &neighborhood{ranks: peers}
+		nb := &neighborhood{list: peers}
 		s.peers.add(key, nb)
 		return nb, nil
 	})
@@ -520,7 +535,7 @@ func (s *Snapshot) CachedPeers(active model.AgentID, ov Overrides) ([]core.PeerR
 	if !ok {
 		return nil, false
 	}
-	return nb.ranks, true
+	return nb.ranks(), true
 }
 
 // Recommend runs the full pipeline for the active agent: cached
@@ -561,7 +576,7 @@ func (s *Snapshot) recommendRef(ctx context.Context, a *model.Agent, n int, ov O
 		if err != nil {
 			return nil, err
 		}
-		recs, err := rec.RecommendFromCtx(fctx, a.ID, nb.ranks, n)
+		recs, err := rec.RecommendFromCtx(fctx, a.ID, nb.ranks(), n)
 		if err != nil {
 			return nil, err
 		}
@@ -877,7 +892,11 @@ func (e *Engine) WarmupCtx(ctx context.Context, workers int) WarmupResult {
 		go func() {
 			defer wg.Done()
 			for id := range jobs {
-				_, _ = snap.RankedPeersCtx(ctx, id, Overrides{})
+				// The reference fills the cache; a restored entry it finds
+				// stays undecoded until a request reads it.
+				if a := snap.comm.Agent(id); a != nil {
+					_, _ = snap.neighborhoodRef(ctx, a, Overrides{})
+				}
 			}
 		}()
 	}

@@ -240,6 +240,68 @@ func TestWarmupPrecomputesAllAgents(t *testing.T) {
 	}
 }
 
+// TestRestoredEntryDecodesOnceOnFirstTouch: restoring a cache, and the
+// warm-up swrecd runs over it, decode none of its entries; many
+// concurrent first readers of one entry decode it exactly once and all
+// read the one ranking (run under -race).
+func TestRestoredEntryDecodesOnceOnFirstTouch(t *testing.T) {
+	comm := testCommunity(t, 35, 50)
+	e, err := New(comm, testOptions(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Warmup(4)
+	snap := e.Snapshot()
+	var decodes atomic.Int64
+	entries := snap.ExportPeers()
+	for i := range entries {
+		ranks := entries[i].Ranks
+		entries[i].Ranks = func() []core.PeerRank { decodes.Add(1); return ranks() }
+	}
+	restored, err := NewRestored(Restore{
+		Epoch:     snap.Epoch(),
+		Community: comm,
+		Matrix:    snap.Recommender().Filter().Matrix(),
+		Peers:     entries,
+	}, testOptions(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored.Warmup(4)
+	if n := decodes.Load(); n != 0 {
+		t.Fatalf("restore and warm-up decoded %d entries, want none", n)
+	}
+	id := comm.Agents()[3]
+	want, err := snap.RankedPeers(id, Overrides{})
+	if err != nil || len(want) == 0 {
+		t.Fatalf("fixture: %d peers, %v", len(want), err)
+	}
+	rs := restored.Snapshot()
+	got := make([][]core.PeerRank, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _ = rs.RankedPeers(id, Overrides{})
+		}()
+	}
+	wg.Wait()
+	if n := decodes.Load(); n != 1 {
+		t.Fatalf("%d concurrent first reads decoded %d times, want once", len(got), n)
+	}
+	for i, g := range got {
+		if len(g) != len(want) || &g[0] != &got[0][0] {
+			t.Fatalf("reader %d got a ranking of %d peers at another address", i, len(g))
+		}
+		for j := range g {
+			if g[j] != want[j] {
+				t.Fatalf("reader %d peer %d: %+v, want %+v", i, j, g[j], want[j])
+			}
+		}
+	}
+}
+
 func TestRecommenderForSharesFilterAcrossCompatibleVariants(t *testing.T) {
 	comm := testCommunity(t, 25, 40)
 	e, err := New(comm, testOptions(), Config{})

@@ -62,9 +62,10 @@ func (e *Engine) ladderSignals(ctx context.Context, snap *Snapshot, a *model.Age
 		}
 		return sig, nil, err
 	}
-	sig.Peers = len(nb.ranks)
+	ranks := nb.ranks()
+	sig.Peers = len(ranks)
 	sig.Energy, sig.TopSim = nb.signals()
-	return sig, nb.ranks, nil
+	return sig, ranks, nil
 }
 
 // widenedPeers returns the trust-hop-widened, re-synthesized peer
@@ -76,7 +77,7 @@ func (s *Snapshot) widenedPeers(ctx context.Context, a *model.Agent, ov Override
 	key := peerKey{agent: a.Ord(), pipe: ov.pipelineKey().withRung(rungWiden)}
 	if nb, ok := s.peers.get(key); ok {
 		stats.Add("peers_hit", 1)
-		return nb.ranks, nil
+		return nb.ranks(), nil
 	}
 	stats.Add("peers_miss", 1)
 	v, err, shared := s.flights.doCtx(ctx, key.flight(), s.flightCtx, func(fctx context.Context) (any, error) {
@@ -94,7 +95,7 @@ func (s *Snapshot) widenedPeers(ctx context.Context, a *model.Agent, ov Override
 		if err != nil {
 			return nil, err
 		}
-		s.peers.add(key, &neighborhood{ranks: peers})
+		s.peers.add(key, &neighborhood{list: peers})
 		return peers, nil
 	})
 	if shared {
@@ -114,7 +115,7 @@ func (s *Snapshot) generalizedPeers(ctx context.Context, a *model.Agent, ov Over
 	key := peerKey{agent: a.Ord(), pipe: ov.pipelineKey().withRung(rungGen)}
 	if nb, ok := s.peers.get(key); ok {
 		stats.Add("peers_hit", 1)
-		return nb.ranks, nil
+		return nb.ranks(), nil
 	}
 	stats.Add("peers_miss", 1)
 	v, err, shared := s.flights.doCtx(ctx, key.flight(), s.flightCtx, func(fctx context.Context) (any, error) {
@@ -127,7 +128,7 @@ func (s *Snapshot) generalizedPeers(ctx context.Context, a *model.Agent, ov Over
 		if err != nil {
 			return nil, err
 		}
-		s.peers.add(key, &neighborhood{ranks: peers})
+		s.peers.add(key, &neighborhood{list: peers})
 		return peers, nil
 	})
 	if shared {

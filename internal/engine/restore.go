@@ -25,7 +25,10 @@ func (s *Snapshot) Options() core.Options { return s.opt }
 type PeersEntry struct {
 	Agent model.AgentID
 	Pipe  string // the stages-1-3 override key; "" for the default pipeline
-	Peers []core.PeerRank
+	// Ranks returns the ranking. A restored entry's is the checkpoint
+	// decoder's materializer over the file bytes: NewRestored calls it at
+	// most once, when something first reads the neighborhood.
+	Ranks func() []core.PeerRank
 }
 
 // Wire spellings of the ladder rungs (see rungWiden/rungGen): kept
@@ -118,8 +121,9 @@ func parsePipeKey(s string) (pipeKey, bool) {
 
 // ExportPeers snapshots the warm neighborhood cache in least-to-most
 // recently used order, so replaying the entries through a fresh cache
-// reproduces the recency ordering. Values are shared, not copied; keys
-// are translated from ordinals back to URIs for the wire.
+// reproduces the recency ordering. Values are shared, not copied (a
+// restored entry not yet read decodes when its Ranks is called); keys are
+// translated from ordinals back to URIs for the wire.
 func (s *Snapshot) ExportPeers() []PeersEntry {
 	sym := s.comm.Symbols()
 	es := s.peers.entries()
@@ -129,7 +133,7 @@ func (s *Snapshot) ExportPeers() []PeersEntry {
 		if !ok {
 			continue // cannot happen: cache keys come from this community
 		}
-		out = append(out, PeersEntry{Agent: id, Pipe: e.key.pipe.String(), Peers: e.val.ranks})
+		out = append(out, PeersEntry{Agent: id, Pipe: e.key.pipe.String(), Ranks: e.val.ranks})
 	}
 	return out
 }
@@ -138,7 +142,7 @@ func (s *Snapshot) ExportPeers() []PeersEntry {
 // checkpointed epoch's community plus its compiled artifacts and warm
 // caches. Matrix may be nil (every row compiles afresh) and so may Index
 // (it rebuilds lazily); Peers seeds the neighborhood cache in the order
-// given.
+// given, each entry decoded on first touch.
 type Restore struct {
 	Epoch     uint64
 	Community *model.Community
@@ -222,7 +226,16 @@ func newSnapshotRestored(epoch uint64, r Restore, opt core.Options, cfg Config) 
 		if !ok {
 			continue
 		}
-		s.peers.add(peerKey{agent: ord, pipe: pipe}, &neighborhood{ranks: e.Peers})
+		s.peers.add(peerKey{agent: ord, pipe: pipe}, restoredNeighborhood(e.Ranks))
 	}
 	return s, nil
+}
+
+// restoredNeighborhood is a neighborhood whose ranking load materializes
+// on first read. Once it has, the entry lets go of load — and with it of
+// the checkpoint bytes load reads.
+func restoredNeighborhood(load func() []core.PeerRank) *neighborhood {
+	nb := &neighborhood{load: load}
+	nb.decode = func() { nb.list, nb.load = nb.load(), nil }
+	return nb
 }

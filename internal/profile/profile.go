@@ -26,12 +26,17 @@
 //
 // Example 1 of the paper (4 books, 5 descriptors, s = 1000, leaf Algebra)
 // is reproduced verbatim by TestExample1 and experiment E1.
+//
+// The per-topic paths and Eq. 3 coefficients depend on the taxonomy
+// alone, so this package keeps none: a Generator reads
+// taxonomy.PathTable, which the taxonomy builds in one pass on first use
+// and memoizes until its next structural change. Every generator over one
+// taxonomy shares the table, and nothing outlives the taxonomy.
 package profile
 
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"swrec/internal/model"
 	"swrec/internal/sparse"
@@ -90,108 +95,11 @@ type Generator struct {
 	// splits evenly ("mentioned" books are implicit unit votes), so the
 	// default is false; explicit-rating communities may prefer true.
 	WeightByRating bool
-	// tables holds the per-topic primary paths and Eq. 3 normalization
-	// divisors, flattened into shared arenas and built once on first use
-	// (the taxonomy is immutable by the time profiles are generated).
-	// Before these tables existed, every propagation re-derived the path —
-	// one slice allocation per descriptor per product, the single largest
-	// allocation source on the cold serving path.
-	tablesOnce sync.Once
-	pathOff    []int32          // per topic: start of its path in pathArena
-	pathArena  []taxonomy.Topic // concatenated primary paths, root first
-	coeffArena []float64        // per path node: Eq. 3 share coefficient, aligned with pathArena
-	divisors   []float64        // per topic: Eq. 3 path divisor
 }
 
 // New creates a generator over the given taxonomy.
 func New(tax *taxonomy.Taxonomy) *Generator {
 	return &Generator{tax: tax, Score: DefaultScore}
-}
-
-// propTables is the flattened path/coefficient table set of one taxonomy
-// at one structural version. Tables are pure functions of the taxonomy
-// structure, so every Generator over the same (unchanged) taxonomy shares
-// one instance — a recommender pipeline built per request no longer pays
-// the O(topics × depth) table derivation.
-type propTables struct {
-	version    uint64
-	pathOff    []int32
-	pathArena  []taxonomy.Topic
-	coeffArena []float64
-	divisors   []float64
-}
-
-var (
-	tablesMu    sync.Mutex
-	tablesCache = map[*taxonomy.Taxonomy]*propTables{}
-)
-
-// tablesCacheBound flushes the shared table cache when it accumulates
-// this many distinct taxonomies — harnesses that build thousands of
-// short-lived taxonomies (datagen sweeps) must not pin them all.
-const tablesCacheBound = 64
-
-// tablesFor returns the shared tables for tax, building them when absent
-// or stale (taxonomy structurally changed since they were derived).
-func tablesFor(tax *taxonomy.Taxonomy) *propTables {
-	tablesMu.Lock()
-	defer tablesMu.Unlock()
-	if t, ok := tablesCache[tax]; ok && t.version == tax.Version() {
-		return t
-	}
-	n := tax.Len()
-	t := &propTables{
-		version:  tax.Version(),
-		pathOff:  make([]int32, n+1),
-		divisors: make([]float64, n),
-	}
-	var scratch []float64
-	for d := 0; d < n; d++ {
-		path := tax.PrimaryPath(taxonomy.Topic(d))
-		t.pathOff[d] = int32(len(t.pathArena))
-		t.pathArena = append(t.pathArena, path...)
-		total, factor := 1.0, 1.0
-		scratch = append(scratch[:0], make([]float64, len(path))...)
-		scratch[len(path)-1] = 1
-		for i := len(path) - 1; i > 0; i-- {
-			factor /= float64(tax.Siblings(path[i]) + 1)
-			scratch[i-1] = factor
-			total += factor
-		}
-		t.divisors[d] = total
-		// The coefficient of path node i is its attenuation factor
-		// over the whole-path divisor: an increment of share units at
-		// descriptor d contributes share·coeff to node i, and the
-		// coefficients of one path sum to 1.
-		for _, f := range scratch {
-			t.coeffArena = append(t.coeffArena, f/total)
-		}
-	}
-	t.pathOff[n] = int32(len(t.pathArena))
-	if len(tablesCache) >= tablesCacheBound {
-		clear(tablesCache)
-	}
-	tablesCache[tax] = t
-	return t
-}
-
-// ensureTables binds the shared flattened path and divisor tables of the
-// generator's taxonomy. The taxonomy must not change afterwards
-// (snapshots freeze it before serving).
-func (g *Generator) ensureTables() {
-	g.tablesOnce.Do(func() {
-		t := tablesFor(g.tax)
-		g.pathOff = t.pathOff
-		g.pathArena = t.pathArena
-		g.coeffArena = t.coeffArena
-		g.divisors = t.divisors
-	})
-}
-
-// pathOf returns topic d's primary path from the shared arena. The slice
-// is shared and must not be modified.
-func (g *Generator) pathOf(d taxonomy.Topic) []taxonomy.Topic {
-	return g.pathArena[g.pathOff[d]:g.pathOff[d+1]]
 }
 
 // Taxonomy returns the taxonomy the generator propagates over.
@@ -202,25 +110,7 @@ func (g *Generator) Taxonomy() *taxonomy.Taxonomy { return g.tax }
 // This is the inner step of profile generation, exported for E1 and for
 // the incremental updates §4's crawlers perform.
 func (g *Generator) PropagateLeaf(out sparse.Vector, d taxonomy.Topic, share float64) {
-	g.ensureTables()
-	path := g.pathOf(d)
-	switch g.Mode {
-	case Flat:
-		out.Add(int32(d), share)
-	case Uniform:
-		per := share / float64(len(path))
-		for _, p := range path {
-			out.Add(int32(p), per)
-		}
-	default: // Eq3
-		// Each path node receives its precomputed share coefficient:
-		// the leaf keeps share/divisor, each super-topic that divided by
-		// (sib(child)+1) — folded into coeffArena at table-build time.
-		coeff := g.coeffArena[g.pathOff[d]:g.pathOff[d+1]]
-		for i, p := range path {
-			out.Add(int32(p), share*coeff[i])
-		}
-	}
+	g.PropagateLeafFunc(d, share, func(p taxonomy.Topic, v float64) { out.Add(int32(p), v) })
 }
 
 // PropagateLeafFunc is PropagateLeaf emitting through add instead of a
@@ -229,8 +119,7 @@ func (g *Generator) PropagateLeaf(out sparse.Vector, d taxonomy.Topic, share flo
 // and their order are identical to PropagateLeaf's, so a dense
 // accumulation of the add stream reproduces the sparse vector exactly.
 func (g *Generator) PropagateLeafFunc(d taxonomy.Topic, share float64, add func(taxonomy.Topic, float64)) {
-	g.ensureTables()
-	path := g.pathOf(d)
+	path, coeff := g.tax.PathTable().At(d)
 	switch g.Mode {
 	case Flat:
 		add(d, share)
@@ -240,7 +129,10 @@ func (g *Generator) PropagateLeafFunc(d taxonomy.Topic, share float64, add func(
 			add(p, per)
 		}
 	default: // Eq3
-		coeff := g.coeffArena[g.pathOff[d]:g.pathOff[d+1]]
+		// Each path node receives share·coeff: the descriptor the share
+		// over the path's divisor, each super-topic its child's amount
+		// over (sib(child)+1) — Eq. 3, folded into the taxonomy's
+		// PathTable.
 		for i, p := range path {
 			add(p, share*coeff[i])
 		}
@@ -399,7 +291,7 @@ func (s *Streamer) Profile(ctx context.Context, a *model.Agent, cat Catalog, add
 // order match Profile exactly.
 func (s *Streamer) ProfileDense(ctx context.Context, a *model.Agent, cat Catalog, vals []float64, bm []uint64) error {
 	g := s.g
-	g.ensureTables()
+	pt := g.tax.PathTable()
 	totalWeight, err := s.collect(ctx, a, cat)
 	if err != nil {
 		return err
@@ -423,44 +315,37 @@ func (s *Streamer) ProfileDense(ctx context.Context, a *model.Agent, cat Catalog
 		switch mode {
 		case Flat:
 			for _, d := range c.topics {
-				if w, m := d>>6, uint64(1)<<(uint(d)&63); bm[w]&m == 0 {
-					bm[w] |= m
-					vals[d] = share
-				} else {
-					vals[d] += share
-				}
+				accumulate(vals, bm, d, share)
 			}
 		case Uniform:
 			for _, d := range c.topics {
-				path := g.pathOf(d)
+				path, _ := pt.At(d)
 				per := share / float64(len(path))
 				for _, p := range path {
-					if w, m := p>>6, uint64(1)<<(uint(p)&63); bm[w]&m == 0 {
-						bm[w] |= m
-						vals[p] = per
-					} else {
-						vals[p] += per
-					}
+					accumulate(vals, bm, p, per)
 				}
 			}
 		default: // Eq3
 			for _, d := range c.topics {
-				off, end := g.pathOff[d], g.pathOff[d+1]
-				path := g.pathArena[off:end]
-				coeff := g.coeffArena[off:end]
+				path, coeff := pt.At(d)
 				for k, p := range path {
-					v := share * coeff[k]
-					if w, m := p>>6, uint64(1)<<(uint(p)&63); bm[w]&m == 0 {
-						bm[w] |= m
-						vals[p] = v
-					} else {
-						vals[p] += v
-					}
+					accumulate(vals, bm, p, share*coeff[k])
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// accumulate adds v to vals[p], the first increment of a topic storing it
+// and marking the topic in the occupancy bitmap.
+func accumulate(vals []float64, bm []uint64, p taxonomy.Topic, v float64) {
+	if w, m := p>>6, uint64(1)<<(uint(p)&63); bm[w]&m == 0 {
+		bm[w] |= m
+		vals[p] = v
+	} else {
+		vals[p] += v
+	}
 }
 
 // AncestorsAt returns, for every topic, the dimension its score folds
@@ -475,13 +360,13 @@ func (s *Streamer) ProfileDense(ctx context.Context, a *model.Agent, cat Catalog
 // everything onto ⊤ would make all profiles identical). The slice is
 // indexed by topic and is the remap profmat.Fold takes.
 func (g *Generator) AncestorsAt(maxDepth int) []int32 {
-	g.ensureTables()
 	if maxDepth < 1 {
 		maxDepth = 1
 	}
-	out := make([]int32, len(g.divisors))
+	pt := g.tax.PathTable()
+	out := make([]int32, g.tax.Len())
 	for d := range out {
-		path := g.pathOf(taxonomy.Topic(d))
+		path, _ := pt.At(taxonomy.Topic(d))
 		if len(path)-1 <= maxDepth {
 			out[d] = int32(d)
 		} else {

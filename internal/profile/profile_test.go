@@ -67,6 +67,39 @@ func TestExample1Golden(t *testing.T) {
 	}
 }
 
+// TestGeneratorFollowsTaxonomyAdd: a generator used before its taxonomy
+// grows propagates over the grown tree afterwards — the new topic has a
+// path, and its siblings' shares reflect the extra sibling — exactly as a
+// generator created after the growth does.
+func TestGeneratorFollowsTaxonomyAdd(t *testing.T) {
+	tax := taxonomy.Fig1()
+	alg, _ := tax.Lookup("Books/Science/Mathematics/Pure/Algebra")
+	pure, _ := tax.Lookup("Books/Science/Mathematics/Pure")
+	g := New(tax)
+	before := sparse.New(8)
+	g.PropagateLeaf(before, alg, 50)
+
+	logic := tax.MustAdd(pure, "Logic")
+	for _, d := range []taxonomy.Topic{alg, logic} {
+		got, want := sparse.New(8), sparse.New(8)
+		g.PropagateLeaf(got, d, 50)
+		New(tax).PropagateLeaf(want, d, 50)
+		if len(got) != 5 || len(got) != len(want) {
+			t.Fatalf("topic %d: %d path nodes, fresh generator %d, want 5", d, len(got), len(want))
+		}
+		for k, v := range want {
+			if got[k] != v {
+				t.Fatalf("topic %d node %d: %v, fresh generator %v", d, k, got[k], v)
+			}
+		}
+	}
+	after := sparse.New(8)
+	g.PropagateLeaf(after, alg, 50)
+	if after[int32(alg)] == before[int32(alg)] {
+		t.Fatal("Algebra kept its share after gaining a sibling")
+	}
+}
+
 // example1Community builds the 4-book community of Example 1 end to end.
 func example1Community(t *testing.T) (*model.Community, *model.Agent) {
 	t.Helper()

@@ -546,16 +546,23 @@ func (s *Scratch) Load(r *Row) {
 		clear(s.stamp)
 		s.gen = 1
 	}
-	if s.row != nil {
-		for _, key := range s.row.Keys {
-			s.vals[key] = 0
-		}
-	}
+	s.Unload()
 	for k, key := range r.Keys {
 		s.vals[key] = r.Vals[k]
 		s.stamp[key] = s.gen
 	}
 	s.row = r
+}
+
+// Unload takes the loaded row back out of the image and forgets it, so a
+// pooled scratch holds no reference into the matrix it last scanned.
+func (s *Scratch) Unload() {
+	if s.row != nil {
+		for _, key := range s.row.Keys {
+			s.vals[key] = 0
+		}
+		s.row = nil
+	}
 }
 
 // CosineTo returns Cosine(loaded, b). The dot runs over every posting of

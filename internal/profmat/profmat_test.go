@@ -272,6 +272,33 @@ func TestBuildDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestBuildWorkersShareFirstTableUse: BuildDelta's workers ask a fresh
+// taxonomy for its Eq. 3 table at once, and the rows they compile equal a
+// single worker's on an identical community (run under -race).
+func TestBuildWorkersShareFirstTableUse(t *testing.T) {
+	fresh, single := benchCommunity(t), benchCommunity(t)
+	tlen := fresh.Taxonomy().Len()
+	got, err := BuildDelta(context.Background(), fresh, profile.New(fresh.Taxonomy()), tlen, 8, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Build(context.Background(), single, profile.New(single.Taxonomy()), tlen, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ord := int32(0); int(ord) < want.Len(); ord++ {
+		a, b := want.Row(ord), got.Row(ord)
+		if a.NNZ() != b.NNZ() || a.Norm != b.Norm || a.Sum != b.Sum {
+			t.Fatalf("row %d differs", ord)
+		}
+		for i := range a.Keys {
+			if a.Keys[i] != b.Keys[i] || a.Vals[i] != b.Vals[i] {
+				t.Fatalf("row %d entry %d differs", ord, i)
+			}
+		}
+	}
+}
+
 // TestTopKMatchesSparse: a row's TopK is sparse.Vector.TopK — value
 // descending, ties by ascending key — for every k, over vectors whose
 // quantized values tie often.

@@ -14,6 +14,12 @@
 // structure (AddEdge) but expose PrimaryPath, which follows each topic's
 // first-added (primary) parent, matching the paper's simplification. All
 // shape statistics used in experiment E8 are exported via Stats.
+//
+// The taxonomy owns the Eq. 3 propagation tables: PathTable holds every
+// topic's primary path with its share coefficients, built in one pass the
+// first time a profile generator asks and memoized on the taxonomy until
+// the next Add or AddEdge. A taxonomy decoded from a checkpoint therefore
+// derives them once, and they die with it.
 package taxonomy
 
 import (
@@ -22,6 +28,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Topic is a dense handle into a Taxonomy. The root (top element ⊤) is
@@ -58,6 +66,9 @@ type Taxonomy struct {
 	nodes   []node
 	byPath  map[string]Topic // qualified name -> topic
 	version uint64           // bumped by every structural mutation
+	// paths memoizes PathTable at one version; pathsMu serializes builds.
+	paths   atomic.Pointer[PathTable]
+	pathsMu sync.Mutex
 }
 
 // New creates a taxonomy containing only the top element, named rootName
@@ -74,9 +85,8 @@ func New(rootName string) *Taxonomy {
 func (t *Taxonomy) Len() int { return len(t.nodes) }
 
 // Version returns a counter that changes with every structural mutation
-// (Add, AddEdge). Derived structures computed from a frozen taxonomy —
-// e.g. the profile generator's flattened propagation tables — key their
-// caches on it to detect staleness.
+// (Add, AddEdge). Structures derived from the taxonomy — PathTable among
+// them — key their memos on it to detect staleness.
 func (t *Taxonomy) Version() uint64 { return t.version }
 
 // Name returns the local (unqualified) name of a topic.

@@ -410,3 +410,15 @@ func TestLCAPropertyRandom(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPathTableBuildAllocations: the table is built in a fixed number of
+// presized allocations, whatever the number of topics.
+func TestPathTableBuildAllocations(t *testing.T) {
+	const ceiling = 5 // counts, offsets, two arenas, the table
+	for _, n := range []int{100, 20000} {
+		tax := buildRandom(int64(n), n)
+		if allocs := testing.AllocsPerRun(3, func() { tax.buildPathTable() }); allocs > ceiling {
+			t.Fatalf("%d topics: %.0f allocations per build, ceiling %d", n, allocs, ceiling)
+		}
+	}
+}
