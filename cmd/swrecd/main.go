@@ -58,7 +58,7 @@
 // neighborhoods — are answered by walking the strategy ladder
 // (internal/strategy); every list response reports the chosen rung and
 // attempt trace in its strategy block; -strategy-disable turns rungs off
-// (the ladder's thresholds are strategy.Config's defaults).
+// (the ladder's thresholds are constants of internal/strategy).
 //
 // The server logs one line per request (method, path, status, duration),
 // applies read/write timeouts, and shuts down gracefully on SIGINT or

@@ -20,6 +20,9 @@ import (
 // thirds of the file, checked by the load but decoded only when read.
 //
 //	go test -run '^$' -bench 'CheckpointLoad|ColdRecompute' -benchmem ./internal/checkpoint/
+//
+// The write side, Capture + Encode of a warmed snapshot, is
+// BenchmarkCheckpointEncode.
 
 func benchCommunity(agents int) *model.Community {
 	cfg := datagen.PaperScale()
@@ -82,4 +85,20 @@ func BenchmarkColdRecompute(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCheckpointEncode measures the in-memory half of a checkpoint
+// write from a warmed snapshot: Capture, which exports the warm
+// neighborhood cache under its mutex, and Encode — no file, no fsync.
+func BenchmarkCheckpointEncode(b *testing.B) {
+	b.Run("agents=2000", func(b *testing.B) {
+		eng := benchEngine(b, 2000)
+		eng.Warmup(0)
+		snap := eng.Snapshot()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			Encode(Capture(snap, 1))
+		}
+	})
 }

@@ -262,11 +262,11 @@ func Encode(img *Image) []byte {
 	ew.uv(uint64(len(img.Peers)))
 	for _, entry := range img.Peers {
 		ranks := entry.Ranks()
-		ew.uv(agentOrd(entry.Agent))
+		ew.uv(uint64(entry.Agent))
 		ew.str(entry.Pipe)
 		ew.uv(uint64(len(ranks)))
 		for _, pr := range ranks {
-			ew.u32(uint32(agentOrd(pr.Agent)))
+			ew.u32(uint32(pr.Ord()))
 			ew.f64(pr.Trust)
 			ew.f64(pr.Sim)
 			if pr.SimOK {
@@ -557,7 +557,6 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 		return nil, err
 	}
 	nw := dw.count(dw.uv(), 3, "peers entry")
-	ids := comm.Agents()
 	img.Peers = make([]engine.PeersEntry, 0, nw)
 	for i := 0; i < nw && dw.err == nil; i++ {
 		agent := dw.ord(nAgents, "agent ordinal")
@@ -573,7 +572,7 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 		if dw.err != nil {
 			break
 		}
-		img.Peers = append(img.Peers, engine.PeersEntry{Agent: ids[agent], Pipe: pipe, Ranks: peerRanks{block, ids}.decode})
+		img.Peers = append(img.Peers, engine.PeersEntry{Agent: agent, Pipe: pipe, Ranks: peerRanks{block, comm.Symbols()}.decode})
 	}
 	if dw.err != nil {
 		return nil, dw.err
@@ -584,25 +583,22 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 
 // peerRanks is one PEERS entry's ranks, still in the file: block holds
 // its fixed-width records, whose agent ordinals decode already checked
-// against ids.
+// against sym's community.
 type peerRanks struct {
 	block []byte
-	ids   []model.AgentID
+	sym   model.Symbols
 }
 
-// decode materializes the ranks. Called on a restored neighborhood's
-// first read, and by Encode.
+// decode materializes the ranks, each with the ordinal its record
+// stores. Called on a restored neighborhood's first read, and by Encode.
 func (p peerRanks) decode() []core.PeerRank {
 	peers := make([]core.PeerRank, len(p.block)/peerRankSize)
 	for j := range peers {
 		b := p.block[j*peerRankSize:]
-		peers[j] = core.PeerRank{
-			Agent:  p.ids[binary.LittleEndian.Uint32(b)],
-			Trust:  math.Float64frombits(binary.LittleEndian.Uint64(b[4:])),
-			Sim:    math.Float64frombits(binary.LittleEndian.Uint64(b[12:])),
-			SimOK:  b[20] == 1,
-			Weight: math.Float64frombits(binary.LittleEndian.Uint64(b[21:])),
-		}
+		peers[j] = core.NewPeerRank(p.sym.AgentAt(int32(binary.LittleEndian.Uint32(b))), math.Float64frombits(binary.LittleEndian.Uint64(b[4:])))
+		peers[j].Sim = math.Float64frombits(binary.LittleEndian.Uint64(b[12:]))
+		peers[j].SimOK = b[20] == 1
+		peers[j].Weight = math.Float64frombits(binary.LittleEndian.Uint64(b[21:]))
 	}
 	return peers
 }

@@ -154,6 +154,38 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoredRanksCarryOrdinals: every rank of a restored neighborhood
+// carries its peer's ordinal — the one the file stores — so nothing
+// downstream resolves a restored peer by its URI.
+func TestRestoredRanksCarryOrdinals(t *testing.T) {
+	img, err := Decode(Encode(testImage(t, 8)), testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := img.Restore(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := eng.Snapshot()
+	comm := snap.Community()
+	checked := 0
+	for _, id := range comm.Agents() {
+		peers, ok := snap.CachedPeers(id, engine.Overrides{})
+		if !ok {
+			t.Fatalf("%s: neighborhood not restored", id)
+		}
+		for _, pr := range peers {
+			if pr.Ord() != comm.Agent(pr.Agent).Ord() {
+				t.Fatalf("%s: restored peer %s carries ordinal %d, want %d", id, pr.Agent, pr.Ord(), comm.Agent(pr.Agent).Ord())
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("fixture: no restored ranks")
+	}
+}
+
 // TestRoundTripAfterChurn re-checks the round trip on a mutated, multi-
 // epoch community: retracted statements, new agents, re-rated products.
 func TestRoundTripAfterChurn(t *testing.T) {
@@ -574,13 +606,13 @@ func TestPeersOrdinalOutOfRangeIsCorruptAtLoad(t *testing.T) {
 // read decodes the entry it reads, once.
 func TestRestoreDecodesPeersOnFirstTouch(t *testing.T) {
 	data := Encode(testImage(t, 6))
-	restore := func() (*engine.Engine, map[model.AgentID]int) {
+	restore := func() (*engine.Engine, map[int32]int) {
 		t.Helper()
 		img, err := Decode(data, testOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		decodes := map[model.AgentID]int{}
+		decodes := map[int32]int{}
 		for i := range img.Peers {
 			e := img.Peers[i]
 			img.Peers[i].Ranks = func() []core.PeerRank { decodes[e.Agent]++; return e.Ranks() }
@@ -608,7 +640,7 @@ func TestRestoreDecodesPeersOnFirstTouch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(decodes) != 1 || decodes[id] != 1 {
+	if len(decodes) != 1 || decodes[snap.Community().Agent(id).Ord()] != 1 {
 		t.Fatalf("three reads of %s decoded %v, want its entry once", id, decodes)
 	}
 }

@@ -14,7 +14,8 @@
 // run when the neighborhood is first read, so entries a publish evicts
 // unread are never decoded. The price is that an entry not yet read pins
 // the whole file buffer (pointer-free, so the GC does not scan it) until
-// its snapshot is dropped.
+// its snapshot is dropped. Entry agents and rank peers are ordinals on the
+// wire and in the engine alike: writing or restoring one resolves no URI.
 //
 // File format (all integers little-endian; varints where noted):
 //
@@ -70,7 +71,7 @@ const (
 //	 6 RATINGS     per agent: (product ordinal, value) in RatedProducts order
 //	 7 PROFMAT     the profile matrix: row lengths, key arena, value arena, norm/sum
 //	 8 TOPICINDEX  per populated topic: product ordinals
-//	 9 PEERS       per cached neighborhood: agent ordinal, pipe key, fixed-width ranks
+//	 9 PEERS       per cached neighborhood: agent ordinal, pipe key, fixed-width ranks (peer ordinal first)
 //	10 retired     PROFILES, the warm Eq. 3 profile cache
 //
 // Id 10 is retired, not reusable: no reader asks for it any more (profiles

@@ -448,7 +448,9 @@ func TestRecoveryLadderFaults(t *testing.T) {
 // tail, so the restart publishes nothing and its restored neighborhoods
 // answer /neighbors and /recommendations — decoded on that first read,
 // none recomputed (no peers_miss) — with the bytes an engine compiled
-// from scratch over the same statements serves.
+// from scratch over the same statements serves; so do the lower rungs
+// pinned, which widen or re-rank a restored ranking by the ordinals it
+// carries.
 func TestZeroTailRestartServesWarmOverHTTP(t *testing.T) {
 	dir := t.TempDir()
 	base := rCommunity(t, 12)
@@ -472,7 +474,9 @@ func TestZeroTailRestartServesWarmOverHTTP(t *testing.T) {
 	var urls []string
 	for _, id := range eng.Snapshot().Community().Agents() {
 		at := "/v1/agents/" + url.PathEscape(string(id))
-		urls = append(urls, at+"/neighbors?n=0", at+"/recommendations?n=5")
+		for _, pin := range []string{"", "&strategy=trust-hop-widening", "&strategy=taxonomy-ancestor"} {
+			urls = append(urls, at+"/neighbors?n=0"+pin, at+"/recommendations?n=5"+pin)
+		}
 	}
 	get := func(srv http.Handler) []string {
 		t.Helper()
@@ -487,7 +491,17 @@ func TestZeroTailRestartServesWarmOverHTTP(t *testing.T) {
 		}
 		return bodies
 	}
-	get(api.New(eng)) // warm every neighborhood the ladder reads
+	// Warm every neighborhood the ladder reads; each pinned rung must
+	// answer some agents, or the comparison below would not cover it.
+	answered := map[string]int{}
+	for i, body := range get(api.New(eng)) {
+		if _, pin, ok := strings.Cut(urls[i], "strategy="); ok && strings.Contains(body, `"outcome": "ok"`) {
+			answered[pin]++
+		}
+	}
+	if answered["trust-hop-widening"] == 0 || answered["taxonomy-ancestor"] == 0 {
+		t.Fatalf("fixture: pinned rungs answered %v", answered)
+	}
 	if err := pipe.Close(); err != nil {
 		t.Fatal(err)
 	}

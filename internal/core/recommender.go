@@ -217,25 +217,30 @@ func (o Options) validate() error {
 var ErrUnknownAgent = errors.New("core: unknown active agent")
 
 // PeerRank is one peer after rank synthesization: its trust rank,
-// similarity, and merged overall rank weight.
+// similarity, and merged overall rank weight. Build one with NewPeerRank:
+// the similarity scan and the vote address the peer by the ordinal it
+// carries and never resolve its URI. The zero value names no agent of the
+// community — it scans as an empty profile and votes for nothing.
 type PeerRank struct {
 	Agent model.AgentID
 	Trust float64 // normalized trust rank in [0,1]
 	Sim   float64 // raw similarity in [-1,1]; 0 if undefined
 	SimOK bool    // whether similarity was defined
-	// ord is the peer's community ordinal + 1, carried over from the trust
-	// rank so the vote addresses the peer's ratings without hashing its
-	// URI; 0 (the zero value) means resolve by Agent. It shares SimOK's
-	// word, and ordinals are stable across a community's epochs, so cached
-	// and carried rankings stay valid.
+	// ord is the peer's community ordinal + 1 (0 = not in this community).
+	// It shares SimOK's word, and ordinals are stable across a community's
+	// epochs, so cached, carried and restored rankings stay valid.
 	ord    int32
 	Weight float64 // merged rank weight in [0,1]
 }
 
-// Ord returns the peer's community ordinal; ok is false for a ranking
-// that names its peers by ID only (restored from a checkpoint, or of an
-// agent the community does not know).
-func (p PeerRank) Ord() (ord int32, ok bool) { return p.ord - 1, p.ord > 0 }
+// NewPeerRank returns the rank of agent a with the given normalized
+// trust; similarity and weight are the caller's to set.
+func NewPeerRank(a *model.Agent, trust float64) PeerRank {
+	return PeerRank{Agent: a.ID, Trust: trust, ord: a.Ord() + 1}
+}
+
+// Ord returns the peer's community ordinal, -1 for the zero value.
+func (p PeerRank) Ord() int32 { return p.ord - 1 }
 
 // Recommendation is one recommended product with its vote score and the
 // number of neighborhood peers that supported it.
@@ -350,25 +355,27 @@ func (r *Recommender) neighborhood(ctx context.Context, active model.AgentID, bu
 }
 
 // rankTrust runs the configured trust metric (or candidate pre-filter)
-// and returns its ranking, sorted by descending trust.
+// and returns its ranking, sorted by descending trust, built in buf's
+// array when the metric can.
 func (r *Recommender) rankTrust(ctx context.Context, active model.AgentID, buf []trust.Rank) (*trust.Neighborhood, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if r.opt.Candidates != nil {
-		nb := &trust.Neighborhood{Source: active}
+		// The hook names its candidates by URI; each is resolved here, once.
+		nb := &trust.Neighborhood{Source: active, Ranks: buf[:0]}
 		for _, id := range r.opt.Candidates(active) {
-			if id != active && r.comm.HasAgent(id) {
-				nb.Ranks = append(nb.Ranks, trust.Rank{Agent: id, Trust: 1})
+			if a := r.comm.Agent(id); a != nil && id != active {
+				nb.Ranks = append(nb.Ranks, trust.NewRank(a, 1))
 			}
 		}
 		return nb, nil
 	}
 	if r.opt.Metric == NoTrust {
-		nb := &trust.Neighborhood{Source: active}
-		for _, id := range r.comm.Agents() {
-			if id != active {
-				nb.Ranks = append(nb.Ranks, trust.Rank{Agent: id, Trust: 1})
+		nb := &trust.Neighborhood{Source: active, Ranks: buf[:0]}
+		for ord := range int32(r.adj.NumAgents()) {
+			if a := r.adj.Agent(ord); a.ID != active {
+				nb.Ranks = append(nb.Ranks, trust.NewRank(a, 1))
 			}
 		}
 		return nb, nil
@@ -444,14 +451,9 @@ func (r *Recommender) SynthesizeCtx(ctx context.Context, active model.AgentID, n
 	defer synthPool.Put(sc)
 	peers := sc.peers[:len(nb.Ranks)]
 	for i, rk := range nb.Ranks {
-		p := PeerRank{Agent: rk.Agent}
+		p := PeerRank{Agent: rk.Agent, ord: rk.Ord() + 1}
 		if maxTrust > 0 {
 			p.Trust = rk.Trust / maxTrust
-		}
-		if ord, ok := rk.Ord(); ok {
-			p.ord = ord + 1
-		} else if a := r.comm.Agent(rk.Agent); a != nil {
-			p.ord = a.Ord() + 1
 		}
 		peers[i] = p
 	}
@@ -526,12 +528,11 @@ func getSynthScratch(n int) *synthScratch {
 
 // similarities runs a stage-2 scan against peers — scan receives the
 // peers' ordinals and fills one result each — and writes every result
-// into its peer. A peer without an ordinal (an agent the community does
-// not know) scans as an empty profile.
+// into its peer. A zero-value peer scans as an empty profile.
 func (sc *synthScratch) similarities(peers []PeerRank, scan func(ords []int32, sims []cf.SimResult) error) error {
 	ords, sims := sc.ords[:len(peers)], sc.sims[:len(peers)]
 	for i := range peers {
-		ords[i] = peers[i].ord - 1
+		ords[i] = peers[i].Ord()
 	}
 	if err := scan(ords, sims); err != nil {
 		return err
@@ -546,21 +547,11 @@ func (sc *synthScratch) similarities(peers []PeerRank, scan func(ords []int32, s
 // peer's Sim/SimOK is overwritten with its similarity to active over
 // profiles folded to the given taxonomy depth (cf.Filter's coarse
 // matrix), the same scan stage 2 runs over the full-resolution rows.
-// Peers named by ID only (a ranking restored from a checkpoint) are
-// resolved to their ordinals first.
 func (r *Recommender) AncestorSimilarities(ctx context.Context, active model.AgentID, peers []PeerRank, depth int) error {
-	ordOf := func(id model.AgentID) int32 {
-		if a := r.comm.Agent(id); a != nil {
-			return a.Ord()
-		}
-		return -1
+	act := int32(-1)
+	if a := r.comm.Agent(active); a != nil {
+		act = a.Ord()
 	}
-	for i := range peers {
-		if peers[i].ord == 0 {
-			peers[i].ord = ordOf(peers[i].Agent) + 1
-		}
-	}
-	act := ordOf(active)
 	sc := getSynthScratch(len(peers))
 	defer synthPool.Put(sc)
 	return sc.similarities(peers, func(ords []int32, sims []cf.SimResult) error {

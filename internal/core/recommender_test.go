@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"swrec/internal/cf"
+	"swrec/internal/datagen"
 	"swrec/internal/model"
 	"swrec/internal/taxonomy"
 	"swrec/internal/trust"
@@ -578,5 +581,60 @@ func TestPathTrustPipeline(t *testing.T) {
 	}
 	if len(recs) == 0 {
 		t.Fatal("PathTrust pipeline produced nothing")
+	}
+}
+
+// TestNoTrustAndCandidatesCarryOrdinals: the two neighborhoods no trust
+// metric walks — every other agent (NoTrust) and a Candidates hook's list
+// — carry each peer's ordinal as a walk's ranks do, and answer what their
+// oracles answer: the neighborhood spelled out by hand, synthesized, and
+// the naive vote over the result.
+func TestNoTrustAndCandidatesCarryOrdinals(t *testing.T) {
+	cfg := datagen.SmallScale()
+	cfg.Agents = 120
+	comm, _ := datagen.Generate(cfg)
+	ids := comm.Agents()
+	pick := []model.AgentID{ids[7], "ghost", ids[3], ids[0], ids[90]}
+	noTrust, cands := defaultOpts(), defaultOpts()
+	noTrust.Metric = NoTrust
+	cands.Candidates = func(model.AgentID) []model.AgentID { return pick }
+	for _, tc := range []struct {
+		name   string
+		opt    Options
+		listed []model.AgentID
+	}{{"none", noTrust, ids}, {"candidates", cands, pick}} {
+		r, err := New(comm, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, active := range []model.AgentID{ids[0], ids[55]} {
+			want := &trust.Neighborhood{Source: active}
+			for _, id := range tc.listed {
+				if a := comm.Agent(id); a != nil && id != active {
+					want.Ranks = append(want.Ranks, trust.NewRank(a, 1))
+				}
+			}
+			nb, err := r.Neighborhood(active)
+			if err != nil || !slices.Equal(nb.Ranks, want.Ranks) {
+				t.Fatalf("%s from %s: neighborhood %+v, %v; want %+v", tc.name, active, nb.Ranks, err, want.Ranks)
+			}
+			peers, err := r.RankedPeers(active)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantPeers, err := r.SynthesizeCtx(context.Background(), active, want)
+			if err != nil || !slices.Equal(peers, wantPeers) {
+				t.Fatalf("%s from %s: ranked %+v, oracle %+v (%v)", tc.name, active, peers, wantPeers, err)
+			}
+			for _, p := range peers {
+				if p.Ord() != comm.Agent(p.Agent).Ord() {
+					t.Fatalf("%s from %s: peer %s carries ordinal %d", tc.name, active, p.Agent, p.Ord())
+				}
+			}
+			recs, err := r.RecommendFrom(active, peers, 0)
+			if want := naiveVote(r, active, peers, 0); err != nil || len(recs) == 0 || !slices.Equal(recs, want) {
+				t.Fatalf("%s from %s: vote %+v, oracle %+v (%v)", tc.name, active, recs, want, err)
+			}
+		}
 	}
 }

@@ -66,18 +66,10 @@ func (r *Recommender) vote(ctx context.Context, vs *voteScratch, ratings *model.
 			}
 		}
 		p := &peers[i]
-		if p.Weight <= 0 {
-			continue
+		if p.Weight <= 0 || p.ord == 0 {
+			continue // no weight, or no agent of this community
 		}
-		ord := p.ord - 1
-		if ord < 0 { // ranked without an ordinal: resolve by URI
-			a := r.comm.Agent(p.Agent)
-			if a == nil {
-				continue
-			}
-			ord = a.Ord()
-		}
-		prods, vals := ratings.Row(ord)
+		prods, vals := ratings.Row(p.ord - 1)
 		for k, o := range prods {
 			ai := votes[o]
 			if ai < 0 {

@@ -10,6 +10,7 @@ import (
 
 	"swrec/internal/model"
 	"swrec/internal/taxonomy"
+	"swrec/internal/trust"
 )
 
 // tieCommunity builds a community whose vote is mostly score ties: forty
@@ -48,7 +49,9 @@ func tieCommunity(t *testing.T) (*model.Community, []PeerRank) {
 		}
 		rate(name, (v*5+3)%40, -1) // a dislike never votes
 		// Equal weights in pairs, one voter without weight.
-		peers = append(peers, PeerRank{Agent: model.AgentID(name), Weight: float64(v/2) * 0.25})
+		p := NewPeerRank(c.Agent(model.AgentID(name)), 1)
+		p.Weight = float64(v/2) * 0.25
+		peers = append(peers, p)
 	}
 	return c, peers
 }
@@ -166,6 +169,43 @@ func TestVoteLeavesPooledStateClean(t *testing.T) {
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("round %d: vote after a cancelled one:\n got %+v\nwant %+v", i, got, want)
+		}
+	}
+}
+
+// TestZeroValueRankIsNotResolved: a rank that carries no ordinal names no
+// agent of the community, whatever its Agent URI says. Nothing looks the
+// URI up: the rank votes for nothing and scans as an empty profile.
+func TestZeroValueRankIsNotResolved(t *testing.T) {
+	c, peers := tieCommunity(t)
+	r, err := New(c, defaultOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := make([]PeerRank, len(peers))
+	for i, p := range peers {
+		zero[i] = PeerRank{Agent: p.Agent, Trust: p.Trust, Weight: p.Weight}
+		if zero[i].Ord() != -1 {
+			t.Fatalf("zero-value rank has ordinal %d", zero[i].Ord())
+		}
+	}
+	if got, err := r.RecommendFrom("active", zero, 0); err != nil || len(got) != 0 {
+		t.Fatalf("zero-value ranks voted: %+v, %v", got, err)
+	}
+	got, err := r.RecommendFrom("active", append(append([]PeerRank(nil), peers...), zero...), 0)
+	if want := naiveVote(r, "active", peers, 0); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("zero-value ranks changed the vote:\n got %+v\nwant %+v (%v)", got, want, err)
+	}
+
+	voter := c.Agent("voter3")
+	nb := &trust.Neighborhood{Source: "active", Ranks: []trust.Rank{trust.NewRank(voter, 1), {Agent: voter.ID, Trust: 1}}}
+	synth, err := r.SynthesizeCtx(context.Background(), "active", nb)
+	if err != nil || len(synth) != 2 {
+		t.Fatalf("synthesized %+v, %v", synth, err)
+	}
+	for _, p := range synth {
+		if ranked := p.Ord() == voter.Ord(); p.SimOK != ranked || (!ranked && (p.Ord() != -1 || p.Sim != 0)) {
+			t.Fatalf("peer %+v (ordinal %d): a ranked peer needs a similarity, a zero-value one an empty profile", p, p.Ord())
 		}
 	}
 }

@@ -44,6 +44,7 @@ import (
 	"expvar"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -71,9 +72,6 @@ var ErrNoTaxonomy = fmt.Errorf("engine: community has no taxonomy")
 type Config struct {
 	// PeerCacheSize bounds cached synthesized neighborhoods (default 16384).
 	PeerCacheSize int
-	// SubtreeCacheSize bounds cached topic-branch product listings
-	// (default 4096).
-	SubtreeCacheSize int
 	// ResultCacheSize bounds cached complete recommendation lists, keyed
 	// by (agent, n, overrides) — the snapshot is immutable, so the
 	// stage-4 vote is a pure function of that key (default 8192).
@@ -84,26 +82,25 @@ type Config struct {
 	// warm the cache, but never longer than this.
 	// 0 means unbounded (the pre-deadline behavior).
 	ComputeBudget time.Duration
-	// DegradeBudget bounds the stage-4 vote a degraded-answer probe is
-	// allowed to run over an already cached neighborhood (default 25ms).
-	DegradeBudget time.Duration
 	// Strategy shapes the quality ladder walked for hard queries (see
-	// internal/strategy). The zero value takes the ladder defaults.
+	// internal/strategy). The zero value enables every rung.
 	Strategy strategy.Config
 }
+
+const (
+	// subtreeCacheSize bounds cached topic-branch product listings.
+	subtreeCacheSize = 4096
+	// degradeBudget bounds the stage-4 vote a degraded-answer probe may
+	// run over an already cached neighborhood.
+	degradeBudget = 25 * time.Millisecond
+)
 
 func (c Config) withDefaults() Config {
 	if c.PeerCacheSize <= 0 {
 		c.PeerCacheSize = 16384
 	}
-	if c.SubtreeCacheSize <= 0 {
-		c.SubtreeCacheSize = 4096
-	}
 	if c.ResultCacheSize <= 0 {
 		c.ResultCacheSize = 8192
-	}
-	if c.DegradeBudget <= 0 {
-		c.DegradeBudget = 25 * time.Millisecond
 	}
 	return c
 }
@@ -220,6 +217,26 @@ func newSnapshot(epoch uint64, comm *model.Community, opt core.Options, cfg Conf
 	return newSnapshotDelta(epoch, comm, opt, cfg, nil, nil)
 }
 
+// emptySnapshot builds the snapshot every constructor starts from: the
+// recommender over comm and empty caches; nothing is compiled yet.
+func emptySnapshot(epoch uint64, comm *model.Community, opt core.Options, cfg Config) (*Snapshot, error) {
+	rec, err := core.New(comm, opt)
+	if err != nil {
+		return nil, err
+	}
+	return &Snapshot{
+		epoch:    epoch,
+		comm:     comm,
+		opt:      opt,
+		rec:      rec,
+		budget:   cfg.ComputeBudget,
+		peers:    newLRU[peerKey, *neighborhood](cfg.PeerCacheSize),
+		subtrees: newLRU[taxonomy.Topic, []model.ProductID](subtreeCacheSize),
+		results:  newLRU[recKey, []core.Recommendation](cfg.ResultCacheSize),
+		bodies:   newLRU[bodyKey, storedBody](bodyBudget),
+	}, nil
+}
+
 // newSnapshotDelta builds a snapshot over comm and, when prev and d are
 // both non-nil, carries over every artifact of the previous epoch whose
 // dependency fingerprint (see Delta) the applied mutations left
@@ -227,21 +244,11 @@ func newSnapshot(epoch uint64, comm *model.Community, opt core.Options, cfg Conf
 // recommendation lists, the topic index with its subtree listings, and
 // the trust-out agent ordering.
 func newSnapshotDelta(epoch uint64, comm *model.Community, opt core.Options, cfg Config, prev *Snapshot, d *Delta) (*Snapshot, error) {
-	rec, err := core.New(comm, opt)
+	s, err := emptySnapshot(epoch, comm, opt, cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &Snapshot{
-		epoch:    epoch,
-		comm:     comm,
-		opt:      opt,
-		rec:      rec,
-		budget:   cfg.ComputeBudget,
-		peers:    newLRU[peerKey, *neighborhood](cfg.PeerCacheSize),
-		subtrees: newLRU[taxonomy.Topic, []model.ProductID](cfg.SubtreeCacheSize),
-		results:  newLRU[recKey, []core.Recommendation](cfg.ResultCacheSize),
-		bodies:   newLRU[bodyKey, storedBody](bodyBudget),
-	}
+	rec := s.rec
 
 	delta := prev != nil && d != nil
 	// Compile the similarity substrate eagerly — the first request should
@@ -279,29 +286,15 @@ func newSnapshotDelta(epoch uint64, comm *model.Community, opt core.Options, cfg
 	var nResults int64
 	// Neighborhoods: the active agent must be clean of trust influence
 	// and rating changes, and every ranked peer's profile (its ratings)
-	// must be untouched — those are the similarity weights. A ranking
-	// carries its peers' ordinals (stable across the lineage); one
-	// restored from a checkpoint names them by ID only and resolves
-	// against the new community — a swap-time cost, not a request-path
-	// one.
-	sym := comm.Symbols()
+	// must be untouched — those are the similarity weights. Every ranking,
+	// restored ones included, carries its peers' ordinals, which are
+	// stable across the lineage.
 	carried := make(map[peerKey]bool)
 	for _, e := range prev.peers.entries() {
 		if dirtyTrust(e.key.agent) || d.RatingsChanged[e.key.agent] {
 			continue
 		}
-		ok := true
-		for _, pr := range e.val.ranks() {
-			ord, known := pr.Ord()
-			if !known {
-				ord, known = sym.AgentOrd(pr.Agent)
-			}
-			if !known || d.RatingsChanged[ord] {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if slices.ContainsFunc(e.val.ranks(), func(pr core.PeerRank) bool { return d.RatingsChanged[pr.Ord()] }) {
 			continue
 		}
 		s.peers.add(e.key, e.val)
@@ -811,7 +804,7 @@ func (e *Engine) degradedPeers(active model.AgentID, ov Overrides) (peers []core
 //  1. the current snapshot's result cache (a concurrent flight may have
 //     just completed);
 //  2. a fresh stage-4 vote over the current snapshot's *cached*
-//     neighborhood, bounded by DegradeBudget;
+//     neighborhood, bounded by degradeBudget;
 //  3. the previous epoch's result cache;
 //  4. a bounded vote over the previous epoch's cached neighborhood.
 //
@@ -835,7 +828,7 @@ func (e *Engine) degradedRecommend(active model.AgentID, n int, ov Overrides) (r
 		if err != nil {
 			return nil, "", false
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), e.cfg.DegradeBudget) //nolint:ctxflow -- degraded-path probe: the caller's deadline has already expired, so the probe runs on its own small budget
+		ctx, cancel := context.WithTimeout(context.Background(), degradeBudget) //nolint:ctxflow -- degraded-path probe: the caller's deadline has already expired, so the probe runs on its own small budget
 		defer cancel()
 		recs, err := rec.RecommendFromCtx(ctx, active, peers, n)
 		if err != nil {

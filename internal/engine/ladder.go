@@ -71,9 +71,10 @@ func (e *Engine) ladderSignals(ctx context.Context, snap *Snapshot, a *model.Age
 // widenedPeers returns the trust-hop-widened, re-synthesized peer
 // ranking for active (strategy ladder rung 2), cached in the snapshot's
 // neighborhood LRU under the widened pipe key. base is the rung-1
-// ranking the widening starts from; an empty base widens from the
-// agent's direct positive trust statements.
-func (s *Snapshot) widenedPeers(ctx context.Context, a *model.Agent, ov Overrides, base []core.PeerRank, decay float64) ([]core.PeerRank, error) {
+// ranking the widening starts from, its peers named by the ordinals they
+// carry; an empty base widens from the agent's direct positive trust
+// statements.
+func (s *Snapshot) widenedPeers(ctx context.Context, a *model.Agent, ov Overrides, base []core.PeerRank) ([]core.PeerRank, error) {
 	key := peerKey{agent: a.Ord(), pipe: ov.pipelineKey().withRung(rungWiden)}
 	if nb, ok := s.peers.get(key); ok {
 		stats.Add("peers_hit", 1)
@@ -85,12 +86,14 @@ func (s *Snapshot) widenedPeers(ctx context.Context, a *model.Agent, ov Override
 		if err != nil {
 			return nil, err
 		}
-		nb := &trust.Neighborhood{Source: a.ID}
-		nb.Ranks = make([]trust.Rank, len(base))
+		sym := s.comm.Symbols()
+		nb := &trust.Neighborhood{Source: a.ID, Ranks: make([]trust.Rank, len(base))}
 		for i, p := range base {
-			nb.Ranks[i] = trust.Rank{Agent: p.Agent, Trust: p.Trust}
+			if peer := sym.AgentAt(p.Ord()); peer != nil { // a zero-value rank stays one
+				nb.Ranks[i] = trust.NewRank(peer, p.Trust)
+			}
 		}
-		wide := trust.WidenOneHop(rec.Adjacency(), nb, decay)
+		wide := trust.WidenOneHop(rec.Adjacency(), nb, strategy.HopDecay)
 		peers, err := rec.SynthesizeCtx(fctx, a.ID, wide)
 		if err != nil {
 			return nil, err
@@ -111,7 +114,7 @@ func (s *Snapshot) widenedPeers(ctx context.Context, a *model.Agent, ov Override
 // (strategy ladder rung 3), cached under the generalized pipe key.
 // Returns strategy.ErrNotApplicable for pipelines without a taxonomy
 // profile space.
-func (s *Snapshot) generalizedPeers(ctx context.Context, a *model.Agent, ov Overrides, base []core.PeerRank, depth int) ([]core.PeerRank, error) {
+func (s *Snapshot) generalizedPeers(ctx context.Context, a *model.Agent, ov Overrides, base []core.PeerRank) ([]core.PeerRank, error) {
 	key := peerKey{agent: a.Ord(), pipe: ov.pipelineKey().withRung(rungGen)}
 	if nb, ok := s.peers.get(key); ok {
 		stats.Add("peers_hit", 1)
@@ -124,7 +127,7 @@ func (s *Snapshot) generalizedPeers(ctx context.Context, a *model.Agent, ov Over
 			return nil, err
 		}
 		alpha := ov.apply(s.opt).BlendAlpha()
-		peers, err := strategy.GeneralizedPeers(fctx, rec, a.ID, base, alpha, depth)
+		peers, err := strategy.GeneralizedPeers(fctx, rec, a.ID, base, alpha, strategy.AncestorDepth)
 		if err != nil {
 			return nil, err
 		}
@@ -206,7 +209,6 @@ func (e *Engine) RecommendLadder(ctx context.Context, snap *Snapshot, active mod
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := e.ladder.Config()
 	var out []core.Recommendation
 	var degSource string
 	var degEpoch uint64
@@ -221,7 +223,7 @@ func (e *Engine) RecommendLadder(ctx context.Context, snap *Snapshot, active mod
 			return len(recs) > 0, nil
 		case strategy.TrustHopWidening:
 			recs, err := snap.ladderVote(rctx, a, n, ov, rungWiden, func(fctx context.Context) ([]core.PeerRank, error) {
-				return snap.widenedPeers(fctx, a, ov, base, cfg.HopDecay)
+				return snap.widenedPeers(fctx, a, ov, base)
 			})
 			if err != nil {
 				return false, err
@@ -230,7 +232,7 @@ func (e *Engine) RecommendLadder(ctx context.Context, snap *Snapshot, active mod
 			return len(recs) > 0, nil
 		case strategy.TaxonomyAncestor:
 			recs, err := snap.ladderVote(rctx, a, n, ov, rungGen, func(fctx context.Context) ([]core.PeerRank, error) {
-				return snap.generalizedPeers(fctx, a, ov, base, cfg.AncestorDepth)
+				return snap.generalizedPeers(fctx, a, ov, base)
 			})
 			if err != nil {
 				return false, err
@@ -309,7 +311,6 @@ func (e *Engine) RankedPeersLadder(ctx context.Context, snap *Snapshot, active m
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := e.ladder.Config()
 	var out []core.PeerRank
 	var degSource string
 	var degEpoch uint64
@@ -322,14 +323,14 @@ func (e *Engine) RankedPeersLadder(ctx context.Context, snap *Snapshot, active m
 			out = base
 			return len(base) > 0, nil
 		case strategy.TrustHopWidening:
-			peers, err := snap.widenedPeers(rctx, a, ov, base, cfg.HopDecay)
+			peers, err := snap.widenedPeers(rctx, a, ov, base)
 			if err != nil {
 				return false, err
 			}
 			out = peers
 			return len(peers) > 0, nil
 		case strategy.TaxonomyAncestor:
-			peers, err := snap.generalizedPeers(rctx, a, ov, base, cfg.AncestorDepth)
+			peers, err := snap.generalizedPeers(rctx, a, ov, base)
 			if err != nil {
 				return false, err
 			}

@@ -12,18 +12,18 @@ import (
 	"swrec/internal/model"
 	"swrec/internal/profmat"
 	"swrec/internal/strategy"
-	"swrec/internal/taxonomy"
 )
 
 // Options returns the pipeline options this snapshot serves with.
 func (s *Snapshot) Options() core.Options { return s.opt }
 
-// PeersEntry is one exported neighborhood-cache entry, in the checkpoint
-// wire shape: the agent URI and the pipe key spelled as a string. The
-// in-memory caches key on ordinals and fixed-size structs; the
-// conversion happens only here, at export/restore time.
+// PeersEntry is one exported neighborhood-cache entry: the active agent's
+// ordinal and the pipe key spelled as a string (the checkpoint's wire
+// spelling; the cache keys on a fixed-size struct). Every rank carries
+// its peer's ordinal, so neither side of the checkpoint boundary resolves
+// a URI.
 type PeersEntry struct {
-	Agent model.AgentID
+	Agent int32
 	Pipe  string // the stages-1-3 override key; "" for the default pipeline
 	// Ranks returns the ranking. A restored entry's is the checkpoint
 	// decoder's materializer over the file bytes: NewRestored calls it at
@@ -122,18 +122,12 @@ func parsePipeKey(s string) (pipeKey, bool) {
 // ExportPeers snapshots the warm neighborhood cache in least-to-most
 // recently used order, so replaying the entries through a fresh cache
 // reproduces the recency ordering. Values are shared, not copied (a
-// restored entry not yet read decodes when its Ranks is called); keys are
-// translated from ordinals back to URIs for the wire.
+// restored entry not yet read decodes when its Ranks is called).
 func (s *Snapshot) ExportPeers() []PeersEntry {
-	sym := s.comm.Symbols()
 	es := s.peers.entries()
-	out := make([]PeersEntry, 0, len(es))
-	for _, e := range es {
-		id, ok := sym.AgentID(e.key.agent)
-		if !ok {
-			continue // cannot happen: cache keys come from this community
-		}
-		out = append(out, PeersEntry{Agent: id, Pipe: e.key.pipe.String(), Ranks: e.val.ranks})
+	out := make([]PeersEntry, len(es))
+	for i, e := range es {
+		out[i] = PeersEntry{Agent: e.key.agent, Pipe: e.key.pipe.String(), Ranks: e.val.ranks}
 	}
 	return out
 }
@@ -142,7 +136,8 @@ func (s *Snapshot) ExportPeers() []PeersEntry {
 // checkpointed epoch's community plus its compiled artifacts and warm
 // caches. Matrix may be nil (every row compiles afresh) and so may Index
 // (it rebuilds lazily); Peers seeds the neighborhood cache in the order
-// given, each entry decoded on first touch.
+// given, each entry decoded on first touch; its ranks must carry ordinals
+// of Community.
 type Restore struct {
 	Epoch     uint64
 	Community *model.Community
@@ -185,48 +180,31 @@ func NewRestored(r Restore, opt core.Options, cfg Config) (*Engine, error) {
 // (an agent missing from the matrix — impossible in a well-formed
 // checkpoint — would simply be compiled fresh).
 func newSnapshotRestored(epoch uint64, r Restore, opt core.Options, cfg Config) (*Snapshot, error) {
-	rec, err := core.New(r.Community, opt)
+	s, err := emptySnapshot(epoch, r.Community, opt, cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &Snapshot{
-		epoch:    epoch,
-		comm:     r.Community,
-		opt:      opt,
-		rec:      rec,
-		budget:   cfg.ComputeBudget,
-		peers:    newLRU[peerKey, *neighborhood](cfg.PeerCacheSize),
-		subtrees: newLRU[taxonomy.Topic, []model.ProductID](cfg.SubtreeCacheSize),
-		results:  newLRU[recKey, []core.Recommendation](cfg.ResultCacheSize),
-		bodies:   newLRU[bodyKey, storedBody](bodyBudget),
-	}
 	clean := func(int32) bool { return false }
 	//nolint:ctxflow -- restore runs at process start, not on a request path; there is no caller deadline to thread
-	if err := rec.Filter().CompileDelta(context.Background(), r.Matrix, clean); err != nil {
+	if err := s.rec.Filter().CompileDelta(context.Background(), r.Matrix, clean); err != nil {
 		return nil, err
 	}
 	if r.Matrix != nil {
-		mat := rec.Filter().Matrix()
+		mat := s.rec.Filter().Matrix()
 		stats.Add("restored_rows", int64(mat.Len()-mat.Built()))
 	}
 	if r.Index != nil {
 		s.ix.Store(r.Index)
 	}
-	// Seed the warm caches, translating wire keys back to this epoch's
-	// ordinals. Entries naming agents the restored community doesn't know,
-	// or pipe spellings no release ever wrote, are dropped: a cold miss is
-	// always safe, a mis-keyed hit never is.
-	sym := r.Community.Symbols()
+	// Seed the warm caches. Entries whose agent ordinal lies outside the
+	// restored community, or whose pipe spelling no release ever wrote,
+	// are dropped: a cold miss is always safe, a mis-keyed hit never is.
 	for _, e := range r.Peers {
-		ord, ok := sym.AgentOrd(e.Agent)
-		if !ok {
-			continue
-		}
 		pipe, ok := parsePipeKey(e.Pipe)
-		if !ok {
+		if e.Agent < 0 || int(e.Agent) >= r.Community.NumAgents() || !ok {
 			continue
 		}
-		s.peers.add(peerKey{agent: ord, pipe: pipe}, restoredNeighborhood(e.Ranks))
+		s.peers.add(peerKey{agent: e.Agent, pipe: pipe}, restoredNeighborhood(e.Ranks))
 	}
 	return s, nil
 }

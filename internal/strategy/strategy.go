@@ -160,67 +160,32 @@ type Rung struct {
 	Enabled   bool      `json:"enabled"`
 }
 
-// Config shapes the default ladder's thresholds. The zero value takes
-// every default.
-type Config struct {
+// The default ladder's thresholds.
+const (
 	// MinPeers is the peer count below which a neighborhood counts as
 	// thin: full synthesis requires at least this many ranked peers, and
-	// trust-hop widening engages strictly below it. Default 3.
-	MinPeers int
-	// MinOverlap is the top-similarity threshold splitting full
-	// synthesis (TopSim >= MinOverlap) from taxonomy-ancestor backoff
-	// (TopSim < MinOverlap). 0 disables the overlap gate — full
-	// synthesis then runs on peer count alone and the ancestor rung
-	// never triggers. Default 0.1.
-	MinOverlap float64
-	// MinEnergy, when positive, additionally counts neighborhoods whose
-	// total normalized trust mass falls below it as thin. Default 0.
-	MinEnergy float64
+	// trust-hop widening engages strictly below it.
+	MinPeers = 3
+	// MinOverlap is the top-similarity threshold splitting full synthesis
+	// (TopSim >= MinOverlap) from taxonomy-ancestor backoff
+	// (TopSim < MinOverlap).
+	MinOverlap = 0.1
 	// HopDecay attenuates ranks recruited by trust-hop widening.
-	// Default 0.5.
-	HopDecay float64
+	HopDecay = 0.5
 	// AncestorDepth is the taxonomy depth profiles are generalized to by
-	// the taxonomy-ancestor rung. Default 2.
-	AncestorDepth int
+	// the taxonomy-ancestor rung.
+	AncestorDepth = 2
+)
+
+// Config shapes the default ladder. The zero value enables every rung.
+type Config struct {
 	// Disable lists rungs to build disabled (still listed by
 	// /v1/strategies, never walked).
 	Disable []Procedure
 }
 
-// withDefaults fills zero fields with the package defaults.
-func (c Config) withDefaults() Config {
-	if c.MinPeers == 0 {
-		c.MinPeers = 3
-	}
-	if c.MinOverlap == 0 {
-		c.MinOverlap = 0.1
-	}
-	if c.HopDecay == 0 {
-		c.HopDecay = 0.5
-	}
-	if c.AncestorDepth == 0 {
-		c.AncestorDepth = 2
-	}
-	return c
-}
-
-// validate rejects nonsensical configurations (after defaulting).
+// validate rejects nonsensical configurations.
 func (c Config) validate() error {
-	if c.MinPeers < 1 {
-		return fmt.Errorf("strategy: min peers must be >= 1, got %d", c.MinPeers)
-	}
-	if c.MinOverlap < 0 || c.MinOverlap > 1 {
-		return fmt.Errorf("strategy: min overlap must be in [0,1], got %v", c.MinOverlap)
-	}
-	if c.MinEnergy < 0 {
-		return fmt.Errorf("strategy: min energy must be >= 0, got %v", c.MinEnergy)
-	}
-	if c.HopDecay <= 0 || c.HopDecay > 1 {
-		return fmt.Errorf("strategy: hop decay must be in (0,1], got %v", c.HopDecay)
-	}
-	if c.AncestorDepth < 1 {
-		return fmt.Errorf("strategy: ancestor depth must be >= 1, got %d", c.AncestorDepth)
-	}
 	known := make(map[Procedure]bool, len(Procedures))
 	for _, p := range Procedures {
 		known[p] = true
@@ -239,14 +204,12 @@ func (c Config) validate() error {
 // Ladder is an immutable, validated rung sequence. Safe for concurrent
 // use.
 type Ladder struct {
-	cfg   Config
 	rungs []Rung
 }
 
-// New builds the default five-rung ladder from cfg (zero value = all
-// defaults).
+// New builds the default five-rung ladder from cfg (zero value = every
+// rung enabled).
 func New(cfg Config) (*Ladder, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -256,18 +219,17 @@ func New(cfg Config) (*Ladder, error) {
 	}
 	rungs := []Rung{
 		{Procedure: FullSynthesis, When: Condition{
-			MinPeers:  cfg.MinPeers,
-			MinTopSim: cfg.MinOverlap,
+			MinPeers:  MinPeers,
+			MinTopSim: MinOverlap,
 		}},
 		{Procedure: TrustHopWidening, When: Condition{
 			MinTrustOut: 1,
-			MaxPeers:    cfg.MinPeers - 1,
-			MaxEnergy:   cfg.MinEnergy,
+			MaxPeers:    MinPeers - 1,
 		}},
 		{Procedure: TaxonomyAncestor, When: Condition{
 			MinRatings:      1,
 			MinPeers:        1,
-			MaxTopSim:       cfg.MinOverlap,
+			MaxTopSim:       MinOverlap,
 			RequireTaxonomy: true,
 		}},
 		{Procedure: Popularity, When: Condition{}},
@@ -276,11 +238,8 @@ func New(cfg Config) (*Ladder, error) {
 	for i := range rungs {
 		rungs[i].Enabled = !disabled[rungs[i].Procedure]
 	}
-	return &Ladder{cfg: cfg, rungs: rungs}, nil
+	return &Ladder{rungs: rungs}, nil
 }
-
-// Config returns the (defaulted) configuration the ladder was built from.
-func (l *Ladder) Config() Config { return l.cfg }
 
 // Rungs returns a copy of the ladder in walk order.
 func (l *Ladder) Rungs() []Rung {

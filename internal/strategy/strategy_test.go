@@ -57,11 +57,6 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatalf("zero config rejected: %v", err)
 	}
 	bad := []Config{
-		{MinPeers: -1},
-		{MinOverlap: 1.5},
-		{MinEnergy: -0.1},
-		{HopDecay: 1.5},
-		{AncestorDepth: -2},
 		{Disable: []Procedure{"bogus"}},
 		{Disable: Procedures},
 	}

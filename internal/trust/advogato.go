@@ -138,8 +138,8 @@ func Advogato(adj *model.Adjacency, source int32, opt AdvogatoOptions) (*Neighbo
 	nb := &Neighborhood{Source: adj.Agent(source).ID, Iterations: len(profile), Explored: explored}
 	nb.Ranks = make([]Rank, 0, accepted)
 	for i := 1; i < n; i++ { // skip the source itself
-		if x := c.ord[i]; c.flow.flow(2*i+1) > 0 {
-			nb.Ranks = append(nb.Ranks, Rank{Agent: adj.Agent(x).ID, Trust: 1, ord: x + 1})
+		if c.flow.flow(2*i+1) > 0 {
+			nb.Ranks = append(nb.Ranks, NewRank(adj.Agent(c.ord[i]), 1))
 		}
 	}
 	sortRanks(nb.Ranks)

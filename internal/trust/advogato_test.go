@@ -219,9 +219,10 @@ func TestPathTrustValidation(t *testing.T) {
 }
 
 func TestNeighborhoodHelpers(t *testing.T) {
+	net := build(t, [][3]interface{}{{"a", "b", 1.0}, {"a", "c", 1.0}, {"a", "d", 1.0}})
 	nb := &Neighborhood{
 		Source: "a",
-		Ranks:  []Rank{{Agent: "b", Trust: 3}, {Agent: "c", Trust: 2}, {Agent: "d", Trust: 1}},
+		Ranks:  []Rank{rankIn(net, "b", 3), rankIn(net, "c", 2), rankIn(net, "d", 1)},
 	}
 	if got := nb.Top(2); len(got) != 2 || got[0].Agent != "b" {
 		t.Fatalf("Top(2) = %+v", got)

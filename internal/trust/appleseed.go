@@ -195,8 +195,7 @@ func appleseed(ctx context.Context, adj *model.Adjacency, source int32, opt Appl
 	}
 	for i, r := range w.rank[1:w.nodes] {
 		if r > 0 {
-			x := w.ord[i+1]
-			nb.Ranks = append(nb.Ranks, Rank{Agent: adj.Agent(x).ID, Trust: r, ord: x + 1})
+			nb.Ranks = append(nb.Ranks, NewRank(adj.Agent(w.ord[i+1]), r))
 		}
 	}
 	sortRanks(nb.Ranks)

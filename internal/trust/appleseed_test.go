@@ -27,6 +27,15 @@ func build(t *testing.T, edges [][3]interface{}) *model.Adjacency {
 	return c.Adjacency()
 }
 
+// rankIn builds the rank of a fixture agent, ordinal included.
+func rankIn(adj *model.Adjacency, id model.AgentID, trust float64) Rank {
+	a := adj.Community().Agent(id)
+	if a == nil {
+		panic("fixture: no agent " + string(id))
+	}
+	return NewRank(a, trust)
+}
+
 func TestAppleseedChain(t *testing.T) {
 	net := build(t, [][3]interface{}{
 		{"a", "b", 1.0},

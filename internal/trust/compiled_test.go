@@ -137,8 +137,8 @@ func diffCommunity(t *testing.T, c *model.Community, sources []model.AgentID, va
 			}
 			sameNeighborhood(t, fmt.Sprintf("%s from %s", v.name, src), got, want)
 			for _, r := range got.Ranks {
-				if ord, ok := r.Ord(); !ok || c.Symbols().AgentAt(ord).ID != r.Agent {
-					t.Fatalf("%s from %s: rank of %s carries ordinal %d (ok=%v)", v.name, src, r.Agent, ord, ok)
+				if a := c.Symbols().AgentAt(r.Ord()); a == nil || a.ID != r.Agent {
+					t.Fatalf("%s from %s: rank of %s carries ordinal %d", v.name, src, r.Agent, r.Ord())
 				}
 			}
 		}

@@ -160,7 +160,7 @@ func PathTrust(adj *model.Adjacency, source int32, opt PathTrustOptions) (*Neigh
 	nb := &Neighborhood{Source: adj.Agent(source).ID, Iterations: int(maxHops), Explored: explored}
 	nb.Ranks = make([]Rank, 0, len(s.ord)-1)
 	for i, x := range s.ord[1:] {
-		nb.Ranks = append(nb.Ranks, Rank{Agent: adj.Agent(x).ID, Trust: s.best[i+1], ord: x + 1})
+		nb.Ranks = append(nb.Ranks, NewRank(adj.Agent(x), s.best[i+1]))
 	}
 	sortRanks(nb.Ranks)
 	s.reset()

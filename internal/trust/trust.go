@@ -44,19 +44,21 @@ func FromCommunity(c *model.Community) *model.Adjacency { return c.Adjacency() }
 
 // Rank is one entry of a computed trust neighborhood: the peer and its
 // continuous trust rank (metric-specific scale; only the ordering and
-// relative magnitude matter downstream).
+// relative magnitude matter downstream). Later stages address the peer by
+// its ordinal; the zero value names no agent and widens or votes nothing.
 type Rank struct {
 	Agent model.AgentID
 	Trust float64
-	// ord is the peer's community ordinal + 1 when a metric ranked it, so
-	// later stages address the peer without hashing its URI; 0 (the zero
-	// value, of a rank built by hand) means resolve by Agent.
-	ord int32
+	ord   int32 // the peer's community ordinal + 1; 0 = not in this community
 }
 
-// Ord returns the peer's community ordinal; ok is false when the rank
-// was built without one and the peer must be resolved by its Agent URI.
-func (r Rank) Ord() (ord int32, ok bool) { return r.ord - 1, r.ord > 0 }
+// NewRank returns agent a's rank, its URI and ordinal taken from one record.
+func NewRank(a *model.Agent, trust float64) Rank {
+	return Rank{Agent: a.ID, Trust: trust, ord: a.Ord() + 1}
+}
+
+// Ord returns the peer's community ordinal, -1 for the zero value.
+func (r Rank) Ord() int32 { return r.ord - 1 }
 
 // Neighborhood is the ranked result of a local group trust computation for
 // one source agent, sorted by descending trust (ties broken by agent ID).

@@ -27,27 +27,24 @@ import (
 // no call allocates by community size, and everything else is
 // proportional to the widened frontier. Each contributor's statements are
 // its row of the CSR — TrustedPeers order with the targets already
-// resolved. Members ranked by a metric carry their ordinal; hand-built
-// ranks resolve by URI once each. A source or member the community does
-// not know contributes nothing.
+// resolved. Every member is addressed by the ordinal its rank carries;
+// the source, which the neighborhood names by URI, is resolved once. A
+// source the community does not know, and a zero-value member, contribute
+// nothing.
 func WidenOneHop(adj *model.Adjacency, nb *Neighborhood, decay float64) *Neighborhood {
 	if decay <= 0 || decay > 1 {
 		decay = 0.5
 	}
-	sym := adj.Community().Symbols()
 	w := getWidening(adj.NumAgents())
-	member := func(r Rank) (int32, bool) {
-		if ord, ok := r.Ord(); ok {
-			return ord, true
-		}
-		return sym.AgentOrd(r.Agent)
-	}
 	mark := func(r Rank, v int32) {
-		if ord, ok := member(r); ok {
+		if ord := r.Ord(); ord >= 0 {
 			w.slot[ord] = v
 		}
 	}
-	source := Rank{Agent: nb.Source}
+	var source Rank
+	if a := adj.Community().Agent(nb.Source); a != nil {
+		source = NewRank(a, 0)
+	}
 	mark(source, inRange)
 	for _, r := range nb.Ranks {
 		mark(r, inRange)
@@ -60,8 +57,8 @@ func WidenOneHop(adj *model.Adjacency, nb *Neighborhood, decay float64) *Neighbo
 	csr := adj.Trust()
 	explored := 0
 	contribute := func(r Rank) {
-		from, ok := member(r)
-		if !ok {
+		from := r.Ord()
+		if from < 0 {
 			return
 		}
 		explored++
@@ -94,7 +91,7 @@ func WidenOneHop(adj *model.Adjacency, nb *Neighborhood, decay float64) *Neighbo
 	out.Ranks = make([]Rank, len(nb.Ranks), len(nb.Ranks)+len(w.joined))
 	copy(out.Ranks, nb.Ranks)
 	for k, ord := range w.joined {
-		out.Ranks = append(out.Ranks, Rank{Agent: adj.Agent(ord).ID, Trust: w.rank[k], ord: ord + 1})
+		out.Ranks = append(out.Ranks, NewRank(adj.Agent(ord), w.rank[k]))
 		w.slot[ord] = 0
 	}
 	sortRanks(out.Ranks)

@@ -13,7 +13,7 @@ func TestWidenOneHopRecruitsFrontier(t *testing.T) {
 		{"a", "b", 0.8}, {"a", "bad", -0.9},
 		{"b", "c", 1.0},
 	})
-	nb := &Neighborhood{Source: "src", Ranks: []Rank{{Agent: "a", Trust: 0.6}}, Explored: 2}
+	nb := &Neighborhood{Source: "src", Ranks: []Rank{rankIn(net, "a", 0.6)}, Explored: 2}
 	wide := WidenOneHop(net, nb, 0.5)
 
 	ranks := make(map[model.AgentID]float64, len(wide.Ranks))
@@ -58,12 +58,32 @@ func TestWidenOneHopKeepsStrongestContribution(t *testing.T) {
 		{"a", "x", 1.0},
 		{"b", "x", 1.0},
 	})
-	nb := &Neighborhood{Source: "src", Ranks: []Rank{{Agent: "a", Trust: 0.9}, {Agent: "b", Trust: 0.2}}}
+	nb := &Neighborhood{Source: "src", Ranks: []Rank{rankIn(net, "a", 0.9), rankIn(net, "b", 0.2)}}
 	wide := WidenOneHop(net, nb, 0.5)
 	for _, r := range wide.Ranks {
 		if r.Agent == "x" && r.Trust != 0.5*0.9 {
 			t.Fatalf("x rank = %v, want the stronger contribution %v", r.Trust, 0.5*0.9)
 		}
+	}
+}
+
+// TestWidenOneHopZeroRankIsNotResolved: a member whose rank carries no
+// ordinal is not looked up by its URI — it neither recruits its peers
+// nor blocks them, and passes through as it came.
+func TestWidenOneHopZeroRankIsNotResolved(t *testing.T) {
+	net := build(t, [][3]interface{}{{"a", "x", 1.0}, {"src", "y", 0.5}})
+	zero := Rank{Agent: "a", Trust: 0.9}
+	wide := WidenOneHop(net, &Neighborhood{Source: "src", Ranks: []Rank{zero}}, 0.5)
+	if len(wide.Ranks) != 2 || wide.Ranks[0] != zero || wide.Ranks[1].Agent != "y" || wide.Ranks[1].Trust != 0.5*0.9*0.5 {
+		t.Fatalf("widened by a zero-value member: %+v, want it unchanged beside the source's y", wide.Ranks)
+	}
+	if wide.Explored != 1 {
+		t.Fatalf("explored %d contributors, want the source alone", wide.Explored)
+	}
+	// The same member with its ordinal recruits x.
+	wide = WidenOneHop(net, &Neighborhood{Source: "src", Ranks: []Rank{rankIn(net, "a", 0.9)}}, 0.5)
+	if len(wide.Ranks) != 3 {
+		t.Fatalf("widened by a ranked member: %+v, want x and y recruited", wide.Ranks)
 	}
 }
 
