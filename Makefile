@@ -99,7 +99,7 @@ cover:
 # package past go test's ten-minute limit — and starve whichever
 # package's benchmarks run beside it.
 BENCH_SUITE = { $(GO) test -run=^$$ -bench=. -skip='BenchmarkPublish$$' -benchmem \
-		./internal/engine/ ./internal/api/ ./internal/wal/ ./internal/ingest/ ./internal/checkpoint/ ./internal/trust/ && \
+		./internal/engine/ ./internal/api/ ./internal/wal/ ./internal/ingest/ ./internal/checkpoint/ ./internal/trust/ ./internal/index/ && \
 	$(GO) test -run=^$$ -bench='BenchmarkPublish$$' -benchmem -benchtime=50x ./internal/ingest/ ; }
 bench:
 	$(BENCH_SUITE) | $(GO) run ./cmd/benchjson -out BENCH_engine.json
@@ -205,10 +205,12 @@ recovery-smoke:
 	$(GO) test -run 'TestRecoverySmoke|TestRestoredMatchesFromScratch' ./internal/checkpoint/
 
 # Short fuzz pass over the RDF parsers (see internal/rdf/fuzz_test.go),
-# the two binary decoders a restart trusts: the checkpoint file and
-# the WAL segment (internal/{checkpoint,wal}/fuzz_test.go), and the API's
-# string and float encoders against encoding/json
-# (internal/api/encode_test.go). Their inputs
+# the two binary decoders a restart trusts: the checkpoint file (and the
+# engine restored from whatever it accepts) and the WAL segment
+# (internal/{checkpoint,wal}/fuzz_test.go), the API's string and float
+# encoders against encoding/json (internal/api/encode_test.go), and its
+# query-parameter scanner against url.ParseQuery (FuzzParam,
+# internal/api/api_test.go). Their inputs
 # are kilobytes, and go test would by default spend up to a minute
 # shrinking each one that reaches new code — the whole budget — so the
 # minimizer is held to a second.
@@ -222,6 +224,7 @@ fuzz:
 	$(GO) test -fuzz FuzzScanSegment -fuzztime 30s $(FUZZ_BINARY) ./internal/wal/
 	$(GO) test -fuzz FuzzAppendString -fuzztime 30s ./internal/api/
 	$(GO) test -fuzz FuzzAppendFloat -fuzztime 30s ./internal/api/
+	$(GO) test -fuzz FuzzParam -fuzztime 30s ./internal/api/
 
 # fuzz-smoke is the 5-second-per-target variant run as part of check.
 fuzz-smoke:
@@ -233,6 +236,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz FuzzScanSegment -fuzztime 5s $(FUZZ_BINARY) ./internal/wal/
 	$(GO) test -run=^$$ -fuzz FuzzAppendString -fuzztime 5s ./internal/api/
 	$(GO) test -run=^$$ -fuzz FuzzAppendFloat -fuzztime 5s ./internal/api/
+	$(GO) test -run=^$$ -fuzz FuzzParam -fuzztime 5s ./internal/api/
 
 experiments:
 	$(GO) run ./cmd/experiments

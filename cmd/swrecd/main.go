@@ -28,9 +28,9 @@
 // background every -checkpoint-every published snapshots (and at
 // shutdown), retaining -checkpoint-retain files and truncating the WAL
 // to the oldest of them, so the next restart restores the compiled
-// engine state — CSR profile rows, topic index, warm caches — in O(file
-// size) without recomputing Appleseed or Eq. 3 (see README "Checkpoints
-// & recovery").
+// engine state — CSR profile rows, warm neighborhoods — in O(file size)
+// without recomputing Appleseed or Eq. 3 (see README "Checkpoints &
+// recovery").
 //
 // -trust-threshold and -max-neighbors set the §3.3 neighborhood bounds:
 // peers whose trust rank, relative to the neighborhood's best, falls

@@ -793,8 +793,7 @@ func (s *Server) handleProduct(c *call, snap *engine.Snapshot) {
 
 // handleTopic browses a taxonomy branch: products whose descriptors fall
 // into the topic (by qualified path, root name included) or below it,
-// served from the snapshot's per-branch cache and paged with
-// offset/limit.
+// read off the snapshot's topic index and paged with offset/limit.
 func (s *Server) handleTopic(c *call, snap *engine.Snapshot) {
 	if !requireRead(c) {
 		return
@@ -819,7 +818,7 @@ func (s *Server) handleTopic(c *call, snap *engine.Snapshot) {
 		writeError(c, http.StatusNotFound, "not_found", fmt.Sprintf("unknown topic %s", path))
 		return
 	}
-	pids := snap.Subtree(d)
+	pids := snap.TopicIndex().Subtree(d)
 	total := len(pids)
 	lo, hi := window(total, offset, limit)
 	shown := pids[lo:hi]

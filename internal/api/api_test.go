@@ -598,16 +598,38 @@ func TestConcurrentClientsDuringSwap(t *testing.T) {
 // building url.Values, and must answer what url.Values.Get answered —
 // including for the pairs url.ParseQuery drops.
 func TestParamMatchesParseQuery(t *testing.T) {
-	for _, raw := range []string{
-		"", "n=5", "n=5&n=6", "a=1&n=5&metric=none", "n", "n=", "=5", "&&n=5&", "n=5;metric=none", "x;y=1&n=7",
-		"n=%35", "%6e=5", "n=%zz&n=6", "%zz=1&n=6", "n=a+b", "a+b=c&n=1", "n=5=6", "metric=none&alpha=0.2&measure=pearson&strategy=-popularity&fresh=1.2",
-	} {
+	for _, raw := range paramQueries {
 		c := &call{r: &http.Request{URL: &url.URL{RawQuery: raw}}}
 		want, _ := url.ParseQuery(raw)
-		for _, name := range []string{"n", "metric", "a b", "", "x", "y", "strategy", "absent"} {
+		for _, name := range paramNames {
 			if got := c.param(name); got != want.Get(name) {
 				t.Errorf("query %q: param(%q) = %q, url.Values.Get = %q", raw, name, got, want.Get(name))
 			}
 		}
 	}
+}
+
+var (
+	paramQueries = []string{
+		"", "n=5", "n=5&n=6", "a=1&n=5&metric=none", "n", "n=", "=5", "&&n=5&", "n=5;metric=none", "x;y=1&n=7",
+		"n=%35", "%6e=5", "n=%zz&n=6", "%zz=1&n=6", "n=a+b", "a+b=c&n=1", "n=5=6", "metric=none&alpha=0.2&measure=pearson&strategy=-popularity&fresh=1.2",
+	}
+	paramNames = []string{"n", "metric", "a b", "", "x", "y", "strategy", "absent"}
+)
+
+// FuzzParam pins call.param to url.ParseQuery(raw).Get(name) on any raw
+// query and any name.
+func FuzzParam(f *testing.F) {
+	for _, raw := range paramQueries {
+		for _, name := range paramNames {
+			f.Add(raw, name)
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw, name string) {
+		c := &call{r: &http.Request{URL: &url.URL{RawQuery: raw}}}
+		want, _ := url.ParseQuery(raw)
+		if got := c.param(name); got != want.Get(name) {
+			t.Fatalf("query %q: param(%q) = %q, url.Values.Get = %q", raw, name, got, want.Get(name))
+		}
+	})
 }

@@ -12,8 +12,9 @@ import (
 // The yardsticks for checkpointed restarts, at the benchmark's community
 // size and the paper's: loading the compiled snapshot against rebuilding
 // it. Load + Restore is O(file size) and brings back the statements, the
-// profile matrix, the topic index and every cached neighborhood: 23 ms at
-// 2,000 agents, 74 ms at 9,100 (BENCH_engine.json). The recompute —
+// profile matrix and every cached neighborhood (the topic index is not
+// stored; it is derived on first use): 23 ms at 2,000 agents, 74 ms at
+// 9,100 (BENCH_engine.json). The recompute —
 // engine.New plus a full Warmup — is 309 ms and 1.55 s: 13x and 21x.
 // About nine tenths of the recompute is the warm-up, one trust walk and
 // similarity scan per agent; the neighborhoods it would produce are two

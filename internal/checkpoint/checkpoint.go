@@ -15,7 +15,6 @@ import (
 	"swrec/internal/cf"
 	"swrec/internal/core"
 	"swrec/internal/engine"
-	"swrec/internal/index"
 	"swrec/internal/model"
 	"swrec/internal/profmat"
 	"swrec/internal/taxonomy"
@@ -40,11 +39,6 @@ type Image struct {
 	// Rows holds the compiled CSR profile rows, parallel to
 	// Community.Agents(); nil when the image carries statements only.
 	Rows []profmat.Row
-	// Topics/Postings are the topic index in canonical export order; nil
-	// Topics means the index was not captured.
-	Topics   []taxonomy.Topic
-	Postings [][]model.ProductID
-	HasIndex bool
 	// Peers is the warm neighborhood cache in LRU order (least recently
 	// used first, so replaying it through the cache reproduces recency).
 	// A decoded image's entries decode their ranks when Ranks is called.
@@ -92,8 +86,6 @@ func Capture(snap *engine.Snapshot, seq uint64) *Image {
 			}
 		}
 	}
-	img.Topics, img.Postings = snap.TopicIndex().Export()
-	img.HasIndex = true
 	return img
 }
 
@@ -120,13 +112,12 @@ func Encode(img *Image) []byte {
 	if img.Rows != nil {
 		sections++
 	}
-	if img.HasIndex {
-		sections++
-	}
 	hdr.u32(uint32(sections))
 	out = append(out, hdr.b...)
 
-	// META: the epoch↔sequence mapping, option signature, and shape flags.
+	// META: the epoch↔sequence mapping, option signature, and shape flags
+	// (1 taxonomy, 2 profile matrix; 4, the retired topic index, is
+	// neither written nor read).
 	var meta enc
 	meta.uv(img.Epoch)
 	meta.uv(img.Seq)
@@ -137,9 +128,6 @@ func Encode(img *Image) []byte {
 	}
 	if img.Rows != nil {
 		flags |= 2
-	}
-	if img.HasIndex {
-		flags |= 4
 	}
 	meta.u8(flags)
 	meta.uv(uint64(len(agents)))
@@ -239,20 +227,6 @@ func Encode(img *Image) []byte {
 		out = frame(out, secProfmat, em.b)
 	}
 
-	// TOPICINDEX: postings per populated topic, catalog order preserved.
-	if img.HasIndex {
-		var ei enc
-		ei.uv(uint64(len(img.Topics)))
-		for i, d := range img.Topics {
-			ei.uv(uint64(d))
-			ei.uv(uint64(len(img.Postings[i])))
-			for _, pid := range img.Postings[i] {
-				ei.uv(prodOrd(pid))
-			}
-		}
-		out = frame(out, secTopicIndex, ei.b)
-	}
-
 	// PEERS: warm neighborhoods in LRU order. Ranks are fixed-width
 	// records (peerRankSize bytes), so the decoder validates an entry's
 	// ordinals in one stride and decodes its ranks straight from the file
@@ -298,7 +272,7 @@ func Decode(data []byte, opt core.Options) (*Image, error) {
 // decode is Decode; with statementsOnly it ignores the stored option
 // signature and stops after the statement sections (taxonomy, agents,
 // products, trust, ratings), which mean the same under any options. The
-// image then carries no compiled rows, index or caches, so Restore
+// image then carries no compiled rows or caches, so Restore
 // compiles it cold under opt — how Recover keeps an installation's
 // statements when its options change.
 func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) {
@@ -331,7 +305,6 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 	}
 	hasTax := flags&1 != 0
 	hasMat := flags&2 != 0
-	img.HasIndex = flags&4 != 0
 	if !hasTax {
 		// A taxonomy-less community cannot serve taxonomy-space profiles;
 		// the engine that wrote this checkpoint ran the Product
@@ -421,7 +394,13 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 		if nt := dp.count(dp.uv(), 1, "descriptor"); nt > 0 {
 			p.Topics = make([]taxonomy.Topic, nt)
 			for j := range p.Topics {
-				p.Topics[j] = taxonomy.Topic(dp.uv())
+				// A descriptor names a topic of the file's own taxonomy;
+				// without one it is an opaque label, kept as written.
+				if tax != nil {
+					p.Topics[j] = taxonomy.Topic(dp.ord(tax.Len(), "descriptor"))
+				} else {
+					p.Topics[j] = taxonomy.Topic(dp.uv())
+				}
 			}
 		}
 		if dp.err != nil {
@@ -466,7 +445,6 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 		return nil, err
 	}
 	if statementsOnly {
-		img.HasIndex = false
 		return img, nil
 	}
 
@@ -518,34 +496,6 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 		}
 		if dm.err != nil {
 			return nil, dm.err
-		}
-	}
-
-	// TOPICINDEX.
-	if img.HasIndex {
-		di, err := need(secTopicIndex, "topic index")
-		if err != nil {
-			return nil, err
-		}
-		n := di.count(di.uv(), 2, "topic posting")
-		pids := comm.Products()
-		img.Topics = make([]taxonomy.Topic, n)
-		img.Postings = make([][]model.ProductID, n)
-		for i := 0; i < n && di.err == nil; i++ {
-			img.Topics[i] = taxonomy.Topic(di.uv())
-			np := di.count(di.uv(), 1, "posting")
-			post := make([]model.ProductID, np)
-			for j := range post {
-				ord := di.ord(len(pids), "product ordinal")
-				if di.err != nil {
-					break
-				}
-				post[j] = pids[ord]
-			}
-			img.Postings[i] = post
-		}
-		if di.err != nil {
-			return nil, di.err
 		}
 	}
 
@@ -603,9 +553,9 @@ func (p peerRanks) decode() []core.PeerRank {
 	return peers
 }
 
-// Restore builds a serving engine from the image: the compiled rows,
-// topic index, and warm caches are installed directly — no Appleseed, no
-// Eq. 3, no similarity recompute.
+// Restore builds a serving engine from the image: the compiled rows and
+// warm neighborhoods are installed directly — no Appleseed, no Eq. 3, no
+// similarity recompute.
 func (img *Image) Restore(cfg engine.Config) (*engine.Engine, error) {
 	r := engine.Restore{
 		Epoch:     img.Epoch,
@@ -616,9 +566,6 @@ func (img *Image) Restore(cfg engine.Config) (*engine.Engine, error) {
 		// Image rows are in agent-ordinal order, which is exactly the
 		// matrix's positional layout — restore is a wrap, not a rebuild.
 		r.Matrix = profmat.Restore(img.Rows)
-	}
-	if img.HasIndex {
-		r.Index = index.Restore(img.Community.Taxonomy(), img.Topics, img.Postings)
 	}
 	return engine.NewRestored(r, img.Options, cfg)
 }

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -401,23 +402,73 @@ func withRetiredProfiles(data []byte, img *Image) []byte {
 	return out
 }
 
-// TestRetiredProfilesSectionStillLoads: a v1 file written before the
-// PROFILES section was retired decodes and restores, serves exactly what
-// the same image without the section serves, and re-encodes to the file
-// this build writes.
-func TestRetiredProfilesSectionStillLoads(t *testing.T) {
-	img := testImage(t, 9)
-	data := Encode(img)
-	old := withRetiredProfiles(data, img)
-	if len(old) <= len(data) {
-		t.Fatal("the fixture carries no extra section")
+// WithRetiredTopicIndex returns the v1 file a build from before the
+// topic index was retired wrote for the snapshot data holds: META's flag
+// bit 4 set, and the TOPICINDEX section (id 8: the populated topics
+// ascending, each with its products' ordinals in catalog order) framed
+// between PROFMAT and PEERS and counted in the header. Exported for the
+// package's external tests.
+func WithRetiredTopicIndex(data []byte, comm *model.Community) []byte {
+	postings := map[taxonomy.Topic][]int32{}
+	for _, pid := range comm.Products() {
+		p := comm.Product(pid)
+		for _, d := range p.Topics {
+			postings[d] = append(postings[d], p.Ord())
+		}
 	}
+	topics := make([]taxonomy.Topic, 0, len(postings))
+	for d := range postings {
+		topics = append(topics, d)
+	}
+	sort.Slice(topics, func(i, j int) bool { return topics[i] < topics[j] })
+	var ei enc
+	ei.uv(uint64(len(topics)))
+	for _, d := range topics {
+		ei.uv(uint64(d))
+		ei.uv(uint64(len(postings[d])))
+		for _, ord := range postings[d] {
+			ei.uv(uint64(ord))
+		}
+	}
+
+	out := bytes.Clone(data[:headerLen])
+	nsec := binary.LittleEndian.Uint32(out[len(fileMagic)+4:])
+	binary.LittleEndian.PutUint32(out[len(fileMagic)+4:], nsec+1)
+	for body := data[headerLen : len(data)-footerLen]; len(body) > 0; {
+		id := binary.LittleEndian.Uint32(body)
+		plen := int(binary.LittleEndian.Uint64(body[4:]))
+		payload := body[sectionHdr : sectionHdr+plen]
+		body = body[sectionHdr+plen+4:]
+		switch id {
+		case secMeta:
+			payload = bytes.Clone(payload)
+			m := &dec{b: payload}
+			m.uv()              // epoch
+			m.uv()              // seq
+			m.skipStr("sig")    // option signature
+			payload[m.off] |= 4 // flags
+		case secPeers:
+			out = frame(out, secTopicIndexRetired, ei.b)
+		}
+		out = frame(out, id, payload)
+	}
+	out = append(out, data[len(data)-footerLen:]...)
+	refoot(out)
+	return out
+}
+
+// requireRetiredSectionLoads: old, data plus retired section id as an
+// earlier v1 build wrote it, decodes and restores, serves exactly what
+// data serves, and re-encodes to data; and retired does not mean
+// unchecked — a bad byte in the section's payload still fails its frame.
+func requireRetiredSectionLoads(t *testing.T, data, old []byte, id uint32) {
+	t.Helper()
 	secs, err := deframe(old)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(secs[secProfilesRetired]) == 0 {
-		t.Fatal("the fixture's profiles section is empty")
+	if len(old) <= len(data) || len(secs[id]) == 0 {
+		t.Fatalf("the fixture carries no section %d", id)
 	}
 
 	restore := func(file []byte) *engine.Engine {
@@ -443,13 +494,47 @@ func TestRetiredProfilesSectionStillLoads(t *testing.T) {
 		t.Fatalf("epoch %d vs %d", with.Epoch(), without.Epoch())
 	}
 
-	// Retired does not mean unchecked: the section's frame still has to
-	// hold.
 	torn := bytes.Clone(old)
-	torn[len(torn)-footerLen-5] ^= 0x01 // last payload byte of the last section
+	secs, _ = deframe(torn) // the payloads alias torn
+	secs[id][len(secs[id])-1] ^= 0x01
 	refoot(torn)
 	if _, err := Decode(torn, testOptions()); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("corrupt retired section: got %v, want ErrCorrupt", err)
+		t.Fatalf("corrupt retired section %d: got %v, want ErrCorrupt", id, err)
+	}
+}
+
+// TestRetiredTopicIndexSectionStillLoads: a v1 file written while the
+// topic index was still checkpointed loads, and its index goes unread.
+func TestRetiredTopicIndexSectionStillLoads(t *testing.T) {
+	img := testImage(t, 9)
+	data := Encode(img)
+	requireRetiredSectionLoads(t, data, WithRetiredTopicIndex(data, img.Community), secTopicIndexRetired)
+}
+
+// TestRetiredProfilesSectionStillLoads: likewise for a v1 file written
+// before the PROFILES section was retired.
+func TestRetiredProfilesSectionStillLoads(t *testing.T) {
+	img := testImage(t, 9)
+	data := Encode(img)
+	requireRetiredSectionLoads(t, data, withRetiredProfiles(data, img), secProfilesRetired)
+}
+
+// TestDecodeRejectsDescriptorOutsideTaxonomy: the checksums vouch for the
+// bytes, not for the writer. A product naming a topic its file's
+// taxonomy does not hold is corrupt at Load: accepted, it would reach
+// every consumer that indexes by topic — the profile build of the next
+// full compile, in a worker goroutine, and ?theta= diversification.
+func TestDecodeRejectsDescriptorOutsideTaxonomy(t *testing.T) {
+	comm := testCommunity(t, 12)
+	first := comm.Product(comm.Products()[0])
+	stray := *first
+	stray.Topics = []taxonomy.Topic{taxonomy.Topic(comm.Taxonomy().Len() + 5)}
+	comm.AddProduct(stray) // same ID: the first product, re-described
+	data := Encode(&Image{Epoch: 1, Seq: 3, Options: testOptions(), Community: comm})
+	for _, statementsOnly := range []bool{false, true} {
+		if _, err := decode(data, testOptions(), statementsOnly); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "descriptor") {
+			t.Fatalf("statements only: %v: got %v, want ErrCorrupt naming the descriptor", statementsOnly, err)
+		}
 	}
 }
 

@@ -1,9 +1,11 @@
 // Package checkpoint persists one compiled serving snapshot — the
 // community's statement state, the CSR profile-matrix arenas
-// (internal/profmat), the topic index, the warm neighborhood cache, and
-// the epoch↔WAL-sequence mapping — in a flat binary file, so
+// (internal/profmat), the warm neighborhood cache, and the
+// epoch↔WAL-sequence mapping — in a flat binary file, so
 // a swrecd restart loads the serving state in O(file size) instead of
-// recomputing Appleseed and Eq. 3 for the whole community. The restored
+// recomputing Appleseed and Eq. 3 for the whole community. What is
+// cheap to derive from the statements — the topic index — is not
+// stored; the restored engine builds it on first use. The restored
 // neighborhoods serve a restart with no WAL tail (a clean shutdown leaves
 // none); a tail's replay publishes, and that evicts whichever of them
 // the replayed records' dirty closure covers.
@@ -70,14 +72,16 @@ const (
 //	 5 TRUST       per agent: (target ordinal, value) in TrustedPeers order
 //	 6 RATINGS     per agent: (product ordinal, value) in RatedProducts order
 //	 7 PROFMAT     the profile matrix: row lengths, key arena, value arena, norm/sum
-//	 8 TOPICINDEX  per populated topic: product ordinals
+//	 8 retired     TOPICINDEX, per populated topic its product ordinals
 //	 9 PEERS       per cached neighborhood: agent ordinal, pipe key, fixed-width ranks (peer ordinal first)
 //	10 retired     PROFILES, the warm Eq. 3 profile cache
 //
-// Id 10 is retired, not reusable: no reader asks for it any more (profiles
-// are the rows of section 7). A v1 file that still carries it loads — the
-// decoder checks its frame and CRC like any section's and never reads its
-// payload.
+// Ids 8 and 10 are retired, not reusable: no reader asks for them any
+// more (the topic index is derived from sections 2 and 4 on first use;
+// profiles are the rows of section 7), and META's flag bit 4, which
+// announced section 8, is neither written nor read. A v1 file that still
+// carries either loads — the decoder checks its frame and CRC like any
+// section's and never reads its payload.
 const (
 	secMeta = iota + 1
 	secTaxonomy
@@ -86,7 +90,7 @@ const (
 	secTrust
 	secRatings
 	secProfmat
-	secTopicIndex
+	secTopicIndexRetired
 	secPeers
 	secProfilesRetired
 )

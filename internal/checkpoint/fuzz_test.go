@@ -1,9 +1,12 @@
 package checkpoint
 
-// Fuzz target for the checkpoint decoder. A checkpoint file is read back
-// after a crash, from a disk that may have torn or rotted it, and its
-// counts size the decoder's allocations — boundedmake checks those
-// bounds statically; this checks them by running. Run with
+// Fuzz target for the checkpoint decoder and for what it accepts. A
+// checkpoint file is read back after a crash, from a disk that may have
+// torn or rotted it, and its counts size the decoder's allocations —
+// boundedmake checks those bounds statically; this checks them by
+// running. An image the decoder accepts is restored into an engine and
+// driven through the catalog index and a full recompile, so a file that
+// decodes but crashes the engine is a finding too. Run with
 //
 //	go test -fuzz FuzzDecode ./internal/checkpoint
 //
@@ -15,6 +18,8 @@ import (
 	"errors"
 	"hash/crc32"
 	"testing"
+
+	"swrec/internal/taxonomy"
 )
 
 // reseal recomputes every section CRC and the footer over whatever a
@@ -45,7 +50,8 @@ func FuzzDecode(f *testing.F) {
 	img := testImage(f, 7)
 	data := Encode(img)
 	f.Add(data)
-	f.Add(withRetiredProfiles(data, img)) // a v1 file from before PROFILES was retired
+	f.Add(withRetiredProfiles(data, img))             // a v1 file from before PROFILES was retired
+	f.Add(WithRetiredTopicIndex(data, img.Community)) // and from before TOPICINDEX was
 	f.Add([]byte{})
 	for _, cut := range []int{1, headerLen - 1, headerLen, headerLen + sectionHdr, len(data) / 2, len(data) - footerLen, len(data) - 1} {
 		f.Add(data[:cut])
@@ -70,6 +76,14 @@ func FuzzDecode(f *testing.F) {
 				// fuzzed with the rest.
 				for _, e := range img.Peers {
 					e.Ranks()
+				}
+				eng, err := img.Restore(testConfig())
+				if err != nil {
+					continue
+				}
+				eng.Snapshot().TopicIndex().Subtree(taxonomy.Root)
+				if _, err := eng.Swap(img.Community); err != nil {
+					t.Fatalf("a full recompile of the restored community failed: %v", err)
 				}
 			case !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) && !errors.Is(err, ErrOptions):
 				t.Fatalf("Decode failed outside the package's sentinel errors: %v", err)

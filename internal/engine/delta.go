@@ -26,7 +26,7 @@ import (
 //     ranked peers' ratings — and a carried neighborhood already implies
 //     no ranked peer's ratings changed, so a result entry is valid
 //     exactly when its neighborhood entry is;
-//   - the topic index and subtree listings depend only on the catalog;
+//   - the topic index depends only on the catalog;
 //   - the trust-out agent directory ordering depends on the agent set
 //     and every out-degree.
 //

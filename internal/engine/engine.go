@@ -23,8 +23,9 @@
 //   - concurrent identical computations collapse through a singleflight
 //     layer, so a thundering herd on one agent computes its neighborhood
 //     once;
-//   - the catalog's TopicIndex and per-branch subtree listings are built
-//     once and reused;
+//   - the catalog's TopicIndex is built on first use and carried across
+//     a delta swap that adds no products; it answers any branch from one
+//     arena, so its answers are not cached;
 //   - the API layer's encoded response bodies live in a byte-budgeted
 //     per-snapshot cache (Body/StoreBody), so a repeated GET within one
 //     epoch is a lookup — nothing carries them across a swap and nothing
@@ -57,7 +58,6 @@ import (
 	"swrec/internal/profile"
 	"swrec/internal/profmat"
 	"swrec/internal/strategy"
-	"swrec/internal/taxonomy"
 )
 
 // stats aggregates cache counters across all engines in the process.
@@ -87,13 +87,9 @@ type Config struct {
 	Strategy strategy.Config
 }
 
-const (
-	// subtreeCacheSize bounds cached topic-branch product listings.
-	subtreeCacheSize = 4096
-	// degradeBudget bounds the stage-4 vote a degraded-answer probe may
-	// run over an already cached neighborhood.
-	degradeBudget = 25 * time.Millisecond
-)
+// degradeBudget bounds the stage-4 vote a degraded-answer probe may run
+// over an already cached neighborhood.
+const degradeBudget = 25 * time.Millisecond
 
 func (c Config) withDefaults() Config {
 	if c.PeerCacheSize <= 0 {
@@ -192,9 +188,8 @@ type Snapshot struct {
 	// The per-agent caches are keyed by community ordinal: the URI is
 	// resolved once at the public entry point, everything below indexes
 	// and hashes fixed-size values.
-	peers    *lruCache[peerKey, *neighborhood]
-	subtrees *lruCache[taxonomy.Topic, []model.ProductID]
-	results  *lruCache[recKey, []core.Recommendation]
+	peers   *lruCache[peerKey, *neighborhood]
+	results *lruCache[recKey, []core.Recommendation]
 
 	// bodies holds encoded API responses by request URL, weighed in
 	// bytes. It is never carried by a delta swap and never checkpointed.
@@ -225,15 +220,14 @@ func emptySnapshot(epoch uint64, comm *model.Community, opt core.Options, cfg Co
 		return nil, err
 	}
 	return &Snapshot{
-		epoch:    epoch,
-		comm:     comm,
-		opt:      opt,
-		rec:      rec,
-		budget:   cfg.ComputeBudget,
-		peers:    newLRU[peerKey, *neighborhood](cfg.PeerCacheSize),
-		subtrees: newLRU[taxonomy.Topic, []model.ProductID](subtreeCacheSize),
-		results:  newLRU[recKey, []core.Recommendation](cfg.ResultCacheSize),
-		bodies:   newLRU[bodyKey, storedBody](bodyBudget),
+		epoch:   epoch,
+		comm:    comm,
+		opt:     opt,
+		rec:     rec,
+		budget:  cfg.ComputeBudget,
+		peers:   newLRU[peerKey, *neighborhood](cfg.PeerCacheSize),
+		results: newLRU[recKey, []core.Recommendation](cfg.ResultCacheSize),
+		bodies:  newLRU[bodyKey, storedBody](bodyBudget),
 	}, nil
 }
 
@@ -241,8 +235,8 @@ func emptySnapshot(epoch uint64, comm *model.Community, opt core.Options, cfg Co
 // both non-nil, carries over every artifact of the previous epoch whose
 // dependency fingerprint (see Delta) the applied mutations left
 // untouched: compiled profile rows, synthesized neighborhoods, complete
-// recommendation lists, the topic index with its subtree listings, and
-// the trust-out agent ordering.
+// recommendation lists, the topic index, and the trust-out agent
+// ordering.
 func newSnapshotDelta(epoch uint64, comm *model.Community, opt core.Options, cfg Config, prev *Snapshot, d *Delta) (*Snapshot, error) {
 	s, err := emptySnapshot(epoch, comm, opt, cfg)
 	if err != nil {
@@ -313,14 +307,11 @@ func newSnapshotDelta(epoch uint64, comm *model.Community, opt core.Options, cfg
 	}
 	stats.Add("carried_peers", int64(len(carried)))
 	stats.Add("carried_results", nResults)
-	// Catalog-derived artifacts survive any mutation batch that added no
-	// products (the ingest path never mutates existing entries).
+	// The topic index survives any mutation batch that added no products
+	// (the ingest path never mutates existing entries).
 	if !d.ProductsChanged {
 		if ix := prev.ix.Load(); ix != nil {
 			s.ix.Store(ix)
-		}
-		for _, e := range prev.subtrees.entries() {
-			s.subtrees.add(e.key, e.val)
 		}
 	}
 	// The trust-out directory ordering depends on the agent set and every
@@ -649,22 +640,6 @@ func (s *Snapshot) TopicIndex() *index.TopicIndex {
 	}
 	s.ixOnce.Do(func() { s.ix.Store(index.Build(s.comm)) })
 	return s.ix.Load()
-}
-
-// Subtree returns the deduplicated, sorted products of a taxonomy branch
-// from the per-branch cache.
-func (s *Snapshot) Subtree(d taxonomy.Topic) []model.ProductID {
-	if pids, ok := s.subtrees.get(d); ok {
-		stats.Add("subtree_hit", 1)
-		return pids
-	}
-	stats.Add("subtree_miss", 1)
-	v, _, _ := s.flights.do(flightKey{kind: flightSubtree, topic: d}, func() (any, error) {
-		pids := s.TopicIndex().Subtree(d)
-		s.subtrees.add(d, pids)
-		return pids, nil
-	})
-	return v.([]model.ProductID)
 }
 
 // AgentsByTrustOut returns all agent IDs ordered by descending trust

@@ -431,25 +431,6 @@ func TestProfileIsTheFilterRow(t *testing.T) {
 	}
 }
 
-func TestSubtreeCached(t *testing.T) {
-	comm := testCommunity(t, 20, 40)
-	e, err := New(comm, testOptions(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := e.Snapshot()
-	p := comm.Product(comm.Products()[0])
-	d := p.Topics[0]
-	first := snap.Subtree(d)
-	second := snap.Subtree(d)
-	if len(first) == 0 || len(first) != len(second) {
-		t.Fatalf("subtree lengths %d / %d", len(first), len(second))
-	}
-	if len(first) > 0 && &first[0] != &second[0] {
-		t.Fatal("subtree recomputed despite cache")
-	}
-}
-
 // TestConcurrentRecommendDuringSwap hammers the engine from many
 // goroutines while snapshots are being swapped underneath them; run with
 // -race. Every request must succeed against whichever epoch it pinned.

@@ -7,12 +7,12 @@ import (
 
 // lruCache is a fixed-capacity, mutex-guarded LRU map. The engine keeps
 // one per snapshot and per cached artifact kind (synthesized
-// neighborhoods, recommendation lists, topic subtrees, encoded response
-// bodies), so eviction pressure in one kind never displaces another.
-// Capacity is in units of entry weight: the per-agent caches weigh every
-// entry 1 (add), the body cache weighs an entry by its bytes
-// (addWeighted). The map grows with its contents: four are built on every
-// publish, most of them to hold far less than their capacity.
+// neighborhoods, recommendation lists, encoded response bodies), so
+// eviction pressure in one kind never displaces another. Capacity is in
+// units of entry weight: the per-agent caches weigh every entry 1 (add),
+// the body cache weighs an entry by its bytes (addWeighted). The map
+// grows with its contents: three are built on every publish, most of
+// them to hold far less than their capacity.
 type lruCache[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int

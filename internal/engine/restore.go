@@ -8,7 +8,6 @@ import (
 
 	"swrec/internal/cf"
 	"swrec/internal/core"
-	"swrec/internal/index"
 	"swrec/internal/model"
 	"swrec/internal/profmat"
 	"swrec/internal/strategy"
@@ -133,24 +132,24 @@ func (s *Snapshot) ExportPeers() []PeersEntry {
 }
 
 // Restore is the state NewRestored installs without recomputation: a
-// checkpointed epoch's community plus its compiled artifacts and warm
-// caches. Matrix may be nil (every row compiles afresh) and so may Index
-// (it rebuilds lazily); Peers seeds the neighborhood cache in the order
-// given, each entry decoded on first touch; its ranks must carry ordinals
-// of Community.
+// checkpointed epoch's community plus its compiled profile matrix and
+// warm neighborhoods. Matrix may be nil (every row compiles afresh);
+// Peers seeds the neighborhood cache in the order given, each entry
+// decoded on first touch; its ranks must carry ordinals of Community.
+// The topic index is derived from the catalog on first use, as in any
+// snapshot.
 type Restore struct {
 	Epoch     uint64
 	Community *model.Community
 	Matrix    *profmat.Matrix
-	Index     *index.TopicIndex
 	Peers     []PeersEntry
 }
 
 // NewRestored builds an engine whose first snapshot is reconstructed
 // from checkpointed state rather than compiled from scratch: the
-// restored profile matrix, topic index, and warm caches are installed
-// directly, so the first request after a restart is as warm as the last
-// request before it — no Appleseed, no Eq. 3, no similarity recompute.
+// restored profile matrix and warm neighborhoods are installed directly,
+// so the first request after a restart is as warm as the last request
+// before it — no Appleseed, no Eq. 3, no similarity recompute.
 // The epoch continues from the checkpoint (SwapDelta increments from
 // it), keeping epoch numbers monotonic across the restart.
 func NewRestored(r Restore, opt core.Options, cfg Config) (*Engine, error) {
@@ -192,9 +191,6 @@ func newSnapshotRestored(epoch uint64, r Restore, opt core.Options, cfg Config) 
 	if r.Matrix != nil {
 		mat := s.rec.Filter().Matrix()
 		stats.Add("restored_rows", int64(mat.Len()-mat.Built()))
-	}
-	if r.Index != nil {
-		s.ix.Store(r.Index)
 	}
 	// Seed the warm caches. Entries whose agent ordinal lies outside the
 	// restored community, or whose pipe spelling no release ever wrote,

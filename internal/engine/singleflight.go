@@ -3,8 +3,6 @@ package engine
 import (
 	"context"
 	"sync"
-
-	"swrec/internal/taxonomy"
 )
 
 // flightKey identifies one deduplicatable computation: the kind plus the
@@ -18,14 +16,12 @@ type flightKey struct {
 	n       int32 // answer size (recs)
 	pipe    pipeKey
 	content contKey
-	topic   taxonomy.Topic // subtree
 }
 
 // flightKey kinds.
 const (
 	flightPeers      = 'p'
 	flightRecs       = 'r'
-	flightSubtree    = 's'
 	flightPopularity = 'o'
 )
 
