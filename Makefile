@@ -99,7 +99,7 @@ cover:
 # package past go test's ten-minute limit — and starve whichever
 # package's benchmarks run beside it.
 BENCH_SUITE = { $(GO) test -run=^$$ -bench=. -skip='BenchmarkPublish$$' -benchmem \
-		./internal/engine/ ./internal/api/ ./internal/wal/ ./internal/ingest/ ./internal/checkpoint/ ./internal/trust/ ./internal/index/ && \
+		./internal/engine/ ./internal/api/ ./internal/wal/ ./internal/store/ ./internal/ingest/ ./internal/checkpoint/ ./internal/trust/ ./internal/index/ && \
 	$(GO) test -run=^$$ -bench='BenchmarkPublish$$' -benchmem -benchtime=50x ./internal/ingest/ ; }
 bench:
 	$(BENCH_SUITE) | $(GO) run ./cmd/benchjson -out BENCH_engine.json
@@ -205,9 +205,10 @@ recovery-smoke:
 	$(GO) test -run 'TestRecoverySmoke|TestRestoredMatchesFromScratch' ./internal/checkpoint/
 
 # Short fuzz pass over the RDF parsers (see internal/rdf/fuzz_test.go),
-# the two binary decoders a restart trusts: the checkpoint file (and the
-# engine restored from whatever it accepts) and the WAL segment
-# (internal/{checkpoint,wal}/fuzz_test.go), the API's string and float
+# the binary decoders a restart trusts: the checkpoint file (and the
+# engine restored from whatever it accepts), the frame scan under both
+# logs, the WAL's record payload and the crawler cache's rebuild
+# (FuzzDecode, FuzzScan, FuzzScanSegment, FuzzStoreScan), the API's string and float
 # encoders against encoding/json (internal/api/encode_test.go), and its
 # query-parameter scanner against url.ParseQuery (FuzzParam,
 # internal/api/api_test.go). Their inputs
@@ -221,7 +222,9 @@ fuzz:
 	$(GO) test -fuzz FuzzParseRDFXML -fuzztime 30s ./internal/rdf/
 	$(GO) test -fuzz FuzzParseDocument -fuzztime 30s ./internal/rdf/
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s $(FUZZ_BINARY) ./internal/checkpoint/
+	$(GO) test -fuzz FuzzScan -fuzztime 30s $(FUZZ_BINARY) ./internal/frame/
 	$(GO) test -fuzz FuzzScanSegment -fuzztime 30s $(FUZZ_BINARY) ./internal/wal/
+	$(GO) test -fuzz FuzzStoreScan -fuzztime 30s $(FUZZ_BINARY) ./internal/store/
 	$(GO) test -fuzz FuzzAppendString -fuzztime 30s ./internal/api/
 	$(GO) test -fuzz FuzzAppendFloat -fuzztime 30s ./internal/api/
 	$(GO) test -fuzz FuzzParam -fuzztime 30s ./internal/api/
@@ -233,7 +236,9 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz FuzzParseRDFXML -fuzztime 5s ./internal/rdf/
 	$(GO) test -run=^$$ -fuzz FuzzParseDocument -fuzztime 5s ./internal/rdf/
 	$(GO) test -run=^$$ -fuzz FuzzDecode -fuzztime 5s $(FUZZ_BINARY) ./internal/checkpoint/
+	$(GO) test -run=^$$ -fuzz FuzzScan -fuzztime 5s $(FUZZ_BINARY) ./internal/frame/
 	$(GO) test -run=^$$ -fuzz FuzzScanSegment -fuzztime 5s $(FUZZ_BINARY) ./internal/wal/
+	$(GO) test -run=^$$ -fuzz FuzzStoreScan -fuzztime 5s $(FUZZ_BINARY) ./internal/store/
 	$(GO) test -run=^$$ -fuzz FuzzAppendString -fuzztime 5s ./internal/api/
 	$(GO) test -run=^$$ -fuzz FuzzAppendFloat -fuzztime 5s ./internal/api/
 	$(GO) test -run=^$$ -fuzz FuzzParam -fuzztime 5s ./internal/api/

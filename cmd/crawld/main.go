@@ -31,7 +31,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "listen address for the publisher")
 	scale := flag.String("scale", "small", "dataset scale: small | paper")
 	seed := flag.Int64("seed", 1, "generation seed")
-	cache := flag.String("cache", "", "path to a persistent crawl cache (empty = none)")
+	cache := flag.String("cache", "", "path to a persistent crawl cache (empty = none); a cache in the store's earlier record format is refused as corrupt: delete it and re-crawl")
 	serve := flag.Bool("serve", false, "keep serving after the crawl (Ctrl-C to stop)")
 	flag.Parse()
 

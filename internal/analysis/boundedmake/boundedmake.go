@@ -1,6 +1,7 @@
-// Package boundedmake guards the decode paths (checkpoint, wal, store)
-// against allocation amplification: a length field read from a frame is
-// attacker-controlled until proven otherwise, and `make` sized from it
+// Package boundedmake guards the decode paths (checkpoint, frame, wal,
+// store) against allocation amplification: a length field read from a
+// frame is attacker-controlled until proven otherwise, and `make` sized
+// from it
 // hands a corrupt or hostile record the power to demand gigabytes
 // before the first payload byte is read. The durability PRs made this a
 // contract — every decoded count flows through dec.count() or an
@@ -41,7 +42,7 @@ import (
 
 const doc = `reports make calls in decode paths sized from unvalidated decoded input
 
-A length field from a wal/checkpoint/store frame is attacker-controlled
+A length field from a frame/wal/checkpoint/store record is attacker-controlled
 until it passes dec.count() or an explicit limit check. make sized from
 it without that dominating check lets one corrupt record demand
 gigabytes. Validate first, or justify with
@@ -63,7 +64,7 @@ var (
 func init() {
 	lintutil.RegisterAuditFlag(&Analyzer.Flags)
 	Analyzer.Flags.StringVar(&pkgs, "pkgs",
-		"swrec/internal/checkpoint,swrec/internal/wal,swrec/internal/store,swrec/internal/api",
+		"swrec/internal/checkpoint,swrec/internal/frame,swrec/internal/wal,swrec/internal/store,swrec/internal/api",
 		"comma-separated import-path prefixes whose decode paths are checked")
 	Analyzer.Flags.StringVar(&validators, "validators", "count",
 		"comma-separated function/method names whose return value counts as a validated size")

@@ -1,7 +1,7 @@
 // Package durableerr enforces the acked-durability invariant from the
-// WAL PR: on the durable path (internal/wal, internal/store,
-// internal/checkpoint), the error of every Write, Sync, Close, and
-// Truncate on a file handle must be checked. A dropped fsync error is the classic silent
+// WAL PR: on the durable path (internal/frame, internal/wal,
+// internal/store, internal/checkpoint), the error of every Write, Sync,
+// Close, and Truncate on a file handle must be checked. A dropped fsync error is the classic silent
 // durability hole — the client got its 202, the bytes never reached
 // the platter, and recovery replays a hole.
 //
@@ -25,8 +25,9 @@ import (
 const doc = `reports dropped Write/Sync/Close/Truncate errors on the durable path
 
 A WAL or store that ignores an fsync/close error acks writes it may
-not have persisted. Every such error in internal/wal and
-internal/store must be checked, or the discard justified with
+not have persisted. Every such error in internal/frame, internal/wal,
+internal/store and internal/checkpoint must be checked, or the discard
+justified with
 //nolint:durableerr -- reason.`
 
 // Analyzer is the durableerr pass.
@@ -42,7 +43,7 @@ var packages string
 func init() {
 	lintutil.RegisterAuditFlag(&Analyzer.Flags)
 	Analyzer.Flags.StringVar(&packages, "packages",
-		"swrec/internal/wal,swrec/internal/store,swrec/internal/checkpoint",
+		"swrec/internal/frame,swrec/internal/wal,swrec/internal/store,swrec/internal/checkpoint",
 		"comma-separated import-path prefixes forming the durable path")
 }
 

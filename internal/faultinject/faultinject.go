@@ -10,10 +10,10 @@
 //
 //   - Transport wraps an http.RoundTripper and injects connection errors,
 //     5xx statuses, and latency into crawler fetches.
-//   - File wraps an *os.File behind the wal/store WrapFile seams and
-//     injects write errors, torn writes (a partial write followed by an
-//     error — the classic crash shape both logs must recover from), and
-//     fsync failures.
+//   - File wraps an *os.File as a frame.File, the handle both logs (wal,
+//     store) append through, and injects write errors, torn writes (a
+//     partial write followed by an error — the classic crash shape both
+//     logs must recover from), and fsync failures.
 //
 // Every decision is drawn from one seeded PCG stream, so a chaos run is
 // reproducible: same seed, same single-threaded call sequence → same
@@ -60,11 +60,11 @@ type Config struct {
 	// Latency is the injected delay for LatencyRate hits.
 	Latency time.Duration
 
-	// WriteErrorRate is the probability a file Write/WriteAt fails before
-	// any byte lands.
+	// WriteErrorRate is the probability a file Write fails before any
+	// byte lands.
 	WriteErrorRate float64
-	// TornWriteRate is the probability a file Write/WriteAt persists only
-	// a prefix of the buffer and then fails — the on-disk shape of a crash
+	// TornWriteRate is the probability a file Write persists only a prefix
+	// of the buffer and then fails — the on-disk shape of a crash
 	// mid-append.
 	TornWriteRate float64
 	// SyncErrorRate is the probability Sync reports failure. The data may
@@ -208,10 +208,9 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return t.next.RoundTrip(req)
 }
 
-// File wraps f with the injector's I/O faults. The wrapper implements the
-// wal and store WrapFile seams (write, positioned read/write, seek,
-// truncate, sync, stat, close); only Write, WriteAt, and Sync are ever
-// perturbed.
+// File wraps f with the injector's I/O faults. The wrapper is a
+// frame.File (write, positioned read, seek, truncate, sync, close), the
+// WrapFile seam of both logs; only Write and Sync are ever perturbed.
 func (in *Injector) File(f *os.File) *File {
 	return &File{in: in, f: f}
 }
@@ -238,7 +237,7 @@ func (in *Injector) writePlan(n int) (tornAt int, fail bool) {
 	return 0, false
 }
 
-// Write applies write faults to the sequential append path (wal).
+// Write applies write faults to the append path.
 func (f *File) Write(p []byte) (int, error) {
 	tornAt, fail := f.in.writePlan(len(p))
 	if fail {
@@ -252,22 +251,6 @@ func (f *File) Write(p []byte) (int, error) {
 		return n, fmt.Errorf("%w: torn write after %d/%d bytes", ErrInjected, n, len(p))
 	}
 	return f.f.Write(p)
-}
-
-// WriteAt applies write faults to the positioned append path (store).
-func (f *File) WriteAt(p []byte, off int64) (int, error) {
-	tornAt, fail := f.in.writePlan(len(p))
-	if fail {
-		return 0, fmt.Errorf("%w: write error", ErrInjected)
-	}
-	if tornAt > 0 {
-		n, err := f.f.WriteAt(p[:tornAt], off)
-		if err != nil {
-			return n, err
-		}
-		return n, fmt.Errorf("%w: torn write after %d/%d bytes", ErrInjected, n, len(p))
-	}
-	return f.f.WriteAt(p, off)
 }
 
 // Sync applies fsync faults.
@@ -293,13 +276,10 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) { return f.f.ReadAt(p, o
 // Seek passes through.
 func (f *File) Seek(offset int64, whence int) (int64, error) { return f.f.Seek(offset, whence) }
 
-// Truncate passes through: it is the rollback primitive the wal uses to
+// Truncate passes through: it is the rollback primitive both logs use to
 // recover from injected write faults, so failing it would conflate "fault
 // happened" with "recovery impossible".
 func (f *File) Truncate(size int64) error { return f.f.Truncate(size) }
-
-// Stat passes through.
-func (f *File) Stat() (os.FileInfo, error) { return f.f.Stat() }
 
 // Close passes through.
 func (f *File) Close() error { return f.f.Close() }

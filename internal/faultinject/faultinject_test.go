@@ -154,12 +154,13 @@ func openTemp(t *testing.T) *os.File {
 
 func TestFileWriteError(t *testing.T) {
 	in := New(Config{Seed: 5, WriteErrorRate: 1})
-	f := in.File(openTemp(t))
+	raw := openTemp(t)
+	f := in.File(raw)
 	n, err := f.Write([]byte("hello"))
 	if !errors.Is(err, ErrInjected) || n != 0 {
 		t.Fatalf("n=%d err=%v, want 0 bytes + ErrInjected", n, err)
 	}
-	info, err := f.Stat()
+	info, err := raw.Stat()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,8 @@ func TestFileWriteError(t *testing.T) {
 
 func TestFileTornWrite(t *testing.T) {
 	in := New(Config{Seed: 6, TornWriteRate: 1})
-	f := in.File(openTemp(t))
+	raw := openTemp(t)
+	f := in.File(raw)
 	payload := []byte("0123456789abcdef")
 	n, err := f.Write(payload)
 	if !errors.Is(err, ErrInjected) {
@@ -189,21 +191,9 @@ func TestFileTornWrite(t *testing.T) {
 	if string(got) != string(payload[:n]) {
 		t.Fatalf("prefix mismatch: %q vs %q", got, payload[:n])
 	}
-	info, _ := f.Stat()
+	info, _ := raw.Stat()
 	if info.Size() != int64(n) {
 		t.Fatalf("file size %d, want exactly the torn prefix %d", info.Size(), n)
-	}
-}
-
-func TestFileTornWriteAt(t *testing.T) {
-	in := New(Config{Seed: 7, TornWriteRate: 1})
-	f := in.File(openTemp(t))
-	n, err := f.WriteAt([]byte("positioned"), 0)
-	if !errors.Is(err, ErrInjected) || n < 1 || n >= 10 {
-		t.Fatalf("n=%d err=%v, want strict prefix + ErrInjected", n, err)
-	}
-	if c := in.Counts(); c.TornWrites != 1 {
-		t.Fatalf("counts = %+v", c)
 	}
 }
 

@@ -20,6 +20,7 @@ func (s slowFile) Write(p []byte) (int, error) {
 	time.Sleep(2 * time.Millisecond)
 	return s.f.Write(p)
 }
+func (s slowFile) ReadAt(p []byte, off int64) (int, error)      { return s.f.ReadAt(p, off) }
 func (s slowFile) Seek(offset int64, whence int) (int64, error) { return s.f.Seek(offset, whence) }
 func (s slowFile) Truncate(size int64) error                    { return s.f.Truncate(size) }
 func (s slowFile) Sync() error                                  { return s.f.Sync() }

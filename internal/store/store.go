@@ -1,7 +1,7 @@
 // Package store implements the crawler's local document cache: an
 // embedded, append-only log-structured key-value store in the bitcask
-// tradition — every Put appends one CRC-protected record to a single data
-// file and updates an in-memory hash index mapping key → file offset.
+// tradition — every Put appends one record to a single data file and
+// updates an in-memory hash index mapping key → file offset.
 //
 // The paper's architecture makes every agent materialize remote Semantic
 // Web documents locally before "all recommendation computations [are
@@ -11,55 +11,54 @@
 // accumulates dead versions; Compact rewrites the live set and atomically
 // swaps the file.
 //
+// Format: a record is one internal/frame frame — the WAL's — whose payload
+// is flags | uvarint keyLen | key | value. A file written in the cache's
+// earlier format (its own header ahead of the key) fails Open with
+// ErrCorrupt at offset 0; delete it, and the crawler re-fetches.
+//
 // Durability and failure model: records are only trusted if their CRC32
 // checks out; on Open, a torn tail (partial final record, e.g. after a
 // crash) is detected and truncated away, recovering every record before
-// it.
+// it. A Put whose write fails is cut back off the file, so the records
+// after it are never stranded behind a torn one.
 package store
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"sort"
 	"sync"
+
+	"swrec/internal/frame"
 )
 
 var (
 	// ErrClosed is returned by operations on a closed store.
 	ErrClosed = errors.New("store: closed")
-	// ErrCorrupt is returned when a record fails its CRC or length checks
-	// in the middle of the log (a torn *tail* is repaired silently).
-	ErrCorrupt = errors.New("store: corrupt record")
+	// ErrCorrupt is frame.ErrCorrupt: a record that fails its CRC or
+	// length checks in the middle of the log (a torn *tail* is repaired
+	// silently).
+	ErrCorrupt = frame.ErrCorrupt
 	// ErrKeyTooLarge is returned for keys above 64 KiB.
 	ErrKeyTooLarge = errors.New("store: key too large")
+	// ErrValueTooLarge is returned for values above 16 MiB, the crawler's
+	// document cap.
+	ErrValueTooLarge = errors.New("store: value too large")
 )
 
 const (
 	maxKeyLen   = 64 << 10
-	maxValueLen = 64 << 20
+	maxValueLen = 16 << 20
+	// maxPayload bounds a record frame's payload. Kept under 32 MiB, it
+	// also reads the first header of an earlier-format file whose first
+	// key is 1–127 printable bytes as a length over the bound, so such a
+	// file is ErrCorrupt rather than one torn record.
+	maxPayload = 1 + binary.MaxVarintLen32 + maxKeyLen + maxValueLen
 
 	flagTombstone = 1
-
-	// record header: crc32(4) + flags(1) + uvarint keyLen + uvarint valLen
-	headerFixed = 5
 )
-
-// File is the handle the store reads and appends through. *os.File
-// satisfies it; the indirection exists so tests can interpose
-// fault-injecting wrappers (internal/faultinject) on the I/O path.
-type File interface {
-	io.ReaderAt
-	io.WriterAt
-	io.Seeker
-	Truncate(size int64) error
-	Sync() error
-	Stat() (os.FileInfo, error)
-	Close() error
-}
 
 // Options configure a Store.
 type Options struct {
@@ -68,15 +67,7 @@ type Options struct {
 	SyncEveryPut bool
 	// WrapFile, when set, wraps the data file (and Compact's temp file) as
 	// it is opened — the fault-injection seam. Nil uses the raw *os.File.
-	WrapFile func(*os.File) File
-}
-
-// wrap applies the WrapFile seam to a freshly opened data file.
-func (o Options) wrap(f *os.File) File {
-	if o.WrapFile != nil {
-		return o.WrapFile(f)
-	}
-	return f
+	WrapFile func(*os.File) frame.File
 }
 
 // indexEntry locates the current version of one key in the data file.
@@ -90,10 +81,9 @@ type indexEntry struct {
 type Store struct {
 	mu     sync.RWMutex
 	path   string
-	f      File
+	tail   *frame.Tail
 	opt    Options
 	index  map[string]indexEntry
-	offset int64 // append position
 	dead   int64 // bytes belonging to overwritten/deleted records
 	closed bool
 }
@@ -110,124 +100,64 @@ func Open(path string, opt Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", path, err)
 	}
-	s := &Store{path: path, f: opt.wrap(f), opt: opt, index: make(map[string]indexEntry)}
-	if err := s.rebuild(); err != nil {
-		return nil, errors.Join(err, f.Close())
+	info, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("store: stat: %w", errors.Join(err, f.Close()))
+	}
+	s := &Store{path: path, opt: opt, index: make(map[string]indexEntry)}
+	good, _, err := frame.Scan(f, info.Size(), maxPayload, func(off int64, payload []byte) error {
+		flags, key, _, err := decode(payload)
+		if err != nil {
+			return fmt.Errorf("%w at offset %d", err, off)
+		}
+		recLen := frame.HeaderSize + int64(len(payload))
+		if prev, ok := s.index[string(key)]; ok {
+			s.dead += prev.size
+		}
+		if flags&flagTombstone != 0 {
+			delete(s.index, string(key))
+			s.dead += recLen
+		} else {
+			s.index[string(key)] = indexEntry{offset: off, size: recLen}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("store: %s: %w", path, errors.Join(err, f.Close()))
+	}
+	// A torn tail past good is cut off here.
+	if s.tail, err = frame.NewTail(f, opt.WrapFile, good); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	return s, nil
 }
 
-// rebuild scans the log, populating the index, and truncates a torn tail.
-func (s *Store) rebuild() error {
-	info, err := s.f.Stat()
-	if err != nil {
-		return fmt.Errorf("store: stat: %w", err)
+// decode splits a record payload into its flags, key and value.
+func decode(payload []byte) (flags byte, key, value []byte, err error) {
+	if len(payload) == 0 {
+		return 0, nil, nil, fmt.Errorf("%w: empty payload", ErrCorrupt)
 	}
-	size := info.Size()
-	var off int64
-	r := io.NewSectionReader(s.f, 0, size)
-	for off < size {
-		key, _, recLen, flags, err := readRecord(r, off, size)
-		if err != nil {
-			if errors.Is(err, errTorn) {
-				// Crash mid-append: drop the tail, keep everything before.
-				if terr := s.f.Truncate(off); terr != nil {
-					return fmt.Errorf("store: truncate torn tail: %w", terr)
-				}
-				break
-			}
-			return err
-		}
-		if prev, ok := s.index[key]; ok {
-			s.dead += prev.size
-		}
-		if flags&flagTombstone != 0 {
-			delete(s.index, key)
-			s.dead += recLen
-		} else {
-			s.index[key] = indexEntry{offset: off, size: recLen}
-		}
-		off += recLen
+	n, k := binary.Uvarint(payload[1:])
+	if k <= 0 || n > maxKeyLen || n > uint64(len(payload)-1-k) {
+		return 0, nil, nil, fmt.Errorf("%w: bad key length", ErrCorrupt)
 	}
-	s.offset = off
-	if _, err := s.f.Seek(off, io.SeekStart); err != nil {
-		return fmt.Errorf("store: seek: %w", err)
-	}
-	return nil
+	body := payload[1+k:]
+	return payload[0], body[:n], body[n:], nil
 }
 
-// errTorn marks an incomplete record at the end of the log.
-var errTorn = errors.New("store: torn record")
-
-// readRecord reads and validates the record at off. It returns errTorn if
-// the file ends before the record does, and ErrCorrupt on checksum or
-// bound violations.
-func readRecord(r io.ReaderAt, off, size int64) (key string, value []byte, recLen int64, flags byte, err error) {
-	var hdr [headerFixed + 2*binary.MaxVarintLen32]byte
-	n, rerr := r.ReadAt(hdr[:], off)
-	if rerr != nil && rerr != io.EOF {
-		return "", nil, 0, 0, fmt.Errorf("store: read header: %w", rerr)
-	}
-	if n < headerFixed+2 {
-		return "", nil, 0, 0, errTorn
-	}
-	buf := hdr[:n]
-	crc := binary.LittleEndian.Uint32(buf[0:4])
-	flags = buf[4]
-	p := 5
-	keyLen, k1 := binary.Uvarint(buf[p:])
-	if k1 <= 0 {
-		return "", nil, 0, 0, errTorn
-	}
-	p += k1
-	valLen, k2 := binary.Uvarint(buf[p:])
-	if k2 <= 0 {
-		return "", nil, 0, 0, errTorn
-	}
-	p += k2
-	if keyLen > maxKeyLen || valLen > maxValueLen {
-		return "", nil, 0, 0, fmt.Errorf("%w: absurd lengths key=%d val=%d at offset %d",
-			ErrCorrupt, keyLen, valLen, off)
-	}
-	recLen = int64(p) + int64(keyLen) + int64(valLen)
-	if off+recLen > size {
-		return "", nil, 0, 0, errTorn
-	}
-	payload := make([]byte, 1+k1+k2+int(keyLen)+int(valLen))
-	if _, err := r.ReadAt(payload[1+k1+k2:], off+int64(p)); err != nil {
-		return "", nil, 0, 0, fmt.Errorf("store: read payload: %w", err)
-	}
-	copy(payload[:1+k1+k2], buf[4:p])
-	if crc32.ChecksumIEEE(payload) != crc {
-		return "", nil, 0, 0, fmt.Errorf("%w: checksum mismatch at offset %d", ErrCorrupt, off)
-	}
-	body := payload[1+k1+k2:]
-	return string(body[:keyLen]), body[keyLen:], recLen, flags, nil
-}
-
-// appendRecord writes one record at the current tail. Caller holds s.mu.
-func (s *Store) appendRecord(key string, value []byte, flags byte) (recLen int64, err error) {
-	var lens [2 * binary.MaxVarintLen32]byte
-	p := binary.PutUvarint(lens[:], uint64(len(key)))
-	p += binary.PutUvarint(lens[p:], uint64(len(value)))
-
-	rec := make([]byte, 0, headerFixed+p+len(key)+len(value)) //nolint:boundedmake -- encode path: p is PutUvarint's output length, ≤ 2*MaxVarintLen32 by construction, not decoded input
-	rec = append(rec, 0, 0, 0, 0)                             // crc placeholder
+// appendRecord writes one record at tail and returns where it landed.
+func appendRecord(tail *frame.Tail, key string, value []byte, flags byte, sync bool) (indexEntry, error) {
+	rec := frame.Start(make([]byte, 0, frame.HeaderSize+1+binary.MaxVarintLen32+len(key)+len(value)))
 	rec = append(rec, flags)
-	rec = append(rec, lens[:p]...)
+	rec = binary.AppendUvarint(rec, uint64(len(key)))
 	rec = append(rec, key...)
 	rec = append(rec, value...)
-	binary.LittleEndian.PutUint32(rec[0:4], crc32.ChecksumIEEE(rec[4:]))
-
-	if _, err := s.f.WriteAt(rec, s.offset); err != nil {
-		return 0, fmt.Errorf("store: append: %w", err)
+	frame.Seal(rec)
+	e := indexEntry{offset: tail.Size(), size: int64(len(rec))}
+	if err := tail.Append(rec, sync); err != nil {
+		return e, fmt.Errorf("store: append: %w", err)
 	}
-	if s.opt.SyncEveryPut {
-		if err := s.f.Sync(); err != nil {
-			return 0, fmt.Errorf("store: sync: %w", err)
-		}
-	}
-	return int64(len(rec)), nil
+	return e, nil
 }
 
 // Put stores value under key, replacing any previous version.
@@ -235,20 +165,22 @@ func (s *Store) Put(key string, value []byte) error {
 	if len(key) > maxKeyLen {
 		return ErrKeyTooLarge
 	}
+	if len(value) > maxValueLen {
+		return ErrValueTooLarge
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	recLen, err := s.appendRecord(key, value, 0)
+	e, err := appendRecord(s.tail, key, value, 0, s.opt.SyncEveryPut)
 	if err != nil {
 		return err
 	}
 	if prev, ok := s.index[key]; ok {
 		s.dead += prev.size
 	}
-	s.index[key] = indexEntry{offset: s.offset, size: recLen}
-	s.offset += recLen
+	s.index[key] = e
 	return nil
 }
 
@@ -263,14 +195,21 @@ func (s *Store) Get(key string) (value []byte, ok bool, err error) {
 	if !found {
 		return nil, false, nil
 	}
-	_, v, _, flags, err := readRecord(s.f, e.offset, e.offset+e.size)
+	v, err := s.read(e)
 	if err != nil {
 		return nil, false, err
 	}
-	if flags&flagTombstone != 0 {
-		return nil, false, nil
-	}
 	return v, true, nil
+}
+
+// read returns the value of the live record at e. Caller holds s.mu.
+func (s *Store) read(e indexEntry) ([]byte, error) {
+	payload, err := s.tail.ReadFrame(e.offset, e.size)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	_, _, v, err := decode(payload)
+	return v, err
 }
 
 // Delete removes key by appending a tombstone. Deleting an absent key is
@@ -285,13 +224,12 @@ func (s *Store) Delete(key string) error {
 	if !found {
 		return nil
 	}
-	recLen, err := s.appendRecord(key, nil, flagTombstone)
+	tomb, err := appendRecord(s.tail, key, nil, flagTombstone, s.opt.SyncEveryPut)
 	if err != nil {
 		return err
 	}
-	s.dead += e.size + recLen
+	s.dead += e.size + tomb.size
 	delete(s.index, key)
-	s.offset += recLen
 	return nil
 }
 
@@ -333,7 +271,7 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return Stats{LiveKeys: len(s.index), FileBytes: s.offset, DeadBytes: s.dead}
+	return Stats{LiveKeys: len(s.index), FileBytes: s.tail.Size(), DeadBytes: s.dead}
 }
 
 // Compact rewrites only the live records into a fresh file and atomically
@@ -349,8 +287,11 @@ func (s *Store) Compact() error {
 	if err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
-	tmp := s.opt.wrap(raw)
 	defer os.Remove(tmpPath) // no-op after successful rename
+	tmp, err := frame.NewTail(raw, s.opt.WrapFile, 0)
+	if err != nil {
+		return fmt.Errorf("store: compact: %w", err)
+	}
 
 	// Deterministic order keeps compacted files byte-identical for
 	// identical logical content.
@@ -361,32 +302,26 @@ func (s *Store) Compact() error {
 	sort.Strings(keys)
 
 	newIndex := make(map[string]indexEntry, len(keys))
-	next := &Store{f: tmp, index: newIndex}
 	for _, k := range keys {
-		e := s.index[k]
-		_, v, _, _, err := readRecord(s.f, e.offset, e.offset+e.size)
+		v, err := s.read(s.index[k])
 		if err != nil {
-			return fmt.Errorf("store: compact read %q: %w", k, errors.Join(err, tmp.Close()))
+			return fmt.Errorf("store: compact read %q: %w", k, errors.Join(err, tmp.Close(false)))
 		}
-		recLen, err := next.appendRecord(k, v, 0)
-		if err != nil {
-			return errors.Join(err, tmp.Close())
+		if newIndex[k], err = appendRecord(tmp, k, v, 0, false); err != nil {
+			return errors.Join(err, tmp.Close(false))
 		}
-		newIndex[k] = indexEntry{offset: next.offset, size: recLen}
-		next.offset += recLen
 	}
 	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("store: compact sync: %w", errors.Join(err, tmp.Close()))
+		return fmt.Errorf("store: compact sync: %w", errors.Join(err, tmp.Close(false)))
 	}
 	if err := os.Rename(tmpPath, s.path); err != nil {
-		return fmt.Errorf("store: compact rename: %w", errors.Join(err, tmp.Close()))
+		return fmt.Errorf("store: compact rename: %w", errors.Join(err, tmp.Close(false)))
 	}
-	old := s.f
-	s.f = tmp
+	old := s.tail
+	s.tail = tmp
 	s.index = newIndex
-	s.offset = next.offset
 	s.dead = 0
-	if err := old.Close(); err != nil {
+	if err := old.Close(false); err != nil {
 		return fmt.Errorf("store: compact close pre-compact file: %w", err)
 	}
 	return nil
@@ -400,8 +335,8 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("store: close sync: %w", errors.Join(err, s.f.Close()))
+	if err := s.tail.Close(true); err != nil {
+		return fmt.Errorf("store: close: %w", err)
 	}
-	return s.f.Close()
+	return nil
 }

@@ -256,6 +256,10 @@ func TestKeyTooLarge(t *testing.T) {
 	if err := s.Put(big, nil); !errors.Is(err, ErrKeyTooLarge) {
 		t.Fatalf("got %v, want ErrKeyTooLarge", err)
 	}
+	// A value Open would refuse as corrupt is never acknowledged.
+	if err := s.Put("k", make([]byte, maxValueLen+1)); !errors.Is(err, ErrValueTooLarge) {
+		t.Fatalf("got %v, want ErrValueTooLarge", err)
+	}
 }
 
 func TestEmptyKeyAndValue(t *testing.T) {

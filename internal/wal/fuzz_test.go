@@ -1,9 +1,12 @@
 package wal
 
-// Fuzz target for the segment decoder. A segment file is whatever a
-// crash, a failing disk or an operator left in the directory, and Open
-// scans every byte of it before the server answers anything — so the
-// scan must never panic, and must call damage by its name. Run with
+// Fuzz target for what the WAL adds on top of the frame: a segment file
+// is whatever a crash, a failing disk or an operator left in the
+// directory, and Open walks every record of it before the server answers
+// anything. The frame scan has its own target (internal/frame FuzzScan);
+// here each input is one record payload, framed with a valid checksum so
+// the fuzzer reaches the sequence number and decodeMutation directly. Run
+// with
 //
 //	go test -fuzz FuzzScanSegment ./internal/wal
 //
@@ -15,17 +18,19 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"swrec/internal/frame"
 )
 
-// fuzzSegment returns the bytes of a real one-segment, 30-record log.
-func fuzzSegment(f *testing.F) []byte {
+// fuzzPayloads returns the record payloads of a real log, one per op.
+func fuzzPayloads(f *testing.F) [][]byte {
 	f.Helper()
 	dir := f.TempDir()
 	w, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		f.Fatal(err)
 	}
-	if _, _, err := w.Append(muts(30, 0)); err != nil {
+	if _, _, err := w.Append(muts(5, 0)); err != nil {
 		f.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -35,58 +40,67 @@ func fuzzSegment(f *testing.F) []byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	return data
+	var out [][]byte
+	if _, _, err := frame.Scan(bytes.NewReader(data), int64(len(data)), maxPayload, func(_ int64, p []byte) error {
+		out = append(out, bytes.Clone(p))
+		return nil
+	}); err != nil {
+		f.Fatal(err)
+	}
+	return out
 }
 
 func FuzzScanSegment(f *testing.F) {
-	seg := fuzzSegment(f)
-	f.Add(seg)
 	f.Add([]byte{})
-	for _, cut := range []int{1, frameHeader - 1, frameHeader, frameHeader + 3, len(seg) / 2, len(seg) - 1} {
-		f.Add(seg[:cut])
-	}
-	for _, off := range []int{0, 4, frameHeader, frameHeader + 1, len(seg) / 3, len(seg) - 2} {
-		flipped := bytes.Clone(seg)
-		flipped[off] ^= 0x41
+	for _, p := range fuzzPayloads(f) {
+		f.Add(p)
+		f.Add(p[:len(p)-1])
+		flipped := bytes.Clone(p)
+		flipped[len(p)/2] ^= 0x41
 		f.Add(flipped)
 	}
 	// One file per fuzz worker process, rewritten for every input: a
-	// directory per input would cost more than the scan under test.
-	path := filepath.Join(f.TempDir(), segmentName(1))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		// As a non-final segment: intact, or ErrCorrupt.
-		_, _, strictErr := scanSegment(path, 1, false)
-		if strictErr != nil && !errors.Is(strictErr, ErrCorrupt) {
-			t.Fatalf("strict scan failed outside ErrCorrupt: %v", strictErr)
-		}
-		// As the final segment a torn tail is repaired, not an error, and
-		// what the repair keeps is an intact segment.
-		lastSeq, good, err := scanSegment(path, 1, true)
-		switch {
-		case err != nil && !errors.Is(err, ErrCorrupt):
-			t.Fatalf("tolerant scan failed outside ErrCorrupt: %v", err)
-		case err != nil && strictErr == nil:
-			t.Fatalf("tolerant scan rejects (%v) a segment the strict scan accepts", err)
-		case err == nil:
-			if good < 0 || good > int64(len(data)) {
-				t.Fatalf("good size %d outside the %d-byte file", good, len(data))
-			}
-			if err := os.Truncate(path, good); err != nil {
-				t.Fatal(err)
-			}
-			seq, size, err := scanSegment(path, 1, false)
-			if err != nil || seq != lastSeq || size != good {
-				t.Fatalf("repaired prefix rescans to seq %d size %d err %v, want seq %d size %d", seq, size, err, lastSeq, good)
-			}
+	// directory per input would cost more than the walk under test.
+	seg := segment{path: filepath.Join(f.TempDir(), segmentName(1)), firstSeq: 1}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		// The payload decoder on its own, on bytes no sequence number
+		// shields.
+		if _, _, err := decodeMutation(payload); err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("decodeMutation failed outside ErrCorrupt: %v", err)
 		}
 
-		// The payload decoder on its own: above, the record CRC shields it
-		// from most mutations.
-		if _, _, err := decodeMutation(data); err != nil && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("decodeMutation failed outside ErrCorrupt: %v", err)
+		rec := frame.Start(nil)
+		rec = append(rec, payload...)
+		frame.Seal(rec)
+		if err := os.WriteFile(seg.path, rec, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var got []Mutation
+		lastSeq, good, err := walkSegment(seg, false, 0, func(seq uint64, m Mutation) error {
+			got = append(got, m)
+			return nil
+		})
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("walk failed outside ErrCorrupt: %v", err)
+			}
+			return
+		}
+		// Accepted: it is record 1, it fills the frame, and its mutation
+		// encodes to bytes that decode to the same encoding again.
+		if lastSeq != 1 || good != int64(len(rec)) || len(got) != 1 {
+			t.Fatalf("accepted walk: seq %d, %d of %d bytes, %d records", lastSeq, good, len(rec), len(got))
+		}
+		enc, err := got[0].encode(nil)
+		if err != nil {
+			t.Fatalf("accepted mutation %+v does not encode: %v", got[0], err)
+		}
+		back, rest, err := decodeMutation(enc)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("re-encoded mutation does not decode: %v (%d left)", err, len(rest))
+		}
+		if again, _ := back.encode(nil); !bytes.Equal(again, enc) {
+			t.Fatalf("mutation encoding unstable: %x then %x", enc, again)
 		}
 	})
 }

@@ -11,12 +11,15 @@
 // crash between acknowledgment and the next snapshot swap loses nothing —
 // on restart, records above the last checkpoint are replayed.
 //
-// Failure model (mirroring internal/store): a record is trusted only if
-// its CRC32 checks out; on Open, a torn tail of the *last* segment (a
-// partial final record, e.g. after a crash mid-append) is detected and
-// truncated away, recovering every record before it. Corruption anywhere
-// else — a failed checksum mid-segment, or a damaged non-final segment —
-// is an error, never silently skipped.
+// Format: a segment is a run of internal/frame frames, each payload a
+// uvarint sequence number followed by one mutation's wire form.
+//
+// Failure model (internal/frame's, shared with internal/store): a record
+// is trusted only if its CRC32 checks out; on Open, a torn tail of the
+// *last* segment (a partial final record, e.g. after a crash mid-append)
+// is detected and truncated away, recovering every record before it.
+// Corruption anywhere else — a failed checksum mid-segment, or a damaged
+// non-final segment — is an error, never silently skipped.
 //
 // Layout:
 //
@@ -31,8 +34,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -41,15 +42,16 @@ import (
 	"strings"
 	"sync"
 
+	"swrec/internal/frame"
 	"swrec/internal/model"
 )
 
 var (
 	// ErrClosed is returned by operations on a closed WAL.
 	ErrClosed = errors.New("wal: closed")
-	// ErrCorrupt is returned when a record fails its CRC or bound checks
-	// anywhere except the tail of the last segment.
-	ErrCorrupt = errors.New("wal: corrupt record")
+	// ErrCorrupt is frame.ErrCorrupt: a record that fails its CRC or
+	// bound checks anywhere except the tail of the last segment.
+	ErrCorrupt = frame.ErrCorrupt
 	// ErrBadMutation is returned when appending a mutation that cannot be
 	// encoded (unknown op).
 	ErrBadMutation = errors.New("wal: bad mutation")
@@ -116,6 +118,10 @@ type Mutation struct {
 // maxFieldLen bounds each string field; URIs and names beyond this are
 // garbage, and the bound keeps decode allocations sane.
 const maxFieldLen = 64 << 10
+
+// maxPayload bounds a record's payload: a sequence number and the largest
+// mutation.
+const maxPayload = 1 + binary.MaxVarintLen64 + 4*(binary.MaxVarintLen32+maxFieldLen) + 8
 
 // encode appends the mutation's wire form (op + fields) to buf.
 func (m Mutation) encode(buf []byte) ([]byte, error) {
@@ -212,20 +218,9 @@ func decodeMutation(b []byte) (Mutation, []byte, error) {
 	return m, b, nil
 }
 
-// Record framing: crc32(payload) + uint32 payload length + payload, where
-// payload = uvarint seq + mutation wire form.
-const frameHeader = 8
-
-// File is the handle the WAL appends through. *os.File satisfies it; the
-// indirection exists so tests can interpose fault-injecting wrappers
-// (internal/faultinject) on the write path.
-type File interface {
-	io.Writer
-	io.Seeker
-	Truncate(size int64) error
-	Sync() error
-	Close() error
-}
+// File is frame.File, the handle both logs append through, named here
+// for callers that wrap the WAL's segments.
+type File = frame.File
 
 // Options configure a WAL.
 type Options struct {
@@ -246,14 +241,6 @@ func (o Options) withDefaults() Options {
 		o.SegmentBytes = 4 << 20
 	}
 	return o
-}
-
-// wrap applies the WrapFile seam to a freshly opened active segment.
-func (o Options) wrap(f *os.File) File {
-	if o.WrapFile != nil {
-		return o.WrapFile(f)
-	}
-	return f
 }
 
 // segment is one immutable (or active) log file.
@@ -303,12 +290,11 @@ type WAL struct {
 	mu       sync.Mutex
 	dir      string
 	opt      Options
-	segments []segment // sorted by firstSeq; last is active
-	active   File
-	size     int64  // active segment size
-	nextSeq  uint64 // sequence number the next record receives
-	appended uint64 // records appended in this process, for Stats
-	poisoned bool   // a group commit failed; no further appends acked
+	segments []segment   // sorted by firstSeq; last is active
+	active   *frame.Tail // the last segment, holding only acked records
+	nextSeq  uint64      // sequence number the next record receives
+	appended uint64      // records appended in this process, for Stats
+	poisoned bool        // a group commit failed; no further appends acked
 	closed   bool
 }
 
@@ -332,133 +318,86 @@ func Open(dir string, opt Options) (*WAL, error) {
 	}
 	sort.Slice(w.segments, func(i, j int) bool { return w.segments[i].firstSeq < w.segments[j].firstSeq })
 
-	// Non-final segments must be fully intact: a tear there means records
-	// after it exist that depend on the lost ones, so it is corruption.
+	var good int64
 	for i, seg := range w.segments {
-		last := i == len(w.segments)-1
-		lastSeq, size, err := scanSegment(seg.path, seg.firstSeq, last)
+		lastSeq, size, err := walkSegment(seg, i == len(w.segments)-1, 0, nil)
 		if err != nil {
 			return nil, err
 		}
 		if lastSeq >= w.nextSeq {
 			w.nextSeq = lastSeq + 1
 		}
-		if last {
-			w.size = size
-		}
+		good = size
 	}
 	if len(w.segments) == 0 {
 		if err := w.rotateLocked(); err != nil {
 			return nil, err
 		}
-	} else {
-		tail := w.segments[len(w.segments)-1]
-		f, err := os.OpenFile(tail.path, os.O_RDWR, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("wal: open segment: %w", err)
-		}
-		active := opt.wrap(f)
-		// scanSegment already truncated a torn tail logically; make it
-		// physical so appends land right after the last good record.
-		if err := active.Truncate(w.size); err != nil {
-			return nil, fmt.Errorf("wal: truncate torn tail: %w", errors.Join(err, active.Close()))
-		}
-		if _, err := active.Seek(w.size, io.SeekStart); err != nil {
-			return nil, fmt.Errorf("wal: seek: %w", errors.Join(err, active.Close()))
-		}
-		w.active = active
+		return w, nil
+	}
+	f, err := os.OpenFile(w.segments[len(w.segments)-1].path, os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("wal: open segment: %w", err)
+	}
+	// Cut the torn tail the walk stopped at, so appends land right after
+	// the last good record.
+	if w.active, err = frame.NewTail(f, opt.WrapFile, good); err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
 	}
 	return w, nil
 }
 
-// scanSegment walks one segment, validating every record. For the last
-// segment a torn tail is tolerated (its offset is returned as the good
-// size); anywhere else it is corruption. Returns the last sequence number
-// seen (0 if the segment is empty) and the byte size of the intact
-// prefix.
-func scanSegment(path string, firstSeq uint64, tolerateTear bool) (lastSeq uint64, goodSize int64, err error) {
-	f, err := os.Open(path)
+// walkSegment checks every record of seg in order — its frame, its
+// sequence number (contiguous from seg.firstSeq), its mutation and that
+// nothing trails the mutation — and hands those with seq >= from to fn
+// (nil: check only). A torn tail is tolerated on the last segment alone,
+// where the walk stops at the tear: anywhere else records after it
+// depend on the lost ones, so it is corruption. Returns the last sequence
+// number read (firstSeq-1 for an empty segment) and the byte size of the
+// intact prefix.
+func walkSegment(seg segment, last bool, from uint64, fn func(uint64, Mutation) error) (lastSeq uint64, good int64, err error) {
+	f, err := os.Open(seg.path)
 	if err != nil {
-		return 0, 0, fmt.Errorf("wal: open segment %s: %w", path, err)
+		return 0, 0, fmt.Errorf("wal: open segment: %w", err)
 	}
-	defer f.Close() //nolint:durableerr -- read-only scan; no acked bytes ride on this close
+	defer f.Close() //nolint:durableerr -- read-only walk; no acked bytes ride on this close
 	info, err := f.Stat()
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: stat segment: %w", err)
 	}
-	size := info.Size()
-	var off int64
-	want := firstSeq
-	for off < size {
-		seq, _, recLen, rerr := readRecord(f, off, size)
-		if rerr != nil {
-			if errors.Is(rerr, errTorn) && tolerateTear {
-				return want - 1, off, nil
-			}
-			if errors.Is(rerr, errTorn) {
-				return 0, 0, fmt.Errorf("%w: torn record in non-final segment %s at offset %d", ErrCorrupt, path, off)
-			}
-			return 0, 0, fmt.Errorf("%s at offset %d: %w", path, off, rerr)
+	want := seg.firstSeq
+	good, torn, err := frame.Scan(f, info.Size(), maxPayload, func(off int64, payload []byte) error {
+		seq, k := binary.Uvarint(payload)
+		if k <= 0 || seq != want {
+			return fmt.Errorf("%w: record at offset %d is not seq %d", ErrCorrupt, off, want)
 		}
-		if seq != want {
-			return 0, 0, fmt.Errorf("%w: %s holds seq %d where %d was expected", ErrCorrupt, path, seq, want)
+		m, rest, err := decodeMutation(payload[k:])
+		if err != nil {
+			return fmt.Errorf("record at offset %d: %w", off, err)
 		}
-		want = seq + 1
-		off += recLen
+		if len(rest) != 0 {
+			return fmt.Errorf("%w: %d trailing payload bytes at offset %d", ErrCorrupt, len(rest), off)
+		}
+		want++
+		if fn == nil || seq < from {
+			return nil
+		}
+		return fn(seq, m)
+	})
+	if err == nil && torn && !last {
+		err = fmt.Errorf("%w: torn record in non-final segment at offset %d", ErrCorrupt, good)
 	}
-	return want - 1, off, nil
-}
-
-// errTorn marks an incomplete record at the end of a segment.
-var errTorn = errors.New("wal: torn record")
-
-// readRecord reads and validates the framed record at off.
-func readRecord(r io.ReaderAt, off, size int64) (seq uint64, m Mutation, recLen int64, err error) {
-	var hdr [frameHeader]byte
-	if off+frameHeader > size {
-		return 0, m, 0, errTorn
-	}
-	if _, err := r.ReadAt(hdr[:], off); err != nil {
-		return 0, m, 0, fmt.Errorf("wal: read header: %w", err)
-	}
-	crc := binary.LittleEndian.Uint32(hdr[0:4])
-	plen := binary.LittleEndian.Uint32(hdr[4:8])
-	if plen > 1+binary.MaxVarintLen64+uint32(4*(binary.MaxVarintLen32+maxFieldLen))+8 {
-		return 0, m, 0, fmt.Errorf("%w: absurd payload length %d", ErrCorrupt, plen)
-	}
-	recLen = frameHeader + int64(plen)
-	if off+recLen > size {
-		return 0, m, 0, errTorn
-	}
-	payload := make([]byte, plen)
-	if _, err := r.ReadAt(payload, off+frameHeader); err != nil {
-		return 0, m, 0, fmt.Errorf("wal: read payload: %w", err)
-	}
-	if crc32.ChecksumIEEE(payload) != crc {
-		return 0, m, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	seq, k := binary.Uvarint(payload)
-	if k <= 0 {
-		return 0, m, 0, fmt.Errorf("%w: bad sequence varint", ErrCorrupt)
-	}
-	m, rest, err := decodeMutation(payload[k:])
 	if err != nil {
-		return 0, m, 0, err
+		return 0, 0, fmt.Errorf("wal: segment %s: %w", seg.path, err)
 	}
-	if len(rest) != 0 {
-		return 0, m, 0, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(rest))
-	}
-	return seq, m, recLen, nil
+	return want - 1, good, nil
 }
 
 // rotateLocked opens a fresh segment named by the next sequence number.
 // Caller holds w.mu (or is initializing).
 func (w *WAL) rotateLocked() error {
 	if w.active != nil {
-		if err := w.active.Sync(); err != nil {
-			return fmt.Errorf("wal: sync before rotate: %w", err)
-		}
-		if err := w.active.Close(); err != nil {
+		if err := w.active.Close(true); err != nil {
 			return fmt.Errorf("wal: close before rotate: %w", err)
 		}
 	}
@@ -467,9 +406,12 @@ func (w *WAL) rotateLocked() error {
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
+	active, err := frame.NewTail(f, w.opt.WrapFile, 0)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
 	w.segments = append(w.segments, seg)
-	w.active = w.opt.wrap(f)
-	w.size = 0
+	w.active = active
 	syncDir(w.dir)
 	return nil
 }
@@ -500,7 +442,7 @@ func (w *WAL) Append(muts []Mutation) (first, last uint64, err error) {
 	if w.poisoned {
 		return 0, 0, ErrPoisoned
 	}
-	if w.size >= w.opt.SegmentBytes {
+	if w.active.Size() >= w.opt.SegmentBytes {
 		if err := w.rotateLocked(); err != nil {
 			// The sync-and-close of the outgoing segment failed, so even
 			// previously acked records are of uncertain durability.
@@ -510,48 +452,26 @@ func (w *WAL) Append(muts []Mutation) (first, last uint64, err error) {
 	}
 	first = w.nextSeq
 	buf := make([]byte, 0, 64*len(muts))
-	var payload []byte
 	for i, m := range muts {
-		payload = payload[:0]
-		payload = binary.AppendUvarint(payload, w.nextSeq+uint64(i))
-		payload, err = m.encode(payload)
-		if err != nil {
+		start := len(buf)
+		buf = frame.Start(buf)
+		buf = binary.AppendUvarint(buf, w.nextSeq+uint64(i))
+		if buf, err = m.encode(buf); err != nil {
 			return 0, 0, err
 		}
-		var hdr [frameHeader]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], crc32.ChecksumIEEE(payload))
-		binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, payload...)
+		frame.Seal(buf[start:])
 	}
-	if _, err := w.active.Write(buf); err != nil {
-		w.poisonLocked()
+	// On a failed write or fsync the tail cuts the segment back to the
+	// last acked record, so a later Replay sees exactly the acked set. The
+	// kernel may have flushed any prefix of the batch, or nothing, so even
+	// the acked records' durability is in doubt: the log is poisoned.
+	if err := w.active.Append(buf, !w.opt.NoSync); err != nil {
+		w.poisoned = true
 		return 0, 0, fmt.Errorf("wal: append: %w", err)
 	}
-	if !w.opt.NoSync {
-		if err := w.active.Sync(); err != nil {
-			// The kernel may have flushed any prefix of the batch — or
-			// nothing. Durability of this batch is unknowable, so it must
-			// not be acked, and the segment is rolled back to the last
-			// acked record so a later Replay sees exactly the acked set.
-			w.poisonLocked()
-			return 0, 0, fmt.Errorf("wal: sync: %w", err)
-		}
-	}
-	w.size += int64(len(buf))
 	w.nextSeq += uint64(len(muts))
 	w.appended += uint64(len(muts))
 	return first, w.nextSeq - 1, nil
-}
-
-// poisonLocked marks the log append-dead after a failed group commit and
-// rolls the active segment back to the last acknowledged record: a short
-// write leaves a torn tail, and an unacked intact record would replay a
-// mutation the caller was told failed. Caller holds w.mu.
-func (w *WAL) poisonLocked() {
-	w.poisoned = true
-	_ = w.active.Truncate(w.size) //nolint:durableerr -- log is already poisoned and refuses appends; the rollback is best-effort hygiene
-	_, _ = w.active.Seek(w.size, io.SeekStart)
 }
 
 // NextSeq returns the sequence number the next appended record receives.
@@ -586,40 +506,9 @@ func (w *WAL) Replay(from uint64, fn func(seq uint64, m Mutation) error) error {
 		if i+1 < len(segs) && segs[i+1].firstSeq <= from {
 			continue
 		}
-		if err := replaySegment(seg, from, i == len(segs)-1, fn); err != nil {
+		if _, _, err := walkSegment(seg, i == len(segs)-1, from, fn); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// replaySegment walks one segment invoking fn for records >= from.
-func replaySegment(seg segment, from uint64, last bool, fn func(uint64, Mutation) error) error {
-	f, err := os.Open(seg.path)
-	if err != nil {
-		return fmt.Errorf("wal: open segment: %w", err)
-	}
-	defer f.Close() //nolint:durableerr -- read-only replay; no acked bytes ride on this close
-	info, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("wal: stat segment: %w", err)
-	}
-	size := info.Size()
-	var off int64
-	for off < size {
-		seq, m, recLen, err := readRecord(f, off, size)
-		if err != nil {
-			if errors.Is(err, errTorn) && last {
-				return nil
-			}
-			return fmt.Errorf("%s at offset %d: %w", seg.path, off, err)
-		}
-		if seq >= from {
-			if err := fn(seq, m); err != nil {
-				return err
-			}
-		}
-		off += recLen
 	}
 	return nil
 }
@@ -672,7 +561,7 @@ type Stats struct {
 func (w *WAL) Stats() Stats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return Stats{Segments: len(w.segments), NextSeq: w.nextSeq, Appended: w.appended, ActiveBytes: w.size, Poisoned: w.poisoned}
+	return Stats{Segments: len(w.segments), NextSeq: w.nextSeq, Appended: w.appended, ActiveBytes: w.active.Size(), Poisoned: w.poisoned}
 }
 
 // Close syncs and releases the WAL. Further operations return ErrClosed.
@@ -683,16 +572,10 @@ func (w *WAL) Close() error {
 		return nil
 	}
 	w.closed = true
-	if w.active == nil {
-		return nil
+	// A poisoned log is already rolled back to the acked set and its
+	// sync path is broken, so it just releases the handle.
+	if err := w.active.Close(!w.poisoned); err != nil {
+		return fmt.Errorf("wal: close: %w", err)
 	}
-	if w.poisoned {
-		// Already rolled back to the acked set; the sync path is broken,
-		// so just release the handle.
-		return w.active.Close()
-	}
-	if err := w.active.Sync(); err != nil {
-		return fmt.Errorf("wal: close sync: %w", errors.Join(err, w.active.Close()))
-	}
-	return w.active.Close()
+	return nil
 }

@@ -1,12 +1,15 @@
 package wal
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"swrec/internal/frame"
 	"swrec/internal/model"
 )
 
@@ -177,12 +180,36 @@ func TestCorruptMiddleDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt([]byte{0xFF}, frameHeader+2); err != nil {
+	if _, err := f.WriteAt([]byte{0xFF}, frame.HeaderSize+2); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Open over corrupt middle = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestSegmentBytesPinned pins the segment format: two batches covering
+// every op hash to what the log wrote before its framing moved into
+// internal/frame, so a segment on disk replays across that change.
+func TestSegmentBytesPinned(t *testing.T) {
+	dir := t.TempDir()
+	w := openWAL(t, dir, Options{NoSync: true})
+	for _, batch := range [][]Mutation{muts(5, 0), muts(5, 5)} {
+		if _, _, err := w.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, segmentName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got, want := hex.EncodeToString(sum[:]), "fa9094d5b99f58be7ace85c8414dc722efabbed6b7c770de1c37dc24b3d326d3"; len(data) != 380 || got != want {
+		t.Fatalf("segment: %d bytes, sha256 %s; want 380 bytes, %s", len(data), got, want)
 	}
 }
 
