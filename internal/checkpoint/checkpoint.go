@@ -1,18 +1,15 @@
 package checkpoint
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 
-	"swrec/internal/cf"
 	"swrec/internal/core"
 	"swrec/internal/engine"
 	"swrec/internal/model"
@@ -260,299 +257,6 @@ func Encode(img *Image) []byte {
 	return append(out, foot.b...)
 }
 
-// Decode parses and validates a checkpoint file image. opt is the option
-// set the caller intends to serve with; when the stored signature does
-// not match it (or, for a taxonomy-less checkpoint, its Product-
-// representation variant), Decode fails with ErrOptions. The returned
-// image's Options field is the accepted variant.
-func Decode(data []byte, opt core.Options) (*Image, error) {
-	return decode(data, opt, false)
-}
-
-// decode is Decode; with statementsOnly it ignores the stored option
-// signature and stops after the statement sections (taxonomy, agents,
-// products, trust, ratings), which mean the same under any options. The
-// image then carries no compiled rows or caches, so Restore
-// compiles it cold under opt — how Recover keeps an installation's
-// statements when its options change.
-func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) {
-	secs, err := deframe(data)
-	if err != nil {
-		return nil, err
-	}
-	need := func(id uint32, what string) (*dec, error) {
-		b, ok := secs[id]
-		if !ok {
-			return nil, fmt.Errorf("%w: missing %s section", ErrCorrupt, what)
-		}
-		return &dec{b: b}, nil
-	}
-
-	meta, err := need(secMeta, "meta")
-	if err != nil {
-		return nil, err
-	}
-	img := &Image{Epoch: meta.uv(), Seq: meta.uv()}
-	sig := meta.str()
-	flags := meta.u8()
-	// The counts are validated against the agents/products sections below
-	// (count checks space in the section being decoded, and the entries
-	// live there, not in meta).
-	rawAgents := meta.uv()
-	rawProducts := meta.uv()
-	if meta.err != nil {
-		return nil, meta.err
-	}
-	hasTax := flags&1 != 0
-	hasMat := flags&2 != 0
-	if !hasTax {
-		// A taxonomy-less community cannot serve taxonomy-space profiles;
-		// the engine that wrote this checkpoint ran the Product
-		// representation, so that is the variant to match.
-		opt.CF.Representation = cf.Product
-	}
-	if sig != optSig(opt) && !statementsOnly {
-		return nil, fmt.Errorf("%w: file has %q, want %q", ErrOptions, sig, optSig(opt))
-	}
-	img.Options = opt
-
-	// TAXONOMY: one bulk build over the primary parents — which checks
-	// what a per-node Add would (parent before child, well-formed name,
-	// qualified names unique) — then the extra parents edge by edge.
-	var tax *taxonomy.Taxonomy
-	if hasTax {
-		d, err := need(secTaxonomy, "taxonomy")
-		if err != nil {
-			return nil, err
-		}
-		root := d.str()
-		n := d.count(d.uv(), 3, "taxonomy node") // a name length, a parent and an edge count each
-		names := make([]string, n)
-		parents := make([]taxonomy.Topic, n)
-		type edge struct{ parent, child taxonomy.Topic }
-		var extra []edge
-		for i := 0; i < n && d.err == nil; i++ {
-			names[i] = d.str()
-			parents[i] = taxonomy.Topic(d.ord(n+1, "topic"))
-			nextra := d.count(d.uv(), 1, "taxonomy edge")
-			for j := 0; j < nextra; j++ {
-				extra = append(extra, edge{parent: taxonomy.Topic(d.ord(n+1, "topic")), child: taxonomy.Topic(i + 1)})
-			}
-		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		if tax, err = taxonomy.Build(root, names, parents); err != nil {
-			return nil, fmt.Errorf("%w: taxonomy rebuild: %v", ErrCorrupt, err)
-		}
-		for _, e := range extra {
-			if err := tax.AddEdge(e.parent, e.child); err != nil {
-				return nil, fmt.Errorf("%w: taxonomy rebuild: %v", ErrCorrupt, err)
-			}
-		}
-	}
-
-	// AGENTS and PRODUCTS: the section order is the ordinal order, on the
-	// wire and in the community, so every later section's ordinals index
-	// the community directly. Both counts are bounded by their sections
-	// before they size anything.
-	da, err := need(secAgents, "agents")
-	if err != nil {
-		return nil, err
-	}
-	dp, err := need(secProducts, "products")
-	if err != nil {
-		return nil, err
-	}
-	nAgents := da.count(rawAgents, 2, "agent")       // two length-prefixed strings each
-	nProducts := dp.count(rawProducts, 4, "product") // three strings plus a descriptor count each
-	if da.err != nil {
-		return nil, da.err
-	}
-	if dp.err != nil {
-		return nil, dp.err
-	}
-	comm := model.NewCommunitySized(tax, nAgents, nProducts)
-	img.Community = comm
-	for i := 0; i < nAgents; i++ {
-		id := model.AgentID(da.str())
-		name := da.str()
-		if da.err != nil {
-			return nil, da.err
-		}
-		comm.AddAgent(id).Name = name
-	}
-	if comm.NumAgents() != nAgents {
-		return nil, fmt.Errorf("%w: %d distinct agents for a count of %d", ErrCorrupt, comm.NumAgents(), nAgents)
-	}
-	for i := 0; i < nProducts; i++ {
-		p := model.Product{
-			ID:    model.ProductID(dp.str()),
-			Title: dp.str(),
-			ISBN:  dp.str(),
-		}
-		if nt := dp.count(dp.uv(), 1, "descriptor"); nt > 0 {
-			p.Topics = make([]taxonomy.Topic, nt)
-			for j := range p.Topics {
-				// A descriptor names a topic of the file's own taxonomy;
-				// without one it is an opaque label, kept as written.
-				if tax != nil {
-					p.Topics[j] = taxonomy.Topic(dp.ord(tax.Len(), "descriptor"))
-				} else {
-					p.Topics[j] = taxonomy.Topic(dp.uv())
-				}
-			}
-		}
-		if dp.err != nil {
-			return nil, dp.err
-		}
-		comm.AddProduct(p)
-	}
-	if comm.NumProducts() != nProducts {
-		return nil, fmt.Errorf("%w: %d distinct products for a count of %d", ErrCorrupt, comm.NumProducts(), nProducts)
-	}
-
-	// TRUST and RATINGS: one row per agent, handed to the community whole.
-	// The rows were written in TrustedPeers / RatedProducts order, which
-	// the loader verifies and then keeps as the sorted views.
-	var ords []int32
-	var vals []float64
-	rows := func(id uint32, what string, limit int, load func(int32, []int32, []float64) error) error {
-		d, err := need(id, what)
-		if err != nil {
-			return err
-		}
-		for a := 0; a < nAgents; a++ {
-			n := d.count(d.uv(), 9, what) // a varint ordinal and an f64 each
-			ords, vals = ords[:0], vals[:0]
-			for j := 0; j < n; j++ {
-				ords = append(ords, d.ord(limit, what))
-				vals = append(vals, d.f64())
-			}
-			if d.err != nil {
-				return d.err
-			}
-			if err := load(int32(a), ords, vals); err != nil {
-				return fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
-			}
-		}
-		return nil
-	}
-	if err := rows(secTrust, "trust", nAgents, comm.LoadTrust); err != nil {
-		return nil, err
-	}
-	if err := rows(secRatings, "ratings", nProducts, comm.LoadRatings); err != nil {
-		return nil, err
-	}
-	if statementsOnly {
-		return img, nil
-	}
-
-	// PROFMAT: rebuild the rows over two shared arenas, preserving the
-	// compiled-form property that rows alias contiguous storage.
-	if hasMat {
-		dm, err := need(secProfmat, "profmat")
-		if err != nil {
-			return nil, err
-		}
-		n := dm.count(dm.uv(), 4, "profmat row")
-		if n != nAgents {
-			return nil, fmt.Errorf("%w: %d profmat rows for %d agents", ErrCorrupt, n, nAgents)
-		}
-		lens := make([]int, n)
-		total := 0
-		for i := 0; i < n; i++ {
-			lens[i] = int(dm.u32())
-			total += lens[i]
-		}
-		if dm.err == nil && uint64(total) > uint64(dm.rem())/12+1 {
-			return nil, fmt.Errorf("%w: absurd profmat nnz %d", ErrCorrupt, total)
-		}
-		keys := make([]int32, total)
-		vals := make([]float64, total)
-		kb := dm.bytes(4*total, "profmat key arena")
-		vb := dm.bytes(8*total, "profmat value arena")
-		if dm.err != nil {
-			return nil, dm.err
-		}
-		for i := range keys {
-			keys[i] = int32(binary.LittleEndian.Uint32(kb[4*i:]))
-		}
-		for i := range vals {
-			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(vb[8*i:]))
-		}
-		img.Rows = make([]profmat.Row, n)
-		off := 0
-		for i := 0; i < n; i++ {
-			img.Rows[i] = profmat.Row{
-				Keys: keys[off : off+lens[i] : off+lens[i]],
-				Vals: vals[off : off+lens[i] : off+lens[i]],
-			}
-			off += lens[i]
-		}
-		for i := 0; i < n; i++ {
-			img.Rows[i].Norm = dm.f64()
-			img.Rows[i].Sum = dm.f64()
-		}
-		if dm.err != nil {
-			return nil, dm.err
-		}
-	}
-
-	// PEERS: every entry's frame and rank ordinals are checked here, so
-	// a corrupt file fails Load; the ranks themselves stay in the file
-	// bytes until the restored neighborhood is first read (peerRanks).
-	dw, err := need(secPeers, "peers")
-	if err != nil {
-		return nil, err
-	}
-	nw := dw.count(dw.uv(), 3, "peers entry")
-	img.Peers = make([]engine.PeersEntry, 0, nw)
-	for i := 0; i < nw && dw.err == nil; i++ {
-		agent := dw.ord(nAgents, "agent ordinal")
-		// Not dw.str: that would copy this whole section, the file's
-		// largest, for keys that are nearly all empty.
-		pipe := string(dw.bytes(dw.count(dw.uv(), 1, "peers pipe"), "peers pipe"))
-		block := dw.bytes(peerRankSize*dw.count(dw.uv(), peerRankSize, "peer rank"), "peer ranks")
-		for j := 0; j < len(block) && dw.err == nil; j += peerRankSize {
-			if uint64(binary.LittleEndian.Uint32(block[j:])) >= uint64(nAgents) {
-				dw.fail("agent ordinal")
-			}
-		}
-		if dw.err != nil {
-			break
-		}
-		img.Peers = append(img.Peers, engine.PeersEntry{Agent: agent, Pipe: pipe, Ranks: peerRanks{block, comm.Symbols()}.decode})
-	}
-	if dw.err != nil {
-		return nil, dw.err
-	}
-
-	return img, nil
-}
-
-// peerRanks is one PEERS entry's ranks, still in the file: block holds
-// its fixed-width records, whose agent ordinals decode already checked
-// against sym's community.
-type peerRanks struct {
-	block []byte
-	sym   model.Symbols
-}
-
-// decode materializes the ranks, each with the ordinal its record
-// stores. Called on a restored neighborhood's first read, and by Encode.
-func (p peerRanks) decode() []core.PeerRank {
-	peers := make([]core.PeerRank, len(p.block)/peerRankSize)
-	for j := range peers {
-		b := p.block[j*peerRankSize:]
-		peers[j] = core.NewPeerRank(p.sym.AgentAt(int32(binary.LittleEndian.Uint32(b))), math.Float64frombits(binary.LittleEndian.Uint64(b[4:])))
-		peers[j].Sim = math.Float64frombits(binary.LittleEndian.Uint64(b[12:]))
-		peers[j].SimOK = b[20] == 1
-		peers[j].Weight = math.Float64frombits(binary.LittleEndian.Uint64(b[21:]))
-	}
-	return peers
-}
-
 // Restore builds a serving engine from the image: the compiled rows and
 // warm neighborhoods are installed directly — no Appleseed, no Eq. 3, no
 // similarity recompute.
@@ -651,15 +355,19 @@ func WriteImage(dir string, img *Image, wrap func(*os.File) File) (path string, 
 // Load reads and fully validates the checkpoint at path. See Decode for
 // the option-signature contract.
 func Load(path string, opt core.Options) (*Image, error) {
-	return load(path, opt, false)
+	data, err := readFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return Decode(data, opt)
 }
 
-func load(path string, opt core.Options, statementsOnly bool) (*Image, error) {
+func readFile(path string) ([]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: read %s: %w", path, err)
 	}
-	return decode(data, opt, statementsOnly)
+	return data, nil
 }
 
 // Prune keeps the newest keep checkpoint files in dir and removes the

@@ -300,7 +300,10 @@ func TestWholeRangeImageIsStaleUnderDefaults(t *testing.T) {
 
 // TestDecodeCorruptionSweep flips one byte at a spread of offsets and
 // truncates at a spread of lengths; every variant must fail cleanly —
-// corruption is always an error, never a silently wrong snapshot.
+// corruption is always an error, never a silently wrong snapshot. With
+// the footer resealed over the flip, only the structure, a section
+// checksum or a section decoder can catch it, and one must, in both
+// decode modes, with the same error however the tasks interleave.
 func TestDecodeCorruptionSweep(t *testing.T) {
 	data := Encode(testImage(t, 3))
 	step := len(data)/211 + 1
@@ -310,10 +313,133 @@ func TestDecodeCorruptionSweep(t *testing.T) {
 		if _, err := Decode(mut, testOptions()); err == nil {
 			t.Fatalf("flip at offset %d/%d decoded cleanly", off, len(data))
 		}
+		if off >= len(data)-4 {
+			continue // the footer's checksum itself: resealing repairs the flip
+		}
+		refoot(mut)
+		want := ErrCorrupt
+		if off >= len(fileMagic) && off < len(fileMagic)+4 {
+			want = ErrVersion
+		}
+		for _, statementsOnly := range []bool{false, true} {
+			requireOneError(t, mut, testOptions(), statementsOnly, want)
+		}
 	}
 	for _, cut := range []int{0, 1, headerLen - 1, headerLen, headerLen + sectionHdr, len(data) / 2, len(data) - footerLen, len(data) - 1} {
 		if _, err := Decode(data[:cut], testOptions()); err == nil {
 			t.Fatalf("truncation to %d/%d decoded cleanly", cut, len(data))
+		}
+	}
+}
+
+// requireOneError decodes data 20 times and requires every attempt to
+// fail with want, and all with the same message.
+func requireOneError(t *testing.T, data []byte, opt core.Options, statementsOnly bool, want error) error {
+	t.Helper()
+	_, first := decode(data, opt, statementsOnly)
+	if !errors.Is(first, want) {
+		t.Fatalf("statements only: %v: got %v, want %v", statementsOnly, first, want)
+	}
+	for i := 1; i < 20; i++ {
+		if _, err := decode(data, opt, statementsOnly); err == nil || err.Error() != first.Error() {
+			t.Fatalf("statements only: %v: attempt %d failed with %v, the first with %v", statementsOnly, i, err, first)
+		}
+	}
+	return first
+}
+
+// spoil flips the middle byte of section id's payload in place.
+func spoil(t *testing.T, data []byte, id uint32) {
+	t.Helper()
+	secs, err := deframe(data)
+	if err != nil || len(secs[id].b) == 0 {
+		t.Fatalf("fixture: no section %d (%v)", id, err)
+	}
+	secs[id].b[len(secs[id].b)/2] ^= 0x01 // the payloads alias data
+}
+
+// TestDecodeReportsTheLowestFault: several faults, found by different
+// tasks, yield one error by a fixed rank — checksums before decoders, and
+// within each the lowest section id — whichever task finishes first.
+func TestDecodeReportsTheLowestFault(t *testing.T) {
+	img := testImage(t, 3)
+	data := Encode(img)
+
+	// Checksums: TAXONOMY's task and PEERS's task each find one.
+	mut := bytes.Clone(data)
+	spoil(t, mut, secPeers)
+	spoil(t, mut, secTaxonomy)
+	refoot(mut)
+	if err := requireOneError(t, mut, testOptions(), false, ErrCorrupt); !strings.Contains(err.Error(), fmt.Sprintf("section %d checksum", secTaxonomy)) {
+		t.Fatalf("got %v, want the taxonomy's checksum", err)
+	}
+	// The file checksum outranks them.
+	mut[len(mut)-1] ^= 0x01
+	if err := requireOneError(t, mut, testOptions(), false, ErrCorrupt); !strings.Contains(err.Error(), "file checksum") {
+		t.Fatalf("got %v, want the file checksum", err)
+	}
+
+	// Decoders: a PEERS rank naming no agent (checked by PEERS's task)
+	// beside two products under one ID (caught at registration, after the
+	// join): PRODUCTS has the lower id.
+	mut = bytes.Clone(data)
+	secs, _ := deframe(mut)
+	d := &dec{b: secs[secPeers].b}
+	d.uv()            // entry count
+	d.uv()            // the first entry's agent ordinal
+	d.skipStr("pipe") // its pipe key
+	if d.uv() == 0 || d.err != nil {
+		t.Fatal("fixture: the first peers entry has no ranks")
+	}
+	binary.LittleEndian.PutUint32(secs[secPeers].b[d.off:], uint32(img.Community.NumAgents()))
+	at := bytes.Index(mut, []byte("urn:isbn:9780521386326"))
+	copy(mut[at:], "urn:isbn:9780553380958")
+	mut = reseal(mut)
+	if err := requireOneError(t, mut, testOptions(), false, ErrCorrupt); !strings.Contains(err.Error(), "distinct products") {
+		t.Fatalf("got %v, want the duplicate product", err)
+	}
+	// Statements only, PEERS goes unread: the duplicate still fails it.
+	requireOneError(t, mut, testOptions(), true, ErrCorrupt)
+}
+
+// TestOptionsMismatchWithCorruptSectionIsCorrupt: a file written under
+// other options whose PEERS (or PROFMAT) checksum fails is ErrCorrupt,
+// not ErrOptions — on ErrOptions, Recover would keep the file's
+// statements.
+func TestOptionsMismatchWithCorruptSectionIsCorrupt(t *testing.T) {
+	data := Encode(testImage(t, 1))
+	opt := testOptions()
+	opt.TrustThreshold = 0.25
+	if _, err := Decode(data, opt); !errors.Is(err, ErrOptions) {
+		t.Fatalf("fixture: got %v, want ErrOptions", err)
+	}
+	for _, id := range []uint32{secPeers, secProfmat} {
+		mut := bytes.Clone(data)
+		spoil(t, mut, id)
+		refoot(mut)
+		for _, statementsOnly := range []bool{false, true} {
+			requireOneError(t, mut, opt, statementsOnly, ErrCorrupt)
+		}
+	}
+}
+
+// TestDecodeConcurrently: decode only reads its buffer, so goroutines may
+// decode one at once — run under -race — and each gets the file's image.
+func TestDecodeConcurrently(t *testing.T) {
+	data := Encode(Capture(warmEngine(t, testCommunity(t, 200)).Snapshot(), 5))
+	errs := make(chan error, 8)
+	for i := 0; i < cap(errs); i++ {
+		go func() {
+			img, err := Decode(data, testOptions())
+			if err == nil && !bytes.Equal(Encode(img), data) {
+				err = errors.New("the image re-encodes to other bytes")
+			}
+			errs <- err
+		}()
+	}
+	for i := 0; i < cap(errs); i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -467,7 +593,7 @@ func requireRetiredSectionLoads(t *testing.T, data, old []byte, id uint32) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(old) <= len(data) || len(secs[id]) == 0 {
+	if len(old) <= len(data) || len(secs[id].b) == 0 {
 		t.Fatalf("the fixture carries no section %d", id)
 	}
 
@@ -496,7 +622,7 @@ func requireRetiredSectionLoads(t *testing.T, data, old []byte, id uint32) {
 
 	torn := bytes.Clone(old)
 	secs, _ = deframe(torn) // the payloads alias torn
-	secs[id][len(secs[id])-1] ^= 0x01
+	secs[id].b[len(secs[id].b)-1] ^= 0x01
 	refoot(torn)
 	if _, err := Decode(torn, testOptions()); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt retired section %d: got %v, want ErrCorrupt", id, err)
@@ -663,7 +789,7 @@ func TestPeersOrdinalOutOfRangeIsCorruptAtLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The payload aliases data: writing through it spoils the file.
-	payload := secs[secPeers]
+	payload := secs[secPeers].b
 	d := &dec{b: payload}
 	spoiled := false
 	for n := d.uv(); n > 0 && !spoiled && d.err == nil; n-- {

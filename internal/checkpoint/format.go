@@ -26,9 +26,13 @@
 //	footer:   u32 footer magic | u32 crc32(every preceding file byte)
 //
 // Every section is independently CRC32-framed and the footer checksums
-// the whole file, so a torn write, a bit flip, or a truncation is
-// detected before a single decoded value is trusted — corruption is
-// always an error, never a silently wrong snapshot. Files are written
+// the whole file. A load decodes the sections as concurrent tasks, each
+// checking a section's CRC before it decodes a byte of it, and one
+// checking the footer and the sections no task decodes; Decode joins
+// every task before it returns anything. So a torn write, a bit flip, or
+// a truncation fails the load — corruption is always an error, never a
+// silently wrong snapshot — and one input always fails with one error,
+// whichever task finished first. Files are written
 // atomically (unique temp + fsync + rename) and named ckpt-<seq>.swc by
 // the WAL sequence number they cover; Load rejects unknown versions and
 // option-signature mismatches, and the recovery ladder (Recover) falls
@@ -81,7 +85,7 @@ const (
 // profiles are the rows of section 7), and META's flag bit 4, which
 // announced section 8, is neither written nor read. A v1 file that still
 // carries either loads — the decoder checks its frame and CRC like any
-// section's and never reads its payload.
+// section's and never decodes its payload.
 const (
 	secMeta = iota + 1
 	secTaxonomy
@@ -301,24 +305,25 @@ func frame(out []byte, id uint32, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
 }
 
-// deframe validates the container structure of data — header, per-section
-// CRCs, footer checksum — and returns the section payloads by id. The
-// payloads alias data.
-func deframe(data []byte) (map[uint32][]byte, error) {
+// section is one framed payload, aliasing the file, and the CRC32 stored
+// after it — which deframe does not check: decode's tasks do.
+type section struct {
+	b   []byte
+	crc uint32
+}
+
+// deframe checks the container structure of data — magic, version,
+// section table, overruns, duplicates, trailing bytes — and returns the
+// sections by id. It computes no checksum.
+func deframe(data []byte) (map[uint32]section, error) {
 	if len(data) < headerLen+footerLen {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than header+footer", ErrCorrupt, len(data))
 	}
 	if string(data[:len(fileMagic)]) != fileMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	// Footer first: one whole-file checksum rejects most corruption
-	// before any per-section parsing happens.
-	foot := data[len(data)-footerLen:]
-	if binary.LittleEndian.Uint32(foot[:4]) != footerMagic {
+	if binary.LittleEndian.Uint32(data[len(data)-footerLen:]) != footerMagic {
 		return nil, fmt.Errorf("%w: bad footer magic (torn write?)", ErrCorrupt)
-	}
-	if got, want := crc32.ChecksumIEEE(data[:len(data)-footerLen]), binary.LittleEndian.Uint32(foot[4:]); got != want {
-		return nil, fmt.Errorf("%w: file checksum mismatch", ErrCorrupt)
 	}
 	ver := binary.LittleEndian.Uint32(data[len(fileMagic):])
 	if ver != fileVersion {
@@ -333,7 +338,7 @@ func deframe(data []byte) (map[uint32][]byte, error) {
 	if uint64(nsec) > uint64(len(body))/(sectionHdr+4) {
 		return nil, fmt.Errorf("%w: section count %d exceeds file capacity", ErrCorrupt, nsec)
 	}
-	secs := make(map[uint32][]byte, nsec)
+	secs := make(map[uint32]section, nsec)
 	for i := uint32(0); i < nsec; i++ {
 		if len(body) < sectionHdr {
 			return nil, fmt.Errorf("%w: truncated section header", ErrCorrupt)
@@ -344,15 +349,10 @@ func deframe(data []byte) (map[uint32][]byte, error) {
 		if plen > uint64(len(body)) || uint64(len(body))-plen < 4 {
 			return nil, fmt.Errorf("%w: section %d overruns file", ErrCorrupt, id)
 		}
-		payload := body[:plen]
-		crc := binary.LittleEndian.Uint32(body[plen:])
-		if crc32.ChecksumIEEE(payload) != crc {
-			return nil, fmt.Errorf("%w: section %d checksum mismatch", ErrCorrupt, id)
-		}
 		if _, dup := secs[id]; dup {
 			return nil, fmt.Errorf("%w: duplicate section %d", ErrCorrupt, id)
 		}
-		secs[id] = payload
+		secs[id] = section{b: body[:plen], crc: binary.LittleEndian.Uint32(body[plen:])}
 		body = body[plen+4:]
 	}
 	if len(body) != 0 {

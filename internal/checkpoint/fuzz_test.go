@@ -6,7 +6,8 @@ package checkpoint
 // boundedmake checks those bounds statically; this checks them by
 // running. An image the decoder accepts is restored into an engine and
 // driven through the catalog index and a full recompile, so a file that
-// decodes but crashes the engine is a finding too. Run with
+// decodes but crashes the engine is a finding too — for the full decode
+// and for the statements-only one alike. Run with
 //
 //	go test -fuzz FuzzDecode ./internal/checkpoint
 //
@@ -65,28 +66,32 @@ func FuzzDecode(f *testing.F) {
 	opt := testOptions()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]byte{data, reseal(data)} {
-			img, err := Decode(in, opt)
-			switch {
-			case err == nil:
-				if img == nil || img.Community == nil {
-					t.Fatal("Decode returned neither an image nor an error")
+			// The full decode, and the statements-only one Recover falls
+			// back to on ErrOptions.
+			for _, statementsOnly := range []bool{false, true} {
+				img, err := decode(in, opt, statementsOnly)
+				switch {
+				case err == nil:
+					if img == nil || img.Community == nil {
+						t.Fatal("decode returned neither an image nor an error")
+					}
+					// A restored neighborhood decodes its ranks on first
+					// touch; touch them all, so the deferred decode is
+					// fuzzed with the rest.
+					for _, e := range img.Peers {
+						e.Ranks()
+					}
+					eng, err := img.Restore(testConfig())
+					if err != nil {
+						continue
+					}
+					eng.Snapshot().TopicIndex().Subtree(taxonomy.Root)
+					if _, err := eng.Swap(img.Community); err != nil {
+						t.Fatalf("a full recompile of the restored community failed: %v", err)
+					}
+				case !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) && !errors.Is(err, ErrOptions):
+					t.Fatalf("decode failed outside the package's sentinel errors: %v", err)
 				}
-				// A restored neighborhood decodes its ranks on first
-				// touch; touch them all, so the deferred decode is
-				// fuzzed with the rest.
-				for _, e := range img.Peers {
-					e.Ranks()
-				}
-				eng, err := img.Restore(testConfig())
-				if err != nil {
-					continue
-				}
-				eng.Snapshot().TopicIndex().Subtree(taxonomy.Root)
-				if _, err := eng.Swap(img.Community); err != nil {
-					t.Fatalf("a full recompile of the restored community failed: %v", err)
-				}
-			case !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) && !errors.Is(err, ErrOptions):
-				t.Fatalf("Decode failed outside the package's sentinel errors: %v", err)
 			}
 		}
 	})

@@ -23,13 +23,18 @@ func Dir(walDir string) string { return filepath.Join(walDir, DirName) }
 
 // recoveryStats publishes the ladder's outcome under "swrec_recovery":
 // monotonic counters (recoveries, per-source counts, rejected
-// checkpoints) plus last_* gauges describing the most recent recovery.
+// checkpoints) plus last_* gauges describing the most recent recovery —
+// last_load_ms the whole ladder walk, last_read_us, last_decode_us and
+// last_restore_us the rung that served (see phases).
 var (
 	recoveryStats = expvar.NewMap("swrec_recovery")
 	lastRung      expvar.Int
 	lastEpoch     expvar.Int
 	lastSeq       expvar.Int
 	lastLoadMS    expvar.Int
+	lastReadUS    expvar.Int
+	lastDecodeUS  expvar.Int
+	lastRestoreUS expvar.Int
 )
 
 func init() {
@@ -37,6 +42,9 @@ func init() {
 	recoveryStats.Set("last_epoch", &lastEpoch)
 	recoveryStats.Set("last_seq", &lastSeq)
 	recoveryStats.Set("last_load_ms", &lastLoadMS)
+	recoveryStats.Set("last_read_us", &lastReadUS)
+	recoveryStats.Set("last_decode_us", &lastDecodeUS)
+	recoveryStats.Set("last_restore_us", &lastRestoreUS)
 }
 
 // RecoverConfig parameterizes one walk down the recovery ladder.
@@ -130,7 +138,17 @@ func Recover(cfg RecoverConfig) (*Result, error) {
 			skip(info.Path, fmt.Errorf("wal starts at seq %d, after checkpoint seq %d", oldest, info.Seq))
 			continue
 		}
-		img, err := Load(info.Path, cfg.Options)
+		var ph phases
+		t := time.Now()
+		data, err := readFile(info.Path)
+		ph.read = time.Since(t)
+		if err != nil {
+			recoveryStats.Add("rejected_checkpoints", 1)
+			skip(info.Path, err)
+			continue
+		}
+		t = time.Now()
+		img, err := Decode(data, cfg.Options)
 		recompiled := errors.Is(err, ErrOptions)
 		if recompiled {
 			// Compiled under other options: its rows and caches are wrong
@@ -139,14 +157,17 @@ func Recover(cfg RecoverConfig) (*Result, error) {
 			// been truncated can still change its options.
 			res.Fallbacks = append(res.Fallbacks, fmt.Sprintf("%s: %v (statements kept, recompiled)", info.Path, err))
 			logf("recovery: %s: %v; keeping its statements and recompiling", info.Path, err)
-			img, err = load(info.Path, cfg.Options, true)
+			img, err = decode(data, cfg.Options, true)
 		}
+		ph.decode = time.Since(t)
 		if err != nil {
 			recoveryStats.Add("rejected_checkpoints", 1)
 			skip(info.Path, err)
 			continue
 		}
+		t = time.Now()
 		eng, err := img.Restore(cfg.Engine)
+		ph.restore = time.Since(t)
 		if err != nil {
 			recoveryStats.Add("rejected_checkpoints", 1)
 			skip(info.Path, err)
@@ -159,7 +180,7 @@ func Recover(cfg RecoverConfig) (*Result, error) {
 		if recompiled {
 			source = "checkpoint-recompiled"
 		}
-		return finish(res, eng, rung, source, img.Epoch, img.Seq, info.Path, start)
+		return finish(res, eng, rung, source, img.Epoch, img.Seq, info.Path, start, ph)
 	}
 
 	// Rung 3: rebuild from the original corpus, which covers sequence 0,
@@ -170,15 +191,20 @@ func Recover(cfg RecoverConfig) (*Result, error) {
 		return nil, fmt.Errorf("checkpoint: recovery exhausted: no usable checkpoint in %s (rejected: %q) and the WAL starts at seq %d, so records 1-%d cannot be replayed onto the corpus",
 			Dir(cfg.WALDir), res.Fallbacks, oldest, oldest-1)
 	}
+	var ph phases
+	t := time.Now()
 	comm, err := cfg.Corpus()
+	ph.read = time.Since(t)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: recovery exhausted, corpus rebuild failed: %w", err)
 	}
+	t = time.Now()
 	eng, err := engine.New(comm, adaptOptions(cfg.Options, comm), cfg.Engine)
+	ph.restore = time.Since(t)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: recovery exhausted, corpus rebuild failed: %w", err)
 	}
-	return finish(res, eng, 3, "corpus", eng.Epoch(), 0, "", start)
+	return finish(res, eng, 3, "corpus", eng.Epoch(), 0, "", start, ph)
 }
 
 // adaptOptions mirrors cmd/swrecd's boot-time adjustment: a community
@@ -191,7 +217,13 @@ func adaptOptions(opt core.Options, comm *model.Community) core.Options {
 	return opt
 }
 
-func finish(res *Result, eng *engine.Engine, rung int, source string, epoch, seq uint64, path string, start time.Time) (*Result, error) {
+// phases splits the rung that served into its three steps: reading its
+// source (the file; on rung 3 the corpus), decoding it (both decodes of a
+// recompiled file; nothing on rung 3), and restoring the engine (on rung
+// 3, compiling it).
+type phases struct{ read, decode, restore time.Duration }
+
+func finish(res *Result, eng *engine.Engine, rung int, source string, epoch, seq uint64, path string, start time.Time, ph phases) (*Result, error) {
 	res.Engine = eng
 	res.Rung = rung
 	res.Source = source
@@ -205,5 +237,8 @@ func finish(res *Result, eng *engine.Engine, rung int, source string, epoch, seq
 	lastEpoch.Set(int64(epoch))
 	lastSeq.Set(int64(seq))
 	lastLoadMS.Set(res.Load.Milliseconds())
+	lastReadUS.Set(ph.read.Microseconds())
+	lastDecodeUS.Set(ph.decode.Microseconds())
+	lastRestoreUS.Set(ph.restore.Microseconds())
 	return res, nil
 }

@@ -282,6 +282,21 @@ func TestRestoredMatchesFromScratch(t *testing.T) {
 	if g, ok := m.Get("last_rung").(*expvar.Int); !ok || g.Value() != 1 {
 		t.Fatalf("swrec_recovery last_rung = %v, want 1", m.Get("last_rung"))
 	}
+	// Where the restart went: read, decode and restore of the served file.
+	var phases int64
+	for _, name := range []string{"last_read_us", "last_decode_us", "last_restore_us"} {
+		g, ok := m.Get(name).(*expvar.Int)
+		if !ok || g.Value() < 0 {
+			t.Fatalf("swrec_recovery %s = %v, want a gauge", name, m.Get(name))
+		}
+		phases += g.Value()
+	}
+	if load := m.Get("last_load_ms").(*expvar.Int).Value(); phases > (load+1)*1000 {
+		t.Fatalf("the served rung's phases sum to %d µs, more than the %d ms ladder walk", phases, load)
+	}
+	if m.Get("last_decode_us").(*expvar.Int).Value() == 0 {
+		t.Fatal("a rung-1 recovery spent no time decoding")
+	}
 	if m.Get("recoveries") == nil {
 		t.Fatal("swrec_recovery recoveries counter missing")
 	}

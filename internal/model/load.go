@@ -11,6 +11,14 @@ import "fmt"
 // memoized view as it stands, so nothing is sorted on first use. It
 // rejects what SetTrust rejects, plus ordinals outside the community, and
 // then leaves the agent as it was.
+//
+// LoadTrust may run concurrently with LoadRatings — one goroutine calling
+// each — once every agent and product is registered and every agent
+// record is owned by this generation (AddAgent leaves the record it
+// returns so; a Clone's records stay shared until written). Neither then
+// registers or copies a record, and they write disjoint fields: Trust and
+// peersMemo against Ratings, ratingsMemo and posMemo. No other mutator
+// may run meanwhile.
 func (c *Community) LoadTrust(src int32, dst []int32, val []float64) error {
 	id, err := c.agentAt(src)
 	if err != nil {
@@ -48,7 +56,8 @@ func (c *Community) LoadTrust(src int32, dst []int32, val []float64) error {
 // with the given ordinal: prod[i] is a product's ordinal and val[i] its
 // rating. It is to SetRating what LoadTrust is to SetTrust; a row in
 // RatedProducts order also yields the PositiveRatings view, whose product
-// ordinals the row already carries.
+// ordinals the row already carries. It may run beside LoadTrust; see
+// there.
 func (c *Community) LoadRatings(agent int32, prod []int32, val []float64) error {
 	id, err := c.agentAt(agent)
 	if err != nil {

@@ -14,9 +14,10 @@ import (
 // loadFixture builds a community through the setters: values are
 // multiples of 0.25, so every row has ties, and IDs sort differently from
 // ordinals ("a10" < "a9"), so a tie-break by ordinal would show.
-func loadFixture(seed int64) *Community {
+func loadFixture(seed int64) *Community { return sizedLoadFixture(seed, 40, 25) }
+
+func sizedLoadFixture(seed int64, agents, products int) *Community {
 	rng := rand.New(rand.NewSource(seed))
-	const agents, products = 40, 25
 	c := NewCommunity(nil)
 	for i := 0; i < products; i++ {
 		c.AddProduct(Product{ID: ProductID(fmt.Sprintf("urn:p:%d", i))})
@@ -47,10 +48,9 @@ func rowsOf(c *Community, a *Agent) (dst []int32, trust []float64, prod []int32,
 	return
 }
 
-// loadedCopy rebuilds want through the loader; permute reorders each row
-// before it is handed over.
-func loadedCopy(t *testing.T, want *Community, permute func(idx []int32, val []float64)) *Community {
-	t.Helper()
+// registeredCopy registers want's products and agents, in want's order,
+// in a fresh community: a loader's starting point.
+func registeredCopy(want *Community) *Community {
 	got := NewCommunitySized(nil, want.NumAgents(), want.NumProducts())
 	for _, p := range want.prodRecs {
 		got.AddProduct(Product{ID: p.ID})
@@ -58,6 +58,14 @@ func loadedCopy(t *testing.T, want *Community, permute func(idx []int32, val []f
 	for _, id := range want.agentIDs {
 		got.AddAgent(id)
 	}
+	return got
+}
+
+// loadedCopy rebuilds want through the loader; permute reorders each row
+// before it is handed over.
+func loadedCopy(t *testing.T, want *Community, permute func(idx []int32, val []float64)) *Community {
+	t.Helper()
+	got := registeredCopy(want)
 	for _, a := range want.agentRecs {
 		dst, trust, prod, ratings := rowsOf(want, a)
 		permute(dst, trust)
@@ -121,6 +129,40 @@ func TestLoadedEqualsSetterBuilt(t *testing.T) {
 		}
 		sameStatements(t, got, want)
 	}
+}
+
+// TestLoadTrustBesideLoadRatings pins the contract the checkpoint
+// decoder relies on: once every agent and product is registered in a
+// community that owns its records, LoadTrust and LoadRatings may run at
+// once, one goroutine each — they write disjoint fields — and the result
+// is the serial load's. Run it under -race.
+func TestLoadTrustBesideLoadRatings(t *testing.T) {
+	want := sizedLoadFixture(11, 2000, 300)
+	got := registeredCopy(want)
+	errs := make(chan error, 2)
+	load := func(rows func(a *Agent) ([]int32, []float64), into func(int32, []int32, []float64) error) {
+		for _, a := range want.agentRecs {
+			idx, val := rows(a)
+			if err := into(a.ord, idx, val); err != nil {
+				errs <- err
+				return
+			}
+		}
+		errs <- nil
+	}
+	go load(func(a *Agent) ([]int32, []float64) {
+		dst, trust, _, _ := rowsOf(want, a)
+		return dst, trust
+	}, got.LoadTrust)
+	go load(func(a *Agent) ([]int32, []float64) {
+		_, _, prod, ratings := rowsOf(want, a)
+		return prod, ratings
+	}, got.LoadRatings)
+	for i := 0; i < 2; i++ {
+		must(t, <-errs)
+	}
+	sameStatements(t, got, loadedCopy(t, want, func([]int32, []float64) {}))
+	sameStatements(t, got, want)
 }
 
 // TestLoadOutOfOrderRowInstallsNoMemo: a row that is not in view order —
