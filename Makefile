@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build check fmt vet lint lint-note lint-audit test bench-harness race cover bench bench-diff bench-diff-short profile fuzz fuzz-smoke chaos chaos-short recovery-smoke load load-short load-baseline experiments experiments-paper examples clean
+.PHONY: all build check fmt vet lint lint-note test bench-harness race cover bench bench-diff bench-diff-short profile fuzz fuzz-smoke chaos chaos-short recovery-smoke load load-short load-baseline experiments experiments-paper examples clean
 
 all: build check
 
@@ -31,6 +31,9 @@ bin/swrecvet: $(SWRECVET_SRC)
 # and drives it through go vet, so the project analyzers (boundedmake,
 # ctxflow, detrand, durableerr, expvarname, goleak, hotalloc,
 # snapshotfreeze, snapshotpin, urikey) run with full type information.
+# The same run audits the suppressions: the nolint pass reports every
+# justified one that names no registered analyzer or covers none of its
+# diagnostics, so a stale suppression fails lint with its file:line.
 # Narrow the sweep with PKG: `make lint PKG=./internal/engine/...`.
 # See README "Static analysis" for the invariant each analyzer encodes
 # and DESIGN.md §7 for the PR that introduced it.
@@ -49,18 +52,12 @@ lint-note:
 	@echo '  //nolint:<analyzer> -- reason             # covers its line and the next'
 	@echo '  //swrecvet:disable <analyzer> -- reason   # covers the whole file'
 	@echo 'unjustified suppressions are inert; the diagnostic keeps firing.'
+	@echo 'a justified suppression that covers no diagnostic is stale:'
+	@echo '  the nolint pass fails make lint on it; delete it.'
 	@echo 'mark zero-allocation kernels with //swrec:hotpath in the doc comment:'
 	@echo '  hotalloc then rejects every allocating construct in the function'
 	@echo '  and its same-package callees.'
 	@echo 'narrow a lint run with PKG:   make lint PKG=./internal/engine/...'
-	@echo 'audit stale suppressions:     make lint-audit'
-
-# lint-audit re-runs the suite in audit mode and condemns every
-# justified suppression whose analyzer is gone or whose diagnostic no
-# longer fires under it (see cmd/lintaudit). Fails when stale
-# suppressions exist.
-lint-audit: bin/swrecvet
-	$(GO) run ./cmd/lintaudit -vettool bin/swrecvet
 
 build:
 	$(GO) build ./...

@@ -6,11 +6,12 @@
 //	go vet -vettool=$(pwd)/bin/swrecvet ./...
 //
 // (or `make lint`, which does exactly that). Each analyzer encodes one
-// invariant introduced by an earlier PR — see the DESIGN.md "Static
-// analysis" table for the mapping — and supports the auditable
-// suppression comments documented in internal/analysis/lintutil. The
-// analyzer set lives in internal/analysis/registry, shared with
-// cmd/lintaudit.
+// invariant — see the DESIGN.md "Static analysis" table for the
+// mapping — and supports the auditable suppression comments documented
+// in internal/analysis/lintutil; the nolint pass reports every justified
+// suppression that no longer covers a diagnostic. The analyzer set lives
+// in internal/analysis/registry, and canary_test.go proves each member
+// on a recorded one-line edit of the real tree.
 package main
 
 import (

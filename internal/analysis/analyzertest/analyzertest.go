@@ -29,6 +29,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
@@ -57,7 +58,8 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgpath string) {
 	}
 
 	var diags []analysis.Diagnostic
-	if err := runWithDeps(a, lp, ld.fset, &diags, make(map[*analysis.Analyzer]any)); err != nil {
+	report := func(d analysis.Diagnostic) { diags = append(diags, d) }
+	if err := runWithDeps(a, lp, ld.fset, report, make(map[*analysis.Analyzer]any)); err != nil {
 		t.Fatalf("analyzertest: running %s: %v", a.Name, err)
 	}
 	check(t, a, ld.fset, lp.files, diags)
@@ -144,27 +146,26 @@ func (l *loader) load(path string) (*loaded, error) {
 }
 
 // runWithDeps executes a's Requires closure depth-first, then a,
-// sharing one results map; diagnostics from a itself land in diags.
-func runWithDeps(a *analysis.Analyzer, lp *loaded, fset *token.FileSet, diags *[]analysis.Diagnostic, results map[*analysis.Analyzer]any) error {
+// sharing one results map; only a's own diagnostics reach report, as
+// under go vet, where a prerequisite's diagnostics are dropped.
+func runWithDeps(a *analysis.Analyzer, lp *loaded, fset *token.FileSet, report func(analysis.Diagnostic), results map[*analysis.Analyzer]any) error {
 	if _, done := results[a]; done {
 		return nil
 	}
 	for _, dep := range a.Requires {
-		if err := runWithDeps(dep, lp, fset, diags, results); err != nil {
+		if err := runWithDeps(dep, lp, fset, func(analysis.Diagnostic) {}, results); err != nil {
 			return err
 		}
 	}
 	pass := &analysis.Pass{
-		Analyzer:   a,
-		Fset:       fset,
-		Files:      lp.files,
-		Pkg:        lp.pkg,
-		TypesInfo:  lp.info,
-		TypesSizes: types.SizesFor("gc", "amd64"),
-		ResultOf:   results,
-		Report: func(d analysis.Diagnostic) {
-			*diags = append(*diags, d)
-		},
+		Analyzer:          a,
+		Fset:              fset,
+		Files:             lp.files,
+		Pkg:               lp.pkg,
+		TypesInfo:         lp.info,
+		TypesSizes:        types.SizesFor("gc", "amd64"),
+		ResultOf:          results,
+		Report:            report,
 		ImportObjectFact:  func(types.Object, analysis.Fact) bool { return false },
 		ExportObjectFact:  func(types.Object, analysis.Fact) {},
 		ImportPackageFact: func(*types.Package, analysis.Fact) bool { return false },
@@ -176,6 +177,9 @@ func runWithDeps(a *analysis.Analyzer, lp *loaded, fset *token.FileSet, diags *[
 	res, err := a.Run(pass)
 	if err != nil {
 		return fmt.Errorf("%s: %v", a.Name, err)
+	}
+	if a.ResultType != nil && reflect.TypeOf(res) != a.ResultType {
+		return fmt.Errorf("%s: result of type %v, declared %v", a.Name, reflect.TypeOf(res), a.ResultType)
 	}
 	results[a] = res
 	return nil

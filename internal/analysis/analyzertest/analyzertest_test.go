@@ -18,7 +18,7 @@ var lightAnalyzer = &analysis.Analyzer{
 	Name: "marktest",
 	Doc:  "reports Fuse.Light calls (analyzertest self-test)",
 	Run: func(pass *analysis.Pass) (any, error) {
-		sup := lintutil.New(pass, "marktest")
+		sup := lintutil.New(pass)
 		for _, f := range pass.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)

@@ -50,25 +50,20 @@ gigabytes. Validate first, or justify with
 
 // Analyzer is the boundedmake pass.
 var Analyzer = &analysis.Analyzer{
-	Name:     "boundedmake",
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Name:       "boundedmake",
+	Doc:        doc,
+	Requires:   []*analysis.Analyzer{inspect.Analyzer},
+	Run:        run,
+	ResultType: lintutil.ResultType,
 }
 
-var (
-	pkgs       string
-	validators string
+const (
+	// pkgs are the import-path prefixes whose decode paths are checked.
+	pkgs = "swrec/internal/checkpoint,swrec/internal/frame,swrec/internal/wal,swrec/internal/store,swrec/internal/api"
+	// validators are the function/method names whose return value
+	// counts as a validated size.
+	validators = "count"
 )
-
-func init() {
-	lintutil.RegisterAuditFlag(&Analyzer.Flags)
-	Analyzer.Flags.StringVar(&pkgs, "pkgs",
-		"swrec/internal/checkpoint,swrec/internal/frame,swrec/internal/wal,swrec/internal/store,swrec/internal/api",
-		"comma-separated import-path prefixes whose decode paths are checked")
-	Analyzer.Flags.StringVar(&validators, "validators", "count",
-		"comma-separated function/method names whose return value counts as a validated size")
-}
 
 // maxDepth bounds the recursive safety classification of accumulator
 // chains.
@@ -76,10 +71,10 @@ const maxDepth = 4
 
 func run(pass *analysis.Pass) (any, error) {
 	if !lintutil.PkgMatch(pass.Pkg.Path(), pkgs) {
-		return nil, nil
+		return (*lintutil.Suppressions)(nil), nil // out of scope
 	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	sup := lintutil.New(pass, "boundedmake")
+	sup := lintutil.New(pass)
 
 	nodeFilter := []ast.Node{(*ast.CallExpr)(nil)}
 	ins.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
@@ -108,7 +103,7 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		return true
 	})
-	return nil, nil
+	return sup, nil
 }
 
 type checker struct {

@@ -33,27 +33,22 @@ allowed; everything else needs a justified //nolint:ctxflow.`
 
 // Analyzer is the ctxflow pass.
 var Analyzer = &analysis.Analyzer{
-	Name:     "ctxflow",
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Name:       "ctxflow",
+	Doc:        doc,
+	Requires:   []*analysis.Analyzer{inspect.Analyzer},
+	Run:        run,
+	ResultType: lintutil.ResultType,
 }
 
-var packages string
-
-func init() {
-	lintutil.RegisterAuditFlag(&Analyzer.Flags)
-	Analyzer.Flags.StringVar(&packages, "packages",
-		"swrec/internal/core,swrec/internal/engine,swrec/internal/trust,swrec/internal/profile",
-		"comma-separated import-path prefixes the invariant applies to")
-}
+// packages are the import-path prefixes the invariant applies to.
+const packages = "swrec/internal/core,swrec/internal/engine,swrec/internal/trust,swrec/internal/profile"
 
 func run(pass *analysis.Pass) (any, error) {
 	if !lintutil.PkgMatch(pass.Pkg.Path(), packages) {
-		return nil, nil
+		return (*lintutil.Suppressions)(nil), nil // out of scope
 	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	sup := lintutil.New(pass, "ctxflow")
+	sup := lintutil.New(pass)
 
 	nodeFilter := []ast.Node{(*ast.CallExpr)(nil)}
 	ins.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
@@ -74,7 +69,7 @@ func run(pass *analysis.Pass) (any, error) {
 		sup.Report(call.Pos(), "context."+name+"() detaches the cold path from the caller's deadline: thread a context.Context parameter instead (//nolint:ctxflow -- reason, if detaching is intended)")
 		return true
 	})
-	return nil, nil
+	return sup, nil
 }
 
 // contextRootCall returns "Background" or "TODO" when call is

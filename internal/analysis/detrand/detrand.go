@@ -39,20 +39,15 @@ measurements) with //nolint:detrand -- reason.`
 
 // Analyzer is the detrand pass.
 var Analyzer = &analysis.Analyzer{
-	Name:     "detrand",
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Name:       "detrand",
+	Doc:        doc,
+	Requires:   []*analysis.Analyzer{inspect.Analyzer},
+	Run:        run,
+	ResultType: lintutil.ResultType,
 }
 
-var packages string
-
-func init() {
-	lintutil.RegisterAuditFlag(&Analyzer.Flags)
-	Analyzer.Flags.StringVar(&packages, "packages",
-		"swrec/internal/faultinject,swrec/internal/datagen,swrec/internal/experiments,swrec/internal/loadgen,swrec/internal/attack",
-		"comma-separated import-path prefixes that must be seed-deterministic")
-}
+// packages are the import-path prefixes that must be seed-deterministic.
+const packages = "swrec/internal/faultinject,swrec/internal/datagen,swrec/internal/experiments,swrec/internal/loadgen,swrec/internal/attack"
 
 // seededConstructors are package-level math/rand functions that build
 // an explicit, seedable generator instead of touching global state.
@@ -62,10 +57,10 @@ var seededConstructors = map[string]bool{
 
 func run(pass *analysis.Pass) (any, error) {
 	if !lintutil.PkgMatch(pass.Pkg.Path(), packages) {
-		return nil, nil
+		return (*lintutil.Suppressions)(nil), nil // out of scope
 	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	sup := lintutil.New(pass, "detrand")
+	sup := lintutil.New(pass)
 
 	nodeFilter := []ast.Node{(*ast.CallExpr)(nil), (*ast.RangeStmt)(nil)}
 	ins.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
@@ -83,7 +78,7 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		return true
 	})
-	return nil, nil
+	return sup, nil
 }
 
 func checkCall(pass *analysis.Pass, sup *lintutil.Suppressions, call *ast.CallExpr, stack []ast.Node) {

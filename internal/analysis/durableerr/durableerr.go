@@ -32,29 +32,24 @@ justified with
 
 // Analyzer is the durableerr pass.
 var Analyzer = &analysis.Analyzer{
-	Name:     "durableerr",
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Name:       "durableerr",
+	Doc:        doc,
+	Requires:   []*analysis.Analyzer{inspect.Analyzer},
+	Run:        run,
+	ResultType: lintutil.ResultType,
 }
 
-var packages string
-
-func init() {
-	lintutil.RegisterAuditFlag(&Analyzer.Flags)
-	Analyzer.Flags.StringVar(&packages, "packages",
-		"swrec/internal/frame,swrec/internal/wal,swrec/internal/store,swrec/internal/checkpoint",
-		"comma-separated import-path prefixes forming the durable path")
-}
+// packages are the import-path prefixes forming the durable path.
+const packages = "swrec/internal/frame,swrec/internal/wal,swrec/internal/store,swrec/internal/checkpoint"
 
 var verbs = map[string]bool{"Write": true, "Sync": true, "Close": true, "Truncate": true}
 
 func run(pass *analysis.Pass) (any, error) {
 	if !lintutil.PkgMatch(pass.Pkg.Path(), packages) {
-		return nil, nil
+		return (*lintutil.Suppressions)(nil), nil // out of scope
 	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	sup := lintutil.New(pass, "durableerr")
+	sup := lintutil.New(pass)
 
 	report := func(call *ast.CallExpr, how string) {
 		name := call.Fun.(*ast.SelectorExpr).Sel.Name
@@ -103,7 +98,7 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		return true
 	})
-	return nil, nil
+	return sup, nil
 }
 
 // durableCall returns e as a method call of one of the durable verbs

@@ -26,25 +26,19 @@ runtime vars nor escape prefix-scraping dashboards.`
 
 // Analyzer is the expvarname pass.
 var Analyzer = &analysis.Analyzer{
-	Name:     "expvarname",
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Name:       "expvarname",
+	Doc:        doc,
+	Requires:   []*analysis.Analyzer{inspect.Analyzer},
+	Run:        run,
+	ResultType: lintutil.ResultType,
 }
 
-var (
-	packages string
-	prefix   string
+const (
+	// packages are the import-path prefixes the convention applies to.
+	packages = "swrec/internal"
+	// prefix is the required name prefix of published expvars.
+	prefix = "swrec_"
 )
-
-func init() {
-	lintutil.RegisterAuditFlag(&Analyzer.Flags)
-	Analyzer.Flags.StringVar(&packages, "packages",
-		"swrec/internal",
-		"comma-separated import-path prefixes the convention applies to")
-	Analyzer.Flags.StringVar(&prefix, "prefix", "swrec_",
-		"required name prefix for published expvars")
-}
 
 // constructors are the expvar package-level functions whose first
 // argument is the published name.
@@ -54,10 +48,10 @@ var constructors = map[string]bool{
 
 func run(pass *analysis.Pass) (any, error) {
 	if !lintutil.PkgMatch(pass.Pkg.Path(), packages) {
-		return nil, nil
+		return (*lintutil.Suppressions)(nil), nil // out of scope
 	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	sup := lintutil.New(pass, "expvarname")
+	sup := lintutil.New(pass)
 
 	nodeFilter := []ast.Node{(*ast.CallExpr)(nil)}
 	ins.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
@@ -90,5 +84,5 @@ func run(pass *analysis.Pass) (any, error) {
 		sup.Report(lit.Pos(), "expvar name "+strconv.Quote(name)+" lacks the "+strconv.Quote(prefix)+" prefix: /v1/metrics groups swrec metrics by that prefix (//nolint:expvarname -- reason to override)")
 		return true
 	})
-	return nil, nil
+	return sup, nil
 }

@@ -34,27 +34,23 @@ epoch that spawned it. Justify true fire-and-forget spawns with
 
 // Analyzer is the goleak pass.
 var Analyzer = &analysis.Analyzer{
-	Name:     "goleak",
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Name:       "goleak",
+	Doc:        doc,
+	Requires:   []*analysis.Analyzer{inspect.Analyzer},
+	Run:        run,
+	ResultType: lintutil.ResultType,
 }
 
-var packages string
-
-func init() {
-	lintutil.RegisterAuditFlag(&Analyzer.Flags)
-	Analyzer.Flags.StringVar(&packages, "packages",
-		"swrec/internal",
-		"comma-separated import-path prefixes of library code (cmd/ and examples/ are callers, not library)")
-}
+// packages are the import-path prefixes of library code (cmd/ and
+// examples/ are callers, not library).
+const packages = "swrec/internal"
 
 func run(pass *analysis.Pass) (any, error) {
 	if !lintutil.PkgMatch(pass.Pkg.Path(), packages) {
-		return nil, nil
+		return (*lintutil.Suppressions)(nil), nil // out of scope
 	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	sup := lintutil.New(pass, "goleak")
+	sup := lintutil.New(pass)
 	decls := funcDecls(pass)
 
 	nodeFilter := []ast.Node{(*ast.GoStmt)(nil)}
@@ -72,7 +68,7 @@ func run(pass *analysis.Pass) (any, error) {
 		sup.Report(g.Pos(), "goroutine has no observable lifecycle: tie it to a sync.WaitGroup, done channel, or context.Context so Close/Swap can drain it (//nolint:goleak -- reason for true fire-and-forget)")
 		return true
 	})
-	return nil, nil
+	return sup, nil
 }
 
 // funcDecls indexes this package's function declarations by their

@@ -57,14 +57,11 @@ const Directive = "//swrec:hotpath"
 
 // Analyzer is the hotalloc pass.
 var Analyzer = &analysis.Analyzer{
-	Name:     "hotalloc",
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
-}
-
-func init() {
-	lintutil.RegisterAuditFlag(&Analyzer.Flags)
+	Name:       "hotalloc",
+	Doc:        doc,
+	Requires:   []*analysis.Analyzer{inspect.Analyzer},
+	Run:        run,
+	ResultType: lintutil.ResultType,
 }
 
 // hotFunc records how a function entered the hot set: directly
@@ -75,7 +72,7 @@ type hotFunc struct {
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	sup := lintutil.New(pass, "hotalloc")
+	sup := lintutil.New(pass)
 
 	// Index this package's function declarations and find the annotated
 	// roots. Test files are exempt wholesale: benchmarks and fixtures
@@ -102,7 +99,7 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 	}
 	if len(roots) == 0 {
-		return nil, nil
+		return sup, nil
 	}
 
 	// Close the hot set over same-package static calls: a kernel is only
@@ -190,7 +187,7 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		return true
 	})
-	return nil, nil
+	return sup, nil
 }
 
 // annotated reports whether the declaration's doc comment carries the

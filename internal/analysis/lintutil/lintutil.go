@@ -14,43 +14,20 @@
 // file-scoped form disables one analyzer for the whole file. A
 // suppression without a "-- reason" clause is inert: the diagnostic
 // still fires, which keeps unexplained exceptions visible in review.
+// A justified suppression that covers no diagnostic is stale, and the
+// nolint pass (internal/analysis/registry) reports it.
 package lintutil
 
 import (
-	"flag"
 	"go/ast"
 	"go/token"
+	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
 )
-
-// auditMode switches every Suppressions.Report from dropping a
-// suppressed diagnostic to emitting it with an AuditPrefix marker.
-// cmd/lintaudit runs the whole suite this way and cross-references the
-// marked diagnostics against the tree's suppression comments: a
-// suppression no marked diagnostic lands under is stale — the invariant
-// it excused no longer fires there — and can be deleted.
-//
-// Every analyzer registers the flag (as -<name>.audit) via
-// RegisterAuditFlag; all registrations bind this one variable, so
-// enabling audit on any analyzer of a unitchecker invocation enables it
-// for those analyzers only in that process. Flags, unlike environment
-// variables, participate in go vet's result caching, so an audit run
-// never reads stale non-audit results (or vice versa).
-var auditMode bool
-
-// AuditPrefix marks a diagnostic that a justified suppression covers,
-// emitted only in audit mode.
-const AuditPrefix = "[suppressed] "
-
-// RegisterAuditFlag registers the shared audit-mode flag on one
-// analyzer's flag set.
-func RegisterAuditFlag(fs *flag.FlagSet) {
-	fs.BoolVar(&auditMode, "audit", false,
-		"report suppressed diagnostics with the "+strings.TrimSpace(AuditPrefix)+" prefix instead of dropping them (cmd/lintaudit)")
-}
 
 // PkgMatch reports whether path is covered by the comma-separated
 // import-path prefix list in patterns: an exact match, or a match of a
@@ -117,22 +94,30 @@ func splitNames(list string) []string {
 }
 
 // Suppressions indexes the nolint / swrecvet:disable comments of one
-// pass for one analyzer. Build it once per Run with New, then route
-// every diagnostic through Report.
+// pass for one analyzer and records which of them covered a diagnostic.
+// Build it once per Run with New, route every diagnostic through Report,
+// and return it as the analyzer's result: the nolint pass
+// (internal/analysis/registry) condemns every justified directive that
+// covered nothing. An analyzer that does not run on a package returns a
+// nil *Suppressions, which covered nothing either.
 type Suppressions struct {
-	pass     *analysis.Pass
-	analyzer string
-	files    map[string]bool         // filename -> file-scoped disable
-	lines    map[string]map[int]bool // filename -> line -> suppressed
+	pass  *analysis.Pass
+	files map[string]token.Pos           // filename -> file-scoped directive
+	lines map[string]map[int][]token.Pos // filename -> line -> covering line directives
+	used  map[token.Pos]bool             // directives that covered a diagnostic
 }
 
-// New scans the pass's files for suppression comments naming analyzer.
-func New(pass *analysis.Pass, analyzer string) *Suppressions {
+// ResultType is every analyzer's Analyzer.ResultType.
+var ResultType = reflect.TypeOf((*Suppressions)(nil))
+
+// New scans the pass's files for justified suppression comments naming
+// the pass's analyzer.
+func New(pass *analysis.Pass) *Suppressions {
 	s := &Suppressions{
-		pass:     pass,
-		analyzer: analyzer,
-		files:    make(map[string]bool),
-		lines:    make(map[string]map[int]bool),
+		pass:  pass,
+		files: make(map[string]token.Pos),
+		lines: make(map[string]map[int][]token.Pos),
+		used:  make(map[token.Pos]bool),
 	}
 	for _, f := range pass.Files {
 		name := pass.Fset.Position(f.Package).Filename
@@ -147,50 +132,39 @@ func New(pass *analysis.Pass, analyzer string) *Suppressions {
 
 func (s *Suppressions) record(filename string, c *ast.Comment) {
 	d, ok := ParseDirective(c.Text)
-	if !ok || !d.Justified || !names(d.Analyzers, s.analyzer) {
+	if !ok || !d.Justified || !slices.Contains(d.Analyzers, s.pass.Analyzer.Name) {
 		return // ordinary comment, other analyzer, or unjustified: inert
 	}
 	if d.FileScoped {
-		s.files[filename] = true
+		s.files[filename] = c.Pos()
 		return
 	}
 	line := s.pass.Fset.Position(c.Pos()).Line
 	if s.lines[filename] == nil {
-		s.lines[filename] = make(map[int]bool)
+		s.lines[filename] = make(map[int][]token.Pos)
 	}
-	s.lines[filename][line] = true
-	s.lines[filename][line+1] = true
-}
-
-func names(list []string, want string) bool {
-	for _, n := range list {
-		if n == want {
-			return true
-		}
-	}
-	return false
-}
-
-// Suppressed reports whether a diagnostic at pos is covered by a
-// justified suppression.
-func (s *Suppressions) Suppressed(pos token.Pos) bool {
-	p := s.pass.Fset.Position(pos)
-	if s.files[p.Filename] {
-		return true
-	}
-	return s.lines[p.Filename][p.Line]
+	s.lines[filename][line] = append(s.lines[filename][line], c.Pos())
+	s.lines[filename][line+1] = append(s.lines[filename][line+1], c.Pos())
 }
 
 // Report emits a diagnostic at pos unless a justified suppression
-// covers it. In audit mode (see RegisterAuditFlag) a suppressed
-// diagnostic is emitted anyway, marked with AuditPrefix, so
-// cmd/lintaudit can prove the suppression still excuses something.
+// covers it, in which case every covering directive is marked used.
 func (s *Suppressions) Report(pos token.Pos, msg string) {
-	if s.Suppressed(pos) {
-		if auditMode {
-			s.pass.Report(analysis.Diagnostic{Pos: pos, Message: AuditPrefix + msg})
-		}
-		return
+	p := s.pass.Fset.Position(pos)
+	covered := false
+	for _, d := range s.lines[p.Filename][p.Line] {
+		s.used[d], covered = true, true
 	}
-	s.pass.Report(analysis.Diagnostic{Pos: pos, Message: msg})
+	if d, ok := s.files[p.Filename]; ok {
+		s.used[d], covered = true, true
+	}
+	if !covered {
+		s.pass.Report(analysis.Diagnostic{Pos: pos, Message: msg})
+	}
+}
+
+// Covered reports whether the directive comment at pos covered at
+// least one diagnostic.
+func (s *Suppressions) Covered(pos token.Pos) bool {
+	return s != nil && s.used[pos]
 }

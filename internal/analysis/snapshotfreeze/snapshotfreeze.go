@@ -57,39 +57,33 @@ mutate-and-restore evaluation holdout) with
 
 // Analyzer is the snapshotfreeze pass.
 var Analyzer = &analysis.Analyzer{
-	Name:     "snapshotfreeze",
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Name:       "snapshotfreeze",
+	Doc:        doc,
+	Requires:   []*analysis.Analyzer{inspect.Analyzer},
+	Run:        run,
+	ResultType: lintutil.ResultType,
 }
 
-var (
-	frozen   string
-	allow    string
-	mutators string
+const (
+	// frozen lists the pkgpath.TypeName of every frozen-after-publication
+	// type.
+	frozen = "swrec/internal/model.Community,swrec/internal/model.Agent,swrec/internal/model.Product,swrec/internal/model.Adjacency,swrec/internal/model.CSR,swrec/internal/engine.Snapshot,swrec/internal/profmat.Matrix,swrec/internal/profmat.Row"
+	// allow are the import-path prefixes that own the pre-publication
+	// build phase.
+	allow = "swrec/internal/model,swrec/internal/engine,swrec/internal/ingest,swrec/internal/checkpoint,swrec/internal/profmat,swrec/internal/foaf,swrec/internal/corpus,swrec/internal/datagen,swrec/internal/attack"
+	// mutators are the method names treated as writes when invoked on a
+	// frozen receiver.
+	mutators = "AddAgent,AddProduct,SetTrust,SetRating,DeleteTrust,DeleteRating,MarkDirty,Merge"
 )
-
-func init() {
-	lintutil.RegisterAuditFlag(&Analyzer.Flags)
-	Analyzer.Flags.StringVar(&frozen, "types",
-		"swrec/internal/model.Community,swrec/internal/model.Agent,swrec/internal/model.Product,swrec/internal/model.Adjacency,swrec/internal/model.CSR,swrec/internal/engine.Snapshot,swrec/internal/profmat.Matrix,swrec/internal/profmat.Row",
-		"comma-separated pkgpath.TypeName list of frozen-after-publication types")
-	Analyzer.Flags.StringVar(&allow, "allow",
-		"swrec/internal/model,swrec/internal/engine,swrec/internal/ingest,swrec/internal/checkpoint,swrec/internal/profmat,swrec/internal/foaf,swrec/internal/corpus,swrec/internal/datagen,swrec/internal/attack",
-		"comma-separated import-path prefixes that own the pre-publication build phase")
-	Analyzer.Flags.StringVar(&mutators, "mutators",
-		"AddAgent,AddProduct,SetTrust,SetRating,DeleteTrust,DeleteRating,MarkDirty,Merge",
-		"comma-separated method names treated as writes when invoked on a frozen receiver")
-}
 
 func run(pass *analysis.Pass) (any, error) {
 	if lintutil.PkgMatch(pass.Pkg.Path(), allow) {
-		return nil, nil
+		return (*lintutil.Suppressions)(nil), nil // out of scope
 	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	c := &checker{
 		pass:  pass,
-		sup:   lintutil.New(pass, "snapshotfreeze"),
+		sup:   lintutil.New(pass),
 		built: make(map[*ast.FuncDecl]map[types.Object]origin),
 	}
 
@@ -117,7 +111,7 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		return true
 	})
-	return nil, nil
+	return c.sup, nil
 }
 
 // origin classifies how a function came by a local variable.

@@ -32,33 +32,26 @@ per-snapshot owners document themselves with //nolint:snapshotpin.`
 
 // Analyzer is the snapshotpin pass.
 var Analyzer = &analysis.Analyzer{
-	Name:     "snapshotpin",
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Name:       "snapshotpin",
+	Doc:        doc,
+	Requires:   []*analysis.Analyzer{inspect.Analyzer},
+	Run:        run,
+	ResultType: lintutil.ResultType,
 }
 
-var (
-	pinned string
-	allow  string
+const (
+	// pinned lists the pkgpath.TypeName of every epoch-scoped type.
+	pinned = "swrec/internal/model.Community,swrec/internal/engine.Snapshot"
+	// allow are the import-path prefixes allowed to pin those types.
+	allow = "swrec/internal/engine,swrec/internal/ingest,swrec/internal/model"
 )
-
-func init() {
-	lintutil.RegisterAuditFlag(&Analyzer.Flags)
-	Analyzer.Flags.StringVar(&pinned, "types",
-		"swrec/internal/model.Community,swrec/internal/engine.Snapshot",
-		"comma-separated pkgpath.TypeName list of epoch-scoped types")
-	Analyzer.Flags.StringVar(&allow, "allow",
-		"swrec/internal/engine,swrec/internal/ingest,swrec/internal/model",
-		"comma-separated import-path prefixes allowed to pin those types")
-}
 
 func run(pass *analysis.Pass) (any, error) {
 	if lintutil.PkgMatch(pass.Pkg.Path(), allow) {
-		return nil, nil
+		return (*lintutil.Suppressions)(nil), nil // out of scope
 	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	sup := lintutil.New(pass, "snapshotpin")
+	sup := lintutil.New(pass)
 
 	nodeFilter := []ast.Node{(*ast.StructType)(nil)}
 	ins.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
@@ -80,7 +73,7 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		return true
 	})
-	return nil, nil
+	return sup, nil
 }
 
 // pinnedIn walks t through pointers, slices, arrays, maps, and

@@ -32,33 +32,26 @@ boundary and carry the ordinal.`
 
 // Analyzer is the urikey pass.
 var Analyzer = &analysis.Analyzer{
-	Name:     "urikey",
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Name:       "urikey",
+	Doc:        doc,
+	Requires:   []*analysis.Analyzer{inspect.Analyzer},
+	Run:        run,
+	ResultType: lintutil.ResultType,
 }
 
-var (
-	keys string
-	pkgs string
+const (
+	// keys lists the pkgpath.TypeName of every URI-string key type.
+	keys = "swrec/internal/model.AgentID,swrec/internal/model.ProductID"
+	// pkgs are the import-path prefixes the interned data model covers.
+	pkgs = "swrec/internal/core,swrec/internal/engine,swrec/internal/trust,swrec/internal/cf,swrec/internal/profile"
 )
-
-func init() {
-	lintutil.RegisterAuditFlag(&Analyzer.Flags)
-	Analyzer.Flags.StringVar(&keys, "keys",
-		"swrec/internal/model.AgentID,swrec/internal/model.ProductID",
-		"comma-separated pkgpath.TypeName list of URI-string key types")
-	Analyzer.Flags.StringVar(&pkgs, "pkgs",
-		"swrec/internal/core,swrec/internal/engine,swrec/internal/trust,swrec/internal/cf,swrec/internal/profile",
-		"comma-separated import-path prefixes the interned data model covers")
-}
 
 func run(pass *analysis.Pass) (any, error) {
 	if !lintutil.PkgMatch(pass.Pkg.Path(), pkgs) {
-		return nil, nil
+		return (*lintutil.Suppressions)(nil), nil // out of scope
 	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	sup := lintutil.New(pass, "urikey")
+	sup := lintutil.New(pass)
 
 	nodeFilter := []ast.Node{(*ast.MapType)(nil)}
 	ins.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
@@ -78,7 +71,7 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		return true
 	})
-	return nil, nil
+	return sup, nil
 }
 
 // uriKey returns the qualified name when t is a configured URI key

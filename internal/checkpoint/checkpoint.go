@@ -12,6 +12,7 @@ import (
 
 	"swrec/internal/core"
 	"swrec/internal/engine"
+	"swrec/internal/frame"
 	"swrec/internal/model"
 	"swrec/internal/profmat"
 	"swrec/internal/taxonomy"
@@ -129,7 +130,7 @@ func Encode(img *Image) []byte {
 	meta.u8(flags)
 	meta.uv(uint64(len(agents)))
 	meta.uv(uint64(len(products)))
-	out = frame(out, secMeta, meta.b)
+	out = appendSection(out, secMeta, meta.b)
 
 	// TAXONOMY: nodes in topic order, parents before children, so a
 	// rebuild is one taxonomy.Build over the primary parents and an AddEdge
@@ -147,7 +148,7 @@ func Encode(img *Image) []byte {
 				e.uv(uint64(p))
 			}
 		}
-		out = frame(out, secTaxonomy, e.b)
+		out = appendSection(out, secTaxonomy, e.b)
 	}
 
 	// AGENTS: insertion order defines the dense ordinal every other
@@ -157,7 +158,7 @@ func Encode(img *Image) []byte {
 		ea.str(string(id))
 		ea.str(comm.Agent(id).Name)
 	}
-	out = frame(out, secAgents, ea.b)
+	out = appendSection(out, secAgents, ea.b)
 
 	// PRODUCTS: catalog entries with their topic descriptors.
 	var ep enc
@@ -171,7 +172,7 @@ func Encode(img *Image) []byte {
 			ep.uv(uint64(d))
 		}
 	}
-	out = frame(out, secProducts, ep.b)
+	out = appendSection(out, secProducts, ep.b)
 
 	// TRUST: per-agent adjacency in the deterministic TrustedPeers order.
 	var et enc
@@ -183,7 +184,7 @@ func Encode(img *Image) []byte {
 			et.f64(st.Value)
 		}
 	}
-	out = frame(out, secTrust, et.b)
+	out = appendSection(out, secTrust, et.b)
 
 	// RATINGS: per-agent statements in the deterministic RatedProducts
 	// order.
@@ -196,7 +197,7 @@ func Encode(img *Image) []byte {
 			er.f64(rt.Value)
 		}
 	}
-	out = frame(out, secRatings, er.b)
+	out = appendSection(out, secRatings, er.b)
 
 	// PROFMAT: the CSR arenas — row lengths, then the key arena, the
 	// value arena, and per-row norm/sum, all fixed-width so a loader can
@@ -221,7 +222,7 @@ func Encode(img *Image) []byte {
 			em.f64(img.Rows[i].Norm)
 			em.f64(img.Rows[i].Sum)
 		}
-		out = frame(out, secProfmat, em.b)
+		out = appendSection(out, secProfmat, em.b)
 	}
 
 	// PEERS: warm neighborhoods in LRU order. Ranks are fixed-width
@@ -248,7 +249,7 @@ func Encode(img *Image) []byte {
 			ew.f64(pr.Weight)
 		}
 	}
-	out = frame(out, secPeers, ew.b)
+	out = appendSection(out, secPeers, ew.b)
 
 	// Footer: whole-file checksum.
 	var foot enc
@@ -319,7 +320,7 @@ func List(dir string) ([]Info, error) {
 // non-nil, interposes on the file handle (the fault-injection seam). On
 // any error the temporary is removed and the directory is left with only
 // complete, checksummed checkpoints.
-func WriteImage(dir string, img *Image, wrap func(*os.File) File) (path string, err error) {
+func WriteImage(dir string, img *Image, wrap func(*os.File) frame.File) (path string, err error) {
 	data := Encode(img)
 	final := filepath.Join(dir, fileName(img.Seq))
 	tmp, err := os.CreateTemp(dir, fileName(img.Seq)+".tmp-*")
@@ -327,7 +328,7 @@ func WriteImage(dir string, img *Image, wrap func(*os.File) File) (path string, 
 		return "", fmt.Errorf("checkpoint: create temp: %w", err)
 	}
 	tmpName := tmp.Name()
-	var f File = tmp
+	var f frame.File = tmp
 	if wrap != nil {
 		f = wrap(tmp)
 	}
@@ -348,7 +349,7 @@ func WriteImage(dir string, img *Image, wrap func(*os.File) File) (path string, 
 	if err := os.Rename(tmpName, final); err != nil {
 		return fail("rename", err)
 	}
-	syncDir(dir)
+	frame.SyncDir(dir)
 	return final, nil
 }
 
@@ -395,13 +396,4 @@ func Prune(dir string, keep int) error {
 		}
 	}
 	return nil
-}
-
-// syncDir best-effort fsyncs dir so the rename survives a crash
-// (mirrors internal/wal).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()  //nolint:durableerr -- directory fsync is best-effort: POSIX gives no portable guarantee, and the file bytes themselves are already synced
-		_ = d.Close() //nolint:durableerr -- read-only directory handle; no acked bytes ride on this close
-	}
 }

@@ -18,6 +18,7 @@ import (
 	"swrec/internal/core"
 	"swrec/internal/engine"
 	"swrec/internal/faultinject"
+	"swrec/internal/frame"
 	"swrec/internal/model"
 	"swrec/internal/taxonomy"
 )
@@ -520,7 +521,7 @@ func withRetiredProfiles(data []byte, img *Image) []byte {
 			ef.f64(row.Vals[i])
 		}
 	}
-	out := frame(bytes.Clone(data[:len(data)-footerLen]), secProfilesRetired, ef.b)
+	out := appendSection(bytes.Clone(data[:len(data)-footerLen]), secProfilesRetired, ef.b)
 	nsec := binary.LittleEndian.Uint32(out[len(fileMagic)+4:])
 	binary.LittleEndian.PutUint32(out[len(fileMagic)+4:], nsec+1)
 	out = append(out, data[len(data)-footerLen:]...)
@@ -574,9 +575,9 @@ func WithRetiredTopicIndex(data []byte, comm *model.Community) []byte {
 			m.skipStr("sig")    // option signature
 			payload[m.off] |= 4 // flags
 		case secPeers:
-			out = frame(out, secTopicIndexRetired, ei.b)
+			out = appendSection(out, secTopicIndexRetired, ei.b)
 		}
-		out = frame(out, id, payload)
+		out = appendSection(out, id, payload)
 	}
 	out = append(out, data[len(data)-footerLen:]...)
 	refoot(out)
@@ -751,7 +752,7 @@ func TestWriteImageFaults(t *testing.T) {
 			}
 			inj := faultinject.New(tc.cfg)
 			img.Seq = 9
-			_, err = WriteImage(dir, img, func(f *os.File) File { return inj.File(f) })
+			_, err = WriteImage(dir, img, func(f *os.File) frame.File { return inj.File(f) })
 			if !errors.Is(err, faultinject.ErrInjected) {
 				t.Fatalf("got %v, want the injected fault", err)
 			}

@@ -48,7 +48,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 )
 
@@ -123,15 +122,6 @@ var (
 	// sections are not; Recover keeps those and recompiles.
 	ErrOptions = errors.New("checkpoint: option signature mismatch")
 )
-
-// File is the handle checkpoint writes go through. *os.File satisfies
-// it; the indirection is the fault-injection seam (internal/faultinject
-// wraps it with torn-write, write-error, and fsync-failure behavior).
-type File interface {
-	io.Writer
-	Sync() error
-	Close() error
-}
 
 // enc accumulates one section payload.
 type enc struct {
@@ -297,8 +287,8 @@ func (d *dec) count(n uint64, min int, what string) int {
 	return int(n)
 }
 
-// frame appends one CRC32-framed section to out.
-func frame(out []byte, id uint32, payload []byte) []byte {
+// appendSection appends one CRC32-framed section to out.
+func appendSection(out []byte, id uint32, payload []byte) []byte {
 	out = binary.LittleEndian.AppendUint32(out, id)
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
 	out = append(out, payload...)

@@ -23,6 +23,7 @@ import (
 	"swrec/internal/core"
 	"swrec/internal/crawler"
 	"swrec/internal/engine"
+	"swrec/internal/frame"
 	"swrec/internal/ingest"
 	"swrec/internal/model"
 	"swrec/internal/semweb"
@@ -337,7 +338,7 @@ func TestChaosCheckpointCrash(t *testing.T) {
 		cfg.CheckpointEvery = 1
 		cfg.CheckpointRetain = 4
 		if inj != nil {
-			cfg.CheckpointWrap = func(f *os.File) checkpoint.File { return inj.File(f) }
+			cfg.CheckpointWrap = func(f *os.File) frame.File { return inj.File(f) }
 		}
 		return cfg
 	}

@@ -195,3 +195,12 @@ func (t *Tail) Close(sync bool) error {
 	}
 	return t.f.Close()
 }
+
+// SyncDir best-effort fsyncs dir so that a file created, renamed or
+// removed in it stays that way across a crash.
+func SyncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		_ = d.Sync()  //nolint:durableerr -- directory fsync is best-effort: POSIX gives no portable guarantee, and the file bytes themselves are already synced
+		_ = d.Close() //nolint:durableerr -- read-only directory handle; no acked bytes ride on this close
+	}
+}

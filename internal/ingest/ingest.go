@@ -54,6 +54,7 @@ import (
 
 	"swrec/internal/checkpoint"
 	"swrec/internal/engine"
+	"swrec/internal/frame"
 	"swrec/internal/isbn"
 	"swrec/internal/model"
 	"swrec/internal/wal"
@@ -96,7 +97,7 @@ type Config struct {
 	CheckpointRetain int
 	// CheckpointWrap, when non-nil, interposes on compiled-checkpoint
 	// file handles — the fault-injection seam (internal/faultinject).
-	CheckpointWrap func(*os.File) checkpoint.File
+	CheckpointWrap func(*os.File) frame.File
 	// WAL configures the underlying log (segment size, fsync).
 	WAL wal.Options
 }
@@ -472,12 +473,14 @@ func (p *Pipeline) snapshot() error {
 		p.snapsSinceCkpt++
 		if p.snapsSinceCkpt >= p.cfg.CheckpointEvery {
 			p.snapsSinceCkpt = 0
-			// The capture reads only immutable snapshot state. With the
-			// writer busy the checkpoint is skipped — a later, newer one
-			// supersedes it anyway.
-			select {
-			case p.ckptJobs <- checkpoint.Capture(snap, applied):
-			default:
+			// With the writer's slot taken the checkpoint is skipped — a
+			// later, newer one supersedes it anyway — before Capture
+			// copies the warm neighbourhoods for nothing. The worker is
+			// the only sender, so a free slot stays free until the send.
+			// The capture reads only immutable snapshot state.
+			if len(p.ckptJobs) < cap(p.ckptJobs) {
+				p.ckptJobs <- checkpoint.Capture(snap, applied)
+			} else {
 				stats.Add("compiled_checkpoint_skipped", 1)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"expvar"
 	"fmt"
 	"math"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"swrec/internal/core"
 	"swrec/internal/datagen"
 	"swrec/internal/engine"
+	"swrec/internal/frame"
 	"swrec/internal/isbn"
 	"swrec/internal/model"
 	"swrec/internal/wal"
@@ -519,6 +521,63 @@ func TestCrashRecoveryReplayMatchesCleanRun(t *testing.T) {
 	}
 	if got := digest(eng2.Snapshot().Community()); got != want {
 		t.Fatalf("replayed state differs from clean run:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	}
+}
+
+// TestCheckpointSkippedWhileWriterBusy covers the skip path: while the
+// writer persists one image and holds the next in its slot, a third
+// publish skips its checkpoint; once the writer is released it writes
+// the two it had.
+func TestCheckpointSkippedWhileWriterBusy(t *testing.T) {
+	counter := func(name string) int64 {
+		n, _ := stats.Get(name).(*expvar.Int) // absent until the first one
+		if n == nil {
+			return 0
+		}
+		return n.Value()
+	}
+	skipped, written := counter("compiled_checkpoint_skipped"), counter("compiled_checkpoints")
+
+	comm := testCommunity(t, 25, 30)
+	muts := testMutations(comm, 3)
+	entered, release := make(chan struct{}, len(muts)), make(chan struct{})
+	cfg := lazyConfig()
+	cfg.CheckpointEvery = 1
+	cfg.CheckpointWrap = func(f *os.File) frame.File {
+		entered <- struct{}{}
+		<-release
+		return f
+	}
+	dir := t.TempDir()
+	p, err := Open(testEngine(t, comm), dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	publish := func(m wal.Mutation) {
+		t.Helper()
+		if _, err := p.Submit(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	publish(muts[0])
+	<-entered // the writer is inside the first write; its slot is free
+	publish(muts[1])
+	publish(muts[2])
+	if got := counter("compiled_checkpoint_skipped") - skipped; got != 1 {
+		t.Fatalf("%d checkpoints skipped with the writer busy, want 1", got)
+	}
+	close(release)
+	if err := p.Abort(); err != nil { // waits for the writer
+		t.Fatal(err)
+	}
+	if got := counter("compiled_checkpoints") - written; got != 2 {
+		t.Fatalf("%d checkpoints written after release, want 2", got)
+	}
+	if infos, err := checkpoint.List(checkpoint.Dir(dir)); err != nil || len(infos) != 2 {
+		t.Fatalf("checkpoints on disk: %v, err %v; want 2", infos, err)
 	}
 }
 

@@ -412,17 +412,8 @@ func (w *WAL) rotateLocked() error {
 	}
 	w.segments = append(w.segments, seg)
 	w.active = active
-	syncDir(w.dir)
+	frame.SyncDir(w.dir)
 	return nil
-}
-
-// syncDir best-effort fsyncs a directory so segment creations/removals
-// survive a crash.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()  //nolint:durableerr -- directory fsync is best-effort: POSIX gives no portable guarantee, and the segment bytes themselves are already synced
-		_ = d.Close() //nolint:durableerr -- read-only directory handle; no acked bytes ride on this close
-	}
 }
 
 // Append durably writes the batch: every mutation becomes one record with
@@ -543,7 +534,7 @@ func (w *WAL) TruncateBefore(seq uint64) (int, error) {
 		}
 	}
 	if n > 0 {
-		syncDir(w.dir)
+		frame.SyncDir(w.dir)
 	}
 	return n, nil
 }
