@@ -201,44 +201,38 @@ chaos-short:
 recovery-smoke:
 	$(GO) test -run 'TestRecoverySmoke|TestRestoredMatchesFromScratch' ./internal/checkpoint/
 
-# Short fuzz pass over the RDF parsers (see internal/rdf/fuzz_test.go),
-# the binary decoders a restart trusts: the checkpoint file (and the
-# engine restored from whatever it accepts), the frame scan under both
-# logs, the WAL's record payload and the crawler cache's rebuild
-# (FuzzDecode, FuzzScan, FuzzScanSegment, FuzzStoreScan), the API's string and float
-# encoders against encoding/json (internal/api/encode_test.go), and its
-# query-parameter scanner against url.ParseQuery (FuzzParam,
-# internal/api/api_test.go). Their inputs
-# are kilobytes, and go test would by default spend up to a minute
-# shrinking each one that reaches new code — the whole budget — so the
-# minimizer is held to a second.
+# The fuzz targets, one package:Target entry each: the RDF parsers
+# (internal/rdf/fuzz_test.go), the binary decoders a restart trusts —
+# the checkpoint file (and the engine restored from whatever it
+# accepts), the frame scan under both logs, the WAL's record payload and
+# the crawler cache's rebuild — the API's string and float encoders
+# against encoding/json (internal/api/encode_test.go), and its
+# query-parameter scanner against url.ParseQuery (internal/api/api_test.go).
+# A third field, :binary, marks the binary decoders: their inputs are
+# kilobytes, and go test would by default spend up to a minute shrinking
+# each one that reaches new code — the whole budget — so FUZZ_BINARY
+# holds their minimizer to a second.
+FUZZ_TARGETS = \
+	rdf:FuzzParseNTriples rdf:FuzzParseTurtle rdf:FuzzParseRDFXML rdf:FuzzParseDocument \
+	checkpoint:FuzzDecode:binary frame:FuzzScan:binary wal:FuzzScanSegment:binary store:FuzzStoreScan:binary \
+	api:FuzzAppendString api:FuzzAppendFloat api:FuzzParam
 FUZZ_BINARY = -fuzzminimizetime 1s
+
+# $(call fuzz-each,<go test flags>,<fuzztime>) expands to one recipe
+# line per FUZZ_TARGETS entry, in order; the first failure stops make.
+define fuzz-target
+$(GO) test $(2)-fuzz $(word 2,$(1)) -fuzztime $(3) $(if $(word 3,$(1)),$(FUZZ_BINARY) )./internal/$(word 1,$(1))/
+
+endef
+fuzz-each = $(foreach t,$(FUZZ_TARGETS),$(call fuzz-target,$(subst :, ,$(t)),$(1),$(2)))
+
+# fuzz gives every target 30 seconds.
 fuzz:
-	$(GO) test -fuzz FuzzParseNTriples -fuzztime 30s ./internal/rdf/
-	$(GO) test -fuzz FuzzParseTurtle -fuzztime 30s ./internal/rdf/
-	$(GO) test -fuzz FuzzParseRDFXML -fuzztime 30s ./internal/rdf/
-	$(GO) test -fuzz FuzzParseDocument -fuzztime 30s ./internal/rdf/
-	$(GO) test -fuzz FuzzDecode -fuzztime 30s $(FUZZ_BINARY) ./internal/checkpoint/
-	$(GO) test -fuzz FuzzScan -fuzztime 30s $(FUZZ_BINARY) ./internal/frame/
-	$(GO) test -fuzz FuzzScanSegment -fuzztime 30s $(FUZZ_BINARY) ./internal/wal/
-	$(GO) test -fuzz FuzzStoreScan -fuzztime 30s $(FUZZ_BINARY) ./internal/store/
-	$(GO) test -fuzz FuzzAppendString -fuzztime 30s ./internal/api/
-	$(GO) test -fuzz FuzzAppendFloat -fuzztime 30s ./internal/api/
-	$(GO) test -fuzz FuzzParam -fuzztime 30s ./internal/api/
+	$(call fuzz-each,,30s)
 
 # fuzz-smoke is the 5-second-per-target variant run as part of check.
 fuzz-smoke:
-	$(GO) test -run=^$$ -fuzz FuzzParseNTriples -fuzztime 5s ./internal/rdf/
-	$(GO) test -run=^$$ -fuzz FuzzParseTurtle -fuzztime 5s ./internal/rdf/
-	$(GO) test -run=^$$ -fuzz FuzzParseRDFXML -fuzztime 5s ./internal/rdf/
-	$(GO) test -run=^$$ -fuzz FuzzParseDocument -fuzztime 5s ./internal/rdf/
-	$(GO) test -run=^$$ -fuzz FuzzDecode -fuzztime 5s $(FUZZ_BINARY) ./internal/checkpoint/
-	$(GO) test -run=^$$ -fuzz FuzzScan -fuzztime 5s $(FUZZ_BINARY) ./internal/frame/
-	$(GO) test -run=^$$ -fuzz FuzzScanSegment -fuzztime 5s $(FUZZ_BINARY) ./internal/wal/
-	$(GO) test -run=^$$ -fuzz FuzzStoreScan -fuzztime 5s $(FUZZ_BINARY) ./internal/store/
-	$(GO) test -run=^$$ -fuzz FuzzAppendString -fuzztime 5s ./internal/api/
-	$(GO) test -run=^$$ -fuzz FuzzAppendFloat -fuzztime 5s ./internal/api/
-	$(GO) test -run=^$$ -fuzz FuzzParam -fuzztime 5s ./internal/api/
+	$(call fuzz-each,-run=^$$ ,5s)
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -19,10 +19,9 @@
 //     stored copy: similarities, the taxonomy-ancestor rung and the
 //     /profile endpoint all read it;
 //   - synthesized trust neighborhoods (§3.2-3.4) and complete
-//     recommendation lists live in per-snapshot LRU caches;
-//   - concurrent identical computations collapse through a singleflight
-//     layer, so a thundering herd on one agent computes its neighborhood
-//     once;
+//     recommendation lists live in per-snapshot LRU caches, each filled
+//     through its own singleflight group (computed), so a thundering herd
+//     on one agent computes its neighborhood once;
 //   - the catalog's TopicIndex is built on first use and carried across
 //     a delta swap that adds no products; it answers any branch from one
 //     arena, so its answers are not cached;
@@ -179,17 +178,16 @@ func (ov Overrides) apply(opt core.Options) core.Options {
 // plus every cache derived from it. All methods are safe for concurrent
 // use; returned slices and vectors are shared and must not be modified.
 type Snapshot struct {
-	epoch  uint64
-	comm   *model.Community
-	opt    core.Options
-	rec    *core.Recommender
-	budget time.Duration // per-flight compute bound; 0 = none
+	epoch uint64
+	comm  *model.Community
+	opt   core.Options
+	rec   *core.Recommender
 
 	// The per-agent caches are keyed by community ordinal: the URI is
 	// resolved once at the public entry point, everything below indexes
 	// and hashes fixed-size values.
-	peers   *lruCache[peerKey, *neighborhood]
-	results *lruCache[recKey, []core.Recommendation]
+	peers   *computed[peerKey, *neighborhood]
+	results *computed[recKey, []core.Recommendation]
 
 	// bodies holds encoded API responses by request URL, weighed in
 	// bytes. It is never carried by a delta swap and never checkpointed.
@@ -203,8 +201,6 @@ type Snapshot struct {
 
 	popOnce sync.Once
 	popRank atomic.Pointer[[]core.Recommendation]
-
-	flights flightGroup
 }
 
 // newSnapshot builds a cold snapshot: every cache starts empty.
@@ -224,9 +220,8 @@ func emptySnapshot(epoch uint64, comm *model.Community, opt core.Options, cfg Co
 		comm:    comm,
 		opt:     opt,
 		rec:     rec,
-		budget:  cfg.ComputeBudget,
-		peers:   newLRU[peerKey, *neighborhood](cfg.PeerCacheSize),
-		results: newLRU[recKey, []core.Recommendation](cfg.ResultCacheSize),
+		peers:   newComputed[peerKey, *neighborhood](cfg.PeerCacheSize, cfg.ComputeBudget, "peers_hit", "peers_miss"),
+		results: newComputed[recKey, []core.Recommendation](cfg.ResultCacheSize, cfg.ComputeBudget, "results_hit", "results_miss"),
 		bodies:  newLRU[bodyKey, storedBody](bodyBudget),
 	}, nil
 }
@@ -403,11 +398,6 @@ type peerKey struct {
 	pipe  pipeKey
 }
 
-// flight returns the singleflight key for the neighborhood computation.
-func (k peerKey) flight() flightKey {
-	return flightKey{kind: flightPeers, agent: k.agent, pipe: k.pipe}
-}
-
 // recKey identifies a cached recommendation list: the active agent's
 // ordinal, the answer size, and the full variant split into its pipeline
 // and content parts — the pipeline part ties a result to the
@@ -419,19 +409,15 @@ type recKey struct {
 	content contKey
 }
 
-// flight returns the singleflight key for the recommendation computation.
-func (k recKey) flight() flightKey {
-	return flightKey{kind: flightRecs, agent: k.agent, n: k.n, pipe: k.pipe, content: k.content}
+// peersKey and resultKey build the cache keys shared by the serving,
+// ladder and degradation paths, from an already-resolved agent ordinal
+// and the rung whose artifact the entry is (0 for the rung-1 pipeline).
+func peersKey(ord int32, ov Overrides, rung byte) peerKey {
+	return peerKey{agent: ord, pipe: ov.pipelineKey().withRung(rung)}
 }
 
-// peersKey and resultKey build the cache keys shared by the serving and
-// degradation paths, from an already-resolved agent ordinal.
-func peersKey(ord int32, ov Overrides) peerKey {
-	return peerKey{agent: ord, pipe: ov.pipelineKey()}
-}
-
-func resultKey(ord int32, n int, ov Overrides) recKey {
-	return recKey{agent: ord, n: int32(n), pipe: ov.pipelineKey(), content: ov.contentKey()}
+func resultKey(ord int32, n int, ov Overrides, rung byte) recKey {
+	return recKey{agent: ord, n: int32(n), pipe: ov.pipelineKey().withRung(rung), content: ov.contentKey()}
 }
 
 // unknownAgent mirrors the core pipeline's unknown-active error, so
@@ -439,16 +425,6 @@ func resultKey(ord int32, n int, ov Overrides) recKey {
 // letting the pipeline discover it.
 func unknownAgent(id model.AgentID) error {
 	return fmt.Errorf("%w: %s", core.ErrUnknownAgent, id)
-}
-
-// flightCtx is the compute-budget context factory handed to cold-path
-// flights: independent of any caller's deadline, bounded by the engine's
-// ComputeBudget when one is configured.
-func (s *Snapshot) flightCtx() (context.Context, context.CancelFunc) {
-	if s.budget > 0 {
-		return context.WithTimeout(context.Background(), s.budget) //nolint:ctxflow -- the flight context is detached by design: the leader keeps warming the cache after every caller detaches (ComputeBudget is the bound)
-	}
-	return noCancel()
 }
 
 // RankedPeers runs pipeline stages 1-3 for the active agent under the
@@ -468,42 +444,43 @@ func (s *Snapshot) RankedPeersCtx(ctx context.Context, active model.AgentID, ov 
 	if a == nil {
 		return nil, unknownAgent(active)
 	}
-	nb, err := s.neighborhoodRef(ctx, a, ov)
+	nb, err := s.neighborhoodRef(ctx, a, ov, 0, nil)
 	if err != nil {
 		return nil, err
 	}
 	return nb.ranks(), nil
 }
 
-// neighborhoodRef is RankedPeersCtx after the one URI resolution: every
-// cache and flight key below is built from the agent's ordinal.
-func (s *Snapshot) neighborhoodRef(ctx context.Context, a *model.Agent, ov Overrides) (*neighborhood, error) {
-	key := peersKey(a.Ord(), ov)
-	if nb, ok := s.peers.get(key); ok {
-		stats.Add("peers_hit", 1)
+// neighborhoodRef is RankedPeersCtx after the one URI resolution, for
+// any rung's peer ranking: rung 0 is stages 1-3 of the pipeline,
+// rungWiden (strategy ladder rung 2) widens base, the rung-0 ranking, by
+// one trust hop and re-synthesizes it, and rungGen (rung 3) re-ranks base
+// over taxonomy ancestors. Every cache and flight key is built from the
+// agent's ordinal.
+func (s *Snapshot) neighborhoodRef(ctx context.Context, a *model.Agent, ov Overrides, rung byte, base []core.PeerRank) (*neighborhood, error) {
+	key := peersKey(a.Ord(), ov, rung)
+	if nb, ok := s.peers.lookup(key); ok {
 		return nb, nil
 	}
-	stats.Add("peers_miss", 1)
-	v, err, shared := s.flights.doCtx(ctx, key.flight(), s.flightCtx, func(fctx context.Context) (any, error) {
+	return s.peers.fill(ctx, key, func(fctx context.Context) (*neighborhood, error) {
 		rec, err := s.RecommenderFor(ov)
 		if err != nil {
 			return nil, err
 		}
-		peers, err := rec.RankedPeersCtx(fctx, a.ID)
+		var peers []core.PeerRank
+		switch rung {
+		case rungWiden:
+			peers, err = rec.SynthesizeCtx(fctx, a.ID, s.widen(rec, a, base))
+		case rungGen:
+			peers, err = strategy.GeneralizedPeers(fctx, rec, a.ID, base, ov.apply(s.opt).BlendAlpha(), strategy.AncestorDepth)
+		default:
+			peers, err = rec.RankedPeersCtx(fctx, a.ID)
+		}
 		if err != nil {
 			return nil, err
 		}
-		nb := &neighborhood{list: peers}
-		s.peers.add(key, nb)
-		return nb, nil
+		return &neighborhood{list: peers}, nil
 	})
-	if shared {
-		stats.Add("flight_shared", 1)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return v.(*neighborhood), nil
 }
 
 // CachedPeers peeks the neighborhood cache without computing anything —
@@ -515,7 +492,7 @@ func (s *Snapshot) CachedPeers(active model.AgentID, ov Overrides) ([]core.PeerR
 	if a == nil {
 		return nil, false
 	}
-	nb, ok := s.peers.get(peersKey(a.Ord(), ov))
+	nb, ok := s.peers.get(peersKey(a.Ord(), ov, 0))
 	if !ok {
 		return nil, false
 	}
@@ -540,19 +517,19 @@ func (s *Snapshot) RecommendCtx(ctx context.Context, active model.AgentID, n int
 	if a == nil {
 		return nil, unknownAgent(active)
 	}
-	return s.recommendRef(ctx, a, n, ov)
+	return s.recommendRef(ctx, a, n, ov, 0, nil)
 }
 
-// recommendRef is RecommendCtx after the one URI resolution.
-func (s *Snapshot) recommendRef(ctx context.Context, a *model.Agent, n int, ov Overrides) ([]core.Recommendation, error) {
-	key := resultKey(a.Ord(), n, ov)
-	if recs, ok := s.results.get(key); ok {
-		stats.Add("results_hit", 1)
+// recommendRef is RecommendCtx after the one URI resolution, for any
+// rung's answer: the stage-4 vote over neighborhoodRef's ranking for the
+// same rung and base.
+func (s *Snapshot) recommendRef(ctx context.Context, a *model.Agent, n int, ov Overrides, rung byte, base []core.PeerRank) ([]core.Recommendation, error) {
+	key := resultKey(a.Ord(), n, ov, rung)
+	if recs, ok := s.results.lookup(key); ok {
 		return recs, nil
 	}
-	stats.Add("results_miss", 1)
-	v, err, shared := s.flights.doCtx(ctx, key.flight(), s.flightCtx, func(fctx context.Context) (any, error) {
-		nb, err := s.neighborhoodRef(fctx, a, ov)
+	return s.results.fill(ctx, key, func(fctx context.Context) ([]core.Recommendation, error) {
+		nb, err := s.neighborhoodRef(fctx, a, ov, rung, base)
 		if err != nil {
 			return nil, err
 		}
@@ -560,20 +537,8 @@ func (s *Snapshot) recommendRef(ctx context.Context, a *model.Agent, n int, ov O
 		if err != nil {
 			return nil, err
 		}
-		recs, err := rec.RecommendFromCtx(fctx, a.ID, nb.ranks(), n)
-		if err != nil {
-			return nil, err
-		}
-		s.results.add(key, recs)
-		return recs, nil
+		return rec.RecommendFromCtx(fctx, a.ID, nb.ranks(), n)
 	})
-	if shared {
-		stats.Add("flight_shared", 1)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return v.([]core.Recommendation), nil
 }
 
 // CachedRecommend peeks the result cache without computing anything.
@@ -584,7 +549,7 @@ func (s *Snapshot) CachedRecommend(active model.AgentID, n int, ov Overrides) ([
 	if a == nil {
 		return nil, false
 	}
-	return s.results.get(resultKey(a.Ord(), n, ov))
+	return s.results.get(resultKey(a.Ord(), n, ov, 0))
 }
 
 // Profile returns the agent's interest profile: its row of the compiled
@@ -752,48 +717,29 @@ func (e *Engine) SwapDelta(comm *model.Community, d *Delta) (*Snapshot, error) {
 func (e *Engine) Previous() *Snapshot { return e.prev.Load() }
 
 // degradedPeers attempts a cheap partial answer for a neighborhood
-// request whose full computation missed its deadline: the current
-// snapshot's cache first, then the previous epoch's. Pure cache lookups —
-// no computation is started. epoch reports which snapshot answered.
+// request whose full computation missed its deadline: a pure lookup in
+// the neighborhood cache (see degraded).
 func (e *Engine) degradedPeers(active model.AgentID, ov Overrides) (peers []core.PeerRank, source string, epoch uint64, ok bool) {
-	if s := e.Snapshot(); s != nil {
-		if peers, ok := s.CachedPeers(active, ov); ok {
-			stats.Add("degraded_served", 1)
-			return peers, "peers-cache", s.epoch, true
-		}
-	}
-	if p := e.Previous(); p != nil {
-		if peers, ok := p.CachedPeers(active, ov); ok {
-			stats.Add("degraded_served", 1)
-			stats.Add("degraded_stale", 1)
-			return peers, "prev-peers-cache", p.epoch, true
-		}
-	}
-	return nil, "", 0, false
+	return degraded(e, func(s *Snapshot) ([]core.PeerRank, string, bool) {
+		peers, ok := s.CachedPeers(active, ov)
+		return peers, "peers-cache", ok
+	})
 }
 
 // degradedRecommend attempts a cheap partial answer for a recommendation
-// request whose full computation missed its deadline, probing in order of
-// decreasing fidelity:
+// request whose full computation missed its deadline, probing each
+// snapshot (see degraded) in order of decreasing fidelity:
 //
-//  1. the current snapshot's result cache (a concurrent flight may have
-//     just completed);
-//  2. a fresh stage-4 vote over the current snapshot's *cached*
-//     neighborhood, bounded by degradeBudget;
-//  3. the previous epoch's result cache;
-//  4. a bounded vote over the previous epoch's cached neighborhood.
+//  1. its result cache (a concurrent flight may have just completed);
+//  2. a fresh stage-4 vote over its *cached* neighborhood, bounded by
+//     degradeBudget.
 //
 // No trust or similarity computation is ever started — probes only spend
-// what earlier requests already paid for. epoch reports which snapshot
-// answered; a stale epoch (< current) means the answer predates the last
-// swap.
+// what earlier requests already paid for.
 func (e *Engine) degradedRecommend(active model.AgentID, n int, ov Overrides) (recs []core.Recommendation, source string, epoch uint64, ok bool) {
-	probe := func(s *Snapshot, prefix string) ([]core.Recommendation, string, bool) {
-		if s == nil {
-			return nil, "", false
-		}
+	return degraded(e, func(s *Snapshot) ([]core.Recommendation, string, bool) {
 		if recs, ok := s.CachedRecommend(active, n, ov); ok {
-			return recs, prefix + "result-cache", true
+			return recs, "result-cache", true
 		}
 		peers, ok := s.CachedPeers(active, ov)
 		if !ok {
@@ -809,20 +755,29 @@ func (e *Engine) degradedRecommend(active model.AgentID, n int, ov Overrides) (r
 		if err != nil {
 			return nil, "", false
 		}
-		return recs, prefix + "peers-vote", true
-	}
-	if recs, source, ok := probe(e.Snapshot(), ""); ok {
-		stats.Add("degraded_served", 1)
-		return recs, source, e.Snapshot().epoch, true
-	}
-	if p := e.Previous(); p != nil {
-		if recs, source, ok := probe(p, "prev-"); ok {
+		return recs, "peers-vote", true
+	})
+}
+
+// degraded runs probe against the current snapshot, then the previous
+// epoch's, and returns the first answer. epoch reports which snapshot
+// answered; the previous epoch's answers are stale (< current, they
+// predate the last swap) and their source carries the "prev-" prefix.
+func degraded[T any](e *Engine, probe func(*Snapshot) (T, string, bool)) (out T, source string, epoch uint64, ok bool) {
+	for i, s := range [2]*Snapshot{e.Snapshot(), e.Previous()} {
+		if s == nil {
+			continue
+		}
+		if out, source, ok := probe(s); ok {
 			stats.Add("degraded_served", 1)
-			stats.Add("degraded_stale", 1)
-			return recs, source, p.epoch, true
+			if i > 0 {
+				stats.Add("degraded_stale", 1)
+				source = "prev-" + source
+			}
+			return out, source, s.epoch, true
 		}
 	}
-	return nil, "", 0, false
+	return out, "", 0, false
 }
 
 // WarmupResult reports what a Warmup pass touched.
@@ -863,7 +818,7 @@ func (e *Engine) WarmupCtx(ctx context.Context, workers int) WarmupResult {
 				// The reference fills the cache; a restored entry it finds
 				// stays undecoded until a request reads it.
 				if a := snap.comm.Agent(id); a != nil {
-					_, _ = snap.neighborhoodRef(ctx, a, Overrides{})
+					_, _ = snap.neighborhoodRef(ctx, a, Overrides{}, 0, nil)
 				}
 			}
 		}()

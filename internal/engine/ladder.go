@@ -23,6 +23,18 @@ const (
 	rungGen   byte = 'g' // taxonomy-ancestor re-rankings and their votes
 )
 
+// rungOf returns the pipe-key rung a ladder procedure's artifacts are
+// cached under: 0 for full synthesis (and procedures that cache nothing).
+func rungOf(p strategy.Procedure) byte {
+	switch p {
+	case strategy.TrustHopWidening:
+		return rungWiden
+	case strategy.TaxonomyAncestor:
+		return rungGen
+	}
+	return 0
+}
+
 // withRung returns the key tagged as a ladder rung's artifact.
 func (k pipeKey) withRung(r byte) pipeKey {
 	k.rung = r
@@ -54,7 +66,7 @@ func (e *Engine) ladderSignals(ctx context.Context, snap *Snapshot, a *model.Age
 		return sig, nil, err
 	}
 	sig.Taxonomy = rec.Filter().Generator() != nil
-	nb, err := snap.neighborhoodRef(ctx, a, ov)
+	nb, err := snap.neighborhoodRef(ctx, a, ov, 0, nil)
 	if err != nil {
 		if ladderDeadline(err) {
 			sig.Deadline = true
@@ -68,114 +80,18 @@ func (e *Engine) ladderSignals(ctx context.Context, snap *Snapshot, a *model.Age
 	return sig, ranks, nil
 }
 
-// widenedPeers returns the trust-hop-widened, re-synthesized peer
-// ranking for active (strategy ladder rung 2), cached in the snapshot's
-// neighborhood LRU under the widened pipe key. base is the rung-1
-// ranking the widening starts from, its peers named by the ordinals they
-// carry; an empty base widens from the agent's direct positive trust
-// statements.
-func (s *Snapshot) widenedPeers(ctx context.Context, a *model.Agent, ov Overrides, base []core.PeerRank) ([]core.PeerRank, error) {
-	key := peerKey{agent: a.Ord(), pipe: ov.pipelineKey().withRung(rungWiden)}
-	if nb, ok := s.peers.get(key); ok {
-		stats.Add("peers_hit", 1)
-		return nb.ranks(), nil
-	}
-	stats.Add("peers_miss", 1)
-	v, err, shared := s.flights.doCtx(ctx, key.flight(), s.flightCtx, func(fctx context.Context) (any, error) {
-		rec, err := s.RecommenderFor(ov)
-		if err != nil {
-			return nil, err
+// widen is the trust-hop widening of base, the rung-1 ranking of a, its
+// peers named by the ordinals they carry; an empty base widens from the
+// agent's direct positive trust statements.
+func (s *Snapshot) widen(rec *core.Recommender, a *model.Agent, base []core.PeerRank) *trust.Neighborhood {
+	sym := s.comm.Symbols()
+	nb := &trust.Neighborhood{Source: a.ID, Ranks: make([]trust.Rank, len(base))}
+	for i, p := range base {
+		if peer := sym.AgentAt(p.Ord()); peer != nil { // a zero-value rank stays one
+			nb.Ranks[i] = trust.NewRank(peer, p.Trust)
 		}
-		sym := s.comm.Symbols()
-		nb := &trust.Neighborhood{Source: a.ID, Ranks: make([]trust.Rank, len(base))}
-		for i, p := range base {
-			if peer := sym.AgentAt(p.Ord()); peer != nil { // a zero-value rank stays one
-				nb.Ranks[i] = trust.NewRank(peer, p.Trust)
-			}
-		}
-		wide := trust.WidenOneHop(rec.Adjacency(), nb, strategy.HopDecay)
-		peers, err := rec.SynthesizeCtx(fctx, a.ID, wide)
-		if err != nil {
-			return nil, err
-		}
-		s.peers.add(key, &neighborhood{list: peers})
-		return peers, nil
-	})
-	if shared {
-		stats.Add("flight_shared", 1)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return v.([]core.PeerRank), nil
-}
-
-// generalizedPeers returns the taxonomy-ancestor re-ranking for active
-// (strategy ladder rung 3), cached under the generalized pipe key.
-// Returns strategy.ErrNotApplicable for pipelines without a taxonomy
-// profile space.
-func (s *Snapshot) generalizedPeers(ctx context.Context, a *model.Agent, ov Overrides, base []core.PeerRank) ([]core.PeerRank, error) {
-	key := peerKey{agent: a.Ord(), pipe: ov.pipelineKey().withRung(rungGen)}
-	if nb, ok := s.peers.get(key); ok {
-		stats.Add("peers_hit", 1)
-		return nb.ranks(), nil
-	}
-	stats.Add("peers_miss", 1)
-	v, err, shared := s.flights.doCtx(ctx, key.flight(), s.flightCtx, func(fctx context.Context) (any, error) {
-		rec, err := s.RecommenderFor(ov)
-		if err != nil {
-			return nil, err
-		}
-		alpha := ov.apply(s.opt).BlendAlpha()
-		peers, err := strategy.GeneralizedPeers(fctx, rec, a.ID, base, alpha, strategy.AncestorDepth)
-		if err != nil {
-			return nil, err
-		}
-		s.peers.add(key, &neighborhood{list: peers})
-		return peers, nil
-	})
-	if shared {
-		stats.Add("flight_shared", 1)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return v.([]core.PeerRank), nil
-}
-
-// ladderVote runs (and caches) the stage-4 vote over a lower rung's peer
-// ranking, mirroring RecommendCtx's cache/flight discipline under the
-// suffixed pipe key.
-func (s *Snapshot) ladderVote(ctx context.Context, a *model.Agent, n int, ov Overrides, rung byte, peersFn func(context.Context) ([]core.PeerRank, error)) ([]core.Recommendation, error) {
-	key := recKey{agent: a.Ord(), n: int32(n), pipe: ov.pipelineKey().withRung(rung), content: ov.contentKey()}
-	if recs, ok := s.results.get(key); ok {
-		stats.Add("results_hit", 1)
-		return recs, nil
-	}
-	stats.Add("results_miss", 1)
-	v, err, shared := s.flights.doCtx(ctx, key.flight(), s.flightCtx, func(fctx context.Context) (any, error) {
-		peers, err := peersFn(fctx)
-		if err != nil {
-			return nil, err
-		}
-		rec, err := s.RecommenderFor(ov)
-		if err != nil {
-			return nil, err
-		}
-		recs, err := rec.RecommendFromCtx(fctx, a.ID, peers, n)
-		if err != nil {
-			return nil, err
-		}
-		s.results.add(key, recs)
-		return recs, nil
-	})
-	if shared {
-		stats.Add("flight_shared", 1)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return v.([]core.Recommendation), nil
+	return trust.WidenOneHop(rec.Adjacency(), nb, strategy.HopDecay)
 }
 
 // PopularityRank returns the snapshot's community-wide popularity
@@ -201,108 +117,54 @@ func (s *Snapshot) PopularityRank() []core.Recommendation {
 // invalid variant) or deadline-shaped when the ladder was exhausted
 // under deadline pressure — preserving the 504 contract of PR 3.
 func (e *Engine) RecommendLadder(ctx context.Context, snap *Snapshot, active model.AgentID, n int, ov Overrides, sel strategy.Selector) ([]core.Recommendation, *strategy.Result, error) {
-	a := snap.comm.Agent(active)
-	if a == nil {
-		return nil, nil, unknownAgent(active)
-	}
-	sig, base, err := e.ladderSignals(ctx, snap, a, ov)
-	if err != nil {
-		return nil, nil, err
-	}
-	var out []core.Recommendation
-	var degSource string
-	var degEpoch uint64
-	res := e.ladder.Walk(ctx, sig, sel, func(rctx context.Context, r strategy.Rung) (bool, error) {
-		switch r.Procedure {
-		case strategy.FullSynthesis:
-			recs, err := snap.recommendRef(rctx, a, n, ov)
-			if err != nil {
-				return false, err
+	return walkLadder(ctx, e, snap, active, ov, sel,
+		func(rctx context.Context, p strategy.Procedure, a *model.Agent, base []core.PeerRank) ([]core.Recommendation, error) {
+			switch p {
+			case strategy.FullSynthesis, strategy.TrustHopWidening, strategy.TaxonomyAncestor:
+				return snap.recommendRef(rctx, a, n, ov, rungOf(p), base)
+			case strategy.Popularity:
+				if err := rctx.Err(); err != nil {
+					return nil, err
+				}
+				return strategy.PopularityFor(snap.comm, snap.PopularityRank(), a, n), nil
 			}
-			out = recs
-			return len(recs) > 0, nil
-		case strategy.TrustHopWidening:
-			recs, err := snap.ladderVote(rctx, a, n, ov, rungWiden, func(fctx context.Context) ([]core.PeerRank, error) {
-				return snap.widenedPeers(fctx, a, ov, base)
-			})
-			if err != nil {
-				return false, err
-			}
-			out = recs
-			return len(recs) > 0, nil
-		case strategy.TaxonomyAncestor:
-			recs, err := snap.ladderVote(rctx, a, n, ov, rungGen, func(fctx context.Context) ([]core.PeerRank, error) {
-				return snap.generalizedPeers(fctx, a, ov, base)
-			})
-			if err != nil {
-				return false, err
-			}
-			out = recs
-			return len(recs) > 0, nil
-		case strategy.Popularity:
-			recs, err := snap.popularityFor(rctx, a, n)
-			if err != nil {
-				return false, err
-			}
-			out = recs
-			return len(recs) > 0, nil
-		case strategy.DegradedCache:
-			recs, source, epoch, ok := e.degradedRecommend(active, n, ov)
-			if !ok {
-				return false, nil
-			}
-			out, degSource, degEpoch = recs, source, epoch
-			// A cached empty list is still an answer: PR 3 served it
-			// degraded rather than 504ing, and the ladder keeps that.
-			return true, nil
-		default:
-			return false, strategy.ErrNotApplicable
-		}
-	})
-	e.finishResult(ctx, snap, res, sig, degSource, degEpoch)
-	if res.Procedure == strategy.None {
-		if err := ctx.Err(); err != nil {
-			return nil, res, err
-		}
-		if sig.Deadline {
-			return nil, res, context.DeadlineExceeded
-		}
-	}
-	return out, res, nil
-}
-
-// popularityFor serves the rung-4 answer, collapsing concurrent first
-// computations of the snapshot ranking through the flight group.
-func (s *Snapshot) popularityFor(ctx context.Context, a *model.Agent, n int) ([]core.Recommendation, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if s.popRank.Load() == nil {
-		// Build the shared ranking inside a flight so a herd of starved
-		// requests computes it once; the build itself is bounded by the
-		// community size, not the request.
-		_, _, _ = s.flights.do(flightKey{kind: flightPopularity}, func() (any, error) {
-			return s.PopularityRank(), nil
-		})
-	}
-	return strategy.PopularityFor(s.comm, s.PopularityRank(), a, n), nil
-}
-
-// finishResult stamps the walk result with the answering epoch and the
-// degraded-source details when the bottom rung served.
-func (e *Engine) finishResult(_ context.Context, snap *Snapshot, res *strategy.Result, _ strategy.Signals, degSource string, degEpoch uint64) {
-	res.Epoch = snap.epoch
-	if res.Procedure == strategy.DegradedCache && degSource != "" {
-		res.Degraded = true
-		res.Source = degSource
-		res.Epoch = degEpoch
-	}
+			return nil, strategy.ErrNotApplicable
+		},
+		func() ([]core.Recommendation, string, uint64, bool) { return e.degradedRecommend(active, n, ov) })
 }
 
 // RankedPeersLadder is RecommendLadder for neighborhood requests: the
 // same ladder walk, with the popularity rung recorded as not applicable
 // (there is no agent-independent peer ranking worth serving).
 func (e *Engine) RankedPeersLadder(ctx context.Context, snap *Snapshot, active model.AgentID, ov Overrides, sel strategy.Selector) ([]core.PeerRank, *strategy.Result, error) {
+	return walkLadder(ctx, e, snap, active, ov, sel,
+		func(rctx context.Context, p strategy.Procedure, a *model.Agent, base []core.PeerRank) ([]core.PeerRank, error) {
+			switch p {
+			case strategy.FullSynthesis:
+				return base, rctx.Err()
+			case strategy.TrustHopWidening, strategy.TaxonomyAncestor:
+				nb, err := snap.neighborhoodRef(rctx, a, ov, rungOf(p), base)
+				if err != nil {
+					return nil, err
+				}
+				return nb.ranks(), nil
+			}
+			return nil, strategy.ErrNotApplicable
+		},
+		func() ([]core.PeerRank, string, uint64, bool) { return e.degradedPeers(active, ov) })
+}
+
+// walkLadder is the one ladder walk behind RecommendLadder and
+// RankedPeersLadder: it gathers the signals, lets rung answer every
+// procedure but the degraded cache's (a zero-length answer falls
+// through) and degrade answer that one (any cached answer, even an
+// empty list, counts: a degraded empty answer beats a 504),
+// stamps the result with the answering epoch and degraded source, and
+// turns a walk exhausted under deadline pressure into the deadline
+// error.
+func walkLadder[E any](ctx context.Context, e *Engine, snap *Snapshot, active model.AgentID, ov Overrides, sel strategy.Selector,
+	rung func(context.Context, strategy.Procedure, *model.Agent, []core.PeerRank) ([]E, error),
+	degrade func() ([]E, string, uint64, bool)) ([]E, *strategy.Result, error) {
 	a := snap.comm.Agent(active)
 	if a == nil {
 		return nil, nil, unknownAgent(active)
@@ -311,45 +173,30 @@ func (e *Engine) RankedPeersLadder(ctx context.Context, snap *Snapshot, active m
 	if err != nil {
 		return nil, nil, err
 	}
-	var out []core.PeerRank
+	var out []E
 	var degSource string
 	var degEpoch uint64
 	res := e.ladder.Walk(ctx, sig, sel, func(rctx context.Context, r strategy.Rung) (bool, error) {
-		switch r.Procedure {
-		case strategy.FullSynthesis:
-			if err := rctx.Err(); err != nil {
-				return false, err
+		if r.Procedure == strategy.DegradedCache {
+			got, source, epoch, ok := degrade()
+			if ok {
+				out, degSource, degEpoch = got, source, epoch
 			}
-			out = base
-			return len(base) > 0, nil
-		case strategy.TrustHopWidening:
-			peers, err := snap.widenedPeers(rctx, a, ov, base)
-			if err != nil {
-				return false, err
-			}
-			out = peers
-			return len(peers) > 0, nil
-		case strategy.TaxonomyAncestor:
-			peers, err := snap.generalizedPeers(rctx, a, ov, base)
-			if err != nil {
-				return false, err
-			}
-			out = peers
-			return len(peers) > 0, nil
-		case strategy.Popularity:
-			return false, strategy.ErrNotApplicable
-		case strategy.DegradedCache:
-			peers, source, epoch, ok := e.degradedPeers(active, ov)
-			if !ok {
-				return false, nil
-			}
-			out, degSource, degEpoch = peers, source, epoch
-			return true, nil
-		default:
-			return false, strategy.ErrNotApplicable
+			return ok, nil
 		}
+		got, err := rung(rctx, r.Procedure, a, base)
+		if err != nil {
+			return false, err
+		}
+		out = got
+		return len(got) > 0, nil
 	})
-	e.finishResult(ctx, snap, res, sig, degSource, degEpoch)
+	res.Epoch = snap.epoch
+	if res.Procedure == strategy.DegradedCache && degSource != "" {
+		res.Degraded = true
+		res.Source = degSource
+		res.Epoch = degEpoch
+	}
 	if res.Procedure == strategy.None {
 		if err := ctx.Err(); err != nil {
 			return nil, res, err

@@ -3,95 +3,111 @@ package engine
 import (
 	"context"
 	"sync"
+	"time"
 )
 
-// flightKey identifies one deduplicatable computation: the kind plus the
-// key components that kind uses (zero for the rest). A fixed-size
-// comparable struct, so starting or joining a flight allocates and
-// hashes no strings — the per-request flight keys used to be the
-// engine's last fmt.Sprintf on the serving path.
-type flightKey struct {
-	kind    byte
-	agent   int32 // agent ordinal (peers, recs)
-	n       int32 // answer size (recs)
-	pipe    pipeKey
-	content contKey
+// computed is a per-snapshot LRU filled by computation — the
+// neighborhood cache and the results cache — together with the
+// singleflight group that fills it, keyed by the cache's own key. Its
+// two methods are the engine's one cache-or-compute path: lookup probes
+// and counts a hit; on a miss the caller hands fill the computation.
+// The caller builds that closure only after lookup missed, so a hit
+// allocates nothing.
+//
+// The flight discipline is the classic singleflight pattern (stdlib has
+// no exported version, and the module is dependency-free) with one
+// deadline-era twist: the computation runs on its own goroutine under a
+// flight context independent of any single caller, bounded by the
+// engine's ComputeBudget, and every caller — including the one that
+// started the flight — waits with a select against its own request
+// context. A caller whose deadline fires detaches immediately with
+// ctx.Err() while the computation keeps running and completes the cache
+// fill, so the work already invested still warms the next request.
+type computed[K comparable, V any] struct {
+	*lruCache[K, V]
+	hit, miss string        // this cache's swrec_engine counters
+	budget    time.Duration // bounds each flight; 0 = none
+
+	mu      sync.Mutex
+	flights map[K]*flight[V]
 }
 
-// flightKey kinds.
-const (
-	flightPeers      = 'p'
-	flightRecs       = 'r'
-	flightPopularity = 'o'
-)
-
-// flightGroup deduplicates concurrent computations of the same key: the
-// first caller starts fn, later callers for the same key share the
-// in-flight result. This is the classic singleflight pattern (stdlib has
-// no exported version, and the module is dependency-free), with one
-// deadline-era twist: fn runs on its own goroutine under a *flight*
-// context independent of any single caller, and every caller — including
-// the one that started the flight — waits with a select against its own
-// request context. A caller whose deadline fires detaches immediately
-// with ctx.Err() while the computation keeps running and completes the
-// cache fill, so the work already invested still warms the next request.
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[flightKey]*flightCall
-}
-
-type flightCall struct {
-	done chan struct{} // closed after val/err are set and the key is freed
-	val  any
+// flight is one in-progress computation; done is closed after val and
+// err are set and the key is freed.
+type flight[V any] struct {
+	done chan struct{}
+	val  V
 	err  error
 }
 
-// noCancel is the flight-context factory when no compute budget applies.
-func noCancel() (context.Context, context.CancelFunc) {
-	return context.Background(), func() {} //nolint:ctxflow -- the flight context is detached by design: the leader outlives any single caller and completes the cache fill
+func newComputed[K comparable, V any](capacity int, budget time.Duration, hit, miss string) *computed[K, V] {
+	return &computed[K, V]{lruCache: newLRU[K, V](capacity), hit: hit, miss: miss, budget: budget}
 }
 
-// doCtx runs fn once per concurrent set of callers sharing key. The
-// leader goroutine evaluates fn under a fresh context from newCtx (the
-// compute budget); each caller blocks until the flight finishes or its
-// own ctx is done, whichever comes first. shared reports whether this
-// caller joined a flight another caller started. On detach the returned
-// error is ctx.Err() and val is nil.
-func (g *flightGroup) doCtx(ctx context.Context, key flightKey, newCtx func() (context.Context, context.CancelFunc), fn func(context.Context) (any, error)) (val any, err error, shared bool) {
-	g.mu.Lock()
-	if g.m == nil {
-		g.m = make(map[flightKey]*flightCall)
+// lookup returns the cached value, counting a hit. A miss is counted by
+// the fill that follows it.
+//
+//swrec:hotpath
+func (c *computed[K, V]) lookup(k K) (V, bool) {
+	v, ok := c.get(k)
+	if ok {
+		stats.Add(c.hit, 1)
 	}
-	c, joined := g.m[key]
+	return v, ok
+}
+
+// fill computes the value of a key lookup just missed: it counts the
+// miss, then starts the key's flight or joins the one in progress
+// (counting flight_shared). The leader runs compute under flightCtx and
+// caches a value computed without error before it frees the key, so a
+// caller arriving after the flight finds the cache filled. This caller
+// waits until the flight finishes or ctx is done; on detach the error
+// is ctx.Err() and the value is zero.
+func (c *computed[K, V]) fill(ctx context.Context, key K, compute func(context.Context) (V, error)) (V, error) {
+	stats.Add(c.miss, 1)
+	c.mu.Lock()
+	if c.flights == nil {
+		c.flights = make(map[K]*flight[V])
+	}
+	f, joined := c.flights[key]
 	if !joined {
-		c = &flightCall{done: make(chan struct{})}
-		g.m[key] = c
+		f = &flight[V]{done: make(chan struct{})}
+		c.flights[key] = f
 		go func() {
-			fctx, cancel := newCtx()
+			fctx, cancel := flightCtx(c.budget)
 			defer cancel()
-			val, err := fn(fctx)
-			// Publish the result before freeing the key: a caller arriving
-			// after the delete must start a fresh flight, not read a
-			// half-written one.
-			c.val, c.err = val, err
-			g.mu.Lock()
-			delete(g.m, key)
-			g.mu.Unlock()
-			close(c.done)
+			val, err := compute(fctx)
+			if err == nil {
+				c.add(key, val)
+			}
+			f.val, f.err = val, err
+			c.mu.Lock()
+			delete(c.flights, key)
+			c.mu.Unlock()
+			close(f.done)
 		}()
 	}
-	g.mu.Unlock()
+	c.mu.Unlock()
+	if joined {
+		stats.Add("flight_shared", 1)
+	}
 
 	select {
-	case <-c.done:
-		return c.val, c.err, joined
+	case <-f.done:
+		return f.val, f.err
 	case <-ctx.Done():
-		return nil, ctx.Err(), joined
+		var zero V
+		return zero, ctx.Err()
 	}
 }
 
-// do is doCtx without caller cancellation or a compute budget: it always
-// waits for the flight to finish.
-func (g *flightGroup) do(key flightKey, fn func() (any, error)) (val any, err error, shared bool) {
-	return g.doCtx(context.Background(), key, noCancel, func(context.Context) (any, error) { return fn() })
+// flightCtx is the context a flight computes under: independent of any
+// caller's deadline, bounded by budget when one is configured.
+func flightCtx(budget time.Duration) (context.Context, context.CancelFunc) {
+	//nolint:ctxflow -- the flight context is detached by design: the leader keeps warming the cache after every caller detaches (ComputeBudget is the bound)
+	ctx := context.Background()
+	if budget > 0 {
+		return context.WithTimeout(ctx, budget)
+	}
+	return ctx, func() {}
 }

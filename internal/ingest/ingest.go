@@ -191,7 +191,9 @@ func Open(eng *engine.Engine, dir string, cfg Config) (*Pipeline, error) {
 // already covers, as checkpoint.Recover reports it — publishing one
 // recovery snapshot if anything was replayed, and starts the pipeline. A
 // log truncated past seq+1 cannot bring that community up to date and is
-// an error, not a shorter replay.
+// an error, not a shorter replay. A log that ends before seq (its
+// segments are gone) resumes numbering at seq+1: no write is ever
+// acknowledged under a sequence number the engine already covers.
 func OpenFrom(eng *engine.Engine, dir string, cfg Config, seq uint64) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
 	oldest, ok, err := wal.OldestSeq(dir)
@@ -204,6 +206,10 @@ func OpenFrom(eng *engine.Engine, dir string, cfg Config, seq uint64) (*Pipeline
 	}
 	w, err := wal.Open(dir, cfg.WAL)
 	if err != nil {
+		return nil, err
+	}
+	if err := w.StartAfter(seq); err != nil {
+		w.Close()
 		return nil, err
 	}
 	p := &Pipeline{

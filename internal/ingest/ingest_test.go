@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -689,6 +690,94 @@ func TestCheckpointTruncatesAndRestartsFromSnapshot(t *testing.T) {
 		if segs[r] > segs[1]+2 {
 			t.Fatalf("WAL grew with the number of rounds: segments after each round %v", segs)
 		}
+	}
+}
+
+// TestOpenFromNumbersPastCoveredSeq: a checkpoint at seq 30 whose WAL
+// segments are gone still recovers (an absent log loses no records), and
+// the pipeline opened on it must number its first write 31 — in a fresh
+// segment named for it — so that after a kill -9 the next recovery finds
+// and replays every write acknowledged since, instead of skipping seqs
+// 1-10 as already covered by the checkpoint.
+func TestOpenFromNumbersPastCoveredSeq(t *testing.T) {
+	const covered, tail = 30, 10
+	cfg := datagen.SmallScale()
+	cfg.Agents, cfg.Products = 25, 30
+	gen := func() *model.Community { c, _ := datagen.Generate(cfg); return c }
+	corpus := func() (*model.Community, error) { return gen(), nil }
+	muts := testMutations(gen(), covered+tail)
+
+	cleanEng := testEngine(t, gen())
+	clean, err := Open(cleanEng, t.TempDir(), lazyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	wcfg := lazyConfig()
+	wcfg.CheckpointEvery = 1
+	p, err := Open(testEngine(t, gen()), dir, wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range muts[:covered] {
+		if _, err := p.Submit(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Close(); err != nil { // the final checkpoint covers seq 30
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segments to remove (err %v)", err)
+	}
+	for _, seg := range segs {
+		if err := os.Remove(seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	res := testRecover(t, dir, corpus)
+	if res.Rung != 1 || res.Seq != covered {
+		t.Fatalf("recovered on rung %d at seq %d, want rung 1 at %d", res.Rung, res.Seq, covered)
+	}
+	if p, err = OpenFrom(res.Engine, dir, wcfg, res.Seq); err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range muts[covered:] {
+		seq, err := p.Submit(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := uint64(covered + 1 + i); seq != want {
+			t.Errorf("write %d acknowledged as seq %d, want %d", i, seq, want)
+		}
+	}
+	if err := p.Abort(); err != nil { // kill -9: no publish, no checkpoint
+		t.Fatal(err)
+	}
+	if oldest, _, err := wal.OldestSeq(dir); err != nil || oldest != covered+1 {
+		t.Errorf("the log starts at seq %d (err %v), want a segment named for seq %d", oldest, err, covered+1)
+	}
+
+	res = testRecover(t, dir, corpus)
+	if p, err = OpenFrom(res.Engine, dir, wcfg, res.Seq); err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if got := p.Replayed(); got != tail {
+		t.Fatalf("replayed %d records over the seq-%d checkpoint, want the %d acknowledged after it", got, res.Seq, tail)
+	}
+	for _, m := range muts {
+		if _, err := clean.Submit(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := clean.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := digest(res.Engine.Snapshot().Community()), digest(cleanEng.Snapshot().Community()); got != want {
+		t.Fatalf("recovered state differs from clean run:\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 }
 

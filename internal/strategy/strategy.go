@@ -76,7 +76,8 @@ type Signals struct {
 	// Peers is the size of the synthesized stage 1-3 peer ranking.
 	Peers int `json:"peers"`
 	// Energy is the total normalized trust mass of the ranking (sum of
-	// per-peer trust ranks in [0,1]).
+	// per-peer trust ranks in [0,1]). No condition tests it; the
+	// thin-neighborhood reason reports it beside Peers.
 	Energy float64 `json:"energy"`
 	// TopSim is the best defined non-negative similarity among the
 	// ranked peers; 0 when no pair has a defined positive similarity —
@@ -91,13 +92,11 @@ type Signals struct {
 }
 
 // Condition is one rung's precondition as data. Zero-valued fields are
-// disabled checks. All enabled checks are conjunctive, with one
-// documented exception: MaxPeers and MaxEnergy express the same
-// "neighborhood too thin" question, so when both are set either one
-// qualifies. Min bounds are inclusive; Max bounds are exclusive on the
-// float side (TopSim < MaxTopSim, Energy < MaxEnergy) and inclusive on
-// the integer side (Peers <= MaxPeers), so a ladder built from one
-// threshold splits the signal space without gaps or overlap.
+// disabled checks; all enabled checks are conjunctive. Min bounds are
+// inclusive; Max bounds are exclusive on the float side (TopSim <
+// MaxTopSim) and inclusive on the integer side (Peers <= MaxPeers), so a
+// ladder built from one threshold splits the signal space without gaps
+// or overlap.
 type Condition struct {
 	MinTrustOut     int     `json:"minTrustOut,omitempty"`
 	MinRatings      int     `json:"minRatings,omitempty"`
@@ -105,8 +104,6 @@ type Condition struct {
 	MaxPeers        int     `json:"maxPeers,omitempty"`
 	MinTopSim       float64 `json:"minTopSim,omitempty"`
 	MaxTopSim       float64 `json:"maxTopSim,omitempty"`
-	MinEnergy       float64 `json:"minEnergy,omitempty"`
-	MaxEnergy       float64 `json:"maxEnergy,omitempty"`
 	RequireTaxonomy bool    `json:"requireTaxonomy,omitempty"`
 	// DeadlineOnly restricts the rung to requests whose compute budget
 	// already expired — the degraded-cache rung must never answer a
@@ -130,21 +127,14 @@ func (c Condition) Holds(s Signals) (bool, string) {
 	if c.MinPeers > 0 && s.Peers < c.MinPeers {
 		return false, fmt.Sprintf("peers %d < %d", s.Peers, c.MinPeers)
 	}
-	if c.MaxPeers > 0 || c.MaxEnergy > 0 {
-		thin := (c.MaxPeers > 0 && s.Peers <= c.MaxPeers) ||
-			(c.MaxEnergy > 0 && s.Energy < c.MaxEnergy)
-		if !thin {
-			return false, fmt.Sprintf("neighborhood not thin (peers %d, energy %.3g)", s.Peers, s.Energy)
-		}
+	if c.MaxPeers > 0 && s.Peers > c.MaxPeers {
+		return false, fmt.Sprintf("neighborhood not thin (peers %d, energy %.3g)", s.Peers, s.Energy)
 	}
 	if c.MinTopSim > 0 && s.TopSim < c.MinTopSim {
 		return false, fmt.Sprintf("top similarity %.3g < %.3g", s.TopSim, c.MinTopSim)
 	}
 	if c.MaxTopSim > 0 && s.TopSim >= c.MaxTopSim {
 		return false, fmt.Sprintf("top similarity %.3g >= %.3g", s.TopSim, c.MaxTopSim)
-	}
-	if c.MinEnergy > 0 && s.Energy < c.MinEnergy {
-		return false, fmt.Sprintf("energy %.3g < %.3g", s.Energy, c.MinEnergy)
 	}
 	if c.RequireTaxonomy && !s.Taxonomy {
 		return false, "no taxonomy profile space"
@@ -400,7 +390,7 @@ func (l *Ladder) Walk(ctx context.Context, sig Signals, sel Selector, run Runner
 			recordExhausted()
 			return res
 		}
-		l.attempt(ctx, res, sig, r, "pinned", run)
+		l.attempt(ctx, res, r, "pinned", run)
 		if res.Procedure == None {
 			recordExhausted()
 		}
@@ -428,7 +418,7 @@ func (l *Ladder) Walk(ctx context.Context, sig Signals, sel Selector, run Runner
 			res.Attempts = append(res.Attempts, Attempt{Procedure: r.Procedure, Outcome: OutcomeSkipped, Reason: reason})
 			continue
 		}
-		if l.attempt(ctx, res, sig, r, "", run); res.Procedure != None {
+		if l.attempt(ctx, res, r, "", run); res.Procedure != None {
 			return res
 		}
 	}
@@ -438,7 +428,7 @@ func (l *Ladder) Walk(ctx context.Context, sig Signals, sel Selector, run Runner
 
 // attempt runs one rung's procedure and records its trace entry, setting
 // res.Procedure on success.
-func (l *Ladder) attempt(ctx context.Context, res *Result, _ Signals, r Rung, reason string, run Runner) {
+func (l *Ladder) attempt(ctx context.Context, res *Result, r Rung, reason string, run Runner) {
 	recordAttempt(r.Procedure)
 	nonEmpty, err := run(ctx, r)
 	switch {

@@ -30,8 +30,6 @@ func TestConditionHolds(t *testing.T) {
 		{"max top-sim below", Condition{MaxTopSim: 0.1}, Signals{TopSim: 0.0999}, true},
 		{"max peers inclusive", Condition{MaxPeers: 2}, Signals{Peers: 2}, true},
 		{"max peers above", Condition{MaxPeers: 2}, Signals{Peers: 3}, false},
-		{"thin disjunction via energy", Condition{MaxPeers: 2, MaxEnergy: 0.5}, Signals{Peers: 9, Energy: 0.4}, true},
-		{"thin disjunction neither", Condition{MaxPeers: 2, MaxEnergy: 0.5}, Signals{Peers: 9, Energy: 0.9}, false},
 		{"taxonomy required", Condition{RequireTaxonomy: true}, Signals{}, false},
 		{"taxonomy present", Condition{RequireTaxonomy: true}, Signals{Taxonomy: true}, true},
 		{"deadline only without pressure", Condition{DeadlineOnly: true}, Signals{}, false},

@@ -465,6 +465,42 @@ func (w *WAL) Append(muts []Mutation) (first, last uint64, err error) {
 	return first, w.nextSeq - 1, nil
 }
 
+// StartAfter makes seq+1 the next sequence number of a log that ends at
+// or before seq — one whose segments went missing under a checkpoint
+// that covers seq — in a segment named for it, so no record is ever
+// numbered into the range the checkpoint covers (a replay from seq+1
+// would skip it). An empty active segment is renamed rather than left
+// behind, where it would make OldestSeq report a log reaching back
+// further than its records do. A log that already extends past seq is
+// untouched.
+func (w *WAL) StartAfter(seq uint64) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return ErrClosed
+	}
+	if w.nextSeq > seq {
+		return nil
+	}
+	if w.active.Size() > 0 {
+		w.nextSeq = seq + 1
+		if err := w.rotateLocked(); err != nil {
+			w.poisoned = true // as in Append
+			return err
+		}
+		return nil
+	}
+	active := &w.segments[len(w.segments)-1]
+	path := filepath.Join(w.dir, segmentName(seq+1))
+	if err := os.Rename(active.path, path); err != nil {
+		return fmt.Errorf("wal: rename empty segment: %w", err)
+	}
+	*active = segment{path: path, firstSeq: seq + 1}
+	w.nextSeq = seq + 1
+	frame.SyncDir(w.dir)
+	return nil
+}
+
 // NextSeq returns the sequence number the next appended record receives.
 func (w *WAL) NextSeq() uint64 {
 	w.mu.Lock()

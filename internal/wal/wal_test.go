@@ -124,6 +124,49 @@ func TestSequencePersistsAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestStartAfter: a log that ends before a checkpoint's seq resumes
+// numbering just past it — an empty log by renaming its empty segment,
+// one holding records by rotating — a log already past it is left alone,
+// and the numbering survives a reopen.
+func TestStartAfter(t *testing.T) {
+	dir := t.TempDir()
+	w := openWAL(t, dir, Options{})
+	if err := w.StartAfter(30); err != nil {
+		t.Fatal(err)
+	}
+	if oldest, _, err := OldestSeq(dir); err != nil || oldest != 31 {
+		t.Fatalf("empty log starts at seq %d (err %v), want 31", oldest, err)
+	}
+	if first, _, err := w.Append(muts(1, 0)); err != nil || first != 31 {
+		t.Fatalf("first record after StartAfter(30) is seq %d (err %v), want 31", first, err)
+	}
+
+	dir = t.TempDir()
+	w = openWAL(t, dir, Options{})
+	if _, _, err := w.Append(muts(3, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.StartAfter(10); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.StartAfter(5); err != nil || w.NextSeq() != 11 {
+		t.Fatalf("StartAfter below the log's end moved NextSeq to %d (err %v), want 11", w.NextSeq(), err)
+	}
+	if first, last, err := w.Append(muts(2, 3)); err != nil || first != 11 || last != 12 {
+		t.Fatalf("seqs = [%d,%d] (err %v), want [11,12]", first, last, err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w = openWAL(t, dir, Options{})
+	if w.NextSeq() != 13 {
+		t.Fatalf("NextSeq after reopen = %d, want 13", w.NextSeq())
+	}
+	if seqs, _ := collect(t, w, 1); fmt.Sprint(seqs) != "[1 2 3 11 12]" {
+		t.Fatalf("replayed seqs %v, want [1 2 3 11 12]", seqs)
+	}
+}
+
 func TestTornTailRecovered(t *testing.T) {
 	dir := t.TempDir()
 	w := openWAL(t, dir, Options{})
