@@ -96,7 +96,7 @@ cover:
 # package past go test's ten-minute limit — and starve whichever
 # package's benchmarks run beside it.
 BENCH_SUITE = { $(GO) test -run=^$$ -bench=. -skip='BenchmarkPublish$$' -benchmem \
-		./internal/engine/ ./internal/api/ ./internal/wal/ ./internal/store/ ./internal/ingest/ ./internal/checkpoint/ ./internal/trust/ ./internal/index/ && \
+		./internal/engine/ ./internal/api/ ./internal/wal/ ./internal/store/ ./internal/ingest/ ./internal/checkpoint/ ./internal/trust/ ./internal/index/ ./internal/cf/ ./internal/core/ && \
 	$(GO) test -run=^$$ -bench='BenchmarkPublish$$' -benchmem -benchtime=50x ./internal/ingest/ ; }
 bench:
 	$(BENCH_SUITE) | $(GO) run ./cmd/benchjson -out BENCH_engine.json

@@ -363,17 +363,34 @@ func (f *Filter) scanAll(ctx context.Context, mat *profmat.Matrix, active int32,
 
 // scan fills out[i] with the similarity of the scratch's loaded row to
 // the compiled row of peers[i], stopping at the next 64-peer boundary
-// once ctx is done.
+// once ctx is done. Cosine scores four peers per kernel call, the last
+// len(peers) % 4 one at a time.
 //
 //swrec:hotpath
 func (f *Filter) scan(ctx context.Context, sc *profmat.Scratch, mat *profmat.Matrix, peers []int32, out []SimResult) error {
-	for i, p := range peers {
+	i := 0
+	if f.opt.Measure == Cosine {
+		for ; i+4 <= len(peers); i += 4 {
+			if i&63 == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			p := peers[i : i+4]
+			rows := [4]*profmat.Row{rowAt(mat, p[0]), rowAt(mat, p[1]), rowAt(mat, p[2]), rowAt(mat, p[3])}
+			sims, oks := sc.CosineTo4(&rows)
+			for j := range rows {
+				out[i+j] = SimResult{Sim: sims[j], OK: oks[j]}
+			}
+		}
+	}
+	for ; i < len(peers); i++ {
 		if i&63 == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		s, ok := f.similarityScratch(sc, rowAt(mat, p))
+		s, ok := f.similarityScratch(sc, rowAt(mat, peers[i]))
 		out[i] = SimResult{Sim: s, OK: ok}
 	}
 	return ctx.Err()

@@ -3,6 +3,7 @@ package cf
 import (
 	"context"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -363,6 +364,97 @@ func TestDroppedFilterFreesItsMatrix(t *testing.T) {
 		case <-collected:
 		case <-time.After(5 * time.Second):
 			t.Fatalf("one GC after the filter was dropped, its %s is still live", what)
+		}
+	}
+}
+
+// TestScanMatchesOneRowKernel pins the batch scan to the one-row cosine
+// kernel bit for bit: peer lists of every length 0–9 (so every len % 4
+// tail, before and after a four-row group), one of R + 1 = 401 rows, with
+// repeats, unknown ordinals and empty profiles among the peers, over the
+// full-resolution matrix and the folded one AncestorSimilarities scans.
+func TestScanMatchesOneRowKernel(t *testing.T) {
+	cfg := datagen.SmallScale()
+	cfg.Agents = 500
+	comm, _ := datagen.Generate(cfg)
+	f, err := New(comm, Options{Measure: Cosine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(401))
+	n := int32(comm.NumAgents())
+	for _, depth := range []int{0, 2} {
+		scan := f.Similarities
+		if depth > 0 {
+			scan = func(ctx context.Context, active int32, peers []int32, out []SimResult) error {
+				return f.AncestorSimilarities(ctx, depth, active, peers, out)
+			}
+		}
+		for _, size := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 401} {
+			active := rng.Int31n(n)
+			peers := make([]int32, size)
+			for i := range peers {
+				peers[i] = rng.Int31n(n + 2) // n and n+1 are unknown ordinals
+			}
+			out := make([]SimResult, size)
+			if err := scan(ctx, active, peers, out); err != nil {
+				t.Fatal(err)
+			}
+			mat := f.Matrix()
+			if depth > 0 {
+				if mat, err = f.coarseMatrix(ctx, depth); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sc := profmat.NewScratch(f.dims())
+			sc.Load(rowAt(mat, active))
+			defined := 0
+			for i, p := range peers {
+				want, ok := sc.CosineTo(rowAt(mat, p))
+				if out[i].Sim != want || out[i].OK != ok {
+					t.Fatalf("depth %d, %d peers, peer %d (ordinal %d): scan (%v,%v), CosineTo (%v,%v)",
+						depth, size, i, p, out[i].Sim, out[i].OK, want, ok)
+				}
+				if ok && want != 0 {
+					defined++
+				}
+			}
+			if size == 401 && defined < size/2 {
+				t.Fatalf("depth %d: only %d of %d similarities defined and non-zero: the fixture tests little", depth, defined, size)
+			}
+		}
+	}
+}
+
+// TestSimilaritiesAllocateNothing holds a serving-sized scan — R + 1 =
+// 401 rows, both measures — to zero allocations once the scratch pool is
+// warm.
+func TestSimilaritiesAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	cfg := datagen.SmallScale()
+	cfg.Agents = 500
+	comm, _ := datagen.Generate(cfg)
+	peers := make([]int32, 401)
+	for i := range peers {
+		peers[i] = int32(i)
+	}
+	out := make([]SimResult, len(peers))
+	for _, m := range []Measure{Cosine, Pearson} {
+		f, err := New(comm, Options{Measure: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if err := f.Similarities(context.Background(), 7, peers, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if got := testing.AllocsPerRun(50, run); got != 0 {
+			t.Errorf("%v: %v allocations per 401-row scan, want 0", m, got)
 		}
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -486,24 +485,17 @@ func (r *Recommender) SynthesizeCtx(ctx context.Context, active model.AgentID, n
 			peers[i].Weight = alpha*peers[i].Trust + (1-alpha)*simNorm
 		}
 	}
-	slices.SortFunc(peers, func(a, b PeerRank) int {
-		switch {
-		case a.Weight > b.Weight:
-			return -1
-		case a.Weight < b.Weight:
-			return 1
-		case a.Agent < b.Agent:
-			return -1
-		case a.Agent > b.Agent:
-			return 1
-		default:
-			return 0
-		}
-	})
 	kept := make([]PeerRank, min(len(peers), r.opt.MaxNeighbors))
-	copy(kept, peers)
+	trust.TopPeers(kept, peers, peerWeight, peerAgent)
 	return kept, nil
 }
+
+// SortPeers sorts peers in the order RankedPeers returns them:
+// descending weight, ties by ascending agent ID.
+func SortPeers(peers []PeerRank) { trust.SortPeers(peers, peerWeight, peerAgent) }
+
+func peerWeight(p *PeerRank) float64      { return p.Weight }
+func peerAgent(p *PeerRank) model.AgentID { return p.Agent }
 
 // synthScratch holds the buffers of one stage 2-3 run: the candidate
 // peers before the M highest-weighted are copied out, their ordinals

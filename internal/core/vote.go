@@ -92,9 +92,9 @@ func (r *Recommender) vote(ctx context.Context, vs *voteScratch, ratings *model.
 	return nil
 }
 
-// compareRecommendations is the answer order: descending score, ties by
+// CompareRecommendations is the answer order: descending score, ties by
 // ascending product ID — a strict total order over distinct products.
-func compareRecommendations(a, b Recommendation) int {
+func CompareRecommendations(a, b Recommendation) int {
 	switch {
 	case a.Score > b.Score:
 		return -1
@@ -127,10 +127,10 @@ func selectTop(adj *model.Adjacency, cands []acc, out []Recommendation) {
 		for i, c := range cands {
 			out[i] = rec(c)
 		}
-		slices.SortFunc(out, compareRecommendations)
+		slices.SortFunc(out, CompareRecommendations)
 		return
 	}
-	worse := func(i, j int) bool { return compareRecommendations(out[i], out[j]) > 0 }
+	worse := func(i, j int) bool { return CompareRecommendations(out[i], out[j]) > 0 }
 	for i, c := range cands[:k] { // heapify the first k by sifting each up
 		out[i] = rec(c)
 		for j := i; j > 0 && worse(j, (j-1)/2); j = (j - 1) / 2 {
@@ -142,7 +142,7 @@ func selectTop(adj *model.Adjacency, cands []acc, out []Recommendation) {
 			continue
 		}
 		r := rec(c)
-		if compareRecommendations(r, out[0]) >= 0 {
+		if CompareRecommendations(r, out[0]) >= 0 {
 			continue
 		}
 		out[0] = r // displace the root and sift it down
@@ -161,5 +161,5 @@ func selectTop(adj *model.Adjacency, cands []acc, out []Recommendation) {
 			i = w
 		}
 	}
-	slices.SortFunc(out, compareRecommendations)
+	slices.SortFunc(out, CompareRecommendations)
 }

@@ -96,7 +96,7 @@ func naiveVote(r *Recommender, active model.AgentID, peers []PeerRank, boost flo
 		}
 		out = append(out, Recommendation{Product: id, Score: score, Supporters: acc[id].supporters})
 	}
-	slices.SortFunc(out, compareRecommendations)
+	slices.SortFunc(out, CompareRecommendations)
 	return out
 }
 

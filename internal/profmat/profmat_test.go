@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"swrec/internal/datagen"
@@ -113,6 +114,62 @@ func TestScratchMatchesMergeJoinExactly(t *testing.T) {
 			wpe, wpeOK := Pearson(&a, &b)
 			if pe != wpe || peOK != wpeOK {
 				t.Fatalf("PearsonTo = (%v,%v), merge-join (%v,%v)", pe, peOK, wpe, wpeOK)
+			}
+		}
+	}
+}
+
+// randRow draws a compiled row with nnz distinct keys below dims and
+// unquantized values, so that a sum taken in any other order than the
+// row's own would differ in its low bits; zero gives it all-zero values
+// (a stored row of norm 0).
+func randRow(rng *rand.Rand, nnz int, zero bool) Row {
+	keys := rng.Perm(dims)[:nnz]
+	slices.Sort(keys)
+	r := Row{Keys: make([]int32, nnz), Vals: make([]float64, nnz)}
+	var norm2 float64
+	for i, k := range keys {
+		r.Keys[i] = int32(k)
+		if !zero {
+			r.Vals[i] = rng.NormFloat64()
+		}
+		norm2 += r.Vals[i] * r.Vals[i]
+		r.Sum += r.Vals[i]
+	}
+	r.Norm = math.Sqrt(norm2)
+	return r
+}
+
+// TestCosineTo4MatchesCosineTo pins the four-row kernel to the one-row
+// kernel bit for bit — compared with !=, no tolerance — over rows of
+// unequal length, empty rows and rows of norm zero on either side.
+func TestCosineTo4MatchesCosineTo(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	sc := NewScratch(dims)
+	draw := func() Row {
+		switch rng.Intn(8) {
+		case 0:
+			return Row{}
+		case 1:
+			return randRow(rng, 1+rng.Intn(20), true)
+		default:
+			return randRow(rng, rng.Intn(120), false)
+		}
+	}
+	for i := 0; i < 500; i++ {
+		a := draw()
+		sc.Load(&a)
+		var rows [4]Row
+		for j := range rows {
+			rows[j] = draw()
+		}
+		b := [4]*Row{&rows[0], &rows[1], &rows[2], &rows[3]}
+		sims, oks := sc.CosineTo4(&b)
+		for j, r := range b {
+			want, wantOK := sc.CosineTo(r)
+			if sims[j] != want || oks[j] != wantOK {
+				t.Fatalf("load %d, row %d (nnz %d of %v): CosineTo4 = (%v,%v), CosineTo (%v,%v)",
+					i, j, r.NNZ(), [4]int{rows[0].NNZ(), rows[1].NNZ(), rows[2].NNZ(), rows[3].NNZ()}, sims[j], oks[j], want, wantOK)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package strategy
 
 import (
 	"context"
-	"slices"
 
 	"swrec/internal/core"
 	"swrec/internal/model"
@@ -38,19 +37,6 @@ func GeneralizedPeers(ctx context.Context, rec *core.Recommender, active model.A
 		}
 		out[i].Weight = alpha*out[i].Trust + (1-alpha)*sn
 	}
-	slices.SortFunc(out, func(a, b core.PeerRank) int {
-		switch {
-		case a.Weight > b.Weight:
-			return -1
-		case a.Weight < b.Weight:
-			return 1
-		case a.Agent < b.Agent:
-			return -1
-		case a.Agent > b.Agent:
-			return 1
-		default:
-			return 0
-		}
-	})
+	core.SortPeers(out)
 	return out, nil
 }

@@ -36,20 +36,7 @@ func PopularityRank(comm *model.Community) []core.Recommendation {
 		}
 		out = append(out, core.Recommendation{Product: pid, Score: scores[o], Supporters: supp[o]})
 	}
-	slices.SortFunc(out, func(a, b core.Recommendation) int {
-		switch {
-		case a.Score > b.Score:
-			return -1
-		case a.Score < b.Score:
-			return 1
-		case a.Product < b.Product:
-			return -1
-		case a.Product > b.Product:
-			return 1
-		default:
-			return 0
-		}
-	})
+	slices.SortFunc(out, core.CompareRecommendations)
 	return out
 }
 

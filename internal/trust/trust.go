@@ -30,11 +30,7 @@
 // and the metrics run on that.
 package trust
 
-import (
-	"slices"
-
-	"swrec/internal/model"
-)
+import "swrec/internal/model"
 
 // FromCommunity returns a fresh compiled adjacency of c, the substrate
 // every metric and WidenOneHop walk; its trust CSR compiles on first use.
@@ -101,23 +97,11 @@ func (t *nodeTable) reset() {
 	t.ord = t.ord[:0]
 }
 
-// sortRanks orders ranks by descending trust, then ID, in place.
-func sortRanks(rs []Rank) {
-	slices.SortFunc(rs, func(a, b Rank) int {
-		switch {
-		case a.Trust > b.Trust:
-			return -1
-		case a.Trust < b.Trust:
-			return 1
-		case a.Agent < b.Agent:
-			return -1
-		case a.Agent > b.Agent:
-			return 1
-		default:
-			return 0
-		}
-	})
-}
+// sortRanks orders ranks in peer order: descending trust, then ID.
+func sortRanks(rs []Rank) { SortPeers(rs, rankTrust, rankAgent) }
+
+func rankTrust(r *Rank) float64       { return r.Trust }
+func rankAgent(r *Rank) model.AgentID { return r.Agent }
 
 // Top returns the n highest-ranked peers (all if n <= 0 or beyond range).
 func (nb *Neighborhood) Top(n int) []Rank {
