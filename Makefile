@@ -234,8 +234,10 @@ fuzz:
 fuzz-smoke:
 	$(call fuzz-each,-run=^$$ ,5s)
 
+# The small suite's report is a record: TestSmallSuiteMatchesRecord
+# compares a fresh run with it, wall-clock figures masked.
 experiments:
-	$(GO) run ./cmd/experiments
+	$(GO) run ./cmd/experiments | tee experiments_small_output.txt
 
 # The §4.1 corpus scale: 9,100 agents, 9,953 books, >20k topics (~25 min).
 experiments-paper:

@@ -24,6 +24,7 @@ import (
 	"swrec/internal/foaf"
 	"swrec/internal/model"
 	"swrec/internal/profile"
+	"swrec/internal/profmat"
 	"swrec/internal/rdf"
 	"swrec/internal/semweb"
 	"swrec/internal/sparse"
@@ -58,11 +59,13 @@ var benchActive = sync.OnceValue(func() model.AgentID {
 func BenchmarkE1PropagateLeaf(b *testing.B) {
 	tax := taxonomy.Fig1()
 	alg, _ := tax.Lookup("Books/Science/Mathematics/Pure/Algebra")
-	g := profile.New(tax)
+	st := profile.New(tax).NewStreamer()
+	p := &model.Product{Topics: []taxonomy.Topic{alg}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out := sparse.New(8)
-		g.PropagateLeaf(out, alg, 50)
+		out := profmat.NewGatherer(tax.Len(), 8)
+		st.ProductDense(p, out)
+		out.Gather()
 	}
 }
 
@@ -73,7 +76,7 @@ func BenchmarkE1ProfileGeneration(b *testing.B) {
 	a := comm.Agent(active)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g.Profile(a, comm)
+		_, _ = g.ProfileCtx(context.Background(), a, comm)
 	}
 }
 
@@ -241,7 +244,7 @@ func benchShapeProfile(b *testing.B, levels []int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Profile(a, comm)
+		_, _ = g.ProfileCtx(context.Background(), a, comm)
 	}
 }
 
@@ -287,7 +290,7 @@ func benchPropagationMode(b *testing.B, mode profile.Mode) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Profile(a, comm)
+		_, _ = g.ProfileCtx(context.Background(), a, comm)
 	}
 }
 

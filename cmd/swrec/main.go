@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -234,12 +235,14 @@ func runInspect(comm *swrec.Community, id swrec.AgentID, top int) {
 	fmt.Printf("trust statements: %d, ratings: %d\n\n", len(a.Trust), len(a.Ratings))
 
 	// Top taxonomy interests.
-	g := profile.New(comm.Taxonomy())
-	prof := g.Profile(a, comm)
+	prof, err := profile.New(comm.Taxonomy()).ProfileCtx(context.Background(), a, comm)
+	if err != nil {
+		fatal(err)
+	}
 	fmt.Println("top interest topics (Eq. 3 profile):")
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	for _, e := range prof.TopK(top) {
-		fmt.Fprintf(tw, "  %s\t%.2f\n", comm.Taxonomy().QualifiedName(swrec.Topic(e.Key)), e.Value)
+	for _, i := range prof.TopK(top) {
+		fmt.Fprintf(tw, "  %s\t%.2f\n", comm.Taxonomy().QualifiedName(swrec.Topic(prof.Keys[i])), prof.Vals[i])
 	}
 	tw.Flush()
 

@@ -1,6 +1,6 @@
 // Package hotalloc machine-checks the zero-allocation claims of the
 // compiled serving substrate: a function whose doc comment carries the
-// //swrec:hotpath directive — the profmat merge-join and dense-scatter
+// //swrec:hotpath directive — the profmat dense-scatter similarity
 // kernels, the engine's warm cache-read path, the loadgen histogram
 // record path — must not heap-allocate, and neither may any same-package
 // function it (transitively) calls. The "zero allocations" comments

@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -12,15 +13,27 @@ import (
 	"swrec/internal/engine"
 	"swrec/internal/model"
 	"swrec/internal/profile"
+	"swrec/internal/sparse"
 	"swrec/internal/strategy"
 	"swrec/internal/taxonomy"
 )
 
+// eq3Vector is agent a's default Eq. 3 profile as a map, for the sparse
+// package's TopK to order independently of the row's.
+func eq3Vector(comm *model.Community, a *model.Agent) sparse.Vector {
+	row, _ := profile.New(comm.Taxonomy()).ProfileCtx(context.Background(), a, comm)
+	v := sparse.New(row.NNZ())
+	for i, k := range row.Keys {
+		v[k] = row.Vals[i]
+	}
+	return v
+}
+
 // wantProfileBody encodes what /profile?n= must answer for agent a: the
-// top n of the Eq. 3 reference profile (profile.Generator.Profile, the
-// map-built vector) in value-then-key order, and its size.
+// top n of its Eq. 3 profile, ordered by sparse.Vector.TopK (value, then
+// key), and its size.
 func wantProfileBody(comm *model.Community, a *model.Agent, n int) []byte {
-	prof := profile.New(comm.Taxonomy()).Profile(a, comm)
+	prof := eq3Vector(comm, a)
 	items := []topicScore{}
 	for _, e := range prof.TopK(n) {
 		items = append(items, topicScore{Topic: comm.Taxonomy().QualifiedName(taxonomy.Topic(e.Key)), Score: e.Value})
@@ -31,8 +44,8 @@ func wantProfileBody(comm *model.Community, a *model.Agent, n int) []byte {
 }
 
 // TestProfileMatchesEq3Reference pins /profile byte for byte to the
-// map-built Eq. 3 profile for every agent, now that the handler reads the
-// compiled matrix row: no n, 0 (= all), 1, the default 15, more than the
+// Eq. 3 profile for every agent, ordered by the sparse package's TopK,
+// while the handler reads the compiled matrix row: no n, 0 (= all), 1, the default 15, more than the
 // profile holds — and a profile whose two best topics tie on value, where
 // n=1 must cut between them by key.
 func TestProfileMatchesEq3Reference(t *testing.T) {
@@ -67,7 +80,7 @@ func TestProfileMatchesEq3Reference(t *testing.T) {
 		}
 	}
 	tied.AddAgent("http://x/silent")
-	prof := profile.New(tax).Profile(tied.Agent("http://x/twin"), tied)
+	prof := eq3Vector(tied, tied.Agent("http://x/twin"))
 	if top := prof.TopK(2); top[0].Value != top[1].Value {
 		t.Fatalf("fixture does not tie its two best topics: %+v", top)
 	}

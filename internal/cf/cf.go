@@ -169,7 +169,7 @@ func (f *Filter) dims() int {
 }
 
 // Compile builds the compiled profile matrix for every agent of the
-// community, after which similarities run as zero-allocation merge-joins.
+// community, after which similarities run as zero-allocation scratch scans.
 // Idempotent; concurrent callers serialize on the filter lock.
 func (f *Filter) Compile(ctx context.Context) error {
 	return f.CompileDelta(ctx, nil, nil)
@@ -190,13 +190,37 @@ func (f *Filter) CompileDelta(ctx context.Context, prev *profmat.Matrix, dirty f
 // describes) when the filter has none yet. The caller holds f.mu.
 func (f *Filter) compileLocked(ctx context.Context, prev *profmat.Matrix, dirty func(int32) bool) (*profmat.Matrix, error) {
 	if f.mat == nil {
-		mat, err := profmat.BuildDelta(ctx, f.comm, f.gen, f.dims(), 0, prev, dirty)
+		mat, err := profmat.BuildDelta(ctx, f.comm.NumAgents(), f.dims(), 0, prev, dirty, f.newFill)
 		if err != nil {
 			return nil, err
 		}
 		f.mat = mat
 	}
 	return f.mat, nil
+}
+
+// newFill returns one worker's row compile: the agent's Eq. 3 profile,
+// written by a Streamer of its own, or — for the Product representation
+// — every rating of the agent, negative ones included, at the rated
+// product's catalog ordinal (every rated product is cataloged: SetRating
+// enforces it, Merge registers bare products).
+func (f *Filter) newFill() profmat.Fill {
+	comm, sym := f.comm, f.comm.Symbols()
+	if f.gen != nil {
+		st := f.gen.NewStreamer()
+		return func(ctx context.Context, ord int32, g *profmat.Gatherer) error {
+			return st.ProfileDense(ctx, sym.AgentAt(ord), comm, g)
+		}
+	}
+	return func(ctx context.Context, ord int32, g *profmat.Gatherer) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for p, v := range sym.AgentAt(ord).Ratings {
+			g.Add(comm.Product(p).Ord(), v)
+		}
+		return nil
+	}
 }
 
 // Matrix returns the compiled profile matrix, or nil before the first
@@ -308,13 +332,10 @@ func (f *Filter) SimilarityCtx(ctx context.Context, a, b model.AgentID) (float64
 	if err != nil {
 		return 0, false
 	}
-	ra, rb := f.rowOf(mat, a), f.rowOf(mat, b)
-	switch f.opt.Measure {
-	case Cosine:
-		return profmat.Cosine(ra, rb)
-	default:
-		return profmat.Pearson(ra, rb)
-	}
+	sc := f.getScratch()
+	defer f.putScratch(sc)
+	sc.Load(f.rowOf(mat, a))
+	return f.similarityScratch(sc, f.rowOf(mat, b))
 }
 
 // SimResult is one entry of a batch similarity scan.

@@ -12,40 +12,64 @@ import (
 	"sort"
 
 	"swrec/internal/model"
+	"swrec/internal/profile"
 	"swrec/internal/profmat"
-	"swrec/internal/sparse"
 )
 
-// productVector returns the product's propagated descriptor vector
-// (share 1 split over its descriptors), the item-space counterpart of an
-// agent profile.
-func (r *Recommender) productVector(id model.ProductID) sparse.Vector {
-	p := r.comm.Product(id)
-	if p == nil || len(p.Topics) == 0 || r.gen == nil {
-		return sparse.New(0)
+// items compiles product descriptor rows — internal/profile's Eq. 3 loop
+// run over one product with s = 1, the item-space counterpart of an agent
+// profile — into one gatherer, and holds the scratch their cosines run
+// on. It serves one call and is not safe for concurrent use. Without a
+// taxonomy every row is empty and every similarity undefined.
+type items struct {
+	st *profile.Streamer
+	g  *profmat.Gatherer
+	sc *profmat.Scratch
+}
+
+func (r *Recommender) newItems() *items {
+	it := &items{}
+	dims := 0
+	if r.gen != nil {
+		it.st = r.gen.NewStreamer()
+		dims = r.gen.Taxonomy().Len()
 	}
-	v := sparse.New(len(p.Topics) * 8)
-	share := 1.0 / float64(len(p.Topics))
-	for _, d := range p.Topics {
-		r.gen.PropagateLeaf(v, d, share)
+	it.g, it.sc = profmat.NewGatherer(dims, 0), profmat.NewScratch(dims)
+	return it
+}
+
+// row returns p's descriptor row; a nil product's is empty.
+func (it *items) row(p *model.Product) profmat.Row {
+	if p != nil && it.st != nil {
+		it.st.ProductDense(p, it.g)
 	}
-	return v
+	return it.g.Gather()
+}
+
+// rows returns the descriptor rows of the listed products.
+func (r *Recommender) rows(it *items, recs []Recommendation) []profmat.Row {
+	out := make([]profmat.Row, len(recs))
+	for i, rec := range recs {
+		out[i] = it.row(r.comm.Product(rec.Product))
+	}
+	return out
+}
+
+// affinity returns the cosine of the loaded row and b in [0,1] —
+// negative cosines count as no affinity — and whether it is defined.
+func (it *items) affinity(b *profmat.Row) (float64, bool) {
+	s, ok := it.sc.CosineTo(b)
+	return max(s, 0), ok
 }
 
 // ProductSimilarity returns the taxonomy-driven similarity of two
-// products in [0,1] (cosine of propagated descriptor vectors); ok is
-// false when either product lacks descriptors or the community carries no
-// taxonomy.
+// products in [0,1] (cosine of their descriptor rows); ok is false when
+// either product lacks descriptors or the community carries no taxonomy.
 func (r *Recommender) ProductSimilarity(a, b model.ProductID) (float64, bool) {
-	va, vb := r.productVector(a), r.productVector(b)
-	s, ok := sparse.Cosine(va, vb)
-	if !ok {
-		return 0, false
-	}
-	if s < 0 {
-		s = 0
-	}
-	return s, true
+	it := r.newItems()
+	ra, rb := it.row(r.comm.Product(a)), it.row(r.comm.Product(b))
+	it.sc.Load(&ra)
+	return it.affinity(&rb)
 }
 
 // IntraListSimilarity is the mean pairwise product similarity of a
@@ -53,18 +77,14 @@ func (r *Recommender) ProductSimilarity(a, b model.ProductID) (float64, bool) {
 // experiment E11 reports. Lists with fewer than two comparable items
 // score 0.
 func (r *Recommender) IntraListSimilarity(recs []Recommendation) float64 {
-	vecs := make([]sparse.Vector, len(recs))
-	for i, rec := range recs {
-		vecs[i] = r.productVector(rec.Product)
-	}
+	it := r.newItems()
+	vecs := r.rows(it, recs)
 	var sum float64
 	var n int
-	for i := 0; i < len(vecs); i++ {
+	for i := range vecs {
+		it.sc.Load(&vecs[i])
 		for j := i + 1; j < len(vecs); j++ {
-			if s, ok := sparse.Cosine(vecs[i], vecs[j]); ok {
-				if s < 0 {
-					s = 0
-				}
+			if s, ok := it.affinity(&vecs[j]); ok {
 				sum += s
 				n++
 			}
@@ -95,14 +115,10 @@ func (r *Recommender) Diversify(recs []Recommendation, n int, theta float64) []R
 		theta = 1
 	}
 
-	// Compiled rows, not the map-backed vectors: their cosine sums in key
-	// order, so equal candidates tie exactly and the same call returns the
-	// same list every time (a map-ordered sum wobbles in the last bit and
-	// flipped near-ties from one request to the next).
-	vecs := make([]profmat.Row, len(recs))
-	for i, rec := range recs {
-		vecs[i] = profmat.FromVector(r.productVector(rec.Product))
-	}
+	// Every cosine sums in key order, so equal candidates tie exactly and
+	// the same call returns the same list every time.
+	it := r.newItems()
+	vecs := r.rows(it, recs)
 
 	out := make([]Recommendation, 0, n)
 	chosen := make([]int, 0, n)
@@ -116,9 +132,9 @@ func (r *Recommender) Diversify(recs []Recommendation, n int, theta float64) []R
 	// simToChosen accumulates Σ sim(candidate, chosen) incrementally.
 	simToChosen := make([]float64, len(recs))
 	for len(out) < n && len(remaining) > 0 {
-		last := chosen[len(chosen)-1]
+		it.sc.Load(&vecs[chosen[len(chosen)-1]])
 		for _, c := range remaining {
-			if s, ok := profmat.Cosine(&vecs[c], &vecs[last]); ok && s > 0 {
+			if s, ok := it.affinity(&vecs[c]); ok {
 				simToChosen[c] += s
 			}
 		}

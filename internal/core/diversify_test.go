@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"swrec/internal/cf"
@@ -185,6 +187,52 @@ func TestDiversifyIsDeterministic(t *testing.T) {
 			if got[j] != want[j] {
 				t.Fatalf("call %d: position %d is %s, was %s", i, j, got[j].Product, want[j].Product)
 			}
+		}
+	}
+}
+
+// TestContentSimilaritiesAreDeterministic: content boost, ProductSimilarity
+// and IntraListSimilarity sum every cosine in key order, so 30 identical
+// calls return the same bits (cosines summed in map-iteration order used
+// to differ in the last bit from one call to the next).
+func TestContentSimilaritiesAreDeterministic(t *testing.T) {
+	comm, _ := datagen.Generate(datagen.SmallScale())
+	r, err := New(comm, Options{CF: cf.Options{Measure: cf.Cosine, Representation: cf.Taxonomy}, ContentBoost: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := comm.Agents()[0]
+	list, err := r.Recommend(active, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list) < 30 {
+		t.Fatalf("only %d candidates; the test needs a long list", len(list))
+	}
+	run := func() (recs []Recommendation, bits []uint64) {
+		recs, err := r.Recommend(active, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			bits = append(bits, math.Float64bits(rec.Score))
+		}
+		for i := range 30 {
+			for j := i + 1; j < 30; j++ {
+				s, _ := r.ProductSimilarity(list[i].Product, list[j].Product)
+				bits = append(bits, math.Float64bits(s))
+			}
+		}
+		for _, n := range []int{10, 20, 30, len(list)} {
+			bits = append(bits, math.Float64bits(r.IntraListSimilarity(list[:n])))
+		}
+		return recs, bits
+	}
+	wantRecs, want := run()
+	for call := 1; call < 30; call++ {
+		recs, got := run()
+		if !slices.Equal(recs, wantRecs) || !slices.Equal(got, want) {
+			t.Fatalf("call %d differs from the first", call)
 		}
 	}
 }

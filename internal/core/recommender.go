@@ -38,7 +38,6 @@ import (
 	"swrec/internal/cf"
 	"swrec/internal/model"
 	"swrec/internal/profile"
-	"swrec/internal/sparse"
 	"swrec/internal/taxonomy"
 	"swrec/internal/trust"
 )
@@ -615,12 +614,16 @@ func (r *Recommender) RecommendFromCtx(ctx context.Context, active model.AgentID
 	// Content boost: scale each candidate's vote score by its affinity
 	// to the active agent's own taxonomy profile (hybrid filtering, §5).
 	if r.opt.ContentBoost > 0 {
-		activeProfile, err := r.gen.ProfileCtx(ctx, act, r.comm)
-		if err != nil {
+		it := r.newItems()
+		if err := it.st.ProfileDense(ctx, act, r.comm, it.g); err != nil {
 			return nil, err
 		}
+		active := it.g.Gather()
+		it.sc.Load(&active)
 		for i := range cands {
-			cands[i].score *= 1 + r.opt.ContentBoost*r.contentMatch(activeProfile, r.adj.Product(cands[i].prod))
+			row := it.row(r.adj.Product(cands[i].prod))
+			m, _ := it.affinity(&row)
+			cands[i].score *= 1 + r.opt.ContentBoost*m
 		}
 	}
 
@@ -686,24 +689,6 @@ func bordaMerge(peers []PeerRank, alpha float64) {
 	for i := range peers {
 		peers[i].Weight = alpha*trustScore[i] + (1-alpha)*simScore[i]
 	}
-}
-
-// contentMatch returns the cosine affinity in [0,1] between the active
-// profile and the product's propagated descriptor vector.
-func (r *Recommender) contentMatch(activeProfile sparse.Vector, p *model.Product) float64 {
-	if p == nil || len(p.Topics) == 0 || len(activeProfile) == 0 {
-		return 0
-	}
-	pv := sparse.New(len(p.Topics) * 8)
-	share := 1.0 / float64(len(p.Topics))
-	for _, d := range p.Topics {
-		r.gen.PropagateLeaf(pv, d, share)
-	}
-	m, ok := sparse.Cosine(activeProfile, pv)
-	if !ok || m < 0 {
-		return 0
-	}
-	return m
 }
 
 // touchedTopics collects every topic (with ancestors) the active agent's

@@ -88,11 +88,21 @@ func naiveVote(r *Recommender, active model.AgentID, peers []PeerRank, boost flo
 			a.supporters++
 		}
 	}
+	it := r.newItems()
+	if boost > 0 {
+		if err := it.st.ProfileDense(context.Background(), act, r.comm, it.g); err != nil {
+			panic(err)
+		}
+		profile := it.g.Gather()
+		it.sc.Load(&profile)
+	}
 	var out []Recommendation
 	for _, id := range order {
 		score := acc[id].score
 		if boost > 0 {
-			score *= 1 + boost*r.contentMatch(r.gen.Profile(act, r.comm), r.comm.Product(id))
+			row := it.row(r.comm.Product(id))
+			m, _ := it.affinity(&row)
+			score *= 1 + boost*m
 		}
 		out = append(out, Recommendation{Product: id, Score: score, Supporters: acc[id].supporters})
 	}

@@ -575,11 +575,10 @@ func (s *Snapshot) ProfileCtx(ctx context.Context, active model.AgentID) (*profm
 		return row, nil
 	}
 	stats.Add("profile_miss", 1)
-	prof, err := profile.New(tax).ProfileCtx(ctx, a, s.comm)
+	row, err := profile.New(tax).ProfileCtx(ctx, a, s.comm)
 	if err != nil {
 		return nil, err
 	}
-	row := profmat.FromVector(prof)
 	return &row, nil
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"expvar"
 	"fmt"
@@ -379,13 +380,16 @@ func TestProfileIsTheFilterRow(t *testing.T) {
 	gen := profile.New(comm.Taxonomy())
 	sameAsReference := func(row *profmat.Row, id model.AgentID) {
 		t.Helper()
-		want := gen.Profile(comm.Agent(id), comm).Entries()
-		if row.NNZ() != len(want) || row.NNZ() == 0 {
-			t.Fatalf("%s: %d entries, reference has %d", id, row.NNZ(), len(want))
+		want, err := gen.ProfileCtx(context.Background(), comm.Agent(id), comm)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, e := range want {
-			if row.Keys[i] != e.Key || row.Vals[i] != e.Value {
-				t.Fatalf("%s: entry %d = (%d, %v), reference (%d, %v)", id, i, row.Keys[i], row.Vals[i], e.Key, e.Value)
+		if row.NNZ() != want.NNZ() || row.NNZ() == 0 {
+			t.Fatalf("%s: %d entries, reference has %d", id, row.NNZ(), want.NNZ())
+		}
+		for i, k := range want.Keys {
+			if row.Keys[i] != k || row.Vals[i] != want.Vals[i] {
+				t.Fatalf("%s: entry %d = (%d, %v), reference (%d, %v)", id, i, row.Keys[i], row.Vals[i], k, want.Vals[i])
 			}
 		}
 	}

@@ -1,13 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"swrec/internal/model"
 	"swrec/internal/profile"
-	"swrec/internal/sparse"
+	"swrec/internal/profmat"
 	"swrec/internal/taxonomy"
 )
 
@@ -54,9 +56,13 @@ func E1(w io.Writer, _ Params) (E1Result, error) {
 	share := s / (books * descriptors)
 	fmt.Fprintf(w, "s = %v, 4 books, 5 descriptors -> descriptor share = %v\n", s, share)
 
+	// A one-descriptor product's row is the Eq. 3 path at share 1; scaled
+	// by the descriptor share, each entry is the share·coefficient the
+	// loop assigns.
 	g := profile.New(tax)
-	out := sparse.New(8)
-	g.PropagateLeaf(out, alg, share)
+	out := profmat.NewGatherer(tax.Len(), 0)
+	g.NewStreamer().ProductDense(&model.Product{Topics: []taxonomy.Topic{alg}}, out)
+	path := out.Gather()
 
 	res := E1Result{Scores: make(map[string]float64, len(e1Published))}
 	t := newTable(w, "topic", "sco (computed)", "sco (paper)", "abs err")
@@ -65,7 +71,10 @@ func E1(w io.Writer, _ Params) (E1Result, error) {
 		if !ok {
 			return E1Result{}, fmt.Errorf("e1: missing topic %s", p.topic)
 		}
-		got := out[int32(d)]
+		var got float64
+		if i, ok := slices.BinarySearch(path.Keys, int32(d)); ok {
+			got = share * path.Vals[i]
+		}
 		res.Scores[p.topic] = got
 		err := math.Abs(got - p.value)
 		if err > res.MaxError {
@@ -99,7 +108,10 @@ func E1(w io.Writer, _ Params) (E1Result, error) {
 			return E1Result{}, err
 		}
 	}
-	prof := g.Profile(c.Agent("ai"), c)
-	fmt.Fprintf(w, "full 4-book profile total = %.6f (normalized to s = 1000)\n", prof.Sum())
+	prof, err := g.ProfileCtx(context.Background(), c.Agent("ai"), c)
+	if err != nil {
+		return E1Result{}, err
+	}
+	fmt.Fprintf(w, "full 4-book profile total = %.6f (normalized to s = 1000)\n", prof.Sum)
 	return res, nil
 }

@@ -283,7 +283,7 @@ func E12(w io.Writer, p Params) (E12Result, error) {
 			pct(r.PR[0].Precision), pct(r.PR[0].Recall), pct(r.PR[1].Precision), pct(r.PR[1].Recall),
 			f3(r.FullSynthesis), f3(r.PushedRate), r.RankPerturbation, r.Sybils, r.Exposed}
 		for _, ms := range r.ColdMs {
-			cells = append(cells, fmt.Sprintf("%.2f", ms))
+			cells = append(cells, millis(ms))
 		}
 		t.row(cells...)
 	}

@@ -107,7 +107,7 @@ func E6(w io.Writer, p Params) (E6Result, error) {
 		row := E6Row{Agents: n, FullScanMs: fullMs, FullCandidates: fullN,
 			TrustMs: trustMs, TrustCandidates: trustN}
 		res.Rows = append(res.Rows, row)
-		t.row(n, fmt.Sprintf("%.2f", fullMs), fullN, fmt.Sprintf("%.2f", trustMs), trustN)
+		t.row(n, millis(fullMs), fullN, millis(trustMs), trustN)
 	}
 	t.flush()
 	fmt.Fprintln(w, "expected shape: full-scan candidates (and time) grow linearly with the")

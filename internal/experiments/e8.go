@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -10,7 +11,7 @@ import (
 	"swrec/internal/eval"
 	"swrec/internal/model"
 	"swrec/internal/profile"
-	"swrec/internal/sparse"
+	"swrec/internal/profmat"
 )
 
 // E8Row is one taxonomy-shape measurement.
@@ -115,30 +116,42 @@ type simFilter interface {
 }
 
 // modeFilter computes cosine similarity over profiles built with an
-// arbitrary propagation mode.
+// arbitrary propagation mode, each compiled once into one gatherer.
 type modeFilter struct {
-	gen  *profile.Generator
+	st   *profile.Streamer
+	g    *profmat.Gatherer
+	sc   *profmat.Scratch
 	comm *model.Community //nolint:snapshotpin -- experiment-owned community; no serving engine (and no Swap) exists in the harness
-	memo map[model.AgentID]sparse.Vector
+	memo map[model.AgentID]profmat.Row
 }
 
 func newModeFilter(comm *model.Community, mode profile.Mode) *modeFilter {
-	g := profile.New(comm.Taxonomy())
-	g.Mode = mode
-	return &modeFilter{gen: g, comm: comm, memo: map[model.AgentID]sparse.Vector{}}
+	gen := profile.New(comm.Taxonomy())
+	gen.Mode = mode
+	dims := comm.Taxonomy().Len()
+	return &modeFilter{
+		st:   gen.NewStreamer(),
+		g:    profmat.NewGatherer(dims, 0),
+		sc:   profmat.NewScratch(dims),
+		comm: comm,
+		memo: map[model.AgentID]profmat.Row{},
+	}
 }
 
 func (m *modeFilter) Similarity(a, b model.AgentID) (float64, bool) {
-	return sparse.Cosine(m.profileOf(a), m.profileOf(b))
+	ra, rb := m.profileOf(a), m.profileOf(b)
+	m.sc.Load(&ra)
+	return m.sc.CosineTo(&rb)
 }
 
-func (m *modeFilter) profileOf(id model.AgentID) sparse.Vector {
-	if v, ok := m.memo[id]; ok {
-		return v
+func (m *modeFilter) profileOf(id model.AgentID) profmat.Row {
+	if r, ok := m.memo[id]; ok {
+		return r
 	}
-	v := m.gen.Profile(m.comm.Agent(id), m.comm)
-	m.memo[id] = v
-	return v
+	_ = m.st.ProfileDense(context.Background(), m.comm.Agent(id), m.comm, m.g) // errors only on cancellation
+	r := m.g.Gather()
+	m.memo[id] = r
+	return r
 }
 
 // clusterSimilarity samples same-cluster and cross-cluster agent pairs and

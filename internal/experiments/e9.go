@@ -112,8 +112,8 @@ func E9(w io.Writer, p Params) (E9Result, error) {
 	t.row("trust edges", res.PublishedStats.TrustEdges, res.CrawledStats.TrustEdges)
 	t.row("ratings", res.PublishedStats.Ratings, res.CrawledStats.Ratings)
 	t.flush()
-	fmt.Fprintf(w, "crawl: %d fetched, %d failed, %.0f docs/s; reachable set fully materialized: %v\n",
-		res.CrawlStats.Fetched, res.CrawlStats.Failed, res.DocsPerSecond, res.ReachableMatch)
+	fmt.Fprintf(w, "crawl: %d fetched, %d failed, %s docs/s; reachable set fully materialized: %v\n",
+		res.CrawlStats.Fetched, res.CrawlStats.Failed, clock("%.0f", res.DocsPerSecond), res.ReachableMatch)
 	fmt.Fprintf(w, "recommendations for seed from crawled data: %d\n", res.Recommendations)
 	fmt.Fprintln(w, "note: crawled counts are bounded by trust-reachability from the seed —")
 	fmt.Fprintln(w, "agents nobody links to stay invisible, exactly as on the real Semantic Web.")

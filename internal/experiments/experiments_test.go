@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"io"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -327,5 +330,76 @@ func TestParamsConfigScales(t *testing.T) {
 	seeded := Params{Scale: "small", Seed: 42}.Config()
 	if seeded.Seed != 42 {
 		t.Fatal("seed not applied")
+	}
+}
+
+// recordClocks matches the wall-clock figures printed outside tables.
+var recordClocks = regexp.MustCompile(`done in [^\]]*\]|completed in .*|[0-9]+ docs/s`)
+
+// maskRecord masks the wall-clock figures of a recorded report the way
+// maskTimings prints them in masked: the figures outside tables by
+// pattern, then every byte masked prints as '~' in a table cell — which
+// sits at the same offset of the same line in both, because a timing
+// cell is as wide as its column's header.
+func maskRecord(record, masked string) string {
+	record = recordClocks.ReplaceAllStringFunc(record, func(s string) string {
+		switch {
+		case strings.HasPrefix(s, "done in"):
+			return "done in ~]"
+		case strings.HasPrefix(s, "completed in"):
+			return "completed in ~"
+		default:
+			return "~ docs/s"
+		}
+	})
+	lines, want := strings.Split(record, "\n"), strings.Split(masked, "\n")
+	for i := range min(len(lines), len(want)) {
+		if len(lines[i]) != len(want[i]) {
+			continue
+		}
+		b := []byte(lines[i])
+		for k := range b {
+			if want[i][k] == '~' {
+				b[k] = '~'
+			}
+		}
+		lines[i] = string(b)
+	}
+	return strings.Join(lines, "\n")
+}
+
+// TestSmallSuiteMatchesRecord runs the small suite as `make experiments`
+// does and compares its report byte for byte with the committed
+// experiments_small_output.txt, every wall-clock figure masked on both
+// sides. TestE1–TestE12 assert each claim's shape; this pins the bits of
+// every number the suite prints. A change that moves a number on purpose
+// rewrites the record with `make experiments` and says why.
+func TestSmallSuiteMatchesRecord(t *testing.T) {
+	maskTimings = true
+	defer func() { maskTimings = false }()
+	var got strings.Builder
+	if err := Suite(&got, small(), nil); err != nil {
+		t.Fatal(err)
+	}
+	record, err := os.ReadFile(filepath.Join("..", "..", "experiments_small_output.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := maskRecord(string(record), got.String())
+	if got.String() == want {
+		return
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(want, "\n")
+	for i := range max(len(gl), len(wl)) {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("line %d of the report differs from the record (run `make experiments` if the change is intended):\ngot:    %q\nrecord: %q", i+1, g, w)
+		}
 	}
 }

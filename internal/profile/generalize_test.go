@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"swrec/internal/cf"
 	"swrec/internal/model"
 	"swrec/internal/profile"
 	"swrec/internal/profmat"
@@ -12,12 +13,28 @@ import (
 	"swrec/internal/taxonomy"
 )
 
+// rowOf gathers a map-built profile into a row over g's topics, plus
+// room for the foreign dimensions TestGeneralizeDeterministic adds.
+func rowOf(g *profile.Generator, v sparse.Vector) profmat.Row {
+	out := profmat.NewGatherer(g.Taxonomy().Len()+64, 0)
+	for k, x := range v {
+		out.Add(k, x)
+	}
+	return out.Gather()
+}
+
 // fold generalizes one map-built profile the way the serving path does:
-// compiled to a row, folded through the generator's ancestor-at-depth
+// gathered into a row, folded through the generator's ancestor-at-depth
 // array (profmat.Fold). It returns the folded row.
 func fold(g *profile.Generator, v sparse.Vector, depth int) *profmat.Row {
-	row := profmat.FromVector(v)
-	return profmat.Fold(profmat.Restore([]profmat.Row{row}), g.AncestorsAt(depth)).Row(0)
+	return profmat.Fold(profmat.Restore([]profmat.Row{rowOf(g, v)}), g.AncestorsAt(depth)).Row(0)
+}
+
+// cosine is the serving kernel's cosine of two rows over g's topics.
+func cosine(g *profile.Generator, a, b *profmat.Row) (float64, bool) {
+	sc := profmat.NewScratch(g.Taxonomy().Len())
+	sc.Load(a)
+	return sc.CosineTo(b)
 }
 
 // at returns the row's value at dimension d, and whether it holds one.
@@ -149,20 +166,21 @@ func TestGeneralizeRecoversOverlap(t *testing.T) {
 	a.Add(int32(l1), 10)
 	b := sparse.New(1)
 	b.Add(int32(l2), 10)
-	ra, rb := profmat.FromVector(a), profmat.FromVector(b)
-	if sim, ok := profmat.Cosine(&ra, &rb); ok && sim > 0 {
+	ra, rb := rowOf(g, a), rowOf(g, b)
+	if sim, ok := cosine(g, &ra, &rb); ok && sim > 0 {
 		t.Fatalf("fine-grained profiles overlap: %v", sim)
 	}
-	sim, ok := profmat.Cosine(fold(g, a, 1), fold(g, b, 1))
+	sim, ok := cosine(g, fold(g, a, 1), fold(g, b, 1))
 	if !ok || math.Abs(sim-1) > 1e-12 {
 		t.Fatalf("generalized similarity = %v (%v), want 1", sim, ok)
 	}
 }
 
-// TestProductVector: the plain product-rating representation — the one
-// whose "low profile overlap" (§2) taxonomy profiles fix — compiles to a
-// row over product ordinals that holds every rating, negative ones
-// included, as common collaborative filtering uses the full history.
+// TestProductVector: the plain product-rating representation (cf's
+// Product) — the one whose "low profile overlap" (§2) taxonomy profiles
+// fix — compiles to a row over product ordinals that holds every rating,
+// negative ones included, as common collaborative filtering uses the full
+// history.
 func TestProductVector(t *testing.T) {
 	c := model.NewCommunity(nil)
 	c.AddProduct(model.Product{ID: "p0"})
@@ -173,11 +191,14 @@ func TestProductVector(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mat, err := profmat.Build(context.Background(), c, nil, c.NumProducts(), 1)
+	f, err := cf.New(c, cf.Options{Representation: cf.Product})
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := mat.Row(c.Agent("a").Ord())
+	if err := f.Compile(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	row := f.Matrix().Row(c.Agent("a").Ord())
 	if row.NNZ() != 2 {
 		t.Fatalf("product row = %+v, want 2 entries (negatives included)", row)
 	}

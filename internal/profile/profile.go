@@ -27,6 +27,10 @@
 // Example 1 of the paper (4 books, 5 descriptors, s = 1000, leaf Algebra)
 // is reproduced verbatim by TestExample1 and experiment E1.
 //
+// The loop that applies these rules is written once (Streamer) and writes
+// into a profmat.Gatherer: a profile, and a product's descriptor row, is
+// a profmat.Row and takes no other form.
+//
 // The per-topic paths and Eq. 3 coefficients depend on the taxonomy
 // alone, so this package keeps none: a Generator reads
 // taxonomy.PathTable, which the taxonomy builds in one pass on first use
@@ -39,7 +43,7 @@ import (
 	"fmt"
 
 	"swrec/internal/model"
-	"swrec/internal/sparse"
+	"swrec/internal/profmat"
 	"swrec/internal/taxonomy"
 )
 
@@ -78,11 +82,6 @@ func (m Mode) String() string {
 	}
 }
 
-// Catalog resolves product metadata; *model.Community satisfies it.
-type Catalog interface {
-	Product(model.ProductID) *model.Product
-}
-
 // Generator builds taxonomy profiles. The zero value is unusable; use New.
 type Generator struct {
 	tax *taxonomy.Taxonomy
@@ -105,65 +104,20 @@ func New(tax *taxonomy.Taxonomy) *Generator {
 // Taxonomy returns the taxonomy the generator propagates over.
 func (g *Generator) Taxonomy() *taxonomy.Taxonomy { return g.tax }
 
-// PropagateLeaf distributes share score units over topic d and its
-// super-topics according to the generator's mode, accumulating into out.
-// This is the inner step of profile generation, exported for E1 and for
-// the incremental updates §4's crawlers perform.
-func (g *Generator) PropagateLeaf(out sparse.Vector, d taxonomy.Topic, share float64) {
-	g.PropagateLeafFunc(d, share, func(p taxonomy.Topic, v float64) { out.Add(int32(p), v) })
-}
-
-// PropagateLeafFunc is PropagateLeaf emitting through add instead of a
-// sparse map — the allocation-free form compiled profile builders
-// (internal/profmat) accumulate through. The increments, their values,
-// and their order are identical to PropagateLeaf's, so a dense
-// accumulation of the add stream reproduces the sparse vector exactly.
-func (g *Generator) PropagateLeafFunc(d taxonomy.Topic, share float64, add func(taxonomy.Topic, float64)) {
-	path, coeff := g.tax.PathTable().At(d)
-	switch g.Mode {
-	case Flat:
-		add(d, share)
-	case Uniform:
-		per := share / float64(len(path))
-		for _, p := range path {
-			add(p, per)
-		}
-	default: // Eq3
-		// Each path node receives share·coeff: the descriptor the share
-		// over the path's divisor, each super-topic its child's amount
-		// over (sib(child)+1) — Eq. 3, folded into the taxonomy's
-		// PathTable.
-		for i, p := range path {
-			add(p, share*coeff[i])
-		}
+// ProfileCtx builds the taxonomy profile of agent a against the
+// community's catalog as a standalone row. Only positively rated products
+// contribute: "each item the user likes infers some interest score"
+// (§3.3). Products carrying no descriptors are skipped. The row's entries
+// sum to Score whenever a liked product resolved, and the row is empty
+// otherwise. The Eq. 3 loop checks ctx at per-product boundaries, so a
+// caller's deadline interrupts generation for agents with long rating
+// histories; it returns ctx.Err() (and an empty row) when cancelled.
+func (g *Generator) ProfileCtx(ctx context.Context, a *model.Agent, comm *model.Community) (profmat.Row, error) {
+	out := profmat.NewGatherer(g.tax.Len(), 0)
+	if err := g.NewStreamer().ProfileDense(ctx, a, comm, out); err != nil {
+		return profmat.Row{}, err
 	}
-}
-
-// Profile builds the taxonomy score vector of agent a against the catalog.
-// Only positively rated products contribute: "each item the user likes
-// infers some interest score" (§3.3). Products missing from the catalog or
-// carrying no descriptors are skipped. The returned vector's entries sum
-// to (at most) Score; exactly Score when every liked product resolved.
-func (g *Generator) Profile(a *model.Agent, cat Catalog) sparse.Vector {
-	out, _ := g.ProfileCtx(context.Background(), a, cat)
-	return out
-}
-
-// ProfileCtx is Profile with cancellation: both the contribution scan and
-// the Eq. 3 propagation loop check ctx at per-product boundaries, so a
-// caller's deadline interrupts profile generation for agents with long
-// rating histories. Returns ctx.Err() (and a nil vector) when cancelled.
-func (g *Generator) ProfileCtx(ctx context.Context, a *model.Agent, cat Catalog) (sparse.Vector, error) {
-	var s Streamer
-	s.g = g
-	out := sparse.New(len(a.Ratings) * 4)
-	err := s.Profile(ctx, a, cat, func(d taxonomy.Topic, sco float64) {
-		out.Add(int32(d), sco)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out.Gather(), nil
 }
 
 // contrib is one product contributing to a profile: its descriptors and
@@ -173,13 +127,11 @@ type contrib struct {
 	weight float64
 }
 
-// Streamer streams agents' profile increments through a callback, reusing
-// its scratch buffers across agents so repeated generation (the compiled
-// profile matrix, internal/profmat) allocates nothing per agent. A
-// Streamer is not safe for concurrent use; compiled builders keep one per
-// worker. The increment values and their order are exactly those of
-// ProfileCtx, so accumulating the stream reproduces the map-based vector
-// bit for bit.
+// Streamer runs the Eq. 3 loop for one agent or product after another
+// into a caller's gatherer, reusing its contribution buffer, so repeated
+// generation (the compiled profile matrix, internal/profmat) allocates
+// nothing per agent. A Streamer is not safe for concurrent use; compiled
+// builders keep one per worker.
 type Streamer struct {
 	g        *Generator
 	contribs []contrib
@@ -189,162 +141,89 @@ type Streamer struct {
 // propagation settings.
 func (g *Generator) NewStreamer() *Streamer { return &Streamer{g: g} }
 
-// positiveCatalog is the fast path a catalog may offer: *model.Community
-// memoizes each agent's positive, cataloged ratings by product ordinal,
-// so collect indexes the record table instead of hashing a product ID
-// per rating.
-type positiveCatalog interface {
-	PositiveRatings(*model.Agent) []model.PositiveRating
-	Symbols() model.Symbols
-}
-
-// collect gathers agent a's contributing products into the reused
-// contribs buffer and returns the total contribution weight. The
-// contribution order is the positive prefix of RatedProducts (descending
-// value, ties by product ID) — deterministic and memoized on the agent.
-func (s *Streamer) collect(ctx context.Context, a *model.Agent, cat Catalog) (float64, error) {
-	g := s.g
+// ProfileDense writes agent a's profile (see ProfileCtx) into out; the
+// caller gathers the row. The contributions are a's positive, cataloged
+// ratings in the community's memoized order (descending value, ties by
+// product ID), so the increments, and the order each topic sums them in,
+// are the same on every call. Returns ctx.Err() when cancelled, in which
+// case out holds a partial profile.
+func (s *Streamer) ProfileDense(ctx context.Context, a *model.Agent, comm *model.Community, out *profmat.Gatherer) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	s.contribs = s.contribs[:0]
 	var totalWeight float64
-	if pc, ok := cat.(positiveCatalog); ok {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		sym := pc.Symbols()
-		for _, pr := range pc.PositiveRatings(a) {
-			topics := sym.ProductAt(pr.Ord).Topics
-			if len(topics) == 0 {
-				continue
-			}
-			w := 1.0
-			if g.WeightByRating {
-				w = pr.Value
-			}
-			s.contribs = append(s.contribs, contrib{topics: topics, weight: w})
-			totalWeight += w
-		}
-		return totalWeight, nil
-	}
-	for i, rs := range a.RatedProducts() {
-		if rs.Value <= 0 {
-			break // positives form a prefix
-		}
-		if i&63 == 0 {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-		}
-		p := cat.Product(rs.Product)
-		if p == nil || len(p.Topics) == 0 {
+	sym := comm.Symbols()
+	for _, pr := range comm.PositiveRatings(a) {
+		topics := sym.ProductAt(pr.Ord).Topics
+		if len(topics) == 0 {
 			continue
 		}
 		w := 1.0
-		if g.WeightByRating {
-			w = rs.Value
+		if s.g.WeightByRating {
+			w = pr.Value
 		}
-		s.contribs = append(s.contribs, contrib{topics: p.Topics, weight: w})
+		s.contribs = append(s.contribs, contrib{topics: topics, weight: w})
 		totalWeight += w
 	}
-	return totalWeight, nil
-}
-
-// Profile streams agent a's profile: for every topic receiving score, add
-// is called with the increment (topics repeat; callers accumulate).
-// Returns ctx.Err() when cancelled, in which case the stream is partial.
-func (s *Streamer) Profile(ctx context.Context, a *model.Agent, cat Catalog, add func(taxonomy.Topic, float64)) error {
-	g := s.g
-	totalWeight, err := s.collect(ctx, a, cat)
-	if err != nil {
-		return err
-	}
 	if totalWeight == 0 {
 		return nil
 	}
-	score := g.Score
+	score := s.g.Score
 	if score == 0 {
 		score = DefaultScore
 	}
+	pt := s.g.tax.PathTable()
 	for i, c := range s.contribs {
 		if i&63 == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		productShare := score * c.weight / totalWeight
-		descriptorShare := productShare / float64(len(c.topics))
-		for _, d := range c.topics {
-			g.PropagateLeafFunc(d, descriptorShare, add)
-		}
+		s.spread(pt, c.topics, score*c.weight/totalWeight, out)
 	}
 	return nil
 }
 
-// ProfileDense streams agent a's profile directly into a caller-owned
-// dense accumulator: vals[t] collects topic t's total and bit t of the
-// occupancy bitmap marks touched cells. vals must be at least
-// taxonomy-length long and bits at least ⌈len(vals)/64⌉ words; the
-// caller clears the bitmap between agents (a handful of words — the
-// taxonomy-length vals array needs no clearing, occupancy gates every
-// read). Walking the bitmap with bits.TrailingZeros64 enumerates the
-// touched dimensions in ascending order, which is how internal/profmat
-// gathers rows without sorting. The increment values and accumulation
-// order match Profile exactly.
-func (s *Streamer) ProfileDense(ctx context.Context, a *model.Agent, cat Catalog, vals []float64, bm []uint64) error {
-	g := s.g
-	pt := g.tax.PathTable()
-	totalWeight, err := s.collect(ctx, a, cat)
-	if err != nil {
-		return err
+// ProductDense writes product p's descriptor row into out: the Eq. 3 loop
+// run over p alone with s = 1, the item-space counterpart of an agent
+// profile that content boost and diversification compare. A product
+// without descriptors writes nothing.
+func (s *Streamer) ProductDense(p *model.Product, out *profmat.Gatherer) {
+	if len(p.Topics) > 0 {
+		s.spread(s.g.tax.PathTable(), p.Topics, 1, out)
 	}
-	if totalWeight == 0 {
-		return nil
-	}
-	score := g.Score
-	if score == 0 {
-		score = DefaultScore
-	}
-	mode := g.Mode
-	for i, c := range s.contribs {
-		if i&63 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		productShare := score * c.weight / totalWeight
-		share := productShare / float64(len(c.topics))
-		switch mode {
-		case Flat:
-			for _, d := range c.topics {
-				accumulate(vals, bm, d, share)
-			}
-		case Uniform:
-			for _, d := range c.topics {
-				path, _ := pt.At(d)
-				per := share / float64(len(path))
-				for _, p := range path {
-					accumulate(vals, bm, p, per)
-				}
-			}
-		default: // Eq3
-			for _, d := range c.topics {
-				path, coeff := pt.At(d)
-				for k, p := range path {
-					accumulate(vals, bm, p, share*coeff[k])
-				}
-			}
-		}
-	}
-	return nil
 }
 
-// accumulate adds v to vals[p], the first increment of a topic storing it
-// and marking the topic in the occupancy bitmap.
-func accumulate(vals []float64, bm []uint64, p taxonomy.Topic, v float64) {
-	if w, m := p>>6, uint64(1)<<(uint(p)&63); bm[w]&m == 0 {
-		bm[w] |= m
-		vals[p] = v
-	} else {
-		vals[p] += v
+// spread is Eq. 3 for one product: its share splits evenly over its
+// descriptors, and each descriptor's share over its primary path by the
+// generator's mode.
+func (s *Streamer) spread(pt *taxonomy.PathTable, topics []taxonomy.Topic, productShare float64, out *profmat.Gatherer) {
+	share := productShare / float64(len(topics))
+	switch s.g.Mode {
+	case Flat:
+		for _, d := range topics {
+			out.Add(int32(d), share)
+		}
+	case Uniform:
+		for _, d := range topics {
+			path, _ := pt.At(d)
+			per := share / float64(len(path))
+			for _, p := range path {
+				out.Add(int32(p), per)
+			}
+		}
+	default: // Eq3
+		// Each path node receives share·coeff: the descriptor the share
+		// over the path's divisor, each super-topic its child's amount
+		// over (sib(child)+1) — Eq. 3, folded into the taxonomy's
+		// PathTable.
+		for _, d := range topics {
+			path, coeff := pt.At(d)
+			for k, p := range path {
+				out.Add(int32(p), share*coeff[k])
+			}
+		}
 	}
 }
 

@@ -1,15 +1,56 @@
 package profile
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"swrec/internal/model"
-	"swrec/internal/sparse"
+	"swrec/internal/profmat"
 	"swrec/internal/taxonomy"
 )
+
+// leaf returns the row share units at topic d propagate to under g: the
+// descriptor row of a product whose one descriptor is d (s = 1), scaled
+// by share.
+func leaf(g *Generator, d taxonomy.Topic, share float64) profmat.Row {
+	out := profmat.NewGatherer(g.Taxonomy().Len(), 0)
+	g.NewStreamer().ProductDense(&model.Product{Topics: []taxonomy.Topic{d}}, out)
+	r := out.Gather()
+	for i := range r.Vals {
+		r.Vals[i] *= share
+	}
+	r.Sum *= share
+	return r
+}
+
+// profileOf returns agent a's profile under g.
+func profileOf(t testing.TB, g *Generator, a *model.Agent, c *model.Community) profmat.Row {
+	t.Helper()
+	r, err := g.ProfileCtx(context.Background(), a, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// at returns r's score at topic d, 0 when r has none.
+func at(r profmat.Row, d taxonomy.Topic) float64 {
+	if i, ok := slices.BinarySearch(r.Keys, int32(d)); ok {
+		return r.Vals[i]
+	}
+	return 0
+}
+
+// cosine is the serving kernel's cosine of a and b over tax's topics.
+func cosine(tax *taxonomy.Taxonomy, a, b profmat.Row) (float64, bool) {
+	sc := profmat.NewScratch(tax.Len())
+	sc.Load(&a)
+	return sc.CosineTo(&b)
+}
 
 // TestExample1Golden reproduces Example 1 of the paper (§3.3) exactly:
 // user a_i mentioned 4 books; Matrix Analysis carries 5 topic descriptors,
@@ -23,16 +64,14 @@ func TestExample1Golden(t *testing.T) {
 	if !ok {
 		t.Fatal("Fig1 lacks Algebra")
 	}
-	g := New(tax)
-	out := sparse.New(8)
-	g.PropagateLeaf(out, alg, 50)
+	out := leaf(New(tax), alg, 50)
 
 	lookup := func(q string) float64 {
 		d, ok := tax.Lookup(q)
 		if !ok {
 			t.Fatalf("missing %s", q)
 		}
-		return out[int32(d)]
+		return at(out, d)
 	}
 	// Analytic values (sib+1 factors 2,3,4,4): leaf = 50/1.71875.
 	analytic := map[string]float64{
@@ -62,7 +101,7 @@ func TestExample1Golden(t *testing.T) {
 		}
 	}
 	// The descriptor share is preserved: the path total is exactly 50.
-	if got := out.Sum(); math.Abs(got-50) > 1e-9 {
+	if got := out.Sum; math.Abs(got-50) > 1e-9 {
 		t.Errorf("path total = %v, want 50", got)
 	}
 }
@@ -76,26 +115,22 @@ func TestGeneratorFollowsTaxonomyAdd(t *testing.T) {
 	alg, _ := tax.Lookup("Books/Science/Mathematics/Pure/Algebra")
 	pure, _ := tax.Lookup("Books/Science/Mathematics/Pure")
 	g := New(tax)
-	before := sparse.New(8)
-	g.PropagateLeaf(before, alg, 50)
+	before := leaf(g, alg, 50)
 
 	logic := tax.MustAdd(pure, "Logic")
 	for _, d := range []taxonomy.Topic{alg, logic} {
-		got, want := sparse.New(8), sparse.New(8)
-		g.PropagateLeaf(got, d, 50)
-		New(tax).PropagateLeaf(want, d, 50)
-		if len(got) != 5 || len(got) != len(want) {
-			t.Fatalf("topic %d: %d path nodes, fresh generator %d, want 5", d, len(got), len(want))
+		got, want := leaf(g, d, 50), leaf(New(tax), d, 50)
+		if got.NNZ() != 5 || got.NNZ() != want.NNZ() {
+			t.Fatalf("topic %d: %d path nodes, fresh generator %d, want 5", d, got.NNZ(), want.NNZ())
 		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Fatalf("topic %d node %d: %v, fresh generator %v", d, k, got[k], v)
+		for i, k := range want.Keys {
+			if got.Keys[i] != k || got.Vals[i] != want.Vals[i] {
+				t.Fatalf("topic %d node %d: %v, fresh generator %v", d, k, got.Vals[i], want.Vals[i])
 			}
 		}
 	}
-	after := sparse.New(8)
-	g.PropagateLeaf(after, alg, 50)
-	if after[int32(alg)] == before[int32(alg)] {
+	after := leaf(g, alg, 50)
+	if at(after, alg) == at(before, alg) {
 		t.Fatal("Algebra kept its share after gaining a sibling")
 	}
 }
@@ -132,20 +167,20 @@ func example1Community(t *testing.T) (*model.Community, *model.Agent) {
 func TestExample1FullProfile(t *testing.T) {
 	c, ai := example1Community(t)
 	g := New(c.Taxonomy())
-	prof := g.Profile(ai, c)
+	prof := profileOf(t, g, ai, c)
 
 	// Total profile score is normalized to s = 1000.
-	if got := prof.Sum(); math.Abs(got-1000) > 1e-6 {
+	if got := prof.Sum; math.Abs(got-1000) > 1e-6 {
 		t.Fatalf("profile total = %v, want 1000", got)
 	}
 	// The Algebra descriptor contributes exactly per Example 1: only
 	// Matrix Analysis's Algebra descriptor reaches Pure and Algebra.
 	alg, _ := c.Taxonomy().Lookup("Books/Science/Mathematics/Pure/Algebra")
 	pure, _ := c.Taxonomy().Lookup("Books/Science/Mathematics/Pure")
-	if got := prof[int32(alg)]; math.Abs(got-29.0909090909) > 1e-6 {
+	if got := at(prof, alg); math.Abs(got-29.0909090909) > 1e-6 {
 		t.Errorf("sco(Algebra) = %v, want 29.0909...", got)
 	}
-	if got := prof[int32(pure)]; math.Abs(got-14.5454545455) > 1e-6 {
+	if got := at(prof, pure); math.Abs(got-14.5454545455) > 1e-6 {
 		t.Errorf("sco(Pure) = %v, want 14.5454...", got)
 	}
 }
@@ -162,12 +197,12 @@ func TestProfileSkipsNegativeAndUnknown(t *testing.T) {
 	must(t, c.SetRating("a", "bare", 1))
 
 	g := New(tax)
-	prof := g.Profile(c.Agent("a"), c)
+	prof := profileOf(t, g, c.Agent("a"), c)
 	// Only "liked" contributes; it gets the full s.
-	if got := prof.Sum(); math.Abs(got-1000) > 1e-6 {
+	if got := prof.Sum; math.Abs(got-1000) > 1e-6 {
 		t.Fatalf("profile total = %v, want 1000 (one contributing product)", got)
 	}
-	if prof[int32(fic)] <= 0 {
+	if at(prof, fic) <= 0 {
 		t.Fatal("liked product's descriptor got no score")
 	}
 }
@@ -176,8 +211,8 @@ func TestProfileEmptyAgent(t *testing.T) {
 	tax := taxonomy.Fig1()
 	c := model.NewCommunity(tax)
 	g := New(tax)
-	prof := g.Profile(c.AddAgent("mute"), c)
-	if len(prof) != 0 {
+	prof := profileOf(t, g, c.AddAgent("mute"), c)
+	if prof.NNZ() != 0 {
 		t.Fatalf("empty history must yield empty profile, got %v", prof)
 	}
 }
@@ -195,19 +230,19 @@ func TestWeightByRating(t *testing.T) {
 	must(t, c.SetRating("a", "other", 0.25))
 
 	even := New(tax)
-	prof := even.Profile(c.Agent("a"), c)
-	if math.Abs(prof[int32(alg)]/prof[int32(calc)]-1) > 1e-9 {
+	prof := profileOf(t, even, c.Agent("a"), c)
+	if math.Abs(at(prof, alg)/at(prof, calc)-1) > 1e-9 {
 		t.Fatalf("even split should give equal sibling leaf scores, got %v vs %v",
-			prof[int32(alg)], prof[int32(calc)])
+			at(prof, alg), at(prof, calc))
 	}
 
 	weighted := New(tax)
 	weighted.WeightByRating = true
-	wprof := weighted.Profile(c.Agent("a"), c)
-	if ratio := wprof[int32(alg)] / wprof[int32(calc)]; math.Abs(ratio-4) > 1e-9 {
+	wprof := profileOf(t, weighted, c.Agent("a"), c)
+	if ratio := at(wprof, alg) / at(wprof, calc); math.Abs(ratio-4) > 1e-9 {
 		t.Fatalf("weighted split ratio = %v, want 4", ratio)
 	}
-	if got := wprof.Sum(); math.Abs(got-1000) > 1e-6 {
+	if got := wprof.Sum; math.Abs(got-1000) > 1e-6 {
 		t.Fatalf("weighted profile total = %v, want 1000", got)
 	}
 }
@@ -228,22 +263,22 @@ func TestBranchOverlapSimilarity(t *testing.T) {
 	must(t, c.SetRating("aj", "algebraBook", 1))
 
 	g := New(tax)
-	pi := g.Profile(c.Agent("ai"), c)
-	pj := g.Profile(c.Agent("aj"), c)
+	pi := profileOf(t, g, c.Agent("ai"), c)
+	pj := profileOf(t, g, c.Agent("aj"), c)
 	// Eq. 3 concentrates most mass on the leaf, so the cross-branch cosine
 	// of two single-book readers is modest — but strictly positive, which
 	// is the point: plain product vectors and flat categories both see
 	// exactly zero here.
-	sim, ok := sparse.Cosine(pi, pj)
+	sim, ok := cosine(tax, pi, pj)
 	if !ok || sim <= 0.01 {
 		t.Fatalf("taxonomy similarity = %v,%v, want positive", sim, ok)
 	}
 
 	flat := New(tax)
 	flat.Mode = Flat
-	fi := flat.Profile(c.Agent("ai"), c)
-	fj := flat.Profile(c.Agent("aj"), c)
-	fsim, fok := sparse.Cosine(fi, fj)
+	fi := profileOf(t, flat, c.Agent("ai"), c)
+	fj := profileOf(t, flat, c.Agent("aj"), c)
+	fsim, fok := cosine(tax, fi, fj)
 	if fok && fsim != 0 {
 		t.Fatalf("flat category similarity = %v, want 0 (disjoint leaves)", fsim)
 	}
@@ -257,13 +292,12 @@ func TestUniformModeStillOverlapsButDifferently(t *testing.T) {
 	alg, _ := tax.Lookup("Books/Science/Mathematics/Pure/Algebra")
 	g := New(tax)
 	g.Mode = Uniform
-	out := sparse.New(8)
-	g.PropagateLeaf(out, alg, 50)
+	out := leaf(g, alg, 50)
 	// 5 path nodes, 10 each.
-	if got := out[int32(alg)]; math.Abs(got-10) > 1e-9 {
+	if got := at(out, alg); math.Abs(got-10) > 1e-9 {
 		t.Fatalf("uniform leaf share = %v, want 10", got)
 	}
-	if got := out.Sum(); math.Abs(got-50) > 1e-9 {
+	if got := out.Sum; math.Abs(got-50) > 1e-9 {
 		t.Fatalf("uniform total = %v, want 50", got)
 	}
 	if got := g.Mode.String(); got != "uniform" {
@@ -303,16 +337,19 @@ func TestProfileNormalizationProperty(t *testing.T) {
 		c, a := randomSetup(seed)
 		g := New(c.Taxonomy())
 		g.Mode = Mode(mode % 3)
-		prof := g.Profile(a, c)
-		if len(a.Ratings) == 0 {
-			return len(prof) == 0
+		prof, err := g.ProfileCtx(context.Background(), a, c)
+		if err != nil {
+			return false
 		}
-		for _, v := range prof {
+		if len(a.Ratings) == 0 {
+			return prof.NNZ() == 0
+		}
+		for _, v := range prof.Vals {
 			if v < 0 {
 				return false
 			}
 		}
-		return math.Abs(prof.Sum()-1000) < 1e-6
+		return math.Abs(prof.Sum-1000) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -337,10 +374,10 @@ func TestScoreScaleInvarianceProperty(t *testing.T) {
 		g1 := New(c.Taxonomy())
 		g2 := New(c.Taxonomy())
 		g2.Score = 42
-		p1a, p1b := g1.Profile(a, c), g1.Profile(bAgent, c)
-		p2a, p2b := g2.Profile(a, c), g2.Profile(bAgent, c)
-		s1, ok1 := sparse.Cosine(p1a, p1b)
-		s2, ok2 := sparse.Cosine(p2a, p2b)
+		p1a, p1b := profileOf(t, g1, a, c), profileOf(t, g1, bAgent, c)
+		p2a, p2b := profileOf(t, g2, a, c), profileOf(t, g2, bAgent, c)
+		s1, ok1 := cosine(c.Taxonomy(), p1a, p1b)
+		s2, ok2 := cosine(c.Taxonomy(), p2a, p2b)
 		if ok1 != ok2 {
 			return false
 		}
@@ -351,8 +388,8 @@ func TestScoreScaleInvarianceProperty(t *testing.T) {
 	}
 }
 
-// Property: PropagateLeaf always conserves the share (Eq3 and Uniform) or
-// assigns it fully to the leaf (Flat).
+// Property: propagation always conserves a descriptor's share (Eq3 and
+// Uniform) or assigns it fully to the descriptor (Flat).
 func TestPropagationConservationProperty(t *testing.T) {
 	f := func(seed int64, mode uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -363,10 +400,8 @@ func TestPropagationConservationProperty(t *testing.T) {
 		g := New(tax)
 		g.Mode = Mode(mode % 3)
 		d := taxonomy.Topic(rng.Intn(tax.Len()))
-		out := sparse.New(8)
 		share := rng.Float64()*100 + 1
-		g.PropagateLeaf(out, d, share)
-		return math.Abs(out.Sum()-share) < 1e-9
+		return math.Abs(leaf(g, d, share).Sum-share) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

@@ -1,15 +1,15 @@
-// Package profmat compiles a community's interest profiles — Eq. 3
-// taxonomy profiles (internal/profile), or plain product-rating vectors —
-// into a per-snapshot CSR matrix: one row per agent, sorted int32
-// dimensions beside float64 scores in shared backing arenas, with the row
-// norm, entry sum and nnz precomputed. A row is the only stored form of
-// an agent's profile: every similarity, the super-topic matrix (Fold) and
-// the /profile endpoint read it. The map-based sparse.Vector is the
-// accumulator profile.Generator.Profile builds — the Eq. 3 reference the
-// tests compare rows against — and pays a hash lookup per touched
-// dimension and a heap allocation per profile; the compiled form costs
-// one dense-scratch pass per agent at snapshot build time and makes every
-// later similarity a zero-allocation pass over sorted postings.
+// Package profmat holds the compiled form of an interest profile — a
+// row of sorted int32 dimensions beside float64 scores, with the norm,
+// entry sum and nnz precomputed — and everything that reads or writes
+// one: the Gatherer every row is accumulated in, the per-snapshot CSR
+// Matrix of one row per agent in shared backing arenas, its super-topic
+// fold, and the Scratch similarity kernels. A row is the only form an
+// interest profile takes: the Eq. 3 taxonomy profiles internal/profile
+// writes, product-descriptor rows, and the plain product-rating vectors
+// internal/cf compiles are all gathered here, and every similarity, the
+// super-topic matrix (Fold) and the /profile endpoint read rows. The
+// package knows nothing of agents or taxonomies: BuildDelta takes the
+// per-row compile from its caller.
 //
 // Rows are immutable once built. Delta rebuilds (BuildDelta) carry the
 // unchanged rows of the previous matrix by value — the carried slices
@@ -25,10 +25,6 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
-
-	"swrec/internal/model"
-	"swrec/internal/profile"
-	"swrec/internal/sparse"
 )
 
 // Row is one agent's compiled profile: parallel slices of sorted
@@ -53,9 +49,9 @@ func (r *Row) Mean() float64 {
 }
 
 // TopK returns the positions (indices into Keys/Vals) of the k largest
-// entries by value, descending, ties by ascending key — the order of
-// sparse.Vector.TopK. k <= 0 or k >= NNZ returns every position. It
-// selects rather than sorts: one pass over the row keeps the k best seen
+// entries by value, descending, ties by ascending key — the order the
+// /profile endpoint and the CLI list top interests in. k <= 0 or
+// k >= NNZ returns every position. It selects rather than sorts: one pass over the row keeps the k best seen
 // in a heap with the last-ranked of them on top, so the cost is
 // O(NNZ log k) and the only allocation is the k positions returned.
 func (r *Row) TopK(k int) []int32 {
@@ -142,29 +138,25 @@ func (m *Matrix) Row(ord int32) *Row {
 	return &m.rows[ord]
 }
 
-// Source is the community view Build compiles from; *model.Community
-// satisfies it. Kept as an interface parameter (not a struct field) so a
-// matrix never pins a community snapshot.
-type Source interface {
-	Agents() []model.AgentID
-	Agent(model.AgentID) *model.Agent
-	Product(model.ProductID) *model.Product
-}
-
-// gatherer is a dense score accumulator over the dimension space with a
-// word-packed occupancy bitmap, so clearing between rows is O(dims/64)
-// words and the gather pass enumerates the touched dimensions in
-// ascending order straight off the bitmap — no per-row sort, no full
-// accumulator scan. Gathered rows append to two arenas.
-type gatherer struct {
+// Gatherer is a dense score accumulator over the dimension space with a
+// word-packed occupancy bitmap. Add sums a dimension's increments in call
+// order; Gather enumerates the touched dimensions in ascending order
+// straight off the bitmap — no sort, no full accumulator scan — appends
+// them to two arenas as a row, and leaves the gatherer empty for the
+// next one. Rows gathered earlier stay valid: an arena that grows moves
+// on to a new array and leaves theirs in place. A Gatherer is not safe
+// for concurrent use.
+type Gatherer struct {
 	acc  []float64 // dense score accumulator, gated by bm
 	bm   []uint64  // occupancy bitmap, one bit per dimension
 	keys []int32   // arena the gathered keys append to
 	vals []float64
 }
 
-func newGatherer(dims, capHint int) gatherer {
-	return gatherer{
+// NewGatherer returns an empty gatherer over dims dimensions whose arenas
+// start with room for capHint entries.
+func NewGatherer(dims, capHint int) *Gatherer {
+	return &Gatherer{
 		acc:  make([]float64, dims),
 		bm:   make([]uint64, (dims+63)/64),
 		keys: make([]int32, 0, capHint),
@@ -172,9 +164,9 @@ func newGatherer(dims, capHint int) gatherer {
 	}
 }
 
-// add accumulates v into dimension d: the first touch since the last
-// clear stores, later ones sum in call order.
-func (g *gatherer) add(d int32, v float64) {
+// Add accumulates v into dimension d: the first touch since the last
+// Gather stores, later ones sum in call order.
+func (g *Gatherer) Add(d int32, v float64) {
 	if w, m := d>>6, uint64(1)<<(uint(d)&63); g.bm[w]&m == 0 {
 		g.bm[w] |= m
 		g.acc[d] = v
@@ -183,13 +175,17 @@ func (g *gatherer) add(d int32, v float64) {
 	}
 }
 
-// gather appends the touched dimensions and their totals to the arenas
-// in ascending dimension order and returns them as a row, with the
-// aggregates summed in that same order.
-func (g *gatherer) gather() Row {
+// Gather appends the touched dimensions and their totals to the arenas
+// in ascending dimension order, clears the bitmap behind it, and returns
+// them as a row, with the aggregates summed in that same order.
+func (g *Gatherer) Gather() Row {
 	start := len(g.keys)
 	var norm2, sum float64
 	for wi, w := range g.bm {
+		if w == 0 {
+			continue
+		}
+		g.bm[wi] = 0
 		base := int32(wi << 6)
 		for w != 0 {
 			d := base + int32(bits.TrailingZeros64(w))
@@ -209,12 +205,10 @@ func (g *gatherer) gather() Row {
 	}
 }
 
-// builder is per-worker compile scratch: a gatherer plus, for taxonomy
-// profiles, the Eq. 3 streamer that fills it.
-type builder struct {
-	gatherer
-	st *profile.Streamer // nil compiles plain product-rating rows
-}
+// Fill writes the profile of the agent with the given ordinal into g —
+// the per-row compile BuildDelta runs for every row it does not carry.
+// An error aborts the build.
+type Fill func(ctx context.Context, ord int32, g *Gatherer) error
 
 // rowCapHint sizes a worker's arenas up front: the expected nnz per row
 // times the rows the worker will compile. Underestimates grow normally;
@@ -222,64 +216,22 @@ type builder struct {
 // agents a build otherwise re-copies the arenas ~15 times.
 const rowCapHint = 48
 
-func newBuilder(gen *profile.Generator, dims, nrows int) *builder {
-	b := &builder{gatherer: newGatherer(dims, nrows*rowCapHint)}
-	if gen != nil {
-		b.st = gen.NewStreamer()
-	}
-	return b
-}
-
-// compile builds agent a's row into the worker arenas and returns it.
-// For taxonomy profiles the accumulation order is exactly the Streamer's
-// increment stream — the same order profile.ProfileCtx feeds its map — so
-// the per-dimension totals are bit-identical to the map-based profile. A
-// product-rating row holds every rating of a, negative ones included, at
-// the rated product's catalog ordinal (every rated product is cataloged:
-// SetRating enforces it, Merge registers bare products).
-func (b *builder) compile(ctx context.Context, a *model.Agent, src Source) (Row, error) {
-	clear(b.bm)
-	if b.st != nil {
-		if err := b.st.ProfileDense(ctx, a, src, b.acc, b.bm); err != nil {
-			return Row{}, err
-		}
-	} else {
-		if err := ctx.Err(); err != nil {
-			return Row{}, err
-		}
-		for p, v := range a.Ratings {
-			b.add(src.Product(p).Ord(), v)
-		}
-	}
-	return b.gather(), nil
-}
-
-// Build compiles every agent of src into a fresh matrix: Eq. 3 profiles
-// under gen, or — with a nil gen — plain product-rating rows keyed by
-// product ordinal (classic CF [6], the representation that suffers §2's
-// "low profile overlap"). dims is the dimension-space size: the taxonomy
-// length, or src's product count. workers bounds the compile parallelism;
-// values below 1 mean GOMAXPROCS. The build is cancellable: on ctx expiry
-// the partial matrix is discarded and ctx.Err() returned.
-func Build(ctx context.Context, src Source, gen *profile.Generator, dims, workers int) (*Matrix, error) {
-	return BuildDelta(ctx, src, gen, dims, workers, nil, nil)
-}
-
-// BuildDelta compiles a matrix carrying over the rows of prev for agent
-// ordinals where dirty reports false. A nil prev or nil dirty compiles
-// everything from scratch. Carried rows alias the previous arenas; dirty
-// and new agents are recompiled. prev must come from an earlier epoch of
-// the same community lineage: communities only append agents, so the
-// previous matrix's rows are a prefix of the new one under identical
-// ordinals, and any ordinal at or past prev.Len() is a new agent that
-// compiles from scratch regardless of dirty.
-func BuildDelta(ctx context.Context, src Source, gen *profile.Generator, dims, workers int, prev *Matrix, dirty func(int32) bool) (*Matrix, error) {
-	ids := src.Agents()
-	m := &Matrix{
-		rows: make([]Row, len(ids)),
-	}
+// BuildDelta compiles a matrix of n rows over dims dimensions, carrying
+// over the rows of prev for ordinals where dirty reports false. A nil
+// prev or nil dirty compiles everything from scratch. Every other row is
+// compiled by a Fill from newFill — one per worker, so a fill may keep
+// scratch — into that worker's gatherer; carried rows alias the previous
+// arenas. prev must come from an earlier epoch of the same community
+// lineage: communities only append agents, so the previous matrix's rows
+// are a prefix of the new one under identical ordinals, and any ordinal
+// at or past prev.Len() is a new agent that compiles regardless of dirty.
+// workers bounds the compile parallelism; values below 1 mean GOMAXPROCS.
+// The build is cancellable: on ctx expiry the partial matrix is discarded
+// and ctx.Err() returned.
+func BuildDelta(ctx context.Context, n, dims, workers int, prev *Matrix, dirty func(int32) bool, newFill func() Fill) (*Matrix, error) {
+	m := &Matrix{rows: make([]Row, n)}
 	var todo []int32 // row indices (= agent ordinals) that need compiling
-	for i := range ids {
+	for i := range n {
 		if prev != nil && dirty != nil && i < prev.Len() && !dirty(int32(i)) {
 			m.rows[i] = prev.rows[i]
 			continue
@@ -294,25 +246,22 @@ func BuildDelta(ctx context.Context, src Source, gen *profile.Generator, dims, w
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	if workers <= 1 {
-		b := newBuilder(gen, dims, len(todo))
+	workers = min(workers, len(todo))
+	// Contiguous chunks, one fill and gatherer (and arena pair) per
+	// worker: each worker writes a disjoint range of m.rows, so no
+	// locking is needed, and the compiled contents are deterministic
+	// regardless of scheduling because every row depends only on its own
+	// agent.
+	compile := func(todo []int32) error {
+		fill, g := newFill(), NewGatherer(dims, len(todo)*rowCapHint)
 		for _, ri := range todo {
-			row, err := b.compile(ctx, src.Agent(ids[ri]), src)
-			if err != nil {
-				return nil, err
+			if err := fill(ctx, ri, g); err != nil {
+				return err
 			}
-			m.rows[ri] = row
+			m.rows[ri] = g.Gather()
 		}
-		return m, nil
+		return nil
 	}
-
-	// Contiguous chunks, one builder (and arena pair) per worker: each
-	// worker writes a disjoint range of m.rows, so no locking is needed,
-	// and the compiled contents are deterministic regardless of
-	// scheduling because every row depends only on its own agent.
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	chunk := (len(todo) + workers - 1) / workers
@@ -323,18 +272,10 @@ func BuildDelta(ctx context.Context, src Source, gen *profile.Generator, dims, w
 			break
 		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(w int, todo []int32) {
 			defer wg.Done()
-			b := newBuilder(gen, dims, hi-lo)
-			for _, ri := range todo[lo:hi] {
-				row, err := b.compile(ctx, src.Agent(ids[ri]), src)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				m.rows[ri] = row
-			}
-		}(w, lo, hi)
+			errs[w] = compile(todo)
+		}(w, todo[lo:hi])
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -356,17 +297,16 @@ func Fold(mat *Matrix, remap []int32) *Matrix {
 	for _, t := range remap {
 		dims = max(dims, int(t)+1)
 	}
-	g := newGatherer(dims, 0)
+	g := NewGatherer(dims, 0)
 	out := &Matrix{rows: make([]Row, len(mat.rows)), built: len(mat.rows)}
 	for i := range mat.rows {
-		clear(g.bm)
 		r := &mat.rows[i]
 		for k, key := range r.Keys {
 			if key >= 0 && int(key) < len(remap) {
-				g.add(remap[key], r.Vals[k])
+				g.Add(remap[key], r.Vals[k])
 			}
 		}
-		out.rows[i] = g.gather()
+		out.rows[i] = g.Gather()
 	}
 	// A row gathered before an arena grew aliases the outgrown array;
 	// re-slice every row off the final arenas so only those stay live.
@@ -380,142 +320,13 @@ func Fold(mat *Matrix, remap []int32) *Matrix {
 	return out
 }
 
-// FromVector compiles a single sparse vector into a standalone row — the
-// bridge from map-built vectors (core's per-product descriptor vectors,
-// the differential tests' oracles) to the compiled kernels.
-func FromVector(v sparse.Vector) Row {
-	es := v.Entries()
-	r := Row{
-		Keys: make([]int32, len(es)),
-		Vals: make([]float64, len(es)),
-	}
-	var norm2 float64
-	for i, e := range es {
-		r.Keys[i] = e.Key
-		r.Vals[i] = e.Value
-		norm2 += e.Value * e.Value
-		r.Sum += e.Value
-	}
-	r.Norm = math.Sqrt(norm2)
-	return r
-}
-
-// Dot returns the inner product of two rows as a merge-join over the
-// sorted postings — zero allocations, no hashing.
-//
-//swrec:hotpath
-func Dot(a, b *Row) float64 {
-	var s float64
-	i, j := 0, 0
-	for i < len(a.Keys) && j < len(b.Keys) {
-		ka, kb := a.Keys[i], b.Keys[j]
-		switch {
-		case ka == kb:
-			s += a.Vals[i] * b.Vals[j]
-			i++
-			j++
-		case ka < kb:
-			i++
-		default:
-			j++
-		}
-	}
-	return s
-}
-
-// Overlap returns the number of dimensions present in both rows.
-//
-//swrec:hotpath
-func Overlap(a, b *Row) int {
-	n := 0
-	i, j := 0, 0
-	for i < len(a.Keys) && j < len(b.Keys) {
-		ka, kb := a.Keys[i], b.Keys[j]
-		switch {
-		case ka == kb:
-			n++
-			i++
-			j++
-		case ka < kb:
-			i++
-		default:
-			j++
-		}
-	}
-	return n
-}
-
-// Cosine is sparse.Cosine over compiled rows: missing entries count as
-// zero, and ok is false when either norm is zero. The norms come from
-// the precomputed row aggregates.
-//
-//swrec:hotpath
-func Cosine(a, b *Row) (sim float64, ok bool) {
-	if a.Norm == 0 || b.Norm == 0 {
-		return 0, false
-	}
-	return clamp(Dot(a, b) / (a.Norm * b.Norm)), true
-}
-
-// Pearson is sparse.Pearson over compiled rows: the correlation over the
-// co-present dimensions, undefined (ok=false) below two overlapping
-// dimensions or under zero variance. Two merge passes, zero allocations.
-//
-//swrec:hotpath
-func Pearson(a, b *Row) (sim float64, ok bool) {
-	var n int
-	var sa, sb float64
-	i, j := 0, 0
-	for i < len(a.Keys) && j < len(b.Keys) {
-		ka, kb := a.Keys[i], b.Keys[j]
-		switch {
-		case ka == kb:
-			n++
-			sa += a.Vals[i]
-			sb += b.Vals[j]
-			i++
-			j++
-		case ka < kb:
-			i++
-		default:
-			j++
-		}
-	}
-	if n < 2 {
-		return 0, false
-	}
-	ma, mb := sa/float64(n), sb/float64(n)
-	var cov, va, vb float64
-	i, j = 0, 0
-	for i < len(a.Keys) && j < len(b.Keys) {
-		ka, kb := a.Keys[i], b.Keys[j]
-		switch {
-		case ka == kb:
-			x, y := a.Vals[i], b.Vals[j]
-			cov += (x - ma) * (y - mb)
-			va += (x - ma) * (x - ma)
-			vb += (y - mb) * (y - mb)
-			i++
-			j++
-		case ka < kb:
-			i++
-		default:
-			j++
-		}
-	}
-	if va == 0 || vb == 0 {
-		return 0, false
-	}
-	return clamp(cov / math.Sqrt(va*vb)), true
-}
-
-// Scratch is a reusable dense image of one compiled row for batch
-// similarity scans: Load scatters the row once, then CosineTo/PearsonTo
+// Scratch computes every similarity between rows: a reusable dense image
+// of one row, which Load scatters once, after which CosineTo/PearsonTo
 // against each peer run in a single pass over the peer's postings with
-// O(1) lookups in place of the merge-join's two-cursor walk. The
-// products and their summation order are identical to the merge-join
-// kernels (ascending common-dimension order), so the results are
-// bit-for-bit the same. The image is zero outside the loaded row — Load
+// O(1) lookups. Every sum runs in the peer's ascending key order, so the
+// same pair gives the same bits on every call, and the package's tests
+// pin each kernel bit for bit to a textbook merge-join over the common
+// dimensions. The image is zero outside the loaded row — Load
 // first takes the previous row back out — so the cosine dot needs no
 // occupancy test; Pearson, which counts co-present dimensions, reads the
 // generation stamps. A re-Load is O(nnz of both rows). Load is not safe
@@ -565,10 +376,14 @@ func (s *Scratch) Unload() {
 	}
 }
 
-// CosineTo returns Cosine(loaded, b). The dot runs over every posting of
-// b without testing occupancy: a dimension the loaded row lacks holds
-// zero and adds ±0, which leaves the running sum's bits unchanged, so the
-// result equals the merge-join over the common dimensions exactly.
+// CosineTo returns the cosine similarity of the loaded row and b in
+// [-1, 1], missing entries counting as zero; ok is false when either norm
+// is zero (the measure is undefined, the ⊥ of §3.1 carried through). The
+// norms are the precomputed row aggregates. The dot runs over every
+// posting of b without testing occupancy: a dimension the loaded row
+// lacks holds zero and adds ±0, which leaves the running sum's bits
+// unchanged, so the result equals the merge-join over the common
+// dimensions exactly.
 //
 //swrec:hotpath
 func (s *Scratch) CosineTo(b *Row) (sim float64, ok bool) {
@@ -628,7 +443,11 @@ func (s *Scratch) CosineTo4(b *[4]*Row) (sim [4]float64, ok [4]bool) {
 	return sim, ok
 }
 
-// PearsonTo returns Pearson(loaded, b).
+// PearsonTo returns Pearson's correlation coefficient of the loaded row
+// and b over their co-present dimensions, the classic
+// collaborative-filtering similarity [Shardanand & Maes 1995]; ok is
+// false below two overlapping dimensions or under zero variance — the
+// "low profile overlap" failure the taxonomy profiles remedy.
 //
 //swrec:hotpath
 func (s *Scratch) PearsonTo(b *Row) (sim float64, ok bool) {
@@ -661,7 +480,7 @@ func (s *Scratch) PearsonTo(b *Row) (sim float64, ok bool) {
 	return clamp(cov / math.Sqrt(va*vb)), true
 }
 
-// clamp bounds floating-point drift into [-1, 1], mirroring sparse.clamp.
+// clamp bounds floating-point drift into [-1, 1].
 func clamp(x float64) float64 {
 	if x > 1 {
 		return 1

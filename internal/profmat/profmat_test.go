@@ -1,15 +1,11 @@
 package profmat
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
-	"swrec/internal/datagen"
-	"swrec/internal/model"
-	"swrec/internal/profile"
 	"swrec/internal/sparse"
 )
 
@@ -209,153 +205,6 @@ func TestScratchReloadLeavesNoStaleValues(t *testing.T) {
 	}
 }
 
-func benchCommunity(t testing.TB) *model.Community {
-	t.Helper()
-	cfg := datagen.SmallScale()
-	cfg.Agents = 60
-	cfg.Products = 120
-	comm, _ := datagen.Generate(cfg)
-	return comm
-}
-
-// TestBuildMatchesGeneratorProfiles checks the compiled rows against the
-// map-based profile generator they claim to mirror: same dimensions,
-// bit-identical scores (the dense accumulation replays the generator's
-// exact increment stream), and consistent norm/sum aggregates.
-func TestBuildMatchesGeneratorProfiles(t *testing.T) {
-	comm := benchCommunity(t)
-	gen := profile.New(comm.Taxonomy())
-	mat, err := Build(context.Background(), comm, gen, comm.Taxonomy().Len(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mat.Len() != comm.NumAgents() || mat.Built() != comm.NumAgents() {
-		t.Fatalf("matrix len=%d built=%d, want %d", mat.Len(), mat.Built(), comm.NumAgents())
-	}
-	for _, id := range comm.Agents() {
-		row := mat.Row(comm.Agent(id).Ord())
-		if row == nil {
-			t.Fatalf("agent %s missing from matrix", id)
-		}
-		want := gen.Profile(comm.Agent(id), comm).Entries()
-		if len(want) != row.NNZ() {
-			t.Fatalf("agent %s: nnz %d, generator %d", id, row.NNZ(), len(want))
-		}
-		for i, e := range want {
-			if row.Keys[i] != e.Key || row.Vals[i] != e.Value {
-				t.Fatalf("agent %s dim %d: (%d,%v), generator (%d,%v)",
-					id, i, row.Keys[i], row.Vals[i], e.Key, e.Value)
-			}
-		}
-		v := sparse.New(row.NNZ())
-		for i, k := range row.Keys {
-			v.Add(k, row.Vals[i])
-		}
-		if !close12(row.Norm, v.Norm()) || !close12(row.Sum, v.Sum()) {
-			t.Fatalf("agent %s: norm/sum (%v,%v) vs (%v,%v)", id, row.Norm, row.Sum, v.Norm(), v.Sum())
-		}
-	}
-}
-
-// TestBuildDeltaCarriesCleanRows pins the epoch-swap fast path: rows of
-// clean agents are carried into the new matrix by value (aliasing the
-// previous arenas), and only dirty agents are recompiled.
-func TestBuildDeltaCarriesCleanRows(t *testing.T) {
-	comm := benchCommunity(t)
-	gen := profile.New(comm.Taxonomy())
-	tlen := comm.Taxonomy().Len()
-	prev, err := Build(context.Background(), comm, gen, tlen, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirtyID := comm.Agents()[5]
-	dirtyOrd := comm.Agent(dirtyID).Ord()
-	next, err := BuildDelta(context.Background(), comm, gen, tlen, 0, prev,
-		func(ord int32) bool { return ord == dirtyOrd })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next.Built() != 1 {
-		t.Fatalf("Built = %d, want 1", next.Built())
-	}
-	for _, id := range comm.Agents() {
-		ord := comm.Agent(id).Ord()
-		pr, nr := prev.Row(ord), next.Row(ord)
-		if nr.NNZ() != pr.NNZ() {
-			t.Fatalf("agent %s: nnz changed %d -> %d", id, pr.NNZ(), nr.NNZ())
-		}
-		for i := range nr.Keys {
-			if nr.Keys[i] != pr.Keys[i] || nr.Vals[i] != pr.Vals[i] {
-				t.Fatalf("agent %s: entry %d differs after delta build", id, i)
-			}
-		}
-		carried := pr.NNZ() > 0 && nr.NNZ() > 0 && &pr.Vals[0] == &nr.Vals[0]
-		if id == dirtyID && carried {
-			t.Fatalf("dirty agent %s aliases the previous arena", id)
-		}
-		if id != dirtyID && pr.NNZ() > 0 && !carried {
-			t.Fatalf("clean agent %s was recompiled", id)
-		}
-	}
-}
-
-// TestBuildDeterministicAcrossWorkerCounts: the compiled contents must
-// not depend on parallelism.
-func TestBuildDeterministicAcrossWorkerCounts(t *testing.T) {
-	comm := benchCommunity(t)
-	gen := profile.New(comm.Taxonomy())
-	tlen := comm.Taxonomy().Len()
-	base, err := Build(context.Background(), comm, gen, tlen, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8} {
-		m, err := Build(context.Background(), comm, gen, tlen, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range comm.Agents() {
-			ord := comm.Agent(id).Ord()
-			a, b := base.Row(ord), m.Row(ord)
-			if a.NNZ() != b.NNZ() || a.Norm != b.Norm || a.Sum != b.Sum {
-				t.Fatalf("workers=%d agent %s: row differs", workers, id)
-			}
-			for i := range a.Keys {
-				if a.Keys[i] != b.Keys[i] || a.Vals[i] != b.Vals[i] {
-					t.Fatalf("workers=%d agent %s entry %d differs", workers, id, i)
-				}
-			}
-		}
-	}
-}
-
-// TestBuildWorkersShareFirstTableUse: BuildDelta's workers ask a fresh
-// taxonomy for its Eq. 3 table at once, and the rows they compile equal a
-// single worker's on an identical community (run under -race).
-func TestBuildWorkersShareFirstTableUse(t *testing.T) {
-	fresh, single := benchCommunity(t), benchCommunity(t)
-	tlen := fresh.Taxonomy().Len()
-	got, err := BuildDelta(context.Background(), fresh, profile.New(fresh.Taxonomy()), tlen, 8, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Build(context.Background(), single, profile.New(single.Taxonomy()), tlen, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ord := int32(0); int(ord) < want.Len(); ord++ {
-		a, b := want.Row(ord), got.Row(ord)
-		if a.NNZ() != b.NNZ() || a.Norm != b.Norm || a.Sum != b.Sum {
-			t.Fatalf("row %d differs", ord)
-		}
-		for i := range a.Keys {
-			if a.Keys[i] != b.Keys[i] || a.Vals[i] != b.Vals[i] {
-				t.Fatalf("row %d entry %d differs", ord, i)
-			}
-		}
-	}
-}
-
 // TestTopKMatchesSparse: a row's TopK is sparse.Vector.TopK — value
 // descending, ties by ascending key — for every k, over vectors whose
 // quantized values tie often.
@@ -379,90 +228,6 @@ func TestTopKMatchesSparse(t *testing.T) {
 		// It selects: the positions returned are all it allocates.
 		if allocs := testing.AllocsPerRun(10, func() { row.TopK(15) }); allocs > 1 {
 			t.Fatalf("trial %d: TopK(15) over %d entries allocates %v times", trial, len(v), allocs)
-		}
-	}
-}
-
-// TestFoldMatchesPerRowOracle folds a whole compiled matrix through a
-// generator's ancestor array and compares every row with a map folded
-// entry by entry in ascending key order: same keys, bit-equal values and
-// aggregates — which also shows no row was left on an outgrown arena.
-func TestFoldMatchesPerRowOracle(t *testing.T) {
-	comm := benchCommunity(t)
-	gen := profile.New(comm.Taxonomy())
-	mat, err := Build(context.Background(), comm, gen, comm.Taxonomy().Len(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, depth := range []int{1, 2} {
-		remap := gen.AncestorsAt(depth)
-		coarse := Fold(mat, remap)
-		if coarse.Len() != mat.Len() {
-			t.Fatalf("depth %d: %d rows folded to %d", depth, mat.Len(), coarse.Len())
-		}
-		shrunk := false
-		for i := 0; i < mat.Len(); i++ {
-			src, got := mat.Row(int32(i)), coarse.Row(int32(i))
-			want := sparse.New(0)
-			for k, key := range src.Keys {
-				want.Add(remap[key], src.Vals[k])
-			}
-			es := want.Entries()
-			if got.NNZ() != len(es) {
-				t.Fatalf("depth %d row %d: %d entries, oracle %d", depth, i, got.NNZ(), len(es))
-			}
-			var norm2, sum float64
-			for j, e := range es {
-				if got.Keys[j] != e.Key || got.Vals[j] != e.Value {
-					t.Fatalf("depth %d row %d entry %d: (%d, %v), oracle %+v", depth, i, j, got.Keys[j], got.Vals[j], e)
-				}
-				norm2 += e.Value * e.Value
-				sum += e.Value
-			}
-			if got.Norm != math.Sqrt(norm2) || got.Sum != sum {
-				t.Fatalf("depth %d row %d: aggregates (%v, %v), oracle (%v, %v)", depth, i, got.Norm, got.Sum, math.Sqrt(norm2), sum)
-			}
-			shrunk = shrunk || got.NNZ() < src.NNZ()
-		}
-		if !shrunk {
-			t.Fatalf("depth %d: no row lost a dimension to the fold", depth)
-		}
-	}
-}
-
-// TestProductRowsCarryAcrossDelta: product-rating rows (nil generator)
-// compile every rating at its product's ordinal and carry across a delta
-// build like taxonomy rows do.
-func TestProductRowsCarryAcrossDelta(t *testing.T) {
-	comm := benchCommunity(t)
-	ctx := context.Background()
-	full, err := Build(ctx, comm, nil, comm.NumProducts(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, id := range comm.Agents() {
-		a, row := comm.Agent(id), full.Row(int32(i))
-		if row.NNZ() != len(a.Ratings) {
-			t.Fatalf("%s: %d entries for %d ratings", id, row.NNZ(), len(a.Ratings))
-		}
-		for k, key := range row.Keys {
-			p, _ := comm.Symbols().ProductID(key)
-			if v, ok := a.Ratings[p]; !ok || v != row.Vals[k] {
-				t.Fatalf("%s: dimension %d holds %v, rating of %s is %v (%v)", id, key, row.Vals[k], p, v, ok)
-			}
-		}
-	}
-	delta, err := BuildDelta(ctx, comm, nil, comm.NumProducts(), 1, full, func(ord int32) bool { return ord == 3 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delta.Built() != 1 {
-		t.Fatalf("delta build compiled %d rows, want 1", delta.Built())
-	}
-	for i := 0; i < full.Len(); i++ {
-		a, b := full.Row(int32(i)), delta.Row(int32(i))
-		if a.NNZ() != b.NNZ() || a.Norm != b.Norm || a.Sum != b.Sum {
-			t.Fatalf("row %d differs between full and delta build", i)
 		}
 	}
 }

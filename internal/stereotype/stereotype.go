@@ -19,6 +19,7 @@
 package stereotype
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -75,9 +76,9 @@ type Model struct {
 type ProfileFunc func(model.AgentID) sparse.Vector
 
 // Profiles resolves agents of comm to their Eq. 3 taxonomy profiles
-// (profile.Generator.Profile under the default settings), built on every
-// call. Unknown agents, and every agent of a community without a
-// taxonomy, have empty profiles.
+// (profile.Generator.ProfileCtx under the default settings), built on
+// every call and converted from the row to a vector. Unknown agents, and
+// every agent of a community without a taxonomy, have empty profiles.
 func Profiles(comm *model.Community) ProfileFunc {
 	tax := comm.Taxonomy()
 	if tax == nil {
@@ -89,7 +90,12 @@ func Profiles(comm *model.Community) ProfileFunc {
 		if a == nil {
 			return nil
 		}
-		return gen.Profile(a, comm)
+		row, _ := gen.ProfileCtx(context.Background(), a, comm) // errors only on cancellation
+		v := sparse.New(row.NNZ())
+		for i, k := range row.Keys {
+			v[k] = row.Vals[i]
+		}
+		return v
 	}
 }
 

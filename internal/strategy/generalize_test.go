@@ -32,12 +32,13 @@ func naiveGeneralizedPeers(comm *model.Community, measure cf.Measure, active mod
 		if a == nil {
 			return out
 		}
-		for _, e := range gen.Profile(a, comm).Entries() {
-			path := tax.PrimaryPath(taxonomy.Topic(e.Key))
+		row, _ := gen.ProfileCtx(context.Background(), a, comm)
+		for i, k := range row.Keys {
+			path := tax.PrimaryPath(taxonomy.Topic(k))
 			if len(path)-1 <= depth {
-				out.Add(e.Key, e.Value)
+				out.Add(k, row.Vals[i])
 			} else {
-				out.Add(int32(path[depth]), e.Value)
+				out.Add(int32(path[depth]), row.Vals[i])
 			}
 		}
 		return out
