@@ -215,7 +215,8 @@ recovery-smoke:
 FUZZ_TARGETS = \
 	rdf:FuzzParseNTriples rdf:FuzzParseTurtle rdf:FuzzParseRDFXML rdf:FuzzParseDocument \
 	checkpoint:FuzzDecode:binary frame:FuzzScan:binary wal:FuzzScanSegment:binary store:FuzzStoreScan:binary \
-	api:FuzzAppendString api:FuzzAppendFloat api:FuzzParam
+	api:FuzzAppendString api:FuzzAppendFloat api:FuzzParam \
+	foaf:FuzzUnmarshalHomepage
 FUZZ_BINARY = -fuzzminimizetime 1s
 
 # $(call fuzz-each,<go test flags>,<fuzztime>) expands to one recipe

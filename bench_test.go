@@ -27,7 +27,6 @@ import (
 	"swrec/internal/profmat"
 	"swrec/internal/rdf"
 	"swrec/internal/semweb"
-	"swrec/internal/sparse"
 	"swrec/internal/stereotype"
 	"swrec/internal/taxonomy"
 	"swrec/internal/trust"
@@ -390,13 +389,9 @@ func BenchmarkDatagenSmall(b *testing.B) {
 
 func BenchmarkE10StereotypeLearn(b *testing.B) {
 	comm := benchCommunity()
-	// Build the profiles once; learning cost is what we measure.
-	build := stereotype.Profiles(comm)
-	built := make(map[model.AgentID]sparse.Vector)
-	for _, id := range comm.Agents() {
-		built[id] = build(id)
-	}
-	profiles := func(id model.AgentID) sparse.Vector { return built[id] }
+	// Profiles compiles the profile matrix once; learning cost is what we
+	// measure.
+	profiles := stereotype.Profiles(comm)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -28,6 +28,8 @@ import (
 	"text/tabwriter"
 
 	"swrec"
+	"swrec/internal/cf"
+	"swrec/internal/core"
 	"swrec/internal/datagen"
 	"swrec/internal/profile"
 )
@@ -155,25 +157,12 @@ func resolveAgent(comm *swrec.Community, s string) swrec.AgentID {
 
 func buildOptions(metric, measure, repr string, alpha float64, novel bool) (swrec.Options, error) {
 	var opt swrec.Options
-	switch metric {
-	case "appleseed":
-		opt.Metric = swrec.MetricAppleseed
-	case "advogato":
-		opt.Metric = swrec.MetricAdvogato
-	case "pathtrust":
-		opt.Metric = swrec.MetricPathTrust
-	case "none":
-		opt.Metric = swrec.MetricNone
-	default:
-		return opt, fmt.Errorf("unknown metric %q", metric)
+	var err error
+	if opt.Metric, err = core.ParseMetric(metric); err != nil {
+		return opt, err
 	}
-	switch measure {
-	case "pearson":
-		opt.CF.Measure = swrec.MeasurePearson
-	case "cosine":
-		opt.CF.Measure = swrec.MeasureCosine
-	default:
-		return opt, fmt.Errorf("unknown measure %q", measure)
+	if opt.CF.Measure, err = cf.ParseMeasure(measure); err != nil {
+		return opt, err
 	}
 	switch repr {
 	case "taxonomy":

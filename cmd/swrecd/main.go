@@ -152,23 +152,16 @@ func main() {
 		return comm, nil
 	}
 
+	m, err := core.ParseMetric(*metric)
+	if err != nil {
+		fatal(err)
+	}
 	opt := core.Options{
-		Alpha: *alpha, AlphaSet: true,
+		Metric: m,
+		Alpha:  *alpha, AlphaSet: true,
 		TrustThreshold: *trustThreshold,
 		MaxNeighbors:   *maxNeighbors,
 		CF:             cf.Options{Measure: cf.Cosine, Representation: cf.Taxonomy},
-	}
-	switch *metric {
-	case "appleseed":
-		opt.Metric = core.Appleseed
-	case "advogato":
-		opt.Metric = core.Advogato
-	case "pathtrust":
-		opt.Metric = core.PathTrust
-	case "none":
-		opt.Metric = core.NoTrust
-	default:
-		fatal(fmt.Errorf("unknown metric %q", *metric))
 	}
 
 	var stratCfg strategy.Config

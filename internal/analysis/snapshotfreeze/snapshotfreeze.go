@@ -18,7 +18,7 @@
 // roots in a locally built value (assigned in the same function from a
 // composite literal, a New*/Copy constructor, or an accessor on such a
 // value) — local construction is the pre-publication phase by
-// definition. Mutating method calls (SetTrust, AddAgent, Merge, ...) on
+// definition. Mutating method calls (SetTrust, AddAgent, ...) on
 // frozen receivers are treated as writes.
 //
 // A Clone() result is in between: the clone is a new generation that
@@ -73,7 +73,7 @@ const (
 	allow = "swrec/internal/model,swrec/internal/engine,swrec/internal/ingest,swrec/internal/checkpoint,swrec/internal/profmat,swrec/internal/foaf,swrec/internal/corpus,swrec/internal/datagen,swrec/internal/attack"
 	// mutators are the method names treated as writes when invoked on a
 	// frozen receiver.
-	mutators = "AddAgent,AddProduct,SetTrust,SetRating,DeleteTrust,DeleteRating,MarkDirty,Merge"
+	mutators = "AddAgent,AddProduct,SetTrust,SetRating,DeleteTrust,DeleteRating,MarkDirty"
 )
 
 func run(pass *analysis.Pass) (any, error) {

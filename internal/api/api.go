@@ -471,18 +471,9 @@ func window(n, offset, limit int) (lo, hi int) {
 func parseOverrides(c *call) (engine.Overrides, error) {
 	var ov engine.Overrides
 	if v := c.param("metric"); v != "" {
-		var m core.Metric
-		switch v {
-		case "appleseed":
-			m = core.Appleseed
-		case "advogato":
-			m = core.Advogato
-		case "pathtrust":
-			m = core.PathTrust
-		case "none":
-			m = core.NoTrust
-		default:
-			return ov, fmt.Errorf("metric must be appleseed|advogato|pathtrust|none, got %q", v)
+		m, err := core.ParseMetric(v)
+		if err != nil {
+			return ov, err
 		}
 		ov.Metric = &m
 	}
@@ -494,14 +485,9 @@ func parseOverrides(c *call) (engine.Overrides, error) {
 		ov.Alpha = &a
 	}
 	if v := c.param("measure"); v != "" {
-		var m cf.Measure
-		switch v {
-		case "pearson":
-			m = cf.Pearson
-		case "cosine":
-			m = cf.Cosine
-		default:
-			return ov, fmt.Errorf("measure must be pearson|cosine, got %q", v)
+		m, err := cf.ParseMeasure(v)
+		if err != nil {
+			return ov, err
 		}
 		ov.Measure = &m
 	}

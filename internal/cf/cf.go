@@ -49,6 +49,16 @@ func (m Measure) String() string {
 	}
 }
 
+// ParseMeasure is the inverse of Measure.String: the measure named s.
+func ParseMeasure(s string) (Measure, error) {
+	for m := Pearson; m <= Cosine; m++ {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("measure must be pearson|cosine, got %q", s)
+}
+
 // Representation selects the profile vector space.
 type Representation int
 
@@ -116,13 +126,13 @@ type compiled struct {
 	// costs a single pass over its own postings. Held by pointer: the
 	// runtime's pool registry keeps a used pool for up to two GC cycles,
 	// and an embedded one would keep this struct — and mat — with it.
-	scratch *sync.Pool
+	scratch *profmat.Pool
 }
 
 // New creates a filter over the community. Taxonomy-based representations
 // require the community to carry a taxonomy.
 func New(comm *model.Community, opt Options) (*Filter, error) {
-	f := &Filter{opt: opt, compiled: &compiled{comm: comm, scratch: new(sync.Pool)}}
+	f := &Filter{opt: opt, compiled: &compiled{comm: comm, scratch: new(profmat.Pool)}}
 	if opt.Representation != Product {
 		if comm.Taxonomy() == nil {
 			return nil, fmt.Errorf("cf: representation %v requires a taxonomy", opt.Representation)
@@ -190,7 +200,8 @@ func (f *Filter) CompileDelta(ctx context.Context, prev *profmat.Matrix, dirty f
 // describes) when the filter has none yet. The caller holds f.mu.
 func (f *Filter) compileLocked(ctx context.Context, prev *profmat.Matrix, dirty func(int32) bool) (*profmat.Matrix, error) {
 	if f.mat == nil {
-		mat, err := profmat.BuildDelta(ctx, f.comm.NumAgents(), f.dims(), 0, prev, dirty, f.newFill)
+		newFill := func() profmat.Fill { return f.newFill(ctx) }
+		mat, err := profmat.BuildDelta(f.comm.NumAgents(), f.dims(), 0, prev, dirty, newFill)
 		if err != nil {
 			return nil, err
 		}
@@ -199,20 +210,20 @@ func (f *Filter) compileLocked(ctx context.Context, prev *profmat.Matrix, dirty 
 	return f.mat, nil
 }
 
-// newFill returns one worker's row compile: the agent's Eq. 3 profile,
-// written by a Streamer of its own, or — for the Product representation
-// — every rating of the agent, negative ones included, at the rated
-// product's catalog ordinal (every rated product is cataloged: SetRating
-// enforces it, Merge registers bare products).
-func (f *Filter) newFill() profmat.Fill {
+// newFill returns one worker's row compile under ctx: the agent's Eq. 3
+// profile, written by a Streamer of its own, or — for the Product
+// representation — every rating of the agent, negative ones included, at
+// the rated product's catalog ordinal (every rated product is cataloged:
+// SetRating enforces it).
+func (f *Filter) newFill(ctx context.Context) profmat.Fill {
 	comm, sym := f.comm, f.comm.Symbols()
 	if f.gen != nil {
 		st := f.gen.NewStreamer()
-		return func(ctx context.Context, ord int32, g *profmat.Gatherer) error {
+		return func(ord int32, g *profmat.Gatherer) error {
 			return st.ProfileDense(ctx, sym.AgentAt(ord), comm, g)
 		}
 	}
-	return func(ctx context.Context, ord int32, g *profmat.Gatherer) error {
+	return func(ord int32, g *profmat.Gatherer) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -288,23 +299,6 @@ func (f *Filter) rowOf(mat *profmat.Matrix, id model.AgentID) *profmat.Row {
 	return emptyRow
 }
 
-// getScratch returns a pooled dense scratch covering the dimension
-// space; return it with putScratch when done.
-func (f *Filter) getScratch() *profmat.Scratch {
-	dims := f.dims()
-	if sc, ok := f.scratch.Get().(*profmat.Scratch); ok && sc.Dims() >= dims {
-		return sc
-	}
-	return profmat.NewScratch(dims)
-}
-
-// putScratch returns sc to the pool holding nothing of the matrix it
-// scanned, so a dropped filter's matrix is garbage at the next GC.
-func (f *Filter) putScratch(sc *profmat.Scratch) {
-	sc.Unload()
-	f.scratch.Put(sc)
-}
-
 // similarityScratch computes the configured measure of the scratch's
 // loaded row against b.
 func (f *Filter) similarityScratch(sc *profmat.Scratch, b *profmat.Row) (float64, bool) {
@@ -332,8 +326,8 @@ func (f *Filter) SimilarityCtx(ctx context.Context, a, b model.AgentID) (float64
 	if err != nil {
 		return 0, false
 	}
-	sc := f.getScratch()
-	defer f.putScratch(sc)
+	sc := f.scratch.Get(f.dims())
+	defer f.scratch.Put(sc)
 	sc.Load(f.rowOf(mat, a))
 	return f.similarityScratch(sc, f.rowOf(mat, b))
 }
@@ -376,8 +370,8 @@ func (f *Filter) AncestorSimilarities(ctx context.Context, depth int, active int
 // one. A caller with a list long enough to want two cores splits it —
 // each call takes its own scratch.
 func (f *Filter) scanAll(ctx context.Context, mat *profmat.Matrix, active int32, peers []int32, out []SimResult) error {
-	sc := f.getScratch()
-	defer f.putScratch(sc)
+	sc := f.scratch.Get(f.dims())
+	defer f.scratch.Put(sc)
 	sc.Load(rowAt(mat, active))
 	return f.scan(ctx, sc, mat, peers, out)
 }

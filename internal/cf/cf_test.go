@@ -458,3 +458,18 @@ func TestSimilaritiesAllocateNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestParseMeasureInvertsString: every measure survives String then
+// ParseMeasure, and a name no measure has is an error.
+func TestParseMeasureInvertsString(t *testing.T) {
+	for _, m := range []Measure{Pearson, Cosine} {
+		if got, err := ParseMeasure(m.String()); err != nil || got != m {
+			t.Errorf("ParseMeasure(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	for _, s := range []string{"", "Cosine", Measure(99).String()} {
+		if m, err := ParseMeasure(s); err == nil {
+			t.Errorf("ParseMeasure(%q) = %v, want an error", s, m)
+		}
+	}
+}

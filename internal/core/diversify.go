@@ -9,56 +9,78 @@ package core
 // the item-to-item similarity measure.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"sync"
 
 	"swrec/internal/model"
 	"swrec/internal/profile"
 	"swrec/internal/profmat"
 )
 
-// items compiles product descriptor rows — internal/profile's Eq. 3 loop
-// run over one product with s = 1, the item-space counterpart of an agent
-// profile — into one gatherer, and holds the scratch their cosines run
-// on. It serves one call and is not safe for concurrent use. Without a
-// taxonomy every row is empty and every similarity undefined.
-type items struct {
-	st *profile.Streamer
-	g  *profmat.Gatherer
+// descriptors is the item space every WithOptions variant shares: the
+// product × topic matrix of descriptor rows, built on first use, and a
+// pool of the scratch its rows are compared on. A community without a
+// taxonomy has none (nil): every product similarity is undefined.
+type descriptors struct {
+	mat  func() *profmat.Matrix
+	pool *sync.Pool // *rowScratch, put back unloaded and reset
+}
+
+// rowScratch is what one comparing call runs on; content boost writes
+// the active agent's profile with st into g.
+type rowScratch struct {
 	sc *profmat.Scratch
+	g  *profmat.Gatherer
+	st *profile.Streamer
 }
 
-func (r *Recommender) newItems() *items {
-	it := &items{}
-	dims := 0
-	if r.gen != nil {
-		it.st = r.gen.NewStreamer()
-		dims = r.gen.Taxonomy().Len()
+func newDescriptors(comm *model.Community) *descriptors {
+	tax := comm.Taxonomy()
+	if tax == nil {
+		return nil
 	}
-	it.g, it.sc = profmat.NewGatherer(dims, 0), profmat.NewScratch(dims)
-	return it
-}
-
-// row returns p's descriptor row; a nil product's is empty.
-func (it *items) row(p *model.Product) profmat.Row {
-	if p != nil && it.st != nil {
-		it.st.ProductDense(p, it.g)
+	gen := profile.New(tax)
+	return &descriptors{
+		mat: sync.OnceValue(func() *profmat.Matrix { return gen.ProductMatrix(comm) }),
+		pool: &sync.Pool{New: func() any {
+			return &rowScratch{profmat.NewScratch(tax.Len()), profmat.NewGatherer(tax.Len(), 0), gen.NewStreamer()}
+		}},
 	}
-	return it.g.Gather()
 }
 
-// rows returns the descriptor rows of the listed products.
-func (r *Recommender) rows(it *items, recs []Recommendation) []profmat.Row {
-	out := make([]profmat.Row, len(recs))
+func (d *descriptors) get() *rowScratch { return d.pool.Get().(*rowScratch) }
+
+func (d *descriptors) put(s *rowScratch) {
+	s.sc.Unload()
+	s.g.Reset()
+	d.pool.Put(s)
+}
+
+// row returns p's descriptor row, an empty row for a nil product or one
+// the matrix does not hold.
+func (d *descriptors) row(p *model.Product) *profmat.Row {
+	if p != nil {
+		if row := d.mat().Row(p.Ord()); row != nil {
+			return row
+		}
+	}
+	return new(profmat.Row)
+}
+
+// listRows returns the descriptor rows of the listed products.
+func (r *Recommender) listRows(recs []Recommendation) []*profmat.Row {
+	out := make([]*profmat.Row, len(recs))
 	for i, rec := range recs {
-		out[i] = it.row(r.comm.Product(rec.Product))
+		out[i] = r.desc.row(r.comm.Product(rec.Product))
 	}
 	return out
 }
 
-// affinity returns the cosine of the loaded row and b in [0,1] —
+// affinity returns the cosine of sc's loaded row and b in [0,1] —
 // negative cosines count as no affinity — and whether it is defined.
-func (it *items) affinity(b *profmat.Row) (float64, bool) {
-	s, ok := it.sc.CosineTo(b)
+func affinity(sc *profmat.Scratch, b *profmat.Row) (float64, bool) {
+	s, ok := sc.CosineTo(b)
 	return max(s, 0), ok
 }
 
@@ -66,10 +88,13 @@ func (it *items) affinity(b *profmat.Row) (float64, bool) {
 // products in [0,1] (cosine of their descriptor rows); ok is false when
 // either product lacks descriptors or the community carries no taxonomy.
 func (r *Recommender) ProductSimilarity(a, b model.ProductID) (float64, bool) {
-	it := r.newItems()
-	ra, rb := it.row(r.comm.Product(a)), it.row(r.comm.Product(b))
-	it.sc.Load(&ra)
-	return it.affinity(&rb)
+	if r.desc == nil {
+		return 0, false
+	}
+	s := r.desc.get()
+	defer r.desc.put(s)
+	s.sc.Load(r.desc.row(r.comm.Product(a)))
+	return affinity(s.sc, r.desc.row(r.comm.Product(b)))
 }
 
 // IntraListSimilarity is the mean pairwise product similarity of a
@@ -77,15 +102,18 @@ func (r *Recommender) ProductSimilarity(a, b model.ProductID) (float64, bool) {
 // experiment E11 reports. Lists with fewer than two comparable items
 // score 0.
 func (r *Recommender) IntraListSimilarity(recs []Recommendation) float64 {
-	it := r.newItems()
-	vecs := r.rows(it, recs)
-	var sum float64
-	var n int
-	for i := range vecs {
-		it.sc.Load(&vecs[i])
-		for j := i + 1; j < len(vecs); j++ {
-			if s, ok := it.affinity(&vecs[j]); ok {
-				sum += s
+	if r.desc == nil {
+		return 0
+	}
+	rows := r.listRows(recs)
+	s := r.desc.get()
+	defer r.desc.put(s)
+	sum, n := 0.0, 0
+	for i := range rows {
+		s.sc.Load(rows[i])
+		for j := i + 1; j < len(rows); j++ {
+			if sim, ok := affinity(s.sc, rows[j]); ok {
+				sum += sim
 				n++
 			}
 		}
@@ -108,45 +136,38 @@ func (r *Recommender) Diversify(recs []Recommendation, n int, theta float64) []R
 	if n <= 0 || n > len(recs) {
 		n = len(recs)
 	}
-	if len(recs) == 0 || theta <= 0 {
+	if len(recs) == 0 || theta <= 0 || r.desc == nil { // no taxonomy: no similarity to trade for
 		return append([]Recommendation(nil), recs[:n]...)
 	}
-	if theta > 1 {
-		theta = 1
-	}
+	theta = min(theta, 1)
 
 	// Every cosine sums in key order, so equal candidates tie exactly and
 	// the same call returns the same list every time.
-	it := r.newItems()
-	vecs := r.rows(it, recs)
+	rows := r.listRows(recs)
+	s := r.desc.get()
+	defer r.desc.put(s)
 
-	out := make([]Recommendation, 0, n)
-	chosen := make([]int, 0, n)
-	remaining := make([]int, 0, len(recs)-1)
-	out = append(out, recs[0]) // the top candidate always leads
-	chosen = append(chosen, 0)
+	out := make([]Recommendation, 1, n)
+	out[0] = recs[0] // the top candidate always leads
+	last, remaining := 0, make([]int, 0, len(recs)-1)
 	for i := 1; i < len(recs); i++ {
 		remaining = append(remaining, i)
 	}
 
 	// simToChosen accumulates Σ sim(candidate, chosen) incrementally.
 	simToChosen := make([]float64, len(recs))
+	byDissim, dissimRank := make([]int, 0, len(remaining)), make([]int, len(recs))
 	for len(out) < n && len(remaining) > 0 {
-		it.sc.Load(&vecs[chosen[len(chosen)-1]])
+		s.sc.Load(rows[last])
 		for _, c := range remaining {
-			if s, ok := it.affinity(&vecs[c]); ok {
-				simToChosen[c] += s
+			if sim, ok := affinity(s.sc, rows[c]); ok {
+				simToChosen[c] += sim
 			}
 		}
-		// Dissimilarity rank: ascending accumulated similarity.
-		byDissim := append([]int(nil), remaining...)
-		sort.Slice(byDissim, func(a, b int) bool {
-			if simToChosen[byDissim[a]] != simToChosen[byDissim[b]] {
-				return simToChosen[byDissim[a]] < simToChosen[byDissim[b]]
-			}
-			return byDissim[a] < byDissim[b] // accuracy order breaks ties
-		})
-		dissimRank := make(map[int]int, len(byDissim))
+		// Dissimilarity rank: ascending accumulated similarity, ties in
+		// accuracy order (remaining's order, which the stable sort keeps).
+		byDissim = append(byDissim[:0], remaining...)
+		slices.SortStableFunc(byDissim, func(a, b int) int { return cmp.Compare(simToChosen[a], simToChosen[b]) })
 		for rank, c := range byDissim {
 			dissimRank[c] = rank
 		}
@@ -161,13 +182,8 @@ func (r *Recommender) Diversify(recs []Recommendation, n int, theta float64) []R
 			}
 		}
 		out = append(out, recs[best])
-		chosen = append(chosen, best)
-		for i, c := range remaining {
-			if c == best {
-				remaining = append(remaining[:i], remaining[i+1:]...)
-				break
-			}
-		}
+		last = best
+		remaining = slices.DeleteFunc(remaining, func(c int) bool { return c == best })
 	}
 	return out
 }

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"context"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"slices"
+	"sync"
 	"testing"
 
 	"swrec/internal/cf"
@@ -233,6 +237,142 @@ func TestContentSimilaritiesAreDeterministic(t *testing.T) {
 		recs, got := run()
 		if !slices.Equal(recs, wantRecs) || !slices.Equal(got, want) {
 			t.Fatalf("call %d differs from the first", call)
+		}
+	}
+}
+
+// TestProductRowPathsDoNotAllocatePerTopic: once warm, every path that
+// compares descriptor rows allocates the same bytes per call over a
+// 341-topic and a 5,461-topic taxonomy. The rows come from the
+// recommender's descriptor matrix and the scratch from its pool; a
+// gatherer and scratch of taxonomy size made per call would grow with it.
+func TestProductRowPathsDoNotAllocatePerTopic(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	// A GC may empty the pools, and a call that lands on another P misses
+	// the item its predecessor put in the old P's private slot.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	perCall := func(f func()) float64 {
+		f() // builds the matrix and fills the pool
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const calls = 50
+		for range calls {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / calls
+	}
+	paths := []string{"ProductSimilarity", "IntraListSimilarity", "Diversify", "content-boost vote"}
+	measure := func(cfg datagen.Config) (bytes []float64, topics int) {
+		comm, _ := datagen.Generate(cfg)
+		r, err := New(comm, Options{CF: cf.Options{Measure: cf.Cosine, Representation: cf.Taxonomy}, ContentBoost: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prods := comm.Products()[:30]
+		recs := make([]Recommendation, len(prods))
+		for i, p := range prods {
+			recs[i] = Recommendation{Product: p, Score: float64(len(prods) - i)}
+		}
+		active := comm.Agents()[0]
+		peers, err := r.RankedPeers(active)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []float64{
+			perCall(func() { r.ProductSimilarity(prods[0], prods[1]) }),
+			perCall(func() { r.IntraListSimilarity(recs) }),
+			perCall(func() { r.Diversify(recs, 10, 0.5) }),
+			perCall(func() {
+				if _, err := r.RecommendFromCtx(context.Background(), active, peers, 10); err != nil {
+					t.Fatal(err)
+				}
+			}),
+		}, comm.Taxonomy().Len()
+	}
+	small := datagen.SmallScale()
+	small.Agents, small.Products = 60, 80
+	// Two more levels: every leaf pool stays a power of two, so the
+	// generator draws the same ratings and trust over the larger taxonomy.
+	large := small
+	large.Taxonomy.Depth += 2
+	sb, st := measure(small)
+	lb, lt := measure(large)
+	if lt < 8*st {
+		t.Fatalf("taxonomies of %d and %d topics: the test needs 8× between them", st, lt)
+	}
+	for i, path := range paths {
+		if d := math.Abs(sb[i] - lb[i]); d > 0.1*max(sb[i], lb[i]) {
+			t.Errorf("%s: %.0f B/call over %d topics, %.0f B/call over %d", path, sb[i], st, lb[i], lt)
+		}
+	}
+}
+
+// TestProductRowPathsShareSafely: goroutines that race to the descriptor
+// matrix's first use, through one recommender and a WithOptions variant
+// of it, and share its scratch pool get the bits one goroutine gets
+// alone.
+func TestProductRowPathsShareSafely(t *testing.T) {
+	cfg := datagen.SmallScale()
+	cfg.Agents, cfg.Products = 60, 80
+	comm, _ := datagen.Generate(cfg)
+	opt := Options{CF: cf.Options{Measure: cf.Cosine, Representation: cf.Taxonomy}, ContentBoost: 1}
+	prods := comm.Products()[:20]
+	recs := make([]Recommendation, len(prods))
+	for i, p := range prods {
+		recs[i] = Recommendation{Product: p, Score: float64(len(prods) - i)}
+	}
+	run := func(r *Recommender) (bits []uint64) {
+		for _, p := range prods {
+			s, _ := r.ProductSimilarity(prods[0], p)
+			bits = append(bits, math.Float64bits(s))
+		}
+		bits = append(bits, math.Float64bits(r.IntraListSimilarity(recs)))
+		for _, rec := range r.Diversify(recs, 10, 0.5) {
+			bits = append(bits, math.Float64bits(rec.Score))
+		}
+		boosted, err := r.Recommend(comm.Agents()[1], 10)
+		if err != nil {
+			t.Error(err)
+		}
+		for _, rec := range boosted {
+			bits = append(bits, math.Float64bits(rec.Score))
+		}
+		return bits
+	}
+	alone, err := New(comm, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run(alone)
+	shared, err := New(comm, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	variant, err := shared.WithOptions(Options{CF: cf.Options{Representation: cf.Taxonomy}, ContentBoost: 1, Metric: NoTrust})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]uint64, 6)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g%2 == 0 {
+				got[g] = run(shared)
+			} else {
+				got[g] = run(variant)[:len(prods)+11] // the variant votes differently
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if n := len(got[g]); !slices.Equal(got[g], want[:n]) {
+			t.Errorf("goroutine %d: bits differ from a lone run", g)
 		}
 	}
 }

@@ -29,15 +29,15 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"swrec/internal/cf"
 	"swrec/internal/model"
-	"swrec/internal/profile"
 	"swrec/internal/taxonomy"
 	"swrec/internal/trust"
 )
@@ -59,20 +59,23 @@ const (
 	NoTrust
 )
 
+// metricNames are the metrics' String names.
+var metricNames = [...]string{Appleseed: "appleseed", Advogato: "advogato", PathTrust: "pathtrust", NoTrust: "none"}
+
 // String names the metric for experiment output.
 func (m Metric) String() string {
-	switch m {
-	case Appleseed:
-		return "appleseed"
-	case Advogato:
-		return "advogato"
-	case PathTrust:
-		return "pathtrust"
-	case NoTrust:
-		return "none"
-	default:
-		return fmt.Sprintf("Metric(%d)", int(m))
+	if m >= 0 && int(m) < len(metricNames) {
+		return metricNames[m]
 	}
+	return fmt.Sprintf("Metric(%d)", int(m))
+}
+
+// ParseMetric is the inverse of Metric.String: the metric named s.
+func ParseMetric(s string) (Metric, error) {
+	if i := slices.Index(metricNames[:], s); i >= 0 {
+		return Metric(i), nil
+	}
+	return 0, fmt.Errorf("metric must be appleseed|advogato|pathtrust|none, got %q", s)
 }
 
 // MergeMode selects how trust rank and similarity rank synthesize into
@@ -194,8 +197,8 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// validate checks defaulted options.
-func (o Options) validate() error {
+// validate checks defaulted options for a community with taxonomy tax.
+func (o Options) validate(tax *taxonomy.Taxonomy) error {
 	if a := o.alpha(); a < 0 || a > 1 {
 		return fmt.Errorf("core: alpha must be in [0,1], got %v", a)
 	}
@@ -207,6 +210,9 @@ func (o Options) validate() error {
 	}
 	if o.ContentBoost < 0 {
 		return fmt.Errorf("core: content boost must be >= 0, got %v", o.ContentBoost)
+	}
+	if o.ContentBoost > 0 && tax == nil {
+		return fmt.Errorf("core: content boost requires a taxonomy")
 	}
 	return nil
 }
@@ -253,60 +259,52 @@ type Recommender struct {
 	comm   *model.Community //nolint:snapshotpin -- constructed per community view; engine.Snapshot owns it and discards it at Swap
 	opt    Options
 	filter *cf.Filter
-	gen    *profile.Generator // content-boost affinity; nil without taxonomy
 	// adj is the community's compiled adjacency — the trust CSR stage 1
 	// walks and the ratings CSR stage 4 votes over — shared, like filter,
 	// with every WithOptions variant. Each relation compiles on the first
 	// cold request that needs it.
-	adj *model.Adjacency
+	adj  *model.Adjacency
+	desc *descriptors // content boost's and diversification's item space, shared like adj
 }
 
 // New creates a recommender. Taxonomy-based CF representations and
 // ContentBoost require the community to carry a taxonomy.
 func New(comm *model.Community, opt Options) (*Recommender, error) {
 	opt = opt.WithDefaults()
-	if err := opt.validate(); err != nil {
+	if err := opt.validate(comm.Taxonomy()); err != nil {
 		return nil, err
 	}
 	f, err := cf.New(comm, opt.CF)
 	if err != nil {
 		return nil, err
 	}
-	r := &Recommender{comm: comm, opt: opt, filter: f, adj: comm.Adjacency()}
-	if comm.Taxonomy() != nil {
-		r.gen = profile.New(comm.Taxonomy())
-	} else if opt.ContentBoost > 0 {
-		return nil, fmt.Errorf("core: content boost requires a taxonomy")
-	}
-	return r, nil
+	return &Recommender{comm: comm, opt: opt, filter: f, adj: comm.Adjacency(), desc: newDescriptors(comm)}, nil
 }
 
 // WithOptions derives a recommender over the same community with
-// different pipeline options. The compiled adjacency is always shared;
-// unless the CF configuration changes what a profile row holds
-// (representation, score constant, rating weighting) the derived
-// recommender also shares this one's similarity filter — a different
-// measure is a view over the same compiled matrix — so serving layers
-// can honor per-request overrides of the trust metric, α, similarity
-// measure or content mode without compiling anything.
+// different pipeline options. The compiled adjacency and the product
+// descriptor matrix are always shared; unless the CF configuration
+// changes what a profile row holds (representation, score constant,
+// rating weighting) the derived recommender also shares this one's
+// similarity filter — a different measure is a view over the same
+// compiled matrix — so serving layers can honor per-request overrides of
+// the trust metric, α, similarity measure or content mode without
+// compiling anything.
 func (r *Recommender) WithOptions(opt Options) (*Recommender, error) {
 	opt = opt.WithDefaults()
 	shared := r.opt.CF
 	shared.Measure = opt.CF.Measure
 	if opt.CF == shared {
-		if err := opt.validate(); err != nil {
+		if err := opt.validate(r.comm.Taxonomy()); err != nil {
 			return nil, err
 		}
-		if opt.ContentBoost > 0 && r.gen == nil {
-			return nil, fmt.Errorf("core: content boost requires a taxonomy")
-		}
-		return &Recommender{comm: r.comm, opt: opt, filter: r.filter.WithMeasure(opt.CF.Measure), gen: r.gen, adj: r.adj}, nil
+		return &Recommender{comm: r.comm, opt: opt, filter: r.filter.WithMeasure(opt.CF.Measure), adj: r.adj, desc: r.desc}, nil
 	}
 	nr, err := New(r.comm, opt)
 	if err != nil {
 		return nil, err
 	}
-	nr.adj = r.adj
+	nr.adj, nr.desc = r.adj, r.desc
 	return nr, nil
 }
 
@@ -567,17 +565,12 @@ func (r *Recommender) RecommendCtx(ctx context.Context, active model.AgentID, n 
 	return r.RecommendFromCtx(ctx, active, peers, n)
 }
 
-// RecommendFrom runs stage 4 only — the product vote — over an already
-// synthesized peer ranking, as produced by RankedPeers. Serving layers
-// that cache neighborhoods across requests (internal/engine) use this to
-// skip stages 1-3 entirely on a warm cache.
-func (r *Recommender) RecommendFrom(active model.AgentID, peers []PeerRank, n int) ([]Recommendation, error) {
-	return r.RecommendFromCtx(context.Background(), active, peers, n)
-}
-
-// RecommendFromCtx is RecommendFrom with cancellation: the product vote
-// checks ctx at per-peer boundaries (each peer may contribute an entire
-// rating history). Returns ctx.Err() when cancelled.
+// RecommendFromCtx runs stage 4 only — the product vote — over an
+// already synthesized peer ranking, as produced by RankedPeers. Serving
+// layers that cache neighborhoods across requests (internal/engine) use
+// this to skip stages 1-3 entirely on a warm cache. The vote checks ctx
+// at per-peer boundaries (each peer may contribute an entire rating
+// history); returns ctx.Err() when cancelled.
 func (r *Recommender) RecommendFromCtx(ctx context.Context, active model.AgentID, peers []PeerRank, n int) ([]Recommendation, error) {
 	act := r.comm.Agent(active)
 	if act == nil {
@@ -612,17 +605,18 @@ func (r *Recommender) RecommendFromCtx(ctx context.Context, active model.AgentID
 	cands := vs.accs[:vs.n]
 
 	// Content boost: scale each candidate's vote score by its affinity
-	// to the active agent's own taxonomy profile (hybrid filtering, §5).
+	// to the active agent's own taxonomy profile (hybrid filtering, §5),
+	// gathered into pooled scratch.
 	if r.opt.ContentBoost > 0 {
-		it := r.newItems()
-		if err := it.st.ProfileDense(ctx, act, r.comm, it.g); err != nil {
+		s := r.desc.get()
+		defer r.desc.put(s)
+		if err := s.st.ProfileDense(ctx, act, r.comm, s.g); err != nil {
 			return nil, err
 		}
-		active := it.g.Gather()
-		it.sc.Load(&active)
+		active := s.g.Gather()
+		s.sc.Load(&active)
 		for i := range cands {
-			row := it.row(r.adj.Product(cands[i].prod))
-			m, _ := it.affinity(&row)
+			m, _ := affinity(s.sc, r.desc.row(r.adj.Product(cands[i].prod)))
 			cands[i].score *= 1 + r.opt.ContentBoost*m
 		}
 	}
@@ -645,47 +639,33 @@ func (r *Recommender) RecommendFromCtx(ctx context.Context, active model.AgentID
 // with α.
 func bordaMerge(peers []PeerRank, alpha float64) {
 	n := len(peers)
-	if n == 0 {
-		return
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	score := func(rank int) float64 { return float64(n-rank) / float64(n) }
-
-	// Trust ordering (ties by agent ID for determinism).
-	sort.Slice(idx, func(a, b int) bool {
-		pa, pb := peers[idx[a]], peers[idx[b]]
-		if pa.Trust != pb.Trust {
-			return pa.Trust > pb.Trust
+	// borda returns each peer's Borda score in the order of ascending
+	// class, then descending value, then agent ID; class 1 scores 0.
+	borda := func(key func(p *PeerRank) (class int, value float64)) []float64 {
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
 		}
-		return pa.Agent < pb.Agent
+		slices.SortFunc(idx, func(a, b int) int {
+			ca, va := key(&peers[a])
+			cb, vb := key(&peers[b])
+			return cmp.Or(cmp.Compare(ca, cb), cmp.Compare(vb, va), cmp.Compare(peers[a].Agent, peers[b].Agent))
+		})
+		score := make([]float64, n)
+		for rank, i := range idx {
+			if c, _ := key(&peers[i]); c == 0 {
+				score[i] = float64(n-rank) / float64(n)
+			}
+		}
+		return score
+	}
+	trustScore := borda(func(p *PeerRank) (int, float64) { return 0, p.Trust })
+	simScore := borda(func(p *PeerRank) (int, float64) {
+		if p.SimOK && p.Sim >= 0 {
+			return 0, p.Sim
+		}
+		return 1, p.Sim
 	})
-	trustScore := make([]float64, n)
-	for rank, i := range idx {
-		trustScore[i] = score(rank)
-	}
-
-	// Similarity ordering: defined non-negative similarities first.
-	sort.Slice(idx, func(a, b int) bool {
-		pa, pb := peers[idx[a]], peers[idx[b]]
-		ea, eb := pa.SimOK && pa.Sim >= 0, pb.SimOK && pb.Sim >= 0
-		if ea != eb {
-			return ea
-		}
-		if pa.Sim != pb.Sim {
-			return pa.Sim > pb.Sim
-		}
-		return pa.Agent < pb.Agent
-	})
-	simScore := make([]float64, n)
-	for rank, i := range idx {
-		if p := peers[i]; p.SimOK && p.Sim >= 0 {
-			simScore[i] = score(rank)
-		}
-	}
-
 	for i := range peers {
 		peers[i].Weight = alpha*trustScore[i] + (1-alpha)*simScore[i]
 	}
@@ -695,21 +675,14 @@ func bordaMerge(peers []PeerRank, alpha float64) {
 // positive ratings reach — the categories NOT "left untouched until now".
 func (r *Recommender) touchedTopics(act *model.Agent) map[taxonomy.Topic]bool {
 	touched := make(map[taxonomy.Topic]bool)
-	if r.comm.Taxonomy() == nil {
-		return touched
-	}
+	tax := r.comm.Taxonomy()
 	for prod, v := range act.Ratings {
-		if v <= 0 {
-			continue
-		}
-		p := r.comm.Product(prod)
-		if p == nil {
-			continue
-		}
-		for _, d := range p.Topics {
-			touched[d] = true
-			for _, anc := range r.comm.Taxonomy().Ancestors(d) {
-				touched[anc] = true
+		if p := r.comm.Product(prod); tax != nil && v > 0 && p != nil {
+			for _, d := range p.Topics {
+				touched[d] = true
+				for _, anc := range tax.Ancestors(d) {
+					touched[anc] = true
+				}
 			}
 		}
 	}
@@ -717,16 +690,13 @@ func (r *Recommender) touchedTopics(act *model.Agent) map[taxonomy.Topic]bool {
 	return touched
 }
 
-// isNovelProduct reports whether every descriptor of p lies outside the
-// touched set (ignoring the root, which every path shares).
+// isNovelProduct reports whether p has descriptors and every one lies
+// outside the touched set (ignoring the root, which every path shares).
 func (r *Recommender) isNovelProduct(p *model.Product, touched map[taxonomy.Topic]bool) bool {
-	if p == nil || len(p.Topics) == 0 {
-		return false
-	}
 	for _, d := range p.Topics {
 		if touched[d] {
 			return false
 		}
 	}
-	return true
+	return len(p.Topics) > 0
 }

@@ -631,10 +631,25 @@ func TestNoTrustAndCandidatesCarryOrdinals(t *testing.T) {
 					t.Fatalf("%s from %s: peer %s carries ordinal %d", tc.name, active, p.Agent, p.Ord())
 				}
 			}
-			recs, err := r.RecommendFrom(active, peers, 0)
+			recs, err := r.RecommendFromCtx(context.Background(), active, peers, 0)
 			if want := naiveVote(r, active, peers, 0); err != nil || len(recs) == 0 || !slices.Equal(recs, want) {
 				t.Fatalf("%s from %s: vote %+v, oracle %+v (%v)", tc.name, active, recs, want, err)
 			}
+		}
+	}
+}
+
+// TestParseMetricInvertsString: every metric survives String then
+// ParseMetric, and a name no metric has is an error.
+func TestParseMetricInvertsString(t *testing.T) {
+	for _, m := range []Metric{Appleseed, Advogato, PathTrust, NoTrust} {
+		if got, err := ParseMetric(m.String()); err != nil || got != m {
+			t.Errorf("ParseMetric(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	for _, s := range []string{"", "Appleseed", Metric(99).String()} {
+		if m, err := ParseMetric(s); err == nil {
+			t.Errorf("ParseMetric(%q) = %v, want an error", s, m)
 		}
 	}
 }

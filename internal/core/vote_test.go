@@ -9,6 +9,8 @@ import (
 	"unsafe"
 
 	"swrec/internal/model"
+	"swrec/internal/profile"
+	"swrec/internal/profmat"
 	"swrec/internal/taxonomy"
 	"swrec/internal/trust"
 )
@@ -88,21 +90,27 @@ func naiveVote(r *Recommender, active model.AgentID, peers []PeerRank, boost flo
 			a.supporters++
 		}
 	}
-	it := r.newItems()
+	// The boost's oracle compiles every row afresh, outside the
+	// recommender's descriptor matrix.
+	gen := profile.New(r.comm.Taxonomy())
+	dims := r.comm.Taxonomy().Len()
+	sc := profmat.NewScratch(dims)
 	if boost > 0 {
-		if err := it.st.ProfileDense(context.Background(), act, r.comm, it.g); err != nil {
+		prof, err := gen.ProfileCtx(context.Background(), act, r.comm)
+		if err != nil {
 			panic(err)
 		}
-		profile := it.g.Gather()
-		it.sc.Load(&profile)
+		sc.Load(&prof)
 	}
 	var out []Recommendation
 	for _, id := range order {
 		score := acc[id].score
 		if boost > 0 {
-			row := it.row(r.comm.Product(id))
-			m, _ := it.affinity(&row)
-			score *= 1 + boost*m
+			g := profmat.NewGatherer(dims, 0)
+			gen.NewStreamer().ProductDense(r.comm.Product(id), g)
+			row := g.Gather()
+			m, _ := sc.CosineTo(&row)
+			score *= 1 + boost*max(m, 0)
 		}
 		out = append(out, Recommendation{Product: id, Score: score, Supporters: acc[id].supporters})
 	}
@@ -134,7 +142,7 @@ func TestTopNMatchesFullSortUnderTies(t *testing.T) {
 			t.Fatalf("fixture: %d candidates with %d adjacent ties — not a tie-heavy vote", len(want), ties)
 		}
 		for _, n := range []int{0, 1, 10, len(want) - 1, len(want), len(want) + 1} {
-			got, err := r.RecommendFrom("active", peers, n)
+			got, err := r.RecommendFromCtx(context.Background(), "active", peers, n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,10 +178,10 @@ func TestVoteLeavesPooledStateClean(t *testing.T) {
 		if _, err := r.RecommendFromCtx(ctx, "active", long, 5); err != context.Canceled {
 			t.Fatalf("cancelled vote returned %v", err)
 		}
-		if _, err := r.RecommendFrom("voter0", peers, 0); err != nil {
+		if _, err := r.RecommendFromCtx(context.Background(), "voter0", peers, 0); err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.RecommendFrom("active", peers, 0)
+		got, err := r.RecommendFromCtx(context.Background(), "active", peers, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,10 +207,10 @@ func TestZeroValueRankIsNotResolved(t *testing.T) {
 			t.Fatalf("zero-value rank has ordinal %d", zero[i].Ord())
 		}
 	}
-	if got, err := r.RecommendFrom("active", zero, 0); err != nil || len(got) != 0 {
+	if got, err := r.RecommendFromCtx(context.Background(), "active", zero, 0); err != nil || len(got) != 0 {
 		t.Fatalf("zero-value ranks voted: %+v, %v", got, err)
 	}
-	got, err := r.RecommendFrom("active", append(append([]PeerRank(nil), peers...), zero...), 0)
+	got, err := r.RecommendFromCtx(context.Background(), "active", append(append([]PeerRank(nil), peers...), zero...), 0)
 	if want := naiveVote(r, "active", peers, 0); err != nil || !slices.Equal(got, want) {
 		t.Fatalf("zero-value ranks changed the vote:\n got %+v\nwant %+v (%v)", got, want, err)
 	}

@@ -43,33 +43,3 @@ func TestCrawlBreakerSuspendsDeadHost(t *testing.T) {
 		t.Fatalf("breaker state = %v, want open", states["dead.example"])
 	}
 }
-
-// TestCrawlDisableBreaker keeps every fetch on the wire when breakers
-// are off, however dead the host.
-func TestCrawlDisableBreaker(t *testing.T) {
-	var in semweb.Internet
-	seeds := make([]model.AgentID, 8)
-	for i := range seeds {
-		seeds[i] = model.AgentID(fmt.Sprintf("http://dead.example/people/a%d", i))
-	}
-	cr := &Crawler{
-		Client:         in.Client(),
-		Concurrency:    1,
-		MaxRetries:     -1,
-		DisableBreaker: true,
-		Breaker:        resilience.BreakerConfig{Window: 4, MinSamples: 4, OpenFor: time.Hour},
-	}
-	res, err := cr.Crawl(context.Background(), "", "", seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.BreakerOpen != 0 {
-		t.Fatalf("BreakerOpen = %d with breakers disabled", res.Stats.BreakerOpen)
-	}
-	if res.Stats.Failed != len(seeds) {
-		t.Fatalf("Failed = %d, want %d", res.Stats.Failed, len(seeds))
-	}
-	if len(cr.BreakerStates()) != 0 {
-		t.Fatal("BreakerStates must be empty with breakers disabled")
-	}
-}

@@ -76,14 +76,11 @@ type Crawler struct {
 	// the first try. 0 keeps the default of one retry; negative disables
 	// retrying entirely.
 	MaxRetries int
-	// DisableBreaker turns off the per-host circuit breakers. By default
-	// every fetch consults the host's breaker: a host whose recent
-	// fetches mostly failed is suspended for a cooldown instead of
-	// pinning workers on a dead peer (the Semantic Web treats
-	// unavailability as the normal case, not the exception).
-	DisableBreaker bool
-	// Breaker tunes the per-host circuit breakers; zero values take the
-	// resilience package defaults.
+	// Breaker tunes the per-host circuit breakers every fetch consults:
+	// a host whose recent fetches mostly failed is suspended for a
+	// cooldown instead of pinning workers on a dead peer (the Semantic
+	// Web treats unavailability as the normal case, not the exception).
+	// Zero values take the resilience package defaults.
 	Breaker resilience.BreakerConfig
 
 	breakerOnce sync.Once
@@ -191,11 +188,8 @@ func (c *Crawler) fetchDoc(ctx context.Context, rawURL string, st *Stats, mu *sy
 }
 
 // breakerFor returns the circuit breaker guarding rawURL's host, or nil
-// when breakers are disabled or the URL has no host.
+// when the URL has no host.
 func (c *Crawler) breakerFor(rawURL string) *resilience.Breaker {
-	if c.DisableBreaker {
-		return nil
-	}
 	u, err := url.Parse(rawURL)
 	if err != nil || u.Host == "" {
 		return nil
@@ -206,9 +200,9 @@ func (c *Crawler) breakerFor(rawURL string) *resilience.Breaker {
 
 // BreakerStates snapshots the per-host breaker states accumulated so
 // far — the observability hook for operators watching a long crawl.
-// Hosts never fetched (or breakers disabled) yield an empty map.
+// Before the first fetch it is an empty map.
 func (c *Crawler) BreakerStates() map[string]resilience.State {
-	if c.DisableBreaker || c.breakers == nil {
+	if c.breakers == nil {
 		return map[string]resilience.State{}
 	}
 	return c.breakers.States()

@@ -58,12 +58,6 @@ func NewDelta() *Delta {
 	}
 }
 
-// Empty reports whether the delta marks no changes at all.
-func (d *Delta) Empty() bool {
-	return d != nil && len(d.RatingsChanged) == 0 && len(d.TrustChanged) == 0 &&
-		!d.AgentsAdded && !d.ProductsChanged
-}
-
 // trustDirtySet expands the trust-mutation source ordinals to every agent
 // whose neighborhood exploration could observe one of them: a
 // neighborhood is computed by walking trust edges forward from its active

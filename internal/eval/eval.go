@@ -23,7 +23,6 @@ import (
 	"swrec/internal/cf"
 	"swrec/internal/core"
 	"swrec/internal/model"
-	"swrec/internal/trust"
 )
 
 // SimilarityGap contrasts the mean profile similarity of trusted pairs
@@ -224,96 +223,6 @@ func Exposure(recs []core.Recommendation, pushed model.ProductID) AttackExposure
 		}
 	}
 	return AttackExposure{}
-}
-
-// KendallTau computes Kendall's τ-a between two orderings of the same set
-// of agents. It returns an error when the rankings do not cover the same
-// set. τ = 1 means identical order, -1 reversed.
-func KendallTau(a, b []model.AgentID) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("eval: rankings differ in length: %d vs %d", len(a), len(b))
-	}
-	n := len(a)
-	if n < 2 {
-		return 0, fmt.Errorf("eval: need at least 2 elements, got %d", n)
-	}
-	pos := make(map[model.AgentID]int, n)
-	for i, id := range b {
-		pos[id] = i
-	}
-	if len(pos) != n {
-		return 0, fmt.Errorf("eval: rankings contain duplicates")
-	}
-	perm := make([]int, n)
-	used := make([]bool, n)
-	for i, id := range a {
-		p, ok := pos[id]
-		if !ok {
-			return 0, fmt.Errorf("eval: %s missing from second ranking", id)
-		}
-		if used[p] {
-			return 0, fmt.Errorf("eval: rankings contain duplicates")
-		}
-		used[p] = true
-		perm[i] = p
-	}
-	concordant, discordant := 0, 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if perm[i] < perm[j] {
-				concordant++
-			} else {
-				discordant++
-			}
-		}
-	}
-	total := n * (n - 1) / 2
-	return float64(concordant-discordant) / float64(total), nil
-}
-
-// Spearman computes Spearman's ρ between two orderings of the same agent
-// set (rank correlation over positions).
-func Spearman(a, b []model.AgentID) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("eval: rankings differ in length: %d vs %d", len(a), len(b))
-	}
-	n := len(a)
-	if n < 2 {
-		return 0, fmt.Errorf("eval: need at least 2 elements, got %d", n)
-	}
-	pos := make(map[model.AgentID]int, n)
-	for i, id := range b {
-		pos[id] = i
-	}
-	var d2 float64
-	for i, id := range a {
-		p, ok := pos[id]
-		if !ok {
-			return 0, fmt.Errorf("eval: %s missing from second ranking", id)
-		}
-		diff := float64(i - p)
-		d2 += diff * diff
-	}
-	nn := float64(n)
-	return 1 - 6*d2/(nn*(nn*nn-1)), nil
-}
-
-// RankAgents extracts the agent ordering from a trust neighborhood.
-func RankAgents(nb *trust.Neighborhood) []model.AgentID {
-	out := make([]model.AgentID, len(nb.Ranks))
-	for i, r := range nb.Ranks {
-		out[i] = r.Agent
-	}
-	return out
-}
-
-// RankPeers extracts the agent ordering from synthesized peer ranks.
-func RankPeers(peers []core.PeerRank) []model.AgentID {
-	out := make([]model.AgentID, len(peers))
-	for i, p := range peers {
-		out[i] = p.Agent
-	}
-	return out
 }
 
 // PRPoint is one precision/recall measurement at a list length N.

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -162,55 +161,6 @@ func TestExposure(t *testing.T) {
 	}
 }
 
-func TestKendallTau(t *testing.T) {
-	a := []model.AgentID{"a", "b", "c", "d"}
-	if tau, err := KendallTau(a, a); err != nil || tau != 1 {
-		t.Fatalf("identical τ = %v,%v", tau, err)
-	}
-	rev := []model.AgentID{"d", "c", "b", "a"}
-	if tau, err := KendallTau(a, rev); err != nil || tau != -1 {
-		t.Fatalf("reversed τ = %v,%v", tau, err)
-	}
-	swapped := []model.AgentID{"b", "a", "c", "d"}
-	tau, err := KendallTau(a, swapped)
-	if err != nil || math.Abs(tau-(1-2.0/6.0*2)) > 1e-9 {
-		// One discordant pair of six: τ = (5-1)/6.
-		if math.Abs(tau-4.0/6.0) > 1e-9 {
-			t.Fatalf("one-swap τ = %v,%v", tau, err)
-		}
-	}
-	if _, err := KendallTau(a, a[:3]); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := KendallTau(a, []model.AgentID{"a", "b", "c", "x"}); err == nil {
-		t.Fatal("set mismatch accepted")
-	}
-	if _, err := KendallTau([]model.AgentID{"a"}, []model.AgentID{"a"}); err == nil {
-		t.Fatal("singleton accepted")
-	}
-	dup := []model.AgentID{"a", "a", "b", "c"}
-	if _, err := KendallTau(dup, a); err == nil {
-		t.Fatal("duplicates accepted")
-	}
-}
-
-func TestSpearman(t *testing.T) {
-	a := []model.AgentID{"a", "b", "c", "d", "e"}
-	if rho, err := Spearman(a, a); err != nil || rho != 1 {
-		t.Fatalf("identical ρ = %v,%v", rho, err)
-	}
-	rev := []model.AgentID{"e", "d", "c", "b", "a"}
-	if rho, err := Spearman(a, rev); err != nil || rho != -1 {
-		t.Fatalf("reversed ρ = %v,%v", rho, err)
-	}
-	if _, err := Spearman(a, a[:2]); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := Spearman(a, []model.AgentID{"a", "b", "c", "d", "x"}); err == nil {
-		t.Fatal("set mismatch accepted")
-	}
-}
-
 func TestMeanStd(t *testing.T) {
 	m, s := MeanStd([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if m != 5 || s != 2 {
@@ -218,32 +168,5 @@ func TestMeanStd(t *testing.T) {
 	}
 	if m, s := MeanStd(nil); m != 0 || s != 0 {
 		t.Fatal("empty MeanStd must be 0,0")
-	}
-}
-
-func TestRankExtractors(t *testing.T) {
-	comm, _ := smallCommunity(t, 0.8)
-	r, err := core.New(comm, core.Options{
-		CF: cf.Options{Measure: cf.Cosine, Representation: cf.Taxonomy},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	active := comm.Agents()[0]
-	nb, err := r.Neighborhood(active)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := RankAgents(nb)
-	if len(ids) != len(nb.Ranks) {
-		t.Fatal("RankAgents lost entries")
-	}
-	peers, err := r.RankedPeers(active)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pids := RankPeers(peers)
-	if len(pids) != len(peers) {
-		t.Fatal("RankPeers lost entries")
 	}
 }

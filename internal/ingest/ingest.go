@@ -671,9 +671,8 @@ func ValidateIn(c *model.Community, m wal.Mutation) error {
 
 // Apply folds one mutation into a mutable community. Upserts are
 // last-writer-wins, retractions of absent statements are no-ops, and a
-// rating of an uncataloged product registers a bare catalog entry (the
-// same recovery Merge uses) — together this makes ordered replay
-// idempotent.
+// rating of an uncataloged product registers a bare catalog entry —
+// together this makes ordered replay idempotent.
 func Apply(c *model.Community, m wal.Mutation) error {
 	switch m.Op {
 	case wal.OpUpsertAgent:

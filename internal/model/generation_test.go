@@ -167,7 +167,7 @@ func (m *mutator) step(t *testing.T, c, oracle *Community) string {
 			t.Errorf("mutation result differs: %v on the generation, %v on the oracle", err, oerr)
 		}
 	}
-	switch k := m.rng.Intn(10); k {
+	switch k := m.rng.Intn(9); k {
 	case 0, 1: // trust upsert; either endpoint may be a joiner
 		src, dst, v := m.agent(), m.agent(), m.value()
 		both(func(c *Community) error { return c.SetTrust(src, dst, v) })
@@ -196,7 +196,7 @@ func (m *mutator) step(t *testing.T, c, oracle *Community) string {
 		a, name := m.agent(), fmt.Sprintf("name %d", m.rng.Intn(1000))
 		both(func(c *Community) error { c.AddAgent(a).Name = name; return nil })
 		return fmt.Sprintf("AddAgent(%s).Name=%q", a, name)
-	case 7, 8: // a new catalog entry, or a metadata refresh of an existing one
+	default: // a new catalog entry, or a metadata refresh of an existing one
 		p := m.product1()
 		both(func(c *Community) error {
 			cp := p
@@ -205,43 +205,7 @@ func (m *mutator) step(t *testing.T, c, oracle *Community) string {
 			return nil
 		})
 		return fmt.Sprintf("AddProduct(%+v)", p)
-	default:
-		other := m.crawl(c)
-		both(func(c *Community) error { c.Merge(other); return nil })
-		return fmt.Sprintf("Merge(%d agents, %d products)", other.NumAgents(), other.NumProducts())
 	}
-}
-
-// crawl builds a small foreign view to Merge: refreshed and new products,
-// known and new agents with names, ratings, and trust statements. Each
-// agent names at most one peer c may not know yet, so the order Merge
-// materializes endpoints in does not depend on map iteration.
-func (m *mutator) crawl(c *Community) *Community {
-	other := NewCommunity(c.Taxonomy())
-	for k := 1 + m.rng.Intn(3); k > 0; k-- {
-		other.AddProduct(m.product1())
-	}
-	for k := 1 + m.rng.Intn(3); k > 0; k-- {
-		a := m.agent()
-		dsts := []AgentID{m.known(c), m.known(c)}
-		if !other.HasAgent(a) || len(other.Agent(a).Trust) == 0 {
-			dsts = append(dsts, m.agent())
-		}
-		if m.rng.Intn(2) == 0 {
-			other.AddAgent(a).Name = fmt.Sprintf("crawled %d", m.rng.Intn(1000))
-		}
-		for _, dst := range dsts {
-			if dst != a {
-				_ = other.SetTrust(a, dst, m.value())
-			}
-		}
-		for _, pid := range other.Products() {
-			if m.rng.Intn(2) == 0 {
-				_ = other.SetRating(a, pid, m.value())
-			}
-		}
-	}
-	return other
 }
 
 // seedGeneration builds generation 0: half of each pool, with statements.

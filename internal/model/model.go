@@ -633,32 +633,3 @@ func (c *Community) Validate() error {
 	}
 	return nil
 }
-
-// Merge folds the contents of other into c: union of agents, trust and
-// rating statements (other wins on conflicts, it is assumed fresher), and
-// union of catalogs. Taxonomies are not merged; c keeps its own. Merge is
-// how a crawler incrementally extends its materialized view.
-func (c *Community) Merge(other *Community) {
-	for _, p := range other.prodRecs {
-		c.AddProduct(*p)
-	}
-	for _, src := range other.agentRecs {
-		dst := c.AddAgent(src.ID)
-		if src.Name != "" {
-			dst.Name = src.Name
-		}
-		for peer, v := range src.Trust {
-			c.ensureAgent(peer)
-			dst.Trust[peer] = v
-		}
-		for p, v := range src.Ratings {
-			if _, ok := c.prodIdx.ord[p]; !ok {
-				// Statement about a product the catalog does not know yet;
-				// register a bare entry so the rating is not lost.
-				c.AddProduct(Product{ID: p})
-			}
-			dst.Ratings[p] = v
-		}
-		dst.MarkDirty()
-	}
-}

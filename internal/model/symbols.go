@@ -13,8 +13,8 @@ package model
 // epochs):
 //
 //   - an agent's ordinal is assigned at first materialization and never
-//     changes: Clone preserves it, Merge and the ingest apply path only
-//     append, and nothing deletes agents;
+//     changes: Clone preserves it, the ingest apply path and the
+//     importers only append, and nothing deletes agents;
 //   - therefore the agents of epoch N are a prefix — with identical
 //     ordinals — of the agents of every later epoch in the same clone
 //     lineage, and agents joined in between occupy fresh ordinals at and

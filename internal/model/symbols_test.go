@@ -178,7 +178,7 @@ func TestSymbolsFreshOrdinalsForJoins(t *testing.T) {
 // TestSymbolsRecordTables: AgentAt/ProductAt index dense record tables,
 // so they must return the very record the registry holds — pointer
 // identity, not just an equal ID — for every agent and product, on a
-// clone lineage that saw churn, joiners, a catalog refresh and a Merge;
+// clone lineage that saw churn, joiners and a catalog refresh;
 // and a generation's tables are its own: what it writes, appends or
 // refreshes never appears in its source's.
 func TestSymbolsRecordTables(t *testing.T) {
@@ -235,16 +235,4 @@ func TestSymbolsRecordTables(t *testing.T) {
 	if bsym.AgentAt(0) == clone.Symbols().AgentAt(0) {
 		t.Fatal("the clone wrote an agent it still shares with its source")
 	}
-
-	// Merge registers agents, trust endpoints and bare products.
-	other := NewCommunity(nil)
-	other.AddProduct(Product{ID: "urn:p:merged"})
-	if err := other.SetTrust("urn:a:merged", "urn:a:3", 0.4); err != nil {
-		t.Fatal(err)
-	}
-	if err := other.SetRating("urn:a:merged", "urn:p:merged", 0.9); err != nil {
-		t.Fatal(err)
-	}
-	clone.Merge(other)
-	check(t, clone)
 }

@@ -195,6 +195,22 @@ func (s *Streamer) ProductDense(p *model.Product, out *profmat.Gatherer) {
 	}
 }
 
+// ProductMatrix compiles every product of comm's catalog to its
+// descriptor row (ProductDense) in one matrix, row i for product ordinal
+// i, by profmat.BuildDelta.
+func (g *Generator) ProductMatrix(comm *model.Community) *profmat.Matrix {
+	sym := comm.Symbols()
+	fill := func() profmat.Fill {
+		st := g.NewStreamer()
+		return func(ord int32, out *profmat.Gatherer) error {
+			st.ProductDense(sym.ProductAt(ord), out)
+			return nil
+		}
+	}
+	mat, _ := profmat.BuildDelta(sym.NumProducts(), g.tax.Len(), 1, nil, nil, fill) // the fill never fails
+	return mat
+}
+
 // spread is Eq. 3 for one product: its share splits evenly over its
 // descriptors, and each descriptor's share over its primary path by the
 // generator's mode.

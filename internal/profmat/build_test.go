@@ -30,11 +30,11 @@ func build(t testing.TB, comm *model.Community, gen *profile.Generator, workers 
 	t.Helper()
 	newFill := func() profmat.Fill {
 		st := gen.NewStreamer()
-		return func(ctx context.Context, ord int32, g *profmat.Gatherer) error {
-			return st.ProfileDense(ctx, comm.Symbols().AgentAt(ord), comm, g)
+		return func(ord int32, g *profmat.Gatherer) error {
+			return st.ProfileDense(context.Background(), comm.Symbols().AgentAt(ord), comm, g)
 		}
 	}
-	mat, err := profmat.BuildDelta(context.Background(), comm.NumAgents(), comm.Taxonomy().Len(), workers, prev, dirty, newFill)
+	mat, err := profmat.BuildDelta(comm.NumAgents(), comm.Taxonomy().Len(), workers, prev, dirty, newFill)
 	if err != nil {
 		t.Fatal(err)
 	}

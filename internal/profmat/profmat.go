@@ -20,7 +20,6 @@ package profmat
 
 import (
 	"cmp"
-	"context"
 	"math"
 	"math/bits"
 	"runtime"
@@ -205,10 +204,20 @@ func (g *Gatherer) Gather() Row {
 	}
 }
 
-// Fill writes the profile of the agent with the given ordinal into g —
-// the per-row compile BuildDelta runs for every row it does not carry.
-// An error aborts the build.
-type Fill func(ctx context.Context, ord int32, g *Gatherer) error
+// Reset drops whatever was added since the last Gather and empties the
+// arenas, so a pooled gatherer starts its next use as a new one would.
+// Every row gathered before it is invalidated: its entries are
+// overwritten by the next rows gathered.
+func (g *Gatherer) Reset() {
+	clear(g.bm)
+	g.keys, g.vals = g.keys[:0], g.vals[:0]
+}
+
+// Fill writes row ord — an agent's profile, a product's descriptors —
+// into g: the per-row compile BuildDelta runs for every row it does not
+// carry. An error aborts the build; a fill that can be cancelled
+// captures its caller's context and returns its error.
+type Fill func(ord int32, g *Gatherer) error
 
 // rowCapHint sizes a worker's arenas up front: the expected nnz per row
 // times the rows the worker will compile. Underestimates grow normally;
@@ -226,9 +235,9 @@ const rowCapHint = 48
 // are a prefix of the new one under identical ordinals, and any ordinal
 // at or past prev.Len() is a new agent that compiles regardless of dirty.
 // workers bounds the compile parallelism; values below 1 mean GOMAXPROCS.
-// The build is cancellable: on ctx expiry the partial matrix is discarded
-// and ctx.Err() returned.
-func BuildDelta(ctx context.Context, n, dims, workers int, prev *Matrix, dirty func(int32) bool, newFill func() Fill) (*Matrix, error) {
+// On a fill's error the partial matrix is discarded and the error
+// returned.
+func BuildDelta(n, dims, workers int, prev *Matrix, dirty func(int32) bool, newFill func() Fill) (*Matrix, error) {
 	m := &Matrix{rows: make([]Row, n)}
 	var todo []int32 // row indices (= agent ordinals) that need compiling
 	for i := range n {
@@ -255,7 +264,7 @@ func BuildDelta(ctx context.Context, n, dims, workers int, prev *Matrix, dirty f
 	compile := func(todo []int32) error {
 		fill, g := newFill(), NewGatherer(dims, len(todo)*rowCapHint)
 		for _, ri := range todo {
-			if err := fill(ctx, ri, g); err != nil {
+			if err := fill(ri, g); err != nil {
 				return err
 			}
 			m.rows[ri] = g.Gather()
@@ -343,6 +352,27 @@ type Scratch struct {
 // every row passed to Load/CosineTo/PearsonTo must be below dims.
 func NewScratch(dims int) *Scratch {
 	return &Scratch{vals: make([]float64, dims), stamp: make([]int32, dims)}
+}
+
+// Pool recycles scratches. Put unloads a scratch first, so a pooled one
+// holds no reference into the rows it last compared. The zero value is
+// ready for use; hold it by pointer in anything that must be collectable,
+// since the runtime keeps a used pool registered for up to two GC cycles.
+type Pool struct{ p sync.Pool }
+
+// Get returns a pooled scratch covering at least dims dimensions, or a
+// new one.
+func (p *Pool) Get(dims int) *Scratch {
+	if sc, ok := p.p.Get().(*Scratch); ok && sc.Dims() >= dims {
+		return sc
+	}
+	return NewScratch(dims)
+}
+
+// Put unloads sc and returns it to the pool.
+func (p *Pool) Put(sc *Scratch) {
+	sc.Unload()
+	p.p.Put(sc)
 }
 
 // Dims returns the dimension capacity.

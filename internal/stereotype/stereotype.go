@@ -3,11 +3,11 @@
 // taxonomy-based profile generation for automated stereotype generation
 // and efficient behavior modelling."
 //
-// A stereotype is a prototypical interest profile — a centroid over the
-// taxonomy score space. The package learns K stereotypes from a
+// A stereotype is a prototypical interest profile — a centroid row over
+// the taxonomy score space. The package learns K stereotypes from a
 // community's taxonomy profiles with spherical k-means (cosine
-// similarity, k-means++-style seeding, deterministic given a seed) and
-// supports:
+// similarity, k-means++-style seeding, bit-reproducible given a seed)
+// and supports:
 //
 //   - behavior modelling: describing each stereotype by its dominant
 //     taxonomy branches (TopTopics) and measuring cluster quality
@@ -24,18 +24,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
+	"swrec/internal/cf"
 	"swrec/internal/model"
-	"swrec/internal/profile"
-	"swrec/internal/sparse"
+	"swrec/internal/profmat"
 )
 
-var (
-	// ErrTooFewProfiles is returned when fewer non-empty profiles exist
-	// than requested stereotypes.
-	ErrTooFewProfiles = errors.New("stereotype: fewer non-empty profiles than stereotypes")
-)
+// ErrTooFewProfiles is returned when fewer non-empty profiles exist than
+// requested stereotypes.
+var ErrTooFewProfiles = errors.New("stereotype: fewer non-empty profiles than stereotypes")
 
 // Options parameterize learning.
 type Options struct {
@@ -60,7 +58,7 @@ func (o Options) withDefaults() Options {
 // Model is a learned set of stereotypes.
 type Model struct {
 	// Centroids are the stereotype profiles, unit-normalized.
-	Centroids []sparse.Vector
+	Centroids []profmat.Row
 	// Assignment maps each learned agent to its stereotype index.
 	Assignment map[model.AgentID]int
 	// Sizes[k] is the number of members of stereotype k.
@@ -72,183 +70,204 @@ type Model struct {
 	Cohesion float64
 }
 
-// ProfileFunc resolves an agent's interest profile (typically Profiles).
-type ProfileFunc func(model.AgentID) sparse.Vector
+// ProfileFunc resolves an agent's interest profile (typically Profiles);
+// nil stands for an empty profile.
+type ProfileFunc func(model.AgentID) *profmat.Row
 
-// Profiles resolves agents of comm to their Eq. 3 taxonomy profiles
-// (profile.Generator.ProfileCtx under the default settings), built on
-// every call and converted from the row to a vector. Unknown agents, and
+// Profiles resolves agents of comm to their Eq. 3 taxonomy profiles: the
+// rows of the community's profile matrix as cf.New compiles it under the
+// default taxonomy options, compiled once, here. Unknown agents, and
 // every agent of a community without a taxonomy, have empty profiles.
 func Profiles(comm *model.Community) ProfileFunc {
-	tax := comm.Taxonomy()
-	if tax == nil {
-		return func(model.AgentID) sparse.Vector { return nil }
+	var mat *profmat.Matrix
+	if f, err := cf.New(comm, cf.Options{}); err == nil { // fails only without a taxonomy
+		_ = f.Compile(context.Background()) // fails only on cancellation
+		mat = f.Matrix()
 	}
-	gen := profile.New(tax)
-	return func(id model.AgentID) sparse.Vector {
-		a := comm.Agent(id)
-		if a == nil {
-			return nil
+	sym := comm.Symbols()
+	return func(id model.AgentID) *profmat.Row {
+		if ord, ok := sym.AgentOrd(id); ok {
+			return mat.Row(ord)
 		}
-		row, _ := gen.ProfileCtx(context.Background(), a, comm) // errors only on cancellation
-		v := sparse.New(row.NNZ())
-		for i, k := range row.Keys {
-			v[k] = row.Vals[i]
-		}
-		return v
+		return nil
 	}
 }
 
 // Learn clusters the agents' profiles into opt.K stereotypes. Agents
 // with empty profiles are skipped (they carry no behavior to model).
+// Every similarity is Scratch.CosineTo and every sum runs in member order.
 func Learn(ids []model.AgentID, profileOf ProfileFunc, opt Options) (*Model, error) {
 	opt = opt.withDefaults()
 	if opt.K < 1 {
 		return nil, fmt.Errorf("stereotype: K must be >= 1, got %d", opt.K)
 	}
-
-	// Collect unit-normalized profiles.
-	type member struct {
-		id model.AgentID
-		v  sparse.Vector
-	}
-	var members []member
+	var members []model.AgentID
+	var rows []*profmat.Row
+	dims := 0
 	for _, id := range ids {
-		v := profileOf(id)
-		if n := v.Norm(); n > 0 {
-			members = append(members, member{id: id, v: v.Clone().Scale(1 / n)})
+		if r := profileOf(id); r != nil && r.Norm > 0 {
+			members, rows = append(members, id), append(rows, r)
+			dims = max(dims, lastKey(r)+1)
 		}
 	}
-	if len(members) < opt.K {
-		return nil, fmt.Errorf("%w: %d < %d", ErrTooFewProfiles, len(members), opt.K)
+	if len(rows) < opt.K {
+		return nil, fmt.Errorf("%w: %d < %d", ErrTooFewProfiles, len(rows), opt.K)
+	}
+	sc := profmat.NewScratch(dims)
+	// cosines returns every member's cosine to every centroid of cs,
+	// member-major: out[i*len(cs)+k] compares member i with cs[k].
+	cosines := func(cs []profmat.Row) []float64 {
+		out := make([]float64, len(rows)*len(cs))
+		for k := range cs {
+			sc.Load(&cs[k])
+			for i, r := range rows {
+				out[i*len(cs)+k], _ = sc.CosineTo(r)
+			}
+		}
+		return out
 	}
 
 	// k-means++-style seeding: first centroid uniform, then proportional
 	// to (1 - maxSim)² against chosen centroids.
 	rng := rand.New(rand.NewSource(opt.Seed))
-	centroids := make([]sparse.Vector, 0, opt.K)
-	centroids = append(centroids, members[rng.Intn(len(members))].v.Clone())
-	dist := make([]float64, len(members))
+	g := profmat.NewGatherer(dims, 0)
+	centroids := []profmat.Row{unit(g, rows[rng.Intn(len(rows))])}
+	best := make([]float64, len(rows)) // cosine to the nearest chosen centroid, floored at 0
 	for len(centroids) < opt.K {
 		total := 0.0
-		for i, m := range members {
-			best := 0.0
-			for _, c := range centroids {
-				if s := sparse.Dot(m.v, c); s > best {
-					best = s
-				}
-			}
-			d := 1 - best
-			dist[i] = d * d
-			total += dist[i]
+		for i, s := range cosines(centroids[len(centroids)-1:]) {
+			best[i] = max(best[i], s)
+			total += (1 - best[i]) * (1 - best[i])
 		}
-		pick := len(members) - 1
+		pick := len(rows) - 1
 		if total > 0 {
 			r := rng.Float64() * total
-			for i := range members {
-				r -= dist[i]
+			for i := range rows {
+				r -= (1 - best[i]) * (1 - best[i])
 				if r <= 0 {
 					pick = i
 					break
 				}
 			}
 		} else {
-			pick = rng.Intn(len(members))
+			pick = rng.Intn(len(rows))
 		}
-		centroids = append(centroids, members[pick].v.Clone())
+		centroids = append(centroids, unit(g, rows[pick]))
 	}
 
 	// Lloyd iterations with cosine assignment and renormalized mean
 	// centroids (spherical k-means).
-	assign := make([]int, len(members))
+	assign := make([]int, len(rows))
 	for i := range assign {
 		assign[i] = -1
 	}
+	// own returns each member's cosine to its own centroid.
+	own := func() []float64 {
+		all := cosines(centroids)
+		for i, k := range assign {
+			all[i] = all[i*opt.K+k]
+		}
+		return all[:len(rows)]
+	}
 	iterations := 0
 	for ; iterations < opt.MaxIterations; iterations++ {
-		changed := false
-		for i, m := range members {
-			bestK, bestS := 0, math.Inf(-1)
-			for k, c := range centroids {
-				if s := sparse.Dot(m.v, c); s > bestS {
-					bestS, bestK = s, k
-				}
-			}
-			if assign[i] != bestK {
-				assign[i] = bestK
-				changed = true
-			}
+		all, changed := cosines(centroids), false
+		for i := range rows {
+			cs := all[i*opt.K : (i+1)*opt.K]
+			k := slices.Index(cs, slices.Max(cs)) // the first nearest
+			changed = changed || assign[i] != k
+			assign[i] = k
 		}
 		if !changed {
 			break
 		}
-		// Recompute centroids as renormalized member means; empty
-		// clusters are reseeded from the farthest member.
-		sums := make([]sparse.Vector, opt.K)
-		counts := make([]int, opt.K)
-		for k := range sums {
-			sums[k] = sparse.New(16)
-		}
-		for i, m := range members {
-			k := assign[i]
-			counts[k]++
-			for dim, x := range m.v {
-				sums[k].Add(dim, x)
-			}
-		}
+		// Each centroid is its members' unit rows summed in member order
+		// and renormalized; an empty cluster is reseeded from the member
+		// farthest from its own centroid.
+		g = profmat.NewGatherer(dims, 0) // this pass's centroids, in arenas of their own
 		for k := range centroids {
-			if counts[k] == 0 {
-				worst, worstSim := 0, math.Inf(1)
-				for i, m := range members {
-					if s := sparse.Dot(m.v, centroids[assign[i]]); s < worstSim {
-						worstSim, worst = s, i
-					}
+			n := 0
+			for i, r := range rows {
+				if assign[i] == k {
+					addUnit(g, r)
+					n++
 				}
-				centroids[k] = members[worst].v.Clone()
-				continue
 			}
-			if n := sums[k].Norm(); n > 0 {
-				centroids[k] = sums[k].Scale(1 / n)
+			if sum := g.Gather(); n == 0 {
+				o := own()
+				centroids[k] = unit(g, rows[slices.Index(o, slices.Min(o))])
+			} else if sum.Norm > 0 {
+				centroids[k] = unit(g, &sum)
 			}
 		}
 	}
 
 	m := &Model{
 		Centroids:  centroids,
-		Assignment: make(map[model.AgentID]int, len(members)),
+		Assignment: make(map[model.AgentID]int, len(rows)),
 		Sizes:      make([]int, opt.K),
 		Iterations: iterations,
 	}
 	var cohesion float64
-	for i, mem := range members {
-		k := assign[i]
-		m.Assignment[mem.id] = k
-		m.Sizes[k]++
-		cohesion += sparse.Dot(mem.v, centroids[k])
+	for i, s := range own() {
+		m.Assignment[members[i]] = assign[i]
+		m.Sizes[assign[i]]++
+		cohesion += s
 	}
-	m.Cohesion = cohesion / float64(len(members))
+	m.Cohesion = cohesion / float64(len(rows))
 	return m, nil
+}
+
+// addUnit adds r, scaled to unit length, into g.
+func addUnit(g *profmat.Gatherer, r *profmat.Row) {
+	inv := 1 / r.Norm
+	for i, k := range r.Keys {
+		g.Add(k, r.Vals[i]*inv)
+	}
+}
+
+// unit returns r scaled to unit length, gathered in g.
+func unit(g *profmat.Gatherer, r *profmat.Row) profmat.Row {
+	addUnit(g, r)
+	return g.Gather()
+}
+
+// lastKey returns r's largest dimension, -1 for an empty row.
+func lastKey(r *profmat.Row) int {
+	if len(r.Keys) == 0 {
+		return -1
+	}
+	return int(r.Keys[len(r.Keys)-1])
 }
 
 // K returns the number of stereotypes.
 func (m *Model) K() int { return len(m.Centroids) }
 
+// scratch recycles Classify's scratch.
+var scratch profmat.Pool
+
 // Classify returns the nearest stereotype for an arbitrary profile and
 // the cosine similarity to its centroid; ok is false for empty profiles.
 // This is the "behavior modelling" entry point for agents that were not
 // part of the learning set (e.g. fresh crawl arrivals).
-func (m *Model) Classify(v sparse.Vector) (k int, sim float64, ok bool) {
-	n := v.Norm()
-	if n == 0 {
+func (m *Model) Classify(r *profmat.Row) (k int, sim float64, ok bool) {
+	if r == nil || r.Norm == 0 {
 		return 0, 0, false
 	}
-	bestK, bestS := 0, math.Inf(-1)
-	for i, c := range m.Centroids {
-		if s := sparse.Dot(v, c) / n; s > bestS {
-			bestS, bestK = s, i
+	dims := lastKey(r) + 1
+	for i := range m.Centroids {
+		dims = max(dims, lastKey(&m.Centroids[i])+1)
+	}
+	sc := scratch.Get(dims)
+	defer scratch.Put(sc)
+	sc.Load(r)
+	sim = math.Inf(-1)
+	for i := range m.Centroids {
+		if s, _ := sc.CosineTo(&m.Centroids[i]); s > sim {
+			k, sim = i, s
 		}
 	}
-	return bestK, bestS, true
+	return k, sim, true
 }
 
 // Members returns the learned members of stereotype k, sorted by ID.
@@ -259,7 +278,7 @@ func (m *Model) Members(k int) []model.AgentID {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -276,9 +295,10 @@ func (m *Model) TopTopics(k, n int) []TopicWeight {
 	if k < 0 || k >= len(m.Centroids) {
 		return nil
 	}
+	c := &m.Centroids[k]
 	var out []TopicWeight
-	for _, e := range m.Centroids[k].TopK(n) {
-		out = append(out, TopicWeight{Topic: e.Key, Weight: e.Value})
+	for _, i := range c.TopK(n) {
+		out = append(out, TopicWeight{Topic: c.Keys[i], Weight: c.Vals[i]})
 	}
 	return out
 }
@@ -290,22 +310,16 @@ func (m *Model) Purity(truth map[model.AgentID]int) float64 {
 	if len(m.Assignment) == 0 {
 		return 0
 	}
-	majority := make([]map[int]int, m.K())
-	for k := range majority {
-		majority[k] = map[int]int{}
-	}
+	members := make(map[[2]int]int) // (stereotype, label) → members
+	majority := make([]int, m.K())
 	for id, k := range m.Assignment {
-		majority[k][truth[id]]++
+		key := [2]int{k, truth[id]}
+		members[key]++
+		majority[k] = max(majority[k], members[key])
 	}
 	correct := 0
-	for k := range majority {
-		best := 0
-		for _, n := range majority[k] {
-			if n > best {
-				best = n
-			}
-		}
-		correct += best
+	for _, n := range majority {
+		correct += n
 	}
 	return float64(correct) / float64(len(m.Assignment))
 }

@@ -3,33 +3,44 @@ package stereotype
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"swrec/internal/datagen"
 	"swrec/internal/model"
-	"swrec/internal/sparse"
+	"swrec/internal/profmat"
 )
+
+// rowOf gathers the (dimension, value) pairs of kv into a row.
+func rowOf(kv map[int32]float64) *profmat.Row {
+	g := profmat.NewGatherer(64, len(kv))
+	for k, v := range kv {
+		g.Add(k, v)
+	}
+	r := g.Gather()
+	return &r
+}
 
 // syntheticProfiles builds nClusters well-separated profile groups with
 // nPer members each: cluster k has mass on dimensions [k*10, k*10+3).
 func syntheticProfiles(nClusters, nPer int) ([]model.AgentID, ProfileFunc, map[model.AgentID]int) {
-	profiles := map[model.AgentID]sparse.Vector{}
+	profiles := map[model.AgentID]*profmat.Row{}
 	truth := map[model.AgentID]int{}
 	var ids []model.AgentID
 	for k := 0; k < nClusters; k++ {
 		for i := 0; i < nPer; i++ {
 			id := model.AgentID(string(rune('a'+k)) + "-" + string(rune('0'+i)))
-			v := sparse.New(4)
+			v := map[int32]float64{}
 			for d := 0; d < 3; d++ {
 				v[int32(k*10+d)] = 1 + float64(i%3)*0.1
 			}
-			profiles[id] = v
+			profiles[id] = rowOf(v)
 			truth[id] = k
 			ids = append(ids, id)
 		}
 	}
-	return ids, func(id model.AgentID) sparse.Vector { return profiles[id] }, truth
+	return ids, func(id model.AgentID) *profmat.Row { return profiles[id] }, truth
 }
 
 func TestLearnRecoversClusters(t *testing.T) {
@@ -82,7 +93,7 @@ func TestLearnErrors(t *testing.T) {
 		t.Fatalf("got %v, want ErrTooFewProfiles", err)
 	}
 	// Empty profiles are skipped.
-	empty := func(model.AgentID) sparse.Vector { return sparse.New(0) }
+	empty := func(model.AgentID) *profmat.Row { return &profmat.Row{} }
 	if _, err := Learn(ids, empty, Options{K: 1}); !errors.Is(err, ErrTooFewProfiles) {
 		t.Fatalf("got %v, want ErrTooFewProfiles for all-empty", err)
 	}
@@ -96,7 +107,7 @@ func TestClassify(t *testing.T) {
 	}
 	// A fresh profile near cluster 1 classifies into the stereotype whose
 	// members carry truth label 1.
-	fresh := sparse.Vector{10: 1, 11: 0.9, 12: 1.1}
+	fresh := rowOf(map[int32]float64{10: 1, 11: 0.9, 12: 1.1})
 	k, sim, ok := m.Classify(fresh)
 	if !ok || sim < 0.9 {
 		t.Fatalf("Classify = %d,%v,%v", k, sim, ok)
@@ -107,8 +118,11 @@ func TestClassify(t *testing.T) {
 				member, truth[member])
 		}
 	}
-	if _, _, ok := m.Classify(sparse.New(0)); ok {
+	if _, _, ok := m.Classify(&profmat.Row{}); ok {
 		t.Fatal("empty profile must not classify")
+	}
+	if _, _, ok := m.Classify(nil); ok {
+		t.Fatal("nil profile must not classify")
 	}
 }
 
@@ -171,6 +185,36 @@ func TestOnGeneratedCommunity(t *testing.T) {
 	}
 }
 
+// TestLearnRepeatsBitForBit: every centroid is summed in member order and
+// every similarity in key order, so twenty identical calls on a generated
+// community give the same centroids and Cohesion, bit for bit.
+func TestLearnRepeatsBitForBit(t *testing.T) {
+	comm, _ := datagen.Generate(datagen.SmallScale())
+	profiles := Profiles(comm)
+	bits := func(m *Model) []uint64 {
+		out := []uint64{math.Float64bits(m.Cohesion)}
+		for _, c := range m.Centroids {
+			for i, k := range c.Keys {
+				out = append(out, uint64(k), math.Float64bits(c.Vals[i]))
+			}
+			out = append(out, math.Float64bits(c.Norm), math.Float64bits(c.Sum))
+		}
+		return out
+	}
+	var want []uint64
+	for call := range 20 {
+		m, err := Learn(comm.Agents(), profiles, Options{K: 6, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bits(m); call == 0 {
+			want = got
+		} else if !slices.Equal(got, want) {
+			t.Fatalf("call %d: centroids or Cohesion differ from the first call's bits", call)
+		}
+	}
+}
+
 // Property: purity is in (0,1], sizes are non-negative and sum to the
 // assignment count, and every centroid is unit-normalized.
 func TestModelInvariantsProperty(t *testing.T) {
@@ -196,7 +240,7 @@ func TestModelInvariantsProperty(t *testing.T) {
 			return false
 		}
 		for _, c := range m.Centroids {
-			if math.Abs(c.Norm()-1) > 1e-6 {
+			if math.Abs(c.Norm-1) > 1e-6 {
 				return false
 			}
 		}

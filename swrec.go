@@ -273,11 +273,13 @@ type (
 )
 
 // StereotypeProfiles resolves agents of c to the Eq. 3 taxonomy profiles
-// LearnStereotypes clusters — the vectors StereotypeModel.Classify takes.
+// LearnStereotypes clusters: rows of c's profile matrix, compiled once by
+// this call — the rows StereotypeModel.Classify takes.
 func StereotypeProfiles(c *Community) stereotype.ProfileFunc { return stereotype.Profiles(c) }
 
 // LearnStereotypes clusters the community's taxonomy profiles into
-// opt.K stereotypes (spherical k-means, deterministic given opt.Seed).
+// opt.K stereotypes (spherical k-means over profile-matrix rows; a given
+// opt.Seed gives the same centroids, bit for bit, on every call).
 func LearnStereotypes(c *Community, opt StereotypeOptions) (*StereotypeModel, error) {
 	return stereotype.Learn(c.Agents(), stereotype.Profiles(c), opt)
 }
