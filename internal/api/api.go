@@ -63,7 +63,7 @@
 //
 // Within one epoch the community is fixed, so a read's response is a
 // function of (snapshot, URL). The pinned snapshot keeps the encoded
-// bodies (engine.Snapshot.Body/StoreBody: LRU, ~8 MiB per snapshot,
+// bodies (engine.Snapshot.Body/StoreBody: SIEVE, ~8 MiB per snapshot,
 // entries over 64 KiB refused), keyed by URL.Path/RawPath/RawQuery as
 // they arrived. ServeHTTP probes it for every GET and HEAD before
 // routing; a hit writes the stored bytes and books the same swrec_api

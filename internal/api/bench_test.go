@@ -25,6 +25,9 @@ import (
 //     iteration is answered from the snapshot's response cache (checked:
 //     no handler runs inside the timer). `make check` gates this one — a
 //     warm GET that goes back to routing and re-encoding is ~50× slower.
+//   - hit-parallel: hit under b.RunParallel, one writer per goroutine,
+//     so readers of one snapshot contend for its body cache. Run it at
+//     -cpu 1,2,4,8 for the scaling curve.
 //   - miss: every request carries a never-seen, ignored query parameter,
 //     so every iteration routes, runs its handler over warm engine caches,
 //     encodes, and stores the body. `make check` gates its allocations.
@@ -87,6 +90,27 @@ func BenchmarkServeHTTPWarm(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s.ServeHTTP(w, reqs[i%draws])
 		}
+		b.StopTimer()
+		if n := misses() - before; n != 0 {
+			b.Fatalf("%d of %d requests ran a handler", n, b.N)
+		}
+	})
+
+	b.Run("hit-parallel", func(b *testing.B) {
+		reqs := make([]*http.Request, draws)
+		for i, target := range targets {
+			reqs[i] = httptest.NewRequest(http.MethodGet, target, nil)
+			s.ServeHTTP(w, reqs[i])
+		}
+		before := misses()
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			w := &reusedWriter{hdr: make(http.Header)}
+			for i := 0; pb.Next(); i++ {
+				s.ServeHTTP(w, reqs[i%draws])
+			}
+		})
 		b.StopTimer()
 		if n := misses() - before; n != 0 {
 			b.Fatalf("%d of %d requests ran a handler", n, b.N)

@@ -37,8 +37,9 @@ type Image struct {
 	// Rows holds the compiled CSR profile rows, parallel to
 	// Community.Agents(); nil when the image carries statements only.
 	Rows []profmat.Row
-	// Peers is the warm neighborhood cache in LRU order (least recently
-	// used first, so replaying it through the cache reproduces recency).
+	// Peers is the warm neighborhood cache in insertion order (oldest
+	// first, so replaying it through the cache reproduces the order its
+	// SIEVE eviction walks).
 	// A decoded image's entries decode their ranks when Ranks is called.
 	Peers []engine.PeersEntry
 }
@@ -225,11 +226,12 @@ func Encode(img *Image) []byte {
 		out = appendSection(out, secProfmat, em.b)
 	}
 
-	// PEERS: warm neighborhoods in LRU order. Ranks are fixed-width
-	// records (peerRankSize bytes), so the decoder validates an entry's
-	// ordinals in one stride and decodes its ranks straight from the file
-	// bytes when the neighborhood is first read — the neighborhoods are
-	// by far the largest variable-size payload in the file.
+	// PEERS: warm neighborhoods in insertion order, oldest first. Ranks
+	// are fixed-width records (peerRankSize bytes), so the decoder
+	// validates an entry's ordinals in one stride and decodes its ranks
+	// straight from the file bytes when the neighborhood is first read —
+	// the neighborhoods are by far the largest variable-size payload in
+	// the file.
 	var ew enc
 	ew.uv(uint64(len(img.Peers)))
 	for _, entry := range img.Peers {

@@ -22,10 +22,11 @@ const (
 	// not evict a hundred ordinary answers.
 	MaxBodyEntry = 64 << 10
 	// bodyEntryOverhead is what an entry costs beyond its key and body:
-	// the list element, the LRU entry, its share of the map, and the
-	// allocator's rounding of four allocations (~520 B measured on
-	// warm-read). Charging it keeps the budget a bound on heap, not just on
-	// payload, when the bodies are small.
+	// the cache entry, its share of the map, and the allocator's rounding
+	// of the key copies and the body (~350 B measured at warm-read's mean
+	// /recommendations size by TestBodyEntryChargeBoundsHeap). Charging it
+	// keeps the budget a bound on heap, not just on payload, when the
+	// bodies are small.
 	bodyEntryOverhead = 512
 )
 
@@ -56,10 +57,10 @@ func (s *Snapshot) Body(path, rawPath, rawQuery string) (body []byte, tag uint8,
 }
 
 // StoreBody keeps body as the response to the URL for the rest of this
-// snapshot's life, evicting least recently used entries past the byte
-// budget. The snapshot takes ownership of body; the key strings are
-// copied so an entry never pins a request's buffers. Entries over
-// MaxBodyEntry are dropped.
+// snapshot's life, evicting by SIEVE (sieveCache) past the byte budget.
+// The snapshot takes ownership of body; the key strings are copied so
+// an entry never pins a request's buffers. Entries over MaxBodyEntry are
+// dropped.
 func (s *Snapshot) StoreBody(path, rawPath, rawQuery string, tag uint8, body []byte) {
 	size := len(path) + len(rawPath) + len(rawQuery) + len(body)
 	if size > MaxBodyEntry {

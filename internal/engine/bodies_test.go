@@ -95,9 +95,9 @@ func TestLadderSignalsMatchRankingWalk(t *testing.T) {
 }
 
 // TestBodyCacheStaysInsideBudget: however many responses are stored, the
-// snapshot holds at most bodyBudget bytes of them, the least recently
-// used go first, an oversized entry is refused, and nothing crosses a
-// swap.
+// snapshot holds at most bodyBudget bytes of them, an entry read again
+// outlives the unread ones, an oversized entry is refused, and nothing
+// crosses a swap.
 func TestBodyCacheStaysInsideBudget(t *testing.T) {
 	e, err := New(testCommunity(t, 20, 30), testOptions(), Config{})
 	if err != nil {
@@ -112,7 +112,8 @@ func TestBodyCacheStaysInsideBudget(t *testing.T) {
 		if i == 0 || i%64 != 0 {
 			continue
 		}
-		// Entry 0 is read between stores: recency, not age, decides.
+		// Entry 0 is read between stores: each read sets its visited
+		// bit, so the hand passes over it while unread entries go.
 		if _, _, ok := snap.Body(path(0), "", "n=10"); !ok {
 			t.Fatalf("after %d stores the most recently read entry was evicted", i)
 		}

@@ -19,7 +19,7 @@
 //     stored copy: similarities, the taxonomy-ancestor rung and the
 //     /profile endpoint all read it;
 //   - synthesized trust neighborhoods (§3.2-3.4) and complete
-//     recommendation lists live in per-snapshot LRU caches, each filled
+//     recommendation lists live in per-snapshot SIEVE caches, each filled
 //     through its own singleflight group (computed), so a thundering herd
 //     on one agent computes its neighborhood once;
 //   - the catalog's TopicIndex is built on first use and carried across
@@ -191,7 +191,7 @@ type Snapshot struct {
 
 	// bodies holds encoded API responses by request URL, weighed in
 	// bytes. It is never carried by a delta swap and never checkpointed.
-	bodies *lruCache[bodyKey, storedBody]
+	bodies *sieveCache[bodyKey, storedBody]
 
 	ixOnce sync.Once
 	ix     atomic.Pointer[index.TopicIndex]
@@ -222,7 +222,7 @@ func emptySnapshot(epoch uint64, comm *model.Community, opt core.Options, cfg Co
 		rec:     rec,
 		peers:   newComputed[peerKey, *neighborhood](cfg.PeerCacheSize, cfg.ComputeBudget, "peers_hit", "peers_miss"),
 		results: newComputed[recKey, []core.Recommendation](cfg.ResultCacheSize, cfg.ComputeBudget, "results_hit", "results_miss"),
-		bodies:  newLRU[bodyKey, storedBody](bodyBudget),
+		bodies:  newSieve[bodyKey, storedBody](bodyBudget),
 	}, nil
 }
 

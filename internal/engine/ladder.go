@@ -12,7 +12,7 @@ import (
 
 // Pipe-key rungs distinguishing the lower rungs' cached artifacts from
 // the rung-1 pipeline's (rung 0). Because they live in the regular
-// peers/results LRUs under peerKey/recKey, the delta-swap carry
+// peers/results caches under peerKey/recKey, the delta-swap carry
 // validates them with the same dependency fingerprints: trustDirty is a
 // reverse reachability closure, so it covers the one extra hop widening
 // takes, and the cached value's own member list is what the

@@ -118,10 +118,11 @@ func parsePipeKey(s string) (pipeKey, bool) {
 	return k, true
 }
 
-// ExportPeers snapshots the warm neighborhood cache in least-to-most
-// recently used order, so replaying the entries through a fresh cache
-// reproduces the recency ordering. Values are shared, not copied (a
-// restored entry not yet read decodes when its Ranks is called).
+// ExportPeers snapshots the warm neighborhood cache oldest-inserted
+// first, so replaying the entries through a fresh cache reproduces the
+// insertion order (every replayed entry starts unvisited). Values are
+// shared, not copied (a restored entry not yet read decodes when its
+// Ranks is called).
 func (s *Snapshot) ExportPeers() []PeersEntry {
 	es := s.peers.entries()
 	out := make([]PeersEntry, len(es))
@@ -134,10 +135,10 @@ func (s *Snapshot) ExportPeers() []PeersEntry {
 // Restore is the state NewRestored installs without recomputation: a
 // checkpointed epoch's community plus its compiled profile matrix and
 // warm neighborhoods. Matrix may be nil (every row compiles afresh);
-// Peers seeds the neighborhood cache in the order given, each entry
-// decoded on first touch; its ranks must carry ordinals of Community.
-// The topic index is derived from the catalog on first use, as in any
-// snapshot.
+// Peers seeds the neighborhood cache in the order given (ExportPeers
+// writes it oldest-inserted first), each entry decoded on first touch;
+// its ranks must carry ordinals of Community. The topic index is
+// derived from the catalog on first use, as in any snapshot.
 type Restore struct {
 	Epoch     uint64
 	Community *model.Community

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// computed is a per-snapshot LRU filled by computation — the
+// computed is a per-snapshot sieveCache filled by computation — the
 // neighborhood cache and the results cache — together with the
 // singleflight group that fills it, keyed by the cache's own key. Its
 // two methods are the engine's one cache-or-compute path: lookup probes
@@ -24,7 +24,7 @@ import (
 // ctx.Err() while the computation keeps running and completes the cache
 // fill, so the work already invested still warms the next request.
 type computed[K comparable, V any] struct {
-	*lruCache[K, V]
+	*sieveCache[K, V]
 	hit, miss string        // this cache's swrec_engine counters
 	budget    time.Duration // bounds each flight; 0 = none
 
@@ -41,7 +41,7 @@ type flight[V any] struct {
 }
 
 func newComputed[K comparable, V any](capacity int, budget time.Duration, hit, miss string) *computed[K, V] {
-	return &computed[K, V]{lruCache: newLRU[K, V](capacity), hit: hit, miss: miss, budget: budget}
+	return &computed[K, V]{sieveCache: newSieve[K, V](capacity), hit: hit, miss: miss, budget: budget}
 }
 
 // lookup returns the cached value, counting a hit. A miss is counted by
