@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build check fmt vet lint lint-note test bench-harness race cover bench bench-diff bench-diff-short profile fuzz fuzz-smoke chaos chaos-short recovery-smoke load load-short load-baseline experiments experiments-paper examples clean
+.PHONY: all build check fmt vet lint lint-note test bench-harness race cover bench bench-diff bench-diff-short profile fuzz fuzz-smoke chaos chaos-short recovery-smoke load load-short load-baseline experiments experiments-paper experiments-paper-record examples clean
 
 all: build check
 
@@ -206,8 +206,10 @@ recovery-smoke:
 # the checkpoint file (and the engine restored from whatever it
 # accepts), the frame scan under both logs, the WAL's record payload and
 # the crawler cache's rebuild — the API's string and float encoders
-# against encoding/json (internal/api/encode_test.go), and its
-# query-parameter scanner against url.ParseQuery (internal/api/api_test.go).
+# against encoding/json (internal/api/encode_test.go), its
+# query-parameter scanner against url.ParseQuery (internal/api/api_test.go)
+# and its router against an http.ServeMux holding the old patterns
+# (internal/api/cache_test.go).
 # A third field, :binary, marks the binary decoders: their inputs are
 # kilobytes, and go test would by default spend up to a minute shrinking
 # each one that reaches new code — the whole budget — so FUZZ_BINARY
@@ -215,7 +217,7 @@ recovery-smoke:
 FUZZ_TARGETS = \
 	rdf:FuzzParseNTriples rdf:FuzzParseTurtle rdf:FuzzParseRDFXML rdf:FuzzParseDocument \
 	checkpoint:FuzzDecode:binary frame:FuzzScan:binary wal:FuzzScanSegment:binary store:FuzzStoreScan:binary \
-	api:FuzzAppendString api:FuzzAppendFloat api:FuzzParam \
+	api:FuzzAppendString api:FuzzAppendFloat api:FuzzParam api:FuzzRoute \
 	foaf:FuzzUnmarshalHomepage
 FUZZ_BINARY = -fuzzminimizetime 1s
 
@@ -236,12 +238,20 @@ fuzz-smoke:
 	$(call fuzz-each,-run=^$$ ,5s)
 
 # The small suite's report is a record: TestSmallSuiteMatchesRecord
-# compares a fresh run with it, wall-clock figures masked.
+# compares a fresh run with it, wall-clock figures masked. experiments
+# rewrites it.
 experiments:
 	$(GO) run ./cmd/experiments | tee experiments_small_output.txt
 
-# The §4.1 corpus scale: 9,100 agents, 9,953 books, >20k topics (~25 min).
+# The §4.1 corpus scale — 9,100 agents, 9,953 books, >20k topics — is a
+# record too: experiments-paper compares a fresh run (several minutes)
+# with experiments_paper_output.txt under the same masking, through a
+# test the paperrecord build tag keeps out of `go test ./...`;
+# experiments-paper-record rewrites it.
 experiments-paper:
+	$(GO) test -tags paperrecord -run '^TestPaperSuiteMatchesRecord$$' -timeout 60m -count=1 ./internal/experiments/
+
+experiments-paper-record:
 	$(GO) run ./cmd/experiments -scale paper | tee experiments_paper_output.txt
 
 examples:

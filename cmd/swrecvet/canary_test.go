@@ -65,8 +65,8 @@ var canaries = map[string]canary{
 		`start := time.Time{} //nolint:detrand`},
 	// A read path marks a published agent dirty.
 	"snapshotfreeze": {"internal/strategy/popularity.go",
-		`touched := touchedTopics(comm, active)`,
-		`touched := touchedTopics(comm, active); active.MarkDirty()`},
+		`touched = core.TouchedTopics(comm, active)`,
+		`touched = core.TouchedTopics(comm, active); active.MarkDirty()`},
 	// The API server keeps a snapshot past the request that read it.
 	"snapshotpin": {"internal/api/api.go",
 		`writer Writer // nil = read-only surface`,

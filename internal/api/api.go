@@ -323,6 +323,15 @@ func methodNotAllowed(c *call) {
 // http.ServeMux did.
 func (s *Server) handleNotFound(c *call, _ *engine.Snapshot) { http.NotFound(c, c.r) }
 
+// handleAsterisk refuses the request target "*" as http.ServeMux did: a
+// 400 with no body, closing an HTTP/1.1 connection after it.
+func (s *Server) handleAsterisk(c *call, _ *engine.Snapshot) {
+	if c.r.ProtoAtLeast(1, 1) {
+		c.Header().Set("Connection", "close")
+	}
+	c.WriteHeader(http.StatusBadRequest)
+}
+
 // handleMoved redirects to the path movedTo chose, spelled the way
 // http.ServeMux spelled it.
 func (s *Server) handleMoved(c *call, _ *engine.Snapshot) {

@@ -26,7 +26,7 @@ func testCommunity(t testing.TB, agents, products int) *model.Community {
 	return comm
 }
 
-func newTestServer(t *testing.T) (*Server, *model.Community, *engine.Engine) {
+func newTestServer(t testing.TB) (*Server, *model.Community, *engine.Engine) {
 	t.Helper()
 	comm := testCommunity(t, 60, 80)
 	eng, err := engine.New(comm, core.Options{

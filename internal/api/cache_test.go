@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"expvar"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -543,40 +545,85 @@ func TestRoute(t *testing.T) {
 	}
 }
 
-// TestRedirectsMatchServeMux: the router answers the paths http.ServeMux
-// redirected or refused exactly as a mux holding the old eight patterns
-// does — status, Location and body — and routes every path the mux routed.
-func TestRedirectsMatchServeMux(t *testing.T) {
-	s, comm, _ := newTestServer(t)
+// oldMux is the http.ServeMux the router replaced: the old eight
+// patterns, each answering 418 so that a routed path is told apart.
+func oldMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	for _, pattern := range []string{"/v1/healthz", "/v1/metrics", "/v1/stats", "/v1/strategies",
 		"/v1/agents", "/v1/agents/", "/v1/products/", "/v1/topics/"} {
 		mux.HandleFunc(pattern, func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusTeapot) })
 	}
+	return mux
+}
+
+// routeTargets are paths the mux redirects, refuses or routes, among them
+// every kind of unclean path.
+func routeTargets(comm *model.Community) []string {
 	escaped := url.PathEscape(string(comm.Agents()[0]))
-	for _, target := range []string{
+	return []string{
 		"/v1/products", "/v1/topics", "/v1/products?x=1", "/v1//products", "/v1/products/x/..",
 		"/v1//agents", "/v1/agents/../stats", "/v1/agents/./" + escaped, "/v1/agents//recommendations",
 		"/v1/agents/" + string(comm.Agents()[0]) + "/recommendations?n=3", // unescaped URI: // collapses
 		"/v1/agents/" + escaped + "/", "/v1/agents/" + escaped + "//", "/v1/stats/.", "/v1/stats/..",
 		"//", "/.", "/v1/", "/v1", "/v1/healthz/", "/v1/agents/", "/v1/products/", "/v1/topics/",
 		"/v1/stats", "/v1/agents", "/v1/agents/" + escaped, "/v1/agents/" + escaped + "/profile",
-	} {
-		want := httptest.NewRecorder()
-		mux.ServeHTTP(want, httptest.NewRequest(http.MethodGet, target, nil))
-		got := serve(s, http.MethodGet, target)
-		if want.Code == http.StatusTeapot { // the mux routed it: so must we
-			if got.Code == http.StatusMovedPermanently || got.Body.String() == "404 page not found\n" {
-				t.Errorf("%s: the mux routed it, the router answered %d %q", target, got.Code, got.Body)
-			}
-			continue
-		}
-		if got.Code != want.Code || got.Header().Get("Location") != want.Header().Get("Location") ||
-			got.Body.String() != want.Body.String() {
-			t.Errorf("%s: %d %q %q, the mux answered %d %q %q", target,
-				got.Code, got.Header().Get("Location"), got.Body, want.Code, want.Header().Get("Location"), want.Body)
-		}
+		"*", // refused: only OPTIONS may ask for the server itself
 	}
+}
+
+// routeLikeMux requires the router to answer a GET of target as the mux
+// does when the mux redirects or refuses it — status, Location and body
+// — and to route it when the mux routes it.
+func routeLikeMux(t *testing.T, s *Server, mux *http.ServeMux, target string) {
+	t.Helper()
+	want := httptest.NewRecorder()
+	mux.ServeHTTP(want, httptest.NewRequest(http.MethodGet, target, nil))
+	got := serve(s, http.MethodGet, target)
+	if want.Code == http.StatusTeapot { // the mux routed it: so must we
+		if got.Code == http.StatusMovedPermanently || got.Body.String() == "404 page not found\n" {
+			t.Errorf("%s: the mux routed it, the router answered %d %q", target, got.Code, got.Body)
+		}
+		return
+	}
+	if got.Code != want.Code || got.Header().Get("Location") != want.Header().Get("Location") ||
+		got.Body.String() != want.Body.String() {
+		t.Errorf("%s: %d %q %q, the mux answered %d %q %q", target,
+			got.Code, got.Header().Get("Location"), got.Body, want.Code, want.Header().Get("Location"), want.Body)
+	}
+}
+
+// TestRedirectsMatchServeMux: the router answers the paths http.ServeMux
+// redirected or refused exactly as a mux holding the old eight patterns
+// does — status, Location and body — and routes every path the mux routed.
+func TestRedirectsMatchServeMux(t *testing.T) {
+	s, comm, _ := newTestServer(t)
+	mux := oldMux()
+	for _, target := range routeTargets(comm) {
+		routeLikeMux(t, s, mux, target)
+	}
+}
+
+// FuzzRoute is TestRedirectsMatchServeMux over any request target the
+// stdlib parses: the mux holding the old patterns is the router's oracle.
+//
+//	go test -fuzz FuzzRoute ./internal/api
+func FuzzRoute(f *testing.F) {
+	s, comm, _ := newTestServer(f)
+	mux := oldMux()
+	for _, target := range routeTargets(comm) {
+		f.Add(target)
+	}
+	f.Fuzz(func(t *testing.T, target string) {
+		if _, err := url.ParseRequestURI(target); err != nil {
+			t.Skip()
+		}
+		// httptest.NewRequest panics on a request line ReadRequest
+		// refuses (a space or a newline in the target, say).
+		if _, err := http.ReadRequest(bufio.NewReader(strings.NewReader("GET " + target + " HTTP/1.0\r\n\r\n"))); err != nil {
+			t.Skip()
+		}
+		routeLikeMux(t, s, mux, target)
+	})
 }
 
 // TestUnroutedPath404: a path outside the table gets net/http's plain

@@ -70,6 +70,9 @@ type handler func(s *Server, c *call, snap *engine.Snapshot)
 // method is the handler's answer to give (405), after the checks that
 // come before it.
 func route(method, escapedPath string) (endpoint, handler, string) {
+	if escapedPath == "*" {
+		return epOther, (*Server).handleAsterisk, ""
+	}
 	p, ok := strings.CutPrefix(escapedPath, "/v1/")
 	if !ok {
 		return epOther, (*Server).handleNotFound, ""
@@ -129,6 +132,9 @@ func route(method, escapedPath string) (endpoint, handler, string) {
 // for a path that stays, which path.Clean decides without allocating.
 func movedTo(escapedPath string) string {
 	p := escapedPath
+	if p == "*" {
+		return "" // refused, not moved (handleAsterisk)
+	}
 	if p == "" || p[0] != '/' {
 		p = "/" + p
 	}

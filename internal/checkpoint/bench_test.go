@@ -90,16 +90,34 @@ func BenchmarkColdRecompute(b *testing.B) {
 
 // BenchmarkCheckpointEncode measures the in-memory half of a checkpoint
 // write from a warmed snapshot: Capture, which exports the warm
-// neighborhood cache under its mutex, and Encode — no file, no fsync.
+// neighborhood cache under its mutex, and the streamed encode WriteImage
+// runs, into a sink — no file, no fsync. It reports the file's size as
+// file_MB: the encode holds one section at a time, so B/op stays under
+// twice it.
 func BenchmarkCheckpointEncode(b *testing.B) {
-	b.Run("agents=2000", func(b *testing.B) {
-		eng := benchEngine(b, 2000)
-		eng.Warmup(0)
-		snap := eng.Snapshot()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			Encode(Capture(snap, 1))
-		}
-	})
+	for _, agents := range []int{2000, 9100} {
+		b.Run(fmt.Sprintf("agents=%d", agents), func(b *testing.B) {
+			eng := benchEngine(b, agents)
+			eng.Warmup(0)
+			snap := eng.Snapshot()
+			var sink counter
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sink = 0
+				if err := write(&sink, Capture(snap, 1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(sink)/1e6, "file_MB")
+		})
+	}
+}
+
+// counter is a sink that counts what is written to it.
+type counter int64
+
+func (c *counter) Write(p []byte) (int, error) {
+	*c += counter(len(p))
+	return len(p), nil
 }

@@ -1,9 +1,12 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -88,39 +91,74 @@ func Capture(snap *engine.Snapshot, seq uint64) *Image {
 	return img
 }
 
-// Encode serializes the image into the checkpoint wire format.
+// Encode serializes the image into the checkpoint file format: WriteImage's
+// writer, pointed at a buffer.
 func Encode(img *Image) []byte {
+	var buf bytes.Buffer
+	if err := write(&buf, img); err != nil {
+		panic(err) // a section over 4 GiB, which no buffer here holds either
+	}
+	return buf.Bytes()
+}
+
+// recordWriter streams a checkpoint: each record is encoded into one
+// reused buffer, sealed and written before the next one begins.
+type recordWriter struct {
+	enc // the record being encoded, frame header first
+	w   io.Writer
+	n   uint32 // records begun: the sections, then the trailer
+	err error  // the first failure; every later record is dropped
+}
+
+// begin starts the record of section id (or the trailer).
+func (r *recordWriter) begin(id uint32) {
+	r.b = frame.Start(r.b[:0])
+	r.u32(id)
+	r.n++
+}
+
+// end seals the record and writes it.
+func (r *recordWriter) end() {
+	if n := len(r.b) - frame.HeaderSize; r.err == nil && uint64(n) > math.MaxUint32 {
+		r.err = fmt.Errorf("checkpoint: a %d-byte section is over the 4 GiB a record holds", n)
+	}
+	if r.err == nil {
+		frame.Seal(r.b)
+		_, r.err = r.w.Write(r.b)
+	}
+}
+
+// write streams img to w: header, sections, trailer.
+func write(w io.Writer, img *Image) error {
 	comm := img.Community
 	agents := comm.Agents()
 	products := comm.Products()
-	// The wire format's dense ordinals are exactly the community's interned
-	// ordinals (insertion order on both sides), so encoding reads them off
-	// the records instead of rebuilding translation maps.
-	agentOrd := func(id model.AgentID) uint64 { return uint64(comm.Agent(id).Ord()) }
-	prodOrd := func(id model.ProductID) uint64 { return uint64(comm.Product(id).Ord()) }
 	tax := comm.Taxonomy()
 
-	var out []byte
-	out = append(out, fileMagic...)
-	var hdr enc
-	hdr.u32(fileVersion)
-	sections := 6 // meta, agents, products, trust, ratings, peers
-	if tax != nil {
-		sections++
+	// The buffer starts as large as the larger arena, nearly all of the
+	// file, so neither grows it by copying (it reserves 2 GiB at most; end
+	// refuses a record over the 4 GiB a frame holds).
+	const uv = binary.MaxVarintLen64
+	peersLen, matLen := uv, uv
+	for _, entry := range img.Peers {
+		peersLen += 2*uv + len(entry.Pipe) + peerRankSize*len(entry.Ranks())
 	}
-	if img.Rows != nil {
-		sections++
+	for i := range img.Rows {
+		matLen += 4 + 12*img.Rows[i].NNZ() + 16
 	}
-	hdr.u32(uint32(sections))
-	out = append(out, hdr.b...)
+	largest := min(max(peersLen, matLen), math.MaxInt32)
+	r := &recordWriter{w: w, enc: enc{b: make([]byte, 0, frame.HeaderSize+4+largest)}}
+
+	r.b = append(frame.Start(r.b), fileMagic...)
+	r.u32(fileVersion)
+	r.end()
 
 	// META: the epoch↔sequence mapping, option signature, and shape flags
-	// (1 taxonomy, 2 profile matrix; 4, the retired topic index, is
-	// neither written nor read).
-	var meta enc
-	meta.uv(img.Epoch)
-	meta.uv(img.Seq)
-	meta.str(optSig(img.Options))
+	// (1 taxonomy, 2 profile matrix).
+	r.begin(secMeta)
+	r.uv(img.Epoch)
+	r.uv(img.Seq)
+	r.str(optSig(img.Options))
 	var flags uint8
 	if tax != nil {
 		flags |= 1
@@ -128,136 +166,132 @@ func Encode(img *Image) []byte {
 	if img.Rows != nil {
 		flags |= 2
 	}
-	meta.u8(flags)
-	meta.uv(uint64(len(agents)))
-	meta.uv(uint64(len(products)))
-	out = appendSection(out, secMeta, meta.b)
+	r.u8(flags)
+	r.uv(uint64(len(agents)))
+	r.uv(uint64(len(products)))
+	r.end()
 
 	// TAXONOMY: nodes in topic order, parents before children, so a
 	// rebuild is one taxonomy.Build over the primary parents and an AddEdge
 	// per extra parent.
 	if tax != nil {
-		var e enc
-		e.str(tax.Name(taxonomy.Root))
-		e.uv(uint64(tax.Len() - 1))
+		r.begin(secTaxonomy)
+		r.str(tax.Name(taxonomy.Root))
+		r.uv(uint64(tax.Len() - 1))
 		for d := taxonomy.Topic(1); int(d) < tax.Len(); d++ {
-			e.str(tax.Name(d))
+			r.str(tax.Name(d))
 			parents := tax.Parents(d)
-			e.uv(uint64(parents[0]))
-			e.uv(uint64(len(parents) - 1))
+			r.uv(uint64(parents[0]))
+			r.uv(uint64(len(parents) - 1))
 			for _, p := range parents[1:] {
-				e.uv(uint64(p))
+				r.uv(uint64(p))
 			}
 		}
-		out = appendSection(out, secTaxonomy, e.b)
+		r.end()
 	}
 
 	// AGENTS: insertion order defines the dense ordinal every other
 	// section references.
-	var ea enc
+	r.begin(secAgents)
 	for _, id := range agents {
-		ea.str(string(id))
-		ea.str(comm.Agent(id).Name)
+		r.str(string(id))
+		r.str(comm.Agent(id).Name)
 	}
-	out = appendSection(out, secAgents, ea.b)
+	r.end()
 
 	// PRODUCTS: catalog entries with their topic descriptors.
-	var ep enc
+	r.begin(secProducts)
 	for _, pid := range products {
 		p := comm.Product(pid)
-		ep.str(string(p.ID))
-		ep.str(p.Title)
-		ep.str(p.ISBN)
-		ep.uv(uint64(len(p.Topics)))
+		r.str(string(p.ID))
+		r.str(p.Title)
+		r.str(p.ISBN)
+		r.uv(uint64(len(p.Topics)))
 		for _, d := range p.Topics {
-			ep.uv(uint64(d))
+			r.uv(uint64(d))
 		}
 	}
-	out = appendSection(out, secProducts, ep.b)
+	r.end()
 
-	// TRUST: per-agent adjacency in the deterministic TrustedPeers order.
-	var et enc
+	// TRUST and RATINGS: per agent its statements in the deterministic
+	// TrustedPeers / RatedProducts order, each naming its target by the
+	// community's interned ordinal — the wire's (insertion order on both
+	// sides).
+	r.begin(secTrust)
 	for _, id := range agents {
 		peers := comm.Agent(id).TrustedPeers()
-		et.uv(uint64(len(peers)))
+		r.uv(uint64(len(peers)))
 		for _, st := range peers {
-			et.uv(agentOrd(st.Dst))
-			et.f64(st.Value)
+			r.uv(uint64(comm.Agent(st.Dst).Ord()))
+			r.f64(st.Value)
 		}
 	}
-	out = appendSection(out, secTrust, et.b)
-
-	// RATINGS: per-agent statements in the deterministic RatedProducts
-	// order.
-	var er enc
+	r.end()
+	r.begin(secRatings)
 	for _, id := range agents {
 		ratings := comm.Agent(id).RatedProducts()
-		er.uv(uint64(len(ratings)))
+		r.uv(uint64(len(ratings)))
 		for _, rt := range ratings {
-			er.uv(prodOrd(rt.Product))
-			er.f64(rt.Value)
+			r.uv(uint64(comm.Product(rt.Product).Ord()))
+			r.f64(rt.Value)
 		}
 	}
-	out = appendSection(out, secRatings, er.b)
+	r.end()
 
 	// PROFMAT: the CSR arenas — row lengths, then the key arena, the
 	// value arena, and per-row norm/sum, all fixed-width so a loader can
 	// walk them without per-entry branching.
 	if img.Rows != nil {
-		var em enc
-		em.uv(uint64(len(img.Rows)))
+		r.begin(secProfmat)
+		r.uv(uint64(len(img.Rows)))
 		for i := range img.Rows {
-			em.u32(uint32(img.Rows[i].NNZ()))
+			r.u32(uint32(img.Rows[i].NNZ()))
 		}
 		for i := range img.Rows {
 			for _, k := range img.Rows[i].Keys {
-				em.u32(uint32(k))
+				r.u32(uint32(k))
 			}
 		}
 		for i := range img.Rows {
 			for _, v := range img.Rows[i].Vals {
-				em.f64(v)
+				r.f64(v)
 			}
 		}
 		for i := range img.Rows {
-			em.f64(img.Rows[i].Norm)
-			em.f64(img.Rows[i].Sum)
+			r.f64(img.Rows[i].Norm)
+			r.f64(img.Rows[i].Sum)
 		}
-		out = appendSection(out, secProfmat, em.b)
+		r.end()
 	}
 
-	// PEERS: warm neighborhoods in insertion order, oldest first. Ranks
-	// are fixed-width records (peerRankSize bytes), so the decoder
-	// validates an entry's ordinals in one stride and decodes its ranks
-	// straight from the file bytes when the neighborhood is first read —
-	// the neighborhoods are by far the largest variable-size payload in
-	// the file.
-	var ew enc
-	ew.uv(uint64(len(img.Peers)))
+	// PEERS: warm neighborhoods, oldest first; the pipe key as the engine
+	// spells it, then fixed-width ranks, which the decoder checks in one
+	// stride and decodes from the file bytes on the entry's first read.
+	r.begin(secPeers)
+	r.uv(uint64(len(img.Peers)))
 	for _, entry := range img.Peers {
 		ranks := entry.Ranks()
-		ew.uv(uint64(entry.Agent))
-		ew.str(entry.Pipe)
-		ew.uv(uint64(len(ranks)))
+		r.uv(uint64(entry.Agent))
+		r.b = append(r.b, entry.Pipe...)
+		r.uv(uint64(len(ranks)))
 		for _, pr := range ranks {
-			ew.u32(uint32(pr.Ord()))
-			ew.f64(pr.Trust)
-			ew.f64(pr.Sim)
+			r.u32(uint32(pr.Ord()))
+			r.f64(pr.Trust)
+			r.f64(pr.Sim)
 			if pr.SimOK {
-				ew.u8(1)
+				r.u8(1)
 			} else {
-				ew.u8(0)
+				r.u8(0)
 			}
-			ew.f64(pr.Weight)
+			r.f64(pr.Weight)
 		}
 	}
-	out = appendSection(out, secPeers, ew.b)
+	r.end()
 
-	// Footer: whole-file checksum.
-	var foot enc
-	foot.u32(footerMagic)
-	foot.u32(crc32.ChecksumIEEE(out))
-	return append(out, foot.b...)
+	r.begin(trailerID)
+	r.u32(r.n - 1) // the sections
+	r.end()
+	return r.err
 }
 
 // Restore builds a serving engine from the image: the compiled rows and
@@ -318,12 +352,11 @@ func List(dir string) ([]Info, error) {
 }
 
 // WriteImage atomically persists the image into dir as ckpt-<seq>.swc:
-// encode, write to a unique temporary, fsync, rename. wrap, when
-// non-nil, interposes on the file handle (the fault-injection seam). On
-// any error the temporary is removed and the directory is left with only
-// complete, checksummed checkpoints.
+// stream it to a unique temporary as it is encoded, fsync, rename. wrap,
+// when non-nil, interposes on the file handle (the fault-injection seam).
+// On any error the temporary is removed and the directory is left with
+// only complete, checksummed checkpoints.
 func WriteImage(dir string, img *Image, wrap func(*os.File) frame.File) (path string, err error) {
-	data := Encode(img)
 	final := filepath.Join(dir, fileName(img.Seq))
 	tmp, err := os.CreateTemp(dir, fileName(img.Seq)+".tmp-*")
 	if err != nil {
@@ -339,7 +372,7 @@ func WriteImage(dir string, img *Image, wrap func(*os.File) frame.File) (path st
 		_ = os.Remove(tmpName) // best-effort cleanup of a failed temp; recovery ignores temporaries either way
 		return "", fmt.Errorf("checkpoint: %s: %w", stage, cause)
 	}
-	if _, err := f.Write(data); err != nil {
+	if err := write(f, img); err != nil {
 		return fail("write", err)
 	}
 	if err := f.Sync(); err != nil {

@@ -2,14 +2,15 @@ package checkpoint
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
+	"expvar"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -20,6 +21,7 @@ import (
 	"swrec/internal/faultinject"
 	"swrec/internal/frame"
 	"swrec/internal/model"
+	"swrec/internal/strategy"
 	"swrec/internal/taxonomy"
 )
 
@@ -299,36 +301,53 @@ func TestWholeRangeImageIsStaleUnderDefaults(t *testing.T) {
 	}
 }
 
-// TestDecodeCorruptionSweep flips one byte at a spread of offsets and
-// truncates at a spread of lengths; every variant must fail cleanly —
-// corruption is always an error, never a silently wrong snapshot. With
-// the footer resealed over the flip, only the structure, a section
-// checksum or a section decoder can catch it, and one must, in both
-// decode modes, with the same error however the tasks interleave.
+// TestDecodeCorruptionSweep flips every byte of a file and cuts it at
+// every length; every variant must fail cleanly — corruption is always an
+// error, never a silently wrong snapshot. Every byte is checksummed once,
+// so a flip is caught by the record that holds it (or, in a record's
+// header, by the walk), in both decode modes, with the same error however
+// the tasks interleave; a flip in the version, its header record resealed
+// over it, is ErrVersion. A cut anywhere — in the header, at each record
+// boundary, mid-record, before the trailer — is ErrCorrupt.
 func TestDecodeCorruptionSweep(t *testing.T) {
 	data := Encode(testImage(t, 3))
 	step := len(data)/211 + 1
-	for off := 0; off < len(data); off += step {
+	for off := range data {
 		mut := bytes.Clone(data)
 		mut[off] ^= 0x41
-		if _, err := Decode(mut, testOptions()); err == nil {
-			t.Fatalf("flip at offset %d/%d decoded cleanly", off, len(data))
-		}
-		if off >= len(data)-4 {
-			continue // the footer's checksum itself: resealing repairs the flip
-		}
-		refoot(mut)
-		want := ErrCorrupt
-		if off >= len(fileMagic) && off < len(fileMagic)+4 {
-			want = ErrVersion
+		if off%step != 0 {
+			if _, err := Decode(mut, testOptions()); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("flip at offset %d/%d: got %v, want ErrCorrupt", off, len(data), err)
+			}
+			continue
 		}
 		for _, statementsOnly := range []bool{false, true} {
-			requireOneError(t, mut, testOptions(), statementsOnly, want)
+			requireOneError(t, mut, testOptions(), statementsOnly, ErrCorrupt)
 		}
 	}
-	for _, cut := range []int{0, 1, headerLen - 1, headerLen, headerLen + sectionHdr, len(data) / 2, len(data) - footerLen, len(data) - 1} {
-		if _, err := Decode(data[:cut], testOptions()); err == nil {
-			t.Fatalf("truncation to %d/%d decoded cleanly", cut, len(data))
+	version := frame.HeaderSize + len(fileMagic)
+	for off := version; off < version+4; off++ {
+		mut := bytes.Clone(data)
+		mut[off] ^= 0x41
+		for _, statementsOnly := range []bool{false, true} {
+			requireOneError(t, reseal(mut), testOptions(), statementsOnly, ErrVersion)
+		}
+	}
+	boundaries := map[int]bool{}
+	frame.Walk(data, func(off int, r frame.Record) error {
+		boundaries[off] = true
+		return nil
+	})
+	if len(boundaries) != 10 {
+		t.Fatalf("fixture: %d records, want a header, 8 sections and a trailer", len(boundaries))
+	}
+	for cut := range data {
+		_, err := Decode(data[:cut], testOptions())
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("truncation to %d/%d: got %v, want ErrCorrupt", cut, len(data), err)
+		}
+		if want := "no trailer"; boundaries[cut] && cut > 0 && !strings.Contains(err.Error(), want) {
+			t.Fatalf("truncation at the record boundary %d: got %v, want %q", cut, err, want)
 		}
 	}
 }
@@ -352,7 +371,7 @@ func requireOneError(t *testing.T, data []byte, opt core.Options, statementsOnly
 // spoil flips the middle byte of section id's payload in place.
 func spoil(t *testing.T, data []byte, id uint32) {
 	t.Helper()
-	secs, err := deframe(data)
+	secs, err := split(data)
 	if err != nil || len(secs[id].b) == 0 {
 		t.Fatalf("fixture: no section %d (%v)", id, err)
 	}
@@ -370,25 +389,25 @@ func TestDecodeReportsTheLowestFault(t *testing.T) {
 	mut := bytes.Clone(data)
 	spoil(t, mut, secPeers)
 	spoil(t, mut, secTaxonomy)
-	refoot(mut)
 	if err := requireOneError(t, mut, testOptions(), false, ErrCorrupt); !strings.Contains(err.Error(), fmt.Sprintf("section %d checksum", secTaxonomy)) {
 		t.Fatalf("got %v, want the taxonomy's checksum", err)
 	}
-	// The file checksum outranks them.
-	mut[len(mut)-1] ^= 0x01
-	if err := requireOneError(t, mut, testOptions(), false, ErrCorrupt); !strings.Contains(err.Error(), "file checksum") {
-		t.Fatalf("got %v, want the file checksum", err)
+	// A fault of the container outranks them: here, a trailer that
+	// counts one section too many.
+	mut[len(mut)-4] ^= 0x01 // 8 sections become 9
+	if err := requireOneError(t, reseal(mut), testOptions(), false, ErrCorrupt); !strings.Contains(err.Error(), "bad trailer") {
+		t.Fatalf("got %v, want the trailer's count", err)
 	}
 
 	// Decoders: a PEERS rank naming no agent (checked by PEERS's task)
 	// beside two products under one ID (caught at registration, after the
 	// join): PRODUCTS has the lower id.
 	mut = bytes.Clone(data)
-	secs, _ := deframe(mut)
+	secs, _ := split(mut)
 	d := &dec{b: secs[secPeers].b}
-	d.uv()            // entry count
-	d.uv()            // the first entry's agent ordinal
-	d.skipStr("pipe") // its pipe key
+	d.uv()                           // entry count
+	d.uv()                           // the first entry's agent ordinal
+	d.bytes(engine.PipeSize, "pipe") // its pipe key
 	if d.uv() == 0 || d.err != nil {
 		t.Fatal("fixture: the first peers entry has no ranks")
 	}
@@ -417,7 +436,6 @@ func TestOptionsMismatchWithCorruptSectionIsCorrupt(t *testing.T) {
 	for _, id := range []uint32{secPeers, secProfmat} {
 		mut := bytes.Clone(data)
 		spoil(t, mut, id)
-		refoot(mut)
 		for _, statementsOnly := range []bool{false, true} {
 			requireOneError(t, mut, opt, statementsOnly, ErrCorrupt)
 		}
@@ -485,165 +503,10 @@ func TestDecodeRejectsDuplicateIDs(t *testing.T) {
 			t.Fatalf("fixture: %q not in the file", swap[0])
 		}
 		copy(mut[at:], swap[1])
-		// Redo every section's CRC, then the footer's.
-		for off := headerLen; off < len(mut)-footerLen; {
-			plen := int(binary.LittleEndian.Uint64(mut[off+4:]))
-			payload := mut[off+sectionHdr : off+sectionHdr+plen]
-			binary.LittleEndian.PutUint32(mut[off+sectionHdr+plen:], crc32.ChecksumIEEE(payload))
-			off += sectionHdr + plen + 4
-		}
-		refoot(mut)
-		if _, err := Decode(mut, testOptions()); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "distinct") {
+		if _, err := Decode(reseal(mut), testOptions()); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "distinct") {
 			t.Fatalf("%s twice: got %v, want ErrCorrupt naming the distinct count", swap[1], err)
 		}
 	}
-}
-
-// refoot recomputes the whole-file footer checksum after a deliberate
-// payload mutation, so the per-section CRC frame is what must catch it.
-func refoot(data []byte) {
-	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-footerLen]))
-}
-
-// withRetiredProfiles returns the v1 file an earlier build would have
-// written for img: data plus the PROFILES section that build appended
-// after PEERS (id 10: per agent its ordinal, entry count and key/value
-// pairs — the same numbers as the profile-matrix rows), framed with the
-// package's own frame and counted in the header.
-func withRetiredProfiles(data []byte, img *Image) []byte {
-	var ef enc
-	ef.uv(uint64(len(img.Rows)))
-	for ord, row := range img.Rows {
-		ef.uv(uint64(ord))
-		ef.uv(uint64(row.NNZ()))
-		for i, k := range row.Keys {
-			ef.uv(uint64(k))
-			ef.f64(row.Vals[i])
-		}
-	}
-	out := appendSection(bytes.Clone(data[:len(data)-footerLen]), secProfilesRetired, ef.b)
-	nsec := binary.LittleEndian.Uint32(out[len(fileMagic)+4:])
-	binary.LittleEndian.PutUint32(out[len(fileMagic)+4:], nsec+1)
-	out = append(out, data[len(data)-footerLen:]...)
-	refoot(out)
-	return out
-}
-
-// WithRetiredTopicIndex returns the v1 file a build from before the
-// topic index was retired wrote for the snapshot data holds: META's flag
-// bit 4 set, and the TOPICINDEX section (id 8: the populated topics
-// ascending, each with its products' ordinals in catalog order) framed
-// between PROFMAT and PEERS and counted in the header. Exported for the
-// package's external tests.
-func WithRetiredTopicIndex(data []byte, comm *model.Community) []byte {
-	postings := map[taxonomy.Topic][]int32{}
-	for _, pid := range comm.Products() {
-		p := comm.Product(pid)
-		for _, d := range p.Topics {
-			postings[d] = append(postings[d], p.Ord())
-		}
-	}
-	topics := make([]taxonomy.Topic, 0, len(postings))
-	for d := range postings {
-		topics = append(topics, d)
-	}
-	sort.Slice(topics, func(i, j int) bool { return topics[i] < topics[j] })
-	var ei enc
-	ei.uv(uint64(len(topics)))
-	for _, d := range topics {
-		ei.uv(uint64(d))
-		ei.uv(uint64(len(postings[d])))
-		for _, ord := range postings[d] {
-			ei.uv(uint64(ord))
-		}
-	}
-
-	out := bytes.Clone(data[:headerLen])
-	nsec := binary.LittleEndian.Uint32(out[len(fileMagic)+4:])
-	binary.LittleEndian.PutUint32(out[len(fileMagic)+4:], nsec+1)
-	for body := data[headerLen : len(data)-footerLen]; len(body) > 0; {
-		id := binary.LittleEndian.Uint32(body)
-		plen := int(binary.LittleEndian.Uint64(body[4:]))
-		payload := body[sectionHdr : sectionHdr+plen]
-		body = body[sectionHdr+plen+4:]
-		switch id {
-		case secMeta:
-			payload = bytes.Clone(payload)
-			m := &dec{b: payload}
-			m.uv()              // epoch
-			m.uv()              // seq
-			m.skipStr("sig")    // option signature
-			payload[m.off] |= 4 // flags
-		case secPeers:
-			out = appendSection(out, secTopicIndexRetired, ei.b)
-		}
-		out = appendSection(out, id, payload)
-	}
-	out = append(out, data[len(data)-footerLen:]...)
-	refoot(out)
-	return out
-}
-
-// requireRetiredSectionLoads: old, data plus retired section id as an
-// earlier v1 build wrote it, decodes and restores, serves exactly what
-// data serves, and re-encodes to data; and retired does not mean
-// unchecked — a bad byte in the section's payload still fails its frame.
-func requireRetiredSectionLoads(t *testing.T, data, old []byte, id uint32) {
-	t.Helper()
-	secs, err := deframe(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(old) <= len(data) || len(secs[id].b) == 0 {
-		t.Fatalf("the fixture carries no section %d", id)
-	}
-
-	restore := func(file []byte) *engine.Engine {
-		t.Helper()
-		got, err := Decode(file, testOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again := Encode(got); !bytes.Equal(again, data) {
-			t.Fatalf("re-encode is %d bytes, this build's file is %d", len(again), len(data))
-		}
-		eng, err := got.Restore(testConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
-	with, without := restore(old), restore(data)
-	if got, want := recsDigest(t, with.Snapshot()), recsDigest(t, without.Snapshot()); got != want {
-		t.Fatalf("the retired section changed what is served:\n--- without ---\n%s\n--- with ---\n%s", want, got)
-	}
-	if with.Epoch() != without.Epoch() {
-		t.Fatalf("epoch %d vs %d", with.Epoch(), without.Epoch())
-	}
-
-	torn := bytes.Clone(old)
-	secs, _ = deframe(torn) // the payloads alias torn
-	secs[id].b[len(secs[id].b)-1] ^= 0x01
-	refoot(torn)
-	if _, err := Decode(torn, testOptions()); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("corrupt retired section %d: got %v, want ErrCorrupt", id, err)
-	}
-}
-
-// TestRetiredTopicIndexSectionStillLoads: a v1 file written while the
-// topic index was still checkpointed loads, and its index goes unread.
-func TestRetiredTopicIndexSectionStillLoads(t *testing.T) {
-	img := testImage(t, 9)
-	data := Encode(img)
-	requireRetiredSectionLoads(t, data, WithRetiredTopicIndex(data, img.Community), secTopicIndexRetired)
-}
-
-// TestRetiredProfilesSectionStillLoads: likewise for a v1 file written
-// before the PROFILES section was retired.
-func TestRetiredProfilesSectionStillLoads(t *testing.T) {
-	img := testImage(t, 9)
-	data := Encode(img)
-	requireRetiredSectionLoads(t, data, withRetiredProfiles(data, img), secProfilesRetired)
 }
 
 // TestDecodeRejectsDescriptorOutsideTaxonomy: the checksums vouch for the
@@ -665,27 +528,38 @@ func TestDecodeRejectsDescriptorOutsideTaxonomy(t *testing.T) {
 	}
 }
 
-// TestSectionChecksum corrupts a section payload but repairs the footer:
-// the per-section CRC32 frame alone must reject the file.
+// TestSectionChecksum corrupts a section payload: its record's checksum,
+// the only one over those bytes, must reject the file, naming the section.
 func TestSectionChecksum(t *testing.T) {
 	data := Encode(testImage(t, 3))
 	mut := bytes.Clone(data)
-	mut[headerLen+sectionHdr+1] ^= 0x01 // second byte of the meta payload
-	refoot(mut)
-	if _, err := Decode(mut, testOptions()); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("got %v, want ErrCorrupt from the section frame", err)
+	mut[2*frame.HeaderSize+headerSize+4+1] ^= 0x01 // second byte of the meta section
+	if _, err := Decode(mut, testOptions()); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("section %d checksum", secMeta)) {
+		t.Fatalf("got %v, want ErrCorrupt from the meta section's record", err)
 	}
 }
 
 // TestVersionMismatch: an unknown format version is ErrVersion, so a
-// downgrade never misparses a newer file as garbage-but-valid.
+// downgrade never misparses a newer file as garbage-but-valid — in v2's
+// header record and in v1's header alike; a v1 file is ErrVersion to
+// Decode too, which reads no v1 compiled state.
 func TestVersionMismatch(t *testing.T) {
 	data := Encode(testImage(t, 3))
 	mut := bytes.Clone(data)
-	binary.LittleEndian.PutUint32(mut[len(fileMagic):], fileVersion+1)
-	refoot(mut)
-	if _, err := Decode(mut, testOptions()); !errors.Is(err, ErrVersion) {
+	binary.LittleEndian.PutUint32(mut[frame.HeaderSize+len(fileMagic):], fileVersion+1)
+	if _, err := Decode(reseal(mut), testOptions()); !errors.Is(err, ErrVersion) {
 		t.Fatalf("got %v, want ErrVersion", err)
+	}
+	v1 := readFixture(t, "v1.swc")
+	if _, err := Decode(v1, testOptions()); !errors.Is(err, errV1) {
+		t.Fatalf("a v1 file: got %v, want errV1", err)
+	}
+	binary.LittleEndian.PutUint32(v1[len(fileMagic):], fileVersion+1)
+	refoot(v1)
+	for _, statementsOnly := range []bool{false, true} {
+		if _, err := decode(v1, testOptions(), statementsOnly); !errors.Is(err, ErrVersion) || errors.Is(err, errV1) {
+			t.Fatalf("a v1 header naming v%d: got %v, want ErrVersion", fileVersion+1, err)
+		}
 	}
 }
 
@@ -785,7 +659,7 @@ func TestWriteImageFaults(t *testing.T) {
 func TestPeersOrdinalOutOfRangeIsCorruptAtLoad(t *testing.T) {
 	img := testImage(t, 4)
 	data := Encode(img)
-	secs, err := deframe(data)
+	secs, err := split(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -794,15 +668,15 @@ func TestPeersOrdinalOutOfRangeIsCorruptAtLoad(t *testing.T) {
 	d := &dec{b: payload}
 	spoiled := false
 	for n := d.uv(); n > 0 && !spoiled && d.err == nil; n-- {
-		d.uv()            // agent ordinal
-		d.skipStr("pipe") // pipe key
+		d.uv()                           // agent ordinal
+		d.bytes(engine.PipeSize, "pipe") // pipe key
 		np := int(d.uv())
 		if np > 1 {
 			// The last rank, so a decoder that stopped early would miss it.
 			binary.LittleEndian.PutUint32(payload[d.off+(np-1)*peerRankSize:], uint32(img.Community.NumAgents()))
 			spoiled = true
 		}
-		d.skip(np*peerRankSize, "ranks")
+		d.bytes(np*peerRankSize, "ranks")
 	}
 	if !spoiled || d.err != nil {
 		t.Fatalf("fixture: no peers entry with two ranks (%v)", d.err)
@@ -854,5 +728,151 @@ func TestRestoreDecodesPeersOnFirstTouch(t *testing.T) {
 	}
 	if len(decodes) != 1 || decodes[snap.Community().Agent(id).Ord()] != 1 {
 		t.Fatalf("three reads of %s decoded %v, want its entry once", id, decodes)
+	}
+}
+
+// recordsOf returns the payloads of data's records, in order.
+func recordsOf(t *testing.T, data []byte) [][]byte {
+	t.Helper()
+	var recs [][]byte
+	if _, torn, err := frame.Walk(data, func(_ int, r frame.Record) error {
+		recs = append(recs, bytes.Clone(r.Payload))
+		return nil
+	}); torn || err != nil {
+		t.Fatalf("fixture: torn %v, %v", torn, err)
+	}
+	return recs
+}
+
+// sealed seals each payload as a record, in order.
+func sealed(payloads ...[]byte) []byte {
+	var out []byte
+	for _, p := range payloads {
+		start := len(out)
+		out = append(frame.Start(out), p...)
+		frame.Seal(out[start:])
+	}
+	return out
+}
+
+// TestRecordFaults: a file whose records are whole, each resealed, but
+// do not make a v2 file — a section twice, one missing, an id v2 does not
+// know (the retired ones included), a trailer that miscounts or is not
+// last, no header — is ErrCorrupt, in both decode modes, with one error.
+func TestRecordFaults(t *testing.T) {
+	recs := recordsOf(t, Encode(testImage(t, 5)))
+	hdr, trailer := recs[0], recs[len(recs)-1]
+	secs := recs[1 : len(recs)-1]
+	counted := func(n int) []byte {
+		return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, trailerID), uint32(n))
+	}
+	withID := func(p []byte, id uint32) []byte {
+		p = bytes.Clone(p)
+		binary.LittleEndian.PutUint32(p, id)
+		return p
+	}
+	var trustless [][]byte
+	for _, p := range secs {
+		if binary.LittleEndian.Uint32(p) != secTrust {
+			trustless = append(trustless, p)
+		}
+	}
+	cases := []struct {
+		name, want string
+		recs       [][]byte
+	}{
+		{"duplicate section", "duplicate section 1", append([][]byte{hdr, secs[0]}, append(secs, counted(len(secs)+1))...)},
+		{"missing section", "missing trust section", append(append([][]byte{hdr}, trustless...), counted(len(trustless)))},
+		{"unknown section", "unknown section 11", append([][]byte{hdr, withID(secs[0], 11)}, append(secs[1:], trailer)...)},
+		{"retired topic index", "unknown section 8", append(append([][]byte{hdr}, secs...), withID(secs[0], secTopicIndexRetired), counted(len(secs)+1))},
+		{"retired profiles", "unknown section 10", append(append([][]byte{hdr}, secs...), withID(secs[0], secProfilesRetired), counted(len(secs)+1))},
+		{"trailer miscounts", "bad trailer", append(append([][]byte{hdr}, secs...), counted(len(secs)-1))},
+		{"trailer not last", "after the trailer", append(append([][]byte{hdr}, secs[:2]...), append([][]byte{counted(2)}, secs[2:]...)...)},
+		{"no header", "bad header record", append(append([][]byte{}, secs...), trailer)},
+		{"short record", "3-byte record", append(append([][]byte{hdr}, secs...), []byte{1, 0, 0}, trailer)},
+	}
+	for _, tc := range cases {
+		for _, statementsOnly := range []bool{false, true} {
+			if err := requireOneError(t, sealed(tc.recs...), testOptions(), statementsOnly, ErrCorrupt); !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s: got %v, want %q", tc.name, err, tc.want)
+			}
+		}
+	}
+	if _, err := Decode(sealed(recs...), testOptions()); err != nil {
+		t.Fatalf("fixture: the records resealed as they were: %v", err)
+	}
+}
+
+func peersMisses() int64 {
+	v, _ := expvar.Get("swrec_engine").(*expvar.Map).Get("peers_miss").(*expvar.Int)
+	return v.Value()
+}
+
+// TestPipeKeysRoundTrip: every pipe-key variant a warm cache holds —
+// metric, alpha and measure overrides, alone and together, under the
+// full pipeline and pinned to the widening and ancestor rungs — restores
+// under its own key: the restored engine answers each from its cache,
+// recomputing no neighborhood, with the ranking captured; and the file
+// re-encodes byte for byte.
+func TestPipeKeysRoundTrip(t *testing.T) {
+	eng := warmEngine(t, testCommunity(t, 12))
+	alpha, metric, measure := 0.25, core.PathTrust, cf.Pearson
+	type probe struct {
+		id  model.AgentID
+		ov  engine.Overrides
+		pin string
+	}
+	var probes []probe
+	for _, ov := range []engine.Overrides{{}, {Alpha: &alpha}, {Metric: &metric}, {Measure: &measure}, {Alpha: &alpha, Metric: &metric, Measure: &measure}} {
+		for _, pin := range []string{"full-synthesis", "trust-hop-widening", "taxonomy-ancestor"} {
+			for _, id := range eng.Snapshot().Community().Agents() {
+				probes = append(probes, probe{id, ov, pin})
+			}
+		}
+	}
+	ask := func(e *engine.Engine, p probe) []core.PeerRank {
+		t.Helper()
+		sel, err := strategy.ParseSelector(p.pin, e.Ladder())
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers, _, err := e.RankedPeersLadder(context.Background(), e.Snapshot(), p.id, p.ov, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return peers
+	}
+	want := make([][]core.PeerRank, len(probes))
+	for i, p := range probes {
+		want[i] = ask(eng, p)
+	}
+	img := Capture(eng.Snapshot(), 4)
+	pipes := map[string]bool{}
+	for _, e := range img.Peers {
+		pipes[e.Pipe] = true
+	}
+	if len(pipes) != 15 {
+		t.Fatalf("fixture: %d distinct pipe keys captured, want 5 override sets × 3 rungs", len(pipes))
+	}
+	data := Encode(img)
+	got, err := Decode(data, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(Encode(got), data) {
+		t.Fatal("re-encode is not byte-identical")
+	}
+	restored, err := got.Restore(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := peersMisses()
+	for i, p := range probes {
+		if peers := ask(restored, p); !slices.Equal(peers, want[i]) {
+			t.Fatalf("%s %+v pinned to %s: restored %v, captured %v", p.id, p.ov, p.pin, peers, want[i])
+		}
+	}
+	if n := peersMisses() - misses; n != 0 {
+		t.Fatalf("the restored engine recomputed %d neighborhoods, want none", n)
 	}
 }

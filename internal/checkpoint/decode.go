@@ -1,9 +1,9 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"sync"
 
@@ -26,19 +26,15 @@ func Decode(data []byte, opt core.Options) (*Image, error) {
 }
 
 // decode is Decode; with statementsOnly it ignores the stored option
-// signature and stops after the statement sections (taxonomy, agents,
-// products, trust, ratings), which mean the same under any options. The
-// image then carries no compiled rows or caches, so Restore
-// compiles it cold under opt — how Recover keeps an installation's
-// statements when its options change. Every byte of the file is still
-// checksummed.
+// signature and stops after the statement sections, which mean the same
+// under any options, so Restore compiles the image cold under opt — how
+// Recover keeps the statements of a file written under other options, or
+// in v1 (Decode fails one with errV1). Every byte is still checksummed.
 //
 // After META, which decides the schedule, the sections decode as joined
 // tasks, a fixed set:
 //
-//	(a) the footer's whole-file checksum, and the checksum of every
-//	    section no other task reads (retired ids, and in statements-only
-//	    mode PROFMAT and PEERS);
+//	(a) the checksum of every section no other task reads;
 //	(b) TAXONOMY;
 //	(c) PROFMAT and PEERS, which need only the agent count — their rank
 //	    decoders get the community's symbols after the join;
@@ -48,17 +44,22 @@ func Decode(data []byte, opt core.Options) (*Image, error) {
 // A task checks a section's checksum before it decodes a byte of it (the
 // one exception is the taxonomy's declared node count, read ahead as the
 // descriptors' bound and checked against the built taxonomy), and decode
-// returns nothing — no image, no error — until every task has joined.
-// Of several faults it reports one, whatever order the tasks ran in (see
-// verdict).
+// returns nothing until every task has joined: of several faults, one,
+// ranked (see verdict).
 func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) {
-	secs, err := deframe(data)
+	secs, err := split(data)
+	// v1's header opens with the magic; a v2 file, with a record header.
+	if bytes.HasPrefix(data, []byte(fileMagic)) {
+		if secs, err = deframe(data); err == nil && !statementsOnly {
+			err = errV1
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
 	var v verdict
 	// read marks the sections tasks (b)-(d) read; (a) checks the rest.
-	var read [secProfilesRetired + 1]bool
+	var read [secPeers + 1]bool
 	read[secMeta] = true
 
 	img := &Image{}
@@ -81,13 +82,13 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 		}
 		switch {
 		case d.err != nil:
-			v.dec.note(secMeta, d.err)
+			v.note(secMeta, d.err)
 		case sig != optSig(opt) && !statementsOnly:
-			v.dec.note(secMeta, fmt.Errorf("%w: file has %q, want %q", ErrOptions, sig, optSig(opt)))
+			v.note(secMeta, fmt.Errorf("%w: file has %q, want %q", ErrOptions, sig, optSig(opt)))
 		}
 		img.Options = opt
 	}
-	if v.err() == nil {
+	if v.fault == nil {
 		read[secTaxonomy] = hasTax
 		read[secAgents], read[secProducts], read[secTrust], read[secRatings] = true, true, true, true
 		read[secProfmat] = hasMat && !statementsOnly
@@ -99,14 +100,14 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		rest.checkRest(data, secs, read)
+		rest.checkRest(secs, read)
 	}()
-	if v.err() != nil {
+	if v.fault != nil {
 		// No schedule without META: (a) checks every other section, so a
 		// corrupt one still outranks the META fault or ErrOptions.
 		wg.Wait()
 		v.merge(&rest)
-		return nil, v.err()
+		return nil, v.fault
 	}
 
 	// (b) TAXONOMY, the longest task: it starts first.
@@ -119,7 +120,7 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 			if d := tv.open(secs, secTaxonomy, "taxonomy"); d != nil {
 				var err error
 				tax, err = decodeTaxonomy(d)
-				tv.dec.note(secTaxonomy, err)
+				tv.note(secTaxonomy, err)
 			}
 		}()
 	}
@@ -131,7 +132,7 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 	var names []string
 	if d := v.open(secs, secAgents, "agents"); d != nil {
 		ids, names, err = decodeAgents(d, rawAgents)
-		v.dec.note(secAgents, err)
+		v.note(secAgents, err)
 	}
 	nAgents := len(ids)
 
@@ -149,13 +150,13 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 				if d := cv.open(secs, secProfmat, "profmat"); d != nil {
 					var err error
 					rows, err = decodeProfmat(d, nAgents)
-					cv.dec.note(secProfmat, err)
+					cv.note(secProfmat, err)
 				}
 			}
 			if d := cv.open(secs, secPeers, "peers"); d != nil {
 				var err error
 				peers, err = decodePeers(d, nAgents, &sym)
-				cv.dec.note(secPeers, err)
+				cv.note(secPeers, err)
 			}
 		}()
 	}
@@ -170,7 +171,7 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 	var prods []model.Product
 	if d := v.open(secs, secProducts, "products"); d != nil {
 		prods, err = decodeProducts(d, rawProducts, topics)
-		v.dec.note(secProducts, err)
+		v.note(secProducts, err)
 	}
 	dt := v.open(secs, secTrust, "trust")
 	dr := v.open(secs, secRatings, "ratings")
@@ -179,11 +180,11 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 	v.merge(&rest)
 	v.merge(&tv)
 	v.merge(&cv)
-	if v.file != nil || v.sum.err != nil {
-		return nil, v.err()
+	if v.fault != nil && v.rank < decoderRank {
+		return nil, v.fault
 	}
 	if tax != nil && tax.Len() != topics {
-		v.dec.note(secProducts, fmt.Errorf("%w: descriptors bounded by %d topics, the taxonomy has %d", ErrCorrupt, topics, tax.Len()))
+		v.note(secProducts, fmt.Errorf("%w: descriptors bounded by %d topics, the taxonomy has %d", ErrCorrupt, topics, tax.Len()))
 	}
 
 	// Registration, then TRUST beside RATINGS: one row per agent, handed
@@ -198,7 +199,7 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 			comm.AddAgent(id).Name = names[i]
 		}
 		if comm.NumAgents() != nAgents {
-			v.dec.note(secAgents, fmt.Errorf("%w: %d distinct agents for a count of %d", ErrCorrupt, comm.NumAgents(), nAgents))
+			v.note(secAgents, fmt.Errorf("%w: %d distinct agents for a count of %d", ErrCorrupt, comm.NumAgents(), nAgents))
 		}
 	}
 	if v.clear(secProducts) {
@@ -206,7 +207,7 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 			comm.AddProduct(p)
 		}
 		if comm.NumProducts() != len(prods) {
-			v.dec.note(secProducts, fmt.Errorf("%w: %d distinct products for a count of %d", ErrCorrupt, comm.NumProducts(), len(prods)))
+			v.note(secProducts, fmt.Errorf("%w: %d distinct products for a count of %d", ErrCorrupt, comm.NumProducts(), len(prods)))
 		}
 	}
 	if v.clear(secProducts) {
@@ -220,49 +221,47 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 			}()
 		}
 		if dr != nil {
-			v.dec.note(secRatings, loadRows(dr, nAgents, len(prods), "ratings", comm.LoadRatings))
+			v.note(secRatings, loadRows(dr, nAgents, len(prods), "ratings", comm.LoadRatings))
 		}
 		wg.Wait()
-		v.dec.note(secTrust, trustErr)
+		v.note(secTrust, trustErr)
 	}
-	if err := v.err(); err != nil {
-		return nil, err
+	if v.fault != nil {
+		return nil, v.fault
 	}
 	sym = comm.Symbols()
 	img.Community, img.Rows, img.Peers = comm, rows, peers
 	return img, nil
 }
 
-// fault is the lowest-id section fault seen so far.
-type fault struct {
-	id  uint32
-	err error
+// verdict is the lowest-ranked fault a task saw (after the join, every
+// task's), so one input yields one error: structure (split's or
+// deframe's, before any task starts), then section checksums by id, then
+// META's fault or ErrOptions (id 1), then the first failed decoder by id.
+// Checksums outrank ErrOptions because Recover keeps the statements of a
+// file that fails with ErrOptions alone.
+type verdict struct {
+	rank  uint64 // a section id; a decoder fault's plus decoderRank
+	fault error
 }
 
-func (f *fault) note(id uint32, err error) {
-	if err != nil && (f.err == nil || id < f.id) {
-		*f = fault{id, err}
+const decoderRank = 1 << 32
+
+func (v *verdict) rankFault(rank uint64, err error) {
+	if err != nil && (v.fault == nil || rank < v.rank) {
+		v.rank, v.fault = rank, err
 	}
 }
 
-// verdict gathers a task's faults and, after the join, every task's, and
-// ranks them so that one input always yields one error: deframe's
-// structural faults come first (before any task starts), then the file
-// checksum, then the section checksums in id order, then META's fault
-// or ErrOptions, then the first section in id order whose decoder
-// failed. A checksum fault outranking ErrOptions matters: Recover keeps
-// the statements of a file that fails with ErrOptions alone.
-type verdict struct {
-	file     error // the footer's whole-file checksum
-	sum, dec fault // section checksums; section decoders (META and the option check are id 1)
-}
+// note records a decoder fault of section id.
+func (v *verdict) note(id uint32, err error) { v.rankFault(decoderRank+uint64(id), err) }
 
 // verify checks one section's stored checksum, noting a mismatch.
 func (v *verdict) verify(id uint32, s section) bool {
-	if crc32.ChecksumIEEE(s.b) == s.crc {
+	if s.rec.Intact() {
 		return true
 	}
-	v.sum.note(id, fmt.Errorf("%w: section %d checksum mismatch", ErrCorrupt, id))
+	v.rankFault(uint64(id), fmt.Errorf("%w: section %d checksum mismatch", ErrCorrupt, id))
 	return false
 }
 
@@ -271,7 +270,7 @@ func (v *verdict) verify(id uint32, s section) bool {
 func (v *verdict) open(secs map[uint32]section, id uint32, what string) *dec {
 	s, ok := secs[id]
 	if !ok {
-		v.dec.note(id, fmt.Errorf("%w: missing %s section", ErrCorrupt, what))
+		v.note(id, fmt.Errorf("%w: missing %s section", ErrCorrupt, what))
 		return nil
 	}
 	if !v.verify(id, s) {
@@ -280,13 +279,9 @@ func (v *verdict) open(secs map[uint32]section, id uint32, what string) *dec {
 	return &dec{b: s.b}
 }
 
-// checkRest is task (a): the footer's whole-file checksum, and the
-// checksum of every section the other tasks do not read.
-func (v *verdict) checkRest(data []byte, secs map[uint32]section, read [secProfilesRetired + 1]bool) {
-	body := len(data) - footerLen
-	if crc32.ChecksumIEEE(data[:body]) != binary.LittleEndian.Uint32(data[body+4:]) {
-		v.file = fmt.Errorf("%w: file checksum mismatch", ErrCorrupt)
-	}
+// checkRest is task (a): the checksum of every section the other tasks do
+// not read.
+func (v *verdict) checkRest(secs map[uint32]section, read [secPeers + 1]bool) {
 	for id, s := range secs {
 		if id >= uint32(len(read)) || !read[id] {
 			v.verify(id, s)
@@ -294,28 +289,11 @@ func (v *verdict) checkRest(data []byte, secs map[uint32]section, read [secProfi
 	}
 }
 
-func (v *verdict) merge(o *verdict) {
-	if v.file == nil {
-		v.file = o.file
-	}
-	v.sum.note(o.sum.id, o.sum.err)
-	v.dec.note(o.dec.id, o.dec.err)
-}
+func (v *verdict) merge(o *verdict) { v.rankFault(o.rank, o.fault) }
 
 // clear reports that no checksum and no section up to id has failed.
 func (v *verdict) clear(id uint32) bool {
-	return v.file == nil && v.sum.err == nil && (v.dec.err == nil || v.dec.id > id)
-}
-
-// err is the fault decode reports, nil when there is none.
-func (v *verdict) err() error {
-	switch {
-	case v.file != nil:
-		return v.file
-	case v.sum.err != nil:
-		return v.sum.err
-	}
-	return v.dec.err
+	return v.fault == nil || v.rank > decoderRank+uint64(id)
 }
 
 // decodeTaxonomy rebuilds the TAXONOMY section: one bulk build over the
@@ -357,7 +335,7 @@ func decodeTaxonomy(d *dec) (*taxonomy.Taxonomy, error) {
 // bytes, so a taxonomy that builds has exactly this many topics.
 func declaredTopics(b []byte) int {
 	d := &dec{b: b}
-	d.skipStr("taxonomy root")
+	d.bytes(d.count(d.uv(), 1, "taxonomy root"), "taxonomy root")
 	return d.count(d.uv(), 3, "taxonomy node") + 1
 }
 
@@ -479,13 +457,16 @@ func decodeProfmat(d *dec, nAgents int) ([]profmat.Row, error) {
 // until the restored neighborhood is first read (peerRanks), resolved
 // through sym, which decode sets once the community exists.
 func decodePeers(d *dec, nAgents int, sym *model.Symbols) ([]engine.PeersEntry, error) {
-	nw := d.count(d.uv(), 3, "peers entry")
+	nw := d.count(d.uv(), engine.PipeSize+2, "peers entry")
 	peers := make([]engine.PeersEntry, 0, nw)
+	var pipe string
 	for i := 0; i < nw && d.err == nil; i++ {
 		agent := d.ord(nAgents, "agent ordinal")
-		// Not d.str: that would copy this whole section, the file's
-		// largest, for keys that are nearly all empty.
-		pipe := string(d.bytes(d.count(d.uv(), 1, "peers pipe"), "peers pipe"))
+		// Not one string per entry: nearly every key is the default
+		// pipeline's, so an entry whose key repeats the last one shares it.
+		if b := d.bytes(engine.PipeSize, "peers pipe"); string(b) != pipe {
+			pipe = string(b)
+		}
 		block := d.bytes(peerRankSize*d.count(d.uv(), peerRankSize, "peer rank"), "peer ranks")
 		for j := 0; j < len(block) && d.err == nil; j += peerRankSize {
 			if uint64(binary.LittleEndian.Uint32(block[j:])) >= uint64(nAgents) {

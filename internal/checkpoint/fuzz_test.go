@@ -20,41 +20,57 @@ import (
 	"hash/crc32"
 	"testing"
 
+	"swrec/internal/frame"
 	"swrec/internal/taxonomy"
 )
 
-// reseal recomputes every section CRC and the footer over whatever a
-// mutation left, so the mutated payloads get past the checksums and
-// reach the section decoders, where the bounds checks are. It follows the
-// section lengths as far as they stay inside the file.
+// reseal recomputes every checksum over whatever a mutation left, so the
+// mutated payloads get past them and reach the decoders, where the bounds
+// checks are: in a v2 file every record's, in a v1 file every section's
+// and the footer's. It follows the lengths as far as they stay inside the
+// file.
 func reseal(data []byte) []byte {
-	if len(data) < headerLen+footerLen {
-		return data
-	}
 	out := bytes.Clone(data)
-	body := out[headerLen : len(out)-footerLen]
-	for len(body) >= sectionHdr {
+	if !bytes.HasPrefix(out, []byte(fileMagic)) {
+		frame.Walk(out, func(off int, r frame.Record) error {
+			frame.Seal(out[off : off+frame.HeaderSize+len(r.Payload)])
+			return nil
+		})
+		return out
+	}
+	if len(out) < v1HeaderLen+v1FooterLen {
+		return out
+	}
+	body := out[v1HeaderLen : len(out)-v1FooterLen]
+	for len(body) >= v1SectionHdr {
 		plen := binary.LittleEndian.Uint64(body[4:])
-		body = body[sectionHdr:]
+		body = body[v1SectionHdr:]
 		if plen > uint64(len(body)) || uint64(len(body))-plen < 4 {
 			break
 		}
 		binary.LittleEndian.PutUint32(body[plen:], crc32.ChecksumIEEE(body[:plen]))
 		body = body[plen+4:]
 	}
-	binary.LittleEndian.PutUint32(out[len(out)-footerLen:], footerMagic)
+	binary.LittleEndian.PutUint32(out[len(out)-v1FooterLen:], v1FooterMagic)
 	refoot(out)
 	return out
 }
 
+// FuzzDecode is seeded with a v2 file, its cuts and flips, and the two v1
+// fixtures.
 func FuzzDecode(f *testing.F) {
 	img := testImage(f, 7)
 	data := Encode(img)
 	f.Add(data)
-	f.Add(withRetiredProfiles(data, img))             // a v1 file from before PROFILES was retired
-	f.Add(WithRetiredTopicIndex(data, img.Community)) // and from before TOPICINDEX was
+	f.Add(readFixture(f, "v1.swc"))
+	f.Add(readFixture(f, "v1-retired.swc")) // with the retired sections 8 and 10
 	f.Add([]byte{})
-	for _, cut := range []int{1, headerLen - 1, headerLen, headerLen + sectionHdr, len(data) / 2, len(data) - footerLen, len(data) - 1} {
+	records := []int{}
+	frame.Walk(data, func(off int, r frame.Record) error {
+		records = append(records, off, off+frame.HeaderSize+2)
+		return nil
+	})
+	for _, cut := range append(records, 1, len(data)/2, len(data)-1) {
 		f.Add(data[:cut])
 	}
 	step := len(data)/37 + 1

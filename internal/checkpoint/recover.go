@@ -76,8 +76,8 @@ type Result struct {
 	// Source names the rung that served: "checkpoint" (1),
 	// "checkpoint-prev" (2), or "corpus" (3) — or, on rung 1 or 2,
 	// "checkpoint-recompiled" when the file was written under other
-	// options and only its statements were kept: the state is as current
-	// as that rung's, but the engine starts cold.
+	// options or in format v1 and only its statements were kept: the
+	// state is as current as that rung's, but the engine starts cold.
 	Source string
 	// Rung is the ladder position, 1 (best) through 3 (cold rebuild).
 	Rung int
@@ -98,11 +98,11 @@ type Result struct {
 // corpus. Every rejection is logged and recorded. Corruption in any file
 // on the way down is detected (checksums), never served, and a rung is
 // taken only when the retained WAL still holds every record after it. A
-// checkpoint compiled under other options stays on its rung: only its
-// statements are read and the engine compiles them cold. When no
-// checkpoint is readable (all corrupt, missing, uncovered, or of a
-// format version this build does not speak) and the WAL no longer starts
-// at sequence 1, nothing can rebuild the acknowledged state, and Recover
+// checkpoint compiled under other options, or written in format v1, stays
+// on its rung: only its statements are read and compiled cold. When no
+// checkpoint is readable (all corrupt, missing, uncovered, or of a format
+// version this build does not speak) and the WAL no longer starts at
+// sequence 1, nothing can rebuild the acknowledged state, and Recover
 // fails naming each file's reason and the gap instead of serving a
 // community that is missing writes.
 func Recover(cfg RecoverConfig) (*Result, error) {
@@ -149,12 +149,12 @@ func Recover(cfg RecoverConfig) (*Result, error) {
 		}
 		t = time.Now()
 		img, err := Decode(data, cfg.Options)
-		recompiled := errors.Is(err, ErrOptions)
+		recompiled := errors.Is(err, ErrOptions) || errors.Is(err, errV1)
 		if recompiled {
-			// Compiled under other options: its rows and caches are wrong
-			// for this engine, its statements are not. Keep those and let
-			// Restore compile them cold, so an installation whose WAL has
-			// been truncated can still change its options.
+			// Compiled under other options or written in v1: its rows and
+			// caches are of no use to this engine, its statements are. Keep
+			// those and let Restore compile them cold, so an installation
+			// whose WAL has been truncated can change options and upgrade.
 			res.Fallbacks = append(res.Fallbacks, fmt.Sprintf("%s: %v (statements kept, recompiled)", info.Path, err))
 			logf("recovery: %s: %v; keeping its statements and recompiling", info.Path, err)
 			img, err = decode(data, cfg.Options, true)

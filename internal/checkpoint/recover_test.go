@@ -553,7 +553,7 @@ func TestZeroTailRestartServesWarmOverHTTP(t *testing.T) {
 }
 
 // TestRetiredTopicIndexServesTopicPagesFromScratch: a v1 file that still
-// carries the topic index loads, and the restored engine's /v1/topics
+// carries the topic index recovers, and the recompiled engine's /v1/topics
 // pages — every topic, root to leaf, under a spread of offset/limit —
 // are byte-equal to those of an engine built from scratch: the index the
 // file holds is never read, and the one derived in its place answers
@@ -564,15 +564,22 @@ func TestRetiredTopicIndexServesTopicPagesFromScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := checkpoint.WithRetiredTopicIndex(checkpoint.Encode(checkpoint.Capture(src.Snapshot(), 5)), comm)
-	img, err := checkpoint.Decode(data, rOptions())
+	data := checkpoint.WithRetiredTopicIndex(t, checkpoint.Encode(checkpoint.Capture(src.Snapshot(), 5)), comm)
+	dir := t.TempDir()
+	if err := os.MkdirAll(checkpoint.Dir(dir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(checkpoint.Dir(dir), fmt.Sprintf("ckpt-%016x.swc", 5)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := checkpoint.Recover(recoverCfg(t, dir, comm))
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := img.Restore(rConfig())
-	if err != nil {
-		t.Fatal(err)
+	if res.Rung != 1 || res.Source != "checkpoint-recompiled" {
+		t.Fatalf("rung %d (%s), want rung 1 (checkpoint-recompiled); fallbacks %v", res.Rung, res.Source, res.Fallbacks)
 	}
+	restored := res.Engine
 	scratch, err := engine.New(comm.Clone(), rOptions(), rConfig())
 	if err != nil {
 		t.Fatal(err)

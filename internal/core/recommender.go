@@ -579,7 +579,7 @@ func (r *Recommender) RecommendFromCtx(ctx context.Context, active model.AgentID
 
 	var touched map[taxonomy.Topic]bool
 	if r.opt.Content == NovelCategories {
-		touched = r.touchedTopics(act)
+		touched = TouchedTopics(r.comm, act)
 	}
 
 	// The vote runs on pooled scratch: a flat per-product table — votes[ord]
@@ -671,18 +671,24 @@ func bordaMerge(peers []PeerRank, alpha float64) {
 	}
 }
 
-// touchedTopics collects every topic (with ancestors) the active agent's
-// positive ratings reach — the categories NOT "left untouched until now".
-func (r *Recommender) touchedTopics(act *model.Agent) map[taxonomy.Topic]bool {
+// TouchedTopics collects every topic, with its ancestors but not the
+// root, that agent a's positive ratings of cataloged products reach — the
+// categories NOT "left untouched until now" (§3.4). Without a taxonomy a
+// descriptor is an opaque label and the set is empty; each caller decides
+// what that means (the NovelCategories vote takes every labelled product
+// as novel, the popularity rung partitions nothing).
+func TouchedTopics(comm *model.Community, a *model.Agent) map[taxonomy.Topic]bool {
 	touched := make(map[taxonomy.Topic]bool)
-	tax := r.comm.Taxonomy()
-	for prod, v := range act.Ratings {
-		if p := r.comm.Product(prod); tax != nil && v > 0 && p != nil {
-			for _, d := range p.Topics {
-				touched[d] = true
-				for _, anc := range tax.Ancestors(d) {
-					touched[anc] = true
-				}
+	tax := comm.Taxonomy()
+	if tax == nil {
+		return touched
+	}
+	sym := comm.Symbols()
+	for _, pr := range comm.PositiveRatings(a) {
+		for _, d := range sym.ProductAt(pr.Ord).Topics {
+			touched[d] = true
+			for _, anc := range tax.Ancestors(d) {
+				touched[anc] = true
 			}
 		}
 	}
@@ -690,13 +696,16 @@ func (r *Recommender) touchedTopics(act *model.Agent) map[taxonomy.Topic]bool {
 	return touched
 }
 
-// isNovelProduct reports whether p has descriptors and every one lies
-// outside the touched set (ignoring the root, which every path shares).
-func (r *Recommender) isNovelProduct(p *model.Product, touched map[taxonomy.Topic]bool) bool {
+// IsNovel reports whether p is a product with descriptors, every one of
+// them outside touched.
+func IsNovel(p *model.Product, touched map[taxonomy.Topic]bool) bool {
+	if p == nil || len(p.Topics) == 0 {
+		return false
+	}
 	for _, d := range p.Topics {
 		if touched[d] {
 			return false
 		}
 	}
-	return len(p.Topics) > 0
+	return true
 }

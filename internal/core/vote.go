@@ -75,7 +75,7 @@ func (r *Recommender) vote(ctx context.Context, vs *voteScratch, ratings *model.
 			if ai < 0 {
 				continue // active already rated it (sentinel)
 			}
-			if touched != nil && !r.isNovelProduct(r.adj.Product(o), touched) {
+			if touched != nil && !IsNovel(r.adj.Product(o), touched) {
 				continue
 			}
 			if ai == 0 {

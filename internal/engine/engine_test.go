@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"expvar"
@@ -550,5 +551,44 @@ func TestConcurrentRecommendDuringSwap(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestPipeKeySpelling: the checkpoint's spelling of a pipe key is
+// PipeSize bytes that give back the key, every field of it, and a
+// spelling ExportPeers never writes restores as nothing.
+func TestPipeKeySpelling(t *testing.T) {
+	keys := []pipeKey{
+		{},
+		{hasMetric: true, metric: core.NoTrust},
+		{hasAlpha: true, alpha: 0.25},
+		{hasAlpha: true}, // alpha 0, present
+		{hasMeasure: true, measure: cf.Pearson},
+		{rung: rungWiden},
+		{rung: rungGen, hasAlpha: true, alpha: 1},
+		{hasMetric: true, metric: core.PathTrust, hasAlpha: true, alpha: 0.5, hasMeasure: true, measure: cf.Cosine, rung: rungWiden},
+	}
+	spelled := map[[PipeSize]byte]bool{}
+	for _, k := range keys {
+		b := k.spell()
+		if got, ok := pipeKeyOf(string(b[:])); !ok || got != k {
+			t.Fatalf("%+v spells as %x, which reads back as %+v (ok %v)", k, b, got, ok)
+		}
+		if spelled[b] {
+			t.Fatalf("%+v spells as another key does: %x", k, b)
+		}
+		spelled[b] = true
+	}
+	full := keys[len(keys)-1].spell()
+	for what, spoil := range map[string]func(b []byte) []byte{
+		"short":                    func(b []byte) []byte { return b[:PipeSize-1] },
+		"long":                     func(b []byte) []byte { return append(b, 0) },
+		"unknown flag":             func(b []byte) []byte { b[0] |= 8; return b },
+		"unknown rung":             func(b []byte) []byte { b[1] = 'x'; return b },
+		"an absent field not zero": func(b []byte) []byte { b[0] &^= 2; return b },
+	} {
+		if k, ok := pipeKeyOf(string(spoil(bytes.Clone(full[:])))); ok {
+			t.Fatalf("%s: read back as %+v", what, k)
+		}
 	}
 }

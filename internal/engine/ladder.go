@@ -16,8 +16,8 @@ import (
 // validates them with the same dependency fingerprints: trustDirty is a
 // reverse reachability closure, so it covers the one extra hop widening
 // takes, and the cached value's own member list is what the
-// rating-change scan walks. The checkpoint wire format spells the rungs
-// as the historical "|w"/"|g" pipe-string suffixes (see pipeKey.String).
+// rating-change scan walks. The checkpoint stores the rung as one byte of
+// the pipe key's binary spelling (see PipeSize).
 const (
 	rungWiden byte = 'w' // trust-hop-widened neighborhoods and their votes
 	rungGen   byte = 'g' // taxonomy-ancestor re-rankings and their votes

@@ -2,8 +2,8 @@ package engine
 
 import (
 	"context"
-	"strconv"
-	"strings"
+	"encoding/binary"
+	"math"
 	"time"
 
 	"swrec/internal/cf"
@@ -16,106 +16,53 @@ import (
 // Options returns the pipeline options this snapshot serves with.
 func (s *Snapshot) Options() core.Options { return s.opt }
 
-// PeersEntry is one exported neighborhood-cache entry: the active agent's
-// ordinal and the pipe key spelled as a string (the checkpoint's wire
-// spelling; the cache keys on a fixed-size struct). Every rank carries
-// its peer's ordinal, so neither side of the checkpoint boundary resolves
-// a URI.
+// PeersEntry is one exported neighborhood-cache entry. Every rank carries
+// its peer's ordinal, so neither side of the checkpoint resolves a URI.
 type PeersEntry struct {
 	Agent int32
-	Pipe  string // the stages-1-3 override key; "" for the default pipeline
+	Pipe  string // the stages-1-3 override key and rung, PipeSize bytes
 	// Ranks returns the ranking. A restored entry's is the checkpoint
 	// decoder's materializer over the file bytes: NewRestored calls it at
 	// most once, when something first reads the neighborhood.
 	Ranks func() []core.PeerRank
 }
 
-// Wire spellings of the ladder rungs (see rungWiden/rungGen): kept
-// identical to the pipe-string suffixes earlier releases checkpointed,
-// so warm caches survive the key-representation change across restarts.
-const (
-	pipeWiden = "|w"
-	pipeGen   = "|g"
-)
+// PipeSize is the width of PeersEntry.Pipe, the pipe key as fixed-width
+// little-endian fields: u8 flags (1 metric, 2 alpha, 4 measure), u8 rung,
+// i64 metric, i64 measure, f64 alpha; an absent field is zero. Only this
+// file knows the layout.
+const PipeSize = 26
 
-// String spells the key in the checkpoint wire format: "m<metric>",
-// "a<alpha>", "s<measure>" for the overrides present, then the rung
-// suffix — byte-identical to the concatenated string keys the cache used
-// before ordinal interning.
-func (k pipeKey) String() string {
-	var b []byte
+// spell is k in its PipeSize bytes.
+func (k pipeKey) spell() (b [PipeSize]byte) {
+	b[1] = k.rung
 	if k.hasMetric {
-		b = append(b, 'm')
-		b = strconv.AppendInt(b, int64(k.metric), 10)
+		b[0] |= 1
+		binary.LittleEndian.PutUint64(b[2:], uint64(k.metric))
 	}
 	if k.hasAlpha {
-		b = append(b, 'a')
-		b = strconv.AppendFloat(b, k.alpha, 'g', -1, 64)
+		b[0] |= 2
+		binary.LittleEndian.PutUint64(b[18:], math.Float64bits(k.alpha))
 	}
 	if k.hasMeasure {
-		b = append(b, 's')
-		b = strconv.AppendInt(b, int64(k.measure), 10)
+		b[0] |= 4
+		binary.LittleEndian.PutUint64(b[10:], uint64(k.measure))
 	}
-	switch k.rung {
-	case rungWiden:
-		b = append(b, pipeWiden...)
-	case rungGen:
-		b = append(b, pipeGen...)
-	}
-	return string(b)
+	return b
 }
 
-// parsePipeKey inverts String. ok is false for malformed spellings —
-// restore drops such entries rather than seeding a key no request could
-// ever probe.
-func parsePipeKey(s string) (pipeKey, bool) {
-	var k pipeKey
-	if rest, found := strings.CutSuffix(s, pipeWiden); found {
-		k.rung, s = rungWiden, rest
-	} else if rest, found := strings.CutSuffix(s, pipeGen); found {
-		k.rung, s = rungGen, rest
+// pipeKeyOf inverts spell; ok is false for a spelling spell never makes,
+// which restore drops rather than seed a key no request could probe.
+func pipeKeyOf(s string) (pipeKey, bool) {
+	var b [PipeSize]byte
+	copy(b[:], s)
+	k := pipeKey{
+		hasMetric: b[0]&1 != 0, metric: core.Metric(binary.LittleEndian.Uint64(b[2:])),
+		hasMeasure: b[0]&4 != 0, measure: cf.Measure(binary.LittleEndian.Uint64(b[10:])),
+		hasAlpha: b[0]&2 != 0, alpha: math.Float64frombits(binary.LittleEndian.Uint64(b[18:])),
+		rung: b[1],
 	}
-	// Fields appear in m, a, s order; each value runs to the next field
-	// letter (metric and measure are decimal ints, alpha is a %g float —
-	// none of which contain the letters themselves).
-	cut := func(prefix byte, stops string) (string, bool) {
-		if s == "" || s[0] != prefix {
-			return "", false
-		}
-		s = s[1:]
-		end := len(s)
-		if i := strings.IndexAny(s, stops); i >= 0 {
-			end = i
-		}
-		v := s[:end]
-		s = s[end:]
-		return v, true
-	}
-	if v, found := cut('m', "as"); found {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return pipeKey{}, false
-		}
-		k.hasMetric, k.metric = true, core.Metric(n)
-	}
-	if v, found := cut('a', "s"); found {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return pipeKey{}, false
-		}
-		k.hasAlpha, k.alpha = true, f
-	}
-	if v, found := cut('s', ""); found {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return pipeKey{}, false
-		}
-		k.hasMeasure, k.measure = true, cf.Measure(n)
-	}
-	if s != "" {
-		return pipeKey{}, false
-	}
-	return k, true
+	return k, len(s) == PipeSize && k.spell() == b && (k.rung == 0 || k.rung == rungWiden || k.rung == rungGen)
 }
 
 // ExportPeers snapshots the warm neighborhood cache oldest-inserted
@@ -126,8 +73,15 @@ func parsePipeKey(s string) (pipeKey, bool) {
 func (s *Snapshot) ExportPeers() []PeersEntry {
 	es := s.peers.entries()
 	out := make([]PeersEntry, len(es))
+	spelled := map[pipeKey]string{} // a handful of distinct keys; one string each
 	for i, e := range es {
-		out[i] = PeersEntry{Agent: e.key.agent, Pipe: e.key.pipe.String(), Ranks: e.val.ranks}
+		pipe, ok := spelled[e.key.pipe]
+		if !ok {
+			b := e.key.pipe.spell()
+			pipe = string(b[:])
+			spelled[e.key.pipe] = pipe
+		}
+		out[i] = PeersEntry{Agent: e.key.agent, Pipe: pipe, Ranks: e.val.ranks}
 	}
 	return out
 }
@@ -194,10 +148,10 @@ func newSnapshotRestored(epoch uint64, r Restore, opt core.Options, cfg Config) 
 		stats.Add("restored_rows", int64(mat.Len()-mat.Built()))
 	}
 	// Seed the warm caches. Entries whose agent ordinal lies outside the
-	// restored community, or whose pipe spelling no release ever wrote,
+	// restored community, or whose pipe spelling ExportPeers never writes,
 	// are dropped: a cold miss is always safe, a mis-keyed hit never is.
 	for _, e := range r.Peers {
-		pipe, ok := parsePipeKey(e.Pipe)
+		pipe, ok := pipeKeyOf(e.Pipe)
 		if e.Agent < 0 || int(e.Agent) >= r.Community.NumAgents() || !ok {
 			continue
 		}

@@ -375,13 +375,21 @@ func maskRecord(record, masked string) string {
 // every number the suite prints. A change that moves a number on purpose
 // rewrites the record with `make experiments` and says why.
 func TestSmallSuiteMatchesRecord(t *testing.T) {
+	requireRecord(t, small(), "experiments_small_output.txt", "make experiments")
+}
+
+// requireRecord runs the suite at p and compares its report with the
+// record file at the repository root, wall-clock figures masked; rewrite
+// is the target that rewrites the record.
+func requireRecord(t *testing.T, p Params, file, rewrite string) {
+	t.Helper()
 	maskTimings = true
 	defer func() { maskTimings = false }()
 	var got strings.Builder
-	if err := Suite(&got, small(), nil); err != nil {
+	if err := Suite(&got, p, nil); err != nil {
 		t.Fatal(err)
 	}
-	record, err := os.ReadFile(filepath.Join("..", "..", "experiments_small_output.txt"))
+	record, err := os.ReadFile(filepath.Join("..", "..", file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +407,7 @@ func TestSmallSuiteMatchesRecord(t *testing.T) {
 			w = wl[i]
 		}
 		if g != w {
-			t.Fatalf("line %d of the report differs from the record (run `make experiments` if the change is intended):\ngot:    %q\nrecord: %q", i+1, g, w)
+			t.Fatalf("line %d of the report differs from %s (run `%s` if the change is intended):\ngot:    %q\nrecord: %q", i+1, file, rewrite, g, w)
 		}
 	}
 }

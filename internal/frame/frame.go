@@ -1,12 +1,11 @@
-// Package frame owns the one record format under both append-only logs,
-// the crawler's document cache (internal/store) and the write-ahead log
-// (internal/wal):
+// Package frame owns the one record format under every durable byte: the
+// crawler's cache (internal/store), the WAL and the compiled checkpoint:
 //
 //	u32 crc32(payload) | u32 len(payload) | payload     (little-endian)
 //
 // What a payload means is the caller's business. Scan names how a file
-// of frames ends; Tail appends so that only whole, acknowledged frames
-// ever stand in front of the next append.
+// of frames ends, and Walk how one in memory does; Tail appends so that
+// only whole, acknowledged frames ever stand before the next append.
 package frame
 
 import (
@@ -40,6 +39,33 @@ func Seal(frame []byte) {
 	payload := frame[HeaderSize:]
 	binary.LittleEndian.PutUint32(frame[0:4], crc32.ChecksumIEEE(payload))
 	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(payload)))
+}
+
+// Record is a frame Walk found: its payload and its stored checksum.
+type Record struct {
+	Payload []byte
+	Sum     uint32
+}
+
+// Intact reports whether the payload matches its stored checksum.
+func (r Record) Intact() bool { return crc32.ChecksumIEEE(r.Payload) == r.Sum }
+
+// Walk is Scan over data, a file of frames held in memory, with no length
+// bound and no copy: each Record aliases data, and its checksum is the
+// caller's to check (Intact), where and when it chooses.
+func Walk(data []byte, fn func(off int, r Record) error) (good int, torn bool, err error) {
+	for good < len(data) {
+		rest := data[good:]
+		if len(rest) < HeaderSize || int64(binary.LittleEndian.Uint32(rest[4:8])) > int64(len(rest)-HeaderSize) {
+			return good, true, nil
+		}
+		end := HeaderSize + int(binary.LittleEndian.Uint32(rest[4:8]))
+		if err := fn(good, Record{Payload: rest[HeaderSize:end:end], Sum: binary.LittleEndian.Uint32(rest)}); err != nil {
+			return good, false, err
+		}
+		good += end
+	}
+	return good, false, nil
 }
 
 // Scan calls fn with the offset and payload of each frame of r, a file of

@@ -3,6 +3,8 @@ package frame
 import (
 	"bytes"
 	"errors"
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -27,6 +29,32 @@ func scan(data []byte, max uint32) (payloads []string, offs []int64, good int64,
 	return payloads, offs, good, torn, err
 }
 
+// walk collects what Walk hands to its callback, stopping as Scan does at
+// the first record whose checksum fails.
+func walk(data []byte) (payloads []string, offs []int64, good int64, torn bool, err error) {
+	g, torn, err := Walk(data, func(off int, r Record) error {
+		if !r.Intact() {
+			return ErrCorrupt
+		}
+		payloads = append(payloads, string(r.Payload))
+		offs = append(offs, int64(off))
+		return nil
+	})
+	return payloads, offs, int64(g), torn, err
+}
+
+// requireWalkIsScan: over bytes already in memory, Walk reports what Scan
+// reports over the same bytes as a file.
+func requireWalkIsScan(t *testing.T, data []byte) {
+	t.Helper()
+	sp, so, sgood, storn, serr := scan(data, math.MaxUint32)
+	wp, wo, wgood, wtorn, werr := walk(data)
+	if !slices.Equal(sp, wp) || !slices.Equal(so, wo) || sgood != wgood || storn != wtorn || (serr != nil) != (werr != nil) {
+		t.Fatalf("walk: %d records, good %d torn %v err %v; scan: %d records, good %d torn %v err %v",
+			len(wp), wgood, wtorn, werr, len(sp), sgood, storn, serr)
+	}
+}
+
 // TestCutAtEveryOffset is the shape of every crash mid-append: a file
 // cut anywhere is torn at its last complete frame, never corrupt.
 func TestCutAtEveryOffset(t *testing.T) {
@@ -34,6 +62,7 @@ func TestCutAtEveryOffset(t *testing.T) {
 	data := frames(want...)
 	ends := []int64{HeaderSize + 5, 2*HeaderSize + 5, int64(len(data))}
 	for cut := 0; cut <= len(data); cut++ {
+		requireWalkIsScan(t, data[:cut])
 		got, offs, good, torn, err := scan(data[:cut], 64)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
@@ -73,8 +102,9 @@ func TestScanCorrupt(t *testing.T) {
 	}
 }
 
-// FuzzScan: on any bytes the scan ends intact, torn or ErrCorrupt, and
-// the intact prefix it reports rescans clean to the same payloads.
+// FuzzScan: on any bytes the scan ends intact, torn or ErrCorrupt, the
+// intact prefix it reports rescans clean to the same payloads, and Walk
+// over the bytes in memory agrees with it.
 //
 //	go test -fuzz FuzzScan ./internal/frame
 func FuzzScan(f *testing.F) {
@@ -90,6 +120,7 @@ func FuzzScan(f *testing.F) {
 		f.Add(flipped)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		requireWalkIsScan(t, data)
 		got, _, good, torn, err := scan(data, 1<<10)
 		switch {
 		case err != nil && !errors.Is(err, ErrCorrupt):

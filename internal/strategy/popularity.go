@@ -52,14 +52,17 @@ func PopularityFor(comm *model.Community, rank []core.Recommendation, active *mo
 	if active == nil {
 		return nil
 	}
-	touched := touchedTopics(comm, active)
+	var touched map[taxonomy.Topic]bool // nil without a taxonomy: no partition
+	if comm.Taxonomy() != nil {
+		touched = core.TouchedTopics(comm, active)
+	}
 	novel := make([]core.Recommendation, 0, len(rank))
 	var rest []core.Recommendation
 	for _, rec := range rank {
 		if _, rated := active.Ratings[rec.Product]; rated {
 			continue
 		}
-		if touched != nil && isNovelProduct(comm.Product(rec.Product), touched) {
+		if touched != nil && core.IsNovel(comm.Product(rec.Product), touched) {
 			novel = append(novel, rec)
 		} else {
 			rest = append(rest, rec)
@@ -73,41 +76,4 @@ func PopularityFor(comm *model.Community, rank []core.Recommendation, active *mo
 		out = out[:n]
 	}
 	return out
-}
-
-// touchedTopics collects every topic (with ancestors, minus the root)
-// the agent's positive ratings reach — the same notion core's
-// NovelCategories mode uses. Returns nil when the community carries no
-// taxonomy, disabling the novel-first partition.
-func touchedTopics(comm *model.Community, a *model.Agent) map[taxonomy.Topic]bool {
-	tax := comm.Taxonomy()
-	if tax == nil {
-		return nil
-	}
-	touched := make(map[taxonomy.Topic]bool)
-	sym := comm.Symbols()
-	for _, pr := range comm.PositiveRatings(a) {
-		for _, d := range sym.ProductAt(pr.Ord).Topics {
-			touched[d] = true
-			for _, anc := range tax.Ancestors(d) {
-				touched[anc] = true
-			}
-		}
-	}
-	delete(touched, taxonomy.Root)
-	return touched
-}
-
-// isNovelProduct reports whether every descriptor of p lies outside the
-// touched set.
-func isNovelProduct(p *model.Product, touched map[taxonomy.Topic]bool) bool {
-	if p == nil || len(p.Topics) == 0 {
-		return false
-	}
-	for _, d := range p.Topics {
-		if touched[d] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,8 +1,13 @@
 package strategy
 
 import (
+	"context"
+	"fmt"
+	"slices"
 	"testing"
 
+	"swrec/internal/cf"
+	"swrec/internal/core"
 	"swrec/internal/model"
 	"swrec/internal/taxonomy"
 )
@@ -86,5 +91,73 @@ func TestPopularityForSkipsRatedAndPrefersNovel(t *testing.T) {
 
 	if PopularityFor(comm, rank, nil, 5) != nil {
 		t.Fatal("nil agent must yield nil")
+	}
+}
+
+// TestNoveltyAtBothCallSites pins the two readers of an agent's touched
+// topics — the topics and ancestors of its positive ratings of cataloged
+// products, minus the root — and the no-taxonomy policy each keeps: the
+// NovelCategories vote and the popularity rung's novel-first partition.
+// A peer rates p1..p5 (p1, p2 under X; p3, p4 under Y; p5 unlabelled);
+// the active agent likes p1 and dislikes p3, which touches nothing.
+func TestNoveltyAtBothCallSites(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		taxonomy   bool
+		vote, rung []model.ProductID
+	}{
+		// Only Y's p4 lies outside X, which p1 touched; the vote drops
+		// the rest, the rung moves p4 to the front.
+		{"taxonomy", true, []model.ProductID{"urn:p4"}, []model.ProductID{"urn:p4", "urn:p2", "urn:p5"}},
+		// No taxonomy: the vote treats every labelled product as novel;
+		// the rung does no partition.
+		{"no taxonomy", false, []model.ProductID{"urn:p2", "urn:p4"}, []model.ProductID{"urn:p2", "urn:p4", "urn:p5"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var tax *taxonomy.Taxonomy
+			x, y := taxonomy.Topic(1), taxonomy.Topic(2)
+			if tc.taxonomy {
+				tax = taxonomy.New("Top")
+				x, y = tax.MustAdd(taxonomy.Root, "X"), tax.MustAdd(taxonomy.Root, "Y")
+				x, y = tax.MustAdd(x, "x-leaf"), tax.MustAdd(y, "y-leaf")
+			}
+			comm := model.NewCommunity(tax)
+			must := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, topics := range [][]taxonomy.Topic{{x}, {x}, {y}, {y}, nil} {
+				pid := model.ProductID(fmt.Sprintf("urn:p%d", i+1))
+				comm.AddProduct(model.Product{ID: pid, Title: string(pid), Topics: topics})
+				must(comm.SetRating("http://x/peer", pid, 1-float64(i)/10))
+			}
+			must(comm.SetRating("http://x/me", "urn:p1", 0.8))
+			must(comm.SetRating("http://x/me", "urn:p3", -0.5))
+			me := comm.Agent("http://x/me")
+
+			rec, err := core.New(comm, core.Options{Content: core.NovelCategories, CF: cf.Options{Representation: cf.Product}})
+			must(err)
+			peer := core.NewPeerRank(comm.Agent("http://x/peer"), 1)
+			peer.Weight = 1
+			recs, err := rec.RecommendFromCtx(context.Background(), me.ID, []core.PeerRank{peer}, 0)
+			must(err)
+			var got []model.ProductID
+			for _, r := range recs {
+				got = append(got, r.Product)
+			}
+			if !slices.Equal(got, tc.vote) {
+				t.Fatalf("the vote recommends %v, want %v", got, tc.vote)
+			}
+
+			got = got[:0]
+			for _, r := range PopularityFor(comm, PopularityRank(comm), me, 0) {
+				got = append(got, r.Product)
+			}
+			if !slices.Equal(got, tc.rung) {
+				t.Fatalf("the popularity rung answers %v, want %v", got, tc.rung)
+			}
+		})
 	}
 }
