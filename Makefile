@@ -217,7 +217,7 @@ recovery-smoke:
 FUZZ_TARGETS = \
 	rdf:FuzzParseNTriples rdf:FuzzParseTurtle rdf:FuzzParseRDFXML rdf:FuzzParseDocument \
 	checkpoint:FuzzDecode:binary frame:FuzzScan:binary wal:FuzzScanSegment:binary store:FuzzStoreScan:binary \
-	api:FuzzAppendString api:FuzzAppendFloat api:FuzzParam api:FuzzRoute \
+	api:FuzzAppendString api:FuzzAppendFloat api:FuzzParam api:FuzzRoute api:FuzzWriteBody \
 	foaf:FuzzUnmarshalHomepage
 FUZZ_BINARY = -fuzzminimizetime 1s
 

@@ -254,7 +254,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if c.body != nil { // Write keeps only what followed a 200
 		snap.StoreBody(r.URL.Path, r.URL.RawPath, r.URL.RawQuery, uint8(ep), c.body)
 	}
-	account(ep, c.status, statusKey(c.status), time.Since(start))
+	account(ep, c.status, statusStat(c.status), time.Since(start))
 }
 
 const jsonContentType = "application/json"
@@ -272,7 +272,7 @@ func serveStored(w http.ResponseWriter, u *url.URL, snap *engine.Snapshot, start
 	}
 	setJSONContentType(w.Header())
 	_, _ = w.Write(body) // a failed write is the client's loss, as on the encoder path
-	account(endpoint(tag), http.StatusOK, statusOKKey, time.Since(start))
+	account(endpoint(tag), http.StatusOK, statusOK, time.Since(start))
 	return true
 }
 

@@ -2,6 +2,7 @@ package api
 
 import (
 	"math"
+	"math/bits"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -47,11 +48,50 @@ func plainByte(c byte) bool {
 	return c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 }
 
-// appendString appends s as a JSON string literal.
+// Word-at-a-time byte tests: a uint64 holds eight bytes of a string,
+// the first in the low byte.
+const (
+	lsbs = 0x0101010101010101 // 0x01 in every byte
+	msbs = 0x8080808080808080 // 0x80 in every byte
+)
+
+// zeroBytes sets the top bit of the lowest zero byte of w, and of no
+// byte below it. (A byte above the lowest zero may be flagged falsely: a
+// borrow only runs upwards.)
+func zeroBytes(w uint64) uint64 { return (w - lsbs) & ^w & msbs }
+
+// plainPrefix returns the length of the longest prefix of s that
+// encoding/json writes verbatim: bytes from space up to 0x7f other than
+// the quote, the backslash and <, >, &. It tests eight bytes per step;
+// the lowest flagged byte of a word is the first one that needs
+// escaping.
+//
+//swrec:hotpath
+func plainPrefix(s string) int {
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		q := s[i : i+8]
+		w := uint64(q[0]) | uint64(q[1])<<8 | uint64(q[2])<<16 | uint64(q[3])<<24 |
+			uint64(q[4])<<32 | uint64(q[5])<<40 | uint64(q[6])<<48 | uint64(q[7])<<56
+		special := w&msbs | // ≥ 0x80
+			(w-' '*lsbs)&^w&msbs | // < 0x20, for bytes under 0x80
+			zeroBytes(w^'"'*lsbs) | zeroBytes(w^'\\'*lsbs) |
+			zeroBytes(w^'<'*lsbs) | zeroBytes(w^'>'*lsbs) | zeroBytes(w^'&'*lsbs)
+		if special != 0 {
+			return i + bits.TrailingZeros64(special)>>3
+		}
+	}
+	for ; i < len(s) && s[i] < utf8.RuneSelf && plainByte(s[i]); i++ {
+	}
+	return i
+}
+
+// appendString appends s as a JSON string literal. The plain prefix is
+// one copy; the byte loop runs from the first byte that needs escaping.
 func appendString(b []byte, s string) []byte {
 	b = append(b, '"')
 	start := 0
-	for i := 0; i < len(s); {
+	for i := plainPrefix(s); i < len(s); {
 		if c := s[i]; c < utf8.RuneSelf {
 			if plainByte(c) {
 				i++
@@ -122,21 +162,6 @@ func appendFloat(b []byte, f float64) []byte {
 		}
 	}
 	return b
-}
-
-// appendTopic appends a topic's qualified name as a JSON string. The name
-// goes straight into the output; only one that holds a byte JSON must
-// escape (or any non-ASCII byte) is taken back out and re-encoded.
-func appendTopic(b []byte, tax *taxonomy.Taxonomy, d taxonomy.Topic) []byte {
-	b = append(b, '"')
-	start := len(b)
-	b = tax.AppendQualifiedName(b, d)
-	for _, c := range b[start:] {
-		if c >= utf8.RuneSelf || !plainByte(c) {
-			return appendString(b[:start-1], string(b[start:]))
-		}
-	}
-	return append(b, '"')
 }
 
 // appendElem starts element i of a list on a line of its own at indent in.
@@ -270,7 +295,7 @@ func appendProfile(b []byte, prof *profmat.Row, top []int32, tax *taxonomy.Taxon
 		}
 		b = appendElem(b, i, in2)
 		b = append(b, "{"+in3+`"topic": `...)
-		b = appendTopic(b, tax, taxonomy.Topic(prof.Keys[pos]))
+		b = appendString(b, tax.QualifiedName(taxonomy.Topic(prof.Keys[pos])))
 		b = append(b, ","+in3+`"score": `...)
 		b = appendFloat(b, prof.Vals[pos])
 		b = append(b, in2+"}"...)
@@ -346,7 +371,7 @@ func appendProduct(b []byte, p *model.Product, tax *taxonomy.Taxonomy) []byte {
 	if tax != nil && len(p.Topics) > 0 {
 		b = append(b, ","+in1+`"topics": [`...)
 		for i, d := range p.Topics {
-			b = appendTopic(appendElem(b, i, in2), tax, d)
+			b = appendString(appendElem(b, i, in2), tax.QualifiedName(d))
 		}
 		b = appendListEnd(b, len(p.Topics), in1)
 	}

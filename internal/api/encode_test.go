@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"swrec/internal/cf"
 	"swrec/internal/core"
@@ -344,13 +345,41 @@ func TestNonFiniteFloatSendsNothing(t *testing.T) {
 
 func second(_ []byte, ok bool) bool { return ok }
 
-// FuzzAppendString pins appendString to encoding/json on any string.
+// escapable lists one spelling of every class of input appendString must
+// not copy verbatim: each control byte, the quote and the backslash, the
+// three HTML-unsafe bytes, a stray continuation byte, an invalid lead
+// byte and U+2028.
+func escapable() []string {
+	out := []string{`"`, `\`, "<", ">", "&", "\x80", "\xff", "\u2028"}
+	for c := 0; c < 0x20; c++ {
+		out = append(out, string(rune(c)))
+	}
+	return out
+}
+
+// plainFill is ASCII that stands for itself in JSON, the neighbours of the
+// escaped bytes among it.
+const plainFill = "!#%'=?[]~\x7f aZ09;:!#%'=?[]~\x7f aZ09;:"
+
+// placed returns plainFill[:n] with x written over it at offset at.
+func placed(n, at int, x string) string {
+	return plainFill[:at] + x + plainFill[at+len(x):n]
+}
+
+// FuzzAppendString pins appendString to encoding/json on any string. The
+// seeds put every escapable class at every offset of the first two
+// eight-byte words plainPrefix tests.
 func FuzzAppendString(f *testing.F) {
 	for _, s := range append(hostileStrings, "<>&", `"`, `\`, "\xff", "\u2028", "\xe2\x80", "\xed\xa0\x80") {
 		f.Add(s)
 	}
 	for c := 0; c < 0x20; c++ {
 		f.Add(string(rune(c)))
+	}
+	for _, x := range escapable() {
+		for at := 0; at < 16; at++ {
+			f.Add(placed(24, at, x))
+		}
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		want, err := json.Marshal(s)
@@ -361,6 +390,57 @@ func FuzzAppendString(f *testing.F) {
 			t.Fatalf("appendString(%q) = %s, encoding/json writes %s", s, got, want)
 		}
 	})
+}
+
+// TestAppendStringWordScan runs the word scan's cases exhaustively: every
+// escapable class at every offset of every string of length 0–17 (the
+// whole words, and the byte tail after them), and every pair of classes
+// in one 16-byte string, against encoding/json — and plainPrefix against
+// the byte-at-a-time definition.
+func TestAppendStringWordScan(t *testing.T) {
+	check := func(s string) {
+		t.Helper()
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendString(nil, s); !bytes.Equal(got, want) {
+			t.Fatalf("appendString(%q) = %s, encoding/json writes %s", s, got, want)
+		}
+		plain := 0
+		for plain < len(s) && s[plain] < utf8.RuneSelf && plainByte(s[plain]) {
+			plain++
+		}
+		if got := plainPrefix(s); got != plain {
+			t.Fatalf("plainPrefix(%q) = %d, want %d", s, got, plain)
+		}
+	}
+	classes := escapable()
+	for n := 0; n <= 17; n++ {
+		check(plainFill[:n])
+		for _, x := range classes {
+			for at := 0; at+len(x) <= n; at++ {
+				check(placed(n, at, x))
+			}
+		}
+	}
+	for _, x := range classes {
+		for at := 0; at+len(x) <= 24; at++ {
+			check(placed(24, at, x))
+		}
+	}
+	for _, x := range classes {
+		for _, y := range classes {
+			for i := 0; i+len(x) <= 16; i++ {
+				for j := i + len(x); j+len(y) <= 16; j++ {
+					s := []byte(plainFill[:16])
+					copy(s[i:], x)
+					copy(s[j:], y)
+					check(string(s))
+				}
+			}
+		}
+	}
 }
 
 // FuzzAppendFloat pins appendFloat, and finite, to encoding/json on any

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"swrec/internal/engine"
+	"swrec/internal/metrics"
 )
 
 // endpoint is one request's class: the handler family that serves it and
@@ -182,61 +183,74 @@ func latencyBucket(d time.Duration) int {
 	}
 }
 
-// counterKeys are one endpoint class's swrec_http counter names.
-type counterKeys struct {
-	requests, errors string
-	latency          [len(latencyBuckets)]string
+// endpointCounters are one endpoint class's swrec_http counters.
+type endpointCounters struct {
+	requests, errors metrics.Counter
+	latency          [len(latencyBuckets)]metrics.Counter
 }
 
-// endpointKeys spells every class's counter names out once, so that
-// accounting for a request concatenates nothing.
-var endpointKeys = func() (keys [numEndpoints]counterKeys) {
+// endpointStats names every class's counters once, so that accounting
+// for a request concatenates and looks up nothing.
+var endpointStats = func() (c [numEndpoints]endpointCounters) {
 	for ep, name := range endpointNames {
-		keys[ep].requests = name + "_requests"
-		keys[ep].errors = name + "_errors"
+		c[ep].requests = metrics.NewCounter(httpStats, name+"_requests")
+		c[ep].errors = metrics.NewCounter(httpStats, name+"_errors")
 		for b, bucket := range latencyBuckets {
-			keys[ep].latency[b] = name + "_" + bucket
+			c[ep].latency[b] = metrics.NewCounter(httpStats, name+"_"+bucket)
 		}
 	}
-	return keys
+	return
 }()
 
-const statusOKKey = "status_200"
+// The swrec_api counters of every request.
+var (
+	requestsStat  = metrics.NewCounter(apiStats, "requests")
+	requestNsStat = metrics.NewCounter(apiStats, "request_ns")
+)
 
-// statusKey is the swrec_api counter name of a response status.
-func statusKey(status int) string {
-	switch status {
-	case http.StatusOK:
-		return statusOKKey
-	case http.StatusAccepted:
-		return "status_202"
-	case http.StatusBadRequest:
-		return "status_400"
-	case http.StatusNotFound:
-		return "status_404"
-	case http.StatusMethodNotAllowed:
-		return "status_405"
-	case http.StatusConflict:
-		return "status_409"
-	case http.StatusInternalServerError:
-		return "status_500"
-	case http.StatusServiceUnavailable:
-		return "status_503"
-	case http.StatusGatewayTimeout:
-		return "status_504"
+// statusStats are the swrec_api status_NNN counters of the statuses the
+// handlers answer with.
+var statusStats = [...]struct {
+	status int
+	metrics.Counter
+}{
+	{http.StatusOK, metrics.NewCounter(apiStats, "status_200")},
+	{http.StatusAccepted, metrics.NewCounter(apiStats, "status_202")},
+	{http.StatusMovedPermanently, metrics.NewCounter(apiStats, "status_301")},
+	{http.StatusBadRequest, metrics.NewCounter(apiStats, "status_400")},
+	{http.StatusNotFound, metrics.NewCounter(apiStats, "status_404")},
+	{http.StatusMethodNotAllowed, metrics.NewCounter(apiStats, "status_405")},
+	{http.StatusConflict, metrics.NewCounter(apiStats, "status_409")},
+	{http.StatusInternalServerError, metrics.NewCounter(apiStats, "status_500")},
+	{http.StatusServiceUnavailable, metrics.NewCounter(apiStats, "status_503")},
+	{http.StatusGatewayTimeout, metrics.NewCounter(apiStats, "status_504")},
+}
+
+// statusOK is the counter of a 200, the one a stored hit books.
+var statusOK = &statusStats[0].Counter
+
+// statusStat is the swrec_api counter of a response status. A status no
+// handler answers with gets a counter of its own, resolved through the
+// map on its one Add.
+func statusStat(status int) *metrics.Counter {
+	for i := range statusStats {
+		if statusStats[i].status == status {
+			return &statusStats[i].Counter
+		}
 	}
-	return "status_" + strconv.Itoa(status)
+	c := metrics.NewCounter(apiStats, "status_"+strconv.Itoa(status))
+	return &c
 }
 
 // account books one finished request under swrec_api and swrec_http.
-func account(ep endpoint, status int, statusKey string, elapsed time.Duration) {
-	apiStats.Add("requests", 1)
-	apiStats.Add("request_ns", elapsed.Nanoseconds())
-	apiStats.Add(statusKey, 1)
-	keys := &endpointKeys[ep]
-	httpStats.Add(keys.requests, 1)
+func account(ep endpoint, status int, st *metrics.Counter, elapsed time.Duration) {
+	requestsStat.Add(1)
+	requestNsStat.Add(elapsed.Nanoseconds())
+	st.Add(1)
+	c := &endpointStats[ep]
+	c.requests.Add(1)
 	if status >= 500 {
-		httpStats.Add(keys.errors, 1)
+		c.errors.Add(1)
 	}
-	httpStats.Add(keys.latency[latencyBucket(elapsed)], 1)
+	c.latency[latencyBucket(elapsed)].Add(1)
 }

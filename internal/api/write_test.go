@@ -242,3 +242,90 @@ func TestWriteOverloaded503(t *testing.T) {
 		t.Fatal("503 overloaded without Retry-After")
 	}
 }
+
+// recordingWriter acknowledges every mutation and keeps the ones it got.
+type recordingWriter struct{ got []wal.Mutation }
+
+func (w *recordingWriter) Submit(m wal.Mutation) (uint64, error) {
+	w.got = append(w.got, m)
+	return uint64(len(w.got)), nil
+}
+
+// FuzzWriteBody sends any POST body to the three write endpoints —
+// /v1/agents, …/trust and …/ratings, the latter two under a known or an
+// unknown agent — through ServeHTTP. Every answer is a 202, a 400 or a
+// 404 in the JSON envelope, never a 500 or a panic, and a 202 acknowledges
+// exactly one mutation, one ingest.ValidateIn accepts.
+func FuzzWriteBody(f *testing.F) {
+	_, comm, eng := newTestServer(f)
+	w := &recordingWriter{}
+	s := NewWritable(eng, w)
+	agents, products := comm.Agents(), comm.Products()
+	seed := func(target, agent uint8, body any) {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(target, agent, raw)
+	}
+	const agentsPath, trustPath, ratingsPath = 0, 1, 2
+	const unknown = 255 // an agent index past the community: 404
+	seed(trustPath, 0, map[string]any{"peer": agents[1], "value": 0.9})
+	seed(trustPath, unknown, map[string]any{"peer": "http://x/y", "value": 0.5})
+	seed(trustPath, 0, map[string]any{"peer": agents[0], "value": -1})
+	seed(ratingsPath, 0, map[string]any{"product": products[0], "value": -0.25})
+	seed(ratingsPath, 0, map[string]any{"product": "urn:isbn:12345", "value": 0.5})
+	seed(ratingsPath, 0, map[string]any{"product": "urn:isbn:9780553380958", "value": 0.5})
+	seed(ratingsPath, 0, map[string]any{"product": "http://nowhere/new", "value": 0.5})
+	seed(ratingsPath, 0, map[string]any{"product": products[0], "value": 3.0})
+	seed(ratingsPath, 0, map[string]any{"produkt": "typo"})
+	seed(agentsPath, 0, map[string]any{"id": "http://people/new", "name": "Newcomer"})
+	seed(agentsPath, 0, map[string]any{"id": "", "name": "anon"})
+	for _, raw := range []string{"", "null", "[]", `{"value":1e400}`, `{"peer":"http://x/y","value":0.5} trailing`, `{"id":"\u0000"}`, "{"} {
+		for target := uint8(0); target < 3; target++ {
+			f.Add(target, uint8(0), []byte(raw))
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, target, agent uint8, body []byte) {
+		path := "/v1/agents"
+		if target%3 != agentsPath {
+			id := model.AgentID("http://nobody/here")
+			if int(agent) < len(agents) {
+				id = agents[agent]
+			}
+			path = agentPath(id, [...]string{trustPath: "/trust", ratingsPath: "/ratings"}[target%3])
+		}
+		before := len(w.got)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(string(body))))
+
+		if ct := rec.Header().Get("Content-Type"); ct != jsonContentType {
+			t.Fatalf("POST %s %q: %d with Content-Type %q", path, body, rec.Code, ct)
+		}
+		submitted := w.got[before:]
+		switch rec.Code {
+		case http.StatusAccepted:
+			var ack accepted
+			if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil || ack.Status != "accepted" || ack.Seq != uint64(len(w.got)) {
+				t.Fatalf("POST %s %q: 202 with body %s", path, body, rec.Body)
+			}
+			if len(submitted) != 1 {
+				t.Fatalf("POST %s %q: 202 after %d submissions", path, body, len(submitted))
+			}
+			if err := ingest.ValidateIn(eng.Snapshot().Community(), submitted[0]); err != nil {
+				t.Fatalf("POST %s %q: 202 for %+v, which ValidateIn refuses: %v", path, body, submitted[0], err)
+			}
+		case http.StatusBadRequest, http.StatusNotFound:
+			var e errorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error.Code == "" || e.Error.Message == "" {
+				t.Fatalf("POST %s %q: %d without the error envelope: %s", path, body, rec.Code, rec.Body)
+			}
+			if len(submitted) != 0 {
+				t.Fatalf("POST %s %q: %d after submitting %+v", path, body, rec.Code, submitted)
+			}
+		default:
+			t.Fatalf("POST %s %q: status %d: %s", path, body, rec.Code, rec.Body)
+		}
+	})
+}

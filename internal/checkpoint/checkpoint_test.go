@@ -158,6 +158,40 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodedTaxonomyQualifiedNames: a taxonomy decoded from a
+// checkpoint — secondary parents included — names every topic by the
+// "/"-join of its primary path, and resolves each name back to its topic.
+func TestDecodedTaxonomyQualifiedNames(t *testing.T) {
+	comm := testCommunity(t, 12)
+	src := comm.Taxonomy()
+	fic, _ := src.Lookup("Books/Fiction")
+	alg, _ := src.Lookup("Books/Science/Mathematics/Pure/Algebra")
+	if err := src.AddEdge(fic, alg); err != nil {
+		t.Fatal(err)
+	}
+	img, err := Decode(Encode(Capture(warmEngine(t, comm).Snapshot(), 3)), testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tax := img.Community.Taxonomy()
+	if tax.Len() != src.Len() || len(tax.Parents(alg)) != 2 {
+		t.Fatalf("decoded %d topics, Algebra's parents %v; want %d and two", tax.Len(), tax.Parents(alg), src.Len())
+	}
+	for _, d := range tax.Topics() {
+		var parts []string
+		for _, p := range tax.PrimaryPath(d) {
+			parts = append(parts, tax.Name(p))
+		}
+		want := strings.Join(parts, "/")
+		if got := tax.QualifiedName(d); got != want || got != src.QualifiedName(d) {
+			t.Fatalf("QualifiedName(%d) = %q, primary path spells %q, source %q", d, got, want, src.QualifiedName(d))
+		}
+		if at, ok := tax.Lookup(want); !ok || at != d {
+			t.Fatalf("Lookup(%q) = %d,%v, want %d", want, at, ok, d)
+		}
+	}
+}
+
 // TestRestoredRanksCarryOrdinals: every rank of a restored neighborhood
 // carries its peer's ordinal — the one the file stores — so nothing
 // downstream resolves a restored peer by its URI.

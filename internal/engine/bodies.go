@@ -49,10 +49,10 @@ type storedBody struct {
 func (s *Snapshot) Body(path, rawPath, rawQuery string) (body []byte, tag uint8, ok bool) {
 	b, ok := s.bodies.get(bodyKey{path, rawPath, rawQuery})
 	if !ok {
-		stats.Add("body_miss", 1)
+		bodyMissStat.Add(1)
 		return nil, 0, false
 	}
-	stats.Add("body_hit", 1)
+	bodyHitStat.Add(1)
 	return b.data, b.tag, true
 }
 
@@ -68,5 +68,5 @@ func (s *Snapshot) StoreBody(path, rawPath, rawQuery string, tag uint8, body []b
 	}
 	key := bodyKey{strings.Clone(path), strings.Clone(rawPath), strings.Clone(rawQuery)}
 	s.bodies.addWeighted(key, storedBody{tag: tag, data: body}, size+bodyEntryOverhead)
-	stats.Add("body_bytes", int64(size))
+	bodyBytesStat.Add(int64(size))
 }

@@ -53,6 +53,7 @@ import (
 	"swrec/internal/cf"
 	"swrec/internal/core"
 	"swrec/internal/index"
+	"swrec/internal/metrics"
 	"swrec/internal/model"
 	"swrec/internal/profile"
 	"swrec/internal/profmat"
@@ -61,6 +62,23 @@ import (
 
 // stats aggregates cache counters across all engines in the process.
 var stats = expvar.NewMap("swrec_engine")
+
+// The swrec_engine counters a request bumps, each resolved once. The
+// publish, restore and warm-up counters stay on stats.Add.
+var (
+	bodyHitStat        = metrics.NewCounter(stats, "body_hit")
+	bodyMissStat       = metrics.NewCounter(stats, "body_miss")
+	bodyBytesStat      = metrics.NewCounter(stats, "body_bytes")
+	peersHitStat       = metrics.NewCounter(stats, "peers_hit")
+	peersMissStat      = metrics.NewCounter(stats, "peers_miss")
+	resultsHitStat     = metrics.NewCounter(stats, "results_hit")
+	resultsMissStat    = metrics.NewCounter(stats, "results_miss")
+	flightSharedStat   = metrics.NewCounter(stats, "flight_shared")
+	profileHitStat     = metrics.NewCounter(stats, "profile_hit")
+	profileMissStat    = metrics.NewCounter(stats, "profile_miss")
+	degradedServedStat = metrics.NewCounter(stats, "degraded_served")
+	degradedStaleStat  = metrics.NewCounter(stats, "degraded_stale")
+)
 
 // ErrNoTaxonomy is returned by taxonomy-dependent lookups on communities
 // that carry no taxonomy.
@@ -220,8 +238,8 @@ func emptySnapshot(epoch uint64, comm *model.Community, opt core.Options, cfg Co
 		comm:    comm,
 		opt:     opt,
 		rec:     rec,
-		peers:   newComputed[peerKey, *neighborhood](cfg.PeerCacheSize, cfg.ComputeBudget, "peers_hit", "peers_miss"),
-		results: newComputed[recKey, []core.Recommendation](cfg.ResultCacheSize, cfg.ComputeBudget, "results_hit", "results_miss"),
+		peers:   newComputed[peerKey, *neighborhood](cfg.PeerCacheSize, cfg.ComputeBudget, &peersHitStat, &peersMissStat),
+		results: newComputed[recKey, []core.Recommendation](cfg.ResultCacheSize, cfg.ComputeBudget, &resultsHitStat, &resultsMissStat),
 		bodies:  newSieve[bodyKey, storedBody](bodyBudget),
 	}, nil
 }
@@ -574,7 +592,7 @@ func (s *Snapshot) ProfileCtx(ctx context.Context, active model.AgentID) (*profm
 	if row := s.profileRow(a.Ord()); row != nil {
 		return row, nil
 	}
-	stats.Add("profile_miss", 1)
+	profileMissStat.Add(1)
 	row, err := profile.New(tax).ProfileCtx(ctx, a, s.comm)
 	if err != nil {
 		return nil, err
@@ -591,7 +609,7 @@ func (s *Snapshot) profileRow(ord int32) *profmat.Row {
 	if f.Generator() == nil {
 		return nil
 	}
-	stats.Add("profile_hit", 1)
+	profileHitStat.Add(1)
 	return f.Matrix().Row(ord)
 }
 
@@ -768,9 +786,9 @@ func degraded[T any](e *Engine, probe func(*Snapshot) (T, string, bool)) (out T,
 			continue
 		}
 		if out, source, ok := probe(s); ok {
-			stats.Add("degraded_served", 1)
+			degradedServedStat.Add(1)
 			if i > 0 {
-				stats.Add("degraded_stale", 1)
+				degradedStaleStat.Add(1)
 				source = "prev-" + source
 			}
 			return out, source, s.epoch, true

@@ -4,6 +4,8 @@ import (
 	"context"
 	"sync"
 	"time"
+
+	"swrec/internal/metrics"
 )
 
 // computed is a per-snapshot sieveCache filled by computation — the
@@ -25,8 +27,8 @@ import (
 // fill, so the work already invested still warms the next request.
 type computed[K comparable, V any] struct {
 	*sieveCache[K, V]
-	hit, miss string        // this cache's swrec_engine counters
-	budget    time.Duration // bounds each flight; 0 = none
+	hit, miss *metrics.Counter // this cache's swrec_engine counters
+	budget    time.Duration    // bounds each flight; 0 = none
 
 	mu      sync.Mutex
 	flights map[K]*flight[V]
@@ -40,7 +42,7 @@ type flight[V any] struct {
 	err  error
 }
 
-func newComputed[K comparable, V any](capacity int, budget time.Duration, hit, miss string) *computed[K, V] {
+func newComputed[K comparable, V any](capacity int, budget time.Duration, hit, miss *metrics.Counter) *computed[K, V] {
 	return &computed[K, V]{sieveCache: newSieve[K, V](capacity), hit: hit, miss: miss, budget: budget}
 }
 
@@ -51,7 +53,7 @@ func newComputed[K comparable, V any](capacity int, budget time.Duration, hit, m
 func (c *computed[K, V]) lookup(k K) (V, bool) {
 	v, ok := c.get(k)
 	if ok {
-		stats.Add(c.hit, 1)
+		c.hit.Add(1)
 	}
 	return v, ok
 }
@@ -64,7 +66,7 @@ func (c *computed[K, V]) lookup(k K) (V, bool) {
 // waits until the flight finishes or ctx is done; on detach the error
 // is ctx.Err() and the value is zero.
 func (c *computed[K, V]) fill(ctx context.Context, key K, compute func(context.Context) (V, error)) (V, error) {
-	stats.Add(c.miss, 1)
+	c.miss.Add(1)
 	c.mu.Lock()
 	if c.flights == nil {
 		c.flights = make(map[K]*flight[V])
@@ -89,7 +91,7 @@ func (c *computed[K, V]) fill(ctx context.Context, key K, compute func(context.C
 	}
 	c.mu.Unlock()
 	if joined {
-		stats.Add("flight_shared", 1)
+		flightSharedStat.Add(1)
 	}
 
 	select {

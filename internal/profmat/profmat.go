@@ -65,9 +65,15 @@ func (r *Row) TopK(k int) []int32 {
 		}
 		return a < b // keys ascend with position
 	}
+	// The heap starts with the last k positions and the scan runs
+	// backwards: an Eq. 3 row's keys are topic handles, which a taxonomy
+	// hands out parents first, and scores grow toward the leaves
+	// (Example 1), so the large entries sit at the back. Seeded with them,
+	// most candidates lose to the heap's root at one compare. The order
+	// ahead defines is total, so the scan order changes nothing returned.
 	top := make([]int32, k)
 	for i := range top {
-		top[i] = int32(i)
+		top[i] = int32(n - k + i)
 	}
 	// sink restores the heap below i: no entry ranks ahead of a child.
 	sink := func(i int) {
@@ -89,7 +95,12 @@ func (r *Row) TopK(k int) []int32 {
 	for i := k/2 - 1; i >= 0; i-- {
 		sink(i)
 	}
-	for i := k; i < n; i++ {
+	for i := n - k - 1; i >= 0; i-- {
+		// Most entries lose to the last-ranked kept one on value alone;
+		// a NaN or a tie goes on to ahead, which orders those.
+		if r.Vals[i] < r.Vals[top[0]] {
+			continue
+		}
 		if ahead(int32(i), top[0]) {
 			top[0] = int32(i)
 			sink(0)

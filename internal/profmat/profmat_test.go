@@ -1,6 +1,7 @@
 package profmat
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -207,11 +208,19 @@ func TestScratchReloadLeavesNoStaleValues(t *testing.T) {
 
 // TestTopKMatchesSparse: a row's TopK is sparse.Vector.TopK — value
 // descending, ties by ascending key — for every k, over vectors whose
-// quantized values tie often.
+// quantized values tie often, and over vectors of one or two values only,
+// whose order the key ties decide. A row holding NaNs (which sparse does
+// not order) is checked against a full sort by TopK's own comparator.
 func TestTopKMatchesSparse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial < 90; trial++ {
 		v := randVector(rng, rng.Intn(50)+trial*4)
+		if trial >= 60 { // few distinct values: mostly ties
+			v = sparse.New(0)
+			for i := rng.Intn(200); i >= 0; i-- {
+				v.Add(int32(rng.Intn(dims)), float64(1+trial%2*rng.Intn(2)))
+			}
+		}
 		row := FromVector(v)
 		for _, k := range []int{-1, 0, 1, 2, 15, len(v) / 2, len(v) - 1, len(v), len(v) + 1, 1 << 40} {
 			want := v.TopK(k)
@@ -228,6 +237,29 @@ func TestTopKMatchesSparse(t *testing.T) {
 		// It selects: the positions returned are all it allocates.
 		if allocs := testing.AllocsPerRun(10, func() { row.TopK(15) }); allocs > 1 {
 			t.Fatalf("trial %d: TopK(15) over %d entries allocates %v times", trial, len(v), allocs)
+		}
+	}
+
+	// NaN ranks after every number; NaNs and ties among themselves by key.
+	for trial := 0; trial < 40; trial++ {
+		var row Row
+		for key, n := int32(0), int32(rng.Intn(60)); key < n; key++ {
+			x := float64(rng.Intn(3))
+			if rng.Intn(4) == 0 {
+				x = math.NaN()
+			}
+			row.Keys, row.Vals = append(row.Keys, key), append(row.Vals, x)
+		}
+		want := make([]int32, len(row.Keys))
+		for i := range want {
+			want[i] = int32(i)
+		}
+		slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(row.Vals[b], row.Vals[a]) })
+		for _, k := range []int{0, 1, 3, len(want) / 2, len(want)} {
+			got := row.TopK(k)
+			if !slices.Equal(got, want[:len(got)]) || (k > 0 && k <= len(want) && len(got) != k) {
+				t.Fatalf("NaN trial %d k=%d: TopK = %v, full sort %v (vals %v)", trial, k, got, want, row.Vals)
+			}
 		}
 	}
 }

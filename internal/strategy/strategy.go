@@ -37,7 +37,10 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"slices"
 	"strings"
+
+	"swrec/internal/metrics"
 )
 
 // Procedure names one rung's answering mechanism. The string form is the
@@ -148,6 +151,8 @@ type Rung struct {
 	Procedure Procedure `json:"procedure"`
 	When      Condition `json:"condition"`
 	Enabled   bool      `json:"enabled"`
+
+	stats *rungStats // the procedure's counters
 }
 
 // The default ladder's thresholds.
@@ -227,6 +232,7 @@ func New(cfg Config) (*Ladder, error) {
 	}
 	for i := range rungs {
 		rungs[i].Enabled = !disabled[rungs[i].Procedure]
+		rungs[i].stats = &procStats[slices.Index(Procedures, rungs[i].Procedure)]
 	}
 	return &Ladder{rungs: rungs}, nil
 }
@@ -429,7 +435,7 @@ func (l *Ladder) Walk(ctx context.Context, sig Signals, sel Selector, run Runner
 // attempt runs one rung's procedure and records its trace entry, setting
 // res.Procedure on success.
 func (l *Ladder) attempt(ctx context.Context, res *Result, r Rung, reason string, run Runner) {
-	recordAttempt(r.Procedure)
+	r.stats.attempt.Add(1)
 	nonEmpty, err := run(ctx, r)
 	switch {
 	case errors.Is(err, ErrNotApplicable):
@@ -443,7 +449,7 @@ func (l *Ladder) attempt(ctx context.Context, res *Result, r Rung, reason string
 	default:
 		res.Attempts = append(res.Attempts, Attempt{Procedure: r.Procedure, Outcome: OutcomeOK, Reason: reason})
 		res.Procedure = r.Procedure
-		recordSuccess(r.Procedure)
+		r.stats.success.Add(1)
 	}
 }
 
@@ -451,18 +457,24 @@ func (l *Ladder) attempt(ctx context.Context, res *Result, r Rung, reason string
 // counters: <procedure>_attempt, <procedure>_success, exhausted.
 var stats = expvar.NewMap("swrec_strategy")
 
-// attemptKeys and successKeys hold every rung's two counter names, so a
-// walk concatenates none.
-var attemptKeys, successKeys = counterKeys("_attempt"), counterKeys("_success")
-
-func counterKeys(suffix string) map[Procedure]string {
-	keys := make(map[Procedure]string, len(Procedures))
-	for _, p := range Procedures {
-		keys[p] = string(p) + suffix
-	}
-	return keys
+// rungStats are one procedure's two swrec_strategy counters.
+type rungStats struct {
+	attempt, success metrics.Counter
 }
 
-func recordAttempt(p Procedure) { stats.Add(attemptKeys[p], 1) }
-func recordSuccess(p Procedure) { stats.Add(successKeys[p], 1) }
-func recordExhausted()          { stats.Add("exhausted", 1) }
+// procStats holds the counters of Procedures[i] at i. New hands each
+// rung its procedure's, so a walk names and looks up no counter.
+var procStats = func() []rungStats {
+	s := make([]rungStats, len(Procedures))
+	for i, p := range Procedures {
+		s[i] = rungStats{
+			attempt: metrics.NewCounter(stats, string(p)+"_attempt"),
+			success: metrics.NewCounter(stats, string(p)+"_success"),
+		}
+	}
+	return s
+}()
+
+var exhaustedStat = metrics.NewCounter(stats, "exhausted")
+
+func recordExhausted() { exhaustedStat.Add(1) }

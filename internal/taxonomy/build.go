@@ -10,11 +10,11 @@ import (
 // names[i] under primary parent parents[i]. It is the loader for a
 // serialized tree — every node known up front — and enforces exactly what
 // the replay enforces: a parent is an earlier topic, a name is non-empty
-// and "/"-free, and no two topics share a qualified name. Where Add
-// re-derives its parent's qualified name per call, Build extends the
-// parent's by one segment; children lists and primary-parent cells are
-// cut from two arenas sized by a counting pass. Extra (secondary) parents
-// are still added with AddEdge afterwards.
+// and "/"-free, and no two topics share a qualified name. Like Add, it
+// extends the parent's qualified name by one segment and keeps it;
+// children lists and primary-parent cells are cut from two arenas sized
+// by a counting pass. Extra (secondary) parents are still added with
+// AddEdge afterwards.
 //
 // When several nodes are at fault the error names the first bad parent or
 // name, else the first duplicate; a replay would name whichever fault
@@ -38,6 +38,7 @@ func Build(rootName string, names []string, parents []Topic) (*Taxonomy, error) 
 
 	t := &Taxonomy{
 		nodes:   make([]node, n+1),
+		qnames:  make([]string, n+1),
 		byPath:  make(map[string]Topic, n+1),
 		version: uint64(n), // one bump per Add
 	}
@@ -52,17 +53,16 @@ func Build(rootName string, names []string, parents []Topic) (*Taxonomy, error) 
 			off += k
 		}
 	}
-	qnames := make([]string, n+1)
-	qnames[Root] = rootName
+	t.qnames[Root] = rootName
 	t.nodes[Root].name = rootName
 	t.byPath[rootName] = Root
 	for i, p := range parents {
 		d := Topic(i + 1)
-		qname := qnames[p] + "/" + names[i]
+		qname := t.qnames[p] + "/" + names[i]
 		if _, ok := t.byPath[qname]; ok {
 			return nil, fmt.Errorf("%w: %s", ErrDuplicate, qname)
 		}
-		qnames[d] = qname
+		t.qnames[d] = qname
 		t.byPath[qname] = d
 		parentArena[i] = p
 		t.nodes[d].name = names[i]

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"swrec/internal/datagen"
@@ -128,5 +129,79 @@ func TestBuildRejectsWhatAddRejects(t *testing.T) {
 	}
 	if _, err := taxonomy.Build("Books", []string{"a"}, nil); err == nil {
 		t.Fatal("a name without a parent was accepted")
+	}
+}
+
+// namesJoinPrimaryPaths fails unless every topic's qualified name is the
+// "/"-join of the names along its primary path, and resolves back to it.
+func namesJoinPrimaryPaths(t *testing.T, tax *taxonomy.Taxonomy) {
+	t.Helper()
+	for _, d := range tax.Topics() {
+		var parts []string
+		for _, p := range tax.PrimaryPath(d) {
+			parts = append(parts, tax.Name(p))
+		}
+		want := strings.Join(parts, "/")
+		if got := tax.QualifiedName(d); got != want {
+			t.Fatalf("QualifiedName(%d) = %q, primary path spells %q", d, got, want)
+		}
+		if at, ok := tax.Lookup(want); !ok || at != d {
+			t.Fatalf("Lookup(%q) = %d,%v, want %d", want, at, ok, d)
+		}
+	}
+}
+
+// TestQualifiedNamesJoinPrimaryPaths: the names a taxonomy keeps per
+// topic are the ones its primary paths spell, however it was made — the
+// Figure 1 fragment, Build, a replay of Add and AddPath — and secondary
+// parents (AddEdge) change none of them. The checkpoint package checks a
+// decoded one.
+func TestQualifiedNamesJoinPrimaryPaths(t *testing.T) {
+	paper := datagen.GenerateTaxonomy(datagen.PaperScale().Taxonomy, rand.New(rand.NewSource(1)))
+	built, err := taxonomy.Build(flatten(paper))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := taxonomy.New("Books")
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 300; i++ {
+		if i%3 == 0 {
+			path := fmt.Sprintf("p%d/q%d/r%d", rng.Intn(4), rng.Intn(6), i)
+			if _, err := grown.AddPath(path); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		grown.MustAdd(taxonomy.Topic(rng.Intn(grown.Len())), fmt.Sprintf("t%d", i))
+	}
+	for name, tax := range map[string]*taxonomy.Taxonomy{
+		"fig1": taxonomy.Fig1(), "paper": paper, "build": built, "grown": grown,
+	} {
+		t.Run(name, func(t *testing.T) {
+			namesJoinPrimaryPaths(t, tax)
+			before := make([]string, tax.Len())
+			for d := range before {
+				before[d] = tax.QualifiedName(taxonomy.Topic(d))
+			}
+			// Secondary parents: every fifth topic under some earlier one.
+			edges := 0
+			for d := taxonomy.Topic(5); int(d) < tax.Len(); d += 5 {
+				if err := tax.AddEdge(d/3, d); err == nil {
+					edges++
+				} else if !errors.Is(err, taxonomy.ErrCycle) {
+					t.Fatal(err)
+				}
+			}
+			if edges == 0 {
+				t.Fatal("no secondary parent was added")
+			}
+			for d, want := range before {
+				if got := tax.QualifiedName(taxonomy.Topic(d)); got != want {
+					t.Fatalf("AddEdge renamed topic %d: %q, was %q", d, got, want)
+				}
+			}
+			tax.MustAdd(taxonomy.Topic(tax.Len()-1), "after-edges")
+			namesJoinPrimaryPaths(t, tax)
+		})
 	}
 }

@@ -25,7 +25,6 @@ package taxonomy
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -63,7 +62,10 @@ type node struct {
 // Taxonomy is the global classification scheme. It is not safe for
 // concurrent mutation; concurrent reads are safe once construction is done.
 type Taxonomy struct {
-	nodes   []node
+	nodes []node
+	// qnames[d] is d's qualified name, the key byPath holds for it. A
+	// name follows the primary parents only, so AddEdge changes none.
+	qnames  []string
 	byPath  map[string]Topic // qualified name -> topic
 	version uint64           // bumped by every structural mutation
 	// paths memoizes PathTable at one version; pathsMu serializes builds.
@@ -76,6 +78,7 @@ type Taxonomy struct {
 func New(rootName string) *Taxonomy {
 	t := &Taxonomy{
 		nodes:  []node{{name: rootName, parents: nil}},
+		qnames: []string{rootName},
 		byPath: map[string]Topic{rootName: Root},
 	}
 	return t
@@ -97,44 +100,23 @@ func (t *Taxonomy) Name(d Topic) string {
 	return t.nodes[d].name
 }
 
-// QualifiedName returns the full path name from the root, joined by "/".
+// QualifiedName returns the full path name from the root, joined by "/";
+// "" for an invalid handle. The name is kept from the topic's Add, not
+// rebuilt.
 func (t *Taxonomy) QualifiedName(d Topic) string {
 	if !t.valid(d) {
 		return ""
 	}
-	path := t.PrimaryPath(d)
-	parts := make([]string, len(path))
-	for i, p := range path {
-		parts[i] = t.nodes[p].name
-	}
-	return strings.Join(parts, "/")
+	return t.qnames[d]
 }
 
-// AppendQualifiedName appends QualifiedName(d) to buf without building
-// the path or the string — what a response encoder wants per topic: one
-// walk up the primary parents sizes the name, a second fills it in from
-// its last segment back. An invalid handle appends nothing.
+// AppendQualifiedName appends QualifiedName(d) to buf — what a response
+// encoder wants per topic. An invalid handle appends nothing.
 func (t *Taxonomy) AppendQualifiedName(buf []byte, d Topic) []byte {
 	if !t.valid(d) {
 		return buf
 	}
-	n := -1 // one "/" fewer than segments
-	for cur := d; cur != None; cur = t.Parent(cur) {
-		n += len(t.nodes[cur].name) + 1
-	}
-	start := len(buf)
-	buf = slices.Grow(buf, n)[:start+n]
-	end := len(buf)
-	for cur := d; cur != None; cur = t.Parent(cur) {
-		name := t.nodes[cur].name
-		end -= len(name)
-		copy(buf[end:], name)
-		if end > start {
-			end--
-			buf[end] = '/'
-		}
-	}
-	return buf
+	return append(buf, t.qnames[d]...)
 }
 
 // valid reports whether d is a live handle.
@@ -150,13 +132,14 @@ func (t *Taxonomy) Add(parent Topic, name string) (Topic, error) {
 	if name == "" || strings.Contains(name, "/") {
 		return None, fmt.Errorf("taxonomy: invalid topic name %q", name)
 	}
-	qname := t.QualifiedName(parent) + "/" + name
+	qname := t.qnames[parent] + "/" + name
 	if _, ok := t.byPath[qname]; ok {
 		return None, fmt.Errorf("%w: %s", ErrDuplicate, qname)
 	}
 	d := Topic(len(t.nodes))
 	t.nodes = append(t.nodes, node{name: name, parents: []Topic{parent}})
 	t.nodes[parent].children = append(t.nodes[parent].children, d)
+	t.qnames = append(t.qnames, qname)
 	t.byPath[qname] = d
 	t.version++
 	return d, nil
