@@ -209,7 +209,9 @@ recovery-smoke:
 # against encoding/json (internal/api/encode_test.go), its
 # query-parameter scanner against url.ParseQuery (internal/api/api_test.go)
 # and its router against an http.ServeMux holding the old patterns
-# (internal/api/cache_test.go).
+# (internal/api/cache_test.go), and the weblog miner's link and FOAF
+# auto-discovery parsers against their strings.ToLower forms
+# (internal/weblog/fuzz_test.go).
 # A third field, :binary, marks the binary decoders: their inputs are
 # kilobytes, and go test would by default spend up to a minute shrinking
 # each one that reaches new code — the whole budget — so FUZZ_BINARY
@@ -218,7 +220,7 @@ FUZZ_TARGETS = \
 	rdf:FuzzParseNTriples rdf:FuzzParseTurtle rdf:FuzzParseRDFXML rdf:FuzzParseDocument \
 	checkpoint:FuzzDecode:binary frame:FuzzScan:binary wal:FuzzScanSegment:binary store:FuzzStoreScan:binary \
 	api:FuzzAppendString api:FuzzAppendFloat api:FuzzParam api:FuzzRoute api:FuzzWriteBody \
-	foaf:FuzzUnmarshalHomepage
+	foaf:FuzzUnmarshalHomepage weblog:FuzzExtractLinks weblog:FuzzFOAFLink
 FUZZ_BINARY = -fuzzminimizetime 1s
 
 # $(call fuzz-each,<go test flags>,<fuzztime>) expands to one recipe

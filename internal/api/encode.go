@@ -146,24 +146,6 @@ func finite(xs ...float64) bool {
 	return true
 }
 
-// appendFloat appends a finite f as encoding/json formats a float64: the
-// shortest digits that round-trip, positional unless the exponent is
-// under -6 or at least 21, and then without the exponent's leading zero.
-func appendFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && (b[n-3] == '-' || b[n-3] == '+') && b[n-2] == '0' {
-			b[n-2] = b[n-1] // e-09 → e-9
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
 // appendElem starts element i of a list on a line of its own at indent in.
 func appendElem(b []byte, i int, in string) []byte {
 	if i > 0 {

@@ -443,26 +443,6 @@ func TestAppendStringWordScan(t *testing.T) {
 	}
 }
 
-// FuzzAppendFloat pins appendFloat, and finite, to encoding/json on any
-// float64.
-func FuzzAppendFloat(f *testing.F) {
-	for _, x := range append(hostileFloats, 1e-7, 1e21, 5e-324, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1)) {
-		f.Add(x)
-	}
-	f.Fuzz(func(t *testing.T, x float64) {
-		want, err := json.Marshal(x)
-		if (err == nil) != finite(x) {
-			t.Fatalf("finite(%v) = %v, encoding/json: %v", x, finite(x), err)
-		}
-		if err != nil {
-			return
-		}
-		if got := appendFloat(nil, x); !bytes.Equal(got, want) {
-			t.Fatalf("appendFloat(%v) = %s, encoding/json writes %s", x, got, want)
-		}
-	})
-}
-
 // missAllocCeiling is the committed allocation ceiling of one
 // body-cache miss over warm engine caches, per shape (39 on the serving
 // mix before the hand-written encoders), one above what each measures.

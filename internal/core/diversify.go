@@ -175,7 +175,7 @@ func (r *Recommender) Diversify(recs []Recommendation, n int, theta float64) []R
 		for pos, c := range remaining {
 			// remaining stays in accuracy order, so pos is P's rank among
 			// the survivors.
-			merged := (1-theta)*float64(pos) + theta*float64(dissimRank[c])
+			merged := float64((1-theta)*float64(pos)) + float64(theta*float64(dissimRank[c]))
 			if best == -1 || merged < bestScore ||
 				(merged == bestScore && recs[c].Product < recs[best].Product) {
 				best, bestScore = c, merged

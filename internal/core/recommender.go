@@ -479,7 +479,7 @@ func (r *Recommender) SynthesizeCtx(ctx context.Context, active model.AgentID, n
 			if simNorm < 0 {
 				simNorm = 0
 			}
-			peers[i].Weight = alpha*peers[i].Trust + (1-alpha)*simNorm
+			peers[i].Weight = float64(alpha*peers[i].Trust) + float64((1-alpha)*simNorm)
 		}
 	}
 	kept := make([]PeerRank, min(len(peers), r.opt.MaxNeighbors))
@@ -617,7 +617,7 @@ func (r *Recommender) RecommendFromCtx(ctx context.Context, active model.AgentID
 		s.sc.Load(&active)
 		for i := range cands {
 			m, _ := affinity(s.sc, r.desc.row(r.adj.Product(cands[i].prod)))
-			cands[i].score *= 1 + r.opt.ContentBoost*m
+			cands[i].score *= 1 + float64(r.opt.ContentBoost*m)
 		}
 	}
 
@@ -667,7 +667,7 @@ func bordaMerge(peers []PeerRank, alpha float64) {
 		return 1, p.Sim
 	})
 	for i := range peers {
-		peers[i].Weight = alpha*trustScore[i] + (1-alpha)*simScore[i]
+		peers[i].Weight = float64(alpha*trustScore[i]) + float64((1-alpha)*simScore[i])
 	}
 }
 

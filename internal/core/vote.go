@@ -84,7 +84,7 @@ func (r *Recommender) vote(ctx context.Context, vs *voteScratch, ratings *model.
 				ai = int32(n)
 				votes[o] = ai
 			}
-			accs[ai-1].score += p.Weight * vals[k]
+			accs[ai-1].score += float64(p.Weight * vals[k])
 			accs[ai-1].supporters++
 		}
 	}

@@ -321,9 +321,9 @@ func Generate(cfg Config) (*model.Community, *Meta) {
 				pool = productsByCluster[k]
 			}
 			p := pool[zipf.pick(rng, len(pool))]
-			v := 0.3 + 0.7*rng.Float64() // like
+			v := 0.3 + float64(0.7*rng.Float64()) // like
 			if rng.Float64() < 0.1 {
-				v = -(0.3 + 0.7*rng.Float64()) // dislike
+				v = -(0.3 + float64(0.7*rng.Float64())) // dislike
 			}
 			// SetRating cannot fail here: products exist, values bounded.
 			if err := comm.SetRating(id, p, v); err != nil {
@@ -372,9 +372,9 @@ func Generate(cfg Config) (*model.Community, *Meta) {
 			if t == i {
 				continue
 			}
-			v := 0.4 + 0.6*rng.Float64()
+			v := 0.4 + float64(0.6*rng.Float64())
 			if rng.Float64() < cfg.DistrustFraction {
-				v = -(0.2 + 0.8*rng.Float64())
+				v = -(0.2 + float64(0.8*rng.Float64()))
 			}
 			if err := comm.SetTrust(id, agents[t], v); err != nil {
 				panic(err)

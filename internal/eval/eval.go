@@ -348,7 +348,7 @@ func MeanStd(xs []float64) (mean, std float64) {
 	}
 	mean /= float64(len(xs))
 	for _, x := range xs {
-		std += (x - mean) * (x - mean)
+		std += float64((x - mean) * (x - mean))
 	}
 	return mean, math.Sqrt(std / float64(len(xs)))
 }

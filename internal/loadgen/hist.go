@@ -122,7 +122,7 @@ func (h *Hist) Quantile(q float64) time.Duration {
 	if q > 1 {
 		q = 1
 	}
-	target := uint64(q * float64(h.n))
+	target := uint64(float64(q * float64(h.n)))
 	if target < 1 {
 		target = 1
 	}

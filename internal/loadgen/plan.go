@@ -191,14 +191,14 @@ func Plan(sc *Scenario) []Event {
 				pending = append(pending, pendingWrite{
 					joiner: j, trust: true,
 					peer:  zPeer.Pick(uint64(i)*16 + uint64(k)),
-					value: 0.4 + 0.6*u01(seed, strValue, i*16+k),
+					value: 0.4 + float64(0.6*u01(seed, strValue, i*16+k)),
 				})
 			}
 			for k := 0; k < w.Churn.RatingsPerJoin; k++ {
 				pending = append(pending, pendingWrite{
 					joiner:  j,
 					product: zProduct.Pick(uint64(i)*16 + 8 + uint64(k)),
-					value:   0.2 + 0.8*u01(seed, strValue, i*16+8+k),
+					value:   0.2 + float64(0.8*u01(seed, strValue, i*16+8+k)),
 				})
 			}
 		case EpWriteLeave:
@@ -215,7 +215,7 @@ func Plan(sc *Scenario) []Event {
 			ev.Endpoint = EpWriteRating
 			ev.Agent = zWriter.Pick(uint64(i))
 			ev.Product = zProduct.Pick(uint64(i))
-			ev.Value = 0.2 + 0.8*u01(seed, strValue, i)
+			ev.Value = 0.2 + float64(0.8*u01(seed, strValue, i))
 		default: // EpWriteTrust, and the empty-mix fallback
 			ev.Endpoint = EpWriteTrust
 			ev.Agent = zWriter.Pick(uint64(i))
@@ -223,7 +223,7 @@ func Plan(sc *Scenario) []Event {
 			if ev.Peer == ev.Agent { // self-trust is invalid by model rule
 				ev.Peer = (ev.Peer + 1) % agents
 			}
-			ev.Value = 0.4 + 0.6*u01(seed, strValue, i)
+			ev.Value = 0.4 + float64(0.6*u01(seed, strValue, i))
 		}
 		events = append(events, ev)
 	}

@@ -237,7 +237,7 @@ func (s *Streamer) spread(pt *taxonomy.PathTable, topics []taxonomy.Topic, produ
 		for _, d := range topics {
 			path, coeff := pt.At(d)
 			for k, p := range path {
-				out.Add(int32(p), share*coeff[k])
+				out.Add(int32(p), float64(share*coeff[k]))
 			}
 		}
 	}

@@ -203,7 +203,7 @@ func (g *Gatherer) Gather() Row {
 			v := g.acc[d]
 			g.keys = append(g.keys, d)
 			g.vals = append(g.vals, v)
-			norm2 += v * v
+			norm2 += float64(v * v)
 			sum += v
 		}
 	}
@@ -436,7 +436,7 @@ func (s *Scratch) CosineTo(b *Row) (sim float64, ok bool) {
 	bv := b.Vals[:len(b.Keys)]
 	var dot float64
 	for k, key := range b.Keys {
-		dot += vals[key] * bv[k]
+		dot += float64(vals[key] * bv[k])
 	}
 	return clamp(dot / (a.Norm * b.Norm)), true
 }
@@ -459,22 +459,22 @@ func (s *Scratch) CosineTo4(b *[4]*Row) (sim [4]float64, ok [4]bool) {
 	v0, v1, v2, v3 := b[0].Vals[:len(k0)], b[1].Vals[:len(k1)], b[2].Vals[:len(k2)], b[3].Vals[:len(k3)]
 	var d0, d1, d2, d3 float64
 	for i, key := range k0[:n] {
-		d0 += vals[key] * v0[i]
-		d1 += vals[k1[i]] * v1[i]
-		d2 += vals[k2[i]] * v2[i]
-		d3 += vals[k3[i]] * v3[i]
+		d0 += float64(vals[key] * v0[i])
+		d1 += float64(vals[k1[i]] * v1[i])
+		d2 += float64(vals[k2[i]] * v2[i])
+		d3 += float64(vals[k3[i]] * v3[i])
 	}
 	for i := n; i < len(k0); i++ {
-		d0 += vals[k0[i]] * v0[i]
+		d0 += float64(vals[k0[i]] * v0[i])
 	}
 	for i := n; i < len(k1); i++ {
-		d1 += vals[k1[i]] * v1[i]
+		d1 += float64(vals[k1[i]] * v1[i])
 	}
 	for i := n; i < len(k2); i++ {
-		d2 += vals[k2[i]] * v2[i]
+		d2 += float64(vals[k2[i]] * v2[i])
 	}
 	for i := n; i < len(k3); i++ {
-		d3 += vals[k3[i]] * v3[i]
+		d3 += float64(vals[k3[i]] * v3[i])
 	}
 	for j, dot := range [4]float64{d0, d1, d2, d3} {
 		if nb := b[j].Norm; nb != 0 {
@@ -510,9 +510,9 @@ func (s *Scratch) PearsonTo(b *Row) (sim float64, ok bool) {
 	for k, key := range b.Keys {
 		if s.stamp[key] == g {
 			x, y := s.vals[key], b.Vals[k]
-			cov += (x - ma) * (y - mb)
-			va += (x - ma) * (x - ma)
-			vb += (y - mb) * (y - mb)
+			cov += float64((x - ma) * (y - mb))
+			va += float64((x - ma) * (x - ma))
+			vb += float64((y - mb) * (y - mb))
 		}
 	}
 	if va == 0 || vb == 0 {

@@ -55,7 +55,7 @@ func (v Vector) Sum() float64 {
 func (v Vector) Norm() float64 {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }
@@ -68,7 +68,7 @@ func Dot(a, b Vector) float64 {
 	var s float64
 	for k, x := range a {
 		if y, ok := b[k]; ok {
-			s += x * y
+			s += float64(x * y)
 		}
 	}
 	return s
@@ -124,9 +124,9 @@ func Pearson(a, b Vector) (sim float64, ok bool) {
 	var cov, va, vb float64
 	for k, x := range a {
 		if y, okk := b[k]; okk {
-			cov += (x - ma) * (y - mb)
-			va += (x - ma) * (x - ma)
-			vb += (y - mb) * (y - mb)
+			cov += float64((x - ma) * (y - mb))
+			va += float64((x - ma) * (x - ma))
+			vb += float64((y - mb) * (y - mb))
 		}
 	}
 	if va == 0 || vb == 0 {

@@ -137,13 +137,13 @@ func Learn(ids []model.AgentID, profileOf ProfileFunc, opt Options) (*Model, err
 		total := 0.0
 		for i, s := range cosines(centroids[len(centroids)-1:]) {
 			best[i] = max(best[i], s)
-			total += (1 - best[i]) * (1 - best[i])
+			total += float64((1 - best[i]) * (1 - best[i]))
 		}
 		pick := len(rows) - 1
 		if total > 0 {
 			r := rng.Float64() * total
 			for i := range rows {
-				r -= (1 - best[i]) * (1 - best[i])
+				r -= float64((1 - best[i]) * (1 - best[i]))
 				if r <= 0 {
 					pick = i
 					break
@@ -222,7 +222,7 @@ func Learn(ids []model.AgentID, profileOf ProfileFunc, opt Options) (*Model, err
 func addUnit(g *profmat.Gatherer, r *profmat.Row) {
 	inv := 1 / r.Norm
 	for i, k := range r.Keys {
-		g.Add(k, r.Vals[i]*inv)
+		g.Add(k, float64(r.Vals[i]*inv))
 	}
 }
 

@@ -35,7 +35,7 @@ func GeneralizedPeers(ctx context.Context, rec *core.Recommender, active model.A
 		if out[i].SimOK && out[i].Sim > 0 {
 			sn = out[i].Sim
 		}
-		out[i].Weight = alpha*out[i].Trust + (1-alpha)*sn
+		out[i].Weight = float64(alpha*out[i].Trust) + float64((1-alpha)*sn)
 	}
 	core.SortPeers(out)
 	return out, nil

@@ -341,7 +341,7 @@ func (w *walk) pass(live int, d float64) float64 {
 		}
 		in[i] = 0
 		if i != 0 { // the source hoards no rank
-			rank[i] += (1 - d) * energy
+			rank[i] += float64((1 - d) * energy)
 			if delta := (1 - d) * energy; delta > maxDelta {
 				maxDelta = delta
 			}
@@ -355,7 +355,7 @@ func (w *walk) pass(live int, d float64) float64 {
 		share[i] = d * energy / total[i]
 	}
 	for _, e := range w.arena {
-		inNew[e.dst] += share[e.src] * e.weight
+		inNew[e.dst] += float64(share[e.src] * e.weight)
 	}
 	// Every live node's in is zero again and inNew holds next pass's
 	// energy: in += inNew, inNew = 0 is a swap.
@@ -462,7 +462,7 @@ func (w *walk) penalize(t *model.CSR, gamma float64) {
 				}
 				normRank = w.rank[i] / maxRank
 			}
-			factor := 1 - gamma*normRank*-val[k]
+			factor := 1 - float64(gamma*normRank*-val[k])
 			if factor < 0 {
 				factor = 0
 			}

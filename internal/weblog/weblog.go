@@ -93,15 +93,14 @@ func displayName(a *model.Agent) string {
 // era were rarely valid HTML.
 func ExtractLinks(doc string) []string {
 	var out []string
-	lower := strings.ToLower(doc)
 	i := 0
 	for {
-		a := strings.Index(lower[i:], "<a")
+		a := indexFold(doc[i:], "<a")
 		if a < 0 {
 			return out
 		}
 		a += i
-		end := strings.IndexByte(lower[a:], '>')
+		end := strings.IndexByte(doc[a:], '>')
 		if end < 0 {
 			return out
 		}
@@ -113,10 +112,33 @@ func ExtractLinks(doc string) []string {
 	}
 }
 
+// indexFold returns the index of the first occurrence in s of needle, an
+// ASCII lower-case string, with ASCII letters compared case-blind; -1 if
+// there is none. Tag and attribute names are ASCII, and unlike a search of
+// strings.ToLower(s) — which changes the byte length of invalid UTF-8 and
+// of runes such as 'İ' — every index it returns is an index into s.
+func indexFold(s, needle string) int {
+	for i := 0; i+len(needle) <= len(s); i++ {
+		j := 0
+		for ; j < len(needle); j++ {
+			c := s[i+j]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			if c != needle[j] {
+				break
+			}
+		}
+		if j == len(needle) {
+			return i
+		}
+	}
+	return -1
+}
+
 // attrValue extracts a quoted attribute from a tag's text.
 func attrValue(tag, name string) (string, bool) {
-	lower := strings.ToLower(tag)
-	idx := strings.Index(lower, name+"=")
+	idx := indexFold(tag, name+"=")
 	if idx < 0 {
 		return "", false
 	}
@@ -240,15 +262,14 @@ func Fetch(ctx context.Context, client *http.Client, url string) (author model.A
 // that lets crawlers hop from the human-readable diary to the
 // machine-readable homepage.
 func FOAFLink(doc string) (string, bool) {
-	lower := strings.ToLower(doc)
 	i := 0
 	for {
-		l := strings.Index(lower[i:], "<link")
+		l := indexFold(doc[i:], "<link")
 		if l < 0 {
 			return "", false
 		}
 		l += i
-		end := strings.IndexByte(lower[l:], '>')
+		end := strings.IndexByte(doc[l:], '>')
 		if end < 0 {
 			return "", false
 		}
