@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build check fmt vet lint lint-note test bench-harness race cover bench bench-diff bench-diff-short profile fuzz fuzz-smoke chaos chaos-short recovery-smoke load load-short load-baseline experiments experiments-paper experiments-paper-record examples clean
+.PHONY: all build check fmt vet lint lint-note test bench-harness race cover bench bench-diff bench-diff-parent bench-diff-short profile fuzz fuzz-smoke chaos chaos-short recovery-smoke load load-short load-baseline experiments experiments-paper experiments-paper-record examples clean
 
 all: build check
 
@@ -106,6 +106,29 @@ bench:
 # BENCH_engine.json baseline.
 bench-diff:
 	$(BENCH_SUITE) | $(GO) run ./cmd/benchjson -diff BENCH_engine.json
+
+# bench-diff-parent times ns/op against the parent in the same session:
+# REF (default HEAD~1) is checked out in a temporary git worktree, and
+# BENCH_SUITE runs there and here in alternation, BENCH_ROUNDS times
+# each; a benchmark fails when its median ns/op here exceeds the parent's
+# median by more than 20% (the bench-diff threshold). allocs/op still gate
+# against BENCH_engine.json. Use it where bench-diff's baseline, recorded
+# in another session, cannot tell a change from the box's drift:
+#   make bench-diff-parent REF=origin/main BENCH_ROUNDS=3
+REF ?= HEAD~1
+BENCH_ROUNDS ?= 3
+bench-diff-parent:
+	@mkdir -p bin
+	@set -e; wt=$$(mktemp -d); trap 'git worktree remove --force '"$$wt" EXIT; \
+	git worktree add --detach "$$wt" $(REF) >/dev/null; \
+	: > bin/bench-parent.txt; : > bin/bench-here.txt; \
+	for i in $$(seq $(BENCH_ROUNDS)); do \
+		echo "bench-diff-parent: round $$i of $(BENCH_ROUNDS), $(REF)"; \
+		(cd "$$wt" && $(BENCH_SUITE)) >> bin/bench-parent.txt; \
+		echo "bench-diff-parent: round $$i of $(BENCH_ROUNDS), this tree"; \
+		$(BENCH_SUITE) >> bin/bench-here.txt; \
+	done; \
+	$(GO) run ./cmd/benchjson -in bin/bench-here.txt -parent bin/bench-parent.txt -diff BENCH_engine.json
 
 # bench-diff-short is the quick form run as part of check: the cold
 # request at paper scale, the publish benchmark, the warm GET — stored
@@ -219,7 +242,7 @@ recovery-smoke:
 FUZZ_TARGETS = \
 	rdf:FuzzParseNTriples rdf:FuzzParseTurtle rdf:FuzzParseRDFXML rdf:FuzzParseDocument \
 	checkpoint:FuzzDecode:binary frame:FuzzScan:binary wal:FuzzScanSegment:binary store:FuzzStoreScan:binary \
-	api:FuzzAppendString api:FuzzAppendFloat api:FuzzParam api:FuzzRoute api:FuzzWriteBody \
+	api:FuzzAppendString api:FuzzAppendFloat api:FuzzParam api:FuzzRoute api:FuzzBodyKey api:FuzzWriteBody \
 	foaf:FuzzUnmarshalHomepage weblog:FuzzExtractLinks weblog:FuzzFOAFLink
 FUZZ_BINARY = -fuzzminimizetime 1s
 

@@ -45,7 +45,7 @@ var benchActive = sync.OnceValue(func() model.AgentID {
 	var best model.AgentID
 	deg := -1
 	for _, id := range comm.Agents() {
-		if d := len(comm.Agent(id).Trust); d > deg {
+		if d := len(comm.Agent(id).TrustedPeers()); d > deg {
 			deg = d
 			best = id
 		}
@@ -263,7 +263,7 @@ func BenchmarkE9CrawlPipeline(b *testing.B) {
 	var seed model.AgentID
 	deg := -1
 	for _, id := range comm.Agents() {
-		if d := len(comm.Agent(id).Trust); d > deg {
+		if d := len(comm.Agent(id).TrustedPeers()); d > deg {
 			deg = d
 			seed = id
 		}
@@ -338,13 +338,13 @@ func BenchmarkRDFHomepageMarshal(b *testing.B) {
 	a := comm.Agent(benchActive())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		foaf.MarshalAgent(a)
+		foaf.MarshalAgent(comm, a)
 	}
 }
 
 func BenchmarkRDFHomepageParse(b *testing.B) {
 	comm := benchCommunity()
-	doc := foaf.MarshalAgent(comm.Agent(benchActive())).Marshal()
+	doc := foaf.MarshalAgent(comm, comm.Agent(benchActive())).Marshal()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -468,7 +468,7 @@ func BenchmarkAblationContentBoost(b *testing.B) {
 
 func BenchmarkTurtleMarshal(b *testing.B) {
 	comm := benchCommunity()
-	g := foaf.MarshalAgent(comm.Agent(benchActive()))
+	g := foaf.MarshalAgent(comm, comm.Agent(benchActive()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -478,7 +478,7 @@ func BenchmarkTurtleMarshal(b *testing.B) {
 
 func BenchmarkTurtleParse(b *testing.B) {
 	comm := benchCommunity()
-	doc := foaf.MarshalAgent(comm.Agent(benchActive())).MarshalTurtle()
+	doc := foaf.MarshalAgent(comm, comm.Agent(benchActive())).MarshalTurtle()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -23,6 +23,16 @@
 // near-deterministic for a fixed -cpu, so a tight bound on them catches
 // a regression whose time is lost in noise.
 //
+// With -parent FILE as well (`make bench-diff-parent`), ns/op is gated
+// against the parent commit's timings from the same session instead of
+// the baseline's: FILE holds the bench output of the parent's runs, the
+// input holds this tree's, run in alternation with them, and each side
+// of a benchmark is the median of its runs. A timing recorded in another
+// session says little on a box that drifts 20–45 % between sessions; one
+// taken beside the change's says what the change did. allocs/op and B/op
+// stay gated against the baseline, where they are near-deterministic. A
+// benchmark the parent lacks has its ns/op reported, not gated.
+//
 // With -in FILE the input is read from FILE instead of stdin. When the
 // file is a load report (swrecload writes `"kind": "load"`), -diff
 // switches to metric mode: every key in the report's flat metrics map
@@ -105,6 +115,7 @@ func main() {
 	absTol := flag.Float64("abs", 0.05, "with -diff on a load report: allowed absolute increase for non-latency metrics")
 	msFloor := flag.Float64("ms", 2.0, "with -diff on a load report: *_ms keys only fail when they also grew by this many milliseconds")
 	in := flag.String("in", "", "read input from FILE instead of stdin (a BENCH_load.json report switches -diff to metric mode)")
+	parent := flag.String("parent", "", "with -diff on bench output: gate ns/op against the medians of the parent's runs in FILE")
 	flag.Parse()
 
 	var input io.Reader = os.Stdin
@@ -127,14 +138,22 @@ func main() {
 		input = bytes.NewReader(data)
 	}
 
-	rep, err := parseBenchStream(input)
+	rep, err := parseBenchStream(input, os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson: read:", err)
 		os.Exit(1)
 	}
 
 	if *diff != "" {
-		if !diffAgainst(rep, *diff, *threshold, *bytesTol, os.Stdout) {
+		var nsRef map[string]float64
+		if *parent != "" {
+			if nsRef, err = parentMedians(*parent); err != nil {
+				fmt.Fprintln(os.Stderr, "benchjson: parent:", err)
+				os.Exit(1)
+			}
+			rep = medians(rep)
+		}
+		if !diffAgainst(rep, *diff, *threshold, *bytesTol, nsRef, os.Stdout) {
 			os.Exit(1)
 		}
 		return
@@ -166,15 +185,16 @@ func parseLoadReport(data []byte) (loadReport, bool) {
 	return lr, true
 }
 
-// parseBenchStream reads `go test -bench` text, echoing it unchanged.
-func parseBenchStream(r io.Reader) (report, error) {
+// parseBenchStream reads `go test -bench` text, echoing it unchanged to
+// echo.
+func parseBenchStream(r io.Reader, echo io.Writer) (report, error) {
 	rep := report{Benchmarks: []result{}}
 	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		fmt.Println(line) // pass-through
+		fmt.Fprintln(echo, line) // pass-through
 		switch {
 		case strings.HasPrefix(line, "goos: "):
 			rep.Goos = strings.TrimPrefix(line, "goos: ")
@@ -277,13 +297,71 @@ func sortedMetricKeys(m map[string]float64) []string {
 	return keys
 }
 
+// benchKey identifies a benchmark across runs.
+func benchKey(r result) string { return r.Package + "\x00" + r.Name }
+
+// medians collapses repeated runs of a benchmark into one result holding
+// the median of each measure, in first-appearance order.
+func medians(rep report) report {
+	runs := make(map[string][]result)
+	out := rep
+	out.Benchmarks = nil
+	for _, r := range rep.Benchmarks {
+		k := benchKey(r)
+		if runs[k] == nil {
+			out.Benchmarks = append(out.Benchmarks, r)
+		}
+		runs[k] = append(runs[k], r)
+	}
+	for i, r := range out.Benchmarks {
+		rs := runs[benchKey(r)]
+		pick := func(f func(result) float64) float64 {
+			vs := make([]float64, len(rs))
+			for j, x := range rs {
+				vs[j] = f(x)
+			}
+			sort.Float64s(vs)
+			if n := len(vs); n%2 == 0 {
+				return (vs[n/2-1] + vs[n/2]) / 2
+			}
+			return vs[len(vs)/2]
+		}
+		out.Benchmarks[i].NsPerOp = pick(func(x result) float64 { return x.NsPerOp })
+		out.Benchmarks[i].BytesPerOp = int64(pick(func(x result) float64 { return float64(x.BytesPerOp) }))
+		out.Benchmarks[i].AllocsOp = int64(pick(func(x result) float64 { return float64(x.AllocsOp) }))
+	}
+	return out
+}
+
+// parentMedians reads the parent's bench output and returns each
+// benchmark's median ns/op by key.
+func parentMedians(path string) (map[string]float64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	rep, err := parseBenchStream(f, io.Discard)
+	if err != nil {
+		return nil, err
+	}
+	ns := make(map[string]float64)
+	for _, r := range medians(rep).Benchmarks {
+		ns[benchKey(r)] = r.NsPerOp
+	}
+	return ns, nil
+}
+
 // diffAgainst compares the run's results to the baseline file and
 // reports per-benchmark ns/op, allocs/op and B/op ratios. Returns false
 // when any benchmark present in both regressed beyond 1+threshold in
 // ns/op or allocs/op, or — with bytesTol > 0 — beyond 1+bytesTol in B/op
-// against a baseline that measured it. New and missing benchmarks are
-// informational only: the gate must stay usable for partial runs.
-func diffAgainst(rep report, baselinePath string, threshold, bytesTol float64, w io.Writer) bool {
+// against a baseline that measured it. nsRef, when not nil, replaces the
+// baseline as the reference for ns/op (the parent's medians): a
+// benchmark missing from it has its ns/op reported, not gated. New and
+// missing benchmarks are informational only: the gate must stay usable
+// for partial runs.
+func diffAgainst(rep report, baselinePath string, threshold, bytesTol float64, nsRef map[string]float64, w io.Writer) bool {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson: baseline:", err)
@@ -296,14 +374,18 @@ func diffAgainst(rep report, baselinePath string, threshold, bytesTol float64, w
 	}
 	byKey := make(map[string]result, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
-		byKey[b.Package+"\x00"+b.Name] = b
+		byKey[benchKey(b)] = b
 	}
 
-	fmt.Fprintf(w, "\nbenchjson diff vs %s (threshold %+.0f%%)\n", baselinePath, threshold*100)
+	against := baselinePath
+	if nsRef != nil {
+		against = "the parent's same-session medians (ns/op) and " + baselinePath
+	}
+	fmt.Fprintf(w, "\nbenchjson diff vs %s (threshold %+.0f%%)\n", against, threshold*100)
 	ok, compared := true, 0
 	seen := make(map[string]bool, len(rep.Benchmarks))
 	for _, r := range rep.Benchmarks {
-		key := r.Package + "\x00" + r.Name
+		key := benchKey(r)
 		seen[key] = true
 		b, found := byKey[key]
 		if !found {
@@ -311,9 +393,13 @@ func diffAgainst(rep report, baselinePath string, threshold, bytesTol float64, w
 			continue
 		}
 		compared++
-		nsRatio := ratio(r.NsPerOp, b.NsPerOp)
+		refNs, gateNs := b.NsPerOp, true
+		if nsRef != nil {
+			refNs, gateNs = nsRef[key]
+		}
+		nsRatio := ratio(r.NsPerOp, refNs)
 		verdict := "ok"
-		if nsRatio > 1+threshold {
+		if gateNs && nsRatio > 1+threshold {
 			verdict = "REGRESSION"
 			ok = false
 		}
@@ -342,11 +428,14 @@ func diffAgainst(rep report, baselinePath string, threshold, bytesTol float64, w
 			verdict = "REGRESSION"
 			ok = false
 		}
-		fmt.Fprintf(w, "  %-5s %-52s ns/op %.0f -> %.0f (%.2fx)  %s  B/op %.2fx\n",
-			verdict, r.Name, b.NsPerOp, r.NsPerOp, nsRatio, allocs, bytesRatio)
+		ns := fmt.Sprintf("ns/op %.0f -> %.0f (%.2fx)", refNs, r.NsPerOp, nsRatio)
+		if !gateNs {
+			ns = fmt.Sprintf("ns/op %.0f (no parent run; not gated)", r.NsPerOp)
+		}
+		fmt.Fprintf(w, "  %-5s %-52s %s  %s  B/op %.2fx\n", verdict, r.Name, ns, allocs, bytesRatio)
 	}
 	for _, b := range base.Benchmarks {
-		if !seen[b.Package+"\x00"+b.Name] {
+		if !seen[benchKey(b)] {
 			fmt.Fprintf(w, "  SKIP  %-52s (in baseline, not in this run)\n", b.Name)
 		}
 	}

@@ -201,14 +201,14 @@ func TestDiffBenchUnmeasuredAllocsNotGated(t *testing.T) {
 		{Package: "p", Name: "BenchmarkZeroAlloc", Iterations: 100, NsPerOp: 500},
 	}}
 	var out strings.Builder
-	if !diffAgainst(rep, base, 0.20, 0, &out) {
+	if !diffAgainst(rep, base, 0.20, 0, nil, &out) {
 		t.Errorf("alloc-less run failed the gate:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "not measured") {
 		t.Errorf("unmeasured allocs not called out:\n%s", out.String())
 	}
 	rep.Benchmarks[0].NsPerOp = 5000 // ns regression still caught
-	if diffAgainst(rep, base, 0.20, 0, io.Discard) {
+	if diffAgainst(rep, base, 0.20, 0, nil, io.Discard) {
 		t.Error("5x ns/op regression passed because allocs were unmeasured")
 	}
 }
@@ -222,7 +222,7 @@ func TestDiffBenchZeroAllocBaselineBroken(t *testing.T) {
 		{Package: "p", Name: "BenchmarkZeroAlloc", Iterations: 100, NsPerOp: 500, AllocsOp: 1, AllocsMeasured: true},
 	}}
 	var out strings.Builder
-	if diffAgainst(rep, base, 0.20, 0, &out) {
+	if diffAgainst(rep, base, 0.20, 0, nil, &out) {
 		t.Errorf("broken zero-alloc baseline passed the gate:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "zero-alloc baseline broken") {
@@ -239,14 +239,14 @@ func TestDiffBenchBytesGatedOnlyWhenAsked(t *testing.T) {
 	rep := report{Benchmarks: []result{
 		{Package: "p", Name: "BenchmarkRestart", Iterations: 20, NsPerOp: 1000, BytesPerOp: 1300, AllocsOp: 8, AllocsMeasured: true},
 	}}
-	if !diffAgainst(rep, base, 0.20, 0, io.Discard) {
+	if !diffAgainst(rep, base, 0.20, 0, nil, io.Discard) {
 		t.Error("B/op gated without -bytes")
 	}
-	if diffAgainst(rep, base, 1.0, 0.20, io.Discard) {
+	if diffAgainst(rep, base, 1.0, 0.20, nil, io.Discard) {
 		t.Error("1.3x B/op passed -bytes 0.20")
 	}
 	rep.Benchmarks[0].BytesPerOp = 1100
-	if !diffAgainst(rep, base, 1.0, 0.20, io.Discard) {
+	if !diffAgainst(rep, base, 1.0, 0.20, nil, io.Discard) {
 		t.Error("1.1x B/op failed -bytes 0.20")
 	}
 }
@@ -264,5 +264,49 @@ func TestParseBenchAllocsMeasured(t *testing.T) {
 	r, ok = parseBench("BenchmarkPublish/agents=2000-2  20  1697633 ns/op  63.80 clone_us  1350 swap_us  1169423 B/op  3993 allocs/op", "p")
 	if !ok || r.NsPerOp != 1697633 || r.AllocsOp != 3993 || r.Extra["clone_us"] != 63.8 || r.Extra["swap_us"] != 1350 {
 		t.Fatalf("with custom metrics: %+v ok=%v", r, ok)
+	}
+}
+
+// TestDiffBenchAgainstParentMedians: with the parent's runs as the
+// reference, ns/op is the median of each side's runs against the other's,
+// whatever the baseline recorded in another session; allocs/op still
+// answers to the baseline, and a benchmark the parent lacks is not gated
+// on time.
+func TestDiffBenchAgainstParentMedians(t *testing.T) {
+	base := writeBaseline(t, `{"benchmarks": [
+    {"package": "p", "name": "BenchmarkA", "iterations": 20, "ns_per_op": 1000, "bytes_per_op": 100, "allocs_per_op": 8},
+    {"package": "p", "name": "BenchmarkB", "iterations": 20, "ns_per_op": 1000, "bytes_per_op": 100, "allocs_per_op": 8}
+  ]}`)
+	parent := filepath.Join(t.TempDir(), "parent.txt")
+	if err := os.WriteFile(parent, []byte("pkg: p\n"+
+		"BenchmarkA-2 20 2000 ns/op 100 B/op 8 allocs/op\n"+
+		"BenchmarkA-2 20 2100 ns/op 100 B/op 8 allocs/op\n"+
+		"BenchmarkA-2 20 1900 ns/op 100 B/op 8 allocs/op\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	nsRef, err := parentMedians(parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	here := func(a1, a2, a3 float64, allocs int64) report {
+		var rep report
+		for _, ns := range []float64{a1, a2, a3} {
+			rep.Benchmarks = append(rep.Benchmarks,
+				result{Package: "p", Name: "BenchmarkA", NsPerOp: ns, BytesPerOp: 100, AllocsOp: allocs, AllocsMeasured: true},
+				result{Package: "p", Name: "BenchmarkB", NsPerOp: 9000, BytesPerOp: 100, AllocsOp: 8, AllocsMeasured: true})
+		}
+		return medians(rep)
+	}
+	if rep := here(2300, 2350, 2200, 8); len(rep.Benchmarks) != 2 || !diffAgainst(rep, base, 0.20, 0, nsRef, io.Discard) {
+		t.Error("a 1.15x median against the parent's failed a 20% gate (or runs were not collapsed)")
+	}
+	if diffAgainst(here(2300, 2350, 2200, 8), base, 0.20, 0, nil, io.Discard) {
+		t.Error("without the parent, 2.3x the baseline's ns/op passed")
+	}
+	if diffAgainst(here(2500, 2450, 2600, 8), base, 0.20, 0, nsRef, io.Discard) {
+		t.Error("a 1.25x median against the parent's passed a 20% gate")
+	}
+	if diffAgainst(here(2000, 2000, 2000, 12), base, 0.20, 0, nsRef, io.Discard) {
+		t.Error("1.5x the baseline's allocs/op passed with a parent reference")
 	}
 }

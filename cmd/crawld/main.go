@@ -66,7 +66,7 @@ func main() {
 	var seedAgent swrec.AgentID
 	best := -1
 	for _, id := range comm.Agents() {
-		if d := len(comm.Agent(id).Trust); d > best {
+		if d := len(comm.Agent(id).TrustedPeers()); d > best {
 			best = d
 			seedAgent = id
 		}

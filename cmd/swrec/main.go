@@ -204,7 +204,7 @@ func runAgents(comm *swrec.Community, top int) {
 	var rows []row
 	for i, id := range comm.Agents() {
 		a := comm.Agent(id)
-		rows = append(rows, row{i, id, len(a.Trust), len(a.Ratings)})
+		rows = append(rows, row{i, id, len(a.TrustedPeers()), len(a.RatedProducts())})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].trust > rows[j].trust })
 	if top > 0 && len(rows) > top {
@@ -221,7 +221,7 @@ func runAgents(comm *swrec.Community, top int) {
 func runInspect(comm *swrec.Community, id swrec.AgentID, top int) {
 	a := comm.Agent(id)
 	fmt.Printf("agent: %s (%s)\n", id, a.Name)
-	fmt.Printf("trust statements: %d, ratings: %d\n\n", len(a.Trust), len(a.Ratings))
+	fmt.Printf("trust statements: %d, ratings: %d\n\n", len(a.TrustedPeers()), len(a.RatedProducts()))
 
 	// Top taxonomy interests.
 	prof, err := profile.New(comm.Taxonomy()).ProfileCtx(context.Background(), a, comm)

@@ -63,10 +63,10 @@ var canaries = map[string]canary{
 	"nolint": {"internal/experiments/experiments.go",
 		`start := time.Now() //nolint:detrand`,
 		`start := time.Time{} //nolint:detrand`},
-	// A read path marks a published agent dirty.
+	// A read path writes into a published agent's rating row.
 	"snapshotfreeze": {"internal/strategy/popularity.go",
 		`touched = core.TouchedTopics(comm, active)`,
-		`touched = core.TouchedTopics(comm, active); active.MarkDirty()`},
+		`touched = core.TouchedTopics(comm, active); active.RatedProducts()[0].Val = 0`},
 	// The API server keeps a snapshot past the request that read it.
 	"snapshotpin": {"internal/api/api.go",
 		`writer Writer // nil = read-only surface`,

@@ -45,7 +45,7 @@ func ExampleMarshalHomepage() {
 	_ = comm.SetTrust("http://example.org/alice", "http://example.org/bob", 0.9)
 	_ = comm.SetRating("http://example.org/alice", "urn:isbn:9780553380958", 1)
 
-	doc := swrec.MarshalHomepage(comm.Agent("http://example.org/alice"))
+	doc := swrec.MarshalHomepage(comm, "http://example.org/alice")
 	h, err := swrec.ParseHomepage(doc)
 	if err != nil {
 		panic(err)

@@ -26,13 +26,13 @@ func main() {
 	best := -1
 	for _, id := range comm.Agents() {
 		a := comm.Agent(id)
-		if len(a.Trust)+len(a.Ratings) > best {
-			best = len(a.Trust) + len(a.Ratings)
+		if len(a.TrustedPeers())+len(a.RatedProducts()) > best {
+			best = len(a.TrustedPeers()) + len(a.RatedProducts())
 			active = id
 		}
 	}
 	fmt.Printf("active reader: %s (%d trust statements, %d ratings)\n\n",
-		active, len(comm.Agent(active).Trust), len(comm.Agent(active).Ratings))
+		active, len(comm.Agent(active).TrustedPeers()), len(comm.Agent(active).RatedProducts()))
 
 	strategies := []struct {
 		name string

@@ -21,7 +21,7 @@ func main() {
 	var source swrec.AgentID
 	best := -1
 	for _, id := range comm.Agents() {
-		if d := len(comm.Agent(id).Trust); d > best {
+		if d := len(comm.Agent(id).TrustedPeers()); d > best {
 			best = d
 			source = id
 		}

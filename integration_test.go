@@ -23,7 +23,7 @@ func TestEndToEndCentralized(t *testing.T) {
 	var active swrec.AgentID
 	for _, id := range comm.Agents() {
 		a := comm.Agent(id)
-		if len(a.Ratings) >= 3 && len(a.Trust) >= 2 {
+		if len(a.RatedProducts()) >= 3 && len(a.TrustedPeers()) >= 2 {
 			active = id
 			break
 		}
@@ -46,7 +46,7 @@ func TestEndToEndCentralized(t *testing.T) {
 		t.Fatal("no recommendations")
 	}
 	for _, r := range recs {
-		if _, rated := comm.Agent(active).Ratings[r.Product]; rated {
+		if _, rated := comm.Rating(active, r.Product); rated {
 			t.Fatalf("recommended already-rated product %s", r.Product)
 		}
 	}
@@ -68,7 +68,7 @@ func TestEndToEndDecentralized(t *testing.T) {
 	var seed swrec.AgentID
 	best := -1
 	for _, id := range comm.Agents() {
-		if d := len(comm.Agent(id).Trust); d > best {
+		if d := len(comm.Agent(id).TrustedPeers()); d > best {
 			best = d
 			seed = id
 		}
@@ -104,7 +104,7 @@ func TestHomepageRoundTripFacade(t *testing.T) {
 	if err := comm.SetRating("http://x/a", "urn:isbn:9780553380958", 1); err != nil {
 		t.Fatal(err)
 	}
-	doc := swrec.MarshalHomepage(comm.Agent("http://x/a"))
+	doc := swrec.MarshalHomepage(comm, "http://x/a")
 	if !strings.Contains(doc, "foaf") {
 		t.Fatalf("doc does not look like FOAF: %q", doc)
 	}
@@ -180,7 +180,7 @@ func TestAllOptionsCompose(t *testing.T) {
 	}
 	var active swrec.AgentID
 	for _, id := range comm.Agents() {
-		if len(comm.Agent(id).Trust) >= 5 {
+		if len(comm.Agent(id).TrustedPeers()) >= 5 {
 			active = id
 			break
 		}
@@ -197,7 +197,7 @@ func TestAllOptionsCompose(t *testing.T) {
 		t.Fatalf("diversified length = %d", len(div))
 	}
 	for _, r := range div {
-		if _, rated := comm.Agent(active).Ratings[r.Product]; rated {
+		if _, rated := comm.Rating(active, r.Product); rated {
 			t.Fatalf("already-rated product %s recommended", r.Product)
 		}
 		if r.Score <= 0 {
@@ -231,13 +231,8 @@ func TestWeblogFacade(t *testing.T) {
 	// back to implicit votes attributed to its FOAF homepage.
 	var blogged swrec.AgentID
 	for _, id := range comm.Agents() {
-		for _, v := range comm.Agent(id).Ratings {
-			if v > 0 {
-				blogged = id
-				break
-			}
-		}
-		if blogged != "" {
+		if len(comm.Agent(id).PositiveRatings()) > 0 {
+			blogged = id
 			break
 		}
 	}
@@ -313,7 +308,7 @@ func TestTopicIndexAndDiversifyFacade(t *testing.T) {
 	}
 	var active swrec.AgentID
 	for _, id := range comm.Agents() {
-		if len(comm.Agent(id).Trust) > 3 {
+		if len(comm.Agent(id).TrustedPeers()) > 3 {
 			active = id
 			break
 		}

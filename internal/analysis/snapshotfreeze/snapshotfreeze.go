@@ -1,14 +1,13 @@
 // Package snapshotfreeze enforces the publication side of the epoch
 // contract that snapshotpin enforces on the retention side: once a
 // *model.Community (or an engine.Snapshot, or a compiled
-// profmat.Matrix, or the community's compiled model.Adjacency and its
-// CSR relations) has been handed to Engine.Swap / SwapDelta or a
+// profmat.Matrix, or the community's model.Adjacency and the statement
+// rows it reads) has been handed to Engine.Swap / SwapDelta or a
 // checkpoint encoder, it is frozen — every reader may hold it lock-free
-// precisely because nothing writes it anymore. A field store, map
-// write, or slice-element write through a frozen value outside the
-// builder packages is a data race against every concurrent reader of
-// the published epoch, even when the race detector happens not to see
-// it.
+// precisely because nothing writes it anymore. A field store or
+// slice-element write through a frozen value outside the builder
+// packages is a data race against every concurrent reader of the
+// published epoch, even when the race detector happens not to see it.
 //
 // This is the go/ast + go/types approximation of the SSA formulation
 // ("no store whose base is reachable from a Swap operand"): outside the
@@ -26,12 +25,11 @@
 // only its own setters know how to take a record over first. So mutator
 // calls on the clone itself are legal, and so are writes through a
 // record its AddAgent/AddProduct returned (those hand out the clone's
-// own copy) — but a direct map or field write through a record merely
-// read from it (clone.Agent(id).Ratings[p] = v) lands in the published
-// snapshot and is reported.
+// own copy) — but a field or row write through a record merely read
+// from it (clone.Agent(id).Name = n, or into its TrustedPeers()[k])
+// lands in the published snapshot and is reported.
 //
-// Legitimate exceptions — the mutate-and-restore holdout trick in the
-// experiment harnesses is the canonical one — document themselves with
+// Legitimate exceptions document themselves with
 // //nolint:snapshotfreeze -- reason.
 package snapshotfreeze
 
@@ -51,8 +49,7 @@ const doc = `reports writes through a frozen snapshot type outside the builder p
 After a community, snapshot, or compiled matrix is published via
 Engine.Swap or encoded into a checkpoint, readers hold it lock-free.
 Writing through it afterwards is a silent data race. Build a fresh
-value and swap it in instead, or justify the exception (for example a
-mutate-and-restore evaluation holdout) with
+value and swap it in instead, or justify the exception with
 //nolint:snapshotfreeze -- reason.`
 
 // Analyzer is the snapshotfreeze pass.
@@ -67,13 +64,13 @@ var Analyzer = &analysis.Analyzer{
 const (
 	// frozen lists the pkgpath.TypeName of every frozen-after-publication
 	// type.
-	frozen = "swrec/internal/model.Community,swrec/internal/model.Agent,swrec/internal/model.Product,swrec/internal/model.Adjacency,swrec/internal/model.CSR,swrec/internal/engine.Snapshot,swrec/internal/profmat.Matrix,swrec/internal/profmat.Row"
+	frozen = "swrec/internal/model.Community,swrec/internal/model.Agent,swrec/internal/model.Product,swrec/internal/model.Adjacency,swrec/internal/model.Row,swrec/internal/engine.Snapshot,swrec/internal/profmat.Matrix,swrec/internal/profmat.Row"
 	// allow are the import-path prefixes that own the pre-publication
 	// build phase.
 	allow = "swrec/internal/model,swrec/internal/engine,swrec/internal/ingest,swrec/internal/checkpoint,swrec/internal/profmat,swrec/internal/foaf,swrec/internal/corpus,swrec/internal/datagen,swrec/internal/attack"
 	// mutators are the method names treated as writes when invoked on a
 	// frozen receiver.
-	mutators = "AddAgent,AddProduct,SetTrust,SetRating,DeleteTrust,DeleteRating,MarkDirty"
+	mutators = "AddAgent,AddProduct,SetTrust,SetRating,DeleteTrust,DeleteRating"
 )
 
 func run(pass *analysis.Pass) (any, error) {
@@ -146,15 +143,6 @@ func (c *checker) write(lhs ast.Expr, stack []ast.Node) {
 // mutatorCall reports calls of a configured mutator method on a frozen
 // receiver that is not locally built.
 func (c *checker) mutatorCall(call *ast.CallExpr, stack []ast.Node) {
-	// delete(m, k) mutates the map owner just like m[k] = v does.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "delete" && len(call.Args) == 2 {
-		if _, builtin := c.pass.TypesInfo.Uses[id].(*types.Builtin); builtin {
-			if name := c.frozenChain(call.Args[0]); name != "" && !c.locallyBuilt(rootIdent(call.Args[0]), stack) {
-				c.sup.Report(call.Pos(), "delete mutates frozen "+name+" after publication: readers hold the swapped snapshot lock-free, so this races with every concurrent read — build a fresh value and Swap it in, or justify with //nolint:snapshotfreeze -- reason")
-			}
-		}
-		return
-	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || !nameIn(sel.Sel.Name, mutators) {
 		return
@@ -241,7 +229,7 @@ func nameIn(name, patterns string) bool {
 }
 
 // rootIdent walks to the identifier a write chain roots in, stepping
-// through method calls to their receivers (c.Agent(id).Ratings roots in
+// through method calls to their receivers (c.Agent(id).Name roots in
 // c). A chain rooted in a bare call result has no retained origin to
 // classify and yields nil.
 func rootIdent(e ast.Expr) *ast.Ident {

@@ -10,16 +10,14 @@ import (
 )
 
 // Poison writes through a published snapshot in every shape the
-// analyzer knows: mutator method, map write, field write, inc/dec,
-// builtin delete.
-func Poison(snap *engine.Snapshot, id model.AgentID, p model.ProductID) {
+// analyzer knows: mutator method, row-element write, field write,
+// inc/dec.
+func Poison(snap *engine.Snapshot, id model.AgentID) {
 	snap.Comm.SetTrust(id, id, 1) // want `SetTrust mutates frozen swrec/internal/model\.Community`
 	a := snap.Comm.Agent(id)
-	a.Ratings[p] = 5     // want `write through frozen swrec/internal/model\.Agent`
-	a.Norm++             // want `write through frozen swrec/internal/model\.Agent`
-	a.MarkDirty()        // want `MarkDirty mutates frozen swrec/internal/model\.Agent`
-	delete(a.Ratings, p) // want `delete mutates frozen swrec/internal/model\.Agent`
-	delete(a.Trust, id)  // want `delete mutates frozen swrec/internal/model\.Agent`
+	a.TrustedPeers()[0].Val = 5 // want `write through frozen swrec/internal/model\.Row`
+	a.Norm++                    // want `write through frozen swrec/internal/model\.Agent`
+	a.Name = "x"                // want `write through frozen swrec/internal/model\.Agent`
 }
 
 // Scribble writes a compiled matrix row in place.
@@ -27,23 +25,23 @@ func Scribble(m *profmat.Matrix, i int) {
 	m.Rows[i].Norm = 0 // want `write through frozen swrec/internal/profmat\.Row`
 }
 
-// Reweigh edits a compiled adjacency's trust arena in place — the walks
+// Reweigh edits a trust row in place through the adjacency — the walks
 // of every concurrent request read it.
-func Reweigh(adj *model.Adjacency, k int) {
-	adj.Trust().Val[k] = 0 // want `write through frozen swrec/internal/model\.CSR`
+func Reweigh(adj *model.Adjacency, id model.AgentID, k int) {
+	adj.Trust(id)[k].Val = 0 // want `write through frozen swrec/internal/model\.Row`
 }
 
 // Fresh builds its own community: the whole function is the
 // pre-publication phase and must stay silent.
-func Fresh(id model.AgentID, p model.ProductID) *model.Community {
+func Fresh(id model.AgentID) *model.Community {
 	c := model.NewCommunity()
 	c.SetTrust(id, id, 1)
 	a := c.Agent(id)
-	a.Ratings[p] = 5
-	a.MarkDirty()
-	lit := &model.Agent{ID: id, Ratings: map[model.ProductID]float64{}}
-	lit.Ratings[p] = 1
-	c.AddAgent(id).Norm = lit.Ratings[p]
+	a.TrustedPeers()[0].Val = 5
+	a.Norm = 1
+	lit := &model.Agent{ID: id}
+	lit.Norm = 1
+	c.AddAgent(id).Norm = lit.Norm
 	return c
 }
 
@@ -63,12 +61,12 @@ func FreshTuple(id model.AgentID) {
 // CloneAndEdit takes the sanctioned route: derive the next generation,
 // then write it through its own setters — they copy a shared record
 // before its first write — or through a record AddAgent handed out.
-func CloneAndEdit(snap *engine.Snapshot, id model.AgentID, p model.ProductID) *model.Community {
+func CloneAndEdit(snap *engine.Snapshot, id model.AgentID) *model.Community {
 	c := snap.Comm.Clone()
 	c.SetTrust(id, id, 0.5)
 	own := c.AddAgent(id)
-	own.Ratings[p] = 1
-	own.MarkDirty()
+	own.Name = "renamed"
+	own.Norm = 1
 	alias := c
 	alias.SetTrust(id, id, 0.25)
 	return c
@@ -77,14 +75,12 @@ func CloneAndEdit(snap *engine.Snapshot, id model.AgentID, p model.ProductID) *m
 // CloneAndPoke writes through records merely read from a clone: the
 // clone shares them with the published snapshot, so each of these lands
 // in the epoch concurrent readers hold.
-func CloneAndPoke(snap *engine.Snapshot, id model.AgentID, p model.ProductID) *model.Community {
+func CloneAndPoke(snap *engine.Snapshot, id model.AgentID) *model.Community {
 	c := snap.Comm.Clone()
-	c.Agent(id).Ratings[p] = 1 // want `write through frozen swrec/internal/model\.Agent`
+	c.Agent(id).Name = "x" // want `write through frozen swrec/internal/model\.Agent`
 	a := c.Agent(id)
-	a.Ratings[p] = 2     // want `write through frozen swrec/internal/model\.Agent`
-	a.Norm = 0           // want `write through frozen swrec/internal/model\.Agent`
-	a.MarkDirty()        // want `MarkDirty mutates frozen swrec/internal/model\.Agent`
-	delete(a.Ratings, p) // want `delete mutates frozen swrec/internal/model\.Agent`
+	a.TrustedPeers()[0].Val = 2 // want `write through frozen swrec/internal/model\.Row`
+	a.Norm = 0                  // want `write through frozen swrec/internal/model\.Agent`
 	return c
 }
 
@@ -97,11 +93,11 @@ func Rebind(snap *engine.Snapshot, id model.AgentID) {
 	_ = snap
 }
 
-// Holdout is the mutate-and-restore pattern: the justified suppression
-// silences it, the unjustified one right below stays visible.
-func Holdout(snap *engine.Snapshot, id model.AgentID, p model.ProductID, v float64) {
+// Justified is an excused write: the justified suppression silences
+// it, the unjustified one right below stays visible.
+func Justified(snap *engine.Snapshot, id model.AgentID, v float64) {
 	a := snap.Comm.Agent(id)
-	a.Ratings[p] = v //nolint:snapshotfreeze -- fixture: single-threaded holdout harness restores the rating before anyone else reads
+	a.Norm = v //nolint:snapshotfreeze -- fixture: a single-threaded harness restores the value before anyone else reads
 	// No "-- reason" clause: inert, the diagnostic keeps firing.
 	//nolint:snapshotfreeze
 	a.Norm = 0 // want `write through frozen swrec/internal/model\.Agent`

@@ -16,7 +16,7 @@ func Publish(c *model.Community, id model.AgentID) *Snapshot {
 	c.SetTrust(id, id, 1)
 	a := c.Agent(id)
 	a.Norm = 1
-	a.MarkDirty()
+	a.TrustedPeers()[0].Val = 1
 	s := &Snapshot{}
 	s.Comm = c
 	return s

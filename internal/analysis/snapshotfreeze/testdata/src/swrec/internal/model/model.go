@@ -8,17 +8,26 @@ type AgentID string
 // ProductID is a URI-shaped product key.
 type ProductID string
 
-// Agent mirrors the real agent: exported trust and rating maps.
-type Agent struct {
-	ID      AgentID
-	Trust   map[AgentID]float64
-	Ratings map[ProductID]float64
-	Norm    float64
-	dirty   bool
+// Entry mirrors one statement of a row.
+type Entry struct {
+	Ord int32
+	Val float64
 }
 
-// MarkDirty flags the agent for recompilation.
-func (a *Agent) MarkDirty() { a.dirty = true }
+// Row mirrors a statement row: targets by ordinal, and their values.
+type Row []Entry
+
+// Agent mirrors the real agent: exported fields, statements in rows
+// only the community's setters write.
+type Agent struct {
+	ID    AgentID
+	Name  string
+	Norm  float64
+	trust Row
+}
+
+// TrustedPeers returns the agent's trust row.
+func (a *Agent) TrustedPeers() Row { return a.trust }
 
 // Community is the published graph.
 type Community struct {
@@ -34,7 +43,7 @@ func NewCommunity() *Community {
 func (c *Community) Agent(id AgentID) *Agent {
 	a := c.agents[id]
 	if a == nil {
-		a = &Agent{ID: id, Trust: map[AgentID]float64{}, Ratings: map[ProductID]float64{}}
+		a = &Agent{ID: id}
 		c.agents[id] = a
 	}
 	return a
@@ -46,7 +55,8 @@ func (c *Community) AddAgent(id AgentID) *Agent { return c.Agent(id) }
 
 // SetTrust sets a trust edge.
 func (c *Community) SetTrust(from, to AgentID, w float64) {
-	c.Agent(from).Trust[to] = w
+	a := c.Agent(from)
+	a.trust = append(a.trust, Entry{Val: w})
 }
 
 // Clone derives the next generation: in the real model it shares every
@@ -60,18 +70,11 @@ func (c *Community) Clone() *Community {
 	return out
 }
 
-// CSR mirrors the compiled adjacency's relation arenas.
-type CSR struct {
-	Off []int32
-	Idx []int32
-	Val []float64
-}
-
-// Adjacency mirrors the compiled adjacency: model compiles it, everyone
-// else only reads it.
+// Adjacency mirrors the adjacency: the agents' rows by ordinal, read
+// by everyone, written by no one.
 type Adjacency struct {
-	trust CSR
+	c *Community
 }
 
-// Trust returns the compiled trust relation.
-func (a *Adjacency) Trust() *CSR { return &a.trust }
+// Trust returns an agent's trust row.
+func (a *Adjacency) Trust(id AgentID) Row { return a.c.Agent(id).trust }

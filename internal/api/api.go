@@ -567,7 +567,7 @@ type agentSummary struct {
 func summarize(comm *model.Community, id model.AgentID) agentSummary {
 	a := comm.Agent(id)
 	return agentSummary{ID: id, Name: a.Name,
-		TrustOut: len(a.Trust), Ratings: len(a.Ratings)}
+		TrustOut: len(a.TrustedPeers()), Ratings: len(a.RatedProducts())}
 }
 
 func (s *Server) handleAgents(c *call, snap *engine.Snapshot) {
@@ -611,7 +611,7 @@ func (s *Server) handleAgent(c *call, snap *engine.Snapshot) {
 	if !ok || !requireRead(c) {
 		return
 	}
-	c.writeEncoded(func(b []byte) ([]byte, bool) { return appendAgent(b, a) })
+	c.writeEncoded(func(b []byte) ([]byte, bool) { return appendAgent(b, snap.Community(), a) })
 }
 
 // parseSelector validates the strategy= per-request ladder override

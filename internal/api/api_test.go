@@ -233,8 +233,8 @@ func TestAgentDetailAndSubResources(t *testing.T) {
 	if detail.ID != string(id) {
 		t.Fatalf("detail ID = %s", detail.ID)
 	}
-	if len(detail.Trust) != len(comm.Agent(id).Trust) {
-		t.Fatalf("trust statements = %d, want %d", len(detail.Trust), len(comm.Agent(id).Trust))
+	if len(detail.Trust) != len(comm.Agent(id).TrustedPeers()) {
+		t.Fatalf("trust statements = %d, want %d", len(detail.Trust), len(comm.Agent(id).TrustedPeers()))
 	}
 
 	var neighbors struct {
@@ -285,7 +285,7 @@ func TestAgentDetailAndSubResources(t *testing.T) {
 		t.Fatalf("rec n ignored: %d", len(recs.Items))
 	}
 	for _, r := range recs.Items {
-		if _, rated := comm.Agent(id).Ratings[model.ProductID(r.Product)]; rated {
+		if _, rated := comm.Rating(id, model.ProductID(r.Product)); rated {
 			t.Fatalf("recommended already-rated %s", r.Product)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -623,6 +624,73 @@ func FuzzRoute(f *testing.F) {
 			t.Skip()
 		}
 		routeLikeMux(t, s, mux, target)
+	})
+}
+
+// bodyKeyParams are the query parameters some handler reads.
+var bodyKeyParams = []string{"n", "offset", "limit", "alpha", "measure", "metric", "novel", "peer", "product", "strategy", "theta"}
+
+// readTarget parses a request target as the server receives it, or
+// reports false when net/http would refuse the request line.
+func readTarget(target string) (*http.Request, bool) {
+	r, err := http.ReadRequest(bufio.NewReader(strings.NewReader("GET " + target + " HTTP/1.0\r\n\r\n")))
+	return r, err == nil
+}
+
+// sameAnswerForKey fails unless two requests that share a body-cache key
+// — equal (Path, RawPath, RawQuery) — reach the same handler with the
+// same path argument and the same parameter values: only then may one's
+// stored answer be replayed for the other.
+func sameAnswerForKey(t *testing.T, a, b *http.Request) {
+	t.Helper()
+	if a.URL.Path != b.URL.Path || a.URL.RawPath != b.URL.RawPath || a.URL.RawQuery != b.URL.RawQuery {
+		return // different keys: nothing is shared
+	}
+	ea, ha, argA := route(http.MethodGet, a.URL.EscapedPath())
+	eb, hb, argB := route(http.MethodGet, b.URL.EscapedPath())
+	if ea != eb || reflect.ValueOf(ha).Pointer() != reflect.ValueOf(hb).Pointer() || argA != argB ||
+		movedTo(a.URL.EscapedPath()) != movedTo(b.URL.EscapedPath()) {
+		t.Fatalf("%q and %q share a body key but route to %s %q and %s %q", a.RequestURI, b.RequestURI,
+			endpointNames[ea], argA, endpointNames[eb], argB)
+	}
+	ca, cb := &call{r: a}, &call{r: b}
+	for _, name := range bodyKeyParams {
+		if ca.param(name) != cb.param(name) {
+			t.Fatalf("%q and %q share a body key but read %s=%q and %q", a.RequestURI, b.RequestURI, name, ca.param(name), cb.param(name))
+		}
+	}
+}
+
+// FuzzBodyKey: the response cache keys a stored body by (Path, RawPath,
+// RawQuery), so any two request targets with that key equal must route
+// alike and read the same parameters. Each input is checked against the
+// other and against its own re-serialization, which is where differently
+// spelled targets with one key come from.
+//
+//	go test -fuzz FuzzBodyKey ./internal/api
+func FuzzBodyKey(f *testing.F) {
+	_, comm, _ := newTestServer(f)
+	targets := routeTargets(comm)
+	escaped := url.PathEscape(string(comm.Agents()[0]))
+	targets = append(targets,
+		"/v1/agents/"+escaped+"/recommendations?n=3&alpha=0.5",
+		"/v1/agents/"+escaped+"/recommendations?alpha=0.5&n=3",
+		"/v1/agents/"+strings.ReplaceAll(escaped, "%2F", "%2f")+"/neighbors?metric=advogato",
+		"/v1/%61gents/"+escaped+"/profile", "/v1/agents?offset=1&limit=2#frag")
+	for i, a := range targets {
+		f.Add(a, targets[(i+1)%len(targets)])
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		ra, ok := readTarget(a)
+		if !ok {
+			t.Skip()
+		}
+		if rb, ok := readTarget(b); ok {
+			sameAnswerForKey(t, ra, rb)
+		}
+		if rc, ok := readTarget(ra.URL.RequestURI()); ok {
+			sameAnswerForKey(t, ra, rc)
+		}
 	})
 }
 

@@ -286,8 +286,10 @@ func appendProfile(b []byte, prof *profmat.Row, top []int32, tax *taxonomy.Taxon
 }
 
 // appendAgent appends the /agents/{uri} detail: the directory summary
-// followed by the agent's trust and rating statements.
-func appendAgent(b []byte, a *model.Agent) ([]byte, bool) {
+// followed by the agent's trust and rating statements, their targets
+// named through comm. Every stated value is in [-1, +1], so the body is
+// always encodable.
+func appendAgent(b []byte, comm *model.Community, a *model.Agent) ([]byte, bool) {
 	b = append(b, "{"+in1+`"id": `...)
 	b = appendString(b, string(a.ID))
 	if a.Name != "" {
@@ -295,42 +297,37 @@ func appendAgent(b []byte, a *model.Agent) ([]byte, bool) {
 		b = appendString(b, a.Name)
 	}
 	b = append(b, ","+in1+`"trustOut": `...)
-	b = strconv.AppendInt(b, int64(len(a.Trust)), 10)
+	b = strconv.AppendInt(b, int64(len(a.TrustedPeers())), 10)
 	b = append(b, ","+in1+`"ratings": `...)
-	b = strconv.AppendInt(b, int64(len(a.Ratings)), 10)
+	b = strconv.AppendInt(b, int64(len(a.RatedProducts())), 10)
 
 	b = append(b, ","+in1+`"trust": [`...)
+	sym := comm.Symbols()
 	trust := a.TrustedPeers()
-	for i := range trust {
-		ts := &trust[i]
-		if !finite(ts.Value) {
-			return b, false
-		}
+	for i, e := range trust {
+		dst, _ := sym.AgentID(e.Ord)
 		b = appendElem(b, i, in2)
 		b = append(b, "{"+in3+`"Src": `...)
-		b = appendString(b, string(ts.Src))
+		b = appendString(b, string(a.ID))
 		b = append(b, ","+in3+`"Dst": `...)
-		b = appendString(b, string(ts.Dst))
+		b = appendString(b, string(dst))
 		b = append(b, ","+in3+`"Value": `...)
-		b = appendFloat(b, ts.Value)
+		b = appendFloat(b, e.Val)
 		b = append(b, in2+"}"...)
 	}
 	b = appendListEnd(b, len(trust), in1)
 
 	b = append(b, ","+in1+`"ratingStatements": [`...)
 	ratings := a.RatedProducts()
-	for i := range ratings {
-		rs := &ratings[i]
-		if !finite(rs.Value) {
-			return b, false
-		}
+	for i, e := range ratings {
+		pid, _ := sym.ProductID(e.Ord)
 		b = appendElem(b, i, in2)
 		b = append(b, "{"+in3+`"Agent": `...)
-		b = appendString(b, string(rs.Agent))
+		b = appendString(b, string(a.ID))
 		b = append(b, ","+in3+`"Product": `...)
-		b = appendString(b, string(rs.Product))
+		b = appendString(b, string(pid))
 		b = append(b, ","+in3+`"Value": `...)
-		b = appendFloat(b, rs.Value)
+		b = appendFloat(b, e.Val)
 		b = append(b, in2+"}"...)
 	}
 	b = appendListEnd(b, len(ratings), in1)

@@ -89,7 +89,7 @@ func oracleProfile(prof *profmat.Row, top []int32, tax *taxonomy.Taxonomy) any {
 }
 
 func oracleAgent(comm *model.Community, a *model.Agent) any {
-	return agentDetail{agentSummary: summarize(comm, a.ID), Trust: a.TrustedPeers(), Ratings: a.RatedProducts()}
+	return agentDetail{agentSummary: summarize(comm, a.ID), Trust: comm.TrustStatements(a), Ratings: comm.RatingStatements(a)}
 }
 
 func oracleProduct(p *model.Product, tax *taxonomy.Taxonomy) any {
@@ -172,7 +172,7 @@ func bothWays(t *testing.T, s *Server, snap *engine.Snapshot, target string) (ep
 	case epAgent:
 		var a *model.Agent
 		if a, ok = agentOf(c, snap); ok {
-			got, fin = appendAgent(nil, a)
+			got, fin = appendAgent(nil, comm, a)
 			want = oracle(oracleAgent(comm, a))
 		}
 	case epProduct:
@@ -263,8 +263,9 @@ func TestEncodersMatchOnHostileValues(t *testing.T) {
 		topic := tax.MustAdd(taxonomy.Root, fmt.Sprintf("%d %s", i, strings.ReplaceAll(str(i), "/", "|")))
 		comm.AddProduct(model.Product{ID: pid, Title: str(i + 3), ISBN: str(i + 4), Topics: []taxonomy.Topic{topic, taxonomy.Root}})
 		recs = append(recs, core.Recommendation{Product: pid, Score: flt(i), Supporters: i - 3})
-		agent.Ratings[pid] = flt(i)
-		agent.Trust[model.AgentID(str(i))] = flt(i + 5)
+		// A statement outside [-1, +1] is refused by the setter.
+		_ = comm.SetRating(agent.ID, pid, flt(i))
+		_ = comm.SetTrust(agent.ID, model.AgentID(str(i)), flt(i+5))
 	}
 	recs = append(recs, core.Recommendation{Product: "urn:not-cataloged", Score: 1})
 	res := &strategy.Result{Procedure: strategy.Procedure(str(1)), Epoch: math.MaxUint64, Degraded: true, Source: str(2)}
@@ -292,7 +293,7 @@ func TestEncodersMatchOnHostileValues(t *testing.T) {
 	}
 	got, ok := appendProfile(nil, prof, top, tax)
 	check("profile", got, ok, oracleProfile(prof, top, tax))
-	got, ok = appendAgent(nil, agent)
+	got, ok = appendAgent(nil, comm, agent)
 	check("agent", got, ok, oracleAgent(comm, agent))
 	for _, pid := range comm.Products() {
 		p := comm.Product(pid)
@@ -333,8 +334,6 @@ func TestNonFiniteFloatSendsNothing(t *testing.T) {
 		for name, ok := range map[string]bool{
 			"recommendations": second(appendRecommendations(nil, []core.Recommendation{{Score: f}}, model.NewCommunity(nil), nil)),
 			"profile":         second(appendProfile(nil, &profmat.Row{Keys: []int32{0}, Vals: []float64{f}}, []int32{0}, taxonomy.New("Books"))),
-			"agent trust":     second(appendAgent(nil, &model.Agent{Trust: map[model.AgentID]float64{"b": f}})),
-			"agent ratings":   second(appendAgent(nil, &model.Agent{Ratings: map[model.ProductID]float64{"p": f}})),
 		} {
 			if ok {
 				t.Errorf("%s: %v reported as encodable", name, f)

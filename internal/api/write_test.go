@@ -156,7 +156,7 @@ func TestWriteRatingValidation(t *testing.T) {
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := eng.Snapshot().Community().Agent(agent).Ratings[product]; !ok || v != -0.25 {
+	if v, ok := eng.Snapshot().Community().Rating(agent, product); !ok || v != -0.25 {
 		t.Fatalf("rating after flush = %v,%v, want -0.25", v, ok)
 	}
 
@@ -168,7 +168,7 @@ func TestWriteRatingValidation(t *testing.T) {
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := eng.Snapshot().Community().Agent(agent).Ratings[product]; ok {
+	if _, ok := eng.Snapshot().Community().Rating(agent, product); ok {
 		t.Fatal("rating survived DELETE")
 	}
 }

@@ -152,9 +152,8 @@ func mintPushed(comm *model.Community, n, ordinal int) []model.ProductID {
 // top-mark ratings for every pushed product — the standard shilling
 // profile: maximally similar, planted payload on top.
 func cloneProfile(comm *model.Community, res *Result, dst model.AgentID) error {
-	va := comm.Agent(res.Victim)
-	for _, rs := range va.RatedProducts() {
-		if err := comm.SetRating(dst, rs.Product, rs.Value); err != nil {
+	for _, e := range comm.Agent(res.Victim).RatedProducts() {
+		if err := comm.SetRating(dst, comm.Products()[e.Ord], e.Val); err != nil {
 			return err
 		}
 	}

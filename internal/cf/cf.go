@@ -213,8 +213,7 @@ func (f *Filter) compileLocked(ctx context.Context, prev *profmat.Matrix, dirty 
 // newFill returns one worker's row compile under ctx: the agent's Eq. 3
 // profile, written by a Streamer of its own, or — for the Product
 // representation — every rating of the agent, negative ones included, at
-// the rated product's catalog ordinal (every rated product is cataloged:
-// SetRating enforces it).
+// the rated product's catalog ordinal.
 func (f *Filter) newFill(ctx context.Context) profmat.Fill {
 	comm, sym := f.comm, f.comm.Symbols()
 	if f.gen != nil {
@@ -227,8 +226,8 @@ func (f *Filter) newFill(ctx context.Context) profmat.Fill {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		for p, v := range sym.AgentAt(ord).Ratings {
-			g.Add(comm.Product(p).Ord(), v)
+		for _, e := range sym.AgentAt(ord).RatedProducts() {
+			g.Add(e.Ord, e.Val)
 		}
 		return nil
 	}

@@ -274,7 +274,7 @@ func TestProductRowsMatchSparseOracle(t *testing.T) {
 	// The generator rates on a positive scale; dislike every third of the
 	// first agents' products so negative values are compared too.
 	for _, id := range ids[:20] {
-		for i, rs := range comm.Agent(id).RatedProducts() {
+		for i, rs := range comm.RatingStatements(comm.Agent(id)) {
 			if i%3 == 0 {
 				if err := comm.SetRating(id, rs.Product, -rs.Value); err != nil {
 					t.Fatal(err)
@@ -288,8 +288,8 @@ func TestProductRowsMatchSparseOracle(t *testing.T) {
 	}
 	oracle := func(id model.AgentID) sparse.Vector {
 		v := sparse.New(0)
-		for p, x := range comm.Agent(id).Ratings {
-			v[comm.Product(p).Ord()] = x
+		for _, e := range comm.Agent(id).RatedProducts() {
+			v[e.Ord] = e.Val
 		}
 		return v
 	}

@@ -219,22 +219,12 @@ func write(w io.Writer, img *Image) error {
 	// sides).
 	r.begin(secTrust)
 	for _, id := range agents {
-		peers := comm.Agent(id).TrustedPeers()
-		r.uv(uint64(len(peers)))
-		for _, st := range peers {
-			r.uv(uint64(comm.Agent(st.Dst).Ord()))
-			r.f64(st.Value)
-		}
+		r.row(comm.Agent(id).TrustedPeers())
 	}
 	r.end()
 	r.begin(secRatings)
 	for _, id := range agents {
-		ratings := comm.Agent(id).RatedProducts()
-		r.uv(uint64(len(ratings)))
-		for _, rt := range ratings {
-			r.uv(uint64(comm.Product(rt.Product).Ord()))
-			r.f64(rt.Value)
-		}
+		r.row(comm.Agent(id).RatedProducts())
 	}
 	r.end()
 

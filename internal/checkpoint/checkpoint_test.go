@@ -502,20 +502,32 @@ func TestDecodeConcurrently(t *testing.T) {
 // taken — a NaN or out-of-range value, trust in oneself — is corrupt, for
 // the full decode and the statements-only one alike.
 func TestDecodeRejectsStatementsTheSettersReject(t *testing.T) {
-	for what, spoil := range map[string]func(a *model.Agent){
-		"NaN trust":           func(a *model.Agent) { a.Trust["http://ckpt.example/people/a5"] = math.NaN() },
-		"trust out of range":  func(a *model.Agent) { a.Trust["http://ckpt.example/people/a5"] = 1.5 },
-		"self trust":          func(a *model.Agent) { a.Trust[a.ID] = 0.5 },
-		"NaN rating":          func(a *model.Agent) { a.Ratings["urn:isbn:9780553380958"] = math.NaN() },
-		"rating out of range": func(a *model.Agent) { a.Ratings["urn:isbn:9780553380958"] = -7 },
+	// a2 (ordinal 2) states values no other statement in the file has,
+	// trust in a5 (ordinal 5) and a rating, so each is found by its bytes.
+	const trustMark, ratingMark = 0.123456789, 0.987654321
+	comm := testCommunity(t, 12)
+	if err := comm.SetTrust("http://ckpt.example/people/a2", "http://ckpt.example/people/a5", trustMark); err != nil {
+		t.Fatal(err)
+	}
+	if err := comm.SetRating("http://ckpt.example/people/a2", "urn:isbn:9780553380958", ratingMark); err != nil {
+		t.Fatal(err)
+	}
+	data := Encode(&Image{Epoch: 1, Seq: 3, Options: testOptions(), Community: comm})
+	f64 := func(v float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)) }
+	for what, spoil := range map[string][2][]byte{
+		"NaN trust":           {f64(trustMark), f64(math.NaN())},
+		"trust out of range":  {f64(trustMark), f64(1.5)},
+		"self trust":          {append([]byte{5}, f64(trustMark)...), append([]byte{2}, f64(trustMark)...)},
+		"NaN rating":          {f64(ratingMark), f64(math.NaN())},
+		"rating out of range": {f64(ratingMark), f64(-7)},
 	} {
-		comm := testCommunity(t, 12)
-		a := comm.AddAgent("http://ckpt.example/people/a2")
-		spoil(a) // behind the setters' backs, as a faulty writer would
-		a.MarkDirty()
-		data := Encode(&Image{Epoch: 1, Seq: 3, Options: testOptions(), Community: comm})
+		// Behind the setters' backs, as a faulty writer would.
+		if n := bytes.Count(data, spoil[0]); n != 1 {
+			t.Fatalf("%s: fixture bytes found %d times", what, n)
+		}
+		mut := reseal(bytes.Replace(data, spoil[0], spoil[1], 1))
 		for _, statementsOnly := range []bool{false, true} {
-			if _, err := decode(data, testOptions(), statementsOnly); !errors.Is(err, ErrCorrupt) {
+			if _, err := decode(mut, testOptions(), statementsOnly); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("%s (statements only: %v): got %v, want ErrCorrupt", what, statementsOnly, err)
 			}
 		}

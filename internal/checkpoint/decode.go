@@ -189,8 +189,8 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 
 	// Registration, then TRUST beside RATINGS: one row per agent, handed
 	// to the community whole. The rows were written in TrustedPeers /
-	// RatedProducts order, which the loaders verify and then keep as the
-	// sorted views. The two loaders write disjoint fields of records this
+	// RatedProducts order, which the loaders verify and then adopt as the
+	// agents' rows. The two loaders write disjoint fields of records this
 	// community owns (model.Community.LoadTrust).
 	var comm *model.Community
 	if v.clear(secAgents) {
@@ -382,25 +382,41 @@ func decodeProducts(d *dec, raw uint64, topics int) ([]model.Product, error) {
 }
 
 // loadRows installs one statement section — per agent a count, then
-// (ordinal, value) pairs — a row at a time through load.
-func loadRows(d *dec, nAgents, limit int, what string, load func(int32, []int32, []float64) error) error {
-	var ords []int32
-	var vals []float64
+// (ordinal, value) pairs — a row at a time through load, which adopts
+// it. The rows are decoded into one arena, counted out first, so no
+// append moves a row already handed over, and a restored community's
+// rows lie side by side.
+func loadRows(d *dec, nAgents, limit int, what string, load func(int32, model.Row) error) error {
+	arena := make(model.Row, 0, min(entries(*d, nAgents, what), len(d.b)))
 	for a := 0; a < nAgents; a++ {
-		n := d.count(d.uv(), 9, what) // a varint ordinal and an f64 each
-		ords, vals = ords[:0], vals[:0]
+		n := d.count(d.uv(), 9, what)
+		start := len(arena)
 		for j := 0; j < n; j++ {
-			ords = append(ords, d.ord(limit, what))
-			vals = append(vals, d.f64())
+			arena = append(arena, model.Entry{Ord: d.ord(limit, what), Val: d.f64()})
 		}
 		if d.err != nil {
 			return d.err
 		}
-		if err := load(int32(a), ords, vals); err != nil {
+		if err := load(int32(a), arena[start:]); err != nil {
 			return fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
 		}
 	}
 	return nil
+}
+
+// entries counts the (ordinal, value) pairs of a statement section by
+// skipping over them; a fault is left for the decode to report.
+func entries(d dec, nAgents int, what string) int {
+	total := 0
+	for a := 0; a < nAgents && d.err == nil; a++ {
+		n := d.count(d.uv(), 9, what) // a varint ordinal and an f64 each
+		for j := 0; j < n && d.err == nil; j++ {
+			d.uv()
+			d.u64()
+		}
+		total += n
+	}
+	return total
 }
 
 // decodeProfmat rebuilds the profile rows over two shared arenas,

@@ -31,6 +31,7 @@ import (
 	"math"
 
 	"swrec/internal/frame"
+	"swrec/internal/model"
 )
 
 const (
@@ -106,6 +107,16 @@ func (e *enc) u32(v uint32)  { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *enc) uv(v uint64)   { e.b = binary.AppendUvarint(e.b, v) }
 func (e *enc) f64(v float64) { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
 func (e *enc) str(s string)  { e.b = append(binary.AppendUvarint(e.b, uint64(len(s))), s...) }
+
+// row writes one statement row: its length, then per entry the target's
+// ordinal and the value.
+func (e *enc) row(r model.Row) {
+	e.uv(uint64(len(r)))
+	for _, s := range r {
+		e.uv(uint64(s.Ord))
+		e.f64(s.Val)
+	}
+}
 
 // dec walks one section payload, latching the first bounds error so call
 // sites read linearly and check err once at the end. It advances an

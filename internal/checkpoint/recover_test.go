@@ -117,10 +117,10 @@ func rDigest(c *model.Community) string {
 	for _, id := range ids {
 		a := c.Agent(id)
 		fmt.Fprintf(&b, "agent %s name=%q\n", id, a.Name)
-		for _, st := range a.TrustedPeers() {
+		for _, st := range c.TrustStatements(a) {
 			fmt.Fprintf(&b, "  trust %s %.17g\n", st.Dst, st.Value)
 		}
-		for _, rt := range a.RatedProducts() {
+		for _, rt := range c.RatingStatements(a) {
 			fmt.Fprintf(&b, "  rating %s %.17g\n", rt.Product, rt.Value)
 		}
 	}

@@ -106,7 +106,7 @@ func TestDiversifyReducesILS(t *testing.T) {
 	best := -1
 	for _, id := range comm.Agents() {
 		a := comm.Agent(id)
-		if d := len(a.Trust) + len(a.Ratings); d > best {
+		if d := len(a.TrustedPeers()) + len(a.RatedProducts()); d > best {
 			best = d
 			active = id
 		}

@@ -584,22 +584,17 @@ func (r *Recommender) RecommendFromCtx(ctx context.Context, active model.AgentID
 
 	// The vote runs on pooled scratch: a flat per-product table — votes[ord]
 	// holds 0 (unseen), -1 (rated by the active agent), or the accumulator
-	// index + 1 — over one accumulator slab. Peers vote through the
-	// compiled ratings CSR, so the scan hashes nothing and chases no
-	// per-agent slice.
+	// index + 1 — over one accumulator slab. Peers vote through their
+	// rating rows, products by ordinal, so the scan hashes nothing.
 	vs := getVoteScratch(r.adj.NumProducts())
 	defer vs.release()
-	// Sentinel entries for the active agent's own history. Products the
-	// active agent rated but the catalog does not know need no sentinel —
-	// peers' votes resolve through the same catalog, so they can never
-	// become candidates.
-	for _, rs := range act.RatedProducts() {
-		if p := r.comm.Product(rs.Product); p != nil {
-			vs.votes[p.Ord()] = -1
-			vs.rated = append(vs.rated, p.Ord())
-		}
+	// Sentinel entries for the active agent's own history.
+	for _, e := range act.RatedProducts() {
+		vs.votes[e.Ord] = -1
+		vs.rated = append(vs.rated, e.Ord)
 	}
-	if err := r.vote(ctx, vs, r.adj.Ratings(), peers, touched); err != nil {
+	vs.readRows(r.adj, peers)
+	if err := r.vote(ctx, vs, peers, touched); err != nil {
 		return nil, err
 	}
 	cands := vs.accs[:vs.n]
@@ -684,8 +679,8 @@ func TouchedTopics(comm *model.Community, a *model.Agent) map[taxonomy.Topic]boo
 		return touched
 	}
 	sym := comm.Symbols()
-	for _, pr := range comm.PositiveRatings(a) {
-		for _, d := range sym.ProductAt(pr.Ord).Topics {
+	for _, e := range a.PositiveRatings() {
+		for _, d := range sym.ProductAt(e.Ord).Topics {
 			touched[d] = true
 			for _, anc := range tax.Ancestors(d) {
 				touched[anc] = true

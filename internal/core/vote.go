@@ -25,6 +25,7 @@ type voteScratch struct {
 	accs  []acc
 	n     int     // accumulators in use
 	rated []int32 // ordinals holding the active agent's -1 sentinels
+	rows  []model.Row
 }
 
 var votePool sync.Pool
@@ -45,19 +46,35 @@ func (vs *voteScratch) release() {
 	for _, o := range vs.rated {
 		vs.votes[o] = 0
 	}
+	clear(vs.rows) // a pooled scratch pins no community
 	vs.n, vs.rated = 0, vs.rated[:0]
 	votePool.Put(vs)
 }
 
+// readRows fills rows with the rating row of every peer that votes, and
+// an empty one for every other, in peer order. Read ahead of the scan,
+// the records' loads are independent, so they overlap instead of each
+// stalling it.
+func (vs *voteScratch) readRows(adj *model.Adjacency, peers []PeerRank) {
+	vs.rows = vs.rows[:0]
+	for i := range peers {
+		var row model.Row
+		if p := &peers[i]; p.Weight > 0 && p.ord != 0 {
+			row = adj.Ratings(p.ord - 1)
+		}
+		vs.rows = append(vs.rows, row)
+	}
+}
+
 // vote is the stage-4 scan: every peer with a positive rank weight votes
-// for its appreciated products, one linear pass over its row of the
-// ratings CSR. Accumulators are created in first-vote order and each
-// product's score sums its supporters in peer order. Checks ctx at
-// 16-peer boundaries.
+// for its appreciated products, one linear pass over the positive prefix
+// of its rating row, which vs.readRows has read. Accumulators are created
+// in first-vote order and each product's score sums its supporters in
+// peer order. Checks ctx at 16-peer boundaries.
 //
 //swrec:hotpath
-func (r *Recommender) vote(ctx context.Context, vs *voteScratch, ratings *model.CSR, peers []PeerRank, touched map[taxonomy.Topic]bool) error {
-	votes, accs, n := vs.votes, vs.accs, 0
+func (r *Recommender) vote(ctx context.Context, vs *voteScratch, peers []PeerRank, touched map[taxonomy.Topic]bool) error {
+	votes, accs, n, rows := vs.votes, vs.accs, 0, vs.rows
 	for i := range peers {
 		if i&15 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -66,11 +83,11 @@ func (r *Recommender) vote(ctx context.Context, vs *voteScratch, ratings *model.
 			}
 		}
 		p := &peers[i]
-		if p.Weight <= 0 || p.ord == 0 {
-			continue // no weight, or no agent of this community
-		}
-		prods, vals := ratings.Row(p.ord - 1)
-		for k, o := range prods {
+		for _, e := range rows[i] { // empty: no weight, or no agent of this community
+			if e.Val <= 0 {
+				break // positive ratings are a prefix of the row
+			}
+			o := e.Ord
 			ai := votes[o]
 			if ai < 0 {
 				continue // active already rated it (sentinel)
@@ -84,7 +101,7 @@ func (r *Recommender) vote(ctx context.Context, vs *voteScratch, ratings *model.
 				ai = int32(n)
 				votes[o] = ai
 			}
-			accs[ai-1].score += float64(p.Weight * vals[k])
+			accs[ai-1].score += float64(p.Weight * e.Val)
 			accs[ai-1].supporters++
 		}
 	}

@@ -73,11 +73,11 @@ func naiveVote(r *Recommender, active model.AgentID, peers []PeerRank, boost flo
 		if p.Weight <= 0 {
 			continue
 		}
-		for _, rs := range r.comm.Agent(p.Agent).RatedProducts() {
+		for _, rs := range r.comm.RatingStatements(r.comm.Agent(p.Agent)) {
 			if rs.Value <= 0 {
 				break // positives form a prefix
 			}
-			if _, rated := act.Ratings[rs.Product]; rated || r.comm.Product(rs.Product) == nil {
+			if _, rated := r.comm.Rating(act.ID, rs.Product); rated {
 				continue
 			}
 			a := acc[rs.Product]

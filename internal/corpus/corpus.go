@@ -73,7 +73,7 @@ func Export(comm *model.Community, dir string) error {
 	var manifest strings.Builder
 	for _, id := range comm.Agents() {
 		name := fileName(id)
-		doc := foaf.MarshalAgent(comm.Agent(id)).Marshal()
+		doc := foaf.MarshalAgent(comm, comm.Agent(id)).Marshal()
 		if err := writeFile(filepath.Join(dir, peopleDir, name), doc); err != nil {
 			return err
 		}

@@ -49,7 +49,8 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 	// Spot-check a deep value.
 	for _, id := range comm.Agents() {
-		for peer, v := range comm.Agent(id).Trust {
+		for _, st := range comm.TrustStatements(comm.Agent(id)) {
+			peer, v := st.Dst, st.Value
 			got, ok := back.Trust(id, peer)
 			if !ok || got != v {
 				t.Fatalf("trust(%s,%s) = %v,%v, want %v", id, peer, got, ok, v)

@@ -84,7 +84,7 @@ func TestCrawlChain(t *testing.T) {
 	if v, ok := c.Trust(site.AgentURL("alice"), site.AgentURL("eve")); !ok || v != -0.5 {
 		t.Fatal("distrust statement must be materialized")
 	}
-	if len(c.Agent(site.AgentURL("eve")).Ratings) != 0 {
+	if len(c.Agent(site.AgentURL("eve")).RatedProducts()) != 0 {
 		t.Fatal("distrusted homepage must not be crawled")
 	}
 	// mallory is unreachable: not in the crawl at all.
@@ -124,7 +124,7 @@ func TestCrawlMaxDepth(t *testing.T) {
 	if !res.Community.HasAgent(site.AgentURL("bob")) {
 		t.Fatal("depth-1 agent missing")
 	}
-	if a := res.Community.Agent(site.AgentURL("carol")); a != nil && len(a.Trust) > 0 {
+	if a := res.Community.Agent(site.AgentURL("carol")); a != nil && len(a.TrustedPeers()) > 0 {
 		t.Fatal("depth-2 homepage must not be crawled")
 	}
 	if res.Stats.Skipped == 0 {

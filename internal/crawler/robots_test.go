@@ -96,7 +96,7 @@ func TestCrawlHonorsRobots(t *testing.T) {
 	}
 	// carol's homepage was not fetched, so her own statements (and the
 	// chain behind her) are missing; alice and bob are present.
-	if got := len(res.Community.Agent(site.AgentURL("carol")).Trust); got != 0 {
+	if got := len(res.Community.Agent(site.AgentURL("carol")).TrustedPeers()); got != 0 {
 		t.Fatalf("disallowed homepage was crawled: %d trust edges", got)
 	}
 	if !res.Community.HasAgent(site.AgentURL("bob")) {
@@ -115,7 +115,7 @@ func TestCrawlHonorsRobots(t *testing.T) {
 	if res2.Stats.RobotsDenied != 0 {
 		t.Fatalf("IgnoreRobots still denied %d", res2.Stats.RobotsDenied)
 	}
-	if got := len(res2.Community.Agent(site.AgentURL("carol")).Trust); got == 0 {
+	if got := len(res2.Community.Agent(site.AgentURL("carol")).TrustedPeers()); got == 0 {
 		t.Fatal("IgnoreRobots should crawl carol")
 	}
 }

@@ -506,13 +506,11 @@ func InjectSybils(comm *model.Community, victim model.AgentID, count int, pushPr
 	ids := make([]model.AgentID, count)
 	for i := range ids {
 		ids[i] = model.AgentID(fmt.Sprintf("http://sybil.example/people/s%d", i))
-		s := comm.AddAgent(ids[i])
-		s.Name = fmt.Sprintf("Sybil %d", i)
-		for p, val := range v.Ratings {
-			s.Ratings[p] = val
+		comm.AddAgent(ids[i]).Name = fmt.Sprintf("Sybil %d", i)
+		copyRatings(comm, ids[i], v)
+		if err := comm.SetRating(ids[i], pushProduct, 1); err != nil {
+			panic(err)
 		}
-		s.Ratings[pushProduct] = 1
-		s.MarkDirty()
 	}
 	for i := range ids {
 		if err := comm.SetTrust(ids[i], ids[(i+1)%count], 1); err != nil && count > 1 {
@@ -520,6 +518,15 @@ func InjectSybils(comm *model.Community, victim model.AgentID, count int, pushPr
 		}
 	}
 	return ids
+}
+
+// copyRatings states every rating of from as agent id's.
+func copyRatings(comm *model.Community, id model.AgentID, from *model.Agent) {
+	for _, e := range from.RatedProducts() {
+		if err := comm.SetRating(id, comm.Products()[e.Ord], e.Val); err != nil {
+			panic(err)
+		}
+	}
 }
 
 // InjectColdStart adds one agent with no ratings and no trust statements —
@@ -545,22 +552,16 @@ func InjectThinTrust(comm *model.Community, donor model.AgentID) (model.AgentID,
 		return "", ""
 	}
 	buddy := model.AgentID("http://fixture.example/people/thin-buddy")
-	b := comm.AddAgent(buddy)
-	b.Name = "Thin Buddy"
-	for p, val := range d.Ratings {
-		b.Ratings[p] = val
-	}
-	b.MarkDirty()
+	comm.AddAgent(buddy).Name = "Thin Buddy"
+	copyRatings(comm, buddy, d)
 	id := model.AgentID("http://fixture.example/people/thin-trust")
-	a := comm.AddAgent(id)
-	a.Name = "Thin Trust"
+	comm.AddAgent(id).Name = "Thin Trust"
 	// One shared rating keeps the agent's profile defined so only the
 	// neighborhood — not the similarity measure — is starved.
-	for _, pr := range comm.PositiveRatings(d) {
-		if err := comm.SetRating(id, comm.Products()[pr.Ord], pr.Value); err != nil {
+	if pos := d.PositiveRatings(); len(pos) > 0 {
+		if err := comm.SetRating(id, comm.Products()[pos[0].Ord], pos[0].Val); err != nil {
 			panic(err)
 		}
-		break
 	}
 	// The buddy likes a few products the agent has not rated, so its vote
 	// always has something to recommend.
@@ -569,7 +570,7 @@ func InjectThinTrust(comm *model.Community, donor model.AgentID) (model.AgentID,
 		if extra >= 3 {
 			break
 		}
-		if _, rated := a.Ratings[pid]; rated {
+		if _, rated := comm.Rating(id, pid); rated {
 			continue
 		}
 		if err := comm.SetRating(buddy, pid, 1); err != nil {

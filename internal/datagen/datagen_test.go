@@ -173,7 +173,7 @@ func TestInjectSybils(t *testing.T) {
 	cfg := SmallScale()
 	comm, _ := Generate(cfg)
 	victim := comm.Agents()[0]
-	nVictimRatings := len(comm.Agent(victim).Ratings)
+	nVictimRatings := len(comm.Agent(victim).RatedProducts())
 	if nVictimRatings == 0 {
 		t.Skip("victim rated nothing")
 	}
@@ -187,13 +187,13 @@ func TestInjectSybils(t *testing.T) {
 		if ag == nil {
 			t.Fatalf("sybil %s not materialized", s)
 		}
-		if v, ok := ag.Ratings[push]; !ok || v != 1 {
+		if v, ok := comm.Rating(s, push); !ok || v != 1 {
 			t.Fatal("sybil does not push the product")
 		}
 		// Clone check: every victim rating replicated.
-		for p, v := range comm.Agent(victim).Ratings {
-			if ag.Ratings[p] != v {
-				t.Fatalf("sybil did not clone rating of %s", p)
+		for _, rs := range comm.RatingStatements(comm.Agent(victim)) {
+			if v, _ := comm.Rating(s, rs.Product); v != rs.Value {
+				t.Fatalf("sybil did not clone rating of %s", rs.Product)
 			}
 		}
 	}
@@ -231,8 +231,8 @@ func TestPopularitySkew(t *testing.T) {
 		comm, _ := Generate(cfg)
 		counts := map[model.ProductID]int{}
 		for _, id := range comm.Agents() {
-			for p := range comm.Agent(id).Ratings {
-				counts[p]++
+			for _, e := range comm.Agent(id).RatedProducts() {
+				counts[comm.Products()[e.Ord]]++
 			}
 		}
 		out := make([]int, 0, len(counts))

@@ -109,11 +109,11 @@ func TestGenerateFingerprint(t *testing.T) {
 		h := fnv.New64a()
 		for _, id := range comm.Agents() {
 			a := comm.Agent(id)
-			fmt.Fprintf(h, "%s|%d|%d\n", id, len(a.Trust), len(a.Ratings))
-			for _, ts := range a.TrustedPeers() {
+			fmt.Fprintf(h, "%s|%d|%d\n", id, len(a.TrustedPeers()), len(a.RatedProducts()))
+			for _, ts := range comm.TrustStatements(a) {
 				fmt.Fprintf(h, "t %s %.6f\n", ts.Dst, ts.Value)
 			}
-			for _, rs := range a.RatedProducts() {
+			for _, rs := range comm.RatingStatements(a) {
 				fmt.Fprintf(h, "r %s %.6f\n", rs.Product, rs.Value)
 			}
 		}

@@ -27,12 +27,12 @@ func benchCommunity(b *testing.B, agents int) *datagen.Config {
 // BenchmarkServeEngineCold measures an uncached request on a compiled
 // snapshot — Appleseed walk, similarity scan, rank synthesis and vote
 // from scratch, the cost of every first read after a publish — at the
-// small bench scale and at the paper's (§4.1: datagen.PaperScale, 9,100
-// agents, the serving options of the repo benchmark's cold-read
-// workload). One-entry caches keep every request cold: consecutive
-// requests ask for different agents.
+// repo benchmark's serving scale (2,000 agents) and at the paper's
+// (§4.1: datagen.PaperScale, 9,100 agents, the serving options of the
+// repo benchmark's cold-read workload). One-entry caches keep every
+// request cold: consecutive requests ask for different agents.
 func BenchmarkServeEngineCold(b *testing.B) {
-	small := *benchCommunity(b, 400)
+	small := *benchCommunity(b, 2000)
 	paperOpt := core.Options{
 		Alpha: 0.5, AlphaSet: true,
 		CF: cf.Options{Measure: cf.Cosine, Representation: cf.Taxonomy},
@@ -50,8 +50,9 @@ func BenchmarkServeEngineCold(b *testing.B) {
 			snap := e.Snapshot()
 			ids := comm.Agents()
 			ctx := context.Background()
-			// The snapshot's first cold request compiles its adjacency:
-			// set-up, not the steady state this measures.
+			// The snapshot's first cold request builds its profile matrix
+			// and fills the pools: set-up, not the steady state this
+			// measures.
 			if _, err := snap.RecommendCtx(ctx, ids[len(ids)-1], 10, Overrides{}); err != nil {
 				b.Fatal(err)
 			}

@@ -66,11 +66,11 @@ func NewDelta() *Delta {
 // the union of the old and new trust graphs — an edge present in either
 // generation can have carried the influence.
 //
-// The superseded snapshot's compiled trust CSR is all of that union the
-// search needs: the two graphs differ only in the out-rows of the sources
+// The superseded snapshot's trust rows are all of that union the search
+// needs: the two graphs differ only in the out-rows of the sources
 // themselves (an agent whose statements changed is a source by the Delta
 // contract), and a reverse step along a source's out-edge arrives at the
-// source, which is dirty from the start. The CSR is transposed by one
+// source, which is dirty from the start. The rows are transposed by one
 // counting sort into flat arrays.
 //
 // The returned vector is indexed by agent ordinal and covers n ordinals —
@@ -80,24 +80,24 @@ func trustDirtySet(prev *model.Adjacency, n int, sources map[int32]bool) []bool 
 	if len(sources) == 0 {
 		return nil
 	}
-	old := prev.Trust()
 	n = max(n, prev.NumAgents())
 
 	// rev[revOff[t]:revOff[t+1]] lists the agents stating trust in t.
 	revOff := make([]int32, n+1)
-	for _, t := range old.Idx {
-		revOff[t+1]++
+	for u := int32(0); int(u) < prev.NumAgents(); u++ {
+		for _, e := range prev.Trust(u) {
+			revOff[e.Ord+1]++
+		}
 	}
 	for t := 0; t < n; t++ {
 		revOff[t+1] += revOff[t]
 	}
-	rev := make([]int32, len(old.Idx))
+	rev := make([]int32, revOff[n])
 	next := slices.Clone(revOff[:n])
 	for u := int32(0); int(u) < prev.NumAgents(); u++ {
-		targets, _ := old.Row(u)
-		for _, t := range targets {
-			rev[next[t]] = u
-			next[t]++
+		for _, e := range prev.Trust(u) {
+			rev[next[e.Ord]] = u
+			next[e.Ord]++
 		}
 	}
 

@@ -222,7 +222,7 @@ func unionDirtySet(oldC, newC *model.Community, sources map[int32]bool) []bool {
 	for _, c := range []*model.Community{oldC, newC} {
 		for _, id := range c.Agents() {
 			a := c.Agent(id)
-			for _, st := range a.TrustedPeers() {
+			for _, st := range c.TrustStatements(a) {
 				if p := c.Agent(st.Dst); p != nil {
 					rev[p.Ord()] = append(rev[p.Ord()], a.Ord())
 				}
@@ -275,7 +275,6 @@ func TestTrustDirtySetMatchesUnionBFS(t *testing.T) {
 			}
 		}
 		oldAdj := oldC.Adjacency()
-		oldAdj.Trust() // compiled before the clone is written, as a served snapshot's is
 
 		newC := oldC.Clone()
 		sources := make(map[int32]bool)
@@ -286,7 +285,7 @@ func TestTrustDirtySetMatchesUnionBFS(t *testing.T) {
 			switch rng.Intn(3) {
 			case 0: // retract an existing statement, if the agent has one
 				if a := newC.Agent(src); a != nil && len(a.TrustedPeers()) > 0 {
-					newC.DeleteTrust(src, a.TrustedPeers()[0].Dst)
+					newC.DeleteTrust(src, newC.Agents()[a.TrustedPeers()[0].Ord])
 					mark(src)
 				}
 			default: // upsert, possibly across pieces and to or from a joiner

@@ -634,7 +634,7 @@ func (s *Snapshot) AgentsByTrustOut() []model.AgentID {
 	}
 	s.agentsOnce.Do(func() {
 		ids := append([]model.AgentID(nil), s.comm.Agents()...)
-		deg := func(id model.AgentID) int { return len(s.comm.Agent(id).Trust) }
+		deg := func(id model.AgentID) int { return len(s.comm.Agent(id).TrustedPeers()) }
 		sort.Slice(ids, func(i, j int) bool {
 			di, dj := deg(ids[i]), deg(ids[j])
 			if di != dj {

@@ -55,12 +55,8 @@ func ladderDeadline(err error) bool {
 // failing; durable errors (unknown agent, invalid variant) are returned.
 func (e *Engine) ladderSignals(ctx context.Context, snap *Snapshot, a *model.Agent, ov Overrides) (strategy.Signals, []core.PeerRank, error) {
 	var sig strategy.Signals
-	sig.Ratings = len(a.Ratings)
-	for _, st := range a.TrustedPeers() {
-		if st.Value > 0 {
-			sig.TrustOut++
-		}
-	}
+	sig.Ratings = len(a.RatedProducts())
+	sig.TrustOut = len(a.TrustedPeers().Positive())
 	rec, err := snap.RecommenderFor(ov)
 	if err != nil {
 		return sig, nil, err

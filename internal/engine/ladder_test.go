@@ -167,10 +167,11 @@ func ladderWideningAddsPeers(t *testing.T, floor float64) {
 	}
 	donor := comm.Agent(comm.Agents()[0])
 	for _, id := range []model.AgentID{src, mid, far1, far2} {
-		for p, v := range donor.Ratings {
-			comm.Agent(id).Ratings[p] = v
+		for _, rs := range comm.RatingStatements(donor) {
+			if err := comm.SetRating(id, rs.Product, rs.Value); err != nil {
+				t.Fatal(err)
+			}
 		}
-		comm.Agent(id).MarkDirty()
 	}
 	must := func(err error) {
 		if err != nil {

@@ -143,25 +143,15 @@ func LeaveOneOutEach(comm *model.Community, factory VariantsFactory, topN, maxTr
 		if maxTrials > 0 && trials >= maxTrials {
 			break
 		}
-		a := comm.Agent(id)
-		var liked []model.ProductID
-		for p, v := range a.Ratings {
-			if v > 0 {
-				liked = append(liked, p)
-			}
-		}
+		liked := likedProducts(comm, id)
 		if len(liked) < 2 {
 			continue
 		}
 		sort.Slice(liked, func(i, j int) bool { return liked[i] < liked[j] })
 		held := liked[rng.Intn(len(liked))]
-		heldVal := a.Ratings[held]
-		delete(a.Ratings, held)
-		a.MarkDirty()
-		restore := func() {
-			a.Ratings[held] = heldVal
-			a.MarkDirty()
-		}
+		heldVal, _ := comm.Rating(id, held)
+		comm.DeleteRating(id, held)
+		restore := func() { mustRate(comm, id, held, heldVal) }
 
 		recs, err := factory(comm)
 		if err != nil {
@@ -262,13 +252,7 @@ func PrecisionRecallEach(comm *model.Community, factory VariantsFactory, ns []in
 		if maxTrials > 0 && trials >= maxTrials {
 			break
 		}
-		a := comm.Agent(id)
-		var liked []model.ProductID
-		for p, v := range a.Ratings {
-			if v > 0 {
-				liked = append(liked, p)
-			}
-		}
+		liked := likedProducts(comm, id)
 		if len(liked) < 4 {
 			continue
 		}
@@ -277,15 +261,13 @@ func PrecisionRecallEach(comm *model.Community, factory VariantsFactory, ns []in
 		held := liked[:len(liked)/2]
 		saved := make(map[model.ProductID]float64, len(held))
 		for _, p := range held {
-			saved[p] = a.Ratings[p]
-			delete(a.Ratings, p)
+			saved[p], _ = comm.Rating(id, p)
+			comm.DeleteRating(id, p)
 		}
-		a.MarkDirty()
 		restore := func() {
 			for p, v := range saved {
-				a.Ratings[p] = v
+				mustRate(comm, id, p, v)
 			}
-			a.MarkDirty()
 		}
 
 		recs, err := factory(comm)
@@ -351,4 +333,22 @@ func MeanStd(xs []float64) (mean, std float64) {
 		std += float64((x - mean) * (x - mean))
 	}
 	return mean, math.Sqrt(std / float64(len(xs)))
+}
+
+// likedProducts returns the products agent id rates positively.
+func likedProducts(comm *model.Community, id model.AgentID) []model.ProductID {
+	pos := comm.Agent(id).PositiveRatings()
+	liked := make([]model.ProductID, len(pos))
+	for k, e := range pos {
+		liked[k] = comm.Products()[e.Ord]
+	}
+	return liked
+}
+
+// mustRate restores a rating a trial held out; the value was stated
+// before, so the setter cannot refuse it.
+func mustRate(comm *model.Community, id model.AgentID, p model.ProductID, v float64) {
+	if err := comm.SetRating(id, p, v); err != nil {
+		panic(err)
+	}
 }

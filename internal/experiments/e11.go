@@ -56,12 +56,9 @@ func E11(w io.Writer, p Params) (E11Result, error) {
 		if len(trialSet) >= trials {
 			break
 		}
-		a := comm.Agent(id)
 		var liked []model.ProductID
-		for prod, v := range a.Ratings {
-			if v > 0 {
-				liked = append(liked, prod)
-			}
+		for _, e := range comm.Agent(id).PositiveRatings() {
+			liked = append(liked, comm.Products()[e.Ord])
 		}
 		if len(liked) < 2 {
 			continue
@@ -80,27 +77,27 @@ func E11(w io.Writer, p Params) (E11Result, error) {
 		var ilsSum float64
 		served := map[model.ProductID]bool{}
 		for _, tr := range trialSet {
-			a := comm.Agent(tr.agent)
-			heldVal := a.Ratings[tr.held]
-			delete(a.Ratings, tr.held)
-			a.MarkDirty()
+			heldVal, _ := comm.Rating(tr.agent, tr.held)
+			comm.DeleteRating(tr.agent, tr.held)
+			restore := func() {
+				if err := comm.SetRating(tr.agent, tr.held, heldVal); err != nil {
+					panic(err) // stated before, so in range and cataloged
+				}
+			}
 			rec, err := core.New(comm, core.Options{
 				CF: cf.Options{Measure: cf.Cosine, Representation: cf.Taxonomy},
 			})
 			if err != nil {
-				a.Ratings[tr.held] = heldVal
-				a.MarkDirty()
+				restore()
 				return res, err
 			}
 			cands, err := rec.Recommend(tr.agent, candidates)
 			if err != nil {
-				a.Ratings[tr.held] = heldVal
-				a.MarkDirty()
+				restore()
 				return res, err
 			}
 			list := rec.Diversify(cands, topN, theta)
-			a.Ratings[tr.held] = heldVal
-			a.MarkDirty()
+			restore()
 
 			for _, rc := range list {
 				served[rc.Product] = true

@@ -43,7 +43,7 @@ func E3(w io.Writer, p Params) (E3Result, error) {
 	var src model.AgentID
 	best := -1
 	for _, id := range comm.Agents() {
-		if d := len(comm.Agent(id).Trust); d > best {
+		if d := len(comm.Agent(id).TrustedPeers()); d > best {
 			best = d
 			src = id
 		}

@@ -121,13 +121,7 @@ func E4(w io.Writer, p Params) (E4Result, error) {
 // back to the first agent).
 func pickRatedAgent(comm *model.Community) model.AgentID {
 	for _, id := range comm.Agents() {
-		n := 0
-		for _, v := range comm.Agent(id).Ratings {
-			if v > 0 {
-				n++
-			}
-		}
-		if n >= 3 {
+		if len(comm.Agent(id).PositiveRatings()) >= 3 {
 			return id
 		}
 	}

@@ -48,7 +48,7 @@ func E6(w io.Writer, p Params) (E6Result, error) {
 		active := comm.Agents()[0]
 		best := -1
 		for _, id := range comm.Agents() {
-			if d := len(comm.Agent(id).Trust); d > best {
+			if d := len(comm.Agent(id).TrustedPeers()); d > best {
 				best = d
 				active = id
 			}

@@ -48,7 +48,7 @@ func E9(w io.Writer, p Params) (E9Result, error) {
 	var seed model.AgentID
 	best := -1
 	for _, id := range comm.Agents() {
-		if d := len(comm.Agent(id).Trust); d > best {
+		if d := len(comm.Agent(id).TrustedPeers()); d > best {
 			best = d
 			seed = id
 		}
@@ -78,17 +78,17 @@ func E9(w io.Writer, p Params) (E9Result, error) {
 	for len(frontier) > 0 {
 		cur := frontier[0]
 		frontier = frontier[1:]
-		for _, st := range comm.Agent(cur).TrustedPeers() {
-			if st.Value > 0 && !reachable[st.Dst] {
-				reachable[st.Dst] = true
-				frontier = append(frontier, st.Dst)
+		for _, e := range comm.Agent(cur).TrustedPeers().Positive() {
+			if dst := comm.Agents()[e.Ord]; !reachable[dst] {
+				reachable[dst] = true
+				frontier = append(frontier, dst)
 			}
 		}
 	}
 	res.ReachableMatch = true
 	for id := range reachable {
 		a := out.Community.Agent(id)
-		if a == nil || len(a.Ratings) != len(comm.Agent(id).Ratings) {
+		if a == nil || len(a.RatedProducts()) != len(comm.Agent(id).RatedProducts()) {
 			res.ReachableMatch = false
 			break
 		}

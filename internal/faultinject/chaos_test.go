@@ -109,10 +109,10 @@ func chaosDigest(c *model.Community) string {
 	for _, id := range ids {
 		a := c.Agent(id)
 		fmt.Fprintf(&b, "agent %s name=%q\n", id, a.Name)
-		for _, st := range a.TrustedPeers() {
+		for _, st := range c.TrustStatements(a) {
 			fmt.Fprintf(&b, "  trust %s %.17g\n", st.Dst, st.Value)
 		}
-		for _, rt := range a.RatedProducts() {
+		for _, rt := range c.RatingStatements(a) {
 			fmt.Fprintf(&b, "  rating %s %.17g\n", rt.Product, rt.Value)
 		}
 	}
@@ -175,12 +175,12 @@ func TestChaos(t *testing.T) {
 		// statement matches the published source exactly.
 		src := site.Community()
 		for _, id := range res.Community.Agents() {
-			for _, st := range res.Community.Agent(id).TrustedPeers() {
+			for _, st := range res.Community.TrustStatements(res.Community.Agent(id)) {
 				if v, ok := src.Trust(id, st.Dst); !ok || v != st.Value {
 					t.Fatalf("crawled trust %s->%s = %v, source has %v,%v", id, st.Dst, st.Value, v, ok)
 				}
 			}
-			for _, rt := range res.Community.Agent(id).RatedProducts() {
+			for _, rt := range res.Community.RatingStatements(res.Community.Agent(id)) {
 				if v, ok := src.Rating(id, rt.Product); !ok || v != rt.Value {
 					t.Fatalf("crawled rating %s/%s = %v, source has %v,%v", id, rt.Product, rt.Value, v, ok)
 				}

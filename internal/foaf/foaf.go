@@ -91,13 +91,13 @@ func Marshal(h Homepage) *rdf.Graph {
 	return g
 }
 
-// MarshalAgent builds the homepage of agent a as stored in a community.
-func MarshalAgent(a *model.Agent) *rdf.Graph {
+// MarshalAgent builds the homepage of agent a as stored in community c.
+func MarshalAgent(c *model.Community, a *model.Agent) *rdf.Graph {
 	return Marshal(Homepage{
 		Agent:   a.ID,
 		Name:    a.Name,
-		Trust:   a.TrustedPeers(),
-		Ratings: a.RatedProducts(),
+		Trust:   c.TrustStatements(a),
+		Ratings: c.RatingStatements(a),
 	})
 }
 

@@ -173,7 +173,7 @@ func TestMarshalAgent(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Agent("http://x/a").Name = "A"
-	g := MarshalAgent(c.Agent("http://x/a"))
+	g := MarshalAgent(c, c.Agent("http://x/a"))
 	back, err := Unmarshal(g)
 	if err != nil {
 		t.Fatal(err)

@@ -21,12 +21,10 @@ func FuzzUnmarshalHomepage(f *testing.F) {
 	seeded, distrust := 0, false
 	for _, id := range comm.Agents() {
 		a := comm.Agent(id)
-		hasDistrust := false
-		for _, st := range a.TrustedPeers() {
-			hasDistrust = hasDistrust || st.Value < 0
-		}
+		peers := a.TrustedPeers()
+		hasDistrust := len(peers) > 0 && peers[len(peers)-1].Val < 0
 		if seeded < 4 || hasDistrust && !distrust {
-			f.Add(MarshalAgent(a).Marshal())
+			f.Add(MarshalAgent(comm, a).Marshal())
 			seeded++
 			distrust = distrust || hasDistrust
 		}
@@ -36,7 +34,7 @@ func FuzzUnmarshalHomepage(f *testing.F) {
 	}
 	// An agent rating an ISBN the catalog does not carry.
 	a := comm.Agent(comm.Agents()[0])
-	h := Homepage{Agent: a.ID, Name: a.Name, Trust: a.TrustedPeers(), Ratings: a.RatedProducts()}
+	h := Homepage{Agent: a.ID, Name: a.Name, Trust: comm.TrustStatements(a), Ratings: comm.RatingStatements(a)}
 	h.Ratings = append(h.Ratings, model.RatingStatement{
 		Agent: a.ID, Product: model.ProductID(isbn.URN(isbn.Synthesize(cfg.Products + 7))), Value: 0.5,
 	})

@@ -204,7 +204,13 @@ func OpenFrom(eng *engine.Engine, dir string, cfg Config, seq uint64) (*Pipeline
 		return nil, fmt.Errorf("ingest: WAL in %s starts at seq %d but the engine covers only seq %d: records %d-%d were truncated after a checkpoint (start from checkpoint.Recover)",
 			dir, oldest, seq, seq+1, oldest-1)
 	}
-	w, err := wal.Open(dir, cfg.WAL)
+	// The tail is read by the walk that opens the log: one pass over it.
+	var tail []wal.Mutation
+	var last uint64
+	w, err := wal.OpenReplay(dir, cfg.WAL, seq+1, func(s uint64, m wal.Mutation) error {
+		tail, last = append(tail, m), s
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +235,7 @@ func OpenFrom(eng *engine.Engine, dir string, cfg Config, seq uint64) (*Pipeline
 	p.base = snap.Community()
 	p.epoch = snap.Epoch()
 	p.applied = seq
-	if err := p.replay(seq + 1); err != nil {
+	if err := p.replay(tail, last); err != nil {
 		w.Close()
 		return nil, err
 	}
@@ -238,19 +244,9 @@ func OpenFrom(eng *engine.Engine, dir string, cfg Config, seq uint64) (*Pipeline
 	return p, nil
 }
 
-// replay publishes the WAL records with seq >= from as one recovery
-// epoch.
-func (p *Pipeline) replay(from uint64) error {
-	var muts []wal.Mutation
-	var last uint64
-	err := p.w.Replay(from, func(seq uint64, m wal.Mutation) error {
-		muts = append(muts, m)
-		last = seq
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("ingest: replay: %w", err)
-	}
+// replay publishes the WAL tail muts, whose last sequence number is
+// last, as one recovery epoch.
+func (p *Pipeline) replay(muts []wal.Mutation, last uint64) error {
 	if len(muts) == 0 {
 		return nil
 	}

@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"sync"
@@ -21,17 +20,26 @@ func deepCopy(c *Community) *Community {
 		out.AddProduct(Product{ID: p.ID, Title: p.Title, ISBN: p.ISBN, Topics: slices.Clone(p.Topics)})
 	}
 	for _, a := range c.agentRecs {
-		cp := out.AddAgent(a.ID)
-		cp.Name = a.Name
-		maps.Copy(cp.Trust, a.Trust)
-		maps.Copy(cp.Ratings, a.Ratings)
+		out.AddAgent(a.ID).Name = a.Name
+	}
+	for _, a := range c.agentRecs {
+		for _, st := range c.TrustStatements(a) {
+			if err := out.SetTrust(st.Src, st.Dst, st.Value); err != nil {
+				panic(err)
+			}
+		}
+		for _, rs := range c.RatingStatements(a) {
+			if err := out.SetRating(rs.Agent, rs.Product, rs.Value); err != nil {
+				panic(err)
+			}
+		}
 	}
 	return out
 }
 
 // sameView fails the test unless got and want are the same community
-// through every read API: registries, ordinals, statement maps, the
-// memoized views, symbol round trips and the compiled adjacency. probe
+// through every read API: registries, ordinals, statement rows, symbol
+// round trips and the adjacency. probe
 // names IDs that may exist in some generation of the lineage; whether
 // each resolves must agree too.
 func sameView(t *testing.T, what string, got, want *Community, probeAgents []AgentID, probeProducts []ProductID) {
@@ -70,23 +78,24 @@ func sameView(t *testing.T, what string, got, want *Community, probeAgents []Age
 		if g == nil || g.ID != id || g.Name != w.Name || g.Ord() != w.Ord() {
 			fail("agent %s is %+v, want %+v", id, g, w)
 		}
-		if !maps.Equal(g.Trust, w.Trust) || !maps.Equal(g.Ratings, w.Ratings) {
-			fail("agent %s statements: trust %v ratings %v, want %v %v", id, g.Trust, g.Ratings, w.Trust, w.Ratings)
+		if !sameRow(g.TrustedPeers(), w.TrustedPeers()) || !slices.Equal(got.TrustStatements(g), want.TrustStatements(w)) {
+			fail("agent %s TrustedPeers %v, want %v", id, got.TrustStatements(g), want.TrustStatements(w))
 		}
-		if !slices.Equal(g.TrustedPeers(), w.TrustedPeers()) {
-			fail("agent %s TrustedPeers %v, want %v", id, g.TrustedPeers(), w.TrustedPeers())
+		if !sameRow(g.RatedProducts(), w.RatedProducts()) || !slices.Equal(got.RatingStatements(g), want.RatingStatements(w)) {
+			fail("agent %s RatedProducts %v, want %v", id, got.RatingStatements(g), want.RatingStatements(w))
 		}
-		if !slices.Equal(g.RatedProducts(), w.RatedProducts()) {
-			fail("agent %s RatedProducts %v, want %v", id, g.RatedProducts(), w.RatedProducts())
-		}
-		gp, wp := got.PositiveRatings(g), want.PositiveRatings(w)
-		if !slices.Equal(gp, wp) {
+		gp, wp := g.PositiveRatings(), w.PositiveRatings()
+		if !sameRow(gp, wp) {
 			fail("agent %s PositiveRatings %v, want %v", id, gp, wp)
 		}
-		for _, pr := range gp {
-			if !sameProduct(gs.ProductAt(pr.Ord), ws.ProductAt(pr.Ord)) {
-				fail("agent %s: positive rating resolves to %+v, want %+v", id, gs.ProductAt(pr.Ord), ws.ProductAt(pr.Ord))
+		for _, e := range gp {
+			if !sameProduct(gs.ProductAt(e.Ord), ws.ProductAt(e.Ord)) {
+				fail("agent %s: positive rating resolves to %+v, want %+v", id, gs.ProductAt(e.Ord), ws.ProductAt(e.Ord))
 			}
+		}
+		ga := got.Adjacency()
+		if !sameRow(ga.Trust(g.Ord()), w.TrustedPeers()) || !sameRow(ga.Ratings(g.Ord()), w.RatedProducts()) {
+			fail("agent %s: the adjacency's rows differ from the oracle's", id)
 		}
 		if ord, ok := gs.AgentOrd(id); !ok || int(ord) != i || gs.AgentAt(ord) != g {
 			fail("agent %s: ordinal %d (ok=%v), want %d, or AgentAt disagrees with Agent", id, ord, ok, i)
@@ -107,13 +116,6 @@ func sameView(t *testing.T, what string, got, want *Community, probeAgents []Age
 	}
 	if !slices.Equal(got.TrustEdges(), want.TrustEdges()) {
 		fail("trust edges differ")
-	}
-	ga, wa := got.Adjacency(), want.Adjacency()
-	for name, pair := range map[string][2]*CSR{"trust": {ga.Trust(), wa.Trust()}, "ratings": {ga.Ratings(), wa.Ratings()}} {
-		g, w := pair[0], pair[1]
-		if !slices.Equal(g.Off, w.Off) || !slices.Equal(g.Idx, w.Idx) || !slices.Equal(g.Val, w.Val) {
-			fail("%s CSR differs from the oracle's", name)
-		}
 	}
 	if err := got.Validate(); err != nil {
 		fail("Validate: %v", err)
@@ -156,56 +158,92 @@ func (m *mutator) product1() Product {
 // known picks an agent the community has materialized.
 func (m *mutator) known(c *Community) AgentID { return c.Agents()[m.rng.Intn(c.NumAgents())] }
 
+// op is one mutation: what step applies to a generation and its oracle,
+// and to the map reference in reference_test.go.
+type op struct {
+	kind     int // see next
+	src, dst AgentID
+	product  ProductID
+	value    float64
+	name     string
+	entry    Product
+}
+
+// next draws one random mutation against the state of c. Retractions
+// pick a statement that exists when there is one.
+func (m *mutator) next(c *Community) op {
+	switch k := m.rng.Intn(9); k {
+	case 0, 1: // trust upsert; either endpoint may be a joiner
+		return op{kind: 0, src: m.agent(), dst: m.agent(), value: m.value()}
+	case 2:
+		o := op{kind: 2, src: m.known(c), dst: m.agent()}
+		if peers := c.Agent(o.src).TrustedPeers(); len(peers) > 0 {
+			o.dst = c.agentIDs[peers[m.rng.Intn(len(peers))].Ord]
+		}
+		return o
+	case 3, 4: // rating upsert; the product may be uncataloged (an error on both)
+		return op{kind: 3, src: m.agent(), product: m.product(), value: m.value()}
+	case 5:
+		o := op{kind: 5, src: m.known(c), product: m.product()}
+		if rated := c.Agent(o.src).RatedProducts(); len(rated) > 0 {
+			o.product = c.prodIDs[rated[m.rng.Intn(len(rated))].Ord]
+		}
+		return o
+	case 6: // join or re-register, and write the name through the returned record
+		return op{kind: 6, src: m.agent(), name: fmt.Sprintf("name %d", m.rng.Intn(1000))}
+	default: // a new catalog entry, or a metadata refresh of an existing one
+		return op{kind: 7, entry: m.product1()}
+	}
+}
+
+// apply performs o on c.
+func (o op) apply(c *Community) error {
+	switch o.kind {
+	case 0:
+		return c.SetTrust(o.src, o.dst, o.value)
+	case 2:
+		c.DeleteTrust(o.src, o.dst)
+	case 3:
+		return c.SetRating(o.src, o.product, o.value)
+	case 5:
+		c.DeleteRating(o.src, o.product)
+	case 6:
+		c.AddAgent(o.src).Name = o.name
+	default:
+		p := o.entry
+		p.Topics = slices.Clone(p.Topics)
+		c.AddProduct(p)
+	}
+	return nil
+}
+
+func (o op) String() string {
+	switch o.kind {
+	case 0:
+		return fmt.Sprintf("SetTrust(%s,%s,%v)", o.src, o.dst, o.value)
+	case 2:
+		return fmt.Sprintf("DeleteTrust(%s,%s)", o.src, o.dst)
+	case 3:
+		return fmt.Sprintf("SetRating(%s,%s,%v)", o.src, o.product, o.value)
+	case 5:
+		return fmt.Sprintf("DeleteRating(%s,%s)", o.src, o.product)
+	case 6:
+		return fmt.Sprintf("AddAgent(%s).Name=%q", o.src, o.name)
+	default:
+		return fmt.Sprintf("AddProduct(%+v)", o.entry)
+	}
+}
+
 // step applies one random mutation to both communities and returns its
 // description; it fails the test (without stopping it: writers run off
 // the test goroutine) when the two disagree on whether it was valid.
 func (m *mutator) step(t *testing.T, c, oracle *Community) string {
 	t.Helper()
-	both := func(f func(*Community) error) {
-		t.Helper()
-		if err, oerr := f(c), f(oracle); (err == nil) != (oerr == nil) {
-			t.Errorf("mutation result differs: %v on the generation, %v on the oracle", err, oerr)
-		}
+	o := m.next(c)
+	if err, oerr := o.apply(c), o.apply(oracle); (err == nil) != (oerr == nil) {
+		t.Errorf("mutation result differs: %v on the generation, %v on the oracle", err, oerr)
 	}
-	switch k := m.rng.Intn(9); k {
-	case 0, 1: // trust upsert; either endpoint may be a joiner
-		src, dst, v := m.agent(), m.agent(), m.value()
-		both(func(c *Community) error { return c.SetTrust(src, dst, v) })
-		return fmt.Sprintf("SetTrust(%s,%s,%v)", src, dst, v)
-	case 2: // retraction of a statement that exists, when there is one
-		src := m.known(c)
-		dst := m.agent()
-		if peers := c.Agent(src).TrustedPeers(); len(peers) > 0 {
-			dst = peers[m.rng.Intn(len(peers))].Dst
-		}
-		both(func(c *Community) error { c.DeleteTrust(src, dst); return nil })
-		return fmt.Sprintf("DeleteTrust(%s,%s)", src, dst)
-	case 3, 4: // rating upsert; the product may be uncataloged (an error on both)
-		a, p, v := m.agent(), m.product(), m.value()
-		both(func(c *Community) error { return c.SetRating(a, p, v) })
-		return fmt.Sprintf("SetRating(%s,%s,%v)", a, p, v)
-	case 5:
-		a := m.known(c)
-		p := m.product()
-		if rated := c.Agent(a).RatedProducts(); len(rated) > 0 {
-			p = rated[m.rng.Intn(len(rated))].Product
-		}
-		both(func(c *Community) error { c.DeleteRating(a, p); return nil })
-		return fmt.Sprintf("DeleteRating(%s,%s)", a, p)
-	case 6: // join or re-register, and write the name through the returned record
-		a, name := m.agent(), fmt.Sprintf("name %d", m.rng.Intn(1000))
-		both(func(c *Community) error { c.AddAgent(a).Name = name; return nil })
-		return fmt.Sprintf("AddAgent(%s).Name=%q", a, name)
-	default: // a new catalog entry, or a metadata refresh of an existing one
-		p := m.product1()
-		both(func(c *Community) error {
-			cp := p
-			cp.Topics = slices.Clone(p.Topics)
-			c.AddProduct(cp)
-			return nil
-		})
-		return fmt.Sprintf("AddProduct(%+v)", p)
-	}
+	return o.String()
 }
 
 // seedGeneration builds generation 0: half of each pool, with statements.
@@ -309,26 +347,25 @@ func TestSourceStaysWritableAfterClone(t *testing.T) {
 	}
 }
 
-// TestSharedMemosSurviveCatalogRefresh pins the memo rule: a memo on a
-// shared record may depend only on the record and on ID↔ordinal
-// bindings. The positives memo is built by the parent, then the child
-// refreshes the product's metadata; each generation must resolve the
-// same memoized list to its own catalog entry.
-func TestSharedMemosSurviveCatalogRefresh(t *testing.T) {
+// TestSharedRowsSurviveCatalogRefresh pins what makes a row shareable:
+// it names products by ordinal, and ordinals are bound for the lineage.
+// The child refreshes a rated product's metadata; each generation must
+// resolve the one shared row to its own catalog entry.
+func TestSharedRowsSurviveCatalogRefresh(t *testing.T) {
 	tax, topics := testTaxonomy(t)
 	parent := NewCommunity(tax)
 	parent.AddProduct(Product{ID: "p", Title: "first", Topics: topics[:1]})
 	must(t, parent.SetRating("a", "p", 0.9))
-	pos := parent.PositiveRatings(parent.Agent("a")) // memoized on the record
+	pos := parent.Agent("a").PositiveRatings()
 
 	child := parent.Clone()
 	child.AddProduct(Product{ID: "p", Title: "second", Topics: topics[1:3]})
 	if child.Agent("a") != parent.Agent("a") {
 		t.Fatal("a catalog refresh copied an agent record")
 	}
-	cpos := child.PositiveRatings(child.Agent("a"))
+	cpos := child.Agent("a").PositiveRatings()
 	if &cpos[0] != &pos[0] {
-		t.Fatal("the child rebuilt a memo it shares with its parent")
+		t.Fatal("the child copied a row it shares with its parent")
 	}
 	if p := child.Symbols().ProductAt(cpos[0].Ord); p.Title != "second" || !slices.Equal(p.Topics, topics[1:3]) {
 		t.Fatalf("child resolves its positive rating to %+v, want the refreshed entry", p)
@@ -337,18 +374,19 @@ func TestSharedMemosSurviveCatalogRefresh(t *testing.T) {
 		t.Fatalf("parent resolves its positive rating to %+v, want the entry it was built on", p)
 	}
 
-	// A write to the untouched relation keeps the other relation's memos;
-	// a write to the relation drops them, in the writing generation only.
+	// A write to one relation copies the record but keeps sharing the
+	// other relation's row; a write to the relation copies its row, in
+	// the writing generation only.
 	must(t, child.SetTrust("a", "b", 0.5))
-	if got := child.PositiveRatings(child.Agent("a")); &got[0] != &pos[0] {
-		t.Fatal("a trust write dropped the ratings memo")
+	if got := child.Agent("a").PositiveRatings(); &got[0] != &pos[0] {
+		t.Fatal("a trust write copied the ratings row")
 	}
 	must(t, child.SetRating("a", "p", 0.4))
-	if got := child.PositiveRatings(child.Agent("a")); got[0].Value != 0.4 {
-		t.Fatalf("rating write not visible in the child's positives: %v", got)
+	if got := child.Agent("a").PositiveRatings(); got[0].Val != 0.4 || &got[0] == &pos[0] {
+		t.Fatalf("rating write not in a row of the child's own: %v", got)
 	}
-	if got := parent.PositiveRatings(parent.Agent("a")); &got[0] != &pos[0] || got[0].Value != 0.9 {
-		t.Fatalf("the child's rating write reached the parent's positives: %v", got)
+	if got := parent.Agent("a").PositiveRatings(); &got[0] != &pos[0] || got[0].Val != 0.9 {
+		t.Fatalf("the child's rating write reached the parent's row: %v", got)
 	}
 }
 
@@ -369,9 +407,9 @@ func TestCloneCopiesTablesOnly(t *testing.T) {
 }
 
 // TestReadersOfParentRaceFreeWithChildWrites is the -race half of the
-// ownership rule: reader goroutines hammer a published parent — building
-// memos on the shared records, compiling adjacencies, resolving symbols,
-// cloning it — while two sibling children are written through every
+// ownership rule: reader goroutines hammer a published parent — reading
+// the shared records' rows, through the adjacency too, resolving
+// symbols, cloning it — while two sibling children are written through every
 // mutator. Afterwards the parent still equals its deep copy and each
 // child its oracle.
 func TestReadersOfParentRaceFreeWithChildWrites(t *testing.T) {
@@ -395,10 +433,10 @@ func TestReadersOfParentRaceFreeWithChildWrites(t *testing.T) {
 				}
 				for _, id := range parent.Agents() {
 					a := parent.Agent(id)
-					a.TrustedPeers()
-					a.RatedProducts()
-					for _, pr := range parent.PositiveRatings(a) {
-						_ = sym.ProductAt(pr.Ord).Topics
+					parent.TrustStatements(a)
+					parent.RatingStatements(a)
+					for _, e := range a.PositiveRatings() {
+						_ = sym.ProductAt(e.Ord).Topics
 					}
 					if ord, ok := sym.AgentOrd(id); !ok || sym.AgentAt(ord) != a {
 						t.Errorf("reader: symbol table lost agent %s", id)
@@ -406,8 +444,10 @@ func TestReadersOfParentRaceFreeWithChildWrites(t *testing.T) {
 					}
 				}
 				adj := parent.Adjacency()
-				adj.Trust()
-				adj.Ratings()
+				for o := int32(0); int(o) < adj.NumAgents(); o++ {
+					adj.Trust(o)
+					adj.Ratings(o)
+				}
 				parent.TrustEdges()
 				if i%8 == r {
 					parent.Clone() // a further sibling, dropped

@@ -1,100 +1,83 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // LoadTrust installs a whole row as the trust function of the agent with
-// ordinal src: dst[i] is a target's ordinal and val[i] the value stated
-// about it. It is the bulk form of one SetTrust per entry (a later entry
-// about the same target wins) for a loader whose rows are already keyed
-// by ordinal: the map is sized to the row, and a row that arrives in
-// TrustedPeers order — a serialized community's does — becomes the
-// memoized view as it stands, so nothing is sorted on first use. It
-// rejects what SetTrust rejects, plus ordinals outside the community, and
-// then leaves the agent as it was.
+// ordinal src, each entry a target's ordinal and the value stated about
+// it. It is the bulk form of one SetTrust per entry (a later entry about
+// the same target wins) for a loader whose rows are already keyed by
+// ordinal: a row in TrustedPeers order with no target stated twice — a
+// serialized community's is — becomes the agent's row as it stands,
+// array and all, so the caller must not write it afterwards. Any
+// other row is installed entry by entry. It rejects what SetTrust
+// rejects, plus ordinals outside the community, and then leaves the
+// agent as it was.
 //
 // LoadTrust may run concurrently with LoadRatings — one goroutine calling
 // each — once every agent and product is registered and every agent
 // record is owned by this generation (AddAgent leaves the record it
 // returns so; a Clone's records stay shared until written). Neither then
-// registers or copies a record, and they write disjoint fields: Trust and
-// peersMemo against Ratings, ratingsMemo and posMemo. No other mutator
-// may run meanwhile.
-func (c *Community) LoadTrust(src int32, dst []int32, val []float64) error {
+// registers or copies a record, and they write disjoint fields. No other
+// mutator may run meanwhile.
+func (c *Community) LoadTrust(src int32, r Row) error {
 	id, err := c.agentAt(src)
 	if err != nil {
 		return err
 	}
-	trust := make(map[AgentID]float64, len(dst))
-	row := make([]TrustStatement, len(dst))
-	sorted := true
-	for i, d := range dst {
-		peer, err := c.agentAt(d)
+	for _, e := range r {
+		peer, err := c.agentAt(e.Ord)
 		if err != nil {
 			return err
 		}
-		if d == src {
+		if e.Ord == src {
 			return fmt.Errorf("%w: %s", ErrSelfTrust, id)
 		}
-		if !InRange(val[i]) {
-			return fmt.Errorf("%w: trust(%s,%s) = %v", ErrValueRange, id, peer, val[i])
+		if !InRange(e.Val) {
+			return fmt.Errorf("%w: trust(%s,%s) = %v", ErrValueRange, id, peer, e.Val)
 		}
-		row[i] = TrustStatement{Src: id, Dst: peer, Value: val[i]}
-		trust[peer] = val[i]
-		sorted = sorted && (i == 0 || compareTrust(row[i-1], row[i]) < 0)
 	}
-	a := c.ownAgent(src)
-	a.Trust = trust
-	if sorted && len(trust) == len(row) { // in order, and no target stated twice
-		a.peersMemo.Store(&row)
-	} else {
-		a.peersMemo.Store(nil)
-	}
+	load(c.ownAgent(src), ownTrust, r, c.agentIDs)
 	return nil
 }
 
 // LoadRatings installs a whole row as the rating function of the agent
-// with the given ordinal: prod[i] is a product's ordinal and val[i] its
-// rating. It is to SetRating what LoadTrust is to SetTrust; a row in
-// RatedProducts order also yields the PositiveRatings view, whose product
-// ordinals the row already carries. It may run beside LoadTrust; see
-// there.
-func (c *Community) LoadRatings(agent int32, prod []int32, val []float64) error {
+// with the given ordinal, each entry a product's ordinal and its rating.
+// It is to SetRating what LoadTrust is to SetTrust, and may run beside
+// LoadTrust; see there.
+func (c *Community) LoadRatings(agent int32, r Row) error {
 	id, err := c.agentAt(agent)
 	if err != nil {
 		return err
 	}
-	ratings := make(map[ProductID]float64, len(prod))
-	row := make([]RatingStatement, len(prod))
-	sorted, positives := true, 0
-	for i, p := range prod {
-		if p < 0 || int(p) >= len(c.prodIDs) {
-			return fmt.Errorf("%w: ordinal %d", ErrUnknownProduct, p)
+	for _, e := range r {
+		if e.Ord < 0 || int(e.Ord) >= len(c.prodIDs) {
+			return fmt.Errorf("%w: ordinal %d", ErrUnknownProduct, e.Ord)
 		}
-		pid := c.prodIDs[p]
-		if !InRange(val[i]) {
-			return fmt.Errorf("%w: rating(%s,%s) = %v", ErrValueRange, id, pid, val[i])
-		}
-		row[i] = RatingStatement{Agent: id, Product: pid, Value: val[i]}
-		ratings[pid] = val[i]
-		sorted = sorted && (i == 0 || compareRating(row[i-1], row[i]) < 0)
-		if val[i] > 0 {
-			positives++
+		if !InRange(e.Val) {
+			return fmt.Errorf("%w: rating(%s,%s) = %v", ErrValueRange, id, c.prodIDs[e.Ord], e.Val)
 		}
 	}
-	a := c.ownAgent(agent)
-	a.Ratings = ratings
-	if sorted && len(ratings) == len(row) {
-		pos := make([]PositiveRating, positives) // a prefix of the sorted row
-		for i := range pos {
-			pos[i] = PositiveRating{Ord: prod[i], Value: val[i]}
-		}
-		a.ratingsMemo.Store(&row)
-		a.posMemo.Store(&pos)
-	} else {
-		a.ratingsMemo.Store(nil)
-		a.posMemo.Store(nil)
-	}
+	load(c.ownAgent(agent), ownRatings, r, c.prodIDs)
 	return nil
+}
+
+// load replaces a's row of relation rel with the validated row in:
+// adopted when it is in order, built entry by entry otherwise. It leaves
+// a.own alone, so the two loaders write disjoint fields: a row it
+// installs without the record owning it is copied at its first write.
+func load[K ~string](a *Agent, rel uint8, in Row, ids []K) {
+	r := a.row(rel)
+	if inOrder(in, ids) {
+		*r = slices.Clip(in)
+		return
+	}
+	*r = nil
+	for _, e := range in {
+		set(r, e.Ord, e.Val, ids)
+	}
 }
 
 // agentAt resolves an agent ordinal a loader was handed.

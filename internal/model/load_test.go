@@ -3,10 +3,8 @@ package model
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 )
@@ -36,16 +34,10 @@ func sizedLoadFixture(seed int64, agents, products int) *Community {
 	return c
 }
 
-// rowsOf returns agent a's statement views as the ordinal-keyed rows a
-// serialized community stores.
-func rowsOf(c *Community, a *Agent) (dst []int32, trust []float64, prod []int32, ratings []float64) {
-	for _, st := range a.TrustedPeers() {
-		dst, trust = append(dst, c.Agent(st.Dst).ord), append(trust, st.Value)
-	}
-	for _, rs := range a.RatedProducts() {
-		prod, ratings = append(prod, c.Product(rs.Product).ord), append(ratings, rs.Value)
-	}
-	return
+// rowsOf returns copies of agent a's rows, as a serialized community
+// stores them.
+func rowsOf(a *Agent) (trust, ratings Row) {
+	return slices.Clone(a.trust), slices.Clone(a.ratings)
 }
 
 // registeredCopy registers want's products and agents, in want's order,
@@ -63,68 +55,54 @@ func registeredCopy(want *Community) *Community {
 
 // loadedCopy rebuilds want through the loader; permute reorders each row
 // before it is handed over.
-func loadedCopy(t *testing.T, want *Community, permute func(idx []int32, val []float64)) *Community {
+func loadedCopy(t *testing.T, want *Community, permute func(Row)) *Community {
 	t.Helper()
 	got := registeredCopy(want)
 	for _, a := range want.agentRecs {
-		dst, trust, prod, ratings := rowsOf(want, a)
-		permute(dst, trust)
-		permute(prod, ratings)
-		if err := got.LoadTrust(a.ord, dst, trust); err != nil {
+		trust, ratings := rowsOf(a)
+		permute(trust)
+		permute(ratings)
+		if err := got.LoadTrust(a.ord, trust); err != nil {
 			t.Fatal(err)
 		}
-		if err := got.LoadRatings(a.ord, prod, ratings); err != nil {
+		if err := got.LoadRatings(a.ord, ratings); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return got
 }
 
-// sameStatements fails unless got states, views and compiles what want
-// does.
+// sameStatements fails unless got states what want does, row for row.
 func sameStatements(t *testing.T, got, want *Community) {
 	t.Helper()
 	for ord, w := range want.agentRecs {
 		g := got.agentRecs[ord]
-		if !maps.Equal(g.Trust, w.Trust) || !maps.Equal(g.Ratings, w.Ratings) {
-			t.Fatalf("%s: maps differ", w.ID)
+		if !sameRow(g.TrustedPeers(), w.TrustedPeers()) || !sameRow(g.RatedProducts(), w.RatedProducts()) {
+			t.Fatalf("%s: rows differ:\n%v %v\n%v %v", w.ID, g.TrustedPeers(), g.RatedProducts(), w.TrustedPeers(), w.RatedProducts())
 		}
-		if !slices.Equal(g.TrustedPeers(), w.TrustedPeers()) ||
-			!slices.Equal(g.RatedProducts(), w.RatedProducts()) ||
-			!slices.Equal(got.PositiveRatings(g), want.PositiveRatings(w)) {
-			t.Fatalf("%s: views differ:\n%v\n%v", w.ID, g.TrustedPeers(), w.TrustedPeers())
-		}
-	}
-	ga, wa := got.Adjacency(), want.Adjacency()
-	if !reflect.DeepEqual(ga.Trust(), wa.Trust()) || !reflect.DeepEqual(ga.Ratings(), wa.Ratings()) {
-		t.Fatal("compiled adjacency differs")
 	}
 }
 
-func memos(a *Agent) int {
-	n := 0
-	if a.peersMemo.Load() != nil {
-		n++
-	}
-	if a.ratingsMemo.Load() != nil {
-		n++
-	}
-	if a.posMemo.Load() != nil {
-		n++
-	}
-	return n
-}
+func sameRow(g, w Row) bool { return slices.Equal(g, w) }
 
-// TestLoadedEqualsSetterBuilt: an agent loaded from rows in view order
-// equals the one built statement by statement — maps, the three sorted
-// views, the compiled CSRs — and has its views installed, not pending.
+// adopted reports whether r is the row that arrived as in: the same
+// array, not a copy.
+func adopted(r, in Row) bool { return len(in) > 0 && &r[0] == &in[0] }
+
+// TestLoadedEqualsSetterBuilt: an agent loaded from rows in served order
+// equals the one built statement by statement, and keeps the arrays it
+// was handed instead of copying them.
 func TestLoadedEqualsSetterBuilt(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		want := loadFixture(seed)
-		got := loadedCopy(t, want, func([]int32, []float64) {})
-		for _, a := range got.agentRecs {
-			if memos(a) != 3 {
-				t.Fatalf("seed %d %s: %d of 3 views installed from an in-order row", seed, a.ID, memos(a))
+		got := registeredCopy(want)
+		for _, a := range want.agentRecs {
+			trust, ratings := rowsOf(a)
+			must(t, got.LoadTrust(a.ord, trust))
+			must(t, got.LoadRatings(a.ord, ratings))
+			g := got.agentRecs[a.ord]
+			if len(trust) > 0 && !adopted(g.TrustedPeers(), trust) || len(ratings) > 0 && !adopted(g.RatedProducts(), ratings) {
+				t.Fatalf("seed %d %s: an in-order row was copied", seed, a.ID)
 			}
 		}
 		sameStatements(t, got, want)
@@ -140,47 +118,37 @@ func TestLoadTrustBesideLoadRatings(t *testing.T) {
 	want := sizedLoadFixture(11, 2000, 300)
 	got := registeredCopy(want)
 	errs := make(chan error, 2)
-	load := func(rows func(a *Agent) ([]int32, []float64), into func(int32, []int32, []float64) error) {
+	load := func(rows func(a *Agent) Row, into func(int32, Row) error) {
 		for _, a := range want.agentRecs {
-			idx, val := rows(a)
-			if err := into(a.ord, idx, val); err != nil {
+			if err := into(a.ord, rows(a)); err != nil {
 				errs <- err
 				return
 			}
 		}
 		errs <- nil
 	}
-	go load(func(a *Agent) ([]int32, []float64) {
-		dst, trust, _, _ := rowsOf(want, a)
-		return dst, trust
+	go load(func(a *Agent) Row {
+		trust, _ := rowsOf(a)
+		return trust
 	}, got.LoadTrust)
-	go load(func(a *Agent) ([]int32, []float64) {
-		_, _, prod, ratings := rowsOf(want, a)
-		return prod, ratings
+	go load(func(a *Agent) Row {
+		_, ratings := rowsOf(a)
+		return ratings
 	}, got.LoadRatings)
 	for i := 0; i < 2; i++ {
 		must(t, <-errs)
 	}
-	sameStatements(t, got, loadedCopy(t, want, func([]int32, []float64) {}))
+	sameStatements(t, got, loadedCopy(t, want, func(Row) {}))
 	sameStatements(t, got, want)
 }
 
-// TestLoadOutOfOrderRowInstallsNoMemo: a row that is not in view order —
+// TestLoadOutOfOrderRowIsSorted: a row that is not in served order —
 // reversed, or stating one target twice — is still the agent's function
-// (the later statement wins, as under the setters) but is not taken for
-// the sorted view, which is then built on first use.
-func TestLoadOutOfOrderRowInstallsNoMemo(t *testing.T) {
+// (the later statement wins, as under the setters) and is installed in
+// served order, not adopted.
+func TestLoadOutOfOrderRowIsSorted(t *testing.T) {
 	want := loadFixture(7)
-	got := loadedCopy(t, want, func(idx []int32, val []float64) {
-		slices.Reverse(idx)
-		slices.Reverse(val)
-	})
-	for _, a := range got.agentRecs {
-		if len(a.Trust) > 1 && a.peersMemo.Load() != nil ||
-			len(a.Ratings) > 1 && (a.ratingsMemo.Load() != nil || a.posMemo.Load() != nil) {
-			t.Fatalf("%s: a reversed row was taken for a sorted view", a.ID)
-		}
-	}
+	got := loadedCopy(t, want, func(r Row) { slices.Reverse(r) })
 	sameStatements(t, got, want)
 
 	// (b 0.5)(c 0.5)(b 0.25) is descending, and states b twice.
@@ -190,23 +158,20 @@ func TestLoadOutOfOrderRowInstallsNoMemo(t *testing.T) {
 	}
 	c.AddProduct(Product{ID: "p"})
 	c.AddProduct(Product{ID: "q"})
-	must(t, c.LoadTrust(0, []int32{1, 2, 1}, []float64{0.5, 0.5, 0.25}))
-	must(t, c.LoadRatings(0, []int32{0, 1, 0}, []float64{0.5, 0.5, 0.25}))
+	must(t, c.LoadTrust(0, Row{{1, 0.5}, {2, 0.5}, {1, 0.25}}))
+	must(t, c.LoadRatings(0, Row{{0, 0.5}, {1, 0.5}, {0, 0.25}}))
 	a := c.Agent("a")
-	if memos(a) != 0 {
-		t.Fatalf("%d views installed from rows that state a target twice", memos(a))
-	}
-	if got, want := a.TrustedPeers(), []TrustStatement{{"a", "c", 0.5}, {"a", "b", 0.25}}; !slices.Equal(got, want) {
+	if got, want := c.TrustStatements(a), []TrustStatement{{"a", "c", 0.5}, {"a", "b", 0.25}}; !slices.Equal(got, want) {
 		t.Fatalf("TrustedPeers = %v, want %v", got, want)
 	}
-	if got, want := a.RatedProducts(), []RatingStatement{{"a", "q", 0.5}, {"a", "p", 0.25}}; !slices.Equal(got, want) {
+	if got, want := c.RatingStatements(a), []RatingStatement{{"a", "q", 0.5}, {"a", "p", 0.25}}; !slices.Equal(got, want) {
 		t.Fatalf("RatedProducts = %v, want %v", got, want)
 	}
 }
 
 // TestLoadRejectsWhatSettersReject, and leaves the agent as it was.
 func TestLoadRejectsWhatSettersReject(t *testing.T) {
-	c := loadedCopy(t, loadFixture(3), func([]int32, []float64) {})
+	c := loadedCopy(t, loadFixture(3), func(Row) {})
 	before := loadFixture(3)
 	n, m := int32(c.NumAgents()), int32(c.NumProducts())
 	for _, tc := range []struct {
@@ -214,16 +179,16 @@ func TestLoadRejectsWhatSettersReject(t *testing.T) {
 		err  error
 		want error
 	}{
-		{"self trust", c.LoadTrust(2, []int32{1, 2}, []float64{0.5, 0.5}), ErrSelfTrust},
-		{"trust above range", c.LoadTrust(2, []int32{1}, []float64{1.5}), ErrValueRange},
-		{"NaN trust", c.LoadTrust(2, []int32{1}, []float64{math.NaN()}), ErrValueRange},
-		{"unknown target", c.LoadTrust(2, []int32{n}, []float64{0.5}), ErrUnknownAgent},
-		{"negative target", c.LoadTrust(2, []int32{-1}, []float64{0.5}), ErrUnknownAgent},
-		{"unknown source", c.LoadTrust(n, nil, nil), ErrUnknownAgent},
-		{"rating below range", c.LoadRatings(2, []int32{1}, []float64{-1.5}), ErrValueRange},
-		{"NaN rating", c.LoadRatings(2, []int32{1}, []float64{math.NaN()}), ErrValueRange},
-		{"unknown product", c.LoadRatings(2, []int32{m}, []float64{0.5}), ErrUnknownProduct},
-		{"unknown rater", c.LoadRatings(-1, nil, nil), ErrUnknownAgent},
+		{"self trust", c.LoadTrust(2, Row{{1, 0.5}, {2, 0.5}}), ErrSelfTrust},
+		{"trust above range", c.LoadTrust(2, Row{{1, 1.5}}), ErrValueRange},
+		{"NaN trust", c.LoadTrust(2, Row{{1, math.NaN()}}), ErrValueRange},
+		{"unknown target", c.LoadTrust(2, Row{{n, 0.5}}), ErrUnknownAgent},
+		{"negative target", c.LoadTrust(2, Row{{-1, 0.5}}), ErrUnknownAgent},
+		{"unknown source", c.LoadTrust(n, nil), ErrUnknownAgent},
+		{"rating below range", c.LoadRatings(2, Row{{1, -1.5}}), ErrValueRange},
+		{"NaN rating", c.LoadRatings(2, Row{{1, math.NaN()}}), ErrValueRange},
+		{"unknown product", c.LoadRatings(2, Row{{m, 0.5}}), ErrUnknownProduct},
+		{"unknown rater", c.LoadRatings(-1, nil), ErrUnknownAgent},
 	} {
 		if !errors.Is(tc.err, tc.want) {
 			t.Fatalf("%s: got %v, want %v", tc.what, tc.err, tc.want)
@@ -235,16 +200,16 @@ func TestLoadRejectsWhatSettersReject(t *testing.T) {
 // TestCloneAfterLoadStillCopies: loaded records carry their generation's
 // stamp like any other, so a clone's first write — through a setter or
 // through the loader — copies the record instead of writing the one the
-// source still serves, installed views included.
+// source still serves, rows included.
 func TestCloneAfterLoadStillCopies(t *testing.T) {
 	want := loadFixture(5)
-	src := loadedCopy(t, want, func([]int32, []float64) {})
+	src := loadedCopy(t, want, func(Row) {})
 	clone := src.Clone()
 	a := src.agentRecs[0]
 	must(t, clone.SetTrust(a.ID, src.agentIDs[1], -1))
 	must(t, clone.SetRating(a.ID, src.prodIDs[0], -1))
-	must(t, clone.LoadTrust(3, []int32{4}, []float64{1}))
-	must(t, clone.LoadRatings(3, nil, nil))
+	must(t, clone.LoadTrust(3, Row{{4, 1}}))
+	must(t, clone.LoadRatings(3, nil))
 	if clone.agentRecs[0] == a || clone.agentRecs[3] == src.agentRecs[3] {
 		t.Fatal("a clone wrote a record it shares with its source")
 	}
@@ -252,7 +217,7 @@ func TestCloneAfterLoadStillCopies(t *testing.T) {
 	if v, _ := clone.Trust(a.ID, src.agentIDs[1]); v != -1 {
 		t.Fatalf("the clone's own write is %v", v)
 	}
-	if got := clone.agentRecs[3].TrustedPeers(); len(got) != 1 || got[0].Dst != src.agentIDs[4] || len(clone.agentRecs[3].Ratings) != 0 {
-		t.Fatalf("the clone's loaded rows: %v, %v", got, clone.agentRecs[3].Ratings)
+	if got := clone.agentRecs[3]; !sameRow(got.TrustedPeers(), Row{{4, 1}}) || len(got.RatedProducts()) != 0 {
+		t.Fatalf("the clone's loaded rows: %v, %v", got.TrustedPeers(), got.RatedProducts())
 	}
 }

@@ -8,9 +8,10 @@
 //   - a descriptor assignment function f: B → 2^D into a taxonomy C
 //     (package taxonomy).
 //
-// Partiality is modeled by map absence: a missing key is ⊥. Trust values
-// around zero indicate *absence* of trust, which the paper is careful to
-// distinguish from explicit distrust (negative values, Marsh [8]).
+// Partiality is modeled by absence from a row (type Row): an unstated
+// target is ⊥. Trust values around zero indicate *absence* of trust,
+// which the paper is careful to distinguish from explicit distrust
+// (negative values, Marsh [8]).
 //
 // Agent and rating data is conceptually distributed across machine-readable
 // homepages on the Semantic Web; Community is the local, materialized view
@@ -93,39 +94,27 @@ type Product struct {
 // Ord returns the product's dense per-community ordinal (see ord).
 func (p *Product) Ord() int32 { return p.ord }
 
-// Agent is the materialized state of one agent: its partial trust function
-// t_i (map absence = ⊥) and its partial rating function r_i.
+// Agent is the materialized state of one agent: its partial trust
+// function t_i and its partial rating function r_i, each one Row.
 //
 // A record may be shared by several generations of a community (see
 // Community.Clone), so a record obtained from Community.Agent is
-// read-only: write through the Community setters, or through the record
-// AddAgent returns, which the community owns.
+// read-only: its statements change through the Community setters only,
+// and its Name through the record AddAgent returns, which the community
+// owns.
 type Agent struct {
-	ID      AgentID
-	Name    string // optional display name (foaf:name)
-	Trust   map[AgentID]float64
-	Ratings map[ProductID]float64
-	// peersMemo, ratingsMemo and posMemo cache the sorted statement views
-	// (TrustedPeers, RatedProducts, PositiveRatings), which the trust
-	// metrics and profile generation walk once per agent per request.
-	// Atomic so concurrent readers of an immutable snapshot may race on
-	// first build: every build produces the identical sorted slice, so
-	// last-store-wins is benign. Mutators going through the Community
-	// setters invalidate; code that writes the maps directly must call
-	// MarkDirty.
-	//
-	// The memo rule: every generation sharing the record reads these, so a
-	// memo must be a pure function of the record itself and of catalog
-	// facts that never change within a lineage (a product's ID↔ordinal
-	// binding). That is why positives name their product by ordinal and
-	// no memo holds a *Agent or *Product: those belong to one generation.
-	peersMemo   atomic.Pointer[[]TrustStatement]
-	ratingsMemo atomic.Pointer[[]RatingStatement]
-	posMemo     atomic.Pointer[[]PositiveRating]
+	// trust's targets are agent ordinals, ratings' product ordinals.
+	// They lead the record, so a walk reading a row touches one line.
+	trust, ratings Row
+	ID             AgentID
+	Name           string // optional display name (foaf:name)
 	// ord is the agent's dense per-community ordinal in [0, NumAgents),
 	// assigned at materialization (agents are never deleted). Graph
 	// walks index flat tables by it instead of hashing agent IDs.
 	ord int32
+	// own says which rows' arrays the record owns (ownTrust,
+	// ownRatings); the others are shared with another generation.
+	own uint8
 	// gen is the generation that may write this record (see Community).
 	gen *generation
 }
@@ -133,123 +122,38 @@ type Agent struct {
 // Ord returns the agent's dense per-community ordinal (see ord).
 func (a *Agent) Ord() int32 { return a.ord }
 
-// PositiveRating is one positively rated, cataloged product of an agent
-// — the unit of profile generation (§3.3) — named by product ordinal, so
-// the hot path pays no catalog hash and the memoized list is valid in
-// every generation sharing the agent's record (resolve the record with
-// Symbols.ProductAt against the generation being read).
-type PositiveRating struct {
-	Ord   int32 // product ordinal
-	Value float64
-}
+// TrustedPeers returns the agent's trust statements — the peers it
+// trusts or distrusts, by agent ordinal — in served order (descending
+// value, ties by the peer's URI). The row must not be modified.
+func (a *Agent) TrustedPeers() Row { return a.trust }
 
-// MarkDirty drops the agent's cached derived views. The Community
-// setters call it automatically; callers mutating Trust or Ratings maps
-// directly (evaluation harnesses, on a record their community owns) must
-// call it themselves afterwards.
-func (a *Agent) MarkDirty() {
-	a.peersMemo.Store(nil)
-	a.ratingsMemo.Store(nil)
-	a.posMemo.Store(nil)
-}
+// RatedProducts returns the agent's ratings, by product ordinal, in
+// served order (descending value, ties by product ID): positive ratings
+// form a prefix, so "appreciated products" scans stop at the first
+// non-positive value. The row must not be modified.
+func (a *Agent) RatedProducts() Row { return a.ratings }
 
-// newAgent allocates an empty agent record.
-func newAgent(id AgentID) *Agent {
-	return &Agent{
-		ID:      id,
-		Trust:   make(map[AgentID]float64),
-		Ratings: make(map[ProductID]float64),
-	}
-}
+// PositiveRatings returns the agent's positive ratings — the unit of
+// profile generation (§3.3) — in RatedProducts order.
+func (a *Agent) PositiveRatings() Row { return a.ratings.Positive() }
 
-// TrustedPeers returns the peers a directly trusts or distrusts, sorted by
-// descending value (ties broken by ID for determinism). The slice is
-// memoized until the agent's trust function changes and must not be
-// modified by the caller.
-func (a *Agent) TrustedPeers() []TrustStatement {
-	if m := a.peersMemo.Load(); m != nil {
-		return *m
+// TrustStatements returns agent a's trust statements in TrustedPeers
+// order with both ends named: the form exports and answers carry.
+func (c *Community) TrustStatements(a *Agent) []TrustStatement {
+	out := make([]TrustStatement, len(a.trust))
+	for k, e := range a.trust {
+		out[k] = TrustStatement{Src: a.ID, Dst: c.agentIDs[e.Ord], Value: e.Val}
 	}
-	out := make([]TrustStatement, 0, len(a.Trust))
-	for dst, v := range a.Trust {
-		out = append(out, TrustStatement{Src: a.ID, Dst: dst, Value: v})
-	}
-	slices.SortFunc(out, compareTrust)
-	a.peersMemo.Store(&out)
 	return out
 }
 
-// compareTrust is the TrustedPeers order: descending value, ties by
-// target ID.
-func compareTrust(x, y TrustStatement) int {
-	switch {
-	case x.Value > y.Value:
-		return -1
-	case x.Value < y.Value:
-		return 1
-	case x.Dst < y.Dst:
-		return -1
-	case x.Dst > y.Dst:
-		return 1
-	default:
-		return 0
+// RatingStatements returns agent a's ratings in RatedProducts order with
+// agent and product named.
+func (c *Community) RatingStatements(a *Agent) []RatingStatement {
+	out := make([]RatingStatement, len(a.ratings))
+	for k, e := range a.ratings {
+		out[k] = RatingStatement{Agent: a.ID, Product: c.prodIDs[e.Ord], Value: e.Val}
 	}
-}
-
-// RatedProducts returns the agent's ratings sorted by descending value
-// (ties broken by product ID). Positive ratings form a prefix, so
-// "appreciated products" scans stop at the first non-positive value. The
-// slice is memoized until the agent's rating function changes and must
-// not be modified by the caller.
-func (a *Agent) RatedProducts() []RatingStatement {
-	if m := a.ratingsMemo.Load(); m != nil {
-		return *m
-	}
-	out := make([]RatingStatement, 0, len(a.Ratings))
-	for p, v := range a.Ratings {
-		out = append(out, RatingStatement{Agent: a.ID, Product: p, Value: v})
-	}
-	slices.SortFunc(out, compareRating)
-	a.ratingsMemo.Store(&out)
-	return out
-}
-
-// compareRating is the RatedProducts order: descending value, ties by
-// product ID.
-func compareRating(x, y RatingStatement) int {
-	switch {
-	case x.Value > y.Value:
-		return -1
-	case x.Value < y.Value:
-		return 1
-	case x.Product < y.Product:
-		return -1
-	case x.Product > y.Product:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// PositiveRatings returns agent a's positive ratings of cataloged
-// products, in RatedProducts order (descending value, ties by product
-// ID), each naming its product by ordinal. Ratings referencing products
-// missing from the catalog are skipped. The slice is memoized on the
-// agent until its ratings change and must not be modified.
-func (c *Community) PositiveRatings(a *Agent) []PositiveRating {
-	if m := a.posMemo.Load(); m != nil {
-		return *m
-	}
-	out := make([]PositiveRating, 0, len(a.Ratings))
-	for _, rs := range a.RatedProducts() {
-		if rs.Value <= 0 {
-			break // positives form a prefix
-		}
-		if ord, ok := c.prodIdx.ord[rs.Product]; ok {
-			out = append(out, PositiveRating{Ord: ord, Value: rs.Value})
-		}
-	}
-	a.posMemo.Store(&out)
 	return out
 }
 
@@ -345,9 +249,7 @@ func (c *Community) ensureAgent(id AgentID) int32 {
 		return ord
 	}
 	g := c.gen.Load()
-	a := newAgent(id)
-	a.ord = int32(len(c.agentRecs))
-	a.gen = g
+	a := &Agent{ID: id, ord: int32(len(c.agentRecs)), gen: g}
 	c.agentIdx = c.agentIdx.writable(g)
 	c.agentIdx.ord[id] = a.ord
 	c.agentIDs = append(c.agentIDs, id)
@@ -357,33 +259,23 @@ func (c *Community) ensureAgent(id AgentID) int32 {
 
 // ownAgent returns the record with the given ordinal after making it
 // this generation's own: a record shared with another generation is
-// copied — both statement maps, and the memoized views, which the caller
-// invalidates for the relation it goes on to write — and the copy takes
-// its place in the record table.
+// copied, and the copy takes its place in the record table. The copy
+// still shares both rows' arrays; the first write to a relation copies
+// that row (Agent.writable).
 func (c *Community) ownAgent(ord int32) *Agent {
 	a := c.agentRecs[ord]
 	g := c.gen.Load()
 	if a.gen == g {
 		return a
 	}
-	cp := &Agent{
-		ID:      a.ID,
-		Name:    a.Name,
-		Trust:   maps.Clone(a.Trust),
-		Ratings: maps.Clone(a.Ratings),
-		ord:     ord,
-		gen:     g,
-	}
-	cp.peersMemo.Store(a.peersMemo.Load())
-	cp.ratingsMemo.Store(a.ratingsMemo.Load())
-	cp.posMemo.Store(a.posMemo.Load())
-	c.agentRecs[ord] = cp
-	return cp
+	cp := *a
+	cp.gen, cp.own = g, 0
+	c.agentRecs[ord] = &cp
+	return &cp
 }
 
 // AddAgent registers an agent if not yet present and returns its record,
-// owned by this generation: the caller may write it (its Name, or its
-// maps followed by MarkDirty).
+// owned by this generation: the caller may write its Name.
 func (c *Community) AddAgent(id AgentID) *Agent { return c.ownAgent(c.ensureAgent(id)) }
 
 // Agent returns the record of id, or nil if unknown. The record may be
@@ -450,21 +342,19 @@ func (c *Community) SetTrust(src, dst AgentID, v float64) error {
 	if !InRange(v) {
 		return fmt.Errorf("%w: trust(%s,%s) = %v", ErrValueRange, src, dst, v)
 	}
-	c.ensureAgent(dst)
+	d := c.ensureAgent(dst)
 	a := c.AddAgent(src)
-	a.Trust[dst] = v
-	a.peersMemo.Store(nil)
+	set(a.writable(ownTrust), d, v, c.agentIDs)
 	return nil
 }
 
 // Trust returns t_src(dst); ok is false when the value is ⊥ (absent).
 func (c *Community) Trust(src, dst AgentID) (v float64, ok bool) {
-	a := c.Agent(src)
-	if a == nil {
+	a, d := c.Agent(src), c.Agent(dst)
+	if a == nil || d == nil {
 		return 0, false
 	}
-	v, ok = a.Trust[dst]
-	return v, ok
+	return a.trust.Find(d.ord)
 }
 
 // SetRating records r_agent(product) = v. The product must already be in
@@ -473,24 +363,22 @@ func (c *Community) SetRating(agent AgentID, product ProductID, v float64) error
 	if !InRange(v) {
 		return fmt.Errorf("%w: rating(%s,%s) = %v", ErrValueRange, agent, product, v)
 	}
-	if _, ok := c.prodIdx.ord[product]; !ok {
+	p, ok := c.prodIdx.ord[product]
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownProduct, product)
 	}
 	a := c.AddAgent(agent)
-	a.Ratings[product] = v
-	a.ratingsMemo.Store(nil)
-	a.posMemo.Store(nil)
+	set(a.writable(ownRatings), p, v, c.prodIDs)
 	return nil
 }
 
 // Rating returns r_agent(product); ok is false when the value is ⊥.
 func (c *Community) Rating(agent AgentID, product ProductID) (v float64, ok bool) {
-	a := c.Agent(agent)
-	if a == nil {
+	a, p := c.Agent(agent), c.Product(product)
+	if a == nil || p == nil {
 		return 0, false
 	}
-	v, ok = a.Ratings[product]
-	return v, ok
+	return a.ratings.Find(p.ord)
 }
 
 // DeleteTrust retracts t_src(dst), restoring ⊥. Retracting an absent
@@ -498,13 +386,12 @@ func (c *Community) Rating(agent AgentID, product ProductID) (v float64, ok bool
 // arrive for statements never materialized locally.
 func (c *Community) DeleteTrust(src, dst AgentID) {
 	ord, ok := c.agentIdx.ord[src]
-	if !ok {
+	d, known := c.agentIdx.ord[dst]
+	if !ok || !known {
 		return
 	}
-	if _, stated := c.agentRecs[ord].Trust[dst]; stated {
-		a := c.ownAgent(ord)
-		delete(a.Trust, dst)
-		a.peersMemo.Store(nil)
+	if _, stated := c.agentRecs[ord].trust.Find(d); stated {
+		del(c.ownAgent(ord).writable(ownTrust), d)
 	}
 }
 
@@ -512,14 +399,12 @@ func (c *Community) DeleteTrust(src, dst AgentID) {
 // absent rating is a no-op.
 func (c *Community) DeleteRating(agent AgentID, product ProductID) {
 	ord, ok := c.agentIdx.ord[agent]
-	if !ok {
+	p, known := c.prodIdx.ord[product]
+	if !ok || !known {
 		return
 	}
-	if _, rated := c.agentRecs[ord].Ratings[product]; rated {
-		a := c.ownAgent(ord)
-		delete(a.Ratings, product)
-		a.ratingsMemo.Store(nil)
-		a.posMemo.Store(nil)
+	if _, rated := c.agentRecs[ord].ratings.Find(p); rated {
+		del(c.ownAgent(ord).writable(ownRatings), p)
 	}
 }
 
@@ -560,7 +445,7 @@ func (c *Community) Clone() *Community {
 func (c *Community) TrustEdges() []TrustStatement {
 	var out []TrustStatement
 	for _, a := range c.agentRecs {
-		out = append(out, a.TrustedPeers()...)
+		out = append(out, c.TrustStatements(a)...)
 	}
 	return out
 }
@@ -581,10 +466,10 @@ type Stats struct {
 func (c *Community) ComputeStats() Stats {
 	s := Stats{Agents: len(c.agentRecs), Products: len(c.prodRecs)}
 	for _, a := range c.agentRecs {
-		s.TrustEdges += len(a.Trust)
-		s.Ratings += len(a.Ratings)
-		for _, v := range a.Trust {
-			if v < 0 {
+		s.TrustEdges += len(a.trust)
+		s.Ratings += len(a.ratings)
+		for _, e := range a.trust {
+			if e.Val < 0 {
 				s.DistrustEdges++
 			}
 		}
@@ -596,31 +481,14 @@ func (c *Community) ComputeStats() Stats {
 	return s
 }
 
-// Validate checks the §3.1 model invariants over the whole view: trust
-// and rating values in [-1,+1], no self-trust, every rating referencing a
-// catalog entry, and every product descriptor resolving in the taxonomy.
-// It returns the first violation found, or nil. Crawled and imported
-// views are checked before recommendation computation trusts them.
+// Validate checks the §3.1 model invariants over the whole view that the
+// setters cannot already guarantee: every product descriptor resolves in
+// the taxonomy. (Trust and rating values in [-1,+1], no self-trust and
+// every rating naming a catalog entry hold by construction: the setters
+// and loaders are the only writers of a row.) It returns the first
+// violation found, or nil. Crawled and imported views are checked before
+// recommendation computation trusts them.
 func (c *Community) Validate() error {
-	for _, a := range c.agentRecs {
-		id := a.ID
-		for peer, v := range a.Trust {
-			if peer == id {
-				return fmt.Errorf("%w: %s", ErrSelfTrust, id)
-			}
-			if !InRange(v) {
-				return fmt.Errorf("%w: trust(%s,%s) = %v", ErrValueRange, id, peer, v)
-			}
-		}
-		for p, v := range a.Ratings {
-			if !InRange(v) {
-				return fmt.Errorf("%w: rating(%s,%s) = %v", ErrValueRange, id, p, v)
-			}
-			if _, ok := c.prodIdx.ord[p]; !ok {
-				return fmt.Errorf("%w: rating of %s by %s", ErrUnknownProduct, p, id)
-			}
-		}
-	}
 	if c.tax != nil {
 		limit := taxonomy.Topic(c.tax.Len())
 		for _, p := range c.prodRecs {

@@ -2,7 +2,6 @@ package model
 
 import (
 	"errors"
-	"maps"
 	"math"
 	"math/rand"
 	"testing"
@@ -111,7 +110,7 @@ func TestTrustedPeersOrdering(t *testing.T) {
 	must(t, c.SetTrust("a", "b", 0.5))
 	must(t, c.SetTrust("a", "d", 0.9))
 	must(t, c.SetTrust("a", "e", -0.2))
-	peers := c.Agent("a").TrustedPeers()
+	peers := c.TrustStatements(c.Agent("a"))
 	want := []AgentID{"d", "b", "c", "e"}
 	for i, p := range peers {
 		if p.Dst != want[i] {
@@ -128,7 +127,7 @@ func TestRatedProductsOrdering(t *testing.T) {
 	must(t, c.SetRating("a", "p2", 0.1))
 	must(t, c.SetRating("a", "p1", 0.9))
 	must(t, c.SetRating("a", "p3", 0.9))
-	rs := c.Agent("a").RatedProducts()
+	rs := c.RatingStatements(c.Agent("a"))
 	want := []ProductID{"p1", "p3", "p2"}
 	for i, r := range rs {
 		if r.Product != want[i] {
@@ -181,40 +180,8 @@ func TestValidate(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatalf("clean community invalid: %v", err)
 	}
-	// Violations injected behind the setters' backs (as a buggy crawler
-	// or manual mutation would).
-	c.Agent("a").Trust["a"] = 1
-	if err := c.Validate(); !errors.Is(err, ErrSelfTrust) {
-		t.Fatalf("self trust: %v", err)
-	}
-	delete(c.Agent("a").Trust, "a")
-
-	c.Agent("a").Trust["b"] = 7
-	if err := c.Validate(); !errors.Is(err, ErrValueRange) {
-		t.Fatalf("trust range: %v", err)
-	}
-	c.Agent("a").Trust["b"] = math.NaN()
-	if err := c.Validate(); !errors.Is(err, ErrValueRange) {
-		t.Fatalf("NaN trust: %v", err)
-	}
-	c.Agent("a").Trust["b"] = 0.5
-
-	c.Agent("a").Ratings["ghost"] = 0.5
-	if err := c.Validate(); !errors.Is(err, ErrUnknownProduct) {
-		t.Fatalf("phantom product: %v", err)
-	}
-	delete(c.Agent("a").Ratings, "ghost")
-
-	c.Agent("a").Ratings["p1"] = -9
-	if err := c.Validate(); !errors.Is(err, ErrValueRange) {
-		t.Fatalf("rating range: %v", err)
-	}
-	c.Agent("a").Ratings["p1"] = math.NaN()
-	if err := c.Validate(); !errors.Is(err, ErrValueRange) {
-		t.Fatalf("NaN rating: %v", err)
-	}
-	c.Agent("a").Ratings["p1"] = 1
-
+	// A descriptor is the one fact no setter checks (as a buggy crawler
+	// or manual mutation would leave it).
 	c.Product("p1").Topics = []taxonomy.Topic{9999}
 	if err := c.Validate(); err == nil {
 		t.Fatal("out-of-taxonomy descriptor accepted")
@@ -306,7 +273,7 @@ func TestCloneIsIsolatedAndOrderPreserving(t *testing.T) {
 			t.Fatal("agent insertion order not preserved")
 		}
 		orig, cl := c.Agent(id), cp.Agent(id)
-		if cl.Name != orig.Name || !maps.Equal(cl.Trust, orig.Trust) || !maps.Equal(cl.Ratings, orig.Ratings) {
+		if cl.Name != orig.Name || !sameRow(cl.TrustedPeers(), orig.TrustedPeers()) || !sameRow(cl.RatedProducts(), orig.RatedProducts()) {
 			t.Fatalf("agent %s differs in the clone", id)
 		}
 	}
@@ -322,11 +289,11 @@ func TestCloneIsIsolatedAndOrderPreserving(t *testing.T) {
 	p0 := c.Products()[0]
 	want := deepCopy(c)
 	must(t, cp.SetTrust(a0, a1, -0.25))
-	for _, st := range c.Agent(a1).TrustedPeers() {
+	for _, st := range c.TrustStatements(c.Agent(a1)) {
 		cp.DeleteTrust(a1, st.Dst)
 	}
 	must(t, cp.SetRating(a2, p0, 0.125))
-	for _, rs := range c.Agent(a0).RatedProducts() {
+	for _, rs := range c.RatingStatements(c.Agent(a0)) {
 		cp.DeleteRating(a0, rs.Product)
 	}
 	cp.AddAgent(a1).Name = "Bob"

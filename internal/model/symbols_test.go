@@ -204,7 +204,7 @@ func TestSymbolsRecordTables(t *testing.T) {
 	clone := base.Clone()
 	check(t, clone)
 	baseAgents, baseProducts := base.NumAgents(), base.NumProducts()
-	baseTrust := len(base.Symbols().AgentAt(0).Trust)
+	baseTrust := len(base.Symbols().AgentAt(0).TrustedPeers())
 	baseTitle := base.Product("urn:p:0").Title
 	// Churn, joiners (direct and as a trust endpoint), catalog refresh.
 	if err := clone.SetTrust("urn:a:0", "urn:a:1", 0.9); err != nil {
@@ -229,7 +229,7 @@ func TestSymbolsRecordTables(t *testing.T) {
 	if _, ok := bsym.AgentOrd("urn:a:joined"); ok || base.Product("urn:p:new") != nil {
 		t.Fatal("the clone's joiners resolve in its source's symbol table")
 	}
-	if len(bsym.AgentAt(0).Trust) != baseTrust || base.Product("urn:p:0").Title != baseTitle {
+	if len(bsym.AgentAt(0).TrustedPeers()) != baseTrust || base.Product("urn:p:0").Title != baseTitle {
 		t.Fatal("the clone's writes reached its source's records")
 	}
 	if bsym.AgentAt(0) == clone.Symbols().AgentAt(0) {

@@ -154,14 +154,14 @@ func (s *Streamer) ProfileDense(ctx context.Context, a *model.Agent, comm *model
 	s.contribs = s.contribs[:0]
 	var totalWeight float64
 	sym := comm.Symbols()
-	for _, pr := range comm.PositiveRatings(a) {
-		topics := sym.ProductAt(pr.Ord).Topics
+	for _, e := range a.PositiveRatings() {
+		topics := sym.ProductAt(e.Ord).Topics
 		if len(topics) == 0 {
 			continue
 		}
 		w := 1.0
 		if s.g.WeightByRating {
-			w = pr.Value
+			w = e.Val
 		}
 		s.contribs = append(s.contribs, contrib{topics: topics, weight: w})
 		totalWeight += w

@@ -341,7 +341,7 @@ func TestProfileNormalizationProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if len(a.Ratings) == 0 {
+		if len(a.RatedProducts()) == 0 {
 			return prof.NNZ() == 0
 		}
 		for _, v := range prof.Vals {

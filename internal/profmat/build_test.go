@@ -67,8 +67,8 @@ func eq3Reference(comm *model.Community, a *model.Agent, gen *profile.Generator)
 	}
 	var contribs []contrib
 	var total float64
-	for pid, v := range a.Ratings {
-		p := comm.Product(pid)
+	for _, rs := range comm.RatingStatements(a) {
+		v, p := rs.Value, comm.Product(rs.Product)
 		if v <= 0 || len(p.Topics) == 0 {
 			continue
 		}
@@ -291,12 +291,12 @@ func TestProductRowsCarryAcrossDelta(t *testing.T) {
 	full := compile(nil, nil)
 	for i, id := range comm.Agents() {
 		a, row := comm.Agent(id), full.Row(int32(i))
-		if row.NNZ() != len(a.Ratings) {
-			t.Fatalf("%s: %d entries for %d ratings", id, row.NNZ(), len(a.Ratings))
+		if row.NNZ() != len(a.RatedProducts()) {
+			t.Fatalf("%s: %d entries for %d ratings", id, row.NNZ(), len(a.RatedProducts()))
 		}
 		for k, key := range row.Keys {
 			p, _ := comm.Symbols().ProductID(key)
-			if v, ok := a.Ratings[p]; !ok || v != row.Vals[k] {
+			if v, ok := comm.Rating(id, p); !ok || v != row.Vals[k] {
 				t.Fatalf("%s: dimension %d holds %v, rating of %s is %v (%v)", id, key, row.Vals[k], p, v, ok)
 			}
 		}

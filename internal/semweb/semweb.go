@@ -118,7 +118,7 @@ func (s *Site) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.NotFound(w, r)
 			return
 		}
-		g = foaf.MarshalAgent(a)
+		g = foaf.MarshalAgent(s.comm, a)
 	case strings.HasPrefix(r.URL.Path, "/blog/"):
 		// The human-readable weblog (§4): implicit votes as hyperlinks,
 		// FOAF homepage advertised for auto-discovery.

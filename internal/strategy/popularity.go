@@ -24,9 +24,9 @@ func PopularityRank(comm *model.Community) []core.Recommendation {
 		if a == nil {
 			continue
 		}
-		for _, pr := range comm.PositiveRatings(a) {
-			scores[pr.Ord] += pr.Value
-			supp[pr.Ord]++
+		for _, e := range a.PositiveRatings() {
+			scores[e.Ord] += e.Val
+			supp[e.Ord]++
 		}
 	}
 	out := make([]core.Recommendation, 0, len(supp))
@@ -58,11 +58,13 @@ func PopularityFor(comm *model.Community, rank []core.Recommendation, active *mo
 	}
 	novel := make([]core.Recommendation, 0, len(rank))
 	var rest []core.Recommendation
+	rated := active.RatedProducts()
 	for _, rec := range rank {
-		if _, rated := active.Ratings[rec.Product]; rated {
+		p := comm.Product(rec.Product)
+		if _, ok := rated.Find(p.Ord()); ok {
 			continue
 		}
-		if touched != nil && core.IsNovel(comm.Product(rec.Product), touched) {
+		if touched != nil && core.IsNovel(p, touched) {
 			novel = append(novel, rec)
 		} else {
 			rest = append(rest, rec)

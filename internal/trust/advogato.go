@@ -64,7 +64,7 @@ var certificationPool sync.Pool
 // Construction (the node-splitting transform of [11]):
 //
 //   - BFS from the source over certification edges — the statements above
-//     MinWeight, a prefix of each trust-CSR row — bounded by the capacity
+//     MinWeight, a prefix of each trust row — bounded by the capacity
 //     profile length, assigns each discovered agent a capacity cap(x) by
 //     distance;
 //   - each agent x becomes x⁻ → x⁺ with capacity cap(x)-1, plus a
@@ -83,7 +83,6 @@ func Advogato(adj *model.Adjacency, source int32, opt AdvogatoOptions) (*Neighbo
 		return nil, err
 	}
 	profile := opt.CapacityProfile
-	t := adj.Trust()
 	c, _ := certificationPool.Get().(*certification)
 	if c == nil || len(c.at) < adj.NumAgents() {
 		c = &certification{nodeTable: nodeTable{at: make([]int32, adj.NumAgents())}}
@@ -97,12 +96,11 @@ func Advogato(adj *model.Adjacency, source int32, opt AdvogatoOptions) (*Neighbo
 	c.dist = append(c.dist[:0], 0)
 	explored := 0
 	for ; explored < len(c.ord) && int(c.dist[explored]) < len(profile); explored++ {
-		idx, val := t.Row(c.ord[explored])
-		for k, y := range idx {
-			if val[k] <= opt.MinWeight {
+		for _, e := range adj.Trust(c.ord[explored]) {
+			if e.Val <= opt.MinWeight {
 				break // the certifications are a prefix of the row
 			}
-			if _, fresh := c.node(y); fresh {
+			if _, fresh := c.node(e.Ord); fresh {
 				c.dist = append(c.dist, c.dist[explored]+1)
 			}
 		}
@@ -123,12 +121,11 @@ func Advogato(adj *model.Adjacency, source int32, opt AdvogatoOptions) (*Neighbo
 		c.flow.addArc(2*i, sink, 1)
 	}
 	for x := 0; x < explored; x++ {
-		idx, val := t.Row(c.ord[x])
-		for k, y := range idx {
-			if val[k] <= opt.MinWeight {
+		for _, e := range adj.Trust(c.ord[x]) {
+			if e.Val <= opt.MinWeight {
 				break
 			}
-			c.flow.addArc(2*x+1, 2*int(c.at[y]-1), infiniteCap)
+			c.flow.addArc(2*x+1, 2*int(c.at[e.Ord]-1), infiniteCap)
 		}
 	}
 	// Every unit of flow saturates one agent's unit edge, the source's

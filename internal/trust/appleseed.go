@@ -115,8 +115,8 @@ func (o AppleseedOptions) validate() error {
 }
 
 // Appleseed computes the trust neighborhood of the agent with ordinal
-// source over a community's compiled adjacency, using the
-// spreading-activation model of [12]:
+// source over a community's adjacency, using the spreading-activation
+// model of [12]:
 //
 //	in_{new}(y) += d · in(x) · w(x,y)^q / Σ_z w(x,z)^q
 //	rank(x)    += (1-d) · in(x)
@@ -134,11 +134,11 @@ func (o AppleseedOptions) validate() error {
 // result.
 //
 // It is the walk core.Recommender runs for every uncached request. Edges
-// come from the trust CSR, state lives in pooled node-indexed arrays, and
-// the only allocations are the result; discovery order, per-node edge
-// order (backward edge first) and float summation order are those of the
-// URI-keyed reference walk the tests keep (oracle_test.go), so the ranks
-// are bit-identical to it. source must lie in [0, adj.NumAgents()). The
+// come from the agents' trust rows, state lives in pooled node-indexed
+// arrays, and the only allocations are the result; discovery order,
+// per-node edge order (backward edge first) and float summation order
+// are those of the URI-keyed reference walk the tests keep
+// (oracle_test.go), so the ranks are bit-identical to it. source must lie in [0, adj.NumAgents()). The
 // ranks are built in buf's array when it is large enough — a caller that
 // drops the neighborhood after use (core's stages 1-3) recycles it; pass
 // nil otherwise.
@@ -155,7 +155,6 @@ func Appleseed(ctx context.Context, adj *model.Adjacency, source int32, opt Appl
 // walk — not an instruction of it changed — ran a frame shallower and
 // cold-read lost a reproducible 10 % in spread's fetch-check loop.
 func appleseed(ctx context.Context, adj *model.Adjacency, source int32, opt AppleseedOptions, buf []Rank) (*Neighborhood, error) {
-	t := adj.Trust()
 	// The source plus at most MaxNodes discovered peers ever become nodes.
 	nodes := adj.NumAgents()
 	if opt.MaxNodes < nodes {
@@ -164,19 +163,18 @@ func appleseed(ctx context.Context, adj *model.Adjacency, source int32, opt Appl
 	w := getWalk(adj.NumAgents(), nodes)
 	defer w.release()
 
-	iterations, err := w.spread(ctx, t, source, opt)
+	iterations, err := w.spread(ctx, adj, source, opt)
 	if err != nil {
 		return nil, err
 	}
 	if opt.DistrustPenalty > 0 {
-		w.penalize(t, opt.DistrustPenalty)
+		w.penalize(opt.DistrustPenalty)
 	}
 	if opt.RespectDistrust {
 		// Peers the source explicitly distrusts leave the result: a zero
 		// rank is what the collection pass drops.
-		idx, val := t.Row(source)
-		for k, y := range idx {
-			if i := w.node[y]; val[k] < 0 && i > 0 {
+		for _, e := range adj.Trust(source) {
+			if i := w.node[e.Ord]; e.Val < 0 && i > 0 {
 				w.rank[i-1] = 0
 			}
 		}
@@ -222,8 +220,10 @@ type walk struct {
 	fetched                       []bool // by node: out-edges expanded
 	nodes                         int    // discovered so far
 	// fetchSeq lists the nodes in the order they were fetched — first
-	// spread energy — which is the order graded distrust is applied in.
+	// spread energy — which is the order graded distrust is applied in;
+	// rows[k] is node fetchSeq[k]'s trust row.
 	fetchSeq []int32
+	rows     []model.Row
 	nFetched int
 	// arena holds the out-edges of the fetched nodes, flattened in node
 	// order with each node's virtual backward edge first. Edges MaxNodes
@@ -259,6 +259,7 @@ func getWalk(agents, nodes int) *walk {
 		share:    make([]float64, nodes),
 		fetched:  make([]bool, nodes),
 		fetchSeq: make([]int32, nodes),
+		rows:     make([]model.Row, nodes),
 	}
 }
 
@@ -272,6 +273,7 @@ func (w *walk) release() {
 	clear(w.inNew[:w.nodes])
 	clear(w.rank[:w.nodes])
 	clear(w.fetched[:w.nodes])
+	clear(w.rows[:w.nFetched]) // a pooled walk pins no community
 	w.nodes, w.nFetched, w.arena, w.stale = 0, 0, w.arena[:0], false
 	walkPool.Put(w)
 }
@@ -287,7 +289,7 @@ func (w *walk) release() {
 // one sweep over the edge arena delivers the energy (see pass). A fetch
 // reads nothing the banking writes, so hoisting the fetches out of the
 // node loop changes no discovery order and no sum.
-func (w *walk) spread(ctx context.Context, t *model.CSR, src int32, opt AppleseedOptions) (int, error) {
+func (w *walk) spread(ctx context.Context, t *model.Adjacency, src int32, opt AppleseedOptions) (int, error) {
 	w.ord[0] = src
 	w.node[src] = 1
 	w.nodes = 1
@@ -302,12 +304,23 @@ func (w *walk) spread(ctx context.Context, t *model.CSR, src int32, opt Applesee
 		// Snapshot length: nodes discovered during this pass only start
 		// receiving energy now and are processed next pass.
 		live := w.nodes
-		// The byte test must go first: with the float test leading, this
-		// loop's speed depends on where the linker places spread.
+		// The nodes this pass fetches, and their rows, first: the record
+		// reads are independent, so they overlap instead of each stalling
+		// a fetch. A fetch only discovers nodes past live, so selecting
+		// them all up front changes nothing. The byte test must go first:
+		// with the float test leading, this loop's speed depends on where
+		// the linker places spread.
+		first := w.nFetched
 		for i := 0; i < live; i++ {
 			if !w.fetched[i] && w.in[i] != 0 {
-				w.fetch(t, int32(i), opt)
+				w.fetched[i] = true
+				w.fetchSeq[w.nFetched] = int32(i)
+				w.rows[w.nFetched] = t.Trust(w.ord[i])
+				w.nFetched++
 			}
+		}
+		for k := first; k < w.nFetched; k++ {
+			w.fetch(w.fetchSeq[k], w.rows[k], opt)
 		}
 		if w.stale {
 			w.rebuild(t, opt)
@@ -363,14 +376,11 @@ func (w *walk) pass(live int, d float64) float64 {
 	return maxDelta
 }
 
-// fetch expands node i the first time it spreads energy: its positively
-// trusted peers are discovered (within MaxNodes), its normalization total
-// — backward edge first, then the statements in row order — is fixed, and
-// its edges join the arena.
-func (w *walk) fetch(t *model.CSR, i int32, opt AppleseedOptions) {
-	w.fetched[i] = true
-	w.fetchSeq[w.nFetched] = i
-	w.nFetched++
+// fetch expands node i, whose trust row is row, the first time it
+// spreads energy: its positively trusted peers are discovered (within
+// MaxNodes), its normalization total — backward edge first, then the
+// statements in row order — is fixed, and its edges join the arena.
+func (w *walk) fetch(i int32, row model.Row, opt AppleseedOptions) {
 	// Nodes are fetched in node order unless one was discovered a pass
 	// before any energy reached it (an underflow to zero); the arena is
 	// then put back in node order before its next use.
@@ -387,9 +397,11 @@ func (w *walk) fetch(t *model.CSR, i int32, opt AppleseedOptions) {
 			w.arena = append(w.arena, walkEdge{i, 0, 1})
 		}
 	}
-	x := w.ord[i]
-	for k := t.Off[x]; k < t.Off[x+1] && t.Val[k] > 0; k++ { // positives are a prefix of the row
-		y := t.Idx[k]
+	for _, e := range row {
+		if e.Val <= 0 {
+			break // positives are a prefix of the row
+		}
+		y := e.Ord
 		if w.node[y] == 0 {
 			if w.nodes > opt.MaxNodes {
 				continue
@@ -398,7 +410,7 @@ func (w *walk) fetch(t *model.CSR, i int32, opt AppleseedOptions) {
 			w.nodes++
 			w.node[y] = int32(w.nodes)
 		}
-		wt := edgeWeight(t.Val[k], opt)
+		wt := edgeWeight(e.Val, opt)
 		total += wt
 		if inOrder {
 			w.arena = append(w.arena, walkEdge{i, w.node[y] - 1, wt})
@@ -418,7 +430,7 @@ func edgeWeight(v float64, opt AppleseedOptions) float64 {
 // rebuild lays the arena out again in node order after an out-of-order
 // fetch. An edge belongs to it iff its target was discovered: MaxNodes
 // refuses a target for good, so what fetch left out stays undiscovered.
-func (w *walk) rebuild(t *model.CSR, opt AppleseedOptions) {
+func (w *walk) rebuild(t *model.Adjacency, opt AppleseedOptions) {
 	w.arena, w.stale = w.arena[:0], false
 	for i := int32(0); int(i) < w.nodes; i++ {
 		if !w.fetched[i] {
@@ -428,10 +440,12 @@ func (w *walk) rebuild(t *model.CSR, opt AppleseedOptions) {
 		if i != 0 && !opt.NoBackprop {
 			w.arena = append(w.arena, walkEdge{i, 0, 1})
 		}
-		x := w.ord[i]
-		for k := t.Off[x]; k < t.Off[x+1] && t.Val[k] > 0; k++ {
-			if j := w.node[t.Idx[k]]; j != 0 {
-				w.arena = append(w.arena, walkEdge{i, j - 1, edgeWeight(t.Val[k], opt)})
+		for _, e := range t.Trust(w.ord[i]) {
+			if e.Val <= 0 {
+				break
+			}
+			if j := w.node[e.Ord]; j != 0 {
+				w.arena = append(w.arena, walkEdge{i, j - 1, edgeWeight(e.Val, opt)})
 			}
 		}
 	}
@@ -441,18 +455,17 @@ func (w *walk) rebuild(t *model.CSR, opt AppleseedOptions) {
 // statement x → y among explored agents demotes y's rank by
 // 1 - γ · normRank(x) · |t_x(y)|, in the order the distrusters were
 // fetched (a distruster demoted earlier weighs in with its demoted rank).
-func (w *walk) penalize(t *model.CSR, gamma float64) {
+func (w *walk) penalize(gamma float64) {
 	maxRank := 0.0
 	for _, r := range w.rank[1:w.nodes] {
 		if r > maxRank {
 			maxRank = r
 		}
 	}
-	for _, i := range w.fetchSeq[:w.nFetched] {
-		idx, val := t.Row(w.ord[i])
-		for k, y := range idx {
-			j := w.node[y] - 1
-			if val[k] >= 0 || j <= 0 {
+	for k, i := range w.fetchSeq[:w.nFetched] {
+		for _, e := range w.rows[k] {
+			j := w.node[e.Ord] - 1
+			if e.Val >= 0 || j <= 0 {
 				continue // not distrust, never positively reached, or the source itself
 			}
 			normRank := 1.0 // the source's word counts fully
@@ -462,7 +475,7 @@ func (w *walk) penalize(t *model.CSR, gamma float64) {
 				}
 				normRank = w.rank[i] / maxRank
 			}
-			factor := 1 - float64(gamma*normRank*-val[k])
+			factor := 1 - float64(gamma*normRank*-e.Val)
 			if factor < 0 {
 				factor = 0
 			}

@@ -322,7 +322,7 @@ func TestCompiledWalkOutOfOrderFetch(t *testing.T) {
 	// real energy has walked the long way round.
 	depth := map[model.AgentID]int{src.ID: 0}
 	for queue := []model.AgentID{src.ID}; len(queue) > 0; queue = queue[1:] {
-		for _, st := range c.Agent(queue[0]).TrustedPeers() {
+		for _, st := range c.TrustStatements(c.Agent(queue[0])) {
 			if _, seen := depth[st.Dst]; !seen && st.Value > 0 {
 				depth[st.Dst] = depth[queue[0]] + 1
 				queue = append(queue, st.Dst)
@@ -345,7 +345,7 @@ func TestCompiledWalkOutOfOrderFetch(t *testing.T) {
 
 	adj := c.Adjacency()
 	w := getWalk(adj.NumAgents(), adj.NumAgents())
-	if _, err := w.spread(context.Background(), adj.Trust(), src.Ord(), opt.WithDefaults()); err != nil {
+	if _, err := w.spread(context.Background(), adj, src.Ord(), opt.WithDefaults()); err != nil {
 		t.Fatal(err)
 	}
 	inOrder := slices.IsSorted(w.fetchSeq[:w.nFetched])

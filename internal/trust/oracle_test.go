@@ -43,7 +43,7 @@ func (n plainNet) Peers(a model.AgentID) []model.TrustStatement {
 	if ag == nil {
 		return nil
 	}
-	return ag.TrustedPeers()
+	return n.c.TrustStatements(ag)
 }
 
 func (n plainNet) NumAgents() int { return n.c.NumAgents() }

@@ -105,7 +105,7 @@ var chainSearchPool sync.Pool
 // stand-in for classic scalar trust metrics: unlike Appleseed it evaluates
 // each peer independently of how many distinct paths support it.
 //
-// It relaxes over trust-CSR rows, whose positive statements are a prefix
+// It relaxes over trust rows, whose positive statements are a prefix
 // in descending order, with best/done by node and a typed heap; the
 // result is its only allocation. source must lie in [0, adj.NumAgents()).
 func PathTrust(adj *model.Adjacency, source int32, opt PathTrustOptions) (*Neighborhood, error) {
@@ -113,7 +113,6 @@ func PathTrust(adj *model.Adjacency, source int32, opt PathTrustOptions) (*Neigh
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	t := adj.Trust()
 	s, _ := chainSearchPool.Get().(*chainSearch)
 	if s == nil || len(s.at) < adj.NumAgents() {
 		s = &chainSearch{nodeTable: nodeTable{at: make([]int32, adj.NumAgents())}}
@@ -136,13 +135,12 @@ func PathTrust(adj *model.Adjacency, source int32, opt PathTrustOptions) (*Neigh
 			continue
 		}
 		explored++
-		idx, val := t.Row(s.ord[it.node])
-		for k, y := range idx {
-			st := it.strength * val[k]
-			if val[k] <= 0 || st < opt.MinTrust {
+		for _, e := range adj.Trust(s.ord[it.node]) {
+			st := it.strength * e.Val
+			if e.Val <= 0 || st < opt.MinTrust {
 				break // the row descends: every later chain is weaker still
 			}
-			ni, fresh := s.node(y)
+			ni, fresh := s.node(e.Ord)
 			if fresh {
 				s.best, s.done = append(s.best, 0), append(s.done, false)
 			}

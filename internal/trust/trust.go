@@ -19,9 +19,9 @@
 //     strongest multiplicative trust chain from the source, standing in
 //     for classic scalar metrics (Beth et al. [10]) in the experiments.
 //
-// All metrics walk one substrate: a community's compiled adjacency
-// (model.Adjacency), whose trust CSR lists every agent's statements in
-// TrustedPeers order by ordinal. They take the source as an ordinal and
+// All metrics walk one substrate: a community's adjacency
+// (model.Adjacency), which reads every agent's trust row — its
+// statements in TrustedPeers order, targets by ordinal. They take the source as an ordinal and
 // return ranks that carry their peer's ordinal, so later stages never
 // resolve a URI. The "partial trust graph" of §3.2 is what the walks'
 // own bounds (Appleseed's MaxNodes, Advogato's capacity profile,
@@ -32,9 +32,8 @@ package trust
 
 import "swrec/internal/model"
 
-// FromCommunity returns a fresh compiled adjacency of c, the substrate
-// every metric and WidenOneHop walk; its trust CSR compiles on first use.
-// A caller that already holds an adjacency (a serving snapshot's) passes
+// FromCommunity returns an adjacency of c, the substrate every metric
+// and WidenOneHop walk; it costs nothing to create. A caller that already holds an adjacency (a serving snapshot's) passes
 // that instead.
 func FromCommunity(c *model.Community) *model.Adjacency { return c.Adjacency() }
 

@@ -22,12 +22,12 @@ import (
 // ranks untouched; negative statements never widen (distrust must not
 // recruit). The input neighborhood is not modified.
 //
-// It walks the compiled trust CSR: membership and contributions are looked
+// It walks the trust rows: membership and contributions are looked
 // up by agent ordinal in a pooled table, so no edge visit hashes a URI,
 // no call allocates by community size, and everything else is
 // proportional to the widened frontier. Each contributor's statements are
-// its row of the CSR — TrustedPeers order with the targets already
-// resolved. Every member is addressed by the ordinal its rank carries;
+// its trust row — TrustedPeers order with the targets as
+// ordinals. Every member is addressed by the ordinal its rank carries;
 // the source, which the neighborhood names by URI, is resolved once. A
 // source the community does not know, and a zero-value member, contribute
 // nothing.
@@ -54,7 +54,6 @@ func WidenOneHop(adj *model.Adjacency, nb *Neighborhood, decay float64) *Neighbo
 		source.Trust = 1
 	}
 
-	csr := adj.Trust()
 	explored := 0
 	contribute := func(r Rank) {
 		from := r.Ord()
@@ -62,12 +61,11 @@ func WidenOneHop(adj *model.Adjacency, nb *Neighborhood, decay float64) *Neighbo
 			return
 		}
 		explored++
-		peers, vals := csr.Row(from)
-		for k, ord := range peers {
-			if vals[k] <= 0 {
+		for _, e := range adj.Trust(from) {
+			if e.Val <= 0 {
 				break // positive statements form a prefix of every row
 			}
-			rank := decay * r.Trust * vals[k]
+			ord, rank := e.Ord, decay*r.Trust*e.Val
 			switch at := w.slot[ord]; {
 			case at == inRange:
 			case at > 0:

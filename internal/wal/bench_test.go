@@ -73,12 +73,9 @@ func BenchmarkReplay(b *testing.B) {
 	b.SetBytes(records)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w, err := Open(dir, Options{NoSync: true})
-		if err != nil {
-			b.Fatal(err)
-		}
 		n := 0
-		if err := w.Replay(1, func(seq uint64, m Mutation) error { n++; return nil }); err != nil {
+		w, err := OpenReplay(dir, Options{NoSync: true}, 1, func(seq uint64, m Mutation) error { n++; return nil })
+		if err != nil {
 			b.Fatal(err)
 		}
 		if n != records {

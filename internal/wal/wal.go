@@ -301,7 +301,14 @@ type WAL struct {
 // Open opens (creating if necessary) the WAL directory, scans all
 // segments to find the next sequence number, and repairs a torn tail on
 // the last segment.
-func Open(dir string, opt Options) (*WAL, error) {
+func Open(dir string, opt Options) (*WAL, error) { return OpenReplay(dir, opt, 0, nil) }
+
+// OpenReplay is Open that also replays: the one walk that checks every
+// record hands those with seq >= from to fn, in sequence order, before
+// the log is ready for appends. fn returning an error aborts the open
+// with that error. A restart reads its tail this way instead of walking
+// the log a second time through Replay.
+func OpenReplay(dir string, opt Options, from uint64, fn func(seq uint64, m Mutation) error) (*WAL, error) {
 	opt = opt.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: mkdir %s: %w", dir, err)
@@ -320,7 +327,7 @@ func Open(dir string, opt Options) (*WAL, error) {
 
 	var good int64
 	for i, seg := range w.segments {
-		lastSeq, size, err := walkSegment(seg, i == len(w.segments)-1, 0, nil)
+		lastSeq, size, err := walkSegment(seg, i == len(w.segments)-1, from, fn)
 		if err != nil {
 			return nil, err
 		}
@@ -509,21 +516,14 @@ func (w *WAL) NextSeq() uint64 {
 }
 
 // Replay calls fn for every record with seq >= from, in sequence order.
-// fn returning an error aborts the replay with that error.
+// fn returning an error aborts the replay with that error. An appended
+// record is in the file when Append returns, so the scan sees it without
+// a sync.
 func (w *WAL) Replay(from uint64, fn func(seq uint64, m Mutation) error) error {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
 		return ErrClosed
-	}
-	// Flush the active segment so the scan sees every appended record. A
-	// poisoned log skips this: its file already holds exactly the acked
-	// records, and its sync path is what failed in the first place.
-	if w.active != nil && !w.opt.NoSync && !w.poisoned {
-		if err := w.active.Sync(); err != nil {
-			w.mu.Unlock()
-			return fmt.Errorf("wal: sync before replay: %w", err)
-		}
 	}
 	segs := append([]segment(nil), w.segments...)
 	w.mu.Unlock()

@@ -44,23 +44,16 @@ const ImplicitVote = 0.6
 // become posts with Amazon-style hyperlinks; the FOAF homepage is linked
 // via <link rel="meta">. Output is deterministic (products in rating
 // order).
-func Render(a *model.Agent, cat interface {
-	Product(model.ProductID) *model.Product
-}) string {
+func Render(a *model.Agent, comm *model.Community) string {
 	var b strings.Builder
 	b.WriteString("<!DOCTYPE html>\n<html>\n<head>\n")
 	fmt.Fprintf(&b, "<title>%s's weblog</title>\n", html.EscapeString(displayName(a)))
 	fmt.Fprintf(&b, "<link rel=\"meta\" type=\"application/rdf+xml\" title=\"FOAF\" href=%q>\n", string(a.ID))
 	b.WriteString("</head>\n<body>\n")
 	fmt.Fprintf(&b, "<h1>%s's reading diary</h1>\n", html.EscapeString(displayName(a)))
-	for _, rs := range a.RatedProducts() {
-		if rs.Value <= 0 {
-			continue
-		}
-		p := cat.Product(rs.Product)
-		if p == nil {
-			continue
-		}
+	sym := comm.Symbols()
+	for _, e := range a.PositiveRatings() {
+		p := sym.ProductAt(e.Ord)
 		code := p.ISBN
 		if code == "" {
 			if raw, ok := isbn.FromURN(string(p.ID)); ok {

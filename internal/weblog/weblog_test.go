@@ -130,7 +130,7 @@ func TestMineRoundTrip(t *testing.T) {
 		if v.Agent != alice.ID || v.Value != ImplicitVote {
 			t.Fatalf("bad vote %+v", v)
 		}
-		if _, rated := alice.Ratings[v.Product]; !rated {
+		if _, rated := c.Rating(alice.ID, v.Product); !rated {
 			t.Fatalf("mined product %s the author never rated", v.Product)
 		}
 	}
@@ -140,7 +140,7 @@ func TestMineRoundTrip(t *testing.T) {
 		c2.AddProduct(model.Product{ID: v.Product})
 		must(t, c2.SetRating(v.Agent, v.Product, v.Value))
 	}
-	if got := len(c2.Agent(alice.ID).Ratings); got != 2 {
+	if got := len(c2.Agent(alice.ID).RatedProducts()); got != 2 {
 		t.Fatalf("materialized votes = %d", got)
 	}
 }

@@ -310,7 +310,10 @@ func MineWeblog(ctx context.Context, client *http.Client, url string) (AgentID, 
 }
 
 // MarshalHomepage renders an agent's homepage as an N-Triples document.
-func MarshalHomepage(a *Agent) string { return foaf.MarshalAgent(a).Marshal() }
+// The agent must exist in the community.
+func MarshalHomepage(c *Community, id AgentID) string {
+	return foaf.MarshalAgent(c, c.Agent(id)).Marshal()
+}
 
 // ParseHomepage parses an N-Triples homepage document.
 func ParseHomepage(doc string) (Homepage, error) {
