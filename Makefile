@@ -109,23 +109,22 @@ bench-diff:
 
 # bench-diff-parent times ns/op against the parent in the same session:
 # REF (default HEAD~1) is checked out in a temporary git worktree, and
-# BENCH_SUITE runs there and here in alternation, BENCH_ROUNDS times
-# each; a benchmark fails when its median ns/op here exceeds the parent's
-# median by more than 20% (the bench-diff threshold). allocs/op still gate
+# BENCH_SUITE runs there and here in alternation, three times each; a
+# benchmark fails when its median ns/op here exceeds the parent's median
+# by more than 20% (the bench-diff threshold). allocs/op still gate
 # against BENCH_engine.json. Use it where bench-diff's baseline, recorded
 # in another session, cannot tell a change from the box's drift:
-#   make bench-diff-parent REF=origin/main BENCH_ROUNDS=3
+#   make bench-diff-parent REF=origin/main
 REF ?= HEAD~1
-BENCH_ROUNDS ?= 3
 bench-diff-parent:
 	@mkdir -p bin
 	@set -e; wt=$$(mktemp -d); trap 'git worktree remove --force '"$$wt" EXIT; \
 	git worktree add --detach "$$wt" $(REF) >/dev/null; \
 	: > bin/bench-parent.txt; : > bin/bench-here.txt; \
-	for i in $$(seq $(BENCH_ROUNDS)); do \
-		echo "bench-diff-parent: round $$i of $(BENCH_ROUNDS), $(REF)"; \
+	for i in 1 2 3; do \
+		echo "bench-diff-parent: round $$i of 3, $(REF)"; \
 		(cd "$$wt" && $(BENCH_SUITE)) >> bin/bench-parent.txt; \
-		echo "bench-diff-parent: round $$i of $(BENCH_ROUNDS), this tree"; \
+		echo "bench-diff-parent: round $$i of 3, this tree"; \
 		$(BENCH_SUITE) >> bin/bench-here.txt; \
 	done; \
 	$(GO) run ./cmd/benchjson -in bin/bench-here.txt -parent bin/bench-parent.txt -diff BENCH_engine.json
