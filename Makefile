@@ -29,8 +29,8 @@ bin/swrecvet: $(SWRECVET_SRC)
 
 # lint builds the swrecvet multichecker (only when its sources changed)
 # and drives it through go vet, so the project analyzers (boundedmake,
-# ctxflow, detrand, durableerr, expvarname, goleak, hotalloc,
-# snapshotfreeze, snapshotpin, urikey) run with full type information.
+# ctxflow, detrand, durableerr, goleak, hotalloc, snapshotfreeze,
+# snapshotpin, urikey) run with full type information.
 # The same run audits the suppressions: the nolint pass reports every
 # justified one that names no registered analyzer or covers none of its
 # diagnostics, so a stale suppression fails lint with its file:line.

@@ -47,10 +47,6 @@ var canaries = map[string]canary{
 	"durableerr": {"internal/frame/frame.go",
 		`func (t *Tail) Sync() error { return t.f.Sync() }`,
 		`func (t *Tail) Sync() error { t.f.Sync(); return nil }`},
-	// The engine's metrics leave the swrec_ namespace.
-	"expvarname": {"internal/engine/engine.go",
-		`expvar.NewMap("swrec_engine")`,
-		`expvar.NewMap("engine")`},
 	// A carried cache entry is filled by a goroutine nothing waits for.
 	"goleak": {"internal/engine/engine.go",
 		`s.peers.add(e.key, e.val)`,

@@ -18,7 +18,6 @@ func TestAnalyzerSet(t *testing.T) {
 		"ctxflow",
 		"detrand",
 		"durableerr",
-		"expvarname",
 		"goleak",
 		"hotalloc",
 		"snapshotfreeze",

@@ -13,7 +13,7 @@
 //
 // Imports inside fixtures resolve exclusively against testdata/src:
 // fixtures ship small stubs for the stdlib slices they touch (context,
-// sync, time, math/rand, fmt, expvar, swrec/internal/model, ...).
+// sync, time, math/rand, fmt, swrec/internal/model, ...).
 // Type identity in go/types is path-based, so a stub `package model`
 // under testdata/src/swrec/internal/model is indistinguishable from
 // the real one as far as the analyzers are concerned — and keeps the

@@ -8,7 +8,9 @@
 // explicit limit comparison before it sizes an allocation. The HTTP
 // layer (api) is under the same rule: a query parameter is a length
 // field anyone can send, and `make([]T, 0, n)` from ?n= panicked the
-// profile handler on n=2^62 before the package was in scope.
+// profile handler on n=2^62 before the package was in scope. So are the
+// parsers of crawled bytes (rdf, foaf, weblog, corpus): a crawled
+// document is as hostile as a corrupt record.
 //
 // This is the go/ast + go/types approximation of the SSA formulation
 // ("every make size dominated by a bounds check"): inside the decode
@@ -59,7 +61,7 @@ var Analyzer = &analysis.Analyzer{
 
 const (
 	// pkgs are the import-path prefixes whose decode paths are checked.
-	pkgs = "swrec/internal/checkpoint,swrec/internal/frame,swrec/internal/wal,swrec/internal/store,swrec/internal/api"
+	pkgs = "swrec/internal/checkpoint,swrec/internal/frame,swrec/internal/wal,swrec/internal/store,swrec/internal/api,swrec/internal/rdf,swrec/internal/foaf,swrec/internal/weblog,swrec/internal/corpus"
 	// validators are the function/method names whose return value
 	// counts as a validated size.
 	validators = "count"

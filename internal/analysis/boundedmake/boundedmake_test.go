@@ -28,3 +28,10 @@ func TestOutOfScope(t *testing.T) {
 func TestQueryParameters(t *testing.T) {
 	analyzertest.Run(t, boundedmake.Analyzer, "swrec/internal/api")
 }
+
+// TestCrawledBytes covers the parsers of crawled documents: a count read
+// from a fetched page sizing a make is reported; one clamped by the
+// page's own length is silent.
+func TestCrawledBytes(t *testing.T) {
+	analyzertest.Run(t, boundedmake.Analyzer, "swrec/internal/weblog")
+}

@@ -1,7 +1,7 @@
 // Package hotalloc machine-checks the zero-allocation claims of the
 // compiled serving substrate: a function whose doc comment carries the
 // //swrec:hotpath directive — the profmat dense-scatter similarity
-// kernels, the engine's warm cache-read path, the loadgen histogram
+// kernels, the engine's warm cache-read path, the metrics histogram
 // record path — must not heap-allocate, and neither may any same-package
 // function it (transitively) calls. The "zero allocations" comments
 // those kernels were born with (PR 5) are enforced here as facts rather
@@ -47,7 +47,7 @@ import (
 const doc = `reports heap allocations in //swrec:hotpath functions and their same-package callees
 
 A function marked //swrec:hotpath (profmat kernels, engine warm reads,
-loadgen histogram records) claims zero allocations per call. hotalloc
+metrics histogram records) claims zero allocations per call. hotalloc
 flags every construct the compiler lowers to a heap allocation inside
 the marked function and every same-package function it calls. Justify
 deliberate amortized allocations with //nolint:hotalloc -- reason.`

@@ -23,7 +23,6 @@ import (
 	"swrec/internal/analysis/ctxflow"
 	"swrec/internal/analysis/detrand"
 	"swrec/internal/analysis/durableerr"
-	"swrec/internal/analysis/expvarname"
 	"swrec/internal/analysis/goleak"
 	"swrec/internal/analysis/hotalloc"
 	"swrec/internal/analysis/lintutil"
@@ -38,7 +37,6 @@ var invariants = []*analysis.Analyzer{
 	ctxflow.Analyzer,
 	detrand.Analyzer,
 	durableerr.Analyzer,
-	expvarname.Analyzer,
 	goleak.Analyzer,
 	hotalloc.Analyzer,
 	snapshotfreeze.Analyzer,

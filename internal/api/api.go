@@ -8,7 +8,7 @@
 // and handler. Read endpoints:
 //
 //	GET /v1/healthz                        serving status: epoch, counts, uptime
-//	GET /v1/metrics                        expvar (engine cache + request counters)
+//	GET /v1/metrics                        every swrec_* map (internal/metrics): counters, latency quantiles
 //	GET /v1/stats                          community + taxonomy statistics
 //	GET /v1/strategies                     the configured strategy ladder
 //	GET /v1/agents?offset=0&limit=25       agent directory by trust out-degree
@@ -99,7 +99,6 @@ package api
 import (
 	"context"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -114,6 +113,7 @@ import (
 	"swrec/internal/core"
 	"swrec/internal/engine"
 	"swrec/internal/ingest"
+	"swrec/internal/metrics"
 	"swrec/internal/model"
 	"swrec/internal/profmat"
 	"swrec/internal/strategy"
@@ -344,7 +344,7 @@ func (s *Server) handleMetrics(c *call, _ *engine.Snapshot) {
 		return
 	}
 	c.noStore()
-	expvar.Handler().ServeHTTP(c, c.r)
+	metrics.Handler().ServeHTTP(c, c.r)
 }
 
 // errorBody is the uniform error envelope.

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -32,12 +33,15 @@ func serve(s *Server, method, target string) *httptest.ResponseRecorder {
 	return rec
 }
 
-// counter reads one integer out of a published expvar map.
+// counter reads one integer out of a published expvar map, a counter or
+// a histogram's summary key.
 func counter(mapName, key string) int64 {
-	if v, ok := expvar.Get(mapName).(*expvar.Map).Get(key).(*expvar.Int); ok {
-		return v.Value()
+	v := expvar.Get(mapName).(*expvar.Map).Get(key)
+	if v == nil {
+		return 0
 	}
-	return 0
+	n, _ := strconv.ParseInt(v.String(), 10, 64)
+	return n
 }
 
 // stored reports whether the engine's current snapshot holds a response

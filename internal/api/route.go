@@ -1,7 +1,6 @@
 package api
 
 import (
-	"expvar"
 	"net/http"
 	"path"
 	"strconv"
@@ -154,92 +153,58 @@ func movedTo(escapedPath string) string {
 
 // apiStats aggregates request counters across all servers in the
 // process, published as "swrec_api" (requests, request_ns, status_NNN).
-var apiStats = expvar.NewMap("swrec_api")
+var apiStats = metrics.NewMap("api")
 
 // httpStats breaks the request counters down per endpoint class,
-// published as "swrec_http". Keys are <endpoint>_requests,
-// <endpoint>_errors (status ≥ 500), and one disjoint latency bucket
-// <endpoint>_le_1ms | _le_10ms | _le_100ms | _le_1s | _gt_1s per
-// request (le_10ms counts service times in (1ms, 10ms], not a
-// cumulative histogram). Both maps count every request once, whether the
-// response cache or a handler answered it.
-var httpStats = expvar.NewMap("swrec_http")
+// published as "swrec_http": <endpoint>_errors (status ≥ 500) and the
+// summary of the class's latency histogram (see metrics.Map.Histogram):
+// its count <endpoint>_requests, the disjoint decade counts
+// <endpoint>_le_1ms | _le_10ms | _le_100ms | _le_1s | _gt_1s, read at the
+// histogram's bucket edges, and <endpoint>_p50_us | _p90_us | _p99_us |
+// _p999_us | _max_us. A class's keys appear at its first request. Both
+// maps count every request once, whether the response cache or a handler
+// answered it.
+var httpStats = metrics.NewMap("http")
 
-var latencyBuckets = [...]string{"le_1ms", "le_10ms", "le_100ms", "le_1s", "gt_1s"}
-
-// latencyBucket picks the one swrec_http bucket d falls in.
-func latencyBucket(d time.Duration) int {
-	switch {
-	case d <= time.Millisecond:
-		return 0
-	case d <= 10*time.Millisecond:
-		return 1
-	case d <= 100*time.Millisecond:
-		return 2
-	case d <= time.Second:
-		return 3
-	default:
-		return 4
-	}
-}
-
-// endpointCounters are one endpoint class's swrec_http counters.
+// endpointCounters are one endpoint class's swrec_http metrics.
 type endpointCounters struct {
-	requests, errors metrics.Counter
-	latency          [len(latencyBuckets)]metrics.Counter
+	errors  *metrics.Counter
+	latency *metrics.Histogram
 }
 
-// endpointStats names every class's counters once, so that accounting
+// endpointStats names every class's metrics once, so that accounting
 // for a request concatenates and looks up nothing.
 var endpointStats = func() (c [numEndpoints]endpointCounters) {
 	for ep, name := range endpointNames {
-		c[ep].requests = metrics.NewCounter(httpStats, name+"_requests")
-		c[ep].errors = metrics.NewCounter(httpStats, name+"_errors")
-		for b, bucket := range latencyBuckets {
-			c[ep].latency[b] = metrics.NewCounter(httpStats, name+"_"+bucket)
-		}
+		c[ep].errors = httpStats.Counter(name + "_errors")
+		c[ep].latency = httpStats.Histogram(name)
 	}
 	return
 }()
 
 // The swrec_api counters of every request.
 var (
-	requestsStat  = metrics.NewCounter(apiStats, "requests")
-	requestNsStat = metrics.NewCounter(apiStats, "request_ns")
+	requestsStat  = apiStats.Counter("requests")
+	requestNsStat = apiStats.Counter("request_ns")
 )
 
-// statusStats are the swrec_api status_NNN counters of the statuses the
-// handlers answer with.
-var statusStats = [...]struct {
-	status int
-	metrics.Counter
-}{
-	{http.StatusOK, metrics.NewCounter(apiStats, "status_200")},
-	{http.StatusAccepted, metrics.NewCounter(apiStats, "status_202")},
-	{http.StatusMovedPermanently, metrics.NewCounter(apiStats, "status_301")},
-	{http.StatusBadRequest, metrics.NewCounter(apiStats, "status_400")},
-	{http.StatusNotFound, metrics.NewCounter(apiStats, "status_404")},
-	{http.StatusMethodNotAllowed, metrics.NewCounter(apiStats, "status_405")},
-	{http.StatusConflict, metrics.NewCounter(apiStats, "status_409")},
-	{http.StatusInternalServerError, metrics.NewCounter(apiStats, "status_500")},
-	{http.StatusServiceUnavailable, metrics.NewCounter(apiStats, "status_503")},
-	{http.StatusGatewayTimeout, metrics.NewCounter(apiStats, "status_504")},
-}
+// statusStats are the swrec_api status_NNN counters, by status code.
+var statusStats = func() (c [600]*metrics.Counter) {
+	for status := range c {
+		c[status] = apiStats.Counter("status_" + strconv.Itoa(status))
+	}
+	return
+}()
 
 // statusOK is the counter of a 200, the one a stored hit books.
-var statusOK = &statusStats[0].Counter
+var statusOK = statusStats[http.StatusOK]
 
-// statusStat is the swrec_api counter of a response status. A status no
-// handler answers with gets a counter of its own, resolved through the
-// map on its one Add.
+// statusStat is the swrec_api counter of a response status.
 func statusStat(status int) *metrics.Counter {
-	for i := range statusStats {
-		if statusStats[i].status == status {
-			return &statusStats[i].Counter
-		}
+	if status < len(statusStats) {
+		return statusStats[status]
 	}
-	c := metrics.NewCounter(apiStats, "status_"+strconv.Itoa(status))
-	return &c
+	return apiStats.Counter("status_" + strconv.Itoa(status))
 }
 
 // account books one finished request under swrec_api and swrec_http.
@@ -248,9 +213,8 @@ func account(ep endpoint, status int, st *metrics.Counter, elapsed time.Duration
 	requestNsStat.Add(elapsed.Nanoseconds())
 	st.Add(1)
 	c := &endpointStats[ep]
-	c.requests.Add(1)
 	if status >= 500 {
 		c.errors.Add(1)
 	}
-	c.latency[latencyBucket(elapsed)].Add(1)
+	c.latency.Record(elapsed)
 }

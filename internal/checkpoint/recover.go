@@ -2,15 +2,14 @@ package checkpoint
 
 import (
 	"errors"
-	"expvar"
 	"fmt"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"swrec/internal/cf"
 	"swrec/internal/core"
 	"swrec/internal/engine"
+	"swrec/internal/metrics"
 	"swrec/internal/model"
 	"swrec/internal/wal"
 )
@@ -27,25 +26,23 @@ func Dir(walDir string) string { return filepath.Join(walDir, DirName) }
 // last_load_ms the whole ladder walk, last_read_us, last_decode_us and
 // last_restore_us the rung that served (see phases).
 var (
-	recoveryStats = expvar.NewMap("swrec_recovery")
-	lastRung      expvar.Int
-	lastEpoch     expvar.Int
-	lastSeq       expvar.Int
-	lastLoadMS    expvar.Int
-	lastReadUS    expvar.Int
-	lastDecodeUS  expvar.Int
-	lastRestoreUS expvar.Int
+	recoveryStats  = metrics.NewMap("recovery")
+	recoveriesStat = recoveryStats.Counter("recoveries")
+	rejectedStat   = recoveryStats.Counter("rejected_checkpoints")
+	sourceStats    = map[string]*metrics.Counter{ // by Result.Source
+		"checkpoint":            recoveryStats.Counter("source_checkpoint"),
+		"checkpoint-prev":       recoveryStats.Counter("source_checkpoint_prev"),
+		"checkpoint-recompiled": recoveryStats.Counter("source_checkpoint_recompiled"),
+		"corpus":                recoveryStats.Counter("source_corpus"),
+	}
+	lastRung      = recoveryStats.Gauge("last_rung")
+	lastEpoch     = recoveryStats.Gauge("last_epoch")
+	lastSeq       = recoveryStats.Gauge("last_seq")
+	lastLoadMS    = recoveryStats.Gauge("last_load_ms")
+	lastReadUS    = recoveryStats.Gauge("last_read_us")
+	lastDecodeUS  = recoveryStats.Gauge("last_decode_us")
+	lastRestoreUS = recoveryStats.Gauge("last_restore_us")
 )
-
-func init() {
-	recoveryStats.Set("last_rung", &lastRung)
-	recoveryStats.Set("last_epoch", &lastEpoch)
-	recoveryStats.Set("last_seq", &lastSeq)
-	recoveryStats.Set("last_load_ms", &lastLoadMS)
-	recoveryStats.Set("last_read_us", &lastReadUS)
-	recoveryStats.Set("last_decode_us", &lastDecodeUS)
-	recoveryStats.Set("last_restore_us", &lastRestoreUS)
-}
 
 // RecoverConfig parameterizes one walk down the recovery ladder.
 type RecoverConfig struct {
@@ -134,7 +131,7 @@ func Recover(cfg RecoverConfig) (*Result, error) {
 	covered := func(seq uint64) bool { return !hasWAL || oldest <= seq+1 }
 	for i, info := range infos {
 		if !covered(info.Seq) {
-			recoveryStats.Add("rejected_checkpoints", 1)
+			rejectedStat.Add(1)
 			skip(info.Path, fmt.Errorf("wal starts at seq %d, after checkpoint seq %d", oldest, info.Seq))
 			continue
 		}
@@ -143,7 +140,7 @@ func Recover(cfg RecoverConfig) (*Result, error) {
 		data, err := readFile(info.Path)
 		ph.read = time.Since(t)
 		if err != nil {
-			recoveryStats.Add("rejected_checkpoints", 1)
+			rejectedStat.Add(1)
 			skip(info.Path, err)
 			continue
 		}
@@ -161,7 +158,7 @@ func Recover(cfg RecoverConfig) (*Result, error) {
 		}
 		ph.decode = time.Since(t)
 		if err != nil {
-			recoveryStats.Add("rejected_checkpoints", 1)
+			rejectedStat.Add(1)
 			skip(info.Path, err)
 			continue
 		}
@@ -169,7 +166,7 @@ func Recover(cfg RecoverConfig) (*Result, error) {
 		eng, err := img.Restore(cfg.Engine)
 		ph.restore = time.Since(t)
 		if err != nil {
-			recoveryStats.Add("rejected_checkpoints", 1)
+			rejectedStat.Add(1)
 			skip(info.Path, err)
 			continue
 		}
@@ -231,8 +228,8 @@ func finish(res *Result, eng *engine.Engine, rung int, source string, epoch, seq
 	res.Seq = seq
 	res.Path = path
 	res.Load = time.Since(start)
-	recoveryStats.Add("recoveries", 1)
-	recoveryStats.Add("source_"+strings.ReplaceAll(source, "-", "_"), 1)
+	recoveriesStat.Add(1)
+	sourceStats[source].Add(1)
 	lastRung.Set(int64(rung))
 	lastEpoch.Set(int64(epoch))
 	lastSeq.Set(int64(seq))

@@ -32,16 +32,14 @@
 //   - Warmup precomputes hot state for every agent with a worker pool,
 //     so a freshly loaded corpus serves warm from the first request.
 //
-// Cache effectiveness is observable via expvar under "swrec_engine"
-// (peers_hit/miss, results_hit/miss, body_hit/miss/bytes, flight_shared,
-// swaps, warmed_agents; profile_hit counts profile rows served from the
+// Cache effectiveness is observable in the "swrec_engine" counters
+// declared with stats (profile_hit counts profile rows served from the
 // matrix, profile_miss the on-demand Eq. 3 builds of an engine whose
 // filter compares product vectors).
 package engine
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"runtime"
 	"slices"
@@ -60,24 +58,33 @@ import (
 	"swrec/internal/strategy"
 )
 
-// stats aggregates cache counters across all engines in the process.
-var stats = expvar.NewMap("swrec_engine")
-
-// The swrec_engine counters a request bumps, each resolved once. The
-// publish, restore and warm-up counters stay on stats.Add.
+// stats aggregates cache counters across all engines in the process:
+// first those a request bumps, then those of a publish, a restore and a
+// warm-up, each resolved once.
 var (
-	bodyHitStat        = metrics.NewCounter(stats, "body_hit")
-	bodyMissStat       = metrics.NewCounter(stats, "body_miss")
-	bodyBytesStat      = metrics.NewCounter(stats, "body_bytes")
-	peersHitStat       = metrics.NewCounter(stats, "peers_hit")
-	peersMissStat      = metrics.NewCounter(stats, "peers_miss")
-	resultsHitStat     = metrics.NewCounter(stats, "results_hit")
-	resultsMissStat    = metrics.NewCounter(stats, "results_miss")
-	flightSharedStat   = metrics.NewCounter(stats, "flight_shared")
-	profileHitStat     = metrics.NewCounter(stats, "profile_hit")
-	profileMissStat    = metrics.NewCounter(stats, "profile_miss")
-	degradedServedStat = metrics.NewCounter(stats, "degraded_served")
-	degradedStaleStat  = metrics.NewCounter(stats, "degraded_stale")
+	stats              = metrics.NewMap("engine")
+	bodyHitStat        = stats.Counter("body_hit")
+	bodyMissStat       = stats.Counter("body_miss")
+	bodyBytesStat      = stats.Counter("body_bytes")
+	peersHitStat       = stats.Counter("peers_hit")
+	peersMissStat      = stats.Counter("peers_miss")
+	resultsHitStat     = stats.Counter("results_hit")
+	resultsMissStat    = stats.Counter("results_miss")
+	flightSharedStat   = stats.Counter("flight_shared")
+	profileHitStat     = stats.Counter("profile_hit")
+	profileMissStat    = stats.Counter("profile_miss")
+	degradedServedStat = stats.Counter("degraded_served")
+	degradedStaleStat  = stats.Counter("degraded_stale")
+
+	carriedRowsStat    = stats.Counter("carried_rows")
+	swapDeltaStat      = stats.Counter("swap_delta")
+	dirtyAgentsStat    = stats.Counter("dirty_agents")
+	carriedPeersStat   = stats.Counter("carried_peers")
+	carriedResultsStat = stats.Counter("carried_results")
+	swapsStat          = stats.Counter("swaps")
+	warmedAgentsStat   = stats.Counter("warmed_agents")
+	restoresStat       = stats.Counter("restores")
+	restoredRowsStat   = stats.Counter("restored_rows")
 )
 
 // ErrNoTaxonomy is returned by taxonomy-dependent lookups on communities
@@ -238,8 +245,8 @@ func emptySnapshot(epoch uint64, comm *model.Community, opt core.Options, cfg Co
 		comm:    comm,
 		opt:     opt,
 		rec:     rec,
-		peers:   newComputed[peerKey, *neighborhood](cfg.PeerCacheSize, cfg.ComputeBudget, &peersHitStat, &peersMissStat),
-		results: newComputed[recKey, []core.Recommendation](cfg.ResultCacheSize, cfg.ComputeBudget, &resultsHitStat, &resultsMissStat),
+		peers:   newComputed[peerKey, *neighborhood](cfg.PeerCacheSize, cfg.ComputeBudget, peersHitStat, peersMissStat),
+		results: newComputed[recKey, []core.Recommendation](cfg.ResultCacheSize, cfg.ComputeBudget, resultsHitStat, resultsMissStat),
 		bodies:  newSieve[bodyKey, storedBody](bodyBudget),
 	}, nil
 }
@@ -275,7 +282,7 @@ func newSnapshotDelta(epoch uint64, comm *model.Community, opt core.Options, cfg
 		return s, nil
 	}
 	mat := rec.Filter().Matrix()
-	stats.Add("carried_rows", int64(mat.Len()-mat.Built()))
+	carriedRowsStat.Add(int64(mat.Len() - mat.Built()))
 
 	trustDirty := trustDirtySet(prev.rec.Adjacency(), comm.NumAgents(), d.TrustChanged)
 	dirtyTrust := func(ord int32) bool {
@@ -287,8 +294,8 @@ func newSnapshotDelta(epoch uint64, comm *model.Community, opt core.Options, cfg
 			nTrustDirty++
 		}
 	}
-	stats.Add("swap_delta", 1)
-	stats.Add("dirty_agents", int64(nTrustDirty+len(d.RatingsChanged)))
+	swapDeltaStat.Add(1)
+	dirtyAgentsStat.Add(int64(nTrustDirty + len(d.RatingsChanged)))
 
 	var nResults int64
 	// Neighborhoods: the active agent must be clean of trust influence
@@ -318,8 +325,8 @@ func newSnapshotDelta(epoch uint64, comm *model.Community, opt core.Options, cfg
 			nResults++
 		}
 	}
-	stats.Add("carried_peers", int64(len(carried)))
-	stats.Add("carried_results", nResults)
+	carriedPeersStat.Add(int64(len(carried)))
+	carriedResultsStat.Add(nResults)
 	// The topic index survives any mutation batch that added no products
 	// (the ingest path never mutates existing entries).
 	if !d.ProductsChanged {
@@ -724,7 +731,7 @@ func (e *Engine) SwapDelta(comm *model.Community, d *Delta) (*Snapshot, error) {
 	}
 	e.prev.Store(cur)
 	e.snap.Store(snap)
-	stats.Add("swaps", 1)
+	swapsStat.Add(1)
 	return snap, nil
 }
 
@@ -855,6 +862,6 @@ dispatch:
 	if ctx.Err() == nil {
 		snap.TopicIndex()
 	}
-	stats.Add("warmed_agents", int64(warmed))
+	warmedAgentsStat.Add(int64(warmed))
 	return WarmupResult{Agents: warmed, Duration: time.Since(start)}
 }

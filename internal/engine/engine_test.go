@@ -33,7 +33,7 @@ func testOptions() core.Options {
 }
 
 func counter(name string) int64 {
-	if v, ok := stats.Get(name).(*expvar.Int); ok {
+	if v, ok := expvar.Get("swrec_engine").(*expvar.Map).Get(name).(*expvar.Int); ok {
 		return v.Value()
 	}
 	return 0

@@ -123,7 +123,7 @@ func NewRestored(r Restore, opt core.Options, cfg Config) (*Engine, error) {
 	}
 	e := &Engine{cfg: cfg, opt: opt, start: time.Now(), ladder: ladder}
 	e.snap.Store(snap)
-	stats.Add("restores", 1)
+	restoresStat.Add(1)
 	return e, nil
 }
 
@@ -145,7 +145,7 @@ func newSnapshotRestored(epoch uint64, r Restore, opt core.Options, cfg Config) 
 	}
 	if r.Matrix != nil {
 		mat := s.rec.Filter().Matrix()
-		stats.Add("restored_rows", int64(mat.Len()-mat.Built()))
+		restoredRowsStat.Add(int64(mat.Len() - mat.Built()))
 	}
 	// Seed the warm caches. Entries whose agent ordinal lies outside the
 	// restored community, or whose pipe spelling ExportPeers never writes,

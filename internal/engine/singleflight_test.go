@@ -16,7 +16,7 @@ import (
 // leader's value still lands in the cache, and a failed compute caches
 // nothing.
 func TestComputedFillsOnceAndDetaches(t *testing.T) {
-	c := newComputed[int, *int](8, 0, &peersHitStat, &peersMissStat)
+	c := newComputed[int, *int](8, 0, peersHitStat, peersMissStat)
 	var calls atomic.Int64
 	release := make(chan struct{})
 	want := new(int)

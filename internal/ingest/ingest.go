@@ -38,15 +38,11 @@
 //
 // The pipeline must be the engine's only swapper while it runs.
 //
-// Observability: expvar map "swrec_ingest" (appended, applied,
-// snapshot_builds, replay_records, queue_depth, overloaded,
-// apply_errors, compiled_checkpoints, compiled_checkpoint_errors,
-// compiled_checkpoint_skipped).
+// Observability: the "swrec_ingest" counters declared with stats.
 package ingest
 
 import (
 	"errors"
-	"expvar"
 	"fmt"
 	"os"
 	"sync"
@@ -56,12 +52,26 @@ import (
 	"swrec/internal/engine"
 	"swrec/internal/frame"
 	"swrec/internal/isbn"
+	"swrec/internal/metrics"
 	"swrec/internal/model"
 	"swrec/internal/wal"
 )
 
 // stats aggregates ingest counters across all pipelines in the process.
-var stats = expvar.NewMap("swrec_ingest")
+var (
+	stats                         = metrics.NewMap("ingest")
+	replayRecordsStat             = stats.Counter("replay_records")
+	applyErrorsStat               = stats.Counter("apply_errors")
+	queueDepthStat                = stats.Counter("queue_depth")
+	overloadedStat                = stats.Counter("overloaded")
+	appendedStat                  = stats.Counter("appended")
+	swapErrorsStat                = stats.Counter("swap_errors")
+	appliedStat                   = stats.Counter("applied")
+	snapshotBuildsStat            = stats.Counter("snapshot_builds")
+	compiledCheckpointSkippedStat = stats.Counter("compiled_checkpoint_skipped")
+	compiledCheckpointErrorsStat  = stats.Counter("compiled_checkpoint_errors")
+	compiledCheckpointsStat       = stats.Counter("compiled_checkpoints")
+)
 
 var (
 	// ErrOverloaded is returned by Submit when the ingest queue is full —
@@ -254,7 +264,7 @@ func (p *Pipeline) replay(muts []wal.Mutation, last uint64) error {
 		return fmt.Errorf("ingest: replay swap: %w", err)
 	}
 	p.replayed = len(muts)
-	stats.Add("replay_records", int64(len(muts)))
+	replayRecordsStat.Add(int64(len(muts)))
 	return nil
 }
 
@@ -269,7 +279,7 @@ func (p *Pipeline) publish(muts []wal.Mutation, applied uint64) (*engine.Snapsho
 	clone := p.base.Clone()
 	for _, m := range muts {
 		if err := Apply(clone, m); err != nil {
-			stats.Add("apply_errors", 1)
+			applyErrorsStat.Add(1)
 		}
 	}
 	snap, err := p.eng.SwapDelta(clone, deltaOf(p.base, clone, muts))
@@ -316,10 +326,10 @@ func (p *Pipeline) Submit(m wal.Mutation) (uint64, error) {
 	select {
 	case p.queue <- sub:
 		p.closeMu.RUnlock()
-		stats.Add("queue_depth", 1)
+		queueDepthStat.Add(1)
 	default:
 		p.closeMu.RUnlock()
-		stats.Add("overloaded", 1)
+		overloadedStat.Add(1)
 		return 0, ErrOverloaded
 	}
 	r := <-sub.res
@@ -431,7 +441,7 @@ func (p *Pipeline) appendBatch(first submission) {
 		}
 	}
 drained:
-	stats.Add("queue_depth", -int64(len(batch)))
+	queueDepthStat.Add(-int64(len(batch)))
 	muts := make([]wal.Mutation, len(batch))
 	for i, sub := range batch {
 		muts[i] = sub.m
@@ -447,7 +457,7 @@ drained:
 		p.deltaAt = time.Now()
 	}
 	p.delta = append(p.delta, muts...)
-	stats.Add("appended", int64(len(muts)))
+	appendedStat.Add(int64(len(muts)))
 	for i, sub := range batch {
 		sub.res <- subResult{seq: firstSeq + uint64(i)}
 	}
@@ -465,11 +475,11 @@ func (p *Pipeline) snapshot() error {
 		// The delta stays pending; a later snapshot retries. This only
 		// happens when a mutation made the community incompatible with
 		// the engine's options, which validation is meant to prevent.
-		stats.Add("swap_errors", 1)
+		swapErrorsStat.Add(1)
 		return fmt.Errorf("ingest: swap: %w", err)
 	}
-	stats.Add("applied", int64(len(p.delta)))
-	stats.Add("snapshot_builds", 1)
+	appliedStat.Add(int64(len(p.delta)))
+	snapshotBuildsStat.Add(1)
 	p.delta = p.delta[:0]
 	if p.cfg.CheckpointEvery > 0 {
 		p.snapsSinceCkpt++
@@ -483,7 +493,7 @@ func (p *Pipeline) snapshot() error {
 			if len(p.ckptJobs) < cap(p.ckptJobs) {
 				p.ckptJobs <- checkpoint.Capture(snap, applied)
 			} else {
-				stats.Add("compiled_checkpoint_skipped", 1)
+				compiledCheckpointSkippedStat.Add(1)
 			}
 		}
 	}
@@ -499,9 +509,9 @@ func (p *Pipeline) ckptWriter() {
 		// A failure is counted, not fatal: the WAL still holds every
 		// record a surviving checkpoint needs.
 		if err := p.persist(img); err != nil {
-			stats.Add("compiled_checkpoint_errors", 1)
+			compiledCheckpointErrorsStat.Add(1)
 		} else {
-			stats.Add("compiled_checkpoints", 1)
+			compiledCheckpointsStat.Add(1)
 		}
 	}
 }
@@ -545,7 +555,7 @@ func (p *Pipeline) drainRejecting() {
 	for {
 		select {
 		case sub := <-p.queue:
-			stats.Add("queue_depth", -1)
+			queueDepthStat.Add(-1)
 			sub.res <- subResult{err: ErrClosed}
 		default:
 			return

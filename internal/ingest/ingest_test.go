@@ -378,7 +378,7 @@ func TestReplayRejectsNaN(t *testing.T) {
 
 	eng := testEngine(t, comm)
 	applyErrors := func() int64 {
-		n, _ := stats.Get("apply_errors").(*expvar.Int) // absent until the first one
+		n, _ := expvar.Get("swrec_ingest").(*expvar.Map).Get("apply_errors").(*expvar.Int) // absent until the first one
 		if n == nil {
 			return 0
 		}
@@ -531,7 +531,7 @@ func TestCrashRecoveryReplayMatchesCleanRun(t *testing.T) {
 // the two it had.
 func TestCheckpointSkippedWhileWriterBusy(t *testing.T) {
 	counter := func(name string) int64 {
-		n, _ := stats.Get(name).(*expvar.Int) // absent until the first one
+		n, _ := expvar.Get("swrec_ingest").(*expvar.Map).Get(name).(*expvar.Int) // absent until the first one
 		if n == nil {
 			return 0
 		}

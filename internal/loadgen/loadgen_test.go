@@ -3,7 +3,6 @@ package loadgen
 import (
 	"context"
 	"encoding/json"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -164,48 +163,6 @@ func TestRunOpenPacing(t *testing.T) {
 	}
 	if len(res.Acked) == 0 {
 		t.Fatal("no write was durably acked")
-	}
-}
-
-// TestHistQuantiles drives the log-linear histogram against exact
-// order statistics and checks the ≤ ~3%-per-octave error bound plus
-// merge equivalence.
-func TestHistQuantiles(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var one Hist
-	var parts [4]Hist
-	for i := 0; i < 20000; i++ {
-		// Spread over 1µs..100ms, the range requests live in.
-		d := time.Duration(float64(time.Microsecond) * (1 + 1e5*rng.Float64()))
-		one.Record(d)
-		parts[i%4].Record(d)
-	}
-	var merged Hist
-	for i := range parts {
-		merged.Merge(&parts[i])
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
-		if got, want := merged.Quantile(q), one.Quantile(q); got != want {
-			t.Fatalf("q%.3f: merged %v != single %v", q, got, want)
-		}
-	}
-	// Spot-check accuracy against a known uniform distribution.
-	var u Hist
-	for v := 1; v <= 100000; v++ {
-		u.Record(time.Duration(v) * time.Microsecond)
-	}
-	for _, q := range []float64{0.5, 0.99, 0.999} {
-		got := float64(u.Quantile(q))
-		want := q * 1e5 * 1e3 // q-th value in ns
-		if got < want*0.97 || got > want*1.04 {
-			t.Fatalf("q%.3f: got %.0fns, want %.0fns ±4%%", q, got, want)
-		}
-	}
-	if u.Count() != 100000 {
-		t.Fatalf("count %d", u.Count())
-	}
-	if u.Max() != 100000*time.Microsecond {
-		t.Fatalf("max %v", u.Max())
 	}
 }
 

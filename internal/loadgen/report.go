@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"swrec/internal/attack"
+	"swrec/internal/metrics"
 )
 
 // LatencyReport is the human-readable latency block for one series.
@@ -19,7 +20,7 @@ type LatencyReport struct {
 	MeanMS   float64 `json:"meanMs"`
 }
 
-func latencyReport(h *Hist) LatencyReport {
+func latencyReport(h *metrics.Histogram) LatencyReport {
 	ms := func(q float64) float64 { return float64(h.Quantile(q)) / 1e6 }
 	return LatencyReport{
 		Requests: h.Count(),
@@ -122,7 +123,7 @@ func BuildReport(sc *Scenario, events []Event, res *RunResult, attacks []AttackR
 		rep.Violations = []Violation{}
 	}
 
-	var overall Hist
+	var overall metrics.Histogram
 	var overallTotal, overallErrs uint64
 	for _, ep := range sortedKeys(res.Endpoints) {
 		st := res.Endpoints[ep]

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"swrec/internal/metrics"
 )
 
 // The executor is the one place in the deterministic harness that may
@@ -19,7 +21,7 @@ func wallNow() time.Time { return time.Now() }
 
 // EndpointStats aggregates one endpoint series.
 type EndpointStats struct {
-	Hist          Hist
+	Hist          metrics.Histogram
 	Statuses      map[int]uint64
 	TransportErrs uint64
 }
@@ -37,7 +39,7 @@ type RunResult struct {
 	Endpoints map[string]*EndpointStats
 	// Rungs records latency per answering strategy rung, keyed by the
 	// procedure name the response provenance block reported.
-	Rungs map[string]*Hist
+	Rungs map[string]*metrics.Histogram
 	Acked []Ack
 	// RetryAfterMin/Max bracket every Retry-After value seen on 503s
 	// (both 0 when none were).
@@ -49,7 +51,7 @@ type RunResult struct {
 // the hot path takes no locks.
 type workerStats struct {
 	endpoints map[string]*EndpointStats
-	rungs     map[string]*Hist
+	rungs     map[string]*metrics.Histogram
 	acked     []Ack
 	raMin     int
 	raMax     int
@@ -59,7 +61,7 @@ type workerStats struct {
 func newWorkerStats() *workerStats {
 	return &workerStats{
 		endpoints: make(map[string]*EndpointStats),
-		rungs:     make(map[string]*Hist),
+		rungs:     make(map[string]*metrics.Histogram),
 	}
 }
 
@@ -184,7 +186,7 @@ func (r *Runner) Run(ctx context.Context) (*RunResult, error) {
 		Wall:      wallNow().Sub(started),
 		Completed: int(completed.Load()),
 		Endpoints: make(map[string]*EndpointStats),
-		Rungs:     make(map[string]*Hist),
+		Rungs:     make(map[string]*metrics.Histogram),
 	}
 	for _, ws := range all {
 		for name, st := range ws.endpoints {
@@ -202,7 +204,7 @@ func (r *Runner) Run(ctx context.Context) (*RunResult, error) {
 		for rung, h := range ws.rungs {
 			dst := res.Rungs[rung]
 			if dst == nil {
-				dst = &Hist{}
+				dst = new(metrics.Histogram)
 				res.Rungs[rung] = dst
 			}
 			dst.Merge(h)
@@ -238,7 +240,7 @@ func (r *Runner) execute(ev *Event, scheduled time.Time, ws *workerStats) {
 		if json.Unmarshal(resp, &p) == nil && p.Strategy != nil && p.Strategy.Procedure != "" {
 			h := ws.rungs[p.Strategy.Procedure]
 			if h == nil {
-				h = &Hist{}
+				h = new(metrics.Histogram)
 				ws.rungs[p.Strategy.Procedure] = h
 			}
 			h.Record(lat)

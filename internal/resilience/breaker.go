@@ -28,14 +28,21 @@
 package resilience
 
 import (
-	"expvar"
 	"sync"
 	"time"
+
+	"swrec/internal/metrics"
 )
 
-// stats aggregates breaker counters across the process: opened, reopened,
-// closed, half_open, rejected.
-var stats = expvar.NewMap("swrec_resilience")
+// stats aggregates breaker counters across the process.
+var (
+	stats        = metrics.NewMap("resilience")
+	openedStat   = stats.Counter("opened")
+	reopenedStat = stats.Counter("reopened")
+	closedStat   = stats.Counter("closed")
+	halfOpenStat = stats.Counter("half_open")
+	rejectedStat = stats.Counter("rejected")
+)
 
 // State is a breaker's position in the closed→open→half-open machine.
 type State int
@@ -153,7 +160,7 @@ func (b *Breaker) tickLocked() {
 		b.state = HalfOpen
 		b.inFlight = 0
 		b.probeOK = 0
-		stats.Add("half_open", 1)
+		halfOpenStat.Add(1)
 	}
 }
 
@@ -172,10 +179,10 @@ func (b *Breaker) Allow() bool {
 			b.inFlight++
 			return true
 		}
-		stats.Add("rejected", 1)
+		rejectedStat.Add(1)
 		return false
 	default: // Open
-		stats.Add("rejected", 1)
+		rejectedStat.Add(1)
 		return false
 	}
 }
@@ -192,7 +199,7 @@ func (b *Breaker) Record(success bool) {
 		if !success {
 			b.state = Open
 			b.openedAt = b.now()
-			stats.Add("reopened", 1)
+			reopenedStat.Add(1)
 			return
 		}
 		b.probeOK++
@@ -200,7 +207,7 @@ func (b *Breaker) Record(success bool) {
 			// Recovered: forget the failure history.
 			b.state = Closed
 			b.samples, b.failures, b.head = 0, 0, 0
-			stats.Add("closed", 1)
+			closedStat.Add(1)
 		}
 	case Closed:
 		if b.samples == len(b.window) && b.window[b.head] {
@@ -218,7 +225,7 @@ func (b *Breaker) Record(success bool) {
 			float64(b.failures)/float64(b.samples) >= b.cfg.FailureThreshold {
 			b.state = Open
 			b.openedAt = b.now()
-			stats.Add("opened", 1)
+			openedStat.Add(1)
 		}
 	default:
 		// Open: a straggler recording after the trip; ignored.

@@ -35,7 +35,6 @@ package strategy
 import (
 	"context"
 	"errors"
-	"expvar"
 	"fmt"
 	"slices"
 	"strings"
@@ -455,11 +454,11 @@ func (l *Ladder) attempt(ctx context.Context, res *Result, r Rung, reason string
 
 // stats publishes per-rung attempt/success and ladder-exhaustion
 // counters: <procedure>_attempt, <procedure>_success, exhausted.
-var stats = expvar.NewMap("swrec_strategy")
+var stats = metrics.NewMap("strategy")
 
 // rungStats are one procedure's two swrec_strategy counters.
 type rungStats struct {
-	attempt, success metrics.Counter
+	attempt, success *metrics.Counter
 }
 
 // procStats holds the counters of Procedures[i] at i. New hands each
@@ -468,13 +467,13 @@ var procStats = func() []rungStats {
 	s := make([]rungStats, len(Procedures))
 	for i, p := range Procedures {
 		s[i] = rungStats{
-			attempt: metrics.NewCounter(stats, string(p)+"_attempt"),
-			success: metrics.NewCounter(stats, string(p)+"_success"),
+			attempt: stats.Counter(string(p) + "_attempt"),
+			success: stats.Counter(string(p) + "_success"),
 		}
 	}
 	return s
 }()
 
-var exhaustedStat = metrics.NewCounter(stats, "exhausted")
+var exhaustedStat = stats.Counter("exhausted")
 
 func recordExhausted() { exhaustedStat.Add(1) }
