@@ -229,7 +229,8 @@ recovery-smoke:
 # accepts), the frame scan under both logs, the WAL's record payload and
 # the crawler cache's rebuild — the API's string and float encoders
 # against encoding/json (internal/api/encode_test.go), its
-# query-parameter scanner against url.ParseQuery (internal/api/api_test.go)
+# query-parameter scanner against url.ParseQuery and its pagination
+# window against strconv.Atoi (internal/api/api_test.go)
 # and its router against an http.ServeMux holding the old patterns
 # (internal/api/cache_test.go), and the weblog miner's link and FOAF
 # auto-discovery parsers against their strings.ToLower forms
@@ -241,7 +242,7 @@ recovery-smoke:
 FUZZ_TARGETS = \
 	rdf:FuzzParseNTriples rdf:FuzzParseTurtle rdf:FuzzParseRDFXML rdf:FuzzParseDocument \
 	checkpoint:FuzzDecode:binary frame:FuzzScan:binary wal:FuzzScanSegment:binary store:FuzzStoreScan:binary \
-	api:FuzzAppendString api:FuzzAppendFloat api:FuzzParam api:FuzzRoute api:FuzzBodyKey api:FuzzWriteBody \
+	api:FuzzAppendString api:FuzzAppendFloat api:FuzzParam api:FuzzPage api:FuzzRoute api:FuzzBodyKey api:FuzzWriteBody \
 	foaf:FuzzUnmarshalHomepage weblog:FuzzExtractLinks weblog:FuzzFOAFLink
 FUZZ_BINARY = -fuzzminimizetime 1s
 

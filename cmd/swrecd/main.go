@@ -195,10 +195,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if comm.Taxonomy() == nil {
-			opt.CF.Representation = cf.Product
-		}
-		eng, err = engine.New(comm, opt, engCfg)
+		eng, err = engine.New(comm, opt.ForTaxonomy(comm.Taxonomy() != nil), engCfg)
 		if err != nil {
 			fatal(err)
 		}

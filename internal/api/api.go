@@ -8,7 +8,7 @@
 // and handler. Read endpoints:
 //
 //	GET /v1/healthz                        serving status: epoch, counts, uptime
-//	GET /v1/metrics                        every swrec_* map (internal/metrics): counters, latency quantiles
+//	GET /v1/metrics                        the swrec_* maps and nothing else (internal/metrics): counters, latency summaries read per request
 //	GET /v1/stats                          community + taxonomy statistics
 //	GET /v1/strategies                     the configured strategy ladder
 //	GET /v1/agents?offset=0&limit=25       agent directory by trust out-degree
@@ -85,8 +85,8 @@
 //
 // # Encoding
 //
-// Every 200 is what encoding/json's Encoder writes with a two-space
-// indent. The five shapes the serving mix asks for — recommendations,
+// Every 200 but /v1/metrics (metrics.Handler's compact body) is what
+// encoding/json's Encoder writes with a two-space indent. The five shapes the serving mix asks for — recommendations,
 // neighbors, profile, agent detail, product — are written by the
 // append-style encoders of encode.go into a pooled buffer
 // (writeEncoded); everything else (stats, strategies, healthz, the agent
@@ -463,13 +463,14 @@ func pageParams(c *call, defLimit int) (offset, limit int, err error) {
 }
 
 // window applies the pagination window to a slice of length n, returning
-// the clamped [lo, hi) bounds.
+// the clamped [lo, hi) bounds. It compares limit with what is left rather
+// than adding it to offset, which wraps for a limit near MaxInt.
 func window(n, offset, limit int) (lo, hi int) {
 	if offset > n {
 		offset = n
 	}
 	hi = n
-	if limit > 0 && offset+limit < n {
+	if limit > 0 && limit < n-offset {
 		hi = offset + limit
 	}
 	return offset, hi

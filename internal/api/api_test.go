@@ -2,10 +2,13 @@ package api
 
 import (
 	"encoding/json"
+	"expvar"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -122,6 +125,22 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, ok := vars["swrec_api"]; !ok {
 		t.Fatal("metrics missing swrec_api map")
 	}
+	// The body is the published swrec_* maps and nothing else: no
+	// memstats (a stop-the-world read per scrape), no cmdline.
+	published := map[string]bool{}
+	expvar.Do(func(kv expvar.KeyValue) {
+		if _, ok := kv.Value.(*expvar.Map); ok && strings.HasPrefix(kv.Key, "swrec_") {
+			published[kv.Key] = true
+		}
+	})
+	for name := range vars {
+		if !published[name] {
+			t.Errorf("/v1/metrics serves %q, which is not a published swrec_* map", name)
+		}
+	}
+	if len(vars) != len(published) {
+		t.Errorf("/v1/metrics serves %d maps, %d are published", len(vars), len(published))
+	}
 }
 
 func TestStatsEndpoint(t *testing.T) {
@@ -205,6 +224,15 @@ func TestAgentsPagination(t *testing.T) {
 	}
 	if len(empty.Items) != 0 || empty.Total != comm.NumAgents() {
 		t.Fatalf("past-end page = %+v", empty)
+	}
+
+	// A limit near MaxInt64 pages to the end; offset+limit must not wrap.
+	var rest agentsPage
+	if code := get(t, s, "/v1/agents?offset=1&limit=9223372036854775807", &rest); code != 200 {
+		t.Fatalf("huge-limit status = %d", code)
+	}
+	if len(rest.Items) != comm.NumAgents()-1 || rest.Limit != math.MaxInt64 {
+		t.Fatalf("huge-limit page = %d items, limit %d", len(rest.Items), rest.Limit)
 	}
 
 	if code := getError(t, s, "/v1/agents?limit=x", http.StatusBadRequest); code != "invalid_argument" {
@@ -450,6 +478,15 @@ func TestTopicPagination(t *testing.T) {
 		t.Fatalf("paged %d products, want %d", len(seen), comm.NumProducts())
 	}
 
+	// A limit near MaxInt64 pages to the end; offset+limit must not wrap.
+	var rest topicPage
+	if code := get(t, s, "/v1/topics/"+url.PathEscape(root)+"?offset=1&limit=9223372036854775807", &rest); code != 200 {
+		t.Fatalf("huge-limit status = %d", code)
+	}
+	if len(rest.Items) != comm.NumProducts()-1 || rest.Offset != 1 || rest.Limit != math.MaxInt64 {
+		t.Fatalf("huge-limit page = %d items, offset %d, limit %d", len(rest.Items), rest.Offset, rest.Limit)
+	}
+
 	// A leaf topic still reports its own product.
 	p := comm.Product(comm.Products()[0])
 	topicPath := comm.Taxonomy().QualifiedName(p.Topics[0])
@@ -470,6 +507,67 @@ func TestTopicPagination(t *testing.T) {
 	if code := getError(t, s, "/v1/topics/No/Such/Topic", http.StatusNotFound); code != "not_found" {
 		t.Fatalf("unknown topic code = %s", code)
 	}
+}
+
+// FuzzPage sends any offset and limit to both paginated endpoints. The
+// handler never panics; a 200 echoes the window and carries
+// min(limit or ∞, total − min(offset, total)) items, and anything else is
+// a 400 invalid_argument. strconv.Atoi, blank for the default, is the
+// oracle of what parses.
+func FuzzPage(f *testing.F) {
+	for _, v := range []string{"", "0", "1", "7", "-1", "x", "+3", "1e3", " 2",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808"} {
+		f.Add(v, v)
+		f.Add("1", v)
+		f.Add(v, "0")
+	}
+	s, comm, _ := newTestServer(f)
+	root := "/v1/topics/" + url.PathEscape(comm.Taxonomy().Name(0))
+	f.Fuzz(func(t *testing.T, offset, limit string) {
+		for _, ep := range []struct {
+			path          string
+			total, defLim int
+		}{{"/v1/agents", comm.NumAgents(), 25}, {root, comm.NumProducts(), 50}} {
+			target := ep.path + "?" + url.Values{"offset": {offset}, "limit": {limit}}.Encode()
+			rec := serve(s, http.MethodGet, target)
+			off, offErr := pageParam(offset, 0)
+			lim, limErr := pageParam(limit, ep.defLim)
+			if offErr != nil || limErr != nil {
+				var e errorBody
+				if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusBadRequest || e.Error.Code != "invalid_argument" {
+					t.Fatalf("%s: %d %s, want 400 invalid_argument", target, rec.Code, rec.Body)
+				}
+				continue
+			}
+			var p struct {
+				Items                []json.RawMessage
+				Total, Offset, Limit int
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &p); err != nil || rec.Code != http.StatusOK {
+				t.Fatalf("%s: %d %s (%v), want 200", target, rec.Code, rec.Body, err)
+			}
+			want := ep.total - min(off, ep.total)
+			if lim > 0 {
+				want = min(want, lim)
+			}
+			if p.Offset != off || p.Limit != lim || p.Total != ep.total || len(p.Items) != want {
+				t.Fatalf("%s: offset %d limit %d total %d, %d items; want %d %d %d, %d",
+					target, p.Offset, p.Limit, p.Total, len(p.Items), off, lim, ep.total, want)
+			}
+		}
+	})
+}
+
+// pageParam is FuzzPage's oracle of one pagination parameter.
+func pageParam(v string, def int) (int, error) {
+	if v == "" {
+		return def, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err == nil && n < 0 {
+		err = fmt.Errorf("negative")
+	}
+	return n, err
 }
 
 func TestProductEndpoint(t *testing.T) {

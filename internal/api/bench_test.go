@@ -3,11 +3,13 @@ package api
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
+	"time"
 
 	"swrec/internal/cf"
 	"swrec/internal/core"
@@ -146,4 +148,26 @@ func BenchmarkServeHTTPWarm(b *testing.B) {
 	for _, shape := range []string{"recommendations", "neighbors", "profile", "agent", "product"} {
 		b.Run("miss/"+shape, miss(byShape[shape]))
 	}
+}
+
+// BenchmarkMetricsScrape is one GET /v1/metrics with every endpoint
+// class's histogram populated: 1,000 requests booked per class, their
+// latencies spread log-uniformly over 1 µs–100 ms. It reports the body's
+// size as body_B.
+func BenchmarkMetricsScrape(b *testing.B) {
+	s, _, _ := newTestServer(b)
+	for ep := endpoint(0); ep < numEndpoints; ep++ {
+		for i := 0; i < 1000; i++ {
+			account(ep, http.StatusOK, statusOK, time.Duration(1e3*math.Pow(1e5, datagen.Uniform01(1120, uint64(i)))))
+		}
+	}
+	req := httptest.NewRequest(http.MethodGet, "/v1/metrics", nil)
+	w := &reusedWriter{hdr: make(http.Header)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ServeHTTP(w, req)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(w.n)/float64(b.N), "body_B")
 }

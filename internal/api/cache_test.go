@@ -4,13 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"reflect"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,15 +31,15 @@ func serve(s *Server, method, target string) *httptest.ResponseRecorder {
 	return rec
 }
 
-// counter reads one integer out of a published expvar map, a counter or
-// a histogram's summary key.
+// counter reads one key of a swrec_* map — a counter, a histogram's
+// summary key or a total — from the /v1/metrics body, as a scrape sees
+// it, without counting a request of its own.
 func counter(mapName, key string) int64 {
-	v := expvar.Get(mapName).(*expvar.Map).Get(key)
-	if v == nil {
-		return 0
+	body, err := scrape()
+	if err != nil {
+		panic(err)
 	}
-	n, _ := strconv.ParseInt(v.String(), 10, 64)
-	return n
+	return int64(body[mapName][key])
 }
 
 // stored reports whether the engine's current snapshot holds a response

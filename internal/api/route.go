@@ -152,18 +152,15 @@ func movedTo(escapedPath string) string {
 }
 
 // apiStats aggregates request counters across all servers in the
-// process, published as "swrec_api" (requests, request_ns, status_NNN).
+// process, published as "swrec_api": status_NNN, and requests and
+// request_ns, the count and sum of every swrec_http histogram.
 var apiStats = metrics.NewMap("api")
 
 // httpStats breaks the request counters down per endpoint class,
 // published as "swrec_http": <endpoint>_errors (status ≥ 500) and the
-// summary of the class's latency histogram (see metrics.Map.Histogram):
-// its count <endpoint>_requests, the disjoint decade counts
-// <endpoint>_le_1ms | _le_10ms | _le_100ms | _le_1s | _gt_1s, read at the
-// histogram's bucket edges, and <endpoint>_p50_us | _p90_us | _p99_us |
-// _p999_us | _max_us. A class's keys appear at its first request. Both
-// maps count every request once, whether the response cache or a handler
-// answered it.
+// keys of the class's latency histogram (see metrics.Map.Histogram).
+// Both maps count every request once, whether the response cache or a
+// handler answered it.
 var httpStats = metrics.NewMap("http")
 
 // endpointCounters are one endpoint class's swrec_http metrics.
@@ -179,14 +176,9 @@ var endpointStats = func() (c [numEndpoints]endpointCounters) {
 		c[ep].errors = httpStats.Counter(name + "_errors")
 		c[ep].latency = httpStats.Histogram(name)
 	}
+	apiStats.Totals(httpStats)
 	return
 }()
-
-// The swrec_api counters of every request.
-var (
-	requestsStat  = apiStats.Counter("requests")
-	requestNsStat = apiStats.Counter("request_ns")
-)
 
 // statusStats are the swrec_api status_NNN counters, by status code.
 var statusStats = func() (c [600]*metrics.Counter) {
@@ -209,8 +201,6 @@ func statusStat(status int) *metrics.Counter {
 
 // account books one finished request under swrec_api and swrec_http.
 func account(ep endpoint, status int, st *metrics.Counter, elapsed time.Duration) {
-	requestsStat.Add(1)
-	requestNsStat.Add(elapsed.Nanoseconds())
 	st.Add(1)
 	c := &endpointStats[ep]
 	if status >= 500 {

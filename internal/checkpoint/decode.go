@@ -7,7 +7,6 @@ import (
 	"math"
 	"sync"
 
-	"swrec/internal/cf"
 	"swrec/internal/core"
 	"swrec/internal/engine"
 	"swrec/internal/model"
@@ -74,12 +73,9 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 		// entries live there, not in meta).
 		rawAgents, rawProducts = d.uv(), d.uv()
 		hasTax, hasMat = flags&1 != 0, flags&2 != 0
-		if !hasTax {
-			// A taxonomy-less community cannot serve taxonomy-space
-			// profiles; the engine that wrote this checkpoint ran the
-			// Product representation, so that is the variant to match.
-			opt.CF.Representation = cf.Product
-		}
+		// The engine that wrote a taxonomy-less checkpoint ran the
+		// options adapted to it; those are the variant to match.
+		opt = opt.ForTaxonomy(hasTax)
 		switch {
 		case d.err != nil:
 			v.note(secMeta, d.err)

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"swrec/internal/cf"
 	"swrec/internal/core"
 	"swrec/internal/engine"
 	"swrec/internal/metrics"
@@ -196,22 +195,12 @@ func Recover(cfg RecoverConfig) (*Result, error) {
 		return nil, fmt.Errorf("checkpoint: recovery exhausted, corpus rebuild failed: %w", err)
 	}
 	t = time.Now()
-	eng, err := engine.New(comm, adaptOptions(cfg.Options, comm), cfg.Engine)
+	eng, err := engine.New(comm, cfg.Options.ForTaxonomy(comm.Taxonomy() != nil), cfg.Engine)
 	ph.restore = time.Since(t)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: recovery exhausted, corpus rebuild failed: %w", err)
 	}
 	return finish(res, eng, 3, "corpus", eng.Epoch(), 0, "", start, ph)
-}
-
-// adaptOptions mirrors cmd/swrecd's boot-time adjustment: a community
-// without a taxonomy cannot serve taxonomy-space profiles, so the
-// similarity representation falls back to rated-product space.
-func adaptOptions(opt core.Options, comm *model.Community) core.Options {
-	if comm.Taxonomy() == nil {
-		opt.CF.Representation = cf.Product
-	}
-	return opt
 }
 
 // phases splits the rung that served into its three steps: reading its

@@ -197,6 +197,19 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
+// ForTaxonomy returns the options a community serves with, given whether
+// it has a taxonomy: one without cannot build taxonomy-space profiles, so
+// similarity falls back to rated-product space (cf.Product). swrecd's
+// boot, a checkpoint's decode and a recovery's corpus rebuild all adapt
+// through it, so the engine a checkpoint restores signs the options of
+// the engine that wrote it.
+func (o Options) ForTaxonomy(hasTaxonomy bool) Options {
+	if !hasTaxonomy {
+		o.CF.Representation = cf.Product
+	}
+	return o
+}
+
 // validate checks defaulted options for a community with taxonomy tax.
 func (o Options) validate(tax *taxonomy.Taxonomy) error {
 	if a := o.alpha(); a < 0 || a > 1 {

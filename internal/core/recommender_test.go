@@ -368,6 +368,14 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := New(bare, defaultOpts()); err == nil {
 		t.Fatal("taxonomy CF over taxonomy-less community accepted")
 	}
+	// ForTaxonomy adapts the same options to it, and leaves them alone
+	// where a taxonomy exists.
+	if _, err := New(bare, defaultOpts().ForTaxonomy(false)); err != nil {
+		t.Fatalf("options adapted to a taxonomy-less community: %v", err)
+	}
+	if got := defaultOpts().ForTaxonomy(true).CF; got != defaultOpts().CF {
+		t.Fatalf("ForTaxonomy(true) changed CF to %+v", got)
+	}
 }
 
 func TestTopNTruncation(t *testing.T) {

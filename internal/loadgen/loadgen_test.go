@@ -267,7 +267,7 @@ func TestRunSmoke(t *testing.T) {
 		t.Fatalf("metrics parse: %v", err)
 	}
 	for _, ep := range []string{EpRecommendations, EpNeighbors, EpWriteTrust} {
-		sent := res.Endpoints[ep].Hist.Count()
+		sent := res.Endpoints[ep].Hist.Summary().Count
 		if got := metrics.HTTP[ep+"_requests"]; got < float64(sent) {
 			t.Errorf("swrec_http %s_requests = %.0f, but the harness sent %d", ep, got, sent)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"time"
 
 	"swrec/internal/attack"
 	"swrec/internal/metrics"
@@ -21,16 +22,18 @@ type LatencyReport struct {
 }
 
 func latencyReport(h *metrics.Histogram) LatencyReport {
-	ms := func(q float64) float64 { return float64(h.Quantile(q)) / 1e6 }
+	s := h.Summary()
 	return LatencyReport{
-		Requests: h.Count(),
-		P50MS:    ms(0.50),
-		P99MS:    ms(0.99),
-		P999MS:   ms(0.999),
-		MaxMS:    float64(h.Max()) / 1e6,
-		MeanMS:   float64(h.Mean()) / 1e6,
+		Requests: s.Count,
+		P50MS:    ms(s.P50),
+		P99MS:    ms(s.P99),
+		P999MS:   ms(s.P999),
+		MaxMS:    ms(s.Max),
+		MeanMS:   ms(s.Mean()),
 	}
 }
+
+func ms(d time.Duration) float64 { return float64(d) / 1e6 }
 
 // EndpointReport is one endpoint's outcome.
 type EndpointReport struct {

@@ -120,15 +120,15 @@ func (s *SLO) Check(res *RunResult) []Violation {
 	for _, ep := range sortedKeys(res.Endpoints) {
 		st := res.Endpoints[ep]
 		b := s.budgetFor(ep)
-		ms := func(q float64) float64 { return float64(st.Hist.Quantile(q)) / 1e6 }
-		if b.P50MS > 0 && ms(0.50) > b.P50MS {
-			out = append(out, Violation{ep, "p50_ms", ms(0.50), b.P50MS})
+		lat := latencyReport(&st.Hist)
+		if b.P50MS > 0 && lat.P50MS > b.P50MS {
+			out = append(out, Violation{ep, "p50_ms", lat.P50MS, b.P50MS})
 		}
-		if b.P99MS > 0 && ms(0.99) > b.P99MS {
-			out = append(out, Violation{ep, "p99_ms", ms(0.99), b.P99MS})
+		if b.P99MS > 0 && lat.P99MS > b.P99MS {
+			out = append(out, Violation{ep, "p99_ms", lat.P99MS, b.P99MS})
 		}
-		if b.P999MS > 0 && ms(0.999) > b.P999MS {
-			out = append(out, Violation{ep, "p999_ms", ms(0.999), b.P999MS})
+		if b.P999MS > 0 && lat.P999MS > b.P999MS {
+			out = append(out, Violation{ep, "p999_ms", lat.P999MS, b.P999MS})
 		}
 
 		var total, errs, outside uint64

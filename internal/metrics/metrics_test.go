@@ -1,9 +1,15 @@
 package metrics
 
 import (
+	"encoding/json"
 	"expvar"
+	"maps"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // newMap is a Map that is not published, so each test can have its own.
@@ -102,6 +108,83 @@ func TestCounterAddAllocatesNothing(t *testing.T) {
 	c.Add(1)
 	if allocs := testing.AllocsPerRun(100, func() { c.Add(1) }); allocs != 0 {
 		t.Fatalf("Add allocates %v times", allocs)
+	}
+}
+
+// read is the body Handler writes for maps, decoded: which fails on
+// anything but an object of flat objects of numbers.
+func read(t *testing.T, published map[string]*Map) map[string]map[string]float64 {
+	t.Helper()
+	b, err := json.Marshal(values(published))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]map[string]float64
+	if err := json.Unmarshal(b, &body); err != nil {
+		t.Fatalf("body: %v\n%s", err, b)
+	}
+	return body
+}
+
+// A published histogram's keys appear once its count is not 0, and read
+// its count, and its quantiles and maximum in microseconds.
+func TestPublishedKeys(t *testing.T) {
+	m := newMap()
+	h := m.Histogram("ep")
+	if got := read(t, map[string]*Map{"swrec_test": m})["swrec_test"]; len(got) != 0 {
+		t.Fatalf("keys before the first Record: %v", got)
+	}
+	h.Record(2 * time.Millisecond)
+	h.Record(0)
+	want := map[string]float64{"ep_requests": 2, "ep_p50_us": 0, "ep_p90_us": 2000,
+		"ep_p99_us": 2000, "ep_p999_us": 2000, "ep_max_us": 2000}
+	if got := read(t, map[string]*Map{"swrec_test": m})["swrec_test"]; !maps.Equal(got, want) {
+		t.Fatalf("keys = %v, want %v", got, want)
+	}
+}
+
+// Totals read the count and the nanoseconds of every histogram of the
+// other map, from the same read of them that its own keys come from.
+func TestTotals(t *testing.T) {
+	api, classes := newMap(), newMap()
+	both := map[string]*Map{"swrec_api": api, "swrec_http": classes}
+	api.Totals(classes)
+	a, b := classes.Histogram("a"), classes.Histogram("b")
+	if got := read(t, both)["swrec_api"]; len(got) != 0 {
+		t.Fatalf("totals before the first Record: %v", got)
+	}
+	a.Record(3 * time.Millisecond)
+	b.Record(time.Millisecond)
+	b.Record(5)
+	body := read(t, both)
+	want := map[string]float64{"requests": 3, "request_ns": 4000005}
+	if got := body["swrec_api"]; !maps.Equal(got, want) {
+		t.Fatalf("swrec_api = %v, want %v", got, want)
+	}
+	if n := body["swrec_http"]["a_requests"] + body["swrec_http"]["b_requests"]; n != 3 {
+		t.Fatalf("classes count %v requests, want 3", n)
+	}
+}
+
+// Handler serves every map NewMap published, in name order, and nothing
+// else: no memstats, no cmdline.
+func TestHandlerServesPublishedMaps(t *testing.T) {
+	NewMap("test_z").Counter("n").Add(1)
+	NewMap("test_a")
+	rec := httptest.NewRecorder()
+	Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+		t.Fatalf("Content-Type = %q", ct)
+	}
+	var body map[string]map[string]float64
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("body: %v\n%s", err, rec.Body)
+	}
+	if _, a := body["swrec_test_a"]; !a || body["swrec_test_z"]["n"] != 1 || len(body) != 2 {
+		t.Fatalf("maps %v, want swrec_test_a and swrec_test_z", body)
+	}
+	if i, j := strings.Index(rec.Body.String(), "swrec_test_a"), strings.Index(rec.Body.String(), "swrec_test_z"); i > j {
+		t.Fatalf("maps out of name order:\n%s", rec.Body)
 	}
 }
 
