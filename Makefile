@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build check fmt vet lint lint-note test bench-harness race cover bench bench-diff bench-diff-parent bench-diff-short profile fuzz fuzz-smoke chaos chaos-short recovery-smoke load load-short load-baseline experiments experiments-paper experiments-paper-record examples clean
+.PHONY: all build check fmt vet lint lint-note test cross bench-harness race cover bench bench-diff bench-diff-parent bench-diff-short profile fuzz fuzz-smoke chaos chaos-short recovery-smoke load load-short load-baseline experiments experiments-paper experiments-paper-record examples clean
 
 all: build check
 
@@ -71,6 +71,16 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# cross keeps the big-endian build compiling: the checkpoint decoder
+# adopts its arrays in place only where the machine's byte order is the
+# file's, and copies element by element elsewhere. Nothing here can run
+# that path's tests under emulation, so this vets every package for
+# s390x and builds the test binaries of the two packages that hold it.
+cross:
+	GOARCH=s390x $(GO) vet ./...
+	GOARCH=s390x $(GO) test -c -o /dev/null ./internal/checkpoint/
+	GOARCH=s390x $(GO) test -c -o /dev/null ./internal/model/
 
 # bench-harness vets, builds and tests the repo benchmark (bench/, a
 # module of its own that `./...` above never reaches) against this
@@ -230,7 +240,9 @@ recovery-smoke:
 # the crawler cache's rebuild — the API's string and float encoders
 # against encoding/json (internal/api/encode_test.go), its
 # query-parameter scanner against url.ParseQuery and its pagination
-# window against strconv.Atoi (internal/api/api_test.go)
+# window against strconv.Atoi (internal/api/api_test.go), any query to
+# the two DELETE endpoints against url.ParseQuery
+# (internal/api/write_test.go)
 # and its router against an http.ServeMux holding the old patterns
 # (internal/api/cache_test.go), and the weblog miner's link and FOAF
 # auto-discovery parsers against their strings.ToLower forms
@@ -242,7 +254,7 @@ recovery-smoke:
 FUZZ_TARGETS = \
 	rdf:FuzzParseNTriples rdf:FuzzParseTurtle rdf:FuzzParseRDFXML rdf:FuzzParseDocument \
 	checkpoint:FuzzDecode:binary frame:FuzzScan:binary wal:FuzzScanSegment:binary store:FuzzStoreScan:binary \
-	api:FuzzAppendString api:FuzzAppendFloat api:FuzzParam api:FuzzPage api:FuzzRoute api:FuzzBodyKey api:FuzzWriteBody \
+	api:FuzzAppendString api:FuzzAppendFloat api:FuzzParam api:FuzzPage api:FuzzRoute api:FuzzBodyKey api:FuzzWriteBody api:FuzzDeleteParams \
 	foaf:FuzzUnmarshalHomepage weblog:FuzzExtractLinks weblog:FuzzFOAFLink
 FUZZ_BINARY = -fuzzminimizetime 1s
 

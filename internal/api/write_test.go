@@ -251,6 +251,97 @@ func (w *recordingWriter) Submit(m wal.Mutation) (uint64, error) {
 	return uint64(len(w.got)), nil
 }
 
+// refusingWriter records each submitted mutation and, while full is set,
+// refuses it as an ingest queue at capacity does.
+type refusingWriter struct {
+	recordingWriter
+	full bool
+}
+
+func (w *refusingWriter) Submit(m wal.Mutation) (uint64, error) {
+	seq, _ := w.recordingWriter.Submit(m)
+	if w.full {
+		return 0, ingest.ErrOverloaded
+	}
+	return seq, nil
+}
+
+// FuzzDeleteParams sends any query to DELETE …/trust and …/ratings under
+// a known agent, through ServeHTTP, to a writer that accepts or, with
+// full set, refuses as a full queue does. It never panics; a 202 submits
+// one retraction of exactly the peer or product url.ParseQuery reads from
+// the same query; every other answer is a 400, or the 503 with a
+// Retry-After a full queue gets, in the JSON error envelope.
+func FuzzDeleteParams(f *testing.F) {
+	_, comm, eng := newTestServer(f)
+	w := &refusingWriter{}
+	s := NewWritable(eng, w)
+	agents, products := comm.Agents(), comm.Products()
+	const trustPath, ratingsPath = 0, 1
+	for _, q := range []string{
+		"peer=" + url.QueryEscape(string(agents[1])),
+		"product=" + url.QueryEscape(string(products[0])),
+		"peer=" + url.QueryEscape(string(agents[2])) + "&peer=http://x/y",
+		"peer=%zz&peer=" + url.QueryEscape(string(agents[3])),
+		"peer=a;b&product=" + url.QueryEscape(string(products[1])),
+		"peer=", "product", "", "&&=&", "peer=http://nobody/here", "product=urn:isbn:0",
+		"%70eer=" + url.QueryEscape(string(agents[4])), "peer=" + string(agents[5]),
+	} {
+		for target := uint8(0); target < 2; target++ {
+			f.Add(target, uint8(0), false, q)
+		}
+	}
+	f.Add(uint8(trustPath), uint8(7), true, "peer="+url.QueryEscape(string(agents[1])))
+	f.Add(uint8(ratingsPath), uint8(9), true, "product="+url.QueryEscape(string(products[2])))
+
+	f.Fuzz(func(t *testing.T, target, agent uint8, full bool, query string) {
+		a := agents[int(agent)%len(agents)]
+		name, op, suffix := "peer", wal.OpDeleteTrust, "/trust"
+		if target%2 == ratingsPath {
+			name, op, suffix = "product", wal.OpDeleteRating, "/ratings"
+		}
+		req := httptest.NewRequest(http.MethodDelete, agentPath(a, suffix), nil)
+		req.URL.RawQuery = query
+		w.full = full
+		before := len(w.got)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+
+		if ct := rec.Header().Get("Content-Type"); ct != jsonContentType {
+			t.Fatalf("DELETE %s?%s: %d with Content-Type %q", suffix, query, rec.Code, ct)
+		}
+		submitted := w.got[before:]
+		vals, _ := url.ParseQuery(query)
+		switch rec.Code {
+		case http.StatusAccepted:
+			if len(submitted) != 1 || full {
+				t.Fatalf("DELETE %s?%s: 202 after %d submissions, queue full: %v", suffix, query, len(submitted), full)
+			}
+			m := submitted[0]
+			got := string(m.Peer)
+			if op == wal.OpDeleteRating {
+				got = string(m.Product)
+			}
+			if m.Op != op || m.Agent != a || got != vals.Get(name) || got == "" {
+				t.Fatalf("DELETE %s?%s: 202 for %+v, url.ParseQuery reads %s=%q", suffix, query, m, name, vals.Get(name))
+			}
+		case http.StatusBadRequest, http.StatusServiceUnavailable:
+			var e errorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error.Code == "" || e.Error.Message == "" {
+				t.Fatalf("DELETE %s?%s: %d without the error envelope: %s", suffix, query, rec.Code, rec.Body)
+			}
+			if rec.Code == http.StatusServiceUnavailable && (!full || rec.Header().Get("Retry-After") == "") {
+				t.Fatalf("DELETE %s?%s: 503 with Retry-After %q, queue full: %v", suffix, query, rec.Header().Get("Retry-After"), full)
+			}
+			if rec.Code == http.StatusBadRequest && len(submitted) != 0 {
+				t.Fatalf("DELETE %s?%s: 400 after submitting %+v", suffix, query, submitted)
+			}
+		default:
+			t.Fatalf("DELETE %s?%s: status %d: %s", suffix, query, rec.Code, rec.Body)
+		}
+	})
+}
+
 // FuzzWriteBody sends any POST body to the three write endpoints —
 // /v1/agents, …/trust and …/ratings, the latter two under a known or an
 // unknown agent — through ServeHTTP. Every answer is a 202, a 400 or a

@@ -13,9 +13,9 @@ import (
 // size and the paper's: loading the compiled snapshot against rebuilding
 // it. Load + Restore is O(file size) and brings back the statements, the
 // profile matrix and every cached neighborhood (the topic index is not
-// stored; it is derived on first use): 23 ms at 2,000 agents, 74 ms at
-// 9,100 (BENCH_engine.json). The recompute —
-// engine.New plus a full Warmup — is 309 ms and 1.55 s: 13x and 21x.
+// stored; it is derived on first use): ~16 ms at 2,000 agents, ~51 ms at
+// 9,100, on two cores (BENCH_engine.json). The recompute — engine.New
+// plus a full Warmup — is ~340 ms and ~1.58 s: ~20x and ~30x.
 // About nine tenths of the recompute is the warm-up, one trust walk and
 // similarity scan per agent; the neighborhoods it would produce are two
 // thirds of the file, checked by the load but decoded only when read.

@@ -106,6 +106,7 @@ func Encode(img *Image) []byte {
 type recordWriter struct {
 	enc // the record being encoded, frame header first
 	w   io.Writer
+	pos int64  // the file offset of the record being encoded
 	n   uint32 // records begun: the sections, then the trailer
 	err error  // the first failure; every later record is dropped
 }
@@ -125,6 +126,36 @@ func (r *recordWriter) end() {
 	if r.err == nil {
 		frame.Seal(r.b)
 		_, r.err = r.w.Write(r.b)
+	}
+	r.pos += int64(len(r.b))
+}
+
+// align writes the pad that puts the next byte at an 8-aligned file
+// offset: its length, then that many zero bytes (dec.align).
+func (r *recordWriter) align() {
+	n := -(r.pos + int64(len(r.b)) + 1) & 7
+	r.u8(uint8(n))
+	for ; n > 0; n-- {
+		r.u8(0)
+	}
+}
+
+// table writes one statement section: per agent its row's end, counted
+// in entries, then the entries — each model.Entry's bytes as they lie in
+// memory, the ordinal, zeros, the value.
+func (r *recordWriter) table(rows func(model.AgentID) model.Row, agents []model.AgentID) {
+	end := 0
+	for _, id := range agents {
+		end += len(rows(id))
+		r.u32(uint32(end))
+	}
+	r.align()
+	for _, id := range agents {
+		for _, e := range rows(id) {
+			r.u32(uint32(e.Ord))
+			r.u32(0)
+			r.f64(e.Val)
+		}
 	}
 }
 
@@ -146,6 +177,7 @@ func write(w io.Writer, img *Image) error {
 	for i := range img.Rows {
 		matLen += 4 + 12*img.Rows[i].NNZ() + 16
 	}
+	matLen += 2 * 8 // the arenas' pads
 	largest := min(max(peersLen, matLen), math.MaxInt32)
 	r := &recordWriter{w: w, enc: enc{b: make([]byte, 0, frame.HeaderSize+4+largest)}}
 
@@ -218,30 +250,28 @@ func write(w io.Writer, img *Image) error {
 	// community's interned ordinal — the wire's (insertion order on both
 	// sides).
 	r.begin(secTrust)
-	for _, id := range agents {
-		r.row(comm.Agent(id).TrustedPeers())
-	}
+	r.table(func(id model.AgentID) model.Row { return comm.Agent(id).TrustedPeers() }, agents)
 	r.end()
 	r.begin(secRatings)
-	for _, id := range agents {
-		r.row(comm.Agent(id).RatedProducts())
-	}
+	r.table(func(id model.AgentID) model.Row { return comm.Agent(id).RatedProducts() }, agents)
 	r.end()
 
 	// PROFMAT: the CSR arenas — row lengths, then the key arena, the
-	// value arena, and per-row norm/sum, all fixed-width so a loader can
-	// walk them without per-entry branching.
+	// value arena, and per-row norm/sum, each arena aligned so a load
+	// adopts it as it lies.
 	if img.Rows != nil {
 		r.begin(secProfmat)
 		r.uv(uint64(len(img.Rows)))
 		for i := range img.Rows {
 			r.u32(uint32(img.Rows[i].NNZ()))
 		}
+		r.align()
 		for i := range img.Rows {
 			for _, k := range img.Rows[i].Keys {
 				r.u32(uint32(k))
 			}
 		}
+		r.align()
 		for i := range img.Rows {
 			for _, v := range img.Rows[i].Vals {
 				r.f64(v)
@@ -381,19 +411,69 @@ func WriteImage(dir string, img *Image, wrap func(*os.File) frame.File) (path st
 // Load reads and fully validates the checkpoint at path. See Decode for
 // the option-signature contract.
 func Load(path string, opt core.Options) (*Image, error) {
-	data, err := readFile(path)
+	head, tail, err := readFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return Decode(data, opt)
+	return decode(head, tail, opt, false)
 }
 
-func readFile(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
+// readFile reads the checkpoint at path into two buffers, cut where the
+// PEERS record begins: head, whose arrays a decoded image adopts and so
+// keeps for as long as a restored row lives, and tail, PEERS and the
+// trailer, which only the restored neighborhoods not yet read hold on
+// to. The cut is found by walking the record headers; a file whose
+// headers do not lead to a PEERS record (a v1 file, a torn one) is read
+// whole into head, for decode to judge.
+func readFile(path string) (head, tail []byte, err error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: read %s: %w", path, err)
+		return nil, nil, fmt.Errorf("checkpoint: read %s: %w", path, err)
 	}
-	return data, nil
+	defer f.Close() //nolint:durableerr -- a read-only handle; nothing was written to lose
+	st, err := f.Stat()
+	if err != nil {
+		return nil, nil, fmt.Errorf("checkpoint: read %s: %w", path, err)
+	}
+	size := st.Size()
+	cut := peersOffset(f, size)
+	// tail, the larger, first: where recoveries follow one another in one
+	// process, allocating head first left the range the previous
+	// recovery's pair freed fragmented, and each recovery page-faulted
+	// megabytes more (bench's restart workload on two cores: 41–45
+	// against 53–57 recoveries per second).
+	//nolint:boundedmake -- sized by the file's length on disk, as os.ReadFile sizes its buffer: every byte asked for is there to be read
+	tail = make([]byte, size-cut)
+	//nolint:boundedmake -- likewise
+	head = make([]byte, cut)
+	if _, err := f.ReadAt(head, 0); err != nil {
+		return nil, nil, fmt.Errorf("checkpoint: read %s: %w", path, err)
+	}
+	if _, err := f.ReadAt(tail, cut); err != nil {
+		return nil, nil, fmt.Errorf("checkpoint: read %s: %w", path, err)
+	}
+	return head, tail, nil
+}
+
+// peersOffset is the file offset of the PEERS record, found by reading
+// each record's header and section id in turn; size when the headers,
+// read this way, reach no PEERS record.
+func peersOffset(r io.ReaderAt, size int64) int64 {
+	var hdr [frame.HeaderSize + 4]byte
+	for off := int64(0); off+int64(len(hdr)) <= size; {
+		if _, err := r.ReadAt(hdr[:], off); err != nil {
+			break
+		}
+		n := int64(binary.LittleEndian.Uint32(hdr[4:]))
+		switch {
+		case off == 0 && n != int64(headerSize):
+			return size // not a record-framed file
+		case off > 0 && n >= 4 && binary.LittleEndian.Uint32(hdr[frame.HeaderSize:]) == secPeers:
+			return off
+		}
+		off += frame.HeaderSize + n
+	}
+	return size
 }
 
 // Prune keeps the newest keep checkpoint files in dir and removes the

@@ -301,7 +301,7 @@ func TestWholeRangeImageIsStaleUnderDefaults(t *testing.T) {
 	if _, err := Decode(data, testOptions()); !errors.Is(err, ErrOptions) {
 		t.Fatalf("whole-range image decoded under the defaults: %v, want ErrOptions", err)
 	}
-	kept, err := decode(data, testOptions(), true)
+	kept, err := decode(data, nil, testOptions(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,12 +390,12 @@ func TestDecodeCorruptionSweep(t *testing.T) {
 // fail with want, and all with the same message.
 func requireOneError(t *testing.T, data []byte, opt core.Options, statementsOnly bool, want error) error {
 	t.Helper()
-	_, first := decode(data, opt, statementsOnly)
+	_, first := decode(data, nil, opt, statementsOnly)
 	if !errors.Is(first, want) {
 		t.Fatalf("statements only: %v: got %v, want %v", statementsOnly, first, want)
 	}
 	for i := 1; i < 20; i++ {
-		if _, err := decode(data, opt, statementsOnly); err == nil || err.Error() != first.Error() {
+		if _, err := decode(data, nil, opt, statementsOnly); err == nil || err.Error() != first.Error() {
 			t.Fatalf("statements only: %v: attempt %d failed with %v, the first with %v", statementsOnly, i, err, first)
 		}
 	}
@@ -405,7 +405,7 @@ func requireOneError(t *testing.T, data []byte, opt core.Options, statementsOnly
 // spoil flips the middle byte of section id's payload in place.
 func spoil(t *testing.T, data []byte, id uint32) {
 	t.Helper()
-	secs, err := split(data)
+	secs, _, err := split(data, nil)
 	if err != nil || len(secs[id].b) == 0 {
 		t.Fatalf("fixture: no section %d (%v)", id, err)
 	}
@@ -437,7 +437,7 @@ func TestDecodeReportsTheLowestFault(t *testing.T) {
 	// beside two products under one ID (caught at registration, after the
 	// join): PRODUCTS has the lower id.
 	mut = bytes.Clone(data)
-	secs, _ := split(mut)
+	secs, _, _ := split(mut, nil)
 	d := &dec{b: secs[secPeers].b}
 	d.uv()                           // entry count
 	d.uv()                           // the first entry's agent ordinal
@@ -517,7 +517,7 @@ func TestDecodeRejectsStatementsTheSettersReject(t *testing.T) {
 	for what, spoil := range map[string][2][]byte{
 		"NaN trust":           {f64(trustMark), f64(math.NaN())},
 		"trust out of range":  {f64(trustMark), f64(1.5)},
-		"self trust":          {append([]byte{5}, f64(trustMark)...), append([]byte{2}, f64(trustMark)...)},
+		"self trust":          {append([]byte{5, 0, 0, 0, 0, 0, 0, 0}, f64(trustMark)...), append([]byte{2, 0, 0, 0, 0, 0, 0, 0}, f64(trustMark)...)},
 		"NaN rating":          {f64(ratingMark), f64(math.NaN())},
 		"rating out of range": {f64(ratingMark), f64(-7)},
 	} {
@@ -527,7 +527,7 @@ func TestDecodeRejectsStatementsTheSettersReject(t *testing.T) {
 		}
 		mut := reseal(bytes.Replace(data, spoil[0], spoil[1], 1))
 		for _, statementsOnly := range []bool{false, true} {
-			if _, err := decode(mut, testOptions(), statementsOnly); !errors.Is(err, ErrCorrupt) {
+			if _, err := decode(mut, nil, testOptions(), statementsOnly); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("%s (statements only: %v): got %v, want ErrCorrupt", what, statementsOnly, err)
 			}
 		}
@@ -568,7 +568,7 @@ func TestDecodeRejectsDescriptorOutsideTaxonomy(t *testing.T) {
 	comm.AddProduct(stray) // same ID: the first product, re-described
 	data := Encode(&Image{Epoch: 1, Seq: 3, Options: testOptions(), Community: comm})
 	for _, statementsOnly := range []bool{false, true} {
-		if _, err := decode(data, testOptions(), statementsOnly); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "descriptor") {
+		if _, err := decode(data, nil, testOptions(), statementsOnly); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "descriptor") {
 			t.Fatalf("statements only: %v: got %v, want ErrCorrupt naming the descriptor", statementsOnly, err)
 		}
 	}
@@ -597,13 +597,13 @@ func TestVersionMismatch(t *testing.T) {
 		t.Fatalf("got %v, want ErrVersion", err)
 	}
 	v1 := readFixture(t, "v1.swc")
-	if _, err := Decode(v1, testOptions()); !errors.Is(err, errV1) {
-		t.Fatalf("a v1 file: got %v, want errV1", err)
+	if _, err := Decode(v1, testOptions()); !errors.Is(err, errOlder) {
+		t.Fatalf("a v1 file: got %v, want errOlder", err)
 	}
 	binary.LittleEndian.PutUint32(v1[len(fileMagic):], fileVersion+1)
 	refoot(v1)
 	for _, statementsOnly := range []bool{false, true} {
-		if _, err := decode(v1, testOptions(), statementsOnly); !errors.Is(err, ErrVersion) || errors.Is(err, errV1) {
+		if _, err := decode(v1, nil, testOptions(), statementsOnly); !errors.Is(err, ErrVersion) || errors.Is(err, errOlder) {
 			t.Fatalf("a v1 header naming v%d: got %v, want ErrVersion", fileVersion+1, err)
 		}
 	}
@@ -705,7 +705,7 @@ func TestWriteImageFaults(t *testing.T) {
 func TestPeersOrdinalOutOfRangeIsCorruptAtLoad(t *testing.T) {
 	img := testImage(t, 4)
 	data := Encode(img)
-	secs, err := split(data)
+	secs, _, err := split(data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -802,7 +802,7 @@ func sealed(payloads ...[]byte) []byte {
 }
 
 // TestRecordFaults: a file whose records are whole, each resealed, but
-// do not make a v2 file — a section twice, one missing, an id v2 does not
+// do not make a v3 file — a section twice, one missing, an id v3 does not
 // know (the retired ones included), a trailer that miscounts or is not
 // last, no header — is ErrCorrupt, in both decode modes, with one error.
 func TestRecordFaults(t *testing.T) {

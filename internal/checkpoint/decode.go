@@ -19,16 +19,20 @@ import (
 // not match it (or, for a taxonomy-less checkpoint, its Product-
 // representation variant), Decode fails with ErrOptions. The returned
 // image's Options field is the accepted variant. data is only read: any
-// number of goroutines may decode one buffer at once.
+// number of goroutines may decode one buffer at once. The image's rows and
+// matrix may be views of data, so data must not change while it lives.
 func Decode(data []byte, opt core.Options) (*Image, error) {
-	return decode(data, opt, false)
+	return decode(data, nil, opt, false)
 }
 
-// decode is Decode; with statementsOnly it ignores the stored option
-// signature and stops after the statement sections, which mean the same
-// under any options, so Restore compiles the image cold under opt — how
-// Recover keeps the statements of a file written under other options, or
-// in v1 (Decode fails one with errV1). Every byte is still checksummed.
+// decode is Decode over a file in two buffers, tail continuing head at a
+// record boundary (Load's split; tail is nil for one buffer). The image's
+// arrays are views of head, never of tail. With statementsOnly it ignores
+// the stored option signature and stops after the statement sections,
+// which mean the same under any options, so Restore compiles the image
+// cold under opt — how Recover keeps the statements of a file written
+// under other options, or in v1 or v2 (Decode fails one with errOlder).
+// Every byte is still checksummed.
 //
 // After META, which decides the schedule, the sections decode as joined
 // tasks, a fixed set:
@@ -45,13 +49,20 @@ func Decode(data []byte, opt core.Options) (*Image, error) {
 // descriptors' bound and checked against the built taxonomy), and decode
 // returns nothing until every task has joined: of several faults, one,
 // ranked (see verdict).
-func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) {
-	secs, err := split(data)
-	// v1's header opens with the magic; a v2 file, with a record header.
-	if bytes.HasPrefix(data, []byte(fileMagic)) {
-		if secs, err = deframe(data); err == nil && !statementsOnly {
-			err = errV1
-		}
+func decode(head, tail []byte, opt core.Options, statementsOnly bool) (*Image, error) {
+	var secs map[uint32]section
+	var ver uint32
+	var err error
+	// v1's header opens with the magic, and Load never splits it; a later
+	// file opens with a record header.
+	if bytes.HasPrefix(head, []byte(fileMagic)) {
+		secs, err = deframe(append(head[:len(head):len(head)], tail...))
+		ver = v1Version
+	} else {
+		secs, ver, err = split(head, tail)
+	}
+	if err == nil && ver != fileVersion && !statementsOnly {
+		err = fmt.Errorf("%w (the file is v%d)", errOlder, ver)
 	}
 	if err != nil {
 		return nil, err
@@ -162,7 +173,7 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 	// the two statement sections the caller installs after the join.
 	topics := -1 // no taxonomy: a descriptor is an opaque label
 	if hasTax {
-		topics = declaredTopics(secs[secTaxonomy].b)
+		topics = declaredTopics(secs[secTaxonomy])
 	}
 	var prods []model.Product
 	if d := v.open(secs, secProducts, "products"); d != nil {
@@ -184,10 +195,11 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 	}
 
 	// Registration, then TRUST beside RATINGS: one row per agent, handed
-	// to the community whole. The rows were written in TrustedPeers /
-	// RatedProducts order, which the loaders verify and then adopt as the
-	// agents' rows. The two loaders write disjoint fields of records this
-	// community owns (model.Community.LoadTrust).
+	// to the community whole — in v3 a view of the file buffer. The rows
+	// were written in TrustedPeers / RatedProducts order, which the
+	// loaders verify and then adopt as the agents' rows. The two loaders
+	// write disjoint fields of records this community owns
+	// (model.Community.LoadTrust).
 	var comm *model.Community
 	if v.clear(secAgents) {
 		comm = model.NewCommunitySized(tax, nAgents, len(prods))
@@ -209,15 +221,19 @@ func decode(data []byte, opt core.Options, statementsOnly bool) (*Image, error) 
 	if v.clear(secProducts) {
 		// A missing section is already noted, and its open returned nil.
 		var trustErr error
+		rows := loadTable
+		if ver <= v2Version {
+			rows = loadRows
+		}
 		if dt != nil {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				trustErr = loadRows(dt, nAgents, nAgents, "trust", comm.LoadTrust)
+				trustErr = rows(dt, nAgents, nAgents, "trust", comm.LoadTrust)
 			}()
 		}
 		if dr != nil {
-			v.note(secRatings, loadRows(dr, nAgents, len(prods), "ratings", comm.LoadRatings))
+			v.note(secRatings, rows(dr, nAgents, len(prods), "ratings", comm.LoadRatings))
 		}
 		wg.Wait()
 		v.note(secTrust, trustErr)
@@ -272,7 +288,7 @@ func (v *verdict) open(secs map[uint32]section, id uint32, what string) *dec {
 	if !v.verify(id, s) {
 		return nil
 	}
-	return &dec{b: s.b}
+	return s.decoder()
 }
 
 // checkRest is task (a): the checksum of every section the other tasks do
@@ -329,8 +345,8 @@ func decodeTaxonomy(d *dec) (*taxonomy.Taxonomy, error) {
 // declaredTopics is the node count the TAXONOMY section's header
 // declares: the root plus the count decodeTaxonomy reads from the same
 // bytes, so a taxonomy that builds has exactly this many topics.
-func declaredTopics(b []byte) int {
-	d := &dec{b: b}
+func declaredTopics(s section) int {
+	d := s.decoder()
 	d.bytes(d.count(d.uv(), 1, "taxonomy root"), "taxonomy root")
 	return d.count(d.uv(), 3, "taxonomy node") + 1
 }
@@ -377,11 +393,46 @@ func decodeProducts(d *dec, raw uint64, topics int) ([]model.Product, error) {
 	return prods, nil
 }
 
-// loadRows installs one statement section — per agent a count, then
-// (ordinal, value) pairs — a row at a time through load, which adopts
-// it. The rows are decoded into one arena, counted out first, so no
-// append moves a row already handed over, and a restored community's
-// rows lie side by side.
+// loadTable installs one v3 statement section — per agent a u32 row
+// end, a pad, then the entries — a row at a time through load, which
+// checks it, each ordinal's range included, and adopts it: each row is a
+// view of the section's entry array, cut with its capacity at its end, so
+// a write to a row copies it first (model.Agent.writable) and never
+// reaches the next one. Its signature is loadRows'; it has no use for the
+// ordinal limit.
+func loadTable(d *dec, nAgents, _ int, what string, load func(int32, model.Row) error) error {
+	ends := d.bytes(4*d.count(uint64(nAgents), 4, what+" row end"), what+" row ends")
+	prev := uint32(0)
+	for a := 0; a < len(ends) && d.err == nil; a += 4 {
+		end := binary.LittleEndian.Uint32(ends[a:])
+		if end < prev {
+			d.err = fmt.Errorf("%w: %s row ends decrease at agent %d", ErrCorrupt, what, a/4)
+		}
+		prev = end
+	}
+	d.align(what + " entries")
+	if d.err == nil && (d.rem()%entrySize != 0 || uint64(prev) != uint64(d.rem()/entrySize)) {
+		d.err = fmt.Errorf("%w: the %s row ends count %d entries, the section holds %d bytes of them", ErrCorrupt, what, prev, d.rem())
+	}
+	arena := d.entries(int(prev), what)
+	if d.err != nil {
+		return d.err
+	}
+	start := uint32(0)
+	for a := 0; a < nAgents; a++ {
+		end := binary.LittleEndian.Uint32(ends[4*a:])
+		if err := load(int32(a), arena[start:end:end]); err != nil {
+			return fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
+		}
+		start = end
+	}
+	return nil
+}
+
+// loadRows installs one v1 or v2 statement section — per agent a count,
+// then (varint ordinal, value) pairs — a row at a time through load,
+// which adopts it. The rows are decoded into one arena, counted out
+// first, so no append moves a row already handed over.
 func loadRows(d *dec, nAgents, limit int, what string, load func(int32, model.Row) error) error {
 	arena := make(model.Row, 0, min(entries(*d, nAgents, what), len(d.b)))
 	for a := 0; a < nAgents; a++ {
@@ -400,8 +451,9 @@ func loadRows(d *dec, nAgents, limit int, what string, load func(int32, model.Ro
 	return nil
 }
 
-// entries counts the (ordinal, value) pairs of a statement section by
-// skipping over them; a fault is left for the decode to report.
+// entries counts the (ordinal, value) pairs of a v1 or v2 statement
+// section by skipping over them; a fault is left for the decode to
+// report.
 func entries(d dec, nAgents int, what string) int {
 	total := 0
 	for a := 0; a < nAgents && d.err == nil; a++ {
@@ -415,51 +467,45 @@ func entries(d dec, nAgents int, what string) int {
 	return total
 }
 
-// decodeProfmat rebuilds the profile rows over two shared arenas,
-// preserving the compiled-form property that rows alias contiguous
-// storage.
+// decodeProfmat cuts the profile rows from the section's two arenas —
+// views of the file buffer where they can be (arrays.go) — so a restored
+// matrix keeps the compiled form's property that rows alias contiguous
+// storage. Only the row headers are allocated.
 func decodeProfmat(d *dec, nAgents int) ([]profmat.Row, error) {
 	n := d.count(d.uv(), 4, "profmat row")
 	if d.err == nil && n != nAgents {
 		return nil, fmt.Errorf("%w: %d profmat rows for %d agents", ErrCorrupt, n, nAgents)
 	}
-	lens := make([]int, n)
+	lens := d.bytes(4*n, "profmat row lengths")
 	total := 0
-	for i := 0; i < n; i++ {
-		lens[i] = int(d.u32())
-		total += lens[i]
+	for i := 0; i < len(lens); i += 4 {
+		total += int(binary.LittleEndian.Uint32(lens[i:]))
 	}
 	if d.err == nil && uint64(total) > uint64(d.rem())/12+1 {
 		return nil, fmt.Errorf("%w: absurd profmat nnz %d", ErrCorrupt, total)
 	}
-	keys := make([]int32, total)
-	vals := make([]float64, total)
-	kb := d.bytes(4*total, "profmat key arena")
-	vb := d.bytes(8*total, "profmat value arena")
+	d.align("profmat key arena")
+	keys := d.int32s(total, "profmat key arena")
+	d.align("profmat value arena")
+	vals := d.float64s(total, "profmat value arena")
+	norms := d.bytes(16*n, "profmat norms")
+	if d.err == nil && d.rem() != 0 {
+		d.err = fmt.Errorf("%w: %d bytes after the profmat norms", ErrCorrupt, d.rem())
+	}
 	if d.err != nil {
 		return nil, d.err
-	}
-	for i := range keys {
-		keys[i] = int32(binary.LittleEndian.Uint32(kb[4*i:]))
-	}
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(vb[8*i:]))
 	}
 	rows := make([]profmat.Row, n)
 	off := 0
-	for i := 0; i < n; i++ {
+	for i := range rows {
+		k := int(binary.LittleEndian.Uint32(lens[4*i:]))
 		rows[i] = profmat.Row{
-			Keys: keys[off : off+lens[i] : off+lens[i]],
-			Vals: vals[off : off+lens[i] : off+lens[i]],
+			Keys: keys[off : off+k : off+k],
+			Vals: vals[off : off+k : off+k],
+			Norm: math.Float64frombits(binary.LittleEndian.Uint64(norms[16*i:])),
+			Sum:  math.Float64frombits(binary.LittleEndian.Uint64(norms[16*i+8:])),
 		}
-		off += lens[i]
-	}
-	for i := 0; i < n; i++ {
-		rows[i].Norm = d.f64()
-		rows[i].Sum = d.f64()
-	}
-	if d.err != nil {
-		return nil, d.err
+		off += k
 	}
 	return rows, nil
 }

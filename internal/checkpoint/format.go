@@ -2,11 +2,10 @@
 // community's statements, the profile-matrix arenas, the warm
 // neighborhood cache and the epoch↔WAL-sequence mapping — so a restart
 // loads the serving state in O(file size) instead of recomputing Appleseed
-// and Eq. 3. A restored neighborhood stays in the file buffer until first
-// read. These files are the installation's only durable snapshot:
+// and Eq. 3. These files are the installation's only durable snapshot:
 // internal/ingest truncates the WAL behind them (DESIGN.md §11).
 //
-// File format v2 is a sequence of internal/frame records (integers
+// File format v3 is a sequence of internal/frame records (integers
 // little-endian; varints where noted):
 //
 //	header:   "SWRECKP1" | u32 version
@@ -17,11 +16,26 @@
 // boundary leaves no trailer, a torn record shows through its length, a
 // bit flip fails its record's checksum. A write streams the sections
 // through one reused buffer into a temporary, then fsyncs and renames it
-// to ckpt-<seq>.swc. A load walks the records without copying and decodes
-// the sections as joined tasks. Load rejects option-signature mismatches
-// (ErrOptions) and unknown versions (ErrVersion); of a v1 file only the
-// statements are read (v1.go). Recover keeps the statements of either and
-// recompiles, and falls back through retained checkpoints to the corpus.
+// to ckpt-<seq>.swc.
+//
+// The bulk arrays — PROFMAT's key and value arenas, the statements of
+// TRUST and RATINGS — are stored in exactly the layout the server reads,
+// each at an 8-aligned file offset behind a pad (a count byte, then that
+// many zero bytes). A load checks each record's checksum and then adopts
+// those arrays as views of the file buffer, with no per-element copy
+// (arrays.go; a big-endian GOARCH or a misaligned buffer copies element
+// by element instead). Load reads the file into two buffers: the records
+// before PEERS, which the adopted arrays keep alive for as long as a
+// restored row lives, and PEERS with the trailer, which lives only as long
+// as a restored neighborhood not yet read. The sections decode as joined
+// tasks.
+//
+// Load rejects option-signature mismatches (ErrOptions) and unknown
+// versions (ErrVersion). Of a v1 or v2 file only the statements are read:
+// v2's statement sections are v1's, varint rows the v3 build reads with
+// its statements-only reader (v1.go is v1's container). Recover keeps the
+// statements of any of the three and recompiles, and falls back through
+// retained checkpoints to the corpus.
 package checkpoint
 
 import (
@@ -31,7 +45,6 @@ import (
 	"math"
 
 	"swrec/internal/frame"
-	"swrec/internal/model"
 )
 
 const (
@@ -40,11 +53,14 @@ const (
 	// fileVersion is the format version this build writes and reads in
 	// full. Once the WAL is truncated these files are the only copy of the
 	// early records, so a build that bumps it must still read the
-	// previous version's statement sections: v1.go is that reader. Any
-	// other version is ErrVersion, not a best-effort parse.
-	fileVersion = 2
-	headerSize  = len(fileMagic) + 4 // the header record: magic, version
-	trailerID   = 0                  // opens the trailer record, before the section count
+	// earlier versions' statement sections: loadRows reads v1's and v2's,
+	// v1.go v1's container. Any other version is ErrVersion, not a
+	// best-effort parse.
+	fileVersion = 3
+	// v2Version is the last version whose statements are varint rows.
+	v2Version  = 2
+	headerSize = len(fileMagic) + 4 // the header record: magic, version
+	trailerID  = 0                  // opens the trailer record, before the section count
 )
 
 // Section identifiers, written in ascending order; an id the reader does
@@ -54,17 +70,25 @@ const (
 //	 2 TAXONOMY    per topic: name, primary parent, extra parents
 //	 3 AGENTS      per agent: URI, name — the order is the agent ordinal
 //	 4 PRODUCTS    per product: ID, title, ISBN, descriptors — likewise
-//	 5 TRUST       per agent: (target ordinal, value) in TrustedPeers order
-//	 6 RATINGS     per agent: (product ordinal, value) in RatedProducts order
-//	 7 PROFMAT     the profile matrix: row lengths, key arena, value arena, norm/sum
+//	 5 TRUST       per agent a u32 row end; pad; the rows' entries
+//	 6 RATINGS     likewise, the product ordinal in each entry
+//	 7 PROFMAT     varint row count; per row a u32 length; pad; i32 key arena;
+//	               pad; f64 value arena; per row f64 norm, f64 sum
 //	 8 retired     TOPICINDEX, per populated topic its product ordinals
 //	 9 PEERS       per cached neighborhood: agent ordinal, pipe key (engine.PipeSize bytes), fixed-width ranks (peer ordinal first)
 //	10 retired     PROFILES, the warm Eq. 3 profile cache
 //
+// A statement entry is model.Entry as it lies in memory: i32 target
+// ordinal, 4 zero pad bytes, f64 value; agent a's row is the entries from
+// the previous agent's row end (0 for the first) to its own, in
+// TrustedPeers / RatedProducts order. The row ends must not decrease, and
+// the last is the entry count. In v1 and v2 a row is a varint length,
+// then per entry a varint ordinal and an f64 (loadRows).
+//
 // Ids 8 and 10 and META's flag bit 4, which announced section 8, are v1's
-// and not in v2 (the topic index derives from sections 2 and 4; profiles
-// are the rows of section 7). A v1 file that carries them gives back its
-// statements; the two are checksummed, never decoded.
+// and not in v2 or v3 (the topic index derives from sections 2 and 4;
+// profiles are the rows of section 7). A v1 file that carries them gives
+// back its statements; the two are checksummed, never decoded.
 const (
 	secMeta = iota + 1
 	secTaxonomy
@@ -108,16 +132,6 @@ func (e *enc) uv(v uint64)   { e.b = binary.AppendUvarint(e.b, v) }
 func (e *enc) f64(v float64) { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
 func (e *enc) str(s string)  { e.b = append(binary.AppendUvarint(e.b, uint64(len(s))), s...) }
 
-// row writes one statement row: its length, then per entry the target's
-// ordinal and the value.
-func (e *enc) row(r model.Row) {
-	e.uv(uint64(len(r)))
-	for _, s := range r {
-		e.uv(uint64(s.Ord))
-		e.f64(s.Val)
-	}
-}
-
 // dec walks one section payload, latching the first bounds error so call
 // sites read linearly and check err once at the end. It advances an
 // offset cursor instead of re-slicing b: the primitive readers run
@@ -125,6 +139,7 @@ func (e *enc) row(r model.Row) {
 // (plus its GC write barrier) is measurable at that rate.
 type dec struct {
 	b   []byte
+	at  int    // the file offset of b[0], which an array's alignment is checked against
 	s   string // b as a string, made at the first str; every string read is a substring of it
 	off int
 	err error
@@ -243,18 +258,30 @@ func (d *dec) count(n uint64, min int, what string) int {
 	return int(n)
 }
 
-// section is one section's bytes, aliasing the file, and their record.
+// section is one section's bytes, aliasing the file, their file offset,
+// and their record.
 type section struct {
 	b   []byte
+	at  int
 	rec frame.Record
 }
 
-// split walks a v2 file's records and returns its sections by id. It checks
-// the header and trailer whole, and each section's id, not its checksum.
-func split(data []byte) (map[uint32]section, error) {
+// decoder returns a decoder over the section's bytes.
+func (s section) decoder() *dec { return &dec{b: s.b, at: s.at} }
+
+// split walks a v2 or v3 file's records — through head, then on through
+// tail, which Load cuts off at a record boundary (tail is empty for a file
+// in one buffer) — and returns its sections by id and its version. It
+// checks the header and trailer whole, and each section's id, not its
+// checksum.
+func split(head, tail []byte) (map[uint32]section, uint32, error) {
 	secs := make(map[uint32]section, secPeers)
-	trailer := false
-	_, torn, err := frame.Walk(data, func(off int, r frame.Record) error {
+	var ver uint32
+	var torn, trailer bool
+	var err error
+	base := 0 // the file offset of the part being walked
+	visit := func(off int, r frame.Record) error {
+		off += base
 		p := r.Payload
 		switch {
 		case trailer:
@@ -263,8 +290,8 @@ func split(data []byte) (map[uint32]section, error) {
 			if len(p) != headerSize || string(p[:len(fileMagic)]) != fileMagic || !r.Intact() {
 				return fmt.Errorf("%w: bad header record", ErrCorrupt)
 			}
-			if ver := binary.LittleEndian.Uint32(p[len(fileMagic):]); ver != fileVersion {
-				return fmt.Errorf("%w: file is v%d, this build reads v%d (and v1's statements)", ErrVersion, ver, fileVersion)
+			if ver = binary.LittleEndian.Uint32(p[len(fileMagic):]); ver != fileVersion && ver != v2Version {
+				return fmt.Errorf("%w: file is v%d, this build reads v%d (and the statements of v1 and v2)", ErrVersion, ver, fileVersion)
 			}
 			return nil
 		case len(p) < 4:
@@ -282,15 +309,21 @@ func split(data []byte) (map[uint32]section, error) {
 			if _, dup := secs[id]; dup {
 				return fmt.Errorf("%w: duplicate section %d", ErrCorrupt, id)
 			}
-			secs[id] = section{b: p[4:], rec: r}
+			secs[id] = section{b: p[4:], at: off + frame.HeaderSize + 4, rec: r}
 		}
 		return nil
-	})
+	}
+	for _, part := range [][]byte{head, tail} {
+		if _, torn, err = frame.Walk(part, visit); torn || err != nil {
+			break
+		}
+		base += len(part)
+	}
 	if err == nil && (torn || !trailer) {
 		err = fmt.Errorf("%w: no trailer record (truncated write?)", ErrCorrupt)
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return secs, nil
+	return secs, ver, nil
 }

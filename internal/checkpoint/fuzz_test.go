@@ -4,10 +4,13 @@ package checkpoint
 // checkpoint file is read back after a crash, from a disk that may have
 // torn or rotted it, and its counts size the decoder's allocations —
 // boundedmake checks those bounds statically; this checks them by
-// running. An image the decoder accepts is restored into an engine and
-// driven through the catalog index and a full recompile, so a file that
-// decodes but crashes the engine is a finding too — for the full decode
-// and for the statements-only one alike. Run with
+// running. Every input is decoded twice, through the path that adopts the
+// arrays in place and the one that copies them element by element; the
+// two must agree on the verdict and, on success, bit for bit. An image
+// the decoder accepts is restored into an engine and driven through the
+// catalog index and a full recompile, so a file that decodes but crashes
+// the engine is a finding too — for the full decode and for the
+// statements-only one alike. Run with
 //
 //	go test -fuzz FuzzDecode ./internal/checkpoint
 //
@@ -26,7 +29,7 @@ import (
 
 // reseal recomputes every checksum over whatever a mutation left, so the
 // mutated payloads get past them and reach the decoders, where the bounds
-// checks are: in a v2 file every record's, in a v1 file every section's
+// checks are: in a v2 or v3 file every record's, in a v1 file every section's
 // and the footer's. It follows the lengths as far as they stay inside the
 // file.
 func reseal(data []byte) []byte {
@@ -56,12 +59,13 @@ func reseal(data []byte) []byte {
 	return out
 }
 
-// FuzzDecode is seeded with a v2 file, its cuts and flips, and the two v1
-// fixtures.
+// FuzzDecode is seeded with a v3 file, its cuts and flips, the v2 fixture
+// and the two v1 fixtures.
 func FuzzDecode(f *testing.F) {
 	img := testImage(f, 7)
 	data := Encode(img)
 	f.Add(data)
+	f.Add(readFixture(f, "v2.swc"))
 	f.Add(readFixture(f, "v1.swc"))
 	f.Add(readFixture(f, "v1-retired.swc")) // with the retired sections 8 and 10
 	f.Add([]byte{})
@@ -79,13 +83,12 @@ func FuzzDecode(f *testing.F) {
 		flipped[off] ^= 0x41
 		f.Add(flipped)
 	}
-	opt := testOptions()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]byte{data, reseal(data)} {
 			// The full decode, and the statements-only one Recover falls
 			// back to on ErrOptions.
 			for _, statementsOnly := range []bool{false, true} {
-				img, err := decode(in, opt, statementsOnly)
+				img, err := decodeBoth(t, in, statementsOnly)
 				switch {
 				case err == nil:
 					if img == nil || img.Community == nil {

@@ -72,7 +72,7 @@ type Result struct {
 	// Source names the rung that served: "checkpoint" (1),
 	// "checkpoint-prev" (2), or "corpus" (3) — or, on rung 1 or 2,
 	// "checkpoint-recompiled" when the file was written under other
-	// options or in format v1 and only its statements were kept: the
+	// options or in format v1 or v2 and only its statements were kept: the
 	// state is as current as that rung's, but the engine starts cold.
 	Source string
 	// Rung is the ladder position, 1 (best) through 3 (cold rebuild).
@@ -94,13 +94,13 @@ type Result struct {
 // corpus. Every rejection is logged and recorded. Corruption in any file
 // on the way down is detected (checksums), never served, and a rung is
 // taken only when the retained WAL still holds every record after it. A
-// checkpoint compiled under other options, or written in format v1, stays
-// on its rung: only its statements are read and compiled cold. When no
-// checkpoint is readable (all corrupt, missing, uncovered, or of a format
-// version this build does not speak) and the WAL no longer starts at
-// sequence 1, nothing can rebuild the acknowledged state, and Recover
-// fails naming each file's reason and the gap instead of serving a
-// community that is missing writes.
+// checkpoint compiled under other options, or written in format v1 or
+// v2, stays on its rung: only its statements are read and compiled cold.
+// When no checkpoint is readable (all corrupt, missing, uncovered, or of
+// a format version this build does not speak) and the WAL no longer
+// starts at sequence 1, nothing can rebuild the acknowledged state, and
+// Recover fails naming each file's reason and the gap instead of serving
+// a community that is missing writes.
 func Recover(cfg RecoverConfig) (*Result, error) {
 	start := time.Now()
 	logf := cfg.Logf
@@ -136,7 +136,7 @@ func Recover(cfg RecoverConfig) (*Result, error) {
 		}
 		var ph phases
 		t := time.Now()
-		data, err := readFile(info.Path)
+		head, tail, err := readFile(info.Path)
 		ph.read = time.Since(t)
 		if err != nil {
 			rejectedStat.Add(1)
@@ -144,16 +144,17 @@ func Recover(cfg RecoverConfig) (*Result, error) {
 			continue
 		}
 		t = time.Now()
-		img, err := Decode(data, cfg.Options)
-		recompiled := errors.Is(err, ErrOptions) || errors.Is(err, errV1)
+		img, err := decode(head, tail, cfg.Options, false)
+		recompiled := errors.Is(err, ErrOptions) || errors.Is(err, errOlder)
 		if recompiled {
-			// Compiled under other options or written in v1: its rows and
-			// caches are of no use to this engine, its statements are. Keep
-			// those and let Restore compile them cold, so an installation
-			// whose WAL has been truncated can change options and upgrade.
+			// Compiled under other options or written in v1 or v2: its rows
+			// and caches are of no use to this engine, its statements are.
+			// Keep those and let Restore compile them cold, so an
+			// installation whose WAL has been truncated can change options
+			// and upgrade.
 			res.Fallbacks = append(res.Fallbacks, fmt.Sprintf("%s: %v (statements kept, recompiled)", info.Path, err))
 			logf("recovery: %s: %v; keeping its statements and recompiling", info.Path, err)
-			img, err = decode(data, cfg.Options, true)
+			img, err = decode(head, tail, cfg.Options, true)
 		}
 		ph.decode = time.Since(t)
 		if err != nil {

@@ -14,9 +14,10 @@ import (
 //	section:  u32 id | u64 payload length | payload | u32 crc32(payload)
 //	footer:   u32 footer magic | u32 crc32(every preceding file byte)
 //
-// Its statement sections are v2's byte for byte; its compiled ones are
-// checksummed, never decoded. Decode fails a v1 file with errV1, and
-// Recover keeps its statements and recompiles, as on ErrOptions.
+// Its statement sections are v2's byte for byte (loadRows reads both);
+// its compiled ones are checksummed, never decoded. Decode fails a v1
+// file with errOlder, and Recover keeps its statements and recompiles, as
+// on ErrOptions.
 const (
 	v1Version     = 1
 	v1HeaderLen   = len(fileMagic) + 8 // magic + version + section count
@@ -25,8 +26,8 @@ const (
 	v1FooterMagic = 0x43465753         // "SWFC"
 )
 
-// errV1 is Decode's answer to a whole v1 file.
-var errV1 = fmt.Errorf("%w: a v1 file, of which this build reads the statements only", ErrVersion)
+// errOlder is Decode's answer to a whole v1 or v2 file.
+var errOlder = fmt.Errorf("%w: an older format, of which this build reads the statements only", ErrVersion)
 
 // deframe checks the v1 container — version, the footer's whole-file
 // checksum, the section table — and returns the sections by id, their own
@@ -40,7 +41,7 @@ func deframe(data []byte) (map[uint32]section, error) {
 		return nil, fmt.Errorf("%w: bad footer magic (torn write?)", ErrCorrupt)
 	}
 	if ver := binary.LittleEndian.Uint32(data[len(fileMagic):]); ver != v1Version {
-		return nil, fmt.Errorf("%w: file is v%d, this build reads v%d (and v1's statements)", ErrVersion, ver, fileVersion)
+		return nil, fmt.Errorf("%w: file is v%d, this build reads v%d (and the statements of v1 and v2)", ErrVersion, ver, fileVersion)
 	}
 	if crc32.ChecksumIEEE(data[:end]) != binary.LittleEndian.Uint32(data[end+4:]) {
 		return nil, fmt.Errorf("%w: file checksum mismatch", ErrCorrupt)

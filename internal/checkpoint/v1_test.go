@@ -50,19 +50,29 @@ func refoot(data []byte) {
 }
 
 // asV1 returns the v1 file an earlier build would have written with the
-// sections of data, a v2 file: v1's container around the same section
-// bytes (which the two versions share, but for PEERS's pipe keys, which a
-// v1 read never decodes), with extra sections added in id order and
-// META's flags or'ed with flags.
+// sections of data, a v3 file: v1's container around the same section
+// bytes — the statement sections rewritten as v1's varint rows (v1's
+// other sections are v3's, but for PEERS's pipe keys and PROFMAT's
+// pads, which a v1 read never decodes) — with extra sections added in id
+// order and META's flags or'ed with flags.
 func asV1(t testing.TB, data []byte, flags uint8, extra map[uint32][]byte) []byte {
 	t.Helper()
-	secs, err := split(data)
+	secs, _, err := split(data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payloads := map[uint32][]byte{}
+	img, err := decode(data, nil, testOptions(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := map[uint32][]byte{
+		secTrust:   varintRows(img.Community, (*model.Agent).TrustedPeers),
+		secRatings: varintRows(img.Community, (*model.Agent).RatedProducts),
+	}
 	for id, s := range secs {
-		payloads[id] = s.b
+		if payloads[id] == nil {
+			payloads[id] = s.b
+		}
 	}
 	for id, b := range extra {
 		payloads[id] = b
@@ -96,8 +106,23 @@ func asV1(t testing.TB, data []byte, flags uint8, extra map[uint32][]byte) []byt
 	return out
 }
 
+// varintRows is a statement section as v1 and v2 wrote it: per agent its
+// row's length, then per entry the target's ordinal and the value.
+func varintRows(comm *model.Community, row func(*model.Agent) model.Row) []byte {
+	var e enc
+	for _, id := range comm.Agents() {
+		r := row(comm.Agent(id))
+		e.uv(uint64(len(r)))
+		for _, s := range r {
+			e.uv(uint64(s.Ord))
+			e.f64(s.Val)
+		}
+	}
+	return e.b
+}
+
 // withRetiredProfiles returns the v1 file an earlier build would have
-// written for img, data being img's v2 file: its sections plus PROFILES
+// written for img, data being img's v3 file: its sections plus PROFILES
 // (id 10: per agent its ordinal, entry count and key/value pairs — the
 // same numbers as the profile-matrix rows).
 func withRetiredProfiles(t testing.TB, data []byte, img *Image) []byte {
@@ -115,7 +140,7 @@ func withRetiredProfiles(t testing.TB, data []byte, img *Image) []byte {
 }
 
 // WithRetiredTopicIndex returns the v1 file a build from before the
-// topic index was retired wrote for the snapshot data, a v2 file, holds:
+// topic index was retired wrote for the snapshot data, a v3 file, holds:
 // META's flag bit 4 set, and the TOPICINDEX section (id 8: the populated
 // topics ascending, each with its products' ordinals in catalog order)
 // between PROFMAT and PEERS. Exported for the package's external tests.
@@ -144,7 +169,7 @@ func WithRetiredTopicIndex(t testing.TB, data []byte, comm *model.Community) []b
 	return asV1(t, data, 4, map[uint32][]byte{secTopicIndexRetired: ei.b})
 }
 
-// requireRetiredSectionLoads: old, the statements of data (a v2 file) in
+// requireRetiredSectionLoads: old, the statements of data (a v3 file) in
 // a v1 file that carries retired section id as an earlier build wrote it,
 // gives back exactly data's statements, and the engine recompiled from
 // them serves what data's restored engine serves; and retired does not
@@ -159,16 +184,16 @@ func requireRetiredSectionLoads(t *testing.T, data, old []byte, id uint32) {
 	if len(secs[id].b) == 0 {
 		t.Fatalf("the fixture carries no section %d", id)
 	}
-	got, err := decode(old, testOptions(), true)
+	got, err := decode(old, nil, testOptions(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := decode(data, testOptions(), true)
+	want, err := decode(data, nil, testOptions(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(Encode(got), Encode(want)) {
-		t.Fatal("the v1 file's statements differ from the v2 file's")
+		t.Fatal("the v1 file's statements differ from the v3 file's")
 	}
 	img, err := Decode(data, testOptions())
 	if err != nil {
@@ -184,7 +209,7 @@ func requireRetiredSectionLoads(t *testing.T, data, old []byte, id uint32) {
 	}
 	with, warm := restore(got), restore(img)
 	if a, b := recsDigest(t, with.Snapshot()), recsDigest(t, warm.Snapshot()); a != b {
-		t.Fatalf("the v1 file serves other answers:\n--- v2 ---\n%s\n--- v1 ---\n%s", b, a)
+		t.Fatalf("the v1 file serves other answers:\n--- v3 ---\n%s\n--- v1 ---\n%s", b, a)
 	}
 	if with.Epoch() != warm.Epoch() {
 		t.Fatalf("epoch %d vs %d", with.Epoch(), warm.Epoch())
@@ -194,7 +219,7 @@ func requireRetiredSectionLoads(t *testing.T, data, old []byte, id uint32) {
 	secs, _ = deframe(torn) // the payloads alias torn
 	secs[id].b[len(secs[id].b)-1] ^= 0x01
 	refoot(torn)
-	if _, err := decode(torn, testOptions(), true); !errors.Is(err, ErrCorrupt) {
+	if _, err := decode(torn, nil, testOptions(), true); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt retired section %d: got %v, want ErrCorrupt", id, err)
 	}
 }
@@ -263,7 +288,7 @@ func TestV1FixturesGiveBackStatements(t *testing.T) {
 				if off >= version && off < version+4 {
 					want = ErrVersion
 				}
-				if _, err := decode(mut, testOptions(), true); !errors.Is(err, want) {
+				if _, err := decode(mut, nil, testOptions(), true); !errors.Is(err, want) {
 					t.Fatalf("flip at offset %d/%d: got %v, want %v", off, len(data), err, want)
 				}
 			}
@@ -275,14 +300,14 @@ func TestV1FixturesGiveBackStatements(t *testing.T) {
 					mut := bytes.Clone(data)
 					mut[at] ^= 0x41
 					refoot(mut)
-					if _, err := decode(mut, testOptions(), true); !errors.Is(err, ErrCorrupt) {
+					if _, err := decode(mut, nil, testOptions(), true); !errors.Is(err, ErrCorrupt) {
 						t.Fatalf("flip at offset %d in section %d, footer resealed: got %v, want ErrCorrupt", at, id, err)
 					}
 				}
 				off = end + 4
 			}
 			for _, cut := range []int{0, 1, v1HeaderLen - 1, v1HeaderLen, v1HeaderLen + v1SectionHdr, len(data) / 2, len(data) - v1FooterLen, len(data) - 1} {
-				if _, err := decode(data[:cut], testOptions(), true); !errors.Is(err, ErrCorrupt) {
+				if _, err := decode(data[:cut], nil, testOptions(), true); !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("truncation to %d/%d: got %v, want ErrCorrupt", cut, len(data), err)
 				}
 			}

@@ -11,8 +11,10 @@ import (
 // the same target wins) for a loader whose rows are already keyed by
 // ordinal: a row in TrustedPeers order with no target stated twice — a
 // serialized community's is — becomes the agent's row as it stands,
-// array and all, so the caller must not write it afterwards. Any
-// other row is installed entry by entry. It rejects what SetTrust
+// array and all (a checkpoint load hands in views of its file buffer),
+// so the caller must not write it afterwards; the record does not own
+// it, so its first write here copies it. Any other row is installed
+// entry by entry. It rejects what SetTrust
 // rejects, plus ordinals outside the community, and then leaves the
 // agent as it was.
 //
