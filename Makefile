@@ -1,6 +1,6 @@
-# swrec — standard development targets. The runtime is stdlib-only Go;
-# the one external module is golang.org/x/tools (vendored), used at
-# lint time only to build cmd/swrecvet on the go/analysis framework.
+# swrec — standard development targets. The module is stdlib-only Go
+# with no requirements: the lint tool (cmd/swrecvet) is built on go/types
+# like everything else, so every target builds offline, vendor-free.
 
 GO ?= go
 
@@ -27,7 +27,7 @@ SWRECVET_SRC := $(shell find cmd/swrecvet internal/analysis -name '*.go' -not -p
 bin/swrecvet: $(SWRECVET_SRC)
 	$(GO) build -o bin/swrecvet ./cmd/swrecvet
 
-# lint builds the swrecvet multichecker (only when its sources changed)
+# lint builds the swrecvet vet tool (only when its sources changed)
 # and drives it through go vet, so the project analyzers (boundedmake,
 # ctxflow, detrand, durableerr, goleak, hotalloc, snapshotfreeze,
 # snapshotpin, urikey) run with full type information.

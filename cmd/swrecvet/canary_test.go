@@ -95,10 +95,7 @@ func TestCanaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tool := filepath.Join(t.TempDir(), "swrecvet")
-	if out, err := exec.Command("go", "build", "-o", tool, ".").CombinedOutput(); err != nil {
-		t.Fatalf("build swrecvet: %v\n%s", err, out)
-	}
+	tool := buildTool(t)
 	for _, name := range registry.Names() {
 		c := canaries[name]
 		t.Run(name, func(t *testing.T) {

@@ -1,15 +1,16 @@
-// Package analyzertest is a hermetic, dependency-free reimplementation
-// of the golang.org/x/tools analysistest harness. The real harness
-// sits on go/packages, which the toolchain does not vendor for vet;
-// this one loads fixtures with go/parser + go/types and a testdata-only
-// importer, so analyzer tests run offline with no module downloads.
+// Package analyzertest runs one swrecvet analyzer over a fixture
+// package and checks its diagnostics against the fixture's annotations.
+// It loads fixtures with go/parser + go/types and a testdata-only
+// importer, and runs the analyzer through lintutil.Run, the same entry
+// the go vet driver (cmd/swrecvet) uses, so analyzer tests run offline
+// with no module downloads.
 //
-// Layout mirrors analysistest: Run(t, a, "pkgname") type-checks every
-// .go file under testdata/src/pkgname (relative to the test's working
-// directory), runs a's Requires closure and then a itself, and matches
-// each diagnostic against `// want "regexp"` (or backquoted)
-// annotations on the same line. Unmatched diagnostics and unmatched
-// want annotations both fail the test.
+// Run(t, a, "pkgpath") type-checks every .go file under
+// testdata/src/pkgpath (relative to the test's working directory), runs
+// a after what it Requires, and matches each of a's diagnostics against
+// `// want "regexp"` (or backquoted) annotations on the same line.
+// Unmatched diagnostics and unmatched want annotations both fail the
+// test.
 //
 // Imports inside fixtures resolve exclusively against testdata/src:
 // fixtures ship small stubs for the stdlib slices they touch (context,
@@ -29,19 +30,18 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
+	"swrec/internal/analysis/lintutil"
 )
 
-// Run loads testdata/src/<pkgpath>, applies a (and its Requires
-// closure), and asserts the diagnostics match the fixture's // want
+// Run loads testdata/src/<pkgpath>, runs a (after what it Requires),
+// and asserts the diagnostics match the fixture's // want
 // annotations.
-func Run(t *testing.T, a *analysis.Analyzer, pkgpath string) {
+func Run(t *testing.T, a *lintutil.Analyzer, pkgpath string) {
 	t.Helper()
 	root, err := filepath.Abs(filepath.Join("testdata", "src"))
 	if err != nil {
@@ -57,12 +57,8 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgpath string) {
 		t.Fatalf("analyzertest: loading %s: %v", pkgpath, err)
 	}
 
-	var diags []analysis.Diagnostic
-	report := func(d analysis.Diagnostic) { diags = append(diags, d) }
-	if err := runWithDeps(a, lp, ld.fset, report, make(map[*analysis.Analyzer]any)); err != nil {
-		t.Fatalf("analyzertest: running %s: %v", a.Name, err)
-	}
-	check(t, a, ld.fset, lp.files, diags)
+	diags := lintutil.Run(ld.fset, lp.files, lp.pkg, lp.info, []*lintutil.Analyzer{a})
+	check(t, a, ld.fset, lp.files, diags[a])
 }
 
 type loaded struct {
@@ -145,46 +141,6 @@ func (l *loader) load(path string) (*loaded, error) {
 	return lp, nil
 }
 
-// runWithDeps executes a's Requires closure depth-first, then a,
-// sharing one results map; only a's own diagnostics reach report, as
-// under go vet, where a prerequisite's diagnostics are dropped.
-func runWithDeps(a *analysis.Analyzer, lp *loaded, fset *token.FileSet, report func(analysis.Diagnostic), results map[*analysis.Analyzer]any) error {
-	if _, done := results[a]; done {
-		return nil
-	}
-	for _, dep := range a.Requires {
-		if err := runWithDeps(dep, lp, fset, func(analysis.Diagnostic) {}, results); err != nil {
-			return err
-		}
-	}
-	pass := &analysis.Pass{
-		Analyzer:          a,
-		Fset:              fset,
-		Files:             lp.files,
-		Pkg:               lp.pkg,
-		TypesInfo:         lp.info,
-		TypesSizes:        types.SizesFor("gc", "amd64"),
-		ResultOf:          results,
-		Report:            report,
-		ImportObjectFact:  func(types.Object, analysis.Fact) bool { return false },
-		ExportObjectFact:  func(types.Object, analysis.Fact) {},
-		ImportPackageFact: func(*types.Package, analysis.Fact) bool { return false },
-		ExportPackageFact: func(analysis.Fact) {},
-		AllObjectFacts:    func() []analysis.ObjectFact { return nil },
-		AllPackageFacts:   func() []analysis.PackageFact { return nil },
-		ReadFile:          os.ReadFile,
-	}
-	res, err := a.Run(pass)
-	if err != nil {
-		return fmt.Errorf("%s: %v", a.Name, err)
-	}
-	if a.ResultType != nil && reflect.TypeOf(res) != a.ResultType {
-		return fmt.Errorf("%s: result of type %v, declared %v", a.Name, reflect.TypeOf(res), a.ResultType)
-	}
-	results[a] = res
-	return nil
-}
-
 var wantRe = regexp.MustCompile("//\\s*want\\s+(?:\"((?:[^\"\\\\]|\\\\.)*)\"|`([^`]*)`)")
 
 type wantAnn struct {
@@ -196,7 +152,7 @@ type wantAnn struct {
 }
 
 // check compares diagnostics against the fixtures' want annotations.
-func check(t *testing.T, a *analysis.Analyzer, fset *token.FileSet, files []*ast.File, diags []analysis.Diagnostic) {
+func check(t *testing.T, a *lintutil.Analyzer, fset *token.FileSet, files []*ast.File, diags []lintutil.Diagnostic) {
 	t.Helper()
 	var wants []*wantAnn
 	for _, f := range files {

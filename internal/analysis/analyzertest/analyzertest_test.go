@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
 	"swrec/internal/analysis/analyzertest"
 	"swrec/internal/analysis/lintutil"
 )
@@ -14,10 +13,10 @@ import (
 // forces type resolution across the fixture package boundary — a
 // string match on the method name alone could not tell a Fuse from a
 // decoy.
-var lightAnalyzer = &analysis.Analyzer{
+var lightAnalyzer = &lintutil.Analyzer{
 	Name: "marktest",
 	Doc:  "reports Fuse.Light calls (analyzertest self-test)",
-	Run: func(pass *analysis.Pass) (any, error) {
+	Run: func(pass *lintutil.Pass) *lintutil.Suppressions {
 		sup := lintutil.New(pass)
 		for _, f := range pass.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -39,7 +38,7 @@ var lightAnalyzer = &analysis.Analyzer{
 				return true
 			})
 		}
-		return nil, nil
+		return sup
 	},
 }
 

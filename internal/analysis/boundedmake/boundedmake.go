@@ -36,9 +36,6 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 	"swrec/internal/analysis/lintutil"
 )
 
@@ -51,12 +48,10 @@ gigabytes. Validate first, or justify with
 //nolint:boundedmake -- reason.`
 
 // Analyzer is the boundedmake pass.
-var Analyzer = &analysis.Analyzer{
-	Name:       "boundedmake",
-	Doc:        doc,
-	Requires:   []*analysis.Analyzer{inspect.Analyzer},
-	Run:        run,
-	ResultType: lintutil.ResultType,
+var Analyzer = &lintutil.Analyzer{
+	Name: "boundedmake",
+	Doc:  doc,
+	Run:  run,
 }
 
 const (
@@ -71,15 +66,14 @@ const (
 // chains.
 const maxDepth = 4
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *lintutil.Pass) *lintutil.Suppressions {
 	if !lintutil.PkgMatch(pass.Pkg.Path(), pkgs) {
-		return (*lintutil.Suppressions)(nil), nil // out of scope
+		return nil // out of scope
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	sup := lintutil.New(pass)
 
 	nodeFilter := []ast.Node{(*ast.CallExpr)(nil)}
-	ins.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
+	pass.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
 		if !push {
 			return true
 		}
@@ -105,11 +99,11 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		return true
 	})
-	return sup, nil
+	return sup
 }
 
 type checker struct {
-	pass    *analysis.Pass
+	pass    *lintutil.Pass
 	body    *ast.BlockStmt
 	makePos token.Pos
 }
@@ -328,7 +322,7 @@ func (c *checker) safeExpr(e ast.Expr, depth int) bool {
 
 // isBuiltinCall reports whether call invokes the named builtin (not a
 // shadowing declaration).
-func isBuiltinCall(pass *analysis.Pass, call *ast.CallExpr, name string) bool {
+func isBuiltinCall(pass *lintutil.Pass, call *ast.CallExpr, name string) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok || id.Name != name {
 		return false

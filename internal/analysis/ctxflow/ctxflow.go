@@ -17,9 +17,6 @@ import (
 	"go/ast"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 	"swrec/internal/analysis/lintutil"
 )
 
@@ -32,26 +29,23 @@ Foo -> FooCtx(context.Background(), ...) compat-wrapper shape is
 allowed; everything else needs a justified //nolint:ctxflow.`
 
 // Analyzer is the ctxflow pass.
-var Analyzer = &analysis.Analyzer{
-	Name:       "ctxflow",
-	Doc:        doc,
-	Requires:   []*analysis.Analyzer{inspect.Analyzer},
-	Run:        run,
-	ResultType: lintutil.ResultType,
+var Analyzer = &lintutil.Analyzer{
+	Name: "ctxflow",
+	Doc:  doc,
+	Run:  run,
 }
 
 // packages are the import-path prefixes the invariant applies to.
 const packages = "swrec/internal/core,swrec/internal/engine,swrec/internal/trust,swrec/internal/profile"
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *lintutil.Pass) *lintutil.Suppressions {
 	if !lintutil.PkgMatch(pass.Pkg.Path(), packages) {
-		return (*lintutil.Suppressions)(nil), nil // out of scope
+		return nil // out of scope
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	sup := lintutil.New(pass)
 
 	nodeFilter := []ast.Node{(*ast.CallExpr)(nil)}
-	ins.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
+	pass.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
 		if !push {
 			return false
 		}
@@ -69,12 +63,12 @@ func run(pass *analysis.Pass) (any, error) {
 		sup.Report(call.Pos(), "context."+name+"() detaches the cold path from the caller's deadline: thread a context.Context parameter instead (//nolint:ctxflow -- reason, if detaching is intended)")
 		return true
 	})
-	return sup, nil
+	return sup
 }
 
 // contextRootCall returns "Background" or "TODO" when call is
 // context.Background() / context.TODO(), else "".
-func contextRootCall(pass *analysis.Pass, call *ast.CallExpr) string {
+func contextRootCall(pass *lintutil.Pass, call *ast.CallExpr) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return ""

@@ -23,9 +23,6 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 	"swrec/internal/analysis/lintutil"
 )
 
@@ -38,12 +35,10 @@ map range all break that. Justify real wall-clock needs (latency
 measurements) with //nolint:detrand -- reason.`
 
 // Analyzer is the detrand pass.
-var Analyzer = &analysis.Analyzer{
-	Name:       "detrand",
-	Doc:        doc,
-	Requires:   []*analysis.Analyzer{inspect.Analyzer},
-	Run:        run,
-	ResultType: lintutil.ResultType,
+var Analyzer = &lintutil.Analyzer{
+	Name: "detrand",
+	Doc:  doc,
+	Run:  run,
 }
 
 // packages are the import-path prefixes that must be seed-deterministic.
@@ -55,15 +50,14 @@ var seededConstructors = map[string]bool{
 	"New": true, "NewSource": true, "NewPCG": true, "NewChaCha8": true, "NewZipf": true,
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *lintutil.Pass) *lintutil.Suppressions {
 	if !lintutil.PkgMatch(pass.Pkg.Path(), packages) {
-		return (*lintutil.Suppressions)(nil), nil // out of scope
+		return nil // out of scope
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	sup := lintutil.New(pass)
 
 	nodeFilter := []ast.Node{(*ast.CallExpr)(nil), (*ast.RangeStmt)(nil)}
-	ins.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
+	pass.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
 		if !push {
 			return false
 		}
@@ -78,10 +72,10 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		return true
 	})
-	return sup, nil
+	return sup
 }
 
-func checkCall(pass *analysis.Pass, sup *lintutil.Suppressions, call *ast.CallExpr, stack []ast.Node) {
+func checkCall(pass *lintutil.Pass, sup *lintutil.Suppressions, call *ast.CallExpr, stack []ast.Node) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return
@@ -109,7 +103,7 @@ func checkCall(pass *analysis.Pass, sup *lintutil.Suppressions, call *ast.CallEx
 // checkMapRange flags fmt print calls lexically inside the body of a
 // range over a map: map iteration order is randomized per process, so
 // anything emitted per-iteration is nondeterministic output.
-func checkMapRange(pass *analysis.Pass, sup *lintutil.Suppressions, rng *ast.RangeStmt) {
+func checkMapRange(pass *lintutil.Pass, sup *lintutil.Suppressions, rng *ast.RangeStmt) {
 	tv, ok := pass.TypesInfo.Types[rng.X]
 	if !ok {
 		return

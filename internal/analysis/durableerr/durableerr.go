@@ -16,9 +16,6 @@ import (
 	"go/ast"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 	"swrec/internal/analysis/lintutil"
 )
 
@@ -31,12 +28,10 @@ justified with
 //nolint:durableerr -- reason.`
 
 // Analyzer is the durableerr pass.
-var Analyzer = &analysis.Analyzer{
-	Name:       "durableerr",
-	Doc:        doc,
-	Requires:   []*analysis.Analyzer{inspect.Analyzer},
-	Run:        run,
-	ResultType: lintutil.ResultType,
+var Analyzer = &lintutil.Analyzer{
+	Name: "durableerr",
+	Doc:  doc,
+	Run:  run,
 }
 
 // packages are the import-path prefixes forming the durable path.
@@ -44,11 +39,10 @@ const packages = "swrec/internal/frame,swrec/internal/wal,swrec/internal/store,s
 
 var verbs = map[string]bool{"Write": true, "Sync": true, "Close": true, "Truncate": true}
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *lintutil.Pass) *lintutil.Suppressions {
 	if !lintutil.PkgMatch(pass.Pkg.Path(), packages) {
-		return (*lintutil.Suppressions)(nil), nil // out of scope
+		return nil // out of scope
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	sup := lintutil.New(pass)
 
 	report := func(call *ast.CallExpr, how string) {
@@ -62,7 +56,7 @@ func run(pass *analysis.Pass) (any, error) {
 		(*ast.GoStmt)(nil),
 		(*ast.AssignStmt)(nil),
 	}
-	ins.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
+	pass.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
 		if !push {
 			return false
 		}
@@ -98,13 +92,13 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		return true
 	})
-	return sup, nil
+	return sup
 }
 
 // durableCall returns e as a method call of one of the durable verbs
 // on a receiver whose method set includes Sync (the shape of a durable
 // file handle), or nil.
-func durableCall(pass *analysis.Pass, e ast.Expr) *ast.CallExpr {
+func durableCall(pass *lintutil.Pass, e ast.Expr) *ast.CallExpr {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
 		return nil

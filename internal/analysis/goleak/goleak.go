@@ -18,9 +18,6 @@ import (
 	"go/ast"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 	"swrec/internal/analysis/lintutil"
 )
 
@@ -33,28 +30,25 @@ epoch that spawned it. Justify true fire-and-forget spawns with
 //nolint:goleak -- reason.`
 
 // Analyzer is the goleak pass.
-var Analyzer = &analysis.Analyzer{
-	Name:       "goleak",
-	Doc:        doc,
-	Requires:   []*analysis.Analyzer{inspect.Analyzer},
-	Run:        run,
-	ResultType: lintutil.ResultType,
+var Analyzer = &lintutil.Analyzer{
+	Name: "goleak",
+	Doc:  doc,
+	Run:  run,
 }
 
 // packages are the import-path prefixes of library code (cmd/ and
 // examples/ are callers, not library).
 const packages = "swrec/internal"
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *lintutil.Pass) *lintutil.Suppressions {
 	if !lintutil.PkgMatch(pass.Pkg.Path(), packages) {
-		return (*lintutil.Suppressions)(nil), nil // out of scope
+		return nil // out of scope
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	sup := lintutil.New(pass)
 	decls := funcDecls(pass)
 
 	nodeFilter := []ast.Node{(*ast.GoStmt)(nil)}
-	ins.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
+	pass.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
 		if !push {
 			return false
 		}
@@ -68,12 +62,12 @@ func run(pass *analysis.Pass) (any, error) {
 		sup.Report(g.Pos(), "goroutine has no observable lifecycle: tie it to a sync.WaitGroup, done channel, or context.Context so Close/Swap can drain it (//nolint:goleak -- reason for true fire-and-forget)")
 		return true
 	})
-	return sup, nil
+	return sup
 }
 
 // funcDecls indexes this package's function declarations by their
 // types object so `go p.run()` can be resolved to run's body.
-func funcDecls(pass *analysis.Pass) map[*types.Func]*ast.FuncDecl {
+func funcDecls(pass *lintutil.Pass) map[*types.Func]*ast.FuncDecl {
 	m := make(map[*types.Func]*ast.FuncDecl)
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
@@ -90,7 +84,7 @@ func funcDecls(pass *analysis.Pass) map[*types.Func]*ast.FuncDecl {
 const maxResolveDepth = 4
 
 // tied reports whether the spawned call carries lifecycle evidence.
-func tied(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, call *ast.CallExpr, depth int) bool {
+func tied(pass *lintutil.Pass, decls map[*types.Func]*ast.FuncDecl, call *ast.CallExpr, depth int) bool {
 	// Lifecycle machinery passed as an argument counts regardless of
 	// where the callee lives: go run(ctx), go drain(done).
 	for _, arg := range call.Args {
@@ -122,7 +116,7 @@ func tied(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, call *ast.Ca
 }
 
 // bodyTied scans a goroutine body for lifecycle evidence.
-func bodyTied(pass *analysis.Pass, body *ast.BlockStmt) bool {
+func bodyTied(pass *lintutil.Pass, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
@@ -185,7 +179,7 @@ func lifecycleType(t types.Type) bool {
 
 // waitGroupMethod reports whether sel is a Done/Add/Wait call on a
 // sync.WaitGroup.
-func waitGroupMethod(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
+func waitGroupMethod(pass *lintutil.Pass, sel *ast.SelectorExpr) bool {
 	name := sel.Sel.Name
 	if name != "Done" && name != "Add" && name != "Wait" {
 		return false

@@ -38,9 +38,6 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 	"swrec/internal/analysis/lintutil"
 )
 
@@ -56,12 +53,10 @@ deliberate amortized allocations with //nolint:hotalloc -- reason.`
 const Directive = "//swrec:hotpath"
 
 // Analyzer is the hotalloc pass.
-var Analyzer = &analysis.Analyzer{
-	Name:       "hotalloc",
-	Doc:        doc,
-	Requires:   []*analysis.Analyzer{inspect.Analyzer},
-	Run:        run,
-	ResultType: lintutil.ResultType,
+var Analyzer = &lintutil.Analyzer{
+	Name: "hotalloc",
+	Doc:  doc,
+	Run:  run,
 }
 
 // hotFunc records how a function entered the hot set: directly
@@ -71,7 +66,7 @@ type hotFunc struct {
 	root string
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *lintutil.Pass) *lintutil.Suppressions {
 	sup := lintutil.New(pass)
 
 	// Index this package's function declarations and find the annotated
@@ -99,7 +94,7 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 	}
 	if len(roots) == 0 {
-		return sup, nil
+		return sup
 	}
 
 	// Close the hot set over same-package static calls: a kernel is only
@@ -138,7 +133,6 @@ func run(pass *analysis.Pass) (any, error) {
 		})
 	}
 
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	nodeFilter := []ast.Node{
 		(*ast.CallExpr)(nil),
 		(*ast.CompositeLit)(nil),
@@ -150,7 +144,7 @@ func run(pass *analysis.Pass) (any, error) {
 		(*ast.ValueSpec)(nil),
 		(*ast.ReturnStmt)(nil),
 	}
-	ins.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
+	pass.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
 		if !push {
 			return true
 		}
@@ -187,7 +181,7 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		return true
 	})
-	return sup, nil
+	return sup
 }
 
 // annotated reports whether the declaration's doc comment carries the
@@ -208,7 +202,7 @@ func annotated(fd *ast.FuncDecl) bool {
 // enclosingHot resolves the FuncDecl a node lives in and reports
 // whether it belongs to the hot set, along with the human-readable
 // provenance used in diagnostics.
-func enclosingHot(pass *analysis.Pass, hot map[*types.Func]hotFunc, stack []ast.Node) (hotFunc, string, bool) {
+func enclosingHot(pass *lintutil.Pass, hot map[*types.Func]hotFunc, stack []ast.Node) (hotFunc, string, bool) {
 	for _, n := range stack {
 		fd, ok := n.(*ast.FuncDecl)
 		if !ok {
@@ -234,7 +228,7 @@ func enclosingHot(pass *analysis.Pass, hot map[*types.Func]hotFunc, stack []ast.
 // staticCallee resolves a call to the *types.Func it statically invokes
 // (generic instances normalized to their origin), or nil for builtins,
 // conversions, function-typed variables, and interface dispatch.
-func staticCallee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
+func staticCallee(pass *lintutil.Pass, call *ast.CallExpr) *types.Func {
 	var obj types.Object
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -255,7 +249,7 @@ func staticCallee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 
 // checker reports allocation sites with shared provenance context.
 type checker struct {
-	pass  *analysis.Pass
+	pass  *lintutil.Pass
 	sup   *lintutil.Suppressions
 	where string
 }
@@ -450,7 +444,7 @@ func (c *checker) compositeLit(lit *ast.CompositeLit) {
 
 // enclosingSignature returns the innermost function literal's signature
 // if the return sits inside one, else the hot declaration's.
-func enclosingSignature(pass *analysis.Pass, stack []ast.Node, h hotFunc) *types.Signature {
+func enclosingSignature(pass *lintutil.Pass, stack []ast.Node, h hotFunc) *types.Signature {
 	for i := len(stack) - 1; i >= 0; i-- {
 		switch n := stack[i].(type) {
 		case *ast.FuncLit:
@@ -478,7 +472,7 @@ func typeAsSignature(t types.Type) (*types.Signature, bool) {
 	return sig, ok
 }
 
-func typeName(pass *analysis.Pass, lit *ast.CompositeLit) string {
+func typeName(pass *lintutil.Pass, lit *ast.CompositeLit) string {
 	if tv, ok := pass.TypesInfo.Types[lit]; ok {
 		if named, ok := tv.Type.(*types.Named); ok {
 			return named.Obj().Name()
@@ -488,7 +482,7 @@ func typeName(pass *analysis.Pass, lit *ast.CompositeLit) string {
 	return "T"
 }
 
-func isString(pass *analysis.Pass, e ast.Expr) bool {
+func isString(pass *lintutil.Pass, e ast.Expr) bool {
 	tv, ok := pass.TypesInfo.Types[e]
 	return ok && isStringType(tv.Type)
 }

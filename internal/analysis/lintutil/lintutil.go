@@ -1,6 +1,7 @@
-// Package lintutil carries the plumbing shared by the swrecvet
-// analyzers (internal/analysis/...): package scoping, test/generated
-// file exclusion, and the auditable suppression comments.
+// Package lintutil is what the swrecvet analyzers (internal/analysis/...)
+// run on: the framework (Analyzer, Pass, Pass.WithStack and Run, on
+// go/ast + go/types alone), package scoping, test file exclusion, and
+// the auditable suppression comments.
 //
 // Suppression grammar — every exception must carry a justification so
 // it is auditable rather than invisible:
@@ -21,12 +22,9 @@ package lintutil
 import (
 	"go/ast"
 	"go/token"
-	"reflect"
 	"regexp"
 	"slices"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
 )
 
 // PkgMatch reports whether path is covered by the comma-separated
@@ -48,7 +46,7 @@ func PkgMatch(path, patterns string) bool {
 // IsTestFile reports whether file was parsed from a _test.go file. The
 // swrecvet invariants govern library code; tests may simulate clocks,
 // drop errors, and spawn throwaway goroutines freely.
-func IsTestFile(pass *analysis.Pass, file *ast.File) bool {
+func IsTestFile(pass *Pass, file *ast.File) bool {
 	name := pass.Fset.Position(file.Package).Filename
 	return strings.HasSuffix(name, "_test.go")
 }
@@ -101,18 +99,15 @@ func splitNames(list string) []string {
 // covered nothing. An analyzer that does not run on a package returns a
 // nil *Suppressions, which covered nothing either.
 type Suppressions struct {
-	pass  *analysis.Pass
+	pass  *Pass
 	files map[string]token.Pos           // filename -> file-scoped directive
 	lines map[string]map[int][]token.Pos // filename -> line -> covering line directives
 	used  map[token.Pos]bool             // directives that covered a diagnostic
 }
 
-// ResultType is every analyzer's Analyzer.ResultType.
-var ResultType = reflect.TypeOf((*Suppressions)(nil))
-
 // New scans the pass's files for justified suppression comments naming
 // the pass's analyzer.
-func New(pass *analysis.Pass) *Suppressions {
+func New(pass *Pass) *Suppressions {
 	s := &Suppressions{
 		pass:  pass,
 		files: make(map[string]token.Pos),
@@ -159,7 +154,7 @@ func (s *Suppressions) Report(pos token.Pos, msg string) {
 		s.used[d], covered = true, true
 	}
 	if !covered {
-		s.pass.Report(analysis.Diagnostic{Pos: pos, Message: msg})
+		s.pass.Report(Diagnostic{Pos: pos, Message: msg})
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package registry is the single source of truth for the swrecvet
-// analyzer suite. cmd/swrecvet registers exactly this set with the
-// unitchecker, and the cmd/swrecvet tests pin it and prove each member
+// analyzer suite. cmd/swrecvet runs exactly this set on every package
+// go vet hands it, and the cmd/swrecvet tests pin it and prove each member
 // on the real tree — extending the suite is a deliberate, reviewed act
 // that shows up in both places at once.
 //
@@ -17,8 +17,6 @@ package registry
 import (
 	"slices"
 
-	"golang.org/x/tools/go/analysis"
-
 	"swrec/internal/analysis/boundedmake"
 	"swrec/internal/analysis/ctxflow"
 	"swrec/internal/analysis/detrand"
@@ -32,7 +30,7 @@ import (
 )
 
 // invariants are the analyzers a suppression may name, sorted by name.
-var invariants = []*analysis.Analyzer{
+var invariants = []*lintutil.Analyzer{
 	boundedmake.Analyzer,
 	ctxflow.Analyzer,
 	detrand.Analyzer,
@@ -46,7 +44,7 @@ var invariants = []*analysis.Analyzer{
 
 // Nolint is the stale-suppression pass. It requires every invariant
 // analyzer and reads the *lintutil.Suppressions each one returns.
-var Nolint = &analysis.Analyzer{
+var Nolint = &lintutil.Analyzer{
 	Name: "nolint",
 	Doc: `reports stale suppression comments
 
@@ -64,7 +62,7 @@ var all = append(slices.Clip(invariants), Nolint)
 
 // All returns the registered analyzers: the invariants in name order,
 // then the nolint pass. The slice is shared; callers must not modify it.
-func All() []*analysis.Analyzer { return all }
+func All() []*lintutil.Analyzer { return all }
 
 // Names returns the registered analyzer names in All's order.
 func Names() []string {
@@ -75,10 +73,10 @@ func Names() []string {
 	return names
 }
 
-func runNolint(pass *analysis.Pass) (any, error) {
+func runNolint(pass *lintutil.Pass) *lintutil.Suppressions {
 	sups := make(map[string]*lintutil.Suppressions, len(pass.Analyzer.Requires))
 	for _, a := range pass.Analyzer.Requires {
-		sups[a.Name] = pass.ResultOf[a].(*lintutil.Suppressions)
+		sups[a.Name] = pass.ResultOf[a]
 	}
 	for _, f := range pass.Files {
 		if lintutil.IsTestFile(pass, f) {
@@ -106,5 +104,5 @@ func runNolint(pass *analysis.Pass) (any, error) {
 			}
 		}
 	}
-	return nil, nil
+	return nil
 }

@@ -38,9 +38,6 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 	"swrec/internal/analysis/lintutil"
 )
 
@@ -53,12 +50,10 @@ value and swap it in instead, or justify the exception with
 //nolint:snapshotfreeze -- reason.`
 
 // Analyzer is the snapshotfreeze pass.
-var Analyzer = &analysis.Analyzer{
-	Name:       "snapshotfreeze",
-	Doc:        doc,
-	Requires:   []*analysis.Analyzer{inspect.Analyzer},
-	Run:        run,
-	ResultType: lintutil.ResultType,
+var Analyzer = &lintutil.Analyzer{
+	Name: "snapshotfreeze",
+	Doc:  doc,
+	Run:  run,
 }
 
 const (
@@ -73,11 +68,10 @@ const (
 	mutators = "AddAgent,AddProduct,SetTrust,SetRating,DeleteTrust,DeleteRating"
 )
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *lintutil.Pass) *lintutil.Suppressions {
 	if lintutil.PkgMatch(pass.Pkg.Path(), allow) {
-		return (*lintutil.Suppressions)(nil), nil // out of scope
+		return nil // out of scope
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	c := &checker{
 		pass:  pass,
 		sup:   lintutil.New(pass),
@@ -89,7 +83,7 @@ func run(pass *analysis.Pass) (any, error) {
 		(*ast.IncDecStmt)(nil),
 		(*ast.CallExpr)(nil),
 	}
-	ins.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
+	pass.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
 		if !push {
 			return true
 		}
@@ -108,7 +102,7 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		return true
 	})
-	return c.sup, nil
+	return c.sup
 }
 
 // origin classifies how a function came by a local variable.
@@ -122,7 +116,7 @@ const (
 )
 
 type checker struct {
-	pass  *analysis.Pass
+	pass  *lintutil.Pass
 	sup   *lintutil.Suppressions
 	built map[*ast.FuncDecl]map[types.Object]origin
 }

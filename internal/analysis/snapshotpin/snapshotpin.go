@@ -17,9 +17,6 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 	"swrec/internal/analysis/lintutil"
 )
 
@@ -31,12 +28,10 @@ across the swap. Fields doing so serve a dead epoch silently. Bounded
 per-snapshot owners document themselves with //nolint:snapshotpin.`
 
 // Analyzer is the snapshotpin pass.
-var Analyzer = &analysis.Analyzer{
-	Name:       "snapshotpin",
-	Doc:        doc,
-	Requires:   []*analysis.Analyzer{inspect.Analyzer},
-	Run:        run,
-	ResultType: lintutil.ResultType,
+var Analyzer = &lintutil.Analyzer{
+	Name: "snapshotpin",
+	Doc:  doc,
+	Run:  run,
 }
 
 const (
@@ -46,15 +41,14 @@ const (
 	allow = "swrec/internal/engine,swrec/internal/ingest,swrec/internal/model"
 )
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *lintutil.Pass) *lintutil.Suppressions {
 	if lintutil.PkgMatch(pass.Pkg.Path(), allow) {
-		return (*lintutil.Suppressions)(nil), nil // out of scope
+		return nil // out of scope
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	sup := lintutil.New(pass)
 
 	nodeFilter := []ast.Node{(*ast.StructType)(nil)}
-	ins.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
+	pass.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
 		if !push {
 			return false
 		}
@@ -73,7 +67,7 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		return true
 	})
-	return sup, nil
+	return sup
 }
 
 // pinnedIn walks t through pointers, slices, arrays, maps, and

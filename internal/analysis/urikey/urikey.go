@@ -17,9 +17,6 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 	"swrec/internal/analysis/lintutil"
 )
 
@@ -31,12 +28,10 @@ state on dense ordinals (model.Ord); resolve the URI once at the
 boundary and carry the ordinal.`
 
 // Analyzer is the urikey pass.
-var Analyzer = &analysis.Analyzer{
-	Name:       "urikey",
-	Doc:        doc,
-	Requires:   []*analysis.Analyzer{inspect.Analyzer},
-	Run:        run,
-	ResultType: lintutil.ResultType,
+var Analyzer = &lintutil.Analyzer{
+	Name: "urikey",
+	Doc:  doc,
+	Run:  run,
 }
 
 const (
@@ -46,15 +41,14 @@ const (
 	pkgs = "swrec/internal/core,swrec/internal/engine,swrec/internal/trust,swrec/internal/cf,swrec/internal/profile"
 )
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *lintutil.Pass) *lintutil.Suppressions {
 	if !lintutil.PkgMatch(pass.Pkg.Path(), pkgs) {
-		return (*lintutil.Suppressions)(nil), nil // out of scope
+		return nil // out of scope
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	sup := lintutil.New(pass)
 
 	nodeFilter := []ast.Node{(*ast.MapType)(nil)}
-	ins.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
+	pass.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
 		if !push {
 			return true
 		}
@@ -71,7 +65,7 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		return true
 	})
-	return sup, nil
+	return sup
 }
 
 // uriKey returns the qualified name when t is a configured URI key
