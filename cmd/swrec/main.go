@@ -247,8 +247,10 @@ func runInspect(comm *swrec.Community, id swrec.AgentID, top int) {
 	fmt.Printf("\nAppleseed neighborhood: %d peers in range (converged in %d iterations)\n",
 		len(nb.Ranks), nb.Iterations)
 	tw = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	sym := comm.Symbols()
 	for _, r := range nb.Top(top) {
-		fmt.Fprintf(tw, "  %s\ttrust %.3f\n", r.Agent, r.Trust)
+		peer, _ := sym.AgentID(r.Ord())
+		fmt.Fprintf(tw, "  %s\ttrust %.3f\n", peer, r.Trust)
 	}
 	tw.Flush()
 }

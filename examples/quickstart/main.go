@@ -77,9 +77,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("rank-synthesized peers for alice:")
+	sym := comm.Symbols() // a rank names its peer by ordinal
 	for _, p := range peers {
+		peer, _ := sym.AgentID(p.Ord())
 		fmt.Printf("  %-28s trust=%.2f sim=%.2f -> weight=%.2f\n",
-			p.Agent, p.Trust, p.Sim, p.Weight)
+			peer, p.Trust, p.Sim, p.Weight)
 	}
 
 	recs, err := rec.Recommend("http://example.org/alice", 3)

@@ -39,8 +39,10 @@ func main() {
 	}
 	fmt.Printf("Appleseed: %d peers in range, converged in %d iterations\n",
 		len(nb.Ranks), nb.Iterations)
+	sym := comm.Symbols() // a rank names its peer by ordinal
 	for i, r := range nb.Top(8) {
-		fmt.Printf("  %2d. %-40s rank %.3f\n", i+1, r.Agent, r.Trust)
+		peer, _ := sym.AgentID(r.Ord())
+		fmt.Printf("  %2d. %-40s rank %.3f\n", i+1, peer, r.Trust)
 	}
 
 	// Advogato: boolean accept/reject via max-flow — "latter metric can

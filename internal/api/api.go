@@ -626,7 +626,14 @@ func (s *Server) handleNeighbors(c *call, snap *engine.Snapshot) {
 	if !ok {
 		return
 	}
-	c.writeEncoded(func(b []byte) ([]byte, bool) { return appendNeighbors(b, peers, total, res) })
+	// The ranking names its peers by ordinal. A degraded answer may come
+	// from a snapshot newer than snap, and ordinals only grow along the
+	// engine's lineage, so the newest community names every peer of it.
+	comm := snap.Community()
+	if res.Degraded {
+		comm = s.eng.Snapshot().Community()
+	}
+	c.writeEncoded(func(b []byte) ([]byte, bool) { return appendNeighbors(b, peers, comm, total, res) })
 }
 
 // neighbors answers /neighbors up to the encoding: the shown prefix of

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -120,6 +121,66 @@ func TestDegradedAnswerAfterSwap(t *testing.T) {
 	if out.Strategy == nil || !out.Strategy.Degraded || out.Strategy.Procedure != strategy.DegradedCache ||
 		out.Strategy.Source != "prev-peers-cache" || out.Strategy.Epoch != oldEpoch {
 		t.Fatalf("neighbors strategy block = %+v, want degraded-cache from prev-peers-cache at epoch %d", out.Strategy, oldEpoch)
+	}
+}
+
+// TestDegradedNeighborsNamePeersOfANewerSnapshot: a degraded /neighbors
+// answer may come from a snapshot published after the request pinned
+// its own, and rank an agent that joined in between. Ranks name peers by
+// ordinal, and ordinals only grow along the engine's lineage, so the
+// encoder names that agent through the newest community.
+func TestDegradedNeighborsNamePeersOfANewerSnapshot(t *testing.T) {
+	var delay atomic.Int64
+	comm := testCommunity(t, 30, 40)
+	opt := core.Options{CF: cf.Options{Measure: cf.Cosine, Representation: cf.Taxonomy}}
+	var eng *engine.Engine
+	opt.Candidates = func(model.AgentID) []model.AgentID {
+		if d := time.Duration(delay.Load()); d > 0 {
+			time.Sleep(d)
+		}
+		return eng.Snapshot().Community().Agents()
+	}
+	eng, err := engine.New(comm, opt, engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewWithConfig(eng, nil, Config{ReadBudget: 10 * time.Millisecond})
+	pinned, agent := eng.Snapshot(), comm.Agents()[0]
+
+	const late = "http://x/late"
+	next := comm.Clone()
+	next.AddAgent(late)
+	if _, err := eng.Swap(next); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Snapshot().RankedPeers(agent, engine.Overrides{}); err != nil {
+		t.Fatal(err)
+	}
+	delay.Store(int64(150 * time.Millisecond))
+
+	req := httptest.NewRequest(http.MethodGet, agentPath(agent, "/neighbors?n=0"), nil)
+	_, _, arg := route(http.MethodGet, req.URL.EscapedPath())
+	rec := httptest.NewRecorder()
+	s.handleNeighbors(&call{ResponseWriter: rec, r: req, arg: arg, status: http.StatusOK}, pinned)
+	var out struct {
+		Items    []struct{ Agent model.AgentID }
+		Strategy *strategy.Result
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatalf("status %d: %v", rec.Code, err)
+	}
+	if out.Strategy == nil || !out.Strategy.Degraded || out.Strategy.Epoch != eng.Epoch() {
+		t.Fatalf("strategy block = %+v, want a degraded answer from epoch %d", out.Strategy, eng.Epoch())
+	}
+	named := false
+	for _, it := range out.Items {
+		if it.Agent == "" {
+			t.Fatalf("a peer went unnamed: %s", rec.Body.Bytes())
+		}
+		named = named || it.Agent == late
+	}
+	if !named {
+		t.Fatalf("the agent that joined after the pinned snapshot is missing: %s", rec.Body.Bytes())
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // two blocks they share, the page envelope and strategy.Result. Each
 // takes the buffer so far and returns it extended with exactly the bytes
 // json.Encoder with SetIndent("", "  ") writes for the struct the shape
-// is documented by (recOut, core.PeerRank, topicScore, agentDetail,
+// is documented by (recOut, peerOut, topicScore, agentDetail,
 // productOut under page): two-space indent, "key": value, HTML-safe
 // string escapes, encoding/json's float format, the trailing newline.
 // encoding/json stays the oracle, not a fallback: encode_test.go runs
@@ -243,8 +243,9 @@ func appendRecommendations(b []byte, recs []core.Recommendation, comm *model.Com
 }
 
 // appendNeighbors appends the /neighbors page: the shown prefix of a
-// ranking of total peers.
-func appendNeighbors(b []byte, peers []core.PeerRank, total int, res *strategy.Result) ([]byte, bool) {
+// ranking of total peers, each named through comm's symbol table.
+func appendNeighbors(b []byte, peers []core.PeerRank, comm *model.Community, total int, res *strategy.Result) ([]byte, bool) {
+	sym := comm.Symbols()
 	b = append(b, pageOpen...)
 	for i := range peers {
 		p := &peers[i]
@@ -253,7 +254,8 @@ func appendNeighbors(b []byte, peers []core.PeerRank, total int, res *strategy.R
 		}
 		b = appendElem(b, i, in2)
 		b = append(b, "{"+in3+`"Agent": `...)
-		b = appendString(b, string(p.Agent))
+		id, _ := sym.AgentID(p.Ord())
+		b = appendString(b, string(id))
 		b = append(b, ","+in3+`"Trust": `...)
 		b = appendFloat(b, p.Trust)
 		b = append(b, ","+in3+`"Sim": `...)

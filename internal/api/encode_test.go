@@ -23,13 +23,22 @@ import (
 )
 
 // The oracle: the structs whose tags define the five hand-encoded shapes
-// (core.PeerRank, strategy.Result and page are the production types), fed
+// (strategy.Result and page are the production types), fed
 // to the encoder writeJSON uses. A field added here and not in encode.go,
 // or the other way round, fails TestEncodersMatchEncodingJSON.
 
 type recOut struct {
 	core.Recommendation
 	Title string `json:"title,omitempty"`
+}
+
+// peerOut is a /neighbors item: a core.PeerRank with its peer named.
+type peerOut struct {
+	Agent  model.AgentID
+	Trust  float64
+	Sim    float64
+	SimOK  bool
+	Weight float64
 }
 
 type topicScore struct {
@@ -73,11 +82,13 @@ func oracleRecommendations(recs []core.Recommendation, comm *model.Community, re
 	return page{Items: items, Total: len(items), Strategy: res}
 }
 
-func oracleNeighbors(peers []core.PeerRank, total int, res *strategy.Result) any {
-	if peers == nil {
-		peers = []core.PeerRank{}
+func oracleNeighbors(peers []core.PeerRank, comm *model.Community, total int, res *strategy.Result) any {
+	items := make([]peerOut, len(peers))
+	for i, p := range peers {
+		items[i] = peerOut{Trust: p.Trust, Sim: p.Sim, SimOK: p.SimOK, Weight: p.Weight}
+		items[i].Agent, _ = comm.Symbols().AgentID(p.Ord())
 	}
-	return page{Items: peers, Total: total, Strategy: res}
+	return page{Items: items, Total: total, Strategy: res}
 }
 
 func oracleProfile(prof *profmat.Row, top []int32, tax *taxonomy.Taxonomy) any {
@@ -159,8 +170,8 @@ func bothWays(t *testing.T, s *Server, snap *engine.Snapshot, target string) (ep
 		var total int
 		var res *strategy.Result
 		if peers, total, res, ok = s.neighbors(c, snap); ok {
-			got, fin = appendNeighbors(nil, peers, total, res)
-			want = oracle(oracleNeighbors(peers, total, res))
+			got, fin = appendNeighbors(nil, peers, comm, total, res)
+			want = oracle(oracleNeighbors(peers, comm, total, res))
 		}
 	case epProfile:
 		var prof *profmat.Row
@@ -258,7 +269,9 @@ func TestEncodersMatchOnHostileValues(t *testing.T) {
 	agent := comm.AddAgent("http://x/a")
 	agent.Name = str(1)
 	for i := 0; i < len(hostileStrings)*len(hostileFloats); i++ {
-		peers = append(peers, core.PeerRank{Agent: model.AgentID(str(i)), Trust: flt(i), Sim: flt(i + 1), SimOK: i%2 == 0, Weight: flt(i + 2)})
+		p := core.NewPeerRank(comm.AddAgent(model.AgentID(str(i))).Ord(), flt(i))
+		p.Sim, p.SimOK, p.Weight = flt(i+1), i%2 == 0, flt(i+2)
+		peers = append(peers, p)
 		pid := model.ProductID(fmt.Sprintf("urn:%d:%s", i, str(i)))
 		topic := tax.MustAdd(taxonomy.Root, fmt.Sprintf("%d %s", i, strings.ReplaceAll(str(i), "/", "|")))
 		comm.AddProduct(model.Product{ID: pid, Title: str(i + 3), ISBN: str(i + 4), Topics: []taxonomy.Topic{topic, taxonomy.Root}})
@@ -286,8 +299,8 @@ func TestEncodersMatchOnHostileValues(t *testing.T) {
 		}
 	}
 	for _, r := range []*strategy.Result{res, nil, {Procedure: strategy.None}, {Attempts: []strategy.Attempt{}}} {
-		got, ok := appendNeighbors(nil, peers, -1, r)
-		check("neighbors", got, ok, oracleNeighbors(peers, -1, r))
+		got, ok := appendNeighbors(nil, peers, comm, -1, r)
+		check("neighbors", got, ok, oracleNeighbors(peers, comm, -1, r))
 		got, ok = appendRecommendations(nil, recs, comm, r)
 		check("recommendations", got, ok, oracleRecommendations(recs, comm, r))
 	}
@@ -301,7 +314,7 @@ func TestEncodersMatchOnHostileValues(t *testing.T) {
 		check("product, no taxonomy", appendProduct(nil, p, nil), true, oracleProduct(p, nil))
 	}
 	// The encoders append: what the buffer held stays.
-	if got, _ := appendNeighbors([]byte("kept"), peers[:2], 2, res); !bytes.Equal(got[4:], oracle(oracleNeighbors(peers[:2], 2, res))) || string(got[:4]) != "kept" {
+	if got, _ := appendNeighbors([]byte("kept"), peers[:2], comm, 2, res); !bytes.Equal(got[4:], oracle(oracleNeighbors(peers[:2], comm, 2, res))) || string(got[:4]) != "kept" {
 		t.Errorf("appendNeighbors overwrote its buffer's prefix: %s", got)
 	}
 }
@@ -310,19 +323,22 @@ func TestEncodersMatchOnHostileValues(t *testing.T) {
 // writeJSON sent a 200 with no body and stored nothing. The encoders
 // report such a value and writeEncoded does the same.
 func TestNonFiniteFloatSendsNothing(t *testing.T) {
+	comm := model.NewCommunity(nil)
+	pa, pb := comm.AddAgent("a").Ord(), comm.AddAgent("b").Ord()
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		peers := []core.PeerRank{{Agent: "a", Trust: 1}, {Agent: "b", Sim: f}}
-		if oracle(oracleNeighbors(peers, 2, nil)) != nil {
+		peers := []core.PeerRank{core.NewPeerRank(pa, 1), core.NewPeerRank(pb, 0)}
+		peers[1].Sim = f
+		if oracle(oracleNeighbors(peers, comm, 2, nil)) != nil {
 			t.Fatalf("encoding/json encodes %v", f)
 		}
 		old := &call{ResponseWriter: httptest.NewRecorder(), status: http.StatusOK, keep: true}
-		writeJSON(old, oracleNeighbors(peers, 2, nil))
+		writeJSON(old, oracleNeighbors(peers, comm, 2, nil))
 
 		rec := httptest.NewRecorder()
 		c := &call{ResponseWriter: rec, status: http.StatusOK, keep: true}
 		ok := true
 		c.writeEncoded(func(b []byte) ([]byte, bool) {
-			b, ok = appendNeighbors(b, peers, 2, nil)
+			b, ok = appendNeighbors(b, peers, comm, 2, nil)
 			return b, ok
 		})
 		if ok || rec.Body.Len() != 0 || c.body != nil || rec.Code != http.StatusOK {

@@ -12,8 +12,16 @@ import (
 // it, so the same measurement runs against a live server or a local
 // build of the identical community.
 type Client interface {
-	Neighbors(id model.AgentID, n int) ([]core.PeerRank, error)
+	Neighbors(id model.AgentID, n int) ([]Peer, error)
 	Recommendations(id model.AgentID, n int) ([]core.Recommendation, error)
+}
+
+// Peer is one neighbor as the API's /neighbors page names it: by URI,
+// with its trust rank. An in-process client resolves the URI through
+// the community's symbol table.
+type Peer struct {
+	Agent model.AgentID
+	Trust float64
 }
 
 // Confinement quantifies how far one attack got. The paper's claim is

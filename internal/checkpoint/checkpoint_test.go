@@ -193,10 +193,11 @@ func TestDecodedTaxonomyQualifiedNames(t *testing.T) {
 }
 
 // TestRestoredRanksCarryOrdinals: every rank of a restored neighborhood
-// carries its peer's ordinal — the one the file stores — so nothing
-// downstream resolves a restored peer by its URI.
+// is the rank the writing engine held, ordinal and all, decoded from its
+// record alone — there is no name to resolve.
 func TestRestoredRanksCarryOrdinals(t *testing.T) {
-	img, err := Decode(Encode(testImage(t, 8)), testOptions())
+	src := warmEngine(t, testCommunity(t, 12)).Snapshot()
+	img, err := Decode(Encode(Capture(src, 8)), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,19 +206,16 @@ func TestRestoredRanksCarryOrdinals(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := eng.Snapshot()
-	comm := snap.Community()
 	checked := 0
-	for _, id := range comm.Agents() {
-		peers, ok := snap.CachedPeers(id, engine.Overrides{})
+	for _, id := range snap.Community().Agents() {
+		got, ok := snap.CachedPeers(id, engine.Overrides{})
 		if !ok {
 			t.Fatalf("%s: neighborhood not restored", id)
 		}
-		for _, pr := range peers {
-			if pr.Ord() != comm.Agent(pr.Agent).Ord() {
-				t.Fatalf("%s: restored peer %s carries ordinal %d, want %d", id, pr.Agent, pr.Ord(), comm.Agent(pr.Agent).Ord())
-			}
-			checked++
+		if want, _ := src.CachedPeers(id, engine.Overrides{}); !slices.Equal(got, want) {
+			t.Fatalf("%s: restored ranks %+v, written %+v", id, got, want)
 		}
+		checked += len(got)
 	}
 	if checked == 0 {
 		t.Fatal("fixture: no restored ranks")

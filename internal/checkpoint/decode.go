@@ -39,8 +39,7 @@ func Decode(data []byte, opt core.Options) (*Image, error) {
 //
 //	(a) the checksum of every section no other task reads;
 //	(b) TAXONOMY;
-//	(c) PROFMAT and PEERS, which need only the agent count — their rank
-//	    decoders get the community's symbols after the join;
+//	(c) PROFMAT and PEERS, which need only the agent count;
 //	(d) the caller: AGENTS and PRODUCTS parsed into slices, then after
 //	    the join registration, then TRUST rows beside RATINGS rows.
 //
@@ -147,7 +146,6 @@ func decode(head, tail []byte, opt core.Options, statementsOnly bool) (*Image, e
 	// these report is outranked; their checksums still count.
 	var rows []profmat.Row
 	var peers []engine.PeersEntry
-	var sym model.Symbols // set after the join; every restored entry's rank decoder reads it
 	var cv verdict
 	if !statementsOnly {
 		wg.Add(1)
@@ -162,7 +160,7 @@ func decode(head, tail []byte, opt core.Options, statementsOnly bool) (*Image, e
 			}
 			if d := cv.open(secs, secPeers, "peers"); d != nil {
 				var err error
-				peers, err = decodePeers(d, nAgents, &sym)
+				peers, err = decodePeers(d, nAgents)
 				cv.note(secPeers, err)
 			}
 		}()
@@ -241,7 +239,6 @@ func decode(head, tail []byte, opt core.Options, statementsOnly bool) (*Image, e
 	if v.fault != nil {
 		return nil, v.fault
 	}
-	sym = comm.Symbols()
 	img.Community, img.Rows, img.Peers = comm, rows, peers
 	return img, nil
 }
@@ -512,9 +509,8 @@ func decodeProfmat(d *dec, nAgents int) ([]profmat.Row, error) {
 
 // decodePeers checks every PEERS entry's frame and rank ordinals, so a
 // corrupt file fails Load; the ranks themselves stay in the file bytes
-// until the restored neighborhood is first read (peerRanks), resolved
-// through sym, which decode sets once the community exists.
-func decodePeers(d *dec, nAgents int, sym *model.Symbols) ([]engine.PeersEntry, error) {
+// until the restored neighborhood is first read (peerRanks).
+func decodePeers(d *dec, nAgents int) ([]engine.PeersEntry, error) {
 	nw := d.count(d.uv(), engine.PipeSize+2, "peers entry")
 	peers := make([]engine.PeersEntry, 0, nw)
 	var pipe string
@@ -534,7 +530,7 @@ func decodePeers(d *dec, nAgents int, sym *model.Symbols) ([]engine.PeersEntry, 
 		if d.err != nil {
 			break
 		}
-		peers = append(peers, engine.PeersEntry{Agent: agent, Pipe: pipe, Ranks: peerRanks{block, sym}.decode})
+		peers = append(peers, engine.PeersEntry{Agent: agent, Pipe: pipe, Ranks: peerRanks(block).decode})
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -542,21 +538,17 @@ func decodePeers(d *dec, nAgents int, sym *model.Symbols) ([]engine.PeersEntry, 
 	return peers, nil
 }
 
-// peerRanks is one PEERS entry's ranks, still in the file: block holds
-// its fixed-width records, whose agent ordinals decode already checked
-// against the community sym resolves in.
-type peerRanks struct {
-	block []byte
-	sym   *model.Symbols
-}
+// peerRanks is one PEERS entry's ranks, still in the file: its
+// fixed-width records, whose agent ordinals decodePeers already checked.
+type peerRanks []byte
 
-// decode materializes the ranks, each with the ordinal its record
-// stores. Called on a restored neighborhood's first read, and by Encode.
+// decode materializes the ranks from their records alone. Called on a
+// restored neighborhood's first read, and by Encode.
 func (p peerRanks) decode() []core.PeerRank {
-	peers := make([]core.PeerRank, len(p.block)/peerRankSize)
+	peers := make([]core.PeerRank, len(p)/peerRankSize)
 	for j := range peers {
-		b := p.block[j*peerRankSize:]
-		peers[j] = core.NewPeerRank(p.sym.AgentAt(int32(binary.LittleEndian.Uint32(b))), math.Float64frombits(binary.LittleEndian.Uint64(b[4:])))
+		b := p[j*peerRankSize:]
+		peers[j] = core.NewPeerRank(int32(binary.LittleEndian.Uint32(b)), math.Float64frombits(binary.LittleEndian.Uint64(b[4:])))
 		peers[j].Sim = math.Float64frombits(binary.LittleEndian.Uint64(b[12:]))
 		peers[j].SimOK = b[20] == 1
 		peers[j].Weight = math.Float64frombits(binary.LittleEndian.Uint64(b[21:]))

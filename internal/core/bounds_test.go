@@ -63,7 +63,7 @@ func checkBounds(t *testing.T, comm *model.Community, opt Options) {
 		}
 		for _, rk := range nb.Ranks {
 			if rk.Trust/nb.Ranks[0].Trust < eff.TrustThreshold {
-				t.Fatalf("%s: neighbor %s has relative trust %v, floor %v", id, rk.Agent, rk.Trust/nb.Ranks[0].Trust, eff.TrustThreshold)
+				t.Fatalf("%s: neighbor %s has relative trust %v, floor %v", id, nameOf(comm, rk.Ord()), rk.Trust/nb.Ranks[0].Trust, eff.TrustThreshold)
 			}
 		}
 		peers, err := r.RankedPeers(id)
@@ -79,7 +79,7 @@ func checkBounds(t *testing.T, comm *model.Community, opt Options) {
 		capped = capped || len(nb.Ranks) > eff.MaxNeighbors
 		for _, p := range peers {
 			if p.Trust < eff.TrustThreshold {
-				t.Fatalf("%s: peer %s kept with normalized trust %v, floor %v", id, p.Agent, p.Trust, eff.TrustThreshold)
+				t.Fatalf("%s: peer %s kept with normalized trust %v, floor %v", id, nameOf(comm, p.Ord()), p.Trust, eff.TrustThreshold)
 			}
 		}
 	}

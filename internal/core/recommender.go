@@ -26,6 +26,10 @@
 //     positively in several high-weight histories rise to the top. The
 //     content-driven alternative — proposing products from categories a_i
 //     "has left untouched until now" — is available as NovelCategories.
+//
+// Every stage names a peer by its community ordinal alone: the active
+// agent's URI is resolved once at each entry point, and a peer's only
+// where a caller prints it (model.Symbols).
 package core
 
 import (
@@ -234,30 +238,25 @@ func (o Options) validate(tax *taxonomy.Taxonomy) error {
 var ErrUnknownAgent = errors.New("core: unknown active agent")
 
 // PeerRank is one peer after rank synthesization: its trust rank,
-// similarity, and merged overall rank weight. Build one with NewPeerRank:
-// the similarity scan and the vote address the peer by the ordinal it
-// carries and never resolve its URI. The zero value names no agent of the
-// community — it scans as an empty profile and votes for nothing.
+// similarity, and merged overall rank weight. The peer is named by its
+// community ordinal alone — ordinals are stable across a community's
+// epochs, so cached, carried and restored rankings stay valid — and the
+// type holds no pointer. A caller that prints a peer resolves its URI
+// through model.Symbols.
 type PeerRank struct {
-	Agent model.AgentID
-	Trust float64 // normalized trust rank in [0,1]
-	Sim   float64 // raw similarity in [-1,1]; 0 if undefined
-	SimOK bool    // whether similarity was defined
-	// ord is the peer's community ordinal + 1 (0 = not in this community).
-	// It shares SimOK's word, and ordinals are stable across a community's
-	// epochs, so cached, carried and restored rankings stay valid.
-	ord    int32
+	Trust  float64 // normalized trust rank in [0,1]
+	Sim    float64 // raw similarity in [-1,1]; 0 if undefined
 	Weight float64 // merged rank weight in [0,1]
+	ord    int32
+	SimOK  bool // whether similarity was defined
 }
 
-// NewPeerRank returns the rank of agent a with the given normalized
-// trust; similarity and weight are the caller's to set.
-func NewPeerRank(a *model.Agent, trust float64) PeerRank {
-	return PeerRank{Agent: a.ID, Trust: trust, ord: a.Ord() + 1}
-}
+// NewPeerRank returns the rank of the agent with ordinal ord and the
+// given normalized trust; similarity and weight are the caller's to set.
+func NewPeerRank(ord int32, trust float64) PeerRank { return PeerRank{Trust: trust, ord: ord} }
 
-// Ord returns the peer's community ordinal, -1 for the zero value.
-func (p PeerRank) Ord() int32 { return p.ord - 1 }
+// Ord returns the peer's community ordinal.
+func (p PeerRank) Ord() int32 { return p.ord }
 
 // Recommendation is one recommended product with its vote score and the
 // number of neighborhood peers that supported it.
@@ -370,43 +369,47 @@ func (r *Recommender) rankTrust(ctx context.Context, active model.AgentID, buf [
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	sym := r.comm.Symbols()
+	src, ok := sym.AgentOrd(active)
+	if !ok {
+		src = -1
+	}
 	if r.opt.Candidates != nil {
 		// The hook names its candidates by URI; each is resolved here, once.
-		nb := &trust.Neighborhood{Source: active, Ranks: buf[:0]}
+		nb := &trust.Neighborhood{Source: src, Ranks: buf[:0]}
 		for _, id := range r.opt.Candidates(active) {
-			if a := r.comm.Agent(id); a != nil && id != active {
-				nb.Ranks = append(nb.Ranks, trust.NewRank(a, 1))
+			if ord, ok := sym.AgentOrd(id); ok && ord != src {
+				nb.Ranks = append(nb.Ranks, trust.NewRank(ord, 1))
 			}
 		}
 		return nb, nil
 	}
 	if r.opt.Metric == NoTrust {
-		nb := &trust.Neighborhood{Source: active, Ranks: buf[:0]}
+		nb := &trust.Neighborhood{Source: src, Ranks: buf[:0]}
 		for ord := range int32(r.adj.NumAgents()) {
-			if a := r.adj.Agent(ord); a.ID != active {
-				nb.Ranks = append(nb.Ranks, trust.NewRank(a, 1))
+			if ord != src {
+				nb.Ranks = append(nb.Ranks, trust.NewRank(ord, 1))
 			}
 		}
 		return nb, nil
 	}
-	a := r.comm.Agent(active)
-	if a == nil {
+	if src < 0 {
 		// An agent the community does not know has no row to walk from.
-		return &trust.Neighborhood{Source: active}, nil
+		return &trust.Neighborhood{Source: src}, nil
 	}
 	switch r.opt.Metric {
 	case Advogato:
-		return trust.Advogato(r.adj, a.Ord(), r.opt.Advogato)
+		return trust.Advogato(r.adj, src, r.opt.Advogato)
 	case PathTrust:
-		return trust.PathTrust(r.adj, a.Ord(), r.opt.PathTrust)
+		return trust.PathTrust(r.adj, src, r.opt.PathTrust)
 	default:
-		return trust.Appleseed(ctx, r.adj, a.Ord(), r.opt.Appleseed, buf)
+		return trust.Appleseed(ctx, r.adj, src, r.opt.Appleseed, buf)
 	}
 }
 
 // RankedPeers runs stages 1-3: trust neighborhood, similarity filtering
 // and rank synthesization. The result is sorted by descending weight (ties
-// by agent ID).
+// by agent URI).
 func (r *Recommender) RankedPeers(active model.AgentID) ([]PeerRank, error) {
 	return r.RankedPeersCtx(context.Background(), active)
 }
@@ -460,7 +463,7 @@ func (r *Recommender) SynthesizeCtx(ctx context.Context, active model.AgentID, n
 	defer synthPool.Put(sc)
 	peers := sc.peers[:len(nb.Ranks)]
 	for i, rk := range nb.Ranks {
-		p := PeerRank{Agent: rk.Agent, ord: rk.Ord() + 1}
+		p := PeerRank{ord: rk.Ord()}
 		if maxTrust > 0 {
 			p.Trust = rk.Trust / maxTrust
 		}
@@ -483,7 +486,7 @@ func (r *Recommender) SynthesizeCtx(ctx context.Context, active model.AgentID, n
 	alpha := r.opt.alpha()
 	switch r.opt.Merge {
 	case BordaCount:
-		bordaMerge(peers, alpha)
+		bordaMerge(peers, alpha, r.comm.Agents())
 	default:
 		for i := range peers {
 			// Negative correlation indicates diverging interests (§3.3):
@@ -496,16 +499,18 @@ func (r *Recommender) SynthesizeCtx(ctx context.Context, active model.AgentID, n
 		}
 	}
 	kept := make([]PeerRank, min(len(peers), r.opt.MaxNeighbors))
-	trust.TopPeers(kept, peers, peerWeight, peerAgent)
+	trust.TopPeers(kept, peers, peerWeight, peerOrd, r.comm.Agents())
 	return kept, nil
 }
 
 // SortPeers sorts peers in the order RankedPeers returns them:
-// descending weight, ties by ascending agent ID.
-func SortPeers(peers []PeerRank) { trust.SortPeers(peers, peerWeight, peerAgent) }
+// descending weight, ties by ascending agent URI.
+func (r *Recommender) SortPeers(peers []PeerRank) {
+	trust.SortPeers(peers, peerWeight, peerOrd, r.comm.Agents())
+}
 
-func peerWeight(p *PeerRank) float64      { return p.Weight }
-func peerAgent(p *PeerRank) model.AgentID { return p.Agent }
+func peerWeight(p *PeerRank) float64 { return p.Weight }
+func peerOrd(p *PeerRank) int32      { return p.ord }
 
 // synthScratch holds the buffers of one stage 2-3 run: the candidate
 // peers before the M highest-weighted are copied out, their ordinals
@@ -530,11 +535,11 @@ func getSynthScratch(n int) *synthScratch {
 
 // similarities runs a stage-2 scan against peers — scan receives the
 // peers' ordinals and fills one result each — and writes every result
-// into its peer. A zero-value peer scans as an empty profile.
+// into its peer.
 func (sc *synthScratch) similarities(peers []PeerRank, scan func(ords []int32, sims []cf.SimResult) error) error {
 	ords, sims := sc.ords[:len(peers)], sc.sims[:len(peers)]
 	for i := range peers {
-		ords[i] = peers[i].Ord()
+		ords[i] = peers[i].ord
 	}
 	if err := scan(ords, sims); err != nil {
 		return err
@@ -644,11 +649,11 @@ func (r *Recommender) RecommendFromCtx(ctx context.Context, active model.AgentID
 // bordaMerge assigns Borda-position weights in place: peers get
 // (n-rank)/n under the trust ordering and under the similarity ordering
 // (undefined or negative similarities rank last with score 0), blended
-// with α.
-func bordaMerge(peers []PeerRank, alpha float64) {
+// with α. ids, the community's ordinal → URI table, breaks ties.
+func bordaMerge(peers []PeerRank, alpha float64, ids []model.AgentID) {
 	n := len(peers)
 	// borda returns each peer's Borda score in the order of ascending
-	// class, then descending value, then agent ID; class 1 scores 0.
+	// class, then descending value, then agent URI; class 1 scores 0.
 	borda := func(key func(p *PeerRank) (class int, value float64)) []float64 {
 		idx := make([]int, n)
 		for i := range idx {
@@ -657,7 +662,7 @@ func bordaMerge(peers []PeerRank, alpha float64) {
 		slices.SortFunc(idx, func(a, b int) int {
 			ca, va := key(&peers[a])
 			cb, vb := key(&peers[b])
-			return cmp.Or(cmp.Compare(ca, cb), cmp.Compare(vb, va), cmp.Compare(peers[a].Agent, peers[b].Agent))
+			return cmp.Or(cmp.Compare(ca, cb), cmp.Compare(vb, va), cmp.Compare(ids[peers[a].ord], ids[peers[b].ord]))
 		})
 		score := make([]float64, n)
 		for rank, i := range idx {

@@ -59,8 +59,8 @@ func (vs *voteScratch) readRows(adj *model.Adjacency, peers []PeerRank) {
 	vs.rows = vs.rows[:0]
 	for i := range peers {
 		var row model.Row
-		if p := &peers[i]; p.Weight > 0 && p.ord != 0 {
-			row = adj.Ratings(p.ord - 1)
+		if p := &peers[i]; p.Weight > 0 {
+			row = adj.Ratings(p.ord)
 		}
 		vs.rows = append(vs.rows, row)
 	}
@@ -83,7 +83,7 @@ func (r *Recommender) vote(ctx context.Context, vs *voteScratch, peers []PeerRan
 			}
 		}
 		p := &peers[i]
-		for _, e := range rows[i] { // empty: no weight, or no agent of this community
+		for _, e := range rows[i] { // empty: no weight
 			if e.Val <= 0 {
 				break // positive ratings are a prefix of the row
 			}

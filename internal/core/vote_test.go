@@ -2,17 +2,14 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"slices"
 	"testing"
-	"unsafe"
 
 	"swrec/internal/model"
 	"swrec/internal/profile"
 	"swrec/internal/profmat"
 	"swrec/internal/taxonomy"
-	"swrec/internal/trust"
 )
 
 // tieCommunity builds a community whose vote is mostly score ties: forty
@@ -51,7 +48,7 @@ func tieCommunity(t *testing.T) (*model.Community, []PeerRank) {
 		}
 		rate(name, (v*5+3)%40, -1) // a dislike never votes
 		// Equal weights in pairs, one voter without weight.
-		p := NewPeerRank(c.Agent(model.AgentID(name)), 1)
+		p := NewPeerRank(c.Agent(model.AgentID(name)).Ord(), 1)
 		p.Weight = float64(v/2) * 0.25
 		peers = append(peers, p)
 	}
@@ -73,7 +70,7 @@ func naiveVote(r *Recommender, active model.AgentID, peers []PeerRank, boost flo
 		if p.Weight <= 0 {
 			continue
 		}
-		for _, rs := range r.comm.RatingStatements(r.comm.Agent(p.Agent)) {
+		for _, rs := range r.comm.RatingStatements(r.comm.Symbols().AgentAt(p.Ord())) {
 			if rs.Value <= 0 {
 				break // positives form a prefix
 			}
@@ -191,43 +188,6 @@ func TestVoteLeavesPooledStateClean(t *testing.T) {
 	}
 }
 
-// TestZeroValueRankIsNotResolved: a rank that carries no ordinal names no
-// agent of the community, whatever its Agent URI says. Nothing looks the
-// URI up: the rank votes for nothing and scans as an empty profile.
-func TestZeroValueRankIsNotResolved(t *testing.T) {
-	c, peers := tieCommunity(t)
-	r, err := New(c, defaultOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	zero := make([]PeerRank, len(peers))
-	for i, p := range peers {
-		zero[i] = PeerRank{Agent: p.Agent, Trust: p.Trust, Weight: p.Weight}
-		if zero[i].Ord() != -1 {
-			t.Fatalf("zero-value rank has ordinal %d", zero[i].Ord())
-		}
-	}
-	if got, err := r.RecommendFromCtx(context.Background(), "active", zero, 0); err != nil || len(got) != 0 {
-		t.Fatalf("zero-value ranks voted: %+v, %v", got, err)
-	}
-	got, err := r.RecommendFromCtx(context.Background(), "active", append(append([]PeerRank(nil), peers...), zero...), 0)
-	if want := naiveVote(r, "active", peers, 0); err != nil || !slices.Equal(got, want) {
-		t.Fatalf("zero-value ranks changed the vote:\n got %+v\nwant %+v (%v)", got, want, err)
-	}
-
-	voter := c.Agent("voter3")
-	nb := &trust.Neighborhood{Source: "active", Ranks: []trust.Rank{trust.NewRank(voter, 1), {Agent: voter.ID, Trust: 1}}}
-	synth, err := r.SynthesizeCtx(context.Background(), "active", nb)
-	if err != nil || len(synth) != 2 {
-		t.Fatalf("synthesized %+v, %v", synth, err)
-	}
-	for _, p := range synth {
-		if ranked := p.Ord() == voter.Ord(); p.SimOK != ranked || (!ranked && (p.Ord() != -1 || p.Sim != 0)) {
-			t.Fatalf("peer %+v (ordinal %d): a ranked peer needs a similarity, a zero-value one an empty profile", p, p.Ord())
-		}
-	}
-}
-
 // cancelAfter reports context.Canceled from the calls-th Err call on.
 type cancelAfter struct {
 	context.Context
@@ -239,20 +199,4 @@ func (c *cancelAfter) Err() error {
 		return context.Canceled
 	}
 	return nil
-}
-
-// TestPeerRankCarriesOrdinalForFree: the ordinal rides in SimOK's padding
-// — cached neighborhoods hold thousands of PeerRanks per agent — and
-// never reaches the wire.
-func TestPeerRankCarriesOrdinalForFree(t *testing.T) {
-	if size := unsafe.Sizeof(PeerRank{}); size != 48 {
-		t.Fatalf("PeerRank is %d bytes, want 48", size)
-	}
-	got, err := json.Marshal(PeerRank{Agent: "a", Trust: 1, Sim: 0.5, SimOK: true, ord: 7, Weight: 0.75})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := `{"Agent":"a","Trust":1,"Sim":0.5,"SimOK":true,"Weight":0.75}`; string(got) != want {
-		t.Fatalf("PeerRank JSON = %s, want %s", got, want)
-	}
 }

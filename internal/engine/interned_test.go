@@ -12,12 +12,14 @@ import (
 
 // servingFingerprint hashes the complete serving output of a snapshot on
 // the seeded differential corpus: for every agent, the ranked peers and
-// the top-10 recommendations with full-precision scores. Any behavioral
+// the top-10 recommendations with full-precision scores, each peer named
+// through the community's symbol table. Any behavioral
 // drift in trust propagation, similarity, rank synthesis, or the vote
 // changes the digest.
 func servingFingerprint(t testing.TB, snap *Snapshot) string {
 	t.Helper()
 	var sb strings.Builder
+	sym := snap.Community().Symbols()
 	for _, id := range snap.Community().Agents() {
 		peers, err := snap.RankedPeers(id, Overrides{})
 		if err != nil {
@@ -25,7 +27,8 @@ func servingFingerprint(t testing.TB, snap *Snapshot) string {
 		}
 		fmt.Fprintf(&sb, "A %s\n", id)
 		for _, p := range peers {
-			fmt.Fprintf(&sb, "P %s %.12g %.12g %t %.12g\n", p.Agent, p.Trust, p.Sim, p.SimOK, p.Weight)
+			peer, _ := sym.AgentID(p.Ord())
+			fmt.Fprintf(&sb, "P %s %.12g %.12g %t %.12g\n", peer, p.Trust, p.Sim, p.SimOK, p.Weight)
 		}
 		recs, err := snap.Recommend(id, 10, Overrides{})
 		if err != nil {

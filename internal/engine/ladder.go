@@ -76,16 +76,12 @@ func (e *Engine) ladderSignals(ctx context.Context, snap *Snapshot, a *model.Age
 	return sig, ranks, nil
 }
 
-// widen is the trust-hop widening of base, the rung-1 ranking of a, its
-// peers named by the ordinals they carry; an empty base widens from the
-// agent's direct positive trust statements.
+// widen is the trust-hop widening of base, the rung-1 ranking of a; an
+// empty base widens from the agent's direct positive trust statements.
 func (s *Snapshot) widen(rec *core.Recommender, a *model.Agent, base []core.PeerRank) *trust.Neighborhood {
-	sym := s.comm.Symbols()
-	nb := &trust.Neighborhood{Source: a.ID, Ranks: make([]trust.Rank, len(base))}
+	nb := &trust.Neighborhood{Source: a.Ord(), Ranks: make([]trust.Rank, len(base))}
 	for i, p := range base {
-		if peer := sym.AgentAt(p.Ord()); peer != nil { // a zero-value rank stays one
-			nb.Ranks[i] = trust.NewRank(peer, p.Trust)
-		}
+		nb.Ranks[i] = trust.NewRank(p.Ord(), p.Trust)
 	}
 	return trust.WidenOneHop(rec.Adjacency(), nb, strategy.HopDecay)
 }

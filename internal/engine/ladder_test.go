@@ -197,17 +197,17 @@ func ladderWideningAddsPeers(t *testing.T, floor float64) {
 	if res.Procedure != strategy.TrustHopWidening {
 		t.Fatalf("procedure = %s (attempts %+v)", res.Procedure, res.Attempts)
 	}
+	sym := snap.Community().Symbols()
 	got := make(map[model.AgentID]bool, len(peers))
 	for _, p := range peers {
-		got[p.Agent] = true
+		peer, _ := sym.AgentID(p.Ord())
+		got[peer] = true
+		if peer != mid && p.Trust >= 0.9 {
+			t.Fatalf("fixture: joiner %s ranks %v, not under the 0.9 floor", peer, p.Trust)
+		}
 	}
 	if !got[mid] || !got[far1] || !got[far2] {
 		t.Fatalf("widened peers = %v, want mid+far1+far2", got)
-	}
-	for _, p := range peers {
-		if p.Agent != mid && p.Trust >= 0.9 {
-			t.Fatalf("fixture: joiner %s ranks %v, not under the 0.9 floor", p.Agent, p.Trust)
-		}
 	}
 }
 

@@ -181,9 +181,9 @@ func TestSwapDeltaMatchesFromScratchRebuild(t *testing.T) {
 			if len(peers) != len(wantPeers) {
 				t.Fatalf("epoch %d agent %s: %d peers, want %d", epoch, id, len(peers), len(wantPeers))
 			}
+			// The ordinal tables are equal, so equal ranks name equal peers.
 			for i, p := range peers {
-				w := wantPeers[i]
-				if p.Agent != w.Agent || p.Trust != w.Trust || p.Sim != w.Sim || p.SimOK != w.SimOK || p.Weight != w.Weight {
+				if w := wantPeers[i]; p != w {
 					t.Fatalf("epoch %d agent %s peer %d: %+v, want %+v", epoch, id, i, p, w)
 				}
 			}

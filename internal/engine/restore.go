@@ -16,8 +16,8 @@ import (
 // Options returns the pipeline options this snapshot serves with.
 func (s *Snapshot) Options() core.Options { return s.opt }
 
-// PeersEntry is one exported neighborhood-cache entry. Every rank carries
-// its peer's ordinal, so neither side of the checkpoint resolves a URI.
+// PeersEntry is one exported neighborhood-cache entry. A rank names its
+// peer by ordinal alone, so neither side of the checkpoint resolves a URI.
 type PeersEntry struct {
 	Agent int32
 	Pipe  string // the stages-1-3 override key and rung, PipeSize bytes

@@ -105,12 +105,19 @@ func e12Variants(c *model.Community, rows []E12Row) ([]*core.Recommender, error)
 // strategy ladder — for attack.Measure.
 type ladderClient struct{ eng *engine.Engine }
 
-func (c ladderClient) Neighbors(id model.AgentID, n int) ([]core.PeerRank, error) {
-	peers, _, err := c.eng.RankedPeersLadder(context.Background(), c.eng.Snapshot(), id, engine.Overrides{}, strategy.Selector{})
+func (c ladderClient) Neighbors(id model.AgentID, n int) ([]attack.Peer, error) {
+	snap := c.eng.Snapshot()
+	peers, _, err := c.eng.RankedPeersLadder(context.Background(), snap, id, engine.Overrides{}, strategy.Selector{})
 	if n > 0 && n < len(peers) {
 		peers = peers[:n]
 	}
-	return peers, err
+	sym := snap.Community().Symbols()
+	out := make([]attack.Peer, len(peers))
+	for i, p := range peers {
+		out[i].Agent, _ = sym.AgentID(p.Ord())
+		out[i].Trust = p.Trust
+	}
+	return out, err
 }
 
 func (c ladderClient) Recommendations(id model.AgentID, n int) ([]core.Recommendation, error) {
@@ -220,7 +227,7 @@ func E12(w io.Writer, p Params) (E12Result, error) {
 				return res, err
 			}
 			for _, pr := range peers {
-				if slices.Contains(sybils, pr.Agent) {
+				if id, _ := c.Symbols().AgentID(pr.Ord()); slices.Contains(sybils, id) {
 					rows[i].Sybils++
 				}
 			}

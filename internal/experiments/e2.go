@@ -62,7 +62,7 @@ func E2(w io.Writer, p Params) (E2Result, error) {
 				return res, err
 			}
 			for _, r := range nb.Top(20) {
-				if s, ok := f.Similarity(src, r.Agent); ok {
+				if s, ok := f.Similarity(src, agents[r.Ord()]); ok {
 					nbSum += s
 					nbN++
 				}

@@ -94,13 +94,14 @@ func E4(w io.Writer, p Params) (E4Result, error) {
 			PureCFExposed: pureExp.Recommended, PureCFRank: pureExp.Rank,
 			HybridExposed: hybridExp.Recommended, HybridRank: hybridExp.Rank,
 		}
+		sym := comm.Symbols()
 		for _, pr := range purePeers {
-			if sybilSet[pr.Agent] {
+			if id, _ := sym.AgentID(pr.Ord()); sybilSet[id] {
 				row.SybilsInPureCF++
 			}
 		}
 		for _, pr := range hybridPeers {
-			if sybilSet[pr.Agent] {
+			if id, _ := sym.AgentID(pr.Ord()); sybilSet[id] {
 				row.SybilsInHybrid++
 			}
 		}

@@ -1,10 +1,13 @@
 // Package experiments regenerates every experiment table defined in
-// DESIGN.md's experiment index (E1–E9). The paper itself — a short
-// framework paper — prints no numbered result tables; each experiment
-// here validates one of its quantitative claims (Example 1's numbers, the
-// §3.2 correlation and manipulation arguments, the §2 overlap and
-// scalability arguments, the §3.4 rank synthesization alternatives, the
-// §6 taxonomy-shape question, and the §4.1 infrastructure statistics).
+// DESIGN.md's experiment index (E1–E12; Suite runs them in that order).
+// The paper itself — a short framework paper — prints no numbered result
+// tables; each experiment here validates one of its quantitative claims
+// (Example 1's numbers, the §3.2 correlation and manipulation arguments,
+// the §2 overlap and scalability arguments, the §3.4 rank synthesization
+// alternatives, the §6 taxonomy-shape question, and the §4.1
+// infrastructure statistics) or measures one of the paper's open
+// directions (E10's automated stereotypes and E11's diversification, both
+// §6) or the neighborhood bounds the zero-value options mean (E12).
 //
 // Every experiment takes an io.Writer for its human-readable table and
 // returns a typed result the benchmarks and tests assert on. All runs are

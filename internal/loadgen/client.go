@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"strings"
 
+	"swrec/internal/attack"
 	"swrec/internal/core"
 	"swrec/internal/model"
 )
@@ -225,8 +226,8 @@ func truncate(b []byte, n int) string {
 }
 
 // Neighbors fetches the ranked trust neighborhood (n=0 means all).
-func (c Client) Neighbors(id model.AgentID, n int) ([]core.PeerRank, error) {
-	return getList[core.PeerRank](c.T, c.withQuery(agentPath(id, fmt.Sprintf("/neighbors?n=%d", n))))
+func (c Client) Neighbors(id model.AgentID, n int) ([]attack.Peer, error) {
+	return getList[attack.Peer](c.T, c.withQuery(agentPath(id, fmt.Sprintf("/neighbors?n=%d", n))))
 }
 
 // Recommendations fetches the agent's top-n recommendations.

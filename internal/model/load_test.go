@@ -167,6 +167,41 @@ func TestLoadOutOfOrderRowIsSorted(t *testing.T) {
 	if got, want := c.RatingStatements(a), []RatingStatement{{"a", "q", 0.5}, {"a", "p", 0.25}}; !slices.Equal(got, want) {
 		t.Fatalf("RatedProducts = %v, want %v", got, want)
 	}
+
+	// Past 16 entries the repeat is found without a sort: a descending row
+	// of 18 that states its first target again last is installed entry by
+	// entry, and the same row without the repeat is adopted.
+	long := registeredCopy(sizedLoadFixture(1, 20, 20))
+	var row Row
+	for k := int32(1); k <= 17; k++ {
+		row = append(row, Entry{k, 1 - float64(k)/20})
+	}
+	row = append(row, Entry{1, 0.05})
+	for _, rel := range []struct {
+		name string
+		load func(*Community) func(int32, Row) error
+		set  func(*Community, Entry) error
+		row  func(*Agent) Row
+	}{
+		{"trust", func(c *Community) func(int32, Row) error { return c.LoadTrust },
+			func(c *Community, e Entry) error { return c.SetTrust(c.agentIDs[0], c.agentIDs[e.Ord], e.Val) }, (*Agent).TrustedPeers},
+		{"ratings", func(c *Community) func(int32, Row) error { return c.LoadRatings },
+			func(c *Community, e Entry) error { return c.SetRating(c.agentIDs[0], c.prodIDs[e.Ord], e.Val) }, (*Agent).RatedProducts},
+	} {
+		got, set := registeredCopy(long), registeredCopy(long)
+		must(t, rel.load(got)(0, slices.Clone(row)))
+		for _, e := range row {
+			must(t, rel.set(set, e))
+		}
+		if g, w := rel.row(got.agentRecs[0]), rel.row(set.agentRecs[0]); !slices.Equal(g, w) || len(g) != 17 || g[16] != row[17] {
+			t.Fatalf("%s: a long row stating a target twice loaded as %v, the setters build %v", rel.name, g, w)
+		}
+		distinct := slices.Clone(row[:17])
+		must(t, rel.load(got)(0, distinct))
+		if !adopted(rel.row(got.agentRecs[0]), distinct) {
+			t.Fatalf("%s: a long in-order row was copied", rel.name)
+		}
+	}
 }
 
 // TestLoadRejectsWhatSettersReject, and leaves the agent as it was.

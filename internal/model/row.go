@@ -1,6 +1,9 @@
 package model
 
-import "slices"
+import (
+	"slices"
+	"sync"
+)
 
 // Entry is one statement of a row: the target's ordinal (an agent's or a
 // product's) and the value stated about it.
@@ -90,7 +93,9 @@ func del(r *Row, o int32) {
 }
 
 // inOrder reports whether r is in served order with no target stated
-// twice: what a loader may adopt as it stands.
+// twice: what a loader may adopt as it stands. ids, the relation's
+// ordinal → URI table, bounds r's ordinals, which the loaders have
+// checked.
 func inOrder[K ~string](r Row, ids []K) bool {
 	for k := 1; k < len(r); k++ {
 		if r[k-1].Val < r[k].Val || r[k-1].Val == r[k].Val && ids[r[k-1].Ord] >= ids[r[k].Ord] {
@@ -105,10 +110,37 @@ func inOrder[K ~string](r Row, ids []K) bool {
 		}
 		return true
 	}
-	ords := make([]int32, len(r))
-	for k, e := range r {
-		ords[k] = e.Ord
+	return distinct(r, len(ids))
+}
+
+// targetSets recycles the bitsets distinct marks targets in, so that
+// LoadTrust and LoadRatings, which may run concurrently, each get their
+// own without allocating per row.
+var targetSets sync.Pool
+
+// distinct reports whether no target ordinal, each below n, appears in r
+// twice. It marks each target in a pooled bitset of n bits and clears
+// the marks it set before it returns the set.
+func distinct(r Row, n int) bool {
+	p, _ := targetSets.Get().(*[]uint64)
+	if p == nil {
+		p = new([]uint64)
 	}
-	slices.Sort(ords)
-	return len(slices.Compact(ords)) == len(r)
+	if words := (n + 63) / 64; len(*p) < words {
+		*p = make([]uint64, words)
+	}
+	set := *p
+	k := 0
+	for ; k < len(r); k++ {
+		w, bit := r[k].Ord>>6, uint64(1)<<(r[k].Ord&63)
+		if set[w]&bit != 0 {
+			break
+		}
+		set[w] |= bit
+	}
+	for _, e := range r[:k] {
+		set[e.Ord>>6] &^= 1 << (e.Ord & 63)
+	}
+	targetSets.Put(p)
+	return k == len(r)
 }

@@ -16,15 +16,15 @@ import (
 // recovers comparability for the "low profile overlap" pathology of §2:
 // two agents whose fine-grained topics are disjoint may still agree at
 // super-topic resolution. Trust ranks pass through unchanged; the result
-// is sorted by descending weight, ties by agent ID, like
+// is sorted by descending weight, ties by agent URI, like
 // core.RankedPeersCtx. Returns ErrNotApplicable for filters without a
 // taxonomy profile space (Product representation).
 func GeneralizedPeers(ctx context.Context, rec *core.Recommender, active model.AgentID, base []core.PeerRank, alpha float64, depth int) ([]core.PeerRank, error) {
 	if rec.Filter().Generator() == nil {
 		return nil, ErrNotApplicable
 	}
-	// The copy keeps every peer's identity (URI and carried ordinal) and
-	// trust; similarity and weight are recomputed.
+	// The copy keeps every peer's ordinal and trust; similarity and
+	// weight are recomputed.
 	out := make([]core.PeerRank, len(base))
 	copy(out, base)
 	if err := rec.AncestorSimilarities(ctx, active, out, depth); err != nil {
@@ -37,6 +37,6 @@ func GeneralizedPeers(ctx context.Context, rec *core.Recommender, active model.A
 		}
 		out[i].Weight = float64(alpha*out[i].Trust) + float64((1-alpha)*sn)
 	}
-	core.SortPeers(out)
+	rec.SortPeers(out)
 	return out, nil
 }

@@ -49,11 +49,11 @@ func naiveGeneralizedPeers(comm *model.Community, measure cf.Measure, active mod
 		var sim float64
 		var ok bool
 		if measure == cf.Cosine {
-			sim, ok = sparse.Cosine(ap, folded(p.Agent))
+			sim, ok = sparse.Cosine(ap, folded(peerName(comm, p)))
 		} else {
-			sim, ok = sparse.Pearson(ap, folded(p.Agent))
+			sim, ok = sparse.Pearson(ap, folded(peerName(comm, p)))
 		}
-		np := core.NewPeerRank(comm.Agent(p.Agent), p.Trust)
+		np := core.NewPeerRank(p.Ord(), p.Trust)
 		sn := 0.0
 		if ok {
 			np.Sim, np.SimOK = sim, true
@@ -69,7 +69,7 @@ func naiveGeneralizedPeers(comm *model.Community, measure cf.Measure, active mod
 			}
 			return 1
 		}
-		if a.Agent < b.Agent {
+		if peerName(comm, a) < peerName(comm, b) {
 			return -1
 		}
 		return 1
@@ -77,11 +77,16 @@ func naiveGeneralizedPeers(comm *model.Community, measure cf.Measure, active mod
 	return out
 }
 
+// peerName resolves p's peer through comm's symbol table.
+func peerName(comm *model.Community, p core.PeerRank) model.AgentID {
+	id, _ := comm.Symbols().AgentID(p.Ord())
+	return id
+}
+
 // TestGeneralizedPeersMatchesNaiveOracle: the rung — one scan of the
 // folded profile matrix — ranks the same members as the map-built oracle,
 // every similarity within 1e-12 of it (the oracle sums in map order), in
-// the same order wherever two weights differ by more than that, each peer
-// still carrying its ordinal.
+// the same order wherever two weights differ by more than that.
 func TestGeneralizedPeersMatchesNaiveOracle(t *testing.T) {
 	cfg := datagen.SmallScale()
 	cfg.Agents = 120
@@ -108,25 +113,26 @@ func TestGeneralizedPeersMatchesNaiveOracle(t *testing.T) {
 				if len(got) != len(want) || len(got) == 0 {
 					t.Fatalf("[%v %s depth %d] %d peers, oracle %d", measure, active, depth, len(got), len(want))
 				}
-				oracle := make(map[model.AgentID]core.PeerRank, len(want))
+				oracle := make(map[int32]core.PeerRank, len(want))
 				for _, p := range want {
-					oracle[p.Agent] = p
+					oracle[p.Ord()] = p
 				}
 				for i, p := range got {
-					w, ok := oracle[p.Agent]
+					name := peerName(comm, p)
+					w, ok := oracle[p.Ord()]
 					if !ok {
-						t.Fatalf("[%v %s depth %d] %s is not in the oracle's ranking", measure, active, depth, p.Agent)
+						t.Fatalf("[%v %s depth %d] %s is not in the oracle's ranking", measure, active, depth, name)
 					}
-					if p.SimOK != w.SimOK || math.Abs(p.Sim-w.Sim) > eps || math.Abs(p.Weight-w.Weight) > eps || p.Trust != w.Trust || p.Ord() != w.Ord() {
-						t.Fatalf("[%v %s depth %d] %s = %+v (ordinal %d), oracle %+v (ordinal %d)", measure, active, depth, p.Agent, p, p.Ord(), w, w.Ord())
+					if p.SimOK != w.SimOK || math.Abs(p.Sim-w.Sim) > eps || math.Abs(p.Weight-w.Weight) > eps || p.Trust != w.Trust {
+						t.Fatalf("[%v %s depth %d] %s = %+v, oracle %+v", measure, active, depth, name, p, w)
 					}
-					if i > 0 && (got[i-1].Weight < p.Weight || (got[i-1].Weight == p.Weight && got[i-1].Agent >= p.Agent)) {
+					if i > 0 && (got[i-1].Weight < p.Weight || (got[i-1].Weight == p.Weight && peerName(comm, got[i-1]) >= name)) {
 						t.Fatalf("[%v %s depth %d] rank %d out of order", measure, active, depth, i)
 					}
 					// Same place as in the oracle unless the oracle's
 					// neighbours there are within rounding of each other.
-					if want[i].Agent != p.Agent && math.Abs(want[i].Weight-w.Weight) > eps {
-						t.Fatalf("[%v %s depth %d] rank %d: %s (%v), oracle has %s (%v)", measure, active, depth, i, p.Agent, p.Weight, want[i].Agent, want[i].Weight)
+					if want[i].Ord() != p.Ord() && math.Abs(want[i].Weight-w.Weight) > eps {
+						t.Fatalf("[%v %s depth %d] rank %d: %s (%v), oracle has %s (%v)", measure, active, depth, i, name, p.Weight, peerName(comm, want[i]), want[i].Weight)
 					}
 					if p.SimOK {
 						compared++

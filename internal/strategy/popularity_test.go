@@ -139,7 +139,7 @@ func TestNoveltyAtBothCallSites(t *testing.T) {
 
 			rec, err := core.New(comm, core.Options{Content: core.NovelCategories, CF: cf.Options{Representation: cf.Product}})
 			must(err)
-			peer := core.NewPeerRank(comm.Agent("http://x/peer"), 1)
+			peer := core.NewPeerRank(comm.Agent("http://x/peer").Ord(), 1)
 			peer.Weight = 1
 			recs, err := rec.RecommendFromCtx(context.Background(), me.ID, []core.PeerRank{peer}, 0)
 			must(err)

@@ -132,14 +132,14 @@ func Advogato(adj *model.Adjacency, source int32, opt AdvogatoOptions) (*Neighbo
 	// own among them.
 	accepted := c.flow.maxFlow(0, sink) - 1
 
-	nb := &Neighborhood{Source: adj.Agent(source).ID, Iterations: len(profile), Explored: explored}
+	nb := &Neighborhood{Source: source, Iterations: len(profile), Explored: explored}
 	nb.Ranks = make([]Rank, 0, accepted)
 	for i := 1; i < n; i++ { // skip the source itself
 		if c.flow.flow(2*i+1) > 0 {
-			nb.Ranks = append(nb.Ranks, NewRank(adj.Agent(c.ord[i]), 1))
+			nb.Ranks = append(nb.Ranks, Rank{Trust: 1, ord: c.ord[i]})
 		}
 	}
-	sortRanks(nb.Ranks)
+	sortRanks(nb.Ranks, adj.Community().Agents())
 	c.reset()
 	certificationPool.Put(c)
 	return nb, nil

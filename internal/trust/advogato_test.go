@@ -221,19 +221,20 @@ func TestPathTrustValidation(t *testing.T) {
 func TestNeighborhoodHelpers(t *testing.T) {
 	net := build(t, [][3]interface{}{{"a", "b", 1.0}, {"a", "c", 1.0}, {"a", "d", 1.0}})
 	nb := &Neighborhood{
-		Source: "a",
+		Source: ordOf(net, "a"),
 		Ranks:  []Rank{rankIn(net, "b", 3), rankIn(net, "c", 2), rankIn(net, "d", 1)},
 	}
-	if got := nb.Top(2); len(got) != 2 || got[0].Agent != "b" {
+	if got := nb.Top(2); len(got) != 2 || got[0] != rankIn(net, "b", 3) {
 		t.Fatalf("Top(2) = %+v", got)
 	}
 	if got := nb.Top(0); len(got) != 3 {
 		t.Fatalf("Top(0) = %+v, want all", got)
 	}
-	if !nb.Contains("c") || nb.Contains("a") {
-		t.Fatalf("Contains: want member c, non-member a; ranks %+v", nb.Ranks)
+	uri := nameIn(net, nb)
+	if uri.Source != "a" || !uri.Contains("c") || uri.Contains("a") {
+		t.Fatalf("named: want source a, member c, non-member a; got %+v", uri)
 	}
-	if _, ok := nb.RankOf("zz"); ok {
+	if _, ok := uri.RankOf("zz"); ok {
 		t.Fatal("RankOf invented a peer")
 	}
 }

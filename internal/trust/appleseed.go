@@ -186,17 +186,17 @@ func appleseed(ctx context.Context, adj *model.Adjacency, source int32, opt Appl
 			n++
 		}
 	}
-	nb := &Neighborhood{Source: adj.Agent(source).ID, Iterations: iterations, Explored: w.nFetched}
+	nb := &Neighborhood{Source: source, Iterations: iterations, Explored: w.nFetched}
 	nb.Ranks = buf[:0]
 	if cap(buf) < n {
 		nb.Ranks = make([]Rank, 0, n)
 	}
 	for i, r := range w.rank[1:w.nodes] {
 		if r > 0 {
-			nb.Ranks = append(nb.Ranks, NewRank(adj.Agent(w.ord[i+1]), r))
+			nb.Ranks = append(nb.Ranks, Rank{Trust: r, ord: w.ord[i+1]})
 		}
 	}
-	sortRanks(nb.Ranks)
+	sortRanks(nb.Ranks, adj.Community().Agents())
 	return nb, nil
 }
 

@@ -27,13 +27,9 @@ func build(t *testing.T, edges [][3]interface{}) *model.Adjacency {
 	return c.Adjacency()
 }
 
-// rankIn builds the rank of a fixture agent, ordinal included.
+// rankIn builds the rank of a fixture agent.
 func rankIn(adj *model.Adjacency, id model.AgentID, trust float64) Rank {
-	a := adj.Community().Agent(id)
-	if a == nil {
-		panic("fixture: no agent " + string(id))
-	}
-	return NewRank(a, trust)
+	return NewRank(ordOf(adj, id), trust)
 }
 
 func TestAppleseedChain(t *testing.T) {
@@ -95,7 +91,7 @@ func TestAppleseedNonlinearNormalizationSharpens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := func(nb *Neighborhood) float64 {
+	ratio := func(nb *uriNeighborhood) float64 {
 		s, _ := nb.RankOf("strong")
 		w, _ := nb.RankOf("weak")
 		return s / w
@@ -302,7 +298,7 @@ func TestAppleseedBackpropKeepsEnergyInNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := func(nb *Neighborhood) float64 {
+	sum := func(nb *uriNeighborhood) float64 {
 		var s float64
 		for _, r := range nb.Ranks {
 			s += r.Trust
@@ -396,7 +392,7 @@ func TestAppleseedThresholdMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := func(nb *Neighborhood) float64 {
+	sum := func(nb *uriNeighborhood) float64 {
 		var s float64
 		for _, r := range nb.Ranks {
 			s += r.Trust

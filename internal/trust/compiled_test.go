@@ -21,17 +21,28 @@ func ordOf(adj *model.Adjacency, id model.AgentID) int32 {
 }
 
 // appleseedFrom, advogatoFrom and pathTrustFrom run a metric from a
-// source named by URI, for fixtures written in agent names.
-func appleseedFrom(adj *model.Adjacency, src model.AgentID, opt AppleseedOptions) (*Neighborhood, error) {
-	return Appleseed(context.Background(), adj, ordOf(adj, src), opt, nil)
+// source named by URI and name the answer's peers, for fixtures written
+// in agent names.
+func appleseedFrom(adj *model.Adjacency, src model.AgentID, opt AppleseedOptions) (*uriNeighborhood, error) {
+	return named(adj)(Appleseed(context.Background(), adj, ordOf(adj, src), opt, nil))
 }
 
-func advogatoFrom(adj *model.Adjacency, src model.AgentID, opt AdvogatoOptions) (*Neighborhood, error) {
-	return Advogato(adj, ordOf(adj, src), opt)
+func advogatoFrom(adj *model.Adjacency, src model.AgentID, opt AdvogatoOptions) (*uriNeighborhood, error) {
+	return named(adj)(Advogato(adj, ordOf(adj, src), opt))
 }
 
-func pathTrustFrom(adj *model.Adjacency, src model.AgentID, opt PathTrustOptions) (*Neighborhood, error) {
-	return PathTrust(adj, ordOf(adj, src), opt)
+func pathTrustFrom(adj *model.Adjacency, src model.AgentID, opt PathTrustOptions) (*uriNeighborhood, error) {
+	return named(adj)(PathTrust(adj, ordOf(adj, src), opt))
+}
+
+// named returns a function that names a metric's answer through adj.
+func named(adj *model.Adjacency) func(*Neighborhood, error) (*uriNeighborhood, error) {
+	return func(nb *Neighborhood, err error) (*uriNeighborhood, error) {
+		if err != nil {
+			return nil, err
+		}
+		return nameIn(adj, nb), nil
+	}
 }
 
 // variant is one option set of one metric: the production walk over the
@@ -39,7 +50,7 @@ func pathTrustFrom(adj *model.Adjacency, src model.AgentID, opt PathTrustOptions
 type variant struct {
 	name   string
 	walk   func(adj *model.Adjacency, src int32) (*Neighborhood, error)
-	oracle func(net Network, src model.AgentID) (*Neighborhood, error)
+	oracle func(net Network, src model.AgentID) (*uriNeighborhood, error)
 }
 
 func appleseedVariant(name string, opt AppleseedOptions) variant {
@@ -47,7 +58,7 @@ func appleseedVariant(name string, opt AppleseedOptions) variant {
 		func(adj *model.Adjacency, src int32) (*Neighborhood, error) {
 			return Appleseed(context.Background(), adj, src, opt, nil)
 		},
-		func(net Network, src model.AgentID) (*Neighborhood, error) {
+		func(net Network, src model.AgentID) (*uriNeighborhood, error) {
 			return oracleAppleseed(context.Background(), net, src, opt)
 		}}
 }
@@ -55,13 +66,13 @@ func appleseedVariant(name string, opt AppleseedOptions) variant {
 func advogatoVariant(name string, opt AdvogatoOptions) variant {
 	return variant{name,
 		func(adj *model.Adjacency, src int32) (*Neighborhood, error) { return Advogato(adj, src, opt) },
-		func(net Network, src model.AgentID) (*Neighborhood, error) { return oracleAdvogato(net, src, opt) }}
+		func(net Network, src model.AgentID) (*uriNeighborhood, error) { return oracleAdvogato(net, src, opt) }}
 }
 
 func pathTrustVariant(name string, opt PathTrustOptions) variant {
 	return variant{name,
 		func(adj *model.Adjacency, src int32) (*Neighborhood, error) { return PathTrust(adj, src, opt) },
-		func(net Network, src model.AgentID) (*Neighborhood, error) { return oraclePathTrust(net, src, opt) }}
+		func(net Network, src model.AgentID) (*uriNeighborhood, error) { return oraclePathTrust(net, src, opt) }}
 }
 
 // walkVariants are the option sets the Appleseed walk must serve.
@@ -99,10 +110,10 @@ var pathTrustVariants = func() (vs []variant) {
 	return vs
 }()
 
-// sameNeighborhood requires a production walk's answer to equal the
-// oracle's bit for bit: same peers in the same order, ranks equal under
-// ==, same pass and fetch counts.
-func sameNeighborhood(t *testing.T, label string, got, want *Neighborhood) {
+// sameNeighborhood requires a production walk's answer, named, to equal
+// the oracle's bit for bit: same peers in the same order, ranks equal
+// under ==, same pass and fetch counts.
+func sameNeighborhood(t *testing.T, label string, got, want *uriNeighborhood) {
 	t.Helper()
 	if got.Source != want.Source || got.Iterations != want.Iterations || got.Explored != want.Explored {
 		t.Fatalf("%s: source/iterations/explored %s/%d/%d, oracle %s/%d/%d", label,
@@ -135,12 +146,7 @@ func diffCommunity(t *testing.T, c *model.Community, sources []model.AgentID, va
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameNeighborhood(t, fmt.Sprintf("%s from %s", v.name, src), got, want)
-			for _, r := range got.Ranks {
-				if a := c.Symbols().AgentAt(r.Ord()); a == nil || a.ID != r.Agent {
-					t.Fatalf("%s from %s: rank of %s carries ordinal %d", v.name, src, r.Agent, r.Ord())
-				}
-			}
+			sameNeighborhood(t, fmt.Sprintf("%s from %s", v.name, src), nameIn(adj, got), want)
 		}
 	}
 }

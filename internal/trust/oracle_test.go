@@ -2,17 +2,20 @@ package trust
 
 // The reference implementations the production walks are pinned to: the
 // URI-generic Appleseed, Advogato, PathTrust and one-hop widening this
-// package ran before every metric moved onto the trust CSR, unchanged,
-// over an interface that exposes nothing but "whose statements can I
-// fetch", with the string interner and the slice-of-slices Dinic solver
-// they were written against. They are oracles, not yardsticks: the
-// differential tests require the production walks to return the same
-// peers, in the same order, with == ranks.
+// package ran before every metric moved onto the trust CSR, over an
+// interface that exposes nothing but "whose statements can I fetch",
+// with the string interner and the slice-of-slices Dinic solver they were
+// written against. Their answer names peers by URI (uriNeighborhood),
+// sorted by the comparator. They are oracles, not yardsticks: the
+// differential tests name a production answer through the community
+// (nameIn) and require the same peers, in the same order, with == ranks.
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"swrec/internal/model"
@@ -47,6 +50,57 @@ func (n plainNet) Peers(a model.AgentID) []model.TrustStatement {
 }
 
 func (n plainNet) NumAgents() int { return n.c.NumAgents() }
+
+// uriRank and uriNeighborhood are a rank and a neighborhood named by
+// URI: what the oracles compute, and what nameIn resolves a production
+// answer to, so that the two compare peer by peer.
+type uriRank struct {
+	Agent model.AgentID
+	Trust float64
+}
+
+type uriNeighborhood struct {
+	Source     model.AgentID
+	Ranks      []uriRank
+	Iterations int
+	Explored   int
+}
+
+// nameIn resolves nb's source and peers through adj's symbol table.
+func nameIn(adj *model.Adjacency, nb *Neighborhood) *uriNeighborhood {
+	sym := adj.Community().Symbols()
+	out := &uriNeighborhood{Ranks: make([]uriRank, len(nb.Ranks)), Iterations: nb.Iterations, Explored: nb.Explored}
+	out.Source, _ = sym.AgentID(nb.Source)
+	for i, r := range nb.Ranks {
+		out.Ranks[i].Agent, _ = sym.AgentID(r.Ord())
+		out.Ranks[i].Trust = r.Trust
+	}
+	return out
+}
+
+// RankOf returns the trust rank of peer and whether it is in range.
+func (nb *uriNeighborhood) RankOf(peer model.AgentID) (float64, bool) {
+	for _, r := range nb.Ranks {
+		if r.Agent == peer {
+			return r.Trust, true
+		}
+	}
+	return 0, false
+}
+
+// Contains reports whether peer made it into the neighborhood.
+func (nb *uriNeighborhood) Contains(peer model.AgentID) bool {
+	_, ok := nb.RankOf(peer)
+	return ok
+}
+
+// sortURIRanks puts ranks in peer order by the comparator: descending
+// trust, ties by ascending URI.
+func sortURIRanks(rs []uriRank) {
+	slices.SortFunc(rs, func(a, b uriRank) int {
+		return cmp.Or(cmp.Compare(b.Trust, a.Trust), cmp.Compare(a.Agent, b.Agent))
+	})
+}
 
 // mapNet is a literal trust graph.
 type mapNet map[model.AgentID][]model.TrustStatement
@@ -279,7 +333,7 @@ type appleseedEdge struct {
 // oracleAppleseed is the generic Appleseed walk over a Network: the
 // spreading-activation update of [12] with nodes in a slab indexed by
 // discovery order and agents interned by URI.
-func oracleAppleseed(ctx context.Context, net Network, source model.AgentID, opt AppleseedOptions) (*Neighborhood, error) {
+func oracleAppleseed(ctx context.Context, net Network, source model.AgentID, opt AppleseedOptions) (*uriNeighborhood, error) {
 	opt = opt.WithDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -461,21 +515,21 @@ func oracleAppleseed(ctx context.Context, net Network, source model.AgentID, opt
 			}
 		}
 	}
-	nb := &Neighborhood{Source: source, Iterations: iterations, Explored: explored}
-	nb.Ranks = make([]Rank, 0, len(nodes)-1)
+	nb := &uriNeighborhood{Source: source, Iterations: iterations, Explored: explored}
+	nb.Ranks = make([]uriRank, 0, len(nodes)-1)
 	for i := 1; i < len(nodes); i++ {
 		if nodes[i].rank <= 0 || (distrusted != nil && distrusted[i]) {
 			continue
 		}
-		nb.Ranks = append(nb.Ranks, Rank{Agent: nodes[i].id, Trust: nodes[i].rank})
+		nb.Ranks = append(nb.Ranks, uriRank{nodes[i].id, nodes[i].rank})
 	}
-	sortRanks(nb.Ranks)
+	sortURIRanks(nb.Ranks)
 	return nb, nil
 }
 
 // oracleAdvogato is the generic Advogato over a Network and a per-call
 // flow network.
-func oracleAdvogato(net Network, source model.AgentID, opt AdvogatoOptions) (*Neighborhood, error) {
+func oracleAdvogato(net Network, source model.AgentID, opt AdvogatoOptions) (*uriNeighborhood, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -539,13 +593,13 @@ func oracleAdvogato(net Network, source model.AgentID, opt AdvogatoOptions) (*Ne
 
 	fn.MaxFlow(2*src, sink)
 
-	nb := &Neighborhood{Source: source, Iterations: horizon, Explored: explored}
+	nb := &uriNeighborhood{Source: source, Iterations: horizon, Explored: explored}
 	for i := 1; i < n; i++ { // skip the source itself
 		if fn.Flow(unitArc[i]) > 0 {
-			nb.Ranks = append(nb.Ranks, Rank{Agent: model.AgentID(in.Name(i)), Trust: 1})
+			nb.Ranks = append(nb.Ranks, uriRank{model.AgentID(in.Name(i)), 1})
 		}
 	}
-	sortRanks(nb.Ranks)
+	sortURIRanks(nb.Ranks)
 	return nb, nil
 }
 
@@ -577,7 +631,7 @@ func (h *oraclePtHeap) Pop() interface{} {
 
 // oraclePathTrust is the generic best-chain search over a Network on
 // container/heap.
-func oraclePathTrust(net Network, source model.AgentID, opt PathTrustOptions) (*Neighborhood, error) {
+func oraclePathTrust(net Network, source model.AgentID, opt PathTrustOptions) (*uriNeighborhood, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -638,21 +692,21 @@ func oraclePathTrust(net Network, source model.AgentID, opt PathTrustOptions) (*
 		}
 	}
 
-	nb := &Neighborhood{Source: source, Iterations: int(maxHops), Explored: explored}
+	nb := &uriNeighborhood{Source: source, Iterations: int(maxHops), Explored: explored}
 	for i := 1; i < len(best); i++ {
 		if best[i] == 0 {
 			continue // interned but pruned below MinTrust
 		}
-		nb.Ranks = append(nb.Ranks, Rank{Agent: model.AgentID(sym.Name(i)), Trust: best[i]})
+		nb.Ranks = append(nb.Ranks, uriRank{model.AgentID(sym.Name(i)), best[i]})
 	}
-	sortRanks(nb.Ranks)
+	sortURIRanks(nb.Ranks)
 	return nb, nil
 }
 
 // widenGeneric is WidenOneHop over a plain Network: discovered agents are
 // interned to dense indices, membership and contribution live in flat
 // slices over the intern space.
-func widenGeneric(net Network, nb *Neighborhood, decay float64) *Neighborhood {
+func widenGeneric(net Network, nb *uriNeighborhood, decay float64) *uriNeighborhood {
 	var sym Interner
 	sym.Intern(string(nb.Source))
 	for _, r := range nb.Ranks {
@@ -697,18 +751,18 @@ func widenGeneric(net Network, nb *Neighborhood, decay float64) *Neighborhood {
 		contribute(r.Agent, r.Trust)
 	}
 
-	out := &Neighborhood{
+	out := &uriNeighborhood{
 		Source:     nb.Source,
 		Iterations: nb.Iterations,
 		Explored:   nb.Explored + explored,
 	}
-	out.Ranks = make([]Rank, len(nb.Ranks), len(nb.Ranks)+len(added))
+	out.Ranks = make([]uriRank, len(nb.Ranks), len(nb.Ranks)+len(added))
 	copy(out.Ranks, nb.Ranks)
 	for j, r := range added {
 		if r > 0 {
-			out.Ranks = append(out.Ranks, Rank{Agent: model.AgentID(sym.Name(inCount + j)), Trust: r})
+			out.Ranks = append(out.Ranks, uriRank{model.AgentID(sym.Name(inCount + j)), r})
 		}
 	}
-	sortRanks(out.Ranks)
+	sortURIRanks(out.Ranks)
 	return out
 }

@@ -12,8 +12,10 @@ import (
 
 // Peer order is the order of every ranked peer list on the serving path
 // — a metric's trust ranks, rank synthesis's weighted peers: descending
-// score, ties by ascending agent URI. SortPeers and TopPeers produce it
-// without sorting the structs. Each element becomes one uint64 word, its
+// score, ties by ascending agent URI. An element names its peer by
+// ordinal, so the callers hand in ids, the community's ordinal → URI
+// table, and a tie reads both URIs there. SortPeers and TopPeers produce
+// the order without sorting the structs. Each element becomes one uint64 word, its
 // score's order-preserving bits (negated, so an ascending sort puts the
 // best first) above its index; one sort of the words then orders the
 // elements, and only a run of words whose truncated scores tie is
@@ -27,11 +29,11 @@ var peerWords sync.Pool
 
 // SortPeers sorts xs into peer order in place: descending score, ties by
 // ascending agent URI.
-func SortPeers[T any](xs []T, score func(*T) float64, agent func(*T) model.AgentID) {
+func SortPeers[T any](xs []T, score func(*T) float64, ord func(*T) int32, ids []model.AgentID) {
 	if len(xs) < 2 {
 		return
 	}
-	p, w := peerOrder(xs, len(xs), score, agent)
+	p, w := peerOrder(xs, len(xs), score, ord, ids)
 	// Apply the order along its cycles: position j takes the element at
 	// words[j]; a visited position has its word's top bit set, which no
 	// index reaches.
@@ -59,11 +61,11 @@ func SortPeers[T any](xs []T, score func(*T) float64, agent func(*T) model.Agent
 // TopPeers fills dst with the len(dst) first elements of xs in peer
 // order and leaves xs as it is; len(dst) must not exceed len(xs). Only
 // the ties that reach into the kept prefix are settled.
-func TopPeers[T any](dst, xs []T, score func(*T) float64, agent func(*T) model.AgentID) {
+func TopPeers[T any](dst, xs []T, score func(*T) float64, ord func(*T) int32, ids []model.AgentID) {
 	if len(dst) == 0 {
 		return
 	}
-	p, w := peerOrder(xs, len(dst), score, agent)
+	p, w := peerOrder(xs, len(dst), score, ord, ids)
 	for j := range dst {
 		dst[j] = xs[w[j]]
 	}
@@ -73,7 +75,7 @@ func TopPeers[T any](dst, xs []T, score func(*T) float64, agent func(*T) model.A
 // peerOrder returns pooled words, w in the array p holds, whose first
 // keep entries are the indices of xs in peer order; the order of the rest
 // is unspecified. The caller puts p back.
-func peerOrder[T any](xs []T, keep int, score func(*T) float64, agent func(*T) model.AgentID) (p *[]uint64, w []uint64) {
+func peerOrder[T any](xs []T, keep int, score func(*T) float64, ord func(*T) int32, ids []model.AgentID) (p *[]uint64, w []uint64) {
 	n := len(xs)
 	p, _ = peerWords.Get().(*[]uint64)
 	if p == nil || cap(*p) < n {
@@ -101,7 +103,7 @@ func peerOrder[T any](xs []T, keep int, score func(*T) float64, agent func(*T) m
 				case sx < sy:
 					return 1
 				}
-				return strings.Compare(string(agent(x)), string(agent(y)))
+				return strings.Compare(string(ids[ord(x)]), string(ids[ord(y)]))
 			})
 		}
 		lo = hi

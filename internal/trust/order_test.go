@@ -11,24 +11,37 @@ import (
 	"swrec/internal/model"
 )
 
-// compareRanks is the comparator peer order replaced: descending trust,
-// ties by ascending ID. It is the oracle the packed-word sort must equal.
-func compareRanks(a, b Rank) int {
-	switch {
-	case a.Trust > b.Trust:
-		return -1
-	case a.Trust < b.Trust:
-		return 1
-	case a.Agent < b.Agent:
-		return -1
-	case a.Agent > b.Agent:
-		return 1
-	default:
-		return 0
+// compareIn returns the comparator peer order replaced: descending
+// trust, ties by ascending URI, each read from ids by ordinal. It is the
+// oracle the packed-word sort must equal.
+func compareIn(ids []model.AgentID) func(a, b Rank) int {
+	return func(a, b Rank) int {
+		switch {
+		case a.Trust > b.Trust:
+			return -1
+		case a.Trust < b.Trust:
+			return 1
+		case ids[a.ord] < ids[b.ord]:
+			return -1
+		case ids[a.ord] > ids[b.ord]:
+			return 1
+		default:
+			return 0
+		}
 	}
 }
 
-// randomRanks returns n ranks with distinct IDs in random order. Scores
+// shuffledIDs returns an ordinal → URI table whose URI order is not the
+// ordinal order, so a tie broken by ordinal shows.
+func shuffledIDs(rng *rand.Rand, n int) []model.AgentID {
+	ids := make([]model.AgentID, n)
+	for i, p := range rng.Perm(n) {
+		ids[i] = model.AgentID(fmt.Sprintf("a%05d", p))
+	}
+	return ids
+}
+
+// randomRanks returns n ranks of distinct peers in random order. Scores
 // are drawn so that ties are common: exact repeats, ±0, negatives, and
 // values one ulp apart, which share their truncated key.
 func randomRanks(rng *rand.Rand, n int) []Rank {
@@ -44,7 +57,7 @@ func randomRanks(rng *rand.Rand, n int) []Rank {
 		default:
 			t = rng.NormFloat64()
 		}
-		rs[i] = Rank{Agent: model.AgentID(fmt.Sprintf("a%05d", p)), Trust: t, ord: int32(p) + 1}
+		rs[i] = Rank{Trust: t, ord: int32(p)}
 	}
 	return rs
 }
@@ -56,12 +69,12 @@ func TestSortPeersMatchesComparatorSort(t *testing.T) {
 		if trial < 20 {
 			n = trial
 		}
-		rs := randomRanks(rng, n)
+		rs, ids := randomRanks(rng, n), shuffledIDs(rng, n)
 		want := slices.Clone(rs)
-		slices.SortFunc(want, compareRanks)
+		slices.SortFunc(want, compareIn(ids))
 
 		got := slices.Clone(rs)
-		sortRanks(got)
+		sortRanks(got, ids)
 		if !slices.Equal(got, want) {
 			t.Fatalf("n=%d: SortPeers differs from the comparator sort\n got %v\nwant %v", n, got, want)
 		}
@@ -71,7 +84,7 @@ func TestSortPeersMatchesComparatorSort(t *testing.T) {
 			}
 			dst := make([]Rank, keep)
 			in := slices.Clone(rs)
-			TopPeers(dst, in, rankTrust, rankAgent)
+			TopPeers(dst, in, rankTrust, rankOrd, ids)
 			if !slices.Equal(dst, want[:keep]) {
 				t.Fatalf("n=%d keep=%d: TopPeers differs from the sorted prefix\n got %v\nwant %v", n, keep, dst, want[:keep])
 			}
@@ -89,12 +102,13 @@ func TestSortPeersMatchesComparatorSort(t *testing.T) {
 // as long.
 func TestSortPeersLongTie(t *testing.T) {
 	rng := rand.New(rand.NewSource(9100))
-	rs := make([]Rank, 9100)
+	rs, ids := make([]Rank, 9100), make([]model.AgentID, 9100)
 	for i, p := range rng.Perm(len(rs)) {
-		rs[i] = Rank{Agent: model.AgentID(fmt.Sprintf("http://swrec.example/people/a%d", p)), Trust: 1, ord: int32(p) + 1}
+		rs[i] = Rank{Trust: 1, ord: int32(i)}
+		ids[i] = model.AgentID(fmt.Sprintf("http://swrec.example/people/a%d", p))
 	}
 	want := slices.Clone(rs)
-	slices.SortFunc(want, compareRanks)
+	slices.SortFunc(want, compareIn(ids))
 	fastest := func(sort func([]Rank)) (time.Duration, []Rank) {
 		best, out := time.Duration(math.MaxInt64), []Rank(nil)
 		for range 3 {
@@ -105,8 +119,8 @@ func TestSortPeersLongTie(t *testing.T) {
 		}
 		return best, out
 	}
-	ref, _ := fastest(func(x []Rank) { slices.SortFunc(x, compareRanks) })
-	took, got := fastest(sortRanks)
+	ref, _ := fastest(func(x []Rank) { slices.SortFunc(x, compareIn(ids)) })
+	took, got := fastest(func(x []Rank) { sortRanks(x, ids) })
 	if !slices.Equal(got, want) {
 		t.Fatal("a 9,100-way tie sorts differently from the comparator sort")
 	}
@@ -121,11 +135,12 @@ func TestPeerOrderAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	rs := randomRanks(rand.New(rand.NewSource(1)), 400)
+	rng := rand.New(rand.NewSource(1))
+	rs, ids := randomRanks(rng, 400), shuffledIDs(rng, 400)
 	dst := make([]Rank, 150)
 	for name, run := range map[string]func(){
-		"SortPeers": func() { sortRanks(rs) },
-		"TopPeers":  func() { TopPeers(dst, rs, rankTrust, rankAgent) },
+		"SortPeers": func() { sortRanks(rs, ids) },
+		"TopPeers":  func() { TopPeers(dst, rs, rankTrust, rankOrd, ids) },
 	} {
 		run()
 		if got := testing.AllocsPerRun(100, run); got != 0 {

@@ -155,12 +155,12 @@ func PathTrust(adj *model.Adjacency, source int32, opt PathTrustOptions) (*Neigh
 	}
 
 	// Every numbered peer was reached by a chain of at least MinTrust > 0.
-	nb := &Neighborhood{Source: adj.Agent(source).ID, Iterations: int(maxHops), Explored: explored}
+	nb := &Neighborhood{Source: source, Iterations: int(maxHops), Explored: explored}
 	nb.Ranks = make([]Rank, 0, len(s.ord)-1)
 	for i, x := range s.ord[1:] {
-		nb.Ranks = append(nb.Ranks, NewRank(adj.Agent(x), s.best[i+1]))
+		nb.Ranks = append(nb.Ranks, Rank{Trust: s.best[i+1], ord: x})
 	}
-	sortRanks(nb.Ranks)
+	sortRanks(nb.Ranks, adj.Community().Agents())
 	s.reset()
 	chainSearchPool.Put(s)
 	return nb, nil

@@ -21,13 +21,14 @@
 //
 // All metrics walk one substrate: a community's adjacency
 // (model.Adjacency), which reads every agent's trust row — its
-// statements in TrustedPeers order, targets by ordinal. They take the source as an ordinal and
-// return ranks that carry their peer's ordinal, so later stages never
-// resolve a URI. The "partial trust graph" of §3.2 is what the walks'
-// own bounds (Appleseed's MaxNodes, Advogato's capacity profile,
-// PathTrust's horizon) leave explored; a partially crawled view is served
-// the same way — the crawler materializes what it fetched as a community,
-// and the metrics run on that.
+// statements in TrustedPeers order, targets by ordinal. They take the
+// source as an ordinal and return ranks that name their peer by ordinal
+// alone, so no later stage resolves a URI; a caller that prints a peer
+// resolves it through model.Symbols. The "partial trust graph" of §3.2
+// is what the walks' own bounds (Appleseed's MaxNodes, Advogato's
+// capacity profile, PathTrust's horizon) leave explored; a partially
+// crawled view is served the same way — the crawler materializes what it
+// fetched as a community, and the metrics run on that.
 package trust
 
 import "swrec/internal/model"
@@ -37,28 +38,28 @@ import "swrec/internal/model"
 // that instead.
 func FromCommunity(c *model.Community) *model.Adjacency { return c.Adjacency() }
 
-// Rank is one entry of a computed trust neighborhood: the peer and its
-// continuous trust rank (metric-specific scale; only the ordering and
-// relative magnitude matter downstream). Later stages address the peer by
-// its ordinal; the zero value names no agent and widens or votes nothing.
+// Rank is one entry of a computed trust neighborhood: the peer, named by
+// its community ordinal, and its continuous trust rank (metric-specific
+// scale; only the ordering and relative magnitude matter downstream).
+// It holds no pointer; a peer's URI is resolved through the community's
+// symbol table where something prints it.
 type Rank struct {
-	Agent model.AgentID
 	Trust float64
-	ord   int32 // the peer's community ordinal + 1; 0 = not in this community
+	ord   int32
 }
 
-// NewRank returns agent a's rank, its URI and ordinal taken from one record.
-func NewRank(a *model.Agent, trust float64) Rank {
-	return Rank{Agent: a.ID, Trust: trust, ord: a.Ord() + 1}
-}
+// NewRank returns the rank of the agent with ordinal ord.
+func NewRank(ord int32, trust float64) Rank { return Rank{Trust: trust, ord: ord} }
 
-// Ord returns the peer's community ordinal, -1 for the zero value.
-func (r Rank) Ord() int32 { return r.ord - 1 }
+// Ord returns the peer's community ordinal.
+func (r Rank) Ord() int32 { return r.ord }
 
 // Neighborhood is the ranked result of a local group trust computation for
-// one source agent, sorted by descending trust (ties broken by agent ID).
+// one source agent, sorted by descending trust (ties broken by agent URI).
 type Neighborhood struct {
-	Source model.AgentID
+	// Source is the source agent's ordinal, -1 for an agent the community
+	// does not know.
+	Source int32
 	Ranks  []Rank
 	// Iterations is the number of passes the metric ran until convergence
 	// (Appleseed) or levels explored (Advogato, PathTrust).
@@ -96,11 +97,12 @@ func (t *nodeTable) reset() {
 	t.ord = t.ord[:0]
 }
 
-// sortRanks orders ranks in peer order: descending trust, then ID.
-func sortRanks(rs []Rank) { SortPeers(rs, rankTrust, rankAgent) }
+// sortRanks orders ranks in peer order: descending trust, then the URI
+// ids, the community's ordinal → URI table, gives each.
+func sortRanks(rs []Rank, ids []model.AgentID) { SortPeers(rs, rankTrust, rankOrd, ids) }
 
-func rankTrust(r *Rank) float64       { return r.Trust }
-func rankAgent(r *Rank) model.AgentID { return r.Agent }
+func rankTrust(r *Rank) float64 { return r.Trust }
+func rankOrd(r *Rank) int32     { return r.ord }
 
 // Top returns the n highest-ranked peers (all if n <= 0 or beyond range).
 func (nb *Neighborhood) Top(n int) []Rank {
@@ -108,20 +110,4 @@ func (nb *Neighborhood) Top(n int) []Rank {
 		return nb.Ranks
 	}
 	return nb.Ranks[:n]
-}
-
-// RankOf returns the trust rank of peer and whether it is in range.
-func (nb *Neighborhood) RankOf(peer model.AgentID) (float64, bool) {
-	for _, r := range nb.Ranks {
-		if r.Agent == peer {
-			return r.Trust, true
-		}
-	}
-	return 0, false
-}
-
-// Contains reports whether peer made it into the neighborhood.
-func (nb *Neighborhood) Contains(peer model.AgentID) bool {
-	_, ok := nb.RankOf(peer)
-	return ok
 }

@@ -26,46 +26,35 @@ import (
 // up by agent ordinal in a pooled table, so no edge visit hashes a URI,
 // no call allocates by community size, and everything else is
 // proportional to the widened frontier. Each contributor's statements are
-// its trust row — TrustedPeers order with the targets as
-// ordinals. Every member is addressed by the ordinal its rank carries;
-// the source, which the neighborhood names by URI, is resolved once. A
-// source the community does not know, and a zero-value member, contribute
-// nothing.
+// its trust row — TrustedPeers order with the targets as ordinals. The
+// source and every member are addressed by their ordinals; a source the
+// community does not know (Source -1) contributes nothing.
 func WidenOneHop(adj *model.Adjacency, nb *Neighborhood, decay float64) *Neighborhood {
 	if decay <= 0 || decay > 1 {
 		decay = 0.5
 	}
 	w := getWidening(adj.NumAgents())
-	mark := func(r Rank, v int32) {
-		if ord := r.Ord(); ord >= 0 {
-			w.slot[ord] = v
-		}
+	known := nb.Source >= 0 && int(nb.Source) < adj.NumAgents()
+	if known {
+		w.slot[nb.Source] = inRange
 	}
-	var source Rank
-	if a := adj.Community().Agent(nb.Source); a != nil {
-		source = NewRank(a, 0)
-	}
-	mark(source, inRange)
+	top := 0.0
 	for _, r := range nb.Ranks {
-		mark(r, inRange)
-		source.Trust = max(source.Trust, r.Trust)
+		w.slot[r.ord] = inRange
+		top = max(top, r.Trust)
 	}
-	if source.Trust <= 0 {
-		source.Trust = 1
+	if top <= 0 {
+		top = 1
 	}
 
 	explored := 0
-	contribute := func(r Rank) {
-		from := r.Ord()
-		if from < 0 {
-			return
-		}
+	contribute := func(from int32, trust float64) {
 		explored++
 		for _, e := range adj.Trust(from) {
 			if e.Val <= 0 {
 				break // positive statements form a prefix of every row
 			}
-			ord, rank := e.Ord, decay*r.Trust*e.Val
+			ord, rank := e.Ord, decay*trust*e.Val
 			switch at := w.slot[ord]; {
 			case at == inRange:
 			case at > 0:
@@ -76,9 +65,11 @@ func WidenOneHop(adj *model.Adjacency, nb *Neighborhood, decay float64) *Neighbo
 			}
 		}
 	}
-	contribute(source)
+	if known {
+		contribute(nb.Source, top)
+	}
 	for _, r := range nb.Ranks {
-		contribute(r)
+		contribute(r.ord, r.Trust)
 	}
 
 	out := &Neighborhood{
@@ -89,14 +80,16 @@ func WidenOneHop(adj *model.Adjacency, nb *Neighborhood, decay float64) *Neighbo
 	out.Ranks = make([]Rank, len(nb.Ranks), len(nb.Ranks)+len(w.joined))
 	copy(out.Ranks, nb.Ranks)
 	for k, ord := range w.joined {
-		out.Ranks = append(out.Ranks, NewRank(adj.Agent(ord), w.rank[k]))
+		out.Ranks = append(out.Ranks, Rank{Trust: w.rank[k], ord: ord})
 		w.slot[ord] = 0
 	}
-	sortRanks(out.Ranks)
+	sortRanks(out.Ranks, adj.Community().Agents())
 
-	mark(source, 0)
+	if known {
+		w.slot[nb.Source] = 0
+	}
 	for _, r := range nb.Ranks {
-		mark(r, 0)
+		w.slot[r.ord] = 0
 	}
 	w.joined, w.rank = w.joined[:0], w.rank[:0]
 	wideningPool.Put(w)

@@ -1,6 +1,7 @@
 package trust
 
 import (
+	"context"
 	"testing"
 
 	"swrec/internal/datagen"
@@ -13,11 +14,11 @@ func TestWidenOneHopRecruitsFrontier(t *testing.T) {
 		{"a", "b", 0.8}, {"a", "bad", -0.9},
 		{"b", "c", 1.0},
 	})
-	nb := &Neighborhood{Source: "src", Ranks: []Rank{rankIn(net, "a", 0.6)}, Explored: 2}
+	nb := &Neighborhood{Source: ordOf(net, "src"), Ranks: []Rank{rankIn(net, "a", 0.6)}, Explored: 2}
 	wide := WidenOneHop(net, nb, 0.5)
 
 	ranks := make(map[model.AgentID]float64, len(wide.Ranks))
-	for _, r := range wide.Ranks {
+	for _, r := range nameIn(net, wide).Ranks {
 		ranks[r.Agent] = r.Trust
 	}
 	if ranks["a"] != 0.6 {
@@ -45,9 +46,9 @@ func TestWidenOneHopSourceContributesAtMaxRank(t *testing.T) {
 	// The source's own statements widen too, at the neighborhood's max
 	// rank — and with an empty neighborhood, at rank 1.
 	net := build(t, [][3]interface{}{{"src", "d", 0.9}})
-	empty := &Neighborhood{Source: "src"}
+	empty := &Neighborhood{Source: ordOf(net, "src")}
 	wide := WidenOneHop(net, empty, 0.5)
-	if len(wide.Ranks) != 1 || wide.Ranks[0].Agent != "d" || wide.Ranks[0].Trust != 0.5*0.9 {
+	if len(wide.Ranks) != 1 || wide.Ranks[0] != rankIn(net, "d", 0.5*0.9) {
 		t.Fatalf("empty-neighborhood widening = %+v", wide.Ranks)
 	}
 }
@@ -58,32 +59,32 @@ func TestWidenOneHopKeepsStrongestContribution(t *testing.T) {
 		{"a", "x", 1.0},
 		{"b", "x", 1.0},
 	})
-	nb := &Neighborhood{Source: "src", Ranks: []Rank{rankIn(net, "a", 0.9), rankIn(net, "b", 0.2)}}
+	nb := &Neighborhood{Source: -1, Ranks: []Rank{rankIn(net, "a", 0.9), rankIn(net, "b", 0.2)}}
 	wide := WidenOneHop(net, nb, 0.5)
-	for _, r := range wide.Ranks {
+	for _, r := range nameIn(net, wide).Ranks {
 		if r.Agent == "x" && r.Trust != 0.5*0.9 {
 			t.Fatalf("x rank = %v, want the stronger contribution %v", r.Trust, 0.5*0.9)
 		}
 	}
 }
 
-// TestWidenOneHopZeroRankIsNotResolved: a member whose rank carries no
-// ordinal is not looked up by its URI — it neither recruits its peers
-// nor blocks them, and passes through as it came.
-func TestWidenOneHopZeroRankIsNotResolved(t *testing.T) {
+// TestWidenOneHopUnknownSourceContributesNothing: a source the community
+// does not know (Source -1) neither recruits nor counts as explored; the
+// members still widen.
+func TestWidenOneHopUnknownSourceContributesNothing(t *testing.T) {
 	net := build(t, [][3]interface{}{{"a", "x", 1.0}, {"src", "y", 0.5}})
-	zero := Rank{Agent: "a", Trust: 0.9}
-	wide := WidenOneHop(net, &Neighborhood{Source: "src", Ranks: []Rank{zero}}, 0.5)
-	if len(wide.Ranks) != 2 || wide.Ranks[0] != zero || wide.Ranks[1].Agent != "y" || wide.Ranks[1].Trust != 0.5*0.9*0.5 {
-		t.Fatalf("widened by a zero-value member: %+v, want it unchanged beside the source's y", wide.Ranks)
+	member := rankIn(net, "a", 0.9)
+	wide := WidenOneHop(net, &Neighborhood{Source: -1, Ranks: []Rank{member}}, 0.5)
+	if len(wide.Ranks) != 2 || wide.Ranks[0] != member || wide.Ranks[1] != rankIn(net, "x", 0.5*0.9) {
+		t.Fatalf("widened from an unknown source: %+v, want the member and its x", wide.Ranks)
 	}
 	if wide.Explored != 1 {
-		t.Fatalf("explored %d contributors, want the source alone", wide.Explored)
+		t.Fatalf("explored %d contributors, want the member alone", wide.Explored)
 	}
-	// The same member with its ordinal recruits x.
-	wide = WidenOneHop(net, &Neighborhood{Source: "src", Ranks: []Rank{rankIn(net, "a", 0.9)}}, 0.5)
-	if len(wide.Ranks) != 3 {
-		t.Fatalf("widened by a ranked member: %+v, want x and y recruited", wide.Ranks)
+	// The same source by its ordinal recruits y as well.
+	wide = WidenOneHop(net, &Neighborhood{Source: ordOf(net, "src"), Ranks: []Rank{member}}, 0.5)
+	if len(wide.Ranks) != 3 || wide.Explored != 2 {
+		t.Fatalf("widened from a known source: %+v (explored %d), want x and y recruited", wide.Ranks, wide.Explored)
 	}
 }
 
@@ -93,7 +94,7 @@ func TestWidenOneHopDeterministicOrder(t *testing.T) {
 		{"src", "p2", 0.7},
 		{"src", "p3", 0.7},
 	})
-	nb := &Neighborhood{Source: "src"}
+	nb := &Neighborhood{Source: ordOf(net, "src")}
 	first := WidenOneHop(net, nb, 0.5)
 	for i := 0; i < 10; i++ {
 		again := WidenOneHop(net, nb, 0.5)
@@ -103,8 +104,8 @@ func TestWidenOneHopDeterministicOrder(t *testing.T) {
 			}
 		}
 	}
-	// Equal trust sorts by agent ID.
-	if first.Ranks[0].Agent != "p1" || first.Ranks[1].Agent != "p2" || first.Ranks[2].Agent != "p3" {
+	// Equal trust sorts by agent URI.
+	if named := nameIn(net, first); named.Ranks[0].Agent != "p1" || named.Ranks[1].Agent != "p2" || named.Ranks[2].Agent != "p3" {
 		t.Fatalf("tie order = %+v", first.Ranks)
 	}
 }
@@ -120,11 +121,11 @@ func TestWidenCommunityPathMatchesGeneric(t *testing.T) {
 	adj, oracle := comm.Adjacency(), plainNet{comm}
 	for _, opt := range []AppleseedOptions{{}, {MaxNodes: 5}} {
 		for _, src := range comm.Agents() {
-			nb, err := appleseedFrom(adj, src, opt)
+			nb, err := Appleseed(context.Background(), adj, ordOf(adj, src), opt, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, want := WidenOneHop(adj, nb, 0.5), widenGeneric(oracle, nb, 0.5)
+			got, want := nameIn(adj, WidenOneHop(adj, nb, 0.5)), widenGeneric(oracle, nameIn(adj, nb), 0.5)
 			if got.Explored != want.Explored || len(got.Ranks) != len(want.Ranks) {
 				t.Fatalf("%s: explored %d, %d ranks; generic %d, %d", src, got.Explored, len(got.Ranks), want.Explored, len(want.Ranks))
 			}

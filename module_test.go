@@ -79,3 +79,36 @@ func TestModuleMapListsEveryPackage(t *testing.T) {
 		}
 	}
 }
+
+// makeTarget matches a rule line of the Makefile and captures its
+// target; makeCommand matches a backticked `make <target>` in the docs.
+var (
+	makeTarget  = regexp.MustCompile(`(?m)^([A-Za-z0-9_./-]+):([^=]|$)`)
+	makeCommand = regexp.MustCompile("`make ([A-Za-z0-9_./-]+)[^`]*`")
+)
+
+// TestDocsNameMakeTargets holds README.md and DESIGN.md to the Makefile:
+// every backticked `make <target>` names a target it defines.
+func TestDocsNameMakeTargets(t *testing.T) {
+	data, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := make(map[string]bool)
+	for _, m := range makeTarget.FindAllStringSubmatch(string(data), -1) {
+		targets[m[1]] = true
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, m := range makeCommand.FindAllStringSubmatch(line, -1) {
+				if !targets[m[1]] {
+					t.Errorf("%s:%d: `make %s` names no Makefile target", doc, i+1, m[1])
+				}
+			}
+		}
+	}
+}

@@ -97,9 +97,11 @@ type (
 	CFOptions = cf.Options
 	// Recommendation is one recommended product.
 	Recommendation = core.Recommendation
-	// PeerRank is one peer after rank synthesization.
+	// PeerRank is one peer after rank synthesization, named by its
+	// community ordinal (Ord); Community.Symbols resolves its URI.
 	PeerRank = core.PeerRank
-	// Neighborhood is a computed trust neighborhood.
+	// Neighborhood is a computed trust neighborhood; its ranks name
+	// their peers by ordinal, as PeerRank does.
 	Neighborhood = trust.Neighborhood
 	// AppleseedOptions parameterize the Appleseed trust metric.
 	AppleseedOptions = trust.AppleseedOptions
